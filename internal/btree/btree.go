@@ -101,14 +101,18 @@ func (t *Tree) descend(key []byte) (storage.PageID, error) {
 }
 
 // descendPath is like descend but records the (page, cell index) path,
-// root first, for structure-modifying operations.
+// root first, for structure-modifying operations. The path is appended
+// to the caller's buffer.
 type pathElem struct {
 	id  storage.PageID
 	idx int
 }
 
-func (t *Tree) descendPath(key []byte) ([]pathElem, error) {
-	var path []pathElem
+// pathDepth is the tree height a caller's stack-allocated path buffer
+// covers without growing; deeper trees only cost an allocation.
+const pathDepth = 8
+
+func (t *Tree) descendPath(key []byte, path []pathElem) ([]pathElem, error) {
 	id := t.root
 	for {
 		n, err := t.page(id)
@@ -131,12 +135,17 @@ func (t *Tree) descendPath(key []byte) ([]pathElem, error) {
 	}
 }
 
-// Insert stores value under key, replacing any existing value.
+// Insert stores value under key, replacing any existing value. A
+// replacement whose cell is no larger than the one it replaces is
+// written over it in place: the leaf's cell order, pointer array and
+// free space stay as they are, and whatever the new cell leaves unused
+// is reclaimed by the next defragment like any removed cell's bytes.
 func (t *Tree) Insert(key, value []byte) error {
 	if len(key)+len(value)+cellOverhead > MaxCellPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooBig, len(key)+len(value))
 	}
-	path, err := t.descendPath(key)
+	var pathBuf [pathDepth]pathElem
+	path, err := t.descendPath(key, pathBuf[:0])
 	if err != nil {
 		return err
 	}
@@ -148,20 +157,28 @@ func (t *Tree) Insert(key, value []byte) error {
 	if err != nil {
 		return err
 	}
+	size := leafCellSize(key, value)
 	if found {
+		old, err := leaf.rawCell(idx)
+		if err != nil {
+			return err
+		}
+		if size <= len(old) {
+			putLeafCell(old, key, value)
+			return nil
+		}
 		leaf.removeCell(idx)
 	}
-	raw := encodeLeafCell(key, value)
-	if t.cellFits(leaf, raw) {
-		return leaf.insertCellRaw(idx, raw)
+	if t.cellFits(leaf, size) {
+		return leaf.insertLeafCell(idx, key, value)
 	}
-	return t.splitAndInsert(path, leaf, idx, raw, key)
+	return t.splitAndInsert(path, leaf, idx, encodeLeafCell(key, value), key)
 }
 
-// cellFits reports whether raw can be stored in n, defragmenting if the
-// space exists but is fragmented.
-func (t *Tree) cellFits(n node, raw []byte) bool {
-	need := len(raw) + 2
+// cellFits reports whether a size-byte cell can be stored in n, counting
+// space a defragment would reclaim.
+func (t *Tree) cellFits(n node, size int) bool {
+	need := size + 2
 	if n.freeSpace() >= need {
 		return true
 	}
@@ -259,7 +276,7 @@ func (t *Tree) splitAndInsert(path []pathElem, n node, idx int, raw []byte, key 
 	if idx >= splitAt {
 		target, tidx = right, idx-splitAt
 	}
-	if !t.cellFits(target, raw) {
+	if !t.cellFits(target, len(raw)) {
 		// Both halves are sized to hold at least one max-size cell, so
 		// this indicates corruption rather than a full page.
 		return fmt.Errorf("%w: cell does not fit after split", ErrCorrupt)
@@ -301,7 +318,7 @@ func (t *Tree) insertRouting(path []pathElem, key []byte, child storage.PageID, 
 		}
 	}
 	raw := encodeInteriorCell(key, child)
-	if t.cellFits(parent, raw) {
+	if t.cellFits(parent, len(raw)) {
 		return parent.insertCellRaw(idx, raw)
 	}
 	// Split the interior parent, then retry the routing insert into the
@@ -377,7 +394,8 @@ func (t *Tree) growRoot(key []byte, rightChild storage.PageID, leftChild storage
 // are unlinked and freed; emptied interior nodes cascade; a root
 // interior left with a single child collapses to keep the tree shallow.
 func (t *Tree) Delete(key []byte) (bool, error) {
-	path, err := t.descendPath(key)
+	var pathBuf [pathDepth]pathElem
+	path, err := t.descendPath(key, pathBuf[:0])
 	if err != nil {
 		return false, err
 	}

@@ -102,26 +102,23 @@ func (c *Cursor) advanceLeaf() (bool, error) {
 // Valid reports whether the cursor is positioned on an entry.
 func (c *Cursor) Valid() bool { return c.valid }
 
+// Entry returns the current entry's key and value from one decode of
+// the cell (nil slices when the cursor is not positioned).
+func (c *Cursor) Entry() (key, value []byte, err error) {
+	if !c.valid {
+		return nil, nil, nil
+	}
+	return c.leaf.leafCell(c.idx)
+}
+
 // Key returns the current entry's key.
 func (c *Cursor) Key() []byte {
-	if !c.valid {
-		return nil
-	}
-	k, _, err := c.leaf.leafCell(c.idx)
-	if err != nil {
-		return nil
-	}
+	k, _, _ := c.Entry()
 	return k
 }
 
 // Value returns the current entry's value.
 func (c *Cursor) Value() []byte {
-	if !c.valid {
-		return nil
-	}
-	_, v, err := c.leaf.leafCell(c.idx)
-	if err != nil {
-		return nil
-	}
+	_, v, _ := c.Entry()
 	return v
 }

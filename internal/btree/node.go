@@ -205,48 +205,66 @@ func (n node) usedContent() (int, error) {
 }
 
 // defragment rewrites all cells tightly against the end of the page.
+// Cells are read from a page-sized copy on the stack while they are
+// written back into the page itself, so compaction allocates nothing.
 func (n node) defragment() error {
-	num := n.numCells()
-	cells := make([][]byte, num)
-	for i := 0; i < num; i++ {
-		raw, err := n.rawCell(i)
+	old := *n.data
+	src := node{id: n.id, data: &old}
+	ptr := storage.PageSize
+	for i, num := 0, n.numCells(); i < num; i++ {
+		raw, err := src.rawCell(i)
 		if err != nil {
+			*n.data = old // a corrupt cell: leave the page as it was found
 			return err
 		}
-		cp := make([]byte, len(raw))
-		copy(cp, raw)
-		cells[i] = cp
-	}
-	ptr := storage.PageSize
-	for i, c := range cells {
-		ptr -= len(c)
-		copy(n.data[ptr:], c)
+		ptr -= len(raw)
+		copy(n.data[ptr:], raw)
 		n.setCellPtr(i, ptr)
 	}
 	n.setContentPtr(ptr)
 	return nil
 }
 
-// insertCellRaw inserts pre-encoded cell bytes at index i, defragmenting
-// if needed. The caller must have verified the cell fits the page's
-// total free space.
-func (n node) insertCellRaw(i int, raw []byte) error {
-	if n.freeSpace() < len(raw)+2 {
+// allocCell opens a slot for a size-byte cell at index i, defragmenting
+// if needed, and returns the page offset the cell's bytes go to. The
+// caller must have verified the cell fits the page's total free space.
+func (n node) allocCell(i, size int) (int, error) {
+	if n.freeSpace() < size+2 {
 		if err := n.defragment(); err != nil {
-			return err
+			return 0, err
 		}
-		if n.freeSpace() < len(raw)+2 {
-			return fmt.Errorf("%w: insertCellRaw without room", ErrCorrupt)
+		if n.freeSpace() < size+2 {
+			return 0, fmt.Errorf("%w: cell inserted without room", ErrCorrupt)
 		}
 	}
-	ptr := n.contentPtr() - len(raw)
-	copy(n.data[ptr:], raw)
+	ptr := n.contentPtr() - size
 	n.setContentPtr(ptr)
 	num := n.numCells()
 	// Shift pointer array right.
 	copy(n.data[offCellPtr0+2*(i+1):offCellPtr0+2*(num+1)], n.data[offCellPtr0+2*i:offCellPtr0+2*num])
 	n.setCellPtr(i, ptr)
 	n.setNumCells(num + 1)
+	return ptr, nil
+}
+
+// insertCellRaw inserts pre-encoded cell bytes at index i (cells moved
+// between nodes by splits, and interior cells).
+func (n node) insertCellRaw(i int, raw []byte) error {
+	ptr, err := n.allocCell(i, len(raw))
+	if err != nil {
+		return err
+	}
+	copy(n.data[ptr:], raw)
+	return nil
+}
+
+// insertLeafCell encodes a leaf cell straight into the page at index i.
+func (n node) insertLeafCell(i int, key, value []byte) error {
+	ptr, err := n.allocCell(i, leafCellSize(key, value))
+	if err != nil {
+		return err
+	}
+	putLeafCell(n.data[ptr:], key, value)
 	return nil
 }
 
@@ -258,13 +276,19 @@ func (n node) removeCell(i int) {
 	n.setNumCells(num - 1)
 }
 
+// putLeafCell writes the encoded form of a leaf cell to dst, which must
+// hold leafCellSize(key, value) bytes.
+func putLeafCell(dst, key, value []byte) {
+	p := binary.PutUvarint(dst, uint64(len(key)))
+	p += copy(dst[p:], key)
+	p += binary.PutUvarint(dst[p:], uint64(len(value)))
+	copy(dst[p:], value)
+}
+
 // encodeLeafCell builds the encoded form of a leaf cell.
 func encodeLeafCell(key, value []byte) []byte {
-	raw := make([]byte, 0, leafCellSize(key, value))
-	raw = binary.AppendUvarint(raw, uint64(len(key)))
-	raw = append(raw, key...)
-	raw = binary.AppendUvarint(raw, uint64(len(value)))
-	raw = append(raw, value...)
+	raw := make([]byte, leafCellSize(key, value))
+	putLeafCell(raw, key, value)
 	return raw
 }
 

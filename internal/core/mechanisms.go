@@ -69,6 +69,7 @@ type mechState struct {
 	created      bool
 	indexCreated bool
 	writer       *sql.TableWriter
+	scratch      []record.Value // processRecord's probe / new-row buffer
 	prevSnap     uint64
 	iterations   int
 
@@ -467,10 +468,11 @@ func (st *mechState) processRecord(snap uint64, row []record.Value, cost *Iterat
 			st.avgCounts[rowid] = 1
 			return nil
 		}
-		group := make([]record.Value, len(st.groupIdx))
-		for i, gi := range st.groupIdx {
-			group[i] = row[gi]
+		group := st.scratch[:0]
+		for _, gi := range st.groupIdx {
+			group = append(group, row[gi])
 		}
+		st.scratch = group
 		cost.ResultSearch++
 		rowid, existing, found, err := st.writer.LookupByIndex(st.indexName, group)
 		if err != nil {
@@ -485,6 +487,8 @@ func (st *mechState) processRecord(snap uint64, row []record.Value, cost *Iterat
 			st.avgCounts[rowid] = 1
 			return nil
 		}
+		// existing is ours (LookupByIndex decodes into a fresh row) and
+		// Update takes newVals over, so this is the update's one copy.
 		newVals := append([]record.Value(nil), existing...)
 		changed := false
 		for pi, p := range st.pairs {
@@ -514,37 +518,36 @@ func (st *mechState) processRecord(snap uint64, row []record.Value, cost *Iterat
 		if len(row) != len(st.qqCols) {
 			return fmt.Errorf("rql: %s: Qq returned %d columns, expected %d", st.kind, len(row), len(st.qqCols))
 		}
-		full := make([]record.Value, 0, len(row)+2)
-		full = append(full, row...)
-		if st.iterations == 0 {
-			full = append(full, record.Int(int64(snap)), record.Int(int64(snap)))
-			if _, err := st.writer.Insert(full); err != nil {
+		// withSnaps builds the row followed by snapshot columns in the
+		// state's scratch buffer: Insert and LookupByIndex copy what
+		// they keep, so one buffer serves the probe and the new row.
+		withSnaps := func(snaps ...uint64) []record.Value {
+			vals := append(st.scratch[:0], row...)
+			for _, s := range snaps {
+				vals = append(vals, record.Int(int64(s)))
+			}
+			st.scratch = vals
+			return vals
+		}
+		if st.iterations > 0 {
+			// Probe for a record whose lifetime extends through the
+			// previous iteration's snapshot.
+			cost.ResultSearch++
+			rowid, existing, found, err := st.writer.LookupByIndex(st.indexName, withSnaps(st.prevSnap))
+			if err != nil {
 				return err
 			}
-			cost.ResultInserts++
-			return nil
-		}
-		// Probe for a record whose lifetime extends through the
-		// previous iteration's snapshot.
-		probe := make([]record.Value, 0, len(row)+1)
-		probe = append(probe, row...)
-		probe = append(probe, record.Int(int64(st.prevSnap)))
-		cost.ResultSearch++
-		rowid, existing, found, err := st.writer.LookupByIndex(st.indexName, probe)
-		if err != nil {
-			return err
-		}
-		if found {
-			newVals := append([]record.Value(nil), existing...)
-			newVals[len(newVals)-1] = record.Int(int64(snap)) // end_snapshot
-			if err := st.writer.Update(rowid, existing, newVals); err != nil {
-				return err
+			if found {
+				newVals := append([]record.Value(nil), existing...)
+				newVals[len(newVals)-1] = record.Int(int64(snap)) // end_snapshot
+				if err := st.writer.Update(rowid, existing, newVals); err != nil {
+					return err
+				}
+				cost.ResultUpdates++
+				return nil
 			}
-			cost.ResultUpdates++
-			return nil
 		}
-		full = append(full, record.Int(int64(snap)), record.Int(int64(snap)))
-		if _, err := st.writer.Insert(full); err != nil {
+		if _, err := st.writer.Insert(withSnaps(snap, snap)); err != nil {
 			return err
 		}
 		cost.ResultInserts++

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,66 +47,100 @@ func EncodeRow(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-// DecodeRow decodes a record previously produced by EncodeRow.
+// DecodeRow decodes a record previously produced by EncodeRow into a
+// freshly allocated row.
 func DecodeRow(data []byte) ([]Value, error) {
-	var types []Type
-	i := 0
-	for {
-		if i >= len(data) {
-			return nil, ErrCorrupt
-		}
-		t := data[i]
-		i++
-		if t == recordEnd {
-			break
-		}
-		if t > byte(TypeBlob) {
-			return nil, fmt.Errorf("%w: bad type byte %d", ErrCorrupt, t)
-		}
-		types = append(types, Type(t))
+	n := bytes.IndexByte(data, recordEnd)
+	if n < 0 {
+		return nil, ErrCorrupt
 	}
-	vals := make([]Value, len(types))
-	for k, t := range types {
+	vals := make([]Value, n)
+	if _, err := DecodeRowInto(vals, data, nil); err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// DecodeRowInto decodes the record in data into the caller's row buffer
+// and returns how many columns the record holds. It sets dst[k] for
+// every column k the record has, dst has room for and need admits; a nil
+// need admits every column, and positions at or beyond len(need) are not
+// needed. All other positions of dst are left as they were, so a scan
+// that reuses one buffer keeps whatever it put there.
+//
+// The type header is walked in place and the payload of a column that is
+// not needed is stepped over, so nothing is allocated for it; decoding
+// stops after the last needed column. A record is therefore validated
+// only as far as it is read: trailing garbage is reported only when
+// every column was decoded. TEXT and BLOB payloads are copied out of
+// data, never aliased — data is page memory the caller does not own.
+func DecodeRowInto(dst []Value, data []byte, need []bool) (int, error) {
+	ncols := bytes.IndexByte(data, recordEnd)
+	if ncols < 0 {
+		return 0, ErrCorrupt
+	}
+	last := ncols
+	if len(dst) < last {
+		last = len(dst)
+	}
+	if need != nil {
+		if len(need) < last {
+			last = len(need)
+		}
+		for last > 0 && !need[last-1] {
+			last--
+		}
+	}
+	i := ncols + 1 // payload cursor
+	for k := 0; k < last; k++ {
+		t := Type(data[k])
+		if t > TypeBlob {
+			return 0, fmt.Errorf("%w: bad type byte %d", ErrCorrupt, data[k])
+		}
+		want := need == nil || need[k]
 		switch t {
 		case TypeNull:
-			vals[k] = Null()
+			if want {
+				dst[k] = Value{}
+			}
 		case TypeInt:
 			n, sz := binary.Varint(data[i:])
 			if sz <= 0 {
-				return nil, ErrCorrupt
+				return 0, ErrCorrupt
 			}
 			i += sz
-			vals[k] = Int(n)
+			if want {
+				dst[k] = Value{typ: TypeInt, i: n}
+			}
 		case TypeFloat:
-			if i+8 > len(data) {
-				return nil, ErrCorrupt
+			if len(data)-i < 8 {
+				return 0, ErrCorrupt
 			}
-			vals[k] = Float(math.Float64frombits(binary.BigEndian.Uint64(data[i:])))
+			if want {
+				dst[k] = Value{typ: TypeFloat, f: math.Float64frombits(binary.BigEndian.Uint64(data[i:]))}
+			}
 			i += 8
-		case TypeText:
+		case TypeText, TypeBlob:
 			n, sz := binary.Uvarint(data[i:])
-			if sz <= 0 || i+sz+int(n) > len(data) {
-				return nil, ErrCorrupt
+			if sz <= 0 || n > uint64(len(data)-i-sz) {
+				return 0, ErrCorrupt
 			}
 			i += sz
-			vals[k] = Text(string(data[i : i+int(n)]))
+			payload := data[i : i+int(n)]
 			i += int(n)
-		case TypeBlob:
-			n, sz := binary.Uvarint(data[i:])
-			if sz <= 0 || i+sz+int(n) > len(data) {
-				return nil, ErrCorrupt
+			switch {
+			case !want:
+			case t == TypeText:
+				dst[k] = Value{typ: TypeText, s: string(payload)}
+			default:
+				dst[k] = Value{typ: TypeBlob, b: append(make([]byte, 0, len(payload)), payload...)}
 			}
-			i += sz
-			b := make([]byte, n)
-			copy(b, data[i:])
-			i += int(n)
-			vals[k] = Blob(b)
 		}
 	}
-	if i != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-i)
+	if last == ncols && i != len(data) {
+		return 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-i)
 	}
-	return vals, nil
+	return ncols, nil
 }
 
 // ---------------------------------------------------------------------------

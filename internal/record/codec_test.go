@@ -288,12 +288,43 @@ func BenchmarkEncodeRow(b *testing.B) {
 	}
 }
 
+// ordersRow is shaped like a TPC-H orders record: nine columns, five of
+// them text — the row the paper's Table 1 queries scan.
+func ordersRow() []Value {
+	return []Value{
+		Int(583), Int(1231), Text("O"), Float(173665.47), Text("1996-01-02"),
+		Text("5-LOW"), Text("Clerk#000000951"), Int(0), Text("nstructions sleep furiously among"),
+	}
+}
+
 func BenchmarkDecodeRow(b *testing.B) {
-	enc := EncodeRow(nil, []Value{Int(12345), Text("STANDARD POLISHED TIN"), Float(1234.56), Int(7)})
+	enc := EncodeRow(nil, ordersRow())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeRow(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeRowInto decodes the same record into a reused buffer:
+// every column, and the one column (o_custkey) a pruned scan needs.
+func BenchmarkDecodeRowInto(b *testing.B) {
+	enc := EncodeRow(nil, ordersRow())
+	oneOfNine := make([]bool, 9)
+	oneOfNine[1] = true
+	for _, bc := range []struct {
+		name string
+		need []bool
+	}{{"all", nil}, {"1of9", oneOfNine}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := make([]Value, 9)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeRowInto(dst, enc, bc.need); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -100,6 +100,7 @@ func (s *Server) counterRows(st wire.ServerStats) []struct {
 		{"device_queue_depth", st.DeviceQueueDepth},
 		{"commit_groups", st.CommitGroups},
 		{"commit_conflicts", st.CommitConflicts},
+		{"commit_conflict_batches", s.db.StorageStats().ConflictBatches},
 		{"commit_queue_wait_ns", st.CommitQueueWaitNS},
 		{"device_flushes", st.DeviceFlushes},
 		{"device_bytes_read", st.DeviceBytesRead},

@@ -54,6 +54,17 @@ func (t *Table) ColIndex(name string) int {
 	return -1
 }
 
+// rowidAlias returns the position of the INTEGER PRIMARY KEY column that
+// aliases the rowid, or -1.
+func (t *Table) rowidAlias() int {
+	for i := range t.Cols {
+		if t.Cols[i].RowidAlias {
+			return i
+		}
+	}
+	return -1
+}
+
 // Index describes a secondary index.
 type Index struct {
 	Name   string

@@ -302,23 +302,14 @@ func (w *writeEnv) execInsert(s *InsertStmt) error {
 }
 
 // insertRow applies affinity and constraints, assigns the rowid, and
-// writes the row plus its index entries. It is the single write path
-// shared by SQL INSERT, UPDATE (re-insert), bulk loading, and the RQL
-// mechanisms' result-table updates.
+// writes the row plus its index entries. It is the single insert path
+// shared by SQL INSERT, bulk loading, and the RQL mechanisms'
+// result-table inserts.
 func insertRow(p storage.Pager, t *Table, sch *schema, vals []record.Value) (int64, error) {
-	if len(vals) != len(t.Cols) {
-		return 0, fmt.Errorf("sql: table %s has %d columns but %d values", t.Name, len(t.Cols), len(vals))
+	if err := checkRow(t, vals); err != nil {
+		return 0, err
 	}
-	aliasIdx := -1
-	for i, col := range t.Cols {
-		vals[i] = applyAffinity(vals[i], typeAffinity(col.Type))
-		if col.NotNull && vals[i].IsNull() {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNotNull, t.Name, col.Name)
-		}
-		if col.RowidAlias {
-			aliasIdx = i
-		}
-	}
+	aliasIdx := t.rowidAlias()
 	tbl := btree.Open(p, t.Root)
 
 	var rowid int64
@@ -357,13 +348,8 @@ func insertRow(p storage.Pager, t *Table, sch *schema, vals []record.Value) (int
 		if err != nil {
 			return 0, err
 		}
-		if ix.Unique {
-			prefix := key[:len(key)-rowidKeySuffixLen] // strip the rowid component
-			if dup, err := indexPrefixExists(p, ix, prefix); err != nil {
-				return 0, err
-			} else if dup {
-				return 0, fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
-			}
+		if err := checkUnique(p, ix, key); err != nil {
+			return 0, err
 		}
 		if err := btree.Open(p, ix.Root).Insert(key, nil); err != nil {
 			return 0, err
@@ -426,20 +412,18 @@ func deleteRowByID(p storage.Pager, t *Table, sch *schema, rowid int64, vals []r
 // (each returned row carries the hidden rowid as its last value).
 func (w *writeEnv) matchRows(t *Table, sch *schema, where Expr) ([][]record.Value, error) {
 	pager := w.pagerFor(t)
-	cols := make([]colInfo, 0, len(t.Cols)+1)
-	for _, c := range t.Cols {
-		cols = append(cols, colInfo{table: strings.ToLower(t.Name), name: strings.ToLower(c.Name)})
-	}
-	cols = append(cols, colInfo{table: strings.ToLower(t.Name), name: "#rowid"})
+	// DML needs whole rows (index maintenance reads every indexed
+	// column): no scan mask.
+	cols := baseTableCols(t, strings.ToLower(t.Name), nil)
 
 	conds := splitAnd(where)
-	var it iterator = pickAccessPath(t, sch, pager, conds, w.ec)
+	var it iterator = pickAccessPath(t, sch, pager, conds, nil, w.ec)
 	for _, cond := range conds {
 		c, err := compileExpr(cond, &compileEnv{cols: cols, ec: w.ec})
 		if err != nil {
 			return nil, err
 		}
-		it = &filterIter{src: it, cond: c, ec: w.ec}
+		it = newFilter(it, c, w.ec)
 	}
 	return drain(it)
 }
@@ -474,12 +458,7 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 	if err != nil {
 		return err
 	}
-	cols := make([]colInfo, 0, len(t.Cols)+1)
-	for _, c := range t.Cols {
-		cols = append(cols, colInfo{table: strings.ToLower(t.Name), name: strings.ToLower(c.Name)})
-	}
-	cols = append(cols, colInfo{table: strings.ToLower(t.Name), name: "#rowid"})
-	env := &compileEnv{cols: cols, ec: w.ec}
+	env := &compileEnv{cols: baseTableCols(t, strings.ToLower(t.Name), nil), ec: w.ec}
 
 	setIdx := make([]int, len(s.Cols))
 	setExprs := make([]compiledExpr, len(s.Cols))
@@ -495,15 +474,18 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 		}
 		setExprs[i] = ce
 	}
+	alias := t.rowidAlias()
 
 	rows, err := w.matchRows(t, sch, s.Where)
 	if err != nil {
 		return err
 	}
+	rc := &rowCtx{ec: w.ec}
 	for _, row := range rows {
 		rowid := row[len(row)-1].Int()
-		newVals := append([]record.Value(nil), row[:len(row)-1]...)
-		rc := &rowCtx{row: row, ec: w.ec}
+		oldVals := row[:len(row)-1]
+		newVals := cloneRow(oldVals)
+		rc.row = row
 		for i, ce := range setExprs {
 			v, err := ce(rc)
 			if err != nil {
@@ -511,34 +493,29 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 			}
 			newVals[setIdx[i]] = v
 		}
-		if err := deleteRowByID(w.tx, t, sch, rowid, row[:len(row)-1]); err != nil {
+		if alias >= 0 {
+			if v := applyAffinity(newVals[alias], affInteger); v.Type() != record.TypeInt || v.Int() != rowid {
+				// The statement assigns the rowid alias: the row moves to
+				// another key, which only delete + insert can do.
+				if err := deleteRowByID(w.tx, t, sch, rowid, oldVals); err != nil {
+					return err
+				}
+				if _, err := insertRow(w.tx, t, sch, newVals); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		if err := updateRow(w.tx, t, sch, rowid, oldVals, newVals); err != nil {
 			return err
-		}
-		// Keep the rowid stable unless the rowid alias column changed.
-		alias := -1
-		for i, col := range t.Cols {
-			if col.RowidAlias {
-				alias = i
-			}
-		}
-		if alias < 0 {
-			// Re-insert under the same rowid: temporarily pin it by
-			// using the alias-free direct path.
-			if err := insertRowWithID(w.tx, t, sch, newVals, rowid); err != nil {
-				return err
-			}
-		} else {
-			if _, err := insertRow(w.tx, t, sch, newVals); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// insertRowWithID inserts a row under a caller-chosen rowid (UPDATE
-// keeps rowids stable; bulk loaders preserve generated keys).
-func insertRowWithID(p storage.Pager, t *Table, sch *schema, vals []record.Value, rowid int64) error {
+// checkRow applies column affinity to vals in place and enforces the
+// table's arity and NOT NULL constraints.
+func checkRow(t *Table, vals []record.Value) error {
 	if len(vals) != len(t.Cols) {
 		return fmt.Errorf("sql: table %s has %d columns but %d values", t.Name, len(t.Cols), len(vals))
 	}
@@ -548,24 +525,60 @@ func insertRowWithID(p storage.Pager, t *Table, sch *schema, vals []record.Value
 			return fmt.Errorf("%w: %s.%s", ErrNotNull, t.Name, col.Name)
 		}
 	}
+	return nil
+}
+
+// updateRow rewrites the row stored under rowid from oldVals to newVals
+// (which it normalizes in place). Only the indexes whose key the update
+// changes are touched — a unique check, then the old entry out and the
+// new one in — and the table cell is upserted, which the B-tree does in
+// place when the new record is no larger than the old one. It is the one
+// update path, shared by SQL UPDATE and the RQL mechanisms' result-table
+// updates.
+func updateRow(p storage.Pager, t *Table, sch *schema, rowid int64, oldVals, newVals []record.Value) error {
+	if err := checkRow(t, newVals); err != nil {
+		return err
+	}
 	for _, ix := range sch.tableIndexes(t.Name) {
-		key, err := indexKey(ix, t, vals, rowid)
+		oldKey, err := indexKey(ix, t, oldVals, rowid)
 		if err != nil {
 			return err
 		}
-		if ix.Unique {
-			prefix := key[:len(key)-rowidKeySuffixLen]
-			if dup, err := indexPrefixExists(p, ix, prefix); err != nil {
-				return err
-			} else if dup {
-				return fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
-			}
+		newKey, err := indexKey(ix, t, newVals, rowid)
+		if err != nil {
+			return err
 		}
-		if err := btree.Open(p, ix.Root).Insert(key, nil); err != nil {
+		if bytes.Equal(oldKey, newKey) {
+			continue
+		}
+		if err := checkUnique(p, ix, newKey); err != nil {
+			return err
+		}
+		tree := btree.Open(p, ix.Root)
+		if _, err := tree.Delete(oldKey); err != nil {
+			return err
+		}
+		if err := tree.Insert(newKey, nil); err != nil {
 			return err
 		}
 	}
-	return btree.Open(p, t.Root).Insert(rowidKey(rowid), record.EncodeRow(nil, vals))
+	return btree.Open(p, t.Root).Insert(rowidKey(rowid), record.EncodeRow(nil, newVals))
+}
+
+// checkUnique fails when ix is unique and already holds an entry with
+// key's column values (key minus its trailing rowid component).
+func checkUnique(p storage.Pager, ix *Index, key []byte) error {
+	if !ix.Unique {
+		return nil
+	}
+	dup, err := indexPrefixExists(p, ix, key[:len(key)-rowidKeySuffixLen])
+	if err != nil {
+		return err
+	}
+	if dup {
+		return fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
+	}
+	return nil
 }
 
 func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
@@ -686,7 +699,11 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 
 	// Populate from the table.
 	tree := btree.Open(w.tx, ix.Root)
-	scan := newTableScan(w.tx, t)
+	need := make([]bool, len(t.Cols))
+	for _, cn := range s.Cols {
+		need[t.ColIndex(cn)] = true
+	}
+	scan := newTableScan(w.ec, w.tx, t, need)
 	for {
 		row, err := scan.Next()
 		if err != nil {
@@ -700,13 +717,8 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 		if err != nil {
 			return err
 		}
-		if ix.Unique {
-			prefix := key[:len(key)-rowidKeySuffixLen]
-			if dup, err := indexPrefixExists(w.tx, ix, prefix); err != nil {
-				return err
-			} else if dup {
-				return fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
-			}
+		if err := checkUnique(w.tx, ix, key); err != nil {
+			return err
 		}
 		if err := tree.Insert(key, nil); err != nil {
 			return err

@@ -57,6 +57,10 @@ type DB struct {
 	mainSchema    *schema
 	sideSchemaLSN uint64
 	sideSchema    *schema
+
+	// poisonScans is set by tests only, before the database is used: see
+	// scanRow.poison.
+	poisonScans bool
 }
 
 // SetAnnotationHook registers fn to observe snapshot annotations; nil

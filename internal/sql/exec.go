@@ -12,11 +12,16 @@ import (
 )
 
 // iterator is the volcano-style row iterator every executor node
-// implements. Next returns nil at end of stream. Returned rows must not
-// be retained across calls unless copied.
+// implements. Next returns nil at end of stream. The returned row
+// belongs to the iterator, which overwrites it on its next call: a
+// consumer that keeps a row past that call copies it first (cloneRow).
 type iterator interface {
 	Next() ([]record.Value, error)
 	Close() error
+}
+
+func cloneRow(row []record.Value) []record.Value {
+	return append(make([]record.Value, 0, len(row)), row...)
 }
 
 // rowidKey encodes a rowid as an order-preserving 8-byte table key.
@@ -46,16 +51,66 @@ func (i *oneRowIter) Next() ([]record.Value, error) {
 }
 func (i *oneRowIter) Close() error { return nil }
 
+// scanRow is the row buffer a base-table access path owns: the table's
+// columns followed by the hidden rowid, decoded over and over into the
+// same values. Only the columns need admits are decoded (nil = all);
+// the others are never written and stay NULL.
+type scanRow struct {
+	vals []record.Value
+	need []bool
+	// poison (tests only, DB.poisonScans) overwrites the whole buffer
+	// before each decode, so a consumer still holding the previous row,
+	// or an expression reading a column the planner did not mark as
+	// needed, sees poison instead of plausible data.
+	poison bool
+}
+
+var poisonValue = record.Text("\x00poisoned scan row\x00")
+
+func newScanRow(ec *execCtx, t *Table, need []bool) scanRow {
+	return scanRow{vals: make([]record.Value, len(t.Cols)+1), need: need, poison: ec.conn.db.poisonScans}
+}
+
+// decode fills the buffer from an encoded table record. Columns the
+// record predates (it is shorter than the table) read as NULL.
+func (r *scanRow) decode(data []byte, rowid int64) ([]record.Value, error) {
+	if r.poison {
+		for k := range r.vals {
+			r.vals[k] = poisonValue
+		}
+	}
+	ncols := len(r.vals) - 1
+	n, err := record.DecodeRowInto(r.vals[:ncols], data, r.need)
+	if err != nil {
+		return nil, err
+	}
+	for k := n; k < ncols; k++ {
+		r.vals[k] = record.Null()
+	}
+	r.vals[ncols] = record.Int(rowid)
+	return r.vals, nil
+}
+
+// fetch loads the row stored under rowid into the buffer (nil when the
+// row does not exist).
+func (r *scanRow) fetch(tbl *btree.Tree, rowid int64) ([]record.Value, error) {
+	v, found, err := tbl.Get(rowidKey(rowid))
+	if err != nil || !found {
+		return nil, err
+	}
+	return r.decode(v, rowid)
+}
+
 // tableScanIter scans a table in rowid order, emitting the columns
 // followed by the hidden rowid.
 type tableScanIter struct {
 	cur     *btree.Cursor
-	ncols   int
+	row     scanRow
 	started bool
 }
 
-func newTableScan(p storage.Pager, t *Table) *tableScanIter {
-	return &tableScanIter{cur: btree.Open(p, t.Root).Cursor(), ncols: len(t.Cols)}
+func newTableScan(ec *execCtx, p storage.Pager, t *Table, need []bool) *tableScanIter {
+	return &tableScanIter{cur: btree.Open(p, t.Root).Cursor(), row: newScanRow(ec, t, need)}
 }
 
 func (i *tableScanIter) Next() ([]record.Value, error) {
@@ -70,17 +125,11 @@ func (i *tableScanIter) Next() ([]record.Value, error) {
 	if err != nil || !ok {
 		return nil, err
 	}
-	vals, err := record.DecodeRow(i.cur.Value())
+	key, value, err := i.cur.Entry()
 	if err != nil {
 		return nil, err
 	}
-	row := make([]record.Value, i.ncols+1)
-	copy(row, vals)
-	for k := len(vals); k < i.ncols; k++ {
-		row[k] = record.Null()
-	}
-	row[i.ncols] = record.Int(decodeRowidKey(i.cur.Key()))
-	return row, nil
+	return i.row.decode(value, decodeRowidKey(key))
 }
 func (i *tableScanIter) Close() error { return nil }
 
@@ -89,10 +138,10 @@ func (i *tableScanIter) Close() error { return nil }
 // while the index key starts with eqPrefix (equality scans) and, for
 // range scans, while checkHi admits the first key column.
 type indexScanIter struct {
-	pager    storage.Pager
 	table    *Table
 	idxCur   *btree.Cursor
 	tbl      *btree.Tree
+	row      scanRow
 	lo       []byte
 	eqPrefix []byte
 	checkHi  func(v record.Value) bool // nil = no upper bound
@@ -123,8 +172,7 @@ func (i *indexScanIter) Next() ([]record.Value, error) {
 		if i.checkHi != nil && len(decoded) > 0 && !i.checkHi(decoded[0]) {
 			return nil, nil
 		}
-		rowid := decoded[len(decoded)-1].Int()
-		row, err := fetchRow(i.tbl, i.table, rowid)
+		row, err := i.row.fetch(i.tbl, decoded[len(decoded)-1].Int())
 		if err != nil {
 			return nil, err
 		}
@@ -136,33 +184,14 @@ func (i *indexScanIter) Next() ([]record.Value, error) {
 }
 func (i *indexScanIter) Close() error { return nil }
 
-// fetchRow loads a table row by rowid, appending the hidden rowid.
-func fetchRow(tbl *btree.Tree, t *Table, rowid int64) ([]record.Value, error) {
-	v, found, err := tbl.Get(rowidKey(rowid))
-	if err != nil || !found {
-		return nil, err
-	}
-	vals, err := record.DecodeRow(v)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]record.Value, len(t.Cols)+1)
-	copy(row, vals)
-	for k := len(vals); k < len(t.Cols); k++ {
-		row[k] = record.Null()
-	}
-	row[len(t.Cols)] = record.Int(rowid)
-	return row, nil
-}
-
 // ---------------------------------------------------------------------------
-// Filters and projection
+// Filters
 // ---------------------------------------------------------------------------
 
 type filterIter struct {
 	src  iterator
 	cond compiledExpr
-	ec   *execCtx
+	rc   rowCtx
 }
 
 func (i *filterIter) Next() ([]record.Value, error) {
@@ -171,7 +200,8 @@ func (i *filterIter) Next() ([]record.Value, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		v, err := i.cond(&rowCtx{row: row, ec: i.ec})
+		i.rc.row = row
+		v, err := i.cond(&i.rc)
 		if err != nil {
 			return nil, err
 		}
@@ -182,33 +212,56 @@ func (i *filterIter) Next() ([]record.Value, error) {
 }
 func (i *filterIter) Close() error { return i.src.Close() }
 
-type projectIter struct {
-	src   iterator
-	exprs []compiledExpr
-	ec    *execCtx
-}
-
-func (i *projectIter) Next() ([]record.Value, error) {
-	row, err := i.src.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	out := make([]record.Value, len(i.exprs))
-	rc := &rowCtx{row: row, ec: i.ec}
-	for k, e := range i.exprs {
-		v, err := e(rc)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-func (i *projectIter) Close() error { return i.src.Close() }
-
 // ---------------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------------
+
+// joinCore is what the three join operators share: the outer input, the
+// outer row being extended, the residual condition, and the output row,
+// which the join owns and rebuilds in place for every match.
+type joinCore struct {
+	outer    iterator
+	cond     compiledExpr // residual ON condition (may be nil)
+	rc       rowCtx
+	outerRow []record.Value
+	joined   []record.Value
+}
+
+// emit concatenates the current outer row with inner and reports whether
+// the residual condition admits the result.
+func (j *joinCore) emit(inner []record.Value) ([]record.Value, bool, error) {
+	j.joined = append(append(j.joined[:0], j.outerRow...), inner...)
+	if j.cond == nil {
+		return j.joined, true, nil
+	}
+	j.rc.row = j.joined
+	v, err := j.cond(&j.rc)
+	if err != nil {
+		return nil, false, err
+	}
+	return j.joined, !v.IsNull() && v.Truthy(), nil
+}
+
+// nextOuter advances to the next outer row whose join key is not NULL
+// (NULL keys never match an equi-join) and returns the key's encoding
+// appended to prefix[:0]; a nil outerRow afterwards is end of stream.
+func (j *joinCore) nextOuter(key compiledExpr, prefix []byte) ([]byte, error) {
+	for {
+		row, err := j.outer.Next()
+		j.outerRow = row
+		if err != nil || row == nil {
+			return prefix, err
+		}
+		j.rc.row = row
+		kv, err := key(&j.rc)
+		if err != nil {
+			return prefix, err
+		}
+		if !kv.IsNull() {
+			return record.EncodeKey(prefix[:0], []record.Value{kv}), nil
+		}
+	}
+}
 
 // autoIndexJoin joins outer rows against an inner side that has no
 // usable native index by first building a transient covering index — a
@@ -217,33 +270,31 @@ func (i *projectIter) Close() error { return i.src.Close() }
 // it per outer row. The build time is recorded in ExecStats.AutoIndex,
 // which Figure 9's index-creation bars measure.
 type autoIndexJoin struct {
-	outer     iterator
-	innerCols int
-	outerKey  compiledExpr
-	cond      compiledExpr // residual ON condition (may be nil)
-	ec        *execCtx
+	joinCore
+	outerKey compiledExpr
 
-	// buildRows materializes the inner side on first use.
-	buildRows func() ([][]record.Value, error)
-	innerKey  compiledExpr
+	// buildInner opens the inner side's access path on first use.
+	buildInner func() (iterator, error)
+	innerKey   compiledExpr
+	inner      []record.Value // the current index entry's payload, decoded: one inner row
 
 	built    bool
 	buildErr error
 	scratch  *storage.Tx
 	tree     *btree.Tree
 
-	outerRow []record.Value
-	prefix   []byte
-	cur      *btree.Cursor
+	prefix []byte
+	cur    *btree.Cursor
 }
 
 func (i *autoIndexJoin) build() error {
 	start := time.Now()
-	defer func() { i.ec.stats.AutoIndex += time.Since(start) }()
-	rows, err := i.buildRows()
+	defer func() { i.rc.ec.stats.AutoIndex += time.Since(start) }()
+	inner, err := i.buildInner()
 	if err != nil {
 		return err
 	}
+	defer inner.Close()
 	// The transient index lives in a scratch in-memory store so its
 	// build cost has the same page/btree profile as a native index.
 	store := storage.NewStore()
@@ -257,10 +308,20 @@ func (i *autoIndexJoin) build() error {
 	}
 	i.scratch = tx
 	i.tree = btree.Open(tx, root)
-	var key []byte
-	var val []byte
-	for seq, row := range rows {
-		kv, err := i.innerKey(&rowCtx{row: row, ec: i.ec})
+	i.cur = i.tree.Cursor()
+	// Inner rows stream straight into the index: each is encoded into
+	// the tree before the next one overwrites the scan's buffer.
+	var key, val []byte
+	for seq := 0; ; seq++ {
+		row, err := inner.Next()
+		if err != nil {
+			return err
+		}
+		if row == nil {
+			return nil
+		}
+		i.rc.row = row
+		kv, err := i.innerKey(&i.rc)
 		if err != nil {
 			return err
 		}
@@ -273,7 +334,6 @@ func (i *autoIndexJoin) build() error {
 			return err
 		}
 	}
-	return nil
 }
 
 func (i *autoIndexJoin) Next() ([]record.Value, error) {
@@ -285,54 +345,29 @@ func (i *autoIndexJoin) Next() ([]record.Value, error) {
 		return nil, i.buildErr
 	}
 	for {
+		var ok bool
+		var err error
 		if i.outerRow == nil {
-			row, err := i.outer.Next()
-			if err != nil || row == nil {
+			if i.prefix, err = i.nextOuter(i.outerKey, i.prefix); err != nil || i.outerRow == nil {
 				return nil, err
 			}
-			kv, err := i.outerKey(&rowCtx{row: row, ec: i.ec})
-			if err != nil {
-				return nil, err
-			}
-			if kv.IsNull() {
-				continue
-			}
-			i.outerRow = row
-			i.prefix = record.EncodeKey(nil, []record.Value{kv})
-			i.cur = i.tree.Cursor()
-			if ok, err := i.cur.Seek(i.prefix); err != nil {
-				return nil, err
-			} else if !ok {
-				i.outerRow = nil
-				continue
-			}
+			ok, err = i.cur.Seek(i.prefix)
 		} else {
-			if ok, err := i.cur.Next(); err != nil {
-				return nil, err
-			} else if !ok {
-				i.outerRow = nil
-				continue
-			}
+			ok, err = i.cur.Next()
 		}
-		if !bytes.HasPrefix(i.cur.Key(), i.prefix) {
-			i.outerRow = nil
-			continue
-		}
-		inner, err := record.DecodeRow(i.cur.Value())
 		if err != nil {
 			return nil, err
 		}
-		joined := joinRows(i.outerRow, inner)
-		if i.cond != nil {
-			v, err := i.cond(&rowCtx{row: joined, ec: i.ec})
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || !v.Truthy() {
-				continue
-			}
+		if !ok || !bytes.HasPrefix(i.cur.Key(), i.prefix) {
+			i.outerRow = nil
+			continue
 		}
-		return joined, nil
+		if _, err = record.DecodeRowInto(i.inner, i.cur.Value(), nil); err != nil {
+			return nil, err
+		}
+		if joined, ok, err := i.emit(i.inner); err != nil || ok {
+			return joined, err
+		}
 	}
 }
 
@@ -347,93 +382,61 @@ func (i *autoIndexJoin) Close() error {
 // indexJoinIter joins outer rows against an inner base table through a
 // native index: per outer row it probes the index with the join key.
 type indexJoinIter struct {
-	outer    iterator
-	pager    storage.Pager
+	joinCore
 	table    *Table
 	index    *Index
 	outerKey compiledExpr
-	cond     compiledExpr
-	ec       *execCtx
 
-	outerRow []record.Value
-	idxCur   *btree.Cursor
-	prefix   []byte
-	tbl      *btree.Tree
+	idxCur *btree.Cursor
+	tbl    *btree.Tree
+	inner  scanRow
+	prefix []byte
 }
 
 func (i *indexJoinIter) Next() ([]record.Value, error) {
 	for {
+		var ok bool
+		var err error
 		if i.outerRow == nil {
-			row, err := i.outer.Next()
-			if err != nil || row == nil {
+			if i.prefix, err = i.nextOuter(i.outerKey, i.prefix); err != nil || i.outerRow == nil {
 				return nil, err
 			}
-			kv, err := i.outerKey(&rowCtx{row: row, ec: i.ec})
-			if err != nil {
-				return nil, err
-			}
-			if kv.IsNull() {
-				continue
-			}
-			i.outerRow = row
-			i.prefix = record.EncodeKey(nil, []record.Value{kv})
-			i.idxCur = btree.Open(i.pager, i.index.Root).Cursor()
-			if ok, err := i.idxCur.Seek(i.prefix); err != nil {
-				return nil, err
-			} else if !ok {
-				i.outerRow = nil
-				continue
-			}
+			ok, err = i.idxCur.Seek(i.prefix)
 		} else {
-			if ok, err := i.idxCur.Next(); err != nil {
-				return nil, err
-			} else if !ok {
-				i.outerRow = nil
-				continue
-			}
+			ok, err = i.idxCur.Next()
 		}
-		key := i.idxCur.Key()
-		if !bytes.HasPrefix(key, i.prefix) {
-			i.outerRow = nil
-			continue
-		}
-		decoded, err := record.DecodeKey(key)
 		if err != nil {
 			return nil, err
 		}
-		rowid := decoded[len(decoded)-1].Int()
-		inner, err := fetchRow(i.tbl, i.table, rowid)
+		if !ok || !bytes.HasPrefix(i.idxCur.Key(), i.prefix) {
+			i.outerRow = nil
+			continue
+		}
+		decoded, err := record.DecodeKey(i.idxCur.Key())
+		if err != nil {
+			return nil, err
+		}
+		inner, err := i.inner.fetch(i.tbl, decoded[len(decoded)-1].Int())
 		if err != nil {
 			return nil, err
 		}
 		if inner == nil {
 			continue
 		}
-		joined := joinRows(i.outerRow, inner)
-		if i.cond != nil {
-			v, err := i.cond(&rowCtx{row: joined, ec: i.ec})
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || !v.Truthy() {
-				continue
-			}
+		if joined, ok, err := i.emit(inner); err != nil || ok {
+			return joined, err
 		}
-		return joined, nil
 	}
 }
 func (i *indexJoinIter) Close() error { return i.outer.Close() }
 
 // nlJoinIter is the fallback nested-loop join over a materialized inner.
 type nlJoinIter struct {
-	outer     iterator
+	joinCore
 	inner     [][]record.Value
-	innerCols int
-	cond      compiledExpr
+	nulls     []record.Value // the inner side of an unmatched LEFT JOIN row
 	leftOuter bool
-	ec        *execCtx
 
-	outerRow   []record.Value
 	innerIdx   int
 	emittedAny bool
 }
@@ -452,37 +455,27 @@ func (i *nlJoinIter) Next() ([]record.Value, error) {
 		for i.innerIdx < len(i.inner) {
 			inner := i.inner[i.innerIdx]
 			i.innerIdx++
-			joined := joinRows(i.outerRow, inner)
-			if i.cond != nil {
-				v, err := i.cond(&rowCtx{row: joined, ec: i.ec})
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !v.Truthy() {
-					continue
-				}
+			joined, ok, err := i.emit(inner)
+			if err != nil {
+				return nil, err
 			}
-			i.emittedAny = true
-			return joined, nil
+			if ok {
+				i.emittedAny = true
+				return joined, nil
+			}
 		}
 		if i.leftOuter && !i.emittedAny {
-			nulls := make([]record.Value, i.innerCols)
-			joined := joinRows(i.outerRow, nulls)
+			i.joined = append(append(i.joined[:0], i.outerRow...), i.nulls...)
 			i.outerRow = nil
-			return joined, nil
+			return i.joined, nil
 		}
 		i.outerRow = nil
 	}
 }
 func (i *nlJoinIter) Close() error { return i.outer.Close() }
 
-func joinRows(a, b []record.Value) []record.Value {
-	out := make([]record.Value, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// drain materializes an iterator.
+// drain materializes an iterator, copying every row out of the buffers
+// the iterators reuse.
 func drain(it iterator) ([][]record.Value, error) {
 	defer it.Close()
 	var rows [][]record.Value
@@ -494,7 +487,7 @@ func drain(it iterator) ([][]record.Value, error) {
 		if row == nil {
 			return rows, nil
 		}
-		rows = append(rows, row)
+		rows = append(rows, cloneRow(row))
 	}
 }
 
@@ -560,6 +553,8 @@ func (i *aggregateIter) run() error {
 	// aggregate exists and it is min or max.
 	repFollowsExtreme := len(i.specs) == 1 && i.specs[0].isMinMax
 
+	rc := &rowCtx{ec: i.ec}
+	var keyBuf []byte
 	for {
 		row, err := i.src.Next()
 		if err != nil {
@@ -568,8 +563,8 @@ func (i *aggregateIter) run() error {
 		if row == nil {
 			break
 		}
-		rc := &rowCtx{row: row, ec: i.ec}
-		var keyBuf []byte
+		rc.row = row
+		keyBuf = keyBuf[:0]
 		for _, g := range i.groupBy {
 			v, err := g(rc)
 			if err != nil {
@@ -577,10 +572,12 @@ func (i *aggregateIter) run() error {
 			}
 			keyBuf = record.EncodeKey(keyBuf, []record.Value{v})
 		}
-		key := string(keyBuf)
-		grp := groups[key]
+		grp := groups[string(keyBuf)] // no key string is built for a lookup
 		if grp == nil {
-			grp = &aggGroup{rep: append([]record.Value(nil), row...)}
+			key := string(keyBuf)
+			// Room for the aggregate slots: the group's output row is
+			// its representative row extended in place.
+			grp = &aggGroup{rep: append(make([]record.Value, 0, i.inputCols+len(i.specs)), row...)}
 			for _, spec := range i.specs {
 				st, err := newAggState(spec.call.Name)
 				if err != nil {
@@ -632,10 +629,9 @@ func (i *aggregateIter) run() error {
 
 	for _, key := range order {
 		grp := groups[key]
-		row := make([]record.Value, i.inputCols+len(i.specs))
-		copy(row, grp.rep)
-		for k, st := range grp.states {
-			row[i.inputCols+k] = st.final()
+		row := grp.rep
+		for _, st := range grp.states {
+			row = append(row, st.final())
 		}
 		i.out = append(i.out, row)
 	}
@@ -646,16 +642,21 @@ func (i *aggregateIter) run() error {
 // Distinct, sort, limit
 // ---------------------------------------------------------------------------
 
-// distinctIter deduplicates projected rows, carrying the source row
-// alongside so later sort stages can still compute their keys.
+// pairRow is one projected row together with the source row it was
+// computed from, which later sort stages still evaluate their keys
+// against. The pairRow and its src belong to the producing iterator and
+// are overwritten by its next call; proj is freshly allocated, because
+// result rows are handed to callbacks and sorts that keep them.
 type pairRow struct {
 	proj []record.Value
 	src  []record.Value
 }
 
+// distinctPairIter deduplicates projected rows.
 type distinctPairIter struct {
 	src  *projectPairIter
 	seen map[string]bool
+	key  []byte
 }
 
 func (i *distinctPairIter) Next() (*pairRow, error) {
@@ -667,11 +668,11 @@ func (i *distinctPairIter) Next() (*pairRow, error) {
 		if err != nil || pr == nil {
 			return nil, err
 		}
-		key := string(record.EncodeKey(nil, pr.proj))
-		if i.seen[key] {
+		i.key = record.EncodeKey(i.key[:0], pr.proj)
+		if i.seen[string(i.key)] {
 			continue
 		}
-		i.seen[key] = true
+		i.seen[string(i.key)] = true
 		return pr, nil
 	}
 }
@@ -681,7 +682,8 @@ func (i *distinctPairIter) Close() error { return i.src.Close() }
 type projectPairIter struct {
 	src   iterator
 	exprs []compiledExpr
-	ec    *execCtx
+	rc    rowCtx
+	pair  pairRow
 }
 
 func (i *projectPairIter) Next() (*pairRow, error) {
@@ -690,15 +692,16 @@ func (i *projectPairIter) Next() (*pairRow, error) {
 		return nil, err
 	}
 	out := make([]record.Value, len(i.exprs))
-	rc := &rowCtx{row: row, ec: i.ec}
+	i.rc.row = row
 	for k, e := range i.exprs {
-		v, err := e(rc)
+		v, err := e(&i.rc)
 		if err != nil {
 			return nil, err
 		}
 		out[k] = v
 	}
-	return &pairRow{proj: out, src: row}, nil
+	i.pair = pairRow{proj: out, src: row}
+	return &i.pair, nil
 }
 func (i *projectPairIter) Close() error { return i.src.Close() }
 
@@ -720,7 +723,7 @@ type finalIter struct {
 	ec      *execCtx
 
 	sorted  bool
-	rows    []*pairRow
+	rows    [][]record.Value // projected rows, in output order once sorted
 	keys    [][]record.Value
 	idx     int
 	emitted int64
@@ -759,13 +762,17 @@ func (i *finalIter) Next() ([]record.Value, error) {
 	if i.limit >= 0 && i.emitted >= i.limit {
 		return nil, nil
 	}
-	row := i.rows[i.idx].proj
+	row := i.rows[i.idx]
 	i.idx++
 	i.emitted++
 	return row, nil
 }
 
+// sortAll reads the whole input. Each sort key is evaluated against the
+// source row while that row is still current, so only the projected row
+// and the key outlive the pair.
 func (i *finalIter) sortAll() error {
+	rc := &rowCtx{ec: i.ec}
 	for {
 		pr, err := i.pairs.Next()
 		if err != nil {
@@ -775,7 +782,7 @@ func (i *finalIter) sortAll() error {
 			break
 		}
 		key := make([]record.Value, len(i.orderBy))
-		rc := &rowCtx{row: pr.src, ec: i.ec}
+		rc.row = pr.src
 		for k, e := range i.orderBy {
 			if i.ordinal[k] >= 0 {
 				key[k] = pr.proj[i.ordinal[k]]
@@ -787,7 +794,7 @@ func (i *finalIter) sortAll() error {
 			}
 			key[k] = v
 		}
-		i.rows = append(i.rows, pr)
+		i.rows = append(i.rows, pr.proj)
 		i.keys = append(i.keys, key)
 	}
 	// Sort indices so rows and keys stay aligned.
@@ -809,7 +816,7 @@ func (i *finalIter) sortAll() error {
 		}
 		return false
 	})
-	rows := make([]*pairRow, len(idxs))
+	rows := make([][]record.Value, len(idxs))
 	for k, id := range idxs {
 		rows[k] = i.rows[id]
 	}

@@ -45,7 +45,7 @@ func describe(it any, depth int, out *[]string) {
 	case *oneRowIter:
 		add("CONSTANT ROW")
 	case *tableScanIter:
-		add("SCAN TABLE (%d columns)", x.ncols)
+		add("SCAN TABLE (%d columns)", len(x.row.vals)-1)
 	case *indexScanIter:
 		kind := "RANGE"
 		if x.eqPrefix != nil {
@@ -54,9 +54,6 @@ func describe(it any, depth int, out *[]string) {
 		add("SEARCH TABLE %s USING INDEX (%s)", x.table.Name, kind)
 	case *filterIter:
 		add("FILTER")
-		describe(x.src, depth+1, out)
-	case *projectIter:
-		add("PROJECT (%d expressions)", len(x.exprs))
 		describe(x.src, depth+1, out)
 	case *autoIndexJoin:
 		add("JOIN USING AUTOMATIC COVERING INDEX (transient B-tree)")

@@ -12,6 +12,33 @@ import (
 type colInfo struct {
 	table string // lower-cased table alias ("" for computed columns)
 	name  string // lower-cased column name; "#rowid" marks hidden rowids
+	// need, for a column that comes straight from a base table, points
+	// at that column's slot in the table's scan mask: compiling a read of
+	// the column sets it, and the access path decodes only set slots.
+	// The pointer travels with the colInfo through join scopes.
+	need *bool
+}
+
+// use records that some compiled expression reads the column.
+func (c colInfo) use() {
+	if c.need != nil {
+		*c.need = true
+	}
+}
+
+// baseTableCols describes the rows a base-table access path emits — the
+// table's columns, then the hidden rowid — wired to need, the scan mask
+// the planner fills in (nil: the access path decodes every column).
+func baseTableCols(t *Table, alias string, need []bool) []colInfo {
+	cols := make([]colInfo, len(t.Cols)+1)
+	for i, c := range t.Cols {
+		cols[i] = colInfo{table: alias, name: strings.ToLower(c.Name)}
+	}
+	cols[len(t.Cols)] = colInfo{table: alias, name: "#rowid"}
+	for i := range need {
+		cols[i].need = &need[i]
+	}
+	return cols
 }
 
 // compileEnv is the name-resolution environment for compiling
@@ -23,6 +50,9 @@ type compileEnv struct {
 	aliases map[string]Expr   // select-list aliases (lower-cased)
 	aggIdx  map[*FuncCall]int // aggregate call -> row position
 	ec      *execCtx
+	// probe marks a compilation whose result is thrown away (the planner
+	// asking "does this resolve here?"): it marks no column as read.
+	probe bool
 }
 
 // rowCtx carries the current row during evaluation.
@@ -59,6 +89,9 @@ func (env *compileEnv) resolveColumn(ref *ColumnRef) (int, error) {
 			return 0, fmt.Errorf("%w: %s.%s", ErrNoColumn, ref.Table, ref.Name)
 		}
 		return 0, fmt.Errorf("%w: %s", ErrNoColumn, ref.Name)
+	}
+	if !env.probe {
+		env.cols[found].use()
 	}
 	return found, nil
 }

@@ -18,6 +18,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		table    *Table
 		schema   *schema
 		pager    storage.Pager
+		need     []bool // base table: which row positions the statement reads
 		subRows  [][]record.Value
 		joinCond Expr
 		leftJoin bool
@@ -52,12 +53,8 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			if alias == "" {
 				alias = strings.ToLower(ref.Name)
 			}
-			cols := make([]colInfo, 0, len(t.Cols)+1)
-			for _, c := range t.Cols {
-				cols = append(cols, colInfo{table: alias, name: strings.ToLower(c.Name)})
-			}
-			cols = append(cols, colInfo{table: alias, name: "#rowid"})
-			item.cols = cols
+			item.need = make([]bool, len(t.Cols)+1)
+			item.cols = baseTableCols(t, alias, item.need)
 			item.table = t
 			item.schema = sch
 			item.pager = pager
@@ -78,7 +75,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 	placed := make([]bool, len(conjuncts))
 
 	resolves := func(e Expr, cols []colInfo) bool {
-		_, err := compileExpr(e, &compileEnv{cols: cols, ec: ec})
+		_, err := compileExpr(e, &compileEnv{cols: cols, ec: ec, probe: true})
 		return err == nil
 	}
 
@@ -121,14 +118,14 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		if item.table == nil {
 			it = &sliceIter{rows: item.subRows}
 		} else {
-			it = pickAccessPath(item.table, item.schema, item.pager, conds, ec)
+			it = pickAccessPath(item.table, item.schema, item.pager, conds, item.need, ec)
 		}
 		for _, cond := range conds {
 			c, err := compileExpr(cond, &compileEnv{cols: item.cols, ec: ec})
 			if err != nil {
 				return nil, err
 			}
-			it = &filterIter{src: it, cond: c, ec: ec}
+			it = newFilter(it, c, ec)
 		}
 		return it, nil
 	}
@@ -160,7 +157,11 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		combined := append(append([]colInfo{}, scope...), item.cols...)
 
 		if item.leftJoin {
-			// LEFT JOIN: inner materialized, ON condition only.
+			// LEFT JOIN: inner materialized, ON condition only. It is
+			// read here, before the expressions over the joined scope
+			// are compiled, so its scan mask is not complete yet: decode
+			// every column.
+			item.need = nil
 			innerIt, err := buildBase(item, nil)
 			if err != nil {
 				return nil, nil, err
@@ -173,7 +174,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			cur = &nlJoinIter{outer: cur, inner: innerRows, innerCols: len(item.cols), cond: cond, leftOuter: true, ec: ec}
+			cur = &nlJoinIter{joinCore: newJoinCore(cur, cond, ec), inner: innerRows, nulls: make([]record.Value, len(item.cols)), leftOuter: true}
 			scope = combined
 			// WHERE conjuncts over the combined scope apply after.
 			cur, err = applyAvailable(cur, combined, conjuncts, placed, ec)
@@ -207,7 +208,9 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 
 		switch {
 		case outerKeyE == nil:
-			// Cross join: materialize the inner side.
+			// Cross join: materialize the inner side (every column: see
+			// the LEFT JOIN case).
+			item.need = nil
 			innerIt, err := buildBase(item, local)
 			if err != nil {
 				return nil, nil, err
@@ -216,7 +219,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			cur = &nlJoinIter{outer: cur, inner: innerRows, innerCols: len(item.cols), ec: ec}
+			cur = &nlJoinIter{joinCore: newJoinCore(cur, nil, ec), inner: innerRows}
 		default:
 			outerKey, err := compileExpr(outerKeyE, &compileEnv{cols: scope, ec: ec})
 			if err != nil {
@@ -225,13 +228,13 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			// Native index on the inner join column?
 			if ix := nativeJoinIndex(item.table, item.schema, innerKeyE); ix != nil && len(local) == 0 {
 				cur = &indexJoinIter{
-					outer:    cur,
-					pager:    item.pager,
+					joinCore: newJoinCore(cur, nil, ec),
 					table:    item.table,
 					index:    ix,
 					outerKey: outerKey,
-					ec:       ec,
+					idxCur:   btree.Open(item.pager, ix.Root).Cursor(),
 					tbl:      btree.Open(item.pager, item.table.Root),
+					inner:    newScanRow(ec, item.table, item.need),
 				}
 			} else {
 				// No usable native index: build the transient "automatic
@@ -243,20 +246,12 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 				}
 				itemCopy := item
 				localCopy := local
-				buildRows := func() ([][]record.Value, error) {
-					innerIt, err := buildBase(itemCopy, localCopy)
-					if err != nil {
-						return nil, err
-					}
-					return drain(innerIt)
-				}
 				cur = &autoIndexJoin{
-					outer:     cur,
-					innerCols: len(item.cols),
-					outerKey:  outerKey,
-					ec:        ec,
-					buildRows: buildRows,
-					innerKey:  innerKey,
+					joinCore:   newJoinCore(cur, nil, ec),
+					outerKey:   outerKey,
+					buildInner: func() (iterator, error) { return buildBase(itemCopy, localCopy) },
+					innerKey:   innerKey,
+					inner:      make([]record.Value, len(item.cols)),
 				}
 			}
 		}
@@ -277,7 +272,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cur = &filterIter{src: cur, cond: c, ec: ec}
+		cur = newFilter(cur, c, ec)
 	}
 
 	// ---- Aggregation --------------------------------------------------------
@@ -375,7 +370,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cur = &filterIter{src: cur, cond: c, ec: ec}
+		cur = newFilter(cur, c, ec)
 	}
 
 	// ---- Projection ------------------------------------------------------------
@@ -393,6 +388,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 					continue
 				}
 				matched = true
+				ci.use()
 				p := pos
 				projExprs = append(projExprs, func(rc *rowCtx) (record.Value, error) { return rc.row[p], nil })
 				outCols = append(outCols, colInfo{table: ci.table, name: ci.name})
@@ -410,7 +406,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		outCols = append(outCols, colInfo{name: exprColumnName(col)})
 	}
 
-	pairs := &projectPairIter{src: cur, exprs: projExprs, ec: ec}
+	pairs := &projectPairIter{src: cur, exprs: projExprs, rc: rowCtx{ec: ec}}
 	var pairSrc interface {
 		Next() (*pairRow, error)
 		Close() error
@@ -475,9 +471,17 @@ func applyAvailable(cur iterator, scope []colInfo, conjuncts []Expr, placed []bo
 			continue // not available at this scope yet
 		}
 		placed[ci] = true
-		cur = &filterIter{src: cur, cond: c, ec: ec}
+		cur = newFilter(cur, c, ec)
 	}
 	return cur, nil
+}
+
+func newFilter(src iterator, cond compiledExpr, ec *execCtx) *filterIter {
+	return &filterIter{src: src, cond: cond, rc: rowCtx{ec: ec}}
+}
+
+func newJoinCore(outer iterator, cond compiledExpr, ec *execCtx) joinCore {
+	return joinCore{outer: outer, cond: cond, rc: rowCtx{ec: ec}}
 }
 
 // splitAnd flattens a conjunction into its conjuncts.
@@ -531,8 +535,9 @@ func nativeJoinIndex(t *Table, sch *schema, innerKey Expr) *Index {
 }
 
 // pickAccessPath chooses between a full scan and an index scan for a
-// base table given its local conjuncts.
-func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ec *execCtx) iterator {
+// base table given its local conjuncts. need is the table's scan mask
+// (see colInfo.need); nil decodes every column.
+func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, need []bool, ec *execCtx) iterator {
 	// Gather constant equality and range conditions per column.
 	eq := make(map[string]Expr)
 	type rng struct {
@@ -598,21 +603,21 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ec
 		}
 	}
 	if best == nil || (bestEqLen == 0 && !bestRange) {
-		return newTableScan(pager, t)
+		return newTableScan(ec, pager, t, need)
 	}
 
 	it := &indexScanIter{
-		pager:  pager,
 		table:  t,
 		idxCur: btree.Open(pager, best.Root).Cursor(),
 		tbl:    btree.Open(pager, t.Root),
+		row:    newScanRow(ec, t, need),
 	}
 	if bestEqLen > 0 {
 		vals := make([]record.Value, 0, bestEqLen)
 		for _, c := range best.Cols[:bestEqLen] {
 			v, err := evalConst(eq[strings.ToLower(c)], ec)
 			if err != nil {
-				return newTableScan(pager, t)
+				return newTableScan(ec, pager, t, need)
 			}
 			vals = append(vals, v)
 		}
@@ -628,7 +633,7 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ec
 	for _, r := range ranges[col] {
 		v, err := evalConst(r.e, ec)
 		if err != nil {
-			return newTableScan(pager, t)
+			return newTableScan(ec, pager, t, need)
 		}
 		switch r.op {
 		case ">", ">=":

@@ -109,23 +109,23 @@ func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int6
 		return 0, nil, false, err
 	}
 	rowid := decoded[len(decoded)-1].Int()
-	row, err := fetchRow(btree.Open(w.tx, w.t.Root), w.t, rowid)
+	// The caller keeps the row: decode into a buffer of its own.
+	buf := scanRow{vals: make([]record.Value, len(w.t.Cols)+1)}
+	row, err := buf.fetch(btree.Open(w.tx, w.t.Root), rowid)
 	if err != nil || row == nil {
 		return 0, nil, false, err
 	}
 	return rowid, row[:len(row)-1], true, nil
 }
 
-// Update replaces the row identified by rowid (indexes maintained).
+// Update replaces the row identified by rowid, whose current values are
+// oldVals (indexes maintained). It takes newVals over: column affinity
+// is applied to it in place.
 func (w *TableWriter) Update(rowid int64, oldVals, newVals []record.Value) error {
 	if w.done {
 		return storage.ErrTxDone
 	}
-	if err := deleteRowByID(w.tx, w.t, w.sch, rowid, oldVals); err != nil {
-		return err
-	}
-	cp := append([]record.Value(nil), newVals...)
-	return insertRowWithID(w.tx, w.t, w.sch, cp, rowid)
+	return updateRow(w.tx, w.t, w.sch, rowid, oldVals, newVals)
 }
 
 // Commit publishes the writes (a no-op handoff when the writer joined

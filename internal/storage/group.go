@@ -167,9 +167,17 @@ func (s *Store) applyGroup(batch []*commitReq) {
 	if failAll == nil && gh != nil {
 		gh.EndGroup()
 	}
-	if len(claimed) > 0 && failAll == nil {
+	// A group is a batch with at least one applied commit: that is the
+	// unit GroupDurable decides a flush or a skip for, so Groups, the
+	// size histogram and the flush decisions all count the same thing.
+	// A batch whose members all lost first-committer-wins changed
+	// nothing and is counted apart.
+	switch {
+	case committed > 0:
 		s.stats.Groups.Add(1)
 		s.stats.GroupSizeBuckets[groupSizeBucket(len(claimed))].Add(1)
+	case conflicts > 0:
+		s.stats.ConflictBatches.Add(1)
 	}
 	lsn := s.lsn
 	s.mu.Unlock()

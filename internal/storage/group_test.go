@@ -103,6 +103,16 @@ func TestGroupCommitConflict(t *testing.T) {
 	if st.Commits != 2 {
 		t.Errorf("Commits = %d, want 2 (setup + winner)", st.Commits)
 	}
+	// The loser was drained alone: a batch that applied nothing is not a
+	// group (no flush decision is taken for it), it is counted apart.
+	var bucketed uint64
+	for _, n := range st.GroupSizeBuckets {
+		bucketed += n
+	}
+	if st.Groups != 2 || bucketed != 2 || st.ConflictBatches != 1 {
+		t.Errorf("Groups = %d (histogram %d), ConflictBatches = %d; want 2 groups (setup + winner) and 1 all-conflict batch",
+			st.Groups, bucketed, st.ConflictBatches)
+	}
 }
 
 // TestGroupCommitDisjointWriters checks that transactions writing

@@ -11,9 +11,12 @@ type Stats struct {
 
 	// Group commit (group.go). Legacy-mode commits count as groups of
 	// one, so Commits/Groups is the mean group size in either mode.
-	Groups      atomic.Uint64 // commit groups applied
+	Groups      atomic.Uint64 // commit groups applied (batches with >= 1 applied commit)
 	Conflicts   atomic.Uint64 // transactions aborted first-committer-wins
 	QueueWaitNS atomic.Uint64 // cumulative commit-queue wait, nanoseconds
+	// ConflictBatches counts drained batches in which every member lost
+	// first-committer-wins: nothing was applied, so they are not groups.
+	ConflictBatches atomic.Uint64
 
 	// GroupSizeBuckets histograms applied group sizes; bucket i counts
 	// groups of size <= GroupSizeBounds[i], the last bucket is +Inf.
@@ -29,17 +32,19 @@ type StatsSnapshot struct {
 	Groups           uint64
 	Conflicts        uint64
 	QueueWaitNS      uint64
+	ConflictBatches  uint64
 	GroupSizeBuckets [NumGroupSizeBuckets]uint64
 }
 
 func (s *Stats) snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
-		Commits:      s.Commits.Load(),
-		PagesWritten: s.PagesWritten.Load(),
-		DBReads:      s.DBReads.Load(),
-		Groups:       s.Groups.Load(),
-		Conflicts:    s.Conflicts.Load(),
-		QueueWaitNS:  s.QueueWaitNS.Load(),
+		Commits:         s.Commits.Load(),
+		PagesWritten:    s.PagesWritten.Load(),
+		DBReads:         s.DBReads.Load(),
+		Groups:          s.Groups.Load(),
+		Conflicts:       s.Conflicts.Load(),
+		QueueWaitNS:     s.QueueWaitNS.Load(),
+		ConflictBatches: s.ConflictBatches.Load(),
 	}
 	for i := range s.GroupSizeBuckets {
 		snap.GroupSizeBuckets[i] = s.GroupSizeBuckets[i].Load()
@@ -56,6 +61,7 @@ func (s *Stats) Reset() {
 	s.Groups.Store(0)
 	s.Conflicts.Store(0)
 	s.QueueWaitNS.Store(0)
+	s.ConflictBatches.Store(0)
 	for i := range s.GroupSizeBuckets {
 		s.GroupSizeBuckets[i].Store(0)
 	}
