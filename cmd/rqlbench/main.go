@@ -100,7 +100,7 @@ func main() {
 		}
 		flags := map[string]bool{
 			"quick":                  *quick,
-			"prefetch":               false,
+			"legacy_is_udf_form":     true,
 			"delta_prune_side":       true,
 			"legacy_and_batch_prune": false,
 			"pipelined_side":         true,

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"rql/internal/core"
@@ -11,9 +12,12 @@ import (
 
 // The batch experiment compares the two SPT-construction strategies for
 // a snapshot-set run — per-iteration (every snapshot builds its own SPT
-// through Skippy) versus one-sweep batch (one Maplog pass derives every
-// member's SPT as the later snapshot's SPT plus a delta) — across all
-// four mechanisms, sequential and parallel. Its output is also the
+// through Skippy: the SQL-form UDF statement, which streams Qs rows and
+// so can neither batch, prune nor pipeline — the "legacy" side) versus
+// one-sweep batch (one Maplog pass derives every member's SPT as the
+// later snapshot's SPT plus a delta: the Go-level API) — across all four
+// mechanisms, sequential and parallel (the UDF form has no parallel
+// mode, so parallel rows carry no legacy side). Its output is also the
 // machine-readable BENCH_rql.json baseline written by `make bench`.
 
 // BatchSide is one strategy's measurement within a BatchResult.
@@ -35,7 +39,7 @@ type BatchResult struct {
 	Mechanism     string    `json:"mechanism"`
 	Mode          string    `json:"mode"` // "sequential" | "parallel"
 	Snapshots     int       `json:"snapshots"`
-	Legacy        BatchSide `json:"legacy"`
+	Legacy        BatchSide `json:"legacy"` // SQL-form UDF run; zero (absent) on parallel rows
 	Batch         BatchSide `json:"batch"`
 	Pruned        BatchSide `json:"pruned"`
 	Speedup       float64   `json:"speedup"`        // legacy wall / batch wall
@@ -98,9 +102,44 @@ type BatchReport struct {
 // batchWorkers is the parallel worker count used by the experiment.
 const batchWorkers = 8
 
+// runMode selects how timedRun drives a mechanism.
+type runMode int
+
+const (
+	modeSequential runMode = iota // Go-level API, one lane
+	modeParallel                  // Go-level API, batchWorkers lanes
+	modeUDF                       // SQL-form UDF statement (per-iteration SPT builds)
+)
+
+// udfNames maps the generic runners' mechanism names to the UDFs.
+var udfNames = map[string]string{
+	"AggV":      "AggregateDataInVariable",
+	"Collate":   "CollateData",
+	"AggT":      "AggregateDataInTable",
+	"Intervals": "CollateDataIntoIntervals",
+}
+
+// runUDF runs a mechanism in the paper's Figure 5 form: the UDF
+// interposed on the snapshot-set query (qs must select snap_id first).
+func (e *Env) runUDF(m mech, qs, qq, table string) (*core.RunStats, error) {
+	name, ok := udfNames[m.name]
+	if !ok || !strings.HasPrefix(qs, "SELECT snap_id FROM") {
+		return nil, fmt.Errorf("bench: cannot build the UDF form of %q over %q", m.name, qs)
+	}
+	call, params := name+"(snap_id, ?, ?", []record.Value{record.Text(qq), record.Text(table)}
+	if m.extra != "" {
+		call, params = call+", ?", append(params, record.Text(m.extra))
+	}
+	stmt := "SELECT " + call + ")" + strings.TrimPrefix(qs, "SELECT snap_id")
+	if err := e.Conn.Exec(stmt, nil, params...); err != nil {
+		return nil, err
+	}
+	return e.R.LastRun(), nil
+}
+
 // timedRun executes one mechanism run (cold cache) reps times and
 // returns the stats of the fastest repetition with its wall time.
-func (e *Env) timedRun(m mech, qs, qq string, parallel bool, reps int) (*core.RunStats, time.Duration, error) {
+func (e *Env) timedRun(m mech, qs, qq string, mode runMode, reps int) (*core.RunStats, time.Duration, error) {
 	var best time.Duration
 	var bestRS *core.RunStats
 	for i := 0; i < reps; i++ {
@@ -112,7 +151,10 @@ func (e *Env) timedRun(m mech, qs, qq string, parallel bool, reps int) (*core.Ru
 			err error
 		)
 		start := time.Now()
-		if parallel {
+		switch mode {
+		case modeUDF:
+			rs, err = e.runUDF(m, qs, qq, table)
+		case modeParallel:
 			switch m.name {
 			case "AggV":
 				rs, err = e.R.ParallelAggregateDataInVariable(qs, qq, table, m.extra, batchWorkers)
@@ -125,19 +167,8 @@ func (e *Env) timedRun(m mech, qs, qq string, parallel bool, reps int) (*core.Ru
 			default:
 				err = fmt.Errorf("bench: unknown mechanism %q", m.name)
 			}
-		} else {
-			switch m.name {
-			case "AggV":
-				rs, err = e.R.AggregateDataInVariable(e.Conn, qs, qq, table, m.extra)
-			case "Collate":
-				rs, err = e.R.CollateData(e.Conn, qs, qq, table)
-			case "AggT":
-				rs, err = e.R.AggregateDataInTable(e.Conn, qs, qq, table, m.extra)
-			case "Intervals":
-				rs, err = e.R.CollateDataIntoIntervals(e.Conn, qs, qq, table)
-			default:
-				err = fmt.Errorf("bench: unknown mechanism %q", m.name)
-			}
+		default:
+			rs, err = e.runInto(m, qs, qq, table)
 		}
 		wall := time.Since(start)
 		if err != nil {
@@ -260,45 +291,39 @@ func (r *Runner) BatchReport() (*BatchReport, error) {
 		Workers:     batchWorkers,
 		Reps:        reps,
 	}
-	// The legacy and batch sides isolate SPT-construction strategy, so
-	// both run with delta pruning off; the pruned side then measures
-	// what pruning adds on top of batch construction. The pipeline stays
-	// off for all three sides — it is accounting-neutral, but keeping it
-	// out preserves wall-time comparability with pre-pipeline runs; the
-	// dedicated pipeline phase below measures it on a sleeping device.
-	defer e.R.SetBatchSPT(true)
+	// The legacy and batch sides isolate SPT-construction strategy: the
+	// SQL-form UDF never prunes, so the batch side runs with delta
+	// pruning off too; the pruned side then measures what pruning adds
+	// on top of batch construction. The pipeline stays off for all three
+	// sides — it is accounting-neutral, but keeping it out preserves
+	// wall-time comparability with pre-pipeline runs; the dedicated
+	// pipeline phase below measures it on a sleeping device.
 	defer e.R.SetDeltaPrune(true)
 	e.R.SetPipelinedIO(false)
 	for _, mm := range mechs {
-		for _, parallel := range []bool{false, true} {
-			e.R.SetDeltaPrune(false)
-			e.R.SetBatchSPT(false)
-			lrs, lwall, err := e.timedRun(mm.m, qs, mm.qq, parallel, reps)
-			if err != nil {
-				return nil, fmt.Errorf("%s legacy: %w", mm.label, err)
+		for _, mode := range []runMode{modeSequential, modeParallel} {
+			res := BatchResult{Mechanism: mm.label, Mode: "sequential", Snapshots: setSize}
+			var lwall time.Duration
+			if mode == modeParallel {
+				res.Mode = "parallel"
+			} else {
+				lrs, wall, err := e.timedRun(mm.m, qs, mm.qq, modeUDF, reps)
+				if err != nil {
+					return nil, fmt.Errorf("%s legacy: %w", mm.label, err)
+				}
+				res.Legacy, lwall = side(lrs, wall), wall
 			}
-			e.R.SetBatchSPT(true)
-			brs, bwall, err := e.timedRun(mm.m, qs, mm.qq, parallel, reps)
+			e.R.SetDeltaPrune(false)
+			brs, bwall, err := e.timedRun(mm.m, qs, mm.qq, mode, reps)
 			if err != nil {
 				return nil, fmt.Errorf("%s batch: %w", mm.label, err)
 			}
 			e.R.SetDeltaPrune(true)
-			prs, pwall, err := e.timedRun(mm.m, qs, mm.qq, parallel, reps)
+			prs, pwall, err := e.timedRun(mm.m, qs, mm.qq, mode, reps)
 			if err != nil {
 				return nil, fmt.Errorf("%s pruned: %w", mm.label, err)
 			}
-			mode := "sequential"
-			if parallel {
-				mode = "parallel"
-			}
-			res := BatchResult{
-				Mechanism: mm.label,
-				Mode:      mode,
-				Snapshots: setSize,
-				Legacy:    side(lrs, lwall),
-				Batch:     side(brs, bwall),
-				Pruned:    side(prs, pwall),
-			}
+			res.Batch, res.Pruned = side(brs, bwall), side(prs, pwall)
 			if bwall > 0 {
 				res.Speedup = float64(lwall) / float64(bwall)
 			}
@@ -417,12 +442,12 @@ func (r *Runner) pipelineBatch(rep *BatchReport, reps int) error {
 	defer e.R.SetPipelinedIO(true)
 	for _, mm := range mechs {
 		e.R.SetPipelinedIO(false)
-		srs, swall, err := e.timedRun(mm.m, qs, mm.qq, false, reps)
+		srs, swall, err := e.timedRun(mm.m, qs, mm.qq, modeSequential, reps)
 		if err != nil {
 			return fmt.Errorf("%s serial: %w", mm.label, err)
 		}
 		e.R.SetPipelinedIO(true)
-		prs, pwall, err := e.timedRun(mm.m, qs, mm.qq, false, reps)
+		prs, pwall, err := e.timedRun(mm.m, qs, mm.qq, modeSequential, reps)
 		if err != nil {
 			return fmt.Errorf("%s pipelined: %w", mm.label, err)
 		}
@@ -465,21 +490,25 @@ func (r *Runner) Batch() error {
 	}
 	tab := &Table{
 		Title: fmt.Sprintf("Batch SPT: one-sweep vs per-iteration construction (%d-snapshot set, %s)", rep.SetSize, rep.UW),
-		Note: fmt.Sprintf("wall = min over %d cold-cache reps; scanned = Maplog entries examined for SPTs; parallel = %d workers; pruned = batch + delta pruning",
+		Note: fmt.Sprintf("wall = min over %d cold-cache reps; scanned = Maplog entries examined for SPTs; legacy = SQL-form UDF statement (sequential only); parallel = %d workers; pruned = batch + delta pruning",
 			rep.Reps, rep.Workers),
 		Headers: []string{"mechanism", "mode", "legacy wall", "batch wall", "speedup",
 			"pruned wall", "prune speedup", "skipped",
 			"legacy scanned", "batch scanned", "scan ratio", "hit rate"},
 	}
 	for _, res := range rep.Results {
+		// Only sequential rows have a legacy (SQL-form UDF) side.
+		var lwall, lscan, speedup, scan any = "n/a", "n/a", "n/a", "n/a"
+		if res.Legacy.WallNS > 0 {
+			lwall, lscan = time.Duration(res.Legacy.WallNS), res.Legacy.MapScanned
+			speedup, scan = fmt.Sprintf("%.2fx", res.Speedup), fmt.Sprintf("%.1fx", res.ScanReduction)
+		}
 		tab.Add(res.Mechanism, res.Mode,
-			time.Duration(res.Legacy.WallNS), time.Duration(res.Batch.WallNS),
-			fmt.Sprintf("%.2fx", res.Speedup),
+			lwall, time.Duration(res.Batch.WallNS), speedup,
 			time.Duration(res.Pruned.WallNS),
 			fmt.Sprintf("%.2fx", res.PruneSpeedup),
 			fmt.Sprintf("%d/%d", res.Pruned.PrunedIterations, res.Snapshots),
-			res.Legacy.MapScanned, res.Batch.MapScanned,
-			fmt.Sprintf("%.1fx", res.ScanReduction),
+			lscan, res.Batch.MapScanned, scan,
 			fmt.Sprintf("%.2f", res.Batch.CacheHitRate))
 	}
 	tab.Fprint(r.Out)

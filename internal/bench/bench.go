@@ -237,7 +237,11 @@ func (e *Env) ColdRun(m mech, qs, qq string) (*core.RunStats, error) {
 
 func (e *Env) run(m mech, qs, qq string) (*core.RunStats, error) {
 	resultSeq++
-	table := fmt.Sprintf("bench_result_%d", resultSeq)
+	return e.runInto(m, qs, qq, fmt.Sprintf("bench_result_%d", resultSeq))
+}
+
+// runInto runs one mechanism through the Go-level API into table.
+func (e *Env) runInto(m mech, qs, qq, table string) (*core.RunStats, error) {
 	switch m.name {
 	case "AggV":
 		return e.R.AggregateDataInVariable(e.Conn, qs, qq, table, m.extra)
@@ -258,17 +262,7 @@ func (e *Env) RunKeepTable(m mech, qs, qq, table string) (*core.RunStats, error)
 	if err := e.Conn.Exec(`DROP TABLE IF EXISTS `+sql.QuoteIdent(table), nil); err != nil {
 		return nil, err
 	}
-	switch m.name {
-	case "AggV":
-		return e.R.AggregateDataInVariable(e.Conn, qs, qq, table, m.extra)
-	case "Collate":
-		return e.R.CollateData(e.Conn, qs, qq, table)
-	case "AggT":
-		return e.R.AggregateDataInTable(e.Conn, qs, qq, table, m.extra)
-	case "Intervals":
-		return e.R.CollateDataIntoIntervals(e.Conn, qs, qq, table)
-	}
-	return nil, fmt.Errorf("bench: unknown mechanism %q", m.name)
+	return e.runInto(m, qs, qq, table)
 }
 
 // RunCost is the modeled total cost of a run: measured CPU-side wall

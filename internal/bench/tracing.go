@@ -98,13 +98,13 @@ func (r *Runner) tracingOverhead(reps int) (*TracingResult, error) {
 	}()
 
 	obs.SetTracing(false)
-	offRS, offWall, err := e.timedRun(mechCollate, qs, qq, false, reps)
+	offRS, offWall, err := e.timedRun(mechCollate, qs, qq, modeSequential, reps)
 	if err != nil {
 		return nil, fmt.Errorf("tracing disabled: %w", err)
 	}
 	obs.SetTracing(true)
 	obs.ResetSpans()
-	onRS, onWall, err := e.timedRun(mechCollate, qs, qq, false, reps)
+	onRS, onWall, err := e.timedRun(mechCollate, qs, qq, modeSequential, reps)
 	if err != nil {
 		return nil, fmt.Errorf("tracing enabled: %w", err)
 	}

@@ -158,7 +158,7 @@ func (r *Runner) viewRefreshPattern(res *ViewRefreshResult, pattern string, hist
 		// The recompute a view-less system would run after each new
 		// snapshot: every history member, cold cache (timedRun resets).
 		qs := QsRange(2, e.Last, 1)
-		_, fwall, err := e.timedRun(mechCollate, qs, qq, false, fullReps)
+		_, fwall, err := e.timedRun(mechCollate, qs, qq, modeSequential, fullReps)
 		if err != nil {
 			return fmt.Errorf("view-refresh %s full recompute: %w", pattern, err)
 		}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rql/internal/obs"
@@ -35,12 +36,11 @@ import (
 type RQL struct {
 	db *sql.DB
 
-	mu         sync.Mutex
-	lastRun    *RunStats
-	noBatch    bool // disable batch SPT construction (legacy per-iteration path)
-	prefetch   bool // clustered Pagelog prefetch on batch-set opens
-	noPrune    bool // disable delta pruning of unchanged iterations
-	noPipeline bool // disable cross-iteration read-ahead pipelining
+	mu      sync.Mutex
+	lastRun *RunStats
+
+	noPrune    atomic.Bool // disable delta pruning of unchanged iterations
+	noPipeline atomic.Bool // disable cross-iteration read-ahead pipelining
 }
 
 // Attach registers the four RQL mechanism UDFs on db and returns the
@@ -84,40 +84,16 @@ func (r *RQL) setLastRun(rs *RunStats) {
 // surface; the next mechanism run repopulates it).
 func (r *RQL) ResetLastRun() { r.setLastRun(nil) }
 
-// SetBatchSPT enables or disables batch SPT construction for the
-// Go-level mechanism API (on by default): when on, a run collects the
-// Qs snapshot set first and builds every SPT with one Maplog sweep
-// (sql.ReaderSet); when off, each iteration builds its own SPT — the
-// legacy path, kept for comparison benchmarks and equivalence tests.
-func (r *RQL) SetBatchSPT(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noBatch = !on
-}
-
-// SetPrefetch enables clustered Pagelog prefetching on batch reader
-// sets (off by default: prefetching can fetch pages a query never
-// touches, changing the PagelogReads accounting the paper's figures
-// are built on).
-func (r *RQL) SetPrefetch(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.prefetch = on
-}
-
 // SetDeltaPrune enables or disables delta pruning for the Go-level
-// mechanism API (on by default): when on, a batch-set run records each
+// mechanism API and views (on by default): when on, a run records each
 // executed iteration's page read-set and skips any later iteration
-// whose member-to-member page delta does not intersect it, replaying
-// the cached Qq output (with current_snapshot() columns re-tagged)
-// instead of executing Qq. Pruning requires batch SPT construction
-// (SetBatchSPT) and a prune-safe Qq (see sql.PruneInfo); the SQL-form
-// UDF path never prunes, like SetBatchSPT.
-func (r *RQL) SetDeltaPrune(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noPrune = !on
-}
+// whose snapshot-to-snapshot page delta does not intersect it,
+// replaying the cached Qq output (with current_snapshot() columns
+// re-tagged) instead of executing Qq. Pruning requires a prune-safe Qq
+// (see sql.PruneInfo); the SQL-form UDF path never prunes (the snapshot
+// set is not known up front). Off is the reference the pruned ≡
+// unpruned tests compare against.
+func (r *RQL) SetDeltaPrune(on bool) { r.noPrune.Store(!on) }
 
 // SetPipelinedIO enables or disables cross-iteration read-ahead (on by
 // default): while iteration i evaluates, the pages iteration i+1 is
@@ -126,51 +102,11 @@ func (r *RQL) SetDeltaPrune(on bool) {
 // snapshot page cache through the asynchronous device pool. Warmed
 // pages are billed lazily on first demand touch, so PagelogReads and
 // the paper's per-read counter series are identical with pipelining on
-// or off; only wall time changes. Requires batch SPT construction
-// (SetBatchSPT); the SQL-form UDF path never pipelines (the snapshot
-// set is not known up front).
-func (r *RQL) SetPipelinedIO(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noPipeline = !on
-}
-
-// pipelineEnabled reports whether read-ahead pipelining is on.
-func (r *RQL) pipelineEnabled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.noPipeline
-}
-
-// batchEnabled reports the current toggles.
-func (r *RQL) batchEnabled() (batch, prefetch bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.noBatch, r.prefetch
-}
-
-// pruneEnabled reports whether delta pruning is on.
-func (r *RQL) pruneEnabled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.noPrune
-}
-
-// openReaderSet builds the batch reader set for a run's snapshot set,
-// honouring the toggles. Returns nil (no error) when batching is off
-// or the set is empty.
-func (r *RQL) openReaderSet(conn *sql.Conn, snaps []uint64) (*sql.ReaderSet, error) {
-	batch, prefetch := r.batchEnabled()
-	if !batch || len(snaps) == 0 {
-		return nil, nil
-	}
-	set, err := conn.OpenSnapshotSet(snaps)
-	if err != nil {
-		return nil, err
-	}
-	set.SetPrefetch(prefetch)
-	return set, nil
-}
+// or off; only wall time changes. The SQL-form UDF path never pipelines
+// (the snapshot set is not known up front). Off is the strictly serial
+// device order the paper-figure mode and the pipelined ≡ serial tests
+// compare against.
+func (r *RQL) SetPipelinedIO(on bool) { r.noPipeline.Store(!on) }
 
 // recordBatchBuild surfaces the reader set's one-sweep SPT build as a
 // retroactive span under the run span (the sweep just finished, so its
@@ -205,21 +141,57 @@ func billBatch(run *RunStats, set *sql.ReaderSet) {
 // snapshot system.
 func (r *RQL) readLatency() time.Duration { return r.db.Retro().ReadLatency() }
 
+// udfState is the per-statement state of a SQL-form mechanism call
+// (the paper implements it through SQLite UDF auxdata; we carry it
+// through FuncContext.Aux): one lane writing T, stepped once per Qs row
+// and finished when the statement ends. The engine streams Qs rows, so
+// the snapshot set is unknown up front: every iteration builds its own
+// SPT and none is pruned or pipelined — the plain §3 loop the batched
+// Go-level runs are checked against.
+type udfState struct {
+	ln        *lane // nil until the arguments validate
+	finalized bool
+}
+
+// FinalizeStmt implements sql.StmtFinalizer.
+func (u *udfState) FinalizeStmt(commit bool) error {
+	if u.finalized || u.ln == nil {
+		return nil
+	}
+	u.finalized = true
+	return u.ln.finish(commit)
+}
+
 // udf adapts a mechanism kind into a scalar UDF body: per Qs row it
 // pulls the per-statement state from the auxdata slot and runs one
 // loop-body iteration.
 func (r *RQL) udf(kind mechKind) func(fc *sql.FuncContext, args []record.Value) (record.Value, error) {
 	return func(fc *sql.FuncContext, args []record.Value) (record.Value, error) {
-		st := fc.Aux(func() any { return &mechState{kind: kind, rql: r} }).(*mechState)
-		if !st.inited {
-			if err := st.init(fc.Conn(), args); err != nil {
+		u := fc.Aux(func() any { return &udfState{} }).(*udfState)
+		if u.finalized {
+			return record.Value{}, fmt.Errorf("rql: %s: iteration after finalize", kind)
+		}
+		if u.ln == nil {
+			for _, a := range args[1:] {
+				if a.Type() != record.TypeText {
+					return record.Value{}, fmt.Errorf("rql: %s: every argument after snap_id must be text", kind)
+				}
+			}
+			call := mechCall{kind: kind, qq: args[1].Text(), table: args[2].Text()}
+			if call.hasExtra = len(args) > 3; call.hasExtra {
+				call.extra = args[3].Text()
+			}
+			m, err := r.newMech(call)
+			if err != nil {
 				return record.Value{}, err
 			}
+			u.ln = m.tableLane(fc.Conn())
 		}
-		if args[0].IsNull() {
-			return record.Value{}, fmt.Errorf("rql: %s: snap_id is NULL", kind)
+		snap, err := qsSnapshot(args[:1])
+		if err != nil {
+			return record.Value{}, err
 		}
-		if err := st.iterate(fc.Conn(), uint64(args[0].AsInt())); err != nil {
+		if err := u.ln.step(snap, 0); err != nil {
 			return record.Value{}, err
 		}
 		return record.Int(1), nil
@@ -281,17 +253,13 @@ func DeclareSnapshot(conn *sql.Conn, ts time.Time, label string) (uint64, error)
 // CollateData collects the records Qq returns on every snapshot in the
 // Qs set into table T (paper §2.1).
 func (r *RQL) CollateData(conn *sql.Conn, qs, qq, table string) (*RunStats, error) {
-	return r.run(conn, mechCollate, qs, []record.Value{
-		record.Null(), record.Text(qq), record.Text(table),
-	})
+	return r.run(conn, mechCall{kind: mechCollate, qq: qq, table: table}, qs, 0, nil)
 }
 
 // AggregateDataInVariable applies aggFunc to the single value Qq
 // returns per snapshot, storing the final value in T (paper §2.2).
 func (r *RQL) AggregateDataInVariable(conn *sql.Conn, qs, qq, table, aggFunc string) (*RunStats, error) {
-	return r.run(conn, mechAggVar, qs, []record.Value{
-		record.Null(), record.Text(qq), record.Text(table), record.Text(aggFunc),
-	})
+	return r.run(conn, mechCall{mechAggVar, qq, table, aggFunc, true}, qs, 0, nil)
 }
 
 // AggregateDataInTable aggregates Qq's records across snapshots in
@@ -299,88 +267,79 @@ func (r *RQL) AggregateDataInVariable(conn *sql.Conn, qs, qq, table, aggFunc str
 // with the per-column functions of pairs, e.g. "(cn,MAX):(av,MAX)"
 // (paper §2.3).
 func (r *RQL) AggregateDataInTable(conn *sql.Conn, qs, qq, table, pairs string) (*RunStats, error) {
-	return r.run(conn, mechAggTable, qs, []record.Value{
-		record.Null(), record.Text(qq), record.Text(table), record.Text(pairs),
-	})
+	return r.run(conn, mechCall{mechAggTable, qq, table, pairs, true}, qs, 0, nil)
 }
 
 // CollateDataIntoIntervals collects Qq's records into lifetime
 // intervals [start_snapshot, end_snapshot] in table T (paper §2.4).
 func (r *RQL) CollateDataIntoIntervals(conn *sql.Conn, qs, qq, table string) (*RunStats, error) {
-	return r.run(conn, mechIntervals, qs, []record.Value{
-		record.Null(), record.Text(qq), record.Text(table),
-	})
+	return r.run(conn, mechCall{kind: mechIntervals, qq: qq, table: table}, qs, 0, nil)
 }
 
-// run drives a mechanism from Go: execute Qs, then iterate the loop
-// body over the returned set. Unlike the SQL UDF form — where the
-// engine streams Qs rows into the UDF one at a time — the whole set is
-// known before the first iteration, so the SPT of every member is
-// built with one batch Maplog sweep (unless SetBatchSPT disabled it).
-func (r *RQL) run(conn *sql.Conn, kind mechKind, qs string, args []record.Value) (*RunStats, error) {
-	st := &mechState{kind: kind, rql: r}
-	if err := st.init(conn, args); err != nil {
+// run drives a mechanism from Go: execute Qs, then run the loop body
+// over the returned set. Unlike the SQL UDF form — where the engine
+// streams Qs rows into the UDF one at a time — the whole set is known
+// before the first iteration, so the SPT of every member is built with
+// one batch Maplog sweep, unchanged iterations are pruned, and the next
+// iteration's pages are read ahead. workers > 0 fans the set out over
+// that many lanes (parallel.go); variant, when non-nil, adjusts the lane
+// that owns T before it runs (sortmerge.go).
+func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant func(*lane)) (*RunStats, error) {
+	m, err := r.newMech(call)
+	if err != nil {
 		return nil, err
 	}
+	out := m.tableLane(conn)
+	if variant != nil {
+		variant(out)
+	}
 	// Root (or request-child) span covering the whole mechanism run.
-	if rsp := obs.StartSpan(conn.CurrentSpan(), "rql."+kind.String()); rsp != nil {
+	name := "rql." + m.kind.String()
+	if workers > 0 {
+		name += ".parallel"
+		out.run.Mechanism += " (parallel)"
+	}
+	if rsp := obs.StartSpan(conn.CurrentSpan(), name); rsp != nil {
 		saved := conn.TraceSpan()
 		conn.SetTraceSpan(rsp)
 		defer func() {
 			conn.SetTraceSpan(saved)
-			rsp.SetInt("iterations", int64(len(st.run.Iterations))).End()
+			rsp.SetInt("workers", int64(workers)).SetInt("iterations", int64(len(out.run.Iterations))).End()
 		}()
 	}
+
 	var snaps []uint64
-	err := conn.Exec(qs, func(cols []string, row []record.Value) error {
-		if len(row) != 1 {
-			return fmt.Errorf("rql: Qs must return a single snapshot-id column, got %d columns", len(row))
-		}
-		if row[0].IsNull() {
-			return fmt.Errorf("rql: Qs returned a NULL snapshot id")
-		}
-		snaps = append(snaps, uint64(row[0].AsInt()))
-		return nil
+	err = conn.Exec(qs, func(_ []string, row []record.Value) error {
+		snap, err := qsSnapshot(row)
+		snaps = append(snaps, snap)
+		return err
 	})
-	if err == nil {
-		var set *sql.ReaderSet
-		set, err = r.openReaderSet(conn, snaps)
-		if set != nil {
-			defer set.Close()
-			st.set = set
-			recordBatchBuild(conn.TraceSpan(), set)
-		}
-		if err == nil {
-			st.setupPrune(conn, st.run)
-			st.pipeOn = st.set != nil && r.pipelineEnabled()
-			if st.pruneOn || st.pipeOn {
-				// Both pruning and pipelining steer by the last executed
-				// iteration's page read-set.
-				conn.SetRecordReadSet(true)
-				defer conn.SetRecordReadSet(false)
-			}
-		}
-		for i, snap := range snaps {
-			if err != nil {
-				break
-			}
-			st.next = 0
-			if i+1 < len(snaps) {
-				st.next = snaps[i+1]
-			}
-			err = st.iterate(conn, snap)
-		}
-		if err == nil {
-			billBatch(st.run, set)
+	if err == nil && len(snaps) > 0 {
+		// One batch-built reader set, shared read-only by every lane.
+		if m.set, err = conn.OpenSnapshotSet(snaps); err == nil {
+			defer m.set.Close()
+			recordBatchBuild(conn.TraceSpan(), m.set)
+			m.setupPrune(conn, out.run, setDelta(m.set))
+			m.pipeOn = !r.noPipeline.Load()
 		}
 	}
-	if ferr := st.FinalizeStmt(err == nil); err == nil {
+	if err == nil {
+		if workers > 0 {
+			err = out.fanOut(snaps, workers)
+		} else {
+			err = out.steps(snaps)
+		}
+	}
+	if err == nil {
+		billBatch(out.run, m.set)
+	}
+	if ferr := out.finish(err == nil); err == nil {
 		err = ferr
 	}
 	if err != nil {
 		return nil, err
 	}
-	return st.run, nil
+	return out.run, nil
 }
 
 // parsePairs parses the ListOfColFuncPairs notation. The paper writes

@@ -85,7 +85,7 @@ const avgName = "avg"
 
 // monoidByName resolves an aggregate-function name. AVG returns a
 // sentinel monoid whose Op must never be called directly; the
-// mechanisms detect it by name and use avgAccumulator instead.
+// fold detects it by name and uses avgAccumulator / avgMerge instead.
 func monoidByName(name string) *Monoid {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "min":
@@ -117,12 +117,14 @@ type avgAccumulator struct {
 	n   int64
 }
 
-func (a *avgAccumulator) add(v record.Value) {
+// add folds in v, the sum of n observations (a Qq value is its own sum
+// of one).
+func (a *avgAccumulator) add(v record.Value, n int64) {
 	if v.IsNull() {
 		return
 	}
 	a.sum += v.AsFloat()
-	a.n++
+	a.n += n
 }
 
 func (a *avgAccumulator) value() record.Value {
@@ -132,17 +134,18 @@ func (a *avgAccumulator) value() record.Value {
 	return record.Float(a.sum / float64(a.n))
 }
 
-// avgMerge folds a new observation x into a stored average with its
-// auxiliary count, returning the new average (used by Aggregate Data In
-// Table, where T stores the running average and the count lives in the
-// mechanism's in-memory auxiliary map).
-func avgMerge(curAvg record.Value, curN int64, x record.Value) (record.Value, int64) {
-	if x.IsNull() {
+// avgMerge folds x, the average of xn observations (a Qq value is its
+// own average of one), into a stored average with its auxiliary count,
+// returning the new average and count (used by Aggregate Data In Table,
+// where T stores the running average and the count lives in the fold's
+// auxiliary map).
+func avgMerge(curAvg record.Value, curN int64, x record.Value, xn int64) (record.Value, int64) {
+	if x.IsNull() || xn == 0 {
 		return curAvg, curN
 	}
 	if curAvg.IsNull() || curN == 0 {
-		return record.Float(x.AsFloat()), 1
+		return record.Float(x.AsFloat()), xn
 	}
-	n := curN + 1
-	return record.Float((curAvg.AsFloat()*float64(curN) + x.AsFloat()) / float64(n)), n
+	n := curN + xn
+	return record.Float((curAvg.AsFloat()*float64(curN) + x.AsFloat()*float64(xn)) / float64(n)), n
 }

@@ -1,647 +1,117 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-
-	"rql/internal/obs"
-	"rql/internal/record"
-	"rql/internal/sql"
-)
+import "sync"
 
 // Parallel execution of RQL mechanisms — the parallelization the paper
 // leaves as future work (§7). The snapshot set is split into contiguous
-// chunks processed by worker goroutines, each with its own connection
-// and snapshot readers (Retro snapshot queries are independent MVCC
-// read transactions, so they parallelize naturally; the shared snapshot
-// page cache even lets workers reuse each other's fetches).
+// chunks, each run by its own lane on a worker goroutine with its own
+// connection and snapshot readers (Retro snapshot queries are
+// independent MVCC read transactions, so they parallelize naturally; the
+// shared snapshot page cache even lets workers reuse each other's
+// fetches). Each lane folds into memory; the partial results are then
+// merged, in Qs order, into the lane that owns T.
 //
 // Correctness rests on the same algebra the sequential mechanisms
 // require: aggregate functions must be commutative-associative monoids
-// (§2.3), so per-chunk partial results combine in any order. AVG is
-// handled as the paper's special case by carrying (sum, count) — or
-// (avg, count) — partials. CollateDataIntoIntervals additionally
-// exploits that chunks are contiguous in Qs order: per-chunk interval
-// sets are computed locally and lifetimes spanning a chunk boundary are
-// stitched during the merge.
+// (§2.3), so a chunk's partial result folds into the preceding chunks'
+// like one more iteration whose records carry the weight they
+// accumulated — AVG, the paper's special case, through its auxiliary
+// count. CollateDataIntoIntervals additionally exploits that chunks are
+// contiguous in Qs order: a lifetime open at one chunk's tail continues
+// into the lifetime the next chunk's head iteration opened for the same
+// record (fold.merge).
 
 // ParallelCollateData is CollateData with iterations fanned out across
-// workers goroutines. Result rows stream through a single writer, so
-// T's contents equal the sequential result up to row order.
+// workers goroutines.
 func (r *RQL) ParallelCollateData(qs, qq, table string, workers int) (*RunStats, error) {
-	return r.parallelRun(mechCollate, qs, qq, table, "", workers)
+	return r.run(r.db.Conn(), mechCall{kind: mechCollate, qq: qq, table: table}, qs, max(workers, 1), nil)
 }
 
 // ParallelAggregateDataInVariable is AggregateDataInVariable with
 // per-chunk partial folds combined by the aggregate's monoid.
 func (r *RQL) ParallelAggregateDataInVariable(qs, qq, table, aggFunc string, workers int) (*RunStats, error) {
-	return r.parallelRun(mechAggVar, qs, qq, table, aggFunc, workers)
+	return r.run(r.db.Conn(), mechCall{mechAggVar, qq, table, aggFunc, true}, qs, max(workers, 1), nil)
 }
 
 // ParallelAggregateDataInTable is AggregateDataInTable with per-chunk
 // in-memory partial aggregation merged by the per-column monoids.
 func (r *RQL) ParallelAggregateDataInTable(qs, qq, table, pairs string, workers int) (*RunStats, error) {
-	return r.parallelRun(mechAggTable, qs, qq, table, pairs, workers)
+	return r.run(r.db.Conn(), mechCall{mechAggTable, qq, table, pairs, true}, qs, max(workers, 1), nil)
 }
 
 // ParallelCollateDataIntoIntervals is CollateDataIntoIntervals with
 // per-chunk interval construction and boundary stitching.
 func (r *RQL) ParallelCollateDataIntoIntervals(qs, qq, table string, workers int) (*RunStats, error) {
-	return r.parallelRun(mechIntervals, qs, qq, table, "", workers)
+	return r.run(r.db.Conn(), mechCall{kind: mechIntervals, qq: qq, table: table}, qs, max(workers, 1), nil)
 }
 
-// chunkResult is one worker's partial output.
-type chunkResult struct {
-	idx   int
-	iters []IterationCost
-
-	// AggV partial.
-	val record.Value
-	avg avgAccumulator
-
-	// AggT partial: group key -> aggregated row (+ avg counts).
-	groups map[string]*partialGroup
-	order  []string
-
-	// Intervals partial, in first-seen order.
-	ivals     map[string][]*interval
-	ivalOrder []string
-
-	// Delta pruning within the chunk's contiguous range (the chunk head
-	// always executes fully — no cache crosses a chunk boundary).
-	cache         pruneCache
-	pruned        int
-	prunedRows    int
-	intersections int
-
-	// Pages warmed by the chunk's read-ahead pipeline (warms never
-	// cross a chunk boundary, like the prune cache).
-	pipelined int
-
-	err error
-}
-
-type partialGroup struct {
-	row []record.Value
-	n   int64 // observations folded into avg columns
-}
-
-type interval struct {
-	vals       []record.Value
-	start, end uint64
-	// startsAtChunkHead / endsAtChunkTail drive boundary stitching.
-	startsAtHead bool
-	endsAtTail   bool
-}
-
-func (r *RQL) parallelRun(kind mechKind, qs, qq, table, extra string, workers int) (*RunStats, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	conn := r.db.Conn()
-
-	// Root span for the fan-out; worker iteration spans attach to it
-	// directly (Child only reads the parent's immutable IDs, so handing
-	// rsp to every worker goroutine is race-free).
-	rsp := obs.StartSpan(nil, "rql."+kind.String()+".parallel")
-	if rsp != nil {
-		rsp.SetInt("workers", int64(workers))
-		conn.SetTraceSpan(rsp)
-		defer func() {
-			conn.SetTraceSpan(nil)
-			rsp.End()
-		}()
-	}
-
-	// Template state: parses/validates arguments once.
-	tmpl := &mechState{kind: kind, rql: r}
-	args := []record.Value{record.Null(), record.Text(qq), record.Text(table)}
-	if kind == mechAggVar || kind == mechAggTable {
-		args = append(args, record.Text(extra))
-	}
-	if err := tmpl.init(conn, args); err != nil {
-		return nil, err
-	}
-
-	// Snapshot set, in Qs order.
-	var snaps []uint64
-	err := conn.Exec(qs, func(cols []string, row []record.Value) error {
-		if len(row) != 1 || row[0].IsNull() {
-			return fmt.Errorf("rql: Qs must return a single non-NULL snapshot-id column")
-		}
-		snaps = append(snaps, uint64(row[0].AsInt()))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	run := &RunStats{Mechanism: tmpl.kind.String() + " (parallel)"}
+// fanOut runs snaps as contiguous chunks on up to workers concurrent
+// memory-backed lanes, merges them in memory, in Qs order, as they
+// finish, and folds the result into ln: T is filled once, and an indexed
+// T is built once. (Merging each lane straight into an indexed T — a
+// B-tree probe and an index-maintaining update per row per lane — ran
+// CollateDataIntoIntervals 67% slower on the `make bench` batch workload,
+// 147% with pruning on, and AggregateDataInTable 11% and 21%.)
+//
+// CollateData alone does not wait for the merge: its fold keeps no state
+// and its T is a multiset, so each lane hands T its rows at the end of
+// every iteration. That overlaps the writes with evaluation and bounds a
+// lane's memory by one iteration's output; inserting at merge time left
+// the writes as a serial tail, 13% slower on the same workload. T's row
+// order is then unspecified, as for any multiset.
+func (ln *lane) fanOut(snaps []uint64, workers int) error {
 	if len(snaps) == 0 {
-		r.setLastRun(run)
-		return run, nil
+		return nil
 	}
-
-	// One batch-built reader set shared (read-only) by every worker:
-	// the SPTs are built once, and cross-chunk duplicate builds vanish.
-	set, err := r.openReaderSet(conn, snaps)
-	if err != nil {
-		return nil, err
+	// Result-table shape comes from the first snapshot, as in a
+	// sequential run; the lanes then share it read-only.
+	if err := ln.m.createResultTable(ln.conn, snaps[0]); err != nil {
+		return err
 	}
-	if set != nil {
-		defer set.Close()
-		tmpl.set = set
-		recordBatchBuild(rsp, set)
+	if err := ln.table.open(ln.conn); err != nil {
+		return err
 	}
-	// Pruning decision is made once on the template; each worker keeps
-	// its own cache and prunes within its contiguous range. Likewise the
-	// pipelining decision: each worker read-aheads within its own chunk,
-	// all sharing one device pool and one snapshot cache.
-	tmpl.setupPrune(conn, run)
-	tmpl.pipeOn = tmpl.set != nil && r.pipelineEnabled()
-
-	// Result-table shape comes from the first snapshot, as in the
-	// sequential mechanisms.
-	if err := tmpl.createResultTable(conn, snaps[0]); err != nil {
-		return nil, err
-	}
-
-	// Contiguous chunks preserve Qs order within and across workers.
-	if workers > len(snaps) {
-		workers = len(snaps)
-	}
-	chunks := make([][]uint64, workers)
+	var writeT sync.Mutex
 	per := (len(snaps) + workers - 1) / workers
-	for i := range chunks {
-		lo := i * per
-		hi := lo + per
-		if hi > len(snaps) {
-			hi = len(snaps)
-		}
-		if lo < hi {
-			chunks[i] = snaps[lo:hi]
-		}
-	}
-
-	// CollateData streams rows to a single writer goroutine.
-	var rowCh chan []record.Value
-	var writerErr error
-	var writerWG sync.WaitGroup
-	var writer *sql.TableWriter
-	if kind == mechCollate {
-		writer, err = conn.OpenTableWriter(table)
-		if err != nil {
-			return nil, err
-		}
-		rowCh = make(chan []record.Value, 1024)
-		writerWG.Add(1)
-		go func() {
-			defer writerWG.Done()
-			for row := range rowCh {
-				if writerErr != nil {
-					continue // drain
-				}
-				if _, err := writer.Insert(row); err != nil {
-					writerErr = err
-				}
-			}
-		}()
-	}
-
-	results := make([]*chunkResult, workers)
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if len(chunks[i]) == 0 {
-			results[i] = &chunkResult{idx: i}
-			continue
-		}
-		wg.Add(1)
-		go func(idx int, chunk []uint64) {
-			defer wg.Done()
-			results[idx] = r.runChunk(tmpl, idx, chunk, rowCh, rsp)
-		}(i, chunks[i])
-	}
-	wg.Wait()
-	if rowCh != nil {
-		close(rowCh)
-		writerWG.Wait()
-	}
-
-	for _, res := range results {
-		if res != nil && res.err != nil {
-			if writer != nil {
-				writer.Rollback()
-			}
-			return nil, res.err
-		}
-	}
-	if writerErr != nil {
-		writer.Rollback()
-		return nil, writerErr
-	}
-	if writer != nil {
-		if err := writer.Commit(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Merge partials in chunk order, then index the result table like
-	// the sequential mechanisms do.
-	if _, err := r.mergeChunks(tmpl, conn, results); err != nil {
-		return nil, err
-	}
-	if kind == mechAggTable || kind == mechIntervals {
-		if err := conn.Exec(tmpl.resultIndexDDL(), nil); err != nil {
-			return nil, err
-		}
-	}
-	for _, res := range results {
-		if res != nil {
-			run.Iterations = append(run.Iterations, res.iters...)
-			run.PrunedIterations += res.pruned
-			run.PrunedRowsReplayed += res.prunedRows
-			run.DeltaIntersections += res.intersections
-			run.PipelinedPrefetches += res.pipelined
-		}
-	}
-	sortIterationsByQsOrder(run.Iterations, snaps)
-	billBatch(run, set)
-	finishPipelineStats(run)
-
-	ts, err := conn.TableStats(table)
-	if err != nil {
-		return nil, err
-	}
-	run.ResultRows = ts.Rows
-	run.ResultDataBytes = ts.DataBytes
-	run.ResultIndexBytes = ts.IndexBytes
-	r.setLastRun(run)
-	return run, nil
-}
-
-// runChunk executes Qq over one contiguous chunk of snapshots with a
-// dedicated connection, producing the chunk's partial result. rsp,
-// when non-nil, parents the chunk's iteration spans (concurrent
-// emission from every worker is safe: spans are single-owner and the
-// recorder ring is the only shared sink).
-func (r *RQL) runChunk(tmpl *mechState, idx int, chunk []uint64, rowCh chan<- []record.Value, rsp *obs.Span) *chunkResult {
-	res := &chunkResult{idx: idx, val: record.Null()}
-	if tmpl.kind == mechAggTable {
-		res.groups = make(map[string]*partialGroup)
-	}
-	if tmpl.kind == mechIntervals {
-		res.ivals = make(map[string][]*interval)
-	}
-	conn := r.db.Conn()
-	if tmpl.pruneOn || tmpl.pipeOn {
-		conn.SetRecordReadSet(true)
-	}
-
-	// Chunk-local read-ahead lane; drained on every exit so no fetch
-	// outlives the run.
-	var pipe pipeState
-	defer func() {
-		pipe.drain()
-		res.pipelined = pipe.pages
-	}()
-
-	var prev uint64
-	for ci, snap := range chunk {
-		cost := IterationCost{Snapshot: snap}
-		var udf time.Duration
-
-		isp := rsp.Child("rql.iteration")
-		if isp != nil {
-			isp.SetInt("snapshot", int64(snap)).SetInt("worker", int64(idx))
-			conn.SetTraceSpan(isp)
-		}
-		endIter := func() {
-			if isp != nil {
-				conn.SetTraceSpan(nil)
-				isp.SetInt("pagelog_reads", int64(cost.PagelogReads)).
-					SetInt("cache_hits", int64(cost.CacheHits)).
-					SetInt("qq_rows", int64(cost.QqRows))
-				if cost.Pruned {
-					isp.SetInt("pruned", 1)
-				}
-				isp.End()
-			}
-		}
-
-		if tmpl.pipeOn {
-			pipe.await(snap, &cost)
-			if ci+1 < len(chunk) {
-				pipe.launch(tmpl.set, chunk[ci+1], isp)
-			}
-		}
-
-		memberIdx := -1
-		if tmpl.pruneOn {
-			idx, intersected, prune := tmpl.pruneCheck(&res.cache, snap, &cost)
-			memberIdx = idx
-			if intersected {
-				res.intersections++
-			}
-			if prune {
-				// Replay the cached Qq output within this chunk (ci > 0
-				// here: the cache only becomes valid after the chunk head
-				// executed fully).
-				t0 := time.Now()
-				for _, row := range res.cache.rows {
-					cost.QqRows++
-					if err := res.processRecord(tmpl, snap, prev, false,
-						tmpl.replayRow(row, snap), &cost, rowCh); err != nil {
-						res.err = err
-						endIter()
-						return res
+	lanes := make([]*lane, (len(snaps)+per-1)/per)
+	done := make([]chan error, len(lanes))
+	for i := range lanes {
+		chunk := snaps[i*per : min((i+1)*per, len(snaps))]
+		// Worker iteration spans attach to the run's span directly (a
+		// child only reads its parent's immutable IDs, so sharing it
+		// across goroutines is race-free).
+		conn := ln.m.rql.db.Conn()
+		conn.SetTraceSpan(ln.conn.TraceSpan())
+		w := ln.m.memLane(conn)
+		if ln.m.kind == mechCollate {
+			buf := w.fold.store.(*memStore)
+			w.fold.endIter = func(*IterationCost) error {
+				writeT.Lock()
+				defer writeT.Unlock()
+				for _, row := range buf.rows {
+					if _, err := ln.table.insert(row); err != nil {
+						return err
 					}
 				}
-				cost.Pruned = true
-				cost.UDF = time.Since(t0)
-				res.iters = append(res.iters, cost)
-				res.pruned++
-				res.prunedRows += len(res.cache.rows)
-				res.cache.prevIdx = idx
-				prev = snap
-				endIter()
-				continue
+				buf.rows = buf.rows[:0]
+				return nil
 			}
 		}
-
-		var iterRows [][]record.Value
-		cb := func(cols []string, row []record.Value) error {
-			cost.QqRows++
-			if tmpl.pruneOn && memberIdx >= 0 {
-				iterRows = cacheRow(iterRows, row)
-			}
-			t0 := time.Now()
-			err := res.processRecord(tmpl, snap, prev, ci == 0, row, &cost, rowCh)
-			udf += time.Since(t0)
-			return err
-		}
-		if err := conn.ExecAsOfSet(tmpl.qq, tmpl.set, snap, cb); err != nil {
-			res.err = err
-			endIter()
-			return res
-		}
-		qs := conn.LastStats()
-		if tmpl.pruneOn && memberIdx >= 0 {
-			res.cache = pruneCache{valid: true, prevIdx: memberIdx, readSet: conn.ReadSet(), rows: iterRows}
-		}
-		if tmpl.pipeOn {
-			pipe.prevRS = conn.ReadSet()
-		}
-		cost.SPTBuild = qs.SPTBuildTime
-		cost.IndexCreation = qs.AutoIndex
-		cost.UDF = udf
-		cost.QueryEval = qs.Duration - qs.SPTBuildTime - qs.AutoIndex - udf
-		if cost.QueryEval < 0 {
-			cost.QueryEval = 0
-		}
-		cost.IOTime = qs.ModeledIO(r.readLatency())
-		cost.PagelogReads = qs.PagelogReads
-		cost.CacheHits = qs.CacheHits
-		cost.DBReads = qs.DBReads
-		cost.MapScanned = qs.MapScanned
-		cost.ClusteredReads = qs.ClusteredReads
-		cost.ClusteredPages = qs.ClusteredPages
-		cost.PrefetchHits = qs.PrefetchHits
-		res.iters = append(res.iters, cost)
-		prev = snap
-		endIter()
+		lanes[i], done[i] = w, make(chan error, 1)
+		go func() { done[i] <- w.steps(chunk) }()
 	}
-	// Mark intervals still open at the chunk tail.
-	lastSnap := chunk[len(chunk)-1]
-	for _, ivs := range res.ivals {
-		for _, iv := range ivs {
-			if iv.end == lastSnap {
-				iv.endsAtTail = true
-			}
+	// Every lane is waited for, failed run or not.
+	var err error
+	for i, w := range lanes {
+		if werr := <-done[i]; err == nil {
+			err = werr
+		}
+		if err == nil && i > 0 {
+			err = lanes[0].merge(w)
 		}
 	}
-	return res
-}
-
-// processRecord folds one Qq record into the chunk-local partial state.
-func (res *chunkResult) processRecord(tmpl *mechState, snap, prev uint64, firstInChunk bool,
-	row []record.Value, cost *IterationCost, rowCh chan<- []record.Value) error {
-	switch tmpl.kind {
-	case mechCollate:
-		rowCh <- append([]record.Value(nil), row...)
-		cost.ResultInserts++
-		return nil
-
-	case mechAggVar:
-		if len(row) != 1 {
-			return fmt.Errorf("rql: %s: Qq returned %d columns", tmpl.kind, len(row))
-		}
-		if cost.QqRows > 1 {
-			return fmt.Errorf("rql: %s: Qq returned more than one row for snapshot %d", tmpl.kind, snap)
-		}
-		if tmpl.monoid.Name == avgName {
-			res.avg.add(row[0])
-		} else {
-			res.val = tmpl.monoid.Combine(res.val, row[0])
-		}
-		return nil
-
-	case mechAggTable:
-		if len(row) != len(tmpl.qqCols) {
-			return fmt.Errorf("rql: %s: Qq returned %d columns, expected %d", tmpl.kind, len(row), len(tmpl.qqCols))
-		}
-		group := make([]record.Value, len(tmpl.groupIdx))
-		for i, gi := range tmpl.groupIdx {
-			group[i] = row[gi]
-		}
-		key := string(record.EncodeKey(nil, group))
-		cost.ResultSearch++
-		pg := res.groups[key]
-		if pg == nil {
-			res.groups[key] = &partialGroup{row: append([]record.Value(nil), row...), n: 1}
-			res.order = append(res.order, key)
-			cost.ResultInserts++
-			return nil
-		}
-		for pi, p := range tmpl.pairs {
-			k := tmpl.aggIdx[pi]
-			if p.agg.Name == avgName {
-				pg.row[k], pg.n = avgMerge(pg.row[k], pg.n, row[k])
-			} else {
-				pg.row[k] = p.agg.Combine(pg.row[k], row[k])
-			}
-		}
-		cost.ResultUpdates++
-		return nil
-
-	case mechIntervals:
-		if len(row) != len(tmpl.qqCols) {
-			return fmt.Errorf("rql: %s: Qq returned %d columns, expected %d", tmpl.kind, len(row), len(tmpl.qqCols))
-		}
-		key := string(record.EncodeKey(nil, row))
-		cost.ResultSearch++
-		ivs := res.ivals[key]
-		if !firstInChunk {
-			for _, iv := range ivs {
-				if iv.end == prev {
-					iv.end = snap
-					cost.ResultUpdates++
-					return nil
-				}
-			}
-		}
-		iv := &interval{
-			vals:         append([]record.Value(nil), row...),
-			start:        snap,
-			end:          snap,
-			startsAtHead: firstInChunk,
-		}
-		if ivs == nil {
-			res.ivalOrder = append(res.ivalOrder, key)
-		}
-		res.ivals[key] = append(ivs, iv)
-		cost.ResultInserts++
-		return nil
+	if err == nil {
+		err = ln.merge(lanes[0])
 	}
-	return fmt.Errorf("rql: unknown mechanism %d", tmpl.kind)
-}
-
-// mergeChunks combines the per-chunk partials and writes the final
-// result table.
-func (r *RQL) mergeChunks(tmpl *mechState, conn *sql.Conn, results []*chunkResult) (int, error) {
-	switch tmpl.kind {
-	case mechCollate:
-		return 0, nil // streamed already
-
-	case mechAggVar:
-		val := record.Null()
-		var acc avgAccumulator
-		for _, res := range results {
-			if res == nil || len(res.iters) == 0 {
-				continue
-			}
-			if tmpl.monoid.Name == avgName {
-				acc.sum += res.avg.sum
-				acc.n += res.avg.n
-			} else {
-				val = tmpl.monoid.Combine(val, res.val)
-			}
-		}
-		if tmpl.monoid.Name == avgName {
-			val = acc.value()
-		}
-		return 1, conn.Exec("INSERT INTO "+sql.QuoteIdent(tmpl.table)+" VALUES (?)", nil, val)
-
-	case mechAggTable:
-		merged := make(map[string]*partialGroup)
-		var order []string
-		for _, res := range results {
-			if res == nil {
-				continue
-			}
-			for _, key := range res.order {
-				pg := res.groups[key]
-				m := merged[key]
-				if m == nil {
-					merged[key] = pg
-					order = append(order, key)
-					continue
-				}
-				for pi, p := range tmpl.pairs {
-					k := tmpl.aggIdx[pi]
-					if p.agg.Name == avgName {
-						// Weighted merge of two running averages.
-						total := m.n + pg.n
-						if total > 0 {
-							m.row[k] = record.Float(
-								(m.row[k].AsFloat()*float64(m.n) + pg.row[k].AsFloat()*float64(pg.n)) / float64(total))
-						}
-						m.n = total
-					} else {
-						m.row[k] = p.agg.Combine(m.row[k], pg.row[k])
-					}
-				}
-			}
-		}
-		w, err := conn.OpenTableWriter(tmpl.table)
-		if err != nil {
-			return 0, err
-		}
-		for _, key := range order {
-			if _, err := w.Insert(merged[key].row); err != nil {
-				w.Rollback()
-				return 0, err
-			}
-		}
-		return len(order), w.Commit()
-
-	case mechIntervals:
-		// Stitch lifetimes across chunk boundaries: an interval open at
-		// the tail of chunk i continues into an interval starting at
-		// the head of chunk i+1 for the same record.
-		type rec struct {
-			vals []record.Value
-			ivs  []*interval
-		}
-		mergedMap := make(map[string]*rec)
-		var order []string
-		for _, res := range results {
-			if res == nil {
-				continue
-			}
-			for _, key := range res.ivalOrder {
-				ivs := res.ivals[key]
-				m := mergedMap[key]
-				if m == nil {
-					m = &rec{vals: ivs[0].vals}
-					mergedMap[key] = m
-					order = append(order, key)
-				}
-				for _, iv := range ivs {
-					if iv.startsAtHead && len(m.ivs) > 0 {
-						last := m.ivs[len(m.ivs)-1]
-						if last.endsAtTail {
-							// Contiguous across the boundary: extend.
-							last.end = iv.end
-							last.endsAtTail = iv.endsAtTail
-							continue
-						}
-					}
-					m.ivs = append(m.ivs, iv)
-				}
-			}
-		}
-		w, err := conn.OpenTableWriter(tmpl.table)
-		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for _, key := range order {
-			m := mergedMap[key]
-			for _, iv := range m.ivs {
-				row := make([]record.Value, 0, len(iv.vals)+2)
-				row = append(row, iv.vals...)
-				row = append(row, record.Int(int64(iv.start)), record.Int(int64(iv.end)))
-				if _, err := w.Insert(row); err != nil {
-					w.Rollback()
-					return 0, err
-				}
-				n++
-			}
-		}
-		return n, w.Commit()
-	}
-	return 0, fmt.Errorf("rql: unknown mechanism %d", tmpl.kind)
-}
-
-// sortIterationsByQsOrder restores the Qs iteration order in the merged
-// statistics (chunks may finish out of order).
-func sortIterationsByQsOrder(iters []IterationCost, snaps []uint64) {
-	pos := make(map[uint64]int, len(snaps))
-	for i, s := range snaps {
-		pos[s] = i
-	}
-	sort.SliceStable(iters, func(a, b int) bool {
-		return pos[iters[a].Snapshot] < pos[iters[b].Snapshot]
-	})
+	return err
 }

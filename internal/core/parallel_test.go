@@ -62,106 +62,58 @@ func sortedRows(t *testing.T, c *sql.Conn, sqlText string) []string {
 	return rows
 }
 
-func TestParallelCollateDataEquivalence(t *testing.T) {
-	r, c := randomHistory(t, 5, 30)
-	if _, err := r.CollateData(c,
-		`SELECT snap_id FROM SnapIds`,
-		`SELECT k, grp, current_snapshot() AS sid FROM m`, "Seq"); err != nil {
-		t.Fatal(err)
+// Parallel ≡ sequential: N memory-backed lanes merged in Qs order must
+// leave T as one table-backed lane does, for every mechanism, every
+// AggregateDataInVariable monoid, and every Qs order. Several seeds move
+// the interval lifetimes across the chunk boundaries.
+func TestParallelEquivalence(t *testing.T) {
+	fixtures := allFixtures
+	for _, agg := range []string{"min", "max", "count"} {
+		fx := aggVarAvg
+		fx.extra = agg
+		fixtures = append(fixtures, fx)
 	}
-	stats, err := r.ParallelCollateData(
-		`SELECT snap_id FROM SnapIds`,
-		`SELECT k, grp, current_snapshot() AS sid FROM m`, "Par", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := sortedRows(t, c, `SELECT k, grp, sid FROM Seq`)
-	b := sortedRows(t, c, `SELECT k, grp, sid FROM Par`)
-	if strings.Join(a, ";") != strings.Join(b, ";") {
-		t.Fatalf("parallel CollateData differs:\nseq %d rows\npar %d rows", len(a), len(b))
-	}
-	if len(stats.Iterations) != 30 {
-		t.Errorf("iterations = %d", len(stats.Iterations))
-	}
-	for i, it := range stats.Iterations {
-		if it.Snapshot != uint64(i+1) {
-			t.Fatalf("iteration %d out of Qs order: snapshot %d", i, it.Snapshot)
-		}
-	}
-	if !strings.Contains(stats.Mechanism, "parallel") {
-		t.Errorf("mechanism label: %s", stats.Mechanism)
-	}
-}
+	for seed := int64(5); seed < 10; seed++ {
+		r, c := randomHistory(t, seed, 30+int(seed))
+		makeQsOrders(t, c)
+		for _, from := range qsOrders {
+			for _, fx := range fixtures {
+				table := "Par_" + fx.tag() + "_" + from
+				stats := runFixture(t, r, c, fx, "SELECT snap_id FROM "+from, table, true)
+				assertSameResult(t, c, fx, from, table)
 
-func TestParallelAggVarEquivalence(t *testing.T) {
-	r, c := randomHistory(t, 6, 25)
-	for _, agg := range []string{"min", "max", "sum", "count", "avg"} {
-		seqT, parT := "SeqV_"+agg, "ParV_"+agg
-		if _, err := r.AggregateDataInVariable(c,
-			`SELECT snap_id FROM SnapIds`,
-			`SELECT COUNT(*) FROM m`, seqT, agg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.ParallelAggregateDataInVariable(
-			`SELECT snap_id FROM SnapIds`,
-			`SELECT COUNT(*) FROM m`, parT, agg, 3); err != nil {
-			t.Fatal(err)
-		}
-		a := queryRows(t, c, `SELECT * FROM `+seqT)
-		b := queryRows(t, c, `SELECT * FROM `+parT)
-		if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
-			t.Errorf("%s: seq %v != par %v", agg, a, b)
-		}
-	}
-}
-
-func TestParallelAggTableEquivalence(t *testing.T) {
-	r, c := randomHistory(t, 7, 30)
-	qq := `SELECT grp, COUNT(*) AS c, AVG(v) AS av FROM m GROUP BY grp`
-	if _, err := r.AggregateDataInTable(c,
-		`SELECT snap_id FROM SnapIds`, qq, "SeqT", "(c,max):(av,avg)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ParallelAggregateDataInTable(
-		`SELECT snap_id FROM SnapIds`, qq, "ParT", "(c,max):(av,avg)", 4); err != nil {
-		t.Fatal(err)
-	}
-	a := sortedRows(t, c, `SELECT grp, c, round(av, 6) FROM SeqT`)
-	b := sortedRows(t, c, `SELECT grp, c, round(av, 6) FROM ParT`)
-	if strings.Join(a, ";") != strings.Join(b, ";") {
-		t.Fatalf("parallel AggT differs:\nseq %v\npar %v", a, b)
-	}
-	// The parallel result table carries the same search index.
-	objs, err := c.Objects()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, o := range objs {
-		if o.Kind == "index" && strings.EqualFold(o.Table, "ParT") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("parallel AggT result has no index")
-	}
-}
-
-func TestParallelIntervalsEquivalence(t *testing.T) {
-	for seed := int64(8); seed < 13; seed++ {
-		r, c := randomHistory(t, seed, 40)
-		if _, err := r.CollateDataIntoIntervals(c,
-			`SELECT snap_id FROM SnapIds`, `SELECT k FROM m`, "SeqI"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.ParallelCollateDataIntoIntervals(
-			`SELECT snap_id FROM SnapIds`, `SELECT k FROM m`, "ParI", 4); err != nil {
-			t.Fatal(err)
-		}
-		a := sortedRows(t, c, `SELECT k, start_snapshot, end_snapshot FROM SeqI`)
-		b := sortedRows(t, c, `SELECT k, start_snapshot, end_snapshot FROM ParI`)
-		if strings.Join(a, ";") != strings.Join(b, ";") {
-			t.Fatalf("seed %d: parallel intervals differ\nseq: %v\npar: %v", seed, a, b)
+				if !strings.Contains(stats.Mechanism, "parallel") {
+					t.Errorf("mechanism label: %s", stats.Mechanism)
+				}
+				// Iterations are reported in Qs order whatever the lanes'
+				// scheduling was.
+				want := queryRows(t, c, "SELECT snap_id FROM "+from)
+				if len(stats.Iterations) != len(want) {
+					t.Fatalf("%s over %s: %d iterations, want %d", fx.kind, from, len(stats.Iterations), len(want))
+				}
+				for i, it := range stats.Iterations {
+					if fmt.Sprint(it.Snapshot) != want[i] {
+						t.Fatalf("%s over %s: iteration %d out of Qs order: snapshot %d, want %s",
+							fx.kind, from, i, it.Snapshot, want[i])
+					}
+				}
+				// The merged result table carries the same search index.
+				if fx.kind == mechAggTable {
+					objs, err := c.Objects()
+					if err != nil {
+						t.Fatal(err)
+					}
+					found := false
+					for _, o := range objs {
+						if o.Kind == "index" && strings.EqualFold(o.Table, table) {
+							found = true
+						}
+					}
+					if !found {
+						t.Errorf("parallel AggregateDataInTable result %s has no index", table)
+					}
+				}
+			}
 		}
 	}
 }

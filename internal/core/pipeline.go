@@ -26,9 +26,8 @@ import (
 // cache churn and device-queue occupancy per iteration.
 const pipelineBudget = 1024
 
-// pipeState is one execution lane's warm state: the sequential run
-// driver keeps one on the mechState; each parallel chunk worker keeps
-// its own (warms never cross a chunk boundary).
+// pipeState is one lane's warm state (warms never cross a parallel
+// chunk boundary).
 type pipeState struct {
 	warm     *sql.Warm   // in-flight warm, nil when none
 	warmSnap uint64      // the member warm targets
@@ -107,12 +106,11 @@ func (p *pipeState) drain() {
 
 // finishPipelineStats derives the run-level prefetch summary from the
 // per-iteration counters: hits are demand reads satisfied early by a
-// warmed page; wasted is every warmed page (pipelined or clustered)
-// never demanded.
+// warmed page; wasted is every warmed page never demanded.
 func finishPipelineStats(run *RunStats) {
 	t := run.Total()
 	run.PrefetchHits = t.PrefetchHits
-	if w := run.PipelinedPrefetches + t.ClusteredPages - t.PrefetchHits; w > 0 {
+	if w := run.PipelinedPrefetches - t.PrefetchHits; w > 0 {
 		run.PrefetchWasted = w
 	}
 }

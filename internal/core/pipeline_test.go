@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -10,44 +9,29 @@ import (
 // pages travel from the Pagelog, never what any iteration computes or
 // how much work it is billed. Every mechanism, sequential and parallel,
 // with pruning on and off, must produce byte-identical results with
-// pipelining on and off — and for the deterministic sequential runs the
+// pipelining on and off (both checked against the never-pipelined UDF
+// form) — and for the deterministic sequential runs the
 // per-iteration PagelogReads/CacheHits series must match exactly (lazy
 // billing charges a warmed page to the iteration that demands it).
 func TestPipelinedIOEquivalence(t *testing.T) {
-	qqs := map[mechKind]string{
-		mechCollate:   `SELECT k, grp, current_snapshot() AS sid FROM m`,
-		mechAggVar:    `SELECT COUNT(*) FROM m`,
-		mechAggTable:  `SELECT grp, COUNT(*) AS c, AVG(v) AS av FROM m GROUP BY grp`,
-		mechIntervals: `SELECT k FROM m`,
-	}
-	sel := map[mechKind]string{
-		mechCollate:   `SELECT k, grp, sid FROM %s`,
-		mechAggVar:    `SELECT * FROM %s`,
-		mechAggTable:  `SELECT grp, c, round(av, 6) FROM %s`,
-		mechIntervals: `SELECT k, start_snapshot, end_snapshot FROM %s`,
-	}
 	for seed := int64(60); seed < 62; seed++ {
 		r, c := pruneHistory(t, seed, 30)
 		qs := `SELECT snap_id FROM SnapIds`
-		for _, kind := range []mechKind{mechCollate, mechAggVar, mechAggTable, mechIntervals} {
+		for _, fx := range allFixtures {
 			for _, parallel := range []bool{false, true} {
 				for _, pruneOn := range []bool{false, true} {
-					label := fmt.Sprintf("%s_p%v_prune%v_s%d", kind, parallel, pruneOn, seed)
+					label := fmt.Sprintf("%s_p%v_prune%v_s%d", fx.tag(), parallel, pruneOn, seed)
 					onT, offT := "PipeOn_"+label, "PipeOff_"+label
 					r.SetDeltaPrune(pruneOn)
 
 					r.db.Retro().ResetCache()
 					r.SetPipelinedIO(true)
-					prs := runMech(t, r, c, kind, qs, qqs[kind], onT, parallel)
+					prs := runFixture(t, r, c, fx, qs, onT, parallel)
 					r.db.Retro().ResetCache()
 					r.SetPipelinedIO(false)
-					srs := runMech(t, r, c, kind, qs, qqs[kind], offT, parallel)
+					srs := runFixture(t, r, c, fx, qs, offT, parallel)
+					assertSameResult(t, c, fx, "SnapIds", onT, offT)
 
-					a := sortedRows(t, c, fmt.Sprintf(sel[kind], onT))
-					b := sortedRows(t, c, fmt.Sprintf(sel[kind], offT))
-					if strings.Join(a, ";") != strings.Join(b, ";") {
-						t.Fatalf("%s: pipelined result differs from serial\npipelined: %v\nserial:    %v", label, a, b)
-					}
 					if srs.PipelinedPrefetches != 0 {
 						t.Errorf("%s: serial run warmed %d pages, want 0", label, srs.PipelinedPrefetches)
 					}

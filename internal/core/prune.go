@@ -1,20 +1,17 @@
 package core
 
 import (
-	"time"
-
 	"rql/internal/record"
 	"rql/internal/sql"
 )
 
-// Delta pruning: between two members of a snapshot set, only the pages
-// in the members' delta (kept by the batch SPT sweep) can differ. A
-// mechanism iteration whose Qq read-set does not intersect the delta
-// since the previous iteration would read byte-identical pages and
-// produce byte-identical records — so the iteration is skipped and the
-// previous iteration's cached Qq output is replayed through the
-// mechanism's record processing instead, with bare current_snapshot()
-// projection columns re-tagged to the new snapshot id.
+// Delta pruning: between two snapshots, only the pages in their delta
+// can differ. A mechanism iteration whose Qq read-set does not intersect
+// the delta since the previous iteration would read byte-identical
+// pages and produce byte-identical records — so the iteration is
+// skipped and the previous iteration's cached Qq output is replayed
+// through the fold instead, with bare current_snapshot() projection
+// columns re-tagged to the new snapshot id.
 //
 // Soundness: the read-set contains every page the snapshot reader
 // served while executing Qq — data, interior, catalog, and
@@ -26,101 +23,70 @@ import (
 // recorded set stays exact until the next full execution refreshes it.
 
 // pruneCache is the memo of the last fully-executed iteration: its
-// page read-set, its Qq output rows, and the member index the run has
-// advanced to (pruned iterations advance prevIdx without touching the
+// page read-set, its Qq output rows, and the snapshot the lane has
+// advanced to (pruned iterations advance prev without touching the
 // read-set or rows — identical pages mean both stay exact).
 type pruneCache struct {
 	valid   bool
-	prevIdx int              // member index of the previous iteration
+	prev    uint64           // snapshot of the previous iteration
 	readSet sql.PageSet      // read-set of the last executed iteration
 	rows    [][]record.Value // Qq output of the last executed iteration
 }
 
-// setupPrune decides whether this run can prune: the toggle must be
-// on, the run must have a batch reader set (the deltas live on it),
-// and Qq must be statically prune-safe. The blocking reason is
-// recorded on the run either way.
-func (st *mechState) setupPrune(conn *sql.Conn, run *RunStats) {
-	if st.set == nil {
-		run.PruneReason = "no batch reader set (SetBatchSPT off)"
-		return
+// deltaFunc answers the proof obligation of delta pruning: is every
+// page that differs between snapshots prev and cur absent from readSet?
+// checked is false when the question cannot be answered (the iteration
+// then executes); examined counts the delta pages tested. A batch run
+// answers from its reader set's member deltas (setDelta), a view from
+// the Maplog (maplogDelta in view.go).
+type deltaFunc func(prev, cur uint64, readSet sql.PageSet) (checked, disjoint bool, examined int)
+
+// setDelta answers from the deltas the batch SPT sweep kept.
+func setDelta(set *sql.ReaderSet) deltaFunc {
+	return func(prev, cur uint64, readSet sql.PageSet) (bool, bool, int) {
+		a, okA := set.MemberIndex(prev)
+		b, okB := set.MemberIndex(cur)
+		if !okA || !okB {
+			return false, false, 0
+		}
+		disjoint, examined := set.DeltaDisjoint(a, b, readSet)
+		return true, disjoint, examined
 	}
-	if !st.rql.pruneEnabled() {
+}
+
+// setupPrune decides whether this run can prune with delta: the toggle
+// must be on and Qq must be statically prune-safe. The blocking reason
+// is recorded on the run either way.
+func (m *mech) setupPrune(conn *sql.Conn, run *RunStats, delta deltaFunc) {
+	m.delta = nil
+	if m.rql.noPrune.Load() {
 		run.PruneReason = "delta pruning off (SetDeltaPrune)"
 		return
 	}
-	info := conn.PruneInfo(st.qq)
+	info := conn.PruneInfo(m.qq)
 	if !info.OK {
 		run.PruneReason = "Qq not prune-safe: " + info.Reason
 		return
 	}
-	st.pruneOn = true
-	st.pruneInfo = info
+	m.delta, m.snapCols = delta, info.SnapCols
 	run.PruneReason = ""
-}
-
-// pruneCheck runs the delta × read-set intersection for the iteration
-// about to run on snap. It reports whether the iteration can be
-// replayed from the cache, recording the intersection work on cost.
-// intersected is false when no intersection was computed (snap outside
-// the set, or no cache yet). Safe for concurrent workers: it only
-// touches the shared template's immutable set and the caller's cache.
-func (st *mechState) pruneCheck(cache *pruneCache, snap uint64, cost *IterationCost) (idx int, intersected, prune bool) {
-	idx, member := st.set.MemberIndex(snap)
-	if !member {
-		return -1, false, false
-	}
-	if !cache.valid {
-		return idx, false, false
-	}
-	disjoint, examined := st.set.DeltaDisjoint(cache.prevIdx, idx, cache.readSet)
-	cost.DeltaPages = examined
-	return idx, true, disjoint
 }
 
 // replayRow prepares one cached row for replay at snap: when Qq
 // projects bare current_snapshot() columns, those are rewritten to the
 // new snapshot id (the only snapshot-dependent values a prune-safe Qq
 // can emit).
-func (st *mechState) replayRow(row []record.Value, snap uint64) []record.Value {
-	if len(st.pruneInfo.SnapCols) == 0 {
+func (m *mech) replayRow(row []record.Value, snap uint64) []record.Value {
+	if len(m.snapCols) == 0 {
 		return row
 	}
 	out := append([]record.Value(nil), row...)
-	for _, ci := range st.pruneInfo.SnapCols {
+	for _, ci := range m.snapCols {
 		if ci < len(out) {
 			out[ci] = record.Int(int64(snap))
 		}
 	}
 	return out
-}
-
-// replayIteration is the sequential skip path: the cached rows pass
-// through the mechanism's processRecord exactly as Qq output would,
-// with no Qq execution, no page reads, and no SPT work. The read-set
-// and cached rows stay valid (identical pages ⇒ identical traversal ⇒
-// identical output); only the member cursor advances.
-func (st *mechState) replayIteration(snap uint64, idx int, cost *IterationCost) error {
-	t0 := time.Now()
-	for _, row := range st.cache.rows {
-		cost.QqRows++
-		rr := st.replayRow(row, snap)
-		if st.sink != nil {
-			st.sink(snap, rr)
-		}
-		if err := st.processRecord(snap, rr, cost); err != nil {
-			return err
-		}
-	}
-	cost.Pruned = true
-	cost.UDF = time.Since(t0)
-	st.run.Iterations = append(st.run.Iterations, *cost)
-	st.run.PrunedIterations++
-	st.run.PrunedRowsReplayed += len(st.cache.rows)
-	st.cache.prevIdx = idx
-	st.prevSnap = snap
-	st.iterations++
-	return nil
 }
 
 // cacheRow stores a copy of one executed iteration's output row.

@@ -65,148 +65,100 @@ func pruneHistory(t *testing.T, seed int64, snapshots int) (*RQL, *sql.Conn) {
 	return r, c
 }
 
-// runMech drives one mechanism (sequential or parallel) into table.
+// runMech drives kind's canonical invocation of qq (sequential or
+// parallel) into table.
 func runMech(t *testing.T, r *RQL, c *sql.Conn, kind mechKind, qs, qq, table string, parallel bool) *RunStats {
+	t.Helper()
+	return runFixture(t, r, c, mechFixture{kind: kind, qq: qq, extra: mechExtra[kind]}, qs, table, parallel)
+}
+
+// runFixture drives one mechanism through the Go-level API into table.
+func runFixture(t *testing.T, r *RQL, c *sql.Conn, fx mechFixture, qs, table string, parallel bool) *RunStats {
 	t.Helper()
 	var (
 		rs  *RunStats
 		err error
 	)
 	const workers = 4
-	switch kind {
+	switch fx.kind {
 	case mechCollate:
 		if parallel {
-			rs, err = r.ParallelCollateData(qs, qq, table, workers)
+			rs, err = r.ParallelCollateData(qs, fx.qq, table, workers)
 		} else {
-			rs, err = r.CollateData(c, qs, qq, table)
+			rs, err = r.CollateData(c, qs, fx.qq, table)
 		}
 	case mechAggVar:
 		if parallel {
-			rs, err = r.ParallelAggregateDataInVariable(qs, qq, table, "sum", workers)
+			rs, err = r.ParallelAggregateDataInVariable(qs, fx.qq, table, fx.extra, workers)
 		} else {
-			rs, err = r.AggregateDataInVariable(c, qs, qq, table, "sum")
+			rs, err = r.AggregateDataInVariable(c, qs, fx.qq, table, fx.extra)
 		}
 	case mechAggTable:
 		if parallel {
-			rs, err = r.ParallelAggregateDataInTable(qs, qq, table, "(c,max):(av,avg)", workers)
+			rs, err = r.ParallelAggregateDataInTable(qs, fx.qq, table, fx.extra, workers)
 		} else {
-			rs, err = r.AggregateDataInTable(c, qs, qq, table, "(c,max):(av,avg)")
+			rs, err = r.AggregateDataInTable(c, qs, fx.qq, table, fx.extra)
 		}
 	case mechIntervals:
 		if parallel {
-			rs, err = r.ParallelCollateDataIntoIntervals(qs, qq, table, workers)
+			rs, err = r.ParallelCollateDataIntoIntervals(qs, fx.qq, table, workers)
 		} else {
-			rs, err = r.CollateDataIntoIntervals(c, qs, qq, table)
+			rs, err = r.CollateDataIntoIntervals(c, qs, fx.qq, table)
 		}
 	}
 	if err != nil {
-		t.Fatalf("%s (parallel=%v): %v", kind, parallel, err)
+		t.Fatalf("%s (parallel=%v): %v", fx.kind, parallel, err)
 	}
 	return rs
 }
 
-// The tentpole property: with delta pruning on, every mechanism
-// produces byte-identical results to the unpruned run over randomized
+// Pruned ≡ unpruned: with delta pruning on, every mechanism — sequential
+// and parallel, over every Qs order — leaves the same T as with it off
+// (both are checked against the never-pruning UDF form), over randomized
 // refresh schedules — and actually prunes (the zero-write snapshots
-// guarantee empty deltas).
+// guarantee empty deltas; a duplicated member is trivially prunable; the
+// delta between two members is direction-independent).
 func TestDeltaPruneEquivalence(t *testing.T) {
-	qqs := map[mechKind]string{
-		mechCollate:   `SELECT k, grp, current_snapshot() AS sid FROM m`,
-		mechAggVar:    `SELECT COUNT(*) FROM m`,
-		mechAggTable:  `SELECT grp, COUNT(*) AS c, AVG(v) AS av FROM m GROUP BY grp`,
-		mechIntervals: `SELECT k FROM m`,
-	}
-	sel := map[mechKind]string{
-		mechCollate:   `SELECT k, grp, sid FROM %s`,
-		mechAggVar:    `SELECT * FROM %s`,
-		mechAggTable:  `SELECT grp, c, round(av, 6) FROM %s`,
-		mechIntervals: `SELECT k, start_snapshot, end_snapshot FROM %s`,
-	}
 	for seed := int64(40); seed < 44; seed++ {
 		r, c := pruneHistory(t, seed, 30)
-		qs := `SELECT snap_id FROM SnapIds`
-		for _, kind := range []mechKind{mechCollate, mechAggVar, mechAggTable, mechIntervals} {
-			for _, parallel := range []bool{false, true} {
-				label := fmt.Sprintf("%s_p%v_s%d", kind, parallel, seed)
-				onT, offT := "On_"+label, "Off_"+label
+		makeQsOrders(t, c)
+		members := len(queryRows(t, c, `SELECT snap_id FROM SnapIds`))
+		for _, from := range qsOrders {
+			qs := "SELECT snap_id FROM " + from
+			for _, fx := range allFixtures {
+				for _, parallel := range []bool{false, true} {
+					label := fmt.Sprintf("%s_%s_p%v_s%d", fx.tag(), from, parallel, seed)
+					onT, offT := "On_"+label, "Off_"+label
 
-				r.SetDeltaPrune(true)
-				prs := runMech(t, r, c, kind, qs, qqs[kind], onT, parallel)
-				r.SetDeltaPrune(false)
-				urs := runMech(t, r, c, kind, qs, qqs[kind], offT, parallel)
+					r.SetDeltaPrune(true)
+					prs := runFixture(t, r, c, fx, qs, onT, parallel)
+					r.SetDeltaPrune(false)
+					urs := runFixture(t, r, c, fx, qs, offT, parallel)
+					assertSameResult(t, c, fx, from, onT, offT)
 
-				a := sortedRows(t, c, fmt.Sprintf(sel[kind], onT))
-				b := sortedRows(t, c, fmt.Sprintf(sel[kind], offT))
-				if strings.Join(a, ";") != strings.Join(b, ";") {
-					t.Fatalf("%s: pruned result differs from unpruned\npruned:   %v\nunpruned: %v", label, a, b)
-				}
-				if prs.PrunedIterations == 0 {
-					t.Errorf("%s: pruned run skipped no iterations (reason=%q)", label, prs.PruneReason)
-				}
-				if prs.PruneReason != "" {
-					t.Errorf("%s: pruning unexpectedly disabled: %s", label, prs.PruneReason)
-				}
-				if urs.PrunedIterations != 0 || urs.PruneReason == "" {
-					t.Errorf("%s: unpruned run stats inconsistent: %+v", label, urs)
-				}
-				// Pruned iterations must be free of page I/O and carry
-				// replayed rows in QqRows.
-				for _, it := range prs.Iterations {
-					if it.Pruned && (it.PagelogReads != 0 || it.CacheHits != 0 || it.DBReads != 0 || it.MapScanned != 0) {
-						t.Errorf("%s: pruned iteration %d did page work: %+v", label, it.Snapshot, it)
+					if prs.PrunedIterations == 0 {
+						t.Errorf("%s: pruned run skipped no iterations (reason=%q)", label, prs.PruneReason)
+					}
+					if from == "QsDup" && !parallel && prs.PrunedIterations < members {
+						t.Errorf("%s: pruned %d iterations, want >= %d (every duplicate)", label, prs.PrunedIterations, members)
+					}
+					if prs.PruneReason != "" {
+						t.Errorf("%s: pruning unexpectedly disabled: %s", label, prs.PruneReason)
+					}
+					if urs.PrunedIterations != 0 || urs.PruneReason == "" {
+						t.Errorf("%s: unpruned run stats inconsistent: %+v", label, urs)
+					}
+					// Pruned iterations must be free of page I/O and carry
+					// replayed rows in QqRows.
+					for _, it := range prs.Iterations {
+						if it.Pruned && (it.PagelogReads != 0 || it.CacheHits != 0 || it.DBReads != 0 || it.MapScanned != 0) {
+							t.Errorf("%s: pruned iteration %d did page work: %+v", label, it.Snapshot, it)
+						}
 					}
 				}
 			}
 		}
 		r.SetDeltaPrune(true)
-	}
-}
-
-// Pruning must also agree when the Qs order is descending (the delta
-// range between two members is direction-independent).
-func TestDeltaPruneDescendingQs(t *testing.T) {
-	r, c := pruneHistory(t, 50, 25)
-	qs := `SELECT snap_id FROM SnapIds ORDER BY snap_id DESC`
-	qq := `SELECT k, grp, current_snapshot() AS sid FROM m`
-	r.SetDeltaPrune(true)
-	prs := runMech(t, r, c, mechCollate, qs, qq, "DescOn", false)
-	r.SetDeltaPrune(false)
-	runMech(t, r, c, mechCollate, qs, qq, "DescOff", false)
-	r.SetDeltaPrune(true)
-	a := sortedRows(t, c, `SELECT k, grp, sid FROM DescOn`)
-	b := sortedRows(t, c, `SELECT k, grp, sid FROM DescOff`)
-	if strings.Join(a, ";") != strings.Join(b, ";") {
-		t.Fatalf("descending Qs: pruned differs\npruned:   %v\nunpruned: %v", a, b)
-	}
-	if prs.PrunedIterations == 0 {
-		t.Error("descending Qs: no iterations pruned")
-	}
-}
-
-// Duplicate Qs members are trivially prunable (same member, empty
-// delta range), and results must still match the unpruned run.
-func TestDeltaPruneDuplicateQsMembers(t *testing.T) {
-	r, c := pruneHistory(t, 51, 10)
-	mustExec(t, c, `CREATE TEMP TABLE QsDup (snap_id INTEGER)`)
-	rows := queryRows(t, c, `SELECT snap_id FROM SnapIds`)
-	for _, row := range rows {
-		mustExec(t, c, fmt.Sprintf(`INSERT INTO QsDup VALUES (%s)`, row))
-		mustExec(t, c, fmt.Sprintf(`INSERT INTO QsDup VALUES (%s)`, row))
-	}
-	qs := `SELECT snap_id FROM QsDup`
-	qq := `SELECT k, current_snapshot() AS sid FROM m`
-	r.SetDeltaPrune(true)
-	prs := runMech(t, r, c, mechCollate, qs, qq, "DupOn", false)
-	r.SetDeltaPrune(false)
-	runMech(t, r, c, mechCollate, qs, qq, "DupOff", false)
-	r.SetDeltaPrune(true)
-	a := sortedRows(t, c, `SELECT k, sid FROM DupOn`)
-	b := sortedRows(t, c, `SELECT k, sid FROM DupOff`)
-	if strings.Join(a, ";") != strings.Join(b, ";") {
-		t.Fatalf("duplicate Qs: pruned differs\npruned:   %v\nunpruned: %v", a, b)
-	}
-	if prs.PrunedIterations < len(rows) {
-		t.Errorf("duplicate Qs: pruned %d iterations, want >= %d (every duplicate)", prs.PrunedIterations, len(rows))
 	}
 }
 

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
-	"time"
 
 	"rql/internal/record"
 	"rql/internal/sql"
@@ -24,148 +22,88 @@ import (
 // Results are identical to AggregateDataInTable; only the cost profile
 // differs (the whole result table is rewritten every iteration).
 func (r *RQL) AggregateDataInTableSortMerge(conn *sql.Conn, qs, qq, table, pairs string) (*RunStats, error) {
-	st := &mechState{kind: mechAggTable, rql: r}
-	if err := st.init(conn, []record.Value{
-		record.Null(), record.Text(qq), record.Text(table), record.Text(pairs),
-	}); err != nil {
-		return nil, err
+	return r.run(conn, mechCall{mechAggTable, qq, table, pairs, true}, qs, 0, func(ln *lane) {
+		ln.run.Mechanism = "AggregateDataInTable (sort-merge)"
+		ln.fold.sm = &sortMerge{}
+		ln.fold.endIter = func(cost *IterationCost) error { return ln.fold.sm.rewrite(ln, cost) }
+	})
+}
+
+// sortMerge is the ablation's fold state: the iteration's records,
+// buffered instead of folded one by one, and the result so far.
+type sortMerge struct {
+	batch  []smEntry
+	result []smEntry // sorted by key
+}
+
+type smEntry struct {
+	key []byte
+	row []record.Value
+	n   int64 // AVG observation count
+}
+
+// buffer keeps one record of the current iteration for rewrite.
+func (sm *sortMerge) buffer(f *fold, o observation) {
+	group := f.scratch[:0]
+	for _, gi := range f.m.groupIdx {
+		group = append(group, o.row[gi])
 	}
-	st.run.Mechanism = "AggregateDataInTable (sort-merge)"
+	f.scratch = group
+	sm.batch = append(sm.batch, smEntry{
+		key: record.EncodeKey(nil, group),
+		row: append([]record.Value(nil), o.row...),
+		n:   o.n,
+	})
+}
 
-	type entry struct {
-		key []byte
-		row []record.Value
-		n   int64 // avg observation count
-	}
-	var result []entry // sorted by key
-
-	groupKey := func(row []record.Value) []byte {
-		vals := make([]record.Value, len(st.groupIdx))
-		for i, gi := range st.groupIdx {
-			vals[i] = row[gi]
-		}
-		return record.EncodeKey(nil, vals)
-	}
-
-	first := true
-	err := conn.Exec(qs, func(_ []string, qsRow []record.Value) error {
-		if len(qsRow) != 1 || qsRow[0].IsNull() {
-			return fmt.Errorf("rql: Qs must return a single non-NULL snapshot-id column")
-		}
-		snap := uint64(qsRow[0].AsInt())
-		cost := IterationCost{Snapshot: snap}
-		if first {
-			if err := st.createResultTable(conn, snap); err != nil {
-				return err
-			}
-		}
-
-		// Collect this snapshot's Qq output.
-		var batch []entry
-		var udf time.Duration
-		if err := conn.ExecAsOf(st.qq, snap, func(_ []string, row []record.Value) error {
-			cost.QqRows++
-			t0 := time.Now()
-			if len(row) != len(st.qqCols) {
-				return fmt.Errorf("rql: sort-merge: Qq returned %d columns, expected %d", len(row), len(st.qqCols))
-			}
-			batch = append(batch, entry{key: groupKey(row), row: append([]record.Value(nil), row...), n: 1})
-			udf += time.Since(t0)
-			return nil
-		}); err != nil {
-			return err
-		}
-		qstats := conn.LastStats()
-
-		// Sort the batch and merge it with the previous result.
-		t0 := time.Now()
-		sort.Slice(batch, func(a, b int) bool { return bytes.Compare(batch[a].key, batch[b].key) < 0 })
-		merged := make([]entry, 0, len(result)+len(batch))
-		i, j := 0, 0
-		for i < len(result) && j < len(batch) {
-			switch bytes.Compare(result[i].key, batch[j].key) {
-			case -1:
-				merged = append(merged, result[i])
-				i++
-			case 1:
-				merged = append(merged, batch[j])
-				cost.ResultInserts++
-				j++
-			default:
-				m := result[i]
-				for pi, p := range st.pairs {
-					k := st.aggIdx[pi]
-					if p.agg.Name == avgName {
-						m.row[k], m.n = avgMerge(m.row[k], m.n, batch[j].row[k])
-					} else {
-						m.row[k] = p.agg.Combine(m.row[k], batch[j].row[k])
-					}
-				}
-				merged = append(merged, m)
-				cost.ResultUpdates++
-				i++
-				j++
-			}
-		}
-		for ; i < len(result); i++ {
+// rewrite is the end-of-iteration step: sort the buffered records,
+// merge them into the previous result, and rewrite T — the step that
+// makes this variant costlier than the index-based mechanism.
+func (sm *sortMerge) rewrite(ln *lane, cost *IterationCost) error {
+	batch, result := sm.batch, sm.result
+	sort.Slice(batch, func(a, b int) bool { return bytes.Compare(batch[a].key, batch[b].key) < 0 })
+	merged := make([]smEntry, 0, len(result)+len(batch))
+	i, j := 0, 0
+	for i < len(result) && j < len(batch) {
+		switch bytes.Compare(result[i].key, batch[j].key) {
+		case -1:
 			merged = append(merged, result[i])
-		}
-		for ; j < len(batch); j++ {
+			i++
+		case 1:
 			merged = append(merged, batch[j])
 			cost.ResultInserts++
+			j++
+		default:
+			e := result[i]
+			e.n, _ = ln.m.combine(e.row, e.n, batch[j].row, batch[j].n)
+			merged = append(merged, e)
+			cost.ResultUpdates++
+			i++
+			j++
 		}
-		result = merged
+	}
+	merged = append(merged, result[i:]...)
+	merged = append(merged, batch[j:]...)
+	cost.ResultInserts += len(batch) - j
+	sm.batch, sm.result = batch[:0], merged
 
-		// Rewrite the result table — the step that makes this variant
-		// costlier than the index-based mechanism.
-		if !first {
-			if err := conn.Exec(`DELETE FROM `+sql.QuoteIdent(st.table), nil); err != nil {
-				return err
-			}
-		}
-		w, err := conn.OpenTableWriter(st.table)
-		if err != nil {
+	// The lane's open writer holds the side store: end its transaction
+	// around the DELETE statement.
+	if err := ln.table.commit(); err != nil {
+		return err
+	}
+	if ln.fold.iterations > 0 {
+		if err := ln.conn.Exec(`DELETE FROM `+sql.QuoteIdent(ln.m.table), nil); err != nil {
 			return err
 		}
-		for _, e := range result {
-			if _, err := w.Insert(e.row); err != nil {
-				w.Rollback()
-				return err
-			}
-		}
-		if err := w.Commit(); err != nil {
+	}
+	if err := ln.table.open(ln.conn); err != nil {
+		return err
+	}
+	for _, e := range merged {
+		if _, err := ln.table.insert(e.row); err != nil {
 			return err
 		}
-		udf += time.Since(t0)
-
-		cost.SPTBuild = qstats.SPTBuildTime
-		cost.IndexCreation = qstats.AutoIndex
-		cost.UDF = udf
-		cost.QueryEval = qstats.Duration - qstats.SPTBuildTime - qstats.AutoIndex
-		if cost.QueryEval < 0 {
-			cost.QueryEval = 0
-		}
-		cost.IOTime = qstats.ModeledIO(r.readLatency())
-		cost.PagelogReads = qstats.PagelogReads
-		cost.CacheHits = qstats.CacheHits
-		cost.DBReads = qstats.DBReads
-		cost.MapScanned = qstats.MapScanned
-		st.run.Iterations = append(st.run.Iterations, cost)
-		first = false
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	if !first {
-		ts, err := conn.TableStats(table)
-		if err != nil {
-			return nil, err
-		}
-		st.run.ResultRows = ts.Rows
-		st.run.ResultDataBytes = ts.DataBytes
-		st.run.ResultIndexBytes = ts.IndexBytes
-	}
-	r.setLastRun(st.run)
-	return st.run, nil
+	return nil
 }

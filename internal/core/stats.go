@@ -41,8 +41,8 @@ type IterationCost struct {
 	CacheHits      int
 	DBReads        int
 	MapScanned     int
-	ClusteredReads int // coalesced Pagelog read runs (prefetch)
-	ClusteredPages int // pages loaded by those runs
+	ClusteredReads int // unused: no iteration bills clustered runs; carried by the public struct and the wire frame
+	ClusteredPages int // unused, likewise
 	PrefetchHits   int // logical reads satisfied early by a warmed page
 
 	QqRows        int
@@ -102,9 +102,12 @@ type RunStats struct {
 }
 
 // Total sums the per-iteration costs.
-func (r *RunStats) Total() IterationCost {
+func (r *RunStats) Total() IterationCost { return sumCosts(r.Iterations) }
+
+// sumCosts adds up the durations and counters of its.
+func sumCosts(its []IterationCost) IterationCost {
 	var t IterationCost
-	for _, c := range r.Iterations {
+	for _, c := range its {
 		t.SPTBuild += c.SPTBuild
 		t.IndexCreation += c.IndexCreation
 		t.QueryEval += c.QueryEval
@@ -142,29 +145,8 @@ func (r *RunStats) Hot() IterationCost {
 	if len(r.Iterations) < 2 {
 		return IterationCost{}
 	}
-	var t IterationCost
 	n := len(r.Iterations) - 1
-	for _, c := range r.Iterations[1:] {
-		t.SPTBuild += c.SPTBuild
-		t.IndexCreation += c.IndexCreation
-		t.QueryEval += c.QueryEval
-		t.UDF += c.UDF
-		t.IOTime += c.IOTime
-		t.OverlapTime += c.OverlapTime
-		t.QueueWait += c.QueueWait
-		t.PagelogReads += c.PagelogReads
-		t.CacheHits += c.CacheHits
-		t.DBReads += c.DBReads
-		t.MapScanned += c.MapScanned
-		t.ClusteredReads += c.ClusteredReads
-		t.ClusteredPages += c.ClusteredPages
-		t.PrefetchHits += c.PrefetchHits
-		t.QqRows += c.QqRows
-		t.ResultInserts += c.ResultInserts
-		t.ResultUpdates += c.ResultUpdates
-		t.ResultSearch += c.ResultSearch
-		t.DeltaPages += c.DeltaPages
-	}
+	t := sumCosts(r.Iterations[1:])
 	d := time.Duration(n)
 	t.SPTBuild /= d
 	t.IndexCreation /= d

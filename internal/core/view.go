@@ -94,7 +94,7 @@ type viewState struct {
 	// runMu serializes materialization work on this view (the
 	// background refresher vs synchronous REFRESH RETRO VIEW).
 	runMu sync.Mutex
-	st    *mechState
+	ln    *lane // the view's mechanism state, stepped once per snapshot
 
 	cursor          atomic.Uint64 // last materialized snapshot
 	refreshes       atomic.Uint64
@@ -258,44 +258,13 @@ func (m *ViewManager) refreshAll() {
 // sql.RetroViewHook
 // ---------------------------------------------------------------------------
 
-// mechKindByName resolves a mechanism name case-insensitively.
-func mechKindByName(name string) (mechKind, bool) {
-	for _, k := range []mechKind{mechCollate, mechAggVar, mechAggTable, mechIntervals} {
-		if strings.EqualFold(k.String(), name) {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // ValidateView rejects definitions the mechanisms could never run:
 // unknown mechanism, missing/superfluous second argument, unparsable
 // aggregate spec, or a Qq that is not a single SELECT. Column-level
 // checks happen at first materialization, like a mechanism run's.
 func (m *ViewManager) ValidateView(def sql.RetroViewDef) error {
-	kind, ok := mechKindByName(def.Mechanism)
-	if !ok {
-		return fmt.Errorf("rql: unknown mechanism %q (want CollateData, AggregateDataInVariable, AggregateDataInTable or CollateDataIntoIntervals)", def.Mechanism)
-	}
-	switch kind {
-	case mechCollate, mechIntervals:
-		if def.HasExtra {
-			return fmt.Errorf("rql: %s takes one argument (the retrospective query)", kind)
-		}
-	case mechAggVar:
-		if !def.HasExtra {
-			return fmt.Errorf("rql: %s needs an aggregate function argument", kind)
-		}
-		if monoidByName(def.Extra) == nil {
-			return fmt.Errorf("rql: unknown aggregate function %q (want min, max, sum, count or avg)", def.Extra)
-		}
-	case mechAggTable:
-		if !def.HasExtra {
-			return fmt.Errorf("rql: %s needs a ListOfColFuncPairs argument", kind)
-		}
-		if _, err := parsePairs(def.Extra); err != nil {
-			return err
-		}
+	if _, err := m.newViewState(def); err != nil {
+		return err
 	}
 	stmt, err := sql.Parse(def.Qq)
 	if err != nil {
@@ -378,35 +347,42 @@ func (m *ViewManager) ViewRefresh(name string) error {
 // ---------------------------------------------------------------------------
 
 // newViewState builds the long-lived mechanism state for a view
-// definition (cursor 0, nothing materialized).
+// definition (cursor 0, nothing materialized): a lane writing the
+// view's table, with no reader set — snapshots arrive one at a time.
 func (m *ViewManager) newViewState(def sql.RetroViewDef) (*viewState, error) {
 	kind, ok := mechKindByName(def.Mechanism)
 	if !ok {
-		return nil, fmt.Errorf("rql: unknown mechanism %q", def.Mechanism)
+		return nil, fmt.Errorf("rql: unknown mechanism %q (want CollateData, AggregateDataInVariable, AggregateDataInTable or CollateDataIntoIntervals)", def.Mechanism)
 	}
-	st := &mechState{
-		kind:   kind,
-		rql:    m.rql,
-		inited: true,
-		qq:     def.Qq,
-		table:  def.Name,
-		run:    &RunStats{Mechanism: kind.String()},
+	mc, err := m.rql.newMech(mechCall{kind, def.Qq, def.Name, def.Extra, def.HasExtra})
+	if err != nil {
+		return nil, err
 	}
-	switch kind {
-	case mechAggVar:
-		st.monoid = monoidByName(def.Extra)
-		if st.monoid == nil {
-			return nil, fmt.Errorf("rql: unknown aggregate function %q", def.Extra)
+	ln := mc.tableLane(nil)
+	ln.keepRows = true
+	return &viewState{def: def, ln: ln, subs: make(map[int]*ViewSub)}, nil
+}
+
+// maplogDelta answers the prune question for a view, which refreshes
+// one snapshot at a time with no batch reader set: "did anything on the
+// read path change?" comes from the Maplog directly.
+func maplogDelta(rsys *retro.System) deltaFunc {
+	return func(prev, cur uint64, readSet sql.PageSet) (checked, disjoint bool, examined int) {
+		if prev == 0 || len(readSet) == 0 {
+			return false, false, 0
 		}
-		st.curVal = record.Null()
-	case mechAggTable:
-		pairs, err := parsePairs(def.Extra)
-		if err != nil {
-			return nil, err
+		dirty, ok := rsys.DirtyBetween(retro.SnapshotID(prev), retro.SnapshotID(cur))
+		if !ok {
+			return false, false, 0
 		}
-		st.pairs = pairs
+		for p := range dirty {
+			examined++
+			if _, hit := readSet[p]; hit {
+				return true, false, examined
+			}
+		}
+		return true, true, examined
 	}
-	return &viewState{def: def, st: st, subs: make(map[int]*ViewSub)}, nil
 }
 
 // catchUp materializes v snapshot by snapshot up to target. Each
@@ -431,99 +407,73 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	}
 
 	conn := m.db.Conn()
-	st := v.st
-	st.run = &RunStats{Mechanism: st.kind.String()}
-
+	v.ln.conn = conn
+	v.ln.run = newRunStats(v.ln.m.kind)
 	// Pruning: decided per catch-up from the run-level toggle and the
-	// static analysis, cached on the state (the definition never
-	// changes, so the analysis doesn't either).
-	st.pruneOn = false
-	if m.rql.pruneEnabled() {
-		info := conn.PruneInfo(st.qq)
-		if info.OK {
-			st.pruneOn = true
-			st.pruneInfo = info
-		} else {
-			st.run.PruneReason = "Qq not prune-safe: " + info.Reason
-		}
-	} else {
-		st.run.PruneReason = "delta pruning off (SetDeltaPrune)"
-	}
-	rsys := m.db.Retro()
-	st.viewPrune = func(prev, snap uint64, rs sql.PageSet) (checked, disjoint bool) {
-		if prev == 0 || len(rs) == 0 {
-			return false, false
-		}
-		dirty, ok := rsys.DirtyBetween(retro.SnapshotID(prev), retro.SnapshotID(snap))
-		if !ok {
-			return false, false
-		}
-		for p := range dirty {
-			if _, hit := rs[p]; hit {
-				return true, false
-			}
-		}
-		return true, true
-	}
-	conn.SetRecordReadSet(st.pruneOn)
-	defer func() {
-		conn.SetRecordReadSet(false)
-		st.viewPrune = nil
-		st.sink = nil
-		if st.writer != nil {
-			st.writer.Rollback()
-			st.writer = nil
-		}
-	}()
+	// static analysis of the (immutable) definition.
+	v.ln.m.setupPrune(conn, v.ln.run, maplogDelta(m.db.Retro()))
 
 	for snap := start; snap <= target; snap++ {
-		var rows [][]record.Value
-		st.sink = func(s uint64, row []record.Value) {
-			rows = cacheRow(rows, row)
-		}
-		prunedBefore := st.run.PrunedIterations
-		if err := st.iterate(conn, snap); err != nil {
+		hadTable := v.ln.m.created
+		if err := m.extend(conn, v, snap); err != nil {
+			// A failed step leaves no trace: abandon its result rows, drop
+			// the table if this step created it (not one of the same name
+			// that made the step fail), and rebuild the in-memory state —
+			// which the step's records have already mutated — from what the
+			// last successful step persisted.
+			v.ln.table.rollback()
+			if !hadTable && v.ln.m.created {
+				_ = conn.Exec("DROP TABLE IF EXISTS "+sql.QuoteIdent(v.def.Name), nil) // best effort: the retry reports what is left
+			}
+			fresh, _ := m.newViewState(v.def) // the definition validated at CREATE
+			if lerr := m.loadState(conn, fresh); lerr != nil {
+				return fmt.Errorf("%w (reloading the view state: %v)", err, lerr)
+			}
+			v.ln = fresh.ln
 			return err
 		}
-		pruned := st.run.PrunedIterations > prunedBefore
-		// Result rows first …
-		if st.writer != nil {
-			if err := st.writer.Commit(); err != nil {
-				return err
-			}
-			st.writer = nil
-		}
-		if st.kind == mechAggVar && st.created {
-			val := st.curVal
-			if st.monoid.Name == avgName {
-				val = st.avgAcc.value()
-			}
-			if err := conn.Exec("DELETE FROM "+sql.QuoteIdent(st.table), nil); err != nil {
-				return err
-			}
-			if err := conn.Exec("INSERT INTO "+sql.QuoteIdent(st.table)+" VALUES (?)", nil, val); err != nil {
-				return err
-			}
-			rows = [][]record.Value{{val}}
-		}
-		// … then the cursor/state …
-		if err := m.persistState(conn, v, snap); err != nil {
-			return err
-		}
-		v.cursor.Store(snap)
-		v.refreshes.Add(1)
-		if pruned {
-			v.prunedRefreshes.Add(1)
-		}
-		// … then the push.
-		m.push(v, ViewBatch{
-			View:   v.def.Name,
-			Snap:   snap,
-			Cols:   append([]string(nil), st.qqCols...),
-			Rows:   rows,
-			Pruned: pruned,
-		})
 	}
+	return nil
+}
+
+// extend runs one loop-body step of v on snap and makes it durable.
+func (m *ViewManager) extend(conn *sql.Conn, v *viewState, snap uint64) error {
+	ln := v.ln
+	if err := ln.step(snap, 0); err != nil {
+		return err
+	}
+	pruned, rows := ln.cost.Pruned, ln.rows
+	// Result rows first …
+	if err := ln.table.commit(); err != nil {
+		return err
+	}
+	if ln.m.kind == mechAggVar {
+		if err := conn.Exec("DELETE FROM "+sql.QuoteIdent(ln.m.table), nil); err != nil {
+			return err
+		}
+		val, err := ln.fold.insertAggVar(conn)
+		if err != nil {
+			return err
+		}
+		rows = [][]record.Value{{val}}
+	}
+	// … then the cursor/state …
+	if err := m.persistState(conn, v, snap); err != nil {
+		return err
+	}
+	v.cursor.Store(snap)
+	v.refreshes.Add(1)
+	if pruned {
+		v.prunedRefreshes.Add(1)
+	}
+	// … then the push.
+	m.push(v, ViewBatch{
+		View:   v.def.Name,
+		Snap:   snap,
+		Cols:   append([]string(nil), ln.m.qqCols...),
+		Rows:   rows,
+		Pruned: pruned,
+	})
 	return nil
 }
 
@@ -641,7 +591,7 @@ const viewStateChunk = 1024
 // side-store transaction as the result-table extension, so cursor,
 // state, and rows move together.
 func (m *ViewManager) persistState(conn *sql.Conn, v *viewState, cursor uint64) error {
-	blob := encodeViewState(v.st)
+	blob := encodeViewState(v.ln)
 	key := strings.ToLower(v.def.Name)
 	if err := conn.Exec("DELETE FROM "+viewStateTable+" WHERE name = ?", nil, record.Text(key)); err != nil {
 		return err
@@ -683,7 +633,7 @@ func (m *ViewManager) loadState(conn *sql.Conn, v *viewState) error {
 		}
 		blob = append(blob, row[2].Blob()...)
 	}
-	if err := decodeViewState(v.st, blob); err != nil {
+	if err := decodeViewState(v.ln, blob); err != nil {
 		return err
 	}
 	v.cursor.Store(cursor)
@@ -692,53 +642,53 @@ func (m *ViewManager) loadState(conn *sql.Conn, v *viewState) error {
 
 const viewStateVersion = 1
 
-// encodeViewState serializes the parts of a mechState that must survive
-// a restart: the cursor-adjacent loop state (prevSnap, iterations), the
-// resolved result shape, the aggregate accumulators, and the prune memo
-// (read-set + cached rows) so the first refresh after a restart can
-// still be pruned.
-func encodeViewState(st *mechState) []byte {
+// encodeViewState serializes the parts of a lane that must survive a
+// restart: the fold's cursor (prevSnap, iterations), the resolved result
+// shape, the aggregate accumulators, and the prune memo (read-set +
+// cached rows) so the first refresh after a restart can still be pruned.
+func encodeViewState(ln *lane) []byte {
+	f := &ln.fold
 	buf := []byte{viewStateVersion}
 	var flags byte
-	if st.created {
+	if ln.m.created {
 		flags |= 1
 	}
-	if st.indexCreated {
+	if ln.table != nil && ln.table.index != "" {
 		flags |= 2
 	}
-	if st.cache.valid {
+	if ln.cache.valid {
 		flags |= 4
 	}
 	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, st.prevSnap)
-	buf = binary.AppendUvarint(buf, uint64(st.iterations))
+	buf = binary.AppendUvarint(buf, f.prevSnap)
+	buf = binary.AppendUvarint(buf, uint64(f.iterations))
 
-	buf = binary.AppendUvarint(buf, uint64(len(st.qqCols)))
-	for _, c := range st.qqCols {
+	buf = binary.AppendUvarint(buf, uint64(len(ln.m.qqCols)))
+	for _, c := range ln.m.qqCols {
 		buf = appendBytes(buf, []byte(c))
 	}
 
-	// Accumulators: curVal rides in a one-value row; avg state raw.
-	buf = appendBytes(buf, record.EncodeRow(nil, []record.Value{st.curVal}))
-	buf = binary.AppendUvarint(buf, uint64(st.avgAcc.n))
-	buf = binary.AppendUvarint(buf, floatBits(st.avgAcc.sum))
-	buf = binary.AppendUvarint(buf, uint64(len(st.avgCounts)))
+	// Accumulators: the value rides in a one-value row; avg state raw.
+	buf = appendBytes(buf, record.EncodeRow(nil, []record.Value{f.val}))
+	buf = binary.AppendUvarint(buf, uint64(f.avg.n))
+	buf = binary.AppendUvarint(buf, math.Float64bits(f.avg.sum))
+	buf = binary.AppendUvarint(buf, uint64(len(f.counts)))
 	// Deterministic order is not required (a map restores a map), but
 	// keeps encodings comparable in tests.
-	rowids := make([]int64, 0, len(st.avgCounts))
-	for id := range st.avgCounts {
+	rowids := make([]int64, 0, len(f.counts))
+	for id := range f.counts {
 		rowids = append(rowids, id)
 	}
 	sort.Slice(rowids, func(i, j int) bool { return rowids[i] < rowids[j] })
 	for _, id := range rowids {
 		buf = binary.AppendVarint(buf, id)
-		buf = binary.AppendVarint(buf, st.avgCounts[id])
+		buf = binary.AppendVarint(buf, f.counts[id])
 	}
 
-	if st.cache.valid {
-		buf = binary.AppendVarint(buf, int64(st.cache.prevIdx))
-		pages := make([]uint64, 0, len(st.cache.readSet))
-		for p := range st.cache.readSet {
+	if ln.cache.valid {
+		buf = binary.AppendVarint(buf, int64(ln.cache.prev))
+		pages := make([]uint64, 0, len(ln.cache.readSet))
+		for p := range ln.cache.readSet {
 			pages = append(pages, uint64(p))
 		}
 		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
@@ -746,22 +696,23 @@ func encodeViewState(st *mechState) []byte {
 		for _, p := range pages {
 			buf = binary.AppendUvarint(buf, p)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(st.cache.rows)))
-		for _, r := range st.cache.rows {
+		buf = binary.AppendUvarint(buf, uint64(len(ln.cache.rows)))
+		for _, r := range ln.cache.rows {
 			buf = appendBytes(buf, record.EncodeRow(nil, r))
 		}
 	}
 	return buf
 }
 
-func decodeViewState(st *mechState, blob []byte) error {
+func decodeViewState(ln *lane, blob []byte) error {
+	f := &ln.fold
 	d := &stateDec{b: blob}
 	if d.byte() != viewStateVersion {
 		return fmt.Errorf("rql: view state version mismatch")
 	}
 	flags := d.byte()
-	st.prevSnap = d.uvarint()
-	st.iterations = int(d.uvarint())
+	f.prevSnap = d.uvarint()
+	f.iterations = int(d.uvarint())
 
 	n := int(d.uvarint())
 	if d.err != nil || n > 1<<16 {
@@ -772,56 +723,53 @@ func decodeViewState(st *mechState, blob []byte) error {
 		cols[i] = string(d.bytes())
 	}
 	if n > 0 {
-		if err := st.resolveShape(cols); err != nil {
+		if err := ln.m.resolveShape(cols); err != nil {
 			return err
 		}
 	}
-	st.created = flags&1 != 0
-	if st.indexCreated = flags&2 != 0; st.indexCreated {
-		st.indexName = "rql_idx_" + st.table
+	ln.m.created = flags&1 != 0
+	if flags&2 != 0 && ln.table != nil {
+		ln.table.index = ln.m.indexName()
 	}
 
 	cv, err := record.DecodeRow(d.bytes())
 	if err != nil || len(cv) != 1 {
 		return fmt.Errorf("rql: corrupt view state accumulator")
 	}
-	st.curVal = cv[0]
-	st.avgAcc.n = int64(d.uvarint())
-	st.avgAcc.sum = floatFromBits(d.uvarint())
+	f.val = cv[0]
+	f.avg.n = int64(d.uvarint())
+	f.avg.sum = math.Float64frombits(d.uvarint())
 	cn := int(d.uvarint())
-	if d.err != nil || cn > 1<<24 {
+	if d.err != nil || cn > 1<<24 || (cn > 0 && f.counts == nil) {
 		return fmt.Errorf("rql: corrupt view state")
-	}
-	if cn > 0 && st.avgCounts == nil {
-		st.avgCounts = make(map[int64]int64, cn)
 	}
 	for i := 0; i < cn; i++ {
 		id := d.varint()
-		st.avgCounts[id] = d.varint()
+		f.counts[id] = d.varint()
 	}
 
 	if flags&4 != 0 {
-		st.cache.valid = true
-		st.cache.prevIdx = int(d.varint())
+		ln.cache.valid = true
+		ln.cache.prev = uint64(d.varint())
 		pn := int(d.uvarint())
 		if d.err != nil || pn > 1<<24 {
 			return fmt.Errorf("rql: corrupt view state read-set")
 		}
-		st.cache.readSet = make(sql.PageSet, pn)
+		ln.cache.readSet = make(sql.PageSet, pn)
 		for i := 0; i < pn; i++ {
-			st.cache.readSet[storage.PageID(d.uvarint())] = struct{}{}
+			ln.cache.readSet[storage.PageID(d.uvarint())] = struct{}{}
 		}
 		rn := int(d.uvarint())
 		if d.err != nil || rn > 1<<24 {
 			return fmt.Errorf("rql: corrupt view state rows")
 		}
-		st.cache.rows = make([][]record.Value, 0, rn)
+		ln.cache.rows = make([][]record.Value, 0, rn)
 		for i := 0; i < rn; i++ {
 			r, err := record.DecodeRow(d.bytes())
 			if err != nil {
 				return err
 			}
-			st.cache.rows = append(st.cache.rows, r)
+			ln.cache.rows = append(ln.cache.rows, r)
 		}
 	}
 	if d.err != nil {
@@ -887,6 +835,3 @@ func appendBytes(buf, v []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(v)))
 	return append(buf, v...)
 }
-
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }

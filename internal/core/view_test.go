@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rql/internal/record"
 	"rql/internal/sql"
 )
 
@@ -98,16 +101,17 @@ var viewSel = map[mechKind]string{
 	mechIntervals: `SELECT k, start_snapshot, end_snapshot FROM %s`,
 }
 
-// TestRetroViewIncrementalEquivalence is the tentpole property test:
-// for every mechanism, with delta pruning on and off, the incrementally
-// maintained view is byte-identical — rows and current_snapshot() tags —
-// to a full mechanism recompute from scratch over the same history, and
-// the pruned runs actually pruned (the quiet windows guarantee empty
-// deltas on the view's read path).
+// TestRetroViewIncrementalEquivalence is the incremental ≡ full
+// property test: for every mechanism, with delta pruning on and off, the
+// incrementally maintained view — one persisted lane stepped once per
+// snapshot — is byte-identical, rows and current_snapshot() tags, to the
+// SQL-form UDF statement run from scratch over the same history, and the
+// pruned runs actually pruned (the quiet windows guarantee empty deltas
+// on the view's read path).
 func TestRetroViewIncrementalEquivalence(t *testing.T) {
-	for _, kind := range []mechKind{mechCollate, mechAggVar, mechAggTable, mechIntervals} {
+	for _, fx := range allFixtures {
 		for _, prune := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s_prune%v", kind, prune), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s_prune%v", fx.tag(), prune), func(t *testing.T) {
 				db, r, m := newViewEnv(t)
 				c := db.Conn()
 				mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
@@ -115,24 +119,14 @@ func TestRetroViewIncrementalEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				r.SetDeltaPrune(prune)
-				mustExec(t, c, `CREATE RETRO VIEW V AS `+viewDDL[kind])
+				mustExec(t, c, `CREATE RETRO VIEW V AS `+fx.ddl())
 
-				rng := rand.New(rand.NewSource(int64(kind)*7 + 99))
+				rng := rand.New(rand.NewSource(int64(fx.kind)*7 + 99))
 				last := viewHistory(t, c, rng, map[int]bool{}, 30)
 				// Synchronous catch-up to the last announced snapshot; the
 				// background refresher races us harmlessly (runMu + cursor).
 				mustExec(t, c, `REFRESH RETRO VIEW V`)
-
-				// Ground truth: a fresh full recompute, pruning off.
-				r.SetDeltaPrune(false)
-				runMech(t, r, c, kind, `SELECT snap_id FROM SnapIds`, viewQq[kind], "Full", false)
-				r.SetDeltaPrune(true)
-
-				a := sortedRows(t, c, fmt.Sprintf(viewSel[kind], "V"))
-				b := sortedRows(t, c, fmt.Sprintf(viewSel[kind], "Full"))
-				if strings.Join(a, ";") != strings.Join(b, ";") {
-					t.Fatalf("view differs from full recompute\nview: %v\nfull: %v", a, b)
-				}
+				assertSameResult(t, c, fx, "SnapIds", "V")
 
 				infos := m.Infos()
 				if len(infos) != 1 {
@@ -491,5 +485,130 @@ func TestRetroViewStateChunking(t *testing.T) {
 	b := sortedRows(t, c, fmt.Sprintf(viewSel[mechCollate], "Full_chunk"))
 	if strings.Join(a, "\n") != strings.Join(b, "\n") {
 		t.Fatalf("chunk-restored view diverges from full recompute:\nview: %d rows\nfull: %d rows", len(a), len(b))
+	}
+}
+
+// TestRetroViewFailedStepLeavesNoTrace: a view step that fails
+// mid-iteration — here a scalar UDF inside Qq failing once on the k-th
+// row of one snapshot — must leave neither result rows nor in-memory
+// fold state behind and must not advance the cursor, so the retry folds
+// each row exactly once and the view still equals a full recompute.
+// warm is the history materialized before the failing step: with none,
+// the failing step is the one that created the view's table.
+func TestRetroViewFailedStepLeavesNoTrace(t *testing.T) {
+	for _, warm := range []int{6, 0} {
+		t.Run(fmt.Sprintf("warm%d", warm), func(t *testing.T) { testFailedViewStep(t, warm) })
+	}
+	t.Run("name taken", testFailedViewStepKeepsForeignTable)
+}
+
+// A first step that fails because a table of the view's name was created
+// after the view (nothing stops that before the first materialization)
+// must leave that table alone: the cleanup drops only what the step made.
+func testFailedViewStepKeepsForeignTable(t *testing.T) {
+	db, err := sql.Open(sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	m, err := NewViewManager(db, Attach(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetRetroViewHook(m)
+	db.SetSnapshotHook(m.AnnounceSnapshot)
+
+	c := db.Conn()
+	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	if err := EnsureSnapIds(c); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, `CREATE RETRO VIEW V AS CollateData('SELECT k FROM m')`)
+	mustExec(t, c, `CREATE TEMP TABLE V (mine INTEGER)`)
+	mustExec(t, c, `INSERT INTO V VALUES (42)`)
+	viewHistory(t, c, rand.New(rand.NewSource(3)), map[int]bool{}, 2)
+
+	if err := c.Exec(`REFRESH RETRO VIEW V`, nil); !errors.Is(err, sql.ErrExists) {
+		t.Fatalf("refresh over a taken name: err = %v, want ErrExists", err)
+	}
+	if got := sortedRows(t, c, `SELECT mine FROM V`); strings.Join(got, ";") != "42" {
+		t.Fatalf("the failed step touched the user's table: rows %v", got)
+	}
+	if info := m.Infos()[0]; info.LastSnap != 0 {
+		t.Errorf("failed step advanced the cursor to %d", info.LastSnap)
+	}
+}
+
+func testFailedViewStep(t *testing.T, warm int) {
+	db, err := sql.Open(sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r := Attach(db)
+	// No refresher goroutine: every refresh below is the synchronous
+	// REFRESH RETRO VIEW, so exactly one step hits the armed failure.
+	m, err := NewViewManager(db, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetRetroViewHook(m)
+	db.SetSnapshotHook(m.AnnounceSnapshot)
+
+	var failAt atomic.Int64 // calls left until the one failure; 0 = disarmed
+	boom := errors.New("flaky() failed")
+	db.RegisterFunc(sql.FuncDef{Name: "flaky", MinArgs: 1, MaxArgs: 1,
+		Fn: func(_ *sql.FuncContext, a []record.Value) (record.Value, error) {
+			if failAt.Load() > 0 && failAt.Add(-1) == 0 {
+				return record.Value{}, boom
+			}
+			return a[0], nil
+		}})
+
+	c := db.Conn()
+	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	if err := EnsureSnapIds(c); err != nil {
+		t.Fatal(err)
+	}
+	const qq = `SELECT grp, flaky(v) AS av FROM m`
+	mustExec(t, c, `CREATE RETRO VIEW V AS AggregateDataInTable('`+qq+`', '(av,avg)')`)
+
+	viewHistory(t, c, rand.New(rand.NewSource(17)), map[int]bool{}, warm)
+	mustExec(t, c, `REFRESH RETRO VIEW V`)
+	before := m.Infos()[0]
+
+	// One more snapshot with plenty of live rows; its step fails on the
+	// 4th row, after three rows have been folded.
+	mustExec(t, c, `BEGIN`)
+	for k := 100; k < 110; k++ {
+		mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d)`, k, k%3, k))
+	}
+	id, err := c.CommitWithSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RecordSnapshot(c, id, time.Unix(int64(id), 0).UTC(), ""); err != nil {
+		t.Fatal(err)
+	}
+	failAt.Store(4)
+	if err := c.Exec(`REFRESH RETRO VIEW V`, nil); err == nil || !strings.Contains(err.Error(), boom.Error()) {
+		t.Fatalf("armed refresh: err = %v, want the UDF failure", err)
+	}
+	if info := m.Infos()[0]; info.LastSnap != before.LastSnap || info.Rows != before.Rows {
+		t.Errorf("failed step moved the view: cursor %d -> %d, rows %d -> %d",
+			before.LastSnap, info.LastSnap, before.Rows, info.Rows)
+	}
+	mustExec(t, c, `REFRESH RETRO VIEW V`) // the retry
+	if info := m.Infos()[0]; info.LastSnap != id {
+		t.Fatalf("retry left the cursor at %d, want %d", info.LastSnap, id)
+	}
+
+	if _, err := r.AggregateDataInTable(c, `SELECT snap_id FROM SnapIds`, qq, "Full", "(av,avg)"); err != nil {
+		t.Fatal(err)
+	}
+	a := sortedRows(t, c, `SELECT grp, round(av, 6) FROM V`)
+	b := sortedRows(t, c, `SELECT grp, round(av, 6) FROM Full`)
+	if strings.Join(a, ";") != strings.Join(b, ";") {
+		t.Fatalf("view diverged from a full recompute after a failed step was retried\nview: %v\nfull: %v", a, b)
 	}
 }

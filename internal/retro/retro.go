@@ -695,14 +695,12 @@ func (s *System) InjectPagelogReadError(err error) {
 // Counters accumulates the per-reader costs the paper's §5 figures
 // break down.
 type Counters struct {
-	PagelogReads   int           // logical cache-missing reads from the Pagelog
-	CacheHits      int           // snapshot pages served from the cache
-	DBReads        int           // pages shared with (and read from) the current DB
-	MapScanned     int           // Maplog entries examined building the SPT
-	ClusteredReads int           // coalesced Pagelog read runs issued by Prefetch
-	ClusteredPages int           // pages loaded by those runs (≥ ClusteredReads)
-	PrefetchHits   int           // demand reads satisfied early by a warmed page
-	SPTBuildTime   time.Duration // wall time of the SPT build
+	PagelogReads int           // logical cache-missing reads from the Pagelog
+	CacheHits    int           // snapshot pages served from the cache
+	DBReads      int           // pages shared with (and read from) the current DB
+	MapScanned   int           // Maplog entries examined building the SPT
+	PrefetchHits int           // demand reads satisfied early by a warmed page
+	SPTBuildTime time.Duration // wall time of the SPT build
 	// QueueWait is wall time this reader's demand misses spent queued
 	// behind other device commands before service began. Contention, not
 	// billed I/O: it is excluded from ModeledIOTime, and only the issuer
@@ -896,39 +894,26 @@ func (r *SnapshotReader) Allocate() (storage.PageID, error) {
 // Free always fails: snapshots are immutable.
 func (r *SnapshotReader) Free(storage.PageID) error { return storage.ErrReadOnly }
 
-// Prefetch bulk-loads into the snapshot cache every Pagelog pre-state
-// the reader's SPT (including its batch chain) can resolve and that is
-// not already cached. Offsets are sorted and adjacent ones coalesced so
-// a run of consecutively-archived pages costs one device command
-// instead of one per page — the capture order is commit order, so the
-// pre-states of one burst of updates cluster. Runs are issued through
-// the device pool, so at queue depth K up to K of them are in service
-// concurrently (depth 1 reproduces the old strictly serial behaviour).
+// PrefetchAsync bulk-loads into the snapshot cache every Pagelog
+// pre-state the reader's SPT (including its batch chain) can resolve
+// and that is not already cached, up to maxPages pages (0 = no cap): it
+// plans and submits the runs and returns immediately with a Fetch
+// handle. Offsets are sorted and adjacent ones coalesced so a run of
+// consecutively-archived pages costs one device command instead of one
+// per page — the capture order is commit order, so the pre-states of
+// one burst of updates cluster. Runs are issued through the device
+// pool, so at queue depth K up to K of them are in service
+// concurrently.
 //
 // Prefetched pages are installed as *warmed* cache entries: they do NOT
 // bill PagelogReads here — the first demand Get that touches one bills
 // the logical read then (and counts a PrefetchHit), so the per-read
 // accounting the paper's figures are built on is identical with
-// prefetching on or off. The physical transfer is accounted separately:
-// runs in Counters.ClusteredReads, pages in Counters.ClusteredPages.
-// Returns pages loaded and runs issued.
-func (r *SnapshotReader) Prefetch() (pages, runs int, err error) {
-	f, err := r.PrefetchAsync(0)
-	if err != nil {
-		return 0, 0, err
-	}
-	fetched, err := f.Wait()
-	r.Counters.ClusteredReads += f.Runs()
-	r.Counters.ClusteredPages += fetched
-	return fetched, f.Runs(), err
-}
-
-// PrefetchAsync is Prefetch issued asynchronously: it plans and submits
-// the clustered runs and returns immediately with a Fetch handle. At
-// most maxPages pages are fetched (0 = no cap). Unlike Prefetch, no
-// reader counters are billed — the caller attributes the returned
-// handle's Runs/pages itself (the reader may already be executing a
-// query on another goroutine's behalf).
+// prefetching on or off. No reader counters are billed either — the
+// caller attributes the returned handle's Runs/pages itself (the reader
+// may already be executing a query on another goroutine's behalf); the
+// physical transfer shows in the system-wide ClusteredReads /
+// ClusteredPages stats.
 func (r *SnapshotReader) PrefetchAsync(maxPages int) (*Fetch, error) {
 	if r.closed {
 		return nil, ErrReaderClosed
@@ -966,7 +951,7 @@ func (r *SnapshotReader) FetchAsync(id storage.PageID) (*Fetch, error) {
 // The fetch is cancellable: when the reader was opened from a
 // SnapshotSet, the set's Close cancels outstanding commands and waits
 // for the fetch to drain before releasing the set. Loaded pages are
-// installed as warmed entries (see Prefetch) so logical accounting is
+// installed as warmed entries (see PrefetchAsync) so logical accounting is
 // unchanged. The returned handle's Wait reports pages actually loaded.
 func (r *SnapshotReader) FetchBatch(ids []storage.PageID, maxPages int) (*Fetch, error) {
 	if r.closed {

@@ -15,7 +15,7 @@ type Stats struct {
 	BatchSnapshots  atomic.Uint64 // SPTs derived by batch builds
 	BatchMapScanned atomic.Uint64 // Maplog entries scanned by batch builds
 
-	// Clustered Pagelog prefetch (SnapshotReader.Prefetch).
+	// Clustered Pagelog prefetch (SnapshotReader.PrefetchAsync / FetchBatch).
 	ClusteredReads atomic.Uint64 // coalesced read runs issued
 	ClusteredPages atomic.Uint64 // pages fetched via clustered runs
 

@@ -190,8 +190,8 @@ type ExecStats struct {
 	PagelogReads   int           // logical snapshot pages fetched from the Pagelog
 	CacheHits      int           // snapshot pages served from the cache
 	DBReads        int           // snapshot pages shared with the current DB
-	ClusteredReads int           // coalesced Pagelog read runs (prefetch)
-	ClusteredPages int           // pages loaded by those runs
+	ClusteredReads int           // unused: no statement bills clustered runs; carried by rql.ExecStats and the wire frame
+	ClusteredPages int           // unused, likewise
 	PrefetchHits   int           // logical reads satisfied early by a warmed page
 	RowsReturned   int
 	QueueWait      time.Duration // device queue wait behind the statement's demand misses
@@ -614,8 +614,6 @@ func (ec *execCtx) close() {
 		ec.stats.PagelogReads += ec.snapReader.Counters.PagelogReads
 		ec.stats.CacheHits += ec.snapReader.Counters.CacheHits
 		ec.stats.DBReads += ec.snapReader.Counters.DBReads
-		ec.stats.ClusteredReads += ec.snapReader.Counters.ClusteredReads
-		ec.stats.ClusteredPages += ec.snapReader.Counters.ClusteredPages
 		ec.stats.PrefetchHits += ec.snapReader.Counters.PrefetchHits
 		ec.stats.QueueWait += ec.snapReader.Counters.QueueWait
 	}

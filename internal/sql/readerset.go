@@ -24,8 +24,7 @@ type PageSet = map[storage.PageID]struct{}
 // Close must be called when the run is done; it releases the pinned
 // read transaction.
 type ReaderSet struct {
-	set      *retro.SnapshotSet
-	prefetch bool
+	set *retro.SnapshotSet
 }
 
 // OpenSnapshotSet builds the SPTs of all snapshots in ids with a single
@@ -42,14 +41,6 @@ func (c *Conn) OpenSnapshotSet(ids []uint64) (*ReaderSet, error) {
 	}
 	return &ReaderSet{set: set}, nil
 }
-
-// SetPrefetch enables clustered Pagelog prefetching: when a member is
-// opened for execution, every pre-state its SPT resolves that is not
-// yet cached is bulk-loaded with sorted, coalesced reads (adjacent
-// Pagelog offsets cost one ReadAt). Off by default — prefetching can
-// fetch pages the query never touches, which changes the PagelogReads
-// accounting the paper's figures are built on.
-func (rs *ReaderSet) SetPrefetch(on bool) { rs.prefetch = on }
 
 // Snapshots returns the member snapshot ids, sorted ascending.
 func (rs *ReaderSet) Snapshots() []uint64 {
@@ -173,17 +164,7 @@ func openSnapReader(rsys *retro.System, set *ReaderSet, asOf retro.SnapshotID) (
 	if set == nil || !set.set.Contains(asOf) {
 		return rsys.OpenSnapshot(asOf)
 	}
-	r, err := set.set.Open(asOf)
-	if err != nil {
-		return nil, err
-	}
-	if set.prefetch {
-		if _, _, err := r.Prefetch(); err != nil {
-			r.Close()
-			return nil, err
-		}
-	}
-	return r, nil
+	return set.set.Open(asOf)
 }
 
 // ColumnsSet is Columns executed against a reader set (see ExecAsOfSet).

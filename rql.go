@@ -244,20 +244,6 @@ func (db *DB) RegisterFunc(def FuncDef) { db.inner.RegisterFunc(def) }
 // LastRun returns the statistics of the most recent mechanism run.
 func (db *DB) LastRun() *RunStats { return db.rql.LastRun() }
 
-// SetBatchSPT enables or disables batch SPT construction for the
-// Go-level mechanism API (on by default): when on, a mechanism run
-// derives the SPT of every snapshot in its Qs set with one Maplog
-// sweep; when off, each iteration builds its own SPT — the legacy path,
-// kept for comparison benchmarks.
-func (db *DB) SetBatchSPT(on bool) { db.rql.SetBatchSPT(on) }
-
-// SetPrefetch enables clustered Pagelog prefetching on batch reader
-// sets (off by default). Prefetched pages are billed lazily on first
-// demand touch, so PagelogReads is unchanged by the toggle and it is
-// safe to turn on outside paper-replication mode; the read-ahead
-// pipeline (SetPipelinedIO, on by default) usually supersedes it.
-func (db *DB) SetPrefetch(on bool) { db.rql.SetPrefetch(on) }
-
 // SetPipelinedIO enables or disables cross-iteration read-ahead for
 // the Go-level mechanism API (on by default): while one loop-body
 // iteration evaluates, the next iteration's likely pages are fetched
@@ -267,8 +253,8 @@ func (db *DB) SetPrefetch(on bool) { db.rql.SetPrefetch(on) }
 func (db *DB) SetPipelinedIO(on bool) { db.rql.SetPipelinedIO(on) }
 
 // SetDeltaPrune enables or disables delta pruning for the Go-level
-// mechanism API (on by default): when on, a batch-mode mechanism run
-// whose Qq is statically prune-safe records the page read-set of each
+// mechanism API and retro views (on by default): when on, a run whose
+// Qq is statically prune-safe records the page read-set of each
 // executed iteration and skips any iteration whose member delta does
 // not intersect it, replaying the previous iteration's cached Qq
 // output instead.
