@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke bench bench-smoke bench-compare microbench
+.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke bench bench-smoke bench-compare microbench
 
 all: check
 
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
 # failing check, the tracing-overhead budget, the replication smoke,
-# the group-commit stress smoke, the compaction smoke, and the
-# incremental-view smoke.
-check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke
+# the group-commit stress smoke, the compaction smoke, the
+# incremental-view smoke, and the wire-decoder fuzz smoke.
+check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,17 @@ compact-smoke:
 # (bootstrap shipping, logical DDL events, replica-side maintenance).
 view-smoke:
 	$(GO) test -race -run 'TestRetroView|TestReplicatedRetroViews|TestViewSmoke' ./internal/core ./internal/repl ./internal/server
+
+# fuzz-smoke fuzzes each wire decoder that sees untrusted bytes for ten
+# seconds (go test -fuzz takes one target per run): no panic, no
+# allocation beyond a small multiple of the input, and clean decodes
+# survive an encode/decode round. The seed corpora also run inside
+# plain `go test ./...`. A failing input lands in
+# internal/wire/testdata/fuzz/ — commit it as a regression seed.
+fuzz-smoke:
+	@for f in FuzzReadFrame FuzzDecodeMetrics FuzzDecodeRunStats; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./internal/wire || exit 1; \
+	done
 
 # bench appends a machine-readable batch-SPT run to BENCH_rql.json:
 # wall time, Maplog entries scanned, cache hit rates, and delta-pruning

@@ -21,12 +21,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rql"
+	"rql/internal/obs"
 	"rql/internal/record"
 	"rql/internal/wire"
 )
@@ -34,14 +36,31 @@ import (
 // RemoteError is a server-reported statement error.
 type RemoteError = wire.RemoteError
 
-// ServerStats is the server's STATS reply.
-type ServerStats = wire.ServerStats
+// ServerStats is the server's STATS reply: every metric the server
+// reports, self-described, plus the request-latency histogram pulled
+// out in native units for callers that compute percentiles from it.
+type ServerStats struct {
+	Metrics []obs.Metric
+
+	// LatencyBuckets are the per-bucket request counts (the last is
+	// +Inf) and LatencyBounds the len-1 upper bounds the server used.
+	LatencyBuckets []uint64
+	LatencyBounds  []time.Duration
+}
+
+// Value returns the named counter or gauge (0 when the server does not
+// report it). Labelled series use their dotted key, e.g.
+// "view_rows.myview".
+func (s ServerStats) Value(key string) uint64 {
+	m, _ := obs.Find(s.Metrics, key)
+	return m.Value
+}
 
 // Span is one recorded trace span as reported by the server.
-type Span = wire.Span
+type Span = obs.Span
 
 // SlowEntry is one slow-query log entry as reported by the server.
-type SlowEntry = wire.SlowEntry
+type SlowEntry = obs.SlowEntry
 
 // ErrConnClosed is returned after Close or a fatal protocol failure.
 var ErrConnClosed = errors.New("client: connection closed")
@@ -64,7 +83,6 @@ type Conn struct {
 	lastSnapshot uint64
 	lastTrace    uint64
 	inTx         bool
-	version      int // negotiated protocol version (min of ours and the server's)
 
 	// trace, when non-zero, pins the trace context sent with every
 	// request (SetTraceContext); zero means a fresh trace id is minted
@@ -118,52 +136,13 @@ func DialTimeout(addr string, timeout time.Duration) (*Conn, error) {
 		bw: bufio.NewWriterSize(nc, 32<<10),
 	}
 	nc.SetDeadline(time.Now().Add(timeout))
-	if err := c.handshake(); err != nil {
+	if err := wire.ClientHello(c.br, c.bw); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	nc.SetDeadline(time.Time{})
 	return c, nil
 }
-
-func (c *Conn) handshake() error {
-	e := &wire.Enc{}
-	e.String(wire.Magic)
-	e.Uvarint(wire.ProtocolVersion)
-	if err := wire.WriteFrame(c.bw, wire.ReqHello, e.B); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	op, payload, err := wire.ReadFrame(c.br)
-	if err != nil {
-		return err
-	}
-	if op == wire.RespError {
-		return wire.DecodeError(payload)
-	}
-	if op != wire.RespHello {
-		return fmt.Errorf("client: unexpected handshake reply %#x", op)
-	}
-	// The server replies with min(its version, ours); an older server
-	// simply echoes a lower number and the session runs at that level.
-	d := &wire.Dec{B: payload}
-	v := d.Uvarint()
-	if d.Err() != nil || v == 0 {
-		return fmt.Errorf("client: malformed handshake reply")
-	}
-	c.version = int(v)
-	if c.version > wire.ProtocolVersion {
-		c.version = wire.ProtocolVersion
-	}
-	return nil
-}
-
-// Version returns the negotiated protocol version for this connection:
-// the minimum of the client's and the server's. Replication requests
-// (Horizon, ReplStats) need at least wire.ReplProtocolVersion.
-func (c *Conn) Version() int { return c.version }
 
 // Close closes the connection.
 func (c *Conn) Close() error {
@@ -189,20 +168,16 @@ func (c *Conn) fail(err error) error {
 // trace instead of minting a local trace id, so legs issued on several
 // connections stitch into one tree. sampled=false tells the server to
 // record no spans for these requests at all. A zero trace restores the
-// default (a fresh NewTraceID per request, sampled). No-op below
-// protocol v8 — older servers never see a trace context either way.
+// default (a fresh NewTraceID per request, sampled).
 func (c *Conn) SetTraceContext(trace uint64, sampled bool) {
 	c.mu.Lock()
 	c.trace, c.traceSampled = trace, sampled
 	c.mu.Unlock()
 }
 
-// tracePrefix prepends the v8 trace context to a request payload.
-// Pre-v8 sessions get the payload untouched. Callers hold c.mu.
+// tracePrefix prepends the trace context to a request payload. Callers
+// hold c.mu.
 func (c *Conn) tracePrefix(payload []byte) []byte {
-	if c.version < wire.TraceContextVersion {
-		return payload
-	}
 	tc := wire.TraceContext{Trace: c.trace, Sampled: c.traceSampled}
 	if tc.Trace == 0 {
 		tc = wire.TraceContext{Trace: NewTraceID(), Sampled: true}
@@ -313,25 +288,12 @@ func (c *Conn) exec(sqlText string, asOf uint64, cb rql.RowCallback, params []rq
 			return false, nil
 		case wire.RespDone:
 			d := &wire.Dec{B: payload}
-			st := wire.DecodeExecStats(d)
+			c.lastStats = wire.DecodeExecStats(d)
 			c.lastSnapshot = d.Uvarint()
 			c.inTx = d.Bool()
 			c.lastTrace = d.Uvarint()
 			if d.Err() != nil {
 				return true, c.fail(d.Err())
-			}
-			c.lastStats = rql.ExecStats{
-				Duration:       st.Duration,
-				SPTBuildTime:   st.SPTBuildTime,
-				AutoIndex:      st.AutoIndex,
-				MapScanned:     st.MapScanned,
-				PagelogReads:   st.PagelogReads,
-				CacheHits:      st.CacheHits,
-				DBReads:        st.DBReads,
-				RowsReturned:   st.RowsReturned,
-				ClusteredReads: st.ClusteredReads,
-				ClusteredPages: st.ClusteredPages,
-				PrefetchHits:   st.PrefetchHits,
 			}
 			return true, nil
 		case wire.RespError:
@@ -477,8 +439,7 @@ func (c *Conn) mech(kind byte, qs, qq, table, extra string) (*rql.RunStats, erro
 		case wire.RespRun:
 			d := &wire.Dec{B: payload}
 			if d.Bool() {
-				r := runFromWire(wire.DecodeRunStats(d, c.version))
-				run = &r
+				run = wire.DecodeRunStats(d)
 			}
 			if d.Err() != nil {
 				return true, c.fail(d.Err())
@@ -502,8 +463,7 @@ func (c *Conn) LastRun() (*rql.RunStats, error) {
 		case wire.RespRun:
 			d := &wire.Dec{B: payload}
 			if d.Bool() {
-				r := runFromWire(wire.DecodeRunStats(d, c.version))
-				run = &r
+				run = wire.DecodeRunStats(d)
 			}
 			if d.Err() != nil {
 				return true, c.fail(d.Err())
@@ -568,18 +528,23 @@ func (c *Conn) TableStats(name string) (rql.TableStats, error) {
 	return out, err
 }
 
-// ServerStats fetches the server's STATS counters: connections,
-// queries, streamed rows, the request-latency histogram, and the
-// storage/Retro counters piped through from the database.
+// ServerStats fetches the server's STATS reply: its metric list —
+// connections, queries, streamed rows, the request-latency histogram,
+// and the storage/Retro/view metrics of the served database.
 func (c *Conn) ServerStats() (ServerStats, error) {
 	var out ServerStats
 	err := c.request(wire.ReqStats, nil, func(op byte, payload []byte) (bool, error) {
 		switch op {
 		case wire.RespStats:
 			d := &wire.Dec{B: payload}
-			out = wire.DecodeServerStats(d, c.version)
+			out.Metrics = wire.DecodeMetrics(d)
 			if d.Err() != nil {
 				return true, c.fail(d.Err())
+			}
+			lat, _ := obs.Find(out.Metrics, "request_latency_seconds")
+			out.LatencyBuckets = lat.Counts
+			for _, b := range lat.Bounds {
+				out.LatencyBounds = append(out.LatencyBounds, time.Duration(math.Round(b*1e9)))
 			}
 			return true, nil
 		case wire.RespError:
@@ -593,14 +558,8 @@ func (c *Conn) ServerStats() (ServerStats, error) {
 
 // Horizon reports the server's replication role and applied-snapshot
 // horizon: on a primary the latest declared snapshot, on a replica the
-// latest snapshot applied atomically from the primary's stream. Needs a
-// v4 server.
+// latest snapshot applied atomically from the primary's stream.
 func (c *Conn) Horizon() (wire.HorizonInfo, error) {
-	if c.version < wire.ReplProtocolVersion {
-		return wire.HorizonInfo{}, fmt.Errorf(
-			"client: HORIZON requires protocol v%d (server speaks v%d)",
-			wire.ReplProtocolVersion, c.version)
-	}
 	var out wire.HorizonInfo
 	err := c.request(wire.ReqHorizon, nil, func(op byte, payload []byte) (bool, error) {
 		switch op {
@@ -621,14 +580,8 @@ func (c *Conn) Horizon() (wire.HorizonInfo, error) {
 }
 
 // ReplStats fetches the server's replication statistics: per-replica
-// ack/lag rows on a primary, stream counters on a replica. Needs a v4
-// server.
+// ack/lag rows on a primary, stream counters on a replica.
 func (c *Conn) ReplStats() (wire.ReplStats, error) {
-	if c.version < wire.ReplProtocolVersion {
-		return wire.ReplStats{}, fmt.Errorf(
-			"client: REPL STATS requires protocol v%d (server speaks v%d)",
-			wire.ReplProtocolVersion, c.version)
-	}
 	var out wire.ReplStats
 	err := c.request(wire.ReqReplStats, nil, func(op byte, payload []byte) (bool, error) {
 		switch op {
@@ -650,17 +603,12 @@ func (c *Conn) ReplStats() (wire.ReplStats, error) {
 
 // TimelinePoint is one telemetry sample as reported by the server: the
 // per-second rates and instantaneous gauges of one sampling tick.
-type TimelinePoint = wire.TimelinePoint
+type TimelinePoint = obs.Point
 
 // Timeline fetches the server's telemetry timeline: the sampling period
 // and the ring of rate/gauge points, oldest first. A zero period means
-// the timeline is disabled server-side. Needs a v8 server.
+// the timeline is disabled server-side.
 func (c *Conn) Timeline() (time.Duration, []TimelinePoint, error) {
-	if c.version < wire.TraceContextVersion {
-		return 0, nil, fmt.Errorf(
-			"client: TIMELINE requires protocol v%d (server speaks v%d)",
-			wire.TraceContextVersion, c.version)
-	}
 	var (
 		period time.Duration
 		points []TimelinePoint
@@ -764,7 +712,7 @@ func (c *Conn) SlowQueries() (time.Duration, []SlowEntry, error) {
 		switch op {
 		case wire.RespSlow:
 			d := &wire.Dec{B: payload}
-			threshold, entries = wire.DecodeSlowEntries(d, c.version)
+			threshold, entries = wire.DecodeSlowEntries(d)
 			if d.Err() != nil {
 				return true, c.fail(d.Err())
 			}
@@ -783,53 +731,4 @@ func (c *Conn) SlowQueries() (time.Duration, []SlowEntry, error) {
 // snapshot-system counters and the last mechanism-run statistics.
 func (c *Conn) ResetStats() error {
 	return c.pongRequest(wire.ReqReset, nil)
-}
-
-// runFromWire converts wire run statistics into the public form.
-func runFromWire(r wire.RunStats) rql.RunStats {
-	out := rql.RunStats{
-		Mechanism:        r.Mechanism,
-		ResultRows:       r.ResultRows,
-		ResultDataBytes:  r.ResultDataBytes,
-		ResultIndexBytes: r.ResultIndexBytes,
-		BatchBuilds:      r.BatchBuilds,
-		BatchMapScanned:  r.BatchMapScanned,
-		BatchBuildTime:   r.BatchBuildTime,
-		Iterations:       make([]rql.IterationCost, len(r.Iterations)),
-
-		PrunedIterations:   r.PrunedIterations,
-		PrunedRowsReplayed: r.PrunedRowsReplayed,
-		DeltaIntersections: r.DeltaIntersections,
-		PruneReason:        r.PruneReason,
-
-		PipelinedPrefetches: r.PipelinedPrefetches,
-		PrefetchHits:        r.PrefetchHits,
-		PrefetchWasted:      r.PrefetchWasted,
-	}
-	for i, it := range r.Iterations {
-		out.Iterations[i] = rql.IterationCost{
-			Snapshot:       it.Snapshot,
-			SPTBuild:       it.SPTBuild,
-			IndexCreation:  it.IndexCreation,
-			QueryEval:      it.QueryEval,
-			UDF:            it.UDF,
-			IOTime:         it.IOTime,
-			PagelogReads:   it.PagelogReads,
-			CacheHits:      it.CacheHits,
-			DBReads:        it.DBReads,
-			MapScanned:     it.MapScanned,
-			QqRows:         it.QqRows,
-			ResultInserts:  it.ResultInserts,
-			ResultUpdates:  it.ResultUpdates,
-			ResultSearch:   it.ResultSearch,
-			ClusteredReads: it.ClusteredReads,
-			Pruned:         it.Pruned,
-			DeltaPages:     it.DeltaPages,
-			ClusteredPages: it.ClusteredPages,
-			PrefetchHits:   it.PrefetchHits,
-			OverlapTime:    it.OverlapTime,
-			QueueWait:      it.QueueWait,
-		}
-	}
-	return out
 }

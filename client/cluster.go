@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rql"
+	"rql/internal/obs"
 	"rql/internal/sql"
 	"rql/internal/wire"
 )
@@ -190,10 +191,7 @@ func (cl *Cluster) LastTrace() uint64 { return cl.lastTrace }
 
 // NodeSpans groups one member's recorded spans for cross-node trace
 // stitching (rendered as one Perfetto file with a lane per node).
-type NodeSpans struct {
-	Node  string
-	Spans []Span
-}
+type NodeSpans = obs.NodeSpans
 
 // TraceSpans fetches one trace's spans from every live member (the
 // whole ring for id 0). Members that are down are skipped; an error is
@@ -428,7 +426,7 @@ func (cl *Cluster) read(snap uint64, fn func(*Conn) error) error {
 				h, err := c.Horizon()
 				if err != nil {
 					if isStatementError(err) {
-						// v3 server or replication off: never usable here.
+						// The member refused the probe: never usable here.
 						continue
 					}
 					cl.dropReplica(m)

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"fmt"
 	"io"
 
 	"rql/internal/wire"
@@ -16,13 +15,8 @@ type ViewInfo = wire.ViewInfo
 type ViewBatch = wire.ViewBatch
 
 // Views lists every materialized retro view with its maintenance
-// counters. Needs a v7 server.
+// counters.
 func (c *Conn) Views() ([]ViewInfo, error) {
-	if c.version < wire.ViewProtocolVersion {
-		return nil, fmt.Errorf(
-			"client: VIEWS requires protocol v%d (server speaks v%d)",
-			wire.ViewProtocolVersion, c.version)
-	}
 	var out []ViewInfo
 	err := c.request(wire.ReqViews, nil, func(op byte, payload []byte) (bool, error) {
 		switch op {
@@ -56,15 +50,10 @@ type ViewStream struct {
 
 // SubscribeView opens a subscription to a view's extension stream: the
 // server pushes one ViewBatch per snapshot the view materializes from
-// now on. Needs a v7 server. The connection is consumed by the stream —
+// now on. The connection is consumed by the stream —
 // dial a dedicated Conn for a subscription. A subscriber that falls too
 // far behind is disconnected by the server (Next returns io.EOF).
 func (c *Conn) SubscribeView(view string) (*ViewStream, error) {
-	if c.version < wire.ViewProtocolVersion {
-		return nil, fmt.Errorf(
-			"client: SUBSCRIBE requires protocol v%d (server speaks v%d)",
-			wire.ViewProtocolVersion, c.version)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.fatal != nil {

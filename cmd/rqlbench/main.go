@@ -206,7 +206,7 @@ func clusterTrace(spec, path string) error {
 		if len(n.Spans) == 0 {
 			continue
 		}
-		stitched = append(stitched, obs.NodeSpans{Node: n.Node, Spans: spansFromWire(n.Spans)})
+		stitched = append(stitched, n)
 		total += len(n.Spans)
 	}
 	if total == 0 {
@@ -227,22 +227,6 @@ func clusterTrace(spec, path string) error {
 	}
 	fmt.Printf("wrote stitched trace to %s\n", path)
 	return nil
-}
-
-// spansFromWire converts wire spans to recorder spans for export.
-func spansFromWire(ws []client.Span) []obs.Span {
-	out := make([]obs.Span, len(ws))
-	for i, w := range ws {
-		s := obs.Span{
-			Trace: w.Trace, ID: w.ID, Parent: w.Parent,
-			Name: w.Name, Start: w.Start, Duration: w.Duration,
-		}
-		for _, a := range w.Attrs {
-			s.Attrs = append(s.Attrs, obs.Attr{Key: a.Key, Str: a.Str, Int: a.Int, IsStr: a.IsStr})
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // writeTrace dumps the recorder ring as Chrome trace-event JSON

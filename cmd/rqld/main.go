@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"rql"
+	"rql/internal/obs"
 	"rql/internal/repl"
 	"rql/internal/server"
 )
@@ -161,9 +162,10 @@ func main() {
 		primary.Close()
 	}
 
-	st := srv.Stats()
+	ms := srv.Metrics()
+	value := func(key string) uint64 { m, _ := obs.Find(ms, key); return m.Value }
 	fmt.Printf("rqld: served %d queries (%d rows) over %d connections, %d snapshots declared\n",
-		st.QueriesServed, st.RowsStreamed, st.ConnsAccepted, st.Snapshots)
+		value("queries_served"), value("rows_streamed"), value("conns_accepted"), value("retro_snapshots"))
 	if err := db.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "rqld:", err)
 		os.Exit(1)

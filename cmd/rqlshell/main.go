@@ -18,7 +18,7 @@
 //	.tables               list tables and indexes
 //	.snapshots            list declared snapshots (SnapIds)
 //	.snapshot [label]     declare a snapshot of the current state
-//	.stats                show last-statement and snapshot-system stats
+//	.stats                show last-statement stats and every metric (name value)
 //	.stats reset          zero the cumulative counters
 //	.views                list materialized retro views and their counters
 //	.mech                 show the last RQL mechanism run's breakdown
@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -264,31 +265,14 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 			st.Duration, st.RowsReturned, st.PagelogReads, st.CacheHits, st.DBReads, st.PrefetchHits, st.SPTBuildTime, st.AutoIndex)
 		switch {
 		case env.db != nil:
-			fmt.Printf("pagelog: %d archived pages\n", env.db.PagelogPages())
-			rs := env.db.RetroStats()
-			fmt.Printf("retro: %d SPT builds, %d batch builds (%d snapshots, %d entries scanned), %d clustered reads (%d pages)\n",
-				rs.SPTBuilds, rs.SPTBatchBuilds, rs.BatchSnapshots, rs.BatchMapScanned,
-				rs.ClusteredReads, rs.ClusteredPages)
-			fmt.Printf("deltas: %d delta set builds, %d delta pages retained\n",
-				rs.DeltaBuilds, rs.DeltaPages)
-			fmt.Printf("device: queue depth %d, %d commands (%d overlapped), busy %v\n",
-				rs.DeviceQueueDepth, rs.DeviceReads, rs.OverlappedReads,
-				time.Duration(rs.DeviceBusyNS))
-			sst := env.db.StorageStats()
-			printGroupCommit(sst.Commits, sst.Groups, sst.Conflicts,
-				sst.QueueWaitNS, rs.DeviceFlushes, rs.GroupFlushesSkipped, sst.GroupSizeBuckets[:])
-			vs := env.db.ViewStats()
-			if vs.Views > 0 {
-				fmt.Printf("views: %d (%d refreshes, %d pruned), %d rows pushed to %d subscriber(s)\n",
-					vs.Views, vs.Refreshes, vs.PrunedRefreshes, vs.RowsPushed, vs.Subscribers)
-			}
+			obs.WriteVars(os.Stdout, env.db.Metrics())
 		case env.remote != nil:
 			ss, err := env.remote.ServerStats()
 			if err != nil {
 				fmt.Println("error:", err)
 				break
 			}
-			printServerStats(ss)
+			obs.WriteVars(os.Stdout, ss.Metrics)
 		}
 	case ".views":
 		var infos []client.ViewInfo
@@ -530,17 +514,10 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 			entries []obs.SlowEntry
 		)
 		if env.remote != nil {
-			wt, ws, err := env.remote.SlowQueries()
-			if err != nil {
+			var err error
+			if th, entries, err = env.remote.SlowQueries(); err != nil {
 				fmt.Println("error:", err)
 				break
-			}
-			th = wt
-			for _, e := range ws {
-				entries = append(entries, obs.SlowEntry{
-					SQL: e.SQL, Duration: e.Duration, Trace: e.Trace,
-					When: e.When, Rows: e.Rows,
-				})
 			}
 		} else {
 			th = obs.SlowThreshold()
@@ -580,11 +557,7 @@ func lastTraceSpans(env *shellEnv, id uint64) ([]obs.NodeSpans, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]obs.NodeSpans, 0, len(nodes))
-		for _, n := range nodes {
-			out = append(out, obs.NodeSpans{Node: n.Node, Spans: spansFromWire(n.Spans)})
-		}
-		return out, nil
+		return nodes, nil
 	case env.remote != nil:
 		ws, err := env.remote.TraceSpans(id)
 		if err != nil {
@@ -593,7 +566,7 @@ func lastTraceSpans(env *shellEnv, id uint64) ([]obs.NodeSpans, error) {
 		if len(ws) == 0 {
 			return nil, nil
 		}
-		return []obs.NodeSpans{{Spans: spansFromWire(ws)}}, nil
+		return []obs.NodeSpans{{Spans: ws}}, nil
 	default:
 		spans := obs.TraceSpans(id)
 		if len(spans) == 0 {
@@ -626,14 +599,6 @@ func printTop(period time.Duration, pts []client.TimelinePoint) {
 		fmt.Printf("no telemetry yet (the server samples every %v; see rqld -timeline-period)\n", period)
 		return
 	}
-	lookup := func(vals []wire.NamedValue, name string) float64 {
-		for _, nv := range vals {
-			if nv.Name == name {
-				return nv.Value
-			}
-		}
-		return 0
-	}
 	const show = 12
 	start := 0
 	if len(pts) > show {
@@ -642,19 +607,19 @@ func printTop(period time.Duration, pts []client.TimelinePoint) {
 	cols := []string{"time", "queries/s", "commits/s", "rows/s", "device busy %", "cache hit %"}
 	var rows [][]string
 	for _, p := range pts[start:] {
-		reads, hits := lookup(p.Rates, "pagelog_reads"), lookup(p.Rates, "cache_hits")
+		reads, hits := p.Rates["retro_pagelog_reads"], p.Rates["retro_cache_hits"]
 		hitPct := 0.0
 		if reads+hits > 0 {
 			hitPct = hits / (reads + hits) * 100
 		}
 		rows = append(rows, []string{
-			time.Unix(0, p.WhenUnixNano).Format("15:04:05"),
-			fmt.Sprintf("%.1f", lookup(p.Rates, "queries_served")),
-			fmt.Sprintf("%.1f", lookup(p.Rates, "commits")),
-			fmt.Sprintf("%.1f", lookup(p.Rates, "rows_streamed")),
+			p.When.Format("15:04:05"),
+			fmt.Sprintf("%.1f", p.Rates["queries_served"]),
+			fmt.Sprintf("%.1f", p.Rates["storage_commits"]),
+			fmt.Sprintf("%.1f", p.Rates["rows_streamed"]),
 			// Busy time is summed across concurrent device commands, so
 			// a deep queue can exceed 100% of one wall-second.
-			fmt.Sprintf("%.1f", lookup(p.Rates, "device_busy_ns")/1e9*100),
+			fmt.Sprintf("%.1f", p.Rates["device_busy_ns"]/1e9*100),
 			fmt.Sprintf("%.1f", hitPct),
 		})
 	}
@@ -663,95 +628,24 @@ func printTop(period time.Duration, pts []client.TimelinePoint) {
 	printTable(cols, rows)
 	last := pts[len(pts)-1]
 	fmt.Printf("now: %d conn(s), %d view(s), snapshot horizon %d\n",
-		int64(lookup(last.Gauges, "conns_active")),
-		int64(lookup(last.Gauges, "views")),
-		int64(lookup(last.Gauges, "repl_horizon")))
-	for _, nv := range last.Gauges {
-		if id, ok := strings.CutPrefix(nv.Name, "repl_lag."); ok {
-			fmt.Printf("  replica %s: lag %d snapshot(s)\n", id, int64(nv.Value))
-		}
-	}
-	for _, nv := range last.Rates {
-		if name, ok := strings.CutPrefix(nv.Name, "view_refreshes."); ok {
-			fmt.Printf("  view %s: %.2f refresh/s\n", name, nv.Value)
-		}
-	}
+		int64(last.Gauges["conns_active"]),
+		int64(last.Gauges["views"]),
+		int64(last.Gauges["repl_horizon"]))
+	printSeries(last.Gauges, "repl_replica_lag_snapshots.", "  replica %s: lag %.0f snapshot(s)\n")
+	printSeries(last.Rates, "view_refreshes_total.", "  view %s: %.2f refresh/s\n")
 }
 
-// spansFromWire converts server-reported spans for the local renderer.
-func spansFromWire(ws []client.Span) []obs.Span {
-	out := make([]obs.Span, len(ws))
-	for i, w := range ws {
-		s := obs.Span{
-			Trace: w.Trace, ID: w.ID, Parent: w.Parent,
-			Name: w.Name, Start: w.Start, Duration: w.Duration,
-		}
-		for _, a := range w.Attrs {
-			s.Attrs = append(s.Attrs, obs.Attr{Key: a.Key, Str: a.Str, Int: a.Int, IsStr: a.IsStr})
-		}
-		out[i] = s
-	}
-	return out
-}
-
-func printServerStats(ss client.ServerStats) {
-	fmt.Printf("server: %d conns accepted (%d active), %d queries, %d rows streamed, %d errors\n",
-		ss.ConnsAccepted, ss.ConnsActive, ss.QueriesServed, ss.RowsStreamed, ss.Errors)
-	// Render against the bounds the server reported, not a compiled-in
-	// copy: a server with different bucketing still prints correctly.
-	var hist strings.Builder
-	for i, c := range ss.LatencyBuckets {
-		if i < len(ss.LatencyBounds) {
-			fmt.Fprintf(&hist, " <=%v:%d", ss.LatencyBounds[i], c)
-		} else {
-			fmt.Fprintf(&hist, " +Inf:%d", c)
+// printSeries prints, in label order, every value of one labelled
+// family (keys prefix + label value) with format(label, value).
+func printSeries(vals map[string]float64, prefix, format string) {
+	var labels []string
+	for k := range vals {
+		if l, ok := strings.CutPrefix(k, prefix); ok {
+			labels = append(labels, l)
 		}
 	}
-	fmt.Printf("latency:%s\n", hist.String())
-	fmt.Printf("storage: %d commits, %d pages written, %d db reads\n",
-		ss.Commits, ss.PagesWritten, ss.DBReads)
-	fmt.Printf("retro: %d snapshots, pagelog %d pages (%d writes, %d reads), %d cache hits (%d cached), %d SPT builds\n",
-		ss.Snapshots, ss.PagelogPages, ss.PagelogWrites, ss.PagelogReads,
-		ss.CacheHits, ss.CachedPages, ss.SPTBuilds)
-	fmt.Printf("batch: %d batch SPT builds (%d snapshots, %d entries scanned), %d clustered reads (%d pages)\n",
-		ss.SPTBatchBuilds, ss.BatchSnapshots, ss.BatchMapScanned,
-		ss.ClusteredReads, ss.ClusteredPages)
-	fmt.Printf("deltas: %d delta set builds, %d delta pages retained\n",
-		ss.DeltaBuilds, ss.DeltaPages)
-	fmt.Printf("device: queue depth %d, %d commands (%d overlapped), busy %v, %d bytes read\n",
-		ss.DeviceQueueDepth, ss.DeviceReads, ss.OverlappedReads,
-		time.Duration(ss.DeviceBusyNS), ss.DeviceBytesRead)
-	fmt.Printf("tiers: %d sealed segments (%d pages) + tail %d pages, %d logical bytes on %d disk bytes\n",
-		ss.Segments, ss.SegmentPages, ss.TailPages,
-		ss.PagelogLogicalBytes, ss.PagelogDiskBytes)
-	fmt.Printf("compactor: %d seals (%d pages sealed), %d retention drops (%d pages), %d block-cache hits\n",
-		ss.SegmentSeals, ss.SealedPages, ss.RetentionDrops,
-		ss.RetentionDroppedPages, ss.SegBlockHits)
-	printGroupCommit(ss.Commits, ss.CommitGroups, ss.CommitConflicts,
-		ss.CommitQueueWaitNS, ss.DeviceFlushes, ss.GroupFlushesSkipped, ss.GroupSizeBuckets[:])
-	if ss.Views > 0 {
-		fmt.Printf("views: %d (%d refreshes, %d pruned), %d rows pushed to %d subscriber(s)\n",
-			ss.Views, ss.ViewRefreshes, ss.ViewPrunedRefreshes, ss.ViewRowsPushed, ss.ViewSubscribers)
+	sort.Strings(labels)
+	for _, l := range labels {
+		fmt.Printf(format, l, vals[prefix+l])
 	}
-}
-
-// printGroupCommit renders the commit-group counters: groups drained,
-// mean group size, conflict aborts, queue wait, device flushes, and the
-// group-size histogram (a legacy-path commit is a group of one).
-func printGroupCommit(commits, groups, conflicts, waitNS, flushes, skipped uint64, buckets []uint64) {
-	mean := 0.0
-	if groups > 0 {
-		mean = float64(commits) / float64(groups)
-	}
-	fmt.Printf("commit groups: %d (mean size %.2f), %d conflicts aborted, queue wait %v, %d device flushes (%d skipped)\n",
-		groups, mean, conflicts, time.Duration(waitNS), flushes, skipped)
-	var hist strings.Builder
-	for i, c := range buckets {
-		if i < len(wire.GroupSizeBounds) {
-			fmt.Fprintf(&hist, " <=%d:%d", wire.GroupSizeBounds[i], c)
-		} else {
-			fmt.Fprintf(&hist, " +Inf:%d", c)
-		}
-	}
-	fmt.Printf("group size:%s\n", hist.String())
 }

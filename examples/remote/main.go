@@ -102,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nserver stats: %d queries, %d rows streamed, %d snapshots, %d commits\n",
-		ss.QueriesServed, ss.RowsStreamed, ss.Snapshots, ss.Commits)
+		ss.Value("queries_served"), ss.Value("rows_streamed"), ss.Value("retro_snapshots"), ss.Value("storage_commits"))
 
 	srv.Shutdown()
 	if err := <-served; err != server.ErrServerClosed {

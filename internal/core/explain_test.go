@@ -34,8 +34,6 @@ func scrubRun(r *RunStats) *RunStats {
 		it.OverlapTime = 0
 		it.QueueWait = 0
 		it.PrefetchHits = 0
-		it.ClusteredReads = 0
-		it.ClusteredPages = 0
 		cp.Iterations[i] = it
 	}
 	return &cp

@@ -241,8 +241,7 @@ func TestFillCostCoversEveryStatementCounter(t *testing.T) {
 	ownedElsewhere := map[string]bool{
 		"Snapshot": true, "QqRows": true, "UDF": true, "Pruned": true, "DeltaPages": true, // lane.step
 		"ResultInserts": true, "ResultUpdates": true, "ResultSearch": true, // fold.add
-		"OverlapTime":    true,                         // pipeState.await
-		"ClusteredReads": true, "ClusteredPages": true, // no producer
+		"OverlapTime": true, // pipeState.await
 	}
 	cv := reflect.ValueOf(cost)
 	for i := 0; i < cv.NumField(); i++ {

@@ -37,13 +37,11 @@ type IterationCost struct {
 	QueueWait time.Duration
 
 	// Raw counters, device-independent.
-	PagelogReads   int
-	CacheHits      int
-	DBReads        int
-	MapScanned     int
-	ClusteredReads int // unused: no iteration bills clustered runs; carried by the public struct and the wire frame
-	ClusteredPages int // unused, likewise
-	PrefetchHits   int // logical reads satisfied early by a warmed page
+	PagelogReads int
+	CacheHits    int
+	DBReads      int
+	MapScanned   int
+	PrefetchHits int // logical reads satisfied early by a warmed page
 
 	QqRows        int
 	ResultInserts int
@@ -119,8 +117,6 @@ func sumCosts(its []IterationCost) IterationCost {
 		t.CacheHits += c.CacheHits
 		t.DBReads += c.DBReads
 		t.MapScanned += c.MapScanned
-		t.ClusteredReads += c.ClusteredReads
-		t.ClusteredPages += c.ClusteredPages
 		t.PrefetchHits += c.PrefetchHits
 		t.QqRows += c.QqRows
 		t.ResultInserts += c.ResultInserts
@@ -159,8 +155,6 @@ func (r *RunStats) Hot() IterationCost {
 	t.CacheHits /= n
 	t.DBReads /= n
 	t.MapScanned /= n
-	t.ClusteredReads /= n
-	t.ClusteredPages /= n
 	t.PrefetchHits /= n
 	t.QqRows /= n
 	t.ResultInserts /= n

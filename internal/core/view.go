@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rql/internal/obs"
 	"rql/internal/record"
 	"rql/internal/retro"
 	"rql/internal/sql"
@@ -126,6 +127,20 @@ type ViewManager struct {
 	wake chan struct{} // capacity 1: refresher wake signal
 	stop chan struct{}
 	done chan struct{}
+
+	stats   viewMetrics
+	metrics *obs.Set // over stats
+}
+
+// viewMetrics declares the manager's metrics (see obs.Set): maintenance
+// work summed over every view that ever existed, and the current view
+// and subscriber counts.
+type viewMetrics struct {
+	Views           obs.Gauge   `metric:"views" help:"Materialized retro views."`
+	Refreshes       obs.Counter `metric:"view_refreshes" help:"Incremental view refreshes across all views."`
+	PrunedRefreshes obs.Counter `metric:"view_pruned_refreshes" help:"Refreshes satisfied by delta pruning, all views."`
+	RowsPushed      obs.Counter `metric:"view_rows_pushed" help:"Rows pushed to view subscribers, all views."`
+	Subscribers     obs.Gauge   `metric:"view_subscribers" help:"Active view subscriptions."`
 }
 
 // NewViewManager loads the persisted view definitions and their refresh
@@ -140,6 +155,7 @@ func NewViewManager(db *sql.DB, r *RQL) (*ViewManager, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	m.metrics = obs.NewSet(&m.stats)
 	conn := db.Conn()
 	if err := conn.Exec(`CREATE TEMP TABLE IF NOT EXISTS `+viewStateTable+` (
 		name   TEXT,
@@ -463,8 +479,10 @@ func (m *ViewManager) extend(conn *sql.Conn, v *viewState, snap uint64) error {
 	}
 	v.cursor.Store(snap)
 	v.refreshes.Add(1)
+	m.stats.Refreshes.Add(1)
 	if pruned {
 		v.prunedRefreshes.Add(1)
+		m.stats.PrunedRefreshes.Add(1)
 	}
 	// … then the push.
 	m.push(v, ViewBatch{
@@ -487,6 +505,7 @@ func (m *ViewManager) push(v *viewState, b ViewBatch) {
 		select {
 		case s.ch <- b:
 			v.rowsPushed.Add(uint64(len(b.Rows)))
+			m.stats.RowsPushed.Add(uint64(len(b.Rows)))
 		default:
 			delete(v.subs, id)
 			close(s.ch)
@@ -551,7 +570,7 @@ func (m *ViewManager) Infos() []ViewInfo {
 	return out
 }
 
-// ViewStats is the manager's aggregate counter snapshot (ServerStats).
+// ViewStats is a typed point-in-time copy of the manager's metrics.
 type ViewStats struct {
 	Views           uint64
 	Refreshes       uint64
@@ -560,19 +579,30 @@ type ViewStats struct {
 	Subscribers     uint64
 }
 
-// Stats sums the per-view counters.
-func (m *ViewManager) Stats() ViewStats {
+// sampleGauges stores the current view and subscriber counts.
+func (m *ViewManager) sampleGauges() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var s ViewStats
-	s.Views = uint64(len(m.views))
+	subs := 0
 	for _, v := range m.views {
-		s.Refreshes += v.refreshes.Load()
-		s.PrunedRefreshes += v.prunedRefreshes.Load()
-		s.RowsPushed += v.rowsPushed.Load()
-		s.Subscribers += uint64(len(v.subs))
+		subs += len(v.subs)
 	}
+	m.stats.Views.Store(int64(len(m.views)))
+	m.stats.Subscribers.Store(int64(subs))
+}
+
+// Stats returns the aggregate view metrics, typed.
+func (m *ViewManager) Stats() ViewStats {
+	m.sampleGauges()
+	var s ViewStats
+	m.metrics.Fill(&s)
 	return s
+}
+
+// Metrics samples the aggregate view metrics as the self-describing list.
+func (m *ViewManager) Metrics() []obs.Metric {
+	m.sampleGauges()
+	return m.metrics.Snapshot()
 }
 
 // ---------------------------------------------------------------------------

@@ -7,96 +7,63 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // This file is a minimal, dependency-free Prometheus text-exposition
-// encoder. Metric families are assembled by the caller (the server owns
-// its counters; obs owns none), and WriteMetrics renders them in the
-// version 0.0.4 text format: `# HELP` / `# TYPE` headers, escaped
+// encoder over the metric list (metrics.go). WriteMetrics renders it in
+// the version 0.0.4 text format: `# HELP` / `# TYPE` headers, escaped
 // `name{label="value"}` sample lines, and cumulative
-// `_bucket`/`_sum`/`_count` triples for histograms.
+// `_bucket`/`_sum`/`_count` triples for histograms; WriteVars renders
+// the same list as plain `key value` lines.
 //
 // ValidateExposition is the matching checker: it re-parses an
 // exposition and rejects malformed names, labels, values, and
 // non-cumulative histograms. Tests scrape /metrics through it so the
 // exporter cannot silently regress into the ad-hoc format it replaced.
 
-// MetricType selects the exposition TYPE of a family.
-type MetricType int
-
-const (
-	Counter MetricType = iota
-	Gauge
-	HistogramType
-)
-
-func (t MetricType) String() string {
-	switch t {
-	case Counter:
-		return "counter"
-	case Gauge:
-		return "gauge"
-	case HistogramType:
-		return "histogram"
-	}
-	return "untyped"
-}
-
-// Label is one name="value" pair on a sample.
-type Label struct {
+// label is one name="value" pair on a sample.
+type label struct {
 	Name  string
 	Value string
 }
 
-// Sample is one counter or gauge sample within a family.
-type Sample struct {
-	Labels []Label
-	Value  float64
-}
-
-// HistogramSample is one histogram within a family. Counts are the
-// per-bucket (disjoint) observation counts — Counts[i] observed values
-// <= Bounds[i], and the final element (len(Bounds)) is the overflow
-// bucket. The encoder accumulates them into the cumulative `le` series
-// Prometheus expects and derives `_count` as the total.
-type HistogramSample struct {
-	Labels []Label
-	Bounds []float64 // upper bounds, ascending, excluding +Inf
-	Counts []uint64  // len(Bounds)+1; last is the +Inf bucket
-	Sum    float64
-}
-
-// MetricFamily is one named metric with all its samples.
-type MetricFamily struct {
-	Name       string
-	Help       string
-	Type       MetricType
-	Samples    []Sample          // counter / gauge families
-	Histograms []HistogramSample // histogram families
-}
-
-// WriteMetrics renders families in the Prometheus text format.
-func WriteMetrics(w io.Writer, fams []MetricFamily) error {
+// WriteMetrics renders ms in the Prometheus text format, every family
+// name prefixed with prefix. Metrics sharing a Name form one family
+// (its labelled series), announced where the name first appears.
+func WriteMetrics(w io.Writer, prefix string, ms []Metric) error {
+	var order []string
+	fams := map[string][]Metric{}
+	for _, m := range ms {
+		if _, ok := fams[m.Name]; !ok {
+			order = append(order, m.Name)
+		}
+		fams[m.Name] = append(fams[m.Name], m)
+	}
 	var b strings.Builder
-	for _, f := range fams {
-		if !validMetricName(f.Name) {
-			return fmt.Errorf("obs: invalid metric name %q", f.Name)
+	for _, name := range order {
+		fam := fams[name]
+		name = prefix + name
+		if !validMetricName(name) {
+			return fmt.Errorf("obs: invalid metric name %q", name)
 		}
-		if f.Help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+		if help := fam[0].Help; help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", name, escapeHelp(help))
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Type)
-		if f.Type == HistogramType {
-			for _, h := range f.Histograms {
-				if err := writeHistogram(&b, f.Name, h); err != nil {
-					return err
-				}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", name, fam[0].Kind)
+		for _, m := range fam {
+			var labels []label
+			if m.Label != "" {
+				labels = []label{{m.Label, m.LabelValue}}
 			}
-		} else {
-			for _, s := range f.Samples {
-				if err := writeSample(&b, f.Name, s.Labels, s.Value); err != nil {
-					return err
-				}
+			var err error
+			if m.Kind == KindHistogram {
+				err = writeHistogram(&b, name, labels, m)
+			} else {
+				err = writeSample(&b, name, labels, float64(m.Value))
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -104,30 +71,31 @@ func WriteMetrics(w io.Writer, fams []MetricFamily) error {
 	return err
 }
 
-func writeHistogram(b *strings.Builder, name string, h HistogramSample) error {
-	if len(h.Counts) != len(h.Bounds)+1 {
-		return fmt.Errorf("obs: histogram %s: %d counts for %d bounds", name, len(h.Counts), len(h.Bounds))
+// writeHistogram accumulates m's disjoint bucket counts into the
+// cumulative `le` series and derives `_count` as the total.
+func writeHistogram(b *strings.Builder, name string, labels []label, m Metric) error {
+	if len(m.Counts) != len(m.Bounds)+1 {
+		return fmt.Errorf("obs: histogram %s: %d counts for %d bounds", name, len(m.Counts), len(m.Bounds))
 	}
 	cum := uint64(0)
-	for i, bound := range h.Bounds {
-		cum += h.Counts[i]
-		labels := append(append([]Label(nil), h.Labels...), Label{"le", formatFloat(bound)})
-		if err := writeSample(b, name+"_bucket", labels, float64(cum)); err != nil {
+	for i, c := range m.Counts {
+		cum += c
+		le := "+Inf"
+		if i < len(m.Bounds) {
+			le = formatFloat(m.Bounds[i])
+		}
+		bucket := append(append([]label(nil), labels...), label{"le", le})
+		if err := writeSample(b, name+"_bucket", bucket, float64(cum)); err != nil {
 			return err
 		}
 	}
-	cum += h.Counts[len(h.Bounds)]
-	labels := append(append([]Label(nil), h.Labels...), Label{"le", "+Inf"})
-	if err := writeSample(b, name+"_bucket", labels, float64(cum)); err != nil {
+	if err := writeSample(b, name+"_sum", labels, m.Sum); err != nil {
 		return err
 	}
-	if err := writeSample(b, name+"_sum", h.Labels, h.Sum); err != nil {
-		return err
-	}
-	return writeSample(b, name+"_count", h.Labels, float64(cum))
+	return writeSample(b, name+"_count", labels, float64(cum))
 }
 
-func writeSample(b *strings.Builder, name string, labels []Label, v float64) error {
+func writeSample(b *strings.Builder, name string, labels []label, v float64) error {
 	b.WriteString(name)
 	if len(labels) > 0 {
 		b.WriteByte('{')
@@ -149,6 +117,32 @@ func writeSample(b *strings.Builder, name string, labels []Label, v float64) err
 	b.WriteString(formatFloat(v))
 	b.WriteByte('\n')
 	return nil
+}
+
+// WriteVars renders ms as plain `key value` lines, easy to read and to
+// diff: a labelled series prints under its dotted Key, a histogram as
+// its disjoint `_le.<bound>` bucket counts plus `_sum`, and a `_ns`
+// value also as a duration.
+func WriteVars(w io.Writer, ms []Metric) {
+	for _, m := range ms {
+		key := m.Key()
+		if m.Kind == KindHistogram {
+			for i, c := range m.Counts {
+				le := "inf"
+				if i < len(m.Bounds) {
+					le = formatFloat(m.Bounds[i])
+				}
+				fmt.Fprintf(w, "%s_le.%s %d\n", key, le, c)
+			}
+			fmt.Fprintf(w, "%s_sum %s\n", key, formatFloat(m.Sum))
+			continue
+		}
+		if strings.HasSuffix(m.Name, "_ns") && m.Value > 0 {
+			fmt.Fprintf(w, "%s %d (%v)\n", key, m.Value, time.Duration(m.Value))
+			continue
+		}
+		fmt.Fprintf(w, "%s %d\n", key, m.Value)
+	}
 }
 
 func formatFloat(v float64) string {
@@ -340,7 +334,7 @@ func ValidateExposition(data string) error {
 
 // parseSampleLine splits `name{l="v",...} value` into parts, undoing
 // label-value escapes.
-func parseSampleLine(line string) (name string, labels []Label, value float64, err error) {
+func parseSampleLine(line string) (name string, labels []label, value float64, err error) {
 	rest := line
 	i := strings.IndexAny(rest, "{ ")
 	if i < 0 {
@@ -407,7 +401,7 @@ func parseSampleLine(line string) (name string, labels []Label, value float64, e
 			if !closed {
 				return "", nil, 0, fmt.Errorf("unterminated label value in %q", line)
 			}
-			labels = append(labels, Label{Name: lname, Value: val.String()})
+			labels = append(labels, label{Name: lname, Value: val.String()})
 		}
 	}
 	rest = strings.TrimLeft(rest, " ")
@@ -436,7 +430,7 @@ func parseValue(s string) (float64, error) {
 
 // labelSig renders a label set minus one excluded name as a canonical
 // string, so histogram series with the same dimensions group together.
-func labelSig(labels []Label, exclude string) string {
+func labelSig(labels []label, exclude string) string {
 	kept := make([]string, 0, len(labels))
 	for _, l := range labels {
 		if l.Name != exclude {

@@ -7,24 +7,20 @@ import (
 )
 
 func TestWriteMetricsRoundTrip(t *testing.T) {
-	fams := []MetricFamily{
-		{Name: "rql_test_total", Help: `a "quoted" help
-with a newline and a \`, Type: Counter,
-			Samples: []Sample{
-				{Value: 42},
-				{Labels: []Label{{"role", `pri"mary`}, {"id", "a\nb\\c"}}, Value: 7},
-			}},
-		{Name: "rql_test_gauge", Type: Gauge,
-			Samples: []Sample{{Labels: []Label{{"view", "v1"}}, Value: -1.5}}},
-		{Name: "rql_test_seconds", Type: HistogramType,
-			Histograms: []HistogramSample{{
-				Bounds: []float64{0.001, 0.01, 0.1},
-				Counts: []uint64{3, 2, 1, 4}, // disjoint; encoder accumulates
-				Sum:    1.25,
-			}}},
+	ms := []Metric{
+		{Name: "test_total", Help: `a "quoted" help
+with a newline and a \`, Value: 42},
+		{Name: "test_gauge", Kind: KindGauge, Label: "view", LabelValue: "v1", Value: 3},
+		// A second series of the first family, declared later: the
+		// encoder groups it under the family's one TYPE line.
+		{Name: "test_total", Label: "id", LabelValue: "a\nb\\c\"d", Value: 7},
+		{Name: "test_seconds", Kind: KindHistogram,
+			Bounds: []float64{0.001, 0.01, 0.1},
+			Counts: []uint64{3, 2, 1, 4}, // disjoint; encoder accumulates
+			Sum:    1.25},
 	}
 	var b strings.Builder
-	if err := WriteMetrics(&b, fams); err != nil {
+	if err := WriteMetrics(&b, "rql_", ms); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -37,10 +33,9 @@ with a newline and a \`, Type: Counter,
 
 	for _, want := range []string{
 		"# TYPE rql_test_total counter",
-		"rql_test_total 42",
-		`rql_test_total{role="pri\"mary",id="a\nb\\c"} 7`,
+		"rql_test_total 42\n" + `rql_test_total{id="a\nb\\c\"d"} 7`,
 		"# TYPE rql_test_gauge gauge",
-		`rql_test_gauge{view="v1"} -1.5`,
+		`rql_test_gauge{view="v1"} 3`,
 		// Cumulative le series derived from disjoint bucket counts.
 		`rql_test_seconds_bucket{le="0.001"} 3`,
 		`rql_test_seconds_bucket{le="0.01"} 5`,
@@ -53,25 +48,21 @@ with a newline and a \`, Type: Counter,
 			t.Errorf("exposition misses %q:\n%s", want, out)
 		}
 	}
+	if n := strings.Count(out, "# TYPE rql_test_total"); n != 1 {
+		t.Errorf("family rql_test_total announced %d times, want once:\n%s", n, out)
+	}
 }
 
 func TestWriteMetricsRejectsBadNames(t *testing.T) {
 	var b strings.Builder
-	if err := WriteMetrics(&b, []MetricFamily{{Name: "1bad", Type: Counter}}); err == nil {
+	if err := WriteMetrics(&b, "", []Metric{{Name: "1bad"}}); err == nil {
 		t.Error("metric name starting with a digit should be rejected")
 	}
-	err := WriteMetrics(&b, []MetricFamily{{
-		Name: "rql_ok", Type: Counter,
-		Samples: []Sample{{Labels: []Label{{"bad-label", "x"}}, Value: 1}},
-	}})
-	if err == nil {
+	if err := WriteMetrics(&b, "", []Metric{{Name: "ok", Label: "bad-label", LabelValue: "x", Value: 1}}); err == nil {
 		t.Error("label name with a dash should be rejected")
 	}
 	// Histogram with the wrong bucket-count arity.
-	err = WriteMetrics(&b, []MetricFamily{{
-		Name: "rql_h", Type: HistogramType,
-		Histograms: []HistogramSample{{Bounds: []float64{1}, Counts: []uint64{1}}},
-	}})
+	err := WriteMetrics(&b, "", []Metric{{Name: "h", Kind: KindHistogram, Bounds: []float64{1}, Counts: []uint64{1}}})
 	if err == nil {
 		t.Error("histogram with len(Counts) != len(Bounds)+1 should be rejected")
 	}
@@ -95,17 +86,13 @@ func TestValidateExpositionRejects(t *testing.T) {
 
 func TestTimelineRing(t *testing.T) {
 	counters := map[string]uint64{"queries": 0}
-	gauges := map[string]float64{"conns": 1}
-	tl := NewTimeline(time.Second, 3, func() (map[string]uint64, map[string]float64) {
-		c := make(map[string]uint64, len(counters))
-		for k, v := range counters {
-			c[k] = v
+	gauges := map[string]uint64{"conns": 1}
+	tl := NewTimeline(time.Second, 3, func() []Metric {
+		return []Metric{
+			{Name: "queries", Value: counters["queries"]},
+			{Name: "conns", Kind: KindGauge, Value: gauges["conns"]},
+			{Name: "latency", Kind: KindHistogram}, // not sampled
 		}
-		g := make(map[string]float64, len(gauges))
-		for k, v := range gauges {
-			g[k] = v
-		}
-		return c, g
 	})
 
 	// The first tick only establishes the baseline.
@@ -155,9 +142,9 @@ func TestTimelineRing(t *testing.T) {
 
 func TestTimelineStartStop(t *testing.T) {
 	var n uint64
-	tl := NewTimeline(time.Millisecond, 8, func() (map[string]uint64, map[string]float64) {
+	tl := NewTimeline(time.Millisecond, 8, func() []Metric {
 		n += 1000
-		return map[string]uint64{"c": n}, nil
+		return []Metric{{Name: "c", Value: n}}
 	})
 	tl.Start()
 	deadline := time.Now().Add(2 * time.Second)

@@ -19,14 +19,15 @@ type Point struct {
 	Gauges   map[string]float64 `json:"gauges"`
 }
 
-// Timeline samples a pair of counter/gauge maps on a fixed period and
-// retains the resulting points in a ring. Counters are converted to
-// per-second rates between consecutive samples; a counter that moves
-// backwards (stats reset) re-baselines with a zero rate rather than
-// reporting a huge negative one.
+// Timeline samples the metric list on a fixed period and retains the
+// resulting points in a ring, keyed by Metric.Key. Counters are
+// converted to per-second rates between consecutive samples; a counter
+// that moves backwards (stats reset) re-baselines with a zero rate
+// rather than reporting a huge negative one. Gauges pass through;
+// histograms are not sampled.
 type Timeline struct {
 	period time.Duration
-	sample func() (counters map[string]uint64, gauges map[string]float64)
+	sample func() []Metric
 
 	mu     sync.Mutex
 	ring   []Point
@@ -43,7 +44,7 @@ type Timeline struct {
 // keeps the most recent size points. It does not start sampling until
 // Start is called. period <= 0 defaults to one second, size < 1 to
 // DefaultTimelinePoints.
-func NewTimeline(period time.Duration, size int, sample func() (map[string]uint64, map[string]float64)) *Timeline {
+func NewTimeline(period time.Duration, size int, sample func() []Metric) *Timeline {
 	if period <= 0 {
 		period = time.Second
 	}
@@ -89,7 +90,15 @@ func (t *Timeline) Stop() {
 }
 
 func (t *Timeline) tick() {
-	counters, gauges := t.sample()
+	counters, gauges := map[string]uint64{}, map[string]float64{}
+	for _, m := range t.sample() {
+		switch m.Kind {
+		case KindCounter:
+			counters[m.Key()] = m.Value
+		case KindGauge:
+			gauges[m.Key()] = float64(m.Value)
+		}
+	}
 	now := time.Now()
 
 	t.mu.Lock()

@@ -69,7 +69,6 @@ type stream struct {
 	id   string
 	addr string
 	nc   net.Conn
-	ver  int // negotiated protocol version of the carrying session
 
 	dead      atomic.Bool // set when the connection is gone; wakes the feeder
 	connected atomic.Bool
@@ -229,12 +228,9 @@ func (p *Primary) resolveStart(lastApplied uint64) (startSeq uint64, needBoot bo
 // ServeStream runs one replica subscription on an accepted connection.
 // It takes over the connection — the session layer hands it off after
 // decoding the subscribe request — and returns when the stream ends
-// (replica gone, primary closed, or backpressure disconnect). ver is
-// the session's negotiated protocol version; subscribers at v6+ get
-// sealed Pagelog segments shipped verbatim during bootstrap, older
-// ones get every archived page raw.
-func (p *Primary) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, sub wire.ReplSubscribe, ver int) error {
-	st := &stream{id: sub.ID, nc: nc, ver: ver}
+// (replica gone, primary closed, or backpressure disconnect).
+func (p *Primary) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, sub wire.ReplSubscribe) error {
+	st := &stream{id: sub.ID, nc: nc}
 	if ra := nc.RemoteAddr(); ra != nil {
 		st.addr = ra.String()
 	}
@@ -259,7 +255,7 @@ func (p *Primary) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, s
 	startSeq, needBoot := p.resolveStart(sub.LastApplied)
 	if needBoot {
 		var err error
-		startSeq, err = p.sendBootstrap(st, bw, ver)
+		startSeq, err = p.sendBootstrap(st, bw)
 		if err != nil {
 			return fmt.Errorf("repl: bootstrap to %s: %w", sub.ID, err)
 		}
@@ -334,11 +330,6 @@ func (p *Primary) feed(st *stream, bw *bufio.Writer, startSeq uint64) error {
 // sendEvent writes one log event, chunking large commits.
 func (p *Primary) sendEvent(st *stream, bw *bufio.Writer, ev *event) error {
 	if ev.viewDDL != nil {
-		// Pre-v7 subscribers have no view layer; they skip the event and
-		// stay consistent for everything page-shaped.
-		if st.ver < wire.ViewProtocolVersion {
-			return nil
-		}
 		e := &wire.Enc{}
 		wire.EncodeViewDDL(e, *ev.viewDDL)
 		return p.writeFrame(st, bw, wire.RespReplViewDDL, e.B)
@@ -401,7 +392,7 @@ func (p *Primary) writeFrame(st *stream, bw *bufio.Writer, op byte, payload []by
 // sendBootstrap ships the full state: a consistent cut of the store,
 // Pagelog, Maplog and SnapIds. It returns the log seq the delta stream
 // continues from.
-func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer, ver int) (startSeq uint64, err error) {
+func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, err error) {
 	sp := obs.StartSpan(nil, "repl.bootstrap")
 	defer sp.End()
 	eng := p.db.Engine()
@@ -493,26 +484,22 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer, ver int) (startSeq
 		return 0, err
 	}
 
-	// Sealed cold segments first (v6+ subscribers): each ships as one
-	// blob at its compressed size and lands on the replica verbatim —
-	// no decompression or re-sealing on either side. Only segments
-	// wholly below the bootstrap cut qualify; ExportSealedSegments
-	// reports how far they reach and the raw loop below picks up there.
-	segStart := int64(0)
-	if ver >= 6 {
-		segs, covered, err := rsys.ExportSealedSegments(boot.PagelogPages)
-		if err != nil {
+	// Sealed cold segments first: each ships as one blob at its
+	// compressed size and lands on the replica verbatim — no
+	// decompression or re-sealing on either side. Only segments wholly
+	// below the bootstrap cut qualify; ExportSealedSegments reports how
+	// far they reach and the raw loop below picks up there.
+	segs, segStart, err := rsys.ExportSealedSegments(boot.PagelogPages)
+	if err != nil {
+		return 0, err
+	}
+	for _, sg := range segs {
+		e := &wire.Enc{}
+		e.Byte(wire.BootSegment)
+		wire.EncodeReplSegmentChunk(e, sg.Base, sg.Pages, sg.Blob)
+		if err := p.writeFrame(st, bw, wire.RespReplBoot, e.B); err != nil {
 			return 0, err
 		}
-		for _, sg := range segs {
-			e := &wire.Enc{}
-			e.Byte(wire.BootSegment)
-			wire.EncodeReplSegmentChunk(e, sg.Base, sg.Pages, sg.Blob)
-			if err := p.writeFrame(st, bw, wire.RespReplBoot, e.B); err != nil {
-				return 0, err
-			}
-		}
-		segStart = covered
 	}
 
 	// Pagelog prefix [segStart, boot.PagelogPages), in runs.
@@ -576,32 +563,30 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer, ver int) (startSeq
 		}
 	}
 
-	// Retro-view definitions (v7+ subscribers), shipped as create-form
-	// DDL events. Like annotations, definitions committed since the cut
-	// also arrive as stream events; the replica's apply is idempotent.
-	if ver >= wire.ViewProtocolVersion {
-		defs, err := eng.ListViews()
-		if err != nil {
-			return 0, err
+	// Retro-view definitions, shipped as create-form DDL events. Like
+	// annotations, definitions committed since the cut also arrive as
+	// stream events; the replica's apply is idempotent.
+	defs, err := eng.ListViews()
+	if err != nil {
+		return 0, err
+	}
+	if len(defs) > 0 {
+		views := make([]wire.ViewDDL, len(defs))
+		for i, def := range defs {
+			views[i] = wire.ViewDDL{
+				Create:    true,
+				Name:      def.Name,
+				Mechanism: def.Mechanism,
+				Qq:        def.Qq,
+				Extra:     def.Extra,
+				HasExtra:  def.HasExtra,
+			}
 		}
-		if len(defs) > 0 {
-			views := make([]wire.ViewDDL, len(defs))
-			for i, def := range defs {
-				views[i] = wire.ViewDDL{
-					Create:    true,
-					Name:      def.Name,
-					Mechanism: def.Mechanism,
-					Qq:        def.Qq,
-					Extra:     def.Extra,
-					HasExtra:  def.HasExtra,
-				}
-			}
-			e := &wire.Enc{}
-			e.Byte(wire.BootViews)
-			wire.EncodeBootViews(e, views)
-			if err := p.writeFrame(st, bw, wire.RespReplBoot, e.B); err != nil {
-				return 0, err
-			}
+		e := &wire.Enc{}
+		e.Byte(wire.BootViews)
+		wire.EncodeBootViews(e, views)
+		if err := p.writeFrame(st, bw, wire.RespReplBoot, e.B); err != nil {
+			return 0, err
 		}
 	}
 

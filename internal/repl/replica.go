@@ -264,46 +264,18 @@ func (r *Replica) stream() error {
 	br := bufio.NewReaderSize(nc, 1<<20)
 	bw := bufio.NewWriterSize(nc, 64<<10)
 
-	// Client handshake; replication needs a v4 primary.
-	e := &wire.Enc{}
-	e.String(wire.Magic)
-	e.Uvarint(wire.ProtocolVersion)
-	if err := wire.WriteFrame(bw, wire.ReqHello, e.B); err != nil {
+	if err := wire.ClientHello(br, bw); err != nil {
 		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	op, payload, err := wire.ReadFrame(br)
-	if err != nil {
-		return err
-	}
-	if op == wire.RespError {
-		return wire.DecodeError(payload)
-	}
-	d := &wire.Dec{B: payload}
-	serverVer := d.Uvarint()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if serverVer < wire.ReplProtocolVersion {
-		return fmt.Errorf("repl: primary speaks protocol v%d, replication needs v%d", serverVer, wire.ReplProtocolVersion)
-	}
-	ver := int(serverVer)
-	if ver > wire.ProtocolVersion {
-		ver = wire.ProtocolVersion
 	}
 
 	r.mu.Lock()
 	lastApplied := r.horizon
 	r.mu.Unlock()
-	e = &wire.Enc{}
-	if ver >= wire.TraceContextVersion {
-		// v8 sessions expect a trace context on every request frame; a
-		// zero context keeps the primary's local tracing behavior. Acks
-		// ride inside the handed-off stream and carry no prefix.
-		wire.EncodeTraceContext(e, wire.TraceContext{})
-	}
+	// Every request frame opens with a trace context; a zero one keeps
+	// the primary's local tracing behavior. Acks ride inside the
+	// handed-off stream and carry no prefix.
+	e := &wire.Enc{}
+	wire.EncodeTraceContext(e, wire.TraceContext{})
 	wire.EncodeReplSubscribe(e, wire.ReplSubscribe{ID: r.cfg.ID, LastApplied: lastApplied})
 	if err := wire.WriteFrame(bw, wire.ReqReplSub, e.B); err != nil {
 		return err

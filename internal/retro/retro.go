@@ -120,7 +120,8 @@ type System struct {
 	// its last flushed state and the device flush is skipped.
 	unflushedTail atomic.Int64
 
-	stats Stats
+	stats   Stats
+	metrics *obs.Set // over stats
 }
 
 // missCall is one in-service demand read that later demand misses of
@@ -153,7 +154,9 @@ func New(store *storage.Store, opts Options) (*System, error) {
 		sleepOnRd:   opts.SleepOnRead,
 		copts:       opts.Compaction.withDefaults(),
 	}
+	sys.metrics = obs.NewSet(&sys.stats)
 	sys.dev = newDevicePool(pl, opts.DeviceQueueDepth, sys.simLatency, opts.SimulatedBandwidth, sys.sleepOnRd, &sys.stats)
+	sys.stats.DeviceQueueDepth.Store(int64(sys.dev.depth))
 	store.SetCommitHook(sys)
 	if sys.copts.Enabled {
 		sys.compactStop = make(chan struct{})
@@ -320,6 +323,11 @@ func (s *System) GroupDurable(commits int) {
 	}
 }
 
+// FlushDecisions implements storage.GroupCommitHook.
+func (s *System) FlushDecisions() uint64 {
+	return s.stats.DeviceFlushes.Load() + s.stats.GroupFlushesSkipped.Load()
+}
+
 // LastSnapshot returns the most recently declared snapshot id (0 if none).
 func (s *System) LastSnapshot() SnapshotID {
 	s.mu.Lock()
@@ -392,23 +400,36 @@ func (s *System) ResetCache() {
 // CachedPages reports the number of pages currently cached.
 func (s *System) CachedPages() int { return s.cache.len() }
 
-// Stats returns a snapshot of the system's counters, plus the tier
-// gauges (segment count, per-tier pages, logical vs on-disk footprint)
-// read from the live Pagelog.
-func (s *System) Stats() StatsSnapshot {
-	st := s.stats.snapshot()
-	st.DeviceQueueDepth = uint64(s.dev.depth)
+// sampleGauges stores the point-in-time gauges — cache and archive
+// size, tier shape, logical vs on-disk footprint — read from the live
+// Pagelog, so the next snapshot of the set reports them.
+func (s *System) sampleGauges() {
 	s.mu.Lock()
 	pl := s.pl
 	s.mu.Unlock()
 	segs, sealedPages, tailPages := pl.tiers()
 	logical, disk := pl.footprint()
-	st.Segments = uint64(segs)
-	st.SegmentPages = uint64(sealedPages)
-	st.TailPages = uint64(tailPages)
-	st.PagelogLogicalBytes = uint64(logical)
-	st.PagelogDiskBytes = uint64(disk)
+	s.stats.PagelogPages.Store(pl.size())
+	s.stats.CachedPages.Store(int64(s.cache.len()))
+	s.stats.Segments.Store(int64(segs))
+	s.stats.SegmentPages.Store(sealedPages)
+	s.stats.TailPages.Store(tailPages)
+	s.stats.PagelogLogicalBytes.Store(logical)
+	s.stats.PagelogDiskBytes.Store(disk)
+}
+
+// Stats returns a typed point-in-time copy of the system's metrics.
+func (s *System) Stats() StatsSnapshot {
+	s.sampleGauges()
+	var st StatsSnapshot
+	s.metrics.Fill(&st)
 	return st
+}
+
+// Metrics samples the system's metrics as the self-describing list.
+func (s *System) Metrics() []obs.Metric {
+	s.sampleGauges()
+	return s.metrics.Snapshot()
 }
 
 // PagelogFootprint reports the archive's live logical bytes against the
@@ -430,8 +451,10 @@ func (s *System) PagelogTiers() (segments int, sealedPages, tailPages int64) {
 	return pl.tiers()
 }
 
-// ResetStats zeroes the system's counters (see Stats.Reset).
-func (s *System) ResetStats() { s.stats.Reset() }
+// ResetStats zeroes the system's counters without disturbing the
+// Pagelog, Maplog, snapshot cache, or any open readers: experiments can
+// zero the accounting between phases without reopening the store.
+func (s *System) ResetStats() { s.metrics.Reset() }
 
 // DeviceQueueDepth returns the device pool's configured concurrency.
 func (s *System) DeviceQueueDepth() int { return s.dev.depth }

@@ -1,70 +1,69 @@
 package retro
 
-import "sync/atomic"
+import "rql/internal/obs"
 
-// Stats holds the snapshot system's global counters.
+// Stats declares the snapshot system's metrics (see obs.Set): each
+// field is the live atomic its call sites increment, and its tags are
+// the one place its exported name and help text are written.
 type Stats struct {
-	Snapshots     atomic.Uint64 // snapshots declared
-	PagelogWrites atomic.Uint64 // pre-states captured (COW)
-	PagelogReads  atomic.Uint64 // cache-missing Pagelog reads
-	CacheHits     atomic.Uint64 // snapshot cache hits
-	SPTBuilds     atomic.Uint64 // snapshot page tables built one at a time
+	Snapshots     obs.Counter `metric:"retro_snapshots" help:"Snapshots declared."`
+	PagelogWrites obs.Counter `metric:"retro_pagelog_writes" help:"Page pre-states captured into the Pagelog (copy-on-write)."`
+	PagelogReads  obs.Counter `metric:"retro_pagelog_reads" help:"Billed Pagelog page reads (snapshot-cache misses)."`
+	CacheHits     obs.Counter `metric:"retro_cache_hits" help:"Snapshot pages served from the cache."`
+	SPTBuilds     obs.Counter `metric:"retro_spt_builds" help:"Snapshot page tables built one at a time."`
+	PagelogPages  obs.Gauge   `metric:"retro_pagelog_pages" help:"Archived page pre-states in the Pagelog."`
+	CachedPages   obs.Gauge   `metric:"retro_cached_pages" help:"Pages held by the snapshot cache."`
 
 	// Batch SPT construction (OpenSnapshotSet).
-	SPTBatchBuilds  atomic.Uint64 // one-sweep batch builds performed
-	BatchSnapshots  atomic.Uint64 // SPTs derived by batch builds
-	BatchMapScanned atomic.Uint64 // Maplog entries scanned by batch builds
+	SPTBatchBuilds  obs.Counter `metric:"retro_spt_batch_builds" help:"One-sweep batch SPT builds."`
+	BatchSnapshots  obs.Counter `metric:"retro_batch_snapshots" help:"SPTs derived by batch builds."`
+	BatchMapScanned obs.Counter `metric:"retro_batch_map_scanned" help:"Maplog entries scanned by batch builds."`
 
 	// Clustered Pagelog prefetch (SnapshotReader.PrefetchAsync / FetchBatch).
-	ClusteredReads atomic.Uint64 // coalesced read runs issued
-	ClusteredPages atomic.Uint64 // pages fetched via clustered runs
+	ClusteredReads obs.Counter `metric:"retro_clustered_reads" help:"Coalesced Pagelog read runs issued."`
+	ClusteredPages obs.Counter `metric:"retro_clustered_pages" help:"Pages fetched by coalesced read runs."`
 
 	// Per-member delta page sets (OpenSnapshotSet, read-set pruning).
-	DeltaBuilds atomic.Uint64 // batch builds that retained delta sets
-	DeltaPages  atomic.Uint64 // delta pages retained across those builds
+	DeltaBuilds obs.Counter `metric:"retro_delta_builds" help:"Batch builds that retained per-member delta sets."`
+	DeltaPages  obs.Counter `metric:"retro_delta_pages" help:"Delta pages retained across those builds."`
 
 	// Device model (device.go): physical command-level view of the
-	// Pagelog. DeviceReads counts commands serviced (a clustered run is
-	// one command); OverlappedReads counts commands that were in service
-	// concurrently with at least one other; DeviceBusyNS accumulates
-	// per-command service time in nanoseconds.
-	DeviceReads     atomic.Uint64
-	OverlappedReads atomic.Uint64
-	DeviceBusyNS    atomic.Uint64
+	// Pagelog. A clustered run is one command; an overlapped command was
+	// in service concurrently with at least one other.
+	DeviceReads      obs.Counter `metric:"device_reads" help:"Device read commands serviced."`
+	OverlappedReads  obs.Counter `metric:"device_overlapped_reads" help:"Device commands serviced concurrently with another."`
+	DeviceBusyNS     obs.Counter `metric:"device_busy_ns" help:"Nanoseconds the modeled device spent serving reads."`
+	DeviceQueueDepth obs.Gauge   `metric:"device_queue_depth" help:"Configured device concurrency."`
 
-	// DeviceFlushes counts fsync-equivalent commit flushes: one per
-	// commit group (group commit on) or one per commit (off). With
-	// Commits it proves the batching the group-commit bench claims.
-	DeviceFlushes atomic.Uint64
+	// DeviceFlushes counts fsync-equivalent commit flushes, one per
+	// commit group that appended to the Pagelog's hot tail;
+	// GroupFlushesSkipped counts the groups whose flush was elided
+	// because every page they touched was already captured since the
+	// last declaration, so the tail backing is byte-identical to its
+	// last flushed state. Together they are one decision per group.
+	DeviceFlushes       obs.Counter `metric:"device_flushes" help:"Device flush round-trips."`
+	GroupFlushesSkipped obs.Counter `metric:"group_flushes_skipped" help:"Commit groups that skipped the hot-tail flush."`
 
-	// GroupFlushesSkipped counts commit groups whose device flush was
-	// elided because the group appended nothing new to the Pagelog's
-	// hot tail — every page it touched was already captured since the
-	// last snapshot declaration, so its pre-states live in already-
-	// durable archived ranges and the tail backing is byte-identical
-	// to its last flushed state.
-	GroupFlushesSkipped atomic.Uint64
+	// DeviceBytesRead is where compression and dedup show up: PageSize
+	// per flat/tail page, the compressed block length per cold block
+	// inflated, zero on a block-cache hit.
+	DeviceBytesRead obs.Counter `metric:"device_bytes_read" help:"Bytes device commands physically transferred."`
 
-	// DeviceBytesRead accumulates the bytes device commands physically
-	// transferred: PageSize per flat/tail page, the compressed block
-	// length per cold block inflated, zero on a block-cache hit. The
-	// logical counters above are tier-oblivious; this one is where
-	// compression and dedup show up.
-	DeviceBytesRead atomic.Uint64
-
-	// Tiered-Pagelog compactor (compactor.go). SegmentSeals/SealedPages
-	// count sealing work; RetentionDrops/RetentionDroppedPages count
-	// sealed segments unlinked whole after TruncateBefore;
-	// SegBlockHits counts cold reads served from the decompressed-block
-	// cache without touching the backing.
-	SegmentSeals          atomic.Uint64
-	SealedPages           atomic.Uint64
-	RetentionDrops        atomic.Uint64
-	RetentionDroppedPages atomic.Uint64
-	SegBlockHits          atomic.Uint64
+	// Tiered Pagelog: point-in-time tier shape and footprint (their
+	// ratio is the compression+dedup factor), then compactor activity.
+	Segments              obs.Gauge   `metric:"retro_segments" help:"Sealed Pagelog segments."`
+	SegmentPages          obs.Gauge   `metric:"retro_segment_pages" help:"Logical pages held in sealed segments."`
+	TailPages             obs.Gauge   `metric:"retro_tail_pages" help:"Pages in the Pagelog hot tail."`
+	PagelogLogicalBytes   obs.Gauge   `metric:"retro_pagelog_logical_bytes" help:"Logical size of the archive."`
+	PagelogDiskBytes      obs.Gauge   `metric:"retro_pagelog_disk_bytes" help:"Bytes the archive's backing holds after dedup and compression."`
+	SegmentSeals          obs.Counter `metric:"retro_segment_seals" help:"Segments sealed by the compactor."`
+	SealedPages           obs.Counter `metric:"retro_sealed_pages" help:"Pages sealed into segments."`
+	RetentionDrops        obs.Counter `metric:"retro_retention_drops" help:"Sealed segments dropped whole by retention."`
+	RetentionDroppedPages obs.Counter `metric:"retro_retention_dropped_pages" help:"Pages in retention-dropped segments."`
+	SegBlockHits          obs.Counter `metric:"retro_seg_block_hits" help:"Cold reads served from the decompressed-block cache."`
 }
 
-// StatsSnapshot is a point-in-time copy of Stats.
+// StatsSnapshot is a point-in-time copy of Stats, filled by field name.
 type StatsSnapshot struct {
 	Snapshots     uint64
 	PagelogWrites uint64
@@ -90,78 +89,15 @@ type StatsSnapshot struct {
 	DeviceQueueDepth    uint64
 	DeviceBytesRead     uint64
 
-	// Tiered Pagelog: compactor counters …
 	SegmentSeals          uint64
 	SealedPages           uint64
 	RetentionDrops        uint64
 	RetentionDroppedPages uint64
 	SegBlockHits          uint64
 
-	// … and point-in-time tier gauges, filled by System.Stats rather
-	// than accumulated: current sealed-segment count, logical pages per
-	// tier, and the archive's logical footprint against the bytes its
-	// backing actually holds (compression ratio = logical/disk).
 	Segments            uint64
 	SegmentPages        uint64
 	TailPages           uint64
 	PagelogLogicalBytes uint64
 	PagelogDiskBytes    uint64
-}
-
-// Reset zeroes all counters without disturbing the Pagelog, Maplog,
-// snapshot cache, or any open readers: experiments can zero the
-// accounting between phases without reopening the store.
-func (s *Stats) Reset() {
-	s.Snapshots.Store(0)
-	s.PagelogWrites.Store(0)
-	s.PagelogReads.Store(0)
-	s.CacheHits.Store(0)
-	s.SPTBuilds.Store(0)
-	s.SPTBatchBuilds.Store(0)
-	s.BatchSnapshots.Store(0)
-	s.BatchMapScanned.Store(0)
-	s.ClusteredReads.Store(0)
-	s.ClusteredPages.Store(0)
-	s.DeltaBuilds.Store(0)
-	s.DeltaPages.Store(0)
-	s.DeviceReads.Store(0)
-	s.OverlappedReads.Store(0)
-	s.DeviceBusyNS.Store(0)
-	s.DeviceFlushes.Store(0)
-	s.GroupFlushesSkipped.Store(0)
-	s.DeviceBytesRead.Store(0)
-	s.SegmentSeals.Store(0)
-	s.SealedPages.Store(0)
-	s.RetentionDrops.Store(0)
-	s.RetentionDroppedPages.Store(0)
-	s.SegBlockHits.Store(0)
-}
-
-func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Snapshots:           s.Snapshots.Load(),
-		PagelogWrites:       s.PagelogWrites.Load(),
-		PagelogReads:        s.PagelogReads.Load(),
-		CacheHits:           s.CacheHits.Load(),
-		SPTBuilds:           s.SPTBuilds.Load(),
-		SPTBatchBuilds:      s.SPTBatchBuilds.Load(),
-		BatchSnapshots:      s.BatchSnapshots.Load(),
-		BatchMapScanned:     s.BatchMapScanned.Load(),
-		ClusteredReads:      s.ClusteredReads.Load(),
-		ClusteredPages:      s.ClusteredPages.Load(),
-		DeltaBuilds:         s.DeltaBuilds.Load(),
-		DeltaPages:          s.DeltaPages.Load(),
-		DeviceReads:         s.DeviceReads.Load(),
-		OverlappedReads:     s.OverlappedReads.Load(),
-		DeviceBusyNS:        s.DeviceBusyNS.Load(),
-		DeviceFlushes:       s.DeviceFlushes.Load(),
-		GroupFlushesSkipped: s.GroupFlushesSkipped.Load(),
-		DeviceBytesRead:     s.DeviceBytesRead.Load(),
-
-		SegmentSeals:          s.SegmentSeals.Load(),
-		SealedPages:           s.SealedPages.Load(),
-		RetentionDrops:        s.RetentionDrops.Load(),
-		RetentionDroppedPages: s.RetentionDroppedPages.Load(),
-		SegBlockHits:          s.SegBlockHits.Load(),
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"rql"
 	"rql/client"
 	"rql/internal/obs"
-	"rql/internal/wire"
 )
 
 // resetObs restores the process-global recorder state after a test.
@@ -76,7 +76,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string][]wire.Span{}
+	byName := map[string][]obs.Span{}
 	for _, s := range spans {
 		if s.Trace != trace {
 			t.Fatalf("TraceSpans(%d) returned a span of trace %d", trace, s.Trace)
@@ -105,7 +105,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// The span tree must be connected: every parent the spans name is
 	// in the same trace, up to the single root (the server request).
-	ids := map[uint64]wire.Span{}
+	ids := map[uint64]obs.Span{}
 	for _, s := range spans {
 		ids[s.ID] = s
 	}
@@ -195,15 +195,15 @@ func TestDebugEndpoint(t *testing.T) {
 		}
 	}
 
-	// The pre-v8 plain dump lives on /vars, including the role line in
-	// valid `name value` form (no pseudo-label syntax).
+	// The plain dump lives on /vars: the same list as `key value` lines,
+	// labelled series under their dotted key.
 	code, body = get("/vars")
 	if code != 200 {
 		t.Fatalf("/vars returned %d", code)
 	}
 	for _, want := range []string{
 		"queries_served", "storage_commits", "retro_pagelog_writes",
-		"tracing_enabled 1", "request_latency_le.inf", "repl_role primary",
+		"tracing_enabled 1", "request_latency_seconds_le.inf", "repl_role.primary 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/vars misses %q:\n%s", want, body)
@@ -303,9 +303,10 @@ func TestResetStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.QueriesServed == 0 || ss.Commits == 0 || ss.Snapshots == 0 {
+	if ss.Value("queries_served") == 0 || ss.Value("storage_commits") == 0 || ss.Value("retro_snapshots") == 0 {
 		t.Fatalf("counters should be non-zero before reset: %+v", ss)
 	}
+	bounds := ss.LatencyBounds
 
 	if err := c.ResetStats(); err != nil {
 		t.Fatal(err)
@@ -314,17 +315,18 @@ func TestResetStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.QueriesServed != 0 || ss.Commits != 0 || ss.Snapshots != 0 ||
-		ss.RowsStreamed != 0 || ss.PagesWritten != 0 {
-		t.Fatalf("counters should be zero after reset: %+v", ss)
+	for _, name := range []string{"queries_served", "storage_commits", "retro_snapshots", "rows_streamed", "storage_pages_written"} {
+		if v := ss.Value(name); v != 0 {
+			t.Fatalf("%s = %d after reset, want 0", name, v)
+		}
 	}
 	// The gauge survives: this session is still connected.
-	if ss.ConnsActive == 0 {
-		t.Fatal("ConnsActive is a gauge and must survive the reset")
+	if ss.Value("conns_active") == 0 {
+		t.Fatal("conns_active is a gauge and must survive the reset")
 	}
 	// Bucket bounds still round-trip after reset.
-	if ss.LatencyBounds != wire.HistogramBuckets {
-		t.Fatalf("LatencyBounds = %v, want %v", ss.LatencyBounds, wire.HistogramBuckets)
+	if len(bounds) == 0 || !reflect.DeepEqual(ss.LatencyBounds, bounds) {
+		t.Fatalf("LatencyBounds = %v, want %v", ss.LatencyBounds, bounds)
 	}
 
 	// Counters keep counting after the reset.
@@ -335,7 +337,7 @@ func TestResetStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.QueriesServed == 0 || ss.Commits == 0 {
+	if ss.Value("queries_served") == 0 || ss.Value("storage_commits") == 0 {
 		t.Fatalf("counters should resume after reset: %+v", ss)
 	}
 }

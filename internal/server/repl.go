@@ -99,13 +99,6 @@ var errStreamDone = errors.New("server: replication stream ended")
 // stream feeder. It never returns nil: the connection cannot go back
 // to request/response framing afterwards.
 func (ss *session) handleReplSub(payload []byte) error {
-	if ss.ver < wire.ReplProtocolVersion {
-		err := fmt.Errorf("server: replication requires protocol v%d (session negotiated v%d)",
-			wire.ReplProtocolVersion, ss.ver)
-		ss.writeError(err)
-		ss.flush()
-		return err
-	}
 	p := ss.srv.Primary()
 	if p == nil {
 		var err error
@@ -126,7 +119,7 @@ func (ss *session) handleReplSub(payload []byte) error {
 	// Clear the session's idle deadline: the stream manages its own
 	// write deadlines, and reads (acks) are expected to be sparse.
 	ss.nc.SetReadDeadline(noDeadline)
-	if err := p.ServeStream(ss.nc, ss.br, ss.bw, sub, ss.ver); err != nil {
+	if err := p.ServeStream(ss.nc, ss.br, ss.bw, sub); err != nil {
 		return err
 	}
 	return errStreamDone

@@ -22,8 +22,6 @@ import (
 	"rql"
 	"rql/internal/obs"
 	"rql/internal/repl"
-	"rql/internal/storage"
-	"rql/internal/wire"
 )
 
 // DefaultAddr is the default rqld listen address.
@@ -86,13 +84,14 @@ type Server struct {
 	sessions map[*session]struct{}
 	draining bool
 
-	// Replication roles (v4). primary feeds subscriber streams;
+	// Replication roles. primary feeds subscriber streams;
 	// replica, when set, marks this server as a read-only replica.
 	primary *repl.Primary
 	replica *repl.Replica
 
-	wg    sync.WaitGroup
-	stats serverStats
+	wg      sync.WaitGroup
+	stats   serverStats
+	metrics *obs.Set // over stats
 
 	// timeline samples the counters into a fixed ring for /timeline
 	// and the TIMELINE request; nil when cfg.TimelinePeriod < 0.
@@ -107,8 +106,9 @@ func New(db *rql.DB, cfg Config) *Server {
 		cfg:      cfg.withDefaults(),
 		sessions: make(map[*session]struct{}),
 	}
+	s.metrics = obs.NewSet(&s.stats)
 	if s.cfg.TimelinePeriod > 0 {
-		s.timeline = obs.NewTimeline(s.cfg.TimelinePeriod, obs.DefaultTimelinePoints, s.sampleTelemetry)
+		s.timeline = obs.NewTimeline(s.cfg.TimelinePeriod, obs.DefaultTimelinePoints, s.Metrics)
 		s.timeline.Start()
 	}
 	return s
@@ -116,51 +116,6 @@ func New(db *rql.DB, cfg Config) *Server {
 
 // Timeline exposes the telemetry sampler (nil when disabled).
 func (s *Server) Timeline() *obs.Timeline { return s.timeline }
-
-// sampleTelemetry is the timeline sampler's probe: cumulative counters
-// (turned into per-second rates by the ring) and point-in-time gauges.
-// Per-replica lag and per-view refresh counters get dotted suffixes so
-// the flat name space stays self-describing.
-func (s *Server) sampleTelemetry() (map[string]uint64, map[string]float64) {
-	st := s.Stats()
-	counters := map[string]uint64{
-		"queries_served":     st.QueriesServed,
-		"rows_streamed":      st.RowsStreamed,
-		"errors":             st.Errors,
-		"commits":            st.Commits,
-		"commit_groups":      st.CommitGroups,
-		"pagelog_reads":      st.PagelogReads,
-		"cache_hits":         st.CacheHits,
-		"device_busy_ns":     st.DeviceBusyNS,
-		"device_reads":       st.DeviceReads,
-		"device_bytes_read":  st.DeviceBytesRead,
-		"snapshots":          st.Snapshots,
-		"view_refreshes":     st.ViewRefreshes,
-		"view_rows_pushed":   st.ViewRowsPushed,
-		"commit_conflicts":   st.CommitConflicts,
-		"spt_builds":         st.SPTBuilds,
-		"retro_delta_builds": st.DeltaBuilds,
-	}
-	gauges := map[string]float64{
-		"conns_active":       float64(st.ConnsActive),
-		"device_queue_depth": float64(st.DeviceQueueDepth),
-		"views":              float64(st.Views),
-		"view_subscribers":   float64(st.ViewSubscribers),
-	}
-	rs := s.ReplStats()
-	gauges["repl_horizon"] = float64(rs.Horizon)
-	for _, rep := range rs.Replicas {
-		lag := uint64(0)
-		if rs.Horizon > rep.AckedSnap {
-			lag = rs.Horizon - rep.AckedSnap
-		}
-		gauges["repl_lag."+rep.ID] = float64(lag)
-	}
-	for _, v := range s.db.Views() {
-		counters["view_refreshes."+v.Name] = v.Refreshes
-	}
-	return counters, gauges
-}
 
 // DB returns the served database.
 func (s *Server) DB() *rql.DB { return s.db }
@@ -226,12 +181,12 @@ func (s *Server) startSession(nc net.Conn) {
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
 
-	s.stats.connsAccepted.Add(1)
-	s.stats.connsActive.Add(1)
+	s.stats.ConnsAccepted.Add(1)
+	s.stats.ConnsActive.Add(1)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer s.stats.connsActive.Add(-1)
+		defer s.stats.ConnsActive.Add(-1)
 		defer s.dropSession(sess)
 		sess.run()
 	}()
@@ -295,69 +250,12 @@ func (s *Server) Shutdown() {
 	}
 }
 
-// Stats assembles the full STATS reply: server counters plus the
-// storage and snapshot-system counters piped through from the database.
-func (s *Server) Stats() wire.ServerStats {
-	out := s.stats.snapshot()
-	ss := s.db.StorageStats()
-	out.Commits = ss.Commits
-	out.PagesWritten = ss.PagesWritten
-	out.DBReads = ss.DBReads
-	rs := s.db.RetroStats()
-	out.Snapshots = rs.Snapshots
-	out.PagelogWrites = rs.PagelogWrites
-	out.PagelogReads = rs.PagelogReads
-	out.CacheHits = rs.CacheHits
-	out.SPTBuilds = rs.SPTBuilds
-	out.PagelogPages = s.db.PagelogPages()
-	out.CachedPages = uint64(s.db.CachedPages())
-	out.SPTBatchBuilds = rs.SPTBatchBuilds
-	out.BatchSnapshots = rs.BatchSnapshots
-	out.BatchMapScanned = rs.BatchMapScanned
-	out.ClusteredReads = rs.ClusteredReads
-	out.ClusteredPages = rs.ClusteredPages
-	out.DeltaBuilds = rs.DeltaBuilds
-	out.DeltaPages = rs.DeltaPages
-	out.DeviceReads = rs.DeviceReads
-	out.OverlappedReads = rs.OverlappedReads
-	out.DeviceBusyNS = rs.DeviceBusyNS
-	out.DeviceQueueDepth = rs.DeviceQueueDepth
-	out.CommitGroups = ss.Groups
-	out.CommitConflicts = ss.Conflicts
-	out.CommitQueueWaitNS = ss.QueueWaitNS
-	out.GroupSizeBuckets = ss.GroupSizeBuckets
-	out.DeviceFlushes = rs.DeviceFlushes
-	out.Segments = rs.Segments
-	out.SegmentPages = rs.SegmentPages
-	out.TailPages = rs.TailPages
-	out.PagelogLogicalBytes = rs.PagelogLogicalBytes
-	out.PagelogDiskBytes = rs.PagelogDiskBytes
-	out.SegmentSeals = rs.SegmentSeals
-	out.SealedPages = rs.SealedPages
-	out.RetentionDrops = rs.RetentionDrops
-	out.RetentionDroppedPages = rs.RetentionDroppedPages
-	out.SegBlockHits = rs.SegBlockHits
-	out.DeviceBytesRead = rs.DeviceBytesRead
-	out.GroupFlushesSkipped = rs.GroupFlushesSkipped
-	vs := s.db.ViewStats()
-	out.Views = vs.Views
-	out.ViewRefreshes = vs.Refreshes
-	out.ViewPrunedRefreshes = vs.PrunedRefreshes
-	out.ViewRowsPushed = vs.RowsPushed
-	out.ViewSubscribers = vs.Subscribers
-	return out
-}
-
-// The STATS frame copies the storage histogram verbatim; a mismatch in
-// bucket counts fails here instead of shifting counts at runtime.
-var _ = [1]struct{}{}[wire.NumGroupSizeBuckets-storage.NumGroupSizeBuckets]
-
 // ResetStats zeroes the server's cumulative counters (latency histogram
 // included) and the served database's storage/snapshot-system counters
 // and last-run statistics. The active-connections gauge and all page
 // state are untouched.
 func (s *Server) ResetStats() {
-	s.stats.reset()
+	s.metrics.Reset()
 	s.db.ResetStats()
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -31,7 +30,6 @@ type session struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	conn *rql.Conn
-	ver  int // negotiated protocol version (min of client and server)
 
 	// cancel fires the session's lifetime context: the Conn's writer
 	// waits (legacy writer lock, group-commit queue) abort instead of
@@ -119,18 +117,14 @@ func (ss *session) run() {
 			ss.flush()
 			return
 		}
-		// v8: every request payload opens with the caller's trace
-		// context. Strip it here, once, so the handlers below see the
-		// same payload layout on every version.
-		var tc wire.TraceContext
-		if ss.ver >= wire.TraceContextVersion {
-			d := &wire.Dec{B: payload}
-			tc = wire.DecodeTraceContext(d)
-			if d.Err() != nil {
-				return
-			}
-			payload = d.B
+		// Every request payload opens with the caller's trace context.
+		// Strip it here, once, so the handlers below see only operands.
+		d := &wire.Dec{B: payload}
+		tc := wire.DecodeTraceContext(d)
+		if d.Err() != nil {
+			return
 		}
+		payload = d.B
 		// One root span per request: the session's Conn carries it as
 		// the ambient parent, so the statement, mechanism-iteration,
 		// snapshot-fetch and device spans underneath all join this
@@ -155,7 +149,7 @@ func (ss *session) run() {
 			ss.conn.SetTraceSpan(nil)
 			sp.End()
 		}
-		ss.srv.stats.observe(time.Since(start))
+		ss.srv.stats.Latency.Observe(uint64(time.Since(start)))
 		ferr := ss.flush()
 		exit := ss.setBusy(false)
 		if err != nil || ferr != nil || exit {
@@ -184,16 +178,17 @@ func (ss *session) handshake() error {
 		ss.flush()
 		return err
 	}
-	// Both sides speak min(client, server): an older client keeps its
-	// feature set against a newer server (and vice versa) instead of
-	// erroring on the version number. Requests above the negotiated
-	// version are rejected per-request (see handleReplSub).
-	ss.ver = wire.ProtocolVersion
-	if int(v) < ss.ver {
-		ss.ver = int(v)
+	// ProtocolVersion is also the floor: every peer is built from this
+	// tree. A newer peer is answered with our version and decides for
+	// itself; an older one gets one clean error naming the floor.
+	if v < wire.ProtocolVersion {
+		err := fmt.Errorf("server: protocol v%d is below the supported floor v%d", v, wire.ProtocolVersion)
+		ss.writeError(err)
+		ss.flush()
+		return err
 	}
 	e := &wire.Enc{}
-	e.Uvarint(uint64(ss.ver))
+	e.Uvarint(wire.ProtocolVersion)
 	e.String("rqld")
 	if err := ss.writeFrame(wire.RespHello, e.B); err != nil {
 		return err
@@ -215,7 +210,7 @@ func (ss *session) dispatch(op byte, payload []byte) error {
 		return ss.handleMech(payload)
 	case wire.ReqStats:
 		e := &wire.Enc{}
-		wire.EncodeServerStats(e, ss.srv.Stats(), ss.ver)
+		wire.EncodeMetrics(e, ss.srv.Metrics())
 		return ss.writeFrame(wire.RespStats, e.B)
 	case wire.ReqObjs:
 		return ss.handleObjects()
@@ -224,7 +219,7 @@ func (ss *session) dispatch(op byte, payload []byte) error {
 		run := ss.srv.db.LastRun()
 		e.Bool(run != nil)
 		if run != nil {
-			wire.EncodeRunStats(e, runToWire(run), ss.ver)
+			wire.EncodeRunStats(e, run)
 		}
 		return ss.writeFrame(wire.RespRun, e.B)
 	case wire.ReqTblSt:
@@ -268,7 +263,7 @@ func (ss *session) handleExec(payload []byte) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	ss.srv.stats.queriesServed.Add(1)
+	ss.srv.stats.QueriesServed.Add(1)
 
 	var (
 		lastCols  []string
@@ -284,7 +279,7 @@ func (ss *session) handleExec(payload []byte) error {
 		hdr.Uvarint(uint64(batchN))
 		hdr.B = append(hdr.B, batch.B...)
 		batch.B = batch.B[:0]
-		ss.srv.stats.rowsStreamed.Add(uint64(batchN))
+		ss.srv.stats.RowsStreamed.Add(uint64(batchN))
 		batchN = 0
 		return ss.writeFrame(wire.RespBatch, hdr.B)
 	}
@@ -338,24 +333,11 @@ func (ss *session) handleExec(payload []byte) error {
 	if err := flushBatch(); err != nil {
 		return err
 	}
-	st := ss.conn.LastStats()
 	e := &wire.Enc{}
-	wire.EncodeExecStats(e, wire.ExecStats{
-		Duration:       st.Duration,
-		SPTBuildTime:   st.SPTBuildTime,
-		AutoIndex:      st.AutoIndex,
-		MapScanned:     st.MapScanned,
-		PagelogReads:   st.PagelogReads,
-		CacheHits:      st.CacheHits,
-		DBReads:        st.DBReads,
-		RowsReturned:   st.RowsReturned,
-		ClusteredReads: st.ClusteredReads,
-		ClusteredPages: st.ClusteredPages,
-		PrefetchHits:   st.PrefetchHits,
-	})
+	wire.EncodeExecStats(e, ss.conn.LastStats())
 	e.Uvarint(ss.conn.LastSnapshot())
 	e.Bool(ss.conn.InTx())
-	// v3: the statement's trace ID (0 when untraced), so the client can
+	// The statement's trace ID (0 when untraced), so the client can
 	// fetch this exact request's span tree afterwards.
 	e.Uvarint(ss.conn.LastTrace())
 	return ss.writeFrame(wire.RespDone, e.B)
@@ -385,7 +367,7 @@ func (ss *session) handleTrace(payload []byte) error {
 			spans = obs.TraceSpans(id)
 		}
 		e := &wire.Enc{}
-		wire.EncodeSpans(e, spansToWire(spans))
+		wire.EncodeSpans(e, spans)
 		return ss.writeFrame(wire.RespTrace, e.B)
 	default:
 		ss.writeError(fmt.Errorf("server: unknown trace command %d", cmd))
@@ -395,71 +377,21 @@ func (ss *session) handleTrace(payload []byte) error {
 
 // handleSlow serves the slow-query log with the active threshold.
 func (ss *session) handleSlow() error {
-	entries := obs.SlowEntries()
-	out := make([]wire.SlowEntry, len(entries))
-	for i, s := range entries {
-		out[i] = wire.SlowEntry{
-			SQL: s.SQL, Duration: s.Duration, Trace: s.Trace,
-			When: s.When, Rows: s.Rows,
-			Mechanism: s.Mechanism, PagelogReads: s.PagelogReads,
-			PrunedIters: s.PrunedIters,
-		}
-	}
 	e := &wire.Enc{}
-	wire.EncodeSlowEntries(e, obs.SlowThreshold(), out, ss.ver)
+	wire.EncodeSlowEntries(e, obs.SlowThreshold(), obs.SlowEntries())
 	return ss.writeFrame(wire.RespSlow, e.B)
 }
 
-// handleTimeline serves the telemetry timeline ring (v8). A server
-// without a running sampler answers with an empty ring, period 0.
+// handleTimeline serves the telemetry timeline ring. A server without a
+// running sampler answers with an empty ring, period 0.
 func (ss *session) handleTimeline() error {
 	e := &wire.Enc{}
-	tl := ss.srv.timeline
-	if tl == nil {
+	if tl := ss.srv.timeline; tl != nil {
+		wire.EncodeTimeline(e, tl.Period(), tl.Points())
+	} else {
 		wire.EncodeTimeline(e, 0, nil)
-		return ss.writeFrame(wire.RespTimeline, e.B)
 	}
-	points := tl.Points()
-	out := make([]wire.TimelinePoint, len(points))
-	for i, p := range points {
-		out[i] = wire.TimelinePoint{
-			WhenUnixNano: p.When.UnixNano(),
-			Interval:     p.Interval,
-			Rates:        namedValues(p.Rates),
-			Gauges:       namedValues(p.Gauges),
-		}
-	}
-	wire.EncodeTimeline(e, tl.Period(), out)
 	return ss.writeFrame(wire.RespTimeline, e.B)
-}
-
-// namedValues flattens a metric map into name-sorted wire pairs.
-func namedValues(m map[string]float64) []wire.NamedValue {
-	out := make([]wire.NamedValue, 0, len(m))
-	for k, v := range m {
-		out = append(out, wire.NamedValue{Name: k, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// spansToWire converts recorded spans to the wire form.
-func spansToWire(spans []obs.Span) []wire.Span {
-	out := make([]wire.Span, len(spans))
-	for i, s := range spans {
-		w := wire.Span{
-			Trace: s.Trace, ID: s.ID, Parent: s.Parent,
-			Name: s.Name, Start: s.Start, Duration: s.Duration,
-		}
-		if len(s.Attrs) > 0 {
-			w.Attrs = make([]wire.SpanAttr, len(s.Attrs))
-			for j, a := range s.Attrs {
-				w.Attrs[j] = wire.SpanAttr{Key: a.Key, Str: a.Str, Int: a.Int, IsStr: a.IsStr}
-			}
-		}
-		out[i] = w
-	}
-	return out
 }
 
 // opName labels a request opcode for its root span.
@@ -510,7 +442,7 @@ func (ss *session) handleSnapshot(payload []byte) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	ss.srv.stats.queriesServed.Add(1)
+	ss.srv.stats.QueriesServed.Add(1)
 	id, err := ss.conn.DeclareSnapshot(label)
 	if err != nil {
 		ss.writeError(err)
@@ -531,7 +463,7 @@ func (ss *session) handleMech(payload []byte) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	ss.srv.stats.queriesServed.Add(1)
+	ss.srv.stats.QueriesServed.Add(1)
 	var (
 		run *rql.RunStats
 		err error
@@ -554,7 +486,7 @@ func (ss *session) handleMech(payload []byte) error {
 	}
 	e := &wire.Enc{}
 	e.Bool(true)
-	wire.EncodeRunStats(e, runToWire(run), ss.ver)
+	wire.EncodeRunStats(e, run)
 	return ss.writeFrame(wire.RespRun, e.B)
 }
 
@@ -591,55 +523,6 @@ func (ss *session) handleTableStats(payload []byte) error {
 	return ss.writeFrame(wire.RespTblSt, e.B)
 }
 
-// runToWire converts a mechanism run's statistics to the wire form.
-func runToWire(r *rql.RunStats) wire.RunStats {
-	out := wire.RunStats{
-		Mechanism:        r.Mechanism,
-		ResultRows:       r.ResultRows,
-		ResultDataBytes:  r.ResultDataBytes,
-		ResultIndexBytes: r.ResultIndexBytes,
-		BatchBuilds:      r.BatchBuilds,
-		BatchMapScanned:  r.BatchMapScanned,
-		BatchBuildTime:   r.BatchBuildTime,
-		Iterations:       make([]wire.IterationCost, len(r.Iterations)),
-
-		PrunedIterations:   r.PrunedIterations,
-		PrunedRowsReplayed: r.PrunedRowsReplayed,
-		DeltaIntersections: r.DeltaIntersections,
-		PruneReason:        r.PruneReason,
-
-		PipelinedPrefetches: r.PipelinedPrefetches,
-		PrefetchHits:        r.PrefetchHits,
-		PrefetchWasted:      r.PrefetchWasted,
-	}
-	for i, it := range r.Iterations {
-		out.Iterations[i] = wire.IterationCost{
-			Snapshot:       it.Snapshot,
-			SPTBuild:       it.SPTBuild,
-			IndexCreation:  it.IndexCreation,
-			QueryEval:      it.QueryEval,
-			UDF:            it.UDF,
-			IOTime:         it.IOTime,
-			PagelogReads:   it.PagelogReads,
-			CacheHits:      it.CacheHits,
-			DBReads:        it.DBReads,
-			MapScanned:     it.MapScanned,
-			QqRows:         it.QqRows,
-			ResultInserts:  it.ResultInserts,
-			ResultUpdates:  it.ResultUpdates,
-			ResultSearch:   it.ResultSearch,
-			ClusteredReads: it.ClusteredReads,
-			Pruned:         it.Pruned,
-			DeltaPages:     it.DeltaPages,
-			ClusteredPages: it.ClusteredPages,
-			PrefetchHits:   it.PrefetchHits,
-			OverlapTime:    it.OverlapTime,
-			QueueWait:      it.QueueWait,
-		}
-	}
-	return out
-}
-
 func sameCols(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -658,7 +541,7 @@ func (ss *session) writeFrame(op byte, payload []byte) error {
 }
 
 func (ss *session) writeError(err error) {
-	ss.srv.stats.errors.Add(1)
+	ss.srv.stats.Errors.Add(1)
 	ss.writeFrame(wire.RespError, wire.EncodeError(err))
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"rql"
 	"rql/client"
+	"rql/internal/obs"
 	"rql/internal/tpch"
 )
 
@@ -218,11 +219,11 @@ func TestStress32Sessions(t *testing.T) {
 	if err := <-served; err != ErrServerClosed {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
-	st := srv.Stats()
-	if st.ConnsAccepted != readers || st.QueriesServed == 0 || st.Snapshots < steps {
+	st := metricValues(srv.Metrics())
+	if st["conns_accepted"] != readers || st["queries_served"] == 0 || st["retro_snapshots"] < steps {
 		t.Fatalf("stats after stress: %+v", st)
 	}
-	if st.SPTBatchBuilds == 0 {
+	if st["retro_spt_batch_builds"] == 0 {
 		t.Errorf("STATS reply missing batch SPT builds: %+v", st)
 	}
 }
@@ -465,24 +466,40 @@ func TestGroupCommitStress(t *testing.T) {
 	// The counters must account every commit to a group and keep the
 	// group-size histogram consistent; conflicts depend on scheduling,
 	// so they are reported, not asserted.
-	st := srv.Stats()
-	if st.CommitGroups == 0 || st.Commits < st.CommitGroups {
-		t.Errorf("implausible group accounting: groups=%d commits=%d", st.CommitGroups, st.Commits)
+	st := metricValues(srv.Metrics())
+	groups, commits := st["commit_groups"], st["storage_commits"]
+	if groups == 0 || commits < groups {
+		t.Errorf("implausible group accounting: groups=%d commits=%d", groups, commits)
 	}
+	sizes, _ := obs.Find(srv.Metrics(), "commit_group_size")
 	var bucketed uint64
-	for _, c := range st.GroupSizeBuckets {
+	for _, c := range sizes.Counts {
 		bucketed += c
 	}
-	if bucketed != st.CommitGroups {
-		t.Errorf("group-size histogram accounts %d groups, want %d", bucketed, st.CommitGroups)
+	if bucketed != groups {
+		t.Errorf("group-size histogram accounts %d groups, want %d", bucketed, groups)
 	}
 	// Each group either flushed the device or was an archived-only group
 	// that could skip its fsync; the two must account for every group.
-	if st.DeviceFlushes+st.GroupFlushesSkipped != st.CommitGroups {
-		t.Errorf("DeviceFlushes = %d, GroupFlushesSkipped = %d, want one decision per group (%d)",
-			st.DeviceFlushes, st.GroupFlushesSkipped, st.CommitGroups)
+	// The leader checked that, and commits >= groups, at the end of every
+	// batch; the end state is checked once more here.
+	if st["device_flushes"]+st["group_flushes_skipped"] != groups {
+		t.Errorf("device_flushes = %d, group_flushes_skipped = %d, want one decision per group (%d)",
+			st["device_flushes"], st["group_flushes_skipped"], groups)
+	}
+	if v := st["invariant_violations"]; v != 0 {
+		t.Errorf("invariant_violations = %d, want 0", v)
 	}
 	t.Logf("groups=%d commits=%d conflicts=%d mean-size=%.2f queue-wait=%dns",
-		st.CommitGroups, st.Commits, st.CommitConflicts,
-		float64(st.Commits)/float64(st.CommitGroups), st.CommitQueueWaitNS)
+		groups, commits, st["commit_conflicts"],
+		float64(commits)/float64(groups), st["commit_queue_wait_ns"])
+}
+
+// metricValues indexes a metric list's counters and gauges by key.
+func metricValues(ms []obs.Metric) map[string]uint64 {
+	out := make(map[string]uint64, len(ms))
+	for _, m := range ms {
+		out[m.Key()] = m.Value
+	}
+	return out
 }

@@ -2,17 +2,23 @@ package server
 
 import (
 	"bufio"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"rql"
+	"rql/client"
 	"rql/internal/obs"
+	"rql/internal/repl"
 	"rql/internal/wire"
 )
 
-// rawHello performs the wire handshake at an arbitrary client version
-// and returns the version the server replied with.
-func rawHello(t *testing.T, br *bufio.Reader, bw *bufio.Writer, ver uint64) uint64 {
+// rawHello sends a HELLO at an arbitrary client version and returns the
+// server's reply frame.
+func rawHello(t *testing.T, br *bufio.Reader, bw *bufio.Writer, ver uint64) (op byte, payload []byte) {
 	t.Helper()
 	e := &wire.Enc{}
 	e.String(wire.Magic)
@@ -27,251 +33,180 @@ func rawHello(t *testing.T, br *bufio.Reader, bw *bufio.Writer, ver uint64) uint
 	if err != nil {
 		t.Fatal(err)
 	}
+	return op, payload
+}
+
+// helloAt handshakes at ver and fails the test unless the server
+// answers with wire.ProtocolVersion.
+func helloAt(t *testing.T, br *bufio.Reader, bw *bufio.Writer, ver uint64) {
+	t.Helper()
+	op, payload := rawHello(t, br, bw, ver)
 	if op != wire.RespHello {
 		t.Fatalf("handshake reply %#x, want RespHello", op)
 	}
 	d := &wire.Dec{B: payload}
-	got := d.Uvarint()
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	if got := d.Uvarint(); d.Err() != nil || got != wire.ProtocolVersion {
+		t.Fatalf("server answered a v%d HELLO with v%d (err %v), want v%d", ver, got, d.Err(), wire.ProtocolVersion)
 	}
-	return got
 }
 
-// TestCrossVersionHandshake pins the min-negotiation contract: a v3
-// client keeps its session at v3 and can run statements, but the
-// replication surface added in v4 is cleanly rejected; a client from
-// the future (v5) is answered with the server's own version.
-func TestCrossVersionHandshake(t *testing.T) {
-	_, addr := startServer(t, Config{})
-
-	t.Run("v3-degrades", func(t *testing.T) {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
-		bw := bufio.NewWriter(nc)
-		if got := rawHello(t, br, bw, 3); got != 3 {
-			t.Fatalf("server negotiated v%d with a v3 client, want 3", got)
-		}
-
-		// The pre-v4 surface still works at v3.
-		e := &wire.Enc{}
-		e.Uvarint(0) // asOf
-		e.String(`CREATE TABLE v3t (x INTEGER); INSERT INTO v3t VALUES (7)`)
-		e.Row(nil)
-		if err := wire.WriteFrame(bw, wire.ReqExec, e.B); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		for {
-			op, payload, err := wire.ReadFrame(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if op == wire.RespError {
-				t.Fatalf("v3 exec failed: %v", wire.DecodeError(payload))
-			}
-			if op == wire.RespDone {
-				break
-			}
-		}
-
-		// The v4 replication surface is rejected without breaking the
-		// session framing.
-		e = &wire.Enc{}
-		wire.EncodeReplSubscribe(e, wire.ReplSubscribe{ID: "old-client"})
-		if err := wire.WriteFrame(bw, wire.ReqReplSub, e.B); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
+// execSelect1 runs `SELECT 1` under the given trace context and returns
+// the trace id RespDone echoes.
+func execSelect1(t *testing.T, br *bufio.Reader, bw *bufio.Writer, tc wire.TraceContext) uint64 {
+	t.Helper()
+	e := &wire.Enc{}
+	wire.EncodeTraceContext(e, tc)
+	e.Uvarint(0) // asOf
+	e.String(`SELECT 1`)
+	e.Row(nil)
+	if err := wire.WriteFrame(bw, wire.ReqExec, e.B); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	for {
 		op, payload, err := wire.ReadFrame(br)
 		if err != nil {
 			t.Fatal(err)
 		}
+		switch op {
+		case wire.RespError:
+			t.Fatalf("exec failed: %v", wire.DecodeError(payload))
+		case wire.RespDone:
+			d := &wire.Dec{B: payload}
+			wire.DecodeExecStats(d)
+			d.Uvarint() // last snapshot
+			d.Bool()    // in tx
+			echo := d.Uvarint()
+			if d.Err() != nil {
+				t.Fatal(d.Err())
+			}
+			return echo
+		}
+	}
+}
+
+func rawDial(t *testing.T, addr string) (*bufio.Reader, *bufio.Writer) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return bufio.NewReader(nc), bufio.NewWriter(nc)
+}
+
+// TestCrossVersionHandshake pins what is left of version negotiation
+// now that the protocol version is also the floor: the three ways two
+// differently-built peers can still meet.
+func TestCrossVersionHandshake(t *testing.T) {
+	_, addr := startServer(t, Config{})
+
+	t.Run("older-client-refused", func(t *testing.T) {
+		br, bw := rawDial(t, addr)
+		op, payload := rawHello(t, br, bw, wire.ProtocolVersion-1)
 		if op != wire.RespError {
-			t.Fatalf("v3 ReqReplSub answered with %#x, want RespError", op)
+			t.Fatalf("v%d HELLO answered with %#x, want RespError", wire.ProtocolVersion-1, op)
 		}
 		msg := wire.DecodeError(payload).Error()
-		if !strings.Contains(msg, "protocol v4") {
-			t.Fatalf("rejection should name the required version, got %q", msg)
+		if want := fmt.Sprintf("floor v%d", wire.ProtocolVersion); !strings.Contains(msg, want) {
+			t.Fatalf("refusal should name the floor (%q), got %q", want, msg)
+		}
+		// One clean error, then the connection is closed.
+		if _, _, err := wire.ReadFrame(br); err != io.EOF {
+			t.Fatalf("read after the refusal: %v, want io.EOF", err)
 		}
 	})
 
-	t.Run("v5-capped", func(t *testing.T) {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
-		bw := bufio.NewWriter(nc)
-		if got := rawHello(t, br, bw, wire.ProtocolVersion+1); got != wire.ProtocolVersion {
-			t.Fatalf("server negotiated v%d with a v%d client, want v%d",
-				got, wire.ProtocolVersion+1, wire.ProtocolVersion)
-		}
+	t.Run("newer-client-capped", func(t *testing.T) {
+		br, bw := rawDial(t, addr)
+		helloAt(t, br, bw, wire.ProtocolVersion+1)
+		execSelect1(t, br, bw, wire.TraceContext{})
 	})
 
-	t.Run("v7-requests-carry-no-trace-prefix", func(t *testing.T) {
-		// A v7 session's request payloads open directly with the
-		// operands — the server must not strip a trace context from
-		// them. A bare exec at TraceContextVersion-1 working end to end
-		// pins that.
-		nc, err := net.Dial("tcp", addr)
+	t.Run("older-server-refused-by-client-and-replica", func(t *testing.T) {
+		// A stub "primary" built before this protocol version: it answers
+		// any HELLO the way min-negotiation did, with its own lower number.
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
-		bw := bufio.NewWriter(nc)
-		v7 := uint64(wire.TraceContextVersion - 1)
-		if got := rawHello(t, br, bw, v7); got != v7 {
-			t.Fatalf("server negotiated v%d with a v%d client, want v%d", got, v7, v7)
-		}
-		e := &wire.Enc{}
-		e.Uvarint(0) // asOf — no trace context before it
-		e.String(`SELECT 1`)
-		e.Row(nil)
-		if err := wire.WriteFrame(bw, wire.ReqExec, e.B); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		for {
-			op, payload, err := wire.ReadFrame(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if op == wire.RespError {
-				t.Fatalf("v7 exec failed: %v", wire.DecodeError(payload))
-			}
-			if op == wire.RespDone {
-				break
-			}
-		}
-	})
-
-	t.Run("v8-prefix-roots-the-callers-trace", func(t *testing.T) {
-		wasOn := obs.Enabled()
-		obs.SetTracing(true)
-		defer func() {
-			obs.SetTracing(wasOn)
-			obs.ResetSpans()
-		}()
-
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
-		bw := bufio.NewWriter(nc)
-		if got := rawHello(t, br, bw, wire.ProtocolVersion); got != wire.ProtocolVersion {
-			t.Fatalf("server negotiated v%d, want v%d", got, wire.ProtocolVersion)
-		}
-
-		// Mint a caller trace ID by hand and send it as the v8 prefix.
-		const caller = uint64(1<<63 | 0x5eed)
-		e := &wire.Enc{}
-		wire.EncodeTraceContext(e, wire.TraceContext{Trace: caller, Sampled: true})
-		e.Uvarint(0) // asOf
-		e.String(`SELECT 1`)
-		e.Row(nil)
-		if err := wire.WriteFrame(bw, wire.ReqExec, e.B); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		for {
-			op, payload, err := wire.ReadFrame(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if op == wire.RespError {
-				t.Fatalf("v8 exec failed: %v", wire.DecodeError(payload))
-			}
-			if op == wire.RespDone {
-				// RespDone echoes the trace the request ran under.
-				d := &wire.Dec{B: payload}
-				wire.DecodeExecStats(d)
-				d.Uvarint() // last snapshot
-				d.Bool()    // in tx
-				if echo := d.Uvarint(); d.Err() != nil || echo != caller {
-					t.Fatalf("RespDone echoed trace %#x (err %v), want %#x", echo, d.Err(), caller)
+		defer lis.Close()
+		go func() {
+			for {
+				nc, err := lis.Accept()
+				if err != nil {
+					return
 				}
-				break
+				go func() {
+					defer nc.Close()
+					if _, _, err := wire.ReadFrame(nc); err != nil {
+						return
+					}
+					e := &wire.Enc{}
+					e.Uvarint(wire.ProtocolVersion - 1)
+					e.String("rqld")
+					wire.WriteFrame(nc, wire.RespHello, e.B)
+				}()
 			}
-		}
-		spans := obs.TraceSpans(caller)
-		if len(spans) == 0 {
-			t.Fatalf("no server spans joined caller trace %#x", caller)
-		}
-		for _, sp := range spans {
-			if sp.Trace != caller {
-				t.Fatalf("span %s in trace %#x, want %#x", sp.Name, sp.Trace, caller)
-			}
-		}
-	})
-
-	t.Run("v8-unsampled-records-nothing", func(t *testing.T) {
-		wasOn := obs.Enabled()
-		obs.SetTracing(true)
-		defer func() {
-			obs.SetTracing(wasOn)
-			obs.ResetSpans()
 		}()
+		want := fmt.Sprintf("peer speaks protocol v%d, this build needs v%d", wire.ProtocolVersion-1, wire.ProtocolVersion)
 
-		nc, err := net.Dial("tcp", addr)
+		if _, err := client.Dial(lis.Addr().String()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("client.Dial against an older server: %v, want %q", err, want)
+		}
+
+		db, err := rql.Open(rql.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
-		bw := bufio.NewWriter(nc)
-		if got := rawHello(t, br, bw, wire.ProtocolVersion); got != wire.ProtocolVersion {
-			t.Fatalf("server negotiated v%d, want v%d", got, wire.ProtocolVersion)
-		}
-
-		const caller = uint64(1<<63 | 0xdead)
-		e := &wire.Enc{}
-		wire.EncodeTraceContext(e, wire.TraceContext{Trace: caller, Sampled: false})
-		e.Uvarint(0)
-		e.String(`SELECT 1`)
-		e.Row(nil)
-		if err := wire.WriteFrame(bw, wire.ReqExec, e.B); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		for {
-			op, payload, err := wire.ReadFrame(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if op == wire.RespError {
-				t.Fatalf("unsampled exec failed: %v", wire.DecodeError(payload))
-			}
-			if op == wire.RespDone {
-				break
-			}
-		}
-		// The caller said don't sample: even with the recorder on, the
-		// server recorded nothing for this trace.
-		if spans := obs.TraceSpans(caller); len(spans) != 0 {
-			t.Fatalf("unsampled request left %d spans in trace %#x", len(spans), caller)
-		}
-	})
-
-	t.Run("client-conn-negotiates", func(t *testing.T) {
-		c := dial(t, addr)
-		if c.Version() != wire.ProtocolVersion {
-			t.Fatalf("client negotiated v%d, want v%d", c.Version(), wire.ProtocolVersion)
-		}
-		h, err := c.Horizon()
+		defer db.Close()
+		rep, err := repl.NewReplica(db, repl.ReplicaConfig{Primary: lis.Addr().String(), ReconnectMin: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Role != wire.RolePrimary {
-			t.Fatalf("plain server reports role %d, want primary", h.Role)
+		rep.Start()
+		defer rep.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for rep.Stats().LastError == "" && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := rep.Stats().LastError; !strings.Contains(got, want) {
+			t.Fatalf("replica against an older primary: last error %q, want %q", got, want)
 		}
 	})
+}
+
+// TestTraceContextPrefix pins the request prefix: a caller's trace
+// context roots the server's spans in the caller's trace, and an
+// unsampled context records nothing.
+func TestTraceContextPrefix(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	resetObs(t)
+	obs.SetTracing(true)
+	br, bw := rawDial(t, addr)
+	helloAt(t, br, bw, wire.ProtocolVersion)
+
+	// Mint a caller trace ID by hand and send it as the prefix; RespDone
+	// echoes the trace the request ran under.
+	const caller = uint64(1<<63 | 0x5eed)
+	if echo := execSelect1(t, br, bw, wire.TraceContext{Trace: caller, Sampled: true}); echo != caller {
+		t.Fatalf("RespDone echoed trace %#x, want %#x", echo, caller)
+	}
+	spans := obs.TraceSpans(caller)
+	if len(spans) == 0 {
+		t.Fatalf("no server spans joined caller trace %#x", caller)
+	}
+	for _, sp := range spans {
+		if sp.Trace != caller {
+			t.Fatalf("span %s in trace %#x, want %#x", sp.Name, sp.Trace, caller)
+		}
+	}
+
+	// The caller said don't sample: even with the recorder on, the
+	// server records nothing for this trace.
+	const unsampled = uint64(1<<63 | 0xdead)
+	execSelect1(t, br, bw, wire.TraceContext{Trace: unsampled, Sampled: false})
+	if spans := obs.TraceSpans(unsampled); len(spans) != 0 {
+		t.Fatalf("unsampled request left %d spans in trace %#x", len(spans), unsampled)
+	}
 }

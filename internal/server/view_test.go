@@ -131,6 +131,15 @@ func TestViewSmokeSubscription(t *testing.T) {
 	if v.RowsPushed == 0 || v.Refreshes < snaps {
 		t.Fatalf("view counters %+v, want >= %d refreshes and pushed rows", v, snaps)
 	}
+	// Every commit group the refresh traffic produced kept the group
+	// accounting consistent.
+	ss, err := w.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ss.Value("invariant_violations"); n != 0 || ss.Value("commit_groups") == 0 {
+		t.Fatalf("invariant_violations = %d over %d commit groups, want 0 over some", n, ss.Value("commit_groups"))
+	}
 
 	// Dropping the view ends the subscription.
 	mustExec(`DROP RETRO VIEW live`)

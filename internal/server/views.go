@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-
 	"rql"
 	"rql/internal/wire"
 )
@@ -16,12 +14,6 @@ const viewSubBuf = 64
 
 // handleViews serves ReqViews: every materialized retro view's status.
 func (ss *session) handleViews() error {
-	if ss.ver < wire.ViewProtocolVersion {
-		err := fmt.Errorf("server: retro views require protocol v%d (session negotiated v%d)",
-			wire.ViewProtocolVersion, ss.ver)
-		ss.writeError(err)
-		return nil
-	}
 	infos := ss.srv.db.Views()
 	out := make([]wire.ViewInfo, len(infos))
 	for i, v := range infos {
@@ -53,12 +45,6 @@ func (ss *session) handleViews() error {
 // their view managers refresh from shipped deltas, so a replica serves
 // subscriptions read-only.
 func (ss *session) handleViewSub(payload []byte) error {
-	if ss.ver < wire.ViewProtocolVersion {
-		err := fmt.Errorf("server: SUBSCRIBE requires protocol v%d (session negotiated v%d)",
-			wire.ViewProtocolVersion, ss.ver)
-		ss.writeError(err)
-		return nil
-	}
 	d := &wire.Dec{B: payload}
 	req := wire.DecodeViewSubscribe(d)
 	if d.Err() != nil {
@@ -108,7 +94,7 @@ func (ss *session) handleViewSub(payload []byte) error {
 		if err := ss.flush(); err != nil {
 			return err
 		}
-		ss.srv.stats.rowsStreamed.Add(uint64(len(b.Rows)))
+		ss.srv.stats.RowsStreamed.Add(uint64(len(b.Rows)))
 	}
 	return errStreamDone
 }

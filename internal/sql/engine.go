@@ -183,18 +183,16 @@ func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp
 // the remainder (query evaluation, which for RQL statements includes
 // the UDF work — the core package splits that part further).
 type ExecStats struct {
-	Duration       time.Duration // wall time of the statement
-	SPTBuildTime   time.Duration // snapshot page table construction
-	AutoIndex      time.Duration // transient covering indexes for joins
-	MapScanned     int           // Maplog entries scanned for the SPT
-	PagelogReads   int           // logical snapshot pages fetched from the Pagelog
-	CacheHits      int           // snapshot pages served from the cache
-	DBReads        int           // snapshot pages shared with the current DB
-	ClusteredReads int           // unused: no statement bills clustered runs; carried by rql.ExecStats and the wire frame
-	ClusteredPages int           // unused, likewise
-	PrefetchHits   int           // logical reads satisfied early by a warmed page
-	RowsReturned   int
-	QueueWait      time.Duration // device queue wait behind the statement's demand misses
+	Duration     time.Duration // wall time of the statement
+	SPTBuildTime time.Duration // snapshot page table construction
+	AutoIndex    time.Duration // transient covering indexes for joins
+	MapScanned   int           // Maplog entries scanned for the SPT
+	PagelogReads int           // logical snapshot pages fetched from the Pagelog
+	CacheHits    int           // snapshot pages served from the cache
+	DBReads      int           // snapshot pages shared with the current DB
+	PrefetchHits int           // logical reads satisfied early by a warmed page
+	RowsReturned int
+	QueueWait    time.Duration // device queue wait behind the statement's demand misses
 }
 
 // ModeledIO converts Pagelog misses into modeled I/O time.

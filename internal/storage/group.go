@@ -51,6 +51,9 @@ type GroupCommitHook interface {
 	// GroupDurable makes the flushed group durable: one modeled device
 	// flush for the whole group of `commits` transactions.
 	GroupDurable(commits int)
+	// FlushDecisions is the number of GroupDurable calls accounted so
+	// far, as flushes issued plus flushes skipped.
+	FlushDecisions() uint64
 }
 
 // commitReq states. A request starts pending; the leader claims it
@@ -175,7 +178,7 @@ func (s *Store) applyGroup(batch []*commitReq) {
 	switch {
 	case committed > 0:
 		s.stats.Groups.Add(1)
-		s.stats.GroupSizeBuckets[groupSizeBucket(len(claimed))].Add(1)
+		s.stats.GroupSizeBuckets.Observe(uint64(len(claimed)))
 	case conflicts > 0:
 		s.stats.ConflictBatches.Add(1)
 	}
@@ -185,6 +188,7 @@ func (s *Store) applyGroup(batch []*commitReq) {
 	if gh != nil && committed > 0 {
 		gh.GroupDurable(committed)
 	}
+	s.checkGroupAccounting(gh)
 	for i, req := range claimed {
 		req.done <- results[i]
 	}
@@ -193,6 +197,21 @@ func (s *Store) applyGroup(batch []*commitReq) {
 		SetInt("conflicts", int64(conflicts)).
 		SetInt("lsn", int64(lsn)).
 		End()
+}
+
+// checkGroupAccounting evaluates the group-commit accounting invariants
+// where they are well-defined: at the leader's end of batch, still
+// under the writer semaphore, so no other group is mid-way through
+// counting itself. Every group got exactly one flush decision from the
+// hook, and every group applied at least one commit. A failed check
+// counts in InvariantViolations. (A stats reset that lands between a
+// concurrent batch's increments can trip it; resets are a quiesced
+// experiment-harness operation.)
+func (s *Store) checkGroupAccounting(gh GroupCommitHook) {
+	groups := s.stats.Groups.Load()
+	if s.stats.Commits.Load() < groups || (gh != nil && gh.FlushDecisions() != groups) {
+		s.stats.InvariantViolations.Add(1)
+	}
 }
 
 // commitOneLocked applies one transaction: first-committer-wins
@@ -323,23 +342,4 @@ func (s *Store) Quiesce() (release func(), err error) {
 		return nil, ErrStoreClosed
 	}
 	return func() { <-s.writerSem }, nil
-}
-
-// NumGroupSizeBuckets is the number of group-size histogram buckets.
-// Buckets 0..NumGroupSizeBuckets-2 count groups of size <=
-// GroupSizeBounds[i]; the last bucket is +Inf.
-const NumGroupSizeBuckets = 7
-
-// GroupSizeBounds are the inclusive upper bounds of the group-size
-// histogram buckets (the +Inf bucket is implicit). The fixed array
-// length ties the bounds to NumGroupSizeBuckets at compile time.
-var GroupSizeBounds = [NumGroupSizeBuckets - 1]uint64{1, 2, 4, 8, 16, 32}
-
-func groupSizeBucket(n int) int {
-	for i, b := range GroupSizeBounds {
-		if uint64(n) <= b {
-			return i
-		}
-	}
-	return NumGroupSizeBuckets - 1
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rql/internal/obs"
 )
 
 // gateHook is a GroupCommitHook whose GroupDurable blocks until the
@@ -42,6 +44,14 @@ func (h *gateHook) GroupDurable(commits int) {
 	h.entered <- struct{}{}
 	<-h.gate
 }
+
+func (h *gateHook) FlushDecisions() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return uint64(len(h.flushes))
+}
+
+var _ GroupCommitHook = (*gateHook)(nil)
 
 func newGroupStore() *Store {
 	s := NewStore()
@@ -395,5 +405,41 @@ func TestGroupCommitStaleBaseline(t *testing.T) {
 	}
 	if err := stale.Commit(); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("overlapping stale commit = %v, want ErrWriteConflict", err)
+	}
+}
+
+// TestGroupCommitInvariantViolations forces the accounting apart and
+// sees the leader's end-of-batch check count it: healthy batches leave
+// invariant_violations at zero; once a group exists that no flush
+// decision was made for (the PR 12 bug: a group counted for a batch
+// that never reached GroupDurable), the next batch's check fires.
+func TestGroupCommitInvariantViolations(t *testing.T) {
+	s := newGroupStore()
+	hook := newGateHook()
+	close(hook.gate) // never park a flush
+	s.SetCommitHook(hook)
+	commit := func() {
+		t.Helper()
+		tx := mustBegin(t, s)
+		id, _ := tx.Allocate()
+		writePage(t, tx, id, 1)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	commit()
+	commit()
+	if st := s.Stats(); st.InvariantViolations != 0 || st.Groups != 2 {
+		t.Fatalf("healthy commits: violations=%d groups=%d, want 0 and 2", st.InvariantViolations, st.Groups)
+	}
+
+	s.stats.Groups.Add(1)
+	commit()
+	if got := s.Stats().InvariantViolations; got != 1 {
+		t.Fatalf("InvariantViolations = %d after a group without a flush decision, want 1", got)
+	}
+	if m, ok := obs.Find(s.Metrics(), "invariant_violations"); !ok || m.Value != 1 {
+		t.Fatalf("exported invariant_violations = %+v (found %v), want 1", m, ok)
 	}
 }

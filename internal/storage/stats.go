@@ -1,68 +1,39 @@
 package storage
 
-import "sync/atomic"
+import "rql/internal/obs"
 
-// Stats holds the store's monotonically increasing counters. All fields
-// are safe for concurrent update.
+// Stats declares the store's metrics (see obs.Set). All fields are safe
+// for concurrent update.
 type Stats struct {
-	Commits      atomic.Uint64 // committed writer transactions
-	PagesWritten atomic.Uint64 // page versions installed by commits
-	DBReads      atomic.Uint64 // page reads served from the current DB
+	Commits      obs.Counter `metric:"storage_commits" help:"Transactions committed on the store."`
+	PagesWritten obs.Counter `metric:"storage_pages_written" help:"Page versions installed by commits."`
+	DBReads      obs.Counter `metric:"storage_db_reads" help:"Page reads served from the current database."`
 
-	// Group commit (group.go). Legacy-mode commits count as groups of
-	// one, so Commits/Groups is the mean group size in either mode.
-	Groups      atomic.Uint64 // commit groups applied (batches with >= 1 applied commit)
-	Conflicts   atomic.Uint64 // transactions aborted first-committer-wins
-	QueueWaitNS atomic.Uint64 // cumulative commit-queue wait, nanoseconds
-	// ConflictBatches counts drained batches in which every member lost
-	// first-committer-wins: nothing was applied, so they are not groups.
-	ConflictBatches atomic.Uint64
+	// Group commit (group.go). A group is a drained batch with at least
+	// one applied commit; legacy-mode commits are groups of one. A batch
+	// in which every member lost first-committer-wins applied nothing,
+	// so it is not a group and counts in ConflictBatches.
+	Groups           obs.Counter   `metric:"commit_groups" help:"Commit groups applied (batches with at least one applied commit)."`
+	Conflicts        obs.Counter   `metric:"commit_conflicts" help:"Transactions aborted first-committer-wins."`
+	ConflictBatches  obs.Counter   `metric:"commit_conflict_batches" help:"Drained batches in which every member lost a conflict."`
+	QueueWaitNS      obs.Counter   `metric:"commit_queue_wait_ns" help:"Cumulative commit-queue wait, nanoseconds."`
+	GroupSizeBuckets obs.Histogram `metric:"commit_group_size" help:"Transactions claimed per commit group." buckets:"1,2,4,8,16,32"`
 
-	// GroupSizeBuckets histograms applied group sizes; bucket i counts
-	// groups of size <= GroupSizeBounds[i], the last bucket is +Inf.
-	GroupSizeBuckets [NumGroupSizeBuckets]atomic.Uint64
+	// InvariantViolations counts end-of-batch checks that found the
+	// group accounting inconsistent (see Store.checkGroupAccounting).
+	InvariantViolations obs.Counter `metric:"invariant_violations" help:"End-of-batch accounting checks that failed (one flush decision per commit group, commits >= groups)."`
 }
 
-// StatsSnapshot is a point-in-time copy of Stats.
+// StatsSnapshot is a point-in-time copy of Stats, filled by field name.
 type StatsSnapshot struct {
 	Commits      uint64
 	PagesWritten uint64
 	DBReads      uint64
 
-	Groups           uint64
-	Conflicts        uint64
-	QueueWaitNS      uint64
-	ConflictBatches  uint64
-	GroupSizeBuckets [NumGroupSizeBuckets]uint64
-}
-
-func (s *Stats) snapshot() StatsSnapshot {
-	snap := StatsSnapshot{
-		Commits:         s.Commits.Load(),
-		PagesWritten:    s.PagesWritten.Load(),
-		DBReads:         s.DBReads.Load(),
-		Groups:          s.Groups.Load(),
-		Conflicts:       s.Conflicts.Load(),
-		QueueWaitNS:     s.QueueWaitNS.Load(),
-		ConflictBatches: s.ConflictBatches.Load(),
-	}
-	for i := range s.GroupSizeBuckets {
-		snap.GroupSizeBuckets[i] = s.GroupSizeBuckets[i].Load()
-	}
-	return snap
-}
-
-// Reset zeroes all counters. Page state is untouched: the store keeps
-// serving reads and writes; only the accounting restarts.
-func (s *Stats) Reset() {
-	s.Commits.Store(0)
-	s.PagesWritten.Store(0)
-	s.DBReads.Store(0)
-	s.Groups.Store(0)
-	s.Conflicts.Store(0)
-	s.QueueWaitNS.Store(0)
-	s.ConflictBatches.Store(0)
-	for i := range s.GroupSizeBuckets {
-		s.GroupSizeBuckets[i].Store(0)
-	}
+	Groups              uint64
+	Conflicts           uint64
+	QueueWaitNS         uint64
+	ConflictBatches     uint64
+	GroupSizeBuckets    [7]uint64 // per-bucket counts; the last is +Inf
+	InvariantViolations uint64
 }

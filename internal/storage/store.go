@@ -3,6 +3,8 @@ package storage
 import (
 	"context"
 	"sync"
+
+	"rql/internal/obs"
 )
 
 // pageVersion is one committed version of a page. Versions form a
@@ -46,15 +48,18 @@ type Store struct {
 	readOnly error // non-nil: Begin fails with this error (replica mode)
 	grouped  bool  // group-commit mode toggle (SetGroupCommit)
 
-	stats Stats
+	stats   Stats
+	metrics *obs.Set // over stats
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{
+	s := &Store{
 		writerSem: make(chan struct{}, 1),
 		readers:   make(map[uint64]int),
 	}
+	s.metrics = obs.NewSet(&s.stats)
+	return s
 }
 
 // SetCommitHook installs the commit hook (the Retro snapshot system).
@@ -111,11 +116,19 @@ func (s *Store) NumFree() int {
 	return len(s.free)
 }
 
-// Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() StatsSnapshot { return s.stats.snapshot() }
+// Stats returns a typed point-in-time copy of the store's metrics.
+func (s *Store) Stats() StatsSnapshot {
+	var st StatsSnapshot
+	s.metrics.Fill(&st)
+	return st
+}
 
-// ResetStats zeroes the store's counters (see Stats.Reset).
-func (s *Store) ResetStats() { s.stats.Reset() }
+// Metrics samples the store's metrics as the self-describing list.
+func (s *Store) Metrics() []obs.Metric { return s.metrics.Snapshot() }
+
+// ResetStats zeroes the store's counters. Page state is untouched: the
+// store keeps serving reads and writes; only the accounting restarts.
+func (s *Store) ResetStats() { s.metrics.Reset() }
 
 // Begin starts a writer transaction. In legacy mode it blocks until
 // any other writer finishes (single-writer model; the paper's BDB uses

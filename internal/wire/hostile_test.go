@@ -1,0 +1,154 @@
+package wire
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"rql/internal/core"
+	"rql/internal/obs"
+)
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	f()
+	runtime.ReadMemStats(&b)
+	return b.TotalAlloc - a.TotalAlloc
+}
+
+// TestListDecodersRejectOversizedCounts feeds every list decoder a
+// well-formed prefix, then a maximal element count with no bytes behind
+// it — a 6-byte frame a hostile server or primary can send. The decode
+// must fail, and must not have reserved memory on the count's word.
+func TestListDecodersRejectOversizedCounts(t *testing.T) {
+	zeros := func(n int) func(*Enc) { return func(e *Enc) { e.B = append(e.B, make([]byte, n)...) } }
+	for name, tc := range map[string]struct {
+		prefix func(*Enc) // fields before the count, zero-valued (one byte each)
+		decode func(*Dec)
+	}{
+		"Metrics":         {zeros(0), func(d *Dec) { DecodeMetrics(d) }},
+		"Metrics/bounds":  {func(e *Enc) { e.Uvarint(1); e.String("h"); e.Byte(2); e.String(""); e.String("") }, func(d *Dec) { DecodeMetrics(d) }},
+		"Timeline":        {zeros(1), func(d *Dec) { DecodeTimeline(d) }},
+		"Timeline/rates":  {func(e *Enc) { e.Duration(0); e.Uvarint(1); e.Varint(0); e.Duration(0) }, func(d *Dec) { DecodeTimeline(d) }},
+		"RunStats":        {zeros(4), func(d *Dec) { DecodeRunStats(d) }},
+		"Spans":           {zeros(0), func(d *Dec) { DecodeSpans(d) }},
+		"Spans/attrs":     {func(e *Enc) { e.Uvarint(1); e.B = append(e.B, make([]byte, 6)...) }, func(d *Dec) { DecodeSpans(d) }},
+		"SlowEntries":     {zeros(1), func(d *Dec) { DecodeSlowEntries(d) }},
+		"Objects":         {zeros(0), func(d *Dec) { DecodeObjects(d) }},
+		"Views":           {zeros(0), func(d *Dec) { DecodeViews(d) }},
+		"ViewBatch/cols":  {zeros(3), func(d *Dec) { DecodeViewBatch(d) }},
+		"ViewBatch/rows":  {zeros(4), func(d *Dec) { DecodeViewBatch(d) }},
+		"BootViews":       {zeros(0), func(d *Dec) { DecodeBootViews(d) }},
+		"BootMeta/free":   {zeros(2), func(d *Dec) { DecodeReplBootMeta(d) }},
+		"BootMeta/snaps":  {zeros(4), func(d *Dec) { DecodeReplBootMeta(d) }},
+		"ReplPages":       {zeros(0), func(d *Dec) { DecodeReplPages(d) }},
+		"PagelogChunk":    {zeros(1), func(d *Dec) { DecodeReplPagelogChunk(d) }},
+		"SegmentChunk":    {zeros(2), func(d *Dec) { DecodeReplSegmentChunk(d) }},
+		"MapEntries":      {zeros(0), func(d *Dec) { DecodeReplMapEntries(d) }},
+		"Annots":          {zeros(0), func(d *Dec) { DecodeReplAnnots(d) }},
+		"ReplDelta/caps":  {zeros(6), func(d *Dec) { DecodeReplDelta(d) }},
+		"ReplDelta/pages": {zeros(7), func(d *Dec) { DecodeReplDelta(d) }},
+		"ReplStats":       {zeros(4), func(d *Dec) { DecodeReplStats(d) }},
+	} {
+		e := &Enc{}
+		tc.prefix(e)
+		e.Uvarint(MaxFrame)
+		d := &Dec{B: e.B}
+		got := allocated(func() { tc.decode(d) })
+		if d.Err() == nil {
+			t.Errorf("%s: a count of %d over an empty body decoded without error", name, MaxFrame)
+		}
+		if got > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte payload allocated %d bytes", name, len(e.B), got)
+		}
+	}
+}
+
+// allocSlack absorbs what the test process itself allocates between two
+// MemStats reads.
+const allocSlack = 64 << 10
+
+// allocBound is what a list decoder may allocate for an n-byte input:
+// Dec.Len admits at most one element per remaining byte, so the decoded
+// form is bounded by the largest element struct (a Metric or an
+// IterationCost, both under 256 bytes) per input byte.
+func allocBound(n int) uint64 { return allocSlack + 256*uint64(n) }
+
+func FuzzReadFrame(f *testing.F) {
+	var buf bytes.Buffer
+	WriteFrame(&buf, RespBatch, []byte("payload"))
+	f.Add(buf.Bytes())
+	f.Add([]byte{0x03, 0xFF, 0xFF, 0xFF, RespStats}) // just under MaxFrame, no body
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01})      // over MaxFrame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			op      byte
+			payload []byte
+			err     error
+		)
+		got := allocated(func() { op, payload, err = ReadFrame(bytes.NewReader(data)) })
+		if got > frameChunk+allocSlack+4*uint64(len(data)) {
+			t.Fatalf("ReadFrame allocated %d bytes for a %d-byte input", got, len(data))
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteFrame(&out, op, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("frame did not re-encode to its input")
+		}
+	})
+}
+
+func FuzzDecodeMetrics(f *testing.F) {
+	e := &Enc{}
+	EncodeMetrics(e, seedMetrics)
+	f.Add(e.B)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x1F})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := &Dec{B: data}
+		var ms []obs.Metric
+		if got := allocated(func() { ms = DecodeMetrics(d) }); got > allocBound(len(data)) {
+			t.Fatalf("DecodeMetrics allocated %d bytes for a %d-byte input", got, len(data))
+		}
+		if d.Err() != nil {
+			return
+		}
+		// What decoded cleanly survives another encode/decode round
+		// (compared as bytes: a NaN sum is not equal to itself).
+		e1, e2 := &Enc{}, &Enc{}
+		EncodeMetrics(e1, ms)
+		EncodeMetrics(e2, DecodeMetrics(&Dec{B: e1.B}))
+		if !bytes.Equal(e1.B, e2.B) {
+			t.Fatalf("metrics %+v changed across an encode/decode round", ms)
+		}
+	})
+}
+
+func FuzzDecodeRunStats(f *testing.F) {
+	e := &Enc{}
+	EncodeRunStats(e, seedRunStats)
+	f.Add(e.B)
+	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x1F})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := &Dec{B: data}
+		var r *core.RunStats
+		if got := allocated(func() { r = DecodeRunStats(d) }); got > allocBound(len(data)) {
+			t.Fatalf("DecodeRunStats allocated %d bytes for a %d-byte input", got, len(data))
+		}
+		if d.Err() != nil {
+			return
+		}
+		e1, e2 := &Enc{}, &Enc{}
+		EncodeRunStats(e1, r)
+		EncodeRunStats(e2, DecodeRunStats(&Dec{B: e1.B}))
+		if !bytes.Equal(e1.B, e2.B) {
+			t.Fatalf("run stats %+v changed across an encode/decode round", r)
+		}
+	})
+}

@@ -1,6 +1,6 @@
 package wire
 
-// Replication frame bodies (protocol v4). The stream a replica opens
+// Replication frame bodies. The stream a replica opens
 // with ReqReplSub is the one place the protocol departs from its
 // one-request-at-a-time rule: after the subscribe, the server pushes
 // RespReplBoot / RespReplDelta / RespReplAnnot frames indefinitely
@@ -23,8 +23,8 @@ const (
 	BootAnnots  byte = iota // batch of SnapIds rows
 	BootDone    byte = iota // bootstrap complete
 	BootResume  byte = iota // no bootstrap; stream resumes past last applied
-	BootSegment byte = iota // one sealed Pagelog segment blob, verbatim (v6)
-	BootViews   byte = iota // batch of retro-view definitions (v7)
+	BootSegment byte = iota // one sealed Pagelog segment blob, verbatim
+	BootViews   byte = iota // batch of retro-view definitions
 )
 
 // EncodeBootViews appends a BootViews chunk body: the primary's current
@@ -39,13 +39,9 @@ func EncodeBootViews(e *Enc, views []ViewDDL) {
 
 // DecodeBootViews reads a BootViews chunk body.
 func DecodeBootViews(d *Dec) []ViewDDL {
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		d.fail()
-		return nil
-	}
+	n := d.Len()
 	out := make([]ViewDDL, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, DecodeViewDDL(d))
 	}
 	return out
@@ -127,20 +123,16 @@ func DecodeReplBootMeta(d *Dec) ReplBootMeta {
 	var m ReplBootMeta
 	m.LSN = d.Uvarint()
 	m.NumPages = d.Uvarint()
-	n := d.Uvarint()
-	if d.Err() == nil && n <= MaxFrame {
-		m.Free = make([]uint32, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			m.Free = append(m.Free, uint32(d.Uvarint()))
-		}
+	n := d.Len()
+	m.Free = make([]uint32, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		m.Free = append(m.Free, uint32(d.Uvarint()))
 	}
 	m.LastSnap = d.Uvarint()
-	n = d.Uvarint()
-	if d.Err() == nil && n <= MaxFrame {
-		m.SnapLSNs = make([]uint64, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			m.SnapLSNs = append(m.SnapLSNs, d.Uvarint())
-		}
+	n = d.Len()
+	m.SnapLSNs = make([]uint64, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		m.SnapLSNs = append(m.SnapLSNs, d.Uvarint())
 	}
 	m.PagelogPages = d.Varint()
 	m.MaplogEntries = d.Uvarint()
@@ -172,13 +164,9 @@ func EncodeReplPages(e *Enc, pages []ReplPageImage) {
 // DecodeReplPages reads a page-image list. Page data aliases the frame
 // payload; callers copy what they retain.
 func DecodeReplPages(d *Dec) []ReplPageImage {
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		d.fail()
-		return nil
-	}
-	out := make([]ReplPageImage, 0, min(n, MaxFrame/PageSize))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	n := d.Len()
+	out := make([]ReplPageImage, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
 		p := ReplPageImage{ID: uint32(d.Uvarint())}
 		if d.Bool() && d.Err() == nil {
 			if len(d.B) < PageSize {
@@ -207,13 +195,9 @@ func EncodeReplPagelogChunk(e *Enc, off int64, pages [][]byte) {
 // aliases the frame payload.
 func DecodeReplPagelogChunk(d *Dec) (off int64, pages [][]byte) {
 	off = d.Varint()
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame/PageSize {
-		d.fail()
-		return 0, nil
-	}
-	pages = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	n := d.Len()
+	pages = make([][]byte, 0, min(n, len(d.B)/PageSize))
+	for i := 0; i < n; i++ {
 		if len(d.B) < PageSize {
 			d.fail()
 			return 0, nil
@@ -240,9 +224,8 @@ func EncodeReplSegmentChunk(e *Enc, base, pages int64, blob []byte) {
 func DecodeReplSegmentChunk(d *Dec) (base, pages int64, blob []byte) {
 	base = d.Varint()
 	pages = d.Varint()
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame || uint64(len(d.B)) < n {
-		d.fail()
+	n := d.Len()
+	if d.Err() != nil {
 		return 0, 0, nil
 	}
 	blob = d.B[:n]
@@ -269,13 +252,9 @@ func EncodeReplMapEntries(e *Enc, entries []ReplMapEntry) {
 
 // DecodeReplMapEntries reads a Maplog entry list.
 func DecodeReplMapEntries(d *Dec) []ReplMapEntry {
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame/3 {
-		d.fail()
-		return nil
-	}
+	n := d.Len()
 	out := make([]ReplMapEntry, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, ReplMapEntry{
 			Snap: d.Uvarint(),
 			Page: uint32(d.Uvarint()),
@@ -308,13 +287,9 @@ func EncodeReplAnnots(e *Enc, anns []ReplAnnot) {
 
 // DecodeReplAnnots reads an annotation list.
 func DecodeReplAnnots(d *Dec) []ReplAnnot {
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame/3 {
-		d.fail()
-		return nil
-	}
+	n := d.Len()
 	out := make([]ReplAnnot, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, ReplAnnot{Snap: d.Uvarint(), TS: d.String(), Label: d.String()})
 	}
 	return out
@@ -372,13 +347,9 @@ func DecodeReplDelta(d *Dec) ReplDelta {
 	rd.Partial = d.Bool()
 	rd.Declare = d.Bool()
 	rd.SnapID = d.Uvarint()
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame/PageSize {
-		d.fail()
-		return rd
-	}
-	rd.Captures = make([]ReplCaptureImage, 0, n)
-	for i := uint64(0); i < n; i++ {
+	n := d.Len()
+	rd.Captures = make([]ReplCaptureImage, 0, min(n, len(d.B)/PageSize))
+	for i := 0; i < n; i++ {
 		c := ReplCaptureImage{Page: uint32(d.Uvarint())}
 		if d.Err() != nil || len(d.B) < PageSize {
 			d.fail()
@@ -453,8 +424,7 @@ type ReplicaStat struct {
 
 // ReplStats is the RespReplStats body. Role selects which half is
 // meaningful: a primary fills Replicas, a replica fills the apply-side
-// counters. It is a separate frame (not part of ServerStats) so the v3
-// STATS body keeps its shape across versions.
+// counters.
 type ReplStats struct {
 	Role    byte
 	Horizon uint64
@@ -503,12 +473,9 @@ func DecodeReplStats(d *Dec) ReplStats {
 	s.Horizon = d.Uvarint()
 	s.LSN = d.Uvarint()
 	s.Primary = d.String()
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return s
-	}
+	n := d.Len()
 	s.Replicas = make([]ReplicaStat, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		s.Replicas = append(s.Replicas, ReplicaStat{
 			ID:        d.String(),
 			Addr:      d.String(),

@@ -1,31 +1,14 @@
 package wire
 
-import "time"
+import (
+	"time"
 
-// Span mirrors obs.Span on the wire; attribute values are either a
-// string or an int64, discriminated by IsStr (matching obs.Attr). wire
-// keeps its own copy so the protocol schema stays explicit and the
-// package free of non-codec dependencies.
-type Span struct {
-	Trace    uint64
-	ID       uint64
-	Parent   uint64
-	Name     string
-	Start    time.Time
-	Duration time.Duration
-	Attrs    []SpanAttr
-}
+	"rql/internal/obs"
+)
 
-// SpanAttr is one typed span attribute.
-type SpanAttr struct {
-	Key   string
-	Str   string
-	Int   int64
-	IsStr bool
-}
-
-// EncodeSpans appends a span list body (RespTrace payload).
-func EncodeSpans(e *Enc, spans []Span) {
+// EncodeSpans appends a span list body (RespTrace payload). Attribute
+// values are either a string or an int64, discriminated by IsStr.
+func EncodeSpans(e *Enc, spans []obs.Span) {
 	e.Uvarint(uint64(len(spans)))
 	for _, s := range spans {
 		e.Uvarint(s.Trace)
@@ -48,14 +31,11 @@ func EncodeSpans(e *Enc, spans []Span) {
 }
 
 // DecodeSpans reads a span list body.
-func DecodeSpans(d *Dec) []Span {
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return nil
-	}
-	out := make([]Span, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		s := Span{
+func DecodeSpans(d *Dec) []obs.Span {
+	n := d.Len()
+	out := make([]obs.Span, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s := obs.Span{
 			Trace:  d.Uvarint(),
 			ID:     d.Uvarint(),
 			Parent: d.Uvarint(),
@@ -63,13 +43,10 @@ func DecodeSpans(d *Dec) []Span {
 		}
 		s.Start = time.Unix(0, d.Varint())
 		s.Duration = d.Duration()
-		na := d.Uvarint()
-		if d.Err() != nil || na > MaxFrame {
-			return out
-		}
-		s.Attrs = make([]SpanAttr, 0, na)
-		for j := uint64(0); j < na && d.Err() == nil; j++ {
-			a := SpanAttr{Key: d.String(), IsStr: d.Bool()}
+		na := d.Len()
+		s.Attrs = make([]obs.Attr, 0, na)
+		for j := 0; j < na && d.Err() == nil; j++ {
+			a := obs.Attr{Key: d.String(), IsStr: d.Bool()}
 			if a.IsStr {
 				a.Str = d.String()
 			} else {
@@ -82,25 +59,9 @@ func DecodeSpans(d *Dec) []Span {
 	return out
 }
 
-// SlowEntry mirrors obs.SlowEntry on the wire.
-type SlowEntry struct {
-	SQL      string
-	Duration time.Duration
-	Trace    uint64
-	When     time.Time
-	Rows     int64
-
-	// Retrospective cost (v8; zero when the peer negotiated v7 or
-	// lower, or when the statement was plain SQL).
-	Mechanism    string
-	PagelogReads int64
-	PrunedIters  int64
-}
-
 // EncodeSlowEntries appends a slow-query log body (RespSlow payload),
-// prefixed with the server's active threshold (0 = disabled). The
-// retrospective-cost fields are appended only for ver >= 8.
-func EncodeSlowEntries(e *Enc, threshold time.Duration, entries []SlowEntry, ver int) {
+// prefixed with the server's active threshold (0 = disabled).
+func EncodeSlowEntries(e *Enc, threshold time.Duration, entries []obs.SlowEntry) {
 	e.Duration(threshold)
 	e.Uvarint(uint64(len(entries)))
 	for _, s := range entries {
@@ -109,32 +70,24 @@ func EncodeSlowEntries(e *Enc, threshold time.Duration, entries []SlowEntry, ver
 		e.Uvarint(s.Trace)
 		e.Varint(s.When.UnixNano())
 		e.Varint(s.Rows)
-		if ver >= TraceContextVersion {
-			e.String(s.Mechanism)
-			e.Varint(s.PagelogReads)
-			e.Varint(s.PrunedIters)
-		}
+		e.String(s.Mechanism)
+		e.Varint(s.PagelogReads)
+		e.Varint(s.PrunedIters)
 	}
 }
 
-// DecodeSlowEntries reads a slow-query log body encoded at negotiated
-// protocol version ver; for ver < 8 the cost fields stay zero.
-func DecodeSlowEntries(d *Dec, ver int) (threshold time.Duration, entries []SlowEntry) {
+// DecodeSlowEntries reads a slow-query log body.
+func DecodeSlowEntries(d *Dec) (threshold time.Duration, entries []obs.SlowEntry) {
 	threshold = d.Duration()
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return threshold, nil
-	}
-	entries = make([]SlowEntry, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		s := SlowEntry{SQL: d.String(), Duration: d.Duration(), Trace: d.Uvarint()}
+	n := d.Len()
+	entries = make([]obs.SlowEntry, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s := obs.SlowEntry{SQL: d.String(), Duration: d.Duration(), Trace: d.Uvarint()}
 		s.When = time.Unix(0, d.Varint())
 		s.Rows = d.Varint()
-		if ver >= TraceContextVersion {
-			s.Mechanism = d.String()
-			s.PagelogReads = d.Varint()
-			s.PrunedIters = d.Varint()
-		}
+		s.Mechanism = d.String()
+		s.PagelogReads = d.Varint()
+		s.PrunedIters = d.Varint()
 		entries = append(entries, s)
 	}
 	return threshold, entries

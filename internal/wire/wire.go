@@ -17,51 +17,28 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"time"
 
+	"rql/internal/core"
+	"rql/internal/obs"
 	"rql/internal/record"
+	"rql/internal/sql"
 )
 
-// ProtocolVersion is bumped on incompatible frame-format changes.
-// v2 added the pipelined-I/O and device-model statistics fields; v3
-// added tracing (TRACE/SLOW/RESET requests, the trace ID on RespDone)
-// and the latency-histogram bucket bounds in ServerStats; v4 added
-// replication (HORIZON, REPL SUBSCRIBE/ACK/STATS and the bootstrap,
-// delta and annotation stream frames) and HELLO version negotiation:
-// both sides speak min(client, server), so a v3 client against a v4
-// server degrades cleanly to the v3 feature set instead of erroring;
-// v5 added the group-commit counters (commit groups, group-size
-// histogram, conflicts, queue wait, device flushes) to ServerStats;
-// v6 added the tiered-Pagelog counters (segment tiers, footprint,
-// compactor and retention activity, device bytes) to ServerStats and
-// the BootSegment bootstrap chunk that ships sealed segments verbatim;
-// v7 added materialized retro views (VIEWS listing, SUBSCRIBE streams,
-// the replicated view-DDL event and BootViews bootstrap chunk) and the
-// view + fsync-skip counters in ServerStats;
-// v8 added distributed trace propagation (every post-handshake request
-// payload opens with a TraceContext prefix so the server roots its
-// span under the caller's trace), the TIMELINE request serving the
-// telemetry ring, the per-iteration device queue-wait in RunStats, and
-// the mechanism/Pagelog-reads/pruned-iteration fields on slow-query
-// entries.
-const ProtocolVersion = 8
-
-// ReplProtocolVersion is the lowest negotiated version that carries the
-// replication and horizon frames.
-const ReplProtocolVersion = 4
-
-// ViewProtocolVersion is the lowest negotiated version that carries the
-// retro-view frames (VIEWS, SUBSCRIBE, replicated view DDL).
-const ViewProtocolVersion = 7
-
-// TraceContextVersion is the lowest negotiated version whose request
-// frames carry the TraceContext prefix (and the TIMELINE request).
-const TraceContextVersion = 8
+// ProtocolVersion is the one protocol version this tree speaks, bumped
+// on any frame-format change. It is also the floor: the only peers are
+// built from this repository (client, repl.Replica, rqlshell, rqlbench,
+// benchmark/), so a HELLO below it is refused with an error naming it,
+// and a HELLO above it is answered with it. DESIGN.md has the frame
+// table.
+const ProtocolVersion = 9
 
 // Magic opens the client hello.
 const Magic = "RQL1"
@@ -84,17 +61,17 @@ const (
 	ReqSlow  byte = 0x0B // — slow-query log
 	ReqReset byte = 0x0C // — reset server/storage/retro counters
 
-	// v4 replication / cluster requests.
+	// Replication / cluster requests.
 	ReqHorizon   byte = 0x0D // — role, applied snapshot horizon, LSN
 	ReqReplSub   byte = 0x0E // replica id, last applied snapshot — open stream
 	ReqReplStats byte = 0x0F // — replication stats (role-dependent)
 	ReqReplAck   byte = 0x10 // applied snapshot, LSN, bytes — sent on the stream
 
-	// v7 retro-view requests.
+	// Retro-view requests.
 	ReqViews   byte = 0x11 // — list materialized retro views
 	ReqViewSub byte = 0x12 // view name, last seen snapshot — open subscription
 
-	// v8 telemetry request.
+	// Telemetry request.
 	ReqTimeline byte = 0x13 // — telemetry timeline ring
 )
 
@@ -114,27 +91,27 @@ const (
 	RespError  byte = 0x85 // message
 	RespSnapID byte = 0x86 // snapshot id
 	RespRun    byte = 0x87 // run stats (or absent)
-	RespStats  byte = 0x88 // server stats
+	RespStats  byte = 0x88 // metric list
 	RespObjs   byte = 0x89 // object list
 	RespTblSt  byte = 0x8A // table stats
 	RespPong   byte = 0x8B // — (also acks ReqReset and TraceOn/TraceOff)
 	RespTrace  byte = 0x8C // span list
 	RespSlow   byte = 0x8D // slow-query entries
 
-	// v4 replication / cluster responses.
+	// Replication / cluster responses.
 	RespHorizon   byte = 0x8E // HorizonInfo
 	RespReplBoot  byte = 0x8F // bootstrap chunk (kind byte + body)
 	RespReplDelta byte = 0x90 // one replicated commit (possibly chunked)
 	RespReplAnnot byte = 0x91 // one SnapIds annotation event
 	RespReplStats byte = 0x92 // ReplStats
 
-	// v7 retro-view responses.
+	// Retro-view responses.
 	RespViews       byte = 0x93 // ViewInfo list
 	RespViewBatch   byte = 0x94 // one materialized refresh pushed on a subscription
 	RespReplViewDDL byte = 0x95 // one replicated view CREATE/DROP event
 
-	// v8 telemetry response.
-	RespTimeline byte = 0x96 // sampling period + TimelinePoint list
+	// Telemetry response.
+	RespTimeline byte = 0x96 // sampling period + timeline points
 )
 
 // Mechanism kinds carried by ReqMech.
@@ -167,21 +144,62 @@ func WriteFrame(w io.Writer, op byte, payload []byte) error {
 	return err
 }
 
+// frameChunk is the most ReadFrame reserves on the word of a 5-byte
+// header; a larger payload grows as its bytes actually arrive.
+const frameChunk = 1 << 20
+
 // ReadFrame reads one frame from r.
 func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFrame {
+	size := binary.BigEndian.Uint32(hdr[:4])
+	if size > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	n := int(size)
+	payload = make([]byte, min(n, frameChunk))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, payload[filled:]); err != nil {
+			return 0, nil, err
+		}
+		filled = len(payload)
+		if filled == n {
+			return hdr[4], payload, nil
+		}
+		payload = append(payload, make([]byte, min(n-filled, filled))...)
 	}
-	return hdr[4], payload, nil
+}
+
+// ClientHello runs the dialing side of the handshake: send the HELLO,
+// read the reply, and insist the peer speaks exactly ProtocolVersion. A
+// server refusing the HELLO answers RespError, returned as RemoteError.
+func ClientHello(br *bufio.Reader, bw *bufio.Writer) error {
+	e := &Enc{}
+	e.String(Magic)
+	e.Uvarint(ProtocolVersion)
+	if err := WriteFrame(bw, ReqHello, e.B); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	op, payload, err := ReadFrame(br)
+	if err != nil {
+		return err
+	}
+	if op == RespError {
+		return DecodeError(payload)
+	}
+	if op != RespHello {
+		return fmt.Errorf("wire: unexpected handshake reply %#x", op)
+	}
+	d := &Dec{B: payload}
+	if v := d.Uvarint(); d.Err() != nil || v != ProtocolVersion {
+		return fmt.Errorf("wire: peer speaks protocol v%d, this build needs v%d", v, ProtocolVersion)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -274,6 +292,19 @@ func (d *Dec) Varint() int64 {
 	return v
 }
 
+// Len reads a list's element count and fails the decode when it exceeds
+// the bytes remaining: every encoded element is at least one byte, so a
+// larger count cannot be honest, and the caller may size its slice from
+// the result without trusting the peer.
+func (d *Dec) Len() int {
+	n := d.Uvarint()
+	if n > uint64(len(d.B)) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // Byte reads one byte.
 func (d *Dec) Byte() byte {
 	if d.err != nil {
@@ -348,74 +379,111 @@ func (d *Dec) Float64() float64 {
 // Composite message bodies shared by client and server
 // ---------------------------------------------------------------------------
 
-// TraceContext is the caller's distributed-trace identity. From
-// protocol v8 on, every post-handshake request payload opens with this
-// prefix: the server roots its per-request span inside Trace (instead
-// of minting a fresh local trace), so the primary-write and
-// replica-read legs of one logical cluster query stitch into a single
-// trace. Trace == 0 or Sampled == false means "don't record a server
-// span for this request" — the zero value is exactly the pre-v8
-// behavior of an untraced client.
+// TraceContext is the caller's distributed-trace identity. Every
+// post-handshake request payload opens with this prefix: the server
+// roots its per-request span inside Trace (instead of minting a fresh
+// local trace), so the primary-write and replica-read legs of one
+// logical cluster query stitch into a single trace. Trace == 0 means
+// "no caller trace": the server roots a local one; Sampled == false
+// with a non-zero Trace means "record no server span for this request".
 type TraceContext struct {
 	Trace   uint64
 	Sampled bool
 }
 
-// EncodeTraceContext appends the v8 request prefix.
+// EncodeTraceContext appends the request prefix.
 func EncodeTraceContext(e *Enc, tc TraceContext) {
 	e.Uvarint(tc.Trace)
 	e.Bool(tc.Sampled)
 }
 
-// DecodeTraceContext reads the v8 request prefix.
+// DecodeTraceContext reads the request prefix.
 func DecodeTraceContext(d *Dec) TraceContext {
 	return TraceContext{Trace: d.Uvarint(), Sampled: d.Bool()}
 }
 
-// TimelinePoint mirrors obs.Point on the wire: one telemetry sample of
-// per-second counter rates and raw gauges. Names ride on every point —
-// the set is small and stable, but self-describing points keep old
-// clients rendering new servers' metrics without a schema bump.
-type TimelinePoint struct {
-	WhenUnixNano int64
-	Interval     time.Duration
-	Rates        []NamedValue
-	Gauges       []NamedValue
-}
-
-// NamedValue is one name → float64 metric sample.
-type NamedValue struct {
-	Name  string
-	Value float64
-}
-
-func encodeNamedValues(e *Enc, vals []NamedValue) {
-	e.Uvarint(uint64(len(vals)))
-	for _, v := range vals {
-		e.String(v.Name)
-		e.Float64(v.Value)
+// EncodeMetrics appends a RespStats body: the metric list as
+// self-describing (name, kind, label, value | bounds+counts+sum)
+// entries, so a metric the server gains needs no codec change. Help
+// text stays with the declaring process.
+func EncodeMetrics(e *Enc, ms []obs.Metric) {
+	e.Uvarint(uint64(len(ms)))
+	for _, m := range ms {
+		e.String(m.Name)
+		e.Byte(byte(m.Kind))
+		e.String(m.Label)
+		e.String(m.LabelValue)
+		if m.Kind != obs.KindHistogram {
+			e.Uvarint(m.Value)
+			continue
+		}
+		e.Uvarint(uint64(len(m.Bounds)))
+		for _, b := range m.Bounds {
+			e.Float64(b)
+		}
+		for _, c := range m.Counts {
+			e.Uvarint(c)
+		}
+		e.Float64(m.Sum)
 	}
 }
 
-func decodeNamedValues(d *Dec) []NamedValue {
-	n := d.Uvarint()
-	if d.Err() != nil || n == 0 || n > MaxFrame {
-		return nil
+// DecodeMetrics reads a RespStats body.
+func DecodeMetrics(d *Dec) []obs.Metric {
+	n := d.Len()
+	out := make([]obs.Metric, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		m := obs.Metric{Name: d.String(), Kind: obs.Kind(d.Byte()), Label: d.String(), LabelValue: d.String()}
+		if m.Kind != obs.KindHistogram {
+			m.Value = d.Uvarint()
+		} else {
+			nb := d.Len()
+			m.Bounds = make([]float64, nb)
+			for j := range m.Bounds {
+				m.Bounds[j] = d.Float64()
+			}
+			m.Counts = make([]uint64, nb+1)
+			for j := range m.Counts {
+				m.Counts[j] = d.Uvarint()
+			}
+			m.Sum = d.Float64()
+		}
+		out = append(out, m)
 	}
-	out := make([]NamedValue, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		out = append(out, NamedValue{Name: d.String(), Value: d.Float64()})
+	return out
+}
+
+func encodeNamedValues(e *Enc, vals map[string]float64) {
+	names := make([]string, 0, len(vals))
+	for k := range vals {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	e.Uvarint(uint64(len(names)))
+	for _, k := range names {
+		e.String(k)
+		e.Float64(vals[k])
+	}
+}
+
+func decodeNamedValues(d *Dec) map[string]float64 {
+	n := d.Len()
+	out := make(map[string]float64, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.String()
+		out[k] = d.Float64()
 	}
 	return out
 }
 
 // EncodeTimeline appends a RespTimeline body: the sampling period and
-// the retained points, oldest first.
-func EncodeTimeline(e *Enc, period time.Duration, points []TimelinePoint) {
+// the retained points, oldest first. Names ride on every point, so a
+// client renders whatever metrics the server samples.
+func EncodeTimeline(e *Enc, period time.Duration, points []obs.Point) {
 	e.Duration(period)
 	e.Uvarint(uint64(len(points)))
 	for _, p := range points {
-		e.Varint(p.WhenUnixNano)
+		e.Varint(p.When.UnixNano())
 		e.Duration(p.Interval)
 		encodeNamedValues(e, p.Rates)
 		encodeNamedValues(e, p.Gauges)
@@ -423,42 +491,23 @@ func EncodeTimeline(e *Enc, period time.Duration, points []TimelinePoint) {
 }
 
 // DecodeTimeline reads a RespTimeline body.
-func DecodeTimeline(d *Dec) (period time.Duration, points []TimelinePoint) {
+func DecodeTimeline(d *Dec) (period time.Duration, points []obs.Point) {
 	period = d.Duration()
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return period, nil
-	}
-	points = make([]TimelinePoint, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		points = append(points, TimelinePoint{
-			WhenUnixNano: d.Varint(),
-			Interval:     d.Duration(),
-			Rates:        decodeNamedValues(d),
-			Gauges:       decodeNamedValues(d),
+	n := d.Len()
+	points = make([]obs.Point, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		points = append(points, obs.Point{
+			When:     time.Unix(0, d.Varint()),
+			Interval: d.Duration(),
+			Rates:    decodeNamedValues(d),
+			Gauges:   decodeNamedValues(d),
 		})
 	}
 	return period, points
 }
 
-// ExecStats mirrors sql.ExecStats field-for-field; wire keeps its own
-// copy so the protocol schema is explicit and self-contained.
-type ExecStats struct {
-	Duration       time.Duration
-	SPTBuildTime   time.Duration
-	AutoIndex      time.Duration
-	MapScanned     int
-	PagelogReads   int
-	CacheHits      int
-	DBReads        int
-	RowsReturned   int
-	ClusteredReads int
-	ClusteredPages int
-	PrefetchHits   int
-}
-
-// EncodeExecStats appends an ExecStats body.
-func EncodeExecStats(e *Enc, s ExecStats) {
+// EncodeExecStats appends a statement's sql.ExecStats (RespDone).
+func EncodeExecStats(e *Enc, s sql.ExecStats) {
 	e.Duration(s.Duration)
 	e.Duration(s.SPTBuildTime)
 	e.Duration(s.AutoIndex)
@@ -466,110 +515,55 @@ func EncodeExecStats(e *Enc, s ExecStats) {
 	e.Uvarint(uint64(s.PagelogReads))
 	e.Uvarint(uint64(s.CacheHits))
 	e.Uvarint(uint64(s.DBReads))
-	e.Uvarint(uint64(s.RowsReturned))
-	e.Uvarint(uint64(s.ClusteredReads))
-	e.Uvarint(uint64(s.ClusteredPages))
 	e.Uvarint(uint64(s.PrefetchHits))
+	e.Uvarint(uint64(s.RowsReturned))
+	e.Duration(s.QueueWait)
 }
 
 // DecodeExecStats reads an ExecStats body.
-func DecodeExecStats(d *Dec) ExecStats {
-	return ExecStats{
-		Duration:       d.Duration(),
-		SPTBuildTime:   d.Duration(),
-		AutoIndex:      d.Duration(),
-		MapScanned:     int(d.Uvarint()),
-		PagelogReads:   int(d.Uvarint()),
-		CacheHits:      int(d.Uvarint()),
-		DBReads:        int(d.Uvarint()),
-		RowsReturned:   int(d.Uvarint()),
-		ClusteredReads: int(d.Uvarint()),
-		ClusteredPages: int(d.Uvarint()),
-		PrefetchHits:   int(d.Uvarint()),
+func DecodeExecStats(d *Dec) sql.ExecStats {
+	return sql.ExecStats{
+		Duration:     d.Duration(),
+		SPTBuildTime: d.Duration(),
+		AutoIndex:    d.Duration(),
+		MapScanned:   int(d.Uvarint()),
+		PagelogReads: int(d.Uvarint()),
+		CacheHits:    int(d.Uvarint()),
+		DBReads:      int(d.Uvarint()),
+		PrefetchHits: int(d.Uvarint()),
+		RowsReturned: int(d.Uvarint()),
+		QueueWait:    d.Duration(),
 	}
 }
 
-// IterationCost mirrors core.IterationCost on the wire.
-type IterationCost struct {
-	Snapshot       uint64
-	SPTBuild       time.Duration
-	IndexCreation  time.Duration
-	QueryEval      time.Duration
-	UDF            time.Duration
-	IOTime         time.Duration
-	PagelogReads   int
-	CacheHits      int
-	DBReads        int
-	MapScanned     int
-	QqRows         int
-	ResultInserts  int
-	ResultUpdates  int
-	ResultSearch   int
-	ClusteredReads int
-	Pruned         bool
-	DeltaPages     int
-	ClusteredPages int
-	PrefetchHits   int
-	OverlapTime    time.Duration
-	QueueWait      time.Duration // v8: device queue wait billed to this iteration
-}
-
-// RunStats mirrors core.RunStats on the wire.
-type RunStats struct {
-	Mechanism        string
-	Iterations       []IterationCost
-	ResultRows       int
-	ResultDataBytes  int64
-	ResultIndexBytes int64
-	BatchBuilds      int
-	BatchMapScanned  int
-	BatchBuildTime   time.Duration
-
-	// Delta pruning outcome.
-	PrunedIterations   int
-	PrunedRowsReplayed int
-	DeltaIntersections int
-	PruneReason        string
-
-	// Pipelined I/O outcome.
-	PipelinedPrefetches int
-	PrefetchHits        int
-	PrefetchWasted      int
-}
-
-// EncodeRunStats appends a RunStats body in the layout of negotiated
-// protocol version ver: the per-iteration device queue-wait is
-// appended only for ver >= 8, so older peers see exactly their frame.
-func EncodeRunStats(e *Enc, r RunStats, ver int) {
+// EncodeRunStats appends a mechanism run's core.RunStats (RespRun).
+func EncodeRunStats(e *Enc, r *core.RunStats) {
 	e.String(r.Mechanism)
 	e.Uvarint(uint64(r.ResultRows))
 	e.Varint(r.ResultDataBytes)
 	e.Varint(r.ResultIndexBytes)
 	e.Uvarint(uint64(len(r.Iterations)))
-	for _, it := range r.Iterations {
+	for i := range r.Iterations {
+		it := &r.Iterations[i]
 		e.Uvarint(it.Snapshot)
 		e.Duration(it.SPTBuild)
 		e.Duration(it.IndexCreation)
 		e.Duration(it.QueryEval)
 		e.Duration(it.UDF)
 		e.Duration(it.IOTime)
+		e.Duration(it.OverlapTime)
+		e.Duration(it.QueueWait)
 		e.Uvarint(uint64(it.PagelogReads))
 		e.Uvarint(uint64(it.CacheHits))
 		e.Uvarint(uint64(it.DBReads))
 		e.Uvarint(uint64(it.MapScanned))
+		e.Uvarint(uint64(it.PrefetchHits))
 		e.Uvarint(uint64(it.QqRows))
 		e.Uvarint(uint64(it.ResultInserts))
 		e.Uvarint(uint64(it.ResultUpdates))
 		e.Uvarint(uint64(it.ResultSearch))
-		e.Uvarint(uint64(it.ClusteredReads))
 		e.Bool(it.Pruned)
 		e.Uvarint(uint64(it.DeltaPages))
-		e.Uvarint(uint64(it.ClusteredPages))
-		e.Uvarint(uint64(it.PrefetchHits))
-		e.Duration(it.OverlapTime)
-		if ver >= TraceContextVersion {
-			e.Duration(it.QueueWait)
-		}
 	}
 	e.Uvarint(uint64(r.BatchBuilds))
 	e.Uvarint(uint64(r.BatchMapScanned))
@@ -583,47 +577,38 @@ func EncodeRunStats(e *Enc, r RunStats, ver int) {
 	e.Uvarint(uint64(r.PrefetchWasted))
 }
 
-// DecodeRunStats reads a RunStats body encoded at negotiated protocol
-// version ver; for ver < 8 the queue-wait fields stay zero.
-func DecodeRunStats(d *Dec, ver int) RunStats {
-	r := RunStats{
+// DecodeRunStats reads a RunStats body.
+func DecodeRunStats(d *Dec) *core.RunStats {
+	r := &core.RunStats{
 		Mechanism:        d.String(),
 		ResultRows:       int(d.Uvarint()),
 		ResultDataBytes:  d.Varint(),
 		ResultIndexBytes: d.Varint(),
 	}
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return r
-	}
-	r.Iterations = make([]IterationCost, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		it := IterationCost{
-			Snapshot:       d.Uvarint(),
-			SPTBuild:       d.Duration(),
-			IndexCreation:  d.Duration(),
-			QueryEval:      d.Duration(),
-			UDF:            d.Duration(),
-			IOTime:         d.Duration(),
-			PagelogReads:   int(d.Uvarint()),
-			CacheHits:      int(d.Uvarint()),
-			DBReads:        int(d.Uvarint()),
-			MapScanned:     int(d.Uvarint()),
-			QqRows:         int(d.Uvarint()),
-			ResultInserts:  int(d.Uvarint()),
-			ResultUpdates:  int(d.Uvarint()),
-			ResultSearch:   int(d.Uvarint()),
-			ClusteredReads: int(d.Uvarint()),
-			Pruned:         d.Bool(),
-			DeltaPages:     int(d.Uvarint()),
-			ClusteredPages: int(d.Uvarint()),
-			PrefetchHits:   int(d.Uvarint()),
-			OverlapTime:    d.Duration(),
-		}
-		if ver >= TraceContextVersion {
-			it.QueueWait = d.Duration()
-		}
-		r.Iterations = append(r.Iterations, it)
+	n := d.Len()
+	r.Iterations = make([]core.IterationCost, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		r.Iterations = append(r.Iterations, core.IterationCost{
+			Snapshot:      d.Uvarint(),
+			SPTBuild:      d.Duration(),
+			IndexCreation: d.Duration(),
+			QueryEval:     d.Duration(),
+			UDF:           d.Duration(),
+			IOTime:        d.Duration(),
+			OverlapTime:   d.Duration(),
+			QueueWait:     d.Duration(),
+			PagelogReads:  int(d.Uvarint()),
+			CacheHits:     int(d.Uvarint()),
+			DBReads:       int(d.Uvarint()),
+			MapScanned:    int(d.Uvarint()),
+			PrefetchHits:  int(d.Uvarint()),
+			QqRows:        int(d.Uvarint()),
+			ResultInserts: int(d.Uvarint()),
+			ResultUpdates: int(d.Uvarint()),
+			ResultSearch:  int(d.Uvarint()),
+			Pruned:        d.Bool(),
+			DeltaPages:    int(d.Uvarint()),
+		})
 	}
 	r.BatchBuilds = int(d.Uvarint())
 	r.BatchMapScanned = int(d.Uvarint())
@@ -659,12 +644,9 @@ func EncodeObjects(e *Enc, objs []ObjectInfo) {
 
 // DecodeObjects reads an object list body.
 func DecodeObjects(d *Dec) []ObjectInfo {
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return nil
-	}
+	n := d.Len()
 	out := make([]ObjectInfo, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, ObjectInfo{
 			Kind:  d.String(),
 			Name:  d.String(),
@@ -709,12 +691,9 @@ func EncodeViews(e *Enc, views []ViewInfo) {
 
 // DecodeViews reads a ViewInfo list body.
 func DecodeViews(d *Dec) []ViewInfo {
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return nil
-	}
+	n := d.Len()
 	out := make([]ViewInfo, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, ViewInfo{
 			Name:            d.String(),
 			Mechanism:       d.String(),
@@ -765,20 +744,14 @@ func DecodeViewBatch(d *Dec) ViewBatch {
 		Snap:   d.Uvarint(),
 		Pruned: d.Bool(),
 	}
-	n := d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return b
-	}
+	n := d.Len()
 	b.Cols = make([]string, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		b.Cols = append(b.Cols, d.String())
 	}
-	n = d.Uvarint()
-	if d.Err() != nil || n > MaxFrame {
-		return b
-	}
+	n = d.Len()
 	b.Rows = make([][]record.Value, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		b.Rows = append(b.Rows, d.Row())
 	}
 	return b
@@ -817,277 +790,6 @@ func DecodeViewDDL(d *Dec) ViewDDL {
 		Extra:     d.String(),
 		HasExtra:  d.Bool(),
 	}
-}
-
-// NumHistogramBuckets includes the implicit +Inf bucket.
-const NumHistogramBuckets = 7
-
-// HistogramBuckets are the upper bounds of the server's per-request
-// latency histogram; the final +Inf bucket is implicit. The fixed array
-// size ties the bound count to NumHistogramBuckets at compile time, so
-// adding a bound without bumping the constant (or vice versa) fails to
-// build instead of silently shifting counts into the wrong buckets.
-var HistogramBuckets = [NumHistogramBuckets - 1]time.Duration{
-	100 * time.Microsecond,
-	1 * time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	1 * time.Second,
-	10 * time.Second,
-}
-
-// ServerStats is the full STATS reply: the server's own counters plus
-// the storage and Retro counters piped through from the database.
-type ServerStats struct {
-	// Server counters.
-	ConnsAccepted  uint64
-	ConnsActive    uint64
-	QueriesServed  uint64
-	RowsStreamed   uint64
-	Errors         uint64
-	LatencyBuckets [NumHistogramBuckets]uint64
-	// LatencyBounds carries the histogram's upper bounds so clients
-	// render the counts against the server's bucketing, not their own
-	// compiled-in copy.
-	LatencyBounds [NumHistogramBuckets - 1]time.Duration
-
-	// Storage counters (main store).
-	Commits      uint64
-	PagesWritten uint64
-	DBReads      uint64
-
-	// Retro snapshot-system counters.
-	Snapshots     uint64
-	PagelogWrites uint64
-	PagelogReads  uint64
-	CacheHits     uint64
-	SPTBuilds     uint64
-	PagelogPages  int64
-	CachedPages   uint64
-
-	// Batch SPT construction and clustered prefetch counters.
-	SPTBatchBuilds  uint64
-	BatchSnapshots  uint64
-	BatchMapScanned uint64
-	ClusteredReads  uint64
-	ClusteredPages  uint64
-
-	// Delta-set retention counters.
-	DeltaBuilds uint64
-	DeltaPages  uint64
-
-	// Device-model counters.
-	DeviceReads      uint64
-	OverlappedReads  uint64
-	DeviceBusyNS     uint64
-	DeviceQueueDepth uint64
-
-	// Group-commit counters (v5; zero when the peer negotiated v4 or
-	// lower). CommitGroups counts commit-queue drains — a legacy-path
-	// commit is a group of one, so Commits/CommitGroups is the mean
-	// group size. GroupSizeBuckets histograms the committed-transaction
-	// count per group against GroupSizeBounds (final +Inf bucket
-	// implicit). DeviceFlushes counts fsync-equivalent flush
-	// round-trips: one per group, so against Commits it proves the
-	// batching.
-	CommitGroups      uint64
-	CommitConflicts   uint64
-	CommitQueueWaitNS uint64
-	GroupSizeBuckets  [NumGroupSizeBuckets]uint64
-	DeviceFlushes     uint64
-
-	// Tiered-Pagelog counters (v6; zero when the peer negotiated v5 or
-	// lower). Segments/SegmentPages/TailPages are point-in-time tier
-	// gauges; PagelogLogicalBytes vs PagelogDiskBytes is the archive's
-	// footprint (their ratio is the compression+dedup factor);
-	// SegmentSeals/SealedPages count compactor activity,
-	// RetentionDrops/RetentionDroppedPages whole-segment retention
-	// reclaims, SegBlockHits cold reads served from the decompressed-
-	// block cache, and DeviceBytesRead the bytes commands physically
-	// transferred.
-	Segments              uint64
-	SegmentPages          uint64
-	TailPages             uint64
-	PagelogLogicalBytes   uint64
-	PagelogDiskBytes      uint64
-	SegmentSeals          uint64
-	SealedPages           uint64
-	RetentionDrops        uint64
-	RetentionDroppedPages uint64
-	SegBlockHits          uint64
-	DeviceBytesRead       uint64
-
-	// Retro-view and fsync-skip counters (v7; zero when the peer
-	// negotiated v6 or lower). GroupFlushesSkipped counts commit groups
-	// whose writes left the Pagelog hot tail untouched (archived-only
-	// ranges), so the group's device flush was skipped. Views is the
-	// point-in-time view count; the others aggregate maintenance work
-	// across all views.
-	GroupFlushesSkipped uint64
-	Views               uint64
-	ViewRefreshes       uint64
-	ViewPrunedRefreshes uint64
-	ViewRowsPushed      uint64
-	ViewSubscribers     uint64
-}
-
-// NumGroupSizeBuckets includes the implicit +Inf bucket. It mirrors
-// storage.NumGroupSizeBuckets; the two are tied together by a
-// compile-time assertion in internal/server.
-const NumGroupSizeBuckets = 7
-
-// GroupSizeBounds are the upper bounds (inclusive) of the commit
-// group-size histogram; the final +Inf bucket is implicit. As with
-// HistogramBuckets, the fixed array size ties the bound count to
-// NumGroupSizeBuckets at compile time.
-var GroupSizeBounds = [NumGroupSizeBuckets - 1]uint64{1, 2, 4, 8, 16, 32}
-
-// EncodeServerStats appends a ServerStats body in the layout of
-// negotiated protocol version ver: the group-commit counters are
-// appended only for ver >= 5, so a v4 peer sees exactly the v4 frame.
-func EncodeServerStats(e *Enc, s ServerStats, ver int) {
-	e.Uvarint(s.ConnsAccepted)
-	e.Uvarint(s.ConnsActive)
-	e.Uvarint(s.QueriesServed)
-	e.Uvarint(s.RowsStreamed)
-	e.Uvarint(s.Errors)
-	e.Uvarint(uint64(len(s.LatencyBuckets)))
-	for _, c := range s.LatencyBuckets {
-		e.Uvarint(c)
-	}
-	for _, b := range s.LatencyBounds {
-		e.Duration(b)
-	}
-	e.Uvarint(s.Commits)
-	e.Uvarint(s.PagesWritten)
-	e.Uvarint(s.DBReads)
-	e.Uvarint(s.Snapshots)
-	e.Uvarint(s.PagelogWrites)
-	e.Uvarint(s.PagelogReads)
-	e.Uvarint(s.CacheHits)
-	e.Uvarint(s.SPTBuilds)
-	e.Varint(s.PagelogPages)
-	e.Uvarint(s.CachedPages)
-	e.Uvarint(s.SPTBatchBuilds)
-	e.Uvarint(s.BatchSnapshots)
-	e.Uvarint(s.BatchMapScanned)
-	e.Uvarint(s.ClusteredReads)
-	e.Uvarint(s.ClusteredPages)
-	e.Uvarint(s.DeltaBuilds)
-	e.Uvarint(s.DeltaPages)
-	e.Uvarint(s.DeviceReads)
-	e.Uvarint(s.OverlappedReads)
-	e.Uvarint(s.DeviceBusyNS)
-	e.Uvarint(s.DeviceQueueDepth)
-	if ver >= 5 {
-		e.Uvarint(s.CommitGroups)
-		e.Uvarint(s.CommitConflicts)
-		e.Uvarint(s.CommitQueueWaitNS)
-		e.Uvarint(uint64(len(s.GroupSizeBuckets)))
-		for _, c := range s.GroupSizeBuckets {
-			e.Uvarint(c)
-		}
-		e.Uvarint(s.DeviceFlushes)
-	}
-	if ver >= 6 {
-		e.Uvarint(s.Segments)
-		e.Uvarint(s.SegmentPages)
-		e.Uvarint(s.TailPages)
-		e.Uvarint(s.PagelogLogicalBytes)
-		e.Uvarint(s.PagelogDiskBytes)
-		e.Uvarint(s.SegmentSeals)
-		e.Uvarint(s.SealedPages)
-		e.Uvarint(s.RetentionDrops)
-		e.Uvarint(s.RetentionDroppedPages)
-		e.Uvarint(s.SegBlockHits)
-		e.Uvarint(s.DeviceBytesRead)
-	}
-	if ver >= 7 {
-		e.Uvarint(s.GroupFlushesSkipped)
-		e.Uvarint(s.Views)
-		e.Uvarint(s.ViewRefreshes)
-		e.Uvarint(s.ViewPrunedRefreshes)
-		e.Uvarint(s.ViewRowsPushed)
-		e.Uvarint(s.ViewSubscribers)
-	}
-}
-
-// DecodeServerStats reads a ServerStats body encoded at negotiated
-// protocol version ver; for ver < 5 the group-commit counters stay
-// zero.
-func DecodeServerStats(d *Dec, ver int) ServerStats {
-	var s ServerStats
-	s.ConnsAccepted = d.Uvarint()
-	s.ConnsActive = d.Uvarint()
-	s.QueriesServed = d.Uvarint()
-	s.RowsStreamed = d.Uvarint()
-	s.Errors = d.Uvarint()
-	n := d.Uvarint()
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		c := d.Uvarint()
-		if i < NumHistogramBuckets {
-			s.LatencyBuckets[i] = c
-		}
-	}
-	for i := range s.LatencyBounds {
-		s.LatencyBounds[i] = d.Duration()
-	}
-	s.Commits = d.Uvarint()
-	s.PagesWritten = d.Uvarint()
-	s.DBReads = d.Uvarint()
-	s.Snapshots = d.Uvarint()
-	s.PagelogWrites = d.Uvarint()
-	s.PagelogReads = d.Uvarint()
-	s.CacheHits = d.Uvarint()
-	s.SPTBuilds = d.Uvarint()
-	s.PagelogPages = d.Varint()
-	s.CachedPages = d.Uvarint()
-	s.SPTBatchBuilds = d.Uvarint()
-	s.BatchSnapshots = d.Uvarint()
-	s.BatchMapScanned = d.Uvarint()
-	s.ClusteredReads = d.Uvarint()
-	s.ClusteredPages = d.Uvarint()
-	s.DeltaBuilds = d.Uvarint()
-	s.DeltaPages = d.Uvarint()
-	s.DeviceReads = d.Uvarint()
-	s.OverlappedReads = d.Uvarint()
-	s.DeviceBusyNS = d.Uvarint()
-	s.DeviceQueueDepth = d.Uvarint()
-	if ver >= 5 {
-		s.CommitGroups = d.Uvarint()
-		s.CommitConflicts = d.Uvarint()
-		s.CommitQueueWaitNS = d.Uvarint()
-		n := d.Uvarint()
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			c := d.Uvarint()
-			if i < NumGroupSizeBuckets {
-				s.GroupSizeBuckets[i] = c
-			}
-		}
-		s.DeviceFlushes = d.Uvarint()
-	}
-	if ver >= 6 {
-		s.Segments = d.Uvarint()
-		s.SegmentPages = d.Uvarint()
-		s.TailPages = d.Uvarint()
-		s.PagelogLogicalBytes = d.Uvarint()
-		s.PagelogDiskBytes = d.Uvarint()
-		s.SegmentSeals = d.Uvarint()
-		s.SealedPages = d.Uvarint()
-		s.RetentionDrops = d.Uvarint()
-		s.RetentionDroppedPages = d.Uvarint()
-		s.SegBlockHits = d.Uvarint()
-		s.DeviceBytesRead = d.Uvarint()
-	}
-	if ver >= 7 {
-		s.GroupFlushesSkipped = d.Uvarint()
-		s.Views = d.Uvarint()
-		s.ViewRefreshes = d.Uvarint()
-		s.ViewPrunedRefreshes = d.Uvarint()
-		s.ViewRowsPushed = d.Uvarint()
-		s.ViewSubscribers = d.Uvarint()
-	}
-	return s
 }
 
 // RemoteError is a server-reported statement error delivered to the

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"rql/internal/core"
+	"rql/internal/obs"
 	"rql/internal/record"
+	"rql/internal/sql"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -119,11 +122,37 @@ func TestDecStickyError(t *testing.T) {
 	}
 }
 
+// Seed values shared by the round-trip tests and the fuzz targets.
+var (
+	seedRunStats = &core.RunStats{
+		Mechanism: "CollateData", ResultRows: 7,
+		ResultDataBytes: 100, ResultIndexBytes: 50,
+		BatchBuilds: 1, BatchMapScanned: 123, BatchBuildTime: time.Millisecond,
+		PrunedIterations: 1, PrunedRowsReplayed: 9, DeltaIntersections: 2,
+		PruneReason:         "Qq not prune-safe: non-builtin function f()",
+		PipelinedPrefetches: 5, PrefetchHits: 4, PrefetchWasted: 1,
+		Iterations: []core.IterationCost{
+			{Snapshot: 1, SPTBuild: time.Millisecond, QqRows: 9, ResultInserts: 9},
+			{Snapshot: 2, IOTime: time.Second, PagelogReads: 3, CacheHits: 1, PrefetchHits: 2,
+				OverlapTime: time.Millisecond, QueueWait: time.Microsecond},
+			{Snapshot: 3, QqRows: 9, Pruned: true, DeltaPages: 4, ResultUpdates: 2, ResultSearch: 3},
+		},
+	}
+	seedMetrics = []obs.Metric{
+		{Name: "queries_served", Value: 3},
+		{Name: "conns_active", Kind: obs.KindGauge, Value: 1 << 40},
+		{Name: "view_rows", Kind: obs.KindGauge, Label: "view", LabelValue: "v1", Value: 12},
+		{Name: "request_latency_seconds", Kind: obs.KindHistogram,
+			Bounds: []float64{0.0001, 0.001, 0.01}, Counts: []uint64{10, 20, 30, 40}, Sum: 1.25},
+	}
+)
+
 func TestCompositeRoundTrips(t *testing.T) {
-	es := ExecStats{
+	es := sql.ExecStats{
 		Duration: time.Millisecond, SPTBuildTime: time.Microsecond,
 		AutoIndex: time.Second, MapScanned: 1, PagelogReads: 2,
-		CacheHits: 3, DBReads: 4, RowsReturned: 5, ClusteredReads: 6,
+		CacheHits: 3, DBReads: 4, RowsReturned: 5, PrefetchHits: 6,
+		QueueWait: time.Minute,
 	}
 	e := &Enc{}
 	EncodeExecStats(e, es)
@@ -131,37 +160,11 @@ func TestCompositeRoundTrips(t *testing.T) {
 		t.Fatalf("ExecStats = %+v, want %+v", got, es)
 	}
 
-	rs := RunStats{
-		Mechanism: "CollateData", ResultRows: 7,
-		ResultDataBytes: 100, ResultIndexBytes: 50,
-		BatchBuilds: 1, BatchMapScanned: 123, BatchBuildTime: time.Millisecond,
-		PrunedIterations: 1, PrunedRowsReplayed: 9, DeltaIntersections: 2,
-		PruneReason: "Qq not prune-safe: non-builtin function f()",
-		Iterations: []IterationCost{
-			{Snapshot: 1, SPTBuild: time.Millisecond, QqRows: 9, ResultInserts: 9},
-			{Snapshot: 2, IOTime: time.Second, PagelogReads: 3, CacheHits: 1, ClusteredReads: 2, QueueWait: time.Microsecond},
-			{Snapshot: 3, QqRows: 9, Pruned: true, DeltaPages: 4},
-		},
-	}
 	e = &Enc{}
-	EncodeRunStats(e, rs, ProtocolVersion)
-	if got := DecodeRunStats(&Dec{B: e.B}, ProtocolVersion); !reflect.DeepEqual(got, rs) {
-		t.Fatalf("RunStats = %+v, want %+v", got, rs)
-	}
-
-	// A v7 peer's frame carries no QueueWait: it is neither encoded nor
-	// decoded, leaving the field zero on both sides.
-	e = &Enc{}
-	EncodeRunStats(e, rs, 7)
-	v7 := rs
-	v7.Iterations = append([]IterationCost(nil), rs.Iterations...)
-	v7.Iterations[1].QueueWait = 0
-	d7 := &Dec{B: e.B}
-	if got := DecodeRunStats(d7, 7); !reflect.DeepEqual(got, v7) {
-		t.Fatalf("v7 RunStats = %+v, want %+v", got, v7)
-	}
-	if len(d7.B) != 0 || d7.Err() != nil {
-		t.Fatalf("v7 frame not fully consumed: %d bytes left, err %v", len(d7.B), d7.Err())
+	EncodeRunStats(e, seedRunStats)
+	d := &Dec{B: e.B}
+	if got := DecodeRunStats(d); !reflect.DeepEqual(got, seedRunStats) || d.Err() != nil || len(d.B) != 0 {
+		t.Fatalf("RunStats = %+v (err %v, %d left), want %+v", got, d.Err(), len(d.B), seedRunStats)
 	}
 
 	objs := []ObjectInfo{
@@ -173,81 +176,31 @@ func TestCompositeRoundTrips(t *testing.T) {
 	if got := DecodeObjects(&Dec{B: e.B}); !reflect.DeepEqual(got, objs) {
 		t.Fatalf("Objects = %+v, want %+v", got, objs)
 	}
-
-	ss := ServerStats{
-		ConnsAccepted: 1, ConnsActive: 2, QueriesServed: 3, RowsStreamed: 4,
-		Errors: 5, LatencyBuckets: [NumHistogramBuckets]uint64{1, 2, 3, 4, 5, 6, 7},
-		LatencyBounds: HistogramBuckets,
-		Commits:       8, PagesWritten: 9, DBReads: 10, Snapshots: 11,
-		PagelogWrites: 12, PagelogReads: 13, CacheHits: 14, SPTBuilds: 15,
-		PagelogPages: -1, CachedPages: 17,
-		SPTBatchBuilds: 18, BatchSnapshots: 19, BatchMapScanned: 20,
-		ClusteredReads: 21, ClusteredPages: 22,
-		DeltaBuilds: 23, DeltaPages: 24,
-		CommitGroups: 25, CommitConflicts: 26, CommitQueueWaitNS: 27,
-		GroupSizeBuckets: [NumGroupSizeBuckets]uint64{1, 2, 3, 4, 5, 6, 7},
-		DeviceFlushes:    28,
-	}
-	e = &Enc{}
-	EncodeServerStats(e, ss, ProtocolVersion)
-	if got := DecodeServerStats(&Dec{B: e.B}, ProtocolVersion); got != ss {
-		t.Fatalf("ServerStats = %+v, want %+v", got, ss)
-	}
-
-	// A v4 peer must see exactly the v4 frame: the group-commit fields
-	// are neither encoded nor decoded, leaving them zero.
-	e = &Enc{}
-	EncodeServerStats(e, ss, 4)
-	v4 := ss
-	v4.CommitGroups, v4.CommitConflicts, v4.CommitQueueWaitNS = 0, 0, 0
-	v4.GroupSizeBuckets = [NumGroupSizeBuckets]uint64{}
-	v4.DeviceFlushes = 0
-	d4 := &Dec{B: e.B}
-	if got := DecodeServerStats(d4, 4); got != v4 {
-		t.Fatalf("v4 ServerStats = %+v, want %+v", got, v4)
-	}
-	if len(d4.B) != 0 || d4.Err() != nil {
-		t.Fatalf("v4 frame not fully consumed: %d bytes left, err %v", len(d4.B), d4.Err())
-	}
 }
 
-// TestHistogramShape pins the invariants the latency histogram depends
-// on: the bound count is compile-time tied to the bucket count (one
-// less — the final +Inf bucket is implicit), bounds ascend strictly,
-// and the bucket counts plus the server's bounds round-trip over STATS
-// so clients never render counts against a mismatched bucketing.
-func TestHistogramShape(t *testing.T) {
-	if len(HistogramBuckets) != NumHistogramBuckets-1 {
-		t.Fatalf("%d bounds for %d buckets; want exactly one less (implicit +Inf)",
-			len(HistogramBuckets), NumHistogramBuckets)
-	}
-	for i := 1; i < len(HistogramBuckets); i++ {
-		if HistogramBuckets[i] <= HistogramBuckets[i-1] {
-			t.Fatalf("bounds not strictly ascending at %d: %v <= %v",
-				i, HistogramBuckets[i], HistogramBuckets[i-1])
-		}
-	}
-	ss := ServerStats{
-		LatencyBuckets: [NumHistogramBuckets]uint64{10, 20, 30, 40, 50, 60, 70},
-		LatencyBounds:  HistogramBuckets,
-	}
+// TestMetricsRoundTrip pins the STATS frame: every kind round-trips,
+// labelled series keep their label, and a histogram carries its own
+// bounds, counts and sum so clients never render counts against a
+// compiled-in bucketing.
+func TestMetricsRoundTrip(t *testing.T) {
 	e := &Enc{}
-	EncodeServerStats(e, ss, ProtocolVersion)
-	got := DecodeServerStats(&Dec{B: e.B}, ProtocolVersion)
-	if got.LatencyBuckets != ss.LatencyBuckets {
-		t.Fatalf("buckets = %v, want %v", got.LatencyBuckets, ss.LatencyBuckets)
+	EncodeMetrics(e, seedMetrics)
+	d := &Dec{B: e.B}
+	got := DecodeMetrics(d)
+	if d.Err() != nil || len(d.B) != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", d.Err(), len(d.B))
 	}
-	if got.LatencyBounds != HistogramBuckets {
-		t.Fatalf("bounds = %v, want %v", got.LatencyBounds, HistogramBuckets)
+	if !reflect.DeepEqual(got, seedMetrics) {
+		t.Fatalf("metrics = %+v, want %+v", got, seedMetrics)
 	}
 }
 
 func TestSpanRoundTrip(t *testing.T) {
-	spans := []Span{
-		{Trace: 1, ID: 1, Name: "server.exec", Start: time.Unix(100, 500), Duration: time.Millisecond},
+	spans := []obs.Span{
+		{Trace: 1, ID: 1, Name: "server.exec", Start: time.Unix(100, 500), Duration: time.Millisecond, Attrs: []obs.Attr{}},
 		{Trace: 1, ID: 2, Parent: 1, Name: "sql.exec",
 			Start: time.Unix(100, 600), Duration: 900 * time.Microsecond,
-			Attrs: []SpanAttr{
+			Attrs: []obs.Attr{
 				{Key: "sql", Str: "SELECT 1", IsStr: true},
 				{Key: "rows", Int: 42},
 				{Key: "off", Int: -8192},
@@ -257,62 +210,33 @@ func TestSpanRoundTrip(t *testing.T) {
 	EncodeSpans(e, spans)
 	d := &Dec{B: e.B}
 	got := DecodeSpans(d)
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	if d.Err() != nil || len(d.B) != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", d.Err(), len(d.B))
 	}
-	if len(got) != len(spans) {
-		t.Fatalf("%d spans, want %d", len(got), len(spans))
-	}
-	for i := range spans {
-		w, g := spans[i], got[i]
-		if g.Trace != w.Trace || g.ID != w.ID || g.Parent != w.Parent ||
-			g.Name != w.Name || !g.Start.Equal(w.Start) || g.Duration != w.Duration ||
-			!reflect.DeepEqual(g.Attrs, w.Attrs) && (len(g.Attrs) != 0 || len(w.Attrs) != 0) {
-			t.Fatalf("span %d = %+v, want %+v", i, g, w)
-		}
+	if !reflect.DeepEqual(got, spans) {
+		t.Fatalf("spans = %+v, want %+v", got, spans)
 	}
 }
 
 func TestSlowEntryRoundTrip(t *testing.T) {
-	in := []SlowEntry{
+	in := []obs.SlowEntry{
 		{SQL: "SELECT * FROM big", Duration: 2 * time.Second, Trace: 7,
 			When: time.Unix(1000, 1), Rows: 1_000_000,
 			Mechanism: "CollateData", PagelogReads: 123, PrunedIters: 4},
 		{SQL: "", Duration: time.Millisecond, When: time.Unix(0, 0)},
 	}
 	e := &Enc{}
-	EncodeSlowEntries(e, 50*time.Millisecond, in, ProtocolVersion)
+	EncodeSlowEntries(e, 50*time.Millisecond, in)
 	d := &Dec{B: e.B}
-	threshold, got := DecodeSlowEntries(d, ProtocolVersion)
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	threshold, got := DecodeSlowEntries(d)
+	if d.Err() != nil || len(d.B) != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", d.Err(), len(d.B))
 	}
 	if threshold != 50*time.Millisecond {
 		t.Fatalf("threshold = %v", threshold)
 	}
-	if len(got) != len(in) {
-		t.Fatalf("%d entries, want %d", len(got), len(in))
-	}
-	for i := range in {
-		w, g := in[i], got[i]
-		if g.SQL != w.SQL || g.Duration != w.Duration || g.Trace != w.Trace ||
-			!g.When.Equal(w.When) || g.Rows != w.Rows ||
-			g.Mechanism != w.Mechanism || g.PagelogReads != w.PagelogReads ||
-			g.PrunedIters != w.PrunedIters {
-			t.Fatalf("entry %d = %+v, want %+v", i, g, w)
-		}
-	}
-
-	// A v7 peer sees the v7 frame: no mechanism/cost columns.
-	e = &Enc{}
-	EncodeSlowEntries(e, 50*time.Millisecond, in, 7)
-	d = &Dec{B: e.B}
-	_, got = DecodeSlowEntries(d, 7)
-	if d.Err() != nil || len(d.B) != 0 {
-		t.Fatalf("v7 frame not fully consumed: %d bytes left, err %v", len(d.B), d.Err())
-	}
-	if got[0].Mechanism != "" || got[0].PagelogReads != 0 || got[0].PrunedIters != 0 {
-		t.Fatalf("v7 entry carries v8 fields: %+v", got[0])
+	if !reflect.DeepEqual(got, in) {
+		t.Fatalf("entries = %+v, want %+v", got, in)
 	}
 }
 
@@ -333,11 +257,12 @@ func TestTraceContextRoundTrip(t *testing.T) {
 }
 
 func TestTimelineRoundTrip(t *testing.T) {
-	points := []TimelinePoint{
-		{WhenUnixNano: 1_000_000_000, Interval: time.Second,
-			Rates:  []NamedValue{{Name: "commits", Value: 12.5}, {Name: "queries_served", Value: 300}},
-			Gauges: []NamedValue{{Name: "conns_active", Value: 4}}},
-		{WhenUnixNano: 2_000_000_000, Interval: time.Second},
+	points := []obs.Point{
+		{When: time.Unix(1, 0), Interval: time.Second,
+			Rates:  map[string]float64{"storage_commits": 12.5, "queries_served": 300},
+			Gauges: map[string]float64{"conns_active": 4}},
+		{When: time.Unix(2, 0), Interval: time.Second,
+			Rates: map[string]float64{}, Gauges: map[string]float64{}},
 	}
 	e := &Enc{}
 	EncodeTimeline(e, time.Second, points)

@@ -302,6 +302,17 @@ func (db *DB) StorageStats() StorageStats { return db.inner.MainStore().Stats() 
 // declared, Pagelog writes/reads, cache hits, SPT builds).
 func (db *DB) RetroStats() RetroStats { return db.inner.Retro().Stats() }
 
+// Metrics samples every metric the database's layers declare — storage,
+// the snapshot system, retro views — as one self-describing list: the
+// form the server's STATS reply, /metrics and rqlshell's .stats render.
+// StorageStats, RetroStats and ViewStats are typed views of the same
+// values.
+func (db *DB) Metrics() []obs.Metric {
+	ms := db.inner.MainStore().Metrics()
+	ms = append(ms, db.inner.Retro().Metrics()...)
+	return append(ms, db.views.Metrics()...)
+}
+
 // SealPagelog synchronously seals every eligible hot-tail run into
 // compressed cold segments and reports how many segments were sealed.
 // Requires compaction enabled in Options; a no-op (0, nil) otherwise.
