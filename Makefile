@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke bench bench-smoke bench-compare microbench
+.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke bench bench-smoke bench-compare microbench
 
 all: check
 
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
 # failing check, the tracing-overhead budget, the replication smoke,
 # the group-commit stress smoke, the compaction smoke, the
-# incremental-view smoke, and the wire-decoder fuzz smoke.
-check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke
+# incremental-view smoke, the wire-decoder fuzz smoke, and the rqlshell
+# transcript smoke.
+check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke
 
 build:
 	$(GO) build ./...
@@ -28,8 +29,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# trace-check measures enabled-tracing overhead on a sleep-dominated
-# smoke workload and fails when it exceeds the 5% budget.
+# trace-check measures enabled-tracing overhead, in process and over
+# the wire, as alternating recorder-off/recorder-on pairs: it prints the
+# median paired overhead with its interquartile spread and fails only
+# when the median exceeds the 5% budget (or the billed counters differ,
+# or no span was recorded).
 trace-check:
 	$(GO) run ./cmd/rqlbench -quick -trace-check
 
@@ -75,9 +79,16 @@ view-smoke:
 # plain `go test ./...`. A failing input lands in
 # internal/wire/testdata/fuzz/ — commit it as a regression seed.
 fuzz-smoke:
-	@for f in FuzzReadFrame FuzzDecodeMetrics FuzzDecodeRunStats; do \
+	@for f in FuzzReadFrame FuzzDecodeMetrics FuzzDecodeRunStats FuzzDecodeObjects FuzzDecodeViews FuzzDecodeViewBatch; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./internal/wire || exit 1; \
 	done
+
+# shell-smoke pipes one script — DDL, snapshots, AS OF, a mechanism UDF,
+# a retro view and every dot command — through rqlshell in local mode
+# and again with -connect against a spawned rqld, and holds both runs to
+# one transcript (see cmd/rqlshell/smoke.sh).
+shell-smoke:
+	bash cmd/rqlshell/smoke.sh
 
 # bench appends a machine-readable batch-SPT run to BENCH_rql.json:
 # wall time, Maplog entries scanned, cache hit rates, and delta-pruning

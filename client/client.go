@@ -62,8 +62,15 @@ type Span = obs.Span
 // SlowEntry is one slow-query log entry as reported by the server.
 type SlowEntry = obs.SlowEntry
 
-// ErrConnClosed is returned after Close or a fatal protocol failure.
+// ErrConnClosed is returned after Close.
 var ErrConnClosed = errors.New("client: connection closed")
+
+// ErrConnBroken is wrapped by every error a Conn returns because the
+// connection itself failed — an I/O error, a reply frame the protocol
+// does not allow there, or a reply body that does not decode. The Conn
+// is unusable from then on. A *RemoteError or a row-callback error, by
+// contrast, is a verdict on one statement and leaves the Conn usable.
+var ErrConnBroken = errors.New("client: connection broken")
 
 // Conn is a connection to an rqld server. It mirrors rql.Conn; it is
 // not safe for concurrent use — open one Conn per goroutine.
@@ -77,7 +84,7 @@ type Conn struct {
 	// the client side (the server enforces its own deadline regardless).
 	RequestTimeout time.Duration
 
-	fatal        error // sticky: protocol or I/O failure
+	fatal        error // sticky: ErrConnClosed, or the first failure wrapping ErrConnBroken
 	streaming    bool  // a view subscription consumed the connection
 	lastStats    rql.ExecStats
 	lastSnapshot uint64
@@ -130,17 +137,29 @@ func DialTimeout(addr string, timeout time.Duration) (*Conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	nc.SetDeadline(time.Now().Add(timeout))
+	c, err := NewConn(nc)
+	if err != nil {
+		return nil, err
+	}
+	nc.SetDeadline(time.Time{})
+	return c, nil
+}
+
+// NewConn runs the protocol handshake over an established connection —
+// a dialed socket, or one end of a net.Pipe whose other end a
+// server.ServeConn session serves. It owns nc from then on and closes
+// it when the handshake fails.
+func NewConn(nc net.Conn) (*Conn, error) {
 	c := &Conn{
 		nc: nc,
 		br: bufio.NewReaderSize(nc, 32<<10),
 		bw: bufio.NewWriterSize(nc, 32<<10),
 	}
-	nc.SetDeadline(time.Now().Add(timeout))
 	if err := wire.ClientHello(c.br, c.bw); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	nc.SetDeadline(time.Time{})
 	return c, nil
 }
 
@@ -154,13 +173,15 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-// fail marks the connection unusable and returns err.
+// fail marks the connection unusable and returns the sticky error: the
+// first failure, wrapped so that errors.Is finds both ErrConnBroken and
+// the cause.
 func (c *Conn) fail(err error) error {
 	if c.fatal == nil {
-		c.fatal = fmt.Errorf("client: connection broken: %w", err)
+		c.fatal = fmt.Errorf("%w: %w", ErrConnBroken, err)
 		c.nc.Close()
 	}
-	return err
+	return c.fatal
 }
 
 // SetTraceContext pins the distributed trace context sent with every
@@ -193,12 +214,10 @@ func (c *Conn) tracePrefix(payload []byte) []byte {
 	return append(e.B, payload...)
 }
 
-// request sends one frame and hands response frames to handle until it
-// returns done. The connection lock is held for the whole round-trip:
-// one request at a time.
-func (c *Conn) request(op byte, payload []byte, handle func(op byte, payload []byte) (done bool, err error)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// send writes one request frame, arming the RequestTimeout deadline.
+// Callers hold c.mu for the whole round-trip (one request at a time)
+// and call endRequest once the reply is in.
+func (c *Conn) send(op byte, payload []byte) error {
 	if c.fatal != nil {
 		return c.fatal
 	}
@@ -207,7 +226,6 @@ func (c *Conn) request(op byte, payload []byte, handle func(op byte, payload []b
 	}
 	if c.RequestTimeout > 0 {
 		c.nc.SetDeadline(time.Now().Add(c.RequestTimeout))
-		defer c.nc.SetDeadline(time.Time{})
 	}
 	if err := wire.WriteFrame(c.bw, op, c.tracePrefix(payload)); err != nil {
 		return c.fail(err)
@@ -215,25 +233,55 @@ func (c *Conn) request(op byte, payload []byte, handle func(op byte, payload []b
 	if err := c.bw.Flush(); err != nil {
 		return c.fail(err)
 	}
-	for {
-		rop, rpayload, err := wire.ReadFrame(c.br)
-		if err != nil {
-			return c.fail(err)
-		}
-		done, err := handle(rop, rpayload)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
+	return nil
+}
+
+// endRequest clears the deadline send armed.
+func (c *Conn) endRequest() {
+	if c.RequestTimeout > 0 {
+		c.nc.SetDeadline(time.Time{})
 	}
 }
 
-// errUnexpected makes a protocol-violation error; the caller wraps it
-// through fail since the stream position is no longer trustworthy.
+// unexpected poisons the connection over a reply frame the protocol
+// does not allow at this point: the stream position is no longer
+// trustworthy.
 func (c *Conn) unexpected(op byte) error {
 	return c.fail(fmt.Errorf("client: unexpected response frame %#x", op))
+}
+
+// call runs one single-reply request and owns its whole contract: the
+// reply wire.Requests declares for req is handed to decode (nil for an
+// empty body); RespError comes back as a *RemoteError with the
+// connection still usable; any other frame, a body decode cannot finish
+// or an I/O error poisons the connection (ErrConnBroken).
+func (c *Conn) call(req byte, payload []byte, decode func(*wire.Dec)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.send(req, payload); err != nil {
+		return err
+	}
+	defer c.endRequest()
+	op, body, err := wire.ReadFrame(c.br)
+	if err != nil {
+		return c.fail(err)
+	}
+	want, _ := wire.RequestFor(req)
+	switch op {
+	case want.Reply:
+		d := &wire.Dec{B: body}
+		if decode != nil {
+			decode(d)
+		}
+		if d.Err() != nil {
+			return c.fail(d.Err())
+		}
+		return nil
+	case wire.RespError:
+		return wire.DecodeError(body)
+	default:
+		return c.unexpected(op)
+	}
 }
 
 // Exec executes one or more semicolon-separated statements, streaming
@@ -249,73 +297,68 @@ func (c *Conn) ExecAsOf(sqlText string, snap uint64, cb rql.RowCallback, params 
 	return c.exec(sqlText, snap, cb, params)
 }
 
+// exec is the one streaming request: header and batch frames until
+// RespDone (statistics) or RespError ends the statement.
 func (c *Conn) exec(sqlText string, asOf uint64, cb rql.RowCallback, params []rql.Value) error {
 	e := &wire.Enc{}
 	e.Uvarint(asOf)
 	e.String(sqlText)
 	e.Row(params)
 
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.send(wire.ReqExec, e.B); err != nil {
+		return err
+	}
+	defer c.endRequest()
 	var (
-		cols   []string
-		cbErr  error
-		result error
+		cols  []string
+		cbErr error
 	)
-	err := c.request(wire.ReqExec, e.B, func(op byte, payload []byte) (bool, error) {
+	for {
+		op, body, err := wire.ReadFrame(c.br)
+		if err != nil {
+			return c.fail(err)
+		}
+		d := &wire.Dec{B: body}
 		switch op {
 		case wire.RespHeader:
-			d := &wire.Dec{B: payload}
-			n := d.Uvarint()
+			n := d.Len()
 			cols = make([]string, 0, n)
-			for i := uint64(0); i < n && d.Err() == nil; i++ {
+			for i := 0; i < n && d.Err() == nil; i++ {
 				cols = append(cols, d.String())
 			}
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return false, nil
 		case wire.RespBatch:
-			d := &wire.Dec{B: payload}
-			n := d.Uvarint()
-			for i := uint64(0); i < n; i++ {
+			for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
 				row := d.Row()
-				if d.Err() != nil {
-					return true, c.fail(d.Err())
-				}
-				if cb != nil && cbErr == nil {
+				if d.Err() == nil && cb != nil && cbErr == nil {
 					cbErr = cb(cols, row)
 				}
 			}
-			return false, nil
 		case wire.RespDone:
-			d := &wire.Dec{B: payload}
 			c.lastStats = wire.DecodeExecStats(d)
 			c.lastSnapshot = d.Uvarint()
 			c.inTx = d.Bool()
 			c.lastTrace = d.Uvarint()
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
+			if d.Err() == nil {
+				return cbErr
 			}
-			return true, nil
 		case wire.RespError:
-			result = wire.DecodeError(payload)
-			return true, nil
+			return wire.DecodeError(body)
 		default:
-			return true, c.unexpected(op)
+			return c.unexpected(op)
 		}
-	})
-	if err != nil {
-		return err
+		if d.Err() != nil {
+			return c.fail(d.Err())
+		}
 	}
-	if result != nil {
-		return result
-	}
-	return cbErr
 }
 
-// Query executes a single SELECT and returns the materialized result.
-func (c *Conn) Query(sqlText string, params ...rql.Value) (*rql.Rows, error) {
-	rows := &rql.Rows{}
-	err := c.Exec(sqlText, func(cols []string, row []rql.Value) error {
+// collect returns a row callback that materializes a result into rows:
+// the column names once, a copy of every row (a callback's slices are
+// only valid during the call).
+func collect(rows *rql.Rows) rql.RowCallback {
+	return func(cols []string, row []rql.Value) error {
 		if rows.Cols == nil {
 			rows.Cols = append([]string(nil), cols...)
 		}
@@ -323,8 +366,13 @@ func (c *Conn) Query(sqlText string, params ...rql.Value) (*rql.Rows, error) {
 		copy(cp, row)
 		rows.Rows = append(rows.Rows, cp)
 		return nil
-	}, params...)
-	if err != nil {
+	}
+}
+
+// Query executes a single SELECT and returns the materialized result.
+func (c *Conn) Query(sqlText string, params ...rql.Value) (*rql.Rows, error) {
+	rows := &rql.Rows{}
+	if err := c.Exec(sqlText, collect(rows), params...); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -361,25 +409,10 @@ func (c *Conn) Rollback() error { return c.Exec("ROLLBACK", nil) }
 
 // DeclareSnapshot declares a snapshot of the current state and records
 // it in the SnapIds table with the current time and the given label.
-func (c *Conn) DeclareSnapshot(label string) (uint64, error) {
+func (c *Conn) DeclareSnapshot(label string) (id uint64, err error) {
 	e := &wire.Enc{}
 	e.String(label)
-	var id uint64
-	err := c.request(wire.ReqSnap, e.B, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespSnapID:
-			d := &wire.Dec{B: payload}
-			id = d.Uvarint()
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
+	err = c.call(wire.ReqSnap, e.B, func(d *wire.Dec) { id = d.Uvarint() })
 	return id, err
 }
 
@@ -433,97 +466,36 @@ func (c *Conn) mech(kind byte, qs, qq, table, extra string) (*rql.RunStats, erro
 	e.String(qq)
 	e.String(table)
 	e.String(extra)
-	var run *rql.RunStats
-	err := c.request(wire.ReqMech, e.B, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespRun:
-			d := &wire.Dec{B: payload}
-			if d.Bool() {
-				run = wire.DecodeRunStats(d)
-			}
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
-	return run, err
+	return c.runStats(wire.ReqMech, e.B)
 }
 
 // LastRun returns the statistics of the most recent mechanism run on
 // the server (nil if none has run yet).
-func (c *Conn) LastRun() (*rql.RunStats, error) {
-	var run *rql.RunStats
-	err := c.request(wire.ReqRun, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespRun:
-			d := &wire.Dec{B: payload}
-			if d.Bool() {
-				run = wire.DecodeRunStats(d)
-			}
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
+func (c *Conn) LastRun() (*rql.RunStats, error) { return c.runStats(wire.ReqRun, nil) }
+
+// runStats runs a request answered by RespRun: a presence flag, then
+// the run's statistics.
+func (c *Conn) runStats(req byte, payload []byte) (run *rql.RunStats, err error) {
+	err = c.call(req, payload, func(d *wire.Dec) {
+		if d.Bool() {
+			run = wire.DecodeRunStats(d)
 		}
 	})
 	return run, err
 }
 
 // Objects lists every table and index in both stores.
-func (c *Conn) Objects() ([]rql.ObjectInfo, error) {
-	var out []rql.ObjectInfo
-	err := c.request(wire.ReqObjs, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespObjs:
-			d := &wire.Dec{B: payload}
-			objs := wire.DecodeObjects(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			out = make([]rql.ObjectInfo, len(objs))
-			for i, o := range objs {
-				out[i] = rql.ObjectInfo{Kind: o.Kind, Name: o.Name, Table: o.Table, Temp: o.Temp}
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
-	return out, err
+func (c *Conn) Objects() (objs []rql.ObjectInfo, err error) {
+	err = c.call(wire.ReqObjs, nil, func(d *wire.Dec) { objs = wire.DecodeObjects(d) })
+	return objs, err
 }
 
 // TableStats measures the named table in the current state.
-func (c *Conn) TableStats(name string) (rql.TableStats, error) {
+func (c *Conn) TableStats(name string) (out rql.TableStats, err error) {
 	e := &wire.Enc{}
 	e.String(name)
-	var out rql.TableStats
-	err := c.request(wire.ReqTblSt, e.B, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespTblSt:
-			d := &wire.Dec{B: payload}
-			out.Rows = int(d.Uvarint())
-			out.DataBytes = d.Varint()
-			out.IndexBytes = d.Varint()
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
+	err = c.call(wire.ReqTblSt, e.B, func(d *wire.Dec) {
+		out = rql.TableStats{Rows: int(d.Uvarint()), DataBytes: d.Varint(), IndexBytes: d.Varint()}
 	})
 	return out, err
 }
@@ -531,73 +503,28 @@ func (c *Conn) TableStats(name string) (rql.TableStats, error) {
 // ServerStats fetches the server's STATS reply: its metric list —
 // connections, queries, streamed rows, the request-latency histogram,
 // and the storage/Retro/view metrics of the served database.
-func (c *Conn) ServerStats() (ServerStats, error) {
-	var out ServerStats
-	err := c.request(wire.ReqStats, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespStats:
-			d := &wire.Dec{B: payload}
-			out.Metrics = wire.DecodeMetrics(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			lat, _ := obs.Find(out.Metrics, "request_latency_seconds")
-			out.LatencyBuckets = lat.Counts
-			for _, b := range lat.Bounds {
-				out.LatencyBounds = append(out.LatencyBounds, time.Duration(math.Round(b*1e9)))
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
+func (c *Conn) ServerStats() (out ServerStats, err error) {
+	err = c.call(wire.ReqStats, nil, func(d *wire.Dec) { out.Metrics = wire.DecodeMetrics(d) })
+	lat, _ := obs.Find(out.Metrics, "request_latency_seconds")
+	out.LatencyBuckets = lat.Counts
+	for _, b := range lat.Bounds {
+		out.LatencyBounds = append(out.LatencyBounds, time.Duration(math.Round(b*1e9)))
+	}
 	return out, err
 }
 
 // Horizon reports the server's replication role and applied-snapshot
 // horizon: on a primary the latest declared snapshot, on a replica the
 // latest snapshot applied atomically from the primary's stream.
-func (c *Conn) Horizon() (wire.HorizonInfo, error) {
-	var out wire.HorizonInfo
-	err := c.request(wire.ReqHorizon, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespHorizon:
-			d := &wire.Dec{B: payload}
-			out = wire.DecodeHorizonInfo(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
+func (c *Conn) Horizon() (out wire.HorizonInfo, err error) {
+	err = c.call(wire.ReqHorizon, nil, func(d *wire.Dec) { out = wire.DecodeHorizonInfo(d) })
 	return out, err
 }
 
 // ReplStats fetches the server's replication statistics: per-replica
 // ack/lag rows on a primary, stream counters on a replica.
-func (c *Conn) ReplStats() (wire.ReplStats, error) {
-	var out wire.ReplStats
-	err := c.request(wire.ReqReplStats, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespReplStats:
-			d := &wire.Dec{B: payload}
-			out = wire.DecodeReplStats(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
+func (c *Conn) ReplStats() (out wire.ReplStats, err error) {
+	err = c.call(wire.ReqReplStats, nil, func(d *wire.Dec) { out = wire.DecodeReplStats(d) })
 	return out, err
 }
 
@@ -608,67 +535,22 @@ type TimelinePoint = obs.Point
 // Timeline fetches the server's telemetry timeline: the sampling period
 // and the ring of rate/gauge points, oldest first. A zero period means
 // the timeline is disabled server-side.
-func (c *Conn) Timeline() (time.Duration, []TimelinePoint, error) {
-	var (
-		period time.Duration
-		points []TimelinePoint
-	)
-	err := c.request(wire.ReqTimeline, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespTimeline:
-			d := &wire.Dec{B: payload}
-			period, points = wire.DecodeTimeline(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
+func (c *Conn) Timeline() (period time.Duration, points []TimelinePoint, err error) {
+	err = c.call(wire.ReqTimeline, nil, func(d *wire.Dec) { period, points = wire.DecodeTimeline(d) })
 	return period, points, err
 }
 
 // Ping round-trips an empty request.
-func (c *Conn) Ping() error {
-	return c.request(wire.ReqPing, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespPong:
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
-}
-
-// pongRequest round-trips a request whose only success reply is RespPong.
-func (c *Conn) pongRequest(reqOp byte, payload []byte) error {
-	return c.request(reqOp, payload, func(op byte, p []byte) (bool, error) {
-		switch op {
-		case wire.RespPong:
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(p)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
-}
+func (c *Conn) Ping() error { return c.call(wire.ReqPing, nil, nil) }
 
 // SetTracing toggles the server's process-wide span recorder.
 func (c *Conn) SetTracing(on bool) error {
-	e := &wire.Enc{}
+	cmd := wire.TraceOff
 	if on {
-		e.Byte(wire.TraceOn)
-	} else {
-		e.Byte(wire.TraceOff)
+		cmd = wire.TraceOn
 	}
-	e.Uvarint(0)
-	return c.pongRequest(wire.ReqTrace, e.B)
+	_, err := c.traceRequest(cmd, 0)
+	return err
 }
 
 // LastTrace returns the trace ID of the most recent statement on this
@@ -678,57 +560,24 @@ func (c *Conn) LastTrace() uint64 { return c.lastTrace }
 
 // TraceSpans fetches recorded spans from the server: one trace by ID,
 // or the server's whole span ring for id 0.
-func (c *Conn) TraceSpans(id uint64) ([]Span, error) {
+func (c *Conn) TraceSpans(id uint64) ([]Span, error) { return c.traceRequest(wire.TraceFetch, id) }
+
+func (c *Conn) traceRequest(cmd byte, id uint64) (spans []Span, err error) {
 	e := &wire.Enc{}
-	e.Byte(wire.TraceFetch)
+	e.Byte(cmd)
 	e.Uvarint(id)
-	var spans []Span
-	err := c.request(wire.ReqTrace, e.B, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespTrace:
-			d := &wire.Dec{B: payload}
-			spans = wire.DecodeSpans(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
+	err = c.call(wire.ReqTrace, e.B, func(d *wire.Dec) { spans = wire.DecodeSpans(d) })
 	return spans, err
 }
 
 // SlowQueries fetches the server's slow-query log along with the active
 // threshold (0 = the log is disabled).
-func (c *Conn) SlowQueries() (time.Duration, []SlowEntry, error) {
-	var (
-		threshold time.Duration
-		entries   []SlowEntry
-	)
-	err := c.request(wire.ReqSlow, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespSlow:
-			d := &wire.Dec{B: payload}
-			threshold, entries = wire.DecodeSlowEntries(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
+func (c *Conn) SlowQueries() (threshold time.Duration, entries []SlowEntry, err error) {
+	err = c.call(wire.ReqSlow, nil, func(d *wire.Dec) { threshold, entries = wire.DecodeSlowEntries(d) })
 	return threshold, entries, err
 }
 
 // ResetStats zeroes the server's cumulative counters: the server's own
 // request counters and latency histogram, plus the storage and
 // snapshot-system counters and the last mechanism-run statistics.
-func (c *Conn) ResetStats() error {
-	return c.pongRequest(wire.ReqReset, nil)
-}
+func (c *Conn) ResetStats() error { return c.call(wire.ReqReset, nil, nil) }

@@ -3,9 +3,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -55,8 +52,9 @@ type Cluster struct {
 	trace     uint64
 	lastTrace uint64
 
-	// lastConn is the member that served the most recent statement, so
-	// LastStats reports the statistics of the node that actually ran it.
+	// lastConn is the member that served the most recent statement (the
+	// primary before the first), so LastStats reports the statistics of
+	// the node that actually ran it.
 	lastConn *Conn
 }
 
@@ -96,7 +94,7 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: cluster primary %s: %w", cfg.Primary, err)
 	}
-	cl := &Cluster{cfg: cfg, primary: p}
+	cl := &Cluster{cfg: cfg, primary: p, lastConn: p}
 	for _, addr := range cfg.Replicas {
 		m := &member{addr: addr}
 		m.conn, _ = DialTimeout(addr, cfg.DialTimeout) // nil on failure: lazy redial
@@ -125,12 +123,7 @@ func (cl *Cluster) Primary() *Conn { return cl.primary }
 
 // LastStats returns the execution statistics of the most recent
 // statement, from whichever member served it.
-func (cl *Cluster) LastStats() rql.ExecStats {
-	if cl.lastConn == nil {
-		return rql.ExecStats{}
-	}
-	return cl.lastConn.LastStats()
-}
+func (cl *Cluster) LastStats() rql.ExecStats { return cl.lastConn.LastStats() }
 
 // Objects lists tables and indexes; schema is identical cluster-wide,
 // so the primary answers.
@@ -248,76 +241,60 @@ func readOnlySQL(src string) bool {
 // primary. Inside an explicit transaction all statements stay on the
 // primary so reads observe the transaction's own writes.
 func (cl *Cluster) Exec(sqlText string, cb rql.RowCallback, params ...rql.Value) error {
-	defer cl.beginTrace()()
-	if cl.primary.InTx() || !readOnlySQL(sqlText) {
-		cl.lastConn = cl.primary
-		err := cl.pin(cl.primary).Exec(sqlText, cb, params...)
-		cl.noteSnapshot(cl.primary.LastSnapshot())
-		return err
-	}
-	return cl.routedRead(cl.horizon, func(c *Conn, rcb rql.RowCallback) error {
-		return c.Exec(sqlText, rcb, params...)
-	}, cb)
+	return cl.exec(sqlText, 0, cb, params)
 }
 
 // ExecAsOf routes an AS OF batch to a replica whose horizon covers
 // snap, falling back to the primary.
 func (cl *Cluster) ExecAsOf(sqlText string, snap uint64, cb rql.RowCallback, params ...rql.Value) error {
-	defer cl.beginTrace()()
-	if cl.primary.InTx() || !readOnlySQL(sqlText) {
-		cl.lastConn = cl.primary
-		return cl.pin(cl.primary).ExecAsOf(sqlText, snap, cb, params...)
-	}
-	return cl.routedRead(snap, func(c *Conn, rcb rql.RowCallback) error {
-		return c.ExecAsOf(sqlText, snap, rcb, params...)
-	}, cb)
+	return cl.exec(sqlText, snap, cb, params)
 }
 
-// routedRead runs a row-streaming read through the failover loop,
-// buffering rows per attempt so a mid-stream replica failure (retried
-// on another member) never delivers duplicate rows to cb.
-func (cl *Cluster) routedRead(snap uint64, run func(c *Conn, cb rql.RowCallback) error, cb rql.RowCallback) error {
-	var cols []string
-	var buf [][]rql.Value
-	err := cl.read(snap, func(c *Conn) error {
-		cols, buf = nil, nil // reset rows from a failed attempt
-		return run(c, func(cs []string, row []rql.Value) error {
-			if cols == nil {
-				cols = append([]string(nil), cs...)
-			}
-			cp := make([]rql.Value, len(row))
-			copy(cp, row)
-			buf = append(buf, cp)
-			return nil
-		})
+func (cl *Cluster) exec(sqlText string, asOf uint64, cb rql.RowCallback, params []rql.Value) error {
+	if cl.primary.InTx() || !readOnlySQL(sqlText) {
+		return cl.route(0, true, func(c *Conn) error { return c.exec(sqlText, asOf, cb, params) })
+	}
+	need := asOf
+	if need == 0 {
+		need = cl.horizon
+	}
+	// Rows are buffered per attempt so a mid-stream replica failure
+	// (retried on another member) never delivers duplicate rows to cb.
+	var buf rql.Rows
+	err := cl.route(need, false, func(c *Conn) error {
+		buf = rql.Rows{}
+		return c.exec(sqlText, asOf, collect(&buf), params)
 	})
-	if err != nil {
+	if err != nil || cb == nil {
 		return err
 	}
-	if cb == nil {
-		return nil
-	}
-	for _, row := range buf {
-		if err := cb(cols, row); err != nil {
+	for _, row := range buf.Rows {
+		if err := cb(buf.Cols, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// route is the one routing body: it runs fn as one logical call under
+// one trace id — on the primary when primaryOnly, otherwise through the
+// failover read loop on a member covering snap — and then advances the
+// client horizon past any snapshot a primary leg declared.
+func (cl *Cluster) route(snap uint64, primaryOnly bool, fn func(*Conn) error) error {
+	defer cl.beginTrace()()
+	if !primaryOnly {
+		return cl.read(snap, fn)
+	}
+	cl.lastConn = cl.primary
+	err := fn(cl.pin(cl.primary))
+	cl.noteSnapshot(cl.primary.LastSnapshot())
+	return err
+}
+
 // Query executes a single SELECT through the routing Exec.
 func (cl *Cluster) Query(sqlText string, params ...rql.Value) (*rql.Rows, error) {
 	rows := &rql.Rows{}
-	err := cl.Exec(sqlText, func(cols []string, row []rql.Value) error {
-		if rows.Cols == nil {
-			rows.Cols = append([]string(nil), cols...)
-		}
-		cp := make([]rql.Value, len(row))
-		copy(cp, row)
-		rows.Rows = append(rows.Rows, cp)
-		return nil
-	}, params...)
-	if err != nil {
+	if err := cl.Exec(sqlText, collect(rows), params...); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -334,9 +311,7 @@ func (cl *Cluster) Rollback() error { return cl.primary.Rollback() }
 // read horizon to the declared snapshot.
 func (cl *Cluster) CommitWithSnapshot() (uint64, error) {
 	id, err := cl.primary.CommitWithSnapshot()
-	if err == nil {
-		cl.noteSnapshot(id)
-	}
+	cl.noteSnapshot(id) // 0 on error: no advance
 	return id, err
 }
 
@@ -344,9 +319,7 @@ func (cl *Cluster) CommitWithSnapshot() (uint64, error) {
 // read horizon.
 func (cl *Cluster) DeclareSnapshot(label string) (uint64, error) {
 	id, err := cl.primary.DeclareSnapshot(label)
-	if err == nil {
-		cl.noteSnapshot(id)
-	}
+	cl.noteSnapshot(id)
 	return id, err
 }
 
@@ -365,36 +338,27 @@ func (cl *Cluster) RecordSnapshot(snapID uint64, ts time.Time, label string) err
 // replicas accept.
 
 func (cl *Cluster) CollateData(qs, qq, table string) (*rql.RunStats, error) {
-	return cl.mech(func(c *Conn) (*rql.RunStats, error) { return c.CollateData(qs, qq, table) })
+	return cl.mech(wire.MechCollate, qs, qq, table, "")
 }
 
 func (cl *Cluster) AggregateDataInVariable(qs, qq, table, aggFunc string) (*rql.RunStats, error) {
-	return cl.mech(func(c *Conn) (*rql.RunStats, error) {
-		return c.AggregateDataInVariable(qs, qq, table, aggFunc)
-	})
+	return cl.mech(wire.MechAggVar, qs, qq, table, aggFunc)
 }
 
 func (cl *Cluster) AggregateDataInTable(qs, qq, table, pairs string) (*rql.RunStats, error) {
-	return cl.mech(func(c *Conn) (*rql.RunStats, error) {
-		return c.AggregateDataInTable(qs, qq, table, pairs)
-	})
+	return cl.mech(wire.MechAggTable, qs, qq, table, pairs)
 }
 
 func (cl *Cluster) CollateDataIntoIntervals(qs, qq, table string) (*rql.RunStats, error) {
-	return cl.mech(func(c *Conn) (*rql.RunStats, error) {
-		return c.CollateDataIntoIntervals(qs, qq, table)
-	})
+	return cl.mech(wire.MechIntervals, qs, qq, table, "")
 }
 
-func (cl *Cluster) mech(run func(*Conn) (*rql.RunStats, error)) (*rql.RunStats, error) {
-	defer cl.beginTrace()()
-	var stats *rql.RunStats
-	err := cl.read(cl.horizon, func(c *Conn) error {
-		var err error
-		stats, err = run(c)
+func (cl *Cluster) mech(kind byte, qs, qq, table, extra string) (run *rql.RunStats, err error) {
+	err = cl.route(cl.horizon, false, func(c *Conn) error {
+		run, err = c.mech(kind, qs, qq, table, extra)
 		return err
 	})
-	return stats, err
+	return run, err
 }
 
 // noteSnapshot advances the client-side horizon.
@@ -425,11 +389,11 @@ func (cl *Cluster) read(snap uint64, fn func(*Conn) error) error {
 			if !m.probed || m.horizon < snap {
 				h, err := c.Horizon()
 				if err != nil {
-					if isStatementError(err) {
-						// The member refused the probe: never usable here.
-						continue
+					// A member that refused the probe stays connected but is
+					// never usable here; a failed connection is dropped.
+					if !isStatementError(err) {
+						cl.dropReplica(m)
 					}
-					cl.dropReplica(m)
 					continue
 				}
 				if h.Role == wire.RoleReplica && h.LSN == 0 {
@@ -449,11 +413,9 @@ func (cl *Cluster) read(snap uint64, fn func(*Conn) error) error {
 			}
 			cl.dropReplica(m)
 		}
-		if len(cl.reps) == 0 || time.Now().After(deadline) {
-			cl.lastConn = cl.primary
-			return fn(cl.pin(cl.primary))
-		}
-		if tried == 0 && !cl.anyDialable() {
+		// No replica connected after a full pass (none configured, or all
+		// down), or the lagging ones ran out of time: the primary serves.
+		if tried == 0 || time.Now().After(deadline) {
 			cl.lastConn = cl.primary
 			return fn(cl.pin(cl.primary))
 		}
@@ -484,38 +446,10 @@ func (cl *Cluster) dropReplica(m *member) {
 	m.horizon, m.probed = 0, false
 }
 
-// anyDialable reports whether at least one replica slot has a live
-// connection after a full pass (used to short-circuit the horizon-wait
-// loop when every replica is down).
-func (cl *Cluster) anyDialable() bool {
-	for _, m := range cl.reps {
-		if m.conn != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// isStatementError reports whether err came from the server running the
-// request (rather than a broken connection): those must not trigger
-// failover — the statement already executed, or deterministically
-// cannot.
+// isStatementError reports whether err is a verdict on the request — the
+// server ran it and said no, or the caller's row callback did — rather
+// than a failed connection: those must not trigger failover, because
+// the statement already executed, or deterministically cannot.
 func isStatementError(err error) bool {
-	var re *wire.RemoteError
-	if errors.As(err, &re) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return false
-	}
-	// A peer dying mid-request surfaces as a bare EOF from the framing
-	// layer — a connection failure, not a server verdict.
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return false
-	}
-	// Row-callback errors surface verbatim; connection failures are
-	// wrapped by Conn.fail with a recognizable prefix.
-	return !strings.Contains(err.Error(), "connection broken") &&
-		!errors.Is(err, ErrConnClosed)
+	return !errors.Is(err, ErrConnBroken) && !errors.Is(err, ErrConnClosed)
 }

@@ -3,37 +3,23 @@ package client
 import (
 	"io"
 
+	"rql"
 	"rql/internal/wire"
 )
 
 // ViewInfo is one materialized retro view's status as reported by the
 // server (VIEWS request / rqlshell .views).
-type ViewInfo = wire.ViewInfo
+type ViewInfo = rql.ViewInfo
 
 // ViewBatch is one pushed refresh on a view subscription: the rows the
 // view materialized for one snapshot.
-type ViewBatch = wire.ViewBatch
+type ViewBatch = rql.ViewBatch
 
 // Views lists every materialized retro view with its maintenance
 // counters.
-func (c *Conn) Views() ([]ViewInfo, error) {
-	var out []ViewInfo
-	err := c.request(wire.ReqViews, nil, func(op byte, payload []byte) (bool, error) {
-		switch op {
-		case wire.RespViews:
-			d := &wire.Dec{B: payload}
-			out = wire.DecodeViews(d)
-			if d.Err() != nil {
-				return true, c.fail(d.Err())
-			}
-			return true, nil
-		case wire.RespError:
-			return true, wire.DecodeError(payload)
-		default:
-			return true, c.unexpected(op)
-		}
-	})
-	return out, err
+func (c *Conn) Views() (views []ViewInfo, err error) {
+	err = c.call(wire.ReqViews, nil, func(d *wire.Dec) { views = wire.DecodeViews(d) })
+	return views, err
 }
 
 // ViewStream is an open subscription to a view's extension stream. It
@@ -54,41 +40,43 @@ type ViewStream struct {
 // dial a dedicated Conn for a subscription. A subscriber that falls too
 // far behind is disconnected by the server (Next returns io.EOF).
 func (c *Conn) SubscribeView(view string) (*ViewStream, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fatal != nil {
-		return nil, c.fatal
-	}
-	if c.streaming {
-		return nil, errStreaming
-	}
 	e := &wire.Enc{}
 	wire.EncodeViewSubscribe(e, wire.ViewSubscribe{View: view})
-	if err := wire.WriteFrame(c.bw, wire.ReqViewSub, c.tracePrefix(e.B)); err != nil {
-		return nil, c.fail(err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.send(wire.ReqViewSub, e.B); err != nil {
+		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	op, payload, err := wire.ReadFrame(c.br)
+	defer c.endRequest()
+	op, body, err := wire.ReadFrame(c.br)
 	if err != nil {
 		return nil, c.fail(err)
 	}
+	// Opening ack: the view's current cursor, no rows. The connection is
+	// a push stream from here on.
+	ack, err := c.viewBatch(op, body)
+	if err != nil {
+		return nil, err
+	}
+	c.streaming = true
+	return &ViewStream{c: c, view: view, StartSnap: ack.Snap}, nil
+}
+
+// viewBatch decodes one frame of a view stream, the opening ack
+// included.
+func (c *Conn) viewBatch(op byte, body []byte) (ViewBatch, error) {
 	switch op {
 	case wire.RespViewBatch:
-		// Opening ack: the view's current cursor, no rows. The connection
-		// is a push stream from here on.
-		d := &wire.Dec{B: payload}
-		ack := wire.DecodeViewBatch(d)
+		d := &wire.Dec{B: body}
+		b := wire.DecodeViewBatch(d)
 		if d.Err() != nil {
-			return nil, c.fail(d.Err())
+			return ViewBatch{}, c.fail(d.Err())
 		}
-		c.streaming = true
-		return &ViewStream{c: c, view: view, StartSnap: ack.Snap}, nil
+		return b, nil
 	case wire.RespError:
-		return nil, wire.DecodeError(payload)
+		return ViewBatch{}, wire.DecodeError(body)
 	default:
-		return nil, c.unexpected(op)
+		return ViewBatch{}, c.unexpected(op)
 	}
 }
 
@@ -105,24 +93,12 @@ func (s *ViewStream) Next() (ViewBatch, error) {
 	if c.fatal != nil {
 		return ViewBatch{}, c.fatal
 	}
-	op, payload, err := wire.ReadFrame(c.br)
+	op, body, err := wire.ReadFrame(c.br)
 	if err != nil {
 		c.fail(err)
 		return ViewBatch{}, io.EOF
 	}
-	switch op {
-	case wire.RespViewBatch:
-		d := &wire.Dec{B: payload}
-		b := wire.DecodeViewBatch(d)
-		if d.Err() != nil {
-			return ViewBatch{}, c.fail(d.Err())
-		}
-		return b, nil
-	case wire.RespError:
-		return ViewBatch{}, wire.DecodeError(payload)
-	default:
-		return ViewBatch{}, c.unexpected(op)
-	}
+	return c.viewBatch(op, body)
 }
 
 // Close ends the subscription by closing the underlying connection (the

@@ -1,14 +1,16 @@
 // Command rqlshell is an interactive SQL shell over an RQL database:
 // the full SQL surface including the Retro extensions (COMMIT WITH
-// SNAPSHOT, SELECT AS OF) and the four RQL mechanism UDFs. By default
-// it opens a private in-memory database; with -connect it speaks the
-// rqld wire protocol to a remote server instead, with the same SQL
-// surface and dot commands. A comma-separated -connect list opens a
-// routing cluster client (first address is the primary, the rest are
-// replicas): reads spread over the replicas, and every statement's legs
-// share one distributed trace.
+// SNAPSHOT, SELECT AS OF) and the four RQL mechanism UDFs. It is always
+// a client of the rqld session loop: by default it opens a private
+// in-memory database and serves it to itself through an embedded server
+// over an in-process pipe; with -connect it dials a remote rqld instead.
+// Either way the shell holds one client.Conn, so every dot command works
+// in both modes. A comma-separated -connect list opens a routing cluster
+// client (first address is the primary, the rest are replicas): reads
+// spread over the replicas, and every statement's legs share one
+// distributed trace.
 //
-//	rqlshell                       # in-process, in-memory database
+//	rqlshell                       # embedded server, in-memory database
 //	rqlshell -connect localhost:7427
 //	rqlshell -connect primary:7427,replica1:7428,replica2:7429
 //
@@ -22,13 +24,15 @@
 //	.stats reset          zero the cumulative counters
 //	.views                list materialized retro views and their counters
 //	.mech                 show the last RQL mechanism run's breakdown
+//	.replicas             show the server's replication role and streams
 //	.top                  live server telemetry (rates from /timeline)
 //	.trace on|off         toggle the span recorder (cluster-wide)
 //	.trace last           render the last statement's span tree; in
 //	                      cluster mode, one tree per node that took part
 //	.trace save <file>    write the last trace as Perfetto JSON (cluster
 //	                      mode stitches all nodes into per-node lanes)
-//	.slow [dur|off]       show the slow-query log (set threshold locally)
+//	.slow [dur|off]       show the slow-query log (set the threshold of the
+//	                      embedded server; rqld takes -slow-threshold)
 //	.quit                 exit
 package main
 
@@ -36,6 +40,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"sort"
 	"strings"
@@ -44,36 +49,42 @@ import (
 	"rql"
 	"rql/client"
 	"rql/internal/obs"
+	"rql/internal/server"
 	"rql/internal/wire"
 )
 
-// backend is the part of the rql.Conn API the shell needs; rql.Conn and
-// client.Conn both satisfy it, so every shell feature works in-process
-// and remotely.
-type backend interface {
+// statements is where SQL goes: the shell's one connection, or in
+// cluster mode the Cluster that routes reads over the replicas.
+type statements interface {
 	Exec(sqlText string, cb rql.RowCallback, params ...rql.Value) error
 	LastStats() rql.ExecStats
 	LastTrace() uint64
 	DeclareSnapshot(label string) (uint64, error)
-	EnsureSnapIds() error
-	Objects() ([]rql.ObjectInfo, error)
 }
 
-// shellEnv is the shell's connection plus whichever stats sources the
-// mode provides (db for in-process, remote for -connect). In cluster
-// mode remote points at the primary, so every server-side dot command
-// (.stats, .top, .slow) reads the writer's counters.
+// shellEnv is the shell's session. Every dot command that asks the
+// server something goes to remote — in cluster mode the primary, so
+// .stats, .top and .slow read the writer's counters.
 type shellEnv struct {
-	conn    backend
-	db      *rql.DB         // nil in remote mode
-	remote  *client.Conn    // nil in local mode
-	cluster *client.Cluster // non-nil with a comma-separated -connect
+	conn     statements
+	remote   *client.Conn
+	cluster  *client.Cluster // non-nil with a comma-separated -connect
+	embedded bool            // remote's server runs in this process
 }
+
+// never is the embedded server's idle and request deadline: a local
+// shell is not disconnected for sitting at its prompt, and its queries
+// run as long as they did in-process.
+const never = 100 * 365 * 24 * time.Hour
 
 func main() {
-	connect := flag.String("connect", "", "connect to rqld at host:port instead of opening an in-process database; a comma-separated list (primary,replica,...) opens a routing cluster client")
+	connect := flag.String("connect", "", "connect to rqld at host:port instead of serving a private in-memory database; a comma-separated list (primary,replica,...) opens a routing cluster client")
 	flag.Parse()
 
+	fatal := func(err error) {
+		fmt.Fprintln(os.Stderr, "rqlshell:", err)
+		os.Exit(1)
+	}
 	env := &shellEnv{}
 	if addrs := strings.Split(*connect, ","); *connect != "" && len(addrs) > 1 {
 		cl, err := client.OpenCluster(client.ClusterConfig{
@@ -81,8 +92,7 @@ func main() {
 			Replicas: trimAll(addrs[1:]),
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rqlshell:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer cl.Close()
 		env.conn, env.remote, env.cluster = cl, cl.Primary(), cl
@@ -91,8 +101,7 @@ func main() {
 	} else if *connect != "" {
 		rc, err := client.Dial(*connect)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rqlshell:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer rc.Close()
 		env.conn, env.remote = rc, rc
@@ -100,16 +109,23 @@ func main() {
 	} else {
 		db, err := rql.Open(rql.Options{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rqlshell:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer db.Close()
-		env.conn, env.db = db.Conn(), db
+		srv := server.New(db, server.Config{IdleTimeout: never, RequestTimeout: never})
+		defer srv.Shutdown()
+		near, far := net.Pipe()
+		srv.ServeConn(far)
+		rc, err := client.NewConn(near)
+		if err != nil {
+			fatal(err)
+		}
+		defer rc.Close()
+		env.conn, env.remote, env.embedded = rc, rc, true
 		fmt.Println("RQL shell — in-memory database with Retro snapshots.")
 	}
-	if err := env.conn.EnsureSnapIds(); err != nil {
-		fmt.Fprintln(os.Stderr, "rqlshell:", err)
-		os.Exit(1)
+	if err := env.remote.EnsureSnapIds(); err != nil {
+		fatal(err)
 	}
 	fmt.Println(`Type SQL terminated by ';', or ".help" for commands.`)
 
@@ -142,7 +158,7 @@ func main() {
 	}
 }
 
-func runSQL(conn backend, sqlText string) {
+func runSQL(conn statements, sqlText string) {
 	var cols []string
 	var rows [][]string
 	err := conn.Exec(sqlText, func(names []string, row []rql.Value) error {
@@ -217,7 +233,7 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
               .mech .replicas .top  .trace on|off|last|save <file>
               .slow [dur|off]  .quit`)
 	case ".tables":
-		objs, err := conn.Objects()
+		objs, err := env.remote.Objects()
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -248,14 +264,9 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 		}
 	case ".stats":
 		if len(fields) > 1 && fields[1] == "reset" {
-			switch {
-			case env.db != nil:
-				env.db.ResetStats()
-			case env.remote != nil:
-				if err := env.remote.ResetStats(); err != nil {
-					fmt.Println("error:", err)
-					break
-				}
+			if err := env.remote.ResetStats(); err != nil {
+				fmt.Println("error:", err)
+				break
 			}
 			fmt.Println("counters reset")
 			break
@@ -263,37 +274,17 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 		st := conn.LastStats()
 		fmt.Printf("last statement: duration=%v rows=%d pagelog_reads=%d cache_hits=%d db_reads=%d prefetch_hits=%d spt=%v auto_index=%v\n",
 			st.Duration, st.RowsReturned, st.PagelogReads, st.CacheHits, st.DBReads, st.PrefetchHits, st.SPTBuildTime, st.AutoIndex)
-		switch {
-		case env.db != nil:
-			obs.WriteVars(os.Stdout, env.db.Metrics())
-		case env.remote != nil:
-			ss, err := env.remote.ServerStats()
-			if err != nil {
-				fmt.Println("error:", err)
-				break
-			}
-			obs.WriteVars(os.Stdout, ss.Metrics)
+		ss, err := env.remote.ServerStats()
+		if err != nil {
+			fmt.Println("error:", err)
+			break
 		}
+		obs.WriteVars(os.Stdout, ss.Metrics)
 	case ".views":
-		var infos []client.ViewInfo
-		switch {
-		case env.db != nil:
-			for _, v := range env.db.Views() {
-				infos = append(infos, client.ViewInfo{
-					Name: v.Name, Mechanism: v.Mechanism,
-					LastSnap: v.LastSnap, Rows: uint64(v.Rows),
-					Refreshes: v.Refreshes, PrunedRefreshes: v.PrunedRefreshes,
-					RowsPushed: v.RowsPushed, Subscribers: uint64(v.Subscribers),
-					LastError: v.LastError,
-				})
-			}
-		case env.remote != nil:
-			var err error
-			infos, err = env.remote.Views()
-			if err != nil {
-				fmt.Println("error:", err)
-				return true
-			}
+		infos, err := env.remote.Views()
+		if err != nil {
+			fmt.Println("error:", err)
+			break
 		}
 		if len(infos) == 0 {
 			fmt.Println("no retro views (CREATE RETRO VIEW v AS CollateData('...');)")
@@ -316,17 +307,10 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 			}
 		}
 	case ".mech":
-		var run *rql.RunStats
-		switch {
-		case env.db != nil:
-			run = env.db.LastRun()
-		case env.remote != nil:
-			var err error
-			run, err = env.remote.LastRun()
-			if err != nil {
-				fmt.Println("error:", err)
-				return true
-			}
+		run, err := env.remote.LastRun()
+		if err != nil {
+			fmt.Println("error:", err)
+			break
 		}
 		if run == nil {
 			fmt.Println("no mechanism has run yet")
@@ -364,10 +348,6 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 				it.Snapshot, it.IOTime, it.SPTBuild, it.IndexCreation, it.QueryEval, it.UDF, it.QqRows, mark)
 		}
 	case ".replicas":
-		if env.remote == nil {
-			fmt.Println("replication state lives on rqld; connect with -connect")
-			break
-		}
 		rs, err := env.remote.ReplStats()
 		if err != nil {
 			fmt.Println("error:", err)
@@ -408,22 +388,15 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 		}
 		switch fields[1] {
 		case "on", "off":
-			on := fields[1] == "on"
-			switch {
-			case env.cluster != nil:
-				// Cluster-wide: a routed query's legs land on whichever
-				// member covers the snapshot, so every recorder must be on.
-				if err := env.cluster.SetTracing(on); err != nil {
-					fmt.Println("error:", err)
-					break
-				}
-			case env.remote != nil:
-				if err := env.remote.SetTracing(on); err != nil {
-					fmt.Println("error:", err)
-					break
-				}
-			default:
-				rql.SetTracing(on)
+			// Cluster-wide: a routed query's legs land on whichever member
+			// covers the snapshot, so every recorder must be on.
+			setTracing := env.remote.SetTracing
+			if env.cluster != nil {
+				setTracing = env.cluster.SetTracing
+			}
+			if err := setTracing(fields[1] == "on"); err != nil {
+				fmt.Println("error:", err)
+				break
 			}
 			fmt.Printf("tracing %s\n", fields[1])
 		case "last":
@@ -476,10 +449,6 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 			fmt.Println("usage: .trace on|off|last|save <file>")
 		}
 	case ".top":
-		if env.remote == nil {
-			fmt.Println("the telemetry timeline lives on rqld; connect with -connect")
-			break
-		}
 		period, pts, err := env.remote.Timeline()
 		if err != nil {
 			fmt.Println("error:", err)
@@ -488,7 +457,7 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 		printTop(period, pts)
 	case ".slow":
 		if len(fields) > 1 {
-			if env.remote != nil {
+			if !env.embedded {
 				fmt.Println("the remote threshold is set by rqld's -slow-threshold flag")
 				break
 			}
@@ -509,19 +478,10 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 			}
 			break
 		}
-		var (
-			th      time.Duration
-			entries []obs.SlowEntry
-		)
-		if env.remote != nil {
-			var err error
-			if th, entries, err = env.remote.SlowQueries(); err != nil {
-				fmt.Println("error:", err)
-				break
-			}
-		} else {
-			th = obs.SlowThreshold()
-			entries = obs.SlowEntries()
+		th, entries, err := env.remote.SlowQueries()
+		if err != nil {
+			fmt.Println("error:", err)
+			break
 		}
 		if th == 0 {
 			fmt.Println("slow-query log disabled (.slow <duration> to arm it)")
@@ -547,33 +507,18 @@ func trimAll(in []string) []string {
 	return out
 }
 
-// lastTraceSpans collects one trace's spans from wherever the shell's
-// mode records them: every cluster member (one named node each), the
-// single remote server, or the in-process recorder (one unnamed node).
+// lastTraceSpans collects one trace's spans: from every cluster member
+// (one named node each), or from the shell's one server (one unnamed
+// node).
 func lastTraceSpans(env *shellEnv, id uint64) ([]obs.NodeSpans, error) {
-	switch {
-	case env.cluster != nil:
-		nodes, err := env.cluster.TraceSpans(id)
-		if err != nil {
-			return nil, err
-		}
-		return nodes, nil
-	case env.remote != nil:
-		ws, err := env.remote.TraceSpans(id)
-		if err != nil {
-			return nil, err
-		}
-		if len(ws) == 0 {
-			return nil, nil
-		}
-		return []obs.NodeSpans{{Spans: ws}}, nil
-	default:
-		spans := obs.TraceSpans(id)
-		if len(spans) == 0 {
-			return nil, nil
-		}
-		return []obs.NodeSpans{{Spans: spans}}, nil
+	if env.cluster != nil {
+		return env.cluster.TraceSpans(id)
 	}
+	spans, err := env.remote.TraceSpans(id)
+	if err != nil || len(spans) == 0 {
+		return nil, err
+	}
+	return []obs.NodeSpans{{Spans: spans}}, nil
 }
 
 // saveTrace writes nodes as Chrome trace-event JSON for Perfetto: one

@@ -339,7 +339,7 @@ func (r *Runner) BatchReport() (*BatchReport, error) {
 	if err := r.pipelineBatch(rep, reps); err != nil {
 		return nil, err
 	}
-	tr, err := r.tracingOverhead(reps)
+	tr, err := r.tracingOverhead(reps, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -532,9 +532,9 @@ func (r *Runner) Batch() error {
 
 	if tr := rep.Tracing; tr != nil {
 		fmt.Fprintf(r.Out,
-			"\ntracing overhead (%s, %d snapshots, sleeping device): disabled %s, enabled %s (%d spans) → %+.2f%%\n",
-			tr.Mechanism, tr.Snapshots, tr.Disabled.Wall, tr.Enabled.Wall,
-			tr.Enabled.Spans, tr.OverheadPct)
+			"\ntracing overhead (%s, %d snapshots, sleeping device, %d off/on pairs): disabled %s, enabled %s (%d spans) → median %+.2f%%, interquartile spread %.2f%%\n",
+			tr.Mechanism, tr.Snapshots, tr.Pairs, tr.Disabled.Wall, tr.Enabled.Wall,
+			tr.Enabled.Spans, tr.OverheadPct, tr.SpreadPct)
 	}
 	if f := rep.Fanout; f != nil {
 		fmt.Fprintf(r.Out,

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
+	"rql/internal/core"
 	"rql/internal/obs"
 	"rql/internal/record"
 	"rql/internal/retro"
@@ -22,16 +24,21 @@ type TracingSide struct {
 }
 
 // TracingResult is the tracing-overhead phase of the batch report: the
-// same retrospective run measured with the span recorder off and on.
-// Billed counters must be identical on both sides; OverheadPct is the
-// enabled side's extra wall time in percent (negative when noise makes
-// the traced run faster).
+// same retrospective run measured in alternating pairs with the span
+// recorder off and on. Billed counters must be identical on every run;
+// each side reports its median wall time; OverheadPct is the median of
+// the per-pair overheads (the enabled run's extra wall time in percent,
+// negative when noise makes the traced run faster) and SpreadPct their
+// interquartile range — the measurement's own noise, to read the
+// overhead against.
 type TracingResult struct {
 	Mechanism   string      `json:"mechanism"`
 	Snapshots   int         `json:"snapshots"`
+	Pairs       int         `json:"pairs"`
 	Disabled    TracingSide `json:"disabled"`
 	Enabled     TracingSide `json:"enabled"`
 	OverheadPct float64     `json:"overhead_pct"`
+	SpreadPct   float64     `json:"spread_pct"`
 }
 
 // traceSet is the tracing phase's snapshot-set size: a smoke workload,
@@ -44,9 +51,8 @@ const traceSet = 8
 // sleep pipeReadLatency, so the wall time is dominated by deterministic
 // device waits and the comparison is robust against scheduler noise. A
 // healthy recorder disappears into that budget; `make check` fails the
-// build when the enabled side exceeds the disabled side by more than
-// traceOverheadLimitPct.
-func (r *Runner) tracingOverhead(reps int) (*TracingResult, error) {
+// build when the median paired overhead exceeds traceOverheadLimitPct.
+func (r *Runner) tracingOverhead(pairs, reps int) (*TracingResult, error) {
 	set := traceSet
 	if r.Cfg.Quick {
 		set = 6
@@ -88,6 +94,27 @@ func (r *Runner) tracingOverhead(reps int) (*TracingResult, error) {
 	qq := fmt.Sprintf(`SELECT o_orderkey FROM orders WHERE o_orderkey >= %d AND o_orderkey < %d`,
 		keyA, keyB)
 
+	res, err := pairedOverhead(pairs,
+		func(on bool) error { obs.SetTracing(on); return nil },
+		func() (*core.RunStats, time.Duration, error) {
+			return e.timedRun(mechCollate, qs, qq, modeSequential, reps)
+		})
+	if err != nil {
+		return nil, err
+	}
+	res.Snapshots = set
+	return res, nil
+}
+
+// pairedOverhead is the measurement both tracing gates share: pairs
+// alternating (recorder off, recorder on) measurements of one cold
+// workload (run reports its best of a few repetitions), the order
+// flipped every pair so warm-up and drift favour neither side. The
+// verdict is the median paired overhead, so one stalled measurement
+// moves one pair and not the result. Billed counters that differ
+// between any two runs, and an enabled side that recorded no spans, are
+// errors.
+func pairedOverhead(pairs int, setTracing func(on bool) error, run func() (*core.RunStats, time.Duration, error)) (*TracingResult, error) {
 	// The recorder is process-global; put it back the way we found it.
 	wasOn := obs.Enabled()
 	defer func() {
@@ -96,50 +123,62 @@ func (r *Runner) tracingOverhead(reps int) (*TracingResult, error) {
 			obs.ResetSpans()
 		}
 	}()
-
-	obs.SetTracing(false)
-	offRS, offWall, err := e.timedRun(mechCollate, qs, qq, modeSequential, reps)
-	if err != nil {
-		return nil, fmt.Errorf("tracing disabled: %w", err)
-	}
-	obs.SetTracing(true)
 	obs.ResetSpans()
-	onRS, onWall, err := e.timedRun(mechCollate, qs, qq, modeSequential, reps)
-	if err != nil {
-		return nil, fmt.Errorf("tracing enabled: %w", err)
+
+	var (
+		walls [2][]time.Duration // by side: recorder off, on
+		pcts  []float64
+		ref   core.IterationCost
+	)
+	for p := 0; p < pairs; p++ {
+		for i := 0; i < 2; i++ {
+			side := (p + i) % 2 // 0: recorder off, 1: on
+			on := side == 1
+			if err := setTracing(on); err != nil {
+				return nil, err
+			}
+			rs, wall, err := run()
+			if err != nil {
+				return nil, fmt.Errorf("pair %d, tracing on=%v: %w", p, on, err)
+			}
+			t := rs.Total()
+			if p == 0 && i == 0 {
+				ref = t
+			} else if t.PagelogReads != ref.PagelogReads || t.CacheHits != ref.CacheHits {
+				return nil, fmt.Errorf(
+					"tracing changed the billed counters: first run reads=%d hits=%d; pair %d, tracing on=%v: reads=%d hits=%d",
+					ref.PagelogReads, ref.CacheHits, p, on, t.PagelogReads, t.CacheHits)
+			}
+			walls[side] = append(walls[side], wall)
+		}
+		off, on := walls[0][p], walls[1][p]
+		pcts = append(pcts, (float64(on)-float64(off))/float64(off)*100)
 	}
 	spans := len(obs.Spans())
-
-	offT, onT := offRS.Total(), onRS.Total()
-	if offT.PagelogReads != onT.PagelogReads || offT.CacheHits != onT.CacheHits {
-		return nil, fmt.Errorf(
-			"tracing changed the billed counters: disabled reads=%d hits=%d, enabled reads=%d hits=%d",
-			offT.PagelogReads, offT.CacheHits, onT.PagelogReads, onT.CacheHits)
-	}
 	if spans == 0 {
 		return nil, fmt.Errorf("tracing enabled but the recorder captured no spans")
 	}
 
+	sort.Float64s(pcts)
+	median := func(w []time.Duration) TracingSide {
+		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
+		med := w[len(w)/2]
+		return TracingSide{
+			Wall:         med.Round(time.Microsecond).String(),
+			WallNS:       med.Nanoseconds(),
+			PagelogReads: ref.PagelogReads,
+			CacheHits:    ref.CacheHits,
+		}
+	}
 	res := &TracingResult{
-		Mechanism: "CollateData",
-		Snapshots: set,
-		Disabled: TracingSide{
-			Wall:         offWall.Round(time.Microsecond).String(),
-			WallNS:       offWall.Nanoseconds(),
-			PagelogReads: offT.PagelogReads,
-			CacheHits:    offT.CacheHits,
-		},
-		Enabled: TracingSide{
-			Wall:         onWall.Round(time.Microsecond).String(),
-			WallNS:       onWall.Nanoseconds(),
-			PagelogReads: onT.PagelogReads,
-			CacheHits:    onT.CacheHits,
-			Spans:        spans,
-		},
+		Mechanism:   "CollateData",
+		Pairs:       pairs,
+		Disabled:    median(walls[0]),
+		Enabled:     median(walls[1]),
+		OverheadPct: pcts[len(pcts)/2],
+		SpreadPct:   pcts[len(pcts)*3/4] - pcts[len(pcts)/4],
 	}
-	if offWall > 0 {
-		res.OverheadPct = (float64(onWall) - float64(offWall)) / float64(offWall) * 100
-	}
+	res.Enabled.Spans = spans
 	return res, nil
 }
 
@@ -148,36 +187,38 @@ func (r *Runner) tracingOverhead(reps int) (*TracingResult, error) {
 // the sleep-dominated smoke workload.
 const traceOverheadLimitPct = 5.0
 
+// tracePairs is how many off/on pairs `make check` measures: odd, so
+// the median is one pair's reading, and enough that the quartiles are
+// distinct pairs. Each side of a pair is the best of traceReps runs.
+const (
+	tracePairs = 7
+	traceReps  = 3
+)
+
 // TracingCheck runs the tracing-overhead smoke measurements — the
 // in-process recorder cost and the wire-propagated path — and fails
-// when either enabled side exceeds the budget (rqlbench -trace-check,
-// run from `make check`).
+// when the median paired overhead of either exceeds the budget
+// (rqlbench -trace-check, run from `make check`).
 func (r *Runner) TracingCheck() error {
-	reps := 3
-	res, err := r.tracingOverhead(reps)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(r.Out,
-		"tracing overhead: disabled %s, enabled %s (%d spans) → %+.2f%% (budget %.0f%%)\n",
-		res.Disabled.Wall, res.Enabled.Wall, res.Enabled.Spans,
-		res.OverheadPct, traceOverheadLimitPct)
-	if res.OverheadPct > traceOverheadLimitPct {
-		return fmt.Errorf("enabled tracing costs %.2f%% wall time on the smoke workload, budget is %.0f%%",
-			res.OverheadPct, traceOverheadLimitPct)
-	}
-
-	pres, err := r.propagatedOverhead(reps)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(r.Out,
-		"propagated tracing overhead: disabled %s, enabled %s (%d spans) → %+.2f%% (budget %.0f%%)\n",
-		pres.Disabled.Wall, pres.Enabled.Wall, pres.Enabled.Spans,
-		pres.OverheadPct, traceOverheadLimitPct)
-	if pres.OverheadPct > traceOverheadLimitPct {
-		return fmt.Errorf("propagated tracing costs %.2f%% wall time on the wire smoke workload, budget is %.0f%%",
-			pres.OverheadPct, traceOverheadLimitPct)
+	for _, gate := range []struct {
+		name    string
+		measure func(pairs, reps int) (*TracingResult, error)
+	}{
+		{"tracing", r.tracingOverhead},
+		{"propagated tracing", r.propagatedOverhead},
+	} {
+		res, err := gate.measure(tracePairs, traceReps)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(r.Out,
+			"%s overhead over %d off/on pairs: disabled %s, enabled %s (%d spans) → median %+.2f%%, interquartile spread %.2f%% (budget %.0f%%)\n",
+			gate.name, res.Pairs, res.Disabled.Wall, res.Enabled.Wall, res.Enabled.Spans,
+			res.OverheadPct, res.SpreadPct, traceOverheadLimitPct)
+		if res.OverheadPct > traceOverheadLimitPct {
+			return fmt.Errorf("%s costs a median %.2f%% wall time on the smoke workload, budget is %.0f%%",
+				gate.name, res.OverheadPct, traceOverheadLimitPct)
+		}
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ const wireTraceRows = 8192
 // same budget the in-process gate enforces. This is the end-to-end
 // cost of propagation itself — frame prefix decode, span rooting, and
 // recording — not just the recorder in isolation.
-func (r *Runner) propagatedOverhead(reps int) (*TracingResult, error) {
+func (r *Runner) propagatedOverhead(pairs, reps int) (*TracingResult, error) {
 	set := traceSet
 	if r.Cfg.Quick {
 		set = 6
@@ -91,15 +91,26 @@ func (r *Runner) propagatedOverhead(reps int) (*TracingResult, error) {
 	qs := `SELECT snap_id FROM SnapIds`
 	qq := `SELECT k FROM wire_trace`
 
-	// One cold mechanism run over the wire.
+	// One cold mechanism run over the wire. A traced run's spans must be
+	// rooted under the client-minted trace: that IS the propagation this
+	// gate exists to cover.
 	runOnce := func() (*rql.RunStats, time.Duration, error) {
 		db.ResetSnapshotCache()
 		resultSeq++
 		table := fmt.Sprintf("bench_result_%d", resultSeq)
 		start := time.Now()
 		rs, err := c.CollateData(qs, qq, table)
-		return rs, time.Since(start), err
+		wall := time.Since(start)
+		if err == nil && obs.Enabled() {
+			if id := c.LastTrace(); id == 0 {
+				err = fmt.Errorf("run reported no trace ID on the client")
+			} else if len(obs.TraceSpans(id)) == 0 {
+				err = fmt.Errorf("client trace %#x has no server spans: context did not propagate", id)
+			}
+		}
+		return rs, wall, err
 	}
+
 	// Best of reps.
 	run := func() (*rql.RunStats, time.Duration, error) {
 		var (
@@ -125,71 +136,10 @@ func (r *Runner) propagatedOverhead(reps int) (*TracingResult, error) {
 		return nil, fmt.Errorf("propagated warm-up: %w", err)
 	}
 
-	// The recorder is process-global; put it back the way we found it.
-	wasOn := obs.Enabled()
-	defer func() {
-		obs.SetTracing(wasOn)
-		if !wasOn {
-			obs.ResetSpans()
-		}
-	}()
-
-	if err := c.SetTracing(false); err != nil {
-		return nil, err
-	}
-	offRS, offWall, err := run()
+	res, err := pairedOverhead(pairs, c.SetTracing, run)
 	if err != nil {
-		return nil, fmt.Errorf("propagated, tracing disabled: %w", err)
+		return nil, fmt.Errorf("propagated: %w", err)
 	}
-	if err := c.SetTracing(true); err != nil {
-		return nil, err
-	}
-	obs.ResetSpans()
-	onRS, onWall, err := run()
-	if err != nil {
-		return nil, fmt.Errorf("propagated, tracing enabled: %w", err)
-	}
-	spans := len(obs.Spans())
-
-	// The enabled run's spans must be rooted under the client-minted
-	// trace: that IS the propagation this gate exists to cover.
-	id := c.LastTrace()
-	if id == 0 {
-		return nil, fmt.Errorf("propagated run reported no trace ID on the client")
-	}
-	if got := obs.TraceSpans(id); len(got) == 0 {
-		return nil, fmt.Errorf("client trace %#x has no server spans: context did not propagate", id)
-	}
-
-	offT, onT := offRS.Total(), onRS.Total()
-	if offT.PagelogReads != onT.PagelogReads || offT.CacheHits != onT.CacheHits {
-		return nil, fmt.Errorf(
-			"propagated tracing changed the billed counters: disabled reads=%d hits=%d, enabled reads=%d hits=%d",
-			offT.PagelogReads, offT.CacheHits, onT.PagelogReads, onT.CacheHits)
-	}
-	if spans == 0 {
-		return nil, fmt.Errorf("propagated tracing enabled but the recorder captured no spans")
-	}
-
-	res := &TracingResult{
-		Mechanism: "CollateData",
-		Snapshots: set,
-		Disabled: TracingSide{
-			Wall:         offWall.Round(time.Microsecond).String(),
-			WallNS:       offWall.Nanoseconds(),
-			PagelogReads: offT.PagelogReads,
-			CacheHits:    offT.CacheHits,
-		},
-		Enabled: TracingSide{
-			Wall:         onWall.Round(time.Microsecond).String(),
-			WallNS:       onWall.Nanoseconds(),
-			PagelogReads: onT.PagelogReads,
-			CacheHits:    onT.CacheHits,
-			Spans:        spans,
-		},
-	}
-	if offWall > 0 {
-		res.OverheadPct = (float64(onWall) - float64(offWall)) / float64(offWall) * 100
-	}
+	res.Snapshots = set
 	return res, nil
 }

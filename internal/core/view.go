@@ -79,6 +79,7 @@ func (s *ViewSub) Cancel() {
 type ViewInfo struct {
 	Name            string
 	Mechanism       string
+	Qq              string
 	LastSnap        uint64 // refresh cursor: last materialized snapshot
 	Rows            int    // rows currently in the result table
 	Refreshes       uint64 // snapshots materialized
@@ -555,6 +556,7 @@ func (m *ViewManager) Infos() []ViewInfo {
 		info := ViewInfo{
 			Name:            e.v.def.Name,
 			Mechanism:       e.v.def.Mechanism,
+			Qq:              e.v.def.Qq,
 			LastSnap:        e.v.cursor.Load(),
 			Refreshes:       e.v.refreshes.Load(),
 			PrunedRefreshes: e.v.prunedRefreshes.Load(),

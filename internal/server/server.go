@@ -166,11 +166,15 @@ func (s *Server) Serve(lis net.Listener) error {
 			}
 			return err
 		}
-		s.startSession(nc)
+		s.ServeConn(nc)
 	}
 }
 
-func (s *Server) startSession(nc net.Conn) {
+// ServeConn starts a session on nc as if it had been accepted from the
+// listener — nc may be any net.Conn, such as one end of a net.Pipe for
+// an in-process client. It returns at once; Shutdown drains the session
+// with the rest.
+func (s *Server) ServeConn(nc net.Conn) {
 	sess := newSession(s, nc)
 	s.mu.Lock()
 	if s.draining {

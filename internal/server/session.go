@@ -117,6 +117,12 @@ func (ss *session) run() {
 			ss.flush()
 			return
 		}
+		req, ok := wire.RequestFor(op)
+		if !ok {
+			ss.rejectOpcode(op)
+			ss.flush()
+			return
+		}
 		// Every request payload opens with the caller's trace context.
 		// Strip it here, once, so the handlers below see only operands.
 		d := &wire.Dec{B: payload}
@@ -136,10 +142,10 @@ func (ss *session) run() {
 		var sp *obs.Span
 		if tc.Trace != 0 {
 			if tc.Sampled {
-				sp = obs.StartSpanInTrace(tc.Trace, "server."+opName(op))
+				sp = obs.StartSpanInTrace(tc.Trace, req.Name)
 			}
 		} else {
-			sp = obs.StartSpan(nil, "server."+opName(op))
+			sp = obs.StartSpan(nil, req.Name)
 		}
 		if sp != nil {
 			ss.conn.SetTraceSpan(sp)
@@ -246,10 +252,18 @@ func (ss *session) dispatch(op byte, payload []byte) error {
 	case wire.ReqTimeline:
 		return ss.handleTimeline()
 	default:
-		// Unknown opcode: the stream cannot be trusted any further.
-		ss.writeError(fmt.Errorf("server: unknown opcode %#x", op))
-		return fmt.Errorf("server: unknown opcode %#x", op)
+		// Hello and ReplAck have rows in wire.Requests but are not
+		// requests a session serves after the handshake.
+		return ss.rejectOpcode(op)
 	}
+}
+
+// rejectOpcode answers an opcode that is no request: the stream cannot
+// be trusted any further, so the returned error ends the session.
+func (ss *session) rejectOpcode(op byte) error {
+	err := fmt.Errorf("server: unknown opcode %#x", op)
+	ss.writeError(err)
+	return err
 }
 
 // handleExec runs SQL and streams the result: header frames when the
@@ -352,27 +366,24 @@ func (ss *session) handleTrace(payload []byte) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
+	// TraceOn/TraceOff answer with an empty span list.
+	var spans []obs.Span
 	switch cmd {
-	case wire.TraceOff:
-		obs.SetTracing(false)
-		return ss.writeFrame(wire.RespPong, nil)
-	case wire.TraceOn:
-		obs.SetTracing(true)
-		return ss.writeFrame(wire.RespPong, nil)
+	case wire.TraceOff, wire.TraceOn:
+		obs.SetTracing(cmd == wire.TraceOn)
 	case wire.TraceFetch:
-		var spans []obs.Span
 		if id == 0 {
 			spans = obs.Spans()
 		} else {
 			spans = obs.TraceSpans(id)
 		}
-		e := &wire.Enc{}
-		wire.EncodeSpans(e, spans)
-		return ss.writeFrame(wire.RespTrace, e.B)
 	default:
 		ss.writeError(fmt.Errorf("server: unknown trace command %d", cmd))
 		return nil
 	}
+	e := &wire.Enc{}
+	wire.EncodeSpans(e, spans)
+	return ss.writeFrame(wire.RespTrace, e.B)
 }
 
 // handleSlow serves the slow-query log with the active threshold.
@@ -392,48 +403,6 @@ func (ss *session) handleTimeline() error {
 		wire.EncodeTimeline(e, 0, nil)
 	}
 	return ss.writeFrame(wire.RespTimeline, e.B)
-}
-
-// opName labels a request opcode for its root span.
-func opName(op byte) string {
-	switch op {
-	case wire.ReqExec:
-		return "exec"
-	case wire.ReqSnap:
-		return "snapshot"
-	case wire.ReqMech:
-		return "mechanism"
-	case wire.ReqStats:
-		return "stats"
-	case wire.ReqObjs:
-		return "objects"
-	case wire.ReqRun:
-		return "run"
-	case wire.ReqTblSt:
-		return "table_stats"
-	case wire.ReqPing:
-		return "ping"
-	case wire.ReqTrace:
-		return "trace"
-	case wire.ReqSlow:
-		return "slow"
-	case wire.ReqReset:
-		return "reset"
-	case wire.ReqHorizon:
-		return "horizon"
-	case wire.ReqReplStats:
-		return "repl_stats"
-	case wire.ReqReplSub:
-		return "repl_subscribe"
-	case wire.ReqViews:
-		return "views"
-	case wire.ReqViewSub:
-		return "view_subscribe"
-	case wire.ReqTimeline:
-		return "timeline"
-	default:
-		return "unknown"
-	}
 }
 
 func (ss *session) handleSnapshot(payload []byte) error {
@@ -496,12 +465,8 @@ func (ss *session) handleObjects() error {
 		ss.writeError(err)
 		return nil
 	}
-	out := make([]wire.ObjectInfo, len(objs))
-	for i, o := range objs {
-		out[i] = wire.ObjectInfo{Kind: o.Kind, Name: o.Name, Table: o.Table, Temp: o.Temp}
-	}
 	e := &wire.Enc{}
-	wire.EncodeObjects(e, out)
+	wire.EncodeObjects(e, objs)
 	return ss.writeFrame(wire.RespObjs, e.B)
 }
 

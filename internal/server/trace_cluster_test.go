@@ -132,4 +132,20 @@ func TestClusterStitchedTrace(t *testing.T) {
 			}
 		}
 	}
+
+	// Read your snapshot: a COMMIT WITH SNAPSHOT carried by ExecAsOf
+	// advances the client horizon like one carried by Exec, so the next
+	// routed read skips the replica that has not applied it.
+	if err := cl.Exec(`BEGIN; INSERT INTO ct VALUES (8)`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ExecAsOf(`SELECT x FROM ct; COMMIT WITH SNAPSHOT`, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if declared := cl.Primary().LastSnapshot(); cl.Horizon() != declared {
+		t.Fatalf("horizon %d after ExecAsOf declared snapshot %d", cl.Horizon(), declared)
+	}
+	if rows, err = cl.Query(`SELECT x FROM ct`); err != nil || len(rows.Rows) != 2 {
+		t.Fatalf("read after the declared snapshot: %+v, %v; want both rows", rows, err)
+	}
 }

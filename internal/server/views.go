@@ -14,26 +14,8 @@ const viewSubBuf = 64
 
 // handleViews serves ReqViews: every materialized retro view's status.
 func (ss *session) handleViews() error {
-	infos := ss.srv.db.Views()
-	out := make([]wire.ViewInfo, len(infos))
-	for i, v := range infos {
-		out[i] = wire.ViewInfo{
-			Name:            v.Name,
-			Mechanism:       v.Mechanism,
-			LastSnap:        v.LastSnap,
-			Rows:            uint64(v.Rows),
-			Refreshes:       v.Refreshes,
-			PrunedRefreshes: v.PrunedRefreshes,
-			RowsPushed:      v.RowsPushed,
-			Subscribers:     uint64(v.Subscribers),
-			LastError:       v.LastError,
-		}
-		if def, err := ss.srv.db.Engine().GetView(v.Name); err == nil {
-			out[i].Qq = def.Qq
-		}
-	}
 	e := &wire.Enc{}
-	wire.EncodeViews(e, out)
+	wire.EncodeViews(e, ss.srv.db.Views())
 	return ss.writeFrame(wire.RespViews, e.B)
 }
 
@@ -69,7 +51,7 @@ func (ss *session) handleViewSub(payload []byte) error {
 		}
 	}
 	e := &wire.Enc{}
-	wire.EncodeViewBatch(e, wire.ViewBatch{View: req.View, Snap: cursor})
+	wire.EncodeViewBatch(e, rql.ViewBatch{View: req.View, Snap: cursor})
 	if err := ss.writeFrame(wire.RespViewBatch, e.B); err != nil {
 		return err
 	}
@@ -87,7 +69,7 @@ func (ss *session) handleViewSub(payload []byte) error {
 
 	for b := range sub.C {
 		e := &wire.Enc{}
-		wire.EncodeViewBatch(e, viewBatchToWire(b))
+		wire.EncodeViewBatch(e, b)
 		if err := ss.writeFrame(wire.RespViewBatch, e.B); err != nil {
 			return err
 		}
@@ -97,16 +79,6 @@ func (ss *session) handleViewSub(payload []byte) error {
 		ss.srv.stats.RowsStreamed.Add(uint64(len(b.Rows)))
 	}
 	return errStreamDone
-}
-
-func viewBatchToWire(b rql.ViewBatch) wire.ViewBatch {
-	return wire.ViewBatch{
-		View:   b.View,
-		Snap:   b.Snap,
-		Pruned: b.Pruned,
-		Cols:   b.Cols,
-		Rows:   b.Rows,
-	}
 }
 
 // setViewSub records the session's active view subscription so shutdown

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-
-	"rql/internal/core"
-	"rql/internal/obs"
 )
 
 // allocated reports the bytes f allocates.
@@ -105,50 +102,48 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-func FuzzDecodeMetrics(f *testing.F) {
+// fuzzDecoder is the body every list-decoder target shares: the decode
+// stays under allocBound, and what decodes cleanly survives another
+// encode/decode round (compared as bytes: a NaN is not equal to itself).
+func fuzzDecoder[T any](f *testing.F, decode func(*Dec) T, encode func(*Enc, T), seed T, hostile []byte) {
 	e := &Enc{}
-	EncodeMetrics(e, seedMetrics)
+	encode(e, seed)
 	f.Add(e.B)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x1F})
+	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &Dec{B: data}
-		var ms []obs.Metric
-		if got := allocated(func() { ms = DecodeMetrics(d) }); got > allocBound(len(data)) {
-			t.Fatalf("DecodeMetrics allocated %d bytes for a %d-byte input", got, len(data))
+		var v T
+		if got := allocated(func() { v = decode(d) }); got > allocBound(len(data)) {
+			t.Fatalf("decoding a %d-byte input allocated %d bytes", len(data), got)
 		}
 		if d.Err() != nil {
 			return
 		}
-		// What decoded cleanly survives another encode/decode round
-		// (compared as bytes: a NaN sum is not equal to itself).
 		e1, e2 := &Enc{}, &Enc{}
-		EncodeMetrics(e1, ms)
-		EncodeMetrics(e2, DecodeMetrics(&Dec{B: e1.B}))
+		encode(e1, v)
+		encode(e2, decode(&Dec{B: e1.B}))
 		if !bytes.Equal(e1.B, e2.B) {
-			t.Fatalf("metrics %+v changed across an encode/decode round", ms)
+			t.Fatalf("%+v changed across an encode/decode round", v)
 		}
 	})
 }
 
+func FuzzDecodeMetrics(f *testing.F) {
+	fuzzDecoder(f, DecodeMetrics, EncodeMetrics, seedMetrics, []byte{0xFF, 0xFF, 0xFF, 0x1F})
+}
+
 func FuzzDecodeRunStats(f *testing.F) {
-	e := &Enc{}
-	EncodeRunStats(e, seedRunStats)
-	f.Add(e.B)
-	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x1F})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d := &Dec{B: data}
-		var r *core.RunStats
-		if got := allocated(func() { r = DecodeRunStats(d) }); got > allocBound(len(data)) {
-			t.Fatalf("DecodeRunStats allocated %d bytes for a %d-byte input", got, len(data))
-		}
-		if d.Err() != nil {
-			return
-		}
-		e1, e2 := &Enc{}, &Enc{}
-		EncodeRunStats(e1, r)
-		EncodeRunStats(e2, DecodeRunStats(&Dec{B: e1.B}))
-		if !bytes.Equal(e1.B, e2.B) {
-			t.Fatalf("run stats %+v changed across an encode/decode round", r)
-		}
-	})
+	fuzzDecoder(f, DecodeRunStats, EncodeRunStats, seedRunStats, []byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x1F})
+}
+
+func FuzzDecodeObjects(f *testing.F) {
+	fuzzDecoder(f, DecodeObjects, EncodeObjects, seedObjects, []byte{0xFF, 0xFF, 0xFF, 0x1F})
+}
+
+func FuzzDecodeViews(f *testing.F) {
+	fuzzDecoder(f, DecodeViews, EncodeViews, seedViews, []byte{0xFF, 0xFF, 0xFF, 0x1F})
+}
+
+func FuzzDecodeViewBatch(f *testing.F) {
+	fuzzDecoder(f, DecodeViewBatch, EncodeViewBatch, seedViewBatch, []byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x1F})
 }

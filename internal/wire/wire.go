@@ -37,8 +37,9 @@ import (
 // built from this repository (client, repl.Replica, rqlshell, rqlbench,
 // benchmark/), so a HELLO below it is refused with an error naming it,
 // and a HELLO above it is answered with it. DESIGN.md has the frame
-// table.
-const ProtocolVersion = 9
+// table. v10: TraceOn/TraceOff are acknowledged with an empty RespTrace
+// (v9: RespPong), so every request has one terminal reply.
+const ProtocolVersion = 10
 
 // Magic opens the client hello.
 const Magic = "RQL1"
@@ -94,8 +95,8 @@ const (
 	RespStats  byte = 0x88 // metric list
 	RespObjs   byte = 0x89 // object list
 	RespTblSt  byte = 0x8A // table stats
-	RespPong   byte = 0x8B // — (also acks ReqReset and TraceOn/TraceOff)
-	RespTrace  byte = 0x8C // span list
+	RespPong   byte = 0x8B // — (also acks ReqReset)
+	RespTrace  byte = 0x8C // span list (empty for TraceOn/TraceOff)
 	RespSlow   byte = 0x8D // slow-query entries
 
 	// Replication / cluster responses.
@@ -113,6 +114,54 @@ const (
 	// Telemetry response.
 	RespTimeline byte = 0x96 // sampling period + timeline points
 )
+
+// Request declares one request kind. Requests is the only place a
+// request is named: the server roots each request's span under Name and
+// refuses opcodes without a row; the client takes the reply it must
+// expect from Reply.
+type Request struct {
+	Op   byte
+	Name string // root-span name
+	// Reply is the one frame that ends the request successfully
+	// (RespError is the other way any request may end). Zero marks the
+	// kinds that are not one request, one reply: Exec streams header and
+	// batch frames before RespDone, the two subscriptions take the
+	// connection over, and ReplAck rides such a stream unanswered.
+	Reply byte
+}
+
+// Requests has one row per Req* opcode.
+var Requests = []Request{
+	{ReqHello, "server.hello", RespHello},
+	{ReqExec, "server.exec", 0},
+	{ReqSnap, "server.snapshot", RespSnapID},
+	{ReqMech, "server.mechanism", RespRun},
+	{ReqStats, "server.stats", RespStats},
+	{ReqObjs, "server.objects", RespObjs},
+	{ReqRun, "server.run", RespRun},
+	{ReqTblSt, "server.table_stats", RespTblSt},
+	{ReqPing, "server.ping", RespPong},
+	{ReqTrace, "server.trace", RespTrace},
+	{ReqSlow, "server.slow", RespSlow},
+	{ReqReset, "server.reset", RespPong},
+	{ReqHorizon, "server.horizon", RespHorizon},
+	{ReqReplSub, "server.repl_subscribe", 0},
+	{ReqReplStats, "server.repl_stats", RespReplStats},
+	{ReqReplAck, "server.repl_ack", 0},
+	{ReqViews, "server.views", RespViews},
+	{ReqViewSub, "server.view_subscribe", 0},
+	{ReqTimeline, "server.timeline", RespTimeline},
+}
+
+// RequestFor returns op's row of Requests.
+func RequestFor(op byte) (Request, bool) {
+	for _, r := range Requests {
+		if r.Op == op {
+			return r, true
+		}
+	}
+	return Request{}, false
+}
 
 // Mechanism kinds carried by ReqMech.
 const (
@@ -623,16 +672,8 @@ func DecodeRunStats(d *Dec) *core.RunStats {
 	return r
 }
 
-// ObjectInfo mirrors sql.ObjectInfo on the wire.
-type ObjectInfo struct {
-	Kind  string
-	Name  string
-	Table string
-	Temp  bool
-}
-
-// EncodeObjects appends an object list body.
-func EncodeObjects(e *Enc, objs []ObjectInfo) {
+// EncodeObjects appends an object list body (RespObjs).
+func EncodeObjects(e *Enc, objs []sql.ObjectInfo) {
 	e.Uvarint(uint64(len(objs)))
 	for _, o := range objs {
 		e.String(o.Kind)
@@ -643,11 +684,11 @@ func EncodeObjects(e *Enc, objs []ObjectInfo) {
 }
 
 // DecodeObjects reads an object list body.
-func DecodeObjects(d *Dec) []ObjectInfo {
+func DecodeObjects(d *Dec) []sql.ObjectInfo {
 	n := d.Len()
-	out := make([]ObjectInfo, 0, n)
+	out := make([]sql.ObjectInfo, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, ObjectInfo{
+		out = append(out, sql.ObjectInfo{
 			Kind:  d.String(),
 			Name:  d.String(),
 			Table: d.String(),
@@ -657,73 +698,50 @@ func DecodeObjects(d *Dec) []ObjectInfo {
 	return out
 }
 
-// ViewInfo mirrors core.ViewInfo on the wire: one materialized retro
-// view's definition plus its maintenance counters.
-type ViewInfo struct {
-	Name            string
-	Mechanism       string
-	Qq              string
-	LastSnap        uint64
-	Rows            uint64
-	Refreshes       uint64
-	PrunedRefreshes uint64
-	RowsPushed      uint64
-	Subscribers     uint64
-	LastError       string
-}
-
-// EncodeViews appends a ViewInfo list body.
-func EncodeViews(e *Enc, views []ViewInfo) {
+// EncodeViews appends a view status list body (RespViews): each
+// materialized retro view's definition plus its maintenance counters.
+func EncodeViews(e *Enc, views []core.ViewInfo) {
 	e.Uvarint(uint64(len(views)))
 	for _, v := range views {
 		e.String(v.Name)
 		e.String(v.Mechanism)
 		e.String(v.Qq)
 		e.Uvarint(v.LastSnap)
-		e.Uvarint(v.Rows)
+		e.Uvarint(uint64(v.Rows))
 		e.Uvarint(v.Refreshes)
 		e.Uvarint(v.PrunedRefreshes)
 		e.Uvarint(v.RowsPushed)
-		e.Uvarint(v.Subscribers)
+		e.Uvarint(uint64(v.Subscribers))
 		e.String(v.LastError)
 	}
 }
 
-// DecodeViews reads a ViewInfo list body.
-func DecodeViews(d *Dec) []ViewInfo {
+// DecodeViews reads a view status list body.
+func DecodeViews(d *Dec) []core.ViewInfo {
 	n := d.Len()
-	out := make([]ViewInfo, 0, n)
+	out := make([]core.ViewInfo, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, ViewInfo{
+		out = append(out, core.ViewInfo{
 			Name:            d.String(),
 			Mechanism:       d.String(),
 			Qq:              d.String(),
 			LastSnap:        d.Uvarint(),
-			Rows:            d.Uvarint(),
+			Rows:            int(d.Uvarint()),
 			Refreshes:       d.Uvarint(),
 			PrunedRefreshes: d.Uvarint(),
 			RowsPushed:      d.Uvarint(),
-			Subscribers:     d.Uvarint(),
+			Subscribers:     int(d.Uvarint()),
 			LastError:       d.String(),
 		})
 	}
 	return out
 }
 
-// ViewBatch is one pushed refresh on a view subscription: the rows the
-// view materialized for one new snapshot. Column names ride on every
-// frame (they are stable per view, but the first pushed batch may come
-// from any point of the view's life).
-type ViewBatch struct {
-	View   string
-	Snap   uint64
-	Pruned bool
-	Cols   []string
-	Rows   [][]record.Value
-}
-
-// EncodeViewBatch appends a ViewBatch body.
-func EncodeViewBatch(e *Enc, b ViewBatch) {
+// EncodeViewBatch appends a RespViewBatch body: the rows a view
+// materialized for one new snapshot. Column names ride on every frame
+// (they are stable per view, but the first pushed batch may come from
+// any point of the view's life).
+func EncodeViewBatch(e *Enc, b core.ViewBatch) {
 	e.String(b.View)
 	e.Uvarint(b.Snap)
 	e.Bool(b.Pruned)
@@ -737,9 +755,9 @@ func EncodeViewBatch(e *Enc, b ViewBatch) {
 	}
 }
 
-// DecodeViewBatch reads a ViewBatch body.
-func DecodeViewBatch(d *Dec) ViewBatch {
-	b := ViewBatch{
+// DecodeViewBatch reads a RespViewBatch body.
+func DecodeViewBatch(d *Dec) core.ViewBatch {
+	b := core.ViewBatch{
 		View:   d.String(),
 		Snap:   d.Uvarint(),
 		Pruned: d.Bool(),

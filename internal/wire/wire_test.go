@@ -2,7 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,6 +150,19 @@ var (
 		{Name: "request_latency_seconds", Kind: obs.KindHistogram,
 			Bounds: []float64{0.0001, 0.001, 0.01}, Counts: []uint64{10, 20, 30, 40}, Sum: 1.25},
 	}
+	seedObjects = []sql.ObjectInfo{
+		{Kind: "table", Name: "orders"},
+		{Kind: "index", Name: "idx", Table: "orders", Temp: true},
+	}
+	seedViews = []core.ViewInfo{
+		{Name: "live", Mechanism: "CollateData", Qq: "SELECT k FROM t", LastSnap: 9, Rows: 40,
+			Refreshes: 8, PrunedRefreshes: 3, RowsPushed: 120, Subscribers: 2},
+		{Name: "broken", Mechanism: "AggregateDataInTable", Qq: "SELECT x FROM gone", LastError: "no such table: gone"},
+	}
+	seedViewBatch = core.ViewBatch{
+		View: "live", Snap: 9, Pruned: true, Cols: []string{"k", "sid"},
+		Rows: [][]record.Value{{record.Int(1), record.Int(9)}, {record.Text("two"), record.Int(9)}},
+	}
 )
 
 func TestCompositeRoundTrips(t *testing.T) {
@@ -167,14 +185,65 @@ func TestCompositeRoundTrips(t *testing.T) {
 		t.Fatalf("RunStats = %+v (err %v, %d left), want %+v", got, d.Err(), len(d.B), seedRunStats)
 	}
 
-	objs := []ObjectInfo{
-		{Kind: "table", Name: "orders"},
-		{Kind: "index", Name: "idx", Table: "orders", Temp: true},
-	}
 	e = &Enc{}
-	EncodeObjects(e, objs)
-	if got := DecodeObjects(&Dec{B: e.B}); !reflect.DeepEqual(got, objs) {
-		t.Fatalf("Objects = %+v, want %+v", got, objs)
+	EncodeObjects(e, seedObjects)
+	if got := DecodeObjects(&Dec{B: e.B}); !reflect.DeepEqual(got, seedObjects) {
+		t.Fatalf("Objects = %+v, want %+v", got, seedObjects)
+	}
+
+	e = &Enc{}
+	EncodeViews(e, seedViews)
+	d = &Dec{B: e.B}
+	if got := DecodeViews(d); !reflect.DeepEqual(got, seedViews) || d.Err() != nil || len(d.B) != 0 {
+		t.Fatalf("Views = %+v (err %v, %d left), want %+v", got, d.Err(), len(d.B), seedViews)
+	}
+
+	e = &Enc{}
+	EncodeViewBatch(e, seedViewBatch)
+	d = &Dec{B: e.B}
+	if got := DecodeViewBatch(d); !reflect.DeepEqual(got, seedViewBatch) || d.Err() != nil || len(d.B) != 0 {
+		t.Fatalf("ViewBatch = %+v (err %v, %d left), want %+v", got, d.Err(), len(d.B), seedViewBatch)
+	}
+}
+
+// TestRequestTable holds wire.Requests to its claim of being the one
+// declaration of a request: every Req* constant in this package's source
+// has exactly one row, and every row a unique, non-empty name.
+func TestRequestTable(t *testing.T) {
+	files, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var consts []string
+	for _, f := range files["wire"].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if vs, ok := n.(*ast.ValueSpec); ok {
+				for _, id := range vs.Names {
+					if strings.HasPrefix(id.Name, "Req") && id.Obj != nil && id.Obj.Kind == ast.Con {
+						consts = append(consts, id.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(consts) != len(Requests) {
+		t.Errorf("%d Req* constants %v, %d rows in Requests", len(consts), consts, len(Requests))
+	}
+	ops, names := map[byte]bool{}, map[string]bool{}
+	for _, r := range Requests {
+		if ops[r.Op] || names[r.Name] || r.Name == "" {
+			t.Errorf("row %+v: duplicate opcode, or duplicate or empty name", r)
+		}
+		ops[r.Op], names[r.Name] = true, true
+		if got, ok := RequestFor(r.Op); !ok || got != r {
+			t.Errorf("RequestFor(%#x) = %+v, %v, want %+v", r.Op, got, ok, r)
+		}
+	}
+	if _, ok := RequestFor(RespDone); ok {
+		t.Error("RequestFor found a row for a response opcode")
 	}
 }
 
