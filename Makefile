@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke bench bench-smoke bench-compare microbench
+.PHONY: all check build vet test race fmt loc trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke bench bench-smoke bench-compare microbench
 
 all: check
 
@@ -28,6 +28,14 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# loc prints the non-test Go lines of every package outside benchmark/
+# and their total — the size ROADMAP quotes and a simplicity PR reports
+# as before -> after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # trace-check measures enabled-tracing overhead, in process and over
 # the wire, as alternating recorder-off/recorder-on pairs: it prints the
@@ -79,7 +87,7 @@ view-smoke:
 # plain `go test ./...`. A failing input lands in
 # internal/wire/testdata/fuzz/ — commit it as a regression seed.
 fuzz-smoke:
-	@for f in FuzzReadFrame FuzzDecodeMetrics FuzzDecodeRunStats FuzzDecodeObjects FuzzDecodeViews FuzzDecodeViewBatch; do \
+	@for f in FuzzReadFrame FuzzDecodeMetrics FuzzDecodeExecStats FuzzDecodeRunStats FuzzDecodeSlowEntries FuzzDecodeObjects FuzzDecodeViews FuzzDecodeViewBatch; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./internal/wire || exit 1; \
 	done
 

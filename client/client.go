@@ -336,7 +336,7 @@ func (c *Conn) exec(sqlText string, asOf uint64, cb rql.RowCallback, params []rq
 				}
 			}
 		case wire.RespDone:
-			c.lastStats = wire.DecodeExecStats(d)
+			wire.DecodeCost(d, &c.lastStats)
 			c.lastSnapshot = d.Uvarint()
 			c.inTx = d.Bool()
 			c.lastTrace = d.Uvarint()
@@ -571,9 +571,14 @@ func (c *Conn) traceRequest(cmd byte, id uint64) (spans []Span, err error) {
 }
 
 // SlowQueries fetches the server's slow-query log along with the active
-// threshold (0 = the log is disabled).
-func (c *Conn) SlowQueries() (threshold time.Duration, entries []SlowEntry, err error) {
-	err = c.call(wire.ReqSlow, nil, func(d *wire.Dec) { threshold, entries = wire.DecodeSlowEntries(d) })
+// threshold (0 = the log is disabled). Given a threshold, it first sets
+// the server's to it (0 turns the log off).
+func (c *Conn) SlowQueries(set ...time.Duration) (threshold time.Duration, entries []SlowEntry, err error) {
+	e := &wire.Enc{}
+	if len(set) > 0 {
+		e.Duration(set[0])
+	}
+	err = c.call(wire.ReqSlow, e.B, func(d *wire.Dec) { threshold, entries = wire.DecodeSlowEntries(d) })
 	return threshold, entries, err
 }
 

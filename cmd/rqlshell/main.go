@@ -31,8 +31,7 @@
 //	                      cluster mode, one tree per node that took part
 //	.trace save <file>    write the last trace as Perfetto JSON (cluster
 //	                      mode stitches all nodes into per-node lanes)
-//	.slow [dur|off]       show the slow-query log (set the threshold of the
-//	                      embedded server; rqld takes -slow-threshold)
+//	.slow [dur|off]       show the slow-query log, or set its threshold
 //	.quit                 exit
 package main
 
@@ -66,10 +65,9 @@ type statements interface {
 // server something goes to remote — in cluster mode the primary, so
 // .stats, .top and .slow read the writer's counters.
 type shellEnv struct {
-	conn     statements
-	remote   *client.Conn
-	cluster  *client.Cluster // non-nil with a comma-separated -connect
-	embedded bool            // remote's server runs in this process
+	conn    statements
+	remote  *client.Conn
+	cluster *client.Cluster // non-nil with a comma-separated -connect
 }
 
 // never is the embedded server's idle and request deadline: a local
@@ -121,7 +119,7 @@ func main() {
 			fatal(err)
 		}
 		defer rc.Close()
-		env.conn, env.remote, env.embedded = rc, rc, true
+		env.conn, env.remote = rc, rc
 		fmt.Println("RQL shell — in-memory database with Retro snapshots.")
 	}
 	if err := env.remote.EnsureSnapIds(); err != nil {
@@ -272,8 +270,7 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 			break
 		}
 		st := conn.LastStats()
-		fmt.Printf("last statement: duration=%v rows=%d pagelog_reads=%d cache_hits=%d db_reads=%d prefetch_hits=%d spt=%v auto_index=%v\n",
-			st.Duration, st.RowsReturned, st.PagelogReads, st.CacheHits, st.DBReads, st.PrefetchHits, st.SPTBuildTime, st.AutoIndex)
+		fmt.Println("last statement:", obs.FormatCost(&st))
 		ss, err := env.remote.ServerStats()
 		if err != nil {
 			fmt.Println("error:", err)
@@ -316,36 +313,8 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 			fmt.Println("no mechanism has run yet")
 			break
 		}
-		fmt.Printf("%s: %d iterations, result %d rows (%d data bytes, %d index bytes)\n",
-			run.Mechanism, len(run.Iterations), run.ResultRows, run.ResultDataBytes, run.ResultIndexBytes)
-		if run.BatchBuilds > 0 {
-			fmt.Printf("  batch SPT: %d build(s), %d maplog entries scanned in %v (one sweep for all iterations)\n",
-				run.BatchBuilds, run.BatchMapScanned, run.BatchBuildTime)
-		}
-		switch {
-		case run.PruneReason != "":
-			fmt.Printf("  delta pruning: inactive — %s\n", run.PruneReason)
-		case run.PrunedIterations > 0:
-			fmt.Printf("  delta pruning: %d/%d iterations skipped, %d rows replayed, %d delta intersections\n",
-				run.PrunedIterations, len(run.Iterations), run.PrunedRowsReplayed, run.DeltaIntersections)
-		default:
-			fmt.Printf("  delta pruning: active, nothing skipped (%d delta intersections)\n",
-				run.DeltaIntersections)
-		}
-		if run.PipelinedPrefetches > 0 || run.PrefetchHits > 0 {
-			fmt.Printf("  pipelined I/O: %d pages warmed, %d prefetch hits, %d wasted\n",
-				run.PipelinedPrefetches, run.PrefetchHits, run.PrefetchWasted)
-		}
-		for _, it := range run.Iterations {
-			mark := ""
-			if it.Pruned {
-				mark = " pruned"
-			}
-			if it.OverlapTime > 0 {
-				mark += fmt.Sprintf(" overlap=%v", it.OverlapTime)
-			}
-			fmt.Printf("  snap %-4d io=%-10v spt=%-10v idx=%-10v eval=%-10v udf=%-10v rows=%d%s\n",
-				it.Snapshot, it.IOTime, it.SPTBuild, it.IndexCreation, it.QueryEval, it.UDF, it.QqRows, mark)
+		for _, line := range run.Report() {
+			fmt.Println(line)
 		}
 	case ".replicas":
 		rs, err := env.remote.ReplStats()
@@ -456,41 +425,33 @@ Dot commands: .tables .snapshots .snapshot [label] .stats [reset] .views
 		}
 		printTop(period, pts)
 	case ".slow":
+		var set []time.Duration
 		if len(fields) > 1 {
-			if !env.embedded {
-				fmt.Println("the remote threshold is set by rqld's -slow-threshold flag")
-				break
-			}
 			var th time.Duration
 			if fields[1] != "off" {
 				var err error
-				th, err = time.ParseDuration(fields[1])
-				if err != nil {
+				if th, err = time.ParseDuration(fields[1]); err != nil {
 					fmt.Println("usage: .slow [duration|off] — e.g. .slow 50ms")
 					break
 				}
 			}
-			rql.SetSlowQueryThreshold(th)
-			if th == 0 {
-				fmt.Println("slow-query log off")
-			} else {
-				fmt.Printf("logging statements slower than %v\n", th)
-			}
-			break
+			set = append(set, th)
 		}
-		th, entries, err := env.remote.SlowQueries()
-		if err != nil {
+		th, entries, err := env.remote.SlowQueries(set...)
+		switch {
+		case err != nil:
 			fmt.Println("error:", err)
-			break
-		}
-		if th == 0 {
+		case th == 0 && set != nil:
+			fmt.Println("slow-query log off")
+		case th == 0:
 			fmt.Println("slow-query log disabled (.slow <duration> to arm it)")
-			break
-		}
-		fmt.Printf("threshold %v, %d entries\n", th, len(entries))
-		for _, e := range entries {
-			fmt.Printf("  %s  %10v  rows=%-6d trace=%d  %s\n",
-				e.When.Format("15:04:05.000"), e.Duration, e.Rows, e.Trace, e.SQL)
+		case set != nil:
+			fmt.Printf("logging statements slower than %v\n", th)
+		default:
+			fmt.Printf("threshold %v, %d entries\n", th, len(entries))
+			for _, e := range entries {
+				fmt.Println(" ", e)
+			}
 		}
 	default:
 		fmt.Println("unknown command; try .help")

@@ -4,8 +4,7 @@
 # against a spawned rqld. A run fails on any "error:" line or when a
 # command's marker line is missing or out of order; the two transcripts,
 # with times and counts masked, must then be identical apart from the
-# banner and the one reply that names the mode (".slow <dur>" sets the
-# threshold of the embedded server; rqld takes a flag).
+# banner.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -22,7 +21,7 @@ go build -o "$tmp/rqld" ./cmd/rqld
 
 # command <TAB> extended regex one of its output lines must match
 script=$(cat <<'EOF'
-.slow 1ms	1ms|-slow-threshold
+.slow 1ms	^rql> logging statements slower than 1ms$
 CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT);	^rql>
 INSERT INTO t VALUES (1, 'one'), (2, 'two');	^rql>
 .snapshot first	declared snapshot 1$
@@ -38,7 +37,8 @@ CREATE RETRO VIEW rv AS CollateData('SELECT k FROM t');	^rql>
 REFRESH RETRO VIEW rv;	^rql>
 .tables	table t .*\[main\]
 .snapshots	\| third$
-.mech	^rql> CollateData: 3 iterations, result 5 rows
+.mech	^rql> MECHANISM CollateData iterations=3 .* result_rows=5 
+.stats	^rql> last statement: rows=[0-9]+ wall=.* db_reads=[0-9]+ map_scanned=
 .stats	^storage_commits [1-9]
 .stats reset	^rql> counters reset$
 .stats	^storage_commits 0$
@@ -72,12 +72,12 @@ check() {
 	done <<<"$script"
 }
 
-# mask <transcript>: drop the banner, the mode-naming reply, .top's
-# output up to the next prompt and the slow-log entries (how many points
-# and entries there are is wall-clock), blank times and counts.
+# mask <transcript>: drop the banner, .top's output up to the next
+# prompt and the slow-log entries (how many points and entries there are
+# is wall-clock), blank times and counts.
 mask() {
 	tail -n +2 "$1" |
-		grep -v -E -e 'logging statements slower than|-slow-threshold flag| rows=[0-9]+ +trace=[0-9]+ ' |
+		grep -v -E -e ' rows=[0-9]+ +trace=[0-9]+ ' |
 		awk '/telemetry/ { skip = 1; next } /^rql> / { skip = 0 } !skip' |
 		sed -E -e 's/[0-9.]+(ns|µs|ms|s)\b/T/g' -e 's/[0-9]+/N/g' -e 's/ +/ /g'
 }
@@ -85,7 +85,7 @@ mask() {
 cut -f1 <<<"$script" | "$tmp/rqlshell" >"$tmp/local.txt"
 check "$tmp/local.txt"
 
-"$tmp/rqld" -addr 127.0.0.1:0 -slow-threshold 1ms >"$tmp/rqld.log" 2>&1 &
+"$tmp/rqld" -addr 127.0.0.1:0 >"$tmp/rqld.log" 2>&1 &
 rqld_pid=$!
 for _ in $(seq 100); do
 	addr=$(sed -n 's/^rqld: serving on //p' "$tmp/rqld.log")

@@ -31,6 +31,13 @@ import (
 	"rql/internal/sql"
 )
 
+// The iteration and run cost records this package fills are declared in
+// sql, their lowest consumer (EXPLAIN ANALYZE, the slow-query log).
+type (
+	IterationCost = sql.IterationCost
+	RunStats      = sql.RunStats
+)
+
 // RQL binds the mechanism UDFs to a database and collects run
 // statistics.
 type RQL struct {

@@ -7,34 +7,33 @@ import (
 	"time"
 
 	"rql/internal/obs"
-	"rql/internal/sql"
 )
 
-// scrubRun zeroes the wall-clock and timing-dependent fields of a run
-// so the remaining counters — the paper's Figures 6–13 series — can be
-// compared byte for byte. Billed Pagelog reads, cache hits, Maplog
-// scans, Qq rows and result writes are deterministic for a fixed
-// workload; measured durations and prefetch-race counters are not.
+// scrub zeroes the fields of a cost record that depend on the wall clock
+// or on a prefetch race — every duration and the prefetch counters — so
+// what remains, the paper's Figures 6–13 series, can be compared byte for
+// byte: billed Pagelog reads, cache hits, Maplog scans, Qq rows and
+// result writes are deterministic for a fixed workload. It walks the
+// declaration, so a counter the record gains is compared without being
+// named here.
+func scrub(rec any) {
+	obs.WalkCost(rec, func(f obs.CostField, v reflect.Value) {
+		if _, timed := v.Interface().(time.Duration); timed || strings.HasPrefix(f.Name, "prefetch") {
+			v.SetZero()
+		}
+	})
+}
+
+// scrubRun returns a scrubbed copy of a run.
 func scrubRun(r *RunStats) *RunStats {
 	if r == nil {
 		return nil
 	}
 	cp := *r
-	cp.BatchBuildTime = 0
-	cp.PipelinedPrefetches = 0
-	cp.PrefetchHits = 0
-	cp.PrefetchWasted = 0
-	cp.Iterations = make([]IterationCost, len(r.Iterations))
-	for i, it := range r.Iterations {
-		it.SPTBuild = 0
-		it.IndexCreation = 0
-		it.QueryEval = 0
-		it.UDF = 0
-		it.IOTime = 0
-		it.OverlapTime = 0
-		it.QueueWait = 0
-		it.PrefetchHits = 0
-		cp.Iterations[i] = it
+	scrub(&cp)
+	cp.Iterations = append([]IterationCost(nil), r.Iterations...)
+	for i := range cp.Iterations {
+		scrub(&cp.Iterations[i])
 	}
 	return &cp
 }
@@ -72,12 +71,15 @@ func TestExplainAnalyzeMatchesPlainRun(t *testing.T) {
 		t.Errorf("EA run counters diverge from plain execution:\nEA:    %+v\nplain: %+v", got, want)
 	}
 
-	// EA's LastStats reports the executed statement itself: one result
-	// row per SnapIds snapshot (the UDF's scalar output), same as plain.
+	// EA's LastStats reports the executed statement itself — one result
+	// row per SnapIds snapshot (the UDF's scalar output), not the report
+	// lines — and the whole record matches the plain run's.
 	joined := strings.Join(report, "\n")
-	if got := cEA.LastStats().RowsReturned; got != plainStats.RowsReturned {
-		t.Errorf("EA RowsReturned = %d, plain = %d\nreport:\n%s",
-			got, plainStats.RowsReturned, joined)
+	eaStats := cEA.LastStats()
+	scrub(&eaStats)
+	scrub(&plainStats)
+	if eaStats != plainStats {
+		t.Errorf("EA statement record = %+v, plain = %+v\nreport:\n%s", eaStats, plainStats, joined)
 	}
 
 	// The report carries the plan, the summary, and one line per
@@ -86,53 +88,36 @@ func TestExplainAnalyzeMatchesPlainRun(t *testing.T) {
 		"SCAN TABLE", "EXECUTED rows=3", "MECHANISM CollateData iterations=3",
 		"ITERATION snap=1", "ITERATION snap=2", "ITERATION snap=3",
 		"pagelog_reads=", "queue_wait=",
+		// Fields the old hand-copied profile dropped.
+		"db_reads=", "map_scanned=", "overlap=",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("report misses %q:\n%s", want, joined)
 		}
 	}
 
-	// The profile also fed the connection's slow-query cost: the run's
-	// mechanism name and billed reads are what the slow log would show.
+	// Each line is its record's declaration walked: every additive field
+	// is a token of it, none hand-picked.
+	for prefix, rec := range map[string]any{
+		"EXECUTED ":           &eaStats,
+		"MECHANISM ":          eaRun,
+		"  ITERATION snap=2 ": &eaRun.Iterations[1],
+	} {
+		var line string
+		for _, l := range report {
+			if strings.HasPrefix(l, prefix) {
+				line = l
+			}
+		}
+		obs.WalkCost(rec, func(f obs.CostField, _ reflect.Value) {
+			if !f.Identity && !strings.Contains(line, " "+f.Name+"=") {
+				t.Errorf("%q line misses field %q: %q", prefix, f.Name, line)
+			}
+		})
+	}
 	if eaRun.Mechanism != "CollateData" {
 		t.Errorf("run mechanism = %q", eaRun.Mechanism)
 	}
-}
-
-// TestNoteMechRunProfile checks the profile pushed down to the SQL
-// layer mirrors the run statistics field by field.
-func TestNoteMechRunProfile(t *testing.T) {
-	run := &RunStats{
-		Mechanism:          "CollateData",
-		PrunedIterations:   1,
-		PrunedRowsReplayed: 4,
-		PruneReason:        "",
-		PrefetchHits:       2,
-		PrefetchWasted:     1,
-		Iterations: []IterationCost{
-			{Snapshot: 1, SPTBuild: time.Millisecond, QueryEval: 2 * time.Millisecond,
-				QueueWait: 3 * time.Microsecond, PagelogReads: 10, CacheHits: 1, QqRows: 5},
-			{Snapshot: 2, Pruned: true, QqRows: 4, DeltaPages: 2},
-		},
-	}
-	p := mechProfile(run)
-	if p.Mechanism != "CollateData" || p.PrunedIters != 1 || p.ReplayedRows != 4 {
-		t.Fatalf("profile header: %+v", p)
-	}
-	if len(p.Iterations) != 2 {
-		t.Fatalf("profile has %d iterations", len(p.Iterations))
-	}
-	it := p.Iterations[0]
-	if it.Snapshot != 1 || it.Wall != run.Iterations[0].Total() ||
-		it.QueueWait != 3*time.Microsecond || it.PagelogReads != 10 ||
-		it.CacheHits != 1 || it.Rows != 5 || it.Pruned {
-		t.Fatalf("iteration 0: %+v", it)
-	}
-	if !p.Iterations[1].Pruned || p.Iterations[1].DeltaPages != 2 {
-		t.Fatalf("iteration 1: %+v", p.Iterations[1])
-	}
-
-	var _ *sql.MechProfile = p // the neutral shape the SQL layer consumes
 }
 
 // TestSlowLogMechanismColumns pins the mechanism enrichment of the

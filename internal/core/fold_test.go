@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rql/internal/obs"
 	"rql/internal/record"
 	"rql/internal/sql"
 )
@@ -229,14 +230,15 @@ func TestFoldMergeEqualsOneLane(t *testing.T) {
 // filled here or listed here, never silently dropped by one caller.
 func TestFillCostCoversEveryStatementCounter(t *testing.T) {
 	var qs sql.ExecStats
-	v := reflect.ValueOf(&qs).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(int64(i + 1)) // ints and durations alike
-	}
+	n := int64(0)
+	obs.WalkCost(&qs, func(_ obs.CostField, v reflect.Value) {
+		n++
+		v.SetInt(n) // ints and durations alike
+	})
 	qs.Duration = time.Hour // so the QueryEval remainder stays positive
 
 	var cost IterationCost
-	fillCost(&cost, qs, time.Millisecond)
+	fillCost(&cost, &qs, time.Millisecond)
 
 	ownedElsewhere := map[string]bool{
 		"Snapshot": true, "QqRows": true, "UDF": true, "Pruned": true, "DeltaPages": true, // lane.step

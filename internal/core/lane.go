@@ -33,6 +33,8 @@ type lane struct {
 	// executed or replayed — in rows (views push them to subscribers).
 	keepRows bool
 	rows     [][]record.Value
+
+	start time.Time // when the lane was made: a run's wall time ends at finish
 }
 
 // newRunStats starts a run's statistics. Until a run driver that knows
@@ -45,7 +47,7 @@ func newRunStats(kind mechKind) *RunStats {
 // tableLane returns the lane that owns T: its fold writes the result
 // table through the paper's indexed side-store path.
 func (m *mech) tableLane(conn *sql.Conn) *lane {
-	ln := &lane{m: m, conn: conn, run: newRunStats(m.kind)}
+	ln := &lane{m: m, conn: conn, run: newRunStats(m.kind), start: time.Now()}
 	if m.kind == mechAggVar {
 		ln.fold = newFold(m, nil)
 		return ln
@@ -232,36 +234,28 @@ func (ln *lane) step(snap, next uint64) error {
 		return err
 	}
 	cost.UDF += time.Since(t0)
-	fillCost(cost, qs, m.rql.readLatency())
+	fillCost(cost, &qs, m.rql.readLatency())
 	ln.run.Iterations = append(ln.run.Iterations, *cost)
 	ln.rows = rows
 	return nil
 }
 
 // fillCost assigns the part of an iteration's cost breakdown that comes
-// from Qq's statement statistics; the fold's time, cost.UDF, is already
+// from Qq's statement record: the snapshot reader's counters by name, and
+// the durations derived from it. The fold's time, cost.UDF, is already
 // measured and comes out of the evaluation time.
-func fillCost(cost *IterationCost, qs sql.ExecStats, readLatency time.Duration) {
-	cost.SPTBuild = qs.SPTBuildTime
+func fillCost(cost *IterationCost, qs *sql.ExecStats, readLatency time.Duration) {
+	obs.AddCost(cost, &qs.Counters)
 	cost.IndexCreation = qs.AutoIndex
 	cost.QueryEval = max(qs.Duration-qs.SPTBuildTime-qs.AutoIndex-cost.UDF, 0)
-	cost.IOTime = qs.ModeledIO(readLatency)
-	cost.QueueWait = qs.QueueWait
-	cost.PagelogReads = qs.PagelogReads
-	cost.CacheHits = qs.CacheHits
-	cost.DBReads = qs.DBReads
-	cost.MapScanned = qs.MapScanned
-	cost.PrefetchHits = qs.PrefetchHits
+	cost.IOTime = qs.ModeledIOTime(readLatency)
 }
 
 // merge folds a memory-backed lane — the chunk directly after
 // everything ln has folded so far — and its statistics into ln.
 func (ln *lane) merge(b *lane) error {
 	ln.run.Iterations = append(ln.run.Iterations, b.run.Iterations...)
-	ln.run.PrunedIterations += b.run.PrunedIterations
-	ln.run.PrunedRowsReplayed += b.run.PrunedRowsReplayed
-	ln.run.DeltaIntersections += b.run.DeltaIntersections
-	ln.run.PipelinedPrefetches += b.run.PipelinedPrefetches
+	obs.AddCost(ln.run, b.run)
 	if err := ln.table.open(ln.conn); err != nil {
 		return err
 	}
@@ -274,11 +268,11 @@ func (ln *lane) merge(b *lane) error {
 func (ln *lane) finish(commit bool) error {
 	m, conn, run := ln.m, ln.conn, ln.run
 	finishPipelineStats(run)
-	// The profile goes down to the SQL connection for the slow-query
-	// log's mechanism columns and EXPLAIN ANALYZE, failed run or not.
+	// The run goes down to the SQL connection for the slow-query log and
+	// EXPLAIN ANALYZE, failed run or not.
 	defer func() {
 		m.rql.setLastRun(run)
-		conn.NoteMechRun(mechProfile(run))
+		conn.NoteMechRun(run, m.String(), time.Since(ln.start))
 	}()
 	if !commit {
 		ln.table.rollback()

@@ -53,6 +53,15 @@ type mechCall struct {
 	hasExtra bool
 }
 
+// String renders the invocation in the paper's function-call notation
+// (without Qs, which the SQL form never sees as text).
+func (c mechCall) String() string {
+	if c.hasExtra {
+		return fmt.Sprintf("%s(%q, %q, %q)", c.kind, c.qq, c.table, c.extra)
+	}
+	return fmt.Sprintf("%s(%q, %q)", c.kind, c.qq, c.table)
+}
+
 // mech is one validated mechanism invocation: the parsed arguments, the
 // result shape derived from Qq's columns, and the run-level decisions
 // (reader set, pruning, pipelining). Everything a lane reads from it is
@@ -276,38 +285,4 @@ func (m *mech) combine(dst []record.Value, n int64, src []record.Value, xn int64
 		}
 	}
 	return newN, changed
-}
-
-// mechProfile converts run statistics into the SQL layer's shape (sql
-// cannot import this package). The connection feeds it to the
-// slow-query log's mechanism columns and to EXPLAIN ANALYZE.
-func mechProfile(run *RunStats) *sql.MechProfile {
-	p := &sql.MechProfile{
-		Mechanism:      run.Mechanism,
-		PrunedIters:    run.PrunedIterations,
-		ReplayedRows:   run.PrunedRowsReplayed,
-		PruneReason:    run.PruneReason,
-		PrefetchHits:   run.PrefetchHits,
-		PrefetchWasted: run.PrefetchWasted,
-	}
-	p.Iterations = make([]sql.MechIterProfile, 0, len(run.Iterations))
-	for _, it := range run.Iterations {
-		p.Iterations = append(p.Iterations, sql.MechIterProfile{
-			Snapshot:     it.Snapshot,
-			Wall:         it.Total(),
-			SPTBuild:     it.SPTBuild,
-			IndexCreate:  it.IndexCreation,
-			QueryEval:    it.QueryEval,
-			UDF:          it.UDF,
-			IOTime:       it.IOTime,
-			QueueWait:    it.QueueWait,
-			PagelogReads: it.PagelogReads,
-			CacheHits:    it.CacheHits,
-			PrefetchHits: it.PrefetchHits,
-			Rows:         it.QqRows,
-			Pruned:       it.Pruned,
-			DeltaPages:   it.DeltaPages,
-		})
-	}
-	return p
 }

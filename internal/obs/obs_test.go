@@ -187,14 +187,14 @@ func TestFormatTree(t *testing.T) {
 
 func TestSlowLog(t *testing.T) {
 	reset(t)
-	ObserveQuery("SELECT slow", time.Second, 0, 1, SlowCost{})
+	ObserveQuery(SlowEntry{SQL: "SELECT slow", Duration: time.Second, Rows: 1})
 	if n := len(SlowEntries()); n != 0 {
 		t.Fatalf("disabled slow log recorded %d entries", n)
 	}
 	SetSlowThreshold(10 * time.Millisecond)
-	ObserveQuery("SELECT fast", time.Millisecond, 0, 1, SlowCost{})
-	ObserveQuery("SELECT slow", 20*time.Millisecond, 42, 9,
-		SlowCost{Mechanism: "CollateData", PagelogReads: 40, PrunedIters: 3})
+	ObserveQuery(SlowEntry{SQL: "SELECT fast", Duration: time.Millisecond, Rows: 1})
+	ObserveQuery(SlowEntry{SQL: "SELECT slow", Duration: 20 * time.Millisecond, Trace: 42, Rows: 9,
+		Mechanism: "CollateData", PagelogReads: 40, PrunedIters: 3})
 	entries := SlowEntries()
 	if len(entries) != 1 {
 		t.Fatalf("slow log has %d entries, want 1", len(entries))
@@ -203,8 +203,11 @@ func TestSlowLog(t *testing.T) {
 	if e.SQL != "SELECT slow" || e.Trace != 42 || e.Rows != 9 {
 		t.Fatalf("bad entry: %+v", e)
 	}
-	if e.Mechanism != "CollateData" || e.PagelogReads != 40 || e.PrunedIters != 3 {
+	if e.Mechanism != "CollateData" || e.PagelogReads != 40 || e.PrunedIters != 3 || e.When.IsZero() {
 		t.Fatalf("cost fields not recorded: %+v", e)
+	}
+	if line := e.String(); !strings.Contains(line, "mech=CollateData pagelog_reads=40 pruned=3") {
+		t.Fatalf("entry renders as %q", line)
 	}
 }
 

@@ -1,12 +1,17 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// SlowEntry is one statement batch that exceeded the slow threshold.
+// SlowEntry is one statement batch or mechanism run that exceeded the
+// slow threshold. Its tagged fields are a cost record (cost.go): the
+// retrospective costs the log keeps, billed from a statement's or a
+// run's record with AddCost. All zero means plain SQL — nothing
+// retrospective happened.
 type SlowEntry struct {
 	SQL      string
 	Duration time.Duration
@@ -14,20 +19,16 @@ type SlowEntry struct {
 	When     time.Time
 	Rows     int64
 
-	// Retrospective cost, threaded from RunStats/ExecStats when the
-	// statement ran a mechanism or touched the Pagelog. Zero values
-	// mean "plain SQL" — nothing retrospective happened.
-	Mechanism    string // mechanism name (CollateData, ...) or ""
-	PagelogReads int64  // billed Pagelog reads
-	PrunedIters  int64  // iterations skipped by delta pruning
+	Mechanism    string `cost:"mech,id"`       // mechanism name (CollateData, ...) or ""
+	PagelogReads int64  `cost:"pagelog_reads"` // billed Pagelog reads
+	PrunedIters  int64  `cost:"pruned"`        // iterations skipped by delta pruning
 }
 
-// SlowCost carries the retrospective-cost fields of a SlowEntry into
-// ObserveQuery without growing its positional signature every PR.
-type SlowCost struct {
-	Mechanism    string
-	PagelogReads int64
-	PrunedIters  int64
+// String renders the entry as one log line, the form /slow and the
+// shell's .slow print.
+func (e SlowEntry) String() string {
+	return fmt.Sprintf("%s  %10v  rows=%-6d trace=%d  %s  %s",
+		e.When.Format("15:04:05.000"), e.Duration, e.Rows, e.Trace, FormatCost(&e), e.SQL)
 }
 
 // slowLogSize bounds the retained slow-query entries.
@@ -54,24 +55,17 @@ func SetSlowThreshold(d time.Duration) {
 // SlowThreshold returns the current threshold (0 = disabled).
 func SlowThreshold() time.Duration { return time.Duration(slowThreshold.Load()) }
 
-// ObserveQuery records the statement in the slow log if its duration
-// meets the threshold. Cheap when the log is disabled: one atomic load.
-func ObserveQuery(sql string, d time.Duration, trace uint64, rows int64, cost SlowCost) {
+// ObserveQuery records e, stamped with the current time, in the slow log
+// if its duration meets the threshold. Cheap when the log is disabled:
+// one atomic load.
+func ObserveQuery(e SlowEntry) {
 	t := slowThreshold.Load()
-	if t == 0 || int64(d) < t {
+	if t == 0 || int64(e.Duration) < t {
 		return
 	}
+	e.When = time.Now()
 	slowMu.Lock()
-	slowRing[slowNext%slowLogSize] = SlowEntry{
-		SQL:          sql,
-		Duration:     d,
-		Trace:        trace,
-		When:         time.Now(),
-		Rows:         rows,
-		Mechanism:    cost.Mechanism,
-		PagelogReads: cost.PagelogReads,
-		PrunedIters:  cost.PrunedIters,
-	}
+	slowRing[slowNext%slowLogSize] = e
 	slowNext++
 	slowMu.Unlock()
 }

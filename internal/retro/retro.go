@@ -716,19 +716,21 @@ func (s *System) InjectPagelogReadError(err error) {
 }
 
 // Counters accumulates the per-reader costs the paper's §5 figures
-// break down.
+// break down. It is the innermost cost record (obs/cost.go): the
+// statement's record embeds it and the iteration's takes its fields by
+// name.
 type Counters struct {
-	PagelogReads int           // logical cache-missing reads from the Pagelog
-	CacheHits    int           // snapshot pages served from the cache
-	DBReads      int           // pages shared with (and read from) the current DB
-	MapScanned   int           // Maplog entries examined building the SPT
-	PrefetchHits int           // demand reads satisfied early by a warmed page
-	SPTBuildTime time.Duration // wall time of the SPT build
+	PagelogReads int           `cost:"pagelog_reads"` // logical cache-missing reads from the Pagelog
+	CacheHits    int           `cost:"cache_hits"`    // snapshot pages served from the cache
+	DBReads      int           `cost:"db_reads"`      // pages shared with (and read from) the current DB
+	MapScanned   int           `cost:"map_scanned"`   // Maplog entries examined building the SPT
+	PrefetchHits int           `cost:"prefetch_hits"` // demand reads satisfied early by a warmed page
+	SPTBuildTime time.Duration `cost:"spt_build"`     // wall time of the SPT build
 	// QueueWait is wall time this reader's demand misses spent queued
 	// behind other device commands before service began. Contention, not
 	// billed I/O: it is excluded from ModeledIOTime, and only the issuer
 	// of a coalesced demand miss accounts it.
-	QueueWait time.Duration
+	QueueWait time.Duration `cost:"queue_wait"`
 }
 
 // ModeledIOTime converts Pagelog misses into modeled I/O time at the

@@ -121,16 +121,6 @@ func serveSlow(w http.ResponseWriter, r *http.Request) {
 		return entries[i].Duration > entries[j].Duration
 	})
 	for _, e := range entries {
-		fmt.Fprintf(w, "%s  %10v  rows=%-6d trace=%d", e.When.Format("15:04:05.000"), e.Duration, e.Rows, e.Trace)
-		if e.Mechanism != "" {
-			fmt.Fprintf(w, "  mech=%s", e.Mechanism)
-		}
-		if e.PagelogReads != 0 {
-			fmt.Fprintf(w, "  pagelog_reads=%d", e.PagelogReads)
-		}
-		if e.PrunedIters != 0 {
-			fmt.Fprintf(w, "  pruned=%d", e.PrunedIters)
-		}
-		fmt.Fprintf(w, "  %s\n", e.SQL)
+		fmt.Fprintln(w, e)
 	}
 }

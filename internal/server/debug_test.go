@@ -283,6 +283,84 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 }
 
+// TestSlowLogMechanismRequest pins that a mechanism reaches the slow log
+// as a mechanism however it was invoked: the request form (ReqMech, what
+// client.CollateData sends) has no enclosing statement to bill, so the
+// run logs itself — once, with the run's name and summed cost — and the
+// SQL-form UDF statement still logs exactly one mechanism entry (the
+// run's cost billed to the statement, not also logged beside it). The
+// threshold is armed over the wire, the way the shell's .slow does it.
+func TestSlowLogMechanismRequest(t *testing.T) {
+	resetObs(t)
+	srv, addr := startServer(t, Config{})
+	c := dial(t, addr)
+	for _, q := range []string{
+		`CREATE TABLE logged_in (user TEXT, country TEXT)`,
+		`INSERT INTO logged_in VALUES ('ann', 'USA'), ('bob', 'GER')`,
+	} {
+		if err := c.Exec(q, nil); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if _, err := c.DeclareSnapshot("day-1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Exec(`DELETE FROM logged_in WHERE user = 'ann'`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeclareSnapshot("day-2"); err != nil {
+		t.Fatal(err)
+	}
+
+	if th, _, err := c.SlowQueries(time.Nanosecond); err != nil || th != time.Nanosecond {
+		t.Fatalf("arming the slow log over the wire: threshold %v, err %v", th, err)
+	}
+	mechEntries := func() []client.SlowEntry {
+		t.Helper()
+		_, entries, err := c.SlowQueries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []client.SlowEntry
+		for _, e := range entries {
+			if e.Mechanism != "" {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	// Cold cache, so the run bills Pagelog reads.
+	srv.db.ResetSnapshotCache()
+	run, err := c.CollateData(`SELECT snap_id FROM SnapIds`, `SELECT user FROM logged_in`, "R1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mechEntries()
+	if len(got) != 1 {
+		t.Fatalf("request-form run left %d mechanism entries, want 1: %+v", len(got), got)
+	}
+	total := run.Total()
+	if e := got[0]; e.Mechanism != "CollateData" || total.PagelogReads == 0 ||
+		e.PagelogReads != int64(total.PagelogReads) || e.PrunedIters != int64(run.PrunedIterations) ||
+		e.Rows != int64(run.ResultRows) || !strings.Contains(e.SQL, "CollateData(") || e.Duration <= 0 {
+		t.Fatalf("request-form entry %+v does not carry the run %+v (total %+v)", e, run, total)
+	}
+
+	obs.ResetSlowLog()
+	if err := c.Exec(`SELECT CollateData(snap_id, 'SELECT user FROM logged_in', 'R2') FROM SnapIds`, nil); err != nil {
+		t.Fatal(err)
+	}
+	got = mechEntries()
+	if len(got) != 1 || got[0].Mechanism != "CollateData" || !strings.HasPrefix(got[0].SQL, "SELECT CollateData(") {
+		t.Fatalf("SQL-form statement left mechanism entries %+v, want its own one", got)
+	}
+
+	if th, _, err := c.SlowQueries(0); err != nil || th != 0 || obs.SlowThreshold() != 0 {
+		t.Fatalf("disarming over the wire: threshold %v (server %v), err %v", th, obs.SlowThreshold(), err)
+	}
+}
+
 // TestResetStats zeroes the counters over the wire and checks both the
 // server's own counters and the piped-through database counters restart.
 func TestResetStats(t *testing.T) {

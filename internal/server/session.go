@@ -235,7 +235,7 @@ func (ss *session) dispatch(op byte, payload []byte) error {
 	case wire.ReqTrace:
 		return ss.handleTrace(payload)
 	case wire.ReqSlow:
-		return ss.handleSlow()
+		return ss.handleSlow(payload)
 	case wire.ReqReset:
 		ss.srv.ResetStats()
 		return ss.writeFrame(wire.RespPong, nil)
@@ -348,7 +348,8 @@ func (ss *session) handleExec(payload []byte) error {
 		return err
 	}
 	e := &wire.Enc{}
-	wire.EncodeExecStats(e, ss.conn.LastStats())
+	st := ss.conn.LastStats()
+	wire.EncodeCost(e, &st)
 	e.Uvarint(ss.conn.LastSnapshot())
 	e.Bool(ss.conn.InTx())
 	// The statement's trace ID (0 when untraced), so the client can
@@ -386,8 +387,17 @@ func (ss *session) handleTrace(payload []byte) error {
 	return ss.writeFrame(wire.RespTrace, e.B)
 }
 
-// handleSlow serves the slow-query log with the active threshold.
-func (ss *session) handleSlow() error {
+// handleSlow serves the slow-query log with the active threshold; a
+// request that carries a threshold sets it first (0 turns the log off).
+func (ss *session) handleSlow(payload []byte) error {
+	if len(payload) > 0 {
+		d := &wire.Dec{B: payload}
+		th := d.Duration()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		obs.SetSlowThreshold(th)
+	}
 	e := &wire.Enc{}
 	wire.EncodeSlowEntries(e, obs.SlowThreshold(), obs.SlowEntries())
 	return ss.writeFrame(wire.RespSlow, e.B)

@@ -73,7 +73,7 @@ func execSelect1(t *testing.T, br *bufio.Reader, bw *bufio.Writer, tc wire.Trace
 			t.Fatalf("exec failed: %v", wire.DecodeError(payload))
 		case wire.RespDone:
 			d := &wire.Dec{B: payload}
-			wire.DecodeExecStats(d)
+			wire.DecodeCost(d, &rql.ExecStats{})
 			d.Uvarint() // last snapshot
 			d.Bool()    // in tx
 			echo := d.Uvarint()

@@ -177,29 +177,6 @@ func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp
 	return s, nil
 }
 
-// ExecStats reports the measured costs of the last statement executed
-// on a connection, broken down the way the paper's §5 figures are:
-// snapshot-page I/O, SPT construction, transient index creation, and
-// the remainder (query evaluation, which for RQL statements includes
-// the UDF work — the core package splits that part further).
-type ExecStats struct {
-	Duration     time.Duration // wall time of the statement
-	SPTBuildTime time.Duration // snapshot page table construction
-	AutoIndex    time.Duration // transient covering indexes for joins
-	MapScanned   int           // Maplog entries scanned for the SPT
-	PagelogReads int           // logical snapshot pages fetched from the Pagelog
-	CacheHits    int           // snapshot pages served from the cache
-	DBReads      int           // snapshot pages shared with the current DB
-	PrefetchHits int           // logical reads satisfied early by a warmed page
-	RowsReturned int
-	QueueWait    time.Duration // device queue wait behind the statement's demand misses
-}
-
-// ModeledIO converts Pagelog misses into modeled I/O time.
-func (s ExecStats) ModeledIO(perRead time.Duration) time.Duration {
-	return time.Duration(s.PagelogReads) * perRead
-}
-
 // RowCallback receives result rows, sqlite3_exec style. Returning a
 // non-nil error aborts the statement with that error.
 type RowCallback func(cols []string, row []record.Value) error
@@ -234,16 +211,16 @@ type Conn struct {
 	curStmt   *obs.Span
 	lastTrace uint64
 
-	// slowCost carries the retrospective cost of the executing batch
-	// into the slow-query log: billed Pagelog reads accumulate from
-	// per-statement stats, mechanism name and pruned-iteration count
-	// are filled by statements that run a mechanism (NoteMechRun).
-	slowCost obs.SlowCost
+	// slow is the slow-query log entry of the executing statement batch
+	// (nil outside a batch, or while the log is off):
+	// each statement's record is billed to it, and a statement that runs
+	// a mechanism adds the run's (NoteMechRun).
+	slow *obs.SlowEntry
 
-	// lastMech is the profile of the mechanism run the executing
-	// statement completed, pushed down by the mechanism layer's
-	// finalizer (NoteMechRun); EXPLAIN ANALYZE renders it.
-	lastMech *MechProfile
+	// lastMech is the mechanism run the executing statement completed,
+	// handed down by the mechanism layer's finalizer (NoteMechRun);
+	// EXPLAIN ANALYZE renders it.
+	lastMech *RunStats
 
 	// Ambient context (SetContext): writer-transaction Begin honors
 	// its cancellation/deadline while waiting for the legacy writer
@@ -413,7 +390,8 @@ func (c *Conn) execAsOf(sqlText string, set *ReaderSet, asOf retro.SnapshotID, c
 	// batch is traced or the slow-query log is armed, so the untraced
 	// path pays two atomic loads and nothing else.
 	sp := obs.StartSpan(c.span, "sql.exec")
-	timed := sp != nil || obs.SlowThreshold() > 0
+	slowArmed := obs.SlowThreshold() > 0
+	timed := sp != nil || slowArmed
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -430,20 +408,28 @@ func (c *Conn) execAsOf(sqlText string, set *ReaderSet, asOf retro.SnapshotID, c
 		// re-entry) leave the outer batch's trace alone.
 		c.lastTrace = 0
 	}
+	// The batch's slow-log entry. Saved and restored because execAsOf
+	// re-enters through UDFs (a mechanism iteration executes Qq inside
+	// the outer SELECT): a nested batch bills its own entry, not the
+	// outer one's.
+	savedSlow := c.slow
+	c.slow = nil
+	if slowArmed {
+		c.slow = &obs.SlowEntry{SQL: truncSQL(sqlText), Trace: sp.TraceID()}
+	}
+	defer func() {
+		if c.slow != nil {
+			c.slow.Duration = time.Since(start)
+			obs.ObserveQuery(*c.slow)
+		}
+		c.slow = savedSlow
+	}()
 	stmts, err := c.parseCached(sqlText)
 	if sp != nil {
 		obs.Record(sp, "sql.parse", start, time.Since(start))
 	}
-	rows := 0
 	if err == nil {
-		// Save/restore curStmt: execAsOf re-enters through UDFs (a
-		// mechanism iteration executes Qq inside the outer SELECT).
-		// slowCost likewise: a nested Qq batch must not clobber the
-		// outer batch's accumulated retrospective cost.
-		saved := c.curStmt
-		savedCost := c.slowCost
-		c.slowCost = obs.SlowCost{}
-		defer func() { c.slowCost = savedCost }()
+		saved := c.curStmt // restored per statement, for the same re-entry
 		for _, stmt := range stmts {
 			ssp := sp.Child("sql." + stmtName(stmt))
 			c.curStmt = ssp
@@ -463,15 +449,14 @@ func (c *Conn) execAsOf(sqlText string, set *ReaderSet, asOf retro.SnapshotID, c
 				}
 				ssp.End()
 			}
-			rows += c.lastStats.RowsReturned
-			c.slowCost.PagelogReads += int64(c.lastStats.PagelogReads)
+			if c.slow != nil {
+				c.slow.Rows += int64(c.lastStats.RowsReturned)
+				obs.AddCost(c.slow, &c.lastStats)
+			}
 			if err != nil {
 				break
 			}
 		}
-	}
-	if timed {
-		obs.ObserveQuery(truncSQL(sqlText), time.Since(start), sp.TraceID(), int64(rows), c.slowCost)
 	}
 	sp.End()
 	return err
@@ -607,13 +592,7 @@ func (ec *execCtx) close() {
 	}
 	ec.closers = nil
 	if ec.snapReader != nil {
-		ec.stats.SPTBuildTime += ec.snapReader.Counters.SPTBuildTime
-		ec.stats.MapScanned += ec.snapReader.Counters.MapScanned
-		ec.stats.PagelogReads += ec.snapReader.Counters.PagelogReads
-		ec.stats.CacheHits += ec.snapReader.Counters.CacheHits
-		ec.stats.DBReads += ec.snapReader.Counters.DBReads
-		ec.stats.PrefetchHits += ec.snapReader.Counters.PrefetchHits
-		ec.stats.QueueWait += ec.snapReader.Counters.QueueWait
+		obs.AddCost(&ec.stats.Counters, &ec.snapReader.Counters)
 	}
 	if ec.readSet != nil {
 		ec.conn.lastReadSet = ec.readSet
@@ -717,7 +696,7 @@ func (c *Conn) execStmt(stmt Statement, set *ReaderSet, asOf retro.SnapshotID, c
 	var err error
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		err = c.execSelect(s, set, asOf, cb, params, &stats)
+		err = c.execSelect(s, set, asOf, cb, params, &stats, nil)
 	case *ExplainStmt:
 		if s.Analyze {
 			err = c.execExplainAnalyze(s, set, asOf, cb, params, &stats)
@@ -780,8 +759,10 @@ func (c *Conn) execStmt(stmt Statement, set *ReaderSet, asOf retro.SnapshotID, c
 	return err
 }
 
-// execSelect runs a SELECT, streaming rows to cb.
-func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats) error {
+// execSelect runs a SELECT, streaming rows to cb. plan, when non-nil,
+// receives the description of the iterator tree that ran (EXPLAIN
+// ANALYZE).
+func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats, plan *[]string) error {
 	// The statement-level AS OF clause overrides the binding.
 	if s.AsOf != nil {
 		v, err := c.constEval(s.AsOf, params)
@@ -812,6 +793,9 @@ func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, 
 			return err
 		}
 		defer it.Close()
+		if plan != nil {
+			describe(it, 0, plan)
+		}
 
 		names := make([]string, len(cols))
 		for i, ci := range cols {

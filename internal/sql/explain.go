@@ -18,10 +18,9 @@ import (
 //
 // `EXPLAIN ANALYZE SELECT ...` additionally executes the statement —
 // through the exact iterator tree the plan displays — and appends the
-// measured profile: the statement's execution statistics and, when the
-// SELECT drove a retrospective mechanism, one line per iteration with
-// the Figures 8–13 cost breakdown (billed Pagelog reads, cache hits,
-// pruned/replayed rows, device queue-wait, prefetch hits). Execution is
+// measured profile: the statement's cost record and, when the SELECT
+// drove a retrospective mechanism, the run's report — one line per
+// iteration with the Figures 8–13 cost breakdown. Execution is
 // observation-only: side effects, counters and LastStats are identical
 // to running the statement plainly; only the rows streamed to the
 // client differ.
@@ -126,119 +125,31 @@ func (c *Conn) execExplain(s *ExplainStmt, cb RowCallback, params []record.Value
 var explainCols = []string{"plan"}
 
 // execExplainAnalyze executes the wrapped SELECT for real and streams
-// the plan annotated with the measured profile. The execution mirrors
-// execSelect exactly — same context, same planner, same iterator drain,
-// same finalization — so every counter the paper's figures bill
-// (Pagelog reads, cache hits, SPT builds, pruned iterations) is
-// byte-identical to a plain run of the statement; the property test
-// pins this. stats.RowsReturned likewise reports the statement's own
-// result rows, not the report lines.
+// the plan followed by the measured profile. The execution is execSelect
+// itself with the rows dropped and the plan kept, so every counter the
+// paper's figures bill (Pagelog reads, cache hits, SPT builds, pruned
+// iterations) is byte-identical to a plain run of the statement, and
+// stats.RowsReturned reports the statement's own result rows, not the
+// report lines.
 func (c *Conn) execExplainAnalyze(s *ExplainStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats) error {
-	sel := s.Select
-	if sel.AsOf != nil {
-		v, err := c.constEval(sel.AsOf, params)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			return fmt.Errorf("sql: AS OF requires a snapshot id")
-		}
-		asOf = retro.SnapshotID(v.AsInt())
-	}
 	c.lastMech = nil
 	start := time.Now()
-	ec, err := c.newReadCtx(set, asOf, params, stats)
-	if err != nil {
-		return err
-	}
 	var lines []string
-	err = func() error {
-		var planStart time.Time
-		if c.curStmt != nil {
-			planStart = time.Now()
-		}
-		it, _, err := planSelect(sel, ec)
-		if c.curStmt != nil {
-			obs.Record(c.curStmt, "sql.plan", planStart, time.Since(planStart))
-		}
-		if err != nil {
-			return err
-		}
-		defer it.Close()
-		describe(it, 0, &lines)
-		for {
-			row, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				return nil
-			}
-			stats.RowsReturned++
-		}
-	}()
-	if ferr := ec.finalize(err == nil); err == nil {
-		err = ferr
-	}
-	// Close before rendering: it folds the snapshot reader's counters
-	// into stats, which the summary line below reports.
-	ec.close()
-	wall := time.Since(start)
-	if err != nil {
+	if err := c.execSelect(s.Select, set, asOf, nil, params, stats, &lines); err != nil {
 		return err
 	}
-
-	emit := func(format string, args ...any) error {
-		if cb == nil {
-			return nil
-		}
-		return cb(explainCols, []record.Value{record.Text(fmt.Sprintf(format, args...))})
+	stats.Duration = time.Since(start)
+	lines = append(lines, "EXECUTED "+obs.FormatCost(stats))
+	if c.lastMech != nil {
+		lines = append(lines, c.lastMech.Report()...)
 	}
-	for _, line := range lines {
-		if err := emit("%s", line); err != nil {
-			return err
-		}
-	}
-	if err := emit("EXECUTED rows=%d wall=%s pagelog_reads=%d cache_hits=%d db_reads=%d spt_build=%s queue_wait=%s prefetch_hits=%d",
-		stats.RowsReturned, fmtDur(wall), stats.PagelogReads, stats.CacheHits,
-		stats.DBReads, fmtDur(stats.SPTBuildTime), fmtDur(stats.QueueWait),
-		stats.PrefetchHits); err != nil {
-		return err
-	}
-	p := c.lastMech
-	if p == nil {
+	if cb == nil {
 		return nil
 	}
-	prune := ""
-	if p.PruneReason != "" {
-		prune = " prune_off=" + quoteReason(p.PruneReason)
-	}
-	if err := emit("MECHANISM %s iterations=%d pruned=%d replayed_rows=%d prefetch_hits=%d prefetch_wasted=%d%s",
-		p.Mechanism, len(p.Iterations), p.PrunedIters, p.ReplayedRows,
-		p.PrefetchHits, p.PrefetchWasted, prune); err != nil {
-		return err
-	}
-	for _, it := range p.Iterations {
-		if it.Pruned {
-			if err := emit("  ITERATION snap=%d PRUNED replayed_rows=%d delta_pages=%d",
-				it.Snapshot, it.Rows, it.DeltaPages); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := emit("  ITERATION snap=%d wall=%s spt_build=%s index=%s eval=%s udf=%s io=%s queue_wait=%s pagelog_reads=%d cache_hits=%d prefetch_hits=%d rows=%d",
-			it.Snapshot, fmtDur(it.Wall), fmtDur(it.SPTBuild), fmtDur(it.IndexCreate),
-			fmtDur(it.QueryEval), fmtDur(it.UDF), fmtDur(it.IOTime), fmtDur(it.QueueWait),
-			it.PagelogReads, it.CacheHits, it.PrefetchHits, it.Rows); err != nil {
+	for _, line := range lines {
+		if err := cb(explainCols, []record.Value{record.Text(line)}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// fmtDur renders a duration at microsecond precision — enough for the
-// modeled costs, stable enough to read in a terminal column.
-func fmtDur(d time.Duration) string { return d.Round(time.Microsecond).String() }
-
-// quoteReason makes a prune-off reason a single report token.
-func quoteReason(s string) string { return `"` + strings.ReplaceAll(s, `"`, `'`) + `"` }

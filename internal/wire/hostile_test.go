@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
+
+	"rql/internal/obs"
+	"rql/internal/sql"
 )
 
 // allocated reports the bytes f allocates.
@@ -29,7 +33,7 @@ func TestListDecodersRejectOversizedCounts(t *testing.T) {
 		"Metrics/bounds":  {func(e *Enc) { e.Uvarint(1); e.String("h"); e.Byte(2); e.String(""); e.String("") }, func(d *Dec) { DecodeMetrics(d) }},
 		"Timeline":        {zeros(1), func(d *Dec) { DecodeTimeline(d) }},
 		"Timeline/rates":  {func(e *Enc) { e.Duration(0); e.Uvarint(1); e.Varint(0); e.Duration(0) }, func(d *Dec) { DecodeTimeline(d) }},
-		"RunStats":        {zeros(4), func(d *Dec) { DecodeRunStats(d) }},
+		"RunStats":        {emptyRunHead, func(d *Dec) { DecodeRunStats(d) }},
 		"Spans":           {zeros(0), func(d *Dec) { DecodeSpans(d) }},
 		"Spans/attrs":     {func(e *Enc) { e.Uvarint(1); e.B = append(e.B, make([]byte, 6)...) }, func(d *Dec) { DecodeSpans(d) }},
 		"SlowEntries":     {zeros(1), func(d *Dec) { DecodeSlowEntries(d) }},
@@ -61,6 +65,13 @@ func TestListDecodersRejectOversizedCounts(t *testing.T) {
 			t.Errorf("%s: decoding a %d-byte payload allocated %d bytes", name, len(e.B), got)
 		}
 	}
+}
+
+// emptyRunHead appends what precedes a RunStats body's iteration count:
+// the name and the run-level record, all zero.
+func emptyRunHead(e *Enc) {
+	EncodeRunStats(e, &sql.RunStats{})
+	e.B = e.B[:len(e.B)-1]
 }
 
 // allocSlack absorbs what the test process itself allocates between two
@@ -133,7 +144,21 @@ func FuzzDecodeMetrics(f *testing.F) {
 }
 
 func FuzzDecodeRunStats(f *testing.F) {
-	fuzzDecoder(f, DecodeRunStats, EncodeRunStats, seedRunStats, []byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x1F})
+	hostile := &Enc{}
+	emptyRunHead(hostile)
+	fuzzDecoder(f, DecodeRunStats, EncodeRunStats, seedRunStats, append(hostile.B, 0xFF, 0xFF, 0xFF, 0x1F))
+}
+
+func FuzzDecodeExecStats(f *testing.F) {
+	fuzzDecoder(f, decodeExecStats, func(e *Enc, s sql.ExecStats) { EncodeCost(e, &s) }, seedExecStats,
+		[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // an 11-byte varint
+}
+
+func FuzzDecodeSlowEntries(f *testing.F) {
+	fuzzDecoder(f,
+		func(d *Dec) []obs.SlowEntry { _, entries := DecodeSlowEntries(d); return entries },
+		func(e *Enc, entries []obs.SlowEntry) { EncodeSlowEntries(e, time.Second, entries) },
+		seedSlowEntries, []byte{0, 0xFF, 0xFF, 0xFF, 0x1F})
 }
 
 func FuzzDecodeObjects(f *testing.F) {

@@ -64,15 +64,14 @@ func DecodeSpans(d *Dec) []obs.Span {
 func EncodeSlowEntries(e *Enc, threshold time.Duration, entries []obs.SlowEntry) {
 	e.Duration(threshold)
 	e.Uvarint(uint64(len(entries)))
-	for _, s := range entries {
+	for i := range entries {
+		s := &entries[i]
 		e.String(s.SQL)
 		e.Duration(s.Duration)
 		e.Uvarint(s.Trace)
 		e.Varint(s.When.UnixNano())
 		e.Varint(s.Rows)
-		e.String(s.Mechanism)
-		e.Varint(s.PagelogReads)
-		e.Varint(s.PrunedIters)
+		EncodeCost(e, s)
 	}
 }
 
@@ -85,9 +84,7 @@ func DecodeSlowEntries(d *Dec) (threshold time.Duration, entries []obs.SlowEntry
 		s := obs.SlowEntry{SQL: d.String(), Duration: d.Duration(), Trace: d.Uvarint()}
 		s.When = time.Unix(0, d.Varint())
 		s.Rows = d.Varint()
-		s.Mechanism = d.String()
-		s.PagelogReads = d.Varint()
-		s.PrunedIters = d.Varint()
+		DecodeCost(d, &s)
 		entries = append(entries, s)
 	}
 	return threshold, entries

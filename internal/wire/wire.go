@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"time"
 
@@ -37,9 +38,9 @@ import (
 // built from this repository (client, repl.Replica, rqlshell, rqlbench,
 // benchmark/), so a HELLO below it is refused with an error naming it,
 // and a HELLO above it is answered with it. DESIGN.md has the frame
-// table. v10: TraceOn/TraceOff are acknowledged with an empty RespTrace
-// (v9: RespPong), so every request has one terminal reply.
-const ProtocolVersion = 10
+// table. v11: cost records (RespDone, RespRun, RespSlow) are shipped field
+// by field from their one declaration; ReqSlow may carry a new threshold.
+const ProtocolVersion = 11
 
 // Magic opens the client hello.
 const Magic = "RQL1"
@@ -59,7 +60,7 @@ const (
 	ReqTblSt byte = 0x08 // table name — TableStats
 	ReqPing  byte = 0x09 // —
 	ReqTrace byte = 0x0A // cmd byte (TraceOff/TraceOn/TraceFetch), trace id
-	ReqSlow  byte = 0x0B // — slow-query log
+	ReqSlow  byte = 0x0B // [threshold] — slow-query log; a threshold sets it first
 	ReqReset byte = 0x0C // — reset server/storage/retro counters
 
 	// Replication / cluster requests.
@@ -555,120 +556,61 @@ func DecodeTimeline(d *Dec) (period time.Duration, points []obs.Point) {
 	return period, points
 }
 
-// EncodeExecStats appends a statement's sql.ExecStats (RespDone).
-func EncodeExecStats(e *Enc, s sql.ExecStats) {
-	e.Duration(s.Duration)
-	e.Duration(s.SPTBuildTime)
-	e.Duration(s.AutoIndex)
-	e.Uvarint(uint64(s.MapScanned))
-	e.Uvarint(uint64(s.PagelogReads))
-	e.Uvarint(uint64(s.CacheHits))
-	e.Uvarint(uint64(s.DBReads))
-	e.Uvarint(uint64(s.PrefetchHits))
-	e.Uvarint(uint64(s.RowsReturned))
-	e.Duration(s.QueueWait)
+// EncodeCost appends a cost record (obs/cost.go) — a statement's
+// sql.ExecStats in RespDone, an iteration's or a run's record in RespRun,
+// a slow-log entry's in RespSlow: its declared fields in declaration
+// order, so a field the record gains needs no codec change.
+func EncodeCost(e *Enc, rec any) {
+	obs.WalkCost(rec, func(_ obs.CostField, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			e.Bool(v.Bool())
+		case reflect.String:
+			e.String(v.String())
+		case reflect.Uint64:
+			e.Uvarint(v.Uint())
+		default:
+			e.Varint(v.Int())
+		}
+	})
 }
 
-// DecodeExecStats reads an ExecStats body.
-func DecodeExecStats(d *Dec) sql.ExecStats {
-	return sql.ExecStats{
-		Duration:     d.Duration(),
-		SPTBuildTime: d.Duration(),
-		AutoIndex:    d.Duration(),
-		MapScanned:   int(d.Uvarint()),
-		PagelogReads: int(d.Uvarint()),
-		CacheHits:    int(d.Uvarint()),
-		DBReads:      int(d.Uvarint()),
-		PrefetchHits: int(d.Uvarint()),
-		RowsReturned: int(d.Uvarint()),
-		QueueWait:    d.Duration(),
-	}
+// DecodeCost reads a cost record body into the record rec points to.
+func DecodeCost(d *Dec, rec any) {
+	obs.WalkCost(rec, func(_ obs.CostField, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(d.Bool())
+		case reflect.String:
+			v.SetString(d.String())
+		case reflect.Uint64:
+			v.SetUint(d.Uvarint())
+		default:
+			v.SetInt(d.Varint())
+		}
+	})
 }
 
-// EncodeRunStats appends a mechanism run's core.RunStats (RespRun).
-func EncodeRunStats(e *Enc, r *core.RunStats) {
+// EncodeRunStats appends a mechanism run (RespRun): its name, its
+// run-level record, and one record per iteration.
+func EncodeRunStats(e *Enc, r *sql.RunStats) {
 	e.String(r.Mechanism)
-	e.Uvarint(uint64(r.ResultRows))
-	e.Varint(r.ResultDataBytes)
-	e.Varint(r.ResultIndexBytes)
+	EncodeCost(e, r)
 	e.Uvarint(uint64(len(r.Iterations)))
 	for i := range r.Iterations {
-		it := &r.Iterations[i]
-		e.Uvarint(it.Snapshot)
-		e.Duration(it.SPTBuild)
-		e.Duration(it.IndexCreation)
-		e.Duration(it.QueryEval)
-		e.Duration(it.UDF)
-		e.Duration(it.IOTime)
-		e.Duration(it.OverlapTime)
-		e.Duration(it.QueueWait)
-		e.Uvarint(uint64(it.PagelogReads))
-		e.Uvarint(uint64(it.CacheHits))
-		e.Uvarint(uint64(it.DBReads))
-		e.Uvarint(uint64(it.MapScanned))
-		e.Uvarint(uint64(it.PrefetchHits))
-		e.Uvarint(uint64(it.QqRows))
-		e.Uvarint(uint64(it.ResultInserts))
-		e.Uvarint(uint64(it.ResultUpdates))
-		e.Uvarint(uint64(it.ResultSearch))
-		e.Bool(it.Pruned)
-		e.Uvarint(uint64(it.DeltaPages))
+		EncodeCost(e, &r.Iterations[i])
 	}
-	e.Uvarint(uint64(r.BatchBuilds))
-	e.Uvarint(uint64(r.BatchMapScanned))
-	e.Duration(r.BatchBuildTime)
-	e.Uvarint(uint64(r.PrunedIterations))
-	e.Uvarint(uint64(r.PrunedRowsReplayed))
-	e.Uvarint(uint64(r.DeltaIntersections))
-	e.String(r.PruneReason)
-	e.Uvarint(uint64(r.PipelinedPrefetches))
-	e.Uvarint(uint64(r.PrefetchHits))
-	e.Uvarint(uint64(r.PrefetchWasted))
 }
 
 // DecodeRunStats reads a RunStats body.
-func DecodeRunStats(d *Dec) *core.RunStats {
-	r := &core.RunStats{
-		Mechanism:        d.String(),
-		ResultRows:       int(d.Uvarint()),
-		ResultDataBytes:  d.Varint(),
-		ResultIndexBytes: d.Varint(),
-	}
+func DecodeRunStats(d *Dec) *sql.RunStats {
+	r := &sql.RunStats{Mechanism: d.String()}
+	DecodeCost(d, r)
 	n := d.Len()
-	r.Iterations = make([]core.IterationCost, 0, n)
+	r.Iterations = make([]sql.IterationCost, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		r.Iterations = append(r.Iterations, core.IterationCost{
-			Snapshot:      d.Uvarint(),
-			SPTBuild:      d.Duration(),
-			IndexCreation: d.Duration(),
-			QueryEval:     d.Duration(),
-			UDF:           d.Duration(),
-			IOTime:        d.Duration(),
-			OverlapTime:   d.Duration(),
-			QueueWait:     d.Duration(),
-			PagelogReads:  int(d.Uvarint()),
-			CacheHits:     int(d.Uvarint()),
-			DBReads:       int(d.Uvarint()),
-			MapScanned:    int(d.Uvarint()),
-			PrefetchHits:  int(d.Uvarint()),
-			QqRows:        int(d.Uvarint()),
-			ResultInserts: int(d.Uvarint()),
-			ResultUpdates: int(d.Uvarint()),
-			ResultSearch:  int(d.Uvarint()),
-			Pruned:        d.Bool(),
-			DeltaPages:    int(d.Uvarint()),
-		})
+		DecodeCost(d, &r.Iterations[i])
 	}
-	r.BatchBuilds = int(d.Uvarint())
-	r.BatchMapScanned = int(d.Uvarint())
-	r.BatchBuildTime = d.Duration()
-	r.PrunedIterations = int(d.Uvarint())
-	r.PrunedRowsReplayed = int(d.Uvarint())
-	r.DeltaIntersections = int(d.Uvarint())
-	r.PruneReason = d.String()
-	r.PipelinedPrefetches = int(d.Uvarint())
-	r.PrefetchHits = int(d.Uvarint())
-	r.PrefetchWasted = int(d.Uvarint())
 	return r
 }
 

@@ -14,6 +14,7 @@ import (
 	"rql/internal/core"
 	"rql/internal/obs"
 	"rql/internal/record"
+	"rql/internal/retro"
 	"rql/internal/sql"
 )
 
@@ -127,8 +128,25 @@ func TestDecStickyError(t *testing.T) {
 	}
 }
 
+// decodeExecStats reads a statement's cost record (the head of RespDone).
+func decodeExecStats(d *Dec) (s sql.ExecStats) {
+	DecodeCost(d, &s)
+	return s
+}
+
 // Seed values shared by the round-trip tests and the fuzz targets.
 var (
+	seedExecStats = sql.ExecStats{
+		RowsReturned: 5, Duration: time.Millisecond, AutoIndex: time.Second,
+		Counters: retro.Counters{MapScanned: 1, PagelogReads: 2, CacheHits: 3, DBReads: 4,
+			PrefetchHits: 6, SPTBuildTime: time.Microsecond, QueueWait: time.Minute},
+	}
+	seedSlowEntries = []obs.SlowEntry{
+		{SQL: "SELECT * FROM big", Duration: 2 * time.Second, Trace: 7,
+			When: time.Unix(1000, 1), Rows: 1_000_000,
+			Mechanism: "CollateData", PagelogReads: 123, PrunedIters: 4},
+		{SQL: "", Duration: time.Millisecond, When: time.Unix(0, 0)},
+	}
 	seedRunStats = &core.RunStats{
 		Mechanism: "CollateData", ResultRows: 7,
 		ResultDataBytes: 100, ResultIndexBytes: 50,
@@ -166,21 +184,16 @@ var (
 )
 
 func TestCompositeRoundTrips(t *testing.T) {
-	es := sql.ExecStats{
-		Duration: time.Millisecond, SPTBuildTime: time.Microsecond,
-		AutoIndex: time.Second, MapScanned: 1, PagelogReads: 2,
-		CacheHits: 3, DBReads: 4, RowsReturned: 5, PrefetchHits: 6,
-		QueueWait: time.Minute,
-	}
 	e := &Enc{}
-	EncodeExecStats(e, es)
-	if got := DecodeExecStats(&Dec{B: e.B}); got != es {
-		t.Fatalf("ExecStats = %+v, want %+v", got, es)
+	EncodeCost(e, &seedExecStats)
+	d := &Dec{B: e.B}
+	if got := decodeExecStats(d); got != seedExecStats || d.Err() != nil || len(d.B) != 0 {
+		t.Fatalf("ExecStats = %+v (err %v, %d left), want %+v", got, d.Err(), len(d.B), seedExecStats)
 	}
 
 	e = &Enc{}
 	EncodeRunStats(e, seedRunStats)
-	d := &Dec{B: e.B}
+	d = &Dec{B: e.B}
 	if got := DecodeRunStats(d); !reflect.DeepEqual(got, seedRunStats) || d.Err() != nil || len(d.B) != 0 {
 		t.Fatalf("RunStats = %+v (err %v, %d left), want %+v", got, d.Err(), len(d.B), seedRunStats)
 	}
@@ -288,12 +301,7 @@ func TestSpanRoundTrip(t *testing.T) {
 }
 
 func TestSlowEntryRoundTrip(t *testing.T) {
-	in := []obs.SlowEntry{
-		{SQL: "SELECT * FROM big", Duration: 2 * time.Second, Trace: 7,
-			When: time.Unix(1000, 1), Rows: 1_000_000,
-			Mechanism: "CollateData", PagelogReads: 123, PrunedIters: 4},
-		{SQL: "", Duration: time.Millisecond, When: time.Unix(0, 0)},
-	}
+	in := seedSlowEntries
 	e := &Enc{}
 	EncodeSlowEntries(e, 50*time.Millisecond, in)
 	d := &Dec{B: e.B}
