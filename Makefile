@@ -7,7 +7,7 @@ all: check
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
 # failing check, the tracing-overhead budget, the replication smoke,
 # the group-commit stress smoke, the compaction smoke, the
-# incremental-view smoke, the wire-decoder fuzz smoke, and the rqlshell
+# incremental-view smoke, the decoder fuzz smoke, and the rqlshell
 # transcript smoke.
 check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke
 
@@ -66,10 +66,12 @@ groupcommit-smoke:
 # race detector: sealed-read equivalence, seal crash safety, retention
 # drops, the concurrent seal/read/truncate stress loop, the
 # compaction-on-vs-off serial-equivalence property test, and
-# replication bootstrap over sealed segments. -count=3 for the same
-# reason as groupcommit-smoke.
+# replication bootstrap over sealed segments — and the device model the
+# reads go through (queue depth, FIFO order, busy accounting, one billed
+# read per page under parallel lanes). -count=3 for the same reason as
+# groupcommit-smoke.
 compact-smoke:
-	$(GO) test -race -count=3 -run 'TestSeal|TestSegment|TestRetention|TestCompact|TestCompaction|TestPagelogClose|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments' ./internal/retro ./internal/repl .
+	$(GO) test -race -count=3 -run 'TestSeal|TestSegment|TestRetention|TestCompact|TestCompaction|TestPagelogClose|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDevice|TestDemandRead' ./internal/retro ./internal/repl .
 
 # view-smoke runs the incremental materialized-view correctness
 # surface under the race detector: the incremental-vs-full-recompute
@@ -80,15 +82,21 @@ compact-smoke:
 view-smoke:
 	$(GO) test -race -run 'TestRetroView|TestReplicatedRetroViews|TestViewSmoke' ./internal/core ./internal/repl ./internal/server
 
-# fuzz-smoke fuzzes each wire decoder that sees untrusted bytes for ten
-# seconds (go test -fuzz takes one target per run): no panic, no
-# allocation beyond a small multiple of the input, and clean decodes
-# survive an encode/decode round. The seed corpora also run inside
-# plain `go test ./...`. A failing input lands in
-# internal/wire/testdata/fuzz/ — commit it as a regression seed.
+# fuzz-smoke fuzzes each decoder that sees untrusted bytes — the wire
+# decoders, the sealed-segment metadata a replica is shipped, a view's
+# persisted state — for ten seconds (go test -fuzz takes one target of
+# one package per run): no panic, no allocation beyond a small multiple
+# of the input, and clean decodes survive an encode/decode round. The
+# seed corpora also run inside plain `go test ./...`. A failing input
+# lands in the package's testdata/fuzz/ — commit it as a regression
+# seed.
+FUZZ_TARGETS = \
+	wire:FuzzReadFrame wire:FuzzDecodeMetrics wire:FuzzDecodeExecStats wire:FuzzDecodeRunStats \
+	wire:FuzzDecodeSlowEntries wire:FuzzDecodeObjects wire:FuzzDecodeViews wire:FuzzDecodeViewBatch \
+	retro:FuzzParseSegmentMeta core:FuzzDecodeViewState
 fuzz-smoke:
-	@for f in FuzzReadFrame FuzzDecodeMetrics FuzzDecodeExecStats FuzzDecodeRunStats FuzzDecodeSlowEntries FuzzDecodeObjects FuzzDecodeViews FuzzDecodeViewBatch; do \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./internal/wire || exit 1; \
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./internal/$${t%%:*} || exit 1; \
 	done
 
 # shell-smoke pipes one script — DDL, snapshots, AS OF, a mechanism UDF,
@@ -107,7 +115,7 @@ shell-smoke:
 bench:
 	$(GO) run ./cmd/rqlbench -benchjson BENCH_rql.json
 
-# bench-smoke prints the batch + pipeline tables at quick scale
+# bench-smoke prints the batch experiment's tables at quick scale
 # (finishes well under a minute; appends nothing, so BENCH_rql.json
 # keeps only full-scale, comparable runs).
 bench-smoke:

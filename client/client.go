@@ -36,6 +36,10 @@ import (
 // RemoteError is a server-reported statement error.
 type RemoteError = wire.RemoteError
 
+// ErrVersionMismatch is Dial's and OpenCluster's error when the server
+// is a build of another protocol version; match it with errors.Is.
+var ErrVersionMismatch = wire.ErrVersionMismatch
+
 // ServerStats is the server's STATS reply: every metric the server
 // reports, self-described, plus the request-latency histogram pulled
 // out in native units for callers that compute percentiles from it.

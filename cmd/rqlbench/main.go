@@ -103,7 +103,6 @@ func main() {
 			"legacy_is_udf_form":     true,
 			"delta_prune_side":       true,
 			"legacy_and_batch_prune": false,
-			"pipelined_side":         true,
 		}
 		if err := bench.AppendRun(*bjson, rep, flags); err != nil {
 			fmt.Fprintln(os.Stderr, "rqlbench:", err)

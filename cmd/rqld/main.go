@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,6 +31,7 @@ import (
 	"rql/internal/obs"
 	"rql/internal/repl"
 	"rql/internal/server"
+	"rql/internal/wire"
 )
 
 func main() {
@@ -143,12 +145,30 @@ func main() {
 		}
 	}
 
+	// A primary of another protocol version can never be followed:
+	// stop serving rather than answer reads from a replica that will
+	// never catch up.
+	mismatch := make(chan error, 1)
+	if replica != nil {
+		go func() {
+			if err := replica.Wait(); errors.Is(err, wire.ErrVersionMismatch) {
+				mismatch <- err
+			}
+		}()
+	}
+
+	code := 0
 	select {
 	case err := <-done:
 		if err != nil && err != server.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "rqld:", err)
 			os.Exit(1)
 		}
+	case err := <-mismatch:
+		fmt.Fprintf(os.Stderr, "rqld: primary %s: %v\n", *replicaOf, err)
+		srv.Shutdown()
+		<-done
+		code = 1
 	case s := <-sig:
 		fmt.Printf("rqld: %v, draining...\n", s)
 		srv.Shutdown()
@@ -168,6 +188,7 @@ func main() {
 		value("queries_served"), value("rows_streamed"), value("conns_accepted"), value("retro_snapshots"))
 	if err := db.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "rqld:", err)
-		os.Exit(1)
+		code = 1
 	}
+	os.Exit(code)
 }

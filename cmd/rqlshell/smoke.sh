@@ -38,7 +38,7 @@ REFRESH RETRO VIEW rv;	^rql>
 .tables	table t .*\[main\]
 .snapshots	\| third$
 .mech	^rql> MECHANISM CollateData iterations=3 .* result_rows=5 
-.stats	^rql> last statement: rows=[0-9]+ wall=.* db_reads=[0-9]+ map_scanned=
+.stats	^rql> last statement: rows=[0-9]+ wall=.* db_reads=[0-9]+ map_scanned=[0-9]+ spt_build=
 .stats	^storage_commits [1-9]
 .stats reset	^rql> counters reset$
 .stats	^storage_commits 0$

@@ -8,7 +8,7 @@
 // Pagelog reads, cache hits, SPT build time, device queue wait). For
 // a statement that drives a retrospective mechanism, the report adds
 // the paper's §4 cost model: a MECHANISM header (pruned iterations,
-// replayed rows, prefetch hits) and one ITERATION line per snapshot
+// replayed rows, delta intersections) and one ITERATION line per snapshot
 // with its wall time split into SPT build, index creation, query
 // evaluation, UDF time and I/O, plus the billed reads and rows.
 //

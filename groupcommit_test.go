@@ -109,7 +109,7 @@ func runRetroWorkloadHook(t *testing.T, db *rql.DB, beforeRetro func()) (results
 // run with group commit ON and OFF must produce byte-identical results
 // for all four mechanisms AND byte-identical storage/retro counter
 // snapshots — a serial caller cannot tell the two write paths apart, so
-// the paper-mode figure 6–13 series are unchanged by the pipeline.
+// the paper-mode figure 6–13 series are unchanged by group commit.
 func TestGroupCommitSerialEquivalence(t *testing.T) {
 	run := func(group bool) (map[string][]string, rql.StorageStats, rql.RetroStats) {
 		db, err := rql.Open(rql.Options{})
@@ -138,9 +138,9 @@ func TestGroupCommitSerialEquivalence(t *testing.T) {
 	// is a group of one through the same apply path. Excluded are the
 	// wall-time accumulators (they measure elapsed time, not logical
 	// work) and OverlappedReads: it counts device commands that happened
-	// to be in service at the same instant as the read-ahead pipeline's,
-	// which is the scheduler's choice and differs between any two runs
-	// regardless of mode. Every deterministic series (PagelogReads,
+	// to be in service at the same instant as another lane's, which is
+	// the scheduler's choice and differs between any two runs regardless
+	// of mode. Every deterministic series (PagelogReads,
 	// CacheHits, SPT*, BatchMapScanned, Delta*, DeviceReads, the flush
 	// decisions) stays in the comparison.
 	gStore.QueueWaitNS, sStore.QueueWaitNS = 0, 0

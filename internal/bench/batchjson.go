@@ -7,13 +7,12 @@ import (
 
 	"rql/internal/core"
 	"rql/internal/record"
-	"rql/internal/retro"
 )
 
 // The batch experiment compares the two SPT-construction strategies for
 // a snapshot-set run — per-iteration (every snapshot builds its own SPT
 // through Skippy: the SQL-form UDF statement, which streams Qs rows and
-// so can neither batch, prune nor pipeline — the "legacy" side) versus
+// so can neither batch nor prune — the "legacy" side) versus
 // one-sweep batch (one Maplog pass derives every member's SPT as the
 // later snapshot's SPT plus a delta: the Go-level API) — across all four
 // mechanisms, sequential and parallel (the UDF form has no parallel
@@ -47,30 +46,6 @@ type BatchResult struct {
 	ScanReduction float64   `json:"scan_reduction"` // legacy scanned / batch scanned
 }
 
-// PipelineSide is one pipeline-toggle state's measurement within a
-// PipelineResult. PagelogReads must match across the two sides: lazy
-// billing charges warmed pages on first demand, so the pipeline changes
-// when device time is spent, never how much work is billed.
-type PipelineSide struct {
-	Wall           string `json:"wall"`
-	WallNS         int64  `json:"wall_ns"`
-	PagelogReads   int    `json:"pagelog_reads"`
-	PrefetchHits   int    `json:"prefetch_hits,omitempty"`
-	PipelinedPages int    `json:"pipelined_pages,omitempty"`
-	WastedPages    int    `json:"wasted_pages,omitempty"`
-	OverlapNS      int64  `json:"overlap_ns,omitempty"`
-}
-
-// PipelineResult compares serial vs pipelined I/O for one mechanism on
-// the sleeping-device environment.
-type PipelineResult struct {
-	Mechanism string       `json:"mechanism"`
-	Snapshots int          `json:"snapshots"`
-	Serial    PipelineSide `json:"serial"`
-	Pipelined PipelineSide `json:"pipelined"`
-	Speedup   float64      `json:"speedup"` // serial wall / pipelined wall
-}
-
 // BatchReport is the full experiment output (BENCH_rql.json).
 type BatchReport struct {
 	GeneratedAt string        `json:"generated_at"`
@@ -81,9 +56,6 @@ type BatchReport struct {
 	Workers     int           `json:"parallel_workers"`
 	Reps        int           `json:"reps"` // wall times are the min over reps
 	Results     []BatchResult `json:"results"`
-	// The pipelined-I/O experiment (absent in pre-pipeline runs).
-	QueueDepth int              `json:"device_queue_depth,omitempty"`
-	Pipeline   []PipelineResult `json:"pipeline,omitempty"`
 	// The tracing-overhead smoke measurement (absent in pre-obs runs).
 	Tracing *TracingResult `json:"tracing,omitempty"`
 	// The replica fan-out experiment (absent in pre-replication runs).
@@ -294,12 +266,8 @@ func (r *Runner) BatchReport() (*BatchReport, error) {
 	// The legacy and batch sides isolate SPT-construction strategy: the
 	// SQL-form UDF never prunes, so the batch side runs with delta
 	// pruning off too; the pruned side then measures what pruning adds
-	// on top of batch construction. The pipeline stays off for all three
-	// sides — it is accounting-neutral, but keeping it out preserves
-	// wall-time comparability with pre-pipeline runs; the dedicated
-	// pipeline phase below measures it on a sleeping device.
+	// on top of batch construction.
 	defer e.R.SetDeltaPrune(true)
-	e.R.SetPipelinedIO(false)
 	for _, mm := range mechs {
 		for _, mode := range []runMode{modeSequential, modeParallel} {
 			res := BatchResult{Mechanism: mm.label, Mode: "sequential", Snapshots: setSize}
@@ -336,9 +304,6 @@ func (r *Runner) BatchReport() (*BatchReport, error) {
 			rep.Results = append(rep.Results, res)
 		}
 	}
-	if err := r.pipelineBatch(rep, reps); err != nil {
-		return nil, err
-	}
 	tr, err := r.tracingOverhead(reps, 1)
 	if err != nil {
 		return nil, err
@@ -357,129 +322,6 @@ func (r *Runner) BatchReport() (*BatchReport, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// pipeReadLatency is the pipeline phase's modeled device: a cold
-// storage tier (spinning disk or network store) rather than the local
-// SSD of DefaultReadLatency. Retrospective page fetches at this
-// latency genuinely stall a scan, which is the regime the pipeline is
-// for; at SSD latency the evaluation itself dominates and there is
-// little device time to hide.
-const pipeReadLatency = time.Millisecond
-
-// pipeStride spaces the measured window's members this many snapshots
-// apart, so consecutive iterations differ by several refreshes' worth
-// of churned pages. Those pages are exactly what iteration i's
-// read-set ∩ SPT(S_{i+1}) warm fetches ahead of time; with adjacent
-// members nearly everything after the first iteration is already
-// cached and there is no I/O left to overlap.
-const pipeStride = 4
-
-// pipelineBatch runs the pipelined-I/O side of the batch experiment on
-// its own environment: reads genuinely sleep (SleepOnRead) and the
-// device pool runs at full depth, so overlapping iteration i+1's warm
-// fetches with iteration i's evaluation shows up as wall time. Every
-// mechanism runs sequentially with pipelining off, then on; lazy
-// billing guarantees identical PagelogReads on both sides, which the
-// phase verifies.
-func (r *Runner) pipelineBatch(rep *BatchReport, reps int) error {
-	pipeSet := 16
-	if r.Cfg.Quick {
-		pipeSet = 8
-	}
-	cfg := r.Cfg
-	cfg.SleepOnRead = true
-	cfg.ReadLatency = pipeReadLatency
-	cfg.DeviceQueueDepth = retro.DefaultQueueDepth
-	// One overwrite cycle past the window archives every window page, so
-	// the measured scans are genuine Pagelog reads, not live-store hits.
-	last := 2 + pipeStride*(pipeSet-1)
-	history := last + UW60.Cycle
-	fmt.Fprintf(r.Out, "[setup] building pipeline environment: SF=%g, %d snapshots, sleeping device (depth %d, %v/read)...\n",
-		cfg.SF, history, cfg.DeviceQueueDepth, pipeReadLatency)
-	e, err := NewEnv(UW60, 1, cfg)
-	if err != nil {
-		return err
-	}
-	defer e.Close()
-
-	// Same key-window geometry as the main phase, but with no index the
-	// window predicate forces a full orders scan per iteration — the
-	// I/O-bound regime the pipeline targets.
-	var curMax int64
-	err = e.Conn.Exec(`SELECT MAX(o_orderkey) FROM orders`,
-		func(cols []string, row []record.Value) error {
-			curMax = row[0].Int()
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	ops := int64(e.W.OrdersPerSnapshot)
-	keyA := curMax + 1
-	keyB := keyA + 2*ops
-	if err := e.Extend(history - 1); err != nil {
-		return err
-	}
-
-	qs := QsRange(2, uint64(last), pipeStride)
-	where := fmt.Sprintf(`WHERE o_orderkey >= %d AND o_orderkey < %d`, keyA, keyB)
-	mechs := []struct {
-		label string
-		m     mech
-		qq    string
-	}{
-		{"CollateData", mechCollate, `SELECT o_orderkey FROM orders ` + where},
-		{"AggregateDataInVariable", mech{name: "AggV", extra: "sum"},
-			`SELECT COUNT(*) FROM orders ` + where},
-		{"AggregateDataInTable", aggTable("(tp,MAX)"),
-			`SELECT o_orderkey, o_totalprice AS tp FROM orders ` + where},
-		{"CollateDataIntoIntervals", mechIntervals,
-			`SELECT o_orderkey, o_custkey FROM orders ` + where},
-	}
-
-	rep.QueueDepth = cfg.DeviceQueueDepth
-	defer e.R.SetPipelinedIO(true)
-	for _, mm := range mechs {
-		e.R.SetPipelinedIO(false)
-		srs, swall, err := e.timedRun(mm.m, qs, mm.qq, modeSequential, reps)
-		if err != nil {
-			return fmt.Errorf("%s serial: %w", mm.label, err)
-		}
-		e.R.SetPipelinedIO(true)
-		prs, pwall, err := e.timedRun(mm.m, qs, mm.qq, modeSequential, reps)
-		if err != nil {
-			return fmt.Errorf("%s pipelined: %w", mm.label, err)
-		}
-		if sr, pr := srs.Total().PagelogReads, prs.Total().PagelogReads; sr != pr {
-			return fmt.Errorf("%s: pipelining changed the billed reads: serial=%d pipelined=%d",
-				mm.label, sr, pr)
-		}
-		res := PipelineResult{
-			Mechanism: mm.label,
-			Snapshots: pipeSet,
-			Serial:    pipeSide(srs, swall),
-			Pipelined: pipeSide(prs, pwall),
-		}
-		if pwall > 0 {
-			res.Speedup = float64(swall) / float64(pwall)
-		}
-		rep.Pipeline = append(rep.Pipeline, res)
-	}
-	return nil
-}
-
-func pipeSide(rs *core.RunStats, wall time.Duration) PipelineSide {
-	t := rs.Total()
-	return PipelineSide{
-		Wall:           wall.Round(time.Microsecond).String(),
-		WallNS:         wall.Nanoseconds(),
-		PagelogReads:   t.PagelogReads,
-		PrefetchHits:   rs.PrefetchHits,
-		PipelinedPages: rs.PipelinedPrefetches,
-		WastedPages:    rs.PrefetchWasted,
-		OverlapNS:      t.OverlapTime.Nanoseconds(),
-	}
 }
 
 // Batch prints the batch experiment as a table (rqlbench -exp batch).
@@ -512,23 +354,6 @@ func (r *Runner) Batch() error {
 			fmt.Sprintf("%.2f", res.Batch.CacheHitRate))
 	}
 	tab.Fprint(r.Out)
-
-	ptab := &Table{
-		Title: fmt.Sprintf("Pipelined I/O: serial vs overlapped fetches (sleeping device, queue depth %d)", rep.QueueDepth),
-		Note: fmt.Sprintf("wall = min over %d cold-cache reps; reads are billed identically on both sides (lazy billing); overlap = device time hidden behind evaluation",
-			rep.Reps),
-		Headers: []string{"mechanism", "serial wall", "pipelined wall", "speedup",
-			"reads", "warmed", "hits", "wasted", "overlap"},
-	}
-	for _, res := range rep.Pipeline {
-		ptab.Add(res.Mechanism,
-			time.Duration(res.Serial.WallNS), time.Duration(res.Pipelined.WallNS),
-			fmt.Sprintf("%.2fx", res.Speedup),
-			res.Pipelined.PagelogReads, res.Pipelined.PipelinedPages,
-			res.Pipelined.PrefetchHits, res.Pipelined.WastedPages,
-			time.Duration(res.Pipelined.OverlapNS))
-	}
-	ptab.Fprint(r.Out)
 
 	if tr := rep.Tracing; tr != nil {
 		fmt.Fprintf(r.Out,

@@ -63,10 +63,9 @@ type Config struct {
 	// ReadLatency is the modeled per-Pagelog-read cost.
 	ReadLatency time.Duration
 	// SleepOnRead makes cache-missing Pagelog reads actually sleep for
-	// ReadLatency (wall-clock device time instead of modeled time); the
-	// pipeline experiment uses it to measure real fetch/compute overlap.
+	// ReadLatency (wall-clock device time instead of modeled time).
 	SleepOnRead bool
-	// DeviceQueueDepth is the device pool's concurrency (0 = default 8;
+	// DeviceQueueDepth is the device's concurrency (0 = default 8;
 	// 1 = the strictly serial device of paper-replication mode).
 	DeviceQueueDepth int
 	// Bandwidth models the device's transfer rate in bytes/sec (0 =

@@ -42,7 +42,7 @@ type GroupCommitResult struct {
 }
 
 // groupCommitLatency models the device flush: the cost of making one
-// commit group durable, matching the pipeline phase's cold-tier read.
+// commit group durable, matching the tracing phases' cold-tier read.
 const groupCommitLatency = time.Millisecond
 
 // groupCommitBatch runs the commits/sec phase: for each writer count,

@@ -145,7 +145,6 @@ func Compare(path string, out io.Writer) error {
 		fmt.Fprintf(out, "%d result(s) in the newest run had no counterpart in the previous run\n",
 			len(cur.Report.Results)-matched)
 	}
-	comparePipeline(old.Report, cur.Report, out, check)
 	compareFanout(old.Report, cur.Report, out, check)
 	compareGroupCommit(old.Report, cur.Report, out, check)
 	compareColdSweep(old.Report, cur.Report, out, check)
@@ -155,40 +154,6 @@ func Compare(path string, out io.Writer) error {
 			100*regressionLimit, len(regressions), strings.Join(regressions, ", "))
 	}
 	return nil
-}
-
-// comparePipeline diffs the pipelined-I/O phase of two reports, feeding
-// each matched side through the same regression check as the batch
-// sides. Runs predating the pipeline phase simply have nothing to
-// match.
-func comparePipeline(old, cur *BatchReport, out io.Writer, check func(mech, side string, old, cur BatchSide)) {
-	if len(old.Pipeline) == 0 || len(cur.Pipeline) == 0 {
-		return
-	}
-	prev := map[string]PipelineResult{}
-	for _, res := range old.Pipeline {
-		prev[res.Mechanism] = res
-	}
-	tab := &Table{
-		Title:   "Pipelined I/O: newest run vs previous",
-		Headers: []string{"mechanism", "serial Δ", "pipelined Δ", "speedup", "pagelog Δ"},
-	}
-	for _, res := range cur.Pipeline {
-		p, ok := prev[res.Mechanism]
-		if !ok {
-			continue
-		}
-		check(res.Mechanism, "serial",
-			BatchSide{WallNS: p.Serial.WallNS}, BatchSide{WallNS: res.Serial.WallNS})
-		check(res.Mechanism, "pipelined",
-			BatchSide{WallNS: p.Pipelined.WallNS}, BatchSide{WallNS: res.Pipelined.WallNS})
-		tab.Add(res.Mechanism,
-			wallDelta(BatchSide{WallNS: p.Serial.WallNS}, BatchSide{WallNS: res.Serial.WallNS}),
-			wallDelta(BatchSide{WallNS: p.Pipelined.WallNS}, BatchSide{WallNS: res.Pipelined.WallNS}),
-			fmt.Sprintf("%.2fx", res.Speedup),
-			fmt.Sprintf("%+d", res.Pipelined.PagelogReads-p.Pipelined.PagelogReads))
-	}
-	tab.Fprint(out)
 }
 
 // compareFanout diffs the replica fan-out phase of two reports through

@@ -46,12 +46,17 @@ type TracingResult struct {
 // per-device-command spans all fire many times.
 const traceSet = 8
 
-// tracingOverhead measures what an enabled recorder costs on the same
-// sleeping-device environment the pipeline phase uses: reads genuinely
-// sleep pipeReadLatency, so the wall time is dominated by deterministic
-// device waits and the comparison is robust against scheduler noise. A
-// healthy recorder disappears into that budget; `make check` fails the
-// build when the median paired overhead exceeds traceOverheadLimitPct.
+// traceReadLatency is the tracing phases' modeled device: a cold
+// storage tier (spinning disk or network store) rather than the local
+// SSD of DefaultReadLatency, so device waits dominate the wall time.
+const traceReadLatency = time.Millisecond
+
+// tracingOverhead measures what an enabled recorder costs on a
+// sleeping-device environment: reads genuinely sleep traceReadLatency,
+// so the wall time is dominated by deterministic device waits and the
+// comparison is robust against scheduler noise. A healthy recorder
+// disappears into that budget; `make check` fails the build when the
+// median paired overhead exceeds traceOverheadLimitPct.
 func (r *Runner) tracingOverhead(pairs, reps int) (*TracingResult, error) {
 	set := traceSet
 	if r.Cfg.Quick {
@@ -59,15 +64,15 @@ func (r *Runner) tracingOverhead(pairs, reps int) (*TracingResult, error) {
 	}
 	cfg := r.Cfg
 	cfg.SleepOnRead = true
-	cfg.ReadLatency = pipeReadLatency
+	cfg.ReadLatency = traceReadLatency
 	cfg.DeviceQueueDepth = retro.DefaultQueueDepth
 	// One overwrite cycle past the window archives every window page, so
-	// the measured scans reach the Pagelog and the device pool — the
+	// the measured scans reach the Pagelog and the device — the
 	// layers whose spans the recorder is billed for.
 	last := 2 + (set - 1)
 	history := last + UW60.Cycle
 	fmt.Fprintf(r.Out, "[setup] building tracing-overhead environment: SF=%g, %d snapshots, sleeping device (%v/read)...\n",
-		cfg.SF, history, pipeReadLatency)
+		cfg.SF, history, traceReadLatency)
 	e, err := NewEnv(UW60, 1, cfg)
 	if err != nil {
 		return nil, err

@@ -34,7 +34,7 @@ func (r *Runner) propagatedOverhead(pairs, reps int) (*TracingResult, error) {
 	}
 	db, err := rql.Open(rql.Options{
 		SleepOnRead:          true,
-		SimulatedReadLatency: pipeReadLatency,
+		SimulatedReadLatency: traceReadLatency,
 		DeviceQueueDepth:     retro.DefaultQueueDepth,
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func (r *Runner) propagatedOverhead(pairs, reps int) (*TracingResult, error) {
 	}()
 
 	fmt.Fprintf(r.Out, "[setup] building propagated-path environment: %d snapshots over loopback, sleeping device (%v/read)...\n",
-		set, pipeReadLatency)
+		set, traceReadLatency)
 	c, err := client.Dial(lis.Addr().String())
 	if err != nil {
 		return nil, err

@@ -46,8 +46,7 @@ type RQL struct {
 	mu      sync.Mutex
 	lastRun *RunStats
 
-	noPrune    atomic.Bool // disable delta pruning of unchanged iterations
-	noPipeline atomic.Bool // disable cross-iteration read-ahead pipelining
+	noPrune atomic.Bool // disable delta pruning of unchanged iterations
 }
 
 // Attach registers the four RQL mechanism UDFs on db and returns the
@@ -102,19 +101,6 @@ func (r *RQL) ResetLastRun() { r.setLastRun(nil) }
 // unpruned tests compare against.
 func (r *RQL) SetDeltaPrune(on bool) { r.noPrune.Store(!on) }
 
-// SetPipelinedIO enables or disables cross-iteration read-ahead (on by
-// default): while iteration i evaluates, the pages iteration i+1 is
-// likely to demand — the previous read-set intersected with S_{i+1}'s
-// SPT, or the whole SPT on the first iteration — are warmed into the
-// snapshot page cache through the asynchronous device pool. Warmed
-// pages are billed lazily on first demand touch, so PagelogReads and
-// the paper's per-read counter series are identical with pipelining on
-// or off; only wall time changes. The SQL-form UDF path never pipelines
-// (the snapshot set is not known up front). Off is the strictly serial
-// device order the paper-figure mode and the pipelined ≡ serial tests
-// compare against.
-func (r *RQL) SetPipelinedIO(on bool) { r.noPipeline.Store(!on) }
-
 // recordBatchBuild surfaces the reader set's one-sweep SPT build as a
 // retroactive span under the run span (the sweep just finished, so its
 // start is approximated back from its measured duration).
@@ -153,7 +139,7 @@ func (r *RQL) readLatency() time.Duration { return r.db.Retro().ReadLatency() }
 // through FuncContext.Aux): one lane writing T, stepped once per Qs row
 // and finished when the statement ends. The engine streams Qs rows, so
 // the snapshot set is unknown up front: every iteration builds its own
-// SPT and none is pruned or pipelined — the plain §3 loop the batched
+// SPT and none is pruned — the plain §3 loop the batched
 // Go-level runs are checked against.
 type udfState struct {
 	ln        *lane // nil until the arguments validate
@@ -198,7 +184,7 @@ func (r *RQL) udf(kind mechKind) func(fc *sql.FuncContext, args []record.Value) 
 		if err != nil {
 			return record.Value{}, err
 		}
-		if err := u.ln.step(snap, 0); err != nil {
+		if err := u.ln.step(snap); err != nil {
 			return record.Value{}, err
 		}
 		return record.Int(1), nil
@@ -287,10 +273,10 @@ func (r *RQL) CollateDataIntoIntervals(conn *sql.Conn, qs, qq, table string) (*R
 // over the returned set. Unlike the SQL UDF form — where the engine
 // streams Qs rows into the UDF one at a time — the whole set is known
 // before the first iteration, so the SPT of every member is built with
-// one batch Maplog sweep, unchanged iterations are pruned, and the next
-// iteration's pages are read ahead. workers > 0 fans the set out over
-// that many lanes (parallel.go); variant, when non-nil, adjusts the lane
-// that owns T before it runs (sortmerge.go).
+// one batch Maplog sweep and unchanged iterations are pruned.
+// workers > 0 fans the set out over that many lanes (parallel.go);
+// variant, when non-nil, adjusts the lane that owns T before it runs
+// (sortmerge.go).
 func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant func(*lane)) (*RunStats, error) {
 	m, err := r.newMech(call)
 	if err != nil {
@@ -327,7 +313,6 @@ func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant
 			defer m.set.Close()
 			recordBatchBuild(conn.TraceSpan(), m.set)
 			m.setupPrune(conn, out.run, setDelta(m.set))
-			m.pipeOn = !r.noPipeline.Load()
 		}
 	}
 	if err == nil {

@@ -58,7 +58,7 @@ func fixture(t *testing.T) (*RQL, *sql.Conn) {
 	return r, c
 }
 
-func mustExec(t *testing.T, c *sql.Conn, sqlText string, params ...record.Value) {
+func mustExec(t testing.TB, c *sql.Conn, sqlText string, params ...record.Value) {
 	t.Helper()
 	if err := c.Exec(sqlText, nil, params...); err != nil {
 		t.Fatalf("Exec(%q): %v", sqlText, err)

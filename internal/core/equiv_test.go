@@ -11,11 +11,10 @@ import (
 )
 
 // Every executor equivalence — Go-level batch ≡ UDF, parallel ≡
-// sequential, pruned ≡ unpruned, pipelined ≡ serial, incremental view ≡
-// full run — is checked the same way: against one oracle, the SQL-form
-// UDF statement of the paper's Figure 5, which steps one table-backed
-// lane per Qs row with a per-iteration SPT and no batching, pruning,
-// pipelining or merging.
+// sequential, pruned ≡ unpruned, incremental view ≡ full run — is
+// checked the same way: against one oracle, the SQL-form UDF statement
+// of the paper's Figure 5, which steps one table-backed lane per Qs row
+// with a per-iteration SPT and no batching, pruning or merging.
 
 // mechFixture is one mechanism invocation under test and the projection
 // that makes its result table comparable.
@@ -136,9 +135,8 @@ func TestBatchRunMatchesUDFForm(t *testing.T) {
 			if bs.BatchBuilds != 1 || bs.BatchMapScanned == 0 {
 				t.Errorf("%s: batch run stats %+v, want one recorded batch build", label, bs)
 			}
-			if us.BatchBuilds != 0 || us.PrunedIterations != 0 || us.PipelinedPrefetches != 0 ||
-				!strings.Contains(us.PruneReason, "SQL-form UDF") {
-				t.Errorf("%s: UDF run must neither batch, prune nor pipeline: %+v", label, us)
+			if us.BatchBuilds != 0 || us.PrunedIterations != 0 || !strings.Contains(us.PruneReason, "SQL-form UDF") {
+				t.Errorf("%s: UDF run must neither batch nor prune: %+v", label, us)
 			}
 			if len(us.Iterations) != len(bs.Iterations) {
 				t.Errorf("%s: %d iterations, UDF form ran %d", label, len(bs.Iterations), len(us.Iterations))
@@ -151,6 +149,38 @@ func TestBatchRunMatchesUDFForm(t *testing.T) {
 			// run totals stay comparable across the two paths.
 			if bs.Iterations[0].MapScanned < bs.BatchMapScanned {
 				t.Errorf("%s: batch sweep not billed to the first iteration: %+v", label, bs.Iterations[0])
+			}
+		}
+	}
+}
+
+// The Go-level run and the SQL-form statement read the same pages: on a
+// reset cache with pruning off (the SQL form never prunes), every
+// mechanism — one lane or four — bills the same number of page reads in
+// total, the same number of them cold, and leaves the same T. A page
+// enters the snapshot cache one way, so how the lanes interleave cannot
+// move a read between the billed columns' sum.
+func TestGoAPIMatchesUDFFormColdCounters(t *testing.T) {
+	r, c := randomHistory(t, 23, 20)
+	r.SetDeltaPrune(false)
+	reads := func(rs *RunStats) (all, cold int) {
+		tot := rs.Total()
+		return tot.PagelogReads + tot.CacheHits + tot.DBReads, tot.PagelogReads
+	}
+	for _, fx := range allFixtures {
+		for _, parallel := range []bool{false, true} {
+			label := fmt.Sprintf("%s (parallel=%v)", fx.tag(), parallel)
+			table := fmt.Sprintf("G_%s_%v", fx.tag(), parallel)
+			r.db.Retro().ResetCache()
+			gs := runFixture(t, r, c, fx, "SELECT snap_id FROM SnapIds", table, parallel)
+			r.db.Retro().ResetCache()
+			assertSameResult(t, c, fx, "SnapIds", table)
+			us := r.LastRun() // the oracle's run
+			gAll, gCold := reads(gs)
+			uAll, uCold := reads(us)
+			if gAll != uAll || gCold != uCold || gCold == 0 {
+				t.Errorf("%s: Go-level run billed %d page reads (%d cold), the SQL form %d (%d cold)",
+					label, gAll, gCold, uAll, uCold)
 			}
 		}
 	}

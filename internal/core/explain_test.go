@@ -10,15 +10,14 @@ import (
 )
 
 // scrub zeroes the fields of a cost record that depend on the wall clock
-// or on a prefetch race — every duration and the prefetch counters — so
-// what remains, the paper's Figures 6–13 series, can be compared byte for
-// byte: billed Pagelog reads, cache hits, Maplog scans, Qq rows and
+// — every duration — so what remains, the paper's Figures 6–13 series,
+// can be compared byte for byte: billed Pagelog reads, cache hits, Maplog scans, Qq rows and
 // result writes are deterministic for a fixed workload. It walks the
 // declaration, so a counter the record gains is compared without being
 // named here.
 func scrub(rec any) {
-	obs.WalkCost(rec, func(f obs.CostField, v reflect.Value) {
-		if _, timed := v.Interface().(time.Duration); timed || strings.HasPrefix(f.Name, "prefetch") {
+	obs.WalkCost(rec, func(_ obs.CostField, v reflect.Value) {
+		if _, timed := v.Interface().(time.Duration); timed {
 			v.SetZero()
 		}
 	})
@@ -89,7 +88,7 @@ func TestExplainAnalyzeMatchesPlainRun(t *testing.T) {
 		"ITERATION snap=1", "ITERATION snap=2", "ITERATION snap=3",
 		"pagelog_reads=", "queue_wait=",
 		// Fields the old hand-copied profile dropped.
-		"db_reads=", "map_scanned=", "overlap=",
+		"db_reads=", "map_scanned=", "delta_pages=",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("report misses %q:\n%s", want, joined)

@@ -42,7 +42,7 @@ var foldFixtures = []mechFixture{
 
 // foldEnv is a database whose only snapshot gives Qq a shape to plan
 // against; the fold's input comes from the test, not from src.
-func foldEnv(t *testing.T) (*RQL, *sql.Conn) {
+func foldEnv(t testing.TB) (*RQL, *sql.Conn) {
 	t.Helper()
 	db, err := sql.Open(sql.Options{})
 	if err != nil {
@@ -73,7 +73,7 @@ func foldMech(t *testing.T, r *RQL, c *sql.Conn, fx mechFixture, table string) *
 
 // feed runs its through ln's fold the way lane.step does once it has the
 // iteration's records.
-func feed(t *testing.T, ln *lane, its []foldIter) {
+func feed(t testing.TB, ln *lane, its []foldIter) {
 	t.Helper()
 	for _, it := range its {
 		if err := ln.table.open(ln.conn); err != nil {
@@ -225,8 +225,8 @@ func TestFoldMergeEqualsOneLane(t *testing.T) {
 
 // fillCost is the one place an iteration's cost is assigned from Qq's
 // statement statistics. Fed statistics with no zero field, it must leave
-// no field of IterationCost zero except the ones the loop body, the fold
-// and the pipeline own — so a counter added to IterationCost is either
+// no field of IterationCost zero except the ones the loop body and the
+// fold own — so a counter added to IterationCost is either
 // filled here or listed here, never silently dropped by one caller.
 func TestFillCostCoversEveryStatementCounter(t *testing.T) {
 	var qs sql.ExecStats
@@ -243,7 +243,6 @@ func TestFillCostCoversEveryStatementCounter(t *testing.T) {
 	ownedElsewhere := map[string]bool{
 		"Snapshot": true, "QqRows": true, "UDF": true, "Pruned": true, "DeltaPages": true, // lane.step
 		"ResultInserts": true, "ResultUpdates": true, "ResultSearch": true, // fold.add
-		"OverlapTime": true, // pipeState.await
 	}
 	cv := reflect.ValueOf(cost)
 	for i := 0; i < cv.NumField(); i++ {

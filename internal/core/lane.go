@@ -25,8 +25,7 @@ type lane struct {
 	table *tableStore
 
 	cache pruneCache    // delta pruning memo (prune.go)
-	pipe  pipeState     // read-ahead state (pipeline.go)
-	run   *RunStats     // this lane's iterations and prune/pipeline counters
+	run   *RunStats     // this lane's iterations and prune counters
 	cost  IterationCost // the iteration in progress
 
 	// keepRows makes step retain the iteration's materialized rows —
@@ -93,20 +92,10 @@ func (ln *lane) createResultIndex() error {
 	return ln.table.open(ln.conn)
 }
 
-// steps runs the loop body over snaps in order, then settles the
-// read-ahead pipeline so no fetch outlives the lane.
+// steps runs the loop body over snaps in order.
 func (ln *lane) steps(snaps []uint64) error {
-	defer func() {
-		ln.pipe.drain()
-		ln.run.PipelinedPrefetches += ln.pipe.pages
-		ln.pipe.pages = 0
-	}()
-	for i, snap := range snaps {
-		var next uint64
-		if i+1 < len(snaps) {
-			next = snaps[i+1]
-		}
-		if err := ln.step(snap, next); err != nil {
+	for _, snap := range snaps {
+		if err := ln.step(snap); err != nil {
 			return err
 		}
 	}
@@ -115,10 +104,8 @@ func (ln *lane) steps(snaps []uint64) error {
 
 // step runs one loop-body iteration: bind Qq to snap and fold its
 // records — or, when no page Qq read has changed since the previous
-// iteration, the cached records — and record the cost breakdown. next is
-// the snapshot the following step will run (0 if unknown or none): the
-// pipeline's warm target.
-func (ln *lane) step(snap, next uint64) error {
+// iteration, the cached records — and record the cost breakdown.
+func (ln *lane) step(snap uint64) error {
 	m, conn := ln.m, ln.conn
 	// The breakdown is built in place in the lane: the end-of-iteration
 	// hook is an indirect call, so a local would move to the heap on every
@@ -153,14 +140,6 @@ func (ln *lane) step(snap, next uint64) error {
 	}
 	if err := ln.table.open(conn); err != nil {
 		return err
-	}
-
-	// Pipelined read-ahead: settle the warm targeting this iteration
-	// (crediting hidden device time), then start warming the next
-	// member's likely pages so its fetches overlap this evaluation.
-	if m.pipeOn {
-		ln.pipe.await(snap, cost)
-		ln.pipe.launch(m.set, next, conn.CurrentSpan())
 	}
 
 	// Delta-prune check: when no page of the last executed iteration's
@@ -211,9 +190,7 @@ func (ln *lane) step(snap, next uint64) error {
 			cost.UDF += time.Since(t0)
 			return err
 		}
-		// Both pruning and pipelining steer by the executed iteration's
-		// page read-set.
-		conn.SetRecordReadSet(m.delta != nil || m.pipeOn)
+		conn.SetRecordReadSet(m.delta != nil)
 		err := conn.ExecAsOfSet(m.qq, m.set, snap, cb)
 		readSet := conn.ReadSet()
 		conn.SetRecordReadSet(false)
@@ -223,9 +200,6 @@ func (ln *lane) step(snap, next uint64) error {
 		qs = conn.LastStats()
 		if m.delta != nil {
 			ln.cache = pruneCache{valid: true, prev: snap, readSet: readSet, rows: rows}
-		}
-		if m.pipeOn {
-			ln.pipe.prevRS = readSet
 		}
 	}
 
@@ -267,7 +241,6 @@ func (ln *lane) merge(b *lane) error {
 // result-table footprint, and publish the run statistics.
 func (ln *lane) finish(commit bool) error {
 	m, conn, run := ln.m, ln.conn, ln.run
-	finishPipelineStats(run)
 	// The run goes down to the SQL connection for the slow-query log and
 	// EXPLAIN ANALYZE, failed run or not.
 	defer func() {

@@ -64,7 +64,7 @@ func (c mechCall) String() string {
 
 // mech is one validated mechanism invocation: the parsed arguments, the
 // result shape derived from Qq's columns, and the run-level decisions
-// (reader set, pruning, pipelining). Everything a lane reads from it is
+// (reader set, pruning). Everything a lane reads from it is
 // settled before the second lane starts, so parallel lanes share one.
 type mech struct {
 	mechCall
@@ -87,7 +87,6 @@ type mech struct {
 	// are Qq's bare current_snapshot() columns, re-tagged on replay.
 	delta    deltaFunc
 	snapCols []int
-	pipeOn   bool // cross-iteration read-ahead (pipeline.go)
 }
 
 // newMech parses and validates a mechanism invocation.

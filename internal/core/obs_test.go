@@ -90,8 +90,8 @@ func TestTracingNeutrality(t *testing.T) {
 }
 
 // TestTracedSpanEmissionRace hammers the recorder from every concurrent
-// producer at once — parallel mechanism workers, the device pool's
-// drivers, the pipeline's warm fetches — while a reader drains the ring
+// producer at once — parallel mechanism workers and their device
+// commands — while a reader drains the ring
 // and a toggler flips sampling, so the tier-1 -race run covers the
 // recorder's synchronization.
 func TestTracedSpanEmissionRace(t *testing.T) {

@@ -1,6 +1,11 @@
 package core
 
-import "sync"
+import (
+	"fmt"
+	"os"
+	"runtime/debug"
+	"sync"
+)
 
 // Parallel execution of RQL mechanisms — the parallelization the paper
 // leaves as future work (§7). The snapshot set is split into contiguous
@@ -98,7 +103,17 @@ func (ln *lane) fanOut(snaps []uint64, workers int) error {
 			}
 		}
 		lanes[i], done[i] = w, make(chan error, 1)
-		go func() { done[i] <- w.steps(chunk) }()
+		go func() {
+			// A panic under a worker (a registered function called by
+			// Qq, say) fails the run instead of the process.
+			defer func() {
+				if p := recover(); p != nil {
+					fmt.Fprintf(os.Stderr, "rql: mechanism lane: panic: %v\n%s", p, debug.Stack())
+					done[i] <- fmt.Errorf("rql: mechanism lane panicked: %v", p)
+				}
+			}()
+			done[i] <- w.steps(chunk)
+		}()
 	}
 	// Every lane is waited for, failed run or not.
 	var err error

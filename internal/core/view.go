@@ -456,7 +456,7 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 // extend runs one loop-body step of v on snap and makes it durable.
 func (m *ViewManager) extend(conn *sql.Conn, v *viewState, snap uint64) error {
 	ln := v.ln
-	if err := ln.step(snap, 0); err != nil {
+	if err := ln.step(snap); err != nil {
 		return err
 	}
 	pruned, rows := ln.cost.Pruned, ln.rows
@@ -736,6 +736,9 @@ func encodeViewState(ln *lane) []byte {
 	return buf
 }
 
+// Every element count is read with stateDec.count before anything is
+// sized by it, so a corrupt blob cannot reserve more than a small
+// multiple of its own length.
 func decodeViewState(ln *lane, blob []byte) error {
 	f := &ln.fold
 	d := &stateDec{b: blob}
@@ -746,8 +749,8 @@ func decodeViewState(ln *lane, blob []byte) error {
 	f.prevSnap = d.uvarint()
 	f.iterations = int(d.uvarint())
 
-	n := int(d.uvarint())
-	if d.err != nil || n > 1<<16 {
+	n := d.count()
+	if d.err != nil {
 		return fmt.Errorf("rql: corrupt view state")
 	}
 	cols := make([]string, n)
@@ -771,8 +774,8 @@ func decodeViewState(ln *lane, blob []byte) error {
 	f.val = cv[0]
 	f.avg.n = int64(d.uvarint())
 	f.avg.sum = math.Float64frombits(d.uvarint())
-	cn := int(d.uvarint())
-	if d.err != nil || cn > 1<<24 || (cn > 0 && f.counts == nil) {
+	cn := d.count()
+	if d.err != nil || (cn > 0 && f.counts == nil) {
 		return fmt.Errorf("rql: corrupt view state")
 	}
 	for i := 0; i < cn; i++ {
@@ -783,16 +786,16 @@ func decodeViewState(ln *lane, blob []byte) error {
 	if flags&4 != 0 {
 		ln.cache.valid = true
 		ln.cache.prev = uint64(d.varint())
-		pn := int(d.uvarint())
-		if d.err != nil || pn > 1<<24 {
+		pn := d.count()
+		if d.err != nil {
 			return fmt.Errorf("rql: corrupt view state read-set")
 		}
 		ln.cache.readSet = make(sql.PageSet, pn)
 		for i := 0; i < pn; i++ {
 			ln.cache.readSet[storage.PageID(d.uvarint())] = struct{}{}
 		}
-		rn := int(d.uvarint())
-		if d.err != nil || rn > 1<<24 {
+		rn := d.count()
+		if d.err != nil {
 			return fmt.Errorf("rql: corrupt view state rows")
 		}
 		ln.cache.rows = make([][]record.Value, 0, rn)
@@ -837,6 +840,18 @@ func (d *stateDec) uvarint() uint64 {
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// count reads an element count. An element takes at least one byte, so
+// a count above the bytes left is corrupt; the comparison is unsigned
+// because a count of 2^63 or more would pass it as a negative int.
+func (d *stateDec) count() int {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.b)) {
+		d.err = fmt.Errorf("short")
+		return 0
+	}
+	return int(n)
 }
 
 func (d *stateDec) varint() int64 {

@@ -46,6 +46,7 @@ type Replica struct {
 	lsn     uint64     // last applied commit LSN
 	booted  bool       // a bootstrap or first delta has been applied
 	stopped bool
+	fatal   error // the terminal error that ended the loop, if one did
 
 	// Stream-apply state, owned by the run loop.
 	pending []*retro.CommitDelta // buffered commits of the open snapshot group
@@ -198,8 +199,18 @@ func (r *Replica) Stats() wire.ReplStats {
 	}
 }
 
+// Wait blocks until the replication loop has stopped and returns the
+// terminal error that stopped it, nil after Close.
+func (r *Replica) Wait() error {
+	r.done.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fatal
+}
+
 // loop dials, streams, and reconnects with backoff until Close. A
-// divergence error (terminal) stops the loop; connection errors retry.
+// divergence or protocol-version error (terminal) stops the loop;
+// connection errors retry.
 func (r *Replica) loop() {
 	defer r.done.Done()
 	backoff := r.cfg.ReconnectMin
@@ -214,9 +225,14 @@ func (r *Replica) loop() {
 			return
 		}
 		r.lastErr.Store(err.Error())
-		if errors.Is(err, storage.ErrReplMismatch) || errors.Is(err, retro.ErrReplDiverged) || errors.Is(err, errNeedBootstrap) {
+		if errors.Is(err, storage.ErrReplMismatch) || errors.Is(err, retro.ErrReplDiverged) ||
+			errors.Is(err, errNeedBootstrap) || errors.Is(err, wire.ErrVersionMismatch) {
 			// Terminal: the local state can no longer follow the
-			// primary. Surfaced via Stats/LastError.
+			// primary, or the primary is a build of another protocol
+			// version. Surfaced via Stats/LastError and Wait.
+			r.mu.Lock()
+			r.fatal = err
+			r.mu.Unlock()
 			return
 		}
 		r.reconnects.Add(1)

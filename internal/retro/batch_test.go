@@ -448,81 +448,6 @@ func TestPagelogReadRun(t *testing.T) {
 	}
 }
 
-func TestPrefetchClustersAdjacentOffsets(t *testing.T) {
-	e := newEnv(t, Options{})
-	// Snapshot 1, then one commit touching 6 pages: their pre-states
-	// land at consecutive Pagelog offsets.
-	_, ids := e.writePages(t, []storage.PageID{0, 0, 0, 0, 0, 0}, []byte{1, 2, 3, 4, 5, 6}, true)
-	snap := e.sys.LastSnapshot()
-	e.writePages(t, ids, []byte{11, 12, 13, 14, 15, 16}, false)
-
-	e.sys.ResetCache()
-	set, err := e.sys.OpenSnapshotSet([]SnapshotID{snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	r, err := set.Open(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := r.PrefetchAsync(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages, err := f.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pages != 6 {
-		t.Errorf("prefetched %d pages, want 6", pages)
-	}
-	if f.Runs() != 1 {
-		t.Errorf("prefetch issued %d runs, want 1 (offsets are consecutive)", f.Runs())
-	}
-	// Prefetched pages are warmed, not billed: the physical transfer is
-	// accounted system-wide as clustered runs/pages (checked below),
-	// while the reader's counters wait for the first demand touch so
-	// logical accounting matches a run with prefetching off.
-	if r.Counters != (Counters{SPTBuildTime: r.Counters.SPTBuildTime, MapScanned: r.Counters.MapScanned}) {
-		t.Errorf("counters after prefetch: %+v", r.Counters)
-	}
-	// Every page is served from the warmed cache; the first touch bills
-	// the logical PagelogRead (and a PrefetchHit), not a CacheHit.
-	for i, id := range ids {
-		p, err := r.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p[0] != byte(i+1) {
-			t.Errorf("page %d = %d, want %d", id, p[0], i+1)
-		}
-	}
-	if r.Counters.PagelogReads != 6 || r.Counters.PrefetchHits != 6 || r.Counters.CacheHits != 0 {
-		t.Errorf("counters after first touches: %+v", r.Counters)
-	}
-	// Second touches are plain cache hits.
-	for _, id := range ids {
-		if _, err := r.Get(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.Counters.CacheHits != 6 {
-		t.Errorf("CacheHits = %d, want 6", r.Counters.CacheHits)
-	}
-	// A second prefetch finds everything cached: no reads, no runs.
-	if f, err = r.PrefetchAsync(0); err != nil {
-		t.Fatal(err)
-	}
-	if pages, err = f.Wait(); err != nil || pages != 0 || f.Runs() != 0 {
-		t.Errorf("second prefetch: pages=%d runs=%d err=%v", pages, f.Runs(), err)
-	}
-	st := e.sys.Stats()
-	if st.ClusteredReads != 1 || st.ClusteredPages != 6 {
-		t.Errorf("system clustered stats: %+v", st)
-	}
-}
-
 func TestPageCacheSharding(t *testing.T) {
 	// Large capacity spreads across multiple shards…
 	big := newPageCache(16384)
@@ -540,8 +465,7 @@ func TestPageCacheSharding(t *testing.T) {
 		p[0] = b
 		return p
 	}
-	// Fill across shards; contains must agree with get without
-	// disturbing recency.
+	// Fill across shards; every offset reads back from its shard.
 	for off := int64(0); off < 1000; off++ {
 		big.put(off, mk(byte(off)))
 	}
@@ -549,15 +473,12 @@ func TestPageCacheSharding(t *testing.T) {
 		t.Errorf("len = %d, want 1000", big.len())
 	}
 	for off := int64(0); off < 1000; off++ {
-		if !big.contains(off) {
-			t.Fatalf("contains(%d) = false after put", off)
-		}
-		if p, _ := big.get(off); p == nil || p[0] != byte(off) {
+		if p := big.get(off); p == nil || p[0] != byte(off) {
 			t.Fatalf("get(%d) = %v", off, p)
 		}
 	}
-	if big.contains(1000) {
-		t.Error("contains reports an absent offset")
+	if big.get(1000) != nil {
+		t.Error("get returns a page for an absent offset")
 	}
 	big.reset()
 	if big.len() != 0 {
@@ -574,7 +495,6 @@ func TestPageCacheSharding(t *testing.T) {
 				off := int64((w*500 + i) % 600)
 				big.put(off, mk(byte(off)))
 				big.get(off)
-				big.contains(off)
 			}
 		}(w)
 	}

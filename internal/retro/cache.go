@@ -34,13 +34,6 @@ type cacheShard struct {
 type cacheItem struct {
 	off  int64
 	data *storage.PageData
-	// warmed marks an entry installed by a prefetch or pipelined warm
-	// whose logical read has not been billed yet: the first demand Get
-	// that hits it counts as a PagelogRead (the read the serial path
-	// would have paid) and clears the flag, keeping the logical
-	// per-read accounting identical whether or not pages were fetched
-	// early.
-	warmed bool
 }
 
 // minShardPages is the per-shard capacity floor: shard count doubles
@@ -76,55 +69,30 @@ func (c *pageCache) shard(off int64) *cacheShard {
 }
 
 // get returns the cached page for a Pagelog offset, or nil on a miss.
-// warmed reports (and consumes) the entry's unbilled-prefetch mark: it
-// is true exactly once, on the first demand hit after a warm install.
-func (c *pageCache) get(off int64) (data *storage.PageData, warmed bool) {
+func (c *pageCache) get(off int64) *storage.PageData {
 	s := c.shard(off)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[off]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	s.lru.MoveToFront(el)
-	it := el.Value.(*cacheItem)
-	warmed = it.warmed
-	it.warmed = false
-	return it.data, warmed
-}
-
-// contains reports whether the offset is cached, without touching the
-// LRU order (used by Prefetch to plan clustered reads).
-func (c *pageCache) contains(off int64) bool {
-	s := c.shard(off)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.items[off]
-	return ok
+	return el.Value.(*cacheItem).data
 }
 
 // put inserts a page, evicting the least recently used entry if full.
-// It reports the offset's prior state so a demand fill that raced with
-// a concurrent warm install can bill correctly: (false, *) — the page
-// was absent, the filler pays the PagelogRead; (true, true) — a warm
-// landed first but nobody touched it, the filler consumes the unbilled
-// mark and pays; (true, false) — a warm landed first AND a reader
-// already billed its first touch, the filler's read was redundant and
-// bills as a CacheHit.
-func (c *pageCache) put(off int64, data *storage.PageData) (existed, wasWarmed bool) {
+func (c *pageCache) put(off int64, data *storage.PageData) {
 	s := c.shard(off)
 	if s.capacity <= 0 {
-		return false, false
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[off]; ok {
-		it := el.Value.(*cacheItem)
-		it.data = data
-		existed, wasWarmed = true, it.warmed
-		it.warmed = false
+		el.Value.(*cacheItem).data = data
 		s.lru.MoveToFront(el)
-		return existed, wasWarmed
+		return
 	}
 	for s.lru.Len() >= s.capacity {
 		back := s.lru.Back()
@@ -132,29 +100,6 @@ func (c *pageCache) put(off int64, data *storage.PageData) (existed, wasWarmed b
 		s.lru.Remove(back)
 	}
 	s.items[off] = s.lru.PushFront(&cacheItem{off: off, data: data})
-	return false, false
-}
-
-// putWarmed installs a prefetched page with the unbilled-read mark. An
-// offset that is already cached is left untouched: its read was billed
-// (demand fill) or is already marked (earlier warm), and overwriting
-// would double-bill it.
-func (c *pageCache) putWarmed(off int64, data *storage.PageData) {
-	s := c.shard(off)
-	if s.capacity <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.items[off]; ok {
-		return
-	}
-	for s.lru.Len() >= s.capacity {
-		back := s.lru.Back()
-		delete(s.items, back.Value.(*cacheItem).off)
-		s.lru.Remove(back)
-	}
-	s.items[off] = s.lru.PushFront(&cacheItem{off: off, data: data, warmed: true})
 }
 
 // reset empties the cache (used to produce the paper's "cold" runs).

@@ -306,9 +306,9 @@ func (pl *pagelog) installSegment(sg *segment, cut int64) error {
 // below the minimum live Maplog offset — after TruncateBefore retired
 // old snapshots, the segments that served only them go away whole. It
 // requires zero open readers (open SPTs and bootstrap exports may still
-// dereference retired offsets) and drained fetches, same as Compact;
-// unlike Compact it never moves an offset, so the segments that remain
-// — and the hot tail — are untouched.
+// dereference retired offsets), same as Compact; unlike Compact it never
+// moves an offset, so the segments that remain — and the hot tail — are
+// untouched.
 func (s *System) dropExpiredSegments() (dropped int) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -326,9 +326,6 @@ func (s *System) dropExpiredSegments() (dropped int) {
 	if len(s.ml.entries) > 0 {
 		minLive = s.ml.entries[0].off
 	}
-	// Zero open readers stops new fetches, but an async collector may
-	// still be mid-install; drain before unlinking what it might read.
-	s.fetchWG.Wait()
 	dropped, pages := pl.dropSegmentsBelow(minLive)
 	if dropped > 0 {
 		s.stats.RetentionDrops.Add(uint64(dropped))

@@ -1,7 +1,6 @@
 package retro
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -9,61 +8,29 @@ import (
 	"rql/internal/storage"
 )
 
-// The device model replaces the old inline per-read sleep with a
-// bounded pool of device workers, the software analogue of an NVMe /
-// SATA NCQ command queue: up to DeviceQueueDepth read operations are in
-// service concurrently, so K outstanding reads cost ~1 service latency
-// instead of K. One operation is one device command — a single page
-// read or one clustered run of consecutively-archived pages — and pays
-// the configured SimulatedReadLatency exactly once when SleepOnRead is
-// set, regardless of queue depth.
+// The device model is the software analogue of an NVMe / SATA NCQ
+// command queue: a demand miss is one device command, serviced inline
+// on the goroutine that missed, and up to DeviceQueueDepth commands are
+// in service at once — later callers wait for a slot in arrival order.
+// Each command pays the configured SimulatedReadLatency exactly once
+// when SleepOnRead is set, so K outstanding reads cost ~1 service
+// latency at depth K and K of them at depth 1.
 //
 // Accounting stays device-independent: PagelogReads counts *logical*
-// cache-missing reads wherever they are serviced (inline, overlapped,
-// or satisfied early by a prefetched page), so the paper's per-read
-// counter series is identical at any queue depth. The device-level view
-// lives in its own counters (DeviceReads, OverlappedReads,
-// DeviceBusyTime).
+// cache-missing reads, so the paper's per-read counter series is
+// identical at any queue depth. The device-level view lives in its own
+// counters (DeviceReads, OverlappedReads, DeviceBusyNS).
 
-// DefaultQueueDepth is the device pool's default concurrency. Eight
-// matches the queue depth at which commodity SSDs saturate on 4 KiB
-// random reads; depth 1 degenerates to the strictly serial device of
-// the paper-replication mode.
+// DefaultQueueDepth is the device's default concurrency. Eight matches
+// the queue depth at which commodity SSDs saturate on 4 KiB random
+// reads; depth 1 degenerates to the strictly serial device of the
+// paper-replication mode.
 const DefaultQueueDepth = 8
 
-// devReq is one device command: read n consecutively-archived pages
-// starting at Pagelog offset off.
-type devReq struct {
-	off    int64
-	n      int
-	cancel <-chan struct{} // non-nil: skip service once closed
-	done   chan devResult  // buffered (cap 1); always receives exactly once
-
-	// span, when non-nil, parents a "device.read" span covering the
-	// command's full queue-wait plus service interval. submitted is the
-	// enqueue time; it is always stamped so the completion can report
-	// how long the command sat queued behind other commands.
-	span      *obs.Span
-	submitted time.Time
-}
-
-// devResult is the completion of one device command. queueWait is the
-// enqueue-to-service interval: contention behind other commands, which
-// the issuer accounts separately from billed I/O.
-type devResult struct {
-	pages     []*storage.PageData
-	err       error
-	canceled  bool
-	queueWait time.Duration
-}
-
-// devicePool services Pagelog read commands with depth worker
-// goroutines pulling from one FIFO queue (Go channels wake blocked
-// receivers in FIFO order, which is what the fairness test pins down).
-type devicePool struct {
+type device struct {
 	// pl is the current Pagelog. Atomic because Compact swaps in the
-	// rewritten log; the swap happens with zero open readers and all
-	// fetches drained, so no command is in service across it.
+	// rewritten log; the swap happens with zero open readers, so no
+	// command is in service across it.
 	pl      atomic.Pointer[pagelog]
 	latency time.Duration
 	// bandwidth models the device's transfer rate in bytes/second
@@ -74,208 +41,77 @@ type devicePool struct {
 	// only when sleep is set.
 	bandwidth int64
 	sleep     bool
-	depth     int
 	stats     *Stats
 
-	reqs chan *devReq
-	wg   sync.WaitGroup // workers
-
-	mu      sync.Mutex
-	closed  bool
-	pending sync.WaitGroup // submitted but not yet completed commands
-
+	// slots is the command queue, DeviceQueueDepth deep: a command holds
+	// one slot while in service. Go wakes blocked senders in FIFO order,
+	// which is what the fairness test pins down.
+	slots    chan struct{}
 	inFlight atomic.Int64
 }
 
-func newDevicePool(pl *pagelog, depth int, latency time.Duration, bandwidth int64, sleep bool, stats *Stats) *devicePool {
+func newDevice(pl *pagelog, depth int, latency time.Duration, bandwidth int64, sleep bool, stats *Stats) *device {
 	if depth < 1 {
 		depth = DefaultQueueDepth
 	}
-	p := &devicePool{
+	d := &device{
 		latency:   latency,
 		bandwidth: bandwidth,
 		sleep:     sleep,
-		depth:     depth,
 		stats:     stats,
-		// A small buffer decouples submitters from worker scheduling;
-		// fairness comes from the channel's FIFO semantics, not the
-		// buffer size.
-		reqs: make(chan *devReq, 4*depth),
+		slots:     make(chan struct{}, depth),
 	}
-	p.pl.Store(pl)
-	for i := 0; i < depth; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
+	d.pl.Store(pl)
+	return d
 }
 
-// submit enqueues one command. The pool guarantees exactly one send on
-// req.done unless submit returns an error.
-func (p *devicePool) submit(req *devReq) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.pending.Add(1)
-	p.mu.Unlock()
-	req.submitted = time.Now()
-	p.reqs <- req
-	return nil
-}
-
-// read is the synchronous demand path: one page through the device,
-// waiting in queue order behind any outstanding commands. sp, when
-// non-nil, parents the command's device span. The returned queue wait
-// is how long the command sat behind other commands before service.
-func (p *devicePool) read(off int64, sp *obs.Span) (*storage.PageData, time.Duration, error) {
-	done := make(chan devResult, 1)
-	if err := p.submit(&devReq{off: off, n: 1, done: done, span: sp}); err != nil {
-		return nil, 0, err
-	}
-	res := <-done
-	if res.err != nil {
-		return nil, res.queueWait, res.err
-	}
-	return res.pages[0], res.queueWait, nil
-}
-
-func (p *devicePool) worker() {
-	defer p.wg.Done()
-	for req := range p.reqs {
-		p.serve(req)
-		p.pending.Done()
-	}
-}
-
-func (p *devicePool) serve(req *devReq) {
-	if req.cancel != nil {
-		select {
-		case <-req.cancel:
-			req.done <- devResult{canceled: true}
-			return
-		default:
-		}
-	}
-	if p.inFlight.Add(1) > 1 {
-		p.stats.OverlappedReads.Add(1)
+// read services one page read as one device command, waiting in arrival
+// order for a free slot. sp, when non-nil, parents a "device.read" span
+// covering the wait plus the service interval. The returned queue wait
+// is how long the command waited for its slot: contention behind other
+// commands, which the issuer accounts separately from billed I/O.
+func (d *device) read(off int64, sp *obs.Span) (*storage.PageData, time.Duration, error) {
+	submitted := time.Now()
+	d.slots <- struct{}{}
+	defer func() { <-d.slots }()
+	if d.inFlight.Add(1) > 1 {
+		d.stats.OverlappedReads.Add(1)
 	}
 	start := time.Now()
-	queueWait := start.Sub(req.submitted)
-	pl := p.pl.Load()
-	var res devResult
-	var physBytes int64
-	var blockHits int
-	if req.n == 1 {
-		data := new(storage.PageData)
-		if pb, bh, err := pl.read(req.off, data); err != nil {
-			res.err = err
-		} else {
-			res.pages = []*storage.PageData{data}
-			physBytes, blockHits = pb, bh
-		}
-	} else {
-		res.pages, physBytes, blockHits, res.err = pl.readRun(req.off, req.n)
-	}
-	if res.err == nil && p.sleep {
+	queueWait := start.Sub(submitted)
+	data := new(storage.PageData)
+	physBytes, blockHits, err := d.pl.Load().read(off, data)
+	if err == nil && d.sleep {
 		// One command, one service latency — plus the modeled transfer
 		// time for the bytes it physically moved, which is where sealed
 		// segments (compressed blocks, cache-hit transfers of zero) beat
 		// the flat format on a bandwidth-limited device. The command's
-		// real compute (file read, block inflate, page copies) overlaps
+		// real compute (file read, block inflate, page copy) overlaps
 		// the modeled transfer the way decode overlaps DMA on a real
 		// device, so service time is max(modeled, actual), not their
 		// sum: sleep only the remainder.
-		d := p.latency
-		if p.bandwidth > 0 {
-			d += time.Duration(physBytes * int64(time.Second) / p.bandwidth)
+		svc := d.latency
+		if d.bandwidth > 0 {
+			svc += time.Duration(physBytes * int64(time.Second) / d.bandwidth)
 		}
-		if elapsed := time.Since(start); d > elapsed {
-			time.Sleep(d - elapsed)
+		if elapsed := time.Since(start); svc > elapsed {
+			time.Sleep(svc - elapsed)
 		}
 	}
-	p.inFlight.Add(-1)
-	p.stats.DeviceReads.Add(1)
-	p.stats.DeviceBytesRead.Add(uint64(physBytes))
+	d.inFlight.Add(-1)
+	d.stats.DeviceReads.Add(1)
+	d.stats.DeviceBytesRead.Add(uint64(physBytes))
 	if blockHits > 0 {
-		p.stats.SegBlockHits.Add(uint64(blockHits))
+		d.stats.SegBlockHits.Add(uint64(blockHits))
 	}
-	p.stats.DeviceBusyNS.Add(uint64(time.Since(start)))
-	if req.span != nil {
-		// The span covers enqueue-to-completion; queue_wait_us isolates
-		// the time spent behind other commands before service began.
-		obs.Record(req.span, "device.read", req.submitted, time.Since(req.submitted),
-			obs.Attr{Key: "off", Int: req.off},
-			obs.Attr{Key: "pages", Int: int64(req.n)},
+	d.stats.DeviceBusyNS.Add(uint64(time.Since(start)))
+	if sp != nil {
+		obs.Record(sp, "device.read", submitted, time.Since(submitted),
+			obs.Attr{Key: "off", Int: off},
 			obs.Attr{Key: "queue_wait_us", Int: queueWait.Microseconds()})
 	}
-	res.queueWait = queueWait
-	req.done <- res
-}
-
-// close stops accepting commands, drains the queue, and stops the
-// workers. Safe to call more than once.
-func (p *devicePool) close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
+	if err != nil {
+		return nil, queueWait, err
 	}
-	p.closed = true
-	p.mu.Unlock()
-	p.pending.Wait()
-	close(p.reqs)
-	p.wg.Wait()
-}
-
-// Fetch is an asynchronous batch of device commands issued by
-// FetchAsync / FetchBatch / PrefetchAsync. Wait blocks until every
-// command completed (or was canceled by the owning set's Close) and
-// returns the number of pages actually installed in the snapshot cache.
-type Fetch struct {
-	pages int // pages planned (mapped, uncached at planning time)
-	runs  int // coalesced device commands issued
-
-	done     chan struct{}
-	fetched  int
-	err      error
-	canceled bool
-	dur      time.Duration
-}
-
-// emptyFetch is the completed no-op fetch returned when nothing needs
-// fetching.
-func emptyFetch() *Fetch {
-	f := &Fetch{done: make(chan struct{})}
-	close(f.done)
-	return f
-}
-
-// Pages returns the number of pages the fetch planned to load.
-func (f *Fetch) Pages() int { return f.pages }
-
-// Runs returns the number of coalesced device commands issued.
-func (f *Fetch) Runs() int { return f.runs }
-
-// Wait blocks until the fetch completed and returns the number of
-// pages installed in the snapshot cache (fewer than Pages when the
-// fetch was canceled mid-flight) and the first device error.
-func (f *Fetch) Wait() (fetched int, err error) {
-	<-f.done
-	return f.fetched, f.err
-}
-
-// Canceled reports whether the owning set was closed mid-fetch. Only
-// meaningful after Wait returned.
-func (f *Fetch) Canceled() bool {
-	<-f.done
-	return f.canceled
-}
-
-// Duration is the fetch's wall time, issue to last completion. Only
-// meaningful after Wait returned.
-func (f *Fetch) Duration() time.Duration {
-	<-f.done
-	return f.dur
+	return data, queueWait, nil
 }

@@ -113,7 +113,7 @@ func TestDeviceDepthOneSerializes(t *testing.T) {
 	}
 }
 
-// The pool's queue is FIFO: at depth 1, commands complete in submission
+// The device's queue is FIFO: at depth 1, commands complete in arrival
 // order.
 func TestDeviceFIFOFairness(t *testing.T) {
 	const lat = 20 * time.Millisecond
@@ -126,26 +126,23 @@ func TestDeviceFIFOFairness(t *testing.T) {
 		order []int
 		wg    sync.WaitGroup
 	)
-	dones := make([]chan devResult, n)
-	for i := range dones {
-		dones[i] = make(chan devResult, 1)
+	// Hold the one slot while the commands arrive, a few milliseconds
+	// apart so each is queued before the next is issued.
+	e.sys.dev.slots <- struct{}{}
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res := <-dones[i]
-			if res.err != nil {
-				t.Errorf("command %d: %v", i, res.err)
+			if _, _, err := e.sys.dev.read(int64(i), nil); err != nil {
+				t.Errorf("command %d: %v", i, err)
 			}
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 		}(i)
+		time.Sleep(5 * time.Millisecond)
 	}
-	for i := 0; i < n; i++ {
-		if err := e.sys.dev.submit(&devReq{off: int64(i), n: 1, done: dones[i]}); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
+	<-e.sys.dev.slots
 	wg.Wait()
 	for i, got := range order {
 		if got != i {
@@ -188,50 +185,101 @@ func TestDeviceBusyAccounting(t *testing.T) {
 	}
 }
 
-// Closing a SnapshotSet with an async batch in flight must cancel the
-// outstanding commands, drain the collector without leaking it, and
-// leave the system healthy (Compact still works). Run under -race this
-// also pins down that no collector writes into the cache after close.
-func TestSnapshotSetCloseCancelsFetch(t *testing.T) {
-	const lat = 10 * time.Millisecond
-	e := newEnv(t, Options{SleepOnRead: true, SimulatedReadLatency: lat, DeviceQueueDepth: 1})
-	snap, pages := archiveScattered(t, e, 16)
+// One way into the cache, one billing rule: however many lanes demand a
+// cold page at once, the lane that fills it bills the page's one
+// PagelogRead and everyone else — joiners of the in-service miss and
+// later readers alike — bills a CacheHit. So over a cache that holds
+// the whole set, the summed PagelogReads are exactly the distinct
+// Pagelog offsets touched, at any queue depth.
+func TestDemandReadBillsEachPageOnce(t *testing.T) {
+	const (
+		pages = 12
+		snaps = 12
+		lanes = 8
+	)
+	type sums struct{ pagelogReads, cacheHits, dbReads, distinct int }
+	run := func(depth int) sums {
+		e := newEnv(t, Options{CachePages: 4096, DeviceQueueDepth: depth,
+			SleepOnRead: true, SimulatedReadLatency: 100 * time.Microsecond})
+		vals := make([]byte, pages)
+		_, ids := e.writePages(t, make([]storage.PageID, pages), vals, false)
+		// Snapshot i precedes a write to every third page, so consecutive
+		// members share most of their pre-states; the closing overwrite
+		// archives every page, leaving nothing to the current database.
+		var members []SnapshotID
+		for i := 0; i < snaps; i++ {
+			var touch []storage.PageID
+			for p, id := range ids {
+				if (p+i)%3 == 0 {
+					touch = append(touch, id)
+				}
+			}
+			s, _ := e.writePages(t, touch, make([]byte, len(touch)), true)
+			members = append(members, s)
+		}
+		e.writePages(t, ids, vals, false)
 
-	set, err := e.sys.OpenSnapshotSet([]SnapshotID{snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := set.Open(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := r.FetchBatch(pages, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Pages() != 16 || f.Runs() != 16 {
-		t.Fatalf("fetch planned %d pages in %d runs, want 16 fragmented commands", f.Pages(), f.Runs())
-	}
-	// 16 commands x 10ms at depth 1 = 160ms of service; close a little
-	// in so some commands completed and the rest are still queued.
-	time.Sleep(25 * time.Millisecond)
-	set.Close()
+		set, err := e.sys.OpenSnapshotSet(members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		offsets := make(map[int64]bool)
+		for _, s := range members {
+			for _, id := range ids {
+				if off, ok := set.spts[s].Lookup(id); ok {
+					offsets[off] = true
+				}
+			}
+		}
 
-	fetched, err := f.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+		var (
+			mu    sync.Mutex
+			total = sums{distinct: len(offsets)}
+			wg    sync.WaitGroup
+		)
+		for w := 0; w < lanes; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range members {
+					r, err := set.Open(members[(i+w)%len(members)])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, id := range ids {
+						if _, err := r.Get(id); err != nil {
+							t.Errorf("Get(%d): %v", id, err)
+						}
+					}
+					r.Close()
+					mu.Lock()
+					total.pagelogReads += r.Counters.PagelogReads
+					total.cacheHits += r.Counters.CacheHits
+					total.dbReads += r.Counters.DBReads
+					mu.Unlock()
+				}
+			}(w)
+		}
+		wg.Wait()
+		if st := e.sys.Stats(); int(st.PagelogReads) != total.pagelogReads || int(st.DeviceReads) != total.pagelogReads {
+			t.Errorf("depth %d: system billed %d reads over %d device commands, readers %d",
+				depth, st.PagelogReads, st.DeviceReads, total.pagelogReads)
+		}
+		return total
 	}
-	if !f.Canceled() {
-		t.Error("fetch not marked canceled after set close")
-	}
-	if fetched >= f.Pages() {
-		t.Errorf("fetched %d of %d pages despite mid-flight close", fetched, f.Pages())
-	}
-	if _, err := e.sys.Compact(); err != nil {
-		t.Fatalf("Compact after canceled fetch: %v", err)
-	}
-	// The surviving warmed pages must still be the correct pre-states.
-	if got := readSnapPage(t, e.sys, snap, pages[0]); got != 1 {
-		t.Errorf("page %d reads %d after canceled fetch, want pre-state 1", pages[0], got)
+	var first sums
+	for i, depth := range []int{1, 8} {
+		got := run(depth)
+		want := sums{pagelogReads: got.distinct, cacheHits: lanes*snaps*pages - got.distinct, distinct: got.distinct}
+		if got != want || got.distinct == 0 {
+			t.Errorf("depth %d: %+v, want %+v", depth, got, want)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("depth %d billed %+v, depth 1 billed %+v", depth, got, first)
+		}
 	}
 }

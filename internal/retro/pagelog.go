@@ -163,6 +163,9 @@ func (pl *pagelog) findSegment(off int64) *segment {
 func (pl *pagelog) read(off int64, dst *storage.PageData) (physBytes int64, blockHits int, err error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
+	if pl.closed {
+		return 0, 0, ErrClosed
+	}
 	if err := pl.injectReadErr; err != nil {
 		pl.injectReadErr = nil
 		return 0, 0, err
@@ -193,8 +196,8 @@ func (pl *pagelog) read(off int64, dst *storage.PageData) (physBytes int64, bloc
 var runSlabPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readRun reads n consecutively-archived pages starting at off with
-// one backing operation per tier crossed (the clustered fetch Prefetch
-// builds its runs from). The caller owns the returned pages — they are
+// one backing operation per tier crossed (the replication export's
+// bulk read). The caller owns the returned pages — they are
 // carved from one slab allocation, so a run costs two allocations
 // instead of n+2, which is what BenchmarkPagelogReadRun pins down.
 func (pl *pagelog) readRun(off int64, n int) (out []*storage.PageData, physBytes int64, blockHits int, err error) {

@@ -72,11 +72,6 @@ func (s *System) Compact() (int64, error) {
 	if s.openReaders != 0 {
 		return 0, ErrReadersActive
 	}
-	// Zero open readers means no *new* fetches can start, but an async
-	// fetch collector may still be installing pages keyed by old
-	// offsets; drain them before remapping. Collectors never take s.mu,
-	// so waiting under the lock cannot deadlock.
-	s.fetchWG.Wait()
 
 	// Collect live offsets from the raw log and every skip level.
 	remap := make(map[int64]int64)

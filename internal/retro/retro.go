@@ -28,12 +28,12 @@ type Options struct {
 	SimulatedReadLatency time.Duration
 	// SleepOnRead makes cache-missing Pagelog reads actually sleep for
 	// SimulatedReadLatency, turning modeled I/O time into wall time.
-	// The sleep is paid by the device worker servicing the command, so
-	// with DeviceQueueDepth > 1 concurrent reads overlap their latency
-	// the way an SSD's command queue does.
+	// The sleep is paid while the command holds its device slot, so with
+	// DeviceQueueDepth > 1 concurrent reads overlap their latency the
+	// way an SSD's command queue does.
 	SleepOnRead bool
-	// DeviceQueueDepth is the number of device workers servicing
-	// Pagelog reads concurrently (see device.go). 0 uses
+	// DeviceQueueDepth is the number of Pagelog reads the device
+	// services concurrently (see device.go). 0 uses
 	// DefaultQueueDepth (8); 1 is the strictly serial device of the
 	// paper-replication mode. Logical counters (PagelogReads,
 	// CacheHits) are identical at every depth.
@@ -83,12 +83,8 @@ type System struct {
 	compactDone chan struct{}
 	compactWake chan struct{} // kicks the compactor out of its interval sleep
 
-	// dev services every Pagelog read (demand misses, clustered
-	// prefetch runs, async fetches) with a bounded worker pool — the
-	// device model. fetchWG tracks in-flight async fetch collectors so
-	// Compact never remaps offsets under a live fetch.
-	dev     *devicePool
-	fetchWG sync.WaitGroup
+	// dev services every demand miss — the device model.
+	dev *device
 
 	// missing coalesces concurrent demand misses of the same Pagelog
 	// offset into one device command (see demandRead). Guarded by
@@ -155,8 +151,8 @@ func New(store *storage.Store, opts Options) (*System, error) {
 		copts:       opts.Compaction.withDefaults(),
 	}
 	sys.metrics = obs.NewSet(&sys.stats)
-	sys.dev = newDevicePool(pl, opts.DeviceQueueDepth, sys.simLatency, opts.SimulatedBandwidth, sys.sleepOnRd, &sys.stats)
-	sys.stats.DeviceQueueDepth.Store(int64(sys.dev.depth))
+	sys.dev = newDevice(pl, opts.DeviceQueueDepth, sys.simLatency, opts.SimulatedBandwidth, sys.sleepOnRd, &sys.stats)
+	sys.stats.DeviceQueueDepth.Store(int64(sys.DeviceQueueDepth()))
 	store.SetCommitHook(sys)
 	if sys.copts.Enabled {
 		sys.compactStop = make(chan struct{})
@@ -167,7 +163,7 @@ func New(store *storage.Store, opts Options) (*System, error) {
 	return sys, nil
 }
 
-// Close drains the device pool and releases the Pagelog. The system
+// Close releases the Pagelog, waiting out reads in service. The system
 // must not be used afterwards.
 func (s *System) Close() error {
 	s.mu.Lock()
@@ -184,8 +180,6 @@ func (s *System) Close() error {
 		close(s.compactStop)
 		<-s.compactDone
 	}
-	s.dev.close()
-	s.fetchWG.Wait()
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
@@ -456,8 +450,8 @@ func (s *System) PagelogTiers() (segments int, sealedPages, tailPages int64) {
 // zero the accounting between phases without reopening the store.
 func (s *System) ResetStats() { s.metrics.Reset() }
 
-// DeviceQueueDepth returns the device pool's configured concurrency.
-func (s *System) DeviceQueueDepth() int { return s.dev.depth }
+// DeviceQueueDepth returns the device's configured concurrency.
+func (s *System) DeviceQueueDepth() int { return cap(s.dev.slots) }
 
 // OpenSnapshot builds SPT(id) and pins an MVCC read transaction,
 // returning a reader that serves any page as of the snapshot. The
@@ -525,13 +519,6 @@ type SnapshotSet struct {
 	Scanned   int
 	BuildTime time.Duration
 
-	// done is closed by Close to cancel in-flight async fetches issued
-	// through the set's readers; fetchWG tracks their collectors so
-	// Close does not release the pinned read transaction (and unblock
-	// Compact's offset remap) under a live fetch.
-	done    chan struct{}
-	fetchWG sync.WaitGroup
-
 	mu     sync.Mutex
 	closed bool
 }
@@ -582,7 +569,6 @@ func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
 		ids:       sorted,
 		idx:       make(map[SnapshotID]int, len(sorted)),
 		deltas:    deltas,
-		done:      make(chan struct{}),
 		BuildTime: buildTime,
 	}
 	deltaPages := 0
@@ -674,14 +660,10 @@ func (ss *SnapshotSet) Open(id SnapshotID) (*SnapshotReader, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: snapshot %d is not in the reader set", ErrNoSnapshot, id)
 	}
-	return &SnapshotReader{sys: ss.sys, spt: spt, rt: ss.rt, set: ss, sharedRT: true}, nil
+	return &SnapshotReader{sys: ss.sys, spt: spt, rt: ss.rt, sharedRT: true}, nil
 }
 
-// Close cancels in-flight async fetches, waits for them to drain, and
-// releases the pinned read transaction. Idempotent. The drain is what
-// makes a Close during an async batch safe: no fetch collector is left
-// writing into the snapshot cache while Compact — unblocked by the
-// open-reader count this Close decrements — remaps Pagelog offsets.
+// Close releases the pinned read transaction. Idempotent.
 func (ss *SnapshotSet) Close() {
 	ss.mu.Lock()
 	if ss.closed {
@@ -689,9 +671,7 @@ func (ss *SnapshotSet) Close() {
 		return
 	}
 	ss.closed = true
-	close(ss.done)
 	ss.mu.Unlock()
-	ss.fetchWG.Wait()
 	ss.rt.Close()
 	ss.sys.mu.Lock()
 	ss.sys.openReaders--
@@ -724,7 +704,6 @@ type Counters struct {
 	CacheHits    int           `cost:"cache_hits"`    // snapshot pages served from the cache
 	DBReads      int           `cost:"db_reads"`      // pages shared with (and read from) the current DB
 	MapScanned   int           `cost:"map_scanned"`   // Maplog entries examined building the SPT
-	PrefetchHits int           `cost:"prefetch_hits"` // demand reads satisfied early by a warmed page
 	SPTBuildTime time.Duration `cost:"spt_build"`     // wall time of the SPT build
 	// QueueWait is wall time this reader's demand misses spent queued
 	// behind other device commands before service began. Contention, not
@@ -747,8 +726,7 @@ type SnapshotReader struct {
 	sys      *System
 	spt      *SPT
 	rt       *storage.ReadTx
-	set      *SnapshotSet // owning set (nil for standalone readers); cancels async fetches
-	sharedRT bool         // the read tx belongs to a SnapshotSet; Close leaves it pinned
+	sharedRT bool // the read tx belongs to a SnapshotSet; Close leaves it pinned
 
 	// Counters accumulates this reader's costs; not safe for
 	// concurrent readers sharing one SnapshotReader.
@@ -810,64 +788,43 @@ func (r *SnapshotReader) Get(id storage.PageID) (*storage.PageData, error) {
 		r.Counters.DBReads++
 		return data, nil
 	}
-	for {
-		if data, warmed := r.sys.cache.get(off); data != nil {
-			if warmed {
-				// First demand touch of a prefetched page: this is the
-				// logical read the serial path would have paid, so it bills
-				// as a PagelogRead — but its device time was already spent
-				// (overlapped) by the warm, so no latency here.
-				r.Counters.PagelogReads++
-				r.Counters.PrefetchHits++
-				r.sys.stats.PagelogReads.Add(1)
-				return data, nil
-			}
-			r.Counters.CacheHits++
-			r.sys.stats.CacheHits.Add(1)
-			return data, nil
-		}
-		data, hit, qw, err := r.sys.demandRead(off, r.span)
-		r.Counters.QueueWait += qw
-		if err != nil {
-			return nil, err
-		}
-		if data == nil {
-			continue // installed between our miss and now; re-read the cache
-		}
-		if hit {
-			// The page's one cold read was billed elsewhere — we joined
-			// an in-service demand miss, or a concurrent warm beat our
-			// device read and a reader already touched it. Either way
-			// this read is the cache hit it would have been a moment
-			// later, so exactly one cold read is billed per page however
-			// many parallel workers demand it at once.
-			r.Counters.CacheHits++
-			r.sys.stats.CacheHits.Add(1)
-			return data, nil
-		}
-		r.Counters.PagelogReads++
-		r.sys.stats.PagelogReads.Add(1)
+	if data := r.sys.cache.get(off); data != nil {
+		r.Counters.CacheHits++
+		r.sys.stats.CacheHits.Add(1)
 		return data, nil
 	}
+	data, filled, qw, err := r.sys.demandRead(off, r.span)
+	r.Counters.QueueWait += qw
+	if err != nil {
+		return nil, err
+	}
+	if filled {
+		r.Counters.PagelogReads++
+		r.sys.stats.PagelogReads.Add(1)
+	} else {
+		r.Counters.CacheHits++
+		r.sys.stats.CacheHits.Add(1)
+	}
+	return data, nil
 }
 
-// demandRead services one cache-missing demand read through the device
-// pool. Concurrent misses of the same offset coalesce into a single
-// device command: the first caller performs the read and installs the
-// page, later callers block on its completion and share the result.
-// Without this, parallel mechanism workers racing through the device
-// queue would double-bill (and double-fetch) shared pages, making
+// demandRead services one cache-missing demand read through the device.
+// Concurrent misses of the same offset coalesce into a single device
+// command: the first caller performs the read and installs the page,
+// later callers block on its completion and share the result. Without
+// this, parallel mechanism workers racing through the device queue
+// would double-bill (and double-fetch) shared pages, making
 // PagelogReads nondeterministic.
 //
-// hit reports how the caller must bill the read: false — this was the
-// page's one cold read (a PagelogRead); true — the cold read was billed
-// by someone else (an in-service miss we joined, or a concurrent warm
-// whose first touch already happened), so it counts as a CacheHit. A
-// (nil, false, 0, nil) return means the page was installed between the
-// caller's cache miss and now — re-check the cache. qw is the device
-// queue wait of the command this caller issued (zero for joiners: the
-// wait belongs to the issuer, so it is billed exactly once).
-func (s *System) demandRead(off int64, span *obs.Span) (data *storage.PageData, hit bool, qw time.Duration, err error) {
+// filled reports how the caller must bill the read: true — it issued
+// the page's one cold read (a PagelogRead); false — the cold read was
+// billed by the caller that filled the cache (an in-service miss this
+// one joined, or a fill that completed between the caller's cache miss
+// and now), so it is the CacheHit it would have been a moment later. qw
+// is the device queue wait of the command this caller issued (zero
+// otherwise: the wait belongs to the issuer, so it is billed exactly
+// once).
+func (s *System) demandRead(off int64, span *obs.Span) (data *storage.PageData, filled bool, qw time.Duration, err error) {
 	s.missMu.Lock()
 	if c, ok := s.missing[off]; ok {
 		s.missMu.Unlock()
@@ -876,34 +833,29 @@ func (s *System) demandRead(off int64, span *obs.Span) (data *storage.PageData, 
 		wsp := span.Child("pagelog.wait").SetInt("off", off)
 		<-c.done
 		wsp.End()
-		return c.data, true, 0, c.err
+		return c.data, false, 0, c.err
 	}
-	if s.cache.contains(off) {
+	if data := s.cache.get(off); data != nil {
 		s.missMu.Unlock()
-		return nil, false, 0, nil
+		return data, false, 0, nil
 	}
 	c := &missCall{done: make(chan struct{})}
 	s.missing[off] = c
 	s.missMu.Unlock()
 
 	fsp := span.Child("pagelog.fetch").SetInt("off", off)
-	billed := false
 	c.data, qw, c.err = s.dev.read(off, fsp)
 	fsp.End()
 	if c.err == nil {
 		// Install before unregistering so no window exists in which the
-		// page is in neither the cache nor the miss table. If a warm
-		// landed while our read was in service and a reader consumed its
-		// unbilled mark, that reader paid the PagelogRead — ours bills
-		// as a hit.
-		existed, wasWarmed := s.cache.put(off, c.data)
-		billed = existed && !wasWarmed
+		// page is in neither the cache nor the miss table.
+		s.cache.put(off, c.data)
 	}
 	s.missMu.Lock()
 	delete(s.missing, off)
 	s.missMu.Unlock()
 	close(c.done)
-	return c.data, billed, qw, c.err
+	return c.data, true, qw, c.err
 }
 
 // GetMut always fails: snapshots are immutable.
@@ -918,181 +870,6 @@ func (r *SnapshotReader) Allocate() (storage.PageID, error) {
 
 // Free always fails: snapshots are immutable.
 func (r *SnapshotReader) Free(storage.PageID) error { return storage.ErrReadOnly }
-
-// PrefetchAsync bulk-loads into the snapshot cache every Pagelog
-// pre-state the reader's SPT (including its batch chain) can resolve
-// and that is not already cached, up to maxPages pages (0 = no cap): it
-// plans and submits the runs and returns immediately with a Fetch
-// handle. Offsets are sorted and adjacent ones coalesced so a run of
-// consecutively-archived pages costs one device command instead of one
-// per page — the capture order is commit order, so the pre-states of
-// one burst of updates cluster. Runs are issued through the device
-// pool, so at queue depth K up to K of them are in service
-// concurrently.
-//
-// Prefetched pages are installed as *warmed* cache entries: they do NOT
-// bill PagelogReads here — the first demand Get that touches one bills
-// the logical read then (and counts a PrefetchHit), so the per-read
-// accounting the paper's figures are built on is identical with
-// prefetching on or off. No reader counters are billed either — the
-// caller attributes the returned handle's Runs/pages itself (the reader
-// may already be executing a query on another goroutine's behalf); the
-// physical transfer shows in the system-wide ClusteredReads /
-// ClusteredPages stats.
-func (r *SnapshotReader) PrefetchAsync(maxPages int) (*Fetch, error) {
-	if r.closed {
-		return nil, ErrReaderClosed
-	}
-	var offs []int64
-	seen := make(map[int64]bool)
-	for t := r.spt; t != nil; t = t.next {
-		for _, off := range t.loc {
-			if !seen[off] && !r.sys.cache.contains(off) {
-				seen[off] = true
-				offs = append(offs, off)
-				if maxPages > 0 && len(offs) >= maxPages {
-					return r.startFetch(offs)
-				}
-			}
-		}
-	}
-	return r.startFetch(offs)
-}
-
-// FetchAsync asynchronously loads the pre-state of one page into the
-// snapshot cache (a no-op handle when the page is unmapped — shared
-// with the current database — or already cached).
-func (r *SnapshotReader) FetchAsync(id storage.PageID) (*Fetch, error) {
-	return r.FetchBatch([]storage.PageID{id}, 0)
-}
-
-// FetchBatch asynchronously loads the pre-states of the given pages
-// into the snapshot cache: pages the SPT does not map (shared with the
-// current database) and pages already cached are skipped, the remaining
-// Pagelog offsets are sorted and coalesced into clustered runs, and the
-// runs are submitted to the device pool. At most maxPages pages are
-// fetched (0 = no cap).
-//
-// The fetch is cancellable: when the reader was opened from a
-// SnapshotSet, the set's Close cancels outstanding commands and waits
-// for the fetch to drain before releasing the set. Loaded pages are
-// installed as warmed entries (see PrefetchAsync) so logical accounting is
-// unchanged. The returned handle's Wait reports pages actually loaded.
-func (r *SnapshotReader) FetchBatch(ids []storage.PageID, maxPages int) (*Fetch, error) {
-	if r.closed {
-		return nil, ErrReaderClosed
-	}
-	var offs []int64
-	seen := make(map[int64]bool)
-	for _, id := range ids {
-		off, ok := r.spt.Lookup(id)
-		if !ok || seen[off] || r.sys.cache.contains(off) {
-			continue
-		}
-		seen[off] = true
-		offs = append(offs, off)
-		if maxPages > 0 && len(offs) >= maxPages {
-			break
-		}
-	}
-	return r.startFetch(offs)
-}
-
-// startFetch coalesces offs into clustered runs, registers the fetch
-// with the owning set and the system (so Close/Compact drain it), and
-// submits the runs to the device pool. The collector goroutine installs
-// completed runs as warmed cache entries; it never touches the reader's
-// Counters (the reader may be concurrently executing a query).
-func (r *SnapshotReader) startFetch(offs []int64) (*Fetch, error) {
-	if len(offs) == 0 {
-		return emptyFetch(), nil
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	type runSpec struct {
-		off int64
-		n   int
-	}
-	var runs []runSpec
-	for i := 0; i < len(offs); {
-		j := i + 1
-		for j < len(offs) && offs[j] == offs[j-1]+1 {
-			j++
-		}
-		runs = append(runs, runSpec{off: offs[i], n: j - i})
-		i = j
-	}
-
-	var cancel <-chan struct{}
-	if ss := r.set; ss != nil {
-		ss.mu.Lock()
-		if ss.closed {
-			ss.mu.Unlock()
-			return nil, ErrReaderClosed
-		}
-		ss.fetchWG.Add(1)
-		ss.mu.Unlock()
-		cancel = ss.done
-	}
-	sys := r.sys
-	sys.mu.Lock()
-	if sys.closed {
-		sys.mu.Unlock()
-		if ss := r.set; ss != nil {
-			ss.fetchWG.Done()
-		}
-		return nil, ErrClosed
-	}
-	sys.fetchWG.Add(1)
-	sys.mu.Unlock()
-
-	f := &Fetch{pages: len(offs), runs: len(runs), done: make(chan struct{})}
-	set := r.set
-	bsp := r.span.Child("pagelog.fetch_batch").
-		SetInt("pages", int64(len(offs))).SetInt("runs", int64(len(runs)))
-	go func() {
-		start := time.Now()
-		defer close(f.done)
-		defer sys.fetchWG.Done()
-		if set != nil {
-			defer set.fetchWG.Done()
-		}
-		type issued struct {
-			off  int64
-			n    int
-			done chan devResult
-		}
-		cmds := make([]issued, 0, len(runs))
-		for _, run := range runs {
-			done := make(chan devResult, 1)
-			if err := sys.dev.submit(&devReq{off: run.off, n: run.n, cancel: cancel, done: done, span: bsp}); err != nil {
-				f.err = err
-				break
-			}
-			cmds = append(cmds, issued{off: run.off, n: run.n, done: done})
-		}
-		for _, c := range cmds {
-			res := <-c.done
-			switch {
-			case res.canceled:
-				f.canceled = true
-			case res.err != nil:
-				if f.err == nil {
-					f.err = res.err
-				}
-			default:
-				for k, d := range res.pages {
-					sys.cache.putWarmed(c.off+int64(k), d)
-				}
-				f.fetched += c.n
-				sys.stats.ClusteredReads.Add(1)
-				sys.stats.ClusteredPages.Add(uint64(c.n))
-			}
-		}
-		f.dur = time.Since(start)
-		bsp.SetInt("fetched", int64(f.fetched)).End()
-	}()
-	return f, nil
-}
 
 // Close unpins the underlying MVCC read transaction (unless the reader
 // was opened from a SnapshotSet, whose transaction stays pinned until

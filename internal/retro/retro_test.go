@@ -314,16 +314,16 @@ func TestCacheEviction(t *testing.T) {
 	c.put(2, mk(2))
 	c.get(1) // touch 1 so 2 is LRU
 	c.put(3, mk(3))
-	if p, _ := c.get(2); p != nil {
+	if p := c.get(2); p != nil {
 		t.Error("LRU entry not evicted")
 	}
-	p1, _ := c.get(1)
-	p3, _ := c.get(3)
+	p1 := c.get(1)
+	p3 := c.get(3)
 	if p1 == nil || p3 == nil {
 		t.Error("hot entries evicted")
 	}
 	c.put(1, mk(9)) // overwrite in place
-	if p, _ := c.get(1); p[0] != 9 {
+	if p := c.get(1); p[0] != 9 {
 		t.Error("overwrite failed")
 	}
 	c.reset()
@@ -333,7 +333,7 @@ func TestCacheEviction(t *testing.T) {
 	// Disabled cache accepts nothing.
 	d := newPageCache(-1)
 	d.put(1, mk(1))
-	if p, _ := d.get(1); p != nil {
+	if p := d.get(1); p != nil {
 		t.Error("disabled cache stored a page")
 	}
 }
@@ -545,8 +545,17 @@ func TestStatsAndAccessors(t *testing.T) {
 
 func TestClosedSystem(t *testing.T) {
 	e := newEnv(t, Options{})
-	e.writePages(t, []storage.PageID{0}, []byte{1}, true)
+	snap, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
+	e.writePages(t, ids, []byte{2}, false)
+	r, err := e.sys.OpenSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	e.sys.Close()
+	if _, err := r.Get(ids[0]); !errors.Is(err, ErrClosed) {
+		t.Errorf("cold Get after Close: %v", err)
+	}
 	if _, err := e.sys.OpenSnapshot(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("OpenSnapshot after Close: %v", err)
 	}

@@ -318,11 +318,15 @@ func parseSegmentMeta(blob []byte) (*segment, error) {
 	dir := meta[4*sg.slots:]
 	sg.blockOff = make([]uint32, nblocks)
 	sg.blockLen = make([]uint32, nblocks)
+	sg.blocksStart = int64(segHeaderSize + metaLen)
+	blockArea := int64(len(blob)) - 4 - sg.blocksStart
 	for b := 0; b < nblocks; b++ {
 		sg.blockOff[b] = binary.LittleEndian.Uint32(dir[8*b:])
 		sg.blockLen[b] = binary.LittleEndian.Uint32(dir[8*b+4:])
+		if int64(sg.blockOff[b])+int64(sg.blockLen[b]) > blockArea {
+			return nil, fmt.Errorf("retro: sealed segment block %d lies outside the blob", b)
+		}
 	}
-	sg.blocksStart = int64(segHeaderSize + metaLen)
 	sg.diskBytes = int64(len(blob))
 	return sg, nil
 }

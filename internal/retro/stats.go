@@ -19,17 +19,13 @@ type Stats struct {
 	BatchSnapshots  obs.Counter `metric:"retro_batch_snapshots" help:"SPTs derived by batch builds."`
 	BatchMapScanned obs.Counter `metric:"retro_batch_map_scanned" help:"Maplog entries scanned by batch builds."`
 
-	// Clustered Pagelog prefetch (SnapshotReader.PrefetchAsync / FetchBatch).
-	ClusteredReads obs.Counter `metric:"retro_clustered_reads" help:"Coalesced Pagelog read runs issued."`
-	ClusteredPages obs.Counter `metric:"retro_clustered_pages" help:"Pages fetched by coalesced read runs."`
-
 	// Per-member delta page sets (OpenSnapshotSet, read-set pruning).
 	DeltaBuilds obs.Counter `metric:"retro_delta_builds" help:"Batch builds that retained per-member delta sets."`
 	DeltaPages  obs.Counter `metric:"retro_delta_pages" help:"Delta pages retained across those builds."`
 
 	// Device model (device.go): physical command-level view of the
-	// Pagelog. A clustered run is one command; an overlapped command was
-	// in service concurrently with at least one other.
+	// Pagelog. An overlapped command was in service concurrently with at
+	// least one other.
 	DeviceReads      obs.Counter `metric:"device_reads" help:"Device read commands serviced."`
 	OverlappedReads  obs.Counter `metric:"device_overlapped_reads" help:"Device commands serviced concurrently with another."`
 	DeviceBusyNS     obs.Counter `metric:"device_busy_ns" help:"Nanoseconds the modeled device spent serving reads."`
@@ -74,9 +70,6 @@ type StatsSnapshot struct {
 	SPTBatchBuilds  uint64
 	BatchSnapshots  uint64
 	BatchMapScanned uint64
-
-	ClusteredReads uint64
-	ClusteredPages uint64
 
 	DeltaBuilds uint64
 	DeltaPages  uint64

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -89,9 +91,17 @@ func (ss *session) setBusy(b bool) (exit bool) {
 }
 
 // run is the session loop: handshake, then request/response until the
-// client goes away, a protocol error occurs, or the server drains.
+// client goes away, a protocol error occurs, or the server drains. A
+// request that panics ends its own session the same way — counted, its
+// stack on stderr, the client told — and no other.
 func (ss *session) run() {
 	defer func() {
+		if p := recover(); p != nil {
+			ss.srv.stats.Panics.Add(1)
+			fmt.Fprintf(os.Stderr, "rqld: session %s: panic: %v\n%s", ss.nc.RemoteAddr(), p, debug.Stack())
+			ss.writeError(fmt.Errorf("server: request panicked: %v", p))
+			ss.flush()
+		}
 		// Roll back if the client died mid transaction — releasing the
 		// writer lock (legacy path) or the staged write set and its
 		// snapshot pin (group-commit path) — and drop the connection.

@@ -14,6 +14,7 @@ type serverStats struct {
 	QueriesServed   obs.Counter   `metric:"queries_served" help:"Statements and mechanism runs served."`
 	RowsStreamed    obs.Counter   `metric:"rows_streamed" help:"Result rows streamed to clients."`
 	Errors          obs.Counter   `metric:"errors" help:"Requests answered with an error frame."`
+	Panics          obs.Counter   `metric:"panics_total" help:"Requests that panicked; each ended its own session only."`
 	Latency         obs.Histogram `metric:"request_latency_seconds" help:"Wall time per request, all opcodes." buckets:"100us,1ms,10ms,100ms,1s,10s"`
 	TracingEnabled  obs.Gauge     `metric:"tracing_enabled" help:"1 while the span recorder is on."`
 	SlowThresholdNS obs.Gauge     `metric:"slow_threshold_ns" help:"Slow-query log threshold (0 = disabled)."`

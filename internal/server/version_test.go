@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -123,57 +124,100 @@ func TestCrossVersionHandshake(t *testing.T) {
 		execSelect1(t, br, bw, wire.TraceContext{})
 	})
 
-	t.Run("older-server-refused-by-client-and-replica", func(t *testing.T) {
-		// A stub "primary" built before this protocol version: it answers
-		// any HELLO the way min-negotiation did, with its own lower number.
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer lis.Close()
-		go func() {
-			for {
-				nc, err := lis.Accept()
-				if err != nil {
-					return
-				}
-				go func() {
-					defer nc.Close()
-					if _, _, err := wire.ReadFrame(nc); err != nil {
-						return
-					}
-					e := &wire.Enc{}
-					e.Uvarint(wire.ProtocolVersion - 1)
-					e.String("rqld")
-					wire.WriteFrame(nc, wire.RespHello, e.B)
-				}()
+	// wire.ClientHello reads any RespError at HELLO as a version
+	// mismatch, which stops a replica for good. That holds only while the
+	// version is all handshake refuses a well-formed HELLO for: a refusal
+	// added for another reason (draining, a connection limit) has to
+	// change ClientHello with it.
+	t.Run("well-formed-hello-refused-for-its-version-only", func(t *testing.T) {
+		for _, v := range []uint64{1, wire.ProtocolVersion - 1, wire.ProtocolVersion, wire.ProtocolVersion + 1, 1 << 40} {
+			br, bw := rawDial(t, addr)
+			if op, _ := rawHello(t, br, bw, v); (op == wire.RespError) != (v < wire.ProtocolVersion) {
+				t.Fatalf("v%d HELLO answered with %#x", v, op)
 			}
-		}()
-		want := fmt.Sprintf("peer speaks protocol v%d, this build needs v%d", wire.ProtocolVersion-1, wire.ProtocolVersion)
-
-		if _, err := client.Dial(lis.Addr().String()); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("client.Dial against an older server: %v, want %q", err, want)
-		}
-
-		db, err := rql.Open(rql.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		rep, err := repl.NewReplica(db, repl.ReplicaConfig{Primary: lis.Addr().String(), ReconnectMin: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Start()
-		defer rep.Close()
-		deadline := time.Now().Add(5 * time.Second)
-		for rep.Stats().LastError == "" && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if got := rep.Stats().LastError; !strings.Contains(got, want) {
-			t.Fatalf("replica against an older primary: last error %q, want %q", got, want)
 		}
 	})
+
+	// A stub "primary" of another protocol version: an older build
+	// answers any HELLO with its own number, a newer one either does the
+	// same or — as this tree's server would — refuses a HELLO below its
+	// floor. Client and replica refuse each with ErrVersionMismatch, and
+	// the replica stops there: redialing a build of another version can
+	// never succeed.
+	hello := func(v uint64) (byte, []byte) {
+		e := &wire.Enc{}
+		e.Uvarint(v)
+		e.String("rqld")
+		return wire.RespHello, e.B
+	}
+	older, newer := uint64(wire.ProtocolVersion-1), uint64(wire.ProtocolVersion+1)
+	for _, peer := range []struct {
+		name  string
+		reply func() (byte, []byte)
+		want  string // both versions, named by the error
+	}{
+		{"older", func() (byte, []byte) { return hello(older) },
+			fmt.Sprintf("peer speaks v%d, this build speaks v%d", older, wire.ProtocolVersion)},
+		{"newer", func() (byte, []byte) { return hello(newer) },
+			fmt.Sprintf("peer speaks v%d, this build speaks v%d", newer, wire.ProtocolVersion)},
+		{"newer-refusing", func() (byte, []byte) {
+			return wire.RespError, wire.EncodeError(fmt.Errorf("server: protocol v%d is below the supported floor v%d", wire.ProtocolVersion, newer))
+		}, fmt.Sprintf("v%d HELLO refused: server: protocol v%d is below the supported floor v%d", wire.ProtocolVersion, wire.ProtocolVersion, newer)},
+	} {
+		t.Run(peer.name+"-server-refused-by-client-and-replica", func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			go func() {
+				for {
+					nc, err := lis.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer nc.Close()
+						if _, _, err := wire.ReadFrame(nc); err != nil {
+							return
+						}
+						op, payload := peer.reply()
+						wire.WriteFrame(nc, op, payload)
+					}()
+				}
+			}()
+			want := peer.want
+			_, err = client.Dial(lis.Addr().String())
+			if !errors.Is(err, client.ErrVersionMismatch) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("client.Dial: %v, want ErrVersionMismatch with %q", err, want)
+			}
+
+			db, err := rql.Open(rql.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			rep, err := repl.NewReplica(db, repl.ReplicaConfig{Primary: lis.Addr().String(), ReconnectMin: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.Start()
+			defer rep.Close()
+			stopped := make(chan error, 1)
+			go func() { stopped <- rep.Wait() }()
+			select {
+			case err := <-stopped:
+				if !errors.Is(err, wire.ErrVersionMismatch) {
+					t.Fatalf("replica stopped on %v, want ErrVersionMismatch", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("replica is still redialing: %+v", rep.Stats())
+			}
+			if st := rep.Stats(); st.Reconnects != 0 || !strings.Contains(st.LastError, want) {
+				t.Fatalf("replica: %d reconnects, last error %q, want 0 and %q", st.Reconnects, st.LastError, want)
+			}
+		})
+	}
 }
 
 // TestTraceContextPrefix pins the request prefix: a caller's trace

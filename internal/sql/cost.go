@@ -57,10 +57,6 @@ type IterationCost struct {
 	// IOTime is the modeled Pagelog read cost (PagelogReads × the
 	// configured per-read latency).
 	IOTime time.Duration `cost:"io"`
-	// OverlapTime is device service time for this iteration's pages that
-	// was hidden behind the previous iteration's evaluation by the
-	// cross-iteration read-ahead pipeline (zero when pipelining is off).
-	OverlapTime time.Duration `cost:"overlap"`
 	// QueueWait is wall time this iteration's demand misses spent queued
 	// behind other device commands before service began — contention,
 	// not billed I/O, so it is excluded from Total() and from the
@@ -72,7 +68,6 @@ type IterationCost struct {
 	CacheHits    int `cost:"cache_hits"`
 	DBReads      int `cost:"db_reads"`
 	MapScanned   int `cost:"map_scanned"`
-	PrefetchHits int `cost:"prefetch_hits"` // logical reads satisfied early by a warmed page
 
 	QqRows        int `cost:"rows"` // Qq rows processed (replayed, when pruned)
 	ResultInserts int `cost:"result_inserts"`
@@ -115,15 +110,9 @@ type RunStats struct {
 	DeltaIntersections int    `cost:"delta_intersections"`
 	PruneReason        string `cost:"prune_off,id"`
 
-	// Pipelined I/O, when the run overlapped the next iteration's page
-	// fetches with the current iteration's evaluation:
-	// PipelinedPrefetches counts pages the pipeline warmed into the
-	// snapshot cache, PrefetchHits the logical reads satisfied early by
-	// a warmed page (from the pipeline or clustered prefetch), and
-	// PrefetchWasted the warmed pages never demanded.
-	PipelinedPrefetches int `cost:"prefetched"`
-	PrefetchHits        int `cost:"prefetch_hits"`
-	PrefetchWasted      int `cost:"prefetch_wasted"`
+	// Always zero and not part of the record: benchmark/trace.go, their
+	// sole reader, still names them.
+	PipelinedPrefetches, PrefetchHits, PrefetchWasted int
 
 	// Result-table footprint after the run (§5.3 memory experiments).
 	ResultRows       int   `cost:"result_rows"`

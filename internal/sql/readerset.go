@@ -3,7 +3,6 @@ package sql
 import (
 	"time"
 
-	"rql/internal/obs"
 	"rql/internal/retro"
 	"rql/internal/storage"
 )
@@ -84,79 +83,6 @@ func (rs *ReaderSet) BuildTime() time.Duration { return rs.set.BuildTime }
 
 // Close releases the set's pinned read transaction. Idempotent.
 func (rs *ReaderSet) Close() { rs.set.Close() }
-
-// Warm is an in-flight asynchronous cache-warming batch started by
-// ReaderSet.Warm or WarmAll. It holds a private member reader for the
-// duration of the fetch; Wait (idempotent) releases it.
-type Warm struct {
-	r     *retro.SnapshotReader
-	f     *retro.Fetch
-	once  bool
-	pages int
-	err   error
-}
-
-// Planned returns the number of pages the warm set out to load.
-func (w *Warm) Planned() int { return w.f.Pages() }
-
-// Runs returns the number of coalesced device commands issued.
-func (w *Warm) Runs() int { return w.f.Runs() }
-
-// Duration is the fetch wall time; meaningful only after Wait.
-func (w *Warm) Duration() time.Duration { return w.f.Duration() }
-
-// Wait blocks until the warm completed (or was canceled by the set
-// closing) and returns the number of pages installed in the snapshot
-// cache. Idempotent.
-func (w *Warm) Wait() (int, error) {
-	if !w.once {
-		w.once = true
-		w.pages, w.err = w.f.Wait()
-		w.r.Close()
-	}
-	return w.pages, w.err
-}
-
-// Warm asynchronously loads the subset of pages that snap's SPT maps to
-// archived pre-states into the snapshot page cache, capped at budget
-// pages (0 = no cap). Warmed pages are not billed to any statement; the
-// first demand read that touches one bills its PagelogRead then, so
-// per-read accounting is identical with warming on or off. The returned
-// handle must be Waited (it pins a member reader until then).
-// sp, when non-nil, parents the fetch's device-command spans.
-func (rs *ReaderSet) Warm(snap uint64, pages PageSet, budget int, sp *obs.Span) (*Warm, error) {
-	r, err := rs.set.Open(retro.SnapshotID(snap))
-	if err != nil {
-		return nil, err
-	}
-	r.SetTraceSpan(sp)
-	ids := make([]storage.PageID, 0, len(pages))
-	for id := range pages {
-		ids = append(ids, id)
-	}
-	f, err := r.FetchBatch(ids, budget)
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	return &Warm{r: r, f: f}, nil
-}
-
-// WarmAll is Warm over every page in snap's SPT — the clustered-
-// prefetch plan, used when no read-set is available to narrow the warm.
-func (rs *ReaderSet) WarmAll(snap uint64, budget int, sp *obs.Span) (*Warm, error) {
-	r, err := rs.set.Open(retro.SnapshotID(snap))
-	if err != nil {
-		return nil, err
-	}
-	r.SetTraceSpan(sp)
-	f, err := r.PrefetchAsync(budget)
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	return &Warm{r: r, f: f}, nil
-}
 
 // openSnapReader opens a reader for asOf, from the set when it has the
 // snapshot (O(1), shared pin) and standalone otherwise.

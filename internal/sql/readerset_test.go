@@ -114,53 +114,6 @@ func TestExecAsOfSetRejectsWrites(t *testing.T) {
 	}
 }
 
-func TestReaderSetWarmAllServesFromCache(t *testing.T) {
-	c := testConn(t)
-	// Enough rows to span several pages, then a full-table update so the
-	// snapshot's pre-states are all archived in the Pagelog.
-	mustExec(t, c, `CREATE TABLE big (id INTEGER PRIMARY KEY, pad TEXT)`)
-	for i := 0; i < 200; i++ {
-		mustExec(t, c, fmt.Sprintf(`INSERT INTO big VALUES (%d, '%s')`, i, strings.Repeat("x", 100)))
-	}
-	mustExec(t, c, `BEGIN; COMMIT WITH SNAPSHOT`)
-	snap := c.LastSnapshot()
-	mustExec(t, c, `UPDATE big SET pad = 'y'`)
-
-	c.db.rsys.ResetCache()
-	set, err := c.OpenSnapshotSet([]uint64{snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	w, err := set.WarmAll(snap, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmed, err := w.Wait()
-	if err != nil || warmed == 0 || w.Runs() == 0 {
-		t.Fatalf("warm loaded %d pages in %d runs: %v", warmed, w.Runs(), err)
-	}
-
-	got := qSet(t, c, `SELECT COUNT(*) FROM big`, set, snap)
-	expectRows(t, got, "200")
-	st := c.LastStats()
-	if st.PagelogReads == 0 {
-		t.Errorf("no archived pages were loaded: %+v", st)
-	}
-	// The warm loaded every SPT page, so the scan's logical reads
-	// are satisfied early from the warmed cache (lazy billing: the first
-	// touch of a warmed page counts as a PagelogRead + PrefetchHit).
-	if st.PrefetchHits == 0 {
-		t.Errorf("scan after prefetch had no prefetch hits: %+v", st)
-	}
-	if st.PrefetchHits != st.PagelogReads {
-		t.Errorf("every logical read should be a prefetch hit: %+v", st)
-	}
-	if warmed < st.PrefetchHits {
-		t.Errorf("warmed pages (%d) should cover the prefetch hits: %+v", warmed, st)
-	}
-}
-
 func TestParseCacheReuseAndEviction(t *testing.T) {
 	c := testConn(t)
 	mustExec(t, c, `CREATE TABLE t (a INTEGER)`)

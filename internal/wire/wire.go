@@ -38,9 +38,9 @@ import (
 // built from this repository (client, repl.Replica, rqlshell, rqlbench,
 // benchmark/), so a HELLO below it is refused with an error naming it,
 // and a HELLO above it is answered with it. DESIGN.md has the frame
-// table. v11: cost records (RespDone, RespRun, RespSlow) are shipped field
-// by field from their one declaration; ReqSlow may carry a new threshold.
-const ProtocolVersion = 11
+// table. v12: the cost records lose the read-ahead fields
+// (prefetch_hits, overlap, prefetched, prefetch_wasted).
+const ProtocolVersion = 12
 
 // Magic opens the client hello.
 const Magic = "RQL1"
@@ -177,6 +177,9 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 	ErrTruncated     = errors.New("wire: truncated payload")
 	ErrBadMagic      = errors.New("wire: bad protocol magic")
+	// ErrVersionMismatch is ClientHello's error when the two ends are
+	// builds of different protocol versions: retrying cannot succeed.
+	ErrVersionMismatch = errors.New("wire: protocol version mismatch")
 )
 
 // WriteFrame writes one frame to w.
@@ -224,7 +227,11 @@ func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
 
 // ClientHello runs the dialing side of the handshake: send the HELLO,
 // read the reply, and insist the peer speaks exactly ProtocolVersion. A
-// server refusing the HELLO answers RespError, returned as RemoteError.
+// peer of another version — one that answers with its own number, or a
+// server refusing this HELLO with RespError (the version is all a
+// well-formed HELLO can be refused for; server's
+// TestCrossVersionHandshake holds session.handshake to that) — is an
+// ErrVersionMismatch; a refusal wraps the server's RemoteError too.
 func ClientHello(br *bufio.Reader, bw *bufio.Writer) error {
 	e := &Enc{}
 	e.String(Magic)
@@ -240,14 +247,18 @@ func ClientHello(br *bufio.Reader, bw *bufio.Writer) error {
 		return err
 	}
 	if op == RespError {
-		return DecodeError(payload)
+		return fmt.Errorf("%w: v%d HELLO refused: %w", ErrVersionMismatch, ProtocolVersion, DecodeError(payload))
 	}
 	if op != RespHello {
 		return fmt.Errorf("wire: unexpected handshake reply %#x", op)
 	}
 	d := &Dec{B: payload}
-	if v := d.Uvarint(); d.Err() != nil || v != ProtocolVersion {
-		return fmt.Errorf("wire: peer speaks protocol v%d, this build needs v%d", v, ProtocolVersion)
+	v := d.Uvarint()
+	if d.Err() != nil {
+		return fmt.Errorf("wire: bad handshake reply: %w", d.Err())
+	}
+	if v != ProtocolVersion {
+		return fmt.Errorf("%w: peer speaks v%d, this build speaks v%d", ErrVersionMismatch, v, ProtocolVersion)
 	}
 	return nil
 }

@@ -139,7 +139,7 @@ var (
 	seedExecStats = sql.ExecStats{
 		RowsReturned: 5, Duration: time.Millisecond, AutoIndex: time.Second,
 		Counters: retro.Counters{MapScanned: 1, PagelogReads: 2, CacheHits: 3, DBReads: 4,
-			PrefetchHits: 6, SPTBuildTime: time.Microsecond, QueueWait: time.Minute},
+			SPTBuildTime: time.Microsecond, QueueWait: time.Minute},
 	}
 	seedSlowEntries = []obs.SlowEntry{
 		{SQL: "SELECT * FROM big", Duration: 2 * time.Second, Trace: 7,
@@ -152,12 +152,10 @@ var (
 		ResultDataBytes: 100, ResultIndexBytes: 50,
 		BatchBuilds: 1, BatchMapScanned: 123, BatchBuildTime: time.Millisecond,
 		PrunedIterations: 1, PrunedRowsReplayed: 9, DeltaIntersections: 2,
-		PruneReason:         "Qq not prune-safe: non-builtin function f()",
-		PipelinedPrefetches: 5, PrefetchHits: 4, PrefetchWasted: 1,
+		PruneReason: "Qq not prune-safe: non-builtin function f()",
 		Iterations: []core.IterationCost{
 			{Snapshot: 1, SPTBuild: time.Millisecond, QqRows: 9, ResultInserts: 9},
-			{Snapshot: 2, IOTime: time.Second, PagelogReads: 3, CacheHits: 1, PrefetchHits: 2,
-				OverlapTime: time.Millisecond, QueueWait: time.Microsecond},
+			{Snapshot: 2, IOTime: time.Second, PagelogReads: 3, CacheHits: 1, QueueWait: time.Microsecond},
 			{Snapshot: 3, QqRows: 9, Pruned: true, DeltaPages: 4, ResultUpdates: 2, ResultSearch: 3},
 		},
 	}

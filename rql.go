@@ -138,8 +138,8 @@ type Options struct {
 	// SleepOnRead makes cache-missing Pagelog reads actually sleep for
 	// SimulatedReadLatency, turning modeled I/O time into wall time.
 	SleepOnRead bool
-	// DeviceQueueDepth is the number of device workers servicing
-	// Pagelog reads concurrently (default 8); 1 is the strictly serial
+	// DeviceQueueDepth is the number of Pagelog reads the device
+	// services concurrently (default 8); 1 is the strictly serial
 	// device of the paper-replication mode. Logical counters are
 	// identical at every depth.
 	DeviceQueueDepth int
@@ -243,14 +243,6 @@ func (db *DB) RegisterFunc(def FuncDef) { db.inner.RegisterFunc(def) }
 
 // LastRun returns the statistics of the most recent mechanism run.
 func (db *DB) LastRun() *RunStats { return db.rql.LastRun() }
-
-// SetPipelinedIO enables or disables cross-iteration read-ahead for
-// the Go-level mechanism API (on by default): while one loop-body
-// iteration evaluates, the next iteration's likely pages are fetched
-// through the asynchronous device pool, overlapping device time with
-// evaluation. Results and logical counters are identical either way;
-// only wall time changes.
-func (db *DB) SetPipelinedIO(on bool) { db.rql.SetPipelinedIO(on) }
 
 // SetDeltaPrune enables or disables delta pruning for the Go-level
 // mechanism API and retro views (on by default): when on, a run whose
