@@ -52,15 +52,18 @@ trace-check:
 repl-smoke:
 	$(GO) test -race -run 'TestRepl|TestCrossVersion' ./internal/repl ./internal/server
 
-# groupcommit-smoke runs the group-commit correctness surface under the
+# groupcommit-smoke runs the write path's correctness surface under the
 # race detector: the concurrent-writer stress harness with its analytic
-# shadow model, the serial-equivalence property test (group commit must
-# be byte-identical to serial commits), and the conflict/abandon/ctx
-# storage tests. -count=3: the stress harness and the root-package
-# equivalence tests depend on scheduling, and single runs let a 3/3
-# accounting failure and a 5/10 flake through.
+# shadow model, the serial-determinism property test (a serial caller's
+# results and counter snapshots are byte-identical run to run), the
+# conflict/abandon/ctx storage tests, and the side-store concurrency
+# tests (open result writers block no other session; TEMP DDL races are
+# retried; concurrent mechanisms beside a live view match their serial
+# runs). -count=3: the stress harness and the concurrency tests depend
+# on scheduling, and single runs let a 3/3 accounting failure and a
+# 5/10 flake through.
 groupcommit-smoke:
-	$(GO) test -race -count=3 -run 'TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce' . ./internal/storage ./internal/sql ./internal/server
+	$(GO) test -race -count=3 -run 'TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore' . ./internal/storage ./internal/sql ./internal/core ./internal/server
 
 # compact-smoke runs the Pagelog-tiering correctness surface under the
 # race detector: sealed-read equivalence, seal crash safety, retention

@@ -11,14 +11,13 @@ import (
 
 // The group-commit experiment measures write throughput under
 // concurrent sessions on a sleeping device: every commit group costs
-// one fsync-equivalent flush (the modeled read latency), so the serial
-// path pays one device round-trip per commit while the group-commit
-// pipeline amortizes it over whole batches. Writers insert into
-// private tables — disjoint page sets — so the comparison isolates
+// one fsync-equivalent flush (the modeled read latency), so a single
+// writer — groups of one — pays one device round-trip per commit while
+// concurrent writers amortize it over whole batches. Writers insert
+// into private tables — disjoint page sets — so the comparison isolates
 // batching from conflict aborts.
 
-// GroupCommitSide is one write path's measurement within a
-// GroupCommitResult.
+// GroupCommitSide is one writer count's measurement.
 type GroupCommitSide struct {
 	Wall          string  `json:"wall"`
 	WallNS        int64   `json:"wall_ns"`
@@ -31,23 +30,23 @@ type GroupCommitSide struct {
 	Conflicts     uint64  `json:"conflicts"`
 }
 
-// GroupCommitResult compares serial vs grouped commits for one writer
-// count.
+// GroupCommitResult is the commit path at one writer count. The serial
+// baseline is the 1-writer row: every group has one member, so every
+// commit pays its own flush.
 type GroupCommitResult struct {
 	Writers int             `json:"writers"`
 	Ops     int             `json:"ops_per_writer"`
-	Serial  GroupCommitSide `json:"serial"`
 	Grouped GroupCommitSide `json:"grouped"`
-	Speedup float64         `json:"speedup"` // serial wall / grouped wall
+	Speedup float64         `json:"speedup"` // commits/s over the 1-writer row's
 }
 
 // groupCommitLatency models the device flush: the cost of making one
 // commit group durable, matching the tracing phases' cold-tier read.
 const groupCommitLatency = time.Millisecond
 
-// groupCommitBatch runs the commits/sec phase: for each writer count,
-// the same insert workload is timed through the legacy serial commit
-// path and through the group-commit pipeline on a sleeping device.
+// groupCommitBatch runs the commits/sec phase: the same insert workload
+// timed at each writer count on a sleeping device, the 1-writer row
+// first.
 func (r *Runner) groupCommitBatch(rep *BatchReport) error {
 	ops := 25
 	if r.Cfg.Quick {
@@ -68,10 +67,8 @@ func (r *Runner) groupCommitBatch(rep *BatchReport) error {
 	setup := db.Conn()
 
 	table := 0
-	runSide := func(writers int, grouped bool) (GroupCommitSide, error) {
-		db.SetGroupCommit(grouped)
-		defer db.SetGroupCommit(true)
-		// Fresh tables per side, created outside the timed region.
+	runSide := func(writers int) (GroupCommitSide, error) {
+		// Fresh tables per row, created outside the timed region.
 		names := make([]string, writers)
 		for w := range names {
 			table++
@@ -82,7 +79,7 @@ func (r *Runner) groupCommitBatch(rep *BatchReport) error {
 		}
 		// Open the capture window before the timed region so the very
 		// first commit also archives pre-images (nothing has been
-		// declared yet on the first side).
+		// declared yet on the first row).
 		if _, err := setup.DeclareSnapshot(""); err != nil {
 			return GroupCommitSide{}, err
 		}
@@ -145,26 +142,22 @@ func (r *Runner) groupCommitBatch(rep *BatchReport) error {
 	}
 
 	for _, writers := range writerCounts {
-		serial, err := runSide(writers, false)
+		side, err := runSide(writers)
 		if err != nil {
 			return err
 		}
-		grouped, err := runSide(writers, true)
-		if err != nil {
-			return err
+		rep.GroupCommit = append(rep.GroupCommit, GroupCommitResult{Writers: writers, Ops: ops, Grouped: side})
+		if base := rep.GroupCommit[0].Grouped.CommitsPerSec; base > 0 {
+			rep.GroupCommit[len(rep.GroupCommit)-1].Speedup = side.CommitsPerSec / base
 		}
-		res := GroupCommitResult{Writers: writers, Ops: ops, Serial: serial, Grouped: grouped}
-		if grouped.WallNS > 0 {
-			res.Speedup = float64(serial.WallNS) / float64(grouped.WallNS)
-		}
-		rep.GroupCommit = append(rep.GroupCommit, res)
 	}
 	return nil
 }
 
 // compareGroupCommit diffs the group-commit phase of two reports
 // through the same regression check as the batch sides. Runs predating
-// the phase have nothing to match.
+// the phase have nothing to match; the serial side older runs also
+// carry is not read.
 func compareGroupCommit(old, cur *BatchReport, out io.Writer, check func(mech, side string, old, cur BatchSide)) {
 	if len(old.GroupCommit) == 0 || len(cur.GroupCommit) == 0 {
 		return
@@ -175,7 +168,7 @@ func compareGroupCommit(old, cur *BatchReport, out io.Writer, check func(mech, s
 	}
 	tab := &Table{
 		Title:   "Group commit: newest run vs previous",
-		Headers: []string{"writers", "serial Δ", "grouped Δ", "speedup", "commits/s", "mean group"},
+		Headers: []string{"writers", "wall Δ", "speedup", "commits/s", "mean group"},
 	}
 	for _, res := range cur.GroupCommit {
 		p, ok := prev[res.Writers]
@@ -183,13 +176,10 @@ func compareGroupCommit(old, cur *BatchReport, out io.Writer, check func(mech, s
 			continue
 		}
 		label := fmt.Sprintf("group-commit/%dw", res.Writers)
-		check(label, "serial",
-			BatchSide{WallNS: p.Serial.WallNS}, BatchSide{WallNS: res.Serial.WallNS})
-		check(label, "grouped",
-			BatchSide{WallNS: p.Grouped.WallNS}, BatchSide{WallNS: res.Grouped.WallNS})
+		was, now := BatchSide{WallNS: p.Grouped.WallNS}, BatchSide{WallNS: res.Grouped.WallNS}
+		check(label, "grouped", was, now)
 		tab.Add(res.Writers,
-			wallDelta(BatchSide{WallNS: p.Serial.WallNS}, BatchSide{WallNS: res.Serial.WallNS}),
-			wallDelta(BatchSide{WallNS: p.Grouped.WallNS}, BatchSide{WallNS: res.Grouped.WallNS}),
+			wallDelta(was, now),
 			fmt.Sprintf("%.2fx", res.Speedup),
 			fmt.Sprintf("%.0f", res.Grouped.CommitsPerSec),
 			fmt.Sprintf("%.2f", res.Grouped.MeanGroupSize))

@@ -404,15 +404,15 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, 
 	rsys.BeginExport()
 	defer rsys.EndExport()
 
-	// Consistent cut: quiesce the commit path (legacy writers, commit-
-	// group leaders and replicated applies all pass through the writer
-	// semaphore), freezing store LSN, retro state and the event log
-	// together; pin an MVCC read at that LSN; record where the delta
-	// stream will continue; then release. The bulk export below reads
-	// the pinned LSN and the append-only log prefixes at leisure.
-	// Group-mode sessions may stage (and even allocate pages) during
-	// the cut — uncommitted allocations have no versions, so the
-	// export skips them, and their commits queue behind the quiesce.
+	// Consistent cut: quiesce the commit path (commit-group leaders
+	// and replicated applies both pass through the writer semaphore),
+	// freezing store LSN, retro state and the event log together; pin
+	// an MVCC read at that LSN; record where the delta stream will
+	// continue; then release. The bulk export below reads the pinned
+	// LSN and the append-only log prefixes at leisure. Sessions may
+	// stage (and even allocate pages) during the cut — uncommitted
+	// allocations have no versions, so the export skips them, and
+	// their commits queue behind the quiesce.
 	release, err := store.Quiesce()
 	if err != nil {
 		return 0, err

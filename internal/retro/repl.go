@@ -43,9 +43,9 @@ type CommitDelta struct {
 }
 
 // SetCommitObserver registers fn to see every main-store commit group
-// as a batch of CommitDeltas in commit order (a legacy-mode commit is
-// a batch of one). Called on the commit path under the system's mutex
-// — it must not block or re-enter the store. nil unregisters.
+// as a batch of CommitDeltas in commit order (a serial caller's commit
+// is a batch of one). Called on the commit path under the system's
+// mutex — it must not block or re-enter the store. nil unregisters.
 func (s *System) SetCommitObserver(fn func([]CommitDelta)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -94,7 +94,7 @@ type System struct {
 
 	// observer, when set, sees every main-store commit group as a
 	// batch of CommitDeltas (replication primary). Invoked under s.mu
-	// on the commit path; a legacy-mode commit delivers a batch of one.
+	// on the commit path; a serial caller's commit is a batch of one.
 	observer func([]CommitDelta)
 
 	// staging is true while a commit group is open (BeginGroup..

@@ -33,9 +33,9 @@ type session struct {
 	bw   *bufio.Writer
 	conn *rql.Conn
 
-	// cancel fires the session's lifetime context: the Conn's writer
-	// waits (legacy writer lock, group-commit queue) abort instead of
-	// parking a dead session's transaction forever.
+	// cancel fires the session's lifetime context: the Conn's
+	// commit-queue waits abort instead of parking a dead session's
+	// transaction forever.
 	cancel context.CancelFunc
 
 	mu            sync.Mutex
@@ -103,8 +103,8 @@ func (ss *session) run() {
 			ss.flush()
 		}
 		// Roll back if the client died mid transaction — releasing the
-		// writer lock (legacy path) or the staged write set and its
-		// snapshot pin (group-commit path) — and drop the connection.
+		// staged write set and its snapshot pin — and drop the
+		// connection.
 		ss.cancel()
 		if ss.conn.InTx() {
 			ss.conn.Rollback()

@@ -82,12 +82,12 @@ func (c *Conn) newWriteEnv(toSide bool, params []record.Value, stats *ExecStats)
 	ec := &execCtx{conn: c, params: params, stats: stats}
 	w.ec = ec
 
+	tx, own, err := c.writerTx(toSide)
+	if err != nil {
+		return nil, err
+	}
+	w.tx, w.own = tx, own
 	if toSide {
-		tx, err := c.db.side.BeginCtx(c.ctx)
-		if err != nil {
-			return nil, err
-		}
-		w.tx, w.own = tx, true
 		ec.sidePager = tx
 		// Main store is read-only here.
 		if c.mainTx != nil {
@@ -102,21 +102,11 @@ func (c *Conn) newWriteEnv(toSide bool, params []record.Value, stats *ExecStats)
 			ec.mainPager = mrt
 		}
 	} else {
-		if c.mainTx != nil {
-			w.tx, w.own = c.mainTx, false
-		} else {
-			tx, err := c.db.main.BeginCtx(c.ctx)
-			if err != nil {
-				return nil, err
-			}
-			tx.SetTraceSpan(c.traceParent())
-			w.tx, w.own = tx, true
-		}
-		ec.mainPager = w.tx
+		ec.mainPager = tx
 		srt, err := c.db.side.BeginRead()
 		if err != nil {
-			if w.own {
-				w.tx.Rollback()
+			if own {
+				tx.Rollback()
 			}
 			return nil, err
 		}
@@ -124,14 +114,13 @@ func (c *Conn) newWriteEnv(toSide bool, params []record.Value, stats *ExecStats)
 		ec.sidePager = srt
 	}
 
-	var err error
 	ec.mainSchema, err = loadSchema(ec.mainPager, false)
 	if err == nil {
 		ec.sideSchema, err = loadSchema(ec.sidePager, true)
 	}
 	if err != nil {
-		if w.own {
-			w.tx.Rollback()
+		if own {
+			tx.Rollback()
 		}
 		ec.close()
 		return nil, err
@@ -144,19 +133,20 @@ func (c *Conn) newWriteEnv(toSide bool, params []record.Value, stats *ExecStats)
 const conflictBackoff = time.Millisecond
 
 // retryWrite runs fn, retrying on ErrWriteConflict when the statement
-// autocommits (no explicit transaction is open — inside one, the
-// conflict belongs to the client, surfacing at COMMIT). Each attempt
-// runs on a fresh snapshot with freshly loaded schemas, so re-execution
-// is equivalent to the client resubmitting the statement. The loop is
-// unbounded: a conflict abort means some other transaction committed,
-// so the system as a whole always progresses; a growing, capped backoff
-// keeps an unlucky statement from starving under sustained contention.
-// stats is reset between attempts so only the winning execution is
-// accounted.
-func (c *Conn) retryWrite(stats *ExecStats, fn func() error) error {
+// autocommits: it targets the side store (a side-store statement always
+// commits on its own, BEGIN or not) or no explicit transaction is open.
+// Inside one, a main-store conflict belongs to the client and surfaces
+// at COMMIT. Each attempt runs on a fresh snapshot with freshly loaded
+// schemas, so re-execution is equivalent to the client resubmitting
+// the statement. The loop is unbounded: a conflict abort means some
+// other transaction committed, so the system as a whole always
+// progresses; a growing, capped backoff keeps an unlucky statement
+// from starving under sustained contention. stats is reset between
+// attempts so only the winning execution is accounted.
+func (c *Conn) retryWrite(stats *ExecStats, autocommit bool, fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		err := fn()
-		if err == nil || !errors.Is(err, storage.ErrWriteConflict) || c.mainTx != nil {
+		if !autocommit || !errors.Is(err, storage.ErrWriteConflict) {
 			return err
 		}
 		*stats = ExecStats{}
@@ -172,18 +162,21 @@ func (c *Conn) retryWrite(stats *ExecStats, fn func() error) error {
 
 // execWrite executes a non-SELECT, non-transaction-control statement,
 // transparently retrying autocommit statements that lose a
-// first-committer-wins conflict in the commit group.
+// first-committer-wins conflict in the commit group. The target store
+// is resolved once, like BulkInsert's: a TEMP table created or dropped
+// under the same name between attempts fails the retry in writeTable
+// instead of moving the statement to the other store.
 func (c *Conn) execWrite(stmt Statement, params []record.Value, stats *ExecStats) error {
-	return c.retryWrite(stats, func() error {
-		return c.execWriteOnce(stmt, params, stats)
-	})
-}
-
-func (c *Conn) execWriteOnce(stmt Statement, params []record.Value, stats *ExecStats) error {
 	toSide, err := c.targetStore(stmt)
 	if err != nil {
 		return err
 	}
+	return c.retryWrite(stats, toSide || c.mainTx == nil, func() error {
+		return c.execWriteOnce(stmt, toSide, params, stats)
+	})
+}
+
+func (c *Conn) execWriteOnce(stmt Statement, toSide bool, params []record.Value, stats *ExecStats) error {
 	w, err := c.newWriteEnv(toSide, params, stats)
 	if err != nil {
 		return err
@@ -785,7 +778,7 @@ func (c *Conn) BulkInsert(table string, rows [][]record.Value) error {
 		return err
 	}
 	var stats ExecStats
-	return c.retryWrite(&stats, func() error {
+	return c.retryWrite(&stats, toSide || c.mainTx == nil, func() error {
 		w, err := c.newWriteEnv(toSide, nil, &stats)
 		if err != nil {
 			return err

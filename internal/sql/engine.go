@@ -108,25 +108,8 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	// The snapshotable main store commits through the group-commit
-	// pipeline by default: sessions stage write sets concurrently and
-	// the commit queue batches them (storage/group.go); autocommit
-	// statements aborted first-committer-wins retry transparently
-	// (execWrite). The side store keeps the legacy exclusive writer
-	// lock — parallel mechanism workers rely on it to serialize
-	// result-table writes without conflict aborts.
-	db.main.SetGroupCommit(true)
 	return db, nil
 }
-
-// SetGroupCommit toggles the main store's group-commit pipeline
-// (default on). Off restores the exclusive writer-lock commit path —
-// the serial baseline of the commits/sec bench. Must not be toggled
-// while writer transactions are in flight.
-func (db *DB) SetGroupCommit(on bool) { db.main.SetGroupCommit(on) }
-
-// GroupCommit reports whether the main store commits in groups.
-func (db *DB) GroupCommit() bool { return db.main.GroupCommit() }
 
 // Close releases the database.
 func (db *DB) Close() error {
@@ -222,19 +205,48 @@ type Conn struct {
 	// EXPLAIN ANALYZE renders it.
 	lastMech *RunStats
 
-	// Ambient context (SetContext): writer-transaction Begin honors
-	// its cancellation/deadline while waiting for the legacy writer
-	// lock, and a staged group commit abandons its queue slot if the
-	// context fires before the leader claims it. nil = background.
+	// Ambient context (SetContext): every writer transaction this
+	// connection opens, on either store, begins under it (beginWrite).
+	// nil = background.
 	ctx context.Context
 }
 
-// SetContext sets the connection's ambient context. Writer Begin
-// (legacy writer-lock wait) and group-commit queue waits honor its
-// cancellation and deadline; a nil ctx restores context.Background().
-// The server points this at the session's lifetime context so a dead
-// client never leaves a writer parked in the commit queue.
+// SetContext sets the connection's ambient context. A writer Begin
+// fails fast once it is done, and a commit abandons its commit-queue
+// slot if the context fires before the leader claims it; a nil ctx
+// restores context.Background(). The server points this at the
+// session's lifetime context so a dead client never leaves a writer
+// parked in the commit queue.
 func (c *Conn) SetContext(ctx context.Context) { c.ctx = ctx }
+
+// beginWrite opens a writer transaction on st the way every statement,
+// explicit BEGIN and TableWriter of this connection does: under the
+// connection's context, its commit span parented under the work in
+// progress. A transaction that outlives the statement it began in
+// (BEGIN, a TableWriter) is re-parented when it commits.
+func (c *Conn) beginWrite(st *storage.Store) (*storage.Tx, error) {
+	tx, err := st.BeginCtx(c.ctx)
+	if err != nil {
+		return nil, err
+	}
+	tx.SetTraceSpan(c.traceParent())
+	return tx, nil
+}
+
+// writerTx returns the transaction a write to the main or the side
+// store runs in: the open explicit transaction for the main store, else
+// a fresh one the caller owns (and must commit or roll back).
+func (c *Conn) writerTx(toSide bool) (tx *storage.Tx, own bool, err error) {
+	st := c.db.main
+	switch {
+	case toSide:
+		st = c.db.side
+	case c.mainTx != nil:
+		return c.mainTx, false, nil
+	}
+	tx, err = c.beginWrite(st)
+	return tx, true, err
+}
 
 // SetTraceSpan sets the parent span for statements executed on this
 // connection. With a nil parent (the default), each statement batch
@@ -492,7 +504,7 @@ func (c *Conn) Begin() error {
 	if c.mainTx != nil {
 		return ErrTxOpen
 	}
-	tx, err := c.db.main.BeginCtx(c.ctx)
+	tx, err := c.beginWrite(c.db.main)
 	if err != nil {
 		return err
 	}

@@ -34,35 +34,12 @@ func (c *Conn) OpenTableWriter(name string) (*TableWriter, error) {
 		return nil, err
 	}
 	w := &TableWriter{conn: c}
-	switch {
-	case toSide:
-		tx, err := c.db.side.Begin()
-		if err != nil {
-			return nil, err
-		}
-		w.tx, w.own = tx, true
-		w.sch, err = loadSchema(tx, true)
-		if err != nil {
-			tx.Rollback()
-			return nil, err
-		}
-	case c.mainTx != nil:
-		w.tx, w.own = c.mainTx, false
-		w.sch, err = loadSchema(w.tx, false)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		tx, err := c.db.main.Begin()
-		if err != nil {
-			return nil, err
-		}
-		w.tx, w.own = tx, true
-		w.sch, err = loadSchema(tx, false)
-		if err != nil {
-			tx.Rollback()
-			return nil, err
-		}
+	if w.tx, w.own, err = c.writerTx(toSide); err != nil {
+		return nil, err
+	}
+	if w.sch, err = loadSchema(w.tx, toSide); err != nil {
+		w.Rollback()
+		return nil, err
 	}
 	w.t = w.sch.table(name)
 	if w.t == nil {
@@ -138,6 +115,7 @@ func (w *TableWriter) Commit() error {
 	if !w.own {
 		return nil
 	}
+	w.tx.SetTraceSpan(w.conn.traceParent())
 	return w.tx.Commit()
 }
 

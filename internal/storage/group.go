@@ -9,22 +9,18 @@ import (
 	"rql/internal/obs"
 )
 
-// Group commit. In group-commit mode (SetGroupCommit) writer
-// transactions stage their write sets concurrently — Begin takes no
-// lock for the transaction's lifetime, only an MVCC pin at its base
-// LSN — and Commit enqueues the transaction onto a commit queue. A
-// leader goroutine acquires the writer semaphore, drains the queue,
-// and applies the whole batch as one group: first-committer-wins
-// conflict detection per transaction, consecutive LSNs, the group's
-// Pagelog captures flushed as one backing write, and one
-// fsync-equivalent device round-trip before all waiters wake. While
-// the leader applies one group the next group forms behind it (the
-// classic group-commit pipeline), so commit throughput scales with
-// concurrency even though the log itself stays strictly serial.
-//
-// The legacy mode (group commit off) routes through the same
-// applyGroup path as a group of one, so hook ordering, LSN assignment
-// and counter series are identical in both modes for a serial caller.
+// Group commit. Writer transactions stage their write sets
+// concurrently — Begin takes no lock for the transaction's lifetime,
+// only an MVCC pin at its base LSN — and Commit enqueues the
+// transaction onto a commit queue. A leader goroutine acquires the
+// writer semaphore, drains the queue, and applies the whole batch as
+// one group: first-committer-wins conflict detection per transaction,
+// consecutive LSNs, the group's Pagelog captures flushed as one
+// backing write, and one fsync-equivalent device round-trip before all
+// waiters wake. While the leader applies one group the next group
+// forms behind it (the classic group-commit pipeline), so commit
+// throughput scales with concurrency even though the log itself stays
+// strictly serial. A serial caller's commits are groups of one.
 
 // ErrWriteConflict reports a transaction aborted by first-committer-
 // wins conflict detection: a page in its write set was committed by
@@ -77,7 +73,7 @@ type commitReq struct {
 	declare  bool
 	done     chan commitResult // buffered (cap 1): the leader never blocks on a dead waiter
 	state    atomic.Int32
-	enqueued time.Time // zero for the legacy direct path (no queue wait)
+	enqueued time.Time
 }
 
 // enqueueCommit adds req to the commit queue, spawning a leader if
@@ -147,12 +143,10 @@ func (s *Store) applyGroup(batch []*commitReq) {
 		if !req.state.CompareAndSwap(reqPending, reqClaimed) {
 			continue // abandoned: the waiter rolled the transaction back
 		}
-		if !req.enqueued.IsZero() {
-			s.stats.QueueWaitNS.Add(uint64(now.Sub(req.enqueued)))
-		}
+		s.stats.QueueWaitNS.Add(uint64(now.Sub(req.enqueued)))
 		var res commitResult
 		if failAll != nil {
-			s.releasePinLocked(req.tx)
+			s.endReadLocked(req.tx.base)
 			s.reclaimLocked(req.tx)
 			res.err = failAll
 		} else {
@@ -221,7 +215,7 @@ func (s *Store) checkGroupAccounting(gh GroupCommitHook) {
 // (calling unallocate here would deadlock on s.mu).
 func (s *Store) commitOneLocked(tx *Tx, declare bool) (snapID uint64, err error) {
 	sp := tx.span.Child("storage.commit")
-	s.releasePinLocked(tx)
+	s.endReadLocked(tx.base) // staged reads are over: drop the base pin
 	if s.conflictLocked(tx) {
 		s.stats.Conflicts.Add(1)
 		s.reclaimLocked(tx)
@@ -315,18 +309,8 @@ func (s *Store) reclaimLocked(tx *Tx) {
 	tx.allocated = nil
 }
 
-// releasePinLocked drops tx's MVCC base pin (group-mode transactions
-// pin their base LSN so staged reads stay resolvable under concurrent
-// commits). Callers hold s.mu.
-func (s *Store) releasePinLocked(tx *Tx) {
-	if tx.pinned {
-		tx.pinned = false
-		s.endReadLocked(tx.base)
-	}
-}
-
-// Quiesce blocks the commit path — legacy writers, commit-group
-// leaders and replication appliers all need the writer semaphore —
+// Quiesce blocks the commit path — commit-group leaders and
+// replication appliers both need the writer semaphore —
 // until the returned release func is called. Replication bootstrap
 // uses it to cut a consistent export: with the semaphore held no
 // commit can land, so the store LSN, the retro logs and the primary's

@@ -53,12 +53,6 @@ func (h *gateHook) FlushDecisions() uint64 {
 
 var _ GroupCommitHook = (*gateHook)(nil)
 
-func newGroupStore() *Store {
-	s := NewStore()
-	s.SetGroupCommit(true)
-	return s
-}
-
 func writePage(t *testing.T, tx *Tx, id PageID, b byte) {
 	t.Helper()
 	p, err := tx.GetMut(id)
@@ -73,7 +67,7 @@ func writePage(t *testing.T, tx *Tx, id PageID, b byte) {
 // the first COMMIT wins, the second aborts with ErrWriteConflict and
 // its effects are fully discarded.
 func TestGroupCommitConflict(t *testing.T) {
-	s := newGroupStore()
+	s := NewStore()
 	tx := mustBegin(t, s)
 	id, _ := tx.Allocate()
 	writePage(t, tx, id, 1)
@@ -128,7 +122,7 @@ func TestGroupCommitConflict(t *testing.T) {
 // TestGroupCommitDisjointWriters checks that transactions writing
 // disjoint pages from the same baseline all commit.
 func TestGroupCommitDisjointWriters(t *testing.T) {
-	s := newGroupStore()
+	s := NewStore()
 	setup := mustBegin(t, s)
 	var ids []PageID
 	for i := 0; i < 4; i++ {
@@ -168,7 +162,7 @@ func TestGroupCommitDisjointWriters(t *testing.T) {
 // one flush — the pipelining the group-commit design claims.
 func TestGroupCommitBatches(t *testing.T) {
 	const waiters = 5
-	s := newGroupStore()
+	s := NewStore()
 	hook := newGateHook()
 	s.SetCommitHook(hook)
 
@@ -229,43 +223,42 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
-// TestBeginCtxCancelledLegacy checks a writer blocked on the legacy
-// writer lock honors context cancellation instead of parking forever.
-func TestBeginCtxCancelledLegacy(t *testing.T) {
-	s := NewStore() // legacy single-writer path
+// TestBeginCtxCancelled checks the two things a context means to
+// Begin: an already-cancelled context fails fast and pins nothing, and
+// a live one never waits for another writer — an open transaction holds
+// no lock a second Begin could park behind.
+func TestBeginCtxCancelled(t *testing.T) {
+	s := NewStore()
 	holder := mustBegin(t, s)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	got := make(chan error, 1)
-	go func() {
-		tx, err := s.BeginCtx(ctx)
-		if tx != nil {
-			tx.Rollback()
-		}
-		got <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the goroutine block on the lock
-	cancel()
-	select {
-	case err := <-got:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("BeginCtx after cancel = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled BeginCtx never returned")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	tx, err := s.BeginCtx(ctx)
+	if err != nil {
+		t.Fatalf("BeginCtx beside an open writer = %v, want a transaction", err)
+	}
+	tx.Rollback()
+
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	if tx, err := s.BeginCtx(dead); !errors.Is(err, context.Canceled) || tx != nil {
+		t.Fatalf("BeginCtx on a cancelled context = (%v, %v), want (nil, context.Canceled)", tx, err)
 	}
 
-	// The holder's lock is intact and the store still works.
 	holder.Rollback()
-	tx := mustBegin(t, s)
-	tx.Rollback()
+	s.mu.RLock()
+	pins := len(s.readers)
+	s.mu.RUnlock()
+	if pins != 0 {
+		t.Errorf("%d base-LSN pins left after every transaction ended, want 0", pins)
+	}
 }
 
 // TestGroupCommitCtxAbandon cancels a writer parked in the commit
 // queue: the wait aborts with the context error, the leader skips the
 // abandoned request, and the queue is not poisoned for later commits.
 func TestGroupCommitCtxAbandon(t *testing.T) {
-	s := newGroupStore()
+	s := NewStore()
 	hook := newGateHook()
 	s.SetCommitHook(hook)
 
@@ -336,7 +329,7 @@ func TestGroupCommitCtxAbandon(t *testing.T) {
 
 // TestQuiesce checks Quiesce excludes writers until released.
 func TestQuiesce(t *testing.T) {
-	s := newGroupStore()
+	s := NewStore()
 	release, err := s.Quiesce()
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +365,7 @@ func TestQuiesce(t *testing.T) {
 // unrelated commit still commits (conflict detection is per-page, not
 // per-LSN), while one overlapping the newer commit aborts.
 func TestGroupCommitStaleBaseline(t *testing.T) {
-	s := newGroupStore()
+	s := NewStore()
 	setup := mustBegin(t, s)
 	idA, _ := setup.Allocate()
 	idB, _ := setup.Allocate()
@@ -414,7 +407,7 @@ func TestGroupCommitStaleBaseline(t *testing.T) {
 // decision was made for (the PR 12 bug: a group counted for a batch
 // that never reached GroupDurable), the next batch's check fires.
 func TestGroupCommitInvariantViolations(t *testing.T) {
-	s := newGroupStore()
+	s := NewStore()
 	hook := newGateHook()
 	close(hook.gate) // never park a flush
 	s.SetCommitHook(hook)

@@ -10,9 +10,9 @@ type Stats struct {
 	DBReads      obs.Counter `metric:"storage_db_reads" help:"Page reads served from the current database."`
 
 	// Group commit (group.go). A group is a drained batch with at least
-	// one applied commit; legacy-mode commits are groups of one. A batch
-	// in which every member lost first-committer-wins applied nothing,
-	// so it is not a group and counts in ConflictBatches.
+	// one applied commit; a serial caller's commits are groups of one. A
+	// batch in which every member lost first-committer-wins applied
+	// nothing, so it is not a group and counts in ConflictBatches.
 	Groups           obs.Counter   `metric:"commit_groups" help:"Commit groups applied (batches with at least one applied commit)."`
 	Conflicts        obs.Counter   `metric:"commit_conflicts" help:"Transactions aborted first-committer-wins."`
 	ConflictBatches  obs.Counter   `metric:"commit_conflict_batches" help:"Drained batches in which every member lost a conflict."`

@@ -17,23 +17,20 @@ type pageVersion struct {
 	prev *pageVersion
 }
 
-// Store is the in-memory transactional page store. Commits are
-// serialized — one commit lands at a time — and any number of MVCC
-// readers run concurrently. Two writer models share that invariant
-// (see group.go): in the legacy model the active writer transaction
-// holds the writer semaphore from Begin to Commit/Rollback; in
-// group-commit mode transactions stage concurrently and a commit-queue
-// leader applies them in batches.
+// Store is the in-memory transactional page store. Writer transactions
+// stage concurrently against an MVCC pin; commits are serialized — a
+// commit-queue leader applies them in batches, one group at a time (see
+// group.go) — and any number of MVCC readers run concurrently.
 type Store struct {
-	// writerSem is the single-writer semaphore (capacity 1). A channel
-	// rather than a mutex so acquisition can honor context
-	// cancellation (BeginCtx) and so it is not goroutine-owned: in
-	// group mode the commit-queue leader acquires and releases it on
-	// behalf of many staging transactions.
+	// writerSem is the commit-point lock (capacity 1): whoever holds it
+	// — the commit-queue leader, Quiesce, a replication applier — is
+	// the only one advancing the store's LSN. Transactions never hold
+	// it. A channel rather than a mutex because it is not
+	// goroutine-owned: Quiesce's release func may run anywhere.
 	writerSem chan struct{}
 
-	// Commit queue (group-commit mode). qmu guards queue and
-	// leaderActive; the leader drains the queue holding writerSem.
+	// Commit queue. qmu guards queue and leaderActive; the leader
+	// drains the queue holding writerSem.
 	qmu          sync.Mutex
 	queue        []*commitReq
 	leaderActive bool
@@ -46,7 +43,6 @@ type Store struct {
 	hook     CommitHook
 	closed   bool
 	readOnly error // non-nil: Begin fails with this error (replica mode)
-	grouped  bool  // group-commit mode toggle (SetGroupCommit)
 
 	stats   Stats
 	metrics *obs.Set // over stats
@@ -68,23 +64,6 @@ func (s *Store) SetCommitHook(h CommitHook) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hook = h
-}
-
-// SetGroupCommit switches the store between the legacy exclusive
-// writer-lock commit path (off, the default) and the batched
-// group-commit pipeline (on; see group.go). It must not be toggled
-// while writer transactions are in flight.
-func (s *Store) SetGroupCommit(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.grouped = on
-}
-
-// GroupCommit reports whether group-commit mode is on.
-func (s *Store) GroupCommit() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.grouped
 }
 
 // Close marks the store closed; subsequent Begin calls fail.
@@ -130,47 +109,19 @@ func (s *Store) Metrics() []obs.Metric { return s.metrics.Snapshot() }
 // store keeps serving reads and writes; only the accounting restarts.
 func (s *Store) ResetStats() { s.metrics.Reset() }
 
-// Begin starts a writer transaction. In legacy mode it blocks until
-// any other writer finishes (single-writer model; the paper's BDB uses
-// finer-grained locking, but the simplification does not affect the
-// studied behaviours). In group-commit mode it returns immediately:
-// the transaction stages against an MVCC pin at the current LSN and
-// write-write conflicts surface as ErrWriteConflict at commit.
+// Begin starts a writer transaction. It never blocks on other writers:
+// the transaction stages against an MVCC pin at the current LSN, and a
+// write-write conflict with a transaction that committed first surfaces
+// as ErrWriteConflict at commit. (The paper's BDB locks pages instead;
+// the difference does not affect the studied behaviours.)
 func (s *Store) Begin() (*Tx, error) { return s.BeginCtx(context.Background()) }
 
-// BeginCtx is Begin honoring context cancellation: a writer blocked
-// behind the legacy writer lock returns ctx.Err() when the context is
-// done instead of blocking forever. The context also bounds the
-// transaction's commit-queue wait in group mode (see Tx.finish).
+// BeginCtx is Begin under a context: it fails fast when ctx is already
+// done, and ctx bounds the transaction's commit-queue wait (see
+// Tx.finish).
 func (s *Store) BeginCtx(ctx context.Context) (*Tx, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	s.mu.RLock()
-	grouped := s.grouped
-	s.mu.RUnlock()
-	if !grouped {
-		select {
-		case s.writerSem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		if s.closed {
-			s.releaseWriter()
-			return nil, ErrStoreClosed
-		}
-		if s.readOnly != nil {
-			s.releaseWriter()
-			return nil, s.readOnly
-		}
-		return &Tx{
-			store: s,
-			dirty: make(map[PageID]*PageData),
-			base:  s.lsn,
-			ctx:   ctx,
-		}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -187,12 +138,10 @@ func (s *Store) BeginCtx(ctx context.Context) (*Tx, error) {
 	// prune the versions this transaction's staged reads resolve to.
 	s.readers[s.lsn]++
 	return &Tx{
-		store:   s,
-		dirty:   make(map[PageID]*PageData),
-		base:    s.lsn,
-		ctx:     ctx,
-		grouped: true,
-		pinned:  true,
+		store: s,
+		dirty: make(map[PageID]*PageData),
+		base:  s.lsn,
+		ctx:   ctx,
 	}, nil
 }
 

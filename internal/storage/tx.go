@@ -11,20 +11,17 @@ import (
 // LSN. All mutations are buffered in a dirty set and become visible
 // atomically at Commit.
 //
-// Tx is not safe for concurrent use by multiple goroutines, but in
-// group-commit mode many transactions stage concurrently, one per
-// goroutine (see group.go).
+// Tx is not safe for concurrent use by multiple goroutines, but many
+// transactions stage concurrently, one per goroutine (see group.go).
 type Tx struct {
 	store     *Store
 	dirty     map[PageID]*PageData
 	freed     []PageID
 	freedSet  map[PageID]bool
 	allocated map[PageID]bool
-	base      uint64 // commit LSN at Begin; reads resolve against it
+	base      uint64 // commit LSN at Begin, pinned in store.readers until the transaction ends
 	done      bool
-	grouped   bool            // staged via the commit queue (no writer semaphore held)
-	pinned    bool            // base LSN pinned in store.readers (group mode)
-	ctx       context.Context // bounds commit-queue waits; nil = background
+	ctx       context.Context // bounds the commit-queue wait
 	span      *obs.Span       // parent for the commit span; nil when untraced
 }
 
@@ -147,31 +144,17 @@ func (tx *Tx) finish(declare bool) (uint64, error) {
 	}
 	tx.done = true
 	req := &commitReq{tx: tx, declare: declare, done: make(chan commitResult, 1)}
-	if !tx.grouped {
-		// Legacy path: this goroutine has held the writer semaphore
-		// since Begin; apply directly as a group of one so hook
-		// ordering and counters match the grouped path exactly.
-		defer tx.store.releaseWriter()
-		tx.store.applyGroup([]*commitReq{req})
-		res := <-req.done
-		return res.snapID, res.err
-	}
 	tx.store.enqueueCommit(req)
-	ctx := tx.ctx
-	if ctx == nil {
-		res := <-req.done
-		return res.snapID, res.err
-	}
 	select {
 	case res := <-req.done:
 		return res.snapID, res.err
-	case <-ctx.Done():
+	case <-tx.ctx.Done():
 		if req.state.CompareAndSwap(reqPending, reqAbandoned) {
 			// The leader had not reached this request, so the commit
 			// never happened; unpin and release allocations here.
-			tx.releasePin()
+			tx.store.endRead(tx.base)
 			tx.rollbackAllocations()
-			return 0, ctx.Err()
+			return 0, tx.ctx.Err()
 		}
 		// Claimed: the commit is being (or has been) applied. Report
 		// the real outcome — returning ctx.Err() would disown a
@@ -187,20 +170,8 @@ func (tx *Tx) Rollback() {
 		return
 	}
 	tx.done = true
-	tx.releasePin()
+	tx.store.endRead(tx.base)
 	tx.rollbackAllocations()
-	if !tx.grouped {
-		tx.store.releaseWriter()
-	}
-}
-
-// releasePin drops the transaction's MVCC base pin (group mode; no-op
-// otherwise). Callers must not hold the store mutex.
-func (tx *Tx) releasePin() {
-	if tx.pinned {
-		tx.pinned = false
-		tx.store.endRead(tx.base)
-	}
 }
 
 func (tx *Tx) rollbackAllocations() {

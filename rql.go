@@ -47,23 +47,21 @@
 // snapshot system and its page cache, and the store's version chains —
 // are internally synchronized.
 //
-// Writers commit through a group-commit pipeline (on by default; see
-// SetGroupCommit). BEGIN does not take a lock: each writer stages its
-// write set privately against a snapshot-isolation baseline, and COMMIT
+// Every writer, on either store, commits through one group-commit
+// pipeline. BEGIN does not take a lock: each writer stages its write
+// set privately against a snapshot-isolation baseline, and COMMIT
 // enqueues it on a commit queue whose leader drains whole batches —
 // first-committer-wins conflict detection on overlapping page writes,
 // consecutive LSNs, and one device flush per group. Non-conflicting
 // writers therefore commit concurrently; a writer that loses a conflict
 // race gets ErrWriteConflict at COMMIT (autocommit statements retry
-// transparently inside the engine), and a long-running BEGIN no longer
-// blocks other writers.
+// transparently inside the engine), and a long-running BEGIN blocks no
+// other writer.
 //
-// Two cross-session conventions follow from the paper's two-database
+// One cross-session convention follows from the paper's two-database
 // layout: temporary tables (including SnapIds and the RQL result tables
 // T) live in one side store shared by every Conn of a DB, so concurrent
-// mechanism runs must use distinct result-table names; and writes to
-// that side store keep the legacy exclusive-writer path, so concurrent
-// result-table writers serialize rather than conflict.
+// mechanism runs must use distinct result-table names.
 package rql
 
 import (
@@ -222,16 +220,6 @@ func (db *DB) AnnounceSnapshot(id uint64) { db.views.AnnounceSnapshot(id) }
 // transaction is rolled back; the client retries it on a fresh
 // snapshot. Autocommit statements are retried by the engine itself.
 var ErrWriteConflict = storage.ErrWriteConflict
-
-// SetGroupCommit toggles the batched group-commit write path (on by
-// default). Off restores the legacy exclusive-writer commit path, in
-// which BEGIN blocks until the single writer lock is free — the serial
-// baseline used by the commits/sec benchmark. Must not be toggled
-// while writer transactions are in flight.
-func (db *DB) SetGroupCommit(on bool) { db.inner.SetGroupCommit(on) }
-
-// GroupCommit reports whether the group-commit write path is on.
-func (db *DB) GroupCommit() bool { return db.inner.GroupCommit() }
 
 // Engine exposes the underlying SQL engine. It exists for in-process
 // infrastructure layered on the database — the replication subsystem
