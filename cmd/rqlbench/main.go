@@ -1,6 +1,9 @@
 // Command rqlbench regenerates the paper's evaluation (§5): every
 // figure and table, printed as aligned text tables in the paper's own
 // terms (ratio C, per-iteration cost breakdowns, result footprints).
+// It runs the paper's sweeps and nothing else; client-visible
+// performance (throughput, latency, per-layer cost) is measured by the
+// benchmark/ harness.
 //
 // Usage:
 //
@@ -10,7 +13,6 @@
 //	rqlbench -all -sf 0.02         # larger scale factor
 //	rqlbench -all -quick           # fast, shrunken sweeps
 //	rqlbench -exp fig6 -trace-out=run.json   # record spans for Perfetto
-//	rqlbench -quick -trace-check   # fail if enabled tracing costs > 5%
 //
 //	# capture one stitched cross-node trace from a live cluster
 //	rqlbench -cluster "primary:4048,replica:4049" -trace-out=cluster.json
@@ -40,10 +42,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "shrink sweeps for a fast pass")
 		latency    = flag.Duration("latency", 0, "modeled per-Pagelog-read latency (default 100µs)")
 		seed       = flag.Int64("seed", 0, "data generation seed")
-		bjson      = flag.String("benchjson", "", "run the batch experiment and append its machine-readable report to the runs file at this path")
-		compare    = flag.String("compare", "", "diff the two newest runs in the runs file at this path and exit")
 		traceOut   = flag.String("trace-out", "", "record spans during the run and write them as Chrome trace-event JSON to this file")
-		traceCheck = flag.Bool("trace-check", false, "measure enabled-tracing overhead on the smoke workload and fail above the budget")
 		clusterStr = flag.String("cluster", "", "comma-separated rqld addresses (primary,replica,...): run a small retrospective workload against the cluster and write the stitched cross-node trace to -trace-out")
 	)
 	flag.Parse()
@@ -54,14 +53,6 @@ func main() {
 			os.Exit(2)
 		}
 		if err := clusterTrace(*clusterStr, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "rqlbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compare != "" {
-		if err := bench.Compare(*compare, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "rqlbench:", err)
 			os.Exit(1)
 		}
@@ -87,28 +78,6 @@ func main() {
 
 	start := time.Now()
 	switch {
-	case *traceCheck:
-		if err := r.TracingCheck(); err != nil {
-			fmt.Fprintln(os.Stderr, "rqlbench:", err)
-			os.Exit(1)
-		}
-	case *bjson != "":
-		rep, err := r.BatchReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rqlbench:", err)
-			os.Exit(1)
-		}
-		flags := map[string]bool{
-			"quick":                  *quick,
-			"legacy_is_udf_form":     true,
-			"delta_prune_side":       true,
-			"legacy_and_batch_prune": false,
-		}
-		if err := bench.AppendRun(*bjson, rep, flags); err != nil {
-			fmt.Fprintln(os.Stderr, "rqlbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("appended run to %s\n", *bjson)
 	case *all:
 		if err := r.RunAll(); err != nil {
 			fmt.Fprintln(os.Stderr, "rqlbench:", err)

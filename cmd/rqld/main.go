@@ -40,7 +40,6 @@ func main() {
 		pagelog     = flag.String("pagelog", "", "back the Pagelog with a file (empty = in memory)")
 		cachePages  = flag.Int("cache-pages", 0, "snapshot page cache capacity in pages (0 = default 16384, negative disables)")
 		readLatency = flag.Duration("read-latency", 0, "simulated per-Pagelog-read latency (0 = none)")
-		bandwidth   = flag.Int64("device-bandwidth", 0, "simulated device bandwidth in bytes/sec (0 = infinitely fast bus)")
 		skipFactor  = flag.Int("skip-factor", 0, "Skippy skip-merge fanout (0 = default 4)")
 		compact     = flag.Bool("compact", false, "enable the background Pagelog compactor (tiered archive)")
 		segPages    = flag.Int("segment-pages", 0, "pages per sealed segment when compaction is on (0 = default 1024)")
@@ -65,7 +64,6 @@ func main() {
 		PagelogPath:          *pagelog,
 		CachePages:           *cachePages,
 		SimulatedReadLatency: *readLatency,
-		SimulatedBandwidth:   *bandwidth,
 		SkipFactor:           *skipFactor,
 		Compaction: rql.CompactionOptions{
 			Enabled:      *compact,

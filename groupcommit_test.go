@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"rql"
 )
@@ -158,5 +160,81 @@ func TestGroupCommitSerialDeterminism(t *testing.T) {
 	}
 	if aStore.InvariantViolations != 0 {
 		t.Errorf("invariant_violations = %d, want 0", aStore.InvariantViolations)
+	}
+}
+
+// TestGroupCommitBatchesFlushes pins group commit's counter claim on a
+// sleeping device whose flush takes 1ms: a lone writer's groups have
+// one member, so every commit pays its own flush, while concurrent
+// writers queue behind the leader's flush and share it. Writers insert
+// into private tables (disjoint pages, no conflict aborts) and tag
+// every commit with a snapshot, so each commit archives pre-images and
+// its group's flush is mandatory. Only counters are asserted, never
+// wall time.
+func TestGroupCommitBatchesFlushes(t *testing.T) {
+	const ops = 10
+	run := func(writers int) (rql.StorageStats, rql.RetroStats) {
+		t.Helper()
+		db, err := rql.Open(rql.Options{SleepOnRead: true, SimulatedReadLatency: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		setup := db.Conn()
+		for w := 0; w < writers; w++ {
+			if err := setup.Exec(fmt.Sprintf(`CREATE TABLE gc_%d (i INTEGER)`, w), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Open the capture window so the first commit archives too.
+		if _, err := setup.DeclareSnapshot(""); err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				c := db.Conn()
+				for i := 0; i < ops; i++ {
+					stmt := fmt.Sprintf(`BEGIN; INSERT INTO gc_%d VALUES (%d); COMMIT WITH SNAPSHOT`, w, i)
+					if err := c.Exec(stmt, nil); err != nil {
+						errs <- fmt.Errorf("writer %d op %d: %w", w, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		return db.StorageStats(), db.RetroStats()
+	}
+
+	ss, rs := run(1)
+	if ss.Commits != ops || rs.DeviceFlushes != ss.Commits {
+		t.Errorf("1 writer: %d commits, %d device flushes, want %d of each", ss.Commits, rs.DeviceFlushes, ops)
+	}
+
+	ss, rs = run(8)
+	t.Logf("8 writers: %d commits in %d groups, %d flushes (%d skipped)",
+		ss.Commits, ss.Groups, rs.DeviceFlushes, rs.GroupFlushesSkipped)
+	if ss.Commits != 8*ops {
+		t.Errorf("8 writers: %d commits, want %d", ss.Commits, 8*ops)
+	}
+	if ss.Groups >= ss.Commits {
+		t.Errorf("8 writers: %d groups for %d commits, want batching to form fewer groups than commits", ss.Groups, ss.Commits)
+	}
+	if rs.DeviceFlushes+rs.GroupFlushesSkipped != ss.Groups {
+		t.Errorf("8 writers: %d flushes + %d skipped for %d groups, want one decision per group",
+			rs.DeviceFlushes, rs.GroupFlushesSkipped, ss.Groups)
+	}
+	if ss.InvariantViolations != 0 || ss.Conflicts != 0 {
+		t.Errorf("8 writers on private tables: invariant_violations = %d, conflicts = %d, want 0 and 0",
+			ss.InvariantViolations, ss.Conflicts)
 	}
 }

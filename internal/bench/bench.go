@@ -62,22 +62,9 @@ type Config struct {
 	SF float64
 	// ReadLatency is the modeled per-Pagelog-read cost.
 	ReadLatency time.Duration
-	// SleepOnRead makes cache-missing Pagelog reads actually sleep for
-	// ReadLatency (wall-clock device time instead of modeled time).
-	SleepOnRead bool
 	// DeviceQueueDepth is the device's concurrency (0 = default 8;
 	// 1 = the strictly serial device of paper-replication mode).
 	DeviceQueueDepth int
-	// Bandwidth models the device's transfer rate in bytes/sec (0 =
-	// infinitely fast bus); the cold-sweep phase uses it to make the
-	// bytes a sweep moves show up as device time.
-	Bandwidth int64
-	// PagelogPath backs the archive with a file (empty = in memory).
-	PagelogPath string
-	// Compaction configures the tiered-Pagelog compactor (zero = off).
-	Compaction retro.CompactionOptions
-	// CachePages bounds the snapshot page cache.
-	CachePages int
 	// Seed makes data generation deterministic.
 	Seed int64
 	// Quick shrinks sweeps (used by `go test -bench`).
@@ -104,8 +91,6 @@ type Env struct {
 	Conn *sql.Conn
 	R    *core.RQL
 	W    *tpch.Workload
-	UW   UW
-	Cfg  Config
 	Last uint64 // most recent snapshot id (the paper's Slast)
 }
 
@@ -115,12 +100,7 @@ func NewEnv(uw UW, history int, cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
 	db, err := sql.Open(sql.Options{Retro: retro.Options{
 		SimulatedReadLatency: cfg.ReadLatency,
-		SleepOnRead:          cfg.SleepOnRead,
 		DeviceQueueDepth:     cfg.DeviceQueueDepth,
-		SimulatedBandwidth:   cfg.Bandwidth,
-		PagelogPath:          cfg.PagelogPath,
-		Compaction:           cfg.Compaction,
-		CachePages:           cfg.CachePages,
 	}})
 	if err != nil {
 		return nil, err
@@ -151,8 +131,6 @@ func NewEnv(uw UW, history int, cfg Config) (*Env, error) {
 		Conn: conn,
 		R:    r,
 		W:    w,
-		UW:   uw,
-		Cfg:  cfg,
 		Last: uint64(history),
 	}, nil
 }

@@ -87,7 +87,6 @@ var Experiments = []Experiment{
 	{"fig13", "Figure 13: AggregateDataInTable, MAX vs SUM", (*Runner).Fig13},
 	{"mem", "§5.3: result-table memory footprints", (*Runner).Mem},
 	{"ablation", "§3 ablation: index-based vs sort-merge AggregateDataInTable", (*Runner).Ablation},
-	{"batch", "Batch SPT: one-sweep vs per-iteration construction", (*Runner).Batch},
 }
 
 // FindExperiment resolves an experiment by name.

@@ -54,16 +54,16 @@ func (r *RQL) ParallelCollateDataIntoIntervals(qs, qq, table string, workers int
 // memory-backed lanes, merges them in memory, in Qs order, as they
 // finish, and folds the result into ln: T is filled once, and an indexed
 // T is built once. (Merging each lane straight into an indexed T — a
-// B-tree probe and an index-maintaining update per row per lane — ran
-// CollateDataIntoIntervals 67% slower on the `make bench` batch workload,
-// 147% with pruning on, and AggregateDataInTable 11% and 21%.)
+// B-tree probe and an index-maintaining update per row per lane — made
+// the parallel lanes contend on T's index and left them slower than one
+// merged build, most of all for CollateDataIntoIntervals.)
 //
 // CollateData alone does not wait for the merge: its fold keeps no state
 // and its T is a multiset, so each lane hands T its rows at the end of
 // every iteration. That overlaps the writes with evaluation and bounds a
 // lane's memory by one iteration's output; inserting at merge time left
-// the writes as a serial tail, 13% slower on the same workload. T's row
-// order is then unspecified, as for any multiset.
+// the writes as a serial tail. T's row order is then unspecified, as for
+// any multiset.
 func (ln *lane) fanOut(snaps []uint64, workers int) error {
 	if len(snaps) == 0 {
 		return nil

@@ -606,12 +606,17 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, 
 }
 
 // exportAnnots reads the primary's SnapIds rows. The table may not
-// exist yet (no snapshot ever recorded); that is an empty export.
+// exist yet (no snapshot ever recorded); that is an empty export. Any
+// other failure fails the bootstrap: a replica must not start without
+// the primary's SnapIds rows.
 func (p *Primary) exportAnnots() ([]wire.ReplAnnot, error) {
 	conn := p.db.Engine().Conn()
 	rows, err := conn.Query(`SELECT snap_id, snap_ts, label FROM SnapIds ORDER BY snap_id`)
-	if err != nil {
+	if errors.Is(err, sql.ErrNoTable) {
 		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("repl: export SnapIds: %w", err)
 	}
 	out := make([]wire.ReplAnnot, 0, len(rows.Rows))
 	for _, r := range rows.Rows {

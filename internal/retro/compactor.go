@@ -20,8 +20,8 @@ import (
 // The billed counter series is invisible too, by construction rather
 // than by care: PagelogReads/CacheHits/DeviceReads count logical events
 // at logical offsets, and a cold read is one device command whichever
-// tier serves it. What changes is the physical side — DeviceBytesRead,
-// the footprint gauges, and (under SimulatedBandwidth) wall time.
+// tier serves it. What changes is the physical side — DeviceBytesRead
+// and the footprint gauges.
 
 // CompactionOptions configures the tiered Pagelog. The zero value
 // disables tiering entirely: the Pagelog stays flat and byte-identical

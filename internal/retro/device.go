@@ -33,15 +33,8 @@ type device struct {
 	// command is in service across it.
 	pl      atomic.Pointer[pagelog]
 	latency time.Duration
-	// bandwidth models the device's transfer rate in bytes/second
-	// (0 = transfer time not modeled). Service time for one command is
-	// latency + physBytes/bandwidth, so a cold-segment read that moves
-	// only compressed bytes — or none, on a block-cache hit — finishes
-	// sooner than a flat full-page transfer. Like latency, it is slept
-	// only when sleep is set.
-	bandwidth int64
-	sleep     bool
-	stats     *Stats
+	sleep   bool
+	stats   *Stats
 
 	// slots is the command queue, DeviceQueueDepth deep: a command holds
 	// one slot while in service. Go wakes blocked senders in FIFO order,
@@ -50,16 +43,15 @@ type device struct {
 	inFlight atomic.Int64
 }
 
-func newDevice(pl *pagelog, depth int, latency time.Duration, bandwidth int64, sleep bool, stats *Stats) *device {
+func newDevice(pl *pagelog, depth int, latency time.Duration, sleep bool, stats *Stats) *device {
 	if depth < 1 {
 		depth = DefaultQueueDepth
 	}
 	d := &device{
-		latency:   latency,
-		bandwidth: bandwidth,
-		sleep:     sleep,
-		stats:     stats,
-		slots:     make(chan struct{}, depth),
+		latency: latency,
+		sleep:   sleep,
+		stats:   stats,
+		slots:   make(chan struct{}, depth),
 	}
 	d.pl.Store(pl)
 	return d
@@ -82,20 +74,13 @@ func (d *device) read(off int64, sp *obs.Span) (*storage.PageData, time.Duration
 	data := new(storage.PageData)
 	physBytes, blockHits, err := d.pl.Load().read(off, data)
 	if err == nil && d.sleep {
-		// One command, one service latency — plus the modeled transfer
-		// time for the bytes it physically moved, which is where sealed
-		// segments (compressed blocks, cache-hit transfers of zero) beat
-		// the flat format on a bandwidth-limited device. The command's
-		// real compute (file read, block inflate, page copy) overlaps
-		// the modeled transfer the way decode overlaps DMA on a real
-		// device, so service time is max(modeled, actual), not their
-		// sum: sleep only the remainder.
-		svc := d.latency
-		if d.bandwidth > 0 {
-			svc += time.Duration(physBytes * int64(time.Second) / d.bandwidth)
-		}
-		if elapsed := time.Since(start); svc > elapsed {
-			time.Sleep(svc - elapsed)
+		// One command, one service latency. The command's real compute
+		// (file read, block inflate, page copy) overlaps the modeled
+		// latency the way decode overlaps DMA on a real device, so
+		// service time is max(modeled, actual), not their sum: sleep
+		// only the remainder.
+		if elapsed := time.Since(start); d.latency > elapsed {
+			time.Sleep(d.latency - elapsed)
 		}
 	}
 	d.inFlight.Add(-1)

@@ -38,11 +38,6 @@ type Options struct {
 	// paper-replication mode. Logical counters (PagelogReads,
 	// CacheHits) are identical at every depth.
 	DeviceQueueDepth int
-	// SimulatedBandwidth models the device's transfer rate in
-	// bytes/second on top of the per-command SimulatedReadLatency
-	// (0 leaves transfer time unmodeled). Only meaningful with
-	// SleepOnRead; logical counters are unaffected.
-	SimulatedBandwidth int64
 	// Compaction configures the tiered Pagelog's background compactor
 	// (see compactor.go). The zero value leaves the Pagelog flat —
 	// every counter series and every byte on disk identical to a build
@@ -151,7 +146,7 @@ func New(store *storage.Store, opts Options) (*System, error) {
 		copts:       opts.Compaction.withDefaults(),
 	}
 	sys.metrics = obs.NewSet(&sys.stats)
-	sys.dev = newDevice(pl, opts.DeviceQueueDepth, sys.simLatency, opts.SimulatedBandwidth, sys.sleepOnRd, &sys.stats)
+	sys.dev = newDevice(pl, opts.DeviceQueueDepth, sys.simLatency, sys.sleepOnRd, &sys.stats)
 	sys.stats.DeviceQueueDepth.Store(int64(sys.DeviceQueueDepth()))
 	store.SetCommitHook(sys)
 	if sys.copts.Enabled {

@@ -143,6 +143,36 @@ func TestTraceEndToEnd(t *testing.T) {
 	if got := c.LastTrace(); got != 0 {
 		t.Fatalf("untraced statement echoed trace ID %d, want 0", got)
 	}
+
+	// Tracing must not change what a run bills: the same cold mechanism
+	// request over the wire, untraced and then traced, reads the same
+	// pages from the same places.
+	type billed struct{ pagelogReads, cacheHits, dbReads, mapScanned int }
+	coldRun := func(traced bool, table string) billed {
+		t.Helper()
+		if err := c.SetTracing(traced); err != nil {
+			t.Fatal(err)
+		}
+		srv.DB().ResetSnapshotCache()
+		run, err := c.CollateData(`SELECT snap_id FROM SnapIds`,
+			`SELECT user, current_snapshot() AS sid FROM logged_in`, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(obs.TraceSpans(c.LastTrace())); traced != (n > 0) {
+			t.Fatalf("traced=%v run left %d server spans under its client trace", traced, n)
+		}
+		tot := run.Total()
+		return billed{tot.PagelogReads, tot.CacheHits, tot.DBReads, tot.MapScanned}
+	}
+	off := coldRun(false, "BilledOff")
+	on := coldRun(true, "BilledOn")
+	if off != on {
+		t.Fatalf("tracing changed the billed counters: untraced %+v, traced %+v", off, on)
+	}
+	if off.pagelogReads == 0 || off.mapScanned == 0 {
+		t.Fatalf("cold run billed no Pagelog reads or Maplog scans (%+v): the comparison checks nothing", off)
+	}
 }
 
 // TestDebugEndpoint drives the HTTP debug handler: /metrics text,

@@ -141,11 +141,6 @@ type Options struct {
 	// device of the paper-replication mode. Logical counters are
 	// identical at every depth.
 	DeviceQueueDepth int
-	// SimulatedBandwidth models the device's transfer rate in bytes
-	// per second: each command's service time grows by physical bytes
-	// moved / bandwidth. Zero models an infinitely fast bus (latency
-	// only), which keeps compaction invisible to modeled time.
-	SimulatedBandwidth int64
 	// SkipFactor is the Skippy skip-merge fanout (default 4).
 	SkipFactor int
 	// Compaction configures the tiered-Pagelog background compactor
@@ -169,7 +164,6 @@ func Open(opts Options) (*DB, error) {
 		SimulatedReadLatency: opts.SimulatedReadLatency,
 		SleepOnRead:          opts.SleepOnRead,
 		DeviceQueueDepth:     opts.DeviceQueueDepth,
-		SimulatedBandwidth:   opts.SimulatedBandwidth,
 		SkipFactor:           opts.SkipFactor,
 		Compaction:           opts.Compaction,
 	}})
