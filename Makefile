@@ -41,9 +41,13 @@ loc:
 # repl-smoke runs the replication acceptance surface under the race
 # detector: bootstrap/tail/resume/redirect, byte-identical replicated
 # retrospection, cross-version handshake, and the 3-replica fan-out
-# stress run with a mid-run replica kill and restart.
+# stress run with a mid-run replica kill and restart. The stress run and
+# the restart test then repeat 50 times: both check that a replica at
+# horizon H already holds H's SnapIds row, which a race would break only
+# in some runs.
 repl-smoke:
 	$(GO) test -race -run 'TestRepl|TestCrossVersion' ./internal/repl ./internal/server
+	$(GO) test -race -count=50 -run '^(TestReplicatedStress100Sessions|TestReplicaRestartResumes)$$' ./internal/repl ./internal/server
 
 # groupcommit-smoke runs the write path's correctness surface under the
 # race detector: the concurrent-writer stress harness with its analytic
@@ -91,7 +95,7 @@ view-smoke:
 FUZZ_TARGETS = \
 	wire:FuzzReadFrame wire:FuzzDecodeMetrics wire:FuzzDecodeExecStats wire:FuzzDecodeRunStats \
 	wire:FuzzDecodeSlowEntries wire:FuzzDecodeObjects wire:FuzzDecodeViews wire:FuzzDecodeViewBatch \
-	retro:FuzzParseSegmentMeta core:FuzzDecodeViewState
+	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta core:FuzzDecodeViewState
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./internal/$${t%%:*} || exit 1; \

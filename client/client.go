@@ -411,12 +411,15 @@ func (c *Conn) CommitWithSnapshot() (uint64, error) {
 // Rollback aborts the explicit transaction.
 func (c *Conn) Rollback() error { return c.Exec("ROLLBACK", nil) }
 
-// DeclareSnapshot declares a snapshot of the current state and records
-// it in the SnapIds table with the current time and the given label.
+// DeclareSnapshot commits the session's open transaction WITH SNAPSHOT
+// (an empty one when none is open) and records the snapshot in SnapIds
+// with the current time and the given label.
 func (c *Conn) DeclareSnapshot(label string) (id uint64, err error) {
 	e := &wire.Enc{}
 	e.String(label)
-	err = c.call(wire.ReqSnap, e.B, func(d *wire.Dec) { id = d.Uvarint() })
+	if err = c.call(wire.ReqSnap, e.B, func(d *wire.Dec) { id = d.Uvarint() }); err == nil {
+		c.lastSnapshot, c.inTx = id, false
+	}
 	return id, err
 }
 

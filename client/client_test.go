@@ -3,8 +3,10 @@ package client
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,6 +230,49 @@ func pipeServer(t *testing.T) *Conn {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestDeclareSnapshotCommitsOpenTx: DeclareSnapshot inside BEGIN commits
+// the transaction WITH SNAPSHOT and records its SnapIds row, and the
+// Conn's transaction state follows the reply.
+func TestDeclareSnapshotCommitsOpenTx(t *testing.T) {
+	c := pipeServer(t)
+	if err := c.Exec(`CREATE TABLE t (x INTEGER)`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Exec(`BEGIN; INSERT INTO t VALUES (7)`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !c.InTx() {
+		t.Fatal("InTx() false inside BEGIN")
+	}
+	id, err := c.DeclareSnapshot("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.InTx() || c.LastSnapshot() != id {
+		t.Fatalf("after DeclareSnapshot: InTx %v, LastSnapshot %d; want false, %d", c.InTx(), c.LastSnapshot(), id)
+	}
+	for q, want := range map[string]string{
+		fmt.Sprintf(`SELECT AS OF %d x FROM t`, id): "7",
+		`SELECT snap_id, label FROM SnapIds`:        fmt.Sprintf("%d|x", id),
+	} {
+		rows, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got []string
+		for _, r := range rows.Rows {
+			cells := make([]string, len(r))
+			for i, v := range r {
+				cells[i] = v.String()
+			}
+			got = append(got, strings.Join(cells, "|"))
+		}
+		if strings.Join(got, ";") != want {
+			t.Fatalf("%s: %v, want %s", q, got, want)
+		}
+	}
 }
 
 // TestClusterFailsOverOnBrokenReplica: a replica that handshakes and

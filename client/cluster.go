@@ -315,19 +315,22 @@ func (cl *Cluster) CommitWithSnapshot() (uint64, error) {
 	return id, err
 }
 
-// DeclareSnapshot declares on the primary and advances the cluster's
-// read horizon.
+// DeclareSnapshot declares on the primary (committing an open
+// transaction) and advances the cluster's read horizon. The SnapIds row
+// rides the declaring commit: a replica covering the snapshot holds it.
 func (cl *Cluster) DeclareSnapshot(label string) (uint64, error) {
 	id, err := cl.primary.DeclareSnapshot(label)
 	cl.noteSnapshot(id)
 	return id, err
 }
 
-// EnsureSnapIds runs on the primary (SnapIds rows replicate as
-// annotations alongside the snapshots themselves).
+// EnsureSnapIds runs on the primary; a replica creates its own SnapIds
+// with the first row it is shipped.
 func (cl *Cluster) EnsureSnapIds() error { return cl.primary.EnsureSnapIds() }
 
 // RecordSnapshot registers an already-declared snapshot on the primary.
+// A row inserted after its snapshot's commit, like this one, reaches
+// replicas only by bootstrap.
 func (cl *Cluster) RecordSnapshot(snapID uint64, ts time.Time, label string) error {
 	return cl.primary.RecordSnapshot(snapID, ts, label)
 }

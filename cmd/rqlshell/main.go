@@ -19,7 +19,7 @@
 //	.help                 show help
 //	.tables               list tables and indexes
 //	.snapshots            list declared snapshots (SnapIds)
-//	.snapshot [label]     declare a snapshot of the current state
+//	.snapshot [label]     commit the open transaction (or an empty one) WITH SNAPSHOT and record it in SnapIds
 //	.stats                show last-statement stats and every metric (name value)
 //	.stats reset          zero the cumulative counters
 //	.views                list materialized retro views and their counters

@@ -100,16 +100,10 @@ func main() {
 	}
 }
 
+// declare commits the open transaction WITH SNAPSHOT and records the
+// snapshot in SnapIds under label.
 func declare(conn *rql.Conn, label string) {
-	id, err := conn.CommitWithSnapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := conn.EnsureSnapIds(); err != nil {
-		log.Fatal(err)
-	}
-	if err := conn.Exec(`INSERT INTO SnapIds (snap_id, snap_ts, label) VALUES (?, ?, ?)`,
-		nil, rql.Int(int64(id)), rql.Text(label+" 23:59:59"), rql.Text(label)); err != nil {
+	if _, err := conn.DeclareSnapshot(label); err != nil {
 		log.Fatal(err)
 	}
 }

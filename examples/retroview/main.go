@@ -20,7 +20,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"rql"
 )
@@ -72,15 +71,7 @@ func main() {
 		if s.out != "" {
 			exec(`DELETE FROM logged_in WHERE user = ?`, rql.Text(s.out))
 		}
-		id, err := conn.CommitWithSnapshot()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := conn.EnsureSnapIds(); err != nil {
-			log.Fatal(err)
-		}
-		if err := conn.RecordSnapshot(id, time.Unix(int64(minute)*60, 0).UTC(),
-			fmt.Sprintf("minute %d", minute+1)); err != nil {
+		if _, err := conn.DeclareSnapshot(fmt.Sprintf("minute %d", minute+1)); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -54,15 +54,7 @@ func main() {
 				}
 			}
 		}
-		id, err := conn.CommitWithSnapshot()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := conn.EnsureSnapIds(); err != nil {
-			log.Fatal(err)
-		}
-		if err := conn.Exec(`INSERT INTO SnapIds (snap_id, snap_ts, label) VALUES (?, ?, ?)`,
-			nil, rql.Int(int64(id)), rql.Text(fmt.Sprintf("minute %d", tick)), rql.Text("")); err != nil {
+		if _, err := conn.DeclareSnapshot(fmt.Sprintf("minute %d", tick)); err != nil {
 			log.Fatal(err)
 		}
 	}

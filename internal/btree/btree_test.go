@@ -426,7 +426,7 @@ func TestTreeOverSnapshots(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tr.Insert(ikey(i), []byte(fmt.Sprintf("v1-%d", i)))
 	}
-	snap1, err := tx.CommitWithSnapshot()
+	snap1, err := tx.CommitWithSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestTreeOverSnapshots(t *testing.T) {
 	for i := 500; i < 800; i++ {
 		tr2.Insert(ikey(i), []byte(fmt.Sprintf("v2-%d", i)))
 	}
-	snap2, err := tx2.CommitWithSnapshot()
+	snap2, err := tx2.CommitWithSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

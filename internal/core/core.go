@@ -20,6 +20,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -206,35 +207,37 @@ func EnsureSnapIds(conn *sql.Conn) error {
 	)`, nil)
 }
 
-// RecordSnapshot registers a declared snapshot in SnapIds with a
-// timestamp and an optional application-meaningful label.
+// Registration is a snapshot's SnapIds row without the id its commit
+// assigns: what a declaring commit carries, so that replication ships
+// the row in the snapshot's own frame.
+type Registration struct{ TS, Label string }
+
+func snapTS(ts time.Time) string { return ts.UTC().Format("2006-01-02 15:04:05") }
+
+// RecordSnapshot registers an already-declared snapshot in SnapIds with
+// a timestamp and an optional application-meaningful label: the paper's
+// late labelling (§3), a plain side-store insert that reaches replicas
+// only by bootstrap.
 func RecordSnapshot(conn *sql.Conn, snapID uint64, ts time.Time, label string) error {
-	tsStr := ts.UTC().Format("2006-01-02 15:04:05")
-	err := conn.Exec(`INSERT INTO SnapIds (snap_id, snap_ts, label) VALUES (?, ?, ?)`, nil,
-		record.Int(int64(snapID)),
-		record.Text(tsStr),
-		record.Text(label),
-	)
-	if err != nil {
-		return err
-	}
-	// SnapIds lives in the side store, outside page-level replication;
-	// announce the registration so a primary can ship it logically.
-	conn.DB().NotifyAnnotation(snapID, tsStr, label)
-	return nil
+	return conn.Exec(`INSERT INTO SnapIds (snap_id, snap_ts, label) VALUES (?, ?, ?)`, nil,
+		record.Int(int64(snapID)), record.Text(snapTS(ts)), record.Text(label))
 }
 
-// DeclareSnapshot declares a snapshot of the current state (an empty
-// BEGIN; COMMIT WITH SNAPSHOT transaction) and records it in SnapIds.
+// DeclareSnapshot commits the open transaction WITH SNAPSHOT (an empty
+// one when none is open) and records the snapshot in SnapIds, creating
+// the table on first use. The declaring commit carries the row, so
+// replicas apply it with the snapshot.
 func DeclareSnapshot(conn *sql.Conn, ts time.Time, label string) (uint64, error) {
-	if err := EnsureSnapIds(conn); err != nil {
-		return 0, err
-	}
-	id, err := conn.DeclareSnapshot()
+	id, err := conn.DeclareSnapshot(Registration{TS: snapTS(ts), Label: label})
 	if err != nil {
 		return 0, err
 	}
-	return id, RecordSnapshot(conn, id, ts, label)
+	if err = RecordSnapshot(conn, id, ts, label); errors.Is(err, sql.ErrNoTable) {
+		if err = EnsureSnapIds(conn); err == nil {
+			err = RecordSnapshot(conn, id, ts, label)
+		}
+	}
+	return id, err
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rql"
+	"rql/internal/core"
 	"rql/internal/obs"
 	"rql/internal/record"
 	"rql/internal/retro"
@@ -19,16 +20,27 @@ import (
 )
 
 // event is one entry in the primary's replication log: a replicated
-// commit, a logical SnapIds annotation, or a logical retro-view DDL
-// (view definitions live in the side store, which page deltas do not
-// cover). Page pointers inside commit deltas are the committed versions
-// themselves (immutable under the store's copy-on-write discipline), so
-// the log holds no page copies.
+// commit — a declaring one carries its snapshot's SnapIds registration —
+// or a logical retro-view DDL (view definitions live in the side store,
+// which page deltas do not cover). Page pointers inside commit deltas
+// are the committed versions themselves (immutable under the store's
+// copy-on-write discipline), so the log holds no page copies.
 type event struct {
 	seq     uint64
-	commit  *retro.CommitDelta // nil for logical events
-	annot   wire.ReplAnnot
-	viewDDL *wire.ViewDDL // nil unless a view DDL event
+	commit  *retro.CommitDelta // nil for a view DDL event
+	viewDDL *wire.ViewDDL
+}
+
+// annot returns the SnapIds row a declaring commit carries, nil for
+// any other event.
+func (ev *event) annot() *wire.ReplAnnot {
+	if ev.commit == nil {
+		return nil
+	}
+	if reg, ok := ev.commit.Reg.(core.Registration); ok {
+		return &wire.ReplAnnot{Snap: uint64(ev.commit.SnapID), TS: reg.TS, Label: reg.Label}
+	}
+	return nil
 }
 
 // PrimaryConfig configures NewPrimary.
@@ -45,7 +57,7 @@ type PrimaryConfig struct {
 }
 
 // Primary is the write side of replication: it observes every commit
-// and annotation of a database and feeds them to subscribed replica
+// and retro-view DDL of a database and feeds them to subscribed replica
 // streams, keeping a bounded history for reconnect-resume.
 type Primary struct {
 	db  *rql.DB
@@ -94,7 +106,6 @@ func NewPrimary(db *rql.DB, cfg PrimaryConfig) *Primary {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	db.Engine().Retro().SetCommitObserver(p.onCommit)
-	db.Engine().SetAnnotationHook(p.onAnnot)
 	db.Engine().SetViewDDLHook(p.onViewDDL)
 	return p
 }
@@ -113,7 +124,6 @@ func (p *Primary) SetAddr(addr string) {
 // Close detaches the primary and closes all streams.
 func (p *Primary) Close() {
 	p.db.Engine().Retro().SetCommitObserver(nil)
-	p.db.Engine().SetAnnotationHook(nil)
 	p.db.Engine().SetViewDDLHook(nil)
 	p.mu.Lock()
 	p.closed = true
@@ -156,16 +166,6 @@ func (p *Primary) onCommit(ds []retro.CommitDelta) {
 			p.trimLocked()
 		}
 	}
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// onAnnot runs on the annotating connection after a SnapIds insert.
-func (p *Primary) onAnnot(snapID uint64, ts, label string) {
-	p.mu.Lock()
-	ev := &event{seq: p.nextSeq, annot: wire.ReplAnnot{Snap: snapID, TS: ts, Label: label}}
-	p.nextSeq++
-	p.events = append(p.events, ev)
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -334,11 +334,6 @@ func (p *Primary) sendEvent(st *stream, bw *bufio.Writer, ev *event) error {
 		wire.EncodeViewDDL(e, *ev.viewDDL)
 		return p.writeFrame(st, bw, wire.RespReplViewDDL, e.B)
 	}
-	if ev.commit == nil {
-		e := &wire.Enc{}
-		wire.EncodeReplAnnots(e, []wire.ReplAnnot{ev.annot})
-		return p.writeFrame(st, bw, wire.RespReplAnnot, e.B)
-	}
 	d := ev.commit
 	caps, pages := d.Captures, d.Pages
 	plOff := d.PlBase
@@ -370,6 +365,7 @@ func (p *Primary) sendEvent(st *stream, bw *bufio.Writer, ev *event) error {
 		if !rd.Partial {
 			rd.Declare = d.Declare
 			rd.SnapID = uint64(d.SnapID)
+			rd.Annot = ev.annot()
 		}
 		e := &wire.Enc{}
 		wire.EncodeReplDelta(e, rd)
@@ -390,8 +386,9 @@ func (p *Primary) writeFrame(st *stream, bw *bufio.Writer, op byte, payload []by
 }
 
 // sendBootstrap ships the full state: a consistent cut of the store,
-// Pagelog, Maplog and SnapIds. It returns the log seq the delta stream
-// continues from.
+// Pagelog and Maplog, the SnapIds rows of the snapshots up to the cut,
+// and the retro-view definitions. It returns the log seq the delta
+// stream continues from.
 func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, err error) {
 	sp := obs.StartSpan(nil, "repl.bootstrap")
 	defer sp.End()
@@ -430,8 +427,14 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, 
 	defer rt.Close()
 	numPages := store.NumPages()
 	freeList := store.FreeList()
+	var carried []wire.ReplAnnot
 	p.mu.Lock()
 	startSeq = p.nextSeq
+	for _, ev := range p.events {
+		if a := ev.annot(); a != nil {
+			carried = append(carried, *a)
+		}
+	}
 	p.mu.Unlock()
 	release()
 
@@ -543,10 +546,11 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, 
 		}
 	}
 
-	// SnapIds annotations. Read after the cut; rows registered since
-	// also arrive as annotation events, and the replica's insert is
-	// idempotent, so overlap is harmless.
-	anns, err := p.exportAnnots()
+	// SnapIds rows: the table, read after the cut, and the registrations
+	// the retained declaring commits before the cut carry, so a snapshot
+	// whose primary-side insert lands after the read still ships one. A
+	// snapshot declared after the cut brings its row in its own delta.
+	anns, err := p.exportAnnots(carried)
 	if err != nil {
 		return 0, err
 	}
@@ -563,9 +567,9 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, 
 		}
 	}
 
-	// Retro-view definitions, shipped as create-form DDL events. Like
-	// annotations, definitions committed since the cut also arrive as
-	// stream events; the replica's apply is idempotent.
+	// Retro-view definitions, shipped as create-form DDL events.
+	// Definitions committed since the cut also arrive as stream events;
+	// the replica's apply is idempotent.
 	defs, err := eng.ListViews()
 	if err != nil {
 		return 0, err
@@ -605,26 +609,26 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, 
 	return startSeq, nil
 }
 
-// exportAnnots reads the primary's SnapIds rows. The table may not
-// exist yet (no snapshot ever recorded); that is an empty export. Any
-// other failure fails the bootstrap: a replica must not start without
-// the primary's SnapIds rows.
-func (p *Primary) exportAnnots() ([]wire.ReplAnnot, error) {
-	conn := p.db.Engine().Conn()
-	rows, err := conn.Query(`SELECT snap_id, snap_ts, label FROM SnapIds ORDER BY snap_id`)
+// exportAnnots returns the SnapIds rows a bootstrap ships: the
+// primary's table, then those of carried whose id the table lacks. The
+// table may not exist yet (no snapshot ever recorded); that is an empty
+// table. Any other failure fails the bootstrap: a replica must not start
+// without the primary's SnapIds rows.
+func (p *Primary) exportAnnots(carried []wire.ReplAnnot) ([]wire.ReplAnnot, error) {
+	rows, err := p.db.Engine().Conn().Query(`SELECT snap_id, snap_ts, label FROM SnapIds ORDER BY snap_id`)
 	if errors.Is(err, sql.ErrNoTable) {
-		return nil, nil
+		rows, err = &sql.Rows{}, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("repl: export SnapIds: %w", err)
 	}
-	out := make([]wire.ReplAnnot, 0, len(rows.Rows))
+	var out []wire.ReplAnnot
+	inTable := make(map[uint64]bool)
 	for _, r := range rows.Rows {
 		if len(r) != 3 {
 			continue
 		}
-		a := wire.ReplAnnot{}
-		a.Snap = uint64(r[0].AsInt())
+		a := wire.ReplAnnot{Snap: uint64(r[0].AsInt())}
 		if r[1].Type() == record.TypeText {
 			a.TS = r[1].Text()
 		}
@@ -632,6 +636,12 @@ func (p *Primary) exportAnnots() ([]wire.ReplAnnot, error) {
 			a.Label = r[2].Text()
 		}
 		out = append(out, a)
+		inTable[a.Snap] = true
+	}
+	for _, a := range carried {
+		if !inTable[a.Snap] {
+			out = append(out, a)
+		}
 	}
 	return out, nil
 }

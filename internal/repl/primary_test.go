@@ -19,7 +19,7 @@ func TestExportAnnotsFailsOnBrokenSnapIds(t *testing.T) {
 	p := NewPrimary(db, PrimaryConfig{})
 	defer p.Close()
 
-	anns, err := p.exportAnnots()
+	anns, err := p.exportAnnots(nil)
 	if err != nil || len(anns) != 0 {
 		t.Fatalf("export before any SnapIds: %v, %v; want an empty export", anns, err)
 	}
@@ -27,7 +27,7 @@ func TestExportAnnotsFailsOnBrokenSnapIds(t *testing.T) {
 	if err := db.Conn().Exec(`CREATE TABLE SnapIds (snap_id INTEGER, snap_ts TEXT)`, nil); err != nil {
 		t.Fatal(err)
 	}
-	if anns, err := p.exportAnnots(); err == nil {
+	if anns, err := p.exportAnnots(nil); err == nil {
 		t.Fatalf("export of a SnapIds without a label column returned %v and no error", anns)
 	}
 }

@@ -22,8 +22,10 @@
 //
 // SnapIds is the one logical exception: it lives in the replica's own
 // non-snapshotable side store (per the paper's two-database layout), so
-// snapshot registrations ship as logical annotation events and are
-// re-inserted — idempotently — on the replica.
+// a snapshot's row ships in the final delta frame of the commit that
+// declared it (core.DeclareSnapshot) and is inserted, idempotently,
+// before the replica's horizon moves. A row inserted after its
+// snapshot's commit (RecordSnapshot) reaches replicas only by bootstrap.
 //
 // Writes on a replica are rejected at the storage layer with a
 // redirect error naming the primary; see RedirectError / IsRedirect.

@@ -84,9 +84,9 @@ func mustExec(t *testing.T, c *rql.Conn, sqlText string) {
 }
 
 // history drives snapshots randomized insert/update/delete bursts over
-// table m, declaring and recording one snapshot per burst (including
-// zero-write snapshots, whose deltas are empty). Timestamps are
-// deterministic so SnapIds replicates byte-identically.
+// table m, each committed, declared and registered in SnapIds by one
+// DeclareSnapshot (including zero-write snapshots, whose deltas are
+// empty).
 func history(t *testing.T, c *rql.Conn, rng *rand.Rand, present map[int]bool, snapshots int) uint64 {
 	t.Helper()
 	var last uint64
@@ -114,11 +114,8 @@ func history(t *testing.T, c *rql.Conn, rng *rand.Rand, present map[int]bool, sn
 				mustExec(t, c, fmt.Sprintf(`UPDATE m SET v = %d WHERE k = %d`, rng.Intn(100), k))
 			}
 		}
-		id, err := c.CommitWithSnapshot()
+		id, err := c.DeclareSnapshot("h")
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RecordSnapshot(id, time.Unix(int64(id), 0).UTC(), fmt.Sprintf("s%d", id)); err != nil {
 			t.Fatal(err)
 		}
 		last = id
@@ -390,12 +387,8 @@ func TestReplicaResumeWithoutRebootstrap(t *testing.T) {
 					return
 				}
 			}
-			id, err := c.CommitWithSnapshot()
+			id, err := c.DeclareSnapshot("w")
 			if err != nil {
-				res <- result{0, err}
-				return
-			}
-			if err := c.RecordSnapshot(id, time.Unix(int64(id), 0).UTC(), "w"); err != nil {
 				res <- result{0, err}
 				return
 			}
@@ -474,12 +467,6 @@ func TestReplicaRestartResumes(t *testing.T) {
 	} {
 		want := sortedRows(t, pc, q)
 		got := sortedRows(t, rc, q)
-		// A snapshot's SnapIds row ships as its own event after the page
-		// delta the horizon counts, so the last one may still be in flight.
-		for deadline := time.Now().Add(5 * time.Second); strings.Join(want, ";") != strings.Join(got, ";") && time.Now().Before(deadline); {
-			time.Sleep(5 * time.Millisecond)
-			got = sortedRows(t, rc, q)
-		}
 		if strings.Join(want, ";") != strings.Join(got, ";") {
 			t.Fatalf("after restart, %s differs:\nprimary: %v\nreplica: %v", q, want, got)
 		}

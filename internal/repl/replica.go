@@ -53,7 +53,9 @@ type Replica struct {
 	partial *retro.CommitDelta   // commit being reassembled from chunked frames
 	recvd   uint64               // payload bytes received on the current+past streams
 
-	annConn *connWrapper
+	// sqlConn applies SnapIds rows and view DDL to the local side store;
+	// only the run loop uses it.
+	sqlConn *rql.Conn
 
 	bytesReceived    atomic.Uint64
 	deltasApplied    atomic.Uint64
@@ -68,13 +70,6 @@ type Replica struct {
 	// current connection, for Close to sever a blocked read.
 	connMu sync.Mutex
 	conn   net.Conn
-}
-
-// connWrapper serializes SnapIds access on the replica's own SQL
-// connection (the apply loop and bootstrap apply share it).
-type connWrapper struct {
-	mu   sync.Mutex
-	conn *rql.Conn
 }
 
 // NewReplica attaches replication to db: the database becomes
@@ -100,7 +95,7 @@ func NewReplica(db *rql.DB, cfg ReplicaConfig) (*Replica, error) {
 		db:      db,
 		cfg:     cfg,
 		closed:  make(chan struct{}),
-		annConn: &connWrapper{conn: db.Conn()},
+		sqlConn: db.Conn(),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.lastErr.Store("")
@@ -343,17 +338,6 @@ func (r *Replica) stream() error {
 			if err := r.onDelta(rd, bw, nc); err != nil {
 				return err
 			}
-		case wire.RespReplAnnot:
-			d := &wire.Dec{B: payload}
-			anns := wire.DecodeReplAnnots(d)
-			if d.Err() != nil {
-				return d.Err()
-			}
-			for _, a := range anns {
-				if err := r.applyAnnot(a); err != nil {
-					return err
-				}
-			}
 		case wire.RespReplViewDDL:
 			d := &wire.Dec{B: payload}
 			ddl := wire.DecodeViewDDL(d)
@@ -417,11 +401,14 @@ func (r *Replica) onDelta(rd wire.ReplDelta, bw *bufio.Writer, nc net.Conn) erro
 	if !c.Declare {
 		return nil
 	}
-	return r.applyGroup(bw, nc)
+	return r.applyGroup(bw, nc, rd.Annot)
 }
 
-// applyGroup applies the buffered snapshot group atomically and acks.
-func (r *Replica) applyGroup(bw *bufio.Writer, nc net.Conn) error {
+// applyGroup applies the buffered snapshot group atomically and the
+// snapshot's SnapIds row (annot, when the declaration carried one), then
+// moves the horizon and acks. A failed insert leaves the horizon behind
+// the applied group, so the resumed stream stops on ErrReplMismatch.
+func (r *Replica) applyGroup(bw *bufio.Writer, nc net.Conn, annot *wire.ReplAnnot) error {
 	group := r.pending
 	r.pending = nil
 	if len(group) == 0 {
@@ -437,6 +424,9 @@ func (r *Replica) applyGroup(bw *bufio.Writer, nc net.Conn) error {
 	err := store.ApplyReplicated(commits, func(i int) error {
 		return rsys.ApplyCommitDelta(group[i])
 	})
+	if err == nil && annot != nil {
+		err = r.applyAnnot(*annot)
+	}
 	if err != nil {
 		sp.End()
 		return err
@@ -468,12 +458,10 @@ func (r *Replica) applyGroup(bw *bufio.Writer, nc net.Conn) error {
 	return bw.Flush()
 }
 
-// applyAnnot re-inserts one SnapIds registration, idempotently: the
-// row may already exist from the bootstrap read or a resumed stream.
+// applyAnnot re-inserts one SnapIds row, idempotently: the row may
+// already exist from the bootstrap or a resumed stream.
 func (r *Replica) applyAnnot(a wire.ReplAnnot) error {
-	r.annConn.mu.Lock()
-	defer r.annConn.mu.Unlock()
-	conn := r.annConn.conn
+	conn := r.sqlConn
 	if err := conn.EnsureSnapIds(); err != nil {
 		return err
 	}
@@ -498,9 +486,7 @@ func (r *Replica) applyAnnot(a wire.ReplAnnot) error {
 // locally writable on replicas — the view's maintenance then runs
 // locally from the shipped snapshot deltas.
 func (r *Replica) applyViewDDL(ddl wire.ViewDDL) error {
-	r.annConn.mu.Lock()
-	defer r.annConn.mu.Unlock()
-	conn := r.annConn.conn
+	conn := r.sqlConn
 	drop := fmt.Sprintf(`DROP RETRO VIEW IF EXISTS %s`, ddl.Name)
 	if err := conn.Exec(drop, nil); err != nil {
 		return err

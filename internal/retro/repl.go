@@ -40,6 +40,7 @@ type CommitDelta struct {
 	Freed    []storage.PageID
 	Declare  bool
 	SnapID   SnapshotID // assigned snapshot id when Declare
+	Reg      any        // the declaration's registration, opaque here (nil when none)
 }
 
 // SetCommitObserver registers fn to see every main-store commit group

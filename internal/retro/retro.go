@@ -188,16 +188,16 @@ func (s *System) Close() error {
 // (BeginGroup..EndGroup) s.mu is already held by the group and appends
 // stage until the group flush; outside one (a direct call, e.g. from a
 // unit test) it locks s.mu itself and the effects land immediately.
-func (s *System) Committing(dirty []storage.DirtyPage, declare bool, newLSN uint64) (uint64, error) {
+func (s *System) Committing(dirty []storage.DirtyPage, declare bool, reg any, newLSN uint64) (uint64, error) {
 	if !s.staging {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	return s.committingLocked(dirty, declare, newLSN)
+	return s.committingLocked(dirty, declare, reg, newLSN)
 }
 
 // committingLocked is Committing's body. Callers hold s.mu.
-func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, newLSN uint64) (uint64, error) {
+func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg any, newLSN uint64) (uint64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
@@ -239,6 +239,7 @@ func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, newLS
 	if delta != nil {
 		delta.Declare = declare
 		delta.SnapID = SnapshotID(snapID)
+		delta.Reg = reg
 		for _, d := range dirty {
 			delta.Pages = append(delta.Pages, storage.ReplPage{ID: d.ID, Data: d.New})
 			if d.New == nil {

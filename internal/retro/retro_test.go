@@ -55,7 +55,7 @@ func (e *env) writePages(t *testing.T, ids []storage.PageID, vals []byte, declar
 		}
 	}
 	if declare {
-		snap, err := tx.CommitWithSnapshot()
+		snap, err := tx.CommitWithSnapshot(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func TestSnapshotRandomizedHistoryCorrectness(t *testing.T) {
 			}
 		}
 		if r.Intn(3) == 0 {
-			snap, err := w.CommitWithSnapshot()
+			snap, err := w.CommitWithSnapshot(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

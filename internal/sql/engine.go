@@ -39,12 +39,6 @@ type DB struct {
 	mu    sync.Mutex
 	funcs map[string]*FuncDef
 
-	// annotHook, when set, observes snapshot annotations (SnapIds rows
-	// registered via core.RecordSnapshot). Replication ships them
-	// logically: SnapIds lives in the non-snapshotable side store, which
-	// page-level deltas do not cover.
-	annotHook func(snapID uint64, ts, label string)
-
 	// Retro-view hooks (view.go): the maintenance layer, the logical
 	// DDL shipping hook for replication, and the post-commit snapshot
 	// announcement that triggers incremental refreshes.
@@ -61,24 +55,6 @@ type DB struct {
 	// poisonScans is set by tests only, before the database is used: see
 	// scanRow.poison.
 	poisonScans bool
-}
-
-// SetAnnotationHook registers fn to observe snapshot annotations; nil
-// unregisters. fn runs on the annotating connection's goroutine.
-func (db *DB) SetAnnotationHook(fn func(snapID uint64, ts, label string)) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.annotHook = fn
-}
-
-// NotifyAnnotation invokes the annotation hook, if any.
-func (db *DB) NotifyAnnotation(snapID uint64, ts, label string) {
-	db.mu.Lock()
-	fn := db.annotHook
-	db.mu.Unlock()
-	if fn != nil {
-		fn(snapID, ts, label)
-	}
 }
 
 // Open creates a new database.
@@ -369,9 +345,6 @@ func (c *Conn) LastStats() ExecStats { return c.lastStats }
 // COMMIT WITH SNAPSHOT on this connection.
 func (c *Conn) LastSnapshot() uint64 { return c.lastSnapshot }
 
-// DB returns the database this connection belongs to.
-func (c *Conn) DB() *DB { return c.db }
-
 // InTx reports whether an explicit transaction is open.
 func (c *Conn) InTx() bool { return c.mainTx != nil }
 
@@ -527,11 +500,17 @@ func (c *Conn) Commit() error {
 // snapshot that includes it (the paper's COMMIT WITH SNAPSHOT),
 // returning the new snapshot id.
 func (c *Conn) CommitWithSnapshot() (uint64, error) {
+	return c.commitWithSnapshot(nil)
+}
+
+// commitWithSnapshot is CommitWithSnapshot with the declaration's
+// registration (nil for none) handed to the commit path.
+func (c *Conn) commitWithSnapshot(reg any) (uint64, error) {
 	if c.mainTx == nil {
 		return 0, ErrNoTx
 	}
 	c.mainTx.SetTraceSpan(c.traceParent())
-	id, err := c.mainTx.CommitWithSnapshot()
+	id, err := c.mainTx.CommitWithSnapshot(reg)
 	c.mainTx = nil
 	if err != nil {
 		return 0, err
@@ -846,16 +825,18 @@ func (c *Conn) constEval(e Expr, params []record.Value) (record.Value, error) {
 	return ce(&rowCtx{ec: ec})
 }
 
-// DeclareSnapshot runs an empty BEGIN; COMMIT WITH SNAPSHOT cycle,
-// declaring a snapshot of the current state, and returns its id.
-func (c *Conn) DeclareSnapshot() (uint64, error) {
-	if c.mainTx != nil {
-		return 0, ErrTxOpen
+// DeclareSnapshot commits the open explicit transaction WITH SNAPSHOT —
+// an empty one when none is open — and returns the new snapshot id. The
+// declaring commit carries reg, the snapshot's registration, to the
+// commit observers (replication ships it in the same frame as the
+// snapshot); this layer never reads it.
+func (c *Conn) DeclareSnapshot(reg any) (uint64, error) {
+	if c.mainTx == nil {
+		if err := c.Begin(); err != nil {
+			return 0, err
+		}
 	}
-	if err := c.Begin(); err != nil {
-		return 0, err
-	}
-	return c.CommitWithSnapshot()
+	return c.commitWithSnapshot(reg)
 }
 
 // quoteIdent quotes an identifier for inclusion in generated SQL.

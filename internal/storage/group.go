@@ -71,6 +71,7 @@ type commitResult struct {
 type commitReq struct {
 	tx       *Tx
 	declare  bool
+	reg      any               // the declaration's registration, opaque here
 	done     chan commitResult // buffered (cap 1): the leader never blocks on a dead waiter
 	state    atomic.Int32
 	enqueued time.Time
@@ -150,7 +151,7 @@ func (s *Store) applyGroup(batch []*commitReq) {
 			s.reclaimLocked(req.tx)
 			res.err = failAll
 		} else {
-			res.snapID, res.err = s.commitOneLocked(req.tx, req.declare)
+			res.snapID, res.err = s.commitOneLocked(req.tx, req.declare, req.reg)
 			switch res.err {
 			case nil:
 				committed++
@@ -213,7 +214,7 @@ func (s *Store) checkGroupAccounting(gh GroupCommitHook) {
 // free-list update. Callers hold s.mu. On any failure the
 // transaction's page allocations return to the free list inline
 // (calling unallocate here would deadlock on s.mu).
-func (s *Store) commitOneLocked(tx *Tx, declare bool) (snapID uint64, err error) {
+func (s *Store) commitOneLocked(tx *Tx, declare bool, reg any) (snapID uint64, err error) {
 	sp := tx.span.Child("storage.commit")
 	s.endReadLocked(tx.base) // staged reads are over: drop the base pin
 	if s.conflictLocked(tx) {
@@ -244,7 +245,7 @@ func (s *Store) commitOneLocked(tx *Tx, declare bool) (snapID uint64, err error)
 	}
 
 	if s.hook != nil {
-		snapID, err = s.hook.Committing(dirty, declare, s.lsn+1)
+		snapID, err = s.hook.Committing(dirty, declare, reg, s.lsn+1)
 		if err != nil {
 			s.reclaimLocked(tx)
 			sp.End()

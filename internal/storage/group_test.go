@@ -28,7 +28,7 @@ func newGateHook() *gateHook {
 	}
 }
 
-func (h *gateHook) Committing(pages []DirtyPage, declare bool, lsn uint64) (uint64, error) {
+func (h *gateHook) Committing(pages []DirtyPage, declare bool, _ any, lsn uint64) (uint64, error) {
 	return 0, nil
 }
 func (h *gateHook) BeginGroup() {

@@ -69,9 +69,10 @@ type DirtyPage struct {
 // new versions become visible; newLSN is the commit LSN the transaction
 // will receive. declare is true when the transaction committed WITH
 // SNAPSHOT; the hook returns the declared snapshot id (0 when declare
-// is false). A non-nil error vetoes the commit.
+// is false). reg is CommitWithSnapshot's registration argument, passed
+// through unread. A non-nil error vetoes the commit.
 type CommitHook interface {
-	Committing(dirty []DirtyPage, declare bool, newLSN uint64) (snapID uint64, err error)
+	Committing(dirty []DirtyPage, declare bool, reg any, newLSN uint64) (snapID uint64, err error)
 }
 
 func (id PageID) String() string { return fmt.Sprintf("page %d", uint32(id)) }

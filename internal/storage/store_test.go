@@ -287,7 +287,7 @@ type hookRecorder struct {
 	fail     error
 }
 
-func (h *hookRecorder) Committing(dirty []DirtyPage, declare bool, newLSN uint64) (uint64, error) {
+func (h *hookRecorder) Committing(dirty []DirtyPage, declare bool, _ any, newLSN uint64) (uint64, error) {
 	if h.fail != nil {
 		return 0, h.fail
 	}
@@ -313,7 +313,7 @@ func TestCommitHookSeesPreStates(t *testing.T) {
 	id, _ := tx.Allocate()
 	p, _ := tx.GetMut(id)
 	fill(p, 1)
-	snap, err := tx.CommitWithSnapshot()
+	snap, err := tx.CommitWithSnapshot(nil)
 	if err != nil || snap != 1 {
 		t.Fatalf("CommitWithSnapshot: %d, %v", snap, err)
 	}

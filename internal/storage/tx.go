@@ -126,24 +126,25 @@ func (tx *Tx) Free(id PageID) error {
 
 // Commit atomically publishes the transaction's changes.
 func (tx *Tx) Commit() error {
-	_, err := tx.finish(false)
+	_, err := tx.finish(false, nil)
 	return err
 }
 
 // CommitWithSnapshot publishes the changes and declares a snapshot that
 // includes them, returning the snapshot id assigned by the commit hook
 // (the Retro system). It corresponds to the paper's
-// "COMMIT WITH SNAPSHOT" command.
-func (tx *Tx) CommitWithSnapshot() (uint64, error) {
-	return tx.finish(true)
+// "COMMIT WITH SNAPSHOT" command. reg is the declaration's registration
+// (nil for none): the store hands it to the commit hook unread.
+func (tx *Tx) CommitWithSnapshot(reg any) (uint64, error) {
+	return tx.finish(true, reg)
 }
 
-func (tx *Tx) finish(declare bool) (uint64, error) {
+func (tx *Tx) finish(declare bool, reg any) (uint64, error) {
 	if tx.done {
 		return 0, ErrTxDone
 	}
 	tx.done = true
-	req := &commitReq{tx: tx, declare: declare, done: make(chan commitResult, 1)}
+	req := &commitReq{tx: tx, declare: declare, reg: reg, done: make(chan commitResult, 1)}
 	tx.store.enqueueCommit(req)
 	select {
 	case res := <-req.done:

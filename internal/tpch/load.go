@@ -135,15 +135,24 @@ func (w *Workload) Step() (uint64, error) {
 	if err := insertOrders(w.Conn, w.Gen.NextOrders(w.OrdersPerSnapshot)); err != nil {
 		return abort(err)
 	}
-	id, err := w.Conn.CommitWithSnapshot()
+	id, err := w.declare("refresh")
 	if err != nil {
 		return 0, err
 	}
 	w.minKey = cut
-	w.clock = w.clock.Add(24 * time.Hour)
-	if err := core.RecordSnapshot(w.Conn, id, w.clock, fmt.Sprintf("refresh-%d", id)); err != nil {
+	return id, nil
+}
+
+// declare commits the open refresh transaction (an empty one when none
+// is open) WITH SNAPSHOT, registered in SnapIds one simulated day after
+// the previous snapshot.
+func (w *Workload) declare(label string) (uint64, error) {
+	ts := w.clock.Add(24 * time.Hour)
+	id, err := core.DeclareSnapshot(w.Conn, ts, label)
+	if err != nil {
 		return 0, err
 	}
+	w.clock = ts
 	return id, nil
 }
 
@@ -161,17 +170,5 @@ func (w *Workload) Run(n int) error {
 // periodic-snapshot idiom where the schedule fires whether or not the
 // data changed. Quiet snapshots have empty page deltas.
 func (w *Workload) QuietStep() (uint64, error) {
-	if err := w.Conn.Exec(`BEGIN`, nil); err != nil {
-		return 0, err
-	}
-	id, err := w.Conn.CommitWithSnapshot()
-	if err != nil {
-		w.Conn.Rollback()
-		return 0, err
-	}
-	w.clock = w.clock.Add(24 * time.Hour)
-	if err := core.RecordSnapshot(w.Conn, id, w.clock, fmt.Sprintf("quiet-%d", id)); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return w.declare("quiet")
 }

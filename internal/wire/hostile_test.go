@@ -49,8 +49,8 @@ func TestListDecodersRejectOversizedCounts(t *testing.T) {
 		"SegmentChunk":    {zeros(2), func(d *Dec) { DecodeReplSegmentChunk(d) }},
 		"MapEntries":      {zeros(0), func(d *Dec) { DecodeReplMapEntries(d) }},
 		"Annots":          {zeros(0), func(d *Dec) { DecodeReplAnnots(d) }},
-		"ReplDelta/caps":  {zeros(6), func(d *Dec) { DecodeReplDelta(d) }},
-		"ReplDelta/pages": {zeros(7), func(d *Dec) { DecodeReplDelta(d) }},
+		"ReplDelta/caps":  {zeros(7), func(d *Dec) { DecodeReplDelta(d) }},
+		"ReplDelta/pages": {zeros(8), func(d *Dec) { DecodeReplDelta(d) }},
 		"ReplStats":       {zeros(4), func(d *Dec) { DecodeReplStats(d) }},
 	} {
 		e := &Enc{}
@@ -171,4 +171,19 @@ func FuzzDecodeViews(f *testing.F) {
 
 func FuzzDecodeViewBatch(f *testing.F) {
 	fuzzDecoder(f, DecodeViewBatch, EncodeViewBatch, seedViewBatch, []byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x1F})
+}
+
+// FuzzDecodeReplDelta fuzzes the replication stream's delta body — what
+// a replica decodes from every RespReplDelta frame a primary sends.
+func FuzzDecodeReplDelta(f *testing.F) {
+	// No page image in the seed: one makes the input 4 KiB and the
+	// fuzzer a hundred times slower; the image paths have their own
+	// oversized-count and round-trip tests.
+	seed := ReplDelta{
+		LSN: 7, SnapTag: 3, PlBase: 120, Declare: true, SnapID: 4,
+		Annot: &ReplAnnot{Snap: 4, TS: "2026-01-02 00:00:00", Label: "day-1"},
+		Pages: []ReplPageImage{{ID: 5}, {ID: 6}},
+	}
+	// A present registration whose timestamp announces ~8 GiB.
+	fuzzDecoder(f, DecodeReplDelta, EncodeReplDelta, seed, []byte{0, 0, 0, 0, 1, 4, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F})
 }

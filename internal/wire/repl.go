@@ -3,9 +3,10 @@ package wire
 // Replication frame bodies. The stream a replica opens
 // with ReqReplSub is the one place the protocol departs from its
 // one-request-at-a-time rule: after the subscribe, the server pushes
-// RespReplBoot / RespReplDelta / RespReplAnnot frames indefinitely
+// RespReplBoot / RespReplDelta / RespReplViewDDL frames indefinitely
 // while the replica sends ReqReplAck frames back on the same
-// connection (full duplex).
+// connection (full duplex). A snapshot's SnapIds row rides the final
+// RespReplDelta frame of the commit that declared it.
 
 // PageSize is the fixed page size replicated page images use. It must
 // equal storage.PageSize; internal/repl asserts this at compile time.
@@ -264,18 +265,17 @@ func DecodeReplMapEntries(d *Dec) []ReplMapEntry {
 	return out
 }
 
-// ReplAnnot is one SnapIds annotation: the logical registration of a
-// declared snapshot's timestamp and label (paper §3's SnapIds table).
-// Shipped logically because SnapIds lives in the replica's own
-// non-snapshotable side store.
+// ReplAnnot is one SnapIds row: the logical registration of a declared
+// snapshot's timestamp and label (paper §3's SnapIds table). Shipped
+// logically because SnapIds lives in the replica's own non-snapshotable
+// side store.
 type ReplAnnot struct {
 	Snap  uint64
 	TS    string
 	Label string
 }
 
-// EncodeReplAnnots appends an annotation list (BootAnnots chunk body;
-// RespReplAnnot frames carry a list of one).
+// EncodeReplAnnots appends a list of SnapIds rows (BootAnnots chunk body).
 func EncodeReplAnnots(e *Enc, anns []ReplAnnot) {
 	e.Uvarint(uint64(len(anns)))
 	for _, a := range anns {
@@ -285,7 +285,7 @@ func EncodeReplAnnots(e *Enc, anns []ReplAnnot) {
 	}
 }
 
-// DecodeReplAnnots reads an annotation list.
+// DecodeReplAnnots reads a list of SnapIds rows.
 func DecodeReplAnnots(d *Dec) []ReplAnnot {
 	n := d.Len()
 	out := make([]ReplAnnot, 0, n)
@@ -306,17 +306,18 @@ type ReplCaptureImage struct {
 // commits are split across frames: every frame repeats LSN and SnapTag,
 // PlBase tracks the Pagelog offset at which that frame's captures
 // begin, and only the frame with Partial == false carries the commit's
-// Declare/SnapID and completes it. The replica merges Partial frames
-// and applies nothing until the final frame of the final commit of a
-// snapshot group arrives, so its horizon moves only between complete
-// snapshots.
+// Declare/SnapID/Annot and completes it. The replica merges Partial
+// frames and applies nothing until the final frame of the final commit
+// of a snapshot group arrives — the snapshot's SnapIds row included — so
+// its horizon moves only between complete snapshots.
 type ReplDelta struct {
 	LSN      uint64
-	SnapTag  uint64 // Maplog tag of this commit's captures (0 if none)
-	PlBase   int64  // primary Pagelog offset before this frame's captures
-	Partial  bool   // more frames follow for the same commit
-	Declare  bool   // commit was COMMIT WITH SNAPSHOT (final frame only)
-	SnapID   uint64 // declared snapshot id when Declare
+	SnapTag  uint64     // Maplog tag of this commit's captures (0 if none)
+	PlBase   int64      // primary Pagelog offset before this frame's captures
+	Partial  bool       // more frames follow for the same commit
+	Declare  bool       // commit was COMMIT WITH SNAPSHOT (final frame only)
+	SnapID   uint64     // declared snapshot id when Declare
+	Annot    *ReplAnnot // SnapIds row of SnapID, if the declaration carried one (Snap not encoded)
 	Captures []ReplCaptureImage
 	Pages    []ReplPageImage // post-images; Data nil = freed
 }
@@ -329,6 +330,11 @@ func EncodeReplDelta(e *Enc, rd ReplDelta) {
 	e.Bool(rd.Partial)
 	e.Bool(rd.Declare)
 	e.Uvarint(rd.SnapID)
+	e.Bool(rd.Annot != nil)
+	if rd.Annot != nil {
+		e.String(rd.Annot.TS)
+		e.String(rd.Annot.Label)
+	}
 	e.Uvarint(uint64(len(rd.Captures)))
 	for _, c := range rd.Captures {
 		e.Uvarint(uint64(c.Page))
@@ -347,6 +353,9 @@ func DecodeReplDelta(d *Dec) ReplDelta {
 	rd.Partial = d.Bool()
 	rd.Declare = d.Bool()
 	rd.SnapID = d.Uvarint()
+	if d.Bool() {
+		rd.Annot = &ReplAnnot{Snap: rd.SnapID, TS: d.String(), Label: d.String()}
+	}
 	n := d.Len()
 	rd.Captures = make([]ReplCaptureImage, 0, min(n, len(d.B)/PageSize))
 	for i := 0; i < n; i++ {

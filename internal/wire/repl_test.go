@@ -118,6 +118,7 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 		Partial: true,
 		Declare: true,
 		SnapID:  4,
+		Annot:   &ReplAnnot{Snap: 4, TS: "2026-08-08 12:00:00", Label: "day-4"},
 		Captures: []ReplCaptureImage{
 			{Page: 5, Data: page(0x11)},
 			{Page: 9, Data: page(0x22)},
@@ -135,7 +136,8 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 		t.Fatal(d.Err())
 	}
 	if out.LSN != in.LSN || out.SnapTag != in.SnapTag || out.PlBase != in.PlBase ||
-		out.Partial != in.Partial || out.Declare != in.Declare || out.SnapID != in.SnapID {
+		out.Partial != in.Partial || out.Declare != in.Declare || out.SnapID != in.SnapID ||
+		!reflect.DeepEqual(out.Annot, in.Annot) {
 		t.Fatalf("header mismatch: %+v", out)
 	}
 	if len(out.Captures) != 2 || out.Captures[0].Page != 5 ||

@@ -38,9 +38,9 @@ import (
 // built from this repository (client, repl.Replica, rqlshell, rqlbench,
 // benchmark/), so a HELLO below it is refused with an error naming it,
 // and a HELLO above it is answered with it. DESIGN.md has the frame
-// table. v12: the cost records lose the read-ahead fields
-// (prefetch_hits, overlap, prefetched, prefetch_wasted).
-const ProtocolVersion = 12
+// table. v13: a declaring commit's final ReplDelta frame carries the
+// snapshot's SnapIds row, which no longer travels in a frame of its own.
+const ProtocolVersion = 13
 
 // Magic opens the client hello.
 const Magic = "RQL1"
@@ -104,7 +104,6 @@ const (
 	RespHorizon   byte = 0x8E // HorizonInfo
 	RespReplBoot  byte = 0x8F // bootstrap chunk (kind byte + body)
 	RespReplDelta byte = 0x90 // one replicated commit (possibly chunked)
-	RespReplAnnot byte = 0x91 // one SnapIds annotation event
 	RespReplStats byte = 0x92 // ReplStats
 
 	// Retro-view responses.

@@ -341,9 +341,9 @@ type Conn struct {
 	db *DB
 }
 
-// DeclareSnapshot declares a snapshot of the current state (an empty
-// BEGIN; COMMIT WITH SNAPSHOT) and records it in the SnapIds table with
-// the current time and the given label.
+// DeclareSnapshot commits the open transaction WITH SNAPSHOT (an empty
+// one when none is open) and records the snapshot in the SnapIds table
+// with the current time and the given label.
 func (c *Conn) DeclareSnapshot(label string) (uint64, error) {
 	return core.DeclareSnapshot(c.Conn, time.Now(), label)
 }
