@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt loc repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke microbench
+.PHONY: all check build vet test race fmt loc repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check microbench
 
 all: check
 
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
 # failing check, the replication smoke, the group-commit stress smoke,
 # the compaction smoke, the incremental-view smoke, the decoder fuzz
-# smoke, and the rqlshell transcript smoke. Every member is a
-# deterministic pass/fail; wall-clock performance is measured by the
-# benchmark/ harness, not gated here.
-check: build vet race fmt repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke
+# smoke, the rqlshell transcript smoke, and the figure counter check.
+# Every member is a deterministic pass/fail; wall-clock performance is
+# measured by the benchmark/ harness, not gated here.
+check: build vet race fmt repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check
 
 build:
 	$(GO) build ./...
@@ -53,9 +53,11 @@ repl-smoke:
 # race detector: the concurrent-writer stress harness with its analytic
 # shadow model, the serial-determinism property test (a serial caller's
 # results and counter snapshots are byte-identical run to run), the
-# batching test (one flush per commit at one writer, fewer groups than
-# commits at eight, one flush decision per group), the
-# conflict/abandon/ctx storage tests, and the side-store concurrency
+# batching tests (one flush per commit at one writer and one flush
+# decision per group at eight; that eight writers form fewer groups than
+# commits is left to storage's TestGroupCommitBatches, whose gate hook
+# holds the leader in its flush, because nothing else makes it
+# deterministic), the conflict/abandon/ctx storage tests, and the side-store concurrency
 # tests (open result writers block no other session; TEMP DDL races are
 # retried; concurrent mechanisms beside a live view match their serial
 # runs). -count=3: the stress harness and the concurrency tests depend
@@ -68,12 +70,13 @@ groupcommit-smoke:
 # race detector: sealed-read equivalence, seal crash safety, retention
 # drops, the concurrent seal/read/truncate stress loop, the
 # compaction-on-vs-off serial-equivalence property test, and
-# replication bootstrap over sealed segments — and the device model the
-# reads go through (queue depth, FIFO order, busy accounting, one billed
-# read per page under parallel lanes). -count=3 for the same reason as
-# groupcommit-smoke.
+# replication bootstrap over sealed segments — and the demand reads the
+# snapshot readers go through (one billed read and one device read per
+# page under parallel lanes, joiners of an in-service miss held on the
+# Pagelog's lock, an injected read error failing exactly one of
+# concurrent reads). -count=3 for the same reason as groupcommit-smoke.
 compact-smoke:
-	$(GO) test -race -count=3 -run 'TestSeal|TestSegment|TestRetention|TestCompact|TestCompaction|TestPagelogClose|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDevice|TestDemandRead' ./internal/retro ./internal/repl .
+	$(GO) test -race -count=3 -run 'TestSeal|TestSegment|TestRetention|TestCompact|TestCompaction|TestPagelogClose|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDemandRead|TestInjectedReadError' ./internal/retro ./internal/repl .
 
 # view-smoke runs the incremental materialized-view correctness
 # surface under the race detector: the incremental-vs-full-recompute
@@ -86,7 +89,7 @@ view-smoke:
 
 # fuzz-smoke fuzzes each decoder that sees untrusted bytes — the wire
 # decoders, the sealed-segment metadata a replica is shipped, a view's
-# persisted state — for ten seconds (go test -fuzz takes one target of
+# persisted state, the SQL parser — for ten seconds (go test -fuzz takes one target of
 # one package per run): no panic, no allocation beyond a small multiple
 # of the input, and clean decodes survive an encode/decode round. The
 # seed corpora also run inside plain `go test ./...`. A failing input
@@ -95,7 +98,7 @@ view-smoke:
 FUZZ_TARGETS = \
 	wire:FuzzReadFrame wire:FuzzDecodeMetrics wire:FuzzDecodeExecStats wire:FuzzDecodeRunStats \
 	wire:FuzzDecodeSlowEntries wire:FuzzDecodeObjects wire:FuzzDecodeViews wire:FuzzDecodeViewBatch \
-	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta core:FuzzDecodeViewState
+	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta core:FuzzDecodeViewState sql:FuzzParse
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./internal/$${t%%:*} || exit 1; \
@@ -107,6 +110,17 @@ fuzz-smoke:
 # one transcript (see cmd/rqlshell/smoke.sh).
 shell-smoke:
 	bash cmd/rqlshell/smoke.sh
+
+# fig-check runs the quick §5 sweep (fig 6–13, §5.3, the ablation) and
+# holds its counter columns — Pagelog reads, DB reads, cache hits,
+# fig 7's C_io, result rows and bytes — byte-identical to the committed
+# golden file, every wall-clock value masked (see
+# cmd/rqlbench/figmask.sh, which also says how to regenerate the golden
+# after a change that moves a counter on purpose). A sweep that fails
+# prints short of the golden, so the diff fails too. ~35 s.
+fig-check:
+	$(GO) run ./cmd/rqlbench -all -quick -seed 1 | bash cmd/rqlbench/figmask.sh | \
+		diff -u cmd/rqlbench/testdata/figcheck.golden -
 
 # microbench runs the Go testing benchmarks (one pass, smoke-level).
 microbench:

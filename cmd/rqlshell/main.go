@@ -523,8 +523,8 @@ func printTop(period time.Duration, pts []client.TimelinePoint) {
 			fmt.Sprintf("%.1f", p.Rates["queries_served"]),
 			fmt.Sprintf("%.1f", p.Rates["storage_commits"]),
 			fmt.Sprintf("%.1f", p.Rates["rows_streamed"]),
-			// Busy time is summed across concurrent device commands, so
-			// a deep queue can exceed 100% of one wall-second.
+			// Busy time is summed across concurrent demand reads, so
+			// parallel lanes can exceed 100% of one wall-second.
 			fmt.Sprintf("%.1f", p.Rates["device_busy_ns"]/1e9*100),
 			fmt.Sprintf("%.1f", hitPct),
 		})

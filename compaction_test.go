@@ -61,14 +61,11 @@ func TestCompactionSerialEquivalence(t *testing.T) {
 	if cRetro.SegmentSeals == 0 {
 		t.Error("compacted side never sealed a segment; the equivalence is vacuous")
 	}
-	// Wall-time accumulators measure elapsed time, not logical work, and
-	// OverlappedReads counts device commands that happened to be in
-	// service together — the scheduler's choice, different on any two
-	// runs. The deterministic series (PagelogReads, CacheHits, SPT*,
+	// Wall-time accumulators measure elapsed time, not logical work. The
+	// deterministic series (PagelogReads, CacheHits, SPT*,
 	// BatchMapScanned, Delta*, DeviceReads, flush decisions) all stay in.
 	fStore.QueueWaitNS, cStore.QueueWaitNS = 0, 0
 	fRetro.DeviceBusyNS, cRetro.DeviceBusyNS = 0, 0
-	fRetro.OverlappedReads, cRetro.OverlappedReads = 0, 0
 	// Physical-side series: tiering is SUPPOSED to change these.
 	for _, rs := range []*rql.RetroStats{&fRetro, &cRetro} {
 		rs.DeviceBytesRead = 0

@@ -5,13 +5,13 @@
 // transaction-lifetime lock: BEGIN pins a snapshot-isolation baseline
 // and stages the write set privately, COMMIT enqueues onto a commit
 // queue, and a leader drains whole batches — conflict detection,
-// consecutive LSNs, ONE device flush per group. This walkthrough shows
-// both faces of that design:
+// consecutive LSNs, ONE flush decision per group. This walkthrough
+// shows both faces of that design:
 //
-//  1. Throughput: on a sleeping device (1ms per flush), 8 concurrent
-//     writers commit several times faster than one writer alone,
-//     because a group of commits shares one flush where the lone
-//     writer's groups of one pay a flush each.
+//  1. Batching: one writer's commits are groups of one, a flush each;
+//     8 concurrent writers' commits can share groups, and a group
+//     takes one flush however many commits it carries. How many share
+//     depends on scheduling, so the counts vary run to run.
 //  2. Isolation: two explicit transactions that write the same page
 //     race at COMMIT; the first committer wins and the loser gets
 //     rql.ErrWriteConflict to retry on a fresh snapshot.
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"rql"
 )
@@ -32,12 +31,13 @@ const (
 	ops     = 20
 )
 
-// run times n concurrent sessions committing INSERTs into private
+// run drives n concurrent sessions committing INSERTs into private
 // tables (disjoint pages — no conflicts, so the comparison isolates
-// flush batching). Every commit declares a snapshot, so every commit
-// archives pre-images and its group's flush is mandatory (a group that
-// adds nothing to the Pagelog skips its flush).
-func run(db *rql.DB, n int) time.Duration {
+// flush batching) and prints the commits, groups and flushes. Every
+// commit declares a snapshot, so every commit archives pre-images and
+// its group's flush is mandatory (a group that adds nothing to the
+// Pagelog skips its flush).
+func run(db *rql.DB, n int) {
 	setup := db.Conn()
 	for w := 0; w < n; w++ {
 		if err := setup.Exec(fmt.Sprintf(`CREATE TABLE w%d_%d (i INTEGER)`, n, w), nil); err != nil {
@@ -49,7 +49,6 @@ func run(db *rql.DB, n int) time.Duration {
 	}
 	db.ResetStats()
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -63,38 +62,23 @@ func run(db *rql.DB, n int) time.Duration {
 		}(w)
 	}
 	wg.Wait()
-	return time.Since(start)
+	ss := db.StorageStats()
+	fmt.Printf("%d writer(s): %3d commits in %3d groups (mean size %.1f), %3d flushes\n",
+		n, ss.Commits, ss.Groups, float64(ss.Commits)/float64(ss.Groups), db.RetroStats().DeviceFlushes)
 }
 
 func main() {
-	// SleepOnRead turns the modeled device latency into wall time, so a
-	// commit group's flush genuinely costs 1ms — the regime where
-	// batching flushes is visible on the clock.
-	db, err := rql.Open(rql.Options{
-		SleepOnRead:          true,
-		SimulatedReadLatency: time.Millisecond,
-	})
+	db, err := rql.Open(rql.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
 
-	// --- 1. Throughput: one writer vs eight -------------------------
+	// --- 1. Batching: one writer vs eight ---------------------------
 	// One writer is the serial baseline: every commit is a group of one.
-	soloWall := run(db, 1)
-	ss := db.StorageStats()
-	soloRate := float64(ss.Commits) / soloWall.Seconds()
-	fmt.Printf("1 writer : %3d commits in %8s — %d flushes (one per commit), %.0f commits/s\n",
-		ss.Commits, soloWall.Round(time.Millisecond), db.RetroStats().DeviceFlushes, soloRate)
-
-	groupedWall := run(db, writers)
-	ss = db.StorageStats()
-	rate := float64(ss.Commits) / groupedWall.Seconds()
-	fmt.Printf("%d writers: %3d commits in %8s — %d flushes (one per GROUP, mean size %.1f), %.0f commits/s\n",
-		writers, ss.Commits, groupedWall.Round(time.Millisecond),
-		db.RetroStats().DeviceFlushes, float64(ss.Commits)/float64(ss.Groups), rate)
-	fmt.Printf("speedup: %.1fx the lone writer's commit rate; queue wait %s total\n\n",
-		rate/soloRate, time.Duration(ss.QueueWaitNS).Round(time.Microsecond))
+	run(db, 1)
+	run(db, writers)
+	fmt.Println()
 
 	// --- 2. Isolation: first committer wins -------------------------
 	// Two transactions stage against the same baseline and write the

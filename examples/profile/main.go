@@ -5,7 +5,7 @@
 // — same planning pass, same read context, same billed counters as
 // running it plainly — and appends what the execution cost. For a
 // plain SELECT that is one EXECUTED summary line (rows, wall time,
-// Pagelog reads, cache hits, SPT build time, device queue wait). For
+// Pagelog reads, cache hits, SPT build time). For
 // a statement that drives a retrospective mechanism, the report adds
 // the paper's §4 cost model: a MECHANISM header (pruned iterations,
 // replayed rows, delta intersections) and one ITERATION line per snapshot
@@ -33,12 +33,9 @@ import (
 )
 
 func main() {
-	// A sleeping device makes the I/O columns real wall time instead
-	// of zeros: every cache-missing Pagelog read costs 200µs here.
-	db, err := rql.Open(rql.Options{
-		SimulatedReadLatency: 200 * time.Microsecond,
-		SleepOnRead:          true,
-	})
+	// The io column is modeled, not slept: every cache-missing Pagelog
+	// read is billed 200µs here.
+	db, err := rql.Open(rql.Options{SimulatedReadLatency: 200 * time.Microsecond})
 	if err != nil {
 		log.Fatal(err)
 	}

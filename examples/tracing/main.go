@@ -5,12 +5,11 @@
 // atomic load per instrumentation site while off. Switched on, every
 // layer contributes spans to a per-process ring: the SQL engine
 // (parse/plan/execute), the mechanisms (one span per snapshot
-// iteration, with its billed reads and row counts as attributes), the
-// Retro layer (SPT construction, Pagelog fetches) and the device pool
-// (one span per device command, including how long it waited in the
-// queue). Spans of one statement form a connected tree under one trace
-// ID; tracing never changes the billed counters the paper's figures
-// are plotted from.
+// iteration, with its billed reads and row counts as attributes) and
+// the Retro layer (SPT construction, Pagelog fetches, and under each
+// fetch one span for its device read). Spans of one statement form a
+// connected tree under one trace ID; tracing never changes the billed
+// counters the paper's figures are plotted from.
 //
 // This walkthrough builds the paper's LoggedIn example, traces the
 // CollateData run from Figure 3, prints its span tree, and writes the
@@ -64,7 +63,7 @@ func main() {
 	rql.SetSlowQueryThreshold(time.Microsecond)
 
 	// A cold snapshot cache makes the mechanism's reads travel the full
-	// path — Pagelog fetch, device command — instead of stopping at the
+	// path — Pagelog fetch, device read — instead of stopping at the
 	// page cache, so those layers' spans show up in the tree.
 	db.ResetSnapshotCache()
 

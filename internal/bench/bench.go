@@ -62,9 +62,6 @@ type Config struct {
 	SF float64
 	// ReadLatency is the modeled per-Pagelog-read cost.
 	ReadLatency time.Duration
-	// DeviceQueueDepth is the device's concurrency (0 = default 8;
-	// 1 = the strictly serial device of paper-replication mode).
-	DeviceQueueDepth int
 	// Seed makes data generation deterministic.
 	Seed int64
 	// Quick shrinks sweeps (used by `go test -bench`).
@@ -98,10 +95,7 @@ type Env struct {
 // given update workload.
 func NewEnv(uw UW, history int, cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
-	db, err := sql.Open(sql.Options{Retro: retro.Options{
-		SimulatedReadLatency: cfg.ReadLatency,
-		DeviceQueueDepth:     cfg.DeviceQueueDepth,
-	}})
+	db, err := sql.Open(sql.Options{Retro: retro.Options{SimulatedReadLatency: cfg.ReadLatency}})
 	if err != nil {
 		return nil, err
 	}

@@ -53,13 +53,7 @@ func (r *Runner) env(uw UW, history int) (*Env, error) {
 	}
 	fmt.Fprintf(r.Out, "[setup] building %s environment: SF=%g, %d snapshots...\n",
 		uw.Name, r.Cfg.SF, history)
-	// Paper-replication mode: the figures' counter series are defined
-	// against a strictly serial device, so pin it at depth 1. The
-	// counters are depth-independent anyway; this removes even
-	// scheduling noise.
-	cfg := r.Cfg
-	cfg.DeviceQueueDepth = 1
-	e, err := NewEnv(uw, history, cfg)
+	e, err := NewEnv(uw, history, r.Cfg)
 	if err != nil {
 		return nil, err
 	}

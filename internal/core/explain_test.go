@@ -86,7 +86,7 @@ func TestExplainAnalyzeMatchesPlainRun(t *testing.T) {
 	for _, want := range []string{
 		"SCAN TABLE", "EXECUTED rows=3", "MECHANISM CollateData iterations=3",
 		"ITERATION snap=1", "ITERATION snap=2", "ITERATION snap=3",
-		"pagelog_reads=", "queue_wait=",
+		"pagelog_reads=", "spt_build=",
 		// Fields the old hand-copied profile dropped.
 		"db_reads=", "map_scanned=", "delta_pages=",
 	} {

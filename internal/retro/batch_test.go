@@ -422,7 +422,7 @@ func TestPagelogReadRun(t *testing.T) {
 		_, ids := e.writePages(t, []storage.PageID{0, 0, 0, 0}, []byte{1, 2, 3, 4}, true)
 		e.writePages(t, ids, []byte{11, 12, 13, 14}, false)
 
-		pages, physBytes, _, err := e.sys.pl.readRun(0, 4)
+		pages, physBytes, _, err := e.sys.pl.Load().readRun(0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,15 +434,15 @@ func TestPagelogReadRun(t *testing.T) {
 				t.Errorf("backed=%v run[%d] = %d, want %d", backed, i, p[0], i+1)
 			}
 		}
-		if _, _, _, err := e.sys.pl.readRun(2, 3); !errors.Is(err, ErrBadOffset) {
+		if _, _, _, err := e.sys.pl.Load().readRun(2, 3); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("out-of-range run: %v", err)
 		}
-		if _, _, _, err := e.sys.pl.readRun(0, 0); !errors.Is(err, ErrBadOffset) {
+		if _, _, _, err := e.sys.pl.Load().readRun(0, 0); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("empty run: %v", err)
 		}
 		boom := errors.New("disk gone")
 		e.sys.InjectPagelogReadError(boom)
-		if _, _, _, err := e.sys.pl.readRun(0, 2); !errors.Is(err, boom) {
+		if _, _, _, err := e.sys.pl.Load().readRun(0, 2); !errors.Is(err, boom) {
 			t.Errorf("injected error not surfaced: %v", err)
 		}
 	}

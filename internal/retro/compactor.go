@@ -137,7 +137,7 @@ func (s *System) sealOnce() (bool, error) {
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	pl := s.pl
+	pl := s.pl.Load()
 	segPages := int64(s.copts.SegmentPages)
 	minTail := int64(s.copts.MinTailPages)
 	s.mu.Unlock()
@@ -321,7 +321,7 @@ func (s *System) dropExpiredSegments() (dropped int) {
 	// levels merge subsets of the retained range, so the first retained
 	// entry's offset bounds every live mapping from below. An empty
 	// Maplog means nothing is referenced: everything sealed may go.
-	pl := s.pl
+	pl := s.pl.Load()
 	minLive := pl.size()
 	if len(s.ml.entries) > 0 {
 		minLive = s.ml.entries[0].off

@@ -118,7 +118,7 @@ func TestSealedReadEquivalence(t *testing.T) {
 			e := newEnv(t, opts)
 			snaps := buildSealHistory(t, e, 12, 4)
 
-			pl := e.sys.pl
+			pl := e.sys.pl.Load()
 			n := pl.size()
 			if n < 16 {
 				t.Fatalf("history too small to seal: %d pages", n)
@@ -239,7 +239,7 @@ func TestSealCrashSafety(t *testing.T) {
 	buildSealHistory(t, e, 12, 4)
 
 	boom := errors.New("simulated crash")
-	pl := sys.pl
+	pl := sys.pl.Load()
 	pl.mu.Lock()
 	pl.injectSealErr = boom
 	pl.mu.Unlock()
@@ -297,7 +297,7 @@ func TestRetentionDropsWholeSegments(t *testing.T) {
 	if _, err := e.sys.SealNow(); err != nil {
 		t.Fatal(err)
 	}
-	segsBefore, _, _ := e.sys.pl.tiers()
+	segsBefore, _, _ := e.sys.pl.Load().tiers()
 	if segsBefore < 3 {
 		t.Fatalf("only %d segments; geometry too coarse for the test", segsBefore)
 	}
@@ -320,15 +320,15 @@ func TestRetentionDropsWholeSegments(t *testing.T) {
 		t.Errorf("drop counters = %d/%d, want %d/%d",
 			st.RetentionDrops, st.RetentionDroppedPages, dropped, dropped*8)
 	}
-	segFiles, _ := filepath.Glob(e.sys.pl.base + ".seg-*")
-	segsAfter, _, _ := e.sys.pl.tiers()
+	segFiles, _ := filepath.Glob(e.sys.pl.Load().base + ".seg-*")
+	segsAfter, _, _ := e.sys.pl.Load().tiers()
 	if len(segFiles) != segsAfter {
 		t.Errorf("%d segment files on disk, %d segments live", len(segFiles), segsAfter)
 	}
 
 	// A dropped offset reads as ErrBadOffset; retained snapshots read.
 	var p storage.PageData
-	if _, _, err := e.sys.pl.read(0, &p); !errors.Is(err, ErrBadOffset) {
+	if _, _, err := e.sys.pl.Load().read(0, &p); !errors.Is(err, ErrBadOffset) {
 		t.Errorf("dropped offset read err = %v, want ErrBadOffset", err)
 	}
 	e.sys.ResetCache()
@@ -418,7 +418,7 @@ func TestCompactOverTiers(t *testing.T) {
 	if _, err := e.sys.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if segs, _, _ := e.sys.pl.tiers(); segs != 0 {
+	if segs, _, _ := e.sys.pl.Load().tiers(); segs != 0 {
 		t.Fatalf("compacted generation still has %d segments", segs)
 	}
 	e.sys.ResetCache()

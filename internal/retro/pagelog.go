@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rql/internal/storage"
 )
@@ -82,8 +83,18 @@ type pagelog struct {
 
 	closed bool // set by close/destroy; seals abort instead of installing
 
-	injectReadErr error // test hook: fail the next read
-	injectSealErr error // test hook: fail the next seal after the partial write
+	injectReadErr atomic.Pointer[error] // test hook: fail the next read (see takeReadErr)
+	injectSealErr error                 // test hook: fail the next seal after the partial write
+}
+
+// takeReadErr claims the injected read error, if any. Reads hold only
+// pl.mu's read lock, so the claim is an atomic swap: of any number of
+// concurrent reads, exactly one fails.
+func (pl *pagelog) takeReadErr() error {
+	if p := pl.injectReadErr.Swap(nil); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func newPagelog(path string) (*pagelog, error) {
@@ -159,15 +170,14 @@ func (pl *pagelog) findSegment(off int64) *segment {
 // transferred from the backing — PageSize for a tail read, the
 // compressed block length for a cold-segment read whose block was not
 // already buffered, zero on a block-cache hit — and the block-cache hit
-// count, which the device model uses for transfer-time accounting.
+// count, which the demand read adds to the device counters.
 func (pl *pagelog) read(off int64, dst *storage.PageData) (physBytes int64, blockHits int, err error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
 	if pl.closed {
 		return 0, 0, ErrClosed
 	}
-	if err := pl.injectReadErr; err != nil {
-		pl.injectReadErr = nil
+	if err := pl.takeReadErr(); err != nil {
 		return 0, 0, err
 	}
 	if off < 0 || off >= pl.n {
@@ -203,8 +213,7 @@ var runSlabPool = sync.Pool{New: func() any { return new([]byte) }}
 func (pl *pagelog) readRun(off int64, n int) (out []*storage.PageData, physBytes int64, blockHits int, err error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	if err := pl.injectReadErr; err != nil {
-		pl.injectReadErr = nil
+	if err := pl.takeReadErr(); err != nil {
 		return nil, 0, 0, err
 	}
 	if n <= 0 || off < 0 || off+int64(n) > pl.n {

@@ -65,14 +65,15 @@ func (s *System) ApplyCommitDelta(d *CommitDelta) error {
 		return ErrClosed
 	}
 	if len(d.Captures) > 0 {
-		if got := s.pl.size(); got != d.PlBase {
+		pl := s.pl.Load()
+		if got := pl.size(); got != d.PlBase {
 			return fmt.Errorf("%w: pagelog at %d, primary commit expects %d", ErrReplDiverged, got, d.PlBase)
 		}
 		if last := s.ml.lastSnap(); last != d.SnapTag {
 			return fmt.Errorf("%w: maplog tag %d, primary commit expects %d", ErrReplDiverged, last, d.SnapTag)
 		}
 		for _, c := range d.Captures {
-			off, err := s.pl.append(c.Data)
+			off, err := pl.append(c.Data)
 			if err != nil {
 				return err
 			}
@@ -128,7 +129,7 @@ func (s *System) ExportBootstrap() (BootstrapState, error) {
 	bs := BootstrapState{
 		LastSnap:     s.ml.lastSnap(),
 		SnapLSNs:     append([]uint64(nil), s.snapLSN...),
-		PagelogPages: s.pl.size(),
+		PagelogPages: s.pl.Load().size(),
 	}
 	bs.Entries = make([]BootstrapEntry, len(s.ml.entries))
 	for i, e := range s.ml.entries {
@@ -142,7 +143,7 @@ func (s *System) ExportBootstrap() (BootstrapState, error) {
 // it serves sealed ranges too (decompressed) — the raw-page fallback
 // for subscribers that do not speak segment shipping.
 func (s *System) ExportPagelog(off int64, max int) ([]*storage.PageData, error) {
-	pages, _, _, err := s.pl.readRun(off, max)
+	pages, _, _, err := s.pl.Load().readRun(off, max)
 	return pages, err
 }
 
@@ -163,9 +164,7 @@ type SealedSegmentBlob struct {
 // pages. The caller must hold a BeginExport pin so retention cannot
 // drop segments mid-export.
 func (s *System) ExportSealedSegments(limit int64) ([]SealedSegmentBlob, int64, error) {
-	s.mu.Lock()
-	pl := s.pl
-	s.mu.Unlock()
+	pl := s.pl.Load()
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
 	var out []SealedSegmentBlob
@@ -216,22 +215,23 @@ func (s *System) ApplyBootstrap(bs BootstrapState, segs []SealedSegmentBlob, plP
 	if s.closed {
 		return ErrClosed
 	}
-	if s.ml.lastSnap() != 0 || len(s.ml.entries) != 0 || s.pl.size() != 0 {
+	pl := s.pl.Load()
+	if s.ml.lastSnap() != 0 || len(s.ml.entries) != 0 || pl.size() != 0 {
 		return errors.New("retro: bootstrap into a non-empty snapshot system")
 	}
 	var sealedPages int64
 	for _, sb := range segs {
-		if err := s.pl.installShippedSegment(sb.Blob); err != nil {
+		if err := pl.installShippedSegment(sb.Blob); err != nil {
 			return err
 		}
 		sealedPages += sb.Pages
 	}
 	for _, p := range plPages {
-		if _, err := s.pl.append(p); err != nil {
+		if _, err := pl.append(p); err != nil {
 			return err
 		}
 	}
-	if got := s.pl.size(); got != bs.PagelogPages {
+	if got := pl.size(); got != bs.PagelogPages {
 		return fmt.Errorf("%w: bootstrap pagelog %d pages, expected %d", ErrReplDiverged, got, bs.PagelogPages)
 	}
 	if uint64(len(bs.SnapLSNs)) != uint64(bs.LastSnap) {

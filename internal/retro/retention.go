@@ -86,14 +86,13 @@ func (s *System) Compact() (int64, error) {
 		}
 	}
 
-	newPl, err := s.pl.compactTo(remap)
+	old := s.pl.Load()
+	newPl, err := old.compactTo(remap)
 	if err != nil {
 		return 0, err
 	}
-	reclaimed := s.pl.size() - newPl.size()
-	old := s.pl
-	s.pl = newPl
-	s.dev.pl.Store(newPl)
+	reclaimed := old.size() - newPl.size()
+	s.pl.Store(newPl)
 	old.destroy()
 
 	// Remap the mappings in place.

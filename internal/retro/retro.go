@@ -23,21 +23,9 @@ type Options struct {
 	// SkipFactor is the Skippy skip-merge fanout. Defaults to 4.
 	SkipFactor int
 	// SimulatedReadLatency models the cost of one Pagelog read that
-	// misses the snapshot cache (the paper's SSD). It is accounted, not
-	// slept, unless SleepOnRead is set; see Counters.ModeledIOTime.
+	// misses the snapshot cache (the paper's SSD). It is accounted,
+	// never slept; see Counters.ModeledIOTime.
 	SimulatedReadLatency time.Duration
-	// SleepOnRead makes cache-missing Pagelog reads actually sleep for
-	// SimulatedReadLatency, turning modeled I/O time into wall time.
-	// The sleep is paid while the command holds its device slot, so with
-	// DeviceQueueDepth > 1 concurrent reads overlap their latency the
-	// way an SSD's command queue does.
-	SleepOnRead bool
-	// DeviceQueueDepth is the number of Pagelog reads the device
-	// services concurrently (see device.go). 0 uses
-	// DefaultQueueDepth (8); 1 is the strictly serial device of the
-	// paper-replication mode. Logical counters (PagelogReads,
-	// CacheHits) are identical at every depth.
-	DeviceQueueDepth int
 	// Compaction configures the tiered Pagelog's background compactor
 	// (see compactor.go). The zero value leaves the Pagelog flat —
 	// every counter series and every byte on disk identical to a build
@@ -57,8 +45,12 @@ const DefaultReadLatency = 100 * time.Microsecond
 type System struct {
 	store *storage.Store
 
+	// pl is the current Pagelog. Atomic so the demand-read path loads it
+	// without s.mu; Compact swaps in the rewritten log, with zero open
+	// readers, so no read is in service across the swap.
+	pl atomic.Pointer[pagelog]
+
 	mu          sync.Mutex
-	pl          *pagelog
 	ml          *maplog
 	lastCapture map[storage.PageID]SnapshotID
 	snapLSN     []uint64 // snapLSN[s-1] = commit LSN of snapshot s
@@ -67,7 +59,6 @@ type System struct {
 
 	cache      *pageCache
 	simLatency time.Duration
-	sleepOnRd  bool
 
 	// compactMu serializes structural Pagelog rewrites — background
 	// seals (compactor.go) and full offset-remapping Compact
@@ -78,11 +69,8 @@ type System struct {
 	compactDone chan struct{}
 	compactWake chan struct{} // kicks the compactor out of its interval sleep
 
-	// dev services every demand miss — the device model.
-	dev *device
-
 	// missing coalesces concurrent demand misses of the same Pagelog
-	// offset into one device command (see demandRead). Guarded by
+	// offset into one Pagelog read (see demandRead). Guarded by
 	// missMu, never by mu.
 	missMu  sync.Mutex
 	missing map[int64]*missCall
@@ -116,7 +104,7 @@ type System struct {
 }
 
 // missCall is one in-service demand read that later demand misses of
-// the same offset can join instead of issuing a duplicate command.
+// the same offset can join instead of issuing a duplicate read.
 type missCall struct {
 	done chan struct{} // closed once data/err are set
 	data *storage.PageData
@@ -136,18 +124,15 @@ func New(store *storage.Store, opts Options) (*System, error) {
 	}
 	sys := &System{
 		store:       store,
-		pl:          pl,
 		ml:          newMaplog(opts.SkipFactor),
 		lastCapture: make(map[storage.PageID]SnapshotID),
 		cache:       newPageCache(capacity),
 		missing:     make(map[int64]*missCall),
 		simLatency:  opts.SimulatedReadLatency,
-		sleepOnRd:   opts.SleepOnRead,
 		copts:       opts.Compaction.withDefaults(),
 	}
+	sys.pl.Store(pl)
 	sys.metrics = obs.NewSet(&sys.stats)
-	sys.dev = newDevice(pl, opts.DeviceQueueDepth, sys.simLatency, sys.sleepOnRd, &sys.stats)
-	sys.stats.DeviceQueueDepth.Store(int64(sys.DeviceQueueDepth()))
 	store.SetCommitHook(sys)
 	if sys.copts.Enabled {
 		sys.compactStop = make(chan struct{})
@@ -179,7 +164,7 @@ func (s *System) Close() error {
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pl.close()
+	return s.pl.Load().close()
 }
 
 // Committing implements storage.CommitHook: capture pre-states for the
@@ -201,9 +186,10 @@ func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg a
 	if s.closed {
 		return 0, ErrClosed
 	}
+	pl := s.pl.Load()
 	var delta *CommitDelta
 	if s.observer != nil {
-		delta = &CommitDelta{LSN: newLSN, PlBase: s.pl.size()}
+		delta = &CommitDelta{LSN: newLSN, PlBase: pl.size()}
 	}
 	last := s.ml.lastSnap()
 	if last >= 1 {
@@ -214,7 +200,7 @@ func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg a
 			if s.lastCapture[d.ID] >= last {
 				continue // already captured since the latest declaration
 			}
-			off, err := s.pl.append(d.Pre)
+			off, err := pl.append(d.Pre)
 			if err != nil {
 				return 0, err
 			}
@@ -263,14 +249,14 @@ func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg a
 func (s *System) BeginGroup() {
 	s.mu.Lock()
 	s.staging = true
-	s.pl.beginStage()
+	s.pl.Load().beginStage()
 }
 
 // EndGroup flushes the group's staged Pagelog appends with one backing
 // write, delivers the group's commit deltas to the observer as one
 // batch, and releases the system mutex taken by BeginGroup.
 func (s *System) EndGroup() {
-	appended, err := s.pl.flushStaged()
+	appended, err := s.pl.Load().flushStaged()
 	if err != nil {
 		// The group's page versions are already installed in the
 		// store; with the archive write lost the snapshot log has
@@ -287,12 +273,11 @@ func (s *System) EndGroup() {
 	s.mu.Unlock()
 }
 
-// GroupDurable implements storage.GroupCommitHook: one modeled
-// fsync-equivalent device round-trip for the whole group, counted as a
-// DeviceFlush and — on a sleeping device — paid as one device latency
-// regardless of how many commits the group carried. Called after the
-// store mutex is released, so the next group stages while this one
-// flushes.
+// GroupDurable implements storage.GroupCommitHook: one flush decision
+// for the whole group, however many commits it carried, counted as a
+// DeviceFlush (the Pagelog is memory- or page-cache-backed, so the flush
+// itself is not performed). Called after the store mutex is released,
+// so the next group stages while this one flushes.
 //
 // Archived-only groups skip the flush: when the group (and any group
 // completed since the previous flush) appended nothing to the Pagelog's
@@ -308,9 +293,6 @@ func (s *System) GroupDurable(commits int) {
 		return
 	}
 	s.stats.DeviceFlushes.Add(1)
-	if s.sleepOnRd && s.simLatency > 0 {
-		time.Sleep(s.simLatency)
-	}
 }
 
 // FlushDecisions implements storage.GroupCommitHook.
@@ -326,7 +308,7 @@ func (s *System) LastSnapshot() SnapshotID {
 }
 
 // PagelogPages returns the number of page pre-states archived.
-func (s *System) PagelogPages() int64 { return s.pl.size() }
+func (s *System) PagelogPages() int64 { return s.pl.Load().size() }
 
 // OldestSnapshot returns the oldest snapshot id still openable, i.e.
 // not dropped by retention (0 when no snapshot has been declared).
@@ -379,12 +361,7 @@ func (s *System) ReadLatency() time.Duration { return s.simLatency }
 // condition on a tiered archive too.
 func (s *System) ResetCache() {
 	s.cache.reset()
-	s.mu.Lock()
-	pl := s.pl
-	s.mu.Unlock()
-	if pl != nil {
-		pl.bcache.reset()
-	}
+	s.pl.Load().bcache.reset()
 }
 
 // CachedPages reports the number of pages currently cached.
@@ -394,9 +371,7 @@ func (s *System) CachedPages() int { return s.cache.len() }
 // size, tier shape, logical vs on-disk footprint — read from the live
 // Pagelog, so the next snapshot of the set reports them.
 func (s *System) sampleGauges() {
-	s.mu.Lock()
-	pl := s.pl
-	s.mu.Unlock()
+	pl := s.pl.Load()
 	segs, sealedPages, tailPages := pl.tiers()
 	logical, disk := pl.footprint()
 	s.stats.PagelogPages.Store(pl.size())
@@ -426,28 +401,19 @@ func (s *System) Metrics() []obs.Metric {
 // bytes its backing actually holds (sealed segments are deduplicated
 // and compressed; retention-dropped segments cost nothing).
 func (s *System) PagelogFootprint() (logicalBytes, diskBytes int64) {
-	s.mu.Lock()
-	pl := s.pl
-	s.mu.Unlock()
-	return pl.footprint()
+	return s.pl.Load().footprint()
 }
 
 // PagelogTiers reports the tier shape: sealed segment count, logical
 // pages held sealed, and pages still in the hot tail.
 func (s *System) PagelogTiers() (segments int, sealedPages, tailPages int64) {
-	s.mu.Lock()
-	pl := s.pl
-	s.mu.Unlock()
-	return pl.tiers()
+	return s.pl.Load().tiers()
 }
 
 // ResetStats zeroes the system's counters without disturbing the
 // Pagelog, Maplog, snapshot cache, or any open readers: experiments can
 // zero the accounting between phases without reopening the store.
 func (s *System) ResetStats() { s.metrics.Reset() }
-
-// DeviceQueueDepth returns the device's configured concurrency.
-func (s *System) DeviceQueueDepth() int { return cap(s.dev.slots) }
 
 // OpenSnapshot builds SPT(id) and pins an MVCC read transaction,
 // returning a reader that serves any page as of the snapshot. The
@@ -685,10 +651,9 @@ func (s *System) SnapshotLSN(id SnapshotID) (uint64, error) {
 }
 
 // InjectPagelogReadError makes the next Pagelog read fail (tests).
+// Exactly one read takes the error, however many run concurrently.
 func (s *System) InjectPagelogReadError(err error) {
-	s.pl.mu.Lock()
-	s.pl.injectReadErr = err
-	s.pl.mu.Unlock()
+	s.pl.Load().injectReadErr.Store(&err)
 }
 
 // Counters accumulates the per-reader costs the paper's §5 figures
@@ -701,11 +666,6 @@ type Counters struct {
 	DBReads      int           `cost:"db_reads"`      // pages shared with (and read from) the current DB
 	MapScanned   int           `cost:"map_scanned"`   // Maplog entries examined building the SPT
 	SPTBuildTime time.Duration `cost:"spt_build"`     // wall time of the SPT build
-	// QueueWait is wall time this reader's demand misses spent queued
-	// behind other device commands before service began. Contention, not
-	// billed I/O: it is excluded from ModeledIOTime, and only the issuer
-	// of a coalesced demand miss accounts it.
-	QueueWait time.Duration `cost:"queue_wait"`
 }
 
 // ModeledIOTime converts Pagelog misses into modeled I/O time at the
@@ -733,7 +693,7 @@ type SnapshotReader struct {
 	// current database. Same single-owner rule as Counters.
 	readSet map[storage.PageID]struct{}
 
-	// span parents the reader's Pagelog-fetch and device-command spans.
+	// span parents the reader's Pagelog-fetch and device-read spans.
 	// Nil (the default) leaves the reader untraced. Same single-owner
 	// rule as Counters; nil-safe throughout.
 	span *obs.Span
@@ -789,8 +749,7 @@ func (r *SnapshotReader) Get(id storage.PageID) (*storage.PageData, error) {
 		r.sys.stats.CacheHits.Add(1)
 		return data, nil
 	}
-	data, filled, qw, err := r.sys.demandRead(off, r.span)
-	r.Counters.QueueWait += qw
+	data, filled, err := r.sys.demandRead(off, r.span)
 	if err != nil {
 		return nil, err
 	}
@@ -804,54 +763,65 @@ func (r *SnapshotReader) Get(id storage.PageID) (*storage.PageData, error) {
 	return data, nil
 }
 
-// demandRead services one cache-missing demand read through the device.
-// Concurrent misses of the same offset coalesce into a single device
-// command: the first caller performs the read and installs the page,
-// later callers block on its completion and share the result. Without
-// this, parallel mechanism workers racing through the device queue
-// would double-bill (and double-fetch) shared pages, making
+// demandRead services one cache-missing demand read with one Pagelog
+// read, inline on the calling goroutine. Concurrent misses of the same
+// offset coalesce into that single read: the first caller performs it
+// and installs the page, later callers block on its completion and
+// share the result. Without this, parallel mechanism workers missing
+// together would double-bill (and double-fetch) shared pages, making
 // PagelogReads nondeterministic.
 //
 // filled reports how the caller must bill the read: true — it issued
 // the page's one cold read (a PagelogRead); false — the cold read was
 // billed by the caller that filled the cache (an in-service miss this
 // one joined, or a fill that completed between the caller's cache miss
-// and now), so it is the CacheHit it would have been a moment later. qw
-// is the device queue wait of the command this caller issued (zero
-// otherwise: the wait belongs to the issuer, so it is billed exactly
-// once).
-func (s *System) demandRead(off int64, span *obs.Span) (data *storage.PageData, filled bool, qw time.Duration, err error) {
+// and now), so it is the CacheHit it would have been a moment later.
+func (s *System) demandRead(off int64, span *obs.Span) (data *storage.PageData, filled bool, err error) {
 	s.missMu.Lock()
 	if c, ok := s.missing[off]; ok {
 		s.missMu.Unlock()
 		// Joining an in-service miss: the wait is this caller's cost
-		// even though the device command belongs to the issuer.
+		// even though the read belongs to the issuer.
 		wsp := span.Child("pagelog.wait").SetInt("off", off)
 		<-c.done
 		wsp.End()
-		return c.data, false, 0, c.err
+		return c.data, false, c.err
 	}
 	if data := s.cache.get(off); data != nil {
 		s.missMu.Unlock()
-		return data, false, 0, nil
+		return data, false, nil
 	}
 	c := &missCall{done: make(chan struct{})}
 	s.missing[off] = c
 	s.missMu.Unlock()
 
 	fsp := span.Child("pagelog.fetch").SetInt("off", off)
-	c.data, qw, c.err = s.dev.read(off, fsp)
+	start := time.Now()
+	page := new(storage.PageData)
+	physBytes, blockHits, err := s.pl.Load().read(off, page)
+	busy := time.Since(start)
+	s.stats.DeviceReads.Add(1)
+	s.stats.DeviceBytesRead.Add(uint64(physBytes))
+	if blockHits > 0 {
+		s.stats.SegBlockHits.Add(uint64(blockHits))
+	}
+	s.stats.DeviceBusyNS.Add(uint64(busy))
+	if fsp != nil {
+		obs.Record(fsp, "device.read", start, busy, obs.Attr{Key: "off", Int: off})
+	}
 	fsp.End()
-	if c.err == nil {
+	if err == nil {
 		// Install before unregistering so no window exists in which the
 		// page is in neither the cache nor the miss table.
-		s.cache.put(off, c.data)
+		c.data = page
+		s.cache.put(off, page)
 	}
+	c.err = err
 	s.missMu.Lock()
 	delete(s.missing, off)
 	s.missMu.Unlock()
 	close(c.done)
-	return c.data, true, qw, c.err
+	return c.data, true, c.err
 }
 
 // GetMut always fails: snapshots are immutable.

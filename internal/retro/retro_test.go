@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"rql/internal/storage"
 )
@@ -584,21 +583,5 @@ func TestReaderAccessors(t *testing.T) {
 	}
 	if e.sys.ReadLatency() != 42 {
 		t.Errorf("ReadLatency() = %v", e.sys.ReadLatency())
-	}
-}
-
-func TestSleepOnReadOption(t *testing.T) {
-	e := newEnv(t, Options{SimulatedReadLatency: time.Millisecond, SleepOnRead: true})
-	snap, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
-	e.writePages(t, []storage.PageID{ids[0]}, []byte{2}, false)
-	e.sys.ResetCache()
-	r, _ := e.sys.OpenSnapshot(snap)
-	defer r.Close()
-	start := time.Now()
-	if _, err := r.Get(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if since := time.Since(start); since < time.Millisecond {
-		t.Errorf("SleepOnRead did not sleep: %v", since)
 	}
 }

@@ -23,13 +23,10 @@ type Stats struct {
 	DeltaBuilds obs.Counter `metric:"retro_delta_builds" help:"Batch builds that retained per-member delta sets."`
 	DeltaPages  obs.Counter `metric:"retro_delta_pages" help:"Delta pages retained across those builds."`
 
-	// Device model (device.go): physical command-level view of the
-	// Pagelog. An overlapped command was in service concurrently with at
-	// least one other.
-	DeviceReads      obs.Counter `metric:"device_reads" help:"Device read commands serviced."`
-	OverlappedReads  obs.Counter `metric:"device_overlapped_reads" help:"Device commands serviced concurrently with another."`
-	DeviceBusyNS     obs.Counter `metric:"device_busy_ns" help:"Nanoseconds the modeled device spent serving reads."`
-	DeviceQueueDepth obs.Gauge   `metric:"device_queue_depth" help:"Configured device concurrency."`
+	// Physical view of the Pagelog: one device read per demand miss that
+	// was not coalesced (System.demandRead), and the time spent in it.
+	DeviceReads  obs.Counter `metric:"device_reads" help:"Device read commands serviced."`
+	DeviceBusyNS obs.Counter `metric:"device_busy_ns" help:"Nanoseconds spent in Pagelog demand reads."`
 
 	// DeviceFlushes counts fsync-equivalent commit flushes, one per
 	// commit group that appended to the Pagelog's hot tail;
@@ -75,11 +72,9 @@ type StatsSnapshot struct {
 	DeltaPages  uint64
 
 	DeviceReads         uint64
-	OverlappedReads     uint64
 	DeviceBusyNS        uint64
 	DeviceFlushes       uint64
 	GroupFlushesSkipped uint64
-	DeviceQueueDepth    uint64
 	DeviceBytesRead     uint64
 
 	SegmentSeals          uint64

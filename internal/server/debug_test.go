@@ -33,7 +33,7 @@ func resetObs(t *testing.T) {
 // TestTraceEndToEnd is the tracing acceptance path: a traced rqld
 // request produces one span tree reaching from the server request
 // through the SQL layer, the mechanism iterations, and the snapshot
-// fetch down to the device command with its queue-wait attribute — and
+// fetch down to the device read — and
 // the tree is fetchable over the wire by the trace ID echoed on
 // RespDone.
 func TestTraceEndToEnd(t *testing.T) {
@@ -61,7 +61,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cold cache so the mechanism's snapshot reads reach the Pagelog
-	// and the device pool instead of stopping at cache hits.
+	// and the device instead of stopping at cache hits.
 	srv.DB().ResetSnapshotCache()
 
 	mustExec(`SELECT CollateData(snap_id,
@@ -86,7 +86,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	// The SQL-UDF form drives iterations straight from the outer SELECT
 	// (no run-level wrapper span — that one belongs to the Go mechanism
 	// API), so the tree here is request → statement → iteration → fetch
-	// → device command.
+	// → device read.
 	for _, want := range []string{
 		"server.exec", "sql.exec", "sql.select",
 		"rql.iteration", "pagelog.fetch", "device.read",
@@ -121,18 +121,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	if roots != 1 {
 		t.Fatalf("trace has %d roots, want exactly 1 (the server request)", roots)
-	}
-
-	// The device command records how long it sat in the pool's queue.
-	dev := byName["device.read"][0]
-	var hasQueueWait bool
-	for _, a := range dev.Attrs {
-		if a.Key == "queue_wait_us" && !a.IsStr {
-			hasQueueWait = true
-		}
-	}
-	if !hasQueueWait {
-		t.Fatalf("device.read span misses the queue_wait_us attribute: %+v", dev.Attrs)
 	}
 
 	// Tracing off: subsequent statements are untraced and say so.

@@ -28,8 +28,7 @@ type ExecStats struct {
 	AutoIndex    time.Duration `cost:"index"` // transient covering indexes for joins
 
 	// The statement's snapshot reader: Pagelog reads, cache hits, pages
-	// shared with the current DB, Maplog entries scanned, SPT build time,
-	// device queue wait.
+	// shared with the current DB, Maplog entries scanned, SPT build time.
 	retro.Counters
 }
 
@@ -57,11 +56,6 @@ type IterationCost struct {
 	// IOTime is the modeled Pagelog read cost (PagelogReads × the
 	// configured per-read latency).
 	IOTime time.Duration `cost:"io"`
-	// QueueWait is wall time this iteration's demand misses spent queued
-	// behind other device commands before service began — contention,
-	// not billed I/O, so it is excluded from Total() and from the
-	// byte-identical counter comparisons the property tests pin.
-	QueueWait time.Duration `cost:"queue_wait"`
 
 	// Raw counters, device-independent.
 	PagelogReads int `cost:"pagelog_reads"`

@@ -56,9 +56,21 @@ type parser struct {
 	params int
 }
 
+// peek returns the current token. The token slice ends with one EOF
+// token, and the position never moves past it (next does not consume
+// it), so peek — and errf, which reports the current token — cannot
+// index past the slice whatever a caller consumed before.
 func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) back()       { p.pos-- }
+
+// next consumes and returns the current token; at EOF it returns EOF and
+// stays there.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tkEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *parser) errf(format string, args ...any) error {
 	t := p.peek()
@@ -690,10 +702,10 @@ func (p *parser) colDef() (ColDef, error) {
 	if len(typeParts) > 0 && p.acceptSym("(") {
 		depth := 1
 		for depth > 0 {
-			t := p.next()
-			if t.kind == tkEOF {
+			if p.peek().kind == tkEOF {
 				return ColDef{}, p.errf("unterminated type parameters")
 			}
+			t := p.next()
 			if t.kind == tkSymbol && t.text == "(" {
 				depth++
 			}

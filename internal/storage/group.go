@@ -44,8 +44,9 @@ type GroupCommitHook interface {
 	// EndGroup flushes the group's buffered appends as one backing
 	// write and releases whatever BeginGroup acquired.
 	EndGroup()
-	// GroupDurable makes the flushed group durable: one modeled device
-	// flush for the whole group of `commits` transactions.
+	// GroupDurable takes the flushed group's one durability decision —
+	// a device flush or a skip — for the whole group of `commits`
+	// transactions.
 	GroupDurable(commits int)
 	// FlushDecisions is the number of GroupDurable calls accounted so
 	// far, as flushes issued plus flushes skipped.

@@ -38,9 +38,9 @@ import (
 // built from this repository (client, repl.Replica, rqlshell, rqlbench,
 // benchmark/), so a HELLO below it is refused with an error naming it,
 // and a HELLO above it is answered with it. DESIGN.md has the frame
-// table. v13: a declaring commit's final ReplDelta frame carries the
-// snapshot's SnapIds row, which no longer travels in a frame of its own.
-const ProtocolVersion = 13
+// table. v14: the statement and iteration cost records lose their
+// queue_wait field.
+const ProtocolVersion = 14
 
 // Magic opens the client hello.
 const Magic = "RQL1"

@@ -139,7 +139,7 @@ var (
 	seedExecStats = sql.ExecStats{
 		RowsReturned: 5, Duration: time.Millisecond, AutoIndex: time.Second,
 		Counters: retro.Counters{MapScanned: 1, PagelogReads: 2, CacheHits: 3, DBReads: 4,
-			SPTBuildTime: time.Microsecond, QueueWait: time.Minute},
+			SPTBuildTime: time.Microsecond},
 	}
 	seedSlowEntries = []obs.SlowEntry{
 		{SQL: "SELECT * FROM big", Duration: 2 * time.Second, Trace: 7,
@@ -155,7 +155,7 @@ var (
 		PruneReason: "Qq not prune-safe: non-builtin function f()",
 		Iterations: []core.IterationCost{
 			{Snapshot: 1, SPTBuild: time.Millisecond, QqRows: 9, ResultInserts: 9},
-			{Snapshot: 2, IOTime: time.Second, PagelogReads: 3, CacheHits: 1, QueueWait: time.Microsecond},
+			{Snapshot: 2, IOTime: time.Second, PagelogReads: 3, CacheHits: 1},
 			{Snapshot: 3, QqRows: 9, Pruned: true, DeltaPages: 4, ResultUpdates: 2, ResultSearch: 3},
 		},
 	}

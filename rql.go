@@ -131,16 +131,9 @@ type Options struct {
 	// (default 16384 = 64 MiB; negative disables).
 	CachePages int
 	// SimulatedReadLatency models the cost of one Pagelog read that
-	// misses the snapshot cache; see retro.DefaultReadLatency.
+	// misses the snapshot cache; it is accounted, never slept (see
+	// retro.DefaultReadLatency).
 	SimulatedReadLatency time.Duration
-	// SleepOnRead makes cache-missing Pagelog reads actually sleep for
-	// SimulatedReadLatency, turning modeled I/O time into wall time.
-	SleepOnRead bool
-	// DeviceQueueDepth is the number of Pagelog reads the device
-	// services concurrently (default 8); 1 is the strictly serial
-	// device of the paper-replication mode. Logical counters are
-	// identical at every depth.
-	DeviceQueueDepth int
 	// SkipFactor is the Skippy skip-merge fanout (default 4).
 	SkipFactor int
 	// Compaction configures the tiered-Pagelog background compactor
@@ -162,8 +155,6 @@ func Open(opts Options) (*DB, error) {
 		PagelogPath:          opts.PagelogPath,
 		CachePages:           opts.CachePages,
 		SimulatedReadLatency: opts.SimulatedReadLatency,
-		SleepOnRead:          opts.SleepOnRead,
-		DeviceQueueDepth:     opts.DeviceQueueDepth,
 		SkipFactor:           opts.SkipFactor,
 		Compaction:           opts.Compaction,
 	}})
