@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt loc repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check microbench
+.PHONY: all check build vet test race fmt loc sql-cover repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check microbench
 
 all: check
 
@@ -37,6 +37,17 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# sql-cover reports how much of internal/sql the rest of the system
+# reaches: the functions of internal/sql that the tests of the packages
+# using it never enter — sql's own unit tests left out — and the
+# statement coverage total. Reporting only, like loc.
+SQL_COVER_PKGS = . ./internal/core ./internal/bench ./internal/server ./client ./internal/repl ./internal/tpch
+sql-cover:
+	@prof="$$(mktemp)"; \
+	$(GO) test -coverpkg=rql/internal/sql -coverprofile="$$prof" $(SQL_COVER_PKGS) >/dev/null && \
+	$(GO) tool cover -func="$$prof" | awk '$$NF == "0.0%"; /^total:/ { t = $$0 } END { print t }'; \
+	st=$$?; rm -f "$$prof"; exit $$st
 
 # repl-smoke runs the replication acceptance surface under the race
 # detector: bootstrap/tail/resume/redirect, byte-identical replicated

@@ -346,3 +346,44 @@ func TestClusterExecAsOfAdvancesHorizon(t *testing.T) {
 		t.Fatalf("after COMMIT WITH SNAPSHOT through ExecAsOf: horizon %d, declared %d (first %d)", cl.Horizon(), declared, first)
 	}
 }
+
+// TestClusterPrimaryCallsAreRouted: Begin and Commit are routed logical
+// calls like every other, so after a replica served a read, LastStats
+// and LastTrace describe the primary's transaction, not that read.
+func TestClusterPrimaryCallsAreRouted(t *testing.T) {
+	primary, replica := pipeServer(t), pipeServer(t)
+	for _, c := range []*Conn{primary, replica} {
+		if err := c.Exec(`CREATE TABLE t (x INTEGER)`, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := replica.Exec(`INSERT INTO t VALUES (1), (2), (3)`, nil); err != nil {
+		t.Fatal(err)
+	}
+	cl := &Cluster{
+		cfg:      ClusterConfig{HorizonWait: time.Second},
+		primary:  primary,
+		reps:     []*member{{addr: "replica", conn: replica}},
+		lastConn: primary,
+	}
+	rows, err := cl.Query(`SELECT x FROM t`)
+	if err != nil || len(rows.Rows) != 3 {
+		t.Fatalf("routed read: %+v, %v; want the replica's three rows", rows, err)
+	}
+	read := cl.LastTrace()
+	if got := cl.LastStats().RowsReturned; got != 3 || read == 0 {
+		t.Fatalf("after the read: %d rows, trace %x; want 3 rows and a trace", got, read)
+	}
+	if err := cl.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.LastStats().RowsReturned; got != 0 {
+		t.Errorf("LastStats after Begin+Commit reports %d rows: still the replica's read", got)
+	}
+	if got := cl.LastTrace(); got == read || got == 0 {
+		t.Errorf("LastTrace after Begin+Commit = %x, want a new trace (the read's was %x)", got, read)
+	}
+}

@@ -300,39 +300,33 @@ func (cl *Cluster) Query(sqlText string, params ...rql.Value) (*rql.Rows, error)
 	return rows, nil
 }
 
-// Begin, Commit, Rollback and CommitWithSnapshot run on the primary:
-// replicas reject writes with a redirect.
+// Begin, Commit, Rollback, CommitWithSnapshot, DeclareSnapshot,
+// EnsureSnapIds and RecordSnapshot run on the primary, through route
+// like every primary-only call: replicas reject writes with a redirect.
+// A declared snapshot advances the cluster's read horizon. The SnapIds
+// row DeclareSnapshot writes rides the declaring commit, so a replica
+// covering the snapshot holds it; a replica creates its own SnapIds with
+// the first row it is shipped. A RecordSnapshot row is inserted after
+// its snapshot's commit and reaches replicas only by bootstrap.
 
-func (cl *Cluster) Begin() error    { return cl.primary.Begin() }
-func (cl *Cluster) Commit() error   { return cl.primary.Commit() }
-func (cl *Cluster) Rollback() error { return cl.primary.Rollback() }
+func (cl *Cluster) Begin() error    { return cl.route(0, true, (*Conn).Begin) }
+func (cl *Cluster) Commit() error   { return cl.route(0, true, (*Conn).Commit) }
+func (cl *Cluster) Rollback() error { return cl.route(0, true, (*Conn).Rollback) }
 
-// CommitWithSnapshot commits on the primary and advances the cluster's
-// read horizon to the declared snapshot.
-func (cl *Cluster) CommitWithSnapshot() (uint64, error) {
-	id, err := cl.primary.CommitWithSnapshot()
-	cl.noteSnapshot(id) // 0 on error: no advance
+func (cl *Cluster) CommitWithSnapshot() (id uint64, err error) {
+	err = cl.route(0, true, func(c *Conn) error { id, err = c.CommitWithSnapshot(); return err })
 	return id, err
 }
 
-// DeclareSnapshot declares on the primary (committing an open
-// transaction) and advances the cluster's read horizon. The SnapIds row
-// rides the declaring commit: a replica covering the snapshot holds it.
-func (cl *Cluster) DeclareSnapshot(label string) (uint64, error) {
-	id, err := cl.primary.DeclareSnapshot(label)
-	cl.noteSnapshot(id)
+func (cl *Cluster) DeclareSnapshot(label string) (id uint64, err error) {
+	err = cl.route(0, true, func(c *Conn) error { id, err = c.DeclareSnapshot(label); return err })
 	return id, err
 }
 
-// EnsureSnapIds runs on the primary; a replica creates its own SnapIds
-// with the first row it is shipped.
-func (cl *Cluster) EnsureSnapIds() error { return cl.primary.EnsureSnapIds() }
+func (cl *Cluster) EnsureSnapIds() error { return cl.route(0, true, (*Conn).EnsureSnapIds) }
 
-// RecordSnapshot registers an already-declared snapshot on the primary.
-// A row inserted after its snapshot's commit, like this one, reaches
-// replicas only by bootstrap.
 func (cl *Cluster) RecordSnapshot(snapID uint64, ts time.Time, label string) error {
-	return cl.primary.RecordSnapshot(snapID, ts, label)
+	return cl.route(0, true, func(c *Conn) error { return c.RecordSnapshot(snapID, ts, label) })
 }
 
 // The four RQL mechanisms route to a replica covering the cluster's

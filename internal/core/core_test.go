@@ -282,7 +282,7 @@ func TestAggregateDataInTableMultipleAggs(t *testing.T) {
 	r, c := fixture(t)
 	_, err := r.AggregateDataInTable(c,
 		`SELECT snap_id FROM SnapIds`,
-		`SELECT l_country, COUNT(*) AS cn, AVG(length(l_userid)) AS av
+		`SELECT l_country, COUNT(*) AS cn, AVG(rowid % 3) AS av
 		 FROM LoggedIn GROUP BY l_country`,
 		"Result", "(MAX,cn):(av,max)")
 	if err != nil {

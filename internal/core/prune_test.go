@@ -205,8 +205,8 @@ func TestPruneInfoAnalyzer(t *testing.T) {
 	safe := []string{
 		`SELECT k FROM m`,
 		`SELECT k, current_snapshot() FROM m`,
-		`SELECT upper(v), abs(k) FROM m WHERE k BETWEEN 1 AND 5`,
-		`SELECT grp.k FROM (SELECT k FROM m) grp`,
+		`SELECT round(v, 2), -k % 3 FROM m WHERE k BETWEEN 1 AND 5`,
+		`SELECT a.k FROM m a, m b WHERE a.k = b.v`,
 		`SELECT COUNT(*), MAX(v) FROM m GROUP BY k HAVING COUNT(*) > 1`,
 	}
 	for _, q := range safe {
@@ -222,7 +222,7 @@ func TestPruneInfoAnalyzer(t *testing.T) {
 		`SELECT myudf(k) FROM m`,
 		`SELECT k FROM m; SELECT v FROM m`,
 		`INSERT INTO m VALUES (1, 2)`,
-		`SELECT k FROM (SELECT AS OF 2 k FROM m) sub`,
+		`SELECT k FROM m, side_t WHERE k = x`,
 	}
 	for _, q := range unsafe {
 		if info := c.PruneInfo(q); info.OK {

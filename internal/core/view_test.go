@@ -394,6 +394,31 @@ func TestRetroViewDDLLifecycle(t *testing.T) {
 	}
 }
 
+// TestRetroViewFractionalModulo: a view whose Qq takes % with a divisor
+// that casts to integer 0 materializes NULL, as SQLite does. The
+// background refresher has no recover, so an integer divide-by-zero
+// panic there would end the whole process.
+func TestRetroViewFractionalModulo(t *testing.T) {
+	db, _, m := newViewEnv(t)
+	c := db.Conn()
+	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	if err := EnsureSnapIds(c); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, `INSERT INTO m VALUES (5, 'g', 1), (6, 'g', 2)`)
+	mustExec(t, c, `CREATE RETRO VIEW V AS CollateData('SELECT k % 0.5 AS r, k % 2.5 AS q, current_snapshot() AS sid FROM m')`)
+	id, err := DeclareSnapshot(c, time.Unix(1, 0), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, `REFRESH RETRO VIEW V`)
+	if info := m.Infos()[0]; info.LastSnap != id || info.LastError != "" {
+		t.Fatalf("view cursor %d, last error %q; want %d and none", info.LastSnap, info.LastError, id)
+	}
+	expectSet(t, queryRows(t, c, `SELECT r, q, sid FROM V`),
+		fmt.Sprintf("NULL|1|%d", id), fmt.Sprintf("NULL|0|%d", id))
+}
+
 // TestRetroViewStateChunking covers the wide-view persistence path: a
 // view whose encoded refresh state (read-set page ids plus the cached
 // rows of one iteration) exceeds one btree cell must split across

@@ -9,23 +9,10 @@ import (
 // isAggregateName reports whether name is a SQL aggregate function.
 func isAggregateName(name string) bool {
 	switch name {
-	case "count", "sum", "avg", "min", "max", "total":
+	case "count", "sum", "avg", "min", "max":
 		return true
 	}
 	return false
-}
-
-// isAggregateCall reports whether a specific call uses a function as an
-// aggregate. min() and max() follow SQLite's dual nature: with one
-// argument they aggregate, with several they are scalar.
-func isAggregateCall(x *FuncCall) bool {
-	if !isAggregateName(x.Name) {
-		return false
-	}
-	if x.Name == "min" || x.Name == "max" {
-		return len(x.Args) == 1
-	}
-	return true
 }
 
 // aggState accumulates one aggregate over one group.
@@ -43,8 +30,6 @@ func newAggState(name string) (aggState, error) {
 		return &countState{}, nil
 	case "sum":
 		return &sumState{}, nil
-	case "total":
-		return &sumState{total: true}, nil
 	case "avg":
 		return &avgState{}, nil
 	case "min":
@@ -65,10 +50,9 @@ func (s *countState) step(v record.Value) bool {
 }
 func (s *countState) final() record.Value { return record.Int(s.n) }
 
-// sumState implements SUM (NULL over empty input, integer arithmetic
-// while all inputs are integers) and TOTAL (always float, 0.0 empty).
+// sumState implements SUM: NULL over empty input, integer arithmetic
+// while all inputs are integers.
 type sumState struct {
-	total   bool
 	seen    bool
 	isFloat bool
 	i       int64
@@ -93,12 +77,6 @@ func (s *sumState) step(v record.Value) bool {
 }
 
 func (s *sumState) final() record.Value {
-	if s.total {
-		if s.isFloat {
-			return record.Float(s.f)
-		}
-		return record.Float(float64(s.i))
-	}
 	if !s.seen {
 		return record.Null()
 	}
@@ -216,26 +194,8 @@ func collectAggregates(e Expr, into *[]*FuncCall) error {
 			}
 		}
 		return nil
-	case *LikeExpr:
-		if err := collectAggregates(x.X, into); err != nil {
-			return err
-		}
-		return collectAggregates(x.Pattern, into)
-	case *CaseExpr:
-		if err := collectAggregates(x.Operand, into); err != nil {
-			return err
-		}
-		for _, w := range x.Whens {
-			if err := collectAggregates(w.Cond, into); err != nil {
-				return err
-			}
-			if err := collectAggregates(w.Result, into); err != nil {
-				return err
-			}
-		}
-		return collectAggregates(x.Else, into)
 	case *FuncCall:
-		if isAggregateCall(x) {
+		if isAggregateName(x.Name) {
 			var nested []*FuncCall
 			for _, a := range x.Args {
 				if err := collectAggregates(a, &nested); err != nil {

@@ -36,15 +36,12 @@ type ResultCol struct {
 	Alias     string
 }
 
-// TableRef is a FROM-list entry: a named table or a subquery, with an
-// optional join condition linking it to the tables to its left
-// (comma-separated refs are cross joins with the condition in WHERE).
+// TableRef is a FROM-list entry: a named table with an optional alias.
+// The entries of a FROM list are joined on the equality conjuncts of
+// WHERE.
 type TableRef struct {
-	Name     string
-	Alias    string
-	Subquery *SelectStmt
-	JoinCond Expr // ON condition; nil for comma/cross joins
-	LeftJoin bool
+	Name  string
+	Alias string
 }
 
 // OrderTerm is one ORDER BY entry.
@@ -89,7 +86,6 @@ type CreateTableStmt struct {
 	Temp        bool
 	IfNotExists bool
 	Cols        []ColDef
-	AsSelect    *SelectStmt
 }
 
 // CreateIndexStmt is CREATE [UNIQUE] INDEX.
@@ -176,7 +172,7 @@ type UnaryExpr struct {
 	X  Expr
 }
 
-// BinaryExpr is a binary operation (arithmetic, comparison, AND/OR, ||).
+// BinaryExpr is a binary operation (arithmetic, comparison, AND/OR).
 type BinaryExpr struct {
 	Op   string
 	L, R Expr
@@ -201,22 +197,6 @@ type InExpr struct {
 	Not  bool
 }
 
-// LikeExpr is "x [NOT] LIKE pattern".
-type LikeExpr struct {
-	X, Pattern Expr
-	Not        bool
-}
-
-// CaseExpr is CASE [operand] WHEN ... THEN ... [ELSE ...] END.
-type CaseExpr struct {
-	Operand Expr
-	Whens   []WhenClause
-	Else    Expr
-}
-
-// WhenClause is one WHEN/THEN pair of a CASE expression.
-type WhenClause struct{ Cond, Result Expr }
-
 // FuncCall is a function invocation: a scalar builtin, a registered
 // UDF (including the RQL mechanism UDFs), or an aggregate in a SELECT.
 type FuncCall struct {
@@ -234,6 +214,4 @@ func (*BinaryExpr) expr()  {}
 func (*IsNullExpr) expr()  {}
 func (*BetweenExpr) expr() {}
 func (*InExpr) expr()      {}
-func (*LikeExpr) expr()    {}
-func (*CaseExpr) expr()    {}
 func (*FuncCall) expr()    {}

@@ -256,6 +256,9 @@ func (w *writeEnv) execInsert(s *InsertStmt) error {
 	var sourceRows [][]record.Value
 	switch {
 	case s.Select != nil:
+		if s.Select.AsOf != nil {
+			return fmt.Errorf("sql: INSERT … SELECT reads the current state: AS OF is not supported there")
+		}
 		it, _, err := planSelect(s.Select, w.ec)
 		if err != nil {
 			return err
@@ -587,37 +590,20 @@ func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
 	}
 
 	var cols []Column
-	var rows [][]record.Value
-	if s.AsSelect != nil {
-		it, outCols, err := planSelect(s.AsSelect, w.ec)
-		if err != nil {
-			return err
+	intPKs := 0
+	for _, cd := range s.Cols {
+		cols = append(cols, Column{
+			Name:       cd.Name,
+			Type:       cd.Type,
+			NotNull:    cd.NotNull,
+			RowidAlias: cd.PrimaryKey && typeAffinity(cd.Type) == affInteger,
+		})
+		if cols[len(cols)-1].RowidAlias {
+			intPKs++
 		}
-		rows, err = drain(it)
-		if err != nil {
-			return err
-		}
-		for _, c := range outCols {
-			cols = append(cols, Column{Name: c.name})
-		}
-	} else {
-		intPKs := 0
-		for _, cd := range s.Cols {
-			cols = append(cols, Column{
-				Name:    cd.Name,
-				Type:    cd.Type,
-				NotNull: cd.NotNull,
-			})
-		}
-		for i, cd := range s.Cols {
-			if cd.PrimaryKey && typeAffinity(cd.Type) == affInteger {
-				cols[i].RowidAlias = true
-				intPKs++
-			}
-		}
-		if intPKs > 1 {
-			return fmt.Errorf("sql: table %s has more than one INTEGER PRIMARY KEY", s.Name)
-		}
+	}
+	if intPKs > 1 {
+		return fmt.Errorf("sql: table %s has more than one INTEGER PRIMARY KEY", s.Name)
 	}
 
 	root, err := btree.Create(w.tx)
@@ -631,35 +617,24 @@ func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
 	sch.tables[strings.ToLower(t.Name)] = t
 
 	// Non-integer PRIMARY KEY columns get an automatic unique index.
-	if s.AsSelect == nil {
-		for _, cd := range s.Cols {
-			if cd.PrimaryKey && typeAffinity(cd.Type) != affInteger {
-				ixRoot, err := btree.Create(w.tx)
-				if err != nil {
-					return err
-				}
-				ix := &Index{
-					Name:   fmt.Sprintf("pk_%s_%s", s.Name, cd.Name),
-					Table:  s.Name,
-					Root:   ixRoot,
-					Cols:   []string{cd.Name},
-					Unique: true,
-					Temp:   w.toSide,
-				}
-				if err := putIndex(w.tx, ix); err != nil {
-					return err
-				}
-				sch.indexes[strings.ToLower(ix.Name)] = ix
+	for _, cd := range s.Cols {
+		if cd.PrimaryKey && typeAffinity(cd.Type) != affInteger {
+			ixRoot, err := btree.Create(w.tx)
+			if err != nil {
+				return err
 			}
-		}
-	}
-
-	for _, row := range rows {
-		if len(row) > len(cols) {
-			row = row[:len(cols)]
-		}
-		if _, err := insertRow(w.tx, t, sch, row); err != nil {
-			return err
+			ix := &Index{
+				Name:   fmt.Sprintf("pk_%s_%s", s.Name, cd.Name),
+				Table:  s.Name,
+				Root:   ixRoot,
+				Cols:   []string{cd.Name},
+				Unique: true,
+				Temp:   w.toSide,
+			}
+			if err := putIndex(w.tx, ix); err != nil {
+				return err
+			}
+			sch.indexes[strings.ToLower(ix.Name)] = ix
 		}
 	}
 	return nil

@@ -692,7 +692,7 @@ func (c *Conn) execStmt(stmt Statement, set *ReaderSet, asOf retro.SnapshotID, c
 		if s.Analyze {
 			err = c.execExplainAnalyze(s, set, asOf, cb, params, &stats)
 		} else {
-			err = c.execExplain(s, cb, params, &stats)
+			err = c.execExplain(s, set, asOf, cb, params, &stats)
 		}
 	case *BeginStmt:
 		err = c.Begin()
@@ -754,16 +754,9 @@ func (c *Conn) execStmt(stmt Statement, set *ReaderSet, asOf retro.SnapshotID, c
 // receives the description of the iterator tree that ran (EXPLAIN
 // ANALYZE).
 func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats, plan *[]string) error {
-	// The statement-level AS OF clause overrides the binding.
-	if s.AsOf != nil {
-		v, err := c.constEval(s.AsOf, params)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			return fmt.Errorf("sql: AS OF requires a snapshot id")
-		}
-		asOf = retro.SnapshotID(v.AsInt())
+	asOf, err := c.selectAsOf(s, asOf, params)
+	if err != nil {
+		return err
 	}
 	ec, err := c.newReadCtx(set, asOf, params, stats)
 	if err != nil {
@@ -812,6 +805,22 @@ func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, 
 		err = ferr
 	}
 	return err
+}
+
+// selectAsOf returns the snapshot a SELECT reads: the one its own AS OF
+// clause names, which overrides the binding, else the binding asOf.
+func (c *Conn) selectAsOf(s *SelectStmt, asOf retro.SnapshotID, params []record.Value) (retro.SnapshotID, error) {
+	if s.AsOf == nil {
+		return asOf, nil
+	}
+	v, err := c.constEval(s.AsOf, params)
+	if err != nil {
+		return 0, err
+	}
+	if v.IsNull() {
+		return 0, fmt.Errorf("sql: AS OF requires a snapshot id")
+	}
+	return retro.SnapshotID(v.AsInt()), nil
 }
 
 // constEval evaluates an expression with no row context (literals,

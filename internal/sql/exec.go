@@ -216,30 +216,20 @@ func (i *filterIter) Close() error { return i.src.Close() }
 // Joins
 // ---------------------------------------------------------------------------
 
-// joinCore is what the three join operators share: the outer input, the
-// outer row being extended, the residual condition, and the output row,
-// which the join owns and rebuilds in place for every match.
+// joinCore is what the two equi-join operators share: the outer input,
+// the outer row being extended, and the output row, which the join owns
+// and rebuilds in place for every match.
 type joinCore struct {
 	outer    iterator
-	cond     compiledExpr // residual ON condition (may be nil)
 	rc       rowCtx
 	outerRow []record.Value
 	joined   []record.Value
 }
 
-// emit concatenates the current outer row with inner and reports whether
-// the residual condition admits the result.
-func (j *joinCore) emit(inner []record.Value) ([]record.Value, bool, error) {
+// emit concatenates the current outer row with inner.
+func (j *joinCore) emit(inner []record.Value) []record.Value {
 	j.joined = append(append(j.joined[:0], j.outerRow...), inner...)
-	if j.cond == nil {
-		return j.joined, true, nil
-	}
-	j.rc.row = j.joined
-	v, err := j.cond(&j.rc)
-	if err != nil {
-		return nil, false, err
-	}
-	return j.joined, !v.IsNull() && v.Truthy(), nil
+	return j.joined
 }
 
 // nextOuter advances to the next outer row whose join key is not NULL
@@ -365,9 +355,7 @@ func (i *autoIndexJoin) Next() ([]record.Value, error) {
 		if _, err = record.DecodeRowInto(i.inner, i.cur.Value(), nil); err != nil {
 			return nil, err
 		}
-		if joined, ok, err := i.emit(i.inner); err != nil || ok {
-			return joined, err
-		}
+		return i.emit(i.inner), nil
 	}
 }
 
@@ -423,59 +411,13 @@ func (i *indexJoinIter) Next() ([]record.Value, error) {
 		if inner == nil {
 			continue
 		}
-		if joined, ok, err := i.emit(inner); err != nil || ok {
-			return joined, err
-		}
+		return i.emit(inner), nil
 	}
 }
 func (i *indexJoinIter) Close() error { return i.outer.Close() }
 
-// nlJoinIter is the fallback nested-loop join over a materialized inner.
-type nlJoinIter struct {
-	joinCore
-	inner     [][]record.Value
-	nulls     []record.Value // the inner side of an unmatched LEFT JOIN row
-	leftOuter bool
-
-	innerIdx   int
-	emittedAny bool
-}
-
-func (i *nlJoinIter) Next() ([]record.Value, error) {
-	for {
-		if i.outerRow == nil {
-			row, err := i.outer.Next()
-			if err != nil || row == nil {
-				return nil, err
-			}
-			i.outerRow = row
-			i.innerIdx = 0
-			i.emittedAny = false
-		}
-		for i.innerIdx < len(i.inner) {
-			inner := i.inner[i.innerIdx]
-			i.innerIdx++
-			joined, ok, err := i.emit(inner)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				i.emittedAny = true
-				return joined, nil
-			}
-		}
-		if i.leftOuter && !i.emittedAny {
-			i.joined = append(append(i.joined[:0], i.outerRow...), i.nulls...)
-			i.outerRow = nil
-			return i.joined, nil
-		}
-		i.outerRow = nil
-	}
-}
-func (i *nlJoinIter) Close() error { return i.outer.Close() }
-
 // drain materializes an iterator, copying every row out of the buffers
-// the iterators reuse.
+// the iterators reuse (INSERT … SELECT, DML match sets).
 func drain(it iterator) ([][]record.Value, error) {
 	defer it.Close()
 	var rows [][]record.Value
@@ -831,19 +773,3 @@ type passPairIter struct{ src *projectPairIter }
 
 func (i *passPairIter) Next() (*pairRow, error) { return i.src.Next() }
 func (i *passPairIter) Close() error            { return i.src.Close() }
-
-// sliceIter replays materialized rows (used for subqueries in FROM).
-type sliceIter struct {
-	rows [][]record.Value
-	idx  int
-}
-
-func (i *sliceIter) Next() ([]record.Value, error) {
-	if i.idx >= len(i.rows) {
-		return nil, nil
-	}
-	r := i.rows[i.idx]
-	i.idx++
-	return r, nil
-}
-func (i *sliceIter) Close() error { return nil }

@@ -60,18 +60,9 @@ func describe(it any, depth int, out *[]string) {
 	case *indexJoinIter:
 		add("JOIN USING NATIVE INDEX %s ON %s", x.index.Name, x.table.Name)
 		describe(x.outer, depth+1, out)
-	case *nlJoinIter:
-		if x.leftOuter {
-			add("LEFT OUTER NESTED-LOOP JOIN (%d inner rows materialized)", len(x.inner))
-		} else {
-			add("NESTED-LOOP JOIN (%d inner rows materialized)", len(x.inner))
-		}
-		describe(x.outer, depth+1, out)
 	case *aggregateIter:
 		add("AGGREGATE (%d group expressions, %d aggregates)", len(x.groupBy), len(x.specs))
 		describe(x.src, depth+1, out)
-	case *sliceIter:
-		add("MATERIALIZED SUBQUERY (%d rows)", len(x.rows))
 	case *finalIter:
 		switch {
 		case len(x.orderBy) > 0 && x.limit >= 0:
@@ -97,9 +88,14 @@ func describe(it any, depth int, out *[]string) {
 	}
 }
 
-// execExplain plans the wrapped SELECT and streams the plan lines.
-func (c *Conn) execExplain(s *ExplainStmt, cb RowCallback, params []record.Value, stats *ExecStats) error {
-	ec, err := c.newReadCtx(nil, 0, params, stats)
+// execExplain plans the wrapped SELECT — over the snapshot it would
+// read — and streams the plan lines.
+func (c *Conn) execExplain(s *ExplainStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats) error {
+	asOf, err := c.selectAsOf(s.Select, asOf, params)
+	if err != nil {
+		return err
+	}
+	ec, err := c.newReadCtx(set, asOf, params, stats)
 	if err != nil {
 		return err
 	}

@@ -235,35 +235,6 @@ func compileExpr(e Expr, env *compileEnv) (compiledExpr, error) {
 			return record.Bool(not), nil
 		}, nil
 
-	case *LikeExpr:
-		sub, err := compileExpr(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := compileExpr(x.Pattern, env)
-		if err != nil {
-			return nil, err
-		}
-		not := x.Not
-		return func(rc *rowCtx) (record.Value, error) {
-			v, err := sub(rc)
-			if err != nil {
-				return record.Value{}, err
-			}
-			pv, err := pat(rc)
-			if err != nil {
-				return record.Value{}, err
-			}
-			if v.IsNull() || pv.IsNull() {
-				return record.Null(), nil
-			}
-			m := likeMatch(pv.String(), v.String())
-			return record.Bool(m != not), nil
-		}, nil
-
-	case *CaseExpr:
-		return compileCase(x, env)
-
 	case *FuncCall:
 		return compileFuncCall(x, env)
 	}
@@ -354,21 +325,6 @@ func compileBinary(x *BinaryExpr, env *compileEnv) (compiledExpr, error) {
 			}
 			return record.Bool(res), nil
 		}, nil
-	case "||":
-		return func(rc *rowCtx) (record.Value, error) {
-			lv, err := l(rc)
-			if err != nil {
-				return record.Value{}, err
-			}
-			rv, err := r(rc)
-			if err != nil {
-				return record.Value{}, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return record.Null(), nil
-			}
-			return record.Text(lv.String() + rv.String()), nil
-		}, nil
 	case "+", "-", "*", "/", "%":
 		op := x.Op
 		return func(rc *rowCtx) (record.Value, error) {
@@ -388,7 +344,8 @@ func compileBinary(x *BinaryExpr, env *compileEnv) (compiledExpr, error) {
 
 // arith implements SQL arithmetic with SQLite semantics: NULL
 // propagates, integer op integer stays integer (except /0 -> NULL),
-// anything else computes in float.
+// anything else computes in float — except %, which SQLite computes on
+// the operands cast to integers (NULL when the divisor casts to 0).
 func arith(op string, a, b record.Value) (record.Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return record.Null(), nil
@@ -428,73 +385,12 @@ func arith(op string, a, b record.Value) (record.Value, error) {
 		}
 		return record.Float(x / y), nil
 	case "%":
-		if y == 0 {
+		if int64(y) == 0 {
 			return record.Null(), nil
 		}
 		return record.Float(float64(int64(x) % int64(y))), nil
 	}
 	return record.Value{}, fmt.Errorf("sql: unknown arithmetic operator %q", op)
-}
-
-func compileCase(x *CaseExpr, env *compileEnv) (compiledExpr, error) {
-	var operand compiledExpr
-	if x.Operand != nil {
-		c, err := compileExpr(x.Operand, env)
-		if err != nil {
-			return nil, err
-		}
-		operand = c
-	}
-	type when struct{ cond, result compiledExpr }
-	whens := make([]when, len(x.Whens))
-	for i, w := range x.Whens {
-		c, err := compileExpr(w.Cond, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExpr(w.Result, env)
-		if err != nil {
-			return nil, err
-		}
-		whens[i] = when{cond: c, result: r}
-	}
-	var elseC compiledExpr
-	if x.Else != nil {
-		c, err := compileExpr(x.Else, env)
-		if err != nil {
-			return nil, err
-		}
-		elseC = c
-	}
-	return func(rc *rowCtx) (record.Value, error) {
-		var opv record.Value
-		if operand != nil {
-			v, err := operand(rc)
-			if err != nil {
-				return record.Value{}, err
-			}
-			opv = v
-		}
-		for _, w := range whens {
-			cv, err := w.cond(rc)
-			if err != nil {
-				return record.Value{}, err
-			}
-			matched := false
-			if operand != nil {
-				matched = !cv.IsNull() && !opv.IsNull() && record.Compare(opv, cv) == 0
-			} else {
-				matched = !cv.IsNull() && cv.Truthy()
-			}
-			if matched {
-				return w.result(rc)
-			}
-		}
-		if elseC != nil {
-			return elseC(rc)
-		}
-		return record.Null(), nil
-	}, nil
 }
 
 func compileFuncCall(x *FuncCall, env *compileEnv) (compiledExpr, error) {
@@ -504,7 +400,7 @@ func compileFuncCall(x *FuncCall, env *compileEnv) (compiledExpr, error) {
 			return func(rc *rowCtx) (record.Value, error) { return rc.row[pos], nil }, nil
 		}
 	}
-	if isAggregateCall(x) {
+	if isAggregateName(x.Name) {
 		return nil, fmt.Errorf("sql: misuse of aggregate function %s()", x.Name)
 	}
 	def := env.ec.conn.db.function(x.Name)
@@ -538,45 +434,6 @@ func compileFuncCall(x *FuncCall, env *compileEnv) (compiledExpr, error) {
 		fc := &FuncContext{ec: rc.ec, callSite: callSite}
 		return def.Fn(fc, vals)
 	}, nil
-}
-
-// likeMatch implements SQL LIKE with % and _ wildcards,
-// case-insensitively for ASCII (SQLite's default).
-func likeMatch(pattern, s string) bool {
-	return likeRec(strings.ToLower(pattern), strings.ToLower(s))
-}
-
-func likeRec(p, s string) bool {
-	for {
-		if p == "" {
-			return s == ""
-		}
-		switch p[0] {
-		case '%':
-			for p != "" && p[0] == '%' {
-				p = p[1:]
-			}
-			if p == "" {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(p, s[i:]) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if s == "" {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		default:
-			if s == "" || p[0] != s[0] {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		}
-	}
 }
 
 func parseInt(s string) (int64, error)     { return strconv.ParseInt(s, 10, 64) }

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"fmt"
 	"math"
 	"strings"
 
@@ -66,193 +65,29 @@ func (db *DB) function(name string) *FuncDef {
 	return db.funcs[strings.ToLower(name)]
 }
 
-// builtinFuncs returns the standard scalar library.
+// builtinFuncs returns the scalar builtins: round(), which the tests use
+// to compare AVG across execution paths, and current_snapshot(), the
+// construct the paper's Qq rewriting substitutes (§3). Our executor
+// carries the AS OF binding in the execution context, which is
+// operationally identical to the textual rewrite.
 func builtinFuncs() map[string]*FuncDef {
-	m := make(map[string]*FuncDef)
-	add := func(def FuncDef) { m[def.Name] = &def }
-
-	add(FuncDef{Name: "abs", MinArgs: 1, MaxArgs: 1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		v := a[0]
-		switch v.Type() {
-		case record.TypeNull:
-			return record.Null(), nil
-		case record.TypeInt:
-			if n := v.Int(); n < 0 {
-				return record.Int(-n), nil
-			}
-			return v, nil
-		default:
-			return record.Float(math.Abs(v.AsFloat())), nil
-		}
-	}})
-	add(FuncDef{Name: "length", MinArgs: 1, MaxArgs: 1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		v := a[0]
-		switch v.Type() {
-		case record.TypeNull:
-			return record.Null(), nil
-		case record.TypeBlob:
-			return record.Int(int64(len(v.Blob()))), nil
-		default:
-			return record.Int(int64(len([]rune(v.String())))), nil
-		}
-	}})
-	add(FuncDef{Name: "lower", MinArgs: 1, MaxArgs: 1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		if a[0].IsNull() {
-			return record.Null(), nil
-		}
-		return record.Text(strings.ToLower(a[0].String())), nil
-	}})
-	add(FuncDef{Name: "upper", MinArgs: 1, MaxArgs: 1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		if a[0].IsNull() {
-			return record.Null(), nil
-		}
-		return record.Text(strings.ToUpper(a[0].String())), nil
-	}})
-	add(FuncDef{Name: "substr", MinArgs: 2, MaxArgs: 3, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		if a[0].IsNull() || a[1].IsNull() {
-			return record.Null(), nil
-		}
-		s := []rune(a[0].String())
-		start := int(a[1].AsInt())
-		n := len(s)
-		// SQLite 1-based indexing; negative counts from the end.
-		switch {
-		case start > 0:
-			start--
-		case start < 0:
-			start = n + start
-			if start < 0 {
-				start = 0
-			}
-		}
-		if start >= n {
-			return record.Text(""), nil
-		}
-		end := n
-		if len(a) == 3 {
-			if a[2].IsNull() {
+	return map[string]*FuncDef{
+		"round": {Name: "round", MinArgs: 1, MaxArgs: 2, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
+			if a[0].IsNull() {
 				return record.Null(), nil
 			}
-			cnt := int(a[2].AsInt())
-			if cnt < 0 {
-				cnt = 0
+			digits := 0
+			if len(a) == 2 {
+				digits = int(a[1].AsInt())
 			}
-			if start+cnt < end {
-				end = start + cnt
-			}
-		}
-		return record.Text(string(s[start:end])), nil
-	}})
-	add(FuncDef{Name: "coalesce", MinArgs: 2, MaxArgs: -1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		for _, v := range a {
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return record.Null(), nil
-	}})
-	add(FuncDef{Name: "ifnull", MinArgs: 2, MaxArgs: 2, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		if !a[0].IsNull() {
-			return a[0], nil
-		}
-		return a[1], nil
-	}})
-	add(FuncDef{Name: "nullif", MinArgs: 2, MaxArgs: 2, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		if !a[0].IsNull() && !a[1].IsNull() && record.Compare(a[0], a[1]) == 0 {
-			return record.Null(), nil
-		}
-		return a[0], nil
-	}})
-	add(FuncDef{Name: "typeof", MinArgs: 1, MaxArgs: 1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		switch a[0].Type() {
-		case record.TypeNull:
-			return record.Text("null"), nil
-		case record.TypeInt:
-			return record.Text("integer"), nil
-		case record.TypeFloat:
-			return record.Text("real"), nil
-		case record.TypeText:
-			return record.Text("text"), nil
-		default:
-			return record.Text("blob"), nil
-		}
-	}})
-	add(FuncDef{Name: "round", MinArgs: 1, MaxArgs: 2, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		if a[0].IsNull() {
-			return record.Null(), nil
-		}
-		digits := 0
-		if len(a) == 2 {
-			digits = int(a[1].AsInt())
-		}
-		scale := math.Pow(10, float64(digits))
-		return record.Float(math.Round(a[0].AsFloat()*scale) / scale), nil
-	}})
-	add(FuncDef{Name: "min", MinArgs: 2, MaxArgs: -1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		best := a[0]
-		for _, v := range a[1:] {
-			if v.IsNull() || best.IsNull() {
+			scale := math.Pow(10, float64(digits))
+			return record.Float(math.Round(a[0].AsFloat()*scale) / scale), nil
+		}},
+		"current_snapshot": {Name: "current_snapshot", MinArgs: 0, MaxArgs: 0, Fn: func(fc *FuncContext, _ []record.Value) (record.Value, error) {
+			if fc.AsOf() == 0 {
 				return record.Null(), nil
 			}
-			if record.Compare(v, best) < 0 {
-				best = v
-			}
-		}
-		return best, nil
-	}})
-	add(FuncDef{Name: "max", MinArgs: 2, MaxArgs: -1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		best := a[0]
-		for _, v := range a[1:] {
-			if v.IsNull() || best.IsNull() {
-				return record.Null(), nil
-			}
-			if record.Compare(v, best) > 0 {
-				best = v
-			}
-		}
-		return best, nil
-	}})
-	add(FuncDef{Name: "cast", MinArgs: 2, MaxArgs: 2, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		v, typ := a[0], a[1].Text()
-		if v.IsNull() {
-			return record.Null(), nil
-		}
-		switch typeAffinity(typ) {
-		case affInteger:
-			return record.Int(v.AsInt()), nil
-		case affReal:
-			return record.Float(v.AsFloat()), nil
-		case affText:
-			return record.Text(v.String()), nil
-		}
-		return v, nil
-	}})
-	// current_snapshot() resolves to the snapshot the statement runs
-	// over — the construct the paper's Qq rewriting substitutes (§3).
-	// Our executor carries the AS OF binding in the execution context,
-	// which is operationally identical to the textual rewrite.
-	add(FuncDef{Name: "current_snapshot", MinArgs: 0, MaxArgs: 0, Fn: func(fc *FuncContext, _ []record.Value) (record.Value, error) {
-		if fc.AsOf() == 0 {
-			return record.Null(), nil
-		}
-		return record.Int(int64(fc.AsOf())), nil
-	}})
-	add(FuncDef{Name: "printf", MinArgs: 1, MaxArgs: -1, Fn: func(_ *FuncContext, a []record.Value) (record.Value, error) {
-		if a[0].IsNull() {
-			return record.Null(), nil
-		}
-		args := make([]any, 0, len(a)-1)
-		for _, v := range a[1:] {
-			switch v.Type() {
-			case record.TypeInt:
-				args = append(args, v.Int())
-			case record.TypeFloat:
-				args = append(args, v.Float())
-			default:
-				args = append(args, v.String())
-			}
-		}
-		return record.Text(fmt.Sprintf(a[0].Text(), args...)), nil
-	}})
-	return m
+			return record.Int(int64(fc.AsOf())), nil
+		}},
+	}
 }

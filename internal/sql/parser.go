@@ -365,82 +365,17 @@ func (p *parser) tableRefs() ([]TableRef, error) {
 		return nil, err
 	}
 	refs = append(refs, ref)
-	for {
-		switch {
-		case p.acceptSym(","):
-			r, err := p.tableRef()
-			if err != nil {
-				return nil, err
-			}
-			refs = append(refs, r)
-		case p.peekJoin():
-			r, err := p.joinClause()
-			if err != nil {
-				return nil, err
-			}
-			refs = append(refs, r)
-		default:
-			return refs, nil
-		}
-	}
-}
-
-func (p *parser) peekJoin() bool {
-	t := p.peek()
-	return t.kind == tkKeyword && (t.text == "JOIN" || t.text == "INNER" || t.text == "LEFT" || t.text == "CROSS")
-}
-
-func (p *parser) joinClause() (TableRef, error) {
-	left := false
-	switch {
-	case p.acceptKw("INNER"):
-	case p.acceptKw("CROSS"):
-	case p.acceptKw("LEFT"):
-		p.acceptKw("OUTER")
-		left = true
-	}
-	if err := p.expectKw("JOIN"); err != nil {
-		return TableRef{}, err
-	}
-	ref, err := p.tableRef()
-	if err != nil {
-		return TableRef{}, err
-	}
-	ref.LeftJoin = left
-	if p.acceptKw("ON") {
-		e, err := p.expr()
+	for p.acceptSym(",") {
+		r, err := p.tableRef()
 		if err != nil {
-			return TableRef{}, err
+			return nil, err
 		}
-		ref.JoinCond = e
-	} else if left {
-		return TableRef{}, p.errf("LEFT JOIN requires ON")
+		refs = append(refs, r)
 	}
-	return ref, nil
+	return refs, nil
 }
 
 func (p *parser) tableRef() (TableRef, error) {
-	if p.acceptSym("(") {
-		sub, err := p.selectStmt()
-		if err != nil {
-			return TableRef{}, err
-		}
-		if err := p.expectSym(")"); err != nil {
-			return TableRef{}, err
-		}
-		ref := TableRef{Subquery: sub}
-		if p.acceptKw("AS") {
-			a, err := p.ident()
-			if err != nil {
-				return TableRef{}, err
-			}
-			ref.Alias = a
-		} else if t := p.peek(); t.kind == tkIdent {
-			p.next()
-			ref.Alias = t.text
-		}
-		return ref, nil
-	}
 	name, err := p.ident()
 	if err != nil {
 		return TableRef{}, err
@@ -661,14 +596,6 @@ func (p *parser) createTable(temp bool) (Statement, error) {
 		return nil, err
 	}
 	s := &CreateTableStmt{Name: name, Temp: temp, IfNotExists: ine}
-	if p.acceptKw("AS") {
-		sub, err := p.selectStmt()
-		if err != nil {
-			return nil, err
-		}
-		s.AsSelect = sub
-		return s, nil
-	}
 	if err := p.expectSym("("); err != nil {
 		return nil, err
 	}
@@ -882,12 +809,12 @@ func (p *parser) cmpExpr() (Expr, error) {
 				return nil, err
 			}
 			l = &IsNullExpr{X: l, Not: not}
-		case t.kind == tkKeyword && (t.text == "IN" || t.text == "BETWEEN" || t.text == "LIKE" || t.text == "NOT"):
+		case t.kind == tkKeyword && (t.text == "IN" || t.text == "BETWEEN" || t.text == "NOT"):
 			not := false
 			if t.text == "NOT" {
-				// lookahead: NOT IN / NOT BETWEEN / NOT LIKE
+				// lookahead: NOT IN / NOT BETWEEN
 				nt := p.toks[p.pos+1]
-				if nt.kind != tkKeyword || (nt.text != "IN" && nt.text != "BETWEEN" && nt.text != "LIKE") {
+				if nt.kind != tkKeyword || (nt.text != "IN" && nt.text != "BETWEEN") {
 					return l, nil
 				}
 				p.next()
@@ -929,13 +856,6 @@ func (p *parser) cmpExpr() (Expr, error) {
 					return nil, err
 				}
 				l = &BetweenExpr{X: l, Lo: lo, Hi: hi, Not: not}
-			case "LIKE":
-				p.next()
-				pat, err := p.addExpr()
-				if err != nil {
-					return nil, err
-				}
-				l = &LikeExpr{X: l, Pattern: pat, Not: not}
 			}
 		default:
 			return l, nil
@@ -963,7 +883,7 @@ func (p *parser) addExpr() (Expr, error) {
 }
 
 func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.concatExpr()
+	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -973,27 +893,12 @@ func (p *parser) mulExpr() (Expr, error) {
 			return l, nil
 		}
 		p.next()
-		r, err := p.concatExpr()
+		r, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
 		}
 		l = &BinaryExpr{Op: t.text, L: l, R: r}
 	}
-}
-
-func (p *parser) concatExpr() (Expr, error) {
-	l, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptSym("||") {
-		r, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: "||", L: l, R: r}
-	}
-	return l, nil
 }
 
 func (p *parser) unaryExpr() (Expr, error) {
@@ -1046,10 +951,6 @@ func (p *parser) primaryExpr() (Expr, error) {
 		case "FALSE":
 			p.next()
 			return &Literal{Val: record.Int(0)}, nil
-		case "CASE":
-			return p.caseExpr()
-		case "CAST":
-			return p.castExpr()
 		}
 		return nil, p.errf("unexpected keyword in expression")
 	case tkSymbol:
@@ -1114,76 +1015,6 @@ func (p *parser) funcCall(name string) (Expr, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-func (p *parser) caseExpr() (Expr, error) {
-	p.next() // CASE
-	c := &CaseExpr{}
-	if t := p.peek(); !(t.kind == tkKeyword && t.text == "WHEN") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		c.Operand = e
-	}
-	for p.acceptKw("WHEN") {
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("THEN"); err != nil {
-			return nil, err
-		}
-		res, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		c.Whens = append(c.Whens, WhenClause{Cond: cond, Result: res})
-	}
-	if len(c.Whens) == 0 {
-		return nil, p.errf("CASE requires at least one WHEN")
-	}
-	if p.acceptKw("ELSE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		c.Else = e
-	}
-	if err := p.expectKw("END"); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// castExpr parses CAST(expr AS type); it compiles to the cast()
-// builtin function.
-func (p *parser) castExpr() (Expr, error) {
-	p.next() // CAST
-	if err := p.expectSym("("); err != nil {
-		return nil, err
-	}
-	e, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("AS"); err != nil {
-		return nil, err
-	}
-	var typeParts []string
-	for p.peek().kind == tkIdent {
-		typeParts = append(typeParts, p.next().text)
-	}
-	if len(typeParts) == 0 {
-		return nil, p.errf("expected type name in CAST")
-	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
-	}
-	return &FuncCall{
-		Name: "cast",
-		Args: []Expr{e, &Literal{Val: record.Text(strings.ToUpper(strings.Join(typeParts, " ")))}},
-	}, nil
 }
 
 func numberLiteral(text string) (Expr, error) {

@@ -12,66 +12,30 @@ import (
 // planSelect compiles a SELECT into an iterator tree plus the output
 // column descriptions.
 func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
-	// ---- FROM sources -----------------------------------------------------
+	// ---- FROM tables --------------------------------------------------------
 	type fromItem struct {
-		cols     []colInfo
-		table    *Table
-		schema   *schema
-		pager    storage.Pager
-		need     []bool // base table: which row positions the statement reads
-		subRows  [][]record.Value
-		joinCond Expr
-		leftJoin bool
+		cols   []colInfo
+		table  *Table
+		schema *schema
+		pager  storage.Pager
+		need   []bool // which row positions the statement reads
 	}
 	var items []fromItem
 	for _, ref := range s.From {
-		var item fromItem
-		item.joinCond = ref.JoinCond
-		item.leftJoin = ref.LeftJoin
-		if ref.Subquery != nil {
-			subIt, subCols, err := planSelect(ref.Subquery, ec)
-			if err != nil {
-				return nil, nil, err
-			}
-			rows, err := drain(subIt)
-			if err != nil {
-				return nil, nil, err
-			}
-			alias := strings.ToLower(ref.Alias)
-			cols := make([]colInfo, len(subCols))
-			for i, c := range subCols {
-				cols[i] = colInfo{table: alias, name: strings.ToLower(c.name)}
-			}
-			item.cols = cols
-			item.subRows = rows
-		} else {
-			t, sch, pager, err := ec.resolveTable(ref.Name)
-			if err != nil {
-				return nil, nil, err
-			}
-			alias := strings.ToLower(ref.Alias)
-			if alias == "" {
-				alias = strings.ToLower(ref.Name)
-			}
-			item.need = make([]bool, len(t.Cols)+1)
-			item.cols = baseTableCols(t, alias, item.need)
-			item.table = t
-			item.schema = sch
-			item.pager = pager
+		t, sch, pager, err := ec.resolveTable(ref.Name)
+		if err != nil {
+			return nil, nil, err
 		}
-		items = append(items, item)
+		alias := strings.ToLower(ref.Alias)
+		if alias == "" {
+			alias = strings.ToLower(ref.Name)
+		}
+		need := make([]bool, len(t.Cols)+1)
+		items = append(items, fromItem{cols: baseTableCols(t, alias, need), table: t, schema: sch, pager: pager, need: need})
 	}
 
 	// ---- WHERE conjuncts ---------------------------------------------------
-	var conjuncts []Expr
-	conjuncts = append(conjuncts, splitAnd(s.Where)...)
-	for i := range items {
-		if !items[i].leftJoin && items[i].joinCond != nil {
-			// INNER JOIN ... ON behaves like WHERE.
-			conjuncts = append(conjuncts, splitAnd(items[i].joinCond)...)
-			items[i].joinCond = nil
-		}
-	}
+	conjuncts := splitAnd(s.Where)
 	placed := make([]bool, len(conjuncts))
 
 	resolves := func(e Expr, cols []colInfo) bool {
@@ -79,19 +43,13 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		return err == nil
 	}
 
-	// Join-order heuristic (inner joins only): drive the join from
-	// tables that carry their own filter predicates, so selective
-	// tables come first and unfiltered big tables become inner sides —
-	// where a native or automatic index serves the probes. This is the
-	// reordering that makes SQLite build its automatic covering index
-	// on lineitem for the paper's Qq_cpu (Figure 9).
-	hasLeft := false
-	for _, item := range items {
-		if item.leftJoin {
-			hasLeft = true
-		}
-	}
-	if len(items) > 1 && !hasLeft {
+	// Join-order heuristic: drive the join from tables that carry their
+	// own filter predicates, so selective tables come first and
+	// unfiltered big tables become inner sides — where a native or
+	// automatic index serves the probes. This is the reordering that
+	// makes SQLite build its automatic covering index on lineitem for the
+	// paper's Qq_cpu (Figure 9).
+	if len(items) > 1 {
 		hasLocal := func(item fromItem) bool {
 			for _, cond := range conjuncts {
 				if resolves(cond, item.cols) {
@@ -111,15 +69,10 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		items = append(filtered, rest...)
 	}
 
-	// buildBase constructs the access path for one base table or
-	// materialized subquery, applying the given single-item conjuncts.
+	// buildBase constructs the access path for one base table, applying
+	// the given single-table conjuncts.
 	buildBase := func(item fromItem, conds []Expr) (iterator, error) {
-		var it iterator
-		if item.table == nil {
-			it = &sliceIter{rows: item.subRows}
-		} else {
-			it = pickAccessPath(item.table, item.schema, item.pager, conds, item.need, ec)
-		}
+		it := pickAccessPath(item.table, item.schema, item.pager, conds, item.need, ec)
 		for _, cond := range conds {
 			c, err := compileExpr(cond, &compileEnv{cols: item.cols, ec: ec})
 			if err != nil {
@@ -139,7 +92,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		// Conjuncts local to this item.
 		var local []Expr
 		for ci, cond := range conjuncts {
-			if !placed[ci] && !item.leftJoin && resolves(cond, item.cols) {
+			if !placed[ci] && resolves(cond, item.cols) {
 				local = append(local, cond)
 				placed[ci] = true
 			}
@@ -151,36 +104,6 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			}
 			cur = it
 			scope = item.cols
-			continue
-		}
-
-		combined := append(append([]colInfo{}, scope...), item.cols...)
-
-		if item.leftJoin {
-			// LEFT JOIN: inner materialized, ON condition only. It is
-			// read here, before the expressions over the joined scope
-			// are compiled, so its scan mask is not complete yet: decode
-			// every column.
-			item.need = nil
-			innerIt, err := buildBase(item, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			innerRows, err := drain(innerIt)
-			if err != nil {
-				return nil, nil, err
-			}
-			cond, err := compileExpr(item.joinCond, &compileEnv{cols: combined, ec: ec})
-			if err != nil {
-				return nil, nil, err
-			}
-			cur = &nlJoinIter{joinCore: newJoinCore(cur, cond, ec), inner: innerRows, nulls: make([]record.Value, len(item.cols)), leftOuter: true}
-			scope = combined
-			// WHERE conjuncts over the combined scope apply after.
-			cur, err = applyAvailable(cur, combined, conjuncts, placed, ec)
-			if err != nil {
-				return nil, nil, err
-			}
 			continue
 		}
 
@@ -206,58 +129,44 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			break
 		}
 
-		switch {
-		case outerKeyE == nil:
-			// Cross join: materialize the inner side (every column: see
-			// the LEFT JOIN case).
-			item.need = nil
-			innerIt, err := buildBase(item, local)
+		if outerKeyE == nil {
+			return nil, nil, fmt.Errorf("sql: no equality condition joins %s to the tables before it", item.table.Name)
+		}
+		outerKey, err := compileExpr(outerKeyE, &compileEnv{cols: scope, ec: ec})
+		if err != nil {
+			return nil, nil, err
+		}
+		// Native index on the inner join column?
+		if ix := nativeJoinIndex(item.table, item.schema, innerKeyE); ix != nil && len(local) == 0 {
+			cur = &indexJoinIter{
+				joinCore: joinCore{outer: cur, rc: rowCtx{ec: ec}},
+				table:    item.table,
+				index:    ix,
+				outerKey: outerKey,
+				idxCur:   btree.Open(item.pager, ix.Root).Cursor(),
+				tbl:      btree.Open(item.pager, item.table.Root),
+				inner:    newScanRow(ec, item.table, item.need),
+			}
+		} else {
+			// No usable native index: build the transient "automatic
+			// covering index" over the inner side (timed as index
+			// creation, per Figure 9).
+			innerKey, err := compileExpr(innerKeyE, &compileEnv{cols: item.cols, ec: ec})
 			if err != nil {
 				return nil, nil, err
 			}
-			innerRows, err := drain(innerIt)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur = &nlJoinIter{joinCore: newJoinCore(cur, nil, ec), inner: innerRows}
-		default:
-			outerKey, err := compileExpr(outerKeyE, &compileEnv{cols: scope, ec: ec})
-			if err != nil {
-				return nil, nil, err
-			}
-			// Native index on the inner join column?
-			if ix := nativeJoinIndex(item.table, item.schema, innerKeyE); ix != nil && len(local) == 0 {
-				cur = &indexJoinIter{
-					joinCore: newJoinCore(cur, nil, ec),
-					table:    item.table,
-					index:    ix,
-					outerKey: outerKey,
-					idxCur:   btree.Open(item.pager, ix.Root).Cursor(),
-					tbl:      btree.Open(item.pager, item.table.Root),
-					inner:    newScanRow(ec, item.table, item.need),
-				}
-			} else {
-				// No usable native index: build the transient "automatic
-				// covering index" over the inner side (timed as index
-				// creation, per Figure 9).
-				innerKey, err := compileExpr(innerKeyE, &compileEnv{cols: item.cols, ec: ec})
-				if err != nil {
-					return nil, nil, err
-				}
-				itemCopy := item
-				localCopy := local
-				cur = &autoIndexJoin{
-					joinCore:   newJoinCore(cur, nil, ec),
-					outerKey:   outerKey,
-					buildInner: func() (iterator, error) { return buildBase(itemCopy, localCopy) },
-					innerKey:   innerKey,
-					inner:      make([]record.Value, len(item.cols)),
-				}
+			itemCopy := item
+			localCopy := local
+			cur = &autoIndexJoin{
+				joinCore:   joinCore{outer: cur, rc: rowCtx{ec: ec}},
+				outerKey:   outerKey,
+				buildInner: func() (iterator, error) { return buildBase(itemCopy, localCopy) },
+				innerKey:   innerKey,
+				inner:      make([]record.Value, len(item.cols)),
 			}
 		}
-		scope = combined
-		var err error
-		cur, err = applyAvailable(cur, combined, conjuncts, placed, ec)
+		scope = append(append([]colInfo{}, scope...), item.cols...)
+		cur, err = applyAvailable(cur, scope, conjuncts, placed, ec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -480,10 +389,6 @@ func newFilter(src iterator, cond compiledExpr, ec *execCtx) *filterIter {
 	return &filterIter{src: src, cond: cond, rc: rowCtx{ec: ec}}
 }
 
-func newJoinCore(outer iterator, cond compiledExpr, ec *execCtx) joinCore {
-	return joinCore{outer: outer, cond: cond, rc: rowCtx{ec: ec}}
-}
-
 // splitAnd flattens a conjunction into its conjuncts.
 func splitAnd(e Expr) []Expr {
 	if e == nil {
@@ -519,9 +424,6 @@ func evalConst(e Expr, ec *execCtx) (record.Value, error) {
 // inner key must be a bare column that is the first column of an index
 // on the inner table.
 func nativeJoinIndex(t *Table, sch *schema, innerKey Expr) *Index {
-	if t == nil {
-		return nil
-	}
 	ref, ok := innerKey.(*ColumnRef)
 	if !ok {
 		return nil
@@ -536,7 +438,7 @@ func nativeJoinIndex(t *Table, sch *schema, innerKey Expr) *Index {
 
 // pickAccessPath chooses between a full scan and an index scan for a
 // base table given its local conjuncts. need is the table's scan mask
-// (see colInfo.need); nil decodes every column.
+// (see colInfo.need); nil decodes every column (DML match sets).
 func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, need []bool, ec *execCtx) iterator {
 	// Gather constant equality and range conditions per column.
 	eq := make(map[string]Expr)

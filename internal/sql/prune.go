@@ -22,22 +22,11 @@ type PruneInfo struct {
 	SnapCols []int
 }
 
-// pruneSafeFuncs are the scalar builtins whose output depends only on
-// their arguments. current_snapshot is handled separately (allowed only
-// as a bare projection column); any other name — in particular a
-// registered UDF, whose body can do anything — defeats pruning.
-var pruneSafeFuncs = map[string]bool{
-	"abs": true, "length": true, "lower": true, "upper": true,
-	"substr": true, "coalesce": true, "ifnull": true, "nullif": true,
-	"typeof": true, "round": true, "min": true, "max": true,
-	"cast": true, "printf": true,
-}
-
 // PruneInfo analyzes a query for delta-prune safety: it must be exactly
 // one SELECT with no statement-level AS OF (which would override the
 // snapshot binding), reference only main-store (snapshotable) tables,
 // call only deterministic builtin functions, and mention
-// current_snapshot() only as a bare top-level projection column.
+// current_snapshot() only as a bare projection column.
 func (c *Conn) PruneInfo(sqlText string) PruneInfo {
 	stmts, err := c.parseCached(sqlText)
 	if err != nil {
@@ -58,7 +47,7 @@ func (c *Conn) PruneInfo(sqlText string) PruneInfo {
 		return PruneInfo{Reason: "side-store schema unavailable"}
 	}
 	a := &pruneAnalyzer{side: sideNames}
-	a.walkSelect(sel, true)
+	a.walkSelect(sel)
 	if a.reason != "" {
 		return PruneInfo{Reason: a.reason}
 	}
@@ -96,7 +85,7 @@ func (a *pruneAnalyzer) fail(format string, args ...any) {
 	}
 }
 
-func (a *pruneAnalyzer) walkSelect(s *SelectStmt, top bool) {
+func (a *pruneAnalyzer) walkSelect(s *SelectStmt) {
 	if s.AsOf != nil {
 		a.fail("statement-level AS OF overrides the snapshot binding")
 		return
@@ -107,27 +96,22 @@ func (a *pruneAnalyzer) walkSelect(s *SelectStmt, top bool) {
 			hasStar = true
 			continue
 		}
-		if top {
-			if fc, ok := col.Expr.(*FuncCall); ok && fc.Name == "current_snapshot" && !fc.Star && len(fc.Args) == 0 {
-				a.snapCols = append(a.snapCols, i)
-				continue
-			}
+		if fc, ok := col.Expr.(*FuncCall); ok && fc.Name == "current_snapshot" && !fc.Star && len(fc.Args) == 0 {
+			a.snapCols = append(a.snapCols, i)
+			continue
 		}
 		a.walkExpr(col.Expr)
 	}
 	// SnapCols are ResultCol indices; a star expands to an unknown
 	// number of output columns, so mixing the two would re-tag the
 	// wrong column on replay.
-	if top && hasStar && len(a.snapCols) > 0 {
+	if hasStar && len(a.snapCols) > 0 {
 		a.fail("star projection mixed with current_snapshot()")
 	}
 	for _, tr := range s.From {
-		if tr.Subquery != nil {
-			a.walkSelect(tr.Subquery, false)
-		} else if a.side[strings.ToLower(tr.Name)] {
+		if a.side[strings.ToLower(tr.Name)] {
 			a.fail("references non-snapshotable table %s", tr.Name)
 		}
-		a.walkExpr(tr.JoinCond)
 	}
 	a.walkExpr(s.Where)
 	for _, e := range s.GroupBy {
@@ -163,21 +147,15 @@ func (a *pruneAnalyzer) walkExpr(e Expr) {
 		for _, v := range x.List {
 			a.walkExpr(v)
 		}
-	case *LikeExpr:
-		a.walkExpr(x.X)
-		a.walkExpr(x.Pattern)
-	case *CaseExpr:
-		a.walkExpr(x.Operand)
-		for _, w := range x.Whens {
-			a.walkExpr(w.Cond)
-			a.walkExpr(w.Result)
-		}
-		a.walkExpr(x.Else)
 	case *FuncCall:
 		switch {
 		case x.Name == "current_snapshot":
 			a.fail("current_snapshot() outside a bare projection column")
-		case isAggregateName(x.Name) || pruneSafeFuncs[x.Name]:
+		case isAggregateName(x.Name) || x.Name == "round":
+			// round is the one scalar builtin, and its output depends
+			// only on its arguments. Any other function — in particular a
+			// registered UDF, whose body can do anything — defeats
+			// pruning.
 			for _, arg := range x.Args {
 				a.walkExpr(arg)
 			}

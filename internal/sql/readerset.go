@@ -51,20 +51,11 @@ func (rs *ReaderSet) Snapshots() []uint64 {
 	return out
 }
 
-// Contains reports whether snap is a member of the set.
-func (rs *ReaderSet) Contains(snap uint64) bool {
-	return rs.set.Contains(retro.SnapshotID(snap))
-}
-
 // MemberIndex returns snap's position in the set's ascending member
 // order (false if snap is not a member).
 func (rs *ReaderSet) MemberIndex(snap uint64) (int, bool) {
 	return rs.set.MemberIndex(retro.SnapshotID(snap))
 }
-
-// DeltaLen returns the number of pages differing between the members
-// at positions i-1 and i of the ascending member order (0 for i = 0).
-func (rs *ReaderSet) DeltaLen(i int) int { return len(rs.set.Delta(i)) }
 
 // DeltaDisjoint reports whether every page differing between the
 // members at positions a and b of the ascending member order is absent
@@ -91,9 +82,4 @@ func openSnapReader(rsys *retro.System, set *ReaderSet, asOf retro.SnapshotID) (
 		return rsys.OpenSnapshot(asOf)
 	}
 	return set.set.Open(asOf)
-}
-
-// ColumnsSet is Columns executed against a reader set (see ExecAsOfSet).
-func (c *Conn) ColumnsSet(sqlText string, set *ReaderSet, asOf uint64) ([]string, error) {
-	return c.columns(sqlText, set, asOf)
 }

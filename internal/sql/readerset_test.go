@@ -78,8 +78,11 @@ func TestExecAsOfSetMatchesExecAsOf(t *testing.T) {
 	if got := set.Snapshots(); len(got) != 3 {
 		t.Fatalf("Snapshots() = %v, want 3 distinct members", got)
 	}
-	if !set.Contains(snaps[3]) || set.Contains(snaps[1]) {
-		t.Error("Contains misreports membership")
+	if _, ok := set.MemberIndex(snaps[3]); !ok {
+		t.Error("MemberIndex misses a member")
+	}
+	if _, ok := set.MemberIndex(snaps[1]); ok {
+		t.Error("MemberIndex reports a non-member")
 	}
 	if set.Scanned() == 0 {
 		t.Error("batch sweep reported zero Maplog entries scanned")
@@ -160,7 +163,7 @@ func TestColumnsSetMatchesColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	want, err := c.Columns(`SELECT id, val FROM h`, snaps[0])
+	want, err := c.ColumnsSet(`SELECT id, val FROM h`, nil, snaps[0])
 	if err != nil {
 		t.Fatal(err)
 	}

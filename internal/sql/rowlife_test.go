@@ -54,14 +54,13 @@ var rowLifeQueries = []string{
 	`SELECT cust, note, MAX(price) FROM ord GROUP BY cust ORDER BY cust`,
 	`SELECT status, day, COUNT(*), AVG(price) FROM ord GROUP BY status ORDER BY status`,
 	`SELECT COUNT(*) FROM ord WHERE status = 'O'`,
-	`SELECT s.cust, s.total FROM (SELECT cust, SUM(price) AS total FROM ord GROUP BY cust) AS s WHERE s.total > 500 ORDER BY s.cust`,
+	`SELECT cust, SUM(price) AS total FROM ord GROUP BY cust HAVING total > 500 ORDER BY cust`,
 	// Automatic-index join, native-index join, and both chained.
 	`SELECT c.name, o.okey, o.day FROM cust c, ord o WHERE c.id = o.cust AND o.status = 'F' ORDER BY o.okey`,
 	`SELECT o.okey, i.sku, i.qty FROM ord o, item i WHERE o.okey = i.okey AND o.price > 300 ORDER BY o.okey, i.line`,
 	`SELECT c.name, o.okey, i.sku FROM cust c, ord o, item i WHERE c.id = o.cust AND o.okey = i.okey AND c.tier = 1 ORDER BY o.okey, i.line`,
-	// Materialized inner sides.
-	`SELECT c.name, o.okey FROM cust c LEFT JOIN ord o ON c.id = o.cust AND o.price > 450 ORDER BY c.id, o.okey`,
-	`SELECT c.region, o.status, COUNT(*) FROM cust c, ord o WHERE c.tier = 0 AND o.okey < 4 GROUP BY c.region, o.status ORDER BY 1, 2`,
+	// Aggregation over a join, star projections.
+	`SELECT c.region, o.status, COUNT(*) FROM cust c, ord o WHERE c.id = o.cust AND c.tier = 0 AND o.okey < 30 GROUP BY c.region, o.status ORDER BY 1, 2`,
 	`SELECT * FROM item WHERE okey = 7`,
 	`SELECT c.*, o.okey FROM cust c, ord o WHERE c.id = o.cust AND o.okey >= 58 ORDER BY o.okey`,
 	`SELECT rowid, sku FROM item WHERE okey >= 10 AND okey < 13 ORDER BY rowid`,
@@ -80,11 +79,12 @@ func TestPoisonedScanBuffersChangeNothing(t *testing.T) {
 		for _, sql := range rowLifeQueries {
 			out[sql] = q(t, c, sql)
 		}
-		mustExec(t, c, `CREATE TABLE big AS SELECT okey, note, price FROM ord WHERE price > 250`)
-		out["create table as"] = q(t, c, `SELECT * FROM big ORDER BY okey`)
-		mustExec(t, c, `INSERT INTO big SELECT o.okey + 1000, c.name, o.price FROM ord o, cust c WHERE o.cust = c.id AND o.status = 'P'`)
+		mustExec(t, c, `CREATE TABLE big (okey INTEGER, note TEXT, price REAL)`)
+		mustExec(t, c, `INSERT INTO big SELECT okey, note, price FROM ord WHERE price > 250`)
 		out["insert select"] = q(t, c, `SELECT * FROM big ORDER BY okey`)
-		mustExec(t, c, `UPDATE item SET qty = qty + line, sku = sku || '-x' WHERE okey < 30`)
+		mustExec(t, c, `INSERT INTO big SELECT o.okey + 1000, c.name, o.price FROM ord o, cust c WHERE o.cust = c.id AND o.status = 'P'`)
+		out["insert join select"] = q(t, c, `SELECT * FROM big ORDER BY okey`)
+		mustExec(t, c, `UPDATE item SET qty = qty + line, sku = okey * 10 + line WHERE okey < 30`)
 		mustExec(t, c, `DELETE FROM item WHERE qty > 9`)
 		out["update, delete"] = q(t, c, `SELECT okey, line, sku, qty FROM item ORDER BY okey, line`)
 		out["index after update"] = q(t, c, `SELECT sku FROM item WHERE okey = 12 ORDER BY line`)
@@ -129,7 +129,7 @@ func scanMasks(t *testing.T, c *Conn, sqlText string) []string {
 		table := ec.mainSchema.table(tbl)
 		var cols []string
 		for k, col := range table.Cols {
-			if r.need == nil || r.need[k] {
+			if r.need[k] {
 				cols = append(cols, col.Name)
 			}
 		}
@@ -327,7 +327,7 @@ func BenchmarkTableScanPruned(b *testing.B) {
 	for _, bc := range []struct{ name, sql string }{
 		{"count-where-text", `SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'O'`},
 		{"group-avg", `SELECT o_custkey, COUNT(*), AVG(o_totalprice) FROM orders GROUP BY o_custkey`},
-		{"all-columns", `SELECT COUNT(*) FROM (SELECT * FROM orders) AS x`},
+		{"all-columns", `SELECT * FROM orders`},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

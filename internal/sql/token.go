@@ -40,11 +40,9 @@ var keywords = map[string]bool{
 	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true, "AS": true,
 	"OF": true, "DISTINCT": true, "ALL": true, "AND": true, "OR": true,
 	"NOT": true, "NULL": true, "IS": true, "IN": true, "BETWEEN": true,
-	"LIKE": true, "CASE": true, "WHEN": true, "THEN": true, "ELSE": true,
-	"END": true, "CAST": true, "ASC": true, "DESC": true, "JOIN": true,
-	"INNER": true, "LEFT": true, "OUTER": true, "CROSS": true, "ON": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true,
+	"ASC": true, "DESC": true, "ON": true, "INSERT": true, "INTO": true,
+	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
+	"CREATE": true, "TABLE": true, "INDEX": true,
 	"UNIQUE": true, "DROP": true, "IF": true, "EXISTS": true, "TEMP": true,
 	"TEMPORARY": true, "PRIMARY": true, "KEY": true, "BEGIN": true,
 	"COMMIT": true, "ROLLBACK": true, "TRANSACTION": true, "WITH": true,
@@ -217,7 +215,7 @@ func (l *lexer) lexQuotedIdent(start int) error {
 }
 
 // multi-character operators, longest first.
-var symbols = []string{"<>", "<=", ">=", "==", "!=", "||", "(", ")", ",", ";", "+", "-", "*", "/", "%", "<", ">", "=", "."}
+var symbols = []string{"<>", "<=", ">=", "==", "!=", "(", ")", ",", ";", "+", "-", "*", "/", "%", "<", ">", "=", "."}
 
 func (l *lexer) lexSymbol(start int) error {
 	rest := l.src[l.pos:]

@@ -49,9 +49,6 @@ func (c *Conn) OpenTableWriter(name string) (*TableWriter, error) {
 	return w, nil
 }
 
-// Table returns the column metadata of the target table.
-func (w *TableWriter) Table() *Table { return w.t }
-
 // Insert adds one row, maintaining all indexes, and returns its rowid.
 func (w *TableWriter) Insert(vals []record.Value) (int64, error) {
 	if w.done {
@@ -186,14 +183,11 @@ func (c *Conn) TableStats(name string) (TableStats, error) {
 	return out, nil
 }
 
-// Columns plans a SELECT and returns its output column names without
-// executing it. asOf = 0 plans against the current state. The RQL
+// ColumnsSet plans a SELECT and returns its output column names without
+// executing it, against a reader set when set is non-nil (see
+// ExecAsOfSet). asOf = 0 plans against the current state. The RQL
 // mechanisms use it to create result tables shaped like Qq's output.
-func (c *Conn) Columns(sqlText string, asOf uint64) ([]string, error) {
-	return c.columns(sqlText, nil, asOf)
-}
-
-func (c *Conn) columns(sqlText string, set *ReaderSet, asOf uint64) ([]string, error) {
+func (c *Conn) ColumnsSet(sqlText string, set *ReaderSet, asOf uint64) ([]string, error) {
 	stmt, err := Parse(sqlText)
 	if err != nil {
 		return nil, err
@@ -202,13 +196,9 @@ func (c *Conn) columns(sqlText string, set *ReaderSet, asOf uint64) ([]string, e
 	if !ok {
 		return nil, fmt.Errorf("sql: Columns requires a SELECT")
 	}
-	bind := retro.SnapshotID(asOf)
-	if sel.AsOf != nil {
-		v, err := c.constEval(sel.AsOf, nil)
-		if err != nil {
-			return nil, err
-		}
-		bind = retro.SnapshotID(v.AsInt())
+	bind, err := c.selectAsOf(sel, retro.SnapshotID(asOf), nil)
+	if err != nil {
+		return nil, err
 	}
 	stats := ExecStats{}
 	ec, err := c.newReadCtx(set, bind, nil, &stats)

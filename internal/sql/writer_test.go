@@ -17,9 +17,6 @@ func TestTableWriterInsertLookupUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Table().Name != "r" || len(w.Table().Cols) != 2 {
-		t.Errorf("Table(): %+v", w.Table())
-	}
 	rowid, err := w.Insert([]record.Value{record.Text("a"), record.Int(1)})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +104,7 @@ func TestTableWriterMissingTable(t *testing.T) {
 func TestColumnsAPI(t *testing.T) {
 	c := testConn(t)
 	mustExec(t, c, `CREATE TABLE t (a, b)`)
-	cols, err := c.Columns(`SELECT a, b AS bee, COUNT(*) AS cnt FROM t GROUP BY a`, 0)
+	cols, err := c.ColumnsSet(`SELECT a, b AS bee, COUNT(*) AS cnt FROM t GROUP BY a`, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +112,16 @@ func TestColumnsAPI(t *testing.T) {
 		t.Errorf("Columns: %v", cols)
 	}
 	// Planning only: no rows touched, works on empty tables.
-	if _, err := c.Columns(`INSERT INTO t VALUES (1, 2)`, 0); err == nil {
+	if _, err := c.ColumnsSet(`INSERT INTO t VALUES (1, 2)`, nil, 0); err == nil {
 		t.Error("Columns should reject non-SELECT")
 	}
 	// Snapshot-bound schema.
 	mustExec(t, c, `BEGIN; COMMIT WITH SNAPSHOT`)
 	mustExec(t, c, `DROP TABLE t`)
-	if _, err := c.Columns(`SELECT * FROM t`, 1); err != nil {
+	if _, err := c.ColumnsSet(`SELECT * FROM t`, nil, 1); err != nil {
 		t.Errorf("Columns over snapshot schema: %v", err)
 	}
-	if _, err := c.Columns(`SELECT * FROM t`, 0); !errors.Is(err, ErrNoTable) {
+	if _, err := c.ColumnsSet(`SELECT * FROM t`, nil, 0); !errors.Is(err, ErrNoTable) {
 		t.Errorf("Columns over current schema after drop: %v", err)
 	}
 }
