@@ -102,14 +102,17 @@ view-smoke:
 # decoders, the sealed-segment metadata a replica is shipped, a view's
 # persisted state, the SQL parser — for ten seconds (go test -fuzz takes one target of
 # one package per run): no panic, no allocation beyond a small multiple
-# of the input, and clean decodes survive an encode/decode round. The
+# of the input, and clean decodes survive an encode/decode round. It
+# also fuzzes the B-tree's insert/delete/key-rewrite op stream against a
+# sorted-map model (btree:FuzzTreeOps). The
 # seed corpora also run inside plain `go test ./...`. A failing input
 # lands in the package's testdata/fuzz/ — commit it as a regression
 # seed.
 FUZZ_TARGETS = \
 	wire:FuzzReadFrame wire:FuzzDecodeMetrics wire:FuzzDecodeExecStats wire:FuzzDecodeRunStats \
 	wire:FuzzDecodeSlowEntries wire:FuzzDecodeObjects wire:FuzzDecodeViews wire:FuzzDecodeViewBatch \
-	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta core:FuzzDecodeViewState sql:FuzzParse
+	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta core:FuzzDecodeViewState sql:FuzzParse \
+	btree:FuzzTreeOps
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./internal/$${t%%:*} || exit 1; \

@@ -238,6 +238,14 @@ func (t *Tree) splitAndInsert(path []pathElem, n node, idx int, raw []byte, key 
 			splitAt = 1
 		}
 	}
+	toRight := idx >= splitAt
+	if fits, err := halfFits(n, len(raw), splitAt, toRight); err != nil {
+		return err
+	} else if !fits {
+		if splitAt, toRight, err = splitAround(n, idx, len(raw)); err != nil {
+			return err
+		}
+	}
 
 	// Move cells [splitAt, num) to the right node.
 	for i := splitAt; i < num; i++ {
@@ -273,7 +281,7 @@ func (t *Tree) splitAndInsert(path []pathElem, n node, idx int, raw []byte, key 
 
 	// Insert the new cell into the proper half.
 	target, tidx := n, idx
-	if idx >= splitAt {
+	if toRight {
 		target, tidx = right, idx-splitAt
 	}
 	if !t.cellFits(target, len(raw)) {
@@ -293,6 +301,72 @@ func (t *Tree) splitAndInsert(path []pathElem, n node, idx int, raw []byte, key 
 	lowCopy := make([]byte, len(lowKey))
 	copy(lowCopy, lowKey)
 	return t.insertRouting(path[:len(path)-1], lowCopy, rightID, n.id)
+}
+
+// halfFits reports whether the half of n's split at splitAt that the
+// new size-byte cell goes to (the right one when toRight) has room for
+// it. The split point chosen by byte midpoint leaves that half too full
+// when the new cell is large and lands beside the larger half.
+func halfFits(n node, size, splitAt int, toRight bool) (bool, error) {
+	lo, hi := 0, splitAt
+	if toRight {
+		lo, hi = splitAt, n.numCells()
+	}
+	used := size + 2
+	for i := lo; i < hi; i++ {
+		c, err := n.rawCell(i)
+		if err != nil {
+			return false, err
+		}
+		used += len(c) + 2
+	}
+	return used <= storage.PageSize-offCellPtr0, nil
+}
+
+// splitAround picks the split of n's cells plus the new size-byte cell
+// at idx that is nearest the byte midpoint with both halves fitting a
+// page. One exists: no half is fuller than a page when every cell is at
+// most half a page (MaxCellPayload). It returns the first existing cell
+// of the right half and whether the new cell goes there.
+func splitAround(n node, idx, size int) (int, bool, error) {
+	num := n.numCells()
+	sizes := make([]int, 0, num+1) // the cells in order, the new one at idx, pointer included
+	total := 0
+	for i := 0; i <= num; i++ {
+		sz := size
+		if i != idx {
+			j := i
+			if i > idx {
+				j = i - 1
+			}
+			c, err := n.rawCell(j)
+			if err != nil {
+				return 0, false, err
+			}
+			sz = len(c)
+		}
+		sizes = append(sizes, sz+2)
+		total += sz + 2
+	}
+	room := storage.PageSize - offCellPtr0
+	best, bestDist := -1, 0
+	left := 0
+	for s := 1; s <= num; s++ { // s cells go left
+		left += sizes[s-1]
+		if left > room || total-left > room {
+			continue
+		}
+		if d := max(2*left-total, total-2*left); best < 0 || d < bestDist {
+			best, bestDist = s, d
+		}
+	}
+	if best < 0 {
+		return 0, false, fmt.Errorf("%w: no split fits a %d-byte cell", ErrCorrupt, size)
+	}
+	if best > idx {
+		return best - 1, false, nil
+	}
+	return best, true, nil
 }
 
 // insertRouting adds (key -> child) to the parent identified by the
@@ -414,6 +488,92 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// ReplaceKey moves the entry stored under old to new, keeping its value,
+// and reports whether old was present. When new has old's length and
+// still sorts strictly between the entry's neighbours — the adjacent
+// cells of its leaf or, for a leaf's first and last cell, the routing
+// keys that bound the leaf — the key bytes are overwritten in place: no
+// cell moves, nothing is defragmented, the free space is untouched. Any
+// other rewrite is a Delete followed by an Insert. An entry already
+// stored under new is replaced.
+func (t *Tree) ReplaceKey(old, new []byte) (bool, error) {
+	var pathBuf [pathDepth]pathElem
+	path, err := t.descendPath(old, pathBuf[:0])
+	if err != nil {
+		return false, err
+	}
+	leaf, err := t.page(path[len(path)-1].id)
+	if err != nil {
+		return false, err
+	}
+	idx, found, err := leaf.searchLeaf(old)
+	if err != nil || !found || bytes.Equal(old, new) {
+		return found, err
+	}
+	if len(new) == len(old) {
+		fits, err := t.fitsInPlace(path, leaf, idx, old, new)
+		if err != nil {
+			return false, err
+		}
+		if fits {
+			if leaf, err = t.pageMut(leaf.id); err != nil {
+				return false, err
+			}
+			p := leaf.cellPtr(idx) + uvarintLen(uint64(len(old)))
+			copy(leaf.data[p:p+len(new)], new)
+			return true, nil
+		}
+	}
+	_, v, err := leaf.leafCell(idx)
+	if err != nil {
+		return false, err
+	}
+	if len(new)+len(v)+cellOverhead > MaxCellPayload {
+		return false, fmt.Errorf("%w: %d bytes", ErrTooBig, len(new)+len(v))
+	}
+	value := append([]byte(nil), v...) // v points into the leaf, which Insert may defragment
+	if _, err := t.Delete(old); err != nil {
+		return false, err
+	}
+	return true, t.Insert(new, value)
+}
+
+// fitsInPlace reports whether key may take the place of cell idx of
+// leaf, whose key is old (and differs from key), without breaking the
+// tree's order. Only the side key moves towards needs checking: old
+// already sorts after its lower neighbour and before its upper one.
+func (t *Tree) fitsInPlace(path []pathElem, leaf node, idx int, old, key []byte) (bool, error) {
+	up := bytes.Compare(key, old) > 0
+	switch {
+	case up && idx+1 < leaf.numCells():
+		next, err := leaf.cellKey(idx + 1)
+		return err == nil && bytes.Compare(key, next) < 0, err
+	case !up && idx > 0:
+		prev, err := leaf.cellKey(idx - 1)
+		return err == nil && bytes.Compare(key, prev) > 0, err
+	}
+	// The entry is the leaf's last cell moving up, or its first moving
+	// down: the bound is the routing key next to the child the path
+	// took, at the deepest ancestor that has one on that side. Every key
+	// under routing cell i lies in [key_i, key_i+1).
+	for j := len(path) - 2; j >= 0; j-- {
+		n, err := t.page(path[j].id)
+		if err != nil {
+			return false, err
+		}
+		i := path[j].idx
+		switch {
+		case up && i+1 < n.numCells():
+			bound, err := n.cellKey(i + 1)
+			return err == nil && bytes.Compare(key, bound) < 0, err
+		case !up && i > 0:
+			bound, err := n.cellKey(i)
+			return err == nil && bytes.Compare(key, bound) >= 0, err
+		}
+	}
+	return true, nil // the leaf is the tree's last (or first): no bound
 }
 
 // freeLeaf unlinks an empty leaf from its chain, frees it, and removes
@@ -555,14 +715,16 @@ func (t *Tree) Count() (int, error) {
 }
 
 // CheckInvariants walks the whole tree verifying structural invariants:
-// key order within nodes, routing keys bounding children, leaf-chain
-// consistency. Intended for tests.
+// key order within nodes, routing keys bounding children from below and
+// above, leaf-chain consistency. Intended for tests.
 func (t *Tree) CheckInvariants() error {
-	_, _, err := t.check(t.root, nil)
+	_, _, err := t.check(t.root, nil, nil)
 	return err
 }
 
-func (t *Tree) check(id storage.PageID, lowBound []byte) (first, last []byte, err error) {
+// check verifies the subtree at id, whose keys must lie in [lowBound,
+// highBound) (nil: unbounded), and returns its first and last key.
+func (t *Tree) check(id storage.PageID, lowBound, highBound []byte) (first, last []byte, err error) {
 	n, err := t.page(id)
 	if err != nil {
 		return nil, nil, err
@@ -577,9 +739,14 @@ func (t *Tree) check(id storage.PageID, lowBound []byte) (first, last []byte, er
 			return nil, nil, fmt.Errorf("btree: node %d keys out of order at cell %d", id, i)
 		}
 		// Interior cell 0 carries the -inf sentinel; leaves and other
-		// cells must respect the inherited routing bound.
-		if lowBound != nil && (n.isLeaf() || i > 0) && bytes.Compare(k, lowBound) < 0 {
-			return nil, nil, fmt.Errorf("btree: node %d key below routing bound", id)
+		// cells must respect the inherited routing bounds.
+		if n.isLeaf() || i > 0 {
+			if lowBound != nil && bytes.Compare(k, lowBound) < 0 {
+				return nil, nil, fmt.Errorf("btree: node %d key below routing bound", id)
+			}
+			if highBound != nil && bytes.Compare(k, highBound) >= 0 {
+				return nil, nil, fmt.Errorf("btree: node %d key at or above the next routing key", id)
+			}
 		}
 		prev = k
 		if i == 0 {
@@ -598,12 +765,18 @@ func (t *Tree) check(id storage.PageID, lowBound []byte) (first, last []byte, er
 		}
 		// Routing keys are lower bounds for cells > 0; the leftmost
 		// child inherits this node's own bound (keys smaller than
-		// routing key 0 legally descend into cell 0).
-		bound := rk
+		// routing key 0 legally descend into cell 0). The next routing
+		// key, or for the last child this node's own, is the upper one.
+		lo, hi := rk, highBound
 		if i == 0 {
-			bound = lowBound
+			lo = lowBound
 		}
-		cf, cl, err := t.check(child, bound)
+		if i+1 < n.numCells() {
+			if hi, err = n.cellKey(i + 1); err != nil {
+				return nil, nil, err
+			}
+		}
+		cf, cl, err := t.check(child, lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}

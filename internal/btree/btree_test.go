@@ -326,8 +326,34 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		return string(b)
 	}
 
+	anyKey := func() string {
+		key := randKey()
+		if len(model) > 0 && r.Intn(2) == 0 {
+			for mk := range model {
+				key = mk
+				break
+			}
+		}
+		return key
+	}
+	// mutate changes one byte of a key (so the rewrite may stay between
+	// the entry's neighbours) or, now and then, its length.
+	mutate := func(key string) string {
+		b := []byte(key)
+		switch r.Intn(8) {
+		case 0:
+			return key + string(rune('a'+r.Intn(4)))
+		case 1:
+			if len(b) > 1 {
+				return key[:len(b)-1]
+			}
+		}
+		b[r.Intn(len(b))] = byte('a' + r.Intn(4))
+		return string(b)
+	}
+	var inPlace, moved int
 	for step := 0; step < 30000; step++ {
-		switch r.Intn(10) {
+		switch r.Intn(11) {
 		case 0, 1, 2, 3, 4, 5: // insert/replace
 			key := randKey()
 			val := randKey()
@@ -336,13 +362,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 			model[key] = val
 		case 6, 7: // delete (sometimes absent)
-			key := randKey()
-			if len(model) > 0 && r.Intn(2) == 0 {
-				for mk := range model {
-					key = mk
-					break
-				}
-			}
+			key := anyKey()
 			_, inModel := model[key]
 			found, err := tr.Delete([]byte(key))
 			if err != nil {
@@ -353,13 +373,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 			delete(model, key)
 		case 8: // point lookup
-			key := randKey()
-			if len(model) > 0 && r.Intn(2) == 0 {
-				for mk := range model {
-					key = mk
-					break
-				}
-			}
+			key := anyKey()
 			v, found, err := tr.Get([]byte(key))
 			if err != nil {
 				t.Fatal(err)
@@ -368,7 +382,33 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if found != inModel || (found && string(v) != want) {
 				t.Fatalf("step %d: Get(%q) = %q,%v; model %q,%v", step, key, v, found, want, inModel)
 			}
-		case 9: // occasional full validation
+		case 9: // rewrite a key, keeping its value (sometimes absent)
+			old := anyKey()
+			key := mutate(old)
+			before := cellOf(t, tr, []byte(old))
+			found, err := tr.ReplaceKey([]byte(old), []byte(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, inModel := model[old]
+			if found != inModel {
+				t.Fatalf("step %d: ReplaceKey(%q, %q) found=%v model=%v", step, old, key, found, inModel)
+			}
+			if inModel {
+				delete(model, old)
+				model[key] = v
+				if old != key && len(old) == len(key) {
+					if cellOf(t, tr, []byte(key)) == before {
+						inPlace++
+					} else {
+						moved++
+					}
+				}
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: ReplaceKey(%q, %q): %v", step, old, key, err)
+			}
+		case 10: // occasional full validation
 			if step%997 == 0 {
 				validateAgainstModel(t, tr, model)
 			}
@@ -378,6 +418,37 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if inPlace < 100 || moved < 100 {
+		t.Errorf("same-length rewrites: %d in place, %d moved; the walk does not cover both", inPlace, moved)
+	}
+}
+
+// cell locates key's cell: its leaf and its offset in the page.
+type cell struct {
+	leaf storage.PageID
+	off  int
+}
+
+// cellOf returns where key's cell is (the zero cell when it is absent).
+// A rewrite done in place leaves the cell where it was.
+func cellOf(t testing.TB, tr *Tree, key []byte) cell {
+	t.Helper()
+	id, err := tr.descend(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := tr.page(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, found, err := leaf.searchLeaf(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		return cell{}
+	}
+	return cell{id, leaf.cellPtr(idx)}
 }
 
 func validateAgainstModel(t *testing.T, tr *Tree, model map[string]string) {
@@ -627,5 +698,30 @@ func TestQuickDeleteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSplitMakesRoomForLargeCell: the byte-midpoint split of a leaf
+// holding b (1 KiB), c (1.4 KiB) and da puts b and c on the left, where
+// a 1.7 KiB cell for a does not fit; the split must move so that it does.
+func TestSplitMakesRoomForLargeCell(t *testing.T) {
+	_, tx, tr := testTree(t)
+	defer tx.Rollback()
+	cells := []struct {
+		key string
+		n   int
+	}{{"da", 336}, {"b", 1092}, {"c", 1421}, {"a", 1701}}
+	for _, c := range cells {
+		if err := tr.Insert(k(c.key), bytes.Repeat([]byte{c.key[0]}, c.n)); err != nil {
+			t.Fatalf("Insert(%s, %d bytes): %v", c.key, c.n, err)
+		}
+	}
+	for _, c := range cells {
+		if v, found, err := tr.Get(k(c.key)); err != nil || !found || len(v) != c.n {
+			t.Errorf("Get(%s) = %d bytes, %v, %v", c.key, len(v), found, err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"rql/internal/storage"
@@ -181,6 +182,94 @@ func TestOverwriteInFullLeaf(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	t.Run("ReplaceKey", func(t *testing.T) { testReplaceKeyInFullLeaf(t) })
+}
+
+// testReplaceKeyInFullLeaf rewrites keys of a full root leaf, then of a
+// full leaf with a right sibling: in place when the new key has the old
+// one's length and keeps its position, a delete and an insert otherwise
+// — checking the content and the structure after each.
+func testReplaceKeyInFullLeaf(t *testing.T) {
+	_, tx, tr := testTree(t)
+	defer tx.Rollback()
+	keys := fullLeaf(t, tr, 100)
+	val := bytes.Repeat([]byte{'v'}, 100)
+	live := len(keys)
+	replace := func(old, key string, wantInPlace bool) {
+		t.Helper()
+		before := cellOf(t, tr, []byte(old))
+		found, err := tr.ReplaceKey([]byte(old), []byte(key))
+		if err != nil || !found {
+			t.Fatalf("ReplaceKey(%q, %q) = %v, %v", old, key, found, err)
+		}
+		if inPlace := cellOf(t, tr, []byte(key)) == before; inPlace != wantInPlace {
+			t.Errorf("ReplaceKey(%q, %q): in place = %v, want %v", old, key, inPlace, wantInPlace)
+		}
+		if _, found, _ := tr.Get([]byte(old)); found {
+			t.Errorf("ReplaceKey(%q, %q) left the old key", old, key)
+		}
+		if got, found, err := tr.Get([]byte(key)); err != nil || !found || !bytes.Equal(got, val) {
+			t.Errorf("ReplaceKey(%q, %q): new key holds %q %v %v", old, key, got, found, err)
+		}
+		if n, err := tr.Count(); err != nil || n != live {
+			t.Errorf("ReplaceKey(%q, %q): Count = %d, %v; want %d", old, key, n, err, live)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("ReplaceKey(%q, %q): %v", old, key, err)
+		}
+	}
+	first, last := string(keys[0]), string(keys[len(keys)-1])
+
+	// The leaf's first cell moving down and its last moving up: a root
+	// leaf has no routing bound.
+	replace(first, "j0000", true)
+	replace(last, "l"+last[1:], true)
+	// Crossing equal-prefix neighbours: k001: sorts after k0011…k0019.
+	replace("k0010", "k001:", false)
+	// Shorter (k001 sorts between k0009 and k0011) and longer keys:
+	// never in place, and the longer one splits the full leaf.
+	replace("k0013", "k001", false)
+	if root, _ := tr.page(tr.root); !root.isLeaf() {
+		t.Fatal("a shrinking rewrite split the leaf")
+	}
+	replace("k0014", "k0014"+strings.Repeat("x", 200), false)
+	root, _ := tr.page(tr.root)
+	if root.isLeaf() || root.numCells() != 2 {
+		t.Fatalf("a growing rewrite in a full leaf did not split it in two")
+	}
+
+	// Two leaves from an append split of gapped keys: the routing key
+	// bounds the full left leaf's last cell from above and the right
+	// leaf's first cell from below.
+	_, tx2, tr2 := testTree(t)
+	defer tx2.Rollback()
+	tr, live = tr2, 0
+	var lastLeft, bound string
+	for i := 0; ; i += 10 {
+		if root, _ := tr.page(tr.root); !root.isLeaf() {
+			break
+		}
+		lastLeft, bound = fmt.Sprintf("k%04d", i-10), fmt.Sprintf("k%04d", i)
+		if err := tr.Insert([]byte(bound), val); err != nil {
+			t.Fatal(err)
+		}
+		live++
+	}
+	root, _ = tr.page(tr.root)
+	if rk, _ := root.cellKey(1); root.numCells() != 2 || string(rk) != bound {
+		t.Fatalf("fixture: want two leaves split at %s", bound)
+	}
+	// at replaces key's last digit with n: at("k0370", 5) is k0375.
+	at := func(key string, n int) string { return key[:len(key)-1] + fmt.Sprint(n) }
+	replace("k0100", "k0105", true)               // between its neighbours in the leaf
+	replace(lastLeft, at(lastLeft, 5), true)      // left leaf's last cell up, under the bound
+	replace(at(lastLeft, 5), at(bound, 5), false) // up past the bound: into the right leaf
+	replace(bound, at(lastLeft, 7), false)        // right leaf's first cell down, below the bound
+	replace(at(bound, 5), at(bound, 1), true)     // right leaf's first cell down, still above it
+	replace(at(lastLeft, 7), bound, false)        // left leaf's last cell onto the (absent) bound: it belongs right
+	replace(bound, at(lastLeft, 7), false)        // and back
+	replace(at(bound, 1), bound, true)            // right leaf's first cell down onto the bound itself
 }
 
 // TestDefragmentAndOverwriteDoNotAllocate pins the two operations an

@@ -9,10 +9,11 @@ import (
 
 // resultStore is the result table T as the fold sees it: an indexed
 // multiset of rows. lookup finds the first row (lowest id) whose index
-// columns equal key, and the caller may change the row it returns to
-// hand it back to update; insert copies what it keeps; update replaces
-// the row id, whose values so far are old (only read), with new, which
-// it takes over (the fold never changes a row's grouping columns).
+// columns equal key; the row it returns is valid until the store's next
+// call, and the caller may change it to hand it back to update; insert
+// copies what it keeps; update replaces the row id, whose values so far
+// are old (only read), with new, which it takes over (the fold never
+// changes a row's grouping columns).
 type resultStore interface {
 	lookup(key []record.Value) (id int64, row []record.Value, found bool, err error)
 	insert(row []record.Value) (id int64, err error)
@@ -21,9 +22,11 @@ type resultStore interface {
 
 // tableStore is the paper's result store: T in the non-snapshotable
 // side store, written through one open writer and searched through the
-// index built at the end of the first iteration (§3). The writer
-// lifecycle (open, commit, rollback) is a no-op on a nil store — what
-// AggregateDataInVariable, which writes T only at the end, has.
+// index built at the end of the first iteration (§3). lookup's row is
+// the writer's own buffer (TableWriter.LookupByIndex), which its next
+// call overwrites. The writer lifecycle (open, commit, rollback) is a
+// no-op on a nil store — what AggregateDataInVariable, which writes T
+// only at the end, has.
 type tableStore struct {
 	table string
 	index string // search index name; "" until built

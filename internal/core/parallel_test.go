@@ -62,10 +62,51 @@ func sortedRows(t *testing.T, c *sql.Conn, sqlText string) []string {
 	return rows
 }
 
+// intervalEdges are CollateDataIntoIntervals inputs the canonical
+// fixture (one tuple per key) does not reach. grp is shared by several
+// keys, so one snapshot emits equal tuples: extending the first one's
+// interval moves its index entry past the second one's, which the
+// result table's index-key rewrite must not do in place. Filtered on v,
+// a group also disappears and comes back, opening a second interval.
+var intervalEdges = []mechFixture{
+	{mechIntervals, `SELECT grp FROM m`, "", `SELECT grp, start_snapshot, end_snapshot FROM %s`},
+	{mechIntervals, `SELECT grp FROM m WHERE v < 30`, "", `SELECT grp, start_snapshot, end_snapshot FROM %s`},
+}
+
+// intervalShapes reports whether an intervals result (rows of tuple,
+// start, end) holds two intervals of one tuple that overlap — equal
+// tuples alive together — and two that a gap separates.
+func intervalShapes(t *testing.T, rows []string) (overlap, gap bool) {
+	t.Helper()
+	type span struct{ start, end int }
+	spans := map[string][]span{}
+	for _, row := range rows {
+		f := strings.Split(row, "|")
+		var sp span
+		if _, err := fmt.Sscan(f[len(f)-2], &sp.start); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Sscan(f[len(f)-1], &sp.end); err != nil {
+			t.Fatal(err)
+		}
+		key := strings.Join(f[:len(f)-2], "|")
+		for _, o := range spans[key] {
+			if sp.start <= o.end && o.start <= sp.end {
+				overlap = true
+			} else {
+				gap = true
+			}
+		}
+		spans[key] = append(spans[key], sp)
+	}
+	return overlap, gap
+}
+
 // Parallel ≡ sequential: N memory-backed lanes merged in Qs order must
 // leave T as one table-backed lane does, for every mechanism, every
-// AggregateDataInVariable monoid, and every Qs order. Several seeds move
-// the interval lifetimes across the chunk boundaries.
+// AggregateDataInVariable monoid, the interval edge cases, and every Qs
+// order. Several seeds move the interval lifetimes across the chunk
+// boundaries.
 func TestParallelEquivalence(t *testing.T) {
 	fixtures := allFixtures
 	for _, agg := range []string{"min", "max", "count"} {
@@ -73,14 +114,21 @@ func TestParallelEquivalence(t *testing.T) {
 		fx.extra = agg
 		fixtures = append(fixtures, fx)
 	}
+	fixtures = append(fixtures, intervalEdges...)
+	var overlaps, gaps int
 	for seed := int64(5); seed < 10; seed++ {
 		r, c := randomHistory(t, seed, 30+int(seed))
 		makeQsOrders(t, c)
 		for _, from := range qsOrders {
-			for _, fx := range fixtures {
-				table := "Par_" + fx.tag() + "_" + from
+			for i, fx := range fixtures {
+				table := fmt.Sprintf("Par_%d_%s_%s", i, fx.tag(), from)
 				stats := runFixture(t, r, c, fx, "SELECT snap_id FROM "+from, table, true)
 				assertSameResult(t, c, fx, from, table)
+				if i >= len(fixtures)-len(intervalEdges) {
+					overlap, gap := intervalShapes(t, queryRows(t, c, fmt.Sprintf(fx.sel, table)))
+					overlaps += b2i(overlap)
+					gaps += b2i(gap)
+				}
 
 				if !strings.Contains(stats.Mechanism, "parallel") {
 					t.Errorf("mechanism label: %s", stats.Mechanism)
@@ -116,6 +164,16 @@ func TestParallelEquivalence(t *testing.T) {
 			}
 		}
 	}
+	if overlaps == 0 || gaps == 0 {
+		t.Errorf("interval edge cases: %d results with equal tuples alive together, %d with a tuple coming back; want both", overlaps, gaps)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestParallelWorkerEdgeCases(t *testing.T) {

@@ -254,55 +254,100 @@ func appendEscaped(dst, payload []byte) []byte {
 // round-trips, REAL otherwise.
 func DecodeKey(data []byte) ([]Value, error) {
 	var vals []Value
-	i := 0
-	for i < len(data) {
-		tag := data[i]
-		i++
-		switch tag {
-		case tagNull:
-			vals = append(vals, Null())
-		case tagNum:
-			if i+9 > len(data) {
-				return nil, ErrCorrupt
-			}
-			f := denormFloat(binary.BigEndian.Uint64(data[i:]))
-			frac := data[i+8]
-			i += 9
-			if f >= pow53 || f <= -pow53 {
-				// Long form: the exact integer tiebreak follows.
-				if i+8 > len(data) {
-					return nil, ErrCorrupt
-				}
-				exact := int64(binary.BigEndian.Uint64(data[i:]) ^ (1 << 63))
-				i += 8
-				if frac == fracEqual && float64(exact) == f {
-					vals = append(vals, Int(exact))
-				} else {
-					vals = append(vals, Float(f))
-				}
-				continue
-			}
-			if frac == fracEqual && f == math.Trunc(f) {
-				vals = append(vals, Int(int64(f)))
-			} else {
-				vals = append(vals, Float(f))
-			}
-		case tagText, tagBlob:
-			payload, n, err := decodeEscaped(data[i:])
-			if err != nil {
-				return nil, err
-			}
-			i += n
-			if tag == tagText {
-				vals = append(vals, Text(string(payload)))
-			} else {
-				vals = append(vals, Blob(payload))
-			}
-		default:
-			return nil, fmt.Errorf("%w: bad key tag %#x", ErrCorrupt, tag)
+	for i := 0; i < len(data); {
+		v, n, err := DecodeKeyValue(data[i:])
+		if err != nil {
+			return nil, err
 		}
+		vals = append(vals, v)
+		i += n
 	}
 	return vals, nil
+}
+
+// DecodeKeyValue decodes the first value of a key produced by EncodeKey
+// and returns it with the number of bytes its encoding takes. Only a
+// TEXT or BLOB value allocates.
+func DecodeKeyValue(data []byte) (Value, int, error) {
+	if len(data) == 0 {
+		return Value{}, 0, ErrCorrupt
+	}
+	switch tag := data[0]; tag {
+	case tagNull:
+		return Null(), 1, nil
+	case tagNum:
+		if len(data) < 10 {
+			return Value{}, 0, ErrCorrupt
+		}
+		f := denormFloat(binary.BigEndian.Uint64(data[1:]))
+		frac := data[9]
+		if f >= pow53 || f <= -pow53 {
+			// Long form: the exact integer tiebreak follows.
+			if len(data) < 18 {
+				return Value{}, 0, ErrCorrupt
+			}
+			exact := int64(binary.BigEndian.Uint64(data[10:]) ^ (1 << 63))
+			if frac == fracEqual && float64(exact) == f {
+				return Int(exact), 18, nil
+			}
+			return Float(f), 18, nil
+		}
+		if frac == fracEqual && f == math.Trunc(f) {
+			return Int(int64(f)), 10, nil
+		}
+		return Float(f), 10, nil
+	case tagText, tagBlob:
+		payload, n, err := decodeEscaped(data[1:])
+		if err != nil {
+			return Value{}, 0, err
+		}
+		if tag == tagText {
+			return Text(string(payload)), 1 + n, nil
+		}
+		return Blob(payload), 1 + n, nil
+	default:
+		return Value{}, 0, fmt.Errorf("%w: bad key tag %#x", ErrCorrupt, tag)
+	}
+}
+
+// keyTerm ends a TEXT or BLOB key payload: a 0x00 inside the payload is
+// always escaped as 0x00 0xFF, so the first 0x00 0x01 is the end.
+var keyTerm = []byte{escByte, termByte}
+
+// SkipKey returns the number of bytes the encodings of the first n
+// values of key take, without decoding them.
+func SkipKey(key []byte, n int) (int, error) {
+	i := 0
+	for ; n > 0; n-- {
+		if i >= len(key) {
+			return 0, ErrCorrupt
+		}
+		switch key[i] {
+		case tagNull:
+			i++
+		case tagNum:
+			if i+10 > len(key) {
+				return 0, ErrCorrupt
+			}
+			f := denormFloat(binary.BigEndian.Uint64(key[i+1:]))
+			i += 10
+			if f >= pow53 || f <= -pow53 {
+				i += 8 // long form
+			}
+		case tagText, tagBlob:
+			end := bytes.Index(key[i+1:], keyTerm)
+			if end < 0 {
+				return 0, ErrCorrupt
+			}
+			i += 1 + end + 2
+		default:
+			return 0, fmt.Errorf("%w: bad key tag %#x", ErrCorrupt, key[i])
+		}
+	}
+	if i > len(key) {
+		return 0, ErrCorrupt
+	}
+	return i, nil
 }
 
 func decodeEscaped(data []byte) (payload []byte, n int, err error) {

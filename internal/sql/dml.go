@@ -285,23 +285,31 @@ func (w *writeEnv) execInsert(s *InsertStmt) error {
 			sourceRows = append(sourceRows, vals)
 		}
 	}
+	ixs := sch.tableIndexes(t.Name)
+	var bufs rowBufs
 	for _, given := range sourceRows {
 		vals, err := buildRow(given)
 		if err != nil {
 			return err
 		}
-		if _, err := insertRow(w.tx, t, sch, vals); err != nil {
+		if _, err := insertRow(w.tx, t, ixs, vals, &bufs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// rowBufs are the buffers a write path encodes a table record and index
+// keys into, reused from row to row: the B-tree copies what it stores.
+type rowBufs struct {
+	rec, key, newKey []byte
+}
+
 // insertRow applies affinity and constraints, assigns the rowid, and
-// writes the row plus its index entries. It is the single insert path
-// shared by SQL INSERT, bulk loading, and the RQL mechanisms'
-// result-table inserts.
-func insertRow(p storage.Pager, t *Table, sch *schema, vals []record.Value) (int64, error) {
+// writes the row plus its entries in t's indexes ixs. It is the single
+// insert path shared by SQL INSERT, bulk loading, and the RQL
+// mechanisms' result-table inserts.
+func insertRow(p storage.Pager, t *Table, ixs []*Index, vals []record.Value, b *rowBufs) (int64, error) {
 	if err := checkRow(t, vals); err != nil {
 		return 0, err
 	}
@@ -339,36 +347,55 @@ func insertRow(p storage.Pager, t *Table, sch *schema, vals []record.Value) (int
 	// constraint failure leaves nothing half-written within this
 	// statement's view (the enclosing transaction provides atomicity
 	// anyway; this just keeps error paths tidy).
-	for _, ix := range sch.tableIndexes(t.Name) {
-		key, err := indexKey(ix, t, vals, rowid)
-		if err != nil {
+	for _, ix := range ixs {
+		var err error
+		if b.key, err = appendIndexKey(b.key[:0], ix, t, vals, rowid); err != nil {
 			return 0, err
 		}
-		if err := checkUnique(p, ix, key); err != nil {
+		if err := checkUnique(p, ix, b.key); err != nil {
 			return 0, err
 		}
-		if err := btree.Open(p, ix.Root).Insert(key, nil); err != nil {
+		if err := btree.Open(p, ix.Root).Insert(b.key, nil); err != nil {
 			return 0, err
 		}
 	}
-	if err := tbl.Insert(rowidKey(rowid), record.EncodeRow(nil, vals)); err != nil {
+	b.rec = record.EncodeRow(b.rec[:0], vals)
+	if err := tbl.Insert(rowidKey(rowid), b.rec); err != nil {
 		return 0, err
 	}
 	return rowid, nil
 }
 
-// indexKey builds the memcomparable key of one index entry.
-func indexKey(ix *Index, t *Table, vals []record.Value, rowid int64) ([]byte, error) {
-	kv := make([]record.Value, 0, len(ix.Cols)+1)
+// appendIndexKey appends the memcomparable key of one index entry to
+// dst: the indexed columns, then the rowid.
+func appendIndexKey(dst []byte, ix *Index, t *Table, vals []record.Value, rowid int64) ([]byte, error) {
 	for _, cn := range ix.Cols {
 		k := t.ColIndex(cn)
 		if k < 0 {
 			return nil, fmt.Errorf("%w: index %s references %s", ErrNoColumn, ix.Name, cn)
 		}
-		kv = append(kv, vals[k])
+		dst = record.EncodeKey(dst, vals[k:k+1])
 	}
-	kv = append(kv, record.Int(rowid))
-	return record.EncodeKey(nil, kv), nil
+	return record.EncodeKey(dst, []record.Value{record.Int(rowid)}), nil
+}
+
+// indexKeyRowid splits an entry key of ix into the indexed columns and
+// the trailing rowid: it returns where the rowid starts and the rowid.
+// The rowid's encoding is 10 bytes below 2^53 and 18 from there on
+// (record.EncodeKey's long form), so its start is found by skipping the
+// indexed columns, never by counting back from the end.
+func indexKeyRowid(ix *Index, key []byte) (start int, rowid int64, err error) {
+	if start, err = record.SkipKey(key, len(ix.Cols)); err != nil {
+		return 0, 0, err
+	}
+	v, n, err := record.DecodeKeyValue(key[start:])
+	if err != nil {
+		return 0, 0, err
+	}
+	if start+n != len(key) || v.Type() != record.TypeInt {
+		return 0, 0, fmt.Errorf("%w: index %s entry does not end in a rowid", record.ErrCorrupt, ix.Name)
+	}
+	return start, v.Int(), nil
 }
 
 // indexPrefixExists reports whether any index entry starts with prefix.
@@ -381,23 +408,18 @@ func indexPrefixExists(p storage.Pager, ix *Index, prefix []byte) (bool, error) 
 	return bytes.HasPrefix(cur.Key(), prefix), nil
 }
 
-// rowidKeySuffixLen is the encoded size of the trailing rowid component
-// every index key carries (a record.Int has a fixed-width encoding);
-// unique checks strip it to compare on the value columns alone.
-var rowidKeySuffixLen = len(record.EncodeKey(nil, []record.Value{record.Int(0)}))
-
-// deleteRowByID removes one row and its index entries.
-func deleteRowByID(p storage.Pager, t *Table, sch *schema, rowid int64, vals []record.Value) error {
+// deleteRowByID removes one row and its entries in t's indexes ixs.
+func deleteRowByID(p storage.Pager, t *Table, ixs []*Index, rowid int64, vals []record.Value, b *rowBufs) error {
 	tbl := btree.Open(p, t.Root)
 	if _, err := tbl.Delete(rowidKey(rowid)); err != nil {
 		return err
 	}
-	for _, ix := range sch.tableIndexes(t.Name) {
-		key, err := indexKey(ix, t, vals, rowid)
-		if err != nil {
+	for _, ix := range ixs {
+		var err error
+		if b.key, err = appendIndexKey(b.key[:0], ix, t, vals, rowid); err != nil {
 			return err
 		}
-		if _, err := btree.Open(p, ix.Root).Delete(key); err != nil {
+		if _, err := btree.Open(p, ix.Root).Delete(b.key); err != nil {
 			return err
 		}
 	}
@@ -440,9 +462,11 @@ func (w *writeEnv) execDelete(s *DeleteStmt) error {
 	if err != nil {
 		return err
 	}
+	ixs := sch.tableIndexes(t.Name)
+	var bufs rowBufs
 	for _, row := range rows {
 		rowid := row[len(row)-1].Int()
-		if err := deleteRowByID(w.tx, t, sch, rowid, row[:len(row)-1]); err != nil {
+		if err := deleteRowByID(w.tx, t, ixs, rowid, row[:len(row)-1], &bufs); err != nil {
 			return err
 		}
 	}
@@ -476,6 +500,8 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 	if err != nil {
 		return err
 	}
+	ixs := sch.tableIndexes(t.Name)
+	var bufs rowBufs
 	rc := &rowCtx{ec: w.ec}
 	for _, row := range rows {
 		rowid := row[len(row)-1].Int()
@@ -493,16 +519,16 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 			if v := applyAffinity(newVals[alias], affInteger); v.Type() != record.TypeInt || v.Int() != rowid {
 				// The statement assigns the rowid alias: the row moves to
 				// another key, which only delete + insert can do.
-				if err := deleteRowByID(w.tx, t, sch, rowid, oldVals); err != nil {
+				if err := deleteRowByID(w.tx, t, ixs, rowid, oldVals, &bufs); err != nil {
 					return err
 				}
-				if _, err := insertRow(w.tx, t, sch, newVals); err != nil {
+				if _, err := insertRow(w.tx, t, ixs, newVals, &bufs); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		if err := updateRow(w.tx, t, sch, rowid, oldVals, newVals); err != nil {
+		if err := updateRow(w.tx, t, ixs, rowid, oldVals, newVals, &bufs); err != nil {
 			return err
 		}
 	}
@@ -525,40 +551,45 @@ func checkRow(t *Table, vals []record.Value) error {
 }
 
 // updateRow rewrites the row stored under rowid from oldVals to newVals
-// (which it normalizes in place). Only the indexes whose key the update
-// changes are touched — a unique check, then the old entry out and the
-// new one in — and the table cell is upserted, which the B-tree does in
-// place when the new record is no larger than the old one. It is the one
-// update path, shared by SQL UPDATE and the RQL mechanisms' result-table
-// updates.
-func updateRow(p storage.Pager, t *Table, sch *schema, rowid int64, oldVals, newVals []record.Value) error {
+// (which it normalizes in place). Only the indexes of ixs whose key the
+// update changes are touched — a unique check, then the entry's key
+// rewritten, which the B-tree does in place when the new key has the old
+// one's length and keeps its position among its neighbours (an
+// interval's end_snapshot moving on) — and the table cell is upserted,
+// which the B-tree does in place when the new record is no larger than
+// the old one. It is the one update path, shared by SQL UPDATE and the
+// RQL mechanisms' result-table updates.
+func updateRow(p storage.Pager, t *Table, ixs []*Index, rowid int64, oldVals, newVals []record.Value, b *rowBufs) error {
 	if err := checkRow(t, newVals); err != nil {
 		return err
 	}
-	for _, ix := range sch.tableIndexes(t.Name) {
-		oldKey, err := indexKey(ix, t, oldVals, rowid)
-		if err != nil {
+	for _, ix := range ixs {
+		var err error
+		if b.key, err = appendIndexKey(b.key[:0], ix, t, oldVals, rowid); err != nil {
 			return err
 		}
-		newKey, err := indexKey(ix, t, newVals, rowid)
-		if err != nil {
+		if b.newKey, err = appendIndexKey(b.newKey[:0], ix, t, newVals, rowid); err != nil {
 			return err
 		}
-		if bytes.Equal(oldKey, newKey) {
+		if bytes.Equal(b.key, b.newKey) {
 			continue
 		}
-		if err := checkUnique(p, ix, newKey); err != nil {
+		if err := checkUnique(p, ix, b.newKey); err != nil {
 			return err
 		}
 		tree := btree.Open(p, ix.Root)
-		if _, err := tree.Delete(oldKey); err != nil {
+		found, err := tree.ReplaceKey(b.key, b.newKey)
+		if err != nil {
 			return err
 		}
-		if err := tree.Insert(newKey, nil); err != nil {
-			return err
+		if !found {
+			if err := tree.Insert(b.newKey, nil); err != nil {
+				return err
+			}
 		}
 	}
-	return btree.Open(p, t.Root).Insert(rowidKey(rowid), record.EncodeRow(nil, newVals))
+	b.rec = record.EncodeRow(b.rec[:0], newVals)
+	return btree.Open(p, t.Root).Insert(rowidKey(rowid), b.rec)
 }
 
 // checkUnique fails when ix is unique and already holds an entry with
@@ -567,7 +598,11 @@ func checkUnique(p storage.Pager, ix *Index, key []byte) error {
 	if !ix.Unique {
 		return nil
 	}
-	dup, err := indexPrefixExists(p, ix, key[:len(key)-rowidKeySuffixLen])
+	cols, _, err := indexKeyRowid(ix, key)
+	if err != nil {
+		return err
+	}
+	dup, err := indexPrefixExists(p, ix, key[:cols])
 	if err != nil {
 		return err
 	}
@@ -672,6 +707,7 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 		need[t.ColIndex(cn)] = true
 	}
 	scan := newTableScan(w.ec, w.tx, t, need)
+	var key []byte
 	for {
 		row, err := scan.Next()
 		if err != nil {
@@ -681,8 +717,7 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 			break
 		}
 		rowid := row[len(row)-1].Int()
-		key, err := indexKey(ix, t, row[:len(row)-1], rowid)
-		if err != nil {
+		if key, err = appendIndexKey(key[:0], ix, t, row[:len(row)-1], rowid); err != nil {
 			return err
 		}
 		if err := checkUnique(w.tx, ix, key); err != nil {
@@ -763,9 +798,11 @@ func (c *Conn) BulkInsert(table string, rows [][]record.Value) error {
 			if err != nil {
 				return err
 			}
+			ixs := sch.tableIndexes(t.Name)
+			var bufs rowBufs
 			for _, row := range rows {
 				vals := append([]record.Value(nil), row...)
-				if _, err := insertRow(w.tx, t, sch, vals); err != nil {
+				if _, err := insertRow(w.tx, t, ixs, vals, &bufs); err != nil {
 					return err
 				}
 			}

@@ -296,6 +296,43 @@ func TestUniqueIndex(t *testing.T) {
 	mustExec(t, c, `INSERT INTO t VALUES (2, 'y')`)
 }
 
+// TestUniqueIndexLongFormRowid: a rowid at or beyond 2^53 is encoded in
+// an index key's 18-byte long form, not the 10 bytes of a smaller one.
+// The unique check, the index access paths and the index join must all
+// find where it starts.
+func TestUniqueIndexLongFormRowid(t *testing.T) {
+	c := testConn(t)
+	mustExec(t, c, `CREATE TABLE u (id INTEGER PRIMARY KEY, x INTEGER)`)
+	mustExec(t, c, `CREATE UNIQUE INDEX ux ON u (x)`)
+	mustExec(t, c, `INSERT INTO u VALUES (5, 7)`)
+	if err := c.Exec(`INSERT INTO u VALUES (1152921504606846976, 7)`, nil); !errors.Is(err, ErrUniqueIndex) {
+		t.Errorf("duplicate under a 2^60 rowid: %v", err)
+	}
+	mustExec(t, c, `INSERT INTO u VALUES (1152921504606846976, 8)`)
+	mustExec(t, c, `INSERT INTO u VALUES (-1152921504606846976, 9)`)
+	if err := c.Exec(`INSERT INTO u VALUES (6, 8)`, nil); !errors.Is(err, ErrUniqueIndex) {
+		t.Errorf("duplicate of a key held under a 2^60 rowid: %v", err)
+	}
+	if err := c.Exec(`UPDATE u SET x = 7 WHERE id = -1152921504606846976`, nil); !errors.Is(err, ErrUniqueIndex) {
+		t.Errorf("update onto an existing key under a -2^60 rowid: %v", err)
+	}
+	mustExec(t, c, `CREATE TABLE v (x INTEGER)`)
+	mustExec(t, c, `INSERT INTO v VALUES (9), (8)`)
+	for _, tc := range []struct {
+		sql, plan string
+		want      []string
+	}{
+		{`SELECT id FROM u WHERE x = 8`, "USING INDEX", []string{"1152921504606846976"}},
+		{`SELECT id, x FROM u WHERE x >= 8 ORDER BY x`, "USING INDEX", []string{"1152921504606846976|8", "-1152921504606846976|9"}},
+		{`SELECT v.x, u.id FROM v, u WHERE v.x = u.x ORDER BY v.x`, "NATIVE INDEX", []string{"8|1152921504606846976", "9|-1152921504606846976"}},
+	} {
+		if plan := strings.Join(q(t, c, "EXPLAIN "+tc.sql), "\n"); !strings.Contains(plan, tc.plan) {
+			t.Errorf("%s: plan does not use the index:\n%s", tc.sql, plan)
+		}
+		expectRows(t, q(t, c, tc.sql), tc.want...)
+	}
+}
+
 func TestPrimaryKeys(t *testing.T) {
 	c := testConn(t)
 	mustExec(t, c, `CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT PRIMARY KEY)`)

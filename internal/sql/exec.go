@@ -139,6 +139,7 @@ func (i *tableScanIter) Close() error { return nil }
 // range scans, while checkHi admits the first key column.
 type indexScanIter struct {
 	table    *Table
+	index    *Index
 	idxCur   *btree.Cursor
 	tbl      *btree.Tree
 	row      scanRow
@@ -165,14 +166,20 @@ func (i *indexScanIter) Next() ([]record.Value, error) {
 		if i.eqPrefix != nil && !bytes.HasPrefix(key, i.eqPrefix) {
 			return nil, nil
 		}
-		decoded, err := record.DecodeKey(key)
+		if i.checkHi != nil {
+			first, _, err := record.DecodeKeyValue(key)
+			if err != nil {
+				return nil, err
+			}
+			if !i.checkHi(first) {
+				return nil, nil
+			}
+		}
+		_, rowid, err := indexKeyRowid(i.index, key)
 		if err != nil {
 			return nil, err
 		}
-		if i.checkHi != nil && len(decoded) > 0 && !i.checkHi(decoded[0]) {
-			return nil, nil
-		}
-		row, err := i.row.fetch(i.tbl, decoded[len(decoded)-1].Int())
+		row, err := i.row.fetch(i.tbl, rowid)
 		if err != nil {
 			return nil, err
 		}
@@ -400,11 +407,11 @@ func (i *indexJoinIter) Next() ([]record.Value, error) {
 			i.outerRow = nil
 			continue
 		}
-		decoded, err := record.DecodeKey(i.idxCur.Key())
+		_, rowid, err := indexKeyRowid(i.index, i.idxCur.Key())
 		if err != nil {
 			return nil, err
 		}
-		inner, err := i.inner.fetch(i.tbl, decoded[len(decoded)-1].Int())
+		inner, err := i.inner.fetch(i.tbl, rowid)
 		if err != nil {
 			return nil, err
 		}

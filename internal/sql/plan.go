@@ -510,6 +510,7 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ne
 
 	it := &indexScanIter{
 		table:  t,
+		index:  best,
 		idxCur: btree.Open(pager, best.Root).Cursor(),
 		tbl:    btree.Open(pager, t.Root),
 		row:    newScanRow(ec, t, need),

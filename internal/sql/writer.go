@@ -21,7 +21,16 @@ type TableWriter struct {
 	own  bool
 	t    *Table
 	sch  *schema
+	ixs  []*Index // t's indexes
 	done bool
+
+	// Reused from call to call: the row Insert normalizes, the probe
+	// key and row LookupByIndex reads, the encodings Insert and Update
+	// write.
+	ins   []record.Value
+	probe []byte
+	row   scanRow
+	bufs  rowBufs
 }
 
 // OpenTableWriter opens a writer on the named table. If the table lives
@@ -46,20 +55,26 @@ func (c *Conn) OpenTableWriter(name string) (*TableWriter, error) {
 		w.Rollback()
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
+	w.ixs = w.sch.tableIndexes(w.t.Name)
+	w.row = scanRow{vals: make([]record.Value, len(w.t.Cols)+1), poison: c.db.poisonScans}
 	return w, nil
 }
 
 // Insert adds one row, maintaining all indexes, and returns its rowid.
+// vals is left as it was.
 func (w *TableWriter) Insert(vals []record.Value) (int64, error) {
 	if w.done {
 		return 0, storage.ErrTxDone
 	}
-	cp := append([]record.Value(nil), vals...)
-	return insertRow(w.tx, w.t, w.sch, cp)
+	w.ins = append(w.ins[:0], vals...)
+	return insertRow(w.tx, w.t, w.ixs, w.ins, &w.bufs)
 }
 
 // LookupByIndex finds the first row whose index-key prefix matches vals
-// on the named index, returning its rowid and column values.
+// on the named index, returning its rowid and column values. The values
+// live in a buffer the writer owns: they stay valid until the writer's
+// next call, and the caller may change them to hand them back to Update
+// as the new row.
 func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int64, []record.Value, bool, error) {
 	if w.done {
 		return 0, nil, false, storage.ErrTxDone
@@ -68,28 +83,26 @@ func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int6
 	if ix == nil {
 		return 0, nil, false, fmt.Errorf("%w: %s", ErrNoIndex, indexName)
 	}
-	prefix := record.EncodeKey(nil, vals)
+	w.probe = record.EncodeKey(w.probe[:0], vals)
 	cur := btree.Open(w.tx, ix.Root).Cursor()
-	ok, err := cur.Seek(prefix)
+	ok, err := cur.Seek(w.probe)
 	if err != nil || !ok {
 		return 0, nil, false, err
 	}
 	key := cur.Key()
-	if !bytes.HasPrefix(key, prefix) {
+	if !bytes.HasPrefix(key, w.probe) {
 		return 0, nil, false, nil
 	}
-	decoded, err := record.DecodeKey(key)
+	_, rowid, err := indexKeyRowid(ix, key)
 	if err != nil {
 		return 0, nil, false, err
 	}
-	rowid := decoded[len(decoded)-1].Int()
-	// The caller keeps the row: decode into a buffer of its own.
-	buf := scanRow{vals: make([]record.Value, len(w.t.Cols)+1)}
-	row, err := buf.fetch(btree.Open(w.tx, w.t.Root), rowid)
+	row, err := w.row.fetch(btree.Open(w.tx, w.t.Root), rowid)
 	if err != nil || row == nil {
 		return 0, nil, false, err
 	}
-	return rowid, row[:len(row)-1], true, nil
+	n := len(row) - 1 // the hidden rowid is not the caller's
+	return rowid, row[:n:n], true, nil
 }
 
 // Update replaces the row identified by rowid, whose current values are
@@ -99,7 +112,7 @@ func (w *TableWriter) Update(rowid int64, oldVals, newVals []record.Value) error
 	if w.done {
 		return storage.ErrTxDone
 	}
-	return updateRow(w.tx, w.t, w.sch, rowid, oldVals, newVals)
+	return updateRow(w.tx, w.t, w.ixs, rowid, oldVals, newVals, &w.bufs)
 }
 
 // Commit publishes the writes (a no-op handoff when the writer joined
