@@ -136,6 +136,8 @@ fig-check:
 	$(GO) run ./cmd/rqlbench -all -quick -seed 1 | bash cmd/rqlbench/figmask.sh | \
 		diff -u cmd/rqlbench/testdata/figcheck.golden -
 
-# microbench runs the Go testing benchmarks (one pass, smoke-level).
+# microbench runs the Go testing benchmarks (one pass, smoke-level),
+# reporting allocations: BenchmarkExecAsOfSet's allocs/op is allocations
+# per set member.
 microbench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' ./...

@@ -40,6 +40,11 @@ func Open(pager storage.Pager, root storage.PageID) *Tree {
 	return &Tree{pager: pager, root: root}
 }
 
+// Reopen points the handle, and every cursor made from it, at the tree
+// rooted at root through pager: the same tree as of another snapshot.
+// Cursors must be repositioned (First, Seek) before their next use.
+func (t *Tree) Reopen(pager storage.Pager, root storage.PageID) { t.pager, t.root = pager, root }
+
 // Root returns the tree's root page id.
 func (t *Tree) Root() storage.PageID { return t.root }
 

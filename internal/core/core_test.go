@@ -646,3 +646,61 @@ func TestSortMergeAvg(t *testing.T) {
 		}
 	}
 }
+
+// TestSumMonoidPromotesOnOverflow: combining integer partial sums or
+// counts whose total does not fit in 64 bits gives REAL, not a wrapped
+// integer — in the monoid and in AggregateDataInVariable's result.
+func TestSumMonoidPromotesOnOverflow(t *testing.T) {
+	const maxInt = int64(9223372036854775807)
+	for _, tc := range []struct {
+		m    *Monoid
+		a, b record.Value
+		want string
+	}{
+		{MonoidSum, record.Int(maxInt), record.Int(1), "9.223372036854776e+18 REAL"},
+		{MonoidSum, record.Int(-maxInt - 1), record.Int(-1), "-9.223372036854776e+18 REAL"},
+		{MonoidCount, record.Int(maxInt), record.Int(maxInt), "1.8446744073709552e+19 REAL"},
+		{MonoidSum, record.Int(maxInt - 1), record.Int(1), "9223372036854775807 INTEGER"},
+		{MonoidSum, record.Int(-maxInt), record.Int(-1), "-9223372036854775808 INTEGER"},
+		{MonoidSum, record.Int(maxInt), record.Float(1), "9.223372036854776e+18 REAL"},
+	} {
+		v := tc.m.Combine(tc.a, tc.b)
+		if got := fmt.Sprintf("%v %v", v, v.Type()); got != tc.want {
+			t.Errorf("%s(%v, %v) = %s, want %s", tc.m.Name, tc.a, tc.b, got, tc.want)
+		}
+	}
+
+	db, err := sql.Open(sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r := Attach(db)
+	c := db.Conn()
+	mustExec(t, c, `CREATE TABLE big (a INTEGER)`)
+	for _, a := range []int64{maxInt, 1} {
+		mustExec(t, c, `DELETE FROM big`)
+		mustExec(t, c, `INSERT INTO big VALUES (?)`, record.Int(a))
+		if _, err := DeclareSnapshot(c, time.Unix(0, 0), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, form := range []string{"go", "udf"} {
+		table := "sum_" + form
+		if form == "go" {
+			_, err = r.AggregateDataInVariable(c, `SELECT snap_id FROM SnapIds`, `SELECT a FROM big`, table, "sum")
+		} else {
+			err = c.Exec(`SELECT AggregateDataInVariable(snap_id, 'SELECT a FROM big', '`+table+`', 'sum') FROM SnapIds`, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := c.Query(`SELECT * FROM ` + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := rows.Rows[0][0]; v.Type() != record.TypeFloat || v.Float() != 9.223372036854775808e18 {
+			t.Errorf("%s: AggregateDataInVariable sum = %v (%v), want REAL 9.223372036854776e+18", form, v, v.Type())
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 	"unicode"
 
 	"rql/internal/record"
@@ -182,6 +183,58 @@ func TestGoAPIMatchesUDFFormColdCounters(t *testing.T) {
 				t.Errorf("%s: Go-level run billed %d page reads (%d cold), the SQL form %d (%d cold)",
 					label, gAll, gCold, uAll, uCold)
 			}
+		}
+	}
+}
+
+// TestMechanismsAcrossSchemaChange runs every mechanism over one snapshot
+// set whose members straddle a CREATE INDEX, and a DROP TABLE + CREATE
+// TABLE that reorders m's columns: the Go-level run — whose reader set
+// keeps Qq's plan from member to member and must plan it anew where the
+// catalog changes — sequential and parallel, must leave what the per-member
+// AS OF loop of the SQL-form statement does.
+func TestMechanismsAcrossSchemaChange(t *testing.T) {
+	db, err := sql.Open(sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	r := Attach(db)
+	c := db.Conn()
+	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	cols := "k, grp, v"
+	for s := 0; s < 12; s++ {
+		switch s {
+		case 4:
+			mustExec(t, c, `CREATE INDEX m_k ON m (k)`)
+		case 8:
+			mustExec(t, c, `DROP TABLE m`)
+			mustExec(t, c, `CREATE TABLE m (v INTEGER, grp TEXT, k INTEGER)`)
+			cols = "v, grp, k"
+		}
+		mustExec(t, c, `BEGIN`)
+		mustExec(t, c, fmt.Sprintf(`DELETE FROM m WHERE k %% 4 = %d`, s%4))
+		for n := 0; n < 3; n++ {
+			k := (s*3 + n*5) % 11
+			vals := []record.Value{record.Int(int64(k)), record.Text(fmt.Sprintf("g%d", k%3)), record.Int(int64(s*10 + n))}
+			if cols == "v, grp, k" {
+				vals[0], vals[2] = vals[2], vals[0]
+			}
+			mustExec(t, c, `INSERT INTO m (`+cols+`) VALUES (?, ?, ?)`, vals...)
+		}
+		if _, err := DeclareSnapshot(c, time.Unix(int64(s), 0), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fixtures := append([]mechFixture{
+		{mechCollate, `SELECT k, grp, current_snapshot() AS sid FROM m WHERE k >= 4`, "", `SELECT k, grp, sid FROM %s`},
+		{mechIntervals, `SELECT k, grp FROM m WHERE k < 8`, "", `SELECT k, grp, start_snapshot, end_snapshot FROM %s`},
+	}, allFixtures...)
+	for i, fx := range fixtures {
+		for _, parallel := range []bool{false, true} {
+			table := fmt.Sprintf("S%d_%s_%v", i, fx.tag(), parallel)
+			runFixture(t, r, c, fx, "SELECT snap_id FROM SnapIds", table, parallel)
+			assertSameResult(t, c, fx, "SnapIds", table)
 		}
 	}
 }

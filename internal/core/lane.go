@@ -24,9 +24,10 @@ type lane struct {
 	// reaches T at the end).
 	table *tableStore
 
-	cache pruneCache    // delta pruning memo (prune.go)
-	run   *RunStats     // this lane's iterations and prune counters
-	cost  IterationCost // the iteration in progress
+	cache    pruneCache     // delta pruning memo (prune.go)
+	retagged []record.Value // a replayed row, re-tagged for its snapshot
+	run      *RunStats      // this lane's iterations and prune counters
+	cost     IterationCost  // the iteration in progress
 
 	// keepRows makes step retain the iteration's materialized rows —
 	// executed or replayed — in rows (views push them to subscribers).
@@ -165,7 +166,15 @@ func (ln *lane) step(snap uint64) error {
 		t0 := time.Now()
 		for _, row := range ln.cache.rows {
 			cost.QqRows++
-			rr := m.replayRow(row, snap)
+			rr := row
+			if len(m.snapCols) > 0 {
+				if ln.keepRows {
+					rr = m.retag(nil, row, snap)
+				} else {
+					ln.retagged = m.retag(ln.retagged, row, snap) // the fold keeps no row it is given
+					rr = ln.retagged
+				}
+			}
 			if ln.keepRows {
 				rows = append(rows, rr)
 			}
@@ -179,11 +188,20 @@ func (ln *lane) step(snap uint64) error {
 		ln.run.PrunedRowsReplayed += len(ln.cache.rows)
 		ln.cache.prev = snap
 	} else {
-		keep := m.delta != nil || ln.keepRows
+		// The rows Qq lends the callback are copied for the prune cache:
+		// into the lane's spare slab, or — when they go to view
+		// subscribers, who keep them — each into a slice of its own.
+		var slab *rowSlab
+		if m.delta != nil && !ln.keepRows {
+			slab = ln.cache.spare()
+		}
 		cb := func(cols []string, row []record.Value) error {
 			cost.QqRows++
-			if keep {
-				rows = cacheRow(rows, row)
+			switch {
+			case slab != nil:
+				slab.add(row)
+			case ln.keepRows:
+				rows = append(rows, append([]record.Value(nil), row...))
 			}
 			t0 := time.Now()
 			err := ln.fold.record(snap, row, cost)
@@ -198,8 +216,11 @@ func (ln *lane) step(snap uint64) error {
 			return err
 		}
 		qs = conn.LastStats()
+		if slab != nil {
+			rows = slab.seal()
+		}
 		if m.delta != nil {
-			ln.cache = pruneCache{valid: true, prev: snap, readSet: readSet, rows: rows}
+			ln.cache.fill(snap, readSet, rows, slab)
 		}
 	}
 

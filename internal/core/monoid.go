@@ -57,7 +57,7 @@ var (
 		},
 	}
 	// MonoidSum adds values (integer arithmetic while both sides are
-	// integers, float otherwise).
+	// integers and the sum fits in 64 bits, float otherwise).
 	MonoidSum = &Monoid{
 		Name:     "sum",
 		Identity: record.Int(0),
@@ -72,9 +72,15 @@ var (
 	}
 )
 
+// addValues is the sum and count monoids' operation. An integer sum
+// that overflows 64 bits is promoted to REAL rather than wrapped, as
+// SQL's + does (sql.arith).
 func addValues(a, b record.Value) record.Value {
 	if a.Type() == record.TypeInt && b.Type() == record.TypeInt {
-		return record.Int(a.Int() + b.Int())
+		x, y := a.Int(), b.Int()
+		if s := x + y; (s > x) == (y > 0) {
+			return record.Int(s)
+		}
 	}
 	return record.Float(a.AsFloat() + b.AsFloat())
 }

@@ -25,12 +25,61 @@ import (
 // pruneCache is the memo of the last fully-executed iteration: its
 // page read-set, its Qq output rows, and the snapshot the lane has
 // advanced to (pruned iterations advance prev without touching the
-// read-set or rows — identical pages mean both stay exact).
+// read-set or rows — identical pages mean both stay exact). The rows of
+// a lane whose rows nobody else keeps live in one of two slabs the
+// cache owns: an executed iteration copies its rows into the slab the
+// cache does not use, which then becomes the cache's, so the rows of the
+// iteration before stay intact until the new ones are complete.
 type pruneCache struct {
 	valid   bool
 	prev    uint64           // snapshot of the previous iteration
 	readSet sql.PageSet      // read-set of the last executed iteration
 	rows    [][]record.Value // Qq output of the last executed iteration
+
+	slabs [2]rowSlab
+	cur   int // the slab rows live in, when they live in one
+}
+
+// spare empties and returns the slab rows do not live in.
+func (pc *pruneCache) spare() *rowSlab {
+	s := &pc.slabs[1-pc.cur]
+	s.vals, s.ends = s.vals[:0], s.ends[:0]
+	return s
+}
+
+// fill makes the executed iteration on snap the memo; slab is where its
+// rows live (nil: in slices of their own).
+func (pc *pruneCache) fill(snap uint64, readSet sql.PageSet, rows [][]record.Value, slab *rowSlab) {
+	pc.valid, pc.prev, pc.readSet, pc.rows = true, snap, readSet, rows
+	if slab == &pc.slabs[1-pc.cur] {
+		pc.cur = 1 - pc.cur
+	}
+}
+
+// rowSlab holds copies of one iteration's rows back to back: the values
+// of every row in vals, where row k ends at ends[k]. A slab is reused
+// from iteration to iteration, so once it has grown to an iteration's
+// size, copying the rows allocates nothing.
+type rowSlab struct {
+	vals []record.Value
+	ends []int
+	rows [][]record.Value
+}
+
+func (s *rowSlab) add(row []record.Value) {
+	s.vals = append(s.vals, row...)
+	s.ends = append(s.ends, len(s.vals))
+}
+
+// seal returns the rows added since the slab was emptied.
+func (s *rowSlab) seal() [][]record.Value {
+	s.rows = s.rows[:0]
+	start := 0
+	for _, end := range s.ends {
+		s.rows = append(s.rows, s.vals[start:end:end])
+		start = end
+	}
+	return s.rows
 }
 
 // deltaFunc answers the proof obligation of delta pruning: is every
@@ -72,24 +121,15 @@ func (m *mech) setupPrune(conn *sql.Conn, run *RunStats, delta deltaFunc) {
 	run.PruneReason = ""
 }
 
-// replayRow prepares one cached row for replay at snap: when Qq
-// projects bare current_snapshot() columns, those are rewritten to the
-// new snapshot id (the only snapshot-dependent values a prune-safe Qq
-// can emit).
-func (m *mech) replayRow(row []record.Value, snap uint64) []record.Value {
-	if len(m.snapCols) == 0 {
-		return row
-	}
-	out := append([]record.Value(nil), row...)
+// retag prepares one cached row for replay at snap, in buf: Qq's bare
+// current_snapshot() columns (m.snapCols, the only snapshot-dependent
+// values a prune-safe Qq can emit) are rewritten to the new snapshot id.
+func (m *mech) retag(buf, row []record.Value, snap uint64) []record.Value {
+	out := append(buf[:0], row...)
 	for _, ci := range m.snapCols {
 		if ci < len(out) {
 			out[ci] = record.Int(int64(snap))
 		}
 	}
 	return out
-}
-
-// cacheRow stores a copy of one executed iteration's output row.
-func cacheRow(rows [][]record.Value, row []record.Value) [][]record.Value {
-	return append(rows, append([]record.Value(nil), row...))
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 
 	"rql/internal/record"
@@ -21,8 +22,15 @@ type aggState interface {
 	// It reports whether this value became the aggregate's current
 	// extreme (used for SQLite's bare-column-from-the-min/max-row rule).
 	step(v record.Value) bool
-	final() record.Value
+	final() (record.Value, error)
+	// reset empties the state for another group: an aggregate operator
+	// recycles its groups from one run of its plan to the next.
+	reset()
 }
+
+// errIntegerOverflow fails a statement whose SUM() of integers does not
+// fit in 64 bits, as SQLite's does.
+var errIntegerOverflow = errors.New("sql: integer overflow")
 
 func newAggState(name string) (aggState, error) {
 	switch name {
@@ -48,15 +56,19 @@ func (s *countState) step(v record.Value) bool {
 	}
 	return false
 }
-func (s *countState) final() record.Value { return record.Int(s.n) }
+func (s *countState) final() (record.Value, error) { return record.Int(s.n), nil }
+func (s *countState) reset()                       { *s = countState{} }
 
 // sumState implements SUM: NULL over empty input, integer arithmetic
-// while all inputs are integers.
+// while all inputs are integers. An integer sum that overflows makes the
+// statement fail (SQLite: "integer overflow"), even if a REAL input
+// follows.
 type sumState struct {
-	seen    bool
-	isFloat bool
-	i       int64
-	f       float64
+	seen     bool
+	isFloat  bool
+	overflow bool
+	i        int64
+	f        float64
 }
 
 func (s *sumState) step(v record.Value) bool {
@@ -65,8 +77,11 @@ func (s *sumState) step(v record.Value) bool {
 	}
 	s.seen = true
 	if !s.isFloat && v.Type() == record.TypeInt {
-		s.i += v.Int()
-		return false
+		if sum, ok := addInt64(s.i, v.Int()); ok {
+			s.i = sum
+			return false
+		}
+		s.overflow = true
 	}
 	if !s.isFloat {
 		s.isFloat = true
@@ -76,15 +91,19 @@ func (s *sumState) step(v record.Value) bool {
 	return false
 }
 
-func (s *sumState) final() record.Value {
-	if !s.seen {
-		return record.Null()
+func (s *sumState) final() (record.Value, error) {
+	switch {
+	case s.overflow:
+		return record.Value{}, errIntegerOverflow
+	case !s.seen:
+		return record.Null(), nil
+	case s.isFloat:
+		return record.Float(s.f), nil
 	}
-	if s.isFloat {
-		return record.Float(s.f)
-	}
-	return record.Int(s.i)
+	return record.Int(s.i), nil
 }
+
+func (s *sumState) reset() { *s = sumState{} }
 
 type avgState struct {
 	n   int64
@@ -100,12 +119,14 @@ func (s *avgState) step(v record.Value) bool {
 	return false
 }
 
-func (s *avgState) final() record.Value {
+func (s *avgState) final() (record.Value, error) {
 	if s.n == 0 {
-		return record.Null()
+		return record.Null(), nil
 	}
-	return record.Float(s.sum / float64(s.n))
+	return record.Float(s.sum / float64(s.n)), nil
 }
+
+func (s *avgState) reset() { *s = avgState{} }
 
 type minMaxState struct {
 	min  bool
@@ -130,12 +151,14 @@ func (s *minMaxState) step(v record.Value) bool {
 	return false
 }
 
-func (s *minMaxState) final() record.Value {
+func (s *minMaxState) final() (record.Value, error) {
 	if !s.seen {
-		return record.Null()
+		return record.Null(), nil
 	}
-	return s.best
+	return s.best, nil
 }
+
+func (s *minMaxState) reset() { *s = minMaxState{min: s.min} }
 
 // distinctAgg wraps an aggregate to apply it over distinct inputs
 // (COUNT(DISTINCT x) and friends).
@@ -160,7 +183,12 @@ func (d *distinctAgg) step(v record.Value) bool {
 	return d.inner.step(v)
 }
 
-func (d *distinctAgg) final() record.Value { return d.inner.final() }
+func (d *distinctAgg) final() (record.Value, error) { return d.inner.final() }
+
+func (d *distinctAgg) reset() {
+	d.inner.reset()
+	clear(d.seen)
+}
 
 // collectAggregates walks an expression tree collecting aggregate
 // function calls (they cannot nest; nesting is reported as an error).

@@ -1,9 +1,12 @@
 package sql
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"rql/internal/btree"
 	"rql/internal/record"
@@ -181,64 +184,146 @@ func decodeColumns(s string) ([]Column, error) {
 	return cols, nil
 }
 
-// loadSchema reads the full catalog from a store through the pager.
+// loadSchema reads the full catalog from a store through the pager into
+// a schema of its own, which the caller may change (the write path).
 func loadSchema(p storage.Pager, temp bool) (*schema, error) {
 	s := newSchema()
-	tr := btree.Open(p, catalogRoot)
-	c := tr.Cursor()
+	c := btree.Open(p, catalogRoot).Cursor()
 	ok, err := c.First()
 	for ; ok && err == nil; ok, err = c.Next() {
-		row, derr := record.DecodeRow(c.Value())
-		if derr != nil {
-			return nil, derr
-		}
-		if len(row) < 5 {
-			return nil, fmt.Errorf("sql: corrupt catalog row with %d fields", len(row))
-		}
-		kind := row[0].Text()
-		switch kind {
-		case "table":
-			cols, derr := decodeColumns(row[4].Text())
-			if derr != nil {
-				return nil, derr
-			}
-			t := &Table{
-				Name: row[1].Text(),
-				Root: storage.PageID(row[3].Int()),
-				Cols: cols,
-				Temp: temp,
-			}
-			s.tables[strings.ToLower(t.Name)] = t
-		case "index":
-			if len(row) < 6 {
-				return nil, fmt.Errorf("sql: corrupt index catalog row")
-			}
-			ix := &Index{
-				Name:   row[1].Text(),
-				Table:  row[2].Text(),
-				Root:   storage.PageID(row[3].Int()),
-				Cols:   strings.Split(row[4].Text(), ","),
-				Unique: row[5].Int() != 0,
-				Temp:   temp,
-			}
-			s.indexes[strings.ToLower(ix.Name)] = ix
-		case "view":
-			if len(row) < 6 {
-				return nil, fmt.Errorf("sql: corrupt view catalog row")
-			}
-			v := &RetroViewDef{
-				Name:      row[1].Text(),
-				Mechanism: row[2].Text(),
-				HasExtra:  row[3].Int() != 0,
-				Qq:        row[4].Text(),
-				Extra:     row[5].Text(),
-			}
-			s.views[strings.ToLower(v.Name)] = v
-		default:
-			return nil, fmt.Errorf("sql: unknown catalog object kind %q", kind)
+		if err := s.add(c.Value(), temp); err != nil {
+			return nil, err
 		}
 	}
 	return s, err
+}
+
+// add decodes one catalog entry into s.
+func (s *schema) add(val []byte, temp bool) error {
+	row, err := record.DecodeRow(val)
+	if err != nil {
+		return err
+	}
+	if len(row) < 5 {
+		return fmt.Errorf("sql: corrupt catalog row with %d fields", len(row))
+	}
+	kind := row[0].Text()
+	switch kind {
+	case "table":
+		cols, err := decodeColumns(row[4].Text())
+		if err != nil {
+			return err
+		}
+		t := &Table{
+			Name: row[1].Text(),
+			Root: storage.PageID(row[3].Int()),
+			Cols: cols,
+			Temp: temp,
+		}
+		s.tables[strings.ToLower(t.Name)] = t
+	case "index":
+		if len(row) < 6 {
+			return fmt.Errorf("sql: corrupt index catalog row")
+		}
+		ix := &Index{
+			Name:   row[1].Text(),
+			Table:  row[2].Text(),
+			Root:   storage.PageID(row[3].Int()),
+			Cols:   strings.Split(row[4].Text(), ","),
+			Unique: row[5].Int() != 0,
+			Temp:   temp,
+		}
+		s.indexes[strings.ToLower(ix.Name)] = ix
+	case "view":
+		if len(row) < 6 {
+			return fmt.Errorf("sql: corrupt view catalog row")
+		}
+		v := &RetroViewDef{
+			Name:      row[1].Text(),
+			Mechanism: row[2].Text(),
+			HasExtra:  row[3].Int() != 0,
+			Qq:        row[4].Text(),
+			Extra:     row[5].Text(),
+		}
+		s.views[strings.ToLower(v.Name)] = v
+	default:
+		return fmt.Errorf("sql: unknown catalog object kind %q", kind)
+	}
+	return nil
+}
+
+// schemaMemo is the schema a store's readers decoded last, with the
+// catalog bytes it was decoded from: the catalog entries' values, each
+// preceded by its uvarint length, in key order. Equal catalog bytes
+// decode to the same schema, so a reader whose catalog matches them
+// takes the memo's schema — the same *schema, and so the same plans
+// (selectPlan) — instead of decoding its own. Memo schemas are shared
+// and never changed; the write path decodes its own (loadSchema).
+type schemaMemo struct {
+	mu  sync.Mutex
+	raw []byte // never changed once published: a new memo gets a new slice
+	s   *schema
+}
+
+// load returns the schema of the catalog p sees. Every catalog page is
+// read through p exactly as loadSchema reads it, so page counters and
+// read-sets do not depend on whether the memo hits; a miss decodes the
+// catalog (from the bytes gathered during the walk) and becomes the
+// memo.
+func (m *schemaMemo) load(p storage.Pager, temp bool) (*schema, error) {
+	m.mu.Lock()
+	raw, memo := m.raw, m.s
+	m.mu.Unlock()
+
+	matched := 0   // prefix of raw the catalog has matched so far
+	var cat []byte // the catalog's bytes, once it differs from raw
+	differs := memo == nil
+	c := btree.Open(p, catalogRoot).Cursor()
+	ok, err := c.First()
+	for ; ok && err == nil; ok, err = c.Next() {
+		v := c.Value()
+		if !differs {
+			if n := matchEntry(raw[matched:], v); n > 0 {
+				matched += n
+				continue
+			}
+			differs = true
+			cat = append(make([]byte, 0, len(raw)+len(v)), raw[:matched]...)
+		}
+		cat = binary.AppendUvarint(cat, uint64(len(v)))
+		cat = append(cat, v...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !differs {
+		if matched == len(raw) {
+			return memo, nil
+		}
+		cat = raw[:matched:matched] // the catalog lost its last entries
+	}
+	s := newSchema()
+	for rest := cat; len(rest) > 0; {
+		n, k := binary.Uvarint(rest)
+		if err := s.add(rest[k:k+int(n)], temp); err != nil {
+			return nil, err
+		}
+		rest = rest[k+int(n):]
+	}
+	m.mu.Lock()
+	m.raw, m.s = cat, s
+	m.mu.Unlock()
+	return s, nil
+}
+
+// matchEntry reports how many bytes of raw encode the catalog entry
+// value v (0: raw does not start with v's encoding).
+func matchEntry(raw, v []byte) int {
+	n, k := binary.Uvarint(raw)
+	if k <= 0 || n != uint64(len(v)) || uint64(len(raw)-k) < n || !bytes.Equal(raw[k:k+len(v)], v) {
+		return 0
+	}
+	return k + len(v)
 }
 
 // putTable writes a table's catalog entry.

@@ -207,7 +207,7 @@ func (c *Conn) execWriteOnce(stmt Statement, toSide bool, params []record.Value,
 // writeTable resolves the target table; it must live in the store the
 // write transaction is on.
 func (w *writeEnv) writeTable(name string) (*Table, *schema, error) {
-	t, sch, _, err := w.ec.resolveTable(name)
+	t, sch, err := w.ec.resolveTable(name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -429,13 +429,12 @@ func deleteRowByID(p storage.Pager, t *Table, ixs []*Index, rowid int64, vals []
 // matchRows materializes the rows of t matching the conjuncts of where
 // (each returned row carries the hidden rowid as its last value).
 func (w *writeEnv) matchRows(t *Table, sch *schema, where Expr) ([][]record.Value, error) {
-	pager := w.pagerFor(t)
 	// DML needs whole rows (index maintenance reads every indexed
 	// column): no scan mask.
 	cols := baseTableCols(t, strings.ToLower(t.Name), nil)
 
 	conds := splitAnd(where)
-	var it iterator = pickAccessPath(t, sch, pager, conds, nil, w.ec)
+	var it iterator = pickAccessPath(t, sch, conds, nil, w.ec)
 	for _, cond := range conds {
 		c, err := compileExpr(cond, &compileEnv{cols: cols, ec: w.ec})
 		if err != nil {
@@ -444,13 +443,6 @@ func (w *writeEnv) matchRows(t *Table, sch *schema, where Expr) ([][]record.Valu
 		it = newFilter(it, c, w.ec)
 	}
 	return drain(it)
-}
-
-func (w *writeEnv) pagerFor(t *Table) storage.Pager {
-	if t.Temp {
-		return w.ec.sidePager
-	}
-	return w.ec.mainPager
 }
 
 func (w *writeEnv) execDelete(s *DeleteStmt) error {
@@ -706,7 +698,10 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 	for _, cn := range s.Cols {
 		need[t.ColIndex(cn)] = true
 	}
-	scan := newTableScan(w.ec, w.tx, t, need)
+	scan := newTableScan(w.ec, t, need)
+	if err := scan.reset(); err != nil {
+		return err
+	}
 	var key []byte
 	for {
 		row, err := scan.Next()

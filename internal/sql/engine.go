@@ -52,6 +52,11 @@ type DB struct {
 	sideSchemaLSN uint64
 	sideSchema    *schema
 
+	// The schemas readers decoded last, one per store, keyed by catalog
+	// bytes: every read of a snapshot's catalog, and every current-state
+	// read the LSN caches miss, goes through them.
+	mainMemo, sideMemo schemaMemo
+
 	// poisonScans is set by tests only, before the database is used: see
 	// scanRow.poison.
 	poisonScans bool
@@ -110,6 +115,10 @@ func (db *DB) Conn() *Conn { return &Conn{db: db} }
 // currentSchema returns the (possibly cached) schema of a store's
 // current state as seen through the given pager.
 func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp bool) (*schema, error) {
+	memo := &db.mainMemo
+	if temp {
+		memo = &db.sideMemo
+	}
 	db.mu.Lock()
 	if st == db.main && db.mainSchema != nil && db.mainSchemaLSN == lsn {
 		s := db.mainSchema
@@ -122,7 +131,7 @@ func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp
 		return s, nil
 	}
 	db.mu.Unlock()
-	s, err := loadSchema(p, temp)
+	s, err := memo.load(p, temp)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +146,9 @@ func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp
 }
 
 // RowCallback receives result rows, sqlite3_exec style. Returning a
-// non-nil error aborts the statement with that error.
+// non-nil error aborts the statement with that error. A row passed by
+// Exec or ExecAsOf is the callback's to keep; one passed by ExecAsOfSet
+// is valid only until the callback returns (copy what you keep).
 type RowCallback func(cols []string, row []record.Value) error
 
 // Conn is a database connection: it carries the explicit-transaction
@@ -351,14 +362,14 @@ func (c *Conn) InTx() bool { return c.mainTx != nil }
 // Exec parses and executes one or more semicolon-separated statements
 // against the current state, invoking cb for every result row.
 func (c *Conn) Exec(sqlText string, cb RowCallback, params ...record.Value) error {
-	return c.execAsOf(sqlText, nil, 0, cb, params)
+	return c.execAsOf(sqlText, nil, nil, 0, cb, params)
 }
 
 // ExecAsOf executes statements with SELECTs bound to the given snapshot
 // (equivalent to rewriting each query with "AS OF snap", the paper's §3
 // Qq rewrite). Write statements are rejected under a snapshot binding.
 func (c *Conn) ExecAsOf(sqlText string, snap uint64, cb RowCallback, params ...record.Value) error {
-	return c.execAsOf(sqlText, nil, retro.SnapshotID(snap), cb, params)
+	return c.execAsOf(sqlText, nil, nil, retro.SnapshotID(snap), cb, params)
 }
 
 // ExecAsOfSet is ExecAsOf against a pre-built reader set: when snap is
@@ -366,11 +377,26 @@ func (c *Conn) ExecAsOf(sqlText string, snap uint64, cb RowCallback, params ...r
 // SPT and shared pinned read transaction instead of building a fresh
 // SPT — the per-iteration path of the RQL mechanisms. Snapshots outside
 // the set fall back to a standalone OpenSnapshot.
+//
+// The set also keeps the plans of the texts run against it: a SELECT is
+// planned at the first member it runs on, and every later member binds
+// the same iterator tree to its own snapshot (selectPlan) — until the
+// member's catalog differs, which plans it anew. The rows cb receives
+// are the plan's own buffers, valid only until cb returns. Without a
+// set the statement is planned for this one call.
 func (c *Conn) ExecAsOfSet(sqlText string, set *ReaderSet, snap uint64, cb RowCallback, params ...record.Value) error {
-	return c.execAsOf(sqlText, set, retro.SnapshotID(snap), cb, params)
+	if set == nil {
+		return c.execAsOf(sqlText, nil, nil, retro.SnapshotID(snap), cb, params)
+	}
+	tp := set.takePlans(sqlText)
+	err := c.execAsOf(sqlText, tp, set, retro.SnapshotID(snap), cb, params)
+	set.putPlans(sqlText, tp)
+	return err
 }
 
-func (c *Conn) execAsOf(sqlText string, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
+// execAsOf runs a statement batch. tp, when non-nil, holds the batch's
+// SELECT plans from earlier runs of the same text and keeps this run's.
+func (c *Conn) execAsOf(sqlText string, tp *textPlans, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
 	// One span per statement batch; a timestamp is taken only when the
 	// batch is traced or the slow-query log is armed, so the untraced
 	// path pays two atomic loads and nothing else.
@@ -415,10 +441,10 @@ func (c *Conn) execAsOf(sqlText string, set *ReaderSet, asOf retro.SnapshotID, c
 	}
 	if err == nil {
 		saved := c.curStmt // restored per statement, for the same re-entry
-		for _, stmt := range stmts {
+		for i, stmt := range stmts {
 			ssp := sp.Child("sql." + stmtName(stmt))
 			c.curStmt = ssp
-			err = c.execStmt(stmt, set, asOf, cb, params)
+			err = c.execStmt(stmt, tp.plan(i, len(stmts)), set, asOf, cb, params)
 			c.curStmt = saved
 			if ssp != nil {
 				st := c.lastStats
@@ -533,9 +559,12 @@ func (c *Conn) Rollback() error {
 	return nil
 }
 
-// execCtx is the per-statement execution context: the pagers and
-// schemas for both stores, the snapshot binding, parameters, UDF
-// auxiliary state, and the statistics being accumulated.
+// execCtx is a statement's binding: what one run of its plan reads and
+// bills — the pagers and schemas for both stores, the snapshot and its
+// reader, the read-set being recorded, parameters, UDF auxiliary state,
+// and the statistics being accumulated. A plan's iterators and compiled
+// expressions point at one execCtx; a plan that outlives a run
+// (selectPlan) refills it in place for the next (bindRead).
 type execCtx struct {
 	conn *Conn
 
@@ -581,44 +610,68 @@ func (ec *execCtx) close() {
 	for i := len(ec.closers) - 1; i >= 0; i-- {
 		ec.closers[i]()
 	}
-	ec.closers = nil
+	clear(ec.closers)
+	ec.closers = ec.closers[:0]
 	if ec.snapReader != nil {
 		obs.AddCost(&ec.stats.Counters, &ec.snapReader.Counters)
 	}
 	if ec.readSet != nil {
 		ec.conn.lastReadSet = ec.readSet
 	}
+	// Drop the binding's references: a plan kept for later runs must not
+	// hold this run's read transactions and reader.
+	ec.mainPager, ec.sidePager, ec.snapReader, ec.readSet = nil, nil, nil, nil
 }
 
 // resolveTable finds a table by name, looking in the side store first
 // (temp shadows main, as in SQLite) and then the main store.
-func (ec *execCtx) resolveTable(name string) (*Table, *schema, storage.Pager, error) {
+func (ec *execCtx) resolveTable(name string) (*Table, *schema, error) {
 	if t := ec.sideSchema.table(name); t != nil {
-		return t, ec.sideSchema, ec.sidePager, nil
+		return t, ec.sideSchema, nil
 	}
 	if t := ec.mainSchema.table(name); t != nil {
-		return t, ec.mainSchema, ec.mainPager, nil
+		return t, ec.mainSchema, nil
 	}
-	return nil, nil, nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+	return nil, nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+}
+
+// pagerFor returns the pager the binding reads t through: the side
+// store's for temp tables, the main store's otherwise.
+func (ec *execCtx) pagerFor(t *Table) storage.Pager {
+	if t.Temp {
+		return ec.sidePager
+	}
+	return ec.mainPager
 }
 
 // newReadCtx builds an execution context for a read-only statement.
-// When set is non-nil and contains asOf, the snapshot is served from
-// the set's batch-built SPT (O(1) open, no fresh MVCC pin).
 func (c *Conn) newReadCtx(set *ReaderSet, asOf retro.SnapshotID, params []record.Value, stats *ExecStats) (*execCtx, error) {
-	ec := &execCtx{conn: c, asOf: asOf, params: params, stats: stats}
+	ec := &execCtx{}
+	if err := c.bindRead(ec, set, asOf, params, stats); err != nil {
+		return nil, err
+	}
+	return ec, nil
+}
+
+// bindRead fills ec with the binding of a read-only statement. When set
+// is non-nil and contains asOf, the snapshot is served from the set's
+// batch-built SPT (O(1) open, no fresh MVCC pin). The schemas come from
+// the catalog bytes memos, so a binding whose catalogs equal the
+// previous one's gets the same *schema values.
+func (c *Conn) bindRead(ec *execCtx, set *ReaderSet, asOf retro.SnapshotID, params []record.Value, stats *ExecStats) error {
+	*ec = execCtx{conn: c, asOf: asOf, params: params, stats: stats, closers: ec.closers[:0]}
 
 	// Side store: always the current state.
 	srt, err := c.db.side.BeginRead()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ec.closers = append(ec.closers, srt.Close)
 	ec.sidePager = srt
 	ec.sideSchema, err = c.db.currentSchema(c.db.side, srt, srt.LSN(), true)
 	if err != nil {
 		ec.close()
-		return nil, err
+		return err
 	}
 
 	// Main store: snapshot, explicit transaction, or current state.
@@ -627,7 +680,7 @@ func (c *Conn) newReadCtx(set *ReaderSet, asOf retro.SnapshotID, params []record
 		r, err := openSnapReader(c.db.rsys, set, asOf)
 		if err != nil {
 			ec.close()
-			return nil, err
+			return err
 		}
 		ec.snapReader = r
 		ec.closers = append(ec.closers, r.Close)
@@ -651,43 +704,44 @@ func (c *Conn) newReadCtx(set *ReaderSet, asOf retro.SnapshotID, params []record
 			r.RecordReadSet(ec.readSet)
 		}
 		// The snapshot's own catalog: schema as of the snapshot.
-		ec.mainSchema, err = loadSchema(r, false)
+		ec.mainSchema, err = c.db.mainMemo.load(r, false)
 		if err != nil {
 			ec.close()
-			return nil, err
+			return err
 		}
 	case c.mainTx != nil:
 		ec.mainPager = c.mainTx
-		ec.mainSchema, err = loadSchema(c.mainTx, false)
+		ec.mainSchema, err = c.db.mainMemo.load(c.mainTx, false)
 		if err != nil {
 			ec.close()
-			return nil, err
+			return err
 		}
 	default:
 		mrt, err := c.db.main.BeginRead()
 		if err != nil {
 			ec.close()
-			return nil, err
+			return err
 		}
 		ec.closers = append(ec.closers, mrt.Close)
 		ec.mainPager = mrt
 		ec.mainSchema, err = c.db.currentSchema(c.db.main, mrt, mrt.LSN(), false)
 		if err != nil {
 			ec.close()
-			return nil, err
+			return err
 		}
 	}
-	return ec, nil
+	return nil
 }
 
-// execStmt dispatches one parsed statement.
-func (c *Conn) execStmt(stmt Statement, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
+// execStmt dispatches one parsed statement. p, when non-nil, is the
+// statement's plan slot for a SELECT run again later (ExecAsOfSet).
+func (c *Conn) execStmt(stmt Statement, p *selectPlan, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
 	start := time.Now()
 	stats := ExecStats{}
 	var err error
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		err = c.execSelect(s, set, asOf, cb, params, &stats, nil)
+		err = c.execSelect(s, p, set, asOf, cb, params, &stats, nil)
 	case *ExplainStmt:
 		if s.Analyze {
 			err = c.execExplainAnalyze(s, set, asOf, cb, params, &stats)
@@ -750,40 +804,42 @@ func (c *Conn) execStmt(stmt Statement, set *ReaderSet, asOf retro.SnapshotID, c
 	return err
 }
 
-// execSelect runs a SELECT, streaming rows to cb. plan, when non-nil,
-// receives the description of the iterator tree that ran (EXPLAIN
-// ANALYZE).
-func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats, plan *[]string) error {
+// execSelect runs a SELECT, streaming rows to cb. p, when non-nil, is a
+// plan kept across runs: its tree is planned when it has none or when
+// the binding's schemas are not the ones it was planned against, and is
+// otherwise rebound and reset; its rows are lent to cb. Without p the
+// statement is planned for this run, and cb gets rows to keep. plan,
+// when non-nil, receives the description of the iterator tree that ran
+// (EXPLAIN ANALYZE).
+func (c *Conn) execSelect(s *SelectStmt, p *selectPlan, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats, plan *[]string) error {
 	asOf, err := c.selectAsOf(s, asOf, params)
 	if err != nil {
 		return err
 	}
-	ec, err := c.newReadCtx(set, asOf, params, stats)
-	if err != nil {
+	lend := p != nil
+	if !lend {
+		p = &selectPlan{}
+	}
+	ec := &p.ec
+	if err := c.bindRead(ec, set, asOf, params, stats); err != nil {
 		return err
 	}
 	defer ec.close()
 
 	err = func() error {
-		var planStart time.Time
-		if c.curStmt != nil {
-			planStart = time.Now()
+		if p.fin == nil || p.main != ec.mainSchema || p.side != ec.sideSchema {
+			if err := c.plan(s, p); err != nil {
+				return err
+			}
+			p.fin.copyOut = !lend
 		}
-		it, cols, err := planSelect(s, ec)
-		if c.curStmt != nil {
-			obs.Record(c.curStmt, "sql.plan", planStart, time.Since(planStart))
-		}
-		if err != nil {
+		it := p.fin
+		defer it.Close()
+		if err := it.reset(); err != nil {
 			return err
 		}
-		defer it.Close()
 		if plan != nil {
 			describe(it, 0, plan)
-		}
-
-		names := make([]string, len(cols))
-		for i, ci := range cols {
-			names[i] = ci.name
 		}
 		for {
 			row, err := it.Next()
@@ -795,7 +851,7 @@ func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, 
 			}
 			stats.RowsReturned++
 			if cb != nil {
-				if err := cb(names, row); err != nil {
+				if err := cb(p.names, row); err != nil {
 					return err
 				}
 			}
@@ -805,6 +861,28 @@ func (c *Conn) execSelect(s *SelectStmt, set *ReaderSet, asOf retro.SnapshotID, 
 		err = ferr
 	}
 	return err
+}
+
+// plan (re)plans s into p against the schemas of p's current binding.
+func (c *Conn) plan(s *SelectStmt, p *selectPlan) error {
+	var planStart time.Time
+	if c.curStmt != nil {
+		planStart = time.Now()
+	}
+	fin, cols, err := planSelect(s, &p.ec)
+	if c.curStmt != nil {
+		obs.Record(c.curStmt, "sql.plan", planStart, time.Since(planStart))
+	}
+	if err != nil {
+		p.fin = nil
+		return err
+	}
+	p.fin, p.main, p.side = fin, p.ec.mainSchema, p.ec.sideSchema
+	p.names = make([]string, len(cols))
+	for i, ci := range cols {
+		p.names[i] = ci.name
+	}
+	return nil
 }
 
 // selectAsOf returns the snapshot a SELECT reads: the one its own AS OF

@@ -836,3 +836,37 @@ func TestExplainAnalyze(t *testing.T) {
 	mustExec(t, c, `INSERT INTO analyze VALUES (7)`)
 	expectRows(t, q(t, c, `SELECT analyze FROM analyze`), "7")
 }
+
+// TestIntegerOverflow: 64-bit integer arithmetic never wraps. +, -, *
+// and unary minus that overflow compute in REAL, as SQLite's do, and
+// SUM() of integers that overflows fails the statement.
+func TestIntegerOverflow(t *testing.T) {
+	c := testConn(t)
+	mustExec(t, c, `CREATE TABLE big (a INTEGER)`)
+	mustExec(t, c, `INSERT INTO big VALUES (9223372036854775807), (1)`)
+	for _, tc := range []struct{ expr, want string }{
+		{`9223372036854775807 + 1`, "9.223372036854776e+18 REAL"},
+		{`(-9223372036854775807 - 1) - 1`, "-9.223372036854776e+18 REAL"},
+		{`4611686018427387904 * 2`, "9.223372036854776e+18 REAL"},
+		{`-3037000500 * 3037000500`, "-9.22337203700025e+18 REAL"},
+		{`-(-9223372036854775807 - 1)`, "9.223372036854776e+18 REAL"},
+		{`(-9223372036854775807 - 1) / -1`, "9.223372036854776e+18 REAL"},
+		{`9223372036854775806 + 1`, "9223372036854775807 INTEGER"},
+		{`-9223372036854775807 - 1`, "-9223372036854775808 INTEGER"},
+		{`3037000499 * 3037000499`, "9223372030926249001 INTEGER"},
+		{`(-9223372036854775807 - 1) % -1`, "0 INTEGER"},
+	} {
+		rows, err := c.Query(`SELECT ` + tc.expr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.expr, err)
+		}
+		v := rows.Rows[0][0]
+		if got := fmt.Sprintf("%v %v", v, v.Type()); got != tc.want {
+			t.Errorf("SELECT %s = %s, want %s", tc.expr, got, tc.want)
+		}
+	}
+	if _, err := c.Query(`SELECT SUM(a) FROM big`); err == nil || !strings.Contains(err.Error(), "integer overflow") {
+		t.Errorf("SUM over an overflowing integer column: err = %v, want integer overflow", err)
+	}
+	expectRows(t, q(t, c, `SELECT SUM(a - 1) FROM big`), "9223372036854775806")
+}

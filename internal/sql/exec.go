@@ -3,6 +3,7 @@ package sql
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/maphash"
 	"sort"
 	"time"
 
@@ -12,10 +13,18 @@ import (
 )
 
 // iterator is the volcano-style row iterator every executor node
-// implements. Next returns nil at end of stream. The returned row
-// belongs to the iterator, which overwrites it on its next call: a
-// consumer that keeps a row past that call copies it first (cloneRow).
+// implements. A tree of them is a plan: built once against a schema and
+// run any number of times, each run over the binding its execCtx holds
+// then (pagers, snapshot, parameters). reset starts a run: it rewinds
+// the node onto the current binding — cursors re-open on the binding's
+// pagers, constant key bounds are re-evaluated, per-run state is cleared
+// for reuse — and precedes the first Next of every run. Next returns nil
+// at end of stream. The returned row belongs to the iterator, which
+// overwrites it on its next call or run: a consumer that keeps a row past
+// that call copies it first (cloneRow). Close ends the run, releasing
+// what it acquired; the tree stays reusable.
 type iterator interface {
+	reset() error
 	Next() ([]record.Value, error)
 	Close() error
 }
@@ -42,6 +51,8 @@ func decodeRowidKey(key []byte) int64 {
 // oneRowIter yields a single empty row (FROM-less SELECT).
 type oneRowIter struct{ done bool }
 
+func (i *oneRowIter) reset() error { i.done = false; return nil }
+
 func (i *oneRowIter) Next() ([]record.Value, error) {
 	if i.done {
 		return nil, nil
@@ -67,6 +78,14 @@ type scanRow struct {
 
 var poisonValue = record.Text("\x00poisoned scan row\x00")
 
+// poisonRow overwrites a reused buffer up to its capacity (DB.poisonScans).
+func poisonRow(row []record.Value) {
+	row = row[:cap(row)]
+	for k := range row {
+		row[k] = poisonValue
+	}
+}
+
 func newScanRow(ec *execCtx, t *Table, need []bool) scanRow {
 	return scanRow{vals: make([]record.Value, len(t.Cols)+1), need: need, poison: ec.conn.db.poisonScans}
 }
@@ -75,9 +94,7 @@ func newScanRow(ec *execCtx, t *Table, need []bool) scanRow {
 // record predates (it is shorter than the table) read as NULL.
 func (r *scanRow) decode(data []byte, rowid int64) ([]record.Value, error) {
 	if r.poison {
-		for k := range r.vals {
-			r.vals[k] = poisonValue
-		}
+		poisonRow(r.vals)
 	}
 	ncols := len(r.vals) - 1
 	n, err := record.DecodeRowInto(r.vals[:ncols], data, r.need)
@@ -104,13 +121,23 @@ func (r *scanRow) fetch(tbl *btree.Tree, rowid int64) ([]record.Value, error) {
 // tableScanIter scans a table in rowid order, emitting the columns
 // followed by the hidden rowid.
 type tableScanIter struct {
+	ec      *execCtx
+	table   *Table
+	tree    *btree.Tree // re-opened on the binding's pager by reset
 	cur     *btree.Cursor
 	row     scanRow
 	started bool
 }
 
-func newTableScan(ec *execCtx, p storage.Pager, t *Table, need []bool) *tableScanIter {
-	return &tableScanIter{cur: btree.Open(p, t.Root).Cursor(), row: newScanRow(ec, t, need)}
+func newTableScan(ec *execCtx, t *Table, need []bool) *tableScanIter {
+	tree := btree.Open(nil, t.Root)
+	return &tableScanIter{ec: ec, table: t, tree: tree, cur: tree.Cursor(), row: newScanRow(ec, t, need)}
+}
+
+func (i *tableScanIter) reset() error {
+	i.tree.Reopen(i.ec.pagerFor(i.table), i.table.Root)
+	i.started = false
+	return nil
 }
 
 func (i *tableScanIter) Next() ([]record.Value, error) {
@@ -134,19 +161,57 @@ func (i *tableScanIter) Next() ([]record.Value, error) {
 func (i *tableScanIter) Close() error { return nil }
 
 // indexScanIter scans one index over a constant key range, fetching
-// full rows from the table. lo is the seek target; the scan continues
-// while the index key starts with eqPrefix (equality scans) and, for
-// range scans, while checkHi admits the first key column.
+// full rows from the table. The range is planned as constant
+// expressions and evaluated by reset, against the run's binding: eq
+// holds the leading index columns' values of an equality scan, whose
+// encoding is both the seek target and the prefix every key must carry;
+// a range scan seeks to lo (nil: the first key) and stops past hi (nil:
+// no upper bound) on the first key column.
 type indexScanIter struct {
-	table    *Table
-	index    *Index
-	idxCur   *btree.Cursor
-	tbl      *btree.Tree
-	row      scanRow
-	lo       []byte
-	eqPrefix []byte
-	checkHi  func(v record.Value) bool // nil = no upper bound
-	started  bool
+	table   *Table
+	index   *Index
+	idxTree *btree.Tree
+	idxCur  *btree.Cursor
+	tbl     *btree.Tree
+	row     scanRow
+	eq      []compiledExpr
+	lo, hi  compiledExpr
+
+	rc      rowCtx
+	vals    []record.Value
+	seek    []byte
+	hiVal   record.Value
+	started bool
+}
+
+func (i *indexScanIter) reset() error {
+	p := i.rc.ec.pagerFor(i.table)
+	i.idxTree.Reopen(p, i.index.Root)
+	i.tbl.Reopen(p, i.table.Root)
+	i.started = false
+	i.vals = i.vals[:0]
+	for _, e := range i.eq {
+		v, err := e(&i.rc)
+		if err != nil {
+			return err
+		}
+		i.vals = append(i.vals, v)
+	}
+	if i.lo != nil {
+		v, err := i.lo(&i.rc)
+		if err != nil {
+			return err
+		}
+		i.vals = append(i.vals, v)
+	}
+	i.seek = record.EncodeKey(i.seek[:0], i.vals)
+	if i.hi != nil {
+		var err error
+		if i.hiVal, err = i.hi(&i.rc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (i *indexScanIter) Next() ([]record.Value, error) {
@@ -155,7 +220,7 @@ func (i *indexScanIter) Next() ([]record.Value, error) {
 		var err error
 		if !i.started {
 			i.started = true
-			ok, err = i.idxCur.Seek(i.lo)
+			ok, err = i.idxCur.Seek(i.seek)
 		} else {
 			ok, err = i.idxCur.Next()
 		}
@@ -163,15 +228,15 @@ func (i *indexScanIter) Next() ([]record.Value, error) {
 			return nil, err
 		}
 		key := i.idxCur.Key()
-		if i.eqPrefix != nil && !bytes.HasPrefix(key, i.eqPrefix) {
+		if len(i.eq) > 0 && !bytes.HasPrefix(key, i.seek) {
 			return nil, nil
 		}
-		if i.checkHi != nil {
+		if i.hi != nil {
 			first, _, err := record.DecodeKeyValue(key)
 			if err != nil {
 				return nil, err
 			}
-			if !i.checkHi(first) {
+			if record.Compare(first, i.hiVal) > 0 {
 				return nil, nil
 			}
 		}
@@ -200,6 +265,8 @@ type filterIter struct {
 	cond compiledExpr
 	rc   rowCtx
 }
+
+func (i *filterIter) reset() error { return i.src.reset() }
 
 func (i *filterIter) Next() ([]record.Value, error) {
 	for {
@@ -233,6 +300,12 @@ type joinCore struct {
 	joined   []record.Value
 }
 
+// reset starts a run: no outer row yet.
+func (j *joinCore) reset() error {
+	j.outerRow = nil
+	return j.outer.reset()
+}
+
 // emit concatenates the current outer row with inner.
 func (j *joinCore) emit(inner []record.Value) []record.Value {
 	j.joined = append(append(j.joined[:0], j.outerRow...), inner...)
@@ -264,16 +337,16 @@ func (j *joinCore) nextOuter(key compiledExpr, prefix []byte) ([]byte, error) {
 // usable native index by first building a transient covering index — a
 // real scratch B-tree keyed by the join column with the full inner row
 // as payload, just like SQLite's "automatic index" — and then probing
-// it per outer row. The build time is recorded in ExecStats.AutoIndex,
-// which Figure 9's index-creation bars measure.
+// it per outer row. The index is built anew by every run, on its first
+// Next: its build time, recorded in ExecStats.AutoIndex, is what Figure
+// 9's index-creation bars measure per iteration.
 type autoIndexJoin struct {
 	joinCore
 	outerKey compiledExpr
 
-	// buildInner opens the inner side's access path on first use.
-	buildInner func() (iterator, error)
-	innerKey   compiledExpr
-	inner      []record.Value // the current index entry's payload, decoded: one inner row
+	inner    iterator // the inner side's access path, run once per build
+	innerKey compiledExpr
+	innerRow []record.Value // the current index entry's payload, decoded: one inner row
 
 	built    bool
 	buildErr error
@@ -284,11 +357,16 @@ type autoIndexJoin struct {
 	cur    *btree.Cursor
 }
 
+func (i *autoIndexJoin) reset() error {
+	i.built, i.buildErr = false, nil
+	return i.joinCore.reset()
+}
+
 func (i *autoIndexJoin) build() error {
 	start := time.Now()
 	defer func() { i.rc.ec.stats.AutoIndex += time.Since(start) }()
-	inner, err := i.buildInner()
-	if err != nil {
+	inner := i.inner
+	if err := inner.reset(); err != nil {
 		return err
 	}
 	defer inner.Close()
@@ -359,10 +437,10 @@ func (i *autoIndexJoin) Next() ([]record.Value, error) {
 			i.outerRow = nil
 			continue
 		}
-		if _, err = record.DecodeRowInto(i.inner, i.cur.Value(), nil); err != nil {
+		if _, err = record.DecodeRowInto(i.innerRow, i.cur.Value(), nil); err != nil {
 			return nil, err
 		}
-		return i.emit(i.inner), nil
+		return i.emit(i.innerRow), nil
 	}
 }
 
@@ -382,10 +460,18 @@ type indexJoinIter struct {
 	index    *Index
 	outerKey compiledExpr
 
-	idxCur *btree.Cursor
-	tbl    *btree.Tree
-	inner  scanRow
-	prefix []byte
+	idxTree *btree.Tree
+	idxCur  *btree.Cursor
+	tbl     *btree.Tree
+	inner   scanRow
+	prefix  []byte
+}
+
+func (i *indexJoinIter) reset() error {
+	p := i.rc.ec.pagerFor(i.table)
+	i.idxTree.Reopen(p, i.index.Root)
+	i.tbl.Reopen(p, i.table.Root)
+	return i.joinCore.reset()
 }
 
 func (i *indexJoinIter) Next() ([]record.Value, error) {
@@ -423,10 +509,13 @@ func (i *indexJoinIter) Next() ([]record.Value, error) {
 }
 func (i *indexJoinIter) Close() error { return i.outer.Close() }
 
-// drain materializes an iterator, copying every row out of the buffers
-// the iterators reuse (INSERT … SELECT, DML match sets).
+// drain runs an iterator once, copying every row out of the buffers the
+// iterators reuse (INSERT … SELECT, DML match sets).
 func drain(it iterator) ([][]record.Value, error) {
 	defer it.Close()
+	if err := it.reset(); err != nil {
+		return nil, err
+	}
 	var rows [][]record.Value
 	for {
 		row, err := it.Next()
@@ -457,6 +546,12 @@ type aggSpec struct {
 // columns (SQLite semantics: values from the representative row, which
 // for a single min/max aggregate is the row that set the extreme) and
 // aggregate slots.
+//
+// The groups of a run — their key, representative row and aggregate
+// states — are recycled by the next run of the plan, and a group is
+// found through a map keyed by the hash of its encoded key, so a run
+// that sees no more groups than an earlier one allocates nothing per
+// group.
 type aggregateIter struct {
 	src       iterator
 	groupBy   []compiledExpr
@@ -466,10 +561,37 @@ type aggregateIter struct {
 	// emitEmptyGroup: aggregate query with no GROUP BY emits one row
 	// even on empty input.
 	emitEmptyGroup bool
+	poison         bool // DB.poisonScans: recycled rows are overwritten
 
+	rc     rowCtx
+	seed   maphash.Seed
+	index  map[uint64]*aggGroup // key hash -> group, collisions chained via next
+	groups []*aggGroup          // this run's groups in first-seen (output) order
+	free   []*aggGroup          // groups of earlier runs, ready for reuse
+	keyBuf []byte
 	done   bool
-	out    [][]record.Value
 	outIdx int
+}
+
+type aggGroup struct {
+	key    []byte
+	next   *aggGroup
+	rep    []record.Value
+	states []aggState
+}
+
+func (i *aggregateIter) reset() error {
+	for _, g := range i.groups {
+		if i.poison {
+			poisonRow(g.rep)
+		}
+		g.next = nil
+	}
+	i.free = append(i.free, i.groups...)
+	i.groups = i.groups[:0]
+	clear(i.index)
+	i.done, i.outIdx = false, 0
+	return i.src.reset()
 }
 
 func (i *aggregateIter) Next() ([]record.Value, error) {
@@ -479,31 +601,69 @@ func (i *aggregateIter) Next() ([]record.Value, error) {
 		}
 		i.done = true
 	}
-	if i.outIdx >= len(i.out) {
+	if i.outIdx >= len(i.groups) {
 		return nil, nil
 	}
-	row := i.out[i.outIdx]
+	row := i.groups[i.outIdx].rep
 	i.outIdx++
 	return row, nil
 }
 
 func (i *aggregateIter) Close() error { return i.src.Close() }
 
-type aggGroup struct {
-	rep    []record.Value
-	states []aggState
+// group returns the group of the current key (i.keyBuf), starting it
+// with row as its representative when the key is new.
+func (i *aggregateIter) group(row []record.Value) (*aggGroup, error) {
+	h := maphash.Bytes(i.seed, i.keyBuf)
+	for g := i.index[h]; g != nil; g = g.next {
+		if bytes.Equal(g.key, i.keyBuf) {
+			return g, nil
+		}
+	}
+	g, err := i.newGroup()
+	if err != nil {
+		return nil, err
+	}
+	g.key = append(g.key[:0], i.keyBuf...)
+	g.rep = append(g.rep[:0], row...)
+	g.next = i.index[h]
+	i.index[h] = g
+	return g, nil
+}
+
+// newGroup takes a recycled group, its states emptied, or makes one.
+func (i *aggregateIter) newGroup() (*aggGroup, error) {
+	var g *aggGroup
+	if n := len(i.free); n > 0 {
+		g = i.free[n-1]
+		i.free = i.free[:n-1]
+		for _, st := range g.states {
+			st.reset()
+		}
+	} else {
+		// Room for the aggregate slots: the group's output row is its
+		// representative row extended in place.
+		g = &aggGroup{rep: make([]record.Value, 0, i.inputCols+len(i.specs))}
+		for _, spec := range i.specs {
+			st, err := newAggState(spec.call.Name)
+			if err != nil {
+				return nil, err
+			}
+			if spec.call.Distinct {
+				st = newDistinctAgg(st)
+			}
+			g.states = append(g.states, st)
+		}
+	}
+	i.groups = append(i.groups, g)
+	return g, nil
 }
 
 func (i *aggregateIter) run() error {
-	groups := make(map[string]*aggGroup)
-	var order []string
-
 	// The representative-row refinement applies when exactly one
 	// aggregate exists and it is min or max.
 	repFollowsExtreme := len(i.specs) == 1 && i.specs[0].isMinMax
 
-	rc := &rowCtx{ec: i.ec}
-	var keyBuf []byte
 	for {
 		row, err := i.src.Next()
 		if err != nil {
@@ -512,40 +672,25 @@ func (i *aggregateIter) run() error {
 		if row == nil {
 			break
 		}
-		rc.row = row
-		keyBuf = keyBuf[:0]
+		i.rc.row = row
+		i.keyBuf = i.keyBuf[:0]
 		for _, g := range i.groupBy {
-			v, err := g(rc)
+			v, err := g(&i.rc)
 			if err != nil {
 				return err
 			}
-			keyBuf = record.EncodeKey(keyBuf, []record.Value{v})
+			i.keyBuf = record.EncodeKey(i.keyBuf, []record.Value{v})
 		}
-		grp := groups[string(keyBuf)] // no key string is built for a lookup
-		if grp == nil {
-			key := string(keyBuf)
-			// Room for the aggregate slots: the group's output row is
-			// its representative row extended in place.
-			grp = &aggGroup{rep: append(make([]record.Value, 0, i.inputCols+len(i.specs)), row...)}
-			for _, spec := range i.specs {
-				st, err := newAggState(spec.call.Name)
-				if err != nil {
-					return err
-				}
-				if spec.call.Distinct {
-					st = newDistinctAgg(st)
-				}
-				grp.states = append(grp.states, st)
-			}
-			groups[key] = grp
-			order = append(order, key)
+		grp, err := i.group(row)
+		if err != nil {
+			return err
 		}
 		for k, spec := range i.specs {
 			var v record.Value
 			if spec.arg == nil {
 				v = record.Int(1) // count(*): any non-null
 			} else {
-				v, err = spec.arg(rc)
+				v, err = spec.arg(&i.rc)
 				if err != nil {
 					return err
 				}
@@ -557,32 +702,25 @@ func (i *aggregateIter) run() error {
 		}
 	}
 
-	if len(groups) == 0 && i.emitEmptyGroup {
-		grp := &aggGroup{rep: make([]record.Value, i.inputCols)}
-		for k := range grp.rep {
-			grp.rep[k] = record.Null()
+	if len(i.groups) == 0 && i.emitEmptyGroup {
+		grp, err := i.newGroup()
+		if err != nil {
+			return err
 		}
-		for _, spec := range i.specs {
-			st, err := newAggState(spec.call.Name)
+		grp.rep = grp.rep[:0]
+		for range i.inputCols {
+			grp.rep = append(grp.rep, record.Null())
+		}
+	}
+
+	for _, grp := range i.groups {
+		for _, st := range grp.states {
+			v, err := st.final()
 			if err != nil {
 				return err
 			}
-			if spec.call.Distinct {
-				st = newDistinctAgg(st)
-			}
-			grp.states = append(grp.states, st)
+			grp.rep = append(grp.rep, v)
 		}
-		groups[""] = grp
-		order = append(order, "")
-	}
-
-	for _, key := range order {
-		grp := groups[key]
-		row := grp.rep
-		for _, st := range grp.states {
-			row = append(row, st.final())
-		}
-		i.out = append(i.out, row)
 	}
 	return nil
 }
@@ -593,12 +731,19 @@ func (i *aggregateIter) run() error {
 
 // pairRow is one projected row together with the source row it was
 // computed from, which later sort stages still evaluate their keys
-// against. The pairRow and its src belong to the producing iterator and
-// are overwritten by its next call; proj is freshly allocated, because
-// result rows are handed to callbacks and sorts that keep them.
+// against. The pairRow, proj and src all belong to the producing
+// iterators and are overwritten by their next call: finalIter copies a
+// projected row it keeps (a sort) or hands to a caller that may keep it.
 type pairRow struct {
 	proj []record.Value
 	src  []record.Value
+}
+
+// pairIterator is the iterator contract over pair rows.
+type pairIterator interface {
+	reset() error
+	Next() (*pairRow, error)
+	Close() error
 }
 
 // distinctPairIter deduplicates projected rows.
@@ -606,6 +751,11 @@ type distinctPairIter struct {
 	src  *projectPairIter
 	seen map[string]bool
 	key  []byte
+}
+
+func (i *distinctPairIter) reset() error {
+	clear(i.seen)
+	return i.src.reset()
 }
 
 func (i *distinctPairIter) Next() (*pairRow, error) {
@@ -627,55 +777,89 @@ func (i *distinctPairIter) Next() (*pairRow, error) {
 }
 func (i *distinctPairIter) Close() error { return i.src.Close() }
 
-// projectPairIter computes the projection while retaining the source row.
+// projectPairIter computes the projection into one output row it owns
+// and reuses, while retaining the source row.
 type projectPairIter struct {
-	src   iterator
-	exprs []compiledExpr
-	rc    rowCtx
-	pair  pairRow
+	src    iterator
+	exprs  []compiledExpr
+	rc     rowCtx
+	out    []record.Value
+	pair   pairRow
+	poison bool // DB.poisonScans: out is overwritten before each fill
 }
+
+func (i *projectPairIter) reset() error { return i.src.reset() }
 
 func (i *projectPairIter) Next() (*pairRow, error) {
 	row, err := i.src.Next()
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := make([]record.Value, len(i.exprs))
+	if i.poison {
+		poisonRow(i.out)
+	}
 	i.rc.row = row
 	for k, e := range i.exprs {
 		v, err := e(&i.rc)
 		if err != nil {
 			return nil, err
 		}
-		out[k] = v
+		i.out[k] = v
 	}
-	i.pair = pairRow{proj: out, src: row}
+	i.pair = pairRow{proj: i.out, src: row}
 	return &i.pair, nil
 }
 func (i *projectPairIter) Close() error { return i.src.Close() }
 
 // finalIter adapts the pair stream to the iterator interface, applying
-// ORDER BY (materializing), LIMIT and OFFSET.
+// ORDER BY (materializing), LIMIT and OFFSET. The LIMIT and OFFSET
+// expressions are constants evaluated by reset. A sorted run returns
+// rows it copied; a streaming one returns the projection's reused row,
+// or a copy of it when copyOut is set — what a caller that may keep its
+// rows (RowCallback of Exec and ExecAsOf) gets.
 type finalIter struct {
-	pairs interface {
-		Next() (*pairRow, error)
-		Close() error
-	}
+	pairs   pairIterator
 	orderBy []compiledExpr // evaluated against the source row
 	desc    []bool
 	// project-row ordinals: when an ORDER BY term is a literal integer
 	// N, sort by projected column N (1-based). ordinal[k] >= 0 wins
 	// over orderBy[k].
 	ordinal []int
+	limitE  compiledExpr // nil = no LIMIT
+	offsetE compiledExpr // nil = no OFFSET
+	ec      *execCtx
+	copyOut bool
+
+	rc      rowCtx
 	limit   int64 // -1 = no limit
 	offset  int64
-	ec      *execCtx
-
 	sorted  bool
 	rows    [][]record.Value // projected rows, in output order once sorted
 	keys    [][]record.Value
 	idx     int
 	emitted int64
+}
+
+func (i *finalIter) reset() error {
+	i.limit, i.offset = -1, 0
+	if i.limitE != nil {
+		v, err := i.limitE(&i.rc)
+		if err != nil {
+			return err
+		}
+		i.limit = v.AsInt()
+	}
+	if i.offsetE != nil {
+		v, err := i.offsetE(&i.rc)
+		if err != nil {
+			return err
+		}
+		i.offset = max(v.AsInt(), 0)
+	}
+	i.sorted = false
+	i.rows, i.keys = i.rows[:0], i.keys[:0]
+	i.idx, i.emitted = 0, 0
+	return i.pairs.reset()
 }
 
 func (i *finalIter) Next() ([]record.Value, error) {
@@ -696,6 +880,9 @@ func (i *finalIter) Next() ([]record.Value, error) {
 			return nil, err
 		}
 		i.emitted++
+		if i.copyOut {
+			return cloneRow(pr.proj), nil
+		}
 		return pr.proj, nil
 	}
 	if !i.sorted {
@@ -721,7 +908,7 @@ func (i *finalIter) Next() ([]record.Value, error) {
 // source row while that row is still current, so only the projected row
 // and the key outlive the pair.
 func (i *finalIter) sortAll() error {
-	rc := &rowCtx{ec: i.ec}
+	rc := &i.rc
 	for {
 		pr, err := i.pairs.Next()
 		if err != nil {
@@ -743,7 +930,7 @@ func (i *finalIter) sortAll() error {
 			}
 			key[k] = v
 		}
-		i.rows = append(i.rows, pr.proj)
+		i.rows = append(i.rows, cloneRow(pr.proj))
 		i.keys = append(i.keys, key)
 	}
 	// Sort indices so rows and keys stay aligned.
@@ -778,5 +965,6 @@ func (i *finalIter) Close() error { return i.pairs.Close() }
 // passPairIter wraps a pair source without deduplication.
 type passPairIter struct{ src *projectPairIter }
 
+func (i *passPairIter) reset() error            { return i.src.reset() }
 func (i *passPairIter) Next() (*pairRow, error) { return i.src.Next() }
 func (i *passPairIter) Close() error            { return i.src.Close() }

@@ -47,7 +47,7 @@ func describe(it any, depth int, out *[]string) {
 		add("SCAN TABLE (%d columns)", len(x.row.vals)-1)
 	case *indexScanIter:
 		kind := "RANGE"
-		if x.eqPrefix != nil {
+		if len(x.eq) > 0 {
 			kind = "EQUALITY"
 		}
 		add("SEARCH TABLE %s USING INDEX (%s)", x.table.Name, kind)
@@ -105,6 +105,9 @@ func (c *Conn) execExplain(s *ExplainStmt, set *ReaderSet, asOf retro.SnapshotID
 		return err
 	}
 	defer it.Close()
+	if err := it.reset(); err != nil { // evaluates LIMIT and OFFSET
+		return err
+	}
 	var lines []string
 	describe(it, 0, &lines)
 	for _, line := range lines {
@@ -131,7 +134,7 @@ func (c *Conn) execExplainAnalyze(s *ExplainStmt, set *ReaderSet, asOf retro.Sna
 	c.lastMech = nil
 	start := time.Now()
 	var lines []string
-	if err := c.execSelect(s.Select, set, asOf, nil, params, stats, &lines); err != nil {
+	if err := c.execSelect(s.Select, nil, set, asOf, nil, params, stats, &lines); err != nil {
 		return err
 	}
 	stats.Duration = time.Since(start)

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -138,7 +139,7 @@ func compileExpr(e Expr, env *compileEnv) (compiledExpr, error) {
 				if err != nil || v.IsNull() {
 					return record.Null(), err
 				}
-				if v.Type() == record.TypeInt {
+				if v.Type() == record.TypeInt && v.Int() != math.MinInt64 {
 					return record.Int(-v.Int()), nil
 				}
 				return record.Float(-v.AsFloat()), nil
@@ -343,9 +344,10 @@ func compileBinary(x *BinaryExpr, env *compileEnv) (compiledExpr, error) {
 }
 
 // arith implements SQL arithmetic with SQLite semantics: NULL
-// propagates, integer op integer stays integer (except /0 -> NULL),
-// anything else computes in float — except %, which SQLite computes on
-// the operands cast to integers (NULL when the divisor casts to 0).
+// propagates, integer op integer stays integer (except /0 -> NULL, and
+// a +, - or * that overflows 64 bits, which computes in float), anything
+// else computes in float — except %, which SQLite computes on the
+// operands cast to integers (NULL when the divisor casts to 0).
 func arith(op string, a, b record.Value) (record.Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return record.Null(), nil
@@ -354,14 +356,23 @@ func arith(op string, a, b record.Value) (record.Value, error) {
 		x, y := a.Int(), b.Int()
 		switch op {
 		case "+":
-			return record.Int(x + y), nil
+			if r, ok := addInt64(x, y); ok {
+				return record.Int(r), nil
+			}
 		case "-":
-			return record.Int(x - y), nil
+			if r, ok := subInt64(x, y); ok {
+				return record.Int(r), nil
+			}
 		case "*":
-			return record.Int(x * y), nil
+			if r, ok := mulInt64(x, y); ok {
+				return record.Int(r), nil
+			}
 		case "/":
 			if y == 0 {
 				return record.Null(), nil
+			}
+			if x == math.MinInt64 && y == -1 {
+				break // the quotient overflows
 			}
 			return record.Int(x / y), nil
 		case "%":
@@ -434,6 +445,29 @@ func compileFuncCall(x *FuncCall, env *compileEnv) (compiledExpr, error) {
 		fc := &FuncContext{ec: rc.ec, callSite: callSite}
 		return def.Fn(fc, vals)
 	}, nil
+}
+
+// addInt64, subInt64 and mulInt64 are 64-bit integer arithmetic that
+// reports overflow instead of wrapping.
+func addInt64(x, y int64) (int64, bool) {
+	r := x + y
+	return r, (r > x) == (y > 0)
+}
+
+func subInt64(x, y int64) (int64, bool) {
+	r := x - y
+	return r, (r < x) == (y > 0)
+}
+
+func mulInt64(x, y int64) (int64, bool) {
+	if x == 0 || y == 0 {
+		return 0, true
+	}
+	r := x * y
+	if r/y != x || (x == -1 && y == math.MinInt64) || (y == -1 && x == math.MinInt64) {
+		return 0, false
+	}
+	return r, true
 }
 
 func parseInt(s string) (int64, error)     { return strconv.ParseInt(s, 10, 64) }

@@ -74,8 +74,24 @@ func mechResults(t *testing.T, poison, prune bool) (map[string][]string, int) {
 	ran(r.AggregateDataInTable(c, qs, `SELECT grp, COUNT(*) AS c, AVG(v) AS av FROM m GROUP BY grp`, "r_table", "(c,max):(av,avg)"))
 	ran(r.CollateDataIntoIntervals(c, qs, `SELECT k, grp FROM m WHERE k >= 2 AND k < 15`, "r_intervals"))
 
+	// Re-entry: an outer aggregate whose input rows each run an inner
+	// aggregate Qq on the same connection, while the outer one's groups
+	// are live.
 	out := make(map[string][]string)
-	for _, table := range []string{"r_collate", "r_var", "r_table", "r_intervals"} {
+	err = c.Exec(`SELECT COUNT(*), MAX(AggregateDataInTable(snap_id, 'SELECT grp, COUNT(*) AS n FROM m GROUP BY grp', 'r_reenter', '(n,max)')) FROM SnapIds`,
+		func(_ []string, row []record.Value) error {
+			out["reenter_outer"] = append(out["reenter_outer"], fmt.Sprint(row))
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out["reenter_outer"]; len(got) != 1 || got[0] != "[12 1]" {
+		t.Fatalf("re-entrant statement returned %v, want [[12 1]]", got)
+	}
+	ran(r.AggregateDataInTable(c, qs, `SELECT grp, COUNT(*) AS n FROM m GROUP BY grp`, "r_reenter_go", "(n,max)"))
+
+	for _, table := range []string{"r_collate", "r_var", "r_table", "r_intervals", "r_reenter", "r_reenter_go"} {
 		rows, err := c.Query(`SELECT * FROM ` + table)
 		if err != nil {
 			t.Fatal(err)
@@ -93,12 +109,17 @@ func mechResults(t *testing.T, poison, prune bool) (map[string][]string, int) {
 
 // TestMechanismsUnderPoisonedScans: all four mechanisms — executed
 // iterations, delta-prune replays of cached Qq rows, result-table
-// lookups and in-place updates — produce the same tables whether or not
-// scans poison their row buffers, and whether or not pruning replays.
+// lookups and in-place updates, and a mechanism re-entering the
+// connection of an outer aggregate — produce the same tables whether or
+// not scans, projection rows and recycled aggregate groups are poisoned
+// before reuse, and whether or not pruning replays.
 func TestMechanismsUnderPoisonedScans(t *testing.T) {
 	want, replayed := mechResults(t, false, true)
 	if replayed == 0 {
 		t.Fatal("no iteration was replayed: the history does not exercise delta-prune replay")
+	}
+	if !reflect.DeepEqual(want["r_reenter"], want["r_reenter_go"]) {
+		t.Errorf("re-entrant SQL-form run left %v, the Go-level run %v", want["r_reenter"], want["r_reenter_go"])
 	}
 	for _, tc := range []struct{ poison, prune bool }{{true, true}, {true, false}} {
 		got, _ := mechResults(t, tc.poison, tc.prune)

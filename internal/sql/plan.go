@@ -2,27 +2,46 @@ package sql
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"rql/internal/btree"
 	"rql/internal/record"
-	"rql/internal/storage"
 )
 
+// selectPlan is a SELECT planned once and run many times: the iterator
+// tree and the binding it runs over. The tree (planSelect) depends only
+// on the schemas it was planned against, main and side; everything that
+// depends on a run — pagers, snapshot reader, read-set, parameters,
+// statistics — is in ec, which bindRead refills in place for each run,
+// after which reset rewinds the tree onto it. Per-run state that is
+// worth keeping (scan cursors, aggregate groups, the projection row)
+// lives in the tree's nodes and is reused from run to run; nothing of a
+// run is kept on the Conn, so a plan can run while another plan on the
+// same Conn is mid-run (a mechanism UDF re-entering its Conn).
+type selectPlan struct {
+	ec         execCtx
+	fin        *finalIter // nil until planned
+	names      []string
+	main, side *schema
+}
+
 // planSelect compiles a SELECT into an iterator tree plus the output
-// column descriptions.
-func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
+// column descriptions. The tree depends on ec's schemas only: it reads
+// no page and evaluates no expression until a run starts (reset), so one
+// tree serves every binding of ec whose schemas are the ones it was
+// planned against.
+func planSelect(s *SelectStmt, ec *execCtx) (*finalIter, []colInfo, error) {
 	// ---- FROM tables --------------------------------------------------------
 	type fromItem struct {
 		cols   []colInfo
 		table  *Table
 		schema *schema
-		pager  storage.Pager
 		need   []bool // which row positions the statement reads
 	}
 	var items []fromItem
 	for _, ref := range s.From {
-		t, sch, pager, err := ec.resolveTable(ref.Name)
+		t, sch, err := ec.resolveTable(ref.Name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -31,7 +50,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			alias = strings.ToLower(ref.Name)
 		}
 		need := make([]bool, len(t.Cols)+1)
-		items = append(items, fromItem{cols: baseTableCols(t, alias, need), table: t, schema: sch, pager: pager, need: need})
+		items = append(items, fromItem{cols: baseTableCols(t, alias, need), table: t, schema: sch, need: need})
 	}
 
 	// ---- WHERE conjuncts ---------------------------------------------------
@@ -72,7 +91,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 	// buildBase constructs the access path for one base table, applying
 	// the given single-table conjuncts.
 	buildBase := func(item fromItem, conds []Expr) (iterator, error) {
-		it := pickAccessPath(item.table, item.schema, item.pager, conds, item.need, ec)
+		it := pickAccessPath(item.table, item.schema, conds, item.need, ec)
 		for _, cond := range conds {
 			c, err := compileExpr(cond, &compileEnv{cols: item.cols, ec: ec})
 			if err != nil {
@@ -138,13 +157,15 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		}
 		// Native index on the inner join column?
 		if ix := nativeJoinIndex(item.table, item.schema, innerKeyE); ix != nil && len(local) == 0 {
+			idxTree := btree.Open(nil, ix.Root)
 			cur = &indexJoinIter{
 				joinCore: joinCore{outer: cur, rc: rowCtx{ec: ec}},
 				table:    item.table,
 				index:    ix,
 				outerKey: outerKey,
-				idxCur:   btree.Open(item.pager, ix.Root).Cursor(),
-				tbl:      btree.Open(item.pager, item.table.Root),
+				idxTree:  idxTree,
+				idxCur:   idxTree.Cursor(),
+				tbl:      btree.Open(nil, item.table.Root),
 				inner:    newScanRow(ec, item.table, item.need),
 			}
 		} else {
@@ -155,14 +176,16 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			itemCopy := item
-			localCopy := local
+			inner, err := buildBase(item, local)
+			if err != nil {
+				return nil, nil, err
+			}
 			cur = &autoIndexJoin{
-				joinCore:   joinCore{outer: cur, rc: rowCtx{ec: ec}},
-				outerKey:   outerKey,
-				buildInner: func() (iterator, error) { return buildBase(itemCopy, localCopy) },
-				innerKey:   innerKey,
-				inner:      make([]record.Value, len(item.cols)),
+				joinCore: joinCore{outer: cur, rc: rowCtx{ec: ec}},
+				outerKey: outerKey,
+				inner:    inner,
+				innerKey: innerKey,
+				innerRow: make([]record.Value, len(item.cols)),
 			}
 		}
 		scope = append(append([]colInfo{}, scope...), item.cols...)
@@ -265,6 +288,10 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			inputCols:      len(scope),
 			ec:             ec,
 			emitEmptyGroup: len(s.GroupBy) == 0,
+			poison:         ec.conn.db.poisonScans,
+			rc:             rowCtx{ec: ec},
+			seed:           maphash.MakeSeed(),
+			index:          make(map[uint64]*aggGroup),
 		}
 		extended := append(append([]colInfo{}, scope...), make([]colInfo, len(specs))...)
 		for i := range specs {
@@ -315,11 +342,9 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		outCols = append(outCols, colInfo{name: exprColumnName(col)})
 	}
 
-	pairs := &projectPairIter{src: cur, exprs: projExprs, rc: rowCtx{ec: ec}}
-	var pairSrc interface {
-		Next() (*pairRow, error)
-		Close() error
-	}
+	pairs := &projectPairIter{src: cur, exprs: projExprs, rc: rowCtx{ec: ec},
+		out: make([]record.Value, len(projExprs)), poison: ec.conn.db.poisonScans}
+	var pairSrc pairIterator
 	if s.Distinct {
 		pairSrc = &distinctPairIter{src: pairs}
 	} else {
@@ -327,7 +352,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 	}
 
 	// ---- ORDER BY / LIMIT -------------------------------------------------------
-	fin := &finalIter{pairs: pairSrc, limit: -1, ec: ec}
+	fin := &finalIter{pairs: pairSrc, limit: -1, ec: ec, rc: rowCtx{ec: ec}}
 	for _, ot := range s.OrderBy {
 		ord := -1
 		var ce compiledExpr
@@ -349,21 +374,18 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		fin.desc = append(fin.desc, ot.Desc)
 	}
 	if s.Limit != nil {
-		v, err := evalConst(s.Limit, ec)
+		c, err := compileExpr(s.Limit, &compileEnv{ec: ec})
 		if err != nil {
 			return nil, nil, err
 		}
-		fin.limit = v.AsInt()
+		fin.limitE = c
 	}
 	if s.Offset != nil {
-		v, err := evalConst(s.Offset, ec)
+		c, err := compileExpr(s.Offset, &compileEnv{ec: ec})
 		if err != nil {
 			return nil, nil, err
 		}
-		fin.offset = v.AsInt()
-		if fin.offset < 0 {
-			fin.offset = 0
-		}
+		fin.offsetE = c
 	}
 	return fin, outCols, nil
 }
@@ -412,14 +434,6 @@ func dedupCalls(calls []*FuncCall) []*FuncCall {
 	return out
 }
 
-func evalConst(e Expr, ec *execCtx) (record.Value, error) {
-	c, err := compileExpr(e, &compileEnv{ec: ec})
-	if err != nil {
-		return record.Value{}, err
-	}
-	return c(&rowCtx{ec: ec})
-}
-
 // nativeJoinIndex returns an index usable for an equi-join probe: the
 // inner key must be a bare column that is the first column of an index
 // on the inner table.
@@ -439,29 +453,34 @@ func nativeJoinIndex(t *Table, sch *schema, innerKey Expr) *Index {
 // pickAccessPath chooses between a full scan and an index scan for a
 // base table given its local conjuncts. need is the table's scan mask
 // (see colInfo.need); nil decodes every column (DML match sets).
-func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, need []bool, ec *execCtx) iterator {
-	// Gather constant equality and range conditions per column.
-	eq := make(map[string]Expr)
+func pickAccessPath(t *Table, sch *schema, conds []Expr, need []bool, ec *execCtx) iterator {
+	// Gather constant equality and range conditions per column, compiled:
+	// the key values are evaluated per run (indexScanIter.reset).
+	eq := make(map[string]compiledExpr)
 	type rng struct {
 		op string
-		e  Expr
+		e  compiledExpr
 	}
 	ranges := make(map[string][]rng)
-	constant := func(e Expr) bool {
-		_, err := compileExpr(e, &compileEnv{ec: ec})
-		return err == nil
+	constant := func(e Expr) compiledExpr {
+		c, err := compileExpr(e, &compileEnv{ec: ec})
+		if err != nil {
+			return nil
+		}
+		return c
 	}
 	for _, cond := range conds {
 		be, ok := cond.(*BinaryExpr)
 		if !ok {
 			continue
 		}
-		col, val := "", Expr(nil)
+		col, val := "", compiledExpr(nil)
 		op := be.Op
-		if ref, ok := be.L.(*ColumnRef); ok && constant(be.R) {
-			col, val = strings.ToLower(ref.Name), be.R
-		} else if ref, ok := be.R.(*ColumnRef); ok && constant(be.L) {
-			col, val = strings.ToLower(ref.Name), be.L
+		if ref, ok := be.L.(*ColumnRef); ok {
+			col, val = strings.ToLower(ref.Name), constant(be.R)
+		}
+		if ref, ok := be.R.(*ColumnRef); ok && val == nil {
+			col, val = strings.ToLower(ref.Name), constant(be.L)
 			// Mirror the operator: 5 < c  ==  c > 5.
 			switch op {
 			case "<":
@@ -473,7 +492,8 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ne
 			case ">=":
 				op = "<="
 			}
-		} else {
+		}
+		if val == nil {
 			continue
 		}
 		switch op {
@@ -505,45 +525,35 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ne
 		}
 	}
 	if best == nil || (bestEqLen == 0 && !bestRange) {
-		return newTableScan(ec, pager, t, need)
+		return newTableScan(ec, t, need)
 	}
 
+	idxTree := btree.Open(nil, best.Root)
 	it := &indexScanIter{
-		table:  t,
-		index:  best,
-		idxCur: btree.Open(pager, best.Root).Cursor(),
-		tbl:    btree.Open(pager, t.Root),
-		row:    newScanRow(ec, t, need),
+		table:   t,
+		index:   best,
+		idxTree: idxTree,
+		idxCur:  idxTree.Cursor(),
+		tbl:     btree.Open(nil, t.Root),
+		row:     newScanRow(ec, t, need),
+		rc:      rowCtx{ec: ec},
 	}
 	if bestEqLen > 0 {
-		vals := make([]record.Value, 0, bestEqLen)
 		for _, c := range best.Cols[:bestEqLen] {
-			v, err := evalConst(eq[strings.ToLower(c)], ec)
-			if err != nil {
-				return newTableScan(ec, pager, t, need)
-			}
-			vals = append(vals, v)
+			it.eq = append(it.eq, eq[strings.ToLower(c)])
 		}
-		prefix := record.EncodeKey(nil, vals)
-		it.lo = prefix
-		it.eqPrefix = prefix
 		return it
 	}
 	// Range on the first index column: seek to the lower bound (if any)
-	// and stop past the upper bound. Residual filters enforce
-	// strictness, so the bounds only need to be conservative.
-	col := strings.ToLower(best.Cols[0])
-	for _, r := range ranges[col] {
-		v, err := evalConst(r.e, ec)
-		if err != nil {
-			return newTableScan(ec, pager, t, need)
-		}
+	// and stop past the upper bound; the last bound of each side wins.
+	// Residual filters enforce strictness, so the bounds only need to be
+	// conservative.
+	for _, r := range ranges[strings.ToLower(best.Cols[0])] {
 		switch r.op {
 		case ">", ">=":
-			it.lo = record.EncodeKey(nil, []record.Value{v})
+			it.lo = r.e
 		case "<", "<=":
-			bound := v
-			it.checkHi = func(x record.Value) bool { return record.Compare(x, bound) <= 0 }
+			it.hi = r.e
 		}
 	}
 	return it

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"sync"
 	"time"
 
 	"rql/internal/retro"
@@ -18,12 +19,59 @@ type PageSet = map[storage.PageID]struct{}
 // queries against it with O(1) per-snapshot open cost — the batch path
 // of the RQL mechanisms' snapshot-set loop.
 //
-// A ReaderSet is immutable after construction and safe for concurrent
-// use from multiple connections (parallel mechanism workers share one).
-// Close must be called when the run is done; it releases the pinned
-// read transaction.
+// A ReaderSet's snapshots are immutable after construction, and it is
+// safe for concurrent use from multiple connections (parallel mechanism
+// workers share one). It also keeps the plans of the statement texts run
+// against it (ExecAsOfSet), so a text is planned once per set — once
+// more for each connection running it at the same time. Close must be
+// called when the run is done; it releases the pinned read transaction.
 type ReaderSet struct {
 	set *retro.SnapshotSet
+
+	mu    sync.Mutex
+	plans map[string][]*textPlans // idle plans by statement text
+}
+
+// textPlans are the plans of one statement batch text, by statement
+// position (nil: not a SELECT, or not run yet).
+type textPlans struct{ stmts []*selectPlan }
+
+// plan returns the plan slot of statement i of n (nil for a nil tp).
+func (tp *textPlans) plan(i, n int) *selectPlan {
+	if tp == nil {
+		return nil
+	}
+	if len(tp.stmts) != n {
+		tp.stmts = make([]*selectPlan, n)
+	}
+	if tp.stmts[i] == nil {
+		tp.stmts[i] = &selectPlan{}
+	}
+	return tp.stmts[i]
+}
+
+// takePlans takes an idle plan set of text off the set, or a fresh one:
+// plans in use are never shared.
+func (rs *ReaderSet) takePlans(text string) *textPlans {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	idle := rs.plans[text]
+	if n := len(idle); n > 0 {
+		tp := idle[n-1]
+		rs.plans[text] = idle[:n-1]
+		return tp
+	}
+	return &textPlans{}
+}
+
+// putPlans returns a plan set taken by takePlans.
+func (rs *ReaderSet) putPlans(text string, tp *textPlans) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.plans == nil {
+		rs.plans = make(map[string][]*textPlans)
+	}
+	rs.plans[text] = append(rs.plans[text], tp)
 }
 
 // OpenSnapshotSet builds the SPTs of all snapshots in ids with a single
@@ -72,8 +120,14 @@ func (rs *ReaderSet) Scanned() int { return rs.set.Scanned }
 // BuildTime returns the wall time of the batch sweep.
 func (rs *ReaderSet) BuildTime() time.Duration { return rs.set.BuildTime }
 
-// Close releases the set's pinned read transaction. Idempotent.
-func (rs *ReaderSet) Close() { rs.set.Close() }
+// Close releases the set's pinned read transaction and drops its plans.
+// Idempotent.
+func (rs *ReaderSet) Close() {
+	rs.set.Close()
+	rs.mu.Lock()
+	rs.plans = nil
+	rs.mu.Unlock()
+}
 
 // openSnapReader opens a reader for asOf, from the set when it has the
 // snapshot (O(1), shared pin) and standalone otherwise.

@@ -212,7 +212,10 @@ func TestPrunedTableScanDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ec.close()
-	scan := newTableScan(ec, ec.mainPager, ec.mainSchema.table("m"), []bool{true, false, true, false, true, false})
+	scan := newTableScan(ec, ec.mainSchema.table("m"), []bool{true, false, true, false, true, false})
+	if err := scan.reset(); err != nil {
+		t.Fatal(err)
+	}
 	const rowsPerRun = 500
 	var sum float64
 	allocs := testing.AllocsPerRun(10, func() {
