@@ -93,10 +93,12 @@ compact-smoke:
 # surface under the race detector: the incremental-vs-full-recompute
 # property test for all four mechanisms (prune on and off), the
 # restart-resume and DDL-lifecycle tests, subscription delivery with a
-# shadow model while a concurrent writer commits, and view replication
-# (bootstrap shipping, logical DDL events, replica-side maintenance).
+# shadow model while a concurrent writer commits, view replication
+# (bootstrap shipping, logical DDL events, replica-side maintenance),
+# and, since runs and views share one delta oracle, the run-side
+# pruned-vs-unpruned tests and the runs-and-views prune agreement.
 view-smoke:
-	$(GO) test -race -run 'TestRetroView|TestReplicatedRetroViews|TestViewSmoke' ./internal/core ./internal/repl ./internal/server
+	$(GO) test -race -run 'TestRetroView|TestReplicatedRetroViews|TestViewSmoke|TestDeltaPrune|TestRunsAndViewsPruneAlike' ./internal/core ./internal/repl ./internal/server
 
 # fuzz-smoke fuzzes each decoder that sees untrusted bytes — the wire
 # decoders, the sealed-segment metadata a replica is shipped, a view's

@@ -6,9 +6,9 @@
 // stretches. A mechanism iteration whose query would read only pages
 // that did not change since the previous member must produce the same
 // rows — so the engine skips it: it records the page read-set of each
-// executed iteration, intersects it with the per-member page deltas
-// retained by the batch SPT sweep, and replays the cached result when
-// the intersection is empty (re-tagging current_snapshot() columns).
+// executed iteration, tests the Maplog entries between the two
+// snapshots against it (the delta oracle), and replays the cached
+// result when none hits (re-tagging current_snapshot() columns).
 //
 // This walkthrough declares 24 nightly snapshots of which only every
 // 4th follows a refresh, runs CollateData with pruning on and off, and
@@ -85,7 +85,7 @@ func main() {
 		if it.Pruned {
 			mark = "pruned"
 		}
-		fmt.Printf("  snap %-3d %-8s eval=%-12v rows=%-4d delta pages examined=%d\n",
+		fmt.Printf("  snap %-3d %-8s eval=%-12v rows=%-4d maplog entries tested=%d\n",
 			it.Snapshot, mark, it.QueryEval.Round(time.Microsecond), it.QqRows, it.DeltaPages)
 	}
 

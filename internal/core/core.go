@@ -97,9 +97,8 @@ func (r *RQL) ResetLastRun() { r.setLastRun(nil) }
 // whose snapshot-to-snapshot page delta does not intersect it,
 // replaying the cached Qq output (with current_snapshot() columns
 // re-tagged) instead of executing Qq. Pruning requires a prune-safe Qq
-// (see sql.PruneInfo); the SQL-form UDF path never prunes (the snapshot
-// set is not known up front). Off is the reference the pruned ≡
-// unpruned tests compare against.
+// (see sql.PruneInfo); the SQL-form UDF path never prunes. Off is the
+// reference the pruned ≡ unpruned tests compare against.
 func (r *RQL) SetDeltaPrune(on bool) { r.noPrune.Store(!on) }
 
 // recordBatchBuild surfaces the reader set's one-sweep SPT build as a
@@ -139,9 +138,9 @@ func (r *RQL) readLatency() time.Duration { return r.db.Retro().ReadLatency() }
 // (the paper implements it through SQLite UDF auxdata; we carry it
 // through FuncContext.Aux): one lane writing T, stepped once per Qs row
 // and finished when the statement ends. The engine streams Qs rows, so
-// the snapshot set is unknown up front: every iteration builds its own
-// SPT and none is pruned — the plain §3 loop the batched
-// Go-level runs are checked against.
+// the snapshot set is unknown up front and every iteration builds its
+// own SPT; none is pruned either. It is the plain §3 loop, the reference
+// the batched and pruned Go-level runs are checked against.
 type udfState struct {
 	ln        *lane // nil until the arguments validate
 	finalized bool
@@ -315,7 +314,7 @@ func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant
 		if m.set, err = conn.OpenSnapshotSet(snaps); err == nil {
 			defer m.set.Close()
 			recordBatchBuild(conn.TraceSpan(), m.set)
-			m.setupPrune(conn, out.run, setDelta(m.set))
+			m.setupPrune(conn, out.run)
 		}
 	}
 	if err == nil {

@@ -37,11 +37,12 @@ type lane struct {
 	start time.Time // when the lane was made: a run's wall time ends at finish
 }
 
-// newRunStats starts a run's statistics. Until a run driver that knows
-// the snapshot set up front decides otherwise (setupPrune), pruning is
-// off for the reason the SQL-form UDF path never prunes.
+// newRunStats starts a run's statistics. Until a Go-level run or a view
+// decides otherwise (setupPrune), pruning is off for the reason the
+// SQL-form UDF path never prunes: it is the reference the batched and
+// pruned runs are checked against.
 func newRunStats(kind mechKind) *RunStats {
-	return &RunStats{Mechanism: kind.String(), PruneReason: "SQL-form UDF path (snapshot set unknown up front)"}
+	return &RunStats{Mechanism: kind.String(), PruneReason: "SQL-form UDF path (the unpruned reference)"}
 }
 
 // tableLane returns the lane that owns T: its fold writes the result
@@ -147,12 +148,12 @@ func (ln *lane) step(snap uint64) error {
 	// read-set changed since the previous iteration, skip Qq and replay
 	// the cached output.
 	replay := false
-	if m.delta != nil && ln.cache.valid {
-		checked, disjoint, examined := m.delta(ln.cache.prev, snap, ln.cache.readSet)
+	if m.prune && ln.cache.valid {
+		checked, unchanged, examined := m.unchanged(ln.cache.prev, snap, ln.cache.readSet)
 		cost.DeltaPages = examined
 		if checked {
 			ln.run.DeltaIntersections++
-			replay = disjoint
+			replay = unchanged
 		}
 	}
 
@@ -192,7 +193,7 @@ func (ln *lane) step(snap uint64) error {
 		// into the lane's spare slab, or — when they go to view
 		// subscribers, who keep them — each into a slice of its own.
 		var slab *rowSlab
-		if m.delta != nil && !ln.keepRows {
+		if m.prune && !ln.keepRows {
 			slab = ln.cache.spare()
 		}
 		cb := func(cols []string, row []record.Value) error {
@@ -208,7 +209,7 @@ func (ln *lane) step(snap uint64) error {
 			cost.UDF += time.Since(t0)
 			return err
 		}
-		conn.SetRecordReadSet(m.delta != nil)
+		conn.SetRecordReadSet(m.prune)
 		err := conn.ExecAsOfSet(m.qq, m.set, snap, cb)
 		readSet := conn.ReadSet()
 		conn.SetRecordReadSet(false)
@@ -219,7 +220,7 @@ func (ln *lane) step(snap uint64) error {
 		if slab != nil {
 			rows = slab.seal()
 		}
-		if m.delta != nil {
+		if m.prune {
 			ln.cache.fill(snap, readSet, rows, slab)
 		}
 	}

@@ -83,9 +83,9 @@ type mech struct {
 	// SQL-form UDF path and views have none (their snapshots arrive one
 	// at a time) and build one SPT per iteration.
 	set *sql.ReaderSet
-	// delta, when non-nil, turns delta pruning on (prune.go); snapCols
-	// are Qq's bare current_snapshot() columns, re-tagged on replay.
-	delta    deltaFunc
+	// prune turns delta pruning on (prune.go); snapCols are Qq's bare
+	// current_snapshot() columns, re-tagged on replay.
+	prune    bool
 	snapCols []int
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"rql/internal/record"
+	"rql/internal/retro"
 	"rql/internal/sql"
 )
 
@@ -82,32 +83,11 @@ func (s *rowSlab) seal() [][]record.Value {
 	return s.rows
 }
 
-// deltaFunc answers the proof obligation of delta pruning: is every
-// page that differs between snapshots prev and cur absent from readSet?
-// checked is false when the question cannot be answered (the iteration
-// then executes); examined counts the delta pages tested. A batch run
-// answers from its reader set's member deltas (setDelta), a view from
-// the Maplog (maplogDelta in view.go).
-type deltaFunc func(prev, cur uint64, readSet sql.PageSet) (checked, disjoint bool, examined int)
-
-// setDelta answers from the deltas the batch SPT sweep kept.
-func setDelta(set *sql.ReaderSet) deltaFunc {
-	return func(prev, cur uint64, readSet sql.PageSet) (bool, bool, int) {
-		a, okA := set.MemberIndex(prev)
-		b, okB := set.MemberIndex(cur)
-		if !okA || !okB {
-			return false, false, 0
-		}
-		disjoint, examined := set.DeltaDisjoint(a, b, readSet)
-		return true, disjoint, examined
-	}
-}
-
-// setupPrune decides whether this run can prune with delta: the toggle
-// must be on and Qq must be statically prune-safe. The blocking reason
-// is recorded on the run either way.
-func (m *mech) setupPrune(conn *sql.Conn, run *RunStats, delta deltaFunc) {
-	m.delta = nil
+// setupPrune decides whether this run can prune: the toggle must be on
+// and Qq must be statically prune-safe. The blocking reason is recorded
+// on the run either way.
+func (m *mech) setupPrune(conn *sql.Conn, run *RunStats) {
+	m.prune = false
 	if m.rql.noPrune.Load() {
 		run.PruneReason = "delta pruning off (SetDeltaPrune)"
 		return
@@ -117,8 +97,22 @@ func (m *mech) setupPrune(conn *sql.Conn, run *RunStats, delta deltaFunc) {
 		run.PruneReason = "Qq not prune-safe: " + info.Reason
 		return
 	}
-	m.delta, m.snapCols = delta, info.SnapCols
+	m.prune, m.snapCols = true, info.SnapCols
 	run.PruneReason = ""
+}
+
+// unchanged answers the proof obligation of delta pruning — is every
+// page of readSet the same as of snapshots prev and cur? — from the
+// retro delta oracle, for runs and views alike. A run follows Qs order,
+// so either snapshot may be the later; a repeated one is trivially
+// unchanged. checked is false when the oracle cannot answer (the
+// iteration then executes); examined counts the Maplog entries tested.
+func (m *mech) unchanged(prev, cur uint64, readSet sql.PageSet) (checked, unchanged bool, examined int) {
+	if prev == cur {
+		return true, true, 0
+	}
+	a, b := retro.SnapshotID(min(prev, cur)), retro.SnapshotID(max(prev, cur))
+	return m.rql.db.Retro().Unchanged(a, b, readSet)
 }
 
 // retag prepares one cached row for replay at snap, in buf: Qq's bare

@@ -235,3 +235,62 @@ func TestPruneInfoAnalyzer(t *testing.T) {
 		t.Errorf("SnapCols = %+v", info)
 	}
 }
+
+// Runs and views ask the same delta oracle, so over one history with
+// quiet snapshots a Go-level run and a retro view of the same
+// invocation prune exactly the same snapshots, for every mechanism.
+func TestRunsAndViewsPruneAlike(t *testing.T) {
+	db, err := sql.Open(sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r := Attach(db)
+	// No refresher goroutine: each view catches up in one synchronous
+	// REFRESH RETRO VIEW below.
+	m, err := NewViewManager(db, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetRetroViewHook(m)
+	db.SetSnapshotHook(m.AnnounceSnapshot)
+	c := db.Conn()
+	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	if err := EnsureSnapIds(c); err != nil {
+		t.Fatal(err)
+	}
+	const snapshots = 30
+	subs := make([]*ViewSub, len(allFixtures))
+	for i, fx := range allFixtures {
+		mustExec(t, c, fmt.Sprintf(`CREATE RETRO VIEW V%d AS %s`, i, fx.ddl()))
+		if subs[i], err = m.Subscribe(fmt.Sprintf("V%d", i), snapshots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	viewHistory(t, c, rand.New(rand.NewSource(5)), map[int]bool{}, snapshots)
+
+	for i, fx := range allFixtures {
+		mustExec(t, c, fmt.Sprintf(`REFRESH RETRO VIEW V%d`, i))
+		viewPruned := make(map[uint64]bool)
+		for len(subs[i].C) > 0 {
+			b := <-subs[i].C
+			viewPruned[b.Snap] = b.Pruned
+		}
+		rs := runFixture(t, r, c, fx, `SELECT snap_id FROM SnapIds`, fmt.Sprintf("R%d", i), false)
+		if len(rs.Iterations) != snapshots || len(viewPruned) != snapshots {
+			t.Fatalf("%s: run stepped %d snapshots, view %d, want %d each", fx.tag(), len(rs.Iterations), len(viewPruned), snapshots)
+		}
+		pruned := 0
+		for _, it := range rs.Iterations {
+			if it.Pruned != viewPruned[it.Snapshot] {
+				t.Errorf("%s: snapshot %d: run pruned=%v, view pruned=%v", fx.tag(), it.Snapshot, it.Pruned, viewPruned[it.Snapshot])
+			}
+			if it.Pruned {
+				pruned++
+			}
+		}
+		if pruned == 0 {
+			t.Errorf("%s: nothing pruned over a history with quiet snapshots", fx.tag())
+		}
+	}
+}

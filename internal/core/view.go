@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -11,7 +13,6 @@ import (
 
 	"rql/internal/obs"
 	"rql/internal/record"
-	"rql/internal/retro"
 	"rql/internal/sql"
 	"rql/internal/storage"
 )
@@ -380,28 +381,6 @@ func (m *ViewManager) newViewState(def sql.RetroViewDef) (*viewState, error) {
 	return &viewState{def: def, ln: ln, subs: make(map[int]*ViewSub)}, nil
 }
 
-// maplogDelta answers the prune question for a view, which refreshes
-// one snapshot at a time with no batch reader set: "did anything on the
-// read path change?" comes from the Maplog directly.
-func maplogDelta(rsys *retro.System) deltaFunc {
-	return func(prev, cur uint64, readSet sql.PageSet) (checked, disjoint bool, examined int) {
-		if prev == 0 || len(readSet) == 0 {
-			return false, false, 0
-		}
-		dirty, ok := rsys.DirtyBetween(retro.SnapshotID(prev), retro.SnapshotID(cur))
-		if !ok {
-			return false, false, 0
-		}
-		for p := range dirty {
-			examined++
-			if _, hit := readSet[p]; hit {
-				return true, false, examined
-			}
-		}
-		return true, true, examined
-	}
-}
-
 // catchUp materializes v snapshot by snapshot up to target. Each
 // snapshot's result rows commit before the cursor and mechanism state
 // persist, and the extension is pushed to subscribers after both — a
@@ -428,7 +407,7 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	v.ln.run = newRunStats(v.ln.m.kind)
 	// Pruning: decided per catch-up from the run-level toggle and the
 	// static analysis of the (immutable) definition.
-	v.ln.m.setupPrune(conn, v.ln.run, maplogDelta(m.db.Retro()))
+	v.ln.m.setupPrune(conn, v.ln.run)
 
 	for snap := start; snap <= target; snap++ {
 		hadTable := v.ln.m.created
@@ -453,8 +432,17 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	return nil
 }
 
-// extend runs one loop-body step of v on snap and makes it durable.
-func (m *ViewManager) extend(conn *sql.Conn, v *viewState, snap uint64) error {
+// extend runs one loop-body step of v on snap and makes it durable. A
+// panic under the step (a registered function called by Qq, say)
+// becomes its error, so that catchUp's cleanup runs and the background
+// refresher survives.
+func (m *ViewManager) extend(conn *sql.Conn, v *viewState, snap uint64) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			fmt.Fprintf(os.Stderr, "rql: view %s step: panic: %v\n%s", v.def.Name, p, debug.Stack())
+			err = fmt.Errorf("rql: view %s step panicked: %v", v.def.Name, p)
+		}
+	}()
 	ln := v.ln
 	if err := ln.step(snap); err != nil {
 		return err

@@ -519,13 +519,27 @@ func TestRetroViewStateChunking(t *testing.T) {
 // fold state behind and must not advance the cursor, so the retry folds
 // each row exactly once and the view still equals a full recompute.
 // warm is the history materialized before the failing step: with none,
-// the failing step is the one that created the view's table.
+// the failing step is the one that created the view's table. The UDF
+// fails by returning an error or by panicking; a panic must be contained
+// like an error both under a synchronous REFRESH RETRO VIEW and under
+// the background refresher, which must survive it.
 func TestRetroViewFailedStepLeavesNoTrace(t *testing.T) {
 	for _, warm := range []int{6, 0} {
-		t.Run(fmt.Sprintf("warm%d", warm), func(t *testing.T) { testFailedViewStep(t, warm) })
+		t.Run(fmt.Sprintf("warm%d", warm), func(t *testing.T) { testFailedViewStep(t, warm, failError) })
+		t.Run(fmt.Sprintf("warm%d panic", warm), func(t *testing.T) { testFailedViewStep(t, warm, failPanic) })
+		t.Run(fmt.Sprintf("warm%d background panic", warm), func(t *testing.T) { testFailedViewStep(t, warm, failPanicBackground) })
 	}
 	t.Run("name taken", testFailedViewStepKeepsForeignTable)
 }
+
+// How testFailedViewStep's UDF fails, and which refresh path meets it.
+type viewStepFailure int
+
+const (
+	failError           viewStepFailure = iota // an error, met by REFRESH RETRO VIEW
+	failPanic                                  // a panic, met by REFRESH RETRO VIEW
+	failPanicBackground                        // a panic, met by the background refresher
+)
 
 // A first step that fails because a table of the view's name was created
 // after the view (nothing stops that before the first materialization)
@@ -564,27 +578,35 @@ func testFailedViewStepKeepsForeignTable(t *testing.T) {
 	}
 }
 
-func testFailedViewStep(t *testing.T, warm int) {
+func testFailedViewStep(t *testing.T, warm int, failure viewStepFailure) {
 	db, err := sql.Open(sql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	r := Attach(db)
-	// No refresher goroutine: every refresh below is the synchronous
-	// REFRESH RETRO VIEW, so exactly one step hits the armed failure.
+	// Without the refresher goroutine every refresh below is the
+	// synchronous REFRESH RETRO VIEW, so exactly one step hits the armed
+	// failure. With it, the refresher meets the failure first.
 	m, err := NewViewManager(db, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.SetRetroViewHook(m)
 	db.SetSnapshotHook(m.AnnounceSnapshot)
+	if failure == failPanicBackground {
+		m.Start()
+		defer m.Close()
+	}
 
 	var failAt atomic.Int64 // calls left until the one failure; 0 = disarmed
 	boom := errors.New("flaky() failed")
 	db.RegisterFunc(sql.FuncDef{Name: "flaky", MinArgs: 1, MaxArgs: 1,
 		Fn: func(_ *sql.FuncContext, a []record.Value) (record.Value, error) {
 			if failAt.Load() > 0 && failAt.Add(-1) == 0 {
+				if failure != failError {
+					panic(boom)
+				}
 				return record.Value{}, boom
 			}
 			return a[0], nil
@@ -603,7 +625,9 @@ func testFailedViewStep(t *testing.T, warm int) {
 	before := m.Infos()[0]
 
 	// One more snapshot with plenty of live rows; its step fails on the
-	// 4th row, after three rows have been folded.
+	// 4th row, after three rows have been folded. Armed before the commit
+	// announces the snapshot to a running refresher.
+	failAt.Store(4)
 	mustExec(t, c, `BEGIN`)
 	for k := 100; k < 110; k++ {
 		mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d)`, k, k%3, k))
@@ -615,13 +639,29 @@ func testFailedViewStep(t *testing.T, warm int) {
 	if err := RecordSnapshot(c, id, time.Unix(int64(id), 0).UTC(), ""); err != nil {
 		t.Fatal(err)
 	}
-	failAt.Store(4)
-	if err := c.Exec(`REFRESH RETRO VIEW V`, nil); err == nil || !strings.Contains(err.Error(), boom.Error()) {
-		t.Fatalf("armed refresh: err = %v, want the UDF failure", err)
-	}
-	if info := m.Infos()[0]; info.LastSnap != before.LastSnap || info.Rows != before.Rows {
-		t.Errorf("failed step moved the view: cursor %d -> %d, rows %d -> %d",
-			before.LastSnap, info.LastSnap, before.Rows, info.Rows)
+	if failure == failPanicBackground {
+		// The commit above announced the snapshot; wait for the
+		// refresher to report the failed step.
+		deadline := time.Now().Add(10 * time.Second)
+		for m.Infos()[0].LastError == "" {
+			if time.Now().After(deadline) {
+				t.Fatal("the background refresher reported no failure")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := m.Infos()[0].LastError; !strings.Contains(got, boom.Error()) {
+			t.Fatalf("background refresh: error %q, want the UDF panic", got)
+		}
+		// A wake still pending from the history may already have retried
+		// the step, so only the end state below is deterministic here.
+	} else {
+		if err := c.Exec(`REFRESH RETRO VIEW V`, nil); err == nil || !strings.Contains(err.Error(), boom.Error()) {
+			t.Fatalf("armed refresh: err = %v, want the UDF failure", err)
+		}
+		if info := m.Infos()[0]; info.LastSnap != before.LastSnap || info.Rows != before.Rows {
+			t.Errorf("failed step moved the view: cursor %d -> %d, rows %d -> %d",
+				before.LastSnap, info.LastSnap, before.Rows, info.Rows)
+		}
 	}
 	mustExec(t, c, `REFRESH RETRO VIEW V`) // the retry
 	if info := m.Infos()[0]; info.LastSnap != id {

@@ -56,27 +56,6 @@ func naiveDelta(ml *maplog, lo, hi SnapshotID) map[storage.PageID]struct{} {
 	return want
 }
 
-// checkDelta asserts deltas[i] matches the naive delta between set
-// members i-1 and i (nil for the first member).
-func checkDelta(t *testing.T, ml *maplog, ids []SnapshotID, deltas []map[storage.PageID]struct{}, i int) {
-	t.Helper()
-	if i == 0 {
-		if deltas[0] != nil {
-			t.Fatalf("deltas[0] = %v, want nil", deltas[0])
-		}
-		return
-	}
-	want := naiveDelta(ml, ids[i-1], ids[i])
-	if len(deltas[i]) != len(want) {
-		t.Fatalf("delta[%d] (snap %d vs %d): %d pages, want %d", i, ids[i-1], ids[i], len(deltas[i]), len(want))
-	}
-	for p := range want {
-		if _, ok := deltas[i][p]; !ok {
-			t.Fatalf("delta[%d] missing page %d", i, p)
-		}
-	}
-}
-
 // randomMaplog builds a Maplog with random captures across count
 // declared snapshots over a page universe of size universe.
 func randomMaplog(factor int, seed int64, count, universe, maxPerSnap int) *maplog {
@@ -122,7 +101,7 @@ func TestBatchSPTEquivalence(t *testing.T) {
 		}
 
 		for _, ids := range sets {
-			spts, deltas, err := ml.buildSPTBatch(ids, ml.len0())
+			spts, err := ml.buildSPTBatch(ids, ml.len0())
 			if err != nil {
 				t.Fatalf("factor %d: buildSPTBatch(%v): %v", factor, ids, err)
 			}
@@ -134,7 +113,6 @@ func TestBatchSPTEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkSPT(t, "skippy", s, single, want, universe)
-				checkDelta(t, ml, ids, deltas, i)
 			}
 		}
 	}
@@ -147,7 +125,7 @@ func TestBatchSPTAroundRetentionFloor(t *testing.T) {
 	ml.truncateBefore(keep)
 
 	// Truncated members are rejected, naming the floor.
-	if _, _, err := ml.buildSPTBatch([]SnapshotID{keep - 1, keep}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := ml.buildSPTBatch([]SnapshotID{keep - 1, keep}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("batch across the floor: %v", err)
 	}
 	// At and above the floor, all three builders still agree.
@@ -155,7 +133,7 @@ func TestBatchSPTAroundRetentionFloor(t *testing.T) {
 	for s := keep; s <= ml.lastSnap(); s += 3 {
 		ids = append(ids, s)
 	}
-	spts, deltas, err := ml.buildSPTBatch(ids, ml.len0())
+	spts, err := ml.buildSPTBatch(ids, ml.len0())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,19 +145,18 @@ func TestBatchSPTAroundRetentionFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkSPT(t, "skippy", s, single, want, universe)
-		checkDelta(t, ml, ids, deltas, i)
 	}
 }
 
 func TestBatchSPTInputValidation(t *testing.T) {
 	ml := randomMaplog(4, 3, 10, 5, 3)
-	if _, _, err := ml.buildSPTBatch(nil, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := ml.buildSPTBatch(nil, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("empty set: %v", err)
 	}
-	if _, _, err := ml.buildSPTBatch([]SnapshotID{0}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := ml.buildSPTBatch([]SnapshotID{0}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("snapshot 0: %v", err)
 	}
-	if _, _, err := ml.buildSPTBatch([]SnapshotID{ml.lastSnap() + 1}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := ml.buildSPTBatch([]SnapshotID{ml.lastSnap() + 1}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("future snapshot: %v", err)
 	}
 }
@@ -193,7 +170,7 @@ func TestBatchScanStrictlyLowerThanPerIteration(t *testing.T) {
 	for s := SnapshotID(1); s <= ml.lastSnap(); s += 2 {
 		ids = append(ids, s)
 	}
-	spts, _, err := ml.buildSPTBatch(ids, ml.len0())
+	spts, err := ml.buildSPTBatch(ids, ml.len0())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func (s *System) dropExpiredSegments() (dropped int) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
-	if s.closed || s.openReaders != 0 {
+	if s.closed || s.openReaders.Load() != 0 {
 		s.mu.Unlock()
 		return 0
 	}

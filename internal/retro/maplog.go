@@ -199,6 +199,19 @@ func (m *maplog) checkOpenable(s SnapshotID) error {
 	return nil
 }
 
+// fold scans the Maplog over the tag range [lo, hi] into t, the first
+// mapping per page winning (upto bounds the open tail, as in cover).
+func (m *maplog) fold(t *SPT, lo, hi SnapshotID, upto int) {
+	m.cover(lo, hi, upto, func(es []mapEntry) {
+		for _, e := range es {
+			t.Scanned++
+			if _, ok := t.loc[e.page]; !ok {
+				t.loc[e.page] = e.off
+			}
+		}
+	})
+}
+
 // buildSPT constructs SPT(S) by scanning the Maplog from S forward,
 // first-mapping-wins, using the Skippy hierarchy to skip over long
 // histories. upto bounds the raw tail scan (entries appended later
@@ -210,14 +223,7 @@ func (m *maplog) buildSPT(s SnapshotID, upto int) (*SPT, error) {
 		return nil, err
 	}
 	t := &SPT{Snap: s, loc: make(map[storage.PageID]int64)}
-	m.cover(s, m.lastSnap(), upto, func(es []mapEntry) {
-		for _, e := range es {
-			t.Scanned++
-			if _, ok := t.loc[e.page]; !ok {
-				t.loc[e.page] = e.off
-			}
-		}
-	})
+	m.fold(t, s, m.lastSnap(), upto)
 	t.size = len(t.loc)
 	return t, nil
 }
@@ -230,40 +236,24 @@ func (m *maplog) buildSPT(s SnapshotID, upto int) (*SPT, error) {
 // set members are walked once instead of once per member. The returned
 // tables are aligned with ids.
 //
-// The second return value keeps the per-member delta page sets the
-// sweep already enumerates: deltas[i] is the set of pages whose content
-// as of ids[i] differs from their content as of ids[i-1] — exactly the
-// distinct pages with a Maplog tag in [ids[i-1], ids[i]), which is the
-// key set of member i-1's delta-range scan (skip-merge segments keep
-// the first mapping per page but preserve the distinct-page set).
-// deltas[0] is nil: the first member has no predecessor in the set.
-//
 // A naive chain makes every Lookup walk O(n) links, which for large
 // sets costs more than the sweep saves. Every k-th member (k ≈ √n) is
 // therefore a checkpoint: its own table holds the cumulative delta from
 // itself to the base and its next pointer skips straight to the base,
 // bounding the walk at ~√n links for the ~n/√n extra tables' memory.
-func (m *maplog) buildSPTBatch(ids []SnapshotID, upto int) ([]*SPT, []map[storage.PageID]struct{}, error) {
+func (m *maplog) buildSPTBatch(ids []SnapshotID, upto int) ([]*SPT, error) {
 	for _, s := range ids {
 		if err := m.checkOpenable(s); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if len(ids) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty snapshot set", ErrNoSnapshot)
+		return nil, fmt.Errorf("%w: empty snapshot set", ErrNoSnapshot)
 	}
 	out := make([]*SPT, len(ids))
-	deltas := make([]map[storage.PageID]struct{}, len(ids))
 	n := len(ids)
 	base := &SPT{Snap: ids[n-1], loc: make(map[storage.PageID]int64)}
-	m.cover(ids[n-1], m.lastSnap(), upto, func(es []mapEntry) {
-		for _, e := range es {
-			base.Scanned++
-			if _, ok := base.loc[e.page]; !ok {
-				base.loc[e.page] = e.off
-			}
-		}
-	})
+	m.fold(base, ids[n-1], m.lastSnap(), upto)
 	base.size = len(base.loc)
 	out[n-1] = base
 	k := 1
@@ -275,24 +265,8 @@ func (m *maplog) buildSPTBatch(ids []SnapshotID, upto int) ([]*SPT, []map[storag
 	// overwrites what later members recorded for the same page.
 	cum := make(map[storage.PageID]int64)
 	for i := n - 2; i >= 0; i-- {
-		next := out[i+1]
-		t := &SPT{Snap: ids[i], loc: make(map[storage.PageID]int64), next: next}
-		m.cover(ids[i], ids[i+1]-1, upto, func(es []mapEntry) {
-			for _, e := range es {
-				t.Scanned++
-				if _, ok := t.loc[e.page]; !ok {
-					t.loc[e.page] = e.off
-				}
-			}
-		})
-		// The delta scan's key set is the set of pages differing between
-		// members i and i+1. Captured before any checkpoint substitution
-		// below replaces t.loc with the cumulative table.
-		d := make(map[storage.PageID]struct{}, len(t.loc))
-		for page := range t.loc {
-			d[page] = struct{}{}
-		}
-		deltas[i+1] = d
+		t := &SPT{Snap: ids[i], loc: make(map[storage.PageID]int64), next: out[i+1]}
+		m.fold(t, ids[i], ids[i+1]-1, upto)
 		for page, off := range t.loc {
 			cum[page] = off
 		}
@@ -316,7 +290,26 @@ func (m *maplog) buildSPTBatch(ids []SnapshotID, upto int) ([]*SPT, []map[storag
 		}
 		out[i] = t
 	}
-	return out, deltas, nil
+	return out, nil
+}
+
+// unchanged is the delta oracle: the pages that can differ between
+// snapshots a and b are exactly those of the Maplog entries tagged
+// [a, b), one contiguous run entries[segStart[a]:segStart[b]] because
+// tags never decrease. It reports whether none of them is in readSet,
+// stopping at the first that is; examined counts the entries tested.
+// ok is false, and nothing is tested, unless a < b are both retained.
+func (m *maplog) unchanged(a, b SnapshotID, readSet map[storage.PageID]struct{}) (ok, unchanged bool, examined int) {
+	if a < 1 || a < m.minSnap || b <= a || b > m.lastSnap() {
+		return false, false, 0
+	}
+	for _, e := range m.entries[m.segStart[a]:m.segStart[b]] {
+		examined++
+		if _, hit := readSet[e.page]; hit {
+			return true, false, examined
+		}
+	}
+	return true, true, examined
 }
 
 // len0 returns the raw Maplog length (level-0 entries).

@@ -191,16 +191,12 @@ func (s *System) ExportSealedSegments(limit int64) ([]SealedSegmentBlob, int64, 
 // stream out). Pair with EndExport.
 func (s *System) BeginExport() {
 	s.mu.Lock()
-	s.openReaders++
+	s.openReaders.Add(1)
 	s.mu.Unlock()
 }
 
 // EndExport releases the BeginExport pin.
-func (s *System) EndExport() {
-	s.mu.Lock()
-	s.openReaders--
-	s.mu.Unlock()
-}
+func (s *System) EndExport() { s.openReaders.Add(-1) }
 
 // ApplyBootstrap loads an exported retro state into an empty system:
 // shipped sealed segments installed verbatim as the cold tier, the raw

@@ -69,7 +69,7 @@ func (s *System) Compact() (int64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if s.openReaders != 0 {
+	if s.openReaders.Load() != 0 {
 		return 0, ErrReadersActive
 	}
 

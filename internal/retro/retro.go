@@ -50,12 +50,18 @@ type System struct {
 	// readers, so no read is in service across the swap.
 	pl atomic.Pointer[pagelog]
 
-	mu          sync.Mutex
+	// mu guards the Maplog and the fields below it. SPT builds and the
+	// delta oracle only read the Maplog, so they share it: concurrent
+	// runs' sweeps and prune checks do not wait on one another.
+	mu          sync.RWMutex
 	ml          *maplog
 	lastCapture map[storage.PageID]SnapshotID
 	snapLSN     []uint64 // snapLSN[s-1] = commit LSN of snapshot s
-	openReaders int      // live SnapshotReaders (Compact requires zero)
 	closed      bool
+	// openReaders counts live SnapshotReaders, sets and exports (Compact
+	// requires zero). Atomic because builds raise it under a read lock;
+	// it is checked under the write lock, which excludes them.
+	openReaders atomic.Int64
 
 	cache      *pageCache
 	simLatency time.Duration
@@ -321,28 +327,18 @@ func (s *System) OldestSnapshot() SnapshotID {
 	return s.ml.minSnap
 }
 
-// DirtyBetween returns the set of distinct pages whose pre-state was
-// captured after snapshot a was declared and up to snapshot b's
-// declaration — exactly the pages that can differ between the two
-// snapshots' images. Maplog entries are appended with nondecreasing
-// snapshot tags and segStart[s] indexes the first entry tagged >= s, so
-// the answer is one contiguous scan of entries[segStart[a]:segStart[b]]
-// with no extra commit-path bookkeeping; replicas reproduce the same
-// entries via ApplyCommitDelta, so it works identically there. ok is
-// false when either end is outside the retained Maplog range (a below
-// the retention floor, b not yet declared, or a >= b).
-func (s *System) DirtyBetween(a, b SnapshotID) (map[storage.PageID]struct{}, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if a < 1 || a < s.ml.minSnap || b <= a || b > s.ml.lastSnap() {
-		return nil, false
-	}
-	lo, hi := s.ml.segStart[a], s.ml.segStart[b]
-	dirty := make(map[storage.PageID]struct{})
-	for _, e := range s.ml.entries[lo:hi] {
-		dirty[e.page] = struct{}{}
-	}
-	return dirty, true
+// Unchanged is the delta oracle of delta pruning: it reports whether
+// every page of readSet has the same content as of snapshots a and b,
+// by testing the Maplog entries tagged [a, b) — the only pages that can
+// differ between the two images — against readSet, stopping at the
+// first hit. examined counts the entries tested. It allocates nothing,
+// and replicas, which reproduce the same entries via ApplyCommitDelta,
+// answer identically. ok is false (nothing can be concluded) when a is
+// 0 or below the retention floor, b <= a, or b is not yet declared.
+func (s *System) Unchanged(a, b SnapshotID, readSet map[storage.PageID]struct{}) (ok, unchanged bool, examined int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.ml.unchanged(a, b, readSet)
 }
 
 // MaplogEntries returns the raw (level 0) Maplog length.
@@ -418,32 +414,13 @@ func (s *System) ResetStats() { s.metrics.Reset() }
 // OpenSnapshot builds SPT(id) and pins an MVCC read transaction,
 // returning a reader that serves any page as of the snapshot. The
 // reader must be closed.
-//
-// The pin-then-scan order matters: commits that land after the read
-// transaction is pinned may capture further pre-states, but the pinned
-// transaction still observes the pre-commit versions of those pages
-// directly, so the SPT built from the earlier Maplog prefix remains
-// complete for this reader.
 func (s *System) OpenSnapshot(id SnapshotID) (*SnapshotReader, error) {
-	rt, err := s.store.BeginRead()
+	var spt *SPT
+	rt, buildTime, err := s.pinAndBuild(func(upto int) (err error) {
+		spt, err = s.ml.buildSPT(id, upto)
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		rt.Close()
-		return nil, ErrClosed
-	}
-	start := time.Now()
-	spt, err := s.ml.buildSPT(id, s.ml.len0())
-	buildTime := time.Since(start)
-	if err == nil {
-		s.openReaders++
-	}
-	s.mu.Unlock()
-	if err != nil {
-		rt.Close()
 		return nil, err
 	}
 	s.stats.SPTBuilds.Add(1)
@@ -453,11 +430,44 @@ func (s *System) OpenSnapshot(id SnapshotID) (*SnapshotReader, error) {
 	return r, nil
 }
 
+// pinAndBuild pins an MVCC read transaction, then runs build under the
+// Maplog lock over the entries appended so far, timing it; on success
+// the caller holds one open reader (which blocks Compact) until it
+// closes. The pin-then-scan order matters: commits that land after the
+// read transaction is pinned may capture further pre-states, but the
+// pinned transaction still observes the pre-commit versions of those
+// pages directly, so an SPT built from the earlier Maplog prefix remains
+// complete for it.
+func (s *System) pinAndBuild(build func(upto int) error) (*storage.ReadTx, time.Duration, error) {
+	rt, err := s.store.BeginRead()
+	if err != nil {
+		return nil, 0, err
+	}
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		rt.Close()
+		return nil, 0, ErrClosed
+	}
+	start := time.Now()
+	err = build(s.ml.len0())
+	buildTime := time.Since(start)
+	if err == nil {
+		s.openReaders.Add(1)
+	}
+	s.mu.RUnlock()
+	if err != nil {
+		rt.Close()
+		return nil, 0, err
+	}
+	return rt, buildTime, nil
+}
+
 // SnapshotSet is a reader set over a batch-built group of SPTs: one
-// Maplog sweep (BuildSPTs) derives the page table of every member, and
-// one MVCC read transaction — pinned before the sweep, preserving
-// OpenSnapshot's pin-then-scan consistency argument — serves the pages
-// each member shares with the current database.
+// Maplog sweep (buildSPTBatch) derives the page table of every member,
+// and one MVCC read transaction — pinned before the sweep, as for
+// OpenSnapshot — serves the pages each member shares with the current
+// database.
 //
 // The set is immutable after construction and safe for concurrent use:
 // parallel workers may Open readers on different (or the same) members
@@ -467,13 +477,7 @@ type SnapshotSet struct {
 	sys  *System
 	rt   *storage.ReadTx
 	spts map[SnapshotID]*SPT
-	ids  []SnapshotID       // sorted ascending, unique
-	idx  map[SnapshotID]int // member id -> position in ids
-
-	// deltas[i] is the set of pages whose content as of member i
-	// differs from member i-1 (nil for i = 0) — the by-product of the
-	// batch sweep's delta-range scans, kept for read-set pruning.
-	deltas []map[storage.PageID]struct{}
+	ids  []SnapshotID // sorted ascending, unique
 
 	// Scanned is the total number of Maplog entries examined by the
 	// single sweep; BuildTime is its wall time. Compare with the sum of
@@ -491,7 +495,7 @@ type SnapshotSet struct {
 // set. This is the batch entry point for RQL's defining access pattern,
 // a loop over a whole Qs snapshot set: the per-member Maplog ranges
 // overlap, and the sweep walks the shared ranges once instead of once
-// per member.
+// per member. The set counts as one open reader.
 func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
 	sorted := make([]SnapshotID, 0, len(ids))
 	seen := make(map[SnapshotID]bool, len(ids))
@@ -503,25 +507,12 @@ func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
-	rt, err := s.store.BeginRead()
+	var spts []*SPT
+	rt, buildTime, err := s.pinAndBuild(func(upto int) (err error) {
+		spts, err = s.ml.buildSPTBatch(sorted, upto)
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		rt.Close()
-		return nil, ErrClosed
-	}
-	start := time.Now()
-	spts, deltas, err := s.ml.buildSPTBatch(sorted, s.ml.len0())
-	buildTime := time.Since(start)
-	if err == nil {
-		s.openReaders++ // the set counts as one open reader (Compact safety)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		rt.Close()
 		return nil, err
 	}
 	set := &SnapshotSet{
@@ -529,71 +520,16 @@ func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
 		rt:        rt,
 		spts:      make(map[SnapshotID]*SPT, len(sorted)),
 		ids:       sorted,
-		idx:       make(map[SnapshotID]int, len(sorted)),
-		deltas:    deltas,
 		BuildTime: buildTime,
 	}
-	deltaPages := 0
 	for i, id := range sorted {
 		set.spts[id] = spts[i]
-		set.idx[id] = i
 		set.Scanned += spts[i].Scanned
-		deltaPages += len(deltas[i])
 	}
 	s.stats.SPTBatchBuilds.Add(1)
 	s.stats.BatchSnapshots.Add(uint64(len(sorted)))
 	s.stats.BatchMapScanned.Add(uint64(set.Scanned))
-	s.stats.DeltaBuilds.Add(1)
-	s.stats.DeltaPages.Add(uint64(deltaPages))
 	return set, nil
-}
-
-// MemberIndex returns the position of a member snapshot within the
-// set's ascending member order, or false if id is not a member.
-func (ss *SnapshotSet) MemberIndex(id SnapshotID) (int, bool) {
-	i, ok := ss.idx[id]
-	return i, ok
-}
-
-// Delta returns the set of pages whose content as of member i differs
-// from member i-1, by position in the set's ascending member order.
-// Delta(0) is nil: the first member has no in-set predecessor. The
-// returned map is shared and must not be mutated.
-func (ss *SnapshotSet) Delta(i int) map[storage.PageID]struct{} {
-	if i < 0 || i >= len(ss.deltas) {
-		return nil
-	}
-	return ss.deltas[i]
-}
-
-// DeltaDisjoint reports whether the pages differing between members at
-// positions a and b (in the set's ascending order) are disjoint from
-// readSet. The differing pages are the union of Delta(i) for i in
-// (min(a,b), max(a,b)] — the direction of travel between the two
-// members does not matter, only the range between them. examined is
-// the number of delta pages tested against readSet before deciding
-// (the whole union when disjoint, fewer on an early hit).
-//
-// A true result proves every page in readSet has identical content as
-// of both members: pages outside every delta resolve to the same
-// Pagelog pre-state (or to the same current-database version through
-// the set's single pinned read transaction) for both.
-func (ss *SnapshotSet) DeltaDisjoint(a, b int, readSet map[storage.PageID]struct{}) (disjoint bool, examined int) {
-	if a > b {
-		a, b = b, a
-	}
-	if a < 0 || b >= len(ss.deltas) {
-		return false, 0
-	}
-	for i := a + 1; i <= b; i++ {
-		for page := range ss.deltas[i] {
-			examined++
-			if _, hit := readSet[page]; hit {
-				return false, examined
-			}
-		}
-	}
-	return true, examined
 }
 
 // Snapshots returns the set's members, sorted ascending.
@@ -635,9 +571,7 @@ func (ss *SnapshotSet) Close() {
 	ss.closed = true
 	ss.mu.Unlock()
 	ss.rt.Close()
-	ss.sys.mu.Lock()
-	ss.sys.openReaders--
-	ss.sys.mu.Unlock()
+	ss.sys.openReaders.Add(-1)
 }
 
 // SnapshotLSN returns the commit LSN at which the snapshot was declared.
@@ -849,7 +783,5 @@ func (r *SnapshotReader) Close() {
 		return
 	}
 	r.rt.Close()
-	r.sys.mu.Lock()
-	r.sys.openReaders--
-	r.sys.mu.Unlock()
+	r.sys.openReaders.Add(-1)
 }

@@ -19,10 +19,6 @@ type Stats struct {
 	BatchSnapshots  obs.Counter `metric:"retro_batch_snapshots" help:"SPTs derived by batch builds."`
 	BatchMapScanned obs.Counter `metric:"retro_batch_map_scanned" help:"Maplog entries scanned by batch builds."`
 
-	// Per-member delta page sets (OpenSnapshotSet, read-set pruning).
-	DeltaBuilds obs.Counter `metric:"retro_delta_builds" help:"Batch builds that retained per-member delta sets."`
-	DeltaPages  obs.Counter `metric:"retro_delta_pages" help:"Delta pages retained across those builds."`
-
 	// Physical view of the Pagelog: one device read per demand miss that
 	// was not coalesced (System.demandRead), and the time spent in it.
 	DeviceReads  obs.Counter `metric:"device_reads" help:"Device read commands serviced."`
@@ -67,9 +63,6 @@ type StatsSnapshot struct {
 	SPTBatchBuilds  uint64
 	BatchSnapshots  uint64
 	BatchMapScanned uint64
-
-	DeltaBuilds uint64
-	DeltaPages  uint64
 
 	DeviceReads         uint64
 	DeviceBusyNS        uint64

@@ -69,8 +69,9 @@ type IterationCost struct {
 	ResultSearch  int `cost:"result_search"`
 
 	// Delta pruning: Pruned marks a skipped iteration whose cached
-	// output was replayed; DeltaPages counts the delta pages tested
-	// against the read-set deciding this iteration.
+	// output was replayed; DeltaPages counts the Maplog entries the
+	// delta oracle (retro.System.Unchanged) tested against the read-set
+	// deciding this iteration.
 	Pruned     bool `cost:"pruned,id"`
 	DeltaPages int  `cost:"delta_pages"`
 }
@@ -95,10 +96,10 @@ type RunStats struct {
 	BatchMapScanned int           `cost:"batch_map_scanned"`
 	BatchBuildTime  time.Duration `cost:"batch_build"`
 
-	// Delta pruning, when the run used a batch reader set and a
-	// prune-safe Qq: iterations skipped, cached rows replayed by them,
-	// and delta × read-set intersections computed. PruneReason is empty
-	// when pruning was active, else why it was not.
+	// Delta pruning, in Go-level runs and views with a prune-safe Qq:
+	// iterations skipped, cached rows replayed by them, and delta oracle
+	// checks answered. PruneReason is empty when pruning was active, else
+	// why it was not.
 	PrunedIterations   int    `cost:"pruned"`
 	PrunedRowsReplayed int    `cost:"replayed_rows"`
 	DeltaIntersections int    `cost:"delta_intersections"`

@@ -161,8 +161,8 @@ type Conn struct {
 
 	// Read-set recording (SetRecordReadSet): while on, every
 	// snapshot-bound statement records the page ids its SnapshotReader
-	// served — the statement's page read-set, the left operand of the
-	// delta-pruning intersection.
+	// served — the statement's page read-set, which the delta oracle
+	// (retro.System.Unchanged) tests Maplog entries against.
 	recordReads bool
 	lastReadSet PageSet
 

@@ -8,9 +8,9 @@ import (
 	"rql/internal/storage"
 )
 
-// PageSet is a set of page ids — a statement's page read-set or a
-// member's delta page set. It aliases the underlying storage map type
-// so retro-level sets convert freely without copying.
+// PageSet is a set of page ids, a statement's page read-set. It aliases
+// the underlying storage map type so retro-level sets convert freely
+// without copying.
 type PageSet = map[storage.PageID]struct{}
 
 // ReaderSet is a pre-built snapshot reader set: the SPT of every member
@@ -97,21 +97,6 @@ func (rs *ReaderSet) Snapshots() []uint64 {
 		out[i] = uint64(id)
 	}
 	return out
-}
-
-// MemberIndex returns snap's position in the set's ascending member
-// order (false if snap is not a member).
-func (rs *ReaderSet) MemberIndex(snap uint64) (int, bool) {
-	return rs.set.MemberIndex(retro.SnapshotID(snap))
-}
-
-// DeltaDisjoint reports whether every page differing between the
-// members at positions a and b of the ascending member order is absent
-// from readSet — the proof obligation of delta pruning: when true, a
-// statement whose read-set is readSet returns identical results on
-// both members. examined counts the delta pages tested.
-func (rs *ReaderSet) DeltaDisjoint(a, b int, readSet PageSet) (disjoint bool, examined int) {
-	return rs.set.DeltaDisjoint(a, b, readSet)
 }
 
 // Scanned returns the total Maplog entries examined by the batch sweep.

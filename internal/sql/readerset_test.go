@@ -78,12 +78,6 @@ func TestExecAsOfSetMatchesExecAsOf(t *testing.T) {
 	if got := set.Snapshots(); len(got) != 3 {
 		t.Fatalf("Snapshots() = %v, want 3 distinct members", got)
 	}
-	if _, ok := set.MemberIndex(snaps[3]); !ok {
-		t.Error("MemberIndex misses a member")
-	}
-	if _, ok := set.MemberIndex(snaps[1]); ok {
-		t.Error("MemberIndex reports a non-member")
-	}
 	if set.Scanned() == 0 {
 		t.Error("batch sweep reported zero Maplog entries scanned")
 	}
