@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt loc sql-cover repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check microbench
+.PHONY: all check build vet test race fmt loc sql-cover smoke-lint repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check microbench
 
 all: check
 
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
-# failing check, the replication smoke, the group-commit stress smoke,
-# the compaction smoke, the incremental-view smoke, the decoder fuzz
-# smoke, the rqlshell transcript smoke, and the figure counter check.
-# Every member is a deterministic pass/fail; wall-clock performance is
-# measured by the benchmark/ harness, not gated here.
-check: build vet race fmt repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check
+# failing check, the smoke-pattern lint, the replication smoke, the
+# group-commit stress smoke, the compaction smoke, the incremental-view
+# smoke, the decoder fuzz smoke, the rqlshell transcript smoke, and the
+# figure counter check. Every member is a deterministic pass/fail;
+# wall-clock performance is measured by the benchmark/ harness, not
+# gated here.
+check: build vet race fmt smoke-lint repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check
 
 build:
 	$(GO) build ./...
@@ -56,9 +57,12 @@ sql-cover:
 # the restart test then repeat 50 times: both check that a replica at
 # horizon H already holds H's SnapIds row, which a race would break only
 # in some runs.
+REPL_SMOKE_RUN = TestRepl|TestCrossVersion
+REPL_STRESS_RUN = ^(TestReplicatedStress100Sessions|TestReplicaRestartResumes)$$
+REPL_SMOKE_PKGS = ./internal/repl ./internal/server
 repl-smoke:
-	$(GO) test -race -run 'TestRepl|TestCrossVersion' ./internal/repl ./internal/server
-	$(GO) test -race -count=50 -run '^(TestReplicatedStress100Sessions|TestReplicaRestartResumes)$$' ./internal/repl ./internal/server
+	$(GO) test -race -run '$(REPL_SMOKE_RUN)' $(REPL_SMOKE_PKGS)
+	$(GO) test -race -count=50 -run '$(REPL_STRESS_RUN)' $(REPL_SMOKE_PKGS)
 
 # groupcommit-smoke runs the write path's correctness surface under the
 # race detector: the concurrent-writer stress harness with its analytic
@@ -74,20 +78,25 @@ repl-smoke:
 # runs). -count=3: the stress harness and the concurrency tests depend
 # on scheduling, and single runs let a 3/3 accounting failure and a
 # 5/10 flake through.
+GROUPCOMMIT_SMOKE_RUN = TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore
+GROUPCOMMIT_SMOKE_PKGS = . ./internal/storage ./internal/sql ./internal/core ./internal/server
 groupcommit-smoke:
-	$(GO) test -race -count=3 -run 'TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore' . ./internal/storage ./internal/sql ./internal/core ./internal/server
+	$(GO) test -race -count=3 -run '$(GROUPCOMMIT_SMOKE_RUN)' $(GROUPCOMMIT_SMOKE_PKGS)
 
 # compact-smoke runs the Pagelog-tiering correctness surface under the
-# race detector: sealed-read equivalence, seal crash safety, retention
-# drops, the concurrent seal/read/truncate stress loop, the
-# compaction-on-vs-off serial-equivalence property test, and
-# replication bootstrap over sealed segments — and the demand reads the
-# snapshot readers go through (one billed read and one device read per
-# page under parallel lanes, joiners of an in-service miss held on the
-# Pagelog's lock, an injected read error failing exactly one of
-# concurrent reads). -count=3 for the same reason as groupcommit-smoke.
+# race detector: sealed-read equivalence, seal crash safety, the
+# concurrent seal/read/write stress loop, the teardown of a system
+# failed by a lost group flush, the compaction-on-vs-off
+# serial-equivalence property test, and replication bootstrap over
+# sealed segments — and the demand reads the snapshot readers go
+# through (one billed read and one device read per page under parallel
+# lanes, joiners of an in-service miss held on the Pagelog's lock, an
+# injected read error failing exactly one of concurrent reads).
+# -count=3 for the same reason as groupcommit-smoke.
+COMPACT_SMOKE_RUN = TestSeal|TestSegment|TestCompact|TestCompaction|TestPagelogClose|TestFailedSystem|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDemandRead|TestInjectedReadError
+COMPACT_SMOKE_PKGS = ./internal/retro ./internal/repl .
 compact-smoke:
-	$(GO) test -race -count=3 -run 'TestSeal|TestSegment|TestRetention|TestCompact|TestCompaction|TestPagelogClose|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDemandRead|TestInjectedReadError' ./internal/retro ./internal/repl .
+	$(GO) test -race -count=3 -run '$(COMPACT_SMOKE_RUN)' $(COMPACT_SMOKE_PKGS)
 
 # view-smoke runs the incremental materialized-view correctness
 # surface under the race detector: the incremental-vs-full-recompute
@@ -97,8 +106,33 @@ compact-smoke:
 # (bootstrap shipping, logical DDL events, replica-side maintenance),
 # and, since runs and views share one delta oracle, the run-side
 # pruned-vs-unpruned tests and the runs-and-views prune agreement.
+VIEW_SMOKE_RUN = TestRetroView|TestReplicatedRetroViews|TestViewSmoke|TestDeltaPrune|TestRunsAndViewsPruneAlike
+VIEW_SMOKE_PKGS = ./internal/core ./internal/repl ./internal/server
 view-smoke:
-	$(GO) test -race -run 'TestRetroView|TestReplicatedRetroViews|TestViewSmoke|TestDeltaPrune|TestRunsAndViewsPruneAlike' ./internal/core ./internal/repl ./internal/server
+	$(GO) test -race -run '$(VIEW_SMOKE_RUN)' $(VIEW_SMOKE_PKGS)
+
+# smoke-lint keeps the smokes' -run patterns from rotting silently: for
+# every alternative of every smoke's pattern it runs go test -list over
+# that smoke's packages, and fails when the alternative names no test
+# (a renamed or deleted test would otherwise just shrink the smoke). An
+# anchored pattern ^(a|b)$ is checked alternative by alternative as
+# ^a$ and ^b$.
+smoke-lint:
+	@lint() { \
+		pat=$$1; shift; alts=$${pat#^(}; pre=; post=; \
+		if [ "$$alts" != "$$pat" ]; then alts=$${alts%)\$$}; pre='^'; post='$$'; fi; \
+		for a in $$(echo "$$alts" | tr '|' ' '); do \
+			out=$$($(GO) test -list "$$pre$$a$$post" "$$@") || { echo "$$out"; return 1; }; \
+			if ! echo "$$out" | grep -Evq '^(ok|\?) '; then \
+				echo "smoke-lint: -run alternative '$$a' names no test in $$*"; return 1; \
+			fi; \
+		done; \
+	}; \
+	lint '$(REPL_SMOKE_RUN)' $(REPL_SMOKE_PKGS) && \
+	lint '$(REPL_STRESS_RUN)' $(REPL_SMOKE_PKGS) && \
+	lint '$(GROUPCOMMIT_SMOKE_RUN)' $(GROUPCOMMIT_SMOKE_PKGS) && \
+	lint '$(COMPACT_SMOKE_RUN)' $(COMPACT_SMOKE_PKGS) && \
+	lint '$(VIEW_SMOKE_RUN)' $(VIEW_SMOKE_PKGS)
 
 # fuzz-smoke fuzzes each decoder that sees untrusted bytes — the wire
 # decoders, the sealed-segment metadata a replica is shipped, a view's

@@ -70,7 +70,6 @@ func TestCompactionSerialEquivalence(t *testing.T) {
 	for _, rs := range []*rql.RetroStats{&fRetro, &cRetro} {
 		rs.DeviceBytesRead = 0
 		rs.SegmentSeals, rs.SealedPages = 0, 0
-		rs.RetentionDrops, rs.RetentionDroppedPages = 0, 0
 		rs.SegBlockHits = 0
 		rs.Segments, rs.SegmentPages, rs.TailPages = 0, 0, 0
 		rs.PagelogLogicalBytes, rs.PagelogDiskBytes = 0, 0

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rql/internal/core"
 )
 
 // quickCfg is a tiny configuration that exercises every experiment in
@@ -88,6 +90,66 @@ func TestRatioCOrdering(t *testing.T) {
 	}
 	if c30 >= 1 || c15 >= 1 {
 		t.Errorf("sharing should keep C below 1: UW30=%.3f UW15=%.3f", c30, c15)
+	}
+}
+
+// Figure 13's shape in the counter domain: MAX and SUM run identical
+// cold iterations, and SUM's hot iterations update the result table
+// more often than MAX's, which moves only when the extreme does.
+func TestFig13SumUpdatesExceedMax(t *testing.T) {
+	e, err := NewEnv(UW30, UW30.Cycle+20, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	qs := QsRange(1, 12, 1)
+	maxRun, err := e.ColdRun(aggTable("(cn,MAX)"), qs, QqAggCn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumRun, err := e.ColdRun(aggTable("(cn,SUM)"), qs, QqAggCn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := func(c core.IterationCost) [3]int {
+		return [3]int{c.ResultInserts, c.ResultUpdates, c.ResultSearch}
+	}
+	if mc, sc := ops(maxRun.Cold()), ops(sumRun.Cold()); mc != sc || mc[0] == 0 {
+		t.Errorf("cold result ops (ins, upd, srch): MAX %v, SUM %v; want equal and non-empty", mc, sc)
+	}
+	if mu, su := maxRun.Hot().ResultUpdates, sumRun.Hot().ResultUpdates; su <= mu {
+		t.Errorf("hot result updates: SUM %d, MAX %d; want SUM above MAX", su, mu)
+	}
+}
+
+// §5.3's footprint shape in the counter domain: the intervals
+// representation has fewer rows than raw collation on UW15 and UW30,
+// and grows with the update rate from UW15 to UW30.
+func TestMemIntervalsSmallerAndGrowWithUpdates(t *testing.T) {
+	const history, ilen = 16, 12
+	rows := map[string][2]int{} // workload -> {CollateData, Intervals}
+	for _, uw := range []UW{UW15, UW30} {
+		e, err := NewEnv(uw, history, quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		qs := QsRange(e.Last-ilen+1, e.Last, 1)
+		coll, err := e.ColdRun(mechCollate, qs, QqInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv, err := e.ColdRun(mechIntervals, qs, QqInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[uw.Name] = [2]int{coll.ResultRows, iv.ResultRows}
+		if iv.ResultRows == 0 || iv.ResultRows >= coll.ResultRows {
+			t.Errorf("%s: Intervals %d rows, CollateData %d; want fewer, non-zero", uw.Name, iv.ResultRows, coll.ResultRows)
+		}
+	}
+	if iv15, iv30 := rows["UW15"][1], rows["UW30"][1]; iv30 <= iv15 {
+		t.Errorf("Intervals rows: UW15 %d, UW30 %d; want growth with the update rate", iv15, iv30)
 	}
 }
 

@@ -392,16 +392,6 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	if target <= cur {
 		return nil
 	}
-	start := cur + 1
-	// Retention may have dropped early history: a fresh view backfills
-	// from the oldest snapshot still openable.
-	if oldest := uint64(m.db.Retro().OldestSnapshot()); oldest > start {
-		start = oldest
-	}
-	if start > target {
-		return nil
-	}
-
 	conn := m.db.Conn()
 	v.ln.conn = conn
 	v.ln.run = newRunStats(v.ln.m.kind)
@@ -409,7 +399,7 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	// static analysis of the (immutable) definition.
 	v.ln.m.setupPrune(conn, v.ln.run)
 
-	for snap := start; snap <= target; snap++ {
+	for snap := cur + 1; snap <= target; snap++ {
 		hadTable := v.ln.m.created
 		if err := m.extend(conn, v, snap); err != nil {
 			// A failed step leaves no trace: abandon its result rows, drop

@@ -396,11 +396,6 @@ func (p *Primary) sendBootstrap(st *stream, bw *bufio.Writer) (startSeq uint64, 
 	store := eng.MainStore()
 	rsys := eng.Retro()
 
-	// Pin the Pagelog against Compact for the whole export: shipped
-	// offsets must stay valid until the replica has them.
-	rsys.BeginExport()
-	defer rsys.EndExport()
-
 	// Consistent cut: quiesce the commit path (commit-group leaders
 	// and replicated applies both pass through the writer semaphore),
 	// freezing store LSN, retro state and the event log together; pin

@@ -118,36 +118,6 @@ func TestBatchSPTEquivalence(t *testing.T) {
 	}
 }
 
-func TestBatchSPTAroundRetentionFloor(t *testing.T) {
-	const universe = 10
-	ml := randomMaplog(4, 17, 50, universe, 5)
-	keep := SnapshotID(23)
-	ml.truncateBefore(keep)
-
-	// Truncated members are rejected, naming the floor.
-	if _, err := ml.buildSPTBatch([]SnapshotID{keep - 1, keep}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("batch across the floor: %v", err)
-	}
-	// At and above the floor, all three builders still agree.
-	var ids []SnapshotID
-	for s := keep; s <= ml.lastSnap(); s += 3 {
-		ids = append(ids, s)
-	}
-	spts, err := ml.buildSPTBatch(ids, ml.len0())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range ids {
-		want := naiveSPT(ml, s)
-		checkSPT(t, "batch", s, spts[i], want, universe)
-		single, err := ml.buildSPT(s, ml.len0())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSPT(t, "skippy", s, single, want, universe)
-	}
-}
-
 func TestBatchSPTInputValidation(t *testing.T) {
 	ml := randomMaplog(4, 3, 10, 5, 3)
 	if _, err := ml.buildSPTBatch(nil, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
@@ -245,17 +215,10 @@ func TestSnapshotSetEndToEnd(t *testing.T) {
 		t.Errorf("Open(non-member): %v", err)
 	}
 
-	// The set counts as one open reader: Compact refuses while open.
-	if _, err := e.sys.Compact(); !errors.Is(err, ErrReadersActive) {
-		t.Errorf("Compact with open set: %v", err)
-	}
 	set.Close()
 	set.Close() // idempotent
 	if _, err := set.Open(wantIDs[0]); !errors.Is(err, ErrReaderClosed) {
 		t.Errorf("Open after Close: %v", err)
-	}
-	if _, err := e.sys.Compact(); err != nil {
-		t.Errorf("Compact after set close: %v", err)
 	}
 
 	st := e.sys.Stats()
@@ -399,7 +362,7 @@ func TestPagelogReadRun(t *testing.T) {
 		_, ids := e.writePages(t, []storage.PageID{0, 0, 0, 0}, []byte{1, 2, 3, 4}, true)
 		e.writePages(t, ids, []byte{11, 12, 13, 14}, false)
 
-		pages, physBytes, _, err := e.sys.pl.Load().readRun(0, 4)
+		pages, physBytes, _, err := e.sys.pl.readRun(0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,15 +374,15 @@ func TestPagelogReadRun(t *testing.T) {
 				t.Errorf("backed=%v run[%d] = %d, want %d", backed, i, p[0], i+1)
 			}
 		}
-		if _, _, _, err := e.sys.pl.Load().readRun(2, 3); !errors.Is(err, ErrBadOffset) {
+		if _, _, _, err := e.sys.pl.readRun(2, 3); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("out-of-range run: %v", err)
 		}
-		if _, _, _, err := e.sys.pl.Load().readRun(0, 0); !errors.Is(err, ErrBadOffset) {
+		if _, _, _, err := e.sys.pl.readRun(0, 0); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("empty run: %v", err)
 		}
 		boom := errors.New("disk gone")
 		e.sys.InjectPagelogReadError(boom)
-		if _, _, _, err := e.sys.pl.Load().readRun(0, 2); !errors.Is(err, boom) {
+		if _, _, _, err := e.sys.pl.readRun(0, 2); !errors.Is(err, boom) {
 			t.Errorf("injected error not surfaced: %v", err)
 		}
 	}

@@ -8,9 +8,18 @@ import (
 	"rql/internal/storage"
 )
 
-// Close must be idempotent: a second (or concurrent) Close must not
-// decrement the system's open-reader count again, or Compact would be
-// blocked forever by a phantom reader (or a negative count).
+// requireNoPinnedReads fails unless the store holds no MVCC read pin.
+// The probe is the store's bootstrap, which refuses while readers are
+// active; it empties the store, so it ends a test.
+func requireNoPinnedReads(t *testing.T, e *env) {
+	t.Helper()
+	if err := e.store.ApplyBootstrap(e.store.LSN(), e.store.NumPages(), nil, nil); err != nil {
+		t.Fatalf("store still pins a read: %v", err)
+	}
+}
+
+// Close must be idempotent: repeated Closes release the set's read pin
+// once, and the set refuses Open afterwards.
 func TestSnapshotSetCloseIdempotent(t *testing.T) {
 	e := newEnv(t, Options{})
 	s1, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
@@ -23,9 +32,10 @@ func TestSnapshotSetCloseIdempotent(t *testing.T) {
 	set.Close()
 	set.Close()
 	set.Close()
-	if _, err := e.sys.Compact(); err != nil {
-		t.Fatalf("Compact after repeated Close: %v", err)
+	if _, err := set.Open(s1); !errors.Is(err, ErrReaderClosed) {
+		t.Fatalf("Open after repeated Close: %v", err)
 	}
+	requireNoPinnedReads(t, e)
 }
 
 func TestSnapshotSetCloseConcurrent(t *testing.T) {
@@ -46,14 +56,14 @@ func TestSnapshotSetCloseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := e.sys.Compact(); err != nil {
-		t.Fatalf("Compact after concurrent Close: %v", err)
+	if _, err := set.Open(s2); !errors.Is(err, ErrReaderClosed) {
+		t.Fatalf("Open after concurrent Close: %v", err)
 	}
+	requireNoPinnedReads(t, e)
 }
 
-// A failed OpenSnapshotSet must leave no trace: no reader counted, no
-// pinned read transaction. Compact (which requires zero open readers)
-// must still succeed afterwards.
+// A failed OpenSnapshotSet must leave no trace: no pinned read
+// transaction, no batch build counted.
 func TestSnapshotSetOpenFailureLeavesNoReader(t *testing.T) {
 	e := newEnv(t, Options{})
 	s1, _ := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
@@ -61,7 +71,8 @@ func TestSnapshotSetOpenFailureLeavesNoReader(t *testing.T) {
 	if _, err := e.sys.OpenSnapshotSet([]SnapshotID{s1, s1 + 99}); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("OpenSnapshotSet with unknown member: err = %v, want ErrNoSnapshot", err)
 	}
-	if _, err := e.sys.Compact(); err != nil {
-		t.Fatalf("Compact after failed open: %v", err)
+	if st := e.sys.Stats(); st.SPTBatchBuilds != 0 {
+		t.Fatalf("failed open counted %d batch builds", st.SPTBatchBuilds)
 	}
+	requireNoPinnedReads(t, e)
 }

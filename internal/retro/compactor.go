@@ -10,12 +10,11 @@ import (
 
 // The background compactor turns the flat, ever-growing Pagelog into a
 // tiered one: it seals prefixes of the hot tail into immutable
-// deduplicated compressed segments (segment.go) and unlinks whole
-// segments once retention (TruncateBefore) has retired every offset
-// they cover. Sealing is invisible to the rest of the system — logical
-// offsets never move, so SPTs, the Maplog, the snapshot cache, and
-// replication deltas need no coordination with it; only the full
-// offset-remapping Compact does (they share compactMu).
+// deduplicated compressed segments (segment.go). Sealing is the only
+// structural change the Pagelog ever undergoes, and it is invisible to
+// the rest of the system — logical offsets never move, so SPTs, the
+// Maplog, the snapshot cache, and replication deltas need no
+// coordination with it.
 //
 // The billed counter series is invisible too, by construction rather
 // than by care: PagelogReads/CacheHits/DeviceReads count logical events
@@ -67,8 +66,7 @@ func (c CompactionOptions) withDefaults() CompactionOptions {
 }
 
 // compactorLoop is the background compactor: each tick it seals every
-// eligible tail prefix, then drops retention-expired segments when no
-// readers are open.
+// eligible tail prefix.
 func (s *System) compactorLoop() {
 	defer close(s.compactDone)
 	t := time.NewTicker(s.copts.Interval)
@@ -78,7 +76,6 @@ func (s *System) compactorLoop() {
 		case <-s.compactStop:
 			return
 		case <-t.C:
-		case <-s.compactWake:
 		}
 		for {
 			sealed, err := s.sealOnce()
@@ -86,19 +83,6 @@ func (s *System) compactorLoop() {
 				break
 			}
 		}
-		s.dropExpiredSegments()
-	}
-}
-
-// kickCompactor nudges the background loop without waiting for the
-// ticker (used by TruncateBefore so drops land promptly).
-func (s *System) kickCompactor() {
-	if s.compactWake == nil {
-		return
-	}
-	select {
-	case s.compactWake <- struct{}{}:
-	default:
 	}
 }
 
@@ -125,22 +109,22 @@ func (s *System) SealNow() (int, error) {
 // the tail is long enough to leave MinTailPages behind. The expensive
 // part — reading, deduplicating, compressing, writing the blob — runs
 // without any System or pagelog lock: the region being sealed is
-// immutable (appends only ever extend the tail) and compactMu keeps
-// Compact from rewriting the log underneath us. Only the final install
+// immutable (appends only ever extend the tail) and sealMu keeps any
+// other seal from installing underneath us. Only the final install
 // (segment list append + tail rotation) takes pl.mu.
 func (s *System) sealOnce() (bool, error) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
+	s.sealMu.Lock()
+	defer s.sealMu.Unlock()
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
+	s.mu.RLock()
+	err := s.usableLocked()
+	s.mu.RUnlock()
+	if err != nil {
+		return false, err
 	}
-	pl := s.pl.Load()
+	pl := s.pl
 	segPages := int64(s.copts.SegmentPages)
 	minTail := int64(s.copts.MinTailPages)
-	s.mu.Unlock()
 
 	// Plan the cut under the read lock; capture what the lock-free read
 	// below needs (the file handle, or the immutable mem prefix).
@@ -190,7 +174,7 @@ func (s *System) sealOnce() (bool, error) {
 		// Crash-safe publication: the blob lands in a .tmp first and is
 		// renamed into place only once fully synced, so a kill mid-seal
 		// leaves either nothing or a .tmp that reopen sweeps away.
-		final := fmt.Sprintf("%s.seg-g%d-%012d", pl.base, pl.gen, base)
+		final := fmt.Sprintf("%s.seg-%012d", pl.base, base)
 		tmp := final + ".tmp"
 		if err := writeSegmentFile(tmp, blob); err != nil {
 			return false, err
@@ -300,54 +284,4 @@ func (pl *pagelog) installSegment(sg *segment, cut int64) error {
 	pl.segments = append(pl.segments, sg)
 	pl.tailBase = cut
 	return nil
-}
-
-// dropExpiredSegments unlinks every sealed segment whose offsets all lie
-// below the minimum live Maplog offset — after TruncateBefore retired
-// old snapshots, the segments that served only them go away whole. It
-// requires zero open readers (open SPTs and bootstrap exports may still
-// dereference retired offsets), same as Compact; unlike Compact it never
-// moves an offset, so the segments that remain — and the hot tail — are
-// untouched.
-func (s *System) dropExpiredSegments() (dropped int) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	s.mu.Lock()
-	if s.closed || s.openReaders.Load() != 0 {
-		s.mu.Unlock()
-		return 0
-	}
-	// Level-0 Maplog offsets increase in append order and the skip
-	// levels merge subsets of the retained range, so the first retained
-	// entry's offset bounds every live mapping from below. An empty
-	// Maplog means nothing is referenced: everything sealed may go.
-	pl := s.pl.Load()
-	minLive := pl.size()
-	if len(s.ml.entries) > 0 {
-		minLive = s.ml.entries[0].off
-	}
-	dropped, pages := pl.dropSegmentsBelow(minLive)
-	if dropped > 0 {
-		s.stats.RetentionDrops.Add(uint64(dropped))
-		s.stats.RetentionDroppedPages.Add(uint64(pages))
-	}
-	s.mu.Unlock()
-	return dropped
-}
-
-// dropSegmentsBelow removes (and unlinks) leading segments entirely
-// below minLive, leaving holes that read as ErrBadOffset.
-func (pl *pagelog) dropSegmentsBelow(minLive int64) (dropped int, pages int64) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	i := 0
-	for i < len(pl.segments) && pl.segments[i].base+pl.segments[i].slots <= minLive {
-		pages += pl.segments[i].slots
-		pl.segments[i].remove()
-		i++
-	}
-	if i > 0 {
-		pl.segments = append(pl.segments[:0], pl.segments[i:]...)
-	}
-	return i, pages
 }

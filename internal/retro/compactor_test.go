@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,7 +120,7 @@ func TestSealedReadEquivalence(t *testing.T) {
 			e := newEnv(t, opts)
 			snaps := buildSealHistory(t, e, 12, 4)
 
-			pl := e.sys.pl.Load()
+			pl := e.sys.pl
 			n := pl.size()
 			if n < 16 {
 				t.Fatalf("history too small to seal: %d pages", n)
@@ -239,7 +241,7 @@ func TestSealCrashSafety(t *testing.T) {
 	buildSealHistory(t, e, 12, 4)
 
 	boom := errors.New("simulated crash")
-	pl := sys.pl.Load()
+	pl := sys.pl
 	pl.mu.Lock()
 	pl.injectSealErr = boom
 	pl.mu.Unlock()
@@ -267,7 +269,7 @@ func TestSealCrashSafety(t *testing.T) {
 	}
 
 	// Reopen the same path: the archive starts empty and every stray
-	// file of the previous generation — the .tmp and the sealed
+	// file of the previous incarnation — the .tmp and the sealed
 	// segments — is discarded.
 	store2 := storage.NewStore()
 	sys2, err := New(store2, Options{PagelogPath: path, Compaction: sealAllOptions(8)})
@@ -285,87 +287,6 @@ func TestSealCrashSafety(t *testing.T) {
 	if got := readSnapPage(t, sys2, snaps[0], 1); got != 0 {
 		// Page ids restart in the fresh store; just prove reads work.
 		_ = got
-	}
-}
-
-func TestRetentionDropsWholeSegments(t *testing.T) {
-	e := newEnv(t, Options{
-		PagelogPath: filepath.Join(t.TempDir(), "pagelog"),
-		Compaction:  sealAllOptions(8),
-	})
-	snaps := buildSealHistory(t, e, 16, 4)
-	if _, err := e.sys.SealNow(); err != nil {
-		t.Fatal(err)
-	}
-	segsBefore, _, _ := e.sys.pl.Load().tiers()
-	if segsBefore < 3 {
-		t.Fatalf("only %d segments; geometry too coarse for the test", segsBefore)
-	}
-
-	// Nothing is droppable while every snapshot is retained.
-	if n := e.sys.DropExpiredSegments(); n != 0 {
-		t.Fatalf("dropped %d segments with full retention", n)
-	}
-
-	keep := snaps[len(snaps)-2]
-	if err := e.sys.TruncateBefore(keep); err != nil {
-		t.Fatal(err)
-	}
-	dropped := e.sys.DropExpiredSegments()
-	if dropped == 0 {
-		t.Fatal("retention retired most of history but no segment dropped")
-	}
-	st := e.sys.Stats()
-	if st.RetentionDrops != uint64(dropped) || st.RetentionDroppedPages != uint64(dropped*8) {
-		t.Errorf("drop counters = %d/%d, want %d/%d",
-			st.RetentionDrops, st.RetentionDroppedPages, dropped, dropped*8)
-	}
-	segFiles, _ := filepath.Glob(e.sys.pl.Load().base + ".seg-*")
-	segsAfter, _, _ := e.sys.pl.Load().tiers()
-	if len(segFiles) != segsAfter {
-		t.Errorf("%d segment files on disk, %d segments live", len(segFiles), segsAfter)
-	}
-
-	// A dropped offset reads as ErrBadOffset; retained snapshots read.
-	var p storage.PageData
-	if _, _, err := e.sys.pl.Load().read(0, &p); !errors.Is(err, ErrBadOffset) {
-		t.Errorf("dropped offset read err = %v, want ErrBadOffset", err)
-	}
-	e.sys.ResetCache()
-	r, err := e.sys.OpenSnapshot(keep)
-	if err != nil {
-		t.Fatalf("OpenSnapshot(retained): %v", err)
-	}
-	r.Close()
-	if _, err := e.sys.OpenSnapshot(snaps[0]); !errors.Is(err, ErrNoSnapshot) {
-		t.Errorf("truncated snapshot open err = %v, want ErrNoSnapshot", err)
-	}
-}
-
-// TestRetentionDropBlockedByOpenReaders mirrors Compact's guard: a
-// segment cannot vanish while any reader might still chase offsets.
-func TestRetentionDropBlockedByOpenReaders(t *testing.T) {
-	e := newEnv(t, Options{
-		PagelogPath: filepath.Join(t.TempDir(), "pagelog"),
-		Compaction:  sealAllOptions(8),
-	})
-	snaps := buildSealHistory(t, e, 16, 4)
-	if _, err := e.sys.SealNow(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.sys.OpenSnapshot(snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.sys.TruncateBefore(snaps[len(snaps)-2]); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.sys.DropExpiredSegments(); n != 0 {
-		t.Fatalf("dropped %d segments with an open reader", n)
-	}
-	r.Close()
-	if n := e.sys.DropExpiredSegments(); n == 0 {
-		t.Fatal("nothing dropped after the reader closed")
 	}
 }
 
@@ -399,45 +320,11 @@ func TestPagelogCloseDiscardsStaged(t *testing.T) {
 	}
 }
 
-// TestCompactOverTiers: the offset-remapping Compact must work when the
-// surviving pages live in sealed segments, and produce a fresh flat
-// generation with no leftover segment files.
-func TestCompactOverTiers(t *testing.T) {
-	e := newEnv(t, Options{
-		PagelogPath: filepath.Join(t.TempDir(), "pagelog"),
-		Compaction:  sealAllOptions(8),
-	})
-	snaps := buildSealHistory(t, e, 16, 4)
-	if _, err := e.sys.SealNow(); err != nil {
-		t.Fatal(err)
-	}
-	keep := snaps[len(snaps)-3]
-	if err := e.sys.TruncateBefore(keep); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.sys.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if segs, _, _ := e.sys.pl.Load().tiers(); segs != 0 {
-		t.Fatalf("compacted generation still has %d segments", segs)
-	}
-	e.sys.ResetCache()
-	r, err := e.sys.OpenSnapshot(keep)
-	if err != nil {
-		t.Fatalf("OpenSnapshot after Compact: %v", err)
-	}
-	r.Close()
-	// The new generation seals again without tripping on old files.
-	buildSealHistory(t, e, 8, 4)
-	if n, err := e.sys.SealNow(); err != nil || n == 0 {
-		t.Fatalf("SealNow on compacted generation = (%d, %v)", n, err)
-	}
-}
-
 // TestCompactorSmoke races the background compactor (1ms interval,
-// tiny segments) against writers, snapshot readers, and retention.
-// Run under -race this is the tiering torture test `make check` wires
-// in as compact-smoke.
+// tiny segments) against a writer and snapshot readers, which check
+// every page they read against the value its snapshot declared. Run
+// under -race this is the tiering torture test `make check` wires in
+// as compact-smoke.
 func TestCompactorSmoke(t *testing.T) {
 	e := newEnv(t, Options{
 		PagelogPath: filepath.Join(t.TempDir(), "pagelog"),
@@ -451,6 +338,8 @@ func TestCompactorSmoke(t *testing.T) {
 	var (
 		mu    sync.Mutex
 		snaps []SnapshotID
+		page  storage.PageID          // the page every snapshot sets
+		want  = map[SnapshotID]byte{} // page's value as of each snapshot
 	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -471,12 +360,13 @@ func TestCompactorSmoke(t *testing.T) {
 			copy(ids, out)
 			mu.Lock()
 			snaps = append(snaps, snap)
+			page, want[snap] = ids[0], vals[0]
 			mu.Unlock()
 			_, _ = e.writePages(t, ids, []byte{byte(i + 9), byte(i + 8), byte(i + 7), byte(i + 6)}, false)
 		}
 	}()
 
-	// Readers: open random retained snapshots and read through them.
+	// Readers: open random snapshots and read through them.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -493,40 +383,29 @@ func TestCompactorSmoke(t *testing.T) {
 				if len(snaps) > 0 {
 					snap = snaps[rng.Intn(len(snaps))]
 				}
+				id, v := page, want[snap]
 				mu.Unlock()
 				if snap == 0 {
 					continue
 				}
 				r, err := e.sys.OpenSnapshot(snap)
 				if err != nil {
-					continue // possibly truncated meanwhile
+					t.Errorf("OpenSnapshot(%d): %v", snap, err)
+					return
 				}
+				p, err := r.Get(id)
 				r.Close()
+				if err != nil {
+					t.Errorf("snapshot %d page %d: %v", snap, id, err)
+					return
+				}
+				if p[0] != v {
+					t.Errorf("snapshot %d page %d = %d, want %d", snap, id, p[0], v)
+					return
+				}
 			}
 		}(int64(w + 1))
 	}
-
-	// Retention: periodically truncates to the recent half.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			mu.Lock()
-			var keep SnapshotID
-			if len(snaps) > 4 {
-				keep = snaps[len(snaps)-3]
-			}
-			mu.Unlock()
-			if keep != 0 {
-				_ = e.sys.TruncateBefore(keep)
-			}
-		}
-	}()
 
 	time.Sleep(250 * time.Millisecond)
 	close(stop)
@@ -536,7 +415,7 @@ func TestCompactorSmoke(t *testing.T) {
 	if st.SegmentSeals == 0 {
 		t.Error("background compactor never sealed a segment")
 	}
-	// The newest retained snapshots must still read correctly.
+	// The newest snapshots must still read correctly from a cold cache.
 	mu.Lock()
 	tail := append([]SnapshotID(nil), snaps[len(snaps)-2:]...)
 	mu.Unlock()
@@ -547,6 +426,61 @@ func TestCompactorSmoke(t *testing.T) {
 			t.Fatalf("OpenSnapshot(%d) after smoke: %v", snap, err)
 		}
 		r.Close()
+	}
+}
+
+// A lost group flush fails the system, and Close must still tear it
+// down: stop the background compactor and close the Pagelog's files.
+// Afterwards commits and opens report the failure, not a closed system.
+func TestFailedSystemCloseTearsDown(t *testing.T) {
+	e := newEnv(t, Options{
+		PagelogPath: filepath.Join(t.TempDir(), "pagelog"),
+		Compaction:  CompactionOptions{Enabled: true, SegmentPages: 8, MinTailPages: -1, Interval: time.Hour},
+	})
+	snap, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
+
+	// Swap the tail for a read-only handle: the next group write fails.
+	pl := e.sys.pl
+	ro, err := os.Open(pl.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.mu.Lock()
+	rw := pl.file
+	pl.file = ro
+	pl.mu.Unlock()
+	defer rw.Close()
+	e.writePages(t, ids, []byte{2}, false) // captures snapshot's page: the flush fails
+
+	wantFailed := func(op string, err error) {
+		t.Helper()
+		if err == nil || errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "system failed") {
+			t.Errorf("%s on a failed system: %v, want the sticky failure", op, err)
+		}
+	}
+	_, err = e.sys.OpenSnapshot(snap)
+	wantFailed("OpenSnapshot", err)
+	_, err = e.sys.OpenSnapshotSet([]SnapshotID{snap})
+	wantFailed("OpenSnapshotSet", err)
+	_, err = e.sys.Committing(nil, true, nil, 0)
+	wantFailed("Committing", err)
+
+	if err := e.sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case <-e.sys.compactDone:
+	case <-time.After(200 * time.Millisecond):
+		t.Error("background compactor still running after Close")
+	}
+	pl.mu.RLock()
+	closed, file := pl.closed, pl.file
+	pl.mu.RUnlock()
+	if !closed || file != nil {
+		t.Errorf("Pagelog not torn down by Close: closed=%v file=%v", closed, file)
+	}
+	if _, err := e.sys.OpenSnapshot(snap); !errors.Is(err, ErrClosed) {
+		t.Errorf("OpenSnapshot after Close: %v, want ErrClosed", err)
 	}
 }
 

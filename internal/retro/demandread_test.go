@@ -144,7 +144,7 @@ func TestDemandReadJoinersShareOneRead(t *testing.T) {
 		}
 	}
 
-	pl := e.sys.pl.Load()
+	pl := e.sys.pl
 	pl.mu.Lock()
 	var started, done sync.WaitGroup
 	for _, r := range readers {
@@ -194,7 +194,7 @@ func TestInjectedReadErrorFailsOneConcurrentRead(t *testing.T) {
 
 	boom := errors.New("injected read error")
 	e.sys.InjectPagelogReadError(boom)
-	pl := e.sys.pl.Load()
+	pl := e.sys.pl
 	pl.mu.Lock()
 	var failed atomic.Int32
 	var wg sync.WaitGroup

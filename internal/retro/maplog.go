@@ -34,7 +34,6 @@ type maplog struct {
 	entries  []mapEntry
 	segStart []int        // segStart[s] = first entry index with tag >= s; len = lastSnap+1
 	levels   [][]levelSeg // levels[k-1][j] covers snapshots [j*factor^k+1, (j+1)*factor^k]
-	minSnap  SnapshotID   // retention floor: snapshots below are truncated
 }
 
 type levelSeg struct {
@@ -45,7 +44,7 @@ func newMaplog(factor int) *maplog {
 	if factor < 2 {
 		factor = 4
 	}
-	return &maplog{factor: factor, segStart: []int{0}, minSnap: 1} // index 0 unused
+	return &maplog{factor: factor, segStart: []int{0}} // index 0 unused
 }
 
 // lastSnap returns the most recently declared snapshot id (0 if none).
@@ -71,18 +70,11 @@ func (m *maplog) declare() SnapshotID {
 	span := m.factor
 	for level := 1; completed%span == 0; level++ {
 		j := completed/span - 1
-		var seg levelSeg
-		if SnapshotID(j*span+1) >= m.minSnap {
-			seg = m.merge(level, j)
-		}
-		// (A blank segment keeps level indexing aligned when its range
-		// starts below the retention floor; it can never be selected,
-		// because SPT builds only start at snapshots >= minSnap.)
 		for len(m.levels) < level {
 			m.levels = append(m.levels, nil)
 		}
 		// j is always exactly len(levels[level-1]): segments complete in order.
-		m.levels[level-1] = append(m.levels[level-1], seg)
+		m.levels[level-1] = append(m.levels[level-1], m.merge(level, j))
 		span *= m.factor
 	}
 	return m.lastSnap()
@@ -193,9 +185,6 @@ func (m *maplog) checkOpenable(s SnapshotID) error {
 	if s < 1 || s > m.lastSnap() {
 		return ErrNoSnapshot
 	}
-	if s < m.minSnap {
-		return fmt.Errorf("%w: snapshot %d was truncated (retention floor %d)", ErrNoSnapshot, s, m.minSnap)
-	}
 	return nil
 }
 
@@ -298,9 +287,9 @@ func (m *maplog) buildSPTBatch(ids []SnapshotID, upto int) ([]*SPT, error) {
 // [a, b), one contiguous run entries[segStart[a]:segStart[b]] because
 // tags never decrease. It reports whether none of them is in readSet,
 // stopping at the first that is; examined counts the entries tested.
-// ok is false, and nothing is tested, unless a < b are both retained.
+// ok is false, and nothing is tested, unless 1 <= a < b <= lastSnap.
 func (m *maplog) unchanged(a, b SnapshotID, readSet map[storage.PageID]struct{}) (ok, unchanged bool, examined int) {
-	if a < 1 || a < m.minSnap || b <= a || b > m.lastSnap() {
+	if a < 1 || b <= a || b > m.lastSnap() {
 		return false, false, 0
 	}
 	for _, e := range m.entries[m.segStart[a]:m.segStart[b]] {

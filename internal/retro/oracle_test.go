@@ -1,7 +1,6 @@
 package retro
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,10 +10,8 @@ import (
 )
 
 // The delta oracle against its specification, over random Maplogs with
-// quiet snapshots and a retention floor: for random pairs (a, b) and
-// page sets R,
-//   - ok is false exactly when a is 0 or below the floor, b <= a, or b
-//     is not declared;
+// quiet snapshots: for random pairs (a, b) and page sets R,
+//   - ok is false exactly when a is 0, b <= a, or b is not declared;
 //   - otherwise unchanged holds exactly when R misses naiveDelta(a, b),
 //     having tested every entry tagged [a, b) when it does;
 //   - and unchanged implies the as-of-a and as-of-b page tables resolve
@@ -24,8 +21,6 @@ func TestUnchangedMatchesNaiveDelta(t *testing.T) {
 	for _, factor := range []int{2, 3, 4} {
 		// Up to 3 captures per snapshot: about one snapshot in four is quiet.
 		ml := randomMaplog(factor, int64(factor)*31, 70, universe, 3)
-		floor := SnapshotID(9 + factor)
-		ml.truncateBefore(floor)
 		last := ml.lastSnap()
 		r := rand.New(rand.NewSource(int64(factor)))
 		for k := 0; k < 3000; k++ {
@@ -40,9 +35,9 @@ func TestUnchangedMatchesNaiveDelta(t *testing.T) {
 			}
 
 			ok, unchanged, examined := ml.unchanged(a, b, readSet)
-			wantOK := a >= 1 && a >= floor && b > a && b <= last
+			wantOK := a >= 1 && b > a && b <= last
 			if ok != wantOK {
-				t.Fatalf("factor %d: unchanged(%d, %d): ok = %v, want %v (floor %d, last %d)", factor, a, b, ok, wantOK, floor, last)
+				t.Fatalf("factor %d: unchanged(%d, %d): ok = %v, want %v (last %d)", factor, a, b, ok, wantOK, last)
 			}
 			if !ok {
 				if unchanged || examined != 0 {
@@ -104,9 +99,9 @@ func TestUnchangedAllocatesNothing(t *testing.T) {
 }
 
 // SPT builds and oracle checks share the Maplog lock as readers, and
-// open readers are counted atomically: run with -race. Reader
-// goroutines build sets and single SPTs, read them and ask the oracle
-// while the test goroutine commits snapshots and compacts.
+// exclude the writer: run with -race. Reader goroutines build sets and
+// single SPTs, read them and ask the oracle while the test goroutine
+// commits snapshots, each commit taking the Maplog lock exclusively.
 func TestConcurrentBuildsAndChecks(t *testing.T) {
 	e := newEnv(t, Options{})
 	_, ids := e.writePages(t, []storage.PageID{0, 0}, []byte{1, 1}, true)
@@ -165,9 +160,6 @@ func TestConcurrentBuildsAndChecks(t *testing.T) {
 	}
 	for s := 2; s <= snapshots; s++ {
 		e.writePages(t, []storage.PageID{a}, []byte{byte(s)}, true)
-		if _, err := e.sys.Compact(); err != nil && !errors.Is(err, ErrReadersActive) {
-			t.Error(err)
-		}
 	}
 	close(stop)
 	wg.Wait()

@@ -23,8 +23,9 @@
 // segments. Sealing never moves a logical offset — the tail shrinks
 // from the front and the segment covers exactly the logical range it
 // replaced — so SPTs, the Maplog, the snapshot cache, and replication
-// deltas are oblivious to it. Only Compact (retention.go) remaps
-// offsets, and it still requires zero open readers.
+// deltas are oblivious to it. Nothing else restructures the Pagelog:
+// an offset, once assigned, names the same pre-state for the life of
+// the store.
 package retro
 
 import (
@@ -51,17 +52,16 @@ var (
 // Offsets are page indexes. It is backed by a real file when a path is
 // given, or by memory otherwise (tests, examples).
 //
-// Tiering: logical offsets [0, tailBase) that have not been dropped by
-// retention live in sealed segments (sorted by base, contiguous);
-// [tailBase, n) is the hot tail in the flat format. Tail file positions
-// are tail-relative — (off - tailBase) * PageSize — because sealing
-// rotates the tail file to reclaim the sealed prefix.
+// Tiering: logical offsets [0, tailBase) live in sealed segments
+// (sorted by base, contiguous); [tailBase, n) is the hot tail in the
+// flat format. Tail file positions are tail-relative — (off - tailBase)
+// * PageSize — because sealing rotates the tail file to reclaim the
+// sealed prefix.
 type pagelog struct {
 	mu   sync.RWMutex
 	file *os.File
-	path string // the current tail file's actual path ("" for memory backing)
-	base string // the configured path compaction generations derive from
-	gen  int
+	path string              // the current tail file's actual path ("" for memory backing)
+	base string              // the configured path segment and tail files derive from
 	mem  []*storage.PageData // tail pages, mem[off - tailBase]
 	n    int64
 
@@ -81,7 +81,7 @@ type pagelog struct {
 	staging bool
 	staged  []*storage.PageData
 
-	closed bool // set by close/destroy; seals abort instead of installing
+	closed bool // set by close; seals abort instead of installing
 
 	injectReadErr atomic.Pointer[error] // test hook: fail the next read (see takeReadErr)
 	injectSealErr error                 // test hook: fail the next seal after the partial write
@@ -104,7 +104,7 @@ func newPagelog(path string) (*pagelog, error) {
 	// A previous incarnation (or a crash mid-seal) may have left sealed
 	// segment files, rotated tails, or partial .tmp blobs next to the
 	// configured path. The archive starts empty (O_TRUNC semantics), so
-	// they are all stale: discard the whole generation.
+	// they are all stale: discard them.
 	removeStrayPagelogFiles(path)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -118,7 +118,7 @@ func newPagelog(path string) (*pagelog, error) {
 // mid-seal leaves at most a *.tmp (never renamed into place) or an
 // orphaned segment file, and reopening must not resurrect either.
 func removeStrayPagelogFiles(base string) {
-	for _, pat := range []string{base + ".seg-*", base + ".tail-*", base + ".gen*"} {
+	for _, pat := range []string{base + ".seg-*", base + ".tail-*"} {
 		names, err := filepath.Glob(pat)
 		if err != nil {
 			continue
@@ -154,8 +154,9 @@ func (pl *pagelog) append(data *storage.PageData) (int64, error) {
 	return off, nil
 }
 
-// findSegment returns the sealed segment containing the logical offset,
-// or nil (offset is in a retention hole).
+// findSegment returns the sealed segment containing the logical offset.
+// Sealed segments tile [0, tailBase) without holes, so nil for an offset
+// below tailBase is a broken invariant, reported as ErrBadOffset.
 func (pl *pagelog) findSegment(off int64) *segment {
 	i := sort.Search(len(pl.segments), func(i int) bool {
 		return pl.segments[i].base+pl.segments[i].slots > off
@@ -195,7 +196,7 @@ func (pl *pagelog) read(off int64, dst *storage.PageData) (physBytes int64, bloc
 	}
 	sg := pl.findSegment(off)
 	if sg == nil {
-		return 0, 0, fmt.Errorf("%w: offset %d was dropped by retention", ErrBadOffset, off)
+		return 0, 0, fmt.Errorf("%w: offset %d is in no sealed segment", ErrBadOffset, off)
 	}
 	return sg.readPages(off, 1, []*storage.PageData{dst}, pl.bcache)
 }
@@ -254,7 +255,7 @@ func (pl *pagelog) readRun(off int64, n int) (out []*storage.PageData, physBytes
 		}
 		sg := pl.findSegment(cur)
 		if sg == nil {
-			return nil, 0, 0, fmt.Errorf("%w: offset %d was dropped by retention", ErrBadOffset, cur)
+			return nil, 0, 0, fmt.Errorf("%w: offset %d is in no sealed segment", ErrBadOffset, cur)
 		}
 		m := n - i
 		if rem := sg.base + sg.slots - cur; int64(m) > rem {
@@ -269,30 +270,6 @@ func (pl *pagelog) readRun(off int64, n int) (out []*storage.PageData, physBytes
 		i += m
 	}
 	return out, physBytes, blockHits, nil
-}
-
-// readPageLocked serves one logical offset with pl.mu already held
-// exclusively (Compact's rewrite loop).
-func (pl *pagelog) readPageLocked(off int64, dst *storage.PageData) error {
-	if off < 0 || off >= pl.n {
-		return fmt.Errorf("%w: offset %d", ErrBadOffset, off)
-	}
-	if off >= pl.tailBase {
-		if pl.file != nil {
-			if _, err := pl.file.ReadAt(dst[:], (off-pl.tailBase)*storage.PageSize); err != nil {
-				return fmt.Errorf("retro: pagelog read: %w", err)
-			}
-			return nil
-		}
-		*dst = *pl.mem[off-pl.tailBase]
-		return nil
-	}
-	sg := pl.findSegment(off)
-	if sg == nil {
-		return fmt.Errorf("%w: offset %d was dropped by retention", ErrBadOffset, off)
-	}
-	_, _, err := sg.readPages(off, 1, []*storage.PageData{dst}, pl.bcache)
-	return err
 }
 
 // beginStage switches append into staging mode (see the struct doc).
@@ -354,10 +331,9 @@ func (pl *pagelog) tiers() (segs int, sealedPages, tailPages int64) {
 	return len(pl.segments), sealedPages, pl.n - pl.tailBase
 }
 
-// footprint reports the archive's logical size (live pages ×
-// PageSize) against the bytes actually held by the backing: sealed
-// segments store deduplicated compressed blocks, and retention-dropped
-// ranges cost nothing.
+// footprint reports the archive's logical size (pages × PageSize)
+// against the bytes actually held by the backing: sealed segments store
+// deduplicated compressed blocks.
 func (pl *pagelog) footprint() (logicalBytes, diskBytes int64) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
@@ -410,7 +386,7 @@ func (pl *pagelog) installShippedSegment(blob []byte) error {
 		return fmt.Errorf("retro: shipped segment base %d does not extend pagelog at %d", sg.base, pl.n)
 	}
 	if pl.file != nil {
-		path := fmt.Sprintf("%s.seg-g%d-%012d", pl.base, pl.gen, sg.base)
+		path := fmt.Sprintf("%s.seg-%012d", pl.base, sg.base)
 		if err := writeSegmentFile(path, blob); err != nil {
 			return err
 		}
@@ -428,24 +404,4 @@ func (pl *pagelog) installShippedSegment(blob []byte) error {
 	pl.n += sg.slots
 	pl.tailBase = pl.n
 	return nil
-}
-
-// destroy closes the pagelog and unlinks every backing file — the tail
-// and all sealed segments (Compact discarding the previous generation).
-func (pl *pagelog) destroy() {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.staged = nil
-	pl.staging = false
-	pl.closed = true
-	for _, sg := range pl.segments {
-		sg.remove()
-	}
-	pl.segments = nil
-	if pl.file != nil {
-		pl.file.Close()
-		pl.file = nil
-		os.Remove(pl.path)
-	}
-	pl.mem = nil
 }

@@ -61,11 +61,11 @@ func (s *System) SetCommitObserver(fn func([]CommitDelta)) {
 func (s *System) ApplyCommitDelta(d *CommitDelta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if len(d.Captures) > 0 {
-		pl := s.pl.Load()
+		pl := s.pl
 		if got := pl.size(); got != d.PlBase {
 			return fmt.Errorf("%w: pagelog at %d, primary commit expects %d", ErrReplDiverged, got, d.PlBase)
 		}
@@ -114,22 +114,18 @@ type BootstrapState struct {
 // ExportBootstrap snapshots the Maplog and snapshot metadata for a
 // bootstrap. The caller must have quiesced commits (it holds the
 // store's writer lock) so this cut is consistent with the store LSN it
-// exports alongside. It fails if retention has truncated history:
-// replay could then no longer reproduce the primary's skip-merge
-// levels.
+// exports alongside. Its Pagelog offsets stay valid while the pages
+// stream out, because no offset ever moves.
 func (s *System) ExportBootstrap() (BootstrapState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return BootstrapState{}, ErrClosed
-	}
-	if s.ml.minSnap > 1 {
-		return BootstrapState{}, errors.New("retro: bootstrap export after retention truncation is not supported")
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if err := s.usableLocked(); err != nil {
+		return BootstrapState{}, err
 	}
 	bs := BootstrapState{
 		LastSnap:     s.ml.lastSnap(),
 		SnapLSNs:     append([]uint64(nil), s.snapLSN...),
-		PagelogPages: s.pl.Load().size(),
+		PagelogPages: s.pl.size(),
 	}
 	bs.Entries = make([]BootstrapEntry, len(s.ml.entries))
 	for i, e := range s.ml.entries {
@@ -143,7 +139,7 @@ func (s *System) ExportBootstrap() (BootstrapState, error) {
 // it serves sealed ranges too (decompressed) — the raw-page fallback
 // for subscribers that do not speak segment shipping.
 func (s *System) ExportPagelog(off int64, max int) ([]*storage.PageData, error) {
-	pages, _, _, err := s.pl.Load().readRun(off, max)
+	pages, _, _, err := s.pl.readRun(off, max)
 	return pages, err
 }
 
@@ -161,10 +157,9 @@ type SealedSegmentBlob struct {
 // that form a contiguous prefix [0, covered) of the Pagelog with
 // covered <= limit. Segments beyond limit (sealed after the bootstrap
 // cut was taken) are excluded; the caller ships [covered, limit) as raw
-// pages. The caller must hold a BeginExport pin so retention cannot
-// drop segments mid-export.
+// pages.
 func (s *System) ExportSealedSegments(limit int64) ([]SealedSegmentBlob, int64, error) {
-	pl := s.pl.Load()
+	pl := s.pl
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
 	var out []SealedSegmentBlob
@@ -186,18 +181,6 @@ func (s *System) ExportSealedSegments(limit int64) ([]SealedSegmentBlob, int64, 
 	return out, covered, nil
 }
 
-// BeginExport pins the system against Compact for the duration of a
-// bootstrap export (Pagelog offsets must not be remapped while pages
-// stream out). Pair with EndExport.
-func (s *System) BeginExport() {
-	s.mu.Lock()
-	s.openReaders.Add(1)
-	s.mu.Unlock()
-}
-
-// EndExport releases the BeginExport pin.
-func (s *System) EndExport() { s.openReaders.Add(-1) }
-
 // ApplyBootstrap loads an exported retro state into an empty system:
 // shipped sealed segments installed verbatim as the cold tier, the raw
 // Pagelog pages appended after them, then the primary's declare/append
@@ -208,10 +191,10 @@ func (s *System) EndExport() { s.openReaders.Add(-1) }
 func (s *System) ApplyBootstrap(bs BootstrapState, segs []SealedSegmentBlob, plPages []*storage.PageData) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
-	pl := s.pl.Load()
+	pl := s.pl
 	if s.ml.lastSnap() != 0 || len(s.ml.entries) != 0 || pl.size() != 0 {
 		return errors.New("retro: bootstrap into a non-empty snapshot system")
 	}

@@ -45,10 +45,10 @@ const DefaultReadLatency = 100 * time.Microsecond
 type System struct {
 	store *storage.Store
 
-	// pl is the current Pagelog. Atomic so the demand-read path loads it
-	// without s.mu; Compact swaps in the rewritten log, with zero open
-	// readers, so no read is in service across the swap.
-	pl atomic.Pointer[pagelog]
+	// pl is the Pagelog. Assigned once in New; an offset it hands out
+	// names the same pre-state for the life of the system (sealing moves
+	// pages between tiers, never between offsets).
+	pl *pagelog
 
 	// mu guards the Maplog and the fields below it. SPT builds and the
 	// delta oracle only read the Maplog, so they share it: concurrent
@@ -58,22 +58,20 @@ type System struct {
 	lastCapture map[storage.PageID]SnapshotID
 	snapLSN     []uint64 // snapLSN[s-1] = commit LSN of snapshot s
 	closed      bool
-	// openReaders counts live SnapshotReaders, sets and exports (Compact
-	// requires zero). Atomic because builds raise it under a read lock;
-	// it is checked under the write lock, which excludes them.
-	openReaders atomic.Int64
+	// failed is the sticky error of a system whose Pagelog diverged from
+	// the store (a lost group flush). Commits and opens return it; Close
+	// still tears down. Guarded by mu.
+	failed error
 
 	cache      *pageCache
 	simLatency time.Duration
 
-	// compactMu serializes structural Pagelog rewrites — background
-	// seals (compactor.go) and full offset-remapping Compact
-	// (retention.go). Lock order: compactMu → s.mu → pl.mu.
-	compactMu   sync.Mutex
+	// sealMu serializes seals with each other and with Close.
+	// Lock order: sealMu → s.mu → pl.mu.
+	sealMu      sync.Mutex
 	copts       CompactionOptions
 	compactStop chan struct{} // non-nil while the background compactor runs
 	compactDone chan struct{}
-	compactWake chan struct{} // kicks the compactor out of its interval sleep
 
 	// missing coalesces concurrent demand misses of the same Pagelog
 	// offset into one Pagelog read (see demandRead). Guarded by
@@ -130,6 +128,7 @@ func New(store *storage.Store, opts Options) (*System, error) {
 	}
 	sys := &System{
 		store:       store,
+		pl:          pl,
 		ml:          newMaplog(opts.SkipFactor),
 		lastCapture: make(map[storage.PageID]SnapshotID),
 		cache:       newPageCache(capacity),
@@ -137,20 +136,19 @@ func New(store *storage.Store, opts Options) (*System, error) {
 		simLatency:  opts.SimulatedReadLatency,
 		copts:       opts.Compaction.withDefaults(),
 	}
-	sys.pl.Store(pl)
 	sys.metrics = obs.NewSet(&sys.stats)
 	store.SetCommitHook(sys)
 	if sys.copts.Enabled {
 		sys.compactStop = make(chan struct{})
 		sys.compactDone = make(chan struct{})
-		sys.compactWake = make(chan struct{}, 1)
 		go sys.compactorLoop()
 	}
 	return sys, nil
 }
 
 // Close releases the Pagelog, waiting out reads in service. The system
-// must not be used afterwards.
+// must not be used afterwards. A failed system (see EndGroup) is torn
+// down like any other.
 func (s *System) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -161,16 +159,16 @@ func (s *System) Close() error {
 	s.mu.Unlock()
 	if s.compactStop != nil {
 		// Stop the background compactor before tearing down the Pagelog
-		// it seals into; compactMu acquisition below then guarantees no
+		// it seals into; sealMu acquisition below then guarantees no
 		// seal is mid-flight when the log closes.
 		close(s.compactStop)
 		<-s.compactDone
 	}
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
+	s.sealMu.Lock()
+	defer s.sealMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pl.Load().close()
+	return s.pl.close()
 }
 
 // Committing implements storage.CommitHook: capture pre-states for the
@@ -189,10 +187,10 @@ func (s *System) Committing(dirty []storage.DirtyPage, declare bool, reg any, ne
 
 // committingLocked is Committing's body. Callers hold s.mu.
 func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg any, newLSN uint64) (uint64, error) {
-	if s.closed {
-		return 0, ErrClosed
+	if err := s.usableLocked(); err != nil {
+		return 0, err
 	}
-	pl := s.pl.Load()
+	pl := s.pl
 	var delta *CommitDelta
 	if s.observer != nil {
 		delta = &CommitDelta{LSN: newLSN, PlBase: pl.size()}
@@ -255,20 +253,20 @@ func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg a
 func (s *System) BeginGroup() {
 	s.mu.Lock()
 	s.staging = true
-	s.pl.Load().beginStage()
+	s.pl.beginStage()
 }
 
 // EndGroup flushes the group's staged Pagelog appends with one backing
 // write, delivers the group's commit deltas to the observer as one
 // batch, and releases the system mutex taken by BeginGroup.
 func (s *System) EndGroup() {
-	appended, err := s.pl.Load().flushStaged()
-	if err != nil {
+	appended, err := s.pl.flushStaged()
+	if err != nil && s.failed == nil {
 		// The group's page versions are already installed in the
 		// store; with the archive write lost the snapshot log has
 		// diverged, so fail the system rather than serve wrong
 		// pre-states later.
-		s.closed = true
+		s.failed = fmt.Errorf("retro: system failed: %w", err)
 	}
 	s.unflushedTail.Add(int64(appended))
 	s.staging = false
@@ -306,26 +304,24 @@ func (s *System) FlushDecisions() uint64 {
 	return s.stats.DeviceFlushes.Load() + s.stats.GroupFlushesSkipped.Load()
 }
 
+// usableLocked returns the error that stops a closed or failed system
+// from committing or opening readers. Callers hold s.mu (either mode).
+func (s *System) usableLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return s.failed
+}
+
 // LastSnapshot returns the most recently declared snapshot id (0 if none).
 func (s *System) LastSnapshot() SnapshotID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.ml.lastSnap()
 }
 
 // PagelogPages returns the number of page pre-states archived.
-func (s *System) PagelogPages() int64 { return s.pl.Load().size() }
-
-// OldestSnapshot returns the oldest snapshot id still openable, i.e.
-// not dropped by retention (0 when no snapshot has been declared).
-func (s *System) OldestSnapshot() SnapshotID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ml.lastSnap() == 0 {
-		return 0
-	}
-	return s.ml.minSnap
-}
+func (s *System) PagelogPages() int64 { return s.pl.size() }
 
 // Unchanged is the delta oracle of delta pruning: it reports whether
 // every page of readSet has the same content as of snapshots a and b,
@@ -334,7 +330,7 @@ func (s *System) OldestSnapshot() SnapshotID {
 // first hit. examined counts the entries tested. It allocates nothing,
 // and replicas, which reproduce the same entries via ApplyCommitDelta,
 // answer identically. ok is false (nothing can be concluded) when a is
-// 0 or below the retention floor, b <= a, or b is not yet declared.
+// 0, b <= a, or b is not yet declared.
 func (s *System) Unchanged(a, b SnapshotID, readSet map[storage.PageID]struct{}) (ok, unchanged bool, examined int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -343,8 +339,8 @@ func (s *System) Unchanged(a, b SnapshotID, readSet map[storage.PageID]struct{})
 
 // MaplogEntries returns the raw (level 0) Maplog length.
 func (s *System) MaplogEntries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.ml.len0()
 }
 
@@ -357,7 +353,7 @@ func (s *System) ReadLatency() time.Duration { return s.simLatency }
 // condition on a tiered archive too.
 func (s *System) ResetCache() {
 	s.cache.reset()
-	s.pl.Load().bcache.reset()
+	s.pl.bcache.reset()
 }
 
 // CachedPages reports the number of pages currently cached.
@@ -367,7 +363,7 @@ func (s *System) CachedPages() int { return s.cache.len() }
 // size, tier shape, logical vs on-disk footprint — read from the live
 // Pagelog, so the next snapshot of the set reports them.
 func (s *System) sampleGauges() {
-	pl := s.pl.Load()
+	pl := s.pl
 	segs, sealedPages, tailPages := pl.tiers()
 	logical, disk := pl.footprint()
 	s.stats.PagelogPages.Store(pl.size())
@@ -395,15 +391,15 @@ func (s *System) Metrics() []obs.Metric {
 
 // PagelogFootprint reports the archive's live logical bytes against the
 // bytes its backing actually holds (sealed segments are deduplicated
-// and compressed; retention-dropped segments cost nothing).
+// and compressed).
 func (s *System) PagelogFootprint() (logicalBytes, diskBytes int64) {
-	return s.pl.Load().footprint()
+	return s.pl.footprint()
 }
 
 // PagelogTiers reports the tier shape: sealed segment count, logical
 // pages held sealed, and pages still in the hot tail.
 func (s *System) PagelogTiers() (segments int, sealedPages, tailPages int64) {
-	return s.pl.Load().tiers()
+	return s.pl.tiers()
 }
 
 // ResetStats zeroes the system's counters without disturbing the
@@ -431,9 +427,8 @@ func (s *System) OpenSnapshot(id SnapshotID) (*SnapshotReader, error) {
 }
 
 // pinAndBuild pins an MVCC read transaction, then runs build under the
-// Maplog lock over the entries appended so far, timing it; on success
-// the caller holds one open reader (which blocks Compact) until it
-// closes. The pin-then-scan order matters: commits that land after the
+// Maplog lock over the entries appended so far, timing it. The
+// pin-then-scan order matters: commits that land after the
 // read transaction is pinned may capture further pre-states, but the
 // pinned transaction still observes the pre-commit versions of those
 // pages directly, so an SPT built from the earlier Maplog prefix remains
@@ -444,17 +439,14 @@ func (s *System) pinAndBuild(build func(upto int) error) (*storage.ReadTx, time.
 		return nil, 0, err
 	}
 	s.mu.RLock()
-	if s.closed {
+	if err := s.usableLocked(); err != nil {
 		s.mu.RUnlock()
 		rt.Close()
-		return nil, 0, ErrClosed
+		return nil, 0, err
 	}
 	start := time.Now()
 	err = build(s.ml.len0())
 	buildTime := time.Since(start)
-	if err == nil {
-		s.openReaders.Add(1)
-	}
 	s.mu.RUnlock()
 	if err != nil {
 		rt.Close()
@@ -495,7 +487,7 @@ type SnapshotSet struct {
 // set. This is the batch entry point for RQL's defining access pattern,
 // a loop over a whole Qs snapshot set: the per-member Maplog ranges
 // overlap, and the sweep walks the shared ranges once instead of once
-// per member. The set counts as one open reader.
+// per member.
 func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
 	sorted := make([]SnapshotID, 0, len(ids))
 	seen := make(map[SnapshotID]bool, len(ids))
@@ -571,13 +563,12 @@ func (ss *SnapshotSet) Close() {
 	ss.closed = true
 	ss.mu.Unlock()
 	ss.rt.Close()
-	ss.sys.openReaders.Add(-1)
 }
 
 // SnapshotLSN returns the commit LSN at which the snapshot was declared.
 func (s *System) SnapshotLSN(id SnapshotID) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if id < 1 || int(id) > len(s.snapLSN) {
 		return 0, ErrNoSnapshot
 	}
@@ -587,7 +578,7 @@ func (s *System) SnapshotLSN(id SnapshotID) (uint64, error) {
 // InjectPagelogReadError makes the next Pagelog read fail (tests).
 // Exactly one read takes the error, however many run concurrently.
 func (s *System) InjectPagelogReadError(err error) {
-	s.pl.Load().injectReadErr.Store(&err)
+	s.pl.injectReadErr.Store(&err)
 }
 
 // Counters accumulates the per-reader costs the paper's §5 figures
@@ -732,7 +723,7 @@ func (s *System) demandRead(off int64, span *obs.Span) (data *storage.PageData, 
 	fsp := span.Child("pagelog.fetch").SetInt("off", off)
 	start := time.Now()
 	page := new(storage.PageData)
-	physBytes, blockHits, err := s.pl.Load().read(off, page)
+	physBytes, blockHits, err := s.pl.read(off, page)
 	busy := time.Since(start)
 	s.stats.DeviceReads.Add(1)
 	s.stats.DeviceBytesRead.Add(uint64(physBytes))
@@ -783,5 +774,4 @@ func (r *SnapshotReader) Close() {
 		return
 	}
 	r.rt.Close()
-	r.sys.openReaders.Add(-1)
 }

@@ -119,7 +119,8 @@ func (sg *segment) close() {
 	sg.blob = nil
 }
 
-// remove closes and unlinks the backing file (retention drop).
+// remove closes and unlinks the backing file (a seal that failed to
+// install).
 func (sg *segment) remove() {
 	path := sg.path
 	sg.close()
@@ -131,8 +132,8 @@ func (sg *segment) remove() {
 // blockCache is a small LRU of decompressed segment blocks — the
 // device's DRAM buffer. It makes demand reads that revisit a block (and
 // runs that straddle one) pay the inflate once. Entries are keyed by
-// (segment base, block index); segment bases are unique within one
-// Pagelog generation, and the cache is discarded wholesale by Compact.
+// (segment base, block index); segment bases are unique within a
+// Pagelog, whose offsets never move, so an entry never goes stale.
 type blockCache struct {
 	mu  sync.Mutex
 	cap int

@@ -40,16 +40,14 @@ type Stats struct {
 
 	// Tiered Pagelog: point-in-time tier shape and footprint (their
 	// ratio is the compression+dedup factor), then compactor activity.
-	Segments              obs.Gauge   `metric:"retro_segments" help:"Sealed Pagelog segments."`
-	SegmentPages          obs.Gauge   `metric:"retro_segment_pages" help:"Logical pages held in sealed segments."`
-	TailPages             obs.Gauge   `metric:"retro_tail_pages" help:"Pages in the Pagelog hot tail."`
-	PagelogLogicalBytes   obs.Gauge   `metric:"retro_pagelog_logical_bytes" help:"Logical size of the archive."`
-	PagelogDiskBytes      obs.Gauge   `metric:"retro_pagelog_disk_bytes" help:"Bytes the archive's backing holds after dedup and compression."`
-	SegmentSeals          obs.Counter `metric:"retro_segment_seals" help:"Segments sealed by the compactor."`
-	SealedPages           obs.Counter `metric:"retro_sealed_pages" help:"Pages sealed into segments."`
-	RetentionDrops        obs.Counter `metric:"retro_retention_drops" help:"Sealed segments dropped whole by retention."`
-	RetentionDroppedPages obs.Counter `metric:"retro_retention_dropped_pages" help:"Pages in retention-dropped segments."`
-	SegBlockHits          obs.Counter `metric:"retro_seg_block_hits" help:"Cold reads served from the decompressed-block cache."`
+	Segments            obs.Gauge   `metric:"retro_segments" help:"Sealed Pagelog segments."`
+	SegmentPages        obs.Gauge   `metric:"retro_segment_pages" help:"Logical pages held in sealed segments."`
+	TailPages           obs.Gauge   `metric:"retro_tail_pages" help:"Pages in the Pagelog hot tail."`
+	PagelogLogicalBytes obs.Gauge   `metric:"retro_pagelog_logical_bytes" help:"Logical size of the archive."`
+	PagelogDiskBytes    obs.Gauge   `metric:"retro_pagelog_disk_bytes" help:"Bytes the archive's backing holds after dedup and compression."`
+	SegmentSeals        obs.Counter `metric:"retro_segment_seals" help:"Segments sealed by the compactor."`
+	SealedPages         obs.Counter `metric:"retro_sealed_pages" help:"Pages sealed into segments."`
+	SegBlockHits        obs.Counter `metric:"retro_seg_block_hits" help:"Cold reads served from the decompressed-block cache."`
 }
 
 // StatsSnapshot is a point-in-time copy of Stats, filled by field name.
@@ -70,11 +68,9 @@ type StatsSnapshot struct {
 	GroupFlushesSkipped uint64
 	DeviceBytesRead     uint64
 
-	SegmentSeals          uint64
-	SealedPages           uint64
-	RetentionDrops        uint64
-	RetentionDroppedPages uint64
-	SegBlockHits          uint64
+	SegmentSeals uint64
+	SealedPages  uint64
+	SegBlockHits uint64
 
 	Segments            uint64
 	SegmentPages        uint64

@@ -283,11 +283,6 @@ func (db *DB) Metrics() []obs.Metric {
 // Requires compaction enabled in Options; a no-op (0, nil) otherwise.
 func (db *DB) SealPagelog() (int, error) { return db.inner.Retro().SealNow() }
 
-// DropExpiredSegments unlinks sealed segments that retention
-// (TRUNCATE RETROSPECTION BEFORE) has made wholly unreachable and
-// reports how many were dropped.
-func (db *DB) DropExpiredSegments() int { return db.inner.Retro().DropExpiredSegments() }
-
 // PagelogFootprint reports the archive's logical size (pages ×
 // PageSize) and its physical size after dedup and compression. Equal
 // when compaction is off or nothing is sealed.
