@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt loc sql-cover smoke-lint repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check microbench
+.PHONY: all check build vet test race fmt loc sql-cover smoke-lint repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke examples-smoke fig-check microbench
 
 all: check
 
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
 # failing check, the smoke-pattern lint, the replication smoke, the
 # group-commit stress smoke, the compaction smoke, the incremental-view
-# smoke, the decoder fuzz smoke, the rqlshell transcript smoke, and the
-# figure counter check. Every member is a deterministic pass/fail;
-# wall-clock performance is measured by the benchmark/ harness, not
-# gated here.
-check: build vet race fmt smoke-lint repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke fig-check
+# smoke, the decoder fuzz smoke, the rqlshell transcript smoke, the
+# examples smoke, and the figure counter check. Every member is a
+# deterministic pass/fail; wall-clock performance is measured by the
+# benchmark/ harness, not gated here.
+check: build vet race fmt smoke-lint repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke examples-smoke fig-check
 
 build:
 	$(GO) build ./...
@@ -92,11 +92,18 @@ groupcommit-smoke:
 # through (one billed read and one device read per page under parallel
 # lanes, joiners of an in-service miss held on the Pagelog's lock, an
 # injected read error failing exactly one of concurrent reads).
-# -count=3 for the same reason as groupcommit-smoke.
+# -count=3 for the same reason as groupcommit-smoke. Then the shared
+# SPT segment tables' stress test 20 times: single and set opens over
+# overlapping members, a writer declaring across Skippy level
+# boundaries and ResetCache dropping the tables, every open checked
+# against the naive Maplog scan over its own pinned prefix.
 COMPACT_SMOKE_RUN = TestSeal|TestSegment|TestCompact|TestCompaction|TestPagelogClose|TestFailedSystem|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDemandRead|TestInjectedReadError
 COMPACT_SMOKE_PKGS = ./internal/retro ./internal/repl .
+SPT_STRESS_RUN = ^(TestConcurrentBuildsAndChecks)$$
+SPT_STRESS_PKGS = ./internal/retro
 compact-smoke:
 	$(GO) test -race -count=3 -run '$(COMPACT_SMOKE_RUN)' $(COMPACT_SMOKE_PKGS)
+	$(GO) test -race -count=20 -run '$(SPT_STRESS_RUN)' $(SPT_STRESS_PKGS)
 
 # view-smoke runs the incremental materialized-view correctness
 # surface under the race detector: the incremental-vs-full-recompute
@@ -132,6 +139,7 @@ smoke-lint:
 	lint '$(REPL_STRESS_RUN)' $(REPL_SMOKE_PKGS) && \
 	lint '$(GROUPCOMMIT_SMOKE_RUN)' $(GROUPCOMMIT_SMOKE_PKGS) && \
 	lint '$(COMPACT_SMOKE_RUN)' $(COMPACT_SMOKE_PKGS) && \
+	lint '$(SPT_STRESS_RUN)' $(SPT_STRESS_PKGS) && \
 	lint '$(VIEW_SMOKE_RUN)' $(VIEW_SMOKE_PKGS)
 
 # fuzz-smoke fuzzes each decoder that sees untrusted bytes — the wire
@@ -161,6 +169,15 @@ fuzz-smoke:
 shell-smoke:
 	bash cmd/rqlshell/smoke.sh
 
+# examples-smoke runs every program under examples/ — the README's
+# walkthroughs, audit and profile among them printing SPT build times —
+# and fails on the first that exits non-zero.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $${d%/}"; \
+		$(GO) run "./$${d%/}" >/dev/null || { echo "examples-smoke: $${d%/} failed"; exit 1; }; \
+	done
+
 # fig-check runs the quick §5 sweep (fig 6–13, §5.3, the ablation) and
 # holds its counter columns — Pagelog reads, DB reads, cache hits,
 # fig 7's C_io, result rows and bytes — byte-identical to the committed
@@ -174,6 +191,7 @@ fig-check:
 
 # microbench runs the Go testing benchmarks (one pass, smoke-level),
 # reporting allocations: BenchmarkExecAsOfSet's allocs/op is allocations
-# per set member.
+# per set member, and retro's BenchmarkOpenSnapshot times a warm open of
+# an old and of a recent snapshot over the shared segment tables.
 microbench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' ./...

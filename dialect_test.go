@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"rql/internal/record"
+	"rql/internal/retro"
 	"rql/internal/sql"
 )
 
@@ -122,6 +124,30 @@ func TestDialect(t *testing.T) {
 		q = fmt.Sprintf(q, snap)
 		if err := conn.Exec(q, nil); err == nil {
 			t.Errorf("%s: no error", q)
+		}
+	}
+	// AS OF names a declared snapshot by its integer id, as a literal or
+	// a parameter. Anything else is an error naming the value: not the
+	// current state (0, text) and not a neighbouring snapshot (a REAL, a
+	// numeric string).
+	for _, tc := range []struct {
+		q     string
+		param []record.Value
+		named string
+	}{
+		{`SELECT AS OF 0 okey FROM orders`, nil, "AS OF 0"},
+		{`SELECT AS OF 'x' okey FROM orders`, nil, "AS OF 'x'"},
+		{fmt.Sprintf(`SELECT AS OF %d.9 okey FROM orders`, snap), nil, fmt.Sprintf("AS OF %d.9", snap)},
+		{fmt.Sprintf(`SELECT AS OF '%d' okey FROM orders`, snap), nil, fmt.Sprintf("AS OF '%d'", snap)},
+		{`SELECT AS OF ? okey FROM orders`, []record.Value{record.Int(0)}, "AS OF 0"},
+		{`SELECT AS OF ? okey FROM orders`, []record.Value{record.Int(-1)}, "AS OF -1"},
+		{`SELECT AS OF ? okey FROM orders`, []record.Value{record.Text("x")}, "AS OF 'x'"},
+		{`SELECT AS OF ? okey FROM orders`, []record.Value{record.Float(float64(snap) + 0.9)}, fmt.Sprintf("AS OF %d.9", snap)},
+		{`SELECT AS OF ? okey FROM orders`, []record.Value{record.Null()}, "AS OF NULL"},
+	} {
+		err := conn.Exec(tc.q, nil, tc.param...)
+		if !errors.Is(err, retro.ErrNoSnapshot) || !strings.Contains(err.Error(), tc.named) {
+			t.Errorf("%s %v: %v, want an error naming %q that wraps retro.ErrNoSnapshot", tc.q, tc.param, err, tc.named)
 		}
 	}
 	if err := conn.Exec(fmt.Sprintf(`SELECT * FROM copy%d`, snap), nil); err == nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,33 @@ func TestRatioCOrdering(t *testing.T) {
 	}
 	if c30 >= 1 || c15 >= 1 {
 		t.Errorf("sharing should keep C below 1: UW30=%.3f UW15=%.3f", c30, c15)
+	}
+}
+
+// Figure 8's shape in the counter domain, on fig-check's quick UW30
+// sweep: every hot iteration reads fewer Pagelog pages than its cold
+// iteration, and the cold iterations read fewer the more recent their
+// interval (old snapshot, Slast-50, Slast-25), whose pages the current
+// database increasingly shares.
+func TestFig8HotCutsIOAndRecentIsCheaper(t *testing.T) {
+	r := NewRunner(Config{SF: 0.01, Quick: true, Seed: 1}, io.Discard)
+	defer r.Close()
+	_, runs, err := r.fig8Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	for i, rs := range runs {
+		label, cold := fig8Labels[i], rs.Cold().PagelogReads
+		for k, it := range rs.Iterations[1:] {
+			if it.PagelogReads >= cold {
+				t.Errorf("%s: hot iteration %d read %d Pagelog pages, cold %d", label, k+1, it.PagelogReads, cold)
+			}
+		}
+		if i > 0 && cold >= prev {
+			t.Errorf("%s: cold iteration read %d Pagelog pages, the older interval %d", label, cold, prev)
+		}
+		prev = cold
 	}
 }
 

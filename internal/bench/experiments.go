@@ -231,13 +231,9 @@ func (r *Runner) Fig7() error {
 // Fig8 breaks down single-iteration costs of the I/O-intensive query at
 // old and recent snapshots, cold and hot (§5.1, Figure 8).
 func (r *Runner) Fig8() error {
-	e, err := r.env(UW30, r.historyFull(UW30))
+	e, runs, err := r.fig8Runs()
 	if err != nil {
 		return err
-	}
-	ilen := uint64(50)
-	if r.Cfg.Quick {
-		ilen = 12
 	}
 	t := &Table{
 		Title: "Figure 8: single-iteration cost, AggV(Qs_50, Qq_io, AVG), UW30",
@@ -245,23 +241,9 @@ func (r *Runner) Fig8() error {
 			"snapshots fetch shared pages from the current DB and get cheaper toward Slast.",
 		Headers: breakdownHeaders,
 	}
-	addRun := func(label string, lo, hi uint64) error {
-		rs, err := e.ColdRun(mechAggVarAvg, QsRange(lo, hi, 1), QqIO)
-		if err != nil {
-			return err
-		}
-		t.Add(breakdownRow(label+" cold iteration", rs.Cold())...)
-		t.Add(breakdownRow(label+" hot iteration", rs.Hot())...)
-		return nil
-	}
-	if err := addRun("old snapshot", 1, ilen); err != nil {
-		return err
-	}
-	if err := addRun("Slast-50", e.Last-ilen+1, e.Last); err != nil {
-		return err
-	}
-	if err := addRun("Slast-25", e.Last-ilen/2+1, e.Last); err != nil {
-		return err
+	for i, rs := range runs {
+		t.Add(breakdownRow(fig8Labels[i]+" cold iteration", rs.Cold())...)
+		t.Add(breakdownRow(fig8Labels[i]+" hot iteration", rs.Hot())...)
 	}
 	// Current state: the same Qq on the live database (no snapshot).
 	if err := e.Conn.Exec(QqIO, nil); err != nil {
@@ -271,6 +253,32 @@ func (r *Runner) Fig8() error {
 	t.Add(breakdownRow("current state", core.IterationCost{QueryEval: cur.Duration})...)
 	t.Fprint(r.Out)
 	return nil
+}
+
+// fig8Labels names Figure 8's snapshot intervals, oldest first.
+var fig8Labels = []string{"old snapshot", "Slast-50", "Slast-25"}
+
+// fig8Runs runs the I/O-intensive query over each of Figure 8's
+// intervals from a cold cache: the first ilen snapshots, the last ilen
+// and the last ilen/2.
+func (r *Runner) fig8Runs() (*Env, []*core.RunStats, error) {
+	e, err := r.env(UW30, r.historyFull(UW30))
+	if err != nil {
+		return nil, nil, err
+	}
+	ilen := uint64(50)
+	if r.Cfg.Quick {
+		ilen = 12
+	}
+	var runs []*core.RunStats
+	for _, iv := range [][2]uint64{{1, ilen}, {e.Last - ilen + 1, e.Last}, {e.Last - ilen/2 + 1, e.Last}} {
+		rs, err := e.ColdRun(mechAggVarAvg, QsRange(iv[0], iv[1], 1), QqIO)
+		if err != nil {
+			return nil, nil, err
+		}
+		runs = append(runs, rs)
+	}
+	return e, runs, nil
 }
 
 // Fig9 runs the CPU-intensive join with and without a native index on

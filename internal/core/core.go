@@ -101,9 +101,9 @@ func (r *RQL) ResetLastRun() { r.setLastRun(nil) }
 // reference the pruned ≡ unpruned tests compare against.
 func (r *RQL) SetDeltaPrune(on bool) { r.noPrune.Store(!on) }
 
-// recordBatchBuild surfaces the reader set's one-sweep SPT build as a
-// retroactive span under the run span (the sweep just finished, so its
-// start is approximated back from its measured duration).
+// recordBatchBuild surfaces the reader set's SPT build as a retroactive
+// span under the run span (the build just finished, so its start is
+// approximated back from its measured duration).
 func recordBatchBuild(sp *obs.Span, set *sql.ReaderSet) {
 	if set == nil || sp == nil {
 		return
@@ -114,7 +114,7 @@ func recordBatchBuild(sp *obs.Span, set *sql.ReaderSet) {
 		obs.Attr{Key: "map_scanned", Int: int64(set.Scanned())})
 }
 
-// billBatch records the reader set's one-sweep build on the run: as
+// billBatch records the reader set's build on the run: as
 // run-level fields, and billed to the first iteration's SPTBuild and
 // MapScanned so totals stay comparable with the per-iteration path.
 func billBatch(run *RunStats, set *sql.ReaderSet) {
@@ -274,8 +274,8 @@ func (r *RQL) CollateDataIntoIntervals(conn *sql.Conn, qs, qq, table string) (*R
 // run drives a mechanism from Go: execute Qs, then run the loop body
 // over the returned set. Unlike the SQL UDF form — where the engine
 // streams Qs rows into the UDF one at a time — the whole set is known
-// before the first iteration, so the SPT of every member is built with
-// one batch Maplog sweep and unchanged iterations are pruned.
+// before the first iteration, so the SPT of every member is built by
+// one snapshot-set open and unchanged iterations are pruned.
 // workers > 0 fans the set out over that many lanes (parallel.go);
 // variant, when non-nil, adjusts the lane that owns T before it runs
 // (sortmerge.go).
@@ -310,7 +310,7 @@ func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant
 		return err
 	})
 	if err == nil && len(snaps) > 0 {
-		// One batch-built reader set, shared read-only by every lane.
+		// One reader set, shared read-only by every lane.
 		if m.set, err = conn.OpenSnapshotSet(snaps); err == nil {
 			defer m.set.Close()
 			recordBatchBuild(conn.TraceSpan(), m.set)

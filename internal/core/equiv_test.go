@@ -109,29 +109,28 @@ func makeQsOrders(t *testing.T, c *sql.Conn) {
 	}
 }
 
-// iterMapScanned sums the Maplog entries scanned across a run's
-// iterations (the per-iteration path's total SPT construction work).
-func iterMapScanned(rs *RunStats) int {
-	n := 0
-	for _, it := range rs.Iterations {
-		n += it.MapScanned
-	}
-	return n
-}
-
-// The Go-level run — one lane over a batch-built reader set — must
-// produce what the UDF statement does, and its one Maplog sweep must
-// scan strictly fewer entries than the per-iteration builds it replaces.
+// The Go-level run — one lane over a reader set — must produce what
+// the UDF statement does, and on a reset system both forms hash the
+// same Maplog segment tables once: the set's open hashes every
+// member's cover, and the UDF form's per-iteration opens share the
+// tables the earlier ones built. The history ends on a declaration, so
+// there is no open tail, and the set's MapScanned is exactly the table
+// entries it left behind.
 func TestBatchRunMatchesUDFForm(t *testing.T) {
 	r, c := randomHistory(t, 11, 25)
 	makeQsOrders(t, c)
+	sys := r.db.Retro()
 	for _, from := range qsOrders {
 		for _, fx := range allFixtures {
 			label := fx.tag() + " over " + from
 			table := "B_" + fx.tag() + "_" + from
+			sys.ResetCache()
 			bs := runFixture(t, r, c, fx, "SELECT snap_id FROM "+from, table, false)
+			batch := sys.Stats()
+			sys.ResetCache()
 			assertSameResult(t, c, fx, from, table)
 			us := r.LastRun() // the oracle's run
+			udf := sys.Stats()
 
 			if bs.BatchBuilds != 1 || bs.BatchMapScanned == 0 {
 				t.Errorf("%s: batch run stats %+v, want one recorded batch build", label, bs)
@@ -142,14 +141,14 @@ func TestBatchRunMatchesUDFForm(t *testing.T) {
 			if len(us.Iterations) != len(bs.Iterations) {
 				t.Errorf("%s: %d iterations, UDF form ran %d", label, len(bs.Iterations), len(us.Iterations))
 			}
-			if udfScan := iterMapScanned(us); bs.BatchMapScanned >= udfScan {
-				t.Errorf("%s: batch sweep scanned %d Maplog entries, per-iteration sum %d — batch must be strictly lower",
-					label, bs.BatchMapScanned, udfScan)
+			if uint64(bs.BatchMapScanned) != batch.SPTTableEntries || udf.SPTTableEntries != batch.SPTTableEntries {
+				t.Errorf("%s: set open hashed %d Maplog entries into %d table entries, the UDF form's opens %d — both must hash each table once",
+					label, bs.BatchMapScanned, batch.SPTTableEntries, udf.SPTTableEntries)
 			}
-			// Billing: the sweep's work lands on the first iteration so
+			// Billing: the set's build lands on the first iteration so
 			// run totals stay comparable across the two paths.
 			if bs.Iterations[0].MapScanned < bs.BatchMapScanned {
-				t.Errorf("%s: batch sweep not billed to the first iteration: %+v", label, bs.Iterations[0])
+				t.Errorf("%s: set build not billed to the first iteration: %+v", label, bs.Iterations[0])
 			}
 		}
 	}

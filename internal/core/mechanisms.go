@@ -78,7 +78,7 @@ type mech struct {
 	groupIdx []int
 	aggIdx   []int
 
-	// set, when non-nil, is the batch-built reader set covering the
+	// set, when non-nil, is the pre-built reader set covering the
 	// run's snapshots: iterations open their SPT from it in O(1). The
 	// SQL-form UDF path and views have none (their snapshots arrive one
 	// at a time) and build one SPT per iteration.

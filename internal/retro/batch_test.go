@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"rql/internal/obs"
 	"rql/internal/storage"
 )
 
@@ -24,23 +25,27 @@ func naiveSPT(ml *maplog, s SnapshotID) map[storage.PageID]int64 {
 	return want
 }
 
-// checkSPT asserts an SPT resolves exactly the pages of want (and no
-// page of the universe outside it).
+// checkSPT asserts an SPT resolves exactly the pages of want: every
+// page id of the universe, resolved or absent, looks up as the naive
+// model says.
 func checkSPT(t *testing.T, label string, s SnapshotID, spt *SPT, want map[storage.PageID]int64, universe int) {
 	t.Helper()
 	if spt.Snap != s {
 		t.Fatalf("%s snap %d: SPT.Snap = %d", label, s, spt.Snap)
 	}
-	if spt.Len() != len(want) {
-		t.Fatalf("%s snap %d: SPT size %d, want %d", label, s, spt.Len(), len(want))
-	}
-	for p := storage.PageID(1); p <= storage.PageID(universe); p++ {
+	for p := storage.PageID(0); p <= storage.PageID(universe)+1; p++ {
 		got, ok := spt.Lookup(p)
 		wantOff, wantOk := want[p]
 		if ok != wantOk || (ok && got != wantOff) {
 			t.Fatalf("%s snap %d page %d: got %d,%v want %d,%v", label, s, p, got, ok, wantOff, wantOk)
 		}
 	}
+}
+
+// openSPT builds SPT(s) over the whole Maplog the way an open does.
+func openSPT(ml *maplog, s SnapshotID) *SPT {
+	var h hashed
+	return ml.buildSPT(s, ml.tail(&h), &h)
 }
 
 // naiveDelta is the reference delta: distinct pages with a raw Maplog
@@ -72,13 +77,24 @@ func randomMaplog(factor int, seed int64, count, universe, maxPerSnap int) *mapl
 	return ml
 }
 
-// The tentpole property: for every snapshot of randomized capture
-// workloads, the Skippy buildSPT, the naive level-0 scan, and the new
-// batch builder agree exactly.
+// randomSystem is a snapshot system whose Maplog is randomMaplog's:
+// the SPT builds read only the Maplog, so opens over it resolve pages
+// exactly as over a recorded history (its pages are never read).
+func randomSystem(t testing.TB, factor int, seed int64, count, universe, maxPerSnap int) *System {
+	e := newEnv(t, Options{SkipFactor: factor})
+	e.sys.ml = randomMaplog(factor, seed, count, universe, maxPerSnap)
+	return e.sys
+}
+
+// For every member of random snapshot sets over randomized capture
+// workloads, the set open, a single open and the naive level-0 scan
+// agree exactly — while the opens share their segment tables, and the
+// latest snapshot's segment is still open.
 func TestBatchSPTEquivalence(t *testing.T) {
 	const universe = 12
 	for _, factor := range []int{2, 3, 4} {
-		ml := randomMaplog(factor, int64(factor)*101, 60, universe, 6)
+		sys := randomSystem(t, factor, int64(factor)*101, 60, universe, 6)
+		ml := sys.ml
 		r := rand.New(rand.NewSource(int64(factor)))
 		last := ml.lastSnap()
 
@@ -100,64 +116,98 @@ func TestBatchSPTEquivalence(t *testing.T) {
 			sets = append(sets, ids)
 		}
 
-		for _, ids := range sets {
-			spts, err := ml.buildSPTBatch(ids, ml.len0())
-			if err != nil {
-				t.Fatalf("factor %d: buildSPTBatch(%v): %v", factor, ids, err)
+		for k, ids := range sets {
+			if k%3 == 2 {
+				sys.ResetCache()
 			}
-			for i, s := range ids {
+			set, err := sys.OpenSnapshotSet(ids)
+			if err != nil {
+				t.Fatalf("factor %d: OpenSnapshotSet(%v): %v", factor, ids, err)
+			}
+			for _, s := range ids {
 				want := naiveSPT(ml, s)
-				checkSPT(t, "batch", s, spts[i], want, universe)
-				single, err := ml.buildSPT(s, ml.len0())
+				checkSPT(t, "set", s, set.spts[s], want, universe)
+				single, err := sys.OpenSnapshot(s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSPT(t, "skippy", s, single, want, universe)
+				checkSPT(t, "single", s, single.spt, want, universe)
+				single.Close()
 			}
+			set.Close()
 		}
 	}
 }
 
 func TestBatchSPTInputValidation(t *testing.T) {
-	ml := randomMaplog(4, 3, 10, 5, 3)
-	if _, err := ml.buildSPTBatch(nil, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
+	sys := randomSystem(t, 4, 3, 10, 5, 3)
+	if _, err := sys.OpenSnapshotSet(nil); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("empty set: %v", err)
 	}
-	if _, err := ml.buildSPTBatch([]SnapshotID{0}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := sys.OpenSnapshotSet([]SnapshotID{0}); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("snapshot 0: %v", err)
 	}
-	if _, err := ml.buildSPTBatch([]SnapshotID{ml.lastSnap() + 1}, ml.len0()); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := sys.OpenSnapshotSet([]SnapshotID{1, sys.LastSnapshot() + 1}); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("future snapshot: %v", err)
+	}
+	if st := sys.Stats(); st.SPTTablesBuilt != 0 || st.SPTBatchBuilds != 0 {
+		t.Errorf("rejected opens built tables or counted sets: %+v", st)
 	}
 }
 
-// The batch sweep must scan strictly fewer Maplog entries than the sum
-// of the per-member builds it replaces (the shared ranges are walked
-// once) — the ISSUE's acceptance criterion at the maplog level.
-func TestBatchScanStrictlyLowerThanPerIteration(t *testing.T) {
-	ml := randomMaplog(4, 29, 80, 16, 6)
+// An open of a set, then single opens of its members, hash no segment
+// twice: the set's open hashes its members' covers, and each repeat
+// open hashes only the open tail. A reset makes the next open pay its
+// Skippy hashing again.
+func TestSetAndSingleOpensShareSegmentTables(t *testing.T) {
+	sys := randomSystem(t, 4, 29, 80, 16, 6)
+	ml := sys.ml
+	openTail := ml.len0() - ml.segStart[ml.lastSnap()]
+	if openTail == 0 {
+		t.Fatal("history has no open tail to account")
+	}
 	var ids []SnapshotID
 	for s := SnapshotID(1); s <= ml.lastSnap(); s += 2 {
 		ids = append(ids, s)
 	}
-	spts, err := ml.buildSPTBatch(ids, ml.len0())
+	set, err := sys.OpenSnapshotSet(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := 0
-	for _, spt := range spts {
-		batch += spt.Scanned
+	set.Close()
+	built := sys.Stats().SPTTablesBuilt
+	if set.Scanned <= openTail || built == 0 {
+		t.Fatalf("set open hashed %d entries in %d tables, open tail is %d", set.Scanned, built, openTail)
 	}
-	sum := 0
 	for _, s := range ids {
-		single, err := ml.buildSPT(s, ml.len0())
+		r, err := sys.OpenSnapshot(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += single.Scanned
+		r.Close()
+		if r.Counters.MapScanned != openTail {
+			t.Errorf("repeat open of %d hashed %d entries, want the open tail's %d", s, r.Counters.MapScanned, openTail)
+		}
 	}
-	if batch >= sum {
-		t.Errorf("batch scanned %d entries, per-iteration sum %d — batch must be strictly lower", batch, sum)
+	if got := sys.Stats().SPTTablesBuilt; got != built {
+		t.Errorf("single opens hashed %d more tables", got-built)
+	}
+	// After a reset, the first open of S hashes its whole cover, exactly
+	// as a set open of S alone on a fresh system would.
+	sys.ResetCache()
+	first, err := sys.OpenSnapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	fresh := randomSystem(t, 4, 29, 80, 16, 6)
+	alone, err := fresh.OpenSnapshotSet([]SnapshotID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone.Close()
+	if first.Counters.MapScanned != alone.Scanned || alone.Scanned <= openTail {
+		t.Errorf("first open of 1 after a reset hashed %d entries, a fresh set open %d", first.Counters.MapScanned, alone.Scanned)
 	}
 }
 
@@ -439,4 +489,93 @@ func TestPageCacheSharding(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// The shared segment tables are bounded without eviction: each Maplog
+// entry is hashed into at most one level-0 table and one table per
+// Skippy level, so after every snapshot of a random history has been
+// opened — singly and as one set — the retro_spt_table_entries gauge
+// is at most (levels + 1) × Maplog entries, and it equals what the
+// slots hold. ResetCache drops them all: the gauge reads 0, and opening
+// everything again rebuilds the same tables.
+func TestSPTTableEntriesGauge(t *testing.T) {
+	for _, factor := range []int{2, 4} {
+		sys := randomSystem(t, factor, int64(factor)*7, 90, 40, 8)
+		ml := sys.ml
+		openAll := func() {
+			var all []SnapshotID
+			for s := SnapshotID(1); s <= ml.lastSnap(); s++ {
+				r, err := sys.OpenSnapshot(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Close()
+				all = append(all, s)
+			}
+			set, err := sys.OpenSnapshotSet(all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.Close()
+		}
+		held := func() (n uint64) {
+			for _, slot := range ml.tables0[1:] {
+				if tb := slot.t.Load(); tb != nil {
+					n += uint64(len(tb.loc))
+				}
+			}
+			for _, level := range ml.levels {
+				for _, seg := range level {
+					if tb := seg.table.t.Load(); tb != nil {
+						n += uint64(len(tb.loc))
+					}
+				}
+			}
+			return n
+		}
+
+		openAll()
+		st := sys.Stats()
+		bound := uint64((len(ml.levels) + 1) * ml.len0())
+		if st.SPTTableEntries == 0 || st.SPTTableEntries != held() || st.SPTTableEntries > bound {
+			t.Errorf("factor %d: gauge %d, slots hold %d, bound (%d levels + 1) × %d entries = %d",
+				factor, st.SPTTableEntries, held(), len(ml.levels), ml.len0(), bound)
+		}
+		if m, ok := obs.Find(sys.Metrics(), "retro_spt_table_entries"); !ok || m.Value != st.SPTTableEntries {
+			t.Errorf("factor %d: metric list reports %+v, want the gauge %d", factor, m, st.SPTTableEntries)
+		}
+		sys.ResetCache()
+		if got := sys.Stats().SPTTableEntries; got != 0 || held() != 0 {
+			t.Errorf("factor %d: after ResetCache the gauge reads %d and the slots hold %d, want 0", factor, got, held())
+		}
+		openAll()
+		if again := sys.Stats(); again.SPTTableEntries != st.SPTTableEntries || again.SPTTablesBuilt != 2*st.SPTTablesBuilt {
+			t.Errorf("factor %d: reopening after a reset built %d tables holding %d entries, first time %d holding %d",
+				factor, again.SPTTablesBuilt-st.SPTTablesBuilt, again.SPTTableEntries, st.SPTTablesBuilt, st.SPTTableEntries)
+		}
+	}
+}
+
+// BenchmarkOpenSnapshot times a warm standalone open — the shared
+// segment tables already built, so an open stacks them and hashes only
+// the open tail — of an old and of a recent snapshot of a 120-snapshot
+// history with ~25 captures per snapshot. allocs/op is the open's
+// garbage: the SPT, its table stack, the tail's table and the pin.
+func BenchmarkOpenSnapshot(b *testing.B) {
+	sys := randomSystem(b, 4, 1, 120, 2000, 50)
+	for _, tc := range []struct {
+		name string
+		snap SnapshotID
+	}{{"old", 1}, {"recent", sys.LastSnapshot() - 3}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := sys.OpenSnapshot(tc.snap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r.Close()
+			}
+		})
+	}
 }

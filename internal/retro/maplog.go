@@ -1,7 +1,7 @@
 package retro
 
 import (
-	"fmt"
+	"sync/atomic"
 
 	"rql/internal/storage"
 )
@@ -27,24 +27,55 @@ type mapEntry struct {
 // page within that range, in chronological order (a "skip-merge" of the
 // level below, per the Skippy paper). SPT construction covers the tag
 // range [S, lastSnap] greedily with the largest aligned completed
-// segments, so the number of entries scanned is close to the number of
+// segments, so the number of entries it takes is close to the number of
 // distinct pages instead of the raw history length.
+//
+// Every closed segment, of any level, has a table slot: the segment's
+// page → offset table, hashed by the first open whose cover takes it
+// and shared by every later one (see segTable).
 type maplog struct {
 	factor   int
 	entries  []mapEntry
-	segStart []int        // segStart[s] = first entry index with tag >= s; len = lastSnap+1
-	levels   [][]levelSeg // levels[k-1][j] covers snapshots [j*factor^k+1, (j+1)*factor^k]
+	segStart []int         // segStart[s] = first entry index with tag >= s; len = lastSnap+1
+	tables0  []*tableSlot  // tables0[s] = closed level-0 segment of snapshot s (s < lastSnap); index 0 unused
+	levels   [][]*levelSeg // levels[k-1][j] covers snapshots [j*factor^k+1, (j+1)*factor^k]
 }
 
 type levelSeg struct {
 	entries []mapEntry
+	table   tableSlot
+}
+
+// segTable is one segment's page table: each page's first mapping
+// within the segment. Immutable once built.
+type segTable struct {
+	loc map[storage.PageID]int64
+}
+
+// tableSlot holds a closed segment's segTable once an open has built
+// it; nil before that and after dropTables. Slots are reached through
+// pointers only, so growing the slices that hold them copies no atomic.
+type tableSlot struct {
+	t atomic.Pointer[segTable]
+}
+
+// hashSegment builds the table of es, the first mapping per page
+// winning.
+func hashSegment(es []mapEntry) *segTable {
+	t := &segTable{loc: make(map[storage.PageID]int64, len(es))}
+	for _, e := range es {
+		if _, ok := t.loc[e.page]; !ok {
+			t.loc[e.page] = e.off
+		}
+	}
+	return t
 }
 
 func newMaplog(factor int) *maplog {
 	if factor < 2 {
 		factor = 4
 	}
-	return &maplog{factor: factor, segStart: []int{0}} // index 0 unused
+	return &maplog{factor: factor, segStart: []int{0}, tables0: []*tableSlot{nil}} // index 0 unused
 }
 
 // lastSnap returns the most recently declared snapshot id (0 if none).
@@ -65,6 +96,7 @@ func (m *maplog) declare() SnapshotID {
 	if completed < 1 {
 		return m.lastSnap()
 	}
+	m.tables0 = append(m.tables0, new(tableSlot))
 	// Build level k when the completed snapshot count reaches a
 	// multiple of factor^k.
 	span := m.factor
@@ -82,7 +114,7 @@ func (m *maplog) declare() SnapshotID {
 
 // merge skip-merges the factor children below (level, j) into one
 // segment keeping the chronologically-first mapping per page.
-func (m *maplog) merge(level, j int) levelSeg {
+func (m *maplog) merge(level, j int) *levelSeg {
 	var out []mapEntry
 	seen := make(map[storage.PageID]bool)
 	add := func(es []mapEntry) {
@@ -102,63 +134,42 @@ func (m *maplog) merge(level, j int) levelSeg {
 			add(m.levels[level-2][c].entries)
 		}
 	}
-	return levelSeg{entries: out}
+	return &levelSeg{entries: out}
 }
 
 // SPT is a snapshot page table: for every page captured after snapshot
 // S, the Pagelog offset of its as-of-S pre-state. Pages absent from the
 // table are shared with the current database.
 //
-// A batch-built SPT (see buildSPTBatch) holds only the mappings first
-// recorded between its own snapshot and the next set member, and chains
-// to the next member's SPT for everything later — the "later snapshot's
-// SPT plus the per-snapshot segment delta" decomposition. Lookup walks
-// the chain; own entries shadow chained ones, which is exactly
-// first-mapping-wins because Maplog tags are non-decreasing.
+// It is a stack of segment tables in chronological order: the shared
+// tables of the closed segments covering [S, last], then a private
+// table of the latest snapshot's open segment as of the open. Lookup
+// takes the first hit, which is first-mapping-wins because Maplog tags
+// never decrease.
 type SPT struct {
-	Snap    SnapshotID
-	loc     map[storage.PageID]int64
-	next    *SPT // batch chain toward the set's latest member (nil otherwise)
-	size    int  // distinct pages resolved across the whole chain
-	Scanned int  // Maplog entries examined building this table (its delta, when chained)
+	Snap   SnapshotID
+	tables []*segTable
 }
 
 // Lookup returns the Pagelog offset holding the page's as-of-S state.
 func (t *SPT) Lookup(id storage.PageID) (int64, bool) {
-	for s := t; s != nil; s = s.next {
-		if off, ok := s.loc[id]; ok {
+	for _, st := range t.tables {
+		if off, ok := st.loc[id]; ok {
 			return off, true
 		}
 	}
 	return 0, false
 }
 
-// Len returns the number of pages resolved to the Pagelog.
-func (t *SPT) Len() int { return t.size }
-
-// cover walks the Maplog over the snapshot tag range [lo, hi] in
-// chronological order, calling take on each covering segment. It
-// greedily prefers the largest aligned, completed Skippy level segments
-// that fit inside the range, falling back to raw level-0 segments. When
-// hi is the latest snapshot, its still-open segment is scanned raw,
-// bounded by upto.
-func (m *maplog) cover(lo, hi SnapshotID, upto int, take func([]mapEntry)) {
-	last := int(m.lastSnap())
-	closed := int(hi)
-	if closed > last-1 {
-		closed = last - 1 // the latest snapshot's segment is still open
-	}
+// cover walks the closed segments over the snapshot tag range
+// [lo, lastSnap-1] in chronological order, calling take on each with
+// its table slot. It greedily prefers the largest aligned, completed
+// Skippy level segments that fit inside the range, falling back to raw
+// level-0 segments.
+func (m *maplog) cover(lo SnapshotID, take func(slot *tableSlot, es []mapEntry)) {
+	closed := int(m.lastSnap()) - 1 // the latest snapshot's segment is still open
 	pos := int(lo)
-	for pos <= int(hi) {
-		if pos == int(last) {
-			// The open segment of the latest snapshot: raw scan.
-			start := m.segStart[pos]
-			if start > upto {
-				start = upto
-			}
-			take(m.entries[start:upto])
-			break
-		}
+	for pos <= closed {
 		// Largest aligned, completed level segment starting at pos whose
 		// span stays within the closed part of the range.
 		level, span := 0, 1
@@ -171,11 +182,12 @@ func (m *maplog) cover(lo, hi SnapshotID, upto int, take func([]mapEntry)) {
 			}
 		}
 		if level == 0 {
-			take(m.entries[m.segStart[pos]:m.segStart[pos+1]])
+			take(m.tables0[pos], m.entries[m.segStart[pos]:m.segStart[pos+1]])
 			pos++
 			continue
 		}
-		take(m.levels[level-1][(pos-1)/span].entries)
+		seg := m.levels[level-1][(pos-1)/span]
+		take(&seg.table, seg.entries)
 		pos += span
 	}
 }
@@ -188,98 +200,73 @@ func (m *maplog) checkOpenable(s SnapshotID) error {
 	return nil
 }
 
-// fold scans the Maplog over the tag range [lo, hi] into t, the first
-// mapping per page winning (upto bounds the open tail, as in cover).
-func (m *maplog) fold(t *SPT, lo, hi SnapshotID, upto int) {
-	m.cover(lo, hi, upto, func(es []mapEntry) {
-		for _, e := range es {
-			t.Scanned++
-			if _, ok := t.loc[e.page]; !ok {
-				t.loc[e.page] = e.off
-			}
+// hashed accounts an open's hashing: the segment tables it built and
+// published, the entries those tables hold, and the Maplog entries it
+// hashed into them and into its open tail.
+type hashed struct {
+	tables, tableEntries, entries int
+}
+
+// tail builds the private table of the latest snapshot's open segment
+// as appended so far, nil when it is empty. One open builds it once,
+// whatever its members.
+func (m *maplog) tail(h *hashed) *segTable {
+	es := m.entries[m.segStart[m.lastSnap()]:]
+	if len(es) == 0 {
+		return nil
+	}
+	h.entries += len(es)
+	return hashSegment(es)
+}
+
+// buildSPT assembles SPT(s) for a snapshot checkOpenable accepts: the
+// tables of cover's segments from s onward, each hashed here when no
+// earlier open has, then tail (the open segment's table, or nil).
+// Concurrent opens race to publish a table; the loser discards its
+// copy and takes the winner's, and only the winner counts the table in
+// h, so the counts summed over all opens are the hashing actually kept.
+func (m *maplog) buildSPT(s SnapshotID, tail *segTable, h *hashed) *SPT {
+	t := &SPT{Snap: s}
+	m.cover(s, func(slot *tableSlot, es []mapEntry) {
+		if len(es) == 0 {
+			return
 		}
+		st := slot.t.Load()
+		if st == nil {
+			st = hashSegment(es)
+			if slot.t.CompareAndSwap(nil, st) {
+				h.tables++
+				h.tableEntries += len(st.loc)
+				h.entries += len(es)
+			} else if won := slot.t.Load(); won != nil {
+				st = won
+			} // else dropTables ran in between: keep the private copy
+		}
+		t.tables = append(t.tables, st)
 	})
+	if tail != nil {
+		t.tables = append(t.tables, tail)
+	}
+	return t
 }
 
-// buildSPT constructs SPT(S) by scanning the Maplog from S forward,
-// first-mapping-wins, using the Skippy hierarchy to skip over long
-// histories. upto bounds the raw tail scan (entries appended later
-// belong to commits the caller's MVCC read transaction does not see;
-// including them would also be correct, but bounding keeps the build
-// deterministic for a given open point).
-func (m *maplog) buildSPT(s SnapshotID, upto int) (*SPT, error) {
-	if err := m.checkOpenable(s); err != nil {
-		return nil, err
-	}
-	t := &SPT{Snap: s, loc: make(map[storage.PageID]int64)}
-	m.fold(t, s, m.lastSnap(), upto)
-	t.size = len(t.loc)
-	return t, nil
-}
-
-// buildSPTBatch constructs the SPTs of every snapshot in ids — which
-// must be sorted ascending and unique — in a single Maplog sweep. The
-// latest member's SPT is built with the usual Skippy-covered scan from
-// it to the tail; each earlier member then only scans its delta range
-// [S_i, S_i+1) and chains to its successor, so the ranges shared by the
-// set members are walked once instead of once per member. The returned
-// tables are aligned with ids.
-//
-// A naive chain makes every Lookup walk O(n) links, which for large
-// sets costs more than the sweep saves. Every k-th member (k ≈ √n) is
-// therefore a checkpoint: its own table holds the cumulative delta from
-// itself to the base and its next pointer skips straight to the base,
-// bounding the walk at ~√n links for the ~n/√n extra tables' memory.
-func (m *maplog) buildSPTBatch(ids []SnapshotID, upto int) ([]*SPT, error) {
-	for _, s := range ids {
-		if err := m.checkOpenable(s); err != nil {
-			return nil, err
+// dropTables empties every table slot, returning the table entries
+// dropped. Readers keep the tables they already hold.
+func (m *maplog) dropTables() (entries int) {
+	drop := func(slot *tableSlot) {
+		if st := slot.t.Swap(nil); st != nil {
+			entries += len(st.loc)
 		}
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: empty snapshot set", ErrNoSnapshot)
+	for _, slot := range m.tables0[1:] {
+		drop(slot)
 	}
-	out := make([]*SPT, len(ids))
-	n := len(ids)
-	base := &SPT{Snap: ids[n-1], loc: make(map[storage.PageID]int64)}
-	m.fold(base, ids[n-1], m.lastSnap(), upto)
-	base.size = len(base.loc)
-	out[n-1] = base
-	k := 1
-	for k*k < n {
-		k++
+	for _, level := range m.levels {
+		for _, seg := range level {
+			drop(&seg.table)
+		}
 	}
-	// cum folds the deltas from the current member to the base together,
-	// earliest mapping winning: walking backwards, each member's delta
-	// overwrites what later members recorded for the same page.
-	cum := make(map[storage.PageID]int64)
-	for i := n - 2; i >= 0; i-- {
-		t := &SPT{Snap: ids[i], loc: make(map[storage.PageID]int64), next: out[i+1]}
-		m.fold(t, ids[i], ids[i+1]-1, upto)
-		for page, off := range t.loc {
-			cum[page] = off
-		}
-		if (n-1-i)%k == 0 {
-			// Checkpoint: replace the delta with the cumulative table and
-			// skip the chain. Scanned stays the delta's scan count — the
-			// copy examines no Maplog entries.
-			loc := make(map[storage.PageID]int64, len(cum))
-			for page, off := range cum {
-				loc[page] = off
-			}
-			t.loc, t.next = loc, base
-		}
-		// Chain-aware resolved-page count: an own key not resolvable by
-		// the successor chain is new.
-		t.size = t.next.size
-		for page := range t.loc {
-			if _, ok := t.next.Lookup(page); !ok {
-				t.size++
-			}
-		}
-		out[i] = t
-	}
-	return out, nil
+	return entries
 }
 
 // unchanged is the delta oracle: the pages that can differ between

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"rql/internal/storage"
 )
@@ -99,26 +100,65 @@ func TestUnchangedAllocatesNothing(t *testing.T) {
 }
 
 // SPT builds and oracle checks share the Maplog lock as readers, and
-// exclude the writer: run with -race. Reader goroutines build sets and
-// single SPTs, read them and ask the oracle while the test goroutine
-// commits snapshots, each commit taking the Maplog lock exclusively.
+// exclude the writer; the segment tables opens publish are shared with
+// no lock at all: run with -race. Reader goroutines open single
+// snapshots and sets over overlapping members, read them and ask the
+// oracle, while the test goroutine commits across Skippy level
+// boundaries (each commit taking the Maplog lock exclusively, every
+// other one leaving an open tail) and a further goroutine keeps
+// dropping the tables with ResetCache. Every open must resolve every
+// page id as the naive first-mapping-wins scan over its own pinned
+// Maplog prefix does.
 func TestConcurrentBuildsAndChecks(t *testing.T) {
-	e := newEnv(t, Options{})
-	_, ids := e.writePages(t, []storage.PageID{0, 0}, []byte{1, 1}, true)
-	a, b := ids[0], ids[1] // a changes at every snapshot, b never again
-	const snapshots, workers = 40, 4
+	e := newEnv(t, Options{SkipFactor: 4})
+	_, ids := e.writePages(t, []storage.PageID{0, 0, 0}, []byte{1, 1, 1}, true)
+	a, b, c := ids[0], ids[1], ids[2] // a changes at every snapshot, b never again, c between snapshots
+	const snapshots, workers = 40, 4  // past the level-1 (4) and level-2 (16) boundaries
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	// prefix returns the Maplog's entries and segment starts so far:
+	// appends never write below a slice's length, so the prefix stays
+	// valid after the lock is released.
+	prefix := func() ([]mapEntry, []int) {
+		e.sys.mu.RLock()
+		defer e.sys.mu.RUnlock()
+		ml := e.sys.ml
+		return ml.entries[:len(ml.entries):len(ml.entries)], ml.segStart[:len(ml.segStart):len(ml.segStart)]
+	}
+	// checkSPT holds spt to the naive scan from s over the prefix the
+	// open pinned, which lies between before and after (entries are
+	// only appended): a page the shorter prefix resolves must resolve
+	// alike, a page the longer one does not must stay unresolved, and a
+	// page in between may only resolve to the longer prefix's offset.
+	checkSPT := func(s SnapshotID, spt *SPT, before, after []mapEntry, segStart []int) error {
+		lo, hi := naivePrefix(s, before, segStart), naivePrefix(s, after, segStart)
+		for p := storage.PageID(0); p <= c+1; p++ {
+			got, ok := spt.Lookup(p)
+			wantLo, inLo := lo[p]
+			wantHi, inHi := hi[p]
+			switch {
+			case inLo && (!ok || got != wantLo),
+				!inHi && ok,
+				inHi && ok && got != wantHi:
+				return fmt.Errorf("snapshot %d page %d: got %d,%v; naive %d,%v at the open, %d,%v after", s, p, got, ok, wantLo, inLo, wantHi, inHi)
+			}
+		}
+		return nil
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			rng := rand.New(rand.NewSource(int64(w)))
+			for !stopped() {
 				last := e.sys.LastSnapshot()
 				if last < 2 {
 					continue
@@ -131,17 +171,23 @@ func TestConcurrentBuildsAndChecks(t *testing.T) {
 					t.Errorf("Unchanged(1, %d, {b}) = %v, %v, want true, true", last, ok, unchanged)
 					return
 				}
-				set, err := e.sys.OpenSnapshotSet([]SnapshotID{1, last / 2, last})
+				// Overlapping members: every set holds last/2 and last.
+				members := []SnapshotID{last / 2, last, SnapshotID(rng.Intn(int(last)) + 1), SnapshotID(rng.Intn(int(last)) + 1)}
+				before, _ := prefix()
+				set, err := e.sys.OpenSnapshotSet(members)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				after, segStart := prefix()
 				for _, s := range set.Snapshots() {
 					r, err := set.Open(s)
 					if err == nil {
-						var p *storage.PageData
-						if p, err = r.Get(a); err == nil && p[0] != byte(s) {
-							err = fmt.Errorf("snapshot %d: page a = %d", s, p[0])
+						if err = checkSPT(s, r.spt, before, after, segStart); err == nil {
+							var p *storage.PageData
+							if p, err = r.Get(a); err == nil && p[0] != byte(s) {
+								err = fmt.Errorf("snapshot %d: page a = %d", s, p[0])
+							}
 						}
 						r.Close()
 					}
@@ -150,17 +196,45 @@ func TestConcurrentBuildsAndChecks(t *testing.T) {
 					}
 				}
 				set.Close()
-				if r, err := e.sys.OpenSnapshot(last); err != nil {
+				s := members[2]
+				before, _ = prefix()
+				r, err := e.sys.OpenSnapshot(s)
+				if err != nil {
 					t.Error(err)
-				} else {
-					r.Close()
+					continue
 				}
+				after, segStart = prefix()
+				if err := checkSPT(s, r.spt, before, after, segStart); err != nil {
+					t.Error(err)
+				}
+				r.Close()
 			}
-		}()
+		}(w)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stopped() {
+			e.sys.ResetCache()
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
 	for s := 2; s <= snapshots; s++ {
+		e.writePages(t, []storage.PageID{c}, []byte{byte(s)}, false)
 		e.writePages(t, []storage.PageID{a}, []byte{byte(s)}, true)
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// naivePrefix is the reference first-mapping-wins scan from snapshot s
+// over a Maplog prefix.
+func naivePrefix(s SnapshotID, entries []mapEntry, segStart []int) map[storage.PageID]int64 {
+	want := make(map[storage.PageID]int64)
+	for _, e := range entries[min(segStart[s], len(entries)):] {
+		if _, ok := want[e.page]; !ok {
+			want[e.page] = e.off
+		}
+	}
+	return want
 }

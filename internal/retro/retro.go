@@ -52,7 +52,8 @@ type System struct {
 
 	// mu guards the Maplog and the fields below it. SPT builds and the
 	// delta oracle only read the Maplog, so they share it: concurrent
-	// runs' sweeps and prune checks do not wait on one another.
+	// opens and prune checks do not wait on one another. (The segment
+	// tables opens publish are atomic slots: see tableSlot.)
 	mu          sync.RWMutex
 	ml          *maplog
 	lastCapture map[storage.PageID]SnapshotID
@@ -348,12 +349,17 @@ func (s *System) MaplogEntries() int {
 // modeled I/O time.
 func (s *System) ReadLatency() time.Duration { return s.simLatency }
 
-// ResetCache empties the snapshot page cache and the decompressed
-// segment-block cache, producing the paper's "all-cold" starting
-// condition on a tiered archive too.
+// ResetCache empties the snapshot page cache, the decompressed
+// segment-block cache and every Maplog segment table, producing the
+// paper's "all-cold" starting condition on a tiered archive too: the
+// next open of a snapshot pays its Skippy hashing again.
 func (s *System) ResetCache() {
 	s.cache.reset()
 	s.pl.bcache.reset()
+	s.mu.RLock()
+	dropped := s.ml.dropTables()
+	s.mu.RUnlock()
+	s.stats.SPTTableEntries.Add(-int64(dropped))
 }
 
 // CachedPages reports the number of pages currently cached.
@@ -411,55 +417,60 @@ func (s *System) ResetStats() { s.metrics.Reset() }
 // returning a reader that serves any page as of the snapshot. The
 // reader must be closed.
 func (s *System) OpenSnapshot(id SnapshotID) (*SnapshotReader, error) {
-	var spt *SPT
-	rt, buildTime, err := s.pinAndBuild(func(upto int) (err error) {
-		spt, err = s.ml.buildSPT(id, upto)
-		return err
-	})
+	rt, spts, c, err := s.pinAndBuild([]SnapshotID{id})
 	if err != nil {
 		return nil, err
 	}
 	s.stats.SPTBuilds.Add(1)
-	r := &SnapshotReader{sys: s, spt: spt, rt: rt}
-	r.Counters.SPTBuildTime = buildTime
-	r.Counters.MapScanned = spt.Scanned
-	return r, nil
+	return &SnapshotReader{sys: s, spt: spts[0], rt: rt, Counters: c}, nil
 }
 
-// pinAndBuild pins an MVCC read transaction, then runs build under the
-// Maplog lock over the entries appended so far, timing it. The
-// pin-then-scan order matters: commits that land after the
-// read transaction is pinned may capture further pre-states, but the
-// pinned transaction still observes the pre-commit versions of those
-// pages directly, so an SPT built from the earlier Maplog prefix remains
-// complete for it.
-func (s *System) pinAndBuild(build func(upto int) error) (*storage.ReadTx, time.Duration, error) {
+// pinAndBuild pins an MVCC read transaction, then builds the SPT of
+// every snapshot in ids under the Maplog lock over the entries
+// appended so far: each a stack of the shared segment tables its cover
+// takes, hashing those no earlier open has, over one private table of
+// the open tail. The returned counters hold the entries this open
+// hashed and the build's wall time. The pin-then-scan order matters:
+// commits that land after the read transaction is pinned may capture
+// further pre-states, but the pinned transaction still observes the
+// pre-commit versions of those pages directly, so an SPT built from
+// the earlier Maplog prefix remains complete for it.
+func (s *System) pinAndBuild(ids []SnapshotID) (*storage.ReadTx, []*SPT, Counters, error) {
 	rt, err := s.store.BeginRead()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, Counters{}, err
 	}
 	s.mu.RLock()
-	if err := s.usableLocked(); err != nil {
+	err = s.usableLocked()
+	for _, id := range ids {
+		if err == nil {
+			err = s.ml.checkOpenable(id)
+		}
+	}
+	if err != nil {
 		s.mu.RUnlock()
 		rt.Close()
-		return nil, 0, err
+		return nil, nil, Counters{}, err
 	}
 	start := time.Now()
-	err = build(s.ml.len0())
+	var h hashed
+	tail := s.ml.tail(&h)
+	spts := make([]*SPT, len(ids))
+	for i, id := range ids {
+		spts[i] = s.ml.buildSPT(id, tail, &h)
+	}
 	buildTime := time.Since(start)
 	s.mu.RUnlock()
-	if err != nil {
-		rt.Close()
-		return nil, 0, err
-	}
-	return rt, buildTime, nil
+	s.stats.SPTTablesBuilt.Add(uint64(h.tables))
+	s.stats.SPTTableEntries.Add(int64(h.tableEntries))
+	return rt, spts, Counters{MapScanned: h.entries, SPTBuildTime: buildTime}, nil
 }
 
-// SnapshotSet is a reader set over a batch-built group of SPTs: one
-// Maplog sweep (buildSPTBatch) derives the page table of every member,
-// and one MVCC read transaction — pinned before the sweep, as for
-// OpenSnapshot — serves the pages each member shares with the current
-// database.
+// SnapshotSet is a reader set over the SPTs of a group of snapshots,
+// built together under one MVCC read transaction — pinned before the
+// build, as for OpenSnapshot — which serves the pages each member
+// shares with the current database. The members' SPTs share their
+// segment tables with each other and with every other open.
 //
 // The set is immutable after construction and safe for concurrent use:
 // parallel workers may Open readers on different (or the same) members
@@ -471,9 +482,9 @@ type SnapshotSet struct {
 	spts map[SnapshotID]*SPT
 	ids  []SnapshotID // sorted ascending, unique
 
-	// Scanned is the total number of Maplog entries examined by the
-	// single sweep; BuildTime is its wall time. Compare with the sum of
-	// per-member Counters.MapScanned a per-iteration loop would pay.
+	// Scanned is the number of Maplog entries the set's open hashed:
+	// the segment tables it built, which no earlier open had, plus the
+	// open tail once. BuildTime is the build's wall time.
 	Scanned   int
 	BuildTime time.Duration
 
@@ -481,14 +492,16 @@ type SnapshotSet struct {
 	closed bool
 }
 
-// OpenSnapshotSet builds the SPT of every snapshot in ids with a single
-// Maplog sweep (ids need not be sorted; duplicates are ignored) and
-// pins one MVCC read transaction shared by all readers opened from the
-// set. This is the batch entry point for RQL's defining access pattern,
-// a loop over a whole Qs snapshot set: the per-member Maplog ranges
-// overlap, and the sweep walks the shared ranges once instead of once
-// per member.
+// OpenSnapshotSet builds the SPT of every snapshot in ids (ids need not
+// be sorted; duplicates are ignored) and pins one MVCC read
+// transaction shared by all readers opened from the set. This is the
+// batch entry point for RQL's defining access pattern, a loop over a
+// whole Qs snapshot set: the members' SPTs are built at once, sharing
+// one open tail, and readers open in O(1).
 func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("%w: empty snapshot set", ErrNoSnapshot)
+	}
 	sorted := make([]SnapshotID, 0, len(ids))
 	seen := make(map[SnapshotID]bool, len(ids))
 	for _, id := range ids {
@@ -499,11 +512,7 @@ func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
-	var spts []*SPT
-	rt, buildTime, err := s.pinAndBuild(func(upto int) (err error) {
-		spts, err = s.ml.buildSPTBatch(sorted, upto)
-		return err
-	})
+	rt, spts, c, err := s.pinAndBuild(sorted)
 	if err != nil {
 		return nil, err
 	}
@@ -512,11 +521,11 @@ func (s *System) OpenSnapshotSet(ids []SnapshotID) (*SnapshotSet, error) {
 		rt:        rt,
 		spts:      make(map[SnapshotID]*SPT, len(sorted)),
 		ids:       sorted,
-		BuildTime: buildTime,
+		Scanned:   c.MapScanned,
+		BuildTime: c.SPTBuildTime,
 	}
 	for i, id := range sorted {
 		set.spts[id] = spts[i]
-		set.Scanned += spts[i].Scanned
 	}
 	s.stats.SPTBatchBuilds.Add(1)
 	s.stats.BatchSnapshots.Add(uint64(len(sorted)))
@@ -589,7 +598,7 @@ type Counters struct {
 	PagelogReads int           `cost:"pagelog_reads"` // logical cache-missing reads from the Pagelog
 	CacheHits    int           `cost:"cache_hits"`    // snapshot pages served from the cache
 	DBReads      int           `cost:"db_reads"`      // pages shared with (and read from) the current DB
-	MapScanned   int           `cost:"map_scanned"`   // Maplog entries examined building the SPT
+	MapScanned   int           `cost:"map_scanned"`   // Maplog entries this open hashed: new segment tables plus the open tail
 	SPTBuildTime time.Duration `cost:"spt_build"`     // wall time of the SPT build
 }
 
@@ -639,9 +648,6 @@ func (r *SnapshotReader) RecordReadSet(set map[storage.PageID]struct{}) {
 
 // Snapshot returns the snapshot id the reader serves.
 func (r *SnapshotReader) Snapshot() SnapshotID { return r.spt.Snap }
-
-// SPTLen returns the number of pages the SPT resolves to the Pagelog.
-func (r *SnapshotReader) SPTLen() int { return r.spt.Len() }
 
 // Get returns the page content as of the snapshot.
 //

@@ -15,7 +15,7 @@ type env struct {
 	sys   *System
 }
 
-func newEnv(t *testing.T, opts Options) *env {
+func newEnv(t testing.TB, opts Options) *env {
 	t.Helper()
 	s := storage.NewStore()
 	sys, err := New(s, opts)
@@ -472,15 +472,14 @@ func TestSkippyScanShorterThanRawForOldSnapshots(t *testing.T) {
 	if r.Counters.MapScanned >= raw {
 		t.Errorf("Skippy scan (%d) not shorter than raw maplog (%d)", r.Counters.MapScanned, raw)
 	}
-	// And correctness: SPT must resolve all four pages.
-	if r.SPTLen() != 4 {
-		t.Errorf("SPT covers %d pages, want 4", r.SPTLen())
-	}
+	// And correctness: the SPT resolves each page as the naive scan
+	// does, and no other page.
+	checkSPT(t, "skippy", 1, r.spt, naiveSPT(e.sys.ml, 1), int(ids[3]))
 }
 
 func TestSkippySPTMatchesNaiveScan(t *testing.T) {
-	// Cross-check buildSPT against a naive first-wins scan for every
-	// snapshot of a random history.
+	// Cross-check the stacked SPT against a naive first-wins scan for
+	// every snapshot of a random history, with an open tail.
 	ml := newMaplog(3)
 	r := rand.New(rand.NewSource(11))
 	var off int64
@@ -492,26 +491,7 @@ func TestSkippySPTMatchesNaiveScan(t *testing.T) {
 		}
 	}
 	for s := SnapshotID(1); s <= ml.lastSnap(); s++ {
-		got, err := ml.buildSPT(s, ml.len0())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[storage.PageID]int64)
-		for _, e := range ml.entries {
-			if e.snap >= s {
-				if _, ok := want[e.page]; !ok {
-					want[e.page] = e.off
-				}
-			}
-		}
-		if len(want) != got.Len() {
-			t.Fatalf("snap %d: SPT size %d, want %d", s, got.Len(), len(want))
-		}
-		for p, o := range want {
-			if g, ok := got.Lookup(p); !ok || g != o {
-				t.Fatalf("snap %d page %d: got %d,%v want %d", s, p, g, ok, o)
-			}
-		}
+		checkSPT(t, "skippy", s, openSPT(ml, s), naiveSPT(ml, s), 10)
 	}
 }
 
@@ -578,9 +558,7 @@ func TestReaderAccessors(t *testing.T) {
 	if r.Snapshot() != snap {
 		t.Errorf("Snapshot() = %d", r.Snapshot())
 	}
-	if r.SPTLen() != 1 {
-		t.Errorf("SPTLen() = %d", r.SPTLen())
-	}
+	checkSPT(t, "reader", snap, r.spt, naiveSPT(e.sys.ml, snap), int(ids[0]))
 	if e.sys.ReadLatency() != 42 {
 		t.Errorf("ReadLatency() = %v", e.sys.ReadLatency())
 	}

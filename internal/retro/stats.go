@@ -14,10 +14,16 @@ type Stats struct {
 	PagelogPages  obs.Gauge   `metric:"retro_pagelog_pages" help:"Archived page pre-states in the Pagelog."`
 	CachedPages   obs.Gauge   `metric:"retro_cached_pages" help:"Pages held by the snapshot cache."`
 
-	// Batch SPT construction (OpenSnapshotSet).
-	SPTBatchBuilds  obs.Counter `metric:"retro_spt_batch_builds" help:"One-sweep batch SPT builds."`
-	BatchSnapshots  obs.Counter `metric:"retro_batch_snapshots" help:"SPTs derived by batch builds."`
-	BatchMapScanned obs.Counter `metric:"retro_batch_map_scanned" help:"Maplog entries scanned by batch builds."`
+	// Snapshot sets (OpenSnapshotSet).
+	SPTBatchBuilds  obs.Counter `metric:"retro_spt_batch_builds" help:"Snapshot sets opened."`
+	BatchSnapshots  obs.Counter `metric:"retro_batch_snapshots" help:"SPTs built by snapshot-set opens."`
+	BatchMapScanned obs.Counter `metric:"retro_batch_map_scanned" help:"Maplog entries hashed by snapshot-set opens."`
+
+	// Shared segment tables: every SPT is a stack of them, each hashed
+	// once by the first open that needs it and dropped by ResetCache.
+	// The gauge is bounded by (Skippy levels + 1) × Maplog entries.
+	SPTTableEntries obs.Gauge   `metric:"retro_spt_table_entries" help:"Entries held by the shared Maplog segment tables."`
+	SPTTablesBuilt  obs.Counter `metric:"retro_spt_tables_built" help:"Maplog segment tables hashed and published."`
 
 	// Physical view of the Pagelog: one device read per demand miss that
 	// was not coalesced (System.demandRead), and the time spent in it.
@@ -61,6 +67,9 @@ type StatsSnapshot struct {
 	SPTBatchBuilds  uint64
 	BatchSnapshots  uint64
 	BatchMapScanned uint64
+
+	SPTTableEntries uint64
+	SPTTablesBuilt  uint64
 
 	DeviceReads         uint64
 	DeviceBusyNS        uint64

@@ -174,9 +174,10 @@ func TestStress32Sessions(t *testing.T) {
 	}
 
 	// Phase 2: an 8-worker parallel mechanism over the full snapshot
-	// set. All workers share one batch-built SPT set (one Maplog sweep)
-	// and the sharded page cache; every collated row is checked against
-	// the same shadow model the interactive readers used.
+	// set. All workers share one snapshot set and the sharded page
+	// cache; every collated row is checked against the same shadow
+	// model the interactive readers used. The reset drops the segment
+	// tables the interactive readers built, so the set's open hashes.
 	db.ResetSnapshotCache()
 	run, err := db.ParallelCollateData(
 		`SELECT snap_id FROM SnapIds`,
@@ -187,7 +188,7 @@ func TestStress32Sessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if run.BatchBuilds != 1 || run.BatchMapScanned == 0 {
-		t.Errorf("parallel run did not use the batch SPT path: %+v", run)
+		t.Errorf("parallel run did not open one snapshot set: %+v", run)
 	}
 	if len(run.Iterations) != steps+1 {
 		t.Errorf("parallel run covered %d snapshots, want %d", len(run.Iterations), steps+1)
@@ -224,7 +225,7 @@ func TestStress32Sessions(t *testing.T) {
 		t.Fatalf("stats after stress: %+v", st)
 	}
 	if st["retro_spt_batch_builds"] == 0 {
-		t.Errorf("STATS reply missing batch SPT builds: %+v", st)
+		t.Errorf("STATS reply missing snapshot-set opens: %+v", st)
 	}
 }
 

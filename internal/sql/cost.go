@@ -87,11 +87,14 @@ type RunStats struct {
 	Mechanism  string
 	Iterations []IterationCost
 
-	// Batch SPT construction, when the run used a pre-built reader set:
-	// one Maplog sweep derived every iteration's SPT. Its time and
-	// entries scanned are also billed to the first iteration's
-	// SPTBuild/MapScanned so Total() stays comparable with the
-	// per-iteration path (whose builds are spread across iterations).
+	// The snapshot set, when the run used a pre-built reader set: one
+	// open built every iteration's SPT. BatchMapScanned is the Maplog
+	// entries that open hashed — the segment tables no earlier open had
+	// built, plus the open tail once — so a repeat run over the same
+	// history counts only the tail. Its time and entries are also
+	// billed to the first iteration's SPTBuild/MapScanned so Total()
+	// stays comparable with the per-iteration path (whose opens are
+	// spread across iterations).
 	BatchBuilds     int           `cost:"batch_builds"`
 	BatchMapScanned int           `cost:"batch_map_scanned"`
 	BatchBuildTime  time.Duration `cost:"batch_build"`

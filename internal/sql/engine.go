@@ -373,7 +373,7 @@ func (c *Conn) ExecAsOf(sqlText string, snap uint64, cb RowCallback, params ...r
 }
 
 // ExecAsOfSet is ExecAsOf against a pre-built reader set: when snap is
-// a member of set, the statement reads through the set's batch-built
+// a member of set, the statement reads through the set's pre-built
 // SPT and shared pinned read transaction instead of building a fresh
 // SPT — the per-iteration path of the RQL mechanisms. Snapshots outside
 // the set fall back to a standalone OpenSnapshot.
@@ -655,7 +655,7 @@ func (c *Conn) newReadCtx(set *ReaderSet, asOf retro.SnapshotID, params []record
 
 // bindRead fills ec with the binding of a read-only statement. When set
 // is non-nil and contains asOf, the snapshot is served from the set's
-// batch-built SPT (O(1) open, no fresh MVCC pin). The schemas come from
+// pre-built SPT (O(1) open, no fresh MVCC pin). The schemas come from
 // the catalog bytes memos, so a binding whose catalogs equal the
 // previous one's gets the same *schema values.
 func (c *Conn) bindRead(ec *execCtx, set *ReaderSet, asOf retro.SnapshotID, params []record.Value, stats *ExecStats) error {
@@ -687,9 +687,9 @@ func (c *Conn) bindRead(ec *execCtx, set *ReaderSet, asOf retro.SnapshotID, para
 		ec.mainPager = r
 		if sp := c.traceParent(); sp != nil {
 			r.SetTraceSpan(sp)
-			// A standalone open just paid a Maplog scan; surface it as a
+			// A standalone open just built its SPT; surface it as a
 			// retroactive child (set-opened readers have build time 0 —
-			// their batch sweep is the run-level spt_batch_build span).
+			// the set's build is the run-level spt_batch_build span).
 			if bt := r.Counters.SPTBuildTime; bt > 0 {
 				obs.Record(sp, "retro.spt_build", time.Now().Add(-bt), bt,
 					obs.Attr{Key: "snapshot", Int: int64(asOf)},
@@ -887,6 +887,9 @@ func (c *Conn) plan(s *SelectStmt, p *selectPlan) error {
 
 // selectAsOf returns the snapshot a SELECT reads: the one its own AS OF
 // clause names, which overrides the binding, else the binding asOf.
+// The clause takes an INTEGER >= 1 only, literal or parameter: a 0
+// would fall through to the current state and a REAL or TEXT would be
+// truncated or parsed into some other snapshot.
 func (c *Conn) selectAsOf(s *SelectStmt, asOf retro.SnapshotID, params []record.Value) (retro.SnapshotID, error) {
 	if s.AsOf == nil {
 		return asOf, nil
@@ -895,10 +898,10 @@ func (c *Conn) selectAsOf(s *SelectStmt, asOf retro.SnapshotID, params []record.
 	if err != nil {
 		return 0, err
 	}
-	if v.IsNull() {
-		return 0, fmt.Errorf("sql: AS OF requires a snapshot id")
+	if v.Type() != record.TypeInt || v.Int() < 1 {
+		return 0, fmt.Errorf("sql: AS OF %s: %w (a snapshot id is an integer >= 1)", v.SQL(), retro.ErrNoSnapshot)
 	}
-	return retro.SnapshotID(v.AsInt()), nil
+	return retro.SnapshotID(v.Int()), nil
 }
 
 // constEval evaluates an expression with no row context (literals,

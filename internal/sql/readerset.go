@@ -13,9 +13,9 @@ import (
 // without copying.
 type PageSet = map[storage.PageID]struct{}
 
-// ReaderSet is a pre-built snapshot reader set: the SPT of every member
-// derived by one batch Maplog sweep and one shared pinned MVCC read
-// transaction (retro.SnapshotSet). Conn.ExecAsOfSet executes AS OF
+// ReaderSet is a pre-built snapshot reader set: the SPT of every member,
+// built at once from the shared Maplog segment tables, and one shared
+// pinned MVCC read transaction (retro.SnapshotSet). Conn.ExecAsOfSet executes AS OF
 // queries against it with O(1) per-snapshot open cost — the batch path
 // of the RQL mechanisms' snapshot-set loop.
 //
@@ -74,8 +74,8 @@ func (rs *ReaderSet) putPlans(text string, tp *textPlans) {
 	rs.plans[text] = append(rs.plans[text], tp)
 }
 
-// OpenSnapshotSet builds the SPTs of all snapshots in ids with a single
-// Maplog sweep and pins one shared MVCC read transaction. Duplicates
+// OpenSnapshotSet builds the SPTs of all snapshots in ids and pins one
+// shared MVCC read transaction. Duplicates
 // are ignored; order does not matter.
 func (c *Conn) OpenSnapshotSet(ids []uint64) (*ReaderSet, error) {
 	rids := make([]retro.SnapshotID, len(ids))
@@ -99,10 +99,11 @@ func (rs *ReaderSet) Snapshots() []uint64 {
 	return out
 }
 
-// Scanned returns the total Maplog entries examined by the batch sweep.
+// Scanned returns the Maplog entries the set's open hashed (see
+// retro.SnapshotSet.Scanned).
 func (rs *ReaderSet) Scanned() int { return rs.set.Scanned }
 
-// BuildTime returns the wall time of the batch sweep.
+// BuildTime returns the wall time of the set's SPT build.
 func (rs *ReaderSet) BuildTime() time.Duration { return rs.set.BuildTime }
 
 // Close releases the set's pinned read transaction and drops its plans.

@@ -67,7 +67,10 @@ func TestExecAsOfSetMatchesExecAsOf(t *testing.T) {
 	// leak current state.
 	mustExec(t, c, `UPDATE h SET val = -1`)
 
-	// Open a set over a strict subset; one member repeated.
+	// Open a set over a strict subset; one member repeated. A reset
+	// first, so the set's open is the one that hashes its members'
+	// segment tables.
+	c.db.rsys.ResetCache()
 	members := []uint64{snaps[0], snaps[3], snaps[6], snaps[3]}
 	set, err := c.OpenSnapshotSet(members)
 	if err != nil {
@@ -79,7 +82,7 @@ func TestExecAsOfSetMatchesExecAsOf(t *testing.T) {
 		t.Fatalf("Snapshots() = %v, want 3 distinct members", got)
 	}
 	if set.Scanned() == 0 {
-		t.Error("batch sweep reported zero Maplog entries scanned")
+		t.Error("set open on a reset system reported zero Maplog entries hashed")
 	}
 
 	const query = `SELECT id, val FROM h ORDER BY id`

@@ -226,7 +226,7 @@ func (db *DB) LastRun() *RunStats { return db.rql.LastRun() }
 func (db *DB) SetDeltaPrune(on bool) { db.rql.SetDeltaPrune(on) }
 
 // ParallelCollateData is CollateData with the snapshot iterations
-// spread over worker goroutines sharing one batch-built SPT set.
+// spread over worker goroutines sharing one snapshot set.
 func (db *DB) ParallelCollateData(qs, qq, table string, workers int) (*RunStats, error) {
 	return db.rql.ParallelCollateData(qs, qq, table, workers)
 }
@@ -249,8 +249,9 @@ func (db *DB) ParallelCollateDataIntoIntervals(qs, qq, table string, workers int
 	return db.rql.ParallelCollateDataIntoIntervals(qs, qq, table, workers)
 }
 
-// ResetSnapshotCache empties the snapshot page cache (produces the
-// paper's "cold" starting condition for measurements).
+// ResetSnapshotCache empties the snapshot page cache and drops the
+// shared Maplog segment tables (produces the paper's "cold" starting
+// condition for measurements).
 func (db *DB) ResetSnapshotCache() { db.inner.Retro().ResetCache() }
 
 // PagelogPages reports the number of archived page pre-states.
