@@ -75,10 +75,12 @@ repl-smoke:
 # deterministic), the conflict/abandon/ctx storage tests, and the side-store concurrency
 # tests (open result writers block no other session; TEMP DDL races are
 # retried; concurrent mechanisms beside a live view match their serial
-# runs). -count=3: the stress harness and the concurrency tests depend
-# on scheduling, and single runs let a 3/3 accounting failure and a
-# 5/10 flake through.
-GROUPCOMMIT_SMOKE_RUN = TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore
+# runs), and the isolation of the shared schema memos (DDL held open in
+# one transaction stays invisible to concurrent writers and readers, and
+# a rollback leaves every connection on the old catalog). -count=3: the
+# stress harness and the concurrency tests depend on scheduling, and
+# single runs let a 3/3 accounting failure and a 5/10 flake through.
+GROUPCOMMIT_SMOKE_RUN = TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore|TestUncommittedDDLInvisible
 GROUPCOMMIT_SMOKE_PKGS = . ./internal/storage ./internal/sql ./internal/core ./internal/server
 groupcommit-smoke:
 	$(GO) test -race -count=3 -run '$(GROUPCOMMIT_SMOKE_RUN)' $(GROUPCOMMIT_SMOKE_PKGS)
@@ -144,19 +146,22 @@ smoke-lint:
 
 # fuzz-smoke fuzzes each decoder that sees untrusted bytes — the wire
 # decoders, the sealed-segment metadata a replica is shipped, a view's
-# persisted state, the SQL parser — for ten seconds (go test -fuzz takes one target of
-# one package per run): no panic, no allocation beyond a small multiple
-# of the input, and clean decodes survive an encode/decode round. It
-# also fuzzes the B-tree's insert/delete/key-rewrite op stream against a
-# sorted-map model (btree:FuzzTreeOps). The
-# seed corpora also run inside plain `go test ./...`. A failing input
-# lands in the package's testdata/fuzz/ — commit it as a regression
-# seed.
+# persisted state, the SQL parser, the catalog entries a replica's pages
+# carry (sql:FuzzCatalogEntry) and the row decoder those entries and
+# every table row go through (record:FuzzDecodeRowInto) — for ten
+# seconds (go test -fuzz takes one target of one package per run): no
+# panic, no allocation beyond a small multiple of the input where the
+# target bounds it, and clean decodes survive an encode/decode round (an
+# accepted catalog entry re-encodes to its own bytes). It also fuzzes
+# the B-tree's insert/delete/key-rewrite op stream against a sorted-map
+# model (btree:FuzzTreeOps). The seed corpora also run inside plain
+# `go test ./...`. A failing input lands in the package's
+# testdata/fuzz/ — commit it as a regression seed.
 FUZZ_TARGETS = \
 	wire:FuzzReadFrame wire:FuzzDecodeMetrics wire:FuzzDecodeExecStats wire:FuzzDecodeRunStats \
 	wire:FuzzDecodeSlowEntries wire:FuzzDecodeObjects wire:FuzzDecodeViews wire:FuzzDecodeViewBatch \
 	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta core:FuzzDecodeViewState sql:FuzzParse \
-	btree:FuzzTreeOps
+	sql:FuzzCatalogEntry record:FuzzDecodeRowInto btree:FuzzTreeOps
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./internal/$${t%%:*} || exit 1; \

@@ -156,4 +156,21 @@ func TestDialect(t *testing.T) {
 	if got := rows(`SELECT okey FROM orders ORDER BY okey -- %d`); got != "1 2" {
 		t.Errorf("the rejected INSERT … SELECT wrote rows: orders = %q, want \"1 2\"", got)
 	}
+
+	// Any quoted identifier survives the catalog: an index over a column
+	// named "a,b" keeps its one column, and a column named "c|d" keeps
+	// its name, its type and its (absent) constraints.
+	exec(`CREATE TABLE k (p INTEGER, "a,b" INTEGER)`)
+	exec(`CREATE INDEX ik ON k ("a,b")`)
+	exec(`INSERT INTO k VALUES (1, 2), (2, 5)`)
+	exec(`UPDATE k SET "a,b" = 3 WHERE p = 1`)
+	exec(`DELETE FROM k WHERE "a,b" = 5`)
+	if got := rows(`SELECT p, "a,b" FROM k WHERE "a,b" = 3 -- %d`); got != "1|3" {
+		t.Errorf(`k after writes through index ik: %q, want "1|3"`, got)
+	}
+	exec(`CREATE TABLE h ("c|d" INTEGER, e TEXT)`)
+	exec(`INSERT INTO h VALUES (NULL, 'x'), ('7', 'y')`)
+	if got := rows(`SELECT "c|d", e FROM h ORDER BY e -- %d`); got != "NULL|x 7|y" {
+		t.Errorf(`h."c|d": %q, want "NULL|x 7|y"`, got)
+	}
 }

@@ -181,6 +181,46 @@ func TestMemIntervalsSmallerAndGrowWithUpdates(t *testing.T) {
 	}
 }
 
+// §5.3's other footprint claim in the counter domain: AggregateDataInTable
+// keeps one row per group however many snapshots it folds, so AggT's
+// rows and data bytes are the same for |Qs| = 6, 12 and 24, while
+// CollateData's rows grow in proportion to |Qs|.
+func TestMemAggTFootprintIndependentOfQs(t *testing.T) {
+	const history = 26
+	e, err := NewEnv(UW30, history, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var aggRows, aggBytes, collRows []int
+	for _, n := range []uint64{6, 12, 24} {
+		qs := QsRange(e.Last-n+1, e.Last, 1)
+		agg, err := e.ColdRun(aggTable("(cn,MAX):(av,MAX)"), qs, QqAgg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll, err := e.ColdRun(mechCollate, qs, QqAgg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggRows, aggBytes = append(aggRows, agg.ResultRows), append(aggBytes, int(agg.ResultDataBytes))
+		collRows = append(collRows, coll.ResultRows)
+	}
+	t.Logf("|Qs| 6/12/24: AggT rows %v, data bytes %v; CollateData rows %v", aggRows, aggBytes, collRows)
+	for i := 1; i < len(aggRows); i++ {
+		if aggRows[i] != aggRows[0] || aggBytes[i] != aggBytes[0] {
+			t.Errorf("AggT footprint moves with |Qs|: rows %v, data bytes %v", aggRows, aggBytes)
+			break
+		}
+	}
+	if aggRows[0] == 0 {
+		t.Error("AggT kept no rows")
+	}
+	if collRows[0] == 0 || collRows[1] != 2*collRows[0] || collRows[2] != 4*collRows[0] {
+		t.Errorf("CollateData rows %v for |Qs| 6/12/24, want proportional to |Qs|", collRows)
+	}
+}
+
 func TestCollateDateForFraction(t *testing.T) {
 	e, err := NewEnv(UW30, 4, quickCfg())
 	if err != nil {

@@ -144,106 +144,135 @@ func catalogKey(kind, name string) []byte {
 	return record.EncodeKey(nil, []record.Value{record.Text(kind), record.Text(strings.ToLower(name))})
 }
 
-// encodeColumns serializes column definitions into one text field.
-// Format: name|type|flags per column, columns separated by '\n'.
-func encodeColumns(cols []Column) string {
-	var sb strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		flags := ""
-		if c.NotNull {
-			flags += "N"
-		}
-		if c.RowidAlias {
-			flags += "R"
-		}
-		sb.WriteString(c.Name + "|" + c.Type + "|" + flags)
+// A catalog entry is one record (internal/record) per object, every
+// name, type and column a value of its own, so any identifier
+// round-trips:
+//
+//	table: "table", name, name, root, then name, type, flags per column
+//	index: "index", name, table, root, unique, then the indexed columns
+//	view:  "view", name, mechanism, hasExtra, Qq, extra
+//
+// A column's flags are colNotNull | colRowidAlias.
+const (
+	colNotNull = 1 << iota
+	colRowidAlias
+)
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
 	}
-	return sb.String()
+	return 0
 }
 
-func decodeColumns(s string) ([]Column, error) {
-	if s == "" {
-		return nil, nil
+// tableEntry encodes a table's catalog entry.
+func tableEntry(t *Table) []byte {
+	row := make([]record.Value, 0, 4+3*len(t.Cols))
+	row = append(row, record.Text("table"), record.Text(t.Name), record.Text(t.Name), record.Int(int64(t.Root)))
+	for _, c := range t.Cols {
+		flags := boolInt(c.NotNull)*colNotNull | boolInt(c.RowidAlias)*colRowidAlias
+		row = append(row, record.Text(c.Name), record.Text(c.Type), record.Int(flags))
 	}
-	var cols []Column
-	for _, line := range strings.Split(s, "\n") {
-		parts := strings.SplitN(line, "|", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("sql: corrupt catalog column spec %q", line)
-		}
-		cols = append(cols, Column{
-			Name:       parts[0],
-			Type:       parts[1],
-			NotNull:    strings.Contains(parts[2], "N"),
-			RowidAlias: strings.Contains(parts[2], "R"),
-		})
-	}
-	return cols, nil
+	return record.EncodeRow(nil, row)
 }
 
-// loadSchema reads the full catalog from a store through the pager into
-// a schema of its own, which the caller may change (the write path).
-func loadSchema(p storage.Pager, temp bool) (*schema, error) {
-	s := newSchema()
-	c := btree.Open(p, catalogRoot).Cursor()
-	ok, err := c.First()
-	for ; ok && err == nil; ok, err = c.Next() {
-		if err := s.add(c.Value(), temp); err != nil {
-			return nil, err
-		}
+// indexEntry encodes an index's catalog entry.
+func indexEntry(ix *Index) []byte {
+	row := make([]record.Value, 0, 5+len(ix.Cols))
+	row = append(row, record.Text("index"), record.Text(ix.Name), record.Text(ix.Table),
+		record.Int(int64(ix.Root)), record.Int(boolInt(ix.Unique)))
+	for _, c := range ix.Cols {
+		row = append(row, record.Text(c))
 	}
-	return s, err
+	return record.EncodeRow(nil, row)
 }
 
-// add decodes one catalog entry into s.
+// viewEntry encodes a retro view's catalog entry. Views have no root
+// page: their result rows live in an ordinary side-store table created
+// at first materialization.
+func viewEntry(v *RetroViewDef) []byte {
+	return record.EncodeRow(nil, []record.Value{
+		record.Text("view"),
+		record.Text(v.Name),
+		record.Text(v.Mechanism),
+		record.Int(boolInt(v.HasExtra)),
+		record.Text(v.Qq),
+		record.Text(v.Extra),
+	})
+}
+
+// errCorruptEntry reports a catalog entry that is not in the form
+// tableEntry, indexEntry or viewEntry writes.
+var errCorruptEntry = fmt.Errorf("%w: catalog entry", record.ErrCorrupt)
+
+// fieldsAre reports whether row's fields from position from on have the
+// types of pattern, cycled ('t' TEXT, 'i' INTEGER): the field layout
+// check that comes before any Text or Int call on a decoded entry.
+func fieldsAre(row []record.Value, from int, pattern string) bool {
+	if len(row) < from || (len(row)-from)%len(pattern) != 0 {
+		return false
+	}
+	for k, v := range row[from:] {
+		want := record.TypeText
+		if pattern[k%len(pattern)] == 'i' {
+			want = record.TypeInt
+		}
+		if v.Type() != want {
+			return false
+		}
+	}
+	return true
+}
+
+// add decodes one catalog entry into s. It accepts an entry only in the
+// exact bytes its encoder writes, so equal schemas have equal catalog
+// bytes (what schemaMemo keys on), and an entry shipped from another
+// process is either decoded to what wrote it or refused.
 func (s *schema) add(val []byte, temp bool) error {
 	row, err := record.DecodeRow(val)
 	if err != nil {
 		return err
 	}
-	if len(row) < 5 {
-		return fmt.Errorf("sql: corrupt catalog row with %d fields", len(row))
+	if len(row) == 0 || row[0].Type() != record.TypeText {
+		return errCorruptEntry
 	}
-	kind := row[0].Text()
-	switch kind {
+	switch kind := row[0].Text(); kind {
 	case "table":
-		cols, err := decodeColumns(row[4].Text())
-		if err != nil {
-			return err
+		if len(row) < 4 || !fieldsAre(row[:4], 1, "tti") || !fieldsAre(row, 4, "tti") {
+			return errCorruptEntry
 		}
-		t := &Table{
-			Name: row[1].Text(),
-			Root: storage.PageID(row[3].Int()),
-			Cols: cols,
-			Temp: temp,
+		t := &Table{Name: row[1].Text(), Root: storage.PageID(row[3].Int()), Temp: temp,
+			Cols: make([]Column, (len(row)-4)/3)}
+		for i := range t.Cols {
+			f := row[4+3*i:]
+			t.Cols[i] = Column{Name: f[0].Text(), Type: f[1].Text(),
+				NotNull: f[2].Int()&colNotNull != 0, RowidAlias: f[2].Int()&colRowidAlias != 0}
+		}
+		if !bytes.Equal(tableEntry(t), val) {
+			return errCorruptEntry
 		}
 		s.tables[strings.ToLower(t.Name)] = t
 	case "index":
-		if len(row) < 6 {
-			return fmt.Errorf("sql: corrupt index catalog row")
+		if len(row) < 5 || !fieldsAre(row[:5], 1, "ttii") || !fieldsAre(row, 5, "t") {
+			return errCorruptEntry
 		}
-		ix := &Index{
-			Name:   row[1].Text(),
-			Table:  row[2].Text(),
-			Root:   storage.PageID(row[3].Int()),
-			Cols:   strings.Split(row[4].Text(), ","),
-			Unique: row[5].Int() != 0,
-			Temp:   temp,
+		ix := &Index{Name: row[1].Text(), Table: row[2].Text(), Root: storage.PageID(row[3].Int()),
+			Unique: row[4].Int() != 0, Temp: temp, Cols: make([]string, len(row)-5)}
+		for i := range ix.Cols {
+			ix.Cols[i] = row[5+i].Text()
+		}
+		if !bytes.Equal(indexEntry(ix), val) {
+			return errCorruptEntry
 		}
 		s.indexes[strings.ToLower(ix.Name)] = ix
 	case "view":
-		if len(row) < 6 {
-			return fmt.Errorf("sql: corrupt view catalog row")
+		if len(row) != 6 || !fieldsAre(row, 1, "ttitt") {
+			return errCorruptEntry
 		}
-		v := &RetroViewDef{
-			Name:      row[1].Text(),
-			Mechanism: row[2].Text(),
-			HasExtra:  row[3].Int() != 0,
-			Qq:        row[4].Text(),
-			Extra:     row[5].Text(),
+		v := &RetroViewDef{Name: row[1].Text(), Mechanism: row[2].Text(), HasExtra: row[3].Int() != 0,
+			Qq: row[4].Text(), Extra: row[5].Text()}
+		if !bytes.Equal(viewEntry(v), val) {
+			return errCorruptEntry
 		}
 		s.views[strings.ToLower(v.Name)] = v
 	default:
@@ -252,13 +281,14 @@ func (s *schema) add(val []byte, temp bool) error {
 	return nil
 }
 
-// schemaMemo is the schema a store's readers decoded last, with the
+// schemaMemo is the schema a store's statements decoded last, with the
 // catalog bytes it was decoded from: the catalog entries' values, each
 // preceded by its uvarint length, in key order. Equal catalog bytes
-// decode to the same schema, so a reader whose catalog matches them
-// takes the memo's schema — the same *schema, and so the same plans
-// (selectPlan) — instead of decoding its own. Memo schemas are shared
-// and never changed; the write path decodes its own (loadSchema).
+// decode to the same schema, so a statement — read or write — whose
+// catalog matches them takes the memo's schema (the same *schema, and
+// so the same plans, selectPlan) instead of decoding its own. Memo
+// schemas are shared and never changed: DDL writes catalog rows only,
+// and the next statement's load decodes the new catalog.
 type schemaMemo struct {
 	mu  sync.Mutex
 	raw []byte // never changed once published: a new memo gets a new slice
@@ -266,10 +296,10 @@ type schemaMemo struct {
 }
 
 // load returns the schema of the catalog p sees. Every catalog page is
-// read through p exactly as loadSchema reads it, so page counters and
-// read-sets do not depend on whether the memo hits; a miss decodes the
-// catalog (from the bytes gathered during the walk) and becomes the
-// memo.
+// read through p, in key order, whether the memo hits or not, so page
+// counters and read-sets do not depend on it, and a writer's pager shows
+// it its own uncommitted DDL; a miss decodes the catalog (from the bytes
+// gathered during the walk) and becomes the memo.
 func (m *schemaMemo) load(p storage.Pager, temp bool) (*schema, error) {
 	m.mu.Lock()
 	raw, memo := m.raw, m.s
@@ -328,53 +358,17 @@ func matchEntry(raw, v []byte) int {
 
 // putTable writes a table's catalog entry.
 func putTable(p storage.Pager, t *Table) error {
-	tr := btree.Open(p, catalogRoot)
-	val := record.EncodeRow(nil, []record.Value{
-		record.Text("table"),
-		record.Text(t.Name),
-		record.Text(t.Name),
-		record.Int(int64(t.Root)),
-		record.Text(encodeColumns(t.Cols)),
-	})
-	return tr.Insert(catalogKey("table", t.Name), val)
+	return btree.Open(p, catalogRoot).Insert(catalogKey("table", t.Name), tableEntry(t))
 }
 
 // putIndex writes an index's catalog entry.
 func putIndex(p storage.Pager, ix *Index) error {
-	tr := btree.Open(p, catalogRoot)
-	unique := int64(0)
-	if ix.Unique {
-		unique = 1
-	}
-	val := record.EncodeRow(nil, []record.Value{
-		record.Text("index"),
-		record.Text(ix.Name),
-		record.Text(ix.Table),
-		record.Int(int64(ix.Root)),
-		record.Text(strings.Join(ix.Cols, ",")),
-		record.Int(unique),
-	})
-	return tr.Insert(catalogKey("index", ix.Name), val)
+	return btree.Open(p, catalogRoot).Insert(catalogKey("index", ix.Name), indexEntry(ix))
 }
 
-// putView writes a retro view's catalog entry. The third field carries
-// HasExtra (views have no root page; their result rows live in an
-// ordinary side-store table created at first materialization).
+// putView writes a retro view's catalog entry.
 func putView(p storage.Pager, v *RetroViewDef) error {
-	tr := btree.Open(p, catalogRoot)
-	hasExtra := int64(0)
-	if v.HasExtra {
-		hasExtra = 1
-	}
-	val := record.EncodeRow(nil, []record.Value{
-		record.Text("view"),
-		record.Text(v.Name),
-		record.Text(v.Mechanism),
-		record.Int(hasExtra),
-		record.Text(v.Qq),
-		record.Text(v.Extra),
-	})
-	return tr.Insert(catalogKey("view", v.Name), val)
+	return btree.Open(p, catalogRoot).Insert(catalogKey("view", v.Name), viewEntry(v))
 }
 
 // deleteCatalogEntry removes an object's catalog entry.

@@ -114,9 +114,12 @@ func (c *Conn) newWriteEnv(toSide bool, params []record.Value, stats *ExecStats)
 		ec.sidePager = srt
 	}
 
-	ec.mainSchema, err = loadSchema(ec.mainPager, false)
+	// Through the memos, not the LSN caches: the walk reads every
+	// catalog page through the statement's own pagers, so the writer sees
+	// its own uncommitted DDL and is billed the pages it always was.
+	ec.mainSchema, err = c.db.mainMemo.load(ec.mainPager, false)
 	if err == nil {
-		ec.sideSchema, err = loadSchema(ec.sidePager, true)
+		ec.sideSchema, err = c.db.sideMemo.load(ec.sidePager, true)
 	}
 	if err != nil {
 		if own {
@@ -136,13 +139,13 @@ const conflictBackoff = time.Millisecond
 // autocommits: it targets the side store (a side-store statement always
 // commits on its own, BEGIN or not) or no explicit transaction is open.
 // Inside one, a main-store conflict belongs to the client and surfaces
-// at COMMIT. Each attempt runs on a fresh snapshot with freshly loaded
-// schemas, so re-execution is equivalent to the client resubmitting
-// the statement. The loop is unbounded: a conflict abort means some
-// other transaction committed, so the system as a whole always
-// progresses; a growing, capped backoff keeps an unlucky statement
-// from starving under sustained contention. stats is reset between
-// attempts so only the winning execution is accounted.
+// at COMMIT. Each attempt runs on a fresh snapshot and loads its
+// schemas from that snapshot's catalog, so re-execution is equivalent
+// to the client resubmitting the statement. The loop is unbounded: a
+// conflict abort means some other transaction committed, so the system
+// as a whole always progresses; a growing, capped backoff keeps an
+// unlucky statement from starving under sustained contention. stats is
+// reset between attempts so only the winning execution is accounted.
 func (c *Conn) retryWrite(stats *ExecStats, autocommit bool, fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		err := fn()
@@ -641,7 +644,6 @@ func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
 	if err := putTable(w.tx, t); err != nil {
 		return err
 	}
-	sch.tables[strings.ToLower(t.Name)] = t
 
 	// Non-integer PRIMARY KEY columns get an automatic unique index.
 	for _, cd := range s.Cols {
@@ -661,7 +663,6 @@ func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
 			if err := putIndex(w.tx, ix); err != nil {
 				return err
 			}
-			sch.indexes[strings.ToLower(ix.Name)] = ix
 		}
 	}
 	return nil
@@ -722,7 +723,6 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 			return err
 		}
 	}
-	sch.indexes[strings.ToLower(ix.Name)] = ix
 	return nil
 }
 
@@ -742,11 +742,7 @@ func (w *writeEnv) execDrop(s *DropStmt) error {
 		if err := btree.Open(w.tx, ix.Root).Drop(); err != nil {
 			return err
 		}
-		if err := deleteCatalogEntry(w.tx, "index", ix.Name); err != nil {
-			return err
-		}
-		delete(sch.indexes, strings.ToLower(ix.Name))
-		return nil
+		return deleteCatalogEntry(w.tx, "index", ix.Name)
 	}
 	t := sch.table(s.Name)
 	if t == nil {
@@ -762,16 +758,11 @@ func (w *writeEnv) execDrop(s *DropStmt) error {
 		if err := deleteCatalogEntry(w.tx, "index", ix.Name); err != nil {
 			return err
 		}
-		delete(sch.indexes, strings.ToLower(ix.Name))
 	}
 	if err := btree.Open(w.tx, t.Root).Drop(); err != nil {
 		return err
 	}
-	if err := deleteCatalogEntry(w.tx, "table", t.Name); err != nil {
-		return err
-	}
-	delete(sch.tables, strings.ToLower(t.Name))
-	return nil
+	return deleteCatalogEntry(w.tx, "table", t.Name)
 }
 
 // BulkInsert inserts rows into a table through a single transaction

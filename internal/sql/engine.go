@@ -112,13 +112,17 @@ func (db *DB) SideStore() *storage.Store { return db.side }
 // concurrent use; open one per goroutine.
 func (db *DB) Conn() *Conn { return &Conn{db: db} }
 
+// memo returns the catalog bytes memo of the main or the side store.
+func (db *DB) memo(temp bool) *schemaMemo {
+	if temp {
+		return &db.sideMemo
+	}
+	return &db.mainMemo
+}
+
 // currentSchema returns the (possibly cached) schema of a store's
 // current state as seen through the given pager.
 func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp bool) (*schema, error) {
-	memo := &db.mainMemo
-	if temp {
-		memo = &db.sideMemo
-	}
 	db.mu.Lock()
 	if st == db.main && db.mainSchema != nil && db.mainSchemaLSN == lsn {
 		s := db.mainSchema
@@ -131,7 +135,7 @@ func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp
 		return s, nil
 	}
 	db.mu.Unlock()
-	s, err := memo.load(p, temp)
+	s, err := db.memo(temp).load(p, temp)
 	if err != nil {
 		return nil, err
 	}

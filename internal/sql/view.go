@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Materialized retro views. The SQL layer owns the durable definition
@@ -146,11 +145,7 @@ func (w *writeEnv) execCreateRetroView(s *CreateRetroViewStmt) error {
 	if err := hook.ValidateView(*def); err != nil {
 		return err
 	}
-	if err := putView(w.tx, def); err != nil {
-		return err
-	}
-	sch.views[strings.ToLower(def.Name)] = def
-	return nil
+	return putView(w.tx, def)
 }
 
 func (w *writeEnv) execDropRetroView(s *DropRetroViewStmt) error {
@@ -170,9 +165,5 @@ func (w *writeEnv) execDropRetroView(s *DropRetroViewStmt) error {
 			return err
 		}
 	}
-	if err := deleteCatalogEntry(w.tx, "view", v.Name); err != nil {
-		return err
-	}
-	delete(sch.views, strings.ToLower(v.Name))
-	return nil
+	return deleteCatalogEntry(w.tx, "view", v.Name)
 }

@@ -46,7 +46,7 @@ func (c *Conn) OpenTableWriter(name string) (*TableWriter, error) {
 	if w.tx, w.own, err = c.writerTx(toSide); err != nil {
 		return nil, err
 	}
-	if w.sch, err = loadSchema(w.tx, toSide); err != nil {
+	if w.sch, err = c.db.memo(toSide).load(w.tx, toSide); err != nil {
 		w.Rollback()
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func (c *Conn) TableStats(name string) (TableStats, error) {
 		return out, err
 	}
 	defer rt.Close()
-	sch, err := loadSchema(rt, toSide)
+	sch, err := c.db.currentSchema(store, rt, rt.LSN(), toSide)
 	if err != nil {
 		return out, err
 	}
@@ -254,7 +254,7 @@ func (c *Conn) Objects() ([]ObjectInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		sch, err := loadSchema(rt, side)
+		sch, err := c.db.currentSchema(store, rt, rt.LSN(), side)
 		rt.Close()
 		if err != nil {
 			return nil, err
