@@ -77,10 +77,12 @@ repl-smoke:
 # retried; concurrent mechanisms beside a live view match their serial
 # runs), and the isolation of the shared schema memos (DDL held open in
 # one transaction stays invisible to concurrent writers and readers, and
-# a rollback leaves every connection on the old catalog). -count=3: the
+# a rollback leaves every connection on the old catalog), and the plans
+# connections keep (texts repeated on kept plans while another
+# connection rebuilds their table read its one content at every run). -count=3: the
 # stress harness and the concurrency tests depend on scheduling, and
 # single runs let a 3/3 accounting failure and a 5/10 flake through.
-GROUPCOMMIT_SMOKE_RUN = TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore|TestUncommittedDDLInvisible
+GROUPCOMMIT_SMOKE_RUN = TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore|TestUncommittedDDLInvisible|TestKeptPlansUnderConcurrentDDL
 GROUPCOMMIT_SMOKE_PKGS = . ./internal/storage ./internal/sql ./internal/core ./internal/server
 groupcommit-smoke:
 	$(GO) test -race -count=3 -run '$(GROUPCOMMIT_SMOKE_RUN)' $(GROUPCOMMIT_SMOKE_PKGS)
@@ -196,7 +198,9 @@ fig-check:
 
 # microbench runs the Go testing benchmarks (one pass, smoke-level),
 # reporting allocations: BenchmarkExecAsOfSet's allocs/op is allocations
-# per set member, and retro's BenchmarkOpenSnapshot times a warm open of
-# an old and of a recent snapshot over the shared segment tables.
+# per set member, and its point_setless case those of one set-less AS OF
+# point read on the plan its connection keeps; retro's
+# BenchmarkOpenSnapshot times a warm open of an old and of a recent
+# snapshot over the shared segment tables.
 microbench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' ./...

@@ -679,9 +679,11 @@ func (t *Tree) dropFrom(id storage.PageID) error {
 	return t.pager.Free(id)
 }
 
-// MaxKey returns the largest key in the tree (nil when empty). Used by
-// the SQL layer for rowid assignment.
-func (t *Tree) MaxKey() ([]byte, error) {
+// MaxKey appends the largest key in the tree to dst[:0] and returns it
+// (nil when the tree is empty), so a caller that passes a buffer of its
+// own finds it without allocating. Used by the SQL layer for rowid
+// assignment.
+func (t *Tree) MaxKey(dst []byte) ([]byte, error) {
 	id := t.root
 	for {
 		n, err := t.page(id)
@@ -696,9 +698,10 @@ func (t *Tree) MaxKey() ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			cp := make([]byte, len(k))
-			copy(cp, k)
-			return cp, nil
+			if dst == nil {
+				dst = []byte{} // an empty key is still a key
+			}
+			return append(dst[:0], k...), nil
 		}
 		_, child, err := n.interiorCell(n.numCells() - 1)
 		if err != nil {

@@ -44,7 +44,7 @@ func TestEmptyTree(t *testing.T) {
 	if ok, err := c.Seek(k("a")); err != nil || ok {
 		t.Errorf("Seek on empty: %v %v", ok, err)
 	}
-	if mk, err := tr.MaxKey(); err != nil || mk != nil {
+	if mk, err := tr.MaxKey(nil); err != nil || mk != nil {
 		t.Errorf("MaxKey on empty: %v %v", mk, err)
 	}
 	if n, err := tr.Count(); err != nil || n != 0 {
@@ -167,7 +167,7 @@ func TestSequentialInsertScan(t *testing.T) {
 			t.Errorf("Get(%d): %q %v %v", probe, v, found, err)
 		}
 	}
-	mk, _ := tr.MaxKey()
+	mk, _ := tr.MaxKey(nil)
 	if !bytes.Equal(mk, ikey(n-1)) {
 		t.Errorf("MaxKey: %x", mk)
 	}

@@ -98,6 +98,9 @@ type viewState struct {
 	// background refresher vs synchronous REFRESH RETRO VIEW).
 	runMu sync.Mutex
 	ln    *lane // the view's mechanism state, stepped once per snapshot
+	// conn materializes the view (sql.Conn.MaintainView), one catch-up
+	// at a time, and keeps Qq's plan from snapshot to snapshot.
+	conn *sql.Conn
 
 	cursor          atomic.Uint64 // last materialized snapshot
 	refreshes       atomic.Uint64
@@ -378,7 +381,9 @@ func (m *ViewManager) newViewState(def sql.RetroViewDef) (*viewState, error) {
 	}
 	ln := mc.tableLane(nil)
 	ln.keepRows = true
-	return &viewState{def: def, ln: ln, subs: make(map[int]*ViewSub)}, nil
+	conn := m.db.Conn()
+	conn.MaintainView(def.Name)
+	return &viewState{def: def, ln: ln, conn: conn, subs: make(map[int]*ViewSub)}, nil
 }
 
 // catchUp materializes v snapshot by snapshot up to target. Each
@@ -392,7 +397,7 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	if target <= cur {
 		return nil
 	}
-	conn := m.db.Conn()
+	conn := v.conn
 	v.ln.conn = conn
 	v.ln.run = newRunStats(v.ln.m.kind)
 	// Pruning: decided per catch-up from the run-level toggle and the

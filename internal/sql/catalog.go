@@ -37,6 +37,9 @@ type Column struct {
 	// RowidAlias marks an INTEGER PRIMARY KEY column, which aliases the
 	// table's rowid like in SQLite.
 	RowidAlias bool
+	// aff is Type's affinity (typeAffinity), resolved once when the
+	// catalog entry decodes, for the write path's per-row checks.
+	aff affinity
 }
 
 // Table describes a table: its columns and root page.
@@ -245,7 +248,7 @@ func (s *schema) add(val []byte, temp bool) error {
 			Cols: make([]Column, (len(row)-4)/3)}
 		for i := range t.Cols {
 			f := row[4+3*i:]
-			t.Cols[i] = Column{Name: f[0].Text(), Type: f[1].Text(),
+			t.Cols[i] = Column{Name: f[0].Text(), Type: f[1].Text(), aff: typeAffinity(f[1].Text()),
 				NotNull: f[2].Int()&colNotNull != 0, RowidAlias: f[2].Int()&colRowidAlias != 0}
 		}
 		if !bytes.Equal(tableEntry(t), val) {

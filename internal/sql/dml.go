@@ -332,10 +332,11 @@ func insertRow(p storage.Pager, t *Table, ixs []*Index, vals []record.Value, b *
 			return 0, fmt.Errorf("%w: %s.%s", ErrUniqueIndex, t.Name, t.Cols[aliasIdx].Name)
 		}
 	default:
-		mk, err := tbl.MaxKey()
+		mk, err := tbl.MaxKey(b.key[:0])
 		if err != nil {
 			return 0, err
 		}
+		b.key = mk
 		if mk == nil {
 			rowid = 1
 		} else {
@@ -537,7 +538,7 @@ func checkRow(t *Table, vals []record.Value) error {
 		return fmt.Errorf("sql: table %s has %d columns but %d values", t.Name, len(t.Cols), len(vals))
 	}
 	for i, col := range t.Cols {
-		vals[i] = applyAffinity(vals[i], typeAffinity(col.Type))
+		vals[i] = applyAffinity(vals[i], col.aff)
 		if col.NotNull && vals[i].IsNull() {
 			return fmt.Errorf("%w: %s.%s", ErrNotNull, t.Name, col.Name)
 		}
@@ -608,6 +609,15 @@ func checkUnique(p storage.Pager, ix *Index, key []byte) error {
 }
 
 func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
+	// A retro view's name is the view's: the one table that may take it is
+	// the view's own materialization, a TEMP table its maintenance
+	// connection creates (Conn.MaintainView).
+	if v := w.ec.sideSchema.view(s.Name); v != nil && !(w.toSide && strings.EqualFold(w.ec.conn.maintains, v.Name)) {
+		if s.IfNotExists {
+			return nil
+		}
+		return fmt.Errorf("%w: retro view %s", ErrExists, v.Name)
+	}
 	sch := w.ec.mainSchema
 	if w.toSide {
 		sch = w.ec.sideSchema

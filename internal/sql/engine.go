@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rql/internal/obs"
@@ -38,6 +39,9 @@ type DB struct {
 
 	mu    sync.Mutex
 	funcs map[string]*FuncDef
+	// funcGen counts RegisterFunc calls: a kept plan compiled before the
+	// latest one may call a replaced definition, and is compiled again.
+	funcGen atomic.Uint64
 
 	// Retro-view hooks (view.go): the maintenance layer, the logical
 	// DDL shipping hook for replication, and the post-commit snapshot
@@ -110,7 +114,9 @@ func (db *DB) SideStore() *storage.Store { return db.side }
 
 // Conn creates a new connection. Connections are not safe for
 // concurrent use; open one per goroutine.
-func (db *DB) Conn() *Conn { return &Conn{db: db} }
+func (db *DB) Conn() *Conn {
+	return &Conn{db: db, stmts: planPool{bound: stmtCacheCap}}
+}
 
 // memo returns the catalog bytes memo of the main or the side store.
 func (db *DB) memo(temp bool) *schemaMemo {
@@ -152,7 +158,9 @@ func (db *DB) currentSchema(st *storage.Store, p storage.Pager, lsn uint64, temp
 // RowCallback receives result rows, sqlite3_exec style. Returning a
 // non-nil error aborts the statement with that error. A row passed by
 // Exec or ExecAsOf is the callback's to keep; one passed by ExecAsOfSet
-// is valid only until the callback returns (copy what you keep).
+// is valid only until the callback returns (copy what you keep). cols
+// belongs to the statement's plan, which later runs pass again: read it,
+// never change it.
 type RowCallback func(cols []string, row []record.Value) error
 
 // Conn is a database connection: it carries the explicit-transaction
@@ -170,11 +178,11 @@ type Conn struct {
 	recordReads bool
 	lastReadSet PageSet
 
-	// Parsed-statement cache: the RQL mechanisms execute the identical
-	// Qq text once per snapshot, so the parse is paid once. Parsed ASTs
-	// are never mutated by execution, making reuse safe. FIFO-bounded.
-	stmtCache     map[string][]Statement
-	stmtCacheKeys []string
+	// stmts keeps the statement texts this connection runs: each is
+	// parsed once, and a repeated SELECT rebinds the plan it ran with
+	// last time (planPool). The RQL mechanisms execute the identical Qq
+	// text once per snapshot, a client its point read once per request.
+	stmts planPool
 
 	// Tracing: span is the ambient parent every statement batch hangs
 	// under (set by the server per request, or by the core mechanisms
@@ -195,6 +203,10 @@ type Conn struct {
 	// handed down by the mechanism layer's finalizer (NoteMechRun);
 	// EXPLAIN ANALYZE renders it.
 	lastMech *RunStats
+
+	// maintains names the retro view this connection materializes
+	// (MaintainView).
+	maintains string
 
 	// Ambient context (SetContext): every writer transaction this
 	// connection opens, on either store, begins under it (beginWrite).
@@ -328,30 +340,8 @@ func (c *Conn) SetRecordReadSet(on bool) {
 // current database, catalog pages included.
 func (c *Conn) ReadSet() PageSet { return c.lastReadSet }
 
-// stmtCacheCap bounds the per-connection parsed-statement cache.
+// stmtCacheCap bounds the statement texts a connection keeps.
 const stmtCacheCap = 64
-
-// parseCached returns the parsed statements for sqlText, parsing at
-// most once per distinct text (until FIFO eviction).
-func (c *Conn) parseCached(sqlText string) ([]Statement, error) {
-	if stmts, ok := c.stmtCache[sqlText]; ok {
-		return stmts, nil
-	}
-	stmts, err := ParseAll(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	if c.stmtCache == nil {
-		c.stmtCache = make(map[string][]Statement)
-	}
-	if len(c.stmtCacheKeys) >= stmtCacheCap {
-		delete(c.stmtCache, c.stmtCacheKeys[0])
-		c.stmtCacheKeys = c.stmtCacheKeys[1:]
-	}
-	c.stmtCache[sqlText] = stmts
-	c.stmtCacheKeys = append(c.stmtCacheKeys, sqlText)
-	return stmts, nil
-}
 
 // LastStats returns the statistics of the most recent statement.
 func (c *Conn) LastStats() ExecStats { return c.lastStats }
@@ -366,14 +356,14 @@ func (c *Conn) InTx() bool { return c.mainTx != nil }
 // Exec parses and executes one or more semicolon-separated statements
 // against the current state, invoking cb for every result row.
 func (c *Conn) Exec(sqlText string, cb RowCallback, params ...record.Value) error {
-	return c.execAsOf(sqlText, nil, nil, 0, cb, params)
+	return c.execAsOf(sqlText, nil, false, 0, cb, params)
 }
 
 // ExecAsOf executes statements with SELECTs bound to the given snapshot
 // (equivalent to rewriting each query with "AS OF snap", the paper's §3
 // Qq rewrite). Write statements are rejected under a snapshot binding.
 func (c *Conn) ExecAsOf(sqlText string, snap uint64, cb RowCallback, params ...record.Value) error {
-	return c.execAsOf(sqlText, nil, nil, retro.SnapshotID(snap), cb, params)
+	return c.execAsOf(sqlText, nil, false, retro.SnapshotID(snap), cb, params)
 }
 
 // ExecAsOfSet is ExecAsOf against a pre-built reader set: when snap is
@@ -382,25 +372,29 @@ func (c *Conn) ExecAsOf(sqlText string, snap uint64, cb RowCallback, params ...r
 // SPT — the per-iteration path of the RQL mechanisms. Snapshots outside
 // the set fall back to a standalone OpenSnapshot.
 //
-// The set also keeps the plans of the texts run against it: a SELECT is
-// planned at the first member it runs on, and every later member binds
-// the same iterator tree to its own snapshot (selectPlan) — until the
-// member's catalog differs, which plans it anew. The rows cb receives
-// are the plan's own buffers, valid only until cb returns. Without a
-// set the statement is planned for this one call.
+// Plans are kept as for every statement (planPool), by the set when
+// there is one: a SELECT is planned at the first member it runs on, and
+// every later member binds the same iterator tree to its own snapshot
+// (selectPlan) — until the member's catalog differs, which plans it
+// anew. Without a set the Conn keeps the plan. Either way the rows cb
+// receives are the plan's own buffers, valid only until cb returns.
 func (c *Conn) ExecAsOfSet(sqlText string, set *ReaderSet, snap uint64, cb RowCallback, params ...record.Value) error {
-	if set == nil {
-		return c.execAsOf(sqlText, nil, nil, retro.SnapshotID(snap), cb, params)
-	}
-	tp := set.takePlans(sqlText)
-	err := c.execAsOf(sqlText, tp, set, retro.SnapshotID(snap), cb, params)
-	set.putPlans(sqlText, tp)
-	return err
+	return c.execAsOf(sqlText, set, true, retro.SnapshotID(snap), cb, params)
 }
 
-// execAsOf runs a statement batch. tp, when non-nil, holds the batch's
-// SELECT plans from earlier runs of the same text and keeps this run's.
-func (c *Conn) execAsOf(sqlText string, tp *textPlans, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
+// plansFor returns the pool that keeps the plans of a run against set:
+// the set's own, or the Conn's when set is nil.
+func (c *Conn) plansFor(set *ReaderSet) *planPool {
+	if set != nil {
+		return &set.plans
+	}
+	return &c.stmts
+}
+
+// execAsOf runs a statement batch, its SELECTs on the plans the batch's
+// text ran with last time (planPool). lend says whether a callback may
+// be handed the plans' own row buffers or gets rows to keep.
+func (c *Conn) execAsOf(sqlText string, set *ReaderSet, lend bool, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
 	// One span per statement batch; a timestamp is taken only when the
 	// batch is traced or the slow-query log is armed, so the untraced
 	// path pays two atomic loads and nothing else.
@@ -439,16 +433,20 @@ func (c *Conn) execAsOf(sqlText string, tp *textPlans, set *ReaderSet, asOf retr
 		}
 		c.slow = savedSlow
 	}()
-	stmts, err := c.parseCached(sqlText)
+	stmts, err := c.stmts.parse(sqlText)
 	if sp != nil {
 		obs.Record(sp, "sql.parse", start, time.Since(start))
 	}
 	if err == nil {
+		// A run that panics does not put its plans back: the next run of
+		// the text plans afresh.
+		pool := c.plansFor(set)
+		tp := pool.take(sqlText)
 		saved := c.curStmt // restored per statement, for the same re-entry
 		for i, stmt := range stmts {
 			ssp := sp.Child("sql." + stmtName(stmt))
 			c.curStmt = ssp
-			err = c.execStmt(stmt, tp.plan(i, len(stmts)), set, asOf, cb, params)
+			err = c.execStmt(stmt, tp.plan(i, len(stmts)), set, lend, asOf, cb, params)
 			c.curStmt = saved
 			if ssp != nil {
 				st := c.lastStats
@@ -472,6 +470,7 @@ func (c *Conn) execAsOf(sqlText string, tp *textPlans, set *ReaderSet, asOf retr
 				break
 			}
 		}
+		pool.put(tp)
 	}
 	sp.End()
 	return err
@@ -483,11 +482,9 @@ func (c *Conn) Query(sqlText string, params ...record.Value) (*Rows, error) {
 	rows := &Rows{}
 	err := c.Exec(sqlText, func(cols []string, row []record.Value) error {
 		if rows.Cols == nil {
-			rows.Cols = cols
+			rows.Cols = append([]string(nil), cols...)
 		}
-		cp := make([]record.Value, len(row))
-		copy(cp, row)
-		rows.Rows = append(rows.Rows, cp)
+		rows.Rows = append(rows.Rows, row) // Exec's rows are the callback's to keep
 		return nil
 	}, params...)
 	if err != nil {
@@ -585,6 +582,11 @@ type execCtx struct {
 	aux    map[*FuncCall]any
 	stats  *ExecStats
 
+	// shed: the run's plan outlives its statement (a Conn keeps it), so
+	// closing the run drops what it grew with the data — sorted rows,
+	// aggregate groups, a DISTINCT's seen set.
+	shed bool
+
 	closers []func()
 }
 
@@ -623,8 +625,9 @@ func (ec *execCtx) close() {
 		ec.conn.lastReadSet = ec.readSet
 	}
 	// Drop the binding's references: a plan kept for later runs must not
-	// hold this run's read transactions and reader.
+	// hold this run's read transactions, reader and parameters.
 	ec.mainPager, ec.sidePager, ec.snapReader, ec.readSet = nil, nil, nil, nil
+	ec.params = nil
 }
 
 // resolveTable finds a table by name, looking in the side store first
@@ -646,15 +649,6 @@ func (ec *execCtx) pagerFor(t *Table) storage.Pager {
 		return ec.sidePager
 	}
 	return ec.mainPager
-}
-
-// newReadCtx builds an execution context for a read-only statement.
-func (c *Conn) newReadCtx(set *ReaderSet, asOf retro.SnapshotID, params []record.Value, stats *ExecStats) (*execCtx, error) {
-	ec := &execCtx{}
-	if err := c.bindRead(ec, set, asOf, params, stats); err != nil {
-		return nil, err
-	}
-	return ec, nil
 }
 
 // bindRead fills ec with the binding of a read-only statement. When set
@@ -737,20 +731,20 @@ func (c *Conn) bindRead(ec *execCtx, set *ReaderSet, asOf retro.SnapshotID, para
 	return nil
 }
 
-// execStmt dispatches one parsed statement. p, when non-nil, is the
-// statement's plan slot for a SELECT run again later (ExecAsOfSet).
-func (c *Conn) execStmt(stmt Statement, p *selectPlan, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
+// execStmt dispatches one parsed statement. p is the statement's plan
+// slot, which a SELECT (or the one an EXPLAIN wraps) runs on.
+func (c *Conn) execStmt(stmt Statement, p *selectPlan, set *ReaderSet, lend bool, asOf retro.SnapshotID, cb RowCallback, params []record.Value) error {
 	start := time.Now()
 	stats := ExecStats{}
 	var err error
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		err = c.execSelect(s, p, set, asOf, cb, params, &stats, nil)
+		err = c.execSelect(s, p, set, lend, asOf, cb, params, &stats, nil)
 	case *ExplainStmt:
 		if s.Analyze {
-			err = c.execExplainAnalyze(s, set, asOf, cb, params, &stats)
+			err = c.execExplainAnalyze(s, p, set, asOf, cb, params, &stats)
 		} else {
-			err = c.execExplain(s, set, asOf, cb, params, &stats)
+			err = c.execExplain(s, p, set, asOf, cb, params, &stats)
 		}
 	case *BeginStmt:
 		err = c.Begin()
@@ -808,36 +802,21 @@ func (c *Conn) execStmt(stmt Statement, p *selectPlan, set *ReaderSet, asOf retr
 	return err
 }
 
-// execSelect runs a SELECT, streaming rows to cb. p, when non-nil, is a
-// plan kept across runs: its tree is planned when it has none or when
-// the binding's schemas are not the ones it was planned against, and is
-// otherwise rebound and reset; its rows are lent to cb. Without p the
-// statement is planned for this run, and cb gets rows to keep. plan,
-// when non-nil, receives the description of the iterator tree that ran
-// (EXPLAIN ANALYZE).
-func (c *Conn) execSelect(s *SelectStmt, p *selectPlan, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats, plan *[]string) error {
-	asOf, err := c.selectAsOf(s, asOf, params)
-	if err != nil {
+// execSelect runs a SELECT on p, a plan kept across runs (bindPlan),
+// streaming rows to cb. lend says whether cb may be handed the plan's
+// own row buffers (ExecAsOfSet) or gets rows to keep (Exec, ExecAsOf).
+// plan, when non-nil, receives the description of the iterator tree
+// that ran (EXPLAIN ANALYZE).
+func (c *Conn) execSelect(s *SelectStmt, p *selectPlan, set *ReaderSet, lend bool, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats, plan *[]string) error {
+	if err := c.bindPlan(s, p, set, asOf, params, stats); err != nil {
 		return err
-	}
-	lend := p != nil
-	if !lend {
-		p = &selectPlan{}
 	}
 	ec := &p.ec
-	if err := c.bindRead(ec, set, asOf, params, stats); err != nil {
-		return err
-	}
 	defer ec.close()
 
-	err = func() error {
-		if p.fin == nil || p.main != ec.mainSchema || p.side != ec.sideSchema {
-			if err := c.plan(s, p); err != nil {
-				return err
-			}
-			p.fin.copyOut = !lend
-		}
+	err := func() error {
 		it := p.fin
+		it.copyOut = cb != nil && !lend
 		defer it.Close()
 		if err := it.reset(); err != nil {
 			return err
@@ -867,6 +846,35 @@ func (c *Conn) execSelect(s *SelectStmt, p *selectPlan, set *ReaderSet, asOf ret
 	return err
 }
 
+// bindPlan binds p to one run of s: to the snapshot s reads
+// (snapshotOf), through bindRead. Its tree is planned when it has none,
+// or when the binding's schemas are not the ones it was planned against,
+// and is otherwise kept for reset to rewind onto the new binding. On
+// success the caller closes p.ec.
+func (c *Conn) bindPlan(s *SelectStmt, p *selectPlan, set *ReaderSet, asOf retro.SnapshotID, params []record.Value, stats *ExecStats) error {
+	// A function registered since p was compiled may replace one that
+	// its expressions call.
+	if gen := c.db.funcGen.Load(); p.funcs != gen {
+		p.fin, p.asOf, p.funcs = nil, nil, gen
+	}
+	asOf, err := p.snapshotOf(c, s, asOf, params, stats)
+	if err != nil {
+		return err
+	}
+	ec := &p.ec
+	if err := c.bindRead(ec, set, asOf, params, stats); err != nil {
+		return err
+	}
+	ec.shed = set == nil // the Conn keeps the plan (plansFor)
+	if p.fin == nil || p.main != ec.mainSchema || p.side != ec.sideSchema {
+		if err := c.plan(s, p); err != nil {
+			ec.close()
+			return err
+		}
+	}
+	return nil
+}
+
 // plan (re)plans s into p against the schemas of p's current binding.
 func (c *Conn) plan(s *SelectStmt, p *selectPlan) error {
 	var planStart time.Time
@@ -887,36 +895,6 @@ func (c *Conn) plan(s *SelectStmt, p *selectPlan) error {
 		p.names[i] = ci.name
 	}
 	return nil
-}
-
-// selectAsOf returns the snapshot a SELECT reads: the one its own AS OF
-// clause names, which overrides the binding, else the binding asOf.
-// The clause takes an INTEGER >= 1 only, literal or parameter: a 0
-// would fall through to the current state and a REAL or TEXT would be
-// truncated or parsed into some other snapshot.
-func (c *Conn) selectAsOf(s *SelectStmt, asOf retro.SnapshotID, params []record.Value) (retro.SnapshotID, error) {
-	if s.AsOf == nil {
-		return asOf, nil
-	}
-	v, err := c.constEval(s.AsOf, params)
-	if err != nil {
-		return 0, err
-	}
-	if v.Type() != record.TypeInt || v.Int() < 1 {
-		return 0, fmt.Errorf("sql: AS OF %s: %w (a snapshot id is an integer >= 1)", v.SQL(), retro.ErrNoSnapshot)
-	}
-	return retro.SnapshotID(v.Int()), nil
-}
-
-// constEval evaluates an expression with no row context (literals,
-// parameters, arithmetic).
-func (c *Conn) constEval(e Expr, params []record.Value) (record.Value, error) {
-	ec := &execCtx{conn: c, params: params, stats: &ExecStats{}}
-	ce, err := compileExpr(e, &compileEnv{ec: ec})
-	if err != nil {
-		return record.Value{}, err
-	}
-	return ce(&rowCtx{ec: ec})
 }
 
 // DeclareSnapshot commits the open explicit transaction WITH SNAPSHOT —

@@ -449,6 +449,7 @@ func (i *autoIndexJoin) Close() error {
 		i.scratch.Rollback()
 		i.scratch = nil
 	}
+	i.tree, i.cur = nil, nil // the next run builds its own index
 	return i.outer.Close()
 }
 
@@ -551,7 +552,8 @@ type aggSpec struct {
 // states — are recycled by the next run of the plan, and a group is
 // found through a map keyed by the hash of its encoded key, so a run
 // that sees no more groups than an earlier one allocates nothing per
-// group.
+// group. A plan kept between statements (execCtx.shed) drops them
+// instead when its run ends.
 type aggregateIter struct {
 	src       iterator
 	groupBy   []compiledExpr
@@ -609,12 +611,20 @@ func (i *aggregateIter) Next() ([]record.Value, error) {
 	return row, nil
 }
 
-func (i *aggregateIter) Close() error { return i.src.Close() }
+func (i *aggregateIter) Close() error {
+	if i.ec.shed {
+		i.index, i.groups, i.free = nil, nil, nil
+	}
+	return i.src.Close()
+}
 
 // group returns the group of the current key (i.keyBuf), starting it
 // with row as its representative when the key is new.
 func (i *aggregateIter) group(row []record.Value) (*aggGroup, error) {
 	h := maphash.Bytes(i.seed, i.keyBuf)
+	if i.index == nil {
+		i.index = make(map[uint64]*aggGroup)
+	}
 	for g := i.index[h]; g != nil; g = g.next {
 		if bytes.Equal(g.key, i.keyBuf) {
 			return g, nil
@@ -775,7 +785,12 @@ func (i *distinctPairIter) Next() (*pairRow, error) {
 		return pr, nil
 	}
 }
-func (i *distinctPairIter) Close() error { return i.src.Close() }
+func (i *distinctPairIter) Close() error {
+	if i.src.rc.ec.shed {
+		i.seen = nil
+	}
+	return i.src.Close()
+}
 
 // projectPairIter computes the projection into one output row it owns
 // and reuses, while retaining the source row.
@@ -960,7 +975,12 @@ func (i *finalIter) sortAll() error {
 	return nil
 }
 
-func (i *finalIter) Close() error { return i.pairs.Close() }
+func (i *finalIter) Close() error {
+	if i.ec.shed {
+		i.rows, i.keys = nil, nil
+	}
+	return i.pairs.Close()
+}
 
 // passPairIter wraps a pair source without deduplication.
 type passPairIter struct{ src *projectPairIter }

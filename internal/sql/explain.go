@@ -88,22 +88,14 @@ func describe(it any, depth int, out *[]string) {
 	}
 }
 
-// execExplain plans the wrapped SELECT — over the snapshot it would
+// execExplain plans the wrapped SELECT on p — over the snapshot it would
 // read — and streams the plan lines.
-func (c *Conn) execExplain(s *ExplainStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats) error {
-	asOf, err := c.selectAsOf(s.Select, asOf, params)
-	if err != nil {
+func (c *Conn) execExplain(s *ExplainStmt, p *selectPlan, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats) error {
+	if err := c.bindPlan(s.Select, p, set, asOf, params, stats); err != nil {
 		return err
 	}
-	ec, err := c.newReadCtx(set, asOf, params, stats)
-	if err != nil {
-		return err
-	}
-	defer ec.close()
-	it, _, err := planSelect(s.Select, ec)
-	if err != nil {
-		return err
-	}
+	defer p.ec.close()
+	it := p.fin
 	defer it.Close()
 	if err := it.reset(); err != nil { // evaluates LIMIT and OFFSET
 		return err
@@ -113,7 +105,7 @@ func (c *Conn) execExplain(s *ExplainStmt, set *ReaderSet, asOf retro.SnapshotID
 	for _, line := range lines {
 		stats.RowsReturned++
 		if cb != nil {
-			if err := cb([]string{"plan"}, []record.Value{record.Text(line)}); err != nil {
+			if err := cb(explainCols, []record.Value{record.Text(line)}); err != nil {
 				return err
 			}
 		}
@@ -130,11 +122,11 @@ var explainCols = []string{"plan"}
 // iterations) is byte-identical to a plain run of the statement, and
 // stats.RowsReturned reports the statement's own result rows, not the
 // report lines.
-func (c *Conn) execExplainAnalyze(s *ExplainStmt, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats) error {
+func (c *Conn) execExplainAnalyze(s *ExplainStmt, p *selectPlan, set *ReaderSet, asOf retro.SnapshotID, cb RowCallback, params []record.Value, stats *ExecStats) error {
 	c.lastMech = nil
 	start := time.Now()
 	var lines []string
-	if err := c.execSelect(s.Select, nil, set, asOf, nil, params, stats, &lines); err != nil {
+	if err := c.execSelect(s.Select, p, set, true, asOf, nil, params, stats, &lines); err != nil {
 		return err
 	}
 	stats.Duration = time.Since(start)

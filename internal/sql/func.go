@@ -57,6 +57,7 @@ func (db *DB) RegisterFunc(def FuncDef) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.funcs[strings.ToLower(def.Name)] = &def
+	db.funcGen.Add(1)
 }
 
 func (db *DB) function(name string) *FuncDef {

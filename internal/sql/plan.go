@@ -4,26 +4,175 @@ import (
 	"fmt"
 	"hash/maphash"
 	"strings"
+	"sync"
 
 	"rql/internal/btree"
 	"rql/internal/record"
+	"rql/internal/retro"
 )
 
 // selectPlan is a SELECT planned once and run many times: the iterator
 // tree and the binding it runs over. The tree (planSelect) depends only
-// on the schemas it was planned against, main and side; everything that
-// depends on a run — pagers, snapshot reader, read-set, parameters,
-// statistics — is in ec, which bindRead refills in place for each run,
-// after which reset rewinds the tree onto it. Per-run state that is
-// worth keeping (scan cursors, aggregate groups, the projection row)
-// lives in the tree's nodes and is reused from run to run; nothing of a
-// run is kept on the Conn, so a plan can run while another plan on the
-// same Conn is mid-run (a mechanism UDF re-entering its Conn).
+// on the schemas it was planned against, main and side, and on the
+// functions registered then; everything that depends on a run — pagers,
+// snapshot reader, read-set, parameters, statistics — is in ec, which
+// bindRead refills in place for each run, after which reset rewinds the
+// tree onto it. Per-run state that is worth keeping (scan cursors,
+// aggregate groups, the projection row) lives in the tree's nodes and is
+// reused from run to run — what grew with the data only while a set
+// keeps the plan (execCtx.shed). A run takes its plan off its pool
+// (planPool), so a plan can run while another plan on the same Conn is
+// mid-run (a mechanism UDF re-entering its Conn).
 type selectPlan struct {
 	ec         execCtx
 	fin        *finalIter // nil until planned
 	names      []string
 	main, side *schema
+	funcs      uint64 // DB.funcGen when the tree and asOf were compiled
+
+	// asOf is the statement's AS OF operand, compiled on first use. It is
+	// evaluated before the run is bound, so asOfRC binds it to the run's
+	// parameters only.
+	asOf   compiledExpr
+	asOfRC rowCtx
+}
+
+// snapshotOf returns the snapshot a run of s reads: the one its own AS
+// OF clause names, which overrides the binding, else the binding asOf.
+// The clause takes an INTEGER >= 1 only, literal or parameter: a 0
+// would fall through to the current state and a REAL or TEXT would be
+// truncated or parsed into some other snapshot.
+func (p *selectPlan) snapshotOf(c *Conn, s *SelectStmt, asOf retro.SnapshotID, params []record.Value, stats *ExecStats) (retro.SnapshotID, error) {
+	if s.AsOf == nil {
+		return asOf, nil
+	}
+	if p.asOfRC.ec == nil {
+		p.asOfRC.ec = &execCtx{}
+	}
+	ec := p.asOfRC.ec
+	*ec = execCtx{conn: c, params: params, stats: stats}
+	defer func() { *ec = execCtx{} }()
+	if p.asOf == nil {
+		ce, err := compileExpr(s.AsOf, &compileEnv{ec: ec})
+		if err != nil {
+			return 0, err
+		}
+		p.asOf = ce
+	}
+	v, err := p.asOf(&p.asOfRC)
+	if err != nil {
+		return 0, err
+	}
+	if v.Type() != record.TypeInt || v.Int() < 1 {
+		return 0, fmt.Errorf("sql: AS OF %s: %w (a snapshot id is an integer >= 1)", v.SQL(), retro.ErrNoSnapshot)
+	}
+	return retro.SnapshotID(v.Int()), nil
+}
+
+// planPool keeps statement texts' plans between runs. A run takes its
+// text's plans (take) and puts them back when it ends (put), so a plan
+// is never lent twice: a run that re-enters with a text whose plans are
+// out — a UDF re-running a statement of its own Conn — gets fresh ones.
+// It has two owners. A Conn's pool also holds each text's parsed
+// statements, keeps at most stmtCacheCap texts (the oldest goes first),
+// and its plans, which live as long as the connection, shed their
+// data-sized state after each run (execCtx.shed). A ReaderSet's pool
+// lives for one mechanism run and is shared by that run's parallel
+// workers.
+type planPool struct {
+	mu    sync.Mutex
+	texts map[string]*pooledText
+	order []string // texts, oldest first (bounded pools)
+	bound int      // most texts kept; 0: no bound
+}
+
+// pooledText is a pool's entry for one statement text.
+type pooledText struct {
+	stmts []Statement // parsed once (Conn pools); execution never mutates an AST
+	idle  []*textPlans
+}
+
+// textPlans are the plans of one statement batch text, by statement
+// position (nil: not a SELECT, or not run yet).
+type textPlans struct {
+	home  *pooledText // where put returns them: nowhere, once evicted
+	stmts []*selectPlan
+}
+
+// plan returns the plan slot of statement i of n.
+func (tp *textPlans) plan(i, n int) *selectPlan {
+	if len(tp.stmts) != n {
+		tp.stmts = make([]*selectPlan, n)
+	}
+	if tp.stmts[i] == nil {
+		tp.stmts[i] = &selectPlan{}
+	}
+	return tp.stmts[i]
+}
+
+// entry returns text's entry, adding it when missing — and, in a full
+// bounded pool, evicting the oldest text with its plans. pp.mu is held.
+func (pp *planPool) entry(text string) *pooledText {
+	if e := pp.texts[text]; e != nil {
+		return e
+	}
+	if pp.texts == nil {
+		pp.texts = make(map[string]*pooledText)
+	}
+	if pp.bound > 0 {
+		if len(pp.order) >= pp.bound {
+			delete(pp.texts, pp.order[0])
+			pp.order = pp.order[1:]
+		}
+		pp.order = append(pp.order, text)
+	}
+	e := &pooledText{}
+	pp.texts[text] = e
+	return e
+}
+
+// parse returns text's parsed statements, parsing it at most once while
+// the pool keeps it. A parse error is not kept.
+func (pp *planPool) parse(text string) ([]Statement, error) {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	if e := pp.texts[text]; e != nil && e.stmts != nil {
+		return e.stmts, nil
+	}
+	stmts, err := ParseAll(text)
+	if err != nil {
+		return nil, err
+	}
+	pp.entry(text).stmts = stmts
+	return stmts, nil
+}
+
+// take takes an idle plan set of text off the pool, or a fresh one.
+func (pp *planPool) take(text string) *textPlans {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	e := pp.entry(text)
+	if n := len(e.idle); n > 0 {
+		tp := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return tp
+	}
+	return &textPlans{home: e}
+}
+
+// put returns a plan set taken by take.
+func (pp *planPool) put(tp *textPlans) {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	tp.home.idle = append(tp.home.idle, tp)
+}
+
+// reset drops every text the pool keeps.
+func (pp *planPool) reset() {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	pp.texts, pp.order = nil, nil
 }
 
 // planSelect compiles a SELECT into an iterator tree plus the output
@@ -291,7 +440,6 @@ func planSelect(s *SelectStmt, ec *execCtx) (*finalIter, []colInfo, error) {
 			poison:         ec.conn.db.poisonScans,
 			rc:             rowCtx{ec: ec},
 			seed:           maphash.MakeSeed(),
-			index:          make(map[uint64]*aggGroup),
 		}
 		extended := append(append([]colInfo{}, scope...), make([]colInfo, len(specs))...)
 		for i := range specs {

@@ -28,7 +28,7 @@ type PruneInfo struct {
 // call only deterministic builtin functions, and mention
 // current_snapshot() only as a bare projection column.
 func (c *Conn) PruneInfo(sqlText string) PruneInfo {
-	stmts, err := c.parseCached(sqlText)
+	stmts, err := c.stmts.parse(sqlText)
 	if err != nil {
 		return PruneInfo{Reason: "parse error"}
 	}

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"sync"
 	"time"
 
 	"rql/internal/retro"
@@ -22,56 +21,14 @@ type PageSet = map[storage.PageID]struct{}
 // A ReaderSet's snapshots are immutable after construction, and it is
 // safe for concurrent use from multiple connections (parallel mechanism
 // workers share one). It also keeps the plans of the statement texts run
-// against it (ExecAsOfSet), so a text is planned once per set — once
-// more for each connection running it at the same time. Close must be
+// against it (ExecAsOfSet, ColumnsSet), so a text is planned once per
+// set — once more for each connection running it at the same time — and
+// its plans keep their per-run state (aggregate groups, sorted rows) from
+// member to member for reuse. Close must be
 // called when the run is done; it releases the pinned read transaction.
 type ReaderSet struct {
-	set *retro.SnapshotSet
-
-	mu    sync.Mutex
-	plans map[string][]*textPlans // idle plans by statement text
-}
-
-// textPlans are the plans of one statement batch text, by statement
-// position (nil: not a SELECT, or not run yet).
-type textPlans struct{ stmts []*selectPlan }
-
-// plan returns the plan slot of statement i of n (nil for a nil tp).
-func (tp *textPlans) plan(i, n int) *selectPlan {
-	if tp == nil {
-		return nil
-	}
-	if len(tp.stmts) != n {
-		tp.stmts = make([]*selectPlan, n)
-	}
-	if tp.stmts[i] == nil {
-		tp.stmts[i] = &selectPlan{}
-	}
-	return tp.stmts[i]
-}
-
-// takePlans takes an idle plan set of text off the set, or a fresh one:
-// plans in use are never shared.
-func (rs *ReaderSet) takePlans(text string) *textPlans {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	idle := rs.plans[text]
-	if n := len(idle); n > 0 {
-		tp := idle[n-1]
-		rs.plans[text] = idle[:n-1]
-		return tp
-	}
-	return &textPlans{}
-}
-
-// putPlans returns a plan set taken by takePlans.
-func (rs *ReaderSet) putPlans(text string, tp *textPlans) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.plans == nil {
-		rs.plans = make(map[string][]*textPlans)
-	}
-	rs.plans[text] = append(rs.plans[text], tp)
+	set   *retro.SnapshotSet
+	plans planPool
 }
 
 // OpenSnapshotSet builds the SPTs of all snapshots in ids and pins one
@@ -110,9 +67,7 @@ func (rs *ReaderSet) BuildTime() time.Duration { return rs.set.BuildTime }
 // Idempotent.
 func (rs *ReaderSet) Close() {
 	rs.set.Close()
-	rs.mu.Lock()
-	rs.plans = nil
-	rs.mu.Unlock()
+	rs.plans.reset()
 }
 
 // openSnapReader opens a reader for asOf, from the set when it has the

@@ -119,11 +119,11 @@ func TestParseCacheReuseAndEviction(t *testing.T) {
 	mustExec(t, c, `CREATE TABLE t (a INTEGER)`)
 
 	const query = `SELECT a FROM t`
-	s1, err := c.parseCached(query)
+	s1, err := c.stmts.parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.parseCached(query)
+	s2, err := c.stmts.parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +133,21 @@ func TestParseCacheReuseAndEviction(t *testing.T) {
 
 	// Overflow the cache: the oldest entry is evicted, the cap holds.
 	for i := 0; i < stmtCacheCap+10; i++ {
-		if _, err := c.parseCached(fmt.Sprintf(`SELECT a FROM t WHERE a = %d`, i)); err != nil {
+		if _, err := c.stmts.parse(fmt.Sprintf(`SELECT a FROM t WHERE a = %d`, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(c.stmtCache) > stmtCacheCap {
-		t.Errorf("parse cache grew to %d entries, cap is %d", len(c.stmtCache), stmtCacheCap)
+	if len(c.stmts.texts) > stmtCacheCap {
+		t.Errorf("parse cache grew to %d entries, cap is %d", len(c.stmts.texts), stmtCacheCap)
 	}
-	if _, ok := c.stmtCache[query]; ok {
+	if _, ok := c.stmts.texts[query]; ok {
 		t.Error("oldest cache entry survived eviction")
 	}
 	// Parse errors are not cached.
-	if _, err := c.parseCached(`SELEC nope`); err == nil {
+	if _, err := c.stmts.parse(`SELEC nope`); err == nil {
 		t.Fatal("invalid SQL must fail")
 	}
-	if _, ok := c.stmtCache[`SELEC nope`]; ok {
+	if _, ok := c.stmts.texts[`SELEC nope`]; ok {
 		t.Error("a parse error was cached")
 	}
 }

@@ -81,6 +81,11 @@ func (db *DB) notifySnapshot(snapID uint64) {
 	}
 }
 
+// MaintainView makes c the connection that materializes retro view
+// name: the view's result table, a TEMP table of the view's name, can be
+// created on c and on no other connection.
+func (c *Conn) MaintainView(name string) { c.maintains = name }
+
 // ListViews returns the retro view definitions in name order.
 func (db *DB) ListViews() ([]RetroViewDef, error) {
 	rt, err := db.side.BeginRead()

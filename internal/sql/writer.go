@@ -198,37 +198,33 @@ func (c *Conn) TableStats(name string) (TableStats, error) {
 
 // ColumnsSet plans a SELECT and returns its output column names without
 // executing it, against a reader set when set is non-nil (see
-// ExecAsOfSet). asOf = 0 plans against the current state. The RQL
-// mechanisms use it to create result tables shaped like Qq's output.
+// ExecAsOfSet). asOf = 0 plans against the current state. The plan is
+// kept like one that ran: the statement's first run plans again only if
+// a catalog changed in between (a mechanism's result-table DDL changes
+// the side store's). The RQL mechanisms use it to create result tables
+// shaped like Qq's output.
 func (c *Conn) ColumnsSet(sqlText string, set *ReaderSet, asOf uint64) ([]string, error) {
-	stmt, err := Parse(sqlText)
+	stmts, err := c.stmts.parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
+	var sel *SelectStmt
+	if len(stmts) == 1 {
+		sel, _ = stmts[0].(*SelectStmt)
+	}
+	if sel == nil {
 		return nil, fmt.Errorf("sql: Columns requires a SELECT")
 	}
-	bind, err := c.selectAsOf(sel, retro.SnapshotID(asOf), nil)
-	if err != nil {
+	pool := c.plansFor(set)
+	tp := pool.take(sqlText)
+	defer pool.put(tp)
+	p := tp.plan(0, 1)
+	var stats ExecStats
+	if err := c.bindPlan(sel, p, set, retro.SnapshotID(asOf), nil, &stats); err != nil {
 		return nil, err
 	}
-	stats := ExecStats{}
-	ec, err := c.newReadCtx(set, bind, nil, &stats)
-	if err != nil {
-		return nil, err
-	}
-	defer ec.close()
-	it, cols, err := planSelect(sel, ec)
-	if err != nil {
-		return nil, err
-	}
-	it.Close()
-	names := make([]string, len(cols))
-	for i, ci := range cols {
-		names[i] = ci.name
-	}
-	return names, nil
+	p.ec.close()
+	return append([]string(nil), p.names...), nil
 }
 
 // QuoteIdent quotes an identifier for inclusion in generated SQL.
