@@ -79,10 +79,13 @@ repl-smoke:
 # one transaction stays invisible to concurrent writers and readers, and
 # a rollback leaves every connection on the old catalog), and the plans
 # connections keep (texts repeated on kept plans while another
-# connection rebuilds their table read its one content at every run). -count=3: the
+# connection rebuilds their table read its one content at every run),
+# and the table leaf an index scan's cursor holds (kept-plan range reads
+# alternating between snapshots and the current state, while a writer
+# splits and frees the leaves they land in, match a fresh connection's). -count=3: the
 # stress harness and the concurrency tests depend on scheduling, and
 # single runs let a 3/3 accounting failure and a 5/10 flake through.
-GROUPCOMMIT_SMOKE_RUN = TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore|TestUncommittedDDLInvisible|TestKeptPlansUnderConcurrentDDL
+GROUPCOMMIT_SMOKE_RUN = TestGroupCommit|TestExplicitTxConflict|TestAutocommitConflictRetry|TestConnContextCancelsWriterWait|TestBeginCtx|TestQuiesce|TestSideStore|TestUncommittedDDLInvisible|TestKeptPlansUnderConcurrentDDL|TestKeptRangeReadsUnderSplitsAndFrees
 GROUPCOMMIT_SMOKE_PKGS = . ./internal/storage ./internal/sql ./internal/core ./internal/server
 groupcommit-smoke:
 	$(GO) test -race -count=3 -run '$(GROUPCOMMIT_SMOKE_RUN)' $(GROUPCOMMIT_SMOKE_PKGS)
@@ -155,8 +158,9 @@ smoke-lint:
 # panic, no allocation beyond a small multiple of the input where the
 # target bounds it, and clean decodes survive an encode/decode round (an
 # accepted catalog entry re-encodes to its own bytes). It also fuzzes
-# the B-tree's insert/delete/key-rewrite op stream against a sorted-map
-# model (btree:FuzzTreeOps). The seed corpora also run inside plain
+# the B-tree's insert/delete/key-rewrite op stream, with lookups through
+# one long-lived cursor and reopens onto a second store, against a
+# sorted-map model (btree:FuzzTreeOps). The seed corpora also run inside plain
 # `go test ./...`. A failing input lands in the package's
 # testdata/fuzz/ — commit it as a regression seed.
 FUZZ_TARGETS = \

@@ -18,6 +18,10 @@ import (
 type Tree struct {
 	pager storage.Pager
 	root  storage.PageID
+	// gen counts Reopens. A cursor tags the leaf it lands on with it
+	// and with its pager's Writes, and trusts that leaf again only while
+	// both still match.
+	gen uint64
 }
 
 // Create allocates and initializes an empty tree, returning its root
@@ -42,8 +46,12 @@ func Open(pager storage.Pager, root storage.PageID) *Tree {
 
 // Reopen points the handle, and every cursor made from it, at the tree
 // rooted at root through pager: the same tree as of another snapshot.
-// Cursors must be repositioned (First, Seek) before their next use.
-func (t *Tree) Reopen(pager storage.Pager, root storage.PageID) { t.pager, t.root = pager, root }
+// Cursors must be repositioned (First, Seek, Find) before their next
+// use; none of them trusts a leaf it held before.
+func (t *Tree) Reopen(pager storage.Pager, root storage.PageID) {
+	t.pager, t.root = pager, root
+	t.gen++
+}
 
 // Root returns the tree's root page id.
 func (t *Tree) Root() storage.PageID { return t.root }
@@ -64,42 +72,33 @@ func (t *Tree) pageMut(id storage.PageID) (node, error) {
 	return node{id: id, data: data}, nil
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. It is a Find on a cursor of
+// its own, so it always descends from the root; a caller that looks up
+// many nearby keys keeps a Cursor and calls Find instead.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	leafID, err := t.descend(key)
-	if err != nil {
-		return nil, false, err
-	}
-	leaf, err := t.page(leafID)
-	if err != nil {
-		return nil, false, err
-	}
-	idx, found, err := leaf.searchLeaf(key)
-	if err != nil || !found {
-		return nil, false, err
-	}
-	_, v, err := leaf.leafCell(idx)
-	return v, true, err
+	c := Cursor{tree: t}
+	return c.Find(key)
 }
 
-// descend walks from the root to the leaf that covers key.
-func (t *Tree) descend(key []byte) (storage.PageID, error) {
+// descend walks from the root to the leaf that covers key and returns
+// that leaf, each page read once.
+func (t *Tree) descend(key []byte) (node, error) {
 	id := t.root
 	for {
 		n, err := t.page(id)
 		if err != nil {
-			return 0, err
+			return node{}, err
 		}
 		if n.isLeaf() {
-			return id, nil
+			return n, nil
 		}
 		idx, err := n.searchInterior(key)
 		if err != nil {
-			return 0, err
+			return node{}, err
 		}
 		_, child, err := n.interiorCell(idx)
 		if err != nil {
-			return 0, err
+			return node{}, err
 		}
 		id = child
 	}

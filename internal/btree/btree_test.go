@@ -307,14 +307,49 @@ func TestDropFreesAllPages(t *testing.T) {
 	}
 }
 
-// Model-based randomized test: the tree must match a sorted-map model
-// under arbitrary interleavings of insert, replace, delete and scans,
-// with variable-size keys and values.
+// TestRandomizedAgainstModel: the tree must match a sorted-map model
+// under arbitrary interleavings of insert, replace, delete, key
+// rewrites, lookups and scans, with variable-size keys and values. Two
+// stores hold a tree each under the same root id, and the walk now and
+// then reopens its handle from one onto the other, or commits and
+// reopens it on a new transaction of the same store, whose first write
+// to a page copies it. Inserts and deletes go through the handle and
+// through a second one on the same transaction in turn.
+// One cursor lives for the whole walk: its Find and Seek at keys near
+// the last one it looked up are checked against a fresh tree's Get and a
+// fresh cursor's Seek, so a leaf it held from before a write, a split, a
+// free or a reopen must never answer.
 func TestRandomizedAgainstModel(t *testing.T) {
-	_, tx, tr := testTree(t)
-	defer tx.Rollback()
+	type side struct {
+		store *storage.Store
+		tx    *storage.Tx
+		root  storage.PageID
+		model map[string]string
+	}
+	var sides [2]*side
+	for i := range sides {
+		s, tx, tr := testTree(t)
+		sides[i] = &side{s, tx, tr.Root(), map[string]string{}}
+		t.Cleanup(func() { sides[i].tx.Rollback() })
+	}
+	if sides[0].root != sides[1].root {
+		t.Fatalf("root ids %d and %d differ: a reopen would not reuse the id", sides[0].root, sides[1].root)
+	}
+	cur := 0
+	tr := Open(sides[cur].tx, sides[cur].root)
+	model := sides[cur].model
+	held := tr.Cursor()
+	fresh := func() *Tree { return Open(sides[cur].tx, sides[cur].root) }
+	// writer is the handle a step's insert or delete goes through: every
+	// other one a handle of its own on the same transaction, which the
+	// held cursor's tree does not see write.
+	writer := func(step int) *Tree {
+		if step%2 == 0 {
+			return tr
+		}
+		return fresh()
+	}
 	r := rand.New(rand.NewSource(99))
-	model := map[string]string{}
 
 	randKey := func() string {
 		// Mix short and long keys to vary fanout.
@@ -351,20 +386,34 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		b[r.Intn(len(b))] = byte('a' + r.Intn(4))
 		return string(b)
 	}
-	var inPlace, moved int
+	// heldKey is mostly the last key the held cursor looked up or one
+	// byte from it, so the held leaf brackets it often.
+	last := ""
+	heldKey := func() string {
+		key := anyKey()
+		if last != "" && r.Intn(4) != 0 {
+			key = last
+			if r.Intn(2) == 0 {
+				key = mutate(last)
+			}
+		}
+		last = key
+		return key
+	}
+	var inPlace, moved, reopens int
 	for step := 0; step < 30000; step++ {
-		switch r.Intn(11) {
+		switch r.Intn(14) {
 		case 0, 1, 2, 3, 4, 5: // insert/replace
 			key := randKey()
 			val := randKey()
-			if err := tr.Insert([]byte(key), []byte(val)); err != nil {
+			if err := writer(step).Insert([]byte(key), []byte(val)); err != nil {
 				t.Fatal(err)
 			}
 			model[key] = val
 		case 6, 7: // delete (sometimes absent)
 			key := anyKey()
 			_, inModel := model[key]
-			found, err := tr.Delete([]byte(key))
+			found, err := writer(step).Delete([]byte(key))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -412,14 +461,73 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if step%997 == 0 {
 				validateAgainstModel(t, tr, model)
 			}
+		case 11: // Find through the held cursor
+			key := heldKey()
+			v, found, err := held.Find([]byte(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, inModel := model[key]
+			fv, ffound, err := fresh().Get([]byte(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found != inModel || ffound != inModel || (found && (string(v) != want || string(fv) != want)) {
+				t.Fatalf("step %d: held Find(%q) = %q,%v; fresh Get %q,%v; model %q,%v", step, key, v, found, fv, ffound, want, inModel)
+			}
+			if held.Valid() != found || (found && string(held.Key()) != key) {
+				t.Fatalf("step %d: after Find(%q) = %v the cursor is valid=%v at %q", step, key, found, held.Valid(), held.Key())
+			}
+		case 12: // Seek through the held cursor, then one Next
+			key := heldKey()
+			fc := fresh().Cursor()
+			for i := 0; i < 2; i++ {
+				var ok, fok bool
+				var err, ferr error
+				if i == 0 {
+					ok, err = held.Seek([]byte(key))
+					fok, ferr = fc.Seek([]byte(key))
+				} else {
+					ok, err = held.Next()
+					fok, ferr = fc.Next()
+				}
+				if err != nil || ferr != nil {
+					t.Fatal(err, ferr)
+				}
+				if ok != fok || !bytes.Equal(held.Key(), fc.Key()) || !bytes.Equal(held.Value(), fc.Value()) {
+					t.Fatalf("step %d: held Seek(%q)+%d Next at %q,%v; fresh cursor at %q,%v", step, key, i, held.Key(), ok, fc.Key(), fok)
+				}
+			}
+		case 13: // reopen the handle, and with it the held cursor
+			if r.Intn(2) == 0 { // on the other store
+				cur ^= 1
+				model = sides[cur].model
+			} else { // on a new transaction of this one
+				sd := sides[cur]
+				if err := sd.tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if sd.tx, err = sd.store.Begin(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr.Reopen(sides[cur].tx, sides[cur].root)
+			reopens++
 		}
 	}
-	validateAgainstModel(t, tr, model)
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for cur = range sides {
+		tr.Reopen(sides[cur].tx, sides[cur].root)
+		validateAgainstModel(t, tr, sides[cur].model)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if inPlace < 100 || moved < 100 {
 		t.Errorf("same-length rewrites: %d in place, %d moved; the walk does not cover both", inPlace, moved)
+	}
+	if reopens < 100 {
+		t.Errorf("%d reopens; the walk does not switch stores", reopens)
 	}
 }
 
@@ -433,11 +541,7 @@ type cell struct {
 // A rewrite done in place leaves the cell where it was.
 func cellOf(t testing.TB, tr *Tree, key []byte) cell {
 	t.Helper()
-	id, err := tr.descend(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf, err := tr.page(id)
+	leaf, err := tr.descend(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +552,7 @@ func cellOf(t testing.TB, tr *Tree, key []byte) cell {
 	if !found {
 		return cell{}
 	}
-	return cell{id, leaf.cellPtr(idx)}
+	return cell{leaf.id, leaf.cellPtr(idx)}
 }
 
 func validateAgainstModel(t *testing.T, tr *Tree, model map[string]string) {

@@ -40,7 +40,7 @@ func TestTracingNeutrality(t *testing.T) {
 		mechAggTable:  `SELECT grp, c, round(av, 6) FROM %s`,
 		mechIntervals: `SELECT k, start_snapshot, end_snapshot FROM %s`,
 	}
-	r, c := pruneHistory(t, 61, 30)
+	r, c := pruneHistory(t, narrowM, 61, 30)
 	qs := `SELECT snap_id FROM SnapIds`
 	for _, kind := range []mechKind{mechCollate, mechAggVar, mechAggTable, mechIntervals} {
 		for _, parallel := range []bool{false, true} {
@@ -96,7 +96,7 @@ func TestTracingNeutrality(t *testing.T) {
 // recorder's synchronization.
 func TestTracedSpanEmissionRace(t *testing.T) {
 	resetTracing(t)
-	r, _ := pruneHistory(t, 7, 24)
+	r, _ := pruneHistory(t, narrowM, 7, 24)
 	obs.SetTracing(true)
 
 	done := make(chan struct{})

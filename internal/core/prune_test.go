@@ -5,17 +5,17 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"rql/internal/record"
 	"rql/internal/sql"
 )
 
-// pruneHistory builds a randomized RF1/RF2-style refresh history with
-// the shapes that stress delta pruning: snapshots with zero intervening
-// writes (empty deltas), back-to-back heavy refreshes, and quiet
-// stretches touching only keys outside the usual query ranges.
-func pruneHistory(t *testing.T, seed int64, snapshots int) (*RQL, *sql.Conn) {
+// pruneHistory builds a randomized RF1/RF2-style refresh history over
+// table m, made in shape m, with the shapes that stress delta pruning:
+// snapshots with zero intervening writes (empty deltas), back-to-back
+// heavy refreshes, and quiet stretches touching only keys outside the
+// usual query ranges.
+func pruneHistory(t *testing.T, m mTable, seed int64, snapshots int) (*RQL, *sql.Conn) {
 	t.Helper()
 	db, err := sql.Open(sql.Options{})
 	if err != nil {
@@ -24,45 +24,59 @@ func pruneHistory(t *testing.T, seed int64, snapshots int) (*RQL, *sql.Conn) {
 	t.Cleanup(func() { db.Close() })
 	r := Attach(db)
 	c := db.Conn()
-	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	present := m.create(t, c)
 	if err := EnsureSnapIds(c); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	present := map[int]bool{}
-	for s := 0; s < snapshots; s++ {
-		mustExec(t, c, `BEGIN`)
-		var writes int
-		switch rng.Intn(4) {
-		case 0:
-			writes = 0 // zero-write snapshot: empty delta
-		case 1:
-			writes = 12 + rng.Intn(8) // heavy refresh burst
-		default:
-			writes = 1 + rng.Intn(4)
+	m.history(t, c, rand.New(rand.NewSource(seed)), present, snapshots)
+	return r, c
+}
+
+// inRange is a k range over a few of wideM's table leaves. An index
+// scan fetches its rows in ascending rowid order, each fetch landing in
+// the leaf the previous one held.
+const inRange = ` FROM m WHERE k >= 96 AND k < 144`
+
+// rangeFixtures read wideM through its index, over inRange.
+var rangeFixtures = []mechFixture{
+	{mechCollate, `SELECT k, v, current_snapshot() AS sid` + inRange, "", `SELECT k, v, sid FROM %s`},
+	{mechAggVar, `SELECT SUM(v)` + inRange, "sum", `SELECT * FROM %s`},
+}
+
+// rangeContent is what rangeFixtures read at snapshot snap.
+func rangeContent(t *testing.T, c *sql.Conn, snap uint64) string {
+	t.Helper()
+	var rows []string
+	err := c.ExecAsOf(`SELECT k, v`+inRange, snap, func(_ []string, row []record.Value) error {
+		rows = append(rows, fmt.Sprint(row[0].Int(), row[1].Int()))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(rows, ";")
+}
+
+// assertChangedRangeRuns checks the iterations of a sequential run of a
+// range fixture over Qs in ascending order: a member whose range content
+// differs from the previous member's read a table leaf that changed, so
+// it must run, not be pruned. It fails when the history changed the
+// range nowhere, which would leave nothing checked.
+func assertChangedRangeRuns(t *testing.T, c *sql.Conn, label string, iters []IterationCost) {
+	t.Helper()
+	changed := 0
+	for i := 1; i < len(iters); i++ {
+		if rangeContent(t, c, iters[i].Snapshot) == rangeContent(t, c, iters[i-1].Snapshot) {
+			continue
 		}
-		for n := 0; n < writes; n++ {
-			k := rng.Intn(14)
-			if present[k] && rng.Intn(3) == 0 {
-				mustExec(t, c, fmt.Sprintf(`DELETE FROM m WHERE k = %d`, k))
-				present[k] = false
-			} else if !present[k] {
-				mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d)`,
-					k, k%3, rng.Intn(100)))
-				present[k] = true
-			} else {
-				mustExec(t, c, fmt.Sprintf(`UPDATE m SET v = %d WHERE k = %d`, rng.Intn(100), k))
-			}
-		}
-		id, err := c.CommitWithSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := RecordSnapshot(c, id, time.Unix(int64(s), 0), ""); err != nil {
-			t.Fatal(err)
+		changed++
+		if iters[i].Pruned {
+			t.Errorf("%s: snapshot %d changed the range's rows but was pruned", label, iters[i].Snapshot)
 		}
 	}
-	return r, c
+	if changed == 0 {
+		t.Errorf("%s: the history never changed the range", label)
+	}
 }
 
 // runMech drives kind's canonical invocation of qq (sequential or
@@ -117,55 +131,69 @@ func runFixture(t *testing.T, r *RQL, c *sql.Conn, fx mechFixture, qs, table str
 // (both are checked against the never-pruning UDF form), over randomized
 // refresh schedules — and actually prunes (the zero-write snapshots
 // guarantee empty deltas; a duplicated member is trivially prunable; the
-// delta between two members is direction-independent).
+// delta between two members is direction-independent). The range
+// fixtures over wideM do the same through an index scan whose fetches
+// skip re-reading the table leaves they hold, and a member whose range
+// changed is never pruned.
 func TestDeltaPruneEquivalence(t *testing.T) {
 	for seed := int64(40); seed < 44; seed++ {
-		r, c := pruneHistory(t, seed, 30)
-		makeQsOrders(t, c)
-		members := len(queryRows(t, c, `SELECT snap_id FROM SnapIds`))
-		for _, from := range qsOrders {
-			qs := "SELECT snap_id FROM " + from
-			for _, fx := range allFixtures {
-				for _, parallel := range []bool{false, true} {
-					label := fmt.Sprintf("%s_%s_p%v_s%d", fx.tag(), from, parallel, seed)
-					onT, offT := "On_"+label, "Off_"+label
+		pruneEquivalence(t, narrowM, seed, allFixtures)
+	}
+	for seed := int64(44); seed < 46; seed++ {
+		pruneEquivalence(t, wideM, seed, rangeFixtures)
+	}
+}
 
-					r.SetDeltaPrune(true)
-					prs := runFixture(t, r, c, fx, qs, onT, parallel)
-					r.SetDeltaPrune(false)
-					urs := runFixture(t, r, c, fx, qs, offT, parallel)
-					assertSameResult(t, c, fx, from, onT, offT)
+func pruneEquivalence(t *testing.T, m mTable, seed int64, fixtures []mechFixture) {
+	t.Helper()
+	r, c := pruneHistory(t, m, seed, 30)
+	makeQsOrders(t, c)
+	members := len(queryRows(t, c, `SELECT snap_id FROM SnapIds`))
+	for _, from := range qsOrders {
+		qs := "SELECT snap_id FROM " + from
+		for _, fx := range fixtures {
+			for _, parallel := range []bool{false, true} {
+				label := fmt.Sprintf("%s_%s_p%v_s%d", fx.tag(), from, parallel, seed)
+				onT, offT := "On_"+label, "Off_"+label
 
-					if prs.PrunedIterations == 0 {
-						t.Errorf("%s: pruned run skipped no iterations (reason=%q)", label, prs.PruneReason)
+				r.SetDeltaPrune(true)
+				prs := runFixture(t, r, c, fx, qs, onT, parallel)
+				r.SetDeltaPrune(false)
+				urs := runFixture(t, r, c, fx, qs, offT, parallel)
+				assertSameResult(t, c, fx, from, onT, offT)
+
+				if prs.PrunedIterations == 0 {
+					t.Errorf("%s: pruned run skipped no iterations (reason=%q)", label, prs.PruneReason)
+				}
+				if from == "QsDup" && !parallel && prs.PrunedIterations < members {
+					t.Errorf("%s: pruned %d iterations, want >= %d (every duplicate)", label, prs.PrunedIterations, members)
+				}
+				if prs.PruneReason != "" {
+					t.Errorf("%s: pruning unexpectedly disabled: %s", label, prs.PruneReason)
+				}
+				if urs.PrunedIterations != 0 || urs.PruneReason == "" {
+					t.Errorf("%s: unpruned run stats inconsistent: %+v", label, urs)
+				}
+				// Pruned iterations must be free of page I/O and carry
+				// replayed rows in QqRows.
+				for _, it := range prs.Iterations {
+					if it.Pruned && (it.PagelogReads != 0 || it.CacheHits != 0 || it.DBReads != 0 || it.MapScanned != 0) {
+						t.Errorf("%s: pruned iteration %d did page work: %+v", label, it.Snapshot, it)
 					}
-					if from == "QsDup" && !parallel && prs.PrunedIterations < members {
-						t.Errorf("%s: pruned %d iterations, want >= %d (every duplicate)", label, prs.PrunedIterations, members)
-					}
-					if prs.PruneReason != "" {
-						t.Errorf("%s: pruning unexpectedly disabled: %s", label, prs.PruneReason)
-					}
-					if urs.PrunedIterations != 0 || urs.PruneReason == "" {
-						t.Errorf("%s: unpruned run stats inconsistent: %+v", label, urs)
-					}
-					// Pruned iterations must be free of page I/O and carry
-					// replayed rows in QqRows.
-					for _, it := range prs.Iterations {
-						if it.Pruned && (it.PagelogReads != 0 || it.CacheHits != 0 || it.DBReads != 0 || it.MapScanned != 0) {
-							t.Errorf("%s: pruned iteration %d did page work: %+v", label, it.Snapshot, it)
-						}
-					}
+				}
+				if m == wideM && from == "SnapIds" && !parallel {
+					assertChangedRangeRuns(t, c, label, prs.Iterations)
 				}
 			}
 		}
-		r.SetDeltaPrune(true)
 	}
+	r.SetDeltaPrune(true)
 }
 
 // A Qq the analyzer cannot prove prune-safe must run unpruned — and
 // say why.
 func TestDeltaPruneUnsafeQqFallsBack(t *testing.T) {
-	r, c := pruneHistory(t, 52, 8)
+	r, c := pruneHistory(t, narrowM, 52, 8)
 	qs := `SELECT snap_id FROM SnapIds`
 	cases := []struct {
 		qq     string
@@ -238,8 +266,16 @@ func TestPruneInfoAnalyzer(t *testing.T) {
 
 // Runs and views ask the same delta oracle, so over one history with
 // quiet snapshots a Go-level run and a retro view of the same
-// invocation prune exactly the same snapshots, for every mechanism.
+// invocation prune exactly the same snapshots, for every mechanism, and
+// for the range fixtures over wideM, read through an index scan that
+// lands each fetch in the table leaf it holds.
 func TestRunsAndViewsPruneAlike(t *testing.T) {
+	runsAndViewsPruneAlike(t, narrowM, 5, allFixtures)
+	runsAndViewsPruneAlike(t, wideM, 6, rangeFixtures)
+}
+
+func runsAndViewsPruneAlike(t *testing.T, mt mTable, seed int64, fixtures []mechFixture) {
+	t.Helper()
 	db, err := sql.Open(sql.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -255,21 +291,21 @@ func TestRunsAndViewsPruneAlike(t *testing.T) {
 	db.SetRetroViewHook(m)
 	db.SetSnapshotHook(m.AnnounceSnapshot)
 	c := db.Conn()
-	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	present := mt.create(t, c)
 	if err := EnsureSnapIds(c); err != nil {
 		t.Fatal(err)
 	}
 	const snapshots = 30
-	subs := make([]*ViewSub, len(allFixtures))
-	for i, fx := range allFixtures {
+	subs := make([]*ViewSub, len(fixtures))
+	for i, fx := range fixtures {
 		mustExec(t, c, fmt.Sprintf(`CREATE RETRO VIEW V%d AS %s`, i, fx.ddl()))
 		if subs[i], err = m.Subscribe(fmt.Sprintf("V%d", i), snapshots); err != nil {
 			t.Fatal(err)
 		}
 	}
-	viewHistory(t, c, rand.New(rand.NewSource(5)), map[int]bool{}, snapshots)
+	mt.history(t, c, rand.New(rand.NewSource(seed)), present, snapshots)
 
-	for i, fx := range allFixtures {
+	for i, fx := range fixtures {
 		mustExec(t, c, fmt.Sprintf(`REFRESH RETRO VIEW V%d`, i))
 		viewPruned := make(map[uint64]bool)
 		for len(subs[i].C) > 0 {
@@ -291,6 +327,9 @@ func TestRunsAndViewsPruneAlike(t *testing.T) {
 		}
 		if pruned == 0 {
 			t.Errorf("%s: nothing pruned over a history with quiet snapshots", fx.tag())
+		}
+		if mt == wideM {
+			assertChangedRangeRuns(t, c, fx.tag(), rs.Iterations)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func TestSideStoreConcurrentMechanisms(t *testing.T) {
 	}
 	live := fixtureOf(mechIntervals)
 	mustExec(t, c, `CREATE RETRO VIEW live AS `+live.ddl())
-	viewHistory(t, c, rand.New(rand.NewSource(41)), map[int]bool{}, 12)
+	narrowM.history(t, c, rand.New(rand.NewSource(41)), map[int]bool{}, 12)
 	// The mechanisms run over the history so far; snapshots declared
 	// while they run are not theirs.
 	mustExec(t, c, `CREATE TEMP TABLE QsFixed (snap_id INTEGER)`)

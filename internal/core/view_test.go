@@ -34,11 +34,55 @@ func newViewEnv(t *testing.T) (*sql.DB, *RQL, *ViewManager) {
 	return db, r, m
 }
 
-// viewHistory drives randomized refresh bursts over table m — including
+// mTable is a shape of table m, which the histories write and the
+// fixtures read.
+type mTable struct {
+	keys int    // k is drawn from [0, keys)
+	pad  string // every row's pad column; "" when m has none
+}
+
+// narrowM is m as most tests have it: up to 14 rows, one leaf.
+var narrowM = mTable{keys: 14}
+
+// wideM is m spread over several table leaves: all its keys are loaded
+// before the first snapshot, each row carries a 200-byte pad, and an
+// index on k serves the range fixtures (rangeFixtures), whose rows an
+// index scan fetches one table leaf after another.
+var wideM = mTable{keys: 240, pad: strings.Repeat("p", 200)}
+
+// create makes table m in this shape and returns the keys it holds.
+func (m mTable) create(t *testing.T, c *sql.Conn) map[int]bool {
+	t.Helper()
+	present := map[int]bool{}
+	if m.pad == "" {
+		mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+		return present
+	}
+	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER, pad TEXT)`)
+	mustExec(t, c, `CREATE INDEX m_k ON m (k)`)
+	mustExec(t, c, `BEGIN`)
+	for k := 0; k < m.keys; k++ {
+		m.insert(t, c, k, k%100)
+		present[k] = true
+	}
+	mustExec(t, c, `COMMIT`)
+	return present
+}
+
+func (m mTable) insert(t *testing.T, c *sql.Conn, k, v int) {
+	t.Helper()
+	if m.pad == "" {
+		mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d)`, k, k%3, v))
+		return
+	}
+	mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d, ?)`, k, k%3, v), record.Text(m.pad))
+}
+
+// history drives randomized refresh bursts over m — including
 // zero-write snapshots, whose deltas are empty (the prune-friendly
 // quiet windows) — recording each snapshot in SnapIds. Returns the last
 // declared snapshot id.
-func viewHistory(t *testing.T, c *sql.Conn, rng *rand.Rand, present map[int]bool, snapshots int) uint64 {
+func (m mTable) history(t *testing.T, c *sql.Conn, rng *rand.Rand, present map[int]bool, snapshots int) uint64 {
 	t.Helper()
 	var last uint64
 	for s := 0; s < snapshots; s++ {
@@ -53,13 +97,12 @@ func viewHistory(t *testing.T, c *sql.Conn, rng *rand.Rand, present map[int]bool
 			writes = 1 + rng.Intn(4)
 		}
 		for n := 0; n < writes; n++ {
-			k := rng.Intn(14)
+			k := rng.Intn(m.keys)
 			if present[k] && rng.Intn(3) == 0 {
 				mustExec(t, c, fmt.Sprintf(`DELETE FROM m WHERE k = %d`, k))
 				present[k] = false
 			} else if !present[k] {
-				mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d)`,
-					k, k%3, rng.Intn(100)))
+				m.insert(t, c, k, rng.Intn(100))
 				present[k] = true
 			} else {
 				mustExec(t, c, fmt.Sprintf(`UPDATE m SET v = %d WHERE k = %d`, rng.Intn(100), k))
@@ -122,7 +165,7 @@ func TestRetroViewIncrementalEquivalence(t *testing.T) {
 				mustExec(t, c, `CREATE RETRO VIEW V AS `+fx.ddl())
 
 				rng := rand.New(rand.NewSource(int64(fx.kind)*7 + 99))
-				last := viewHistory(t, c, rng, map[int]bool{}, 30)
+				last := narrowM.history(t, c, rng, map[int]bool{}, 30)
 				// Synchronous catch-up to the last announced snapshot; the
 				// background refresher races us harmlessly (runMu + cursor).
 				mustExec(t, c, `REFRESH RETRO VIEW V`)
@@ -187,7 +230,7 @@ func TestRetroViewRestartResumesFromCursor(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	present := map[int]bool{}
-	last1 := viewHistory(t, c, rng, present, 12)
+	last1 := narrowM.history(t, c, rng, present, 12)
 	for _, kind := range kinds {
 		mustExec(t, c, fmt.Sprintf(`REFRESH RETRO VIEW V_%s`, kind))
 	}
@@ -209,7 +252,7 @@ func TestRetroViewRestartResumesFromCursor(t *testing.T) {
 	if err := RecordSnapshot(c, idQuiet, time.Unix(int64(idQuiet), 0).UTC(), ""); err != nil {
 		t.Fatal(err)
 	}
-	last2 := viewHistory(t, c, rng, present, 7)
+	last2 := narrowM.history(t, c, rng, present, 7)
 	missed := last2 - last1
 
 	// Restart: a fresh manager over the same stores must come up with
@@ -293,7 +336,7 @@ func TestRetroViewSubscription(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(3))
-	last := viewHistory(t, c, rng, map[int]bool{}, 10)
+	last := narrowM.history(t, c, rng, map[int]bool{}, 10)
 	mustExec(t, c, `REFRESH RETRO VIEW V`)
 
 	want := uint64(1)
@@ -372,7 +415,7 @@ func TestRetroViewDDLLifecycle(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(5))
-	last := viewHistory(t, c, rng, map[int]bool{}, 5)
+	last := narrowM.history(t, c, rng, map[int]bool{}, 5)
 	mustExec(t, c, `REFRESH RETRO VIEW V`)
 	if info := m.Infos()[0]; info.LastSnap != last {
 		t.Fatalf("cursor = %d, want %d", info.LastSnap, last)
@@ -574,7 +617,7 @@ func testFailedViewStepNameTaken(t *testing.T) {
 	if err := c.Exec(`CREATE TEMP TABLE V (mine INTEGER)`, nil); !errors.Is(err, sql.ErrExists) {
 		t.Fatalf("a table took the view's name: err = %v, want ErrExists", err)
 	}
-	last := viewHistory(t, c, rand.New(rand.NewSource(3)), map[int]bool{}, 2)
+	last := narrowM.history(t, c, rand.New(rand.NewSource(3)), map[int]bool{}, 2)
 
 	mustExec(t, c, `REFRESH RETRO VIEW V`)
 	if info := m.Infos()[0]; info.LastSnap != last || info.LastError != "" {
@@ -627,7 +670,7 @@ func testFailedViewStep(t *testing.T, warm int, failure viewStepFailure) {
 	const qq = `SELECT grp, flaky(v) AS av FROM m`
 	mustExec(t, c, `CREATE RETRO VIEW V AS AggregateDataInTable('`+qq+`', '(av,avg)')`)
 
-	viewHistory(t, c, rand.New(rand.NewSource(17)), map[int]bool{}, warm)
+	narrowM.history(t, c, rand.New(rand.NewSource(17)), map[int]bool{}, warm)
 	mustExec(t, c, `REFRESH RETRO VIEW V`)
 	before := m.Infos()[0]
 

@@ -768,6 +768,9 @@ func (r *SnapshotReader) Allocate() (storage.PageID, error) {
 // Free always fails: snapshots are immutable.
 func (r *SnapshotReader) Free(storage.PageID) error { return storage.ErrReadOnly }
 
+// Writes is always 0: snapshots are immutable.
+func (r *SnapshotReader) Writes() uint64 { return 0 }
+
 // Close unpins the underlying MVCC read transaction (unless the reader
 // was opened from a SnapshotSet, whose transaction stays pinned until
 // the set itself is closed).

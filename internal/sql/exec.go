@@ -109,9 +109,10 @@ func (r *scanRow) decode(data []byte, rowid int64) ([]record.Value, error) {
 }
 
 // fetch loads the row stored under rowid into the buffer (nil when the
-// row does not exist).
-func (r *scanRow) fetch(tbl *btree.Tree, rowid int64) ([]record.Value, error) {
-	v, found, err := tbl.Get(rowidKey(rowid))
+// row does not exist), looking it up with cur: a cursor kept across
+// fetches lands ascending rowids in the table leaf it already holds.
+func (r *scanRow) fetch(cur *btree.Cursor, rowid int64) ([]record.Value, error) {
+	v, found, err := cur.Find(rowidKey(rowid))
 	if err != nil || !found {
 		return nil, err
 	}
@@ -166,13 +167,15 @@ func (i *tableScanIter) Close() error { return nil }
 // holds the leading index columns' values of an equality scan, whose
 // encoding is both the seek target and the prefix every key must carry;
 // a range scan seeks to lo (nil: the first key) and stops past hi (nil:
-// no upper bound) on the first key column.
+// no upper bound) on the first key column. Rows are fetched through
+// tblCur, which holds the table leaf of the last fetch for the run.
 type indexScanIter struct {
 	table   *Table
 	index   *Index
 	idxTree *btree.Tree
 	idxCur  *btree.Cursor
 	tbl     *btree.Tree
+	tblCur  *btree.Cursor
 	row     scanRow
 	eq      []compiledExpr
 	lo, hi  compiledExpr
@@ -244,7 +247,7 @@ func (i *indexScanIter) Next() ([]record.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := i.row.fetch(i.tbl, rowid)
+		row, err := i.row.fetch(i.tblCur, rowid)
 		if err != nil {
 			return nil, err
 		}
@@ -454,7 +457,8 @@ func (i *autoIndexJoin) Close() error {
 }
 
 // indexJoinIter joins outer rows against an inner base table through a
-// native index: per outer row it probes the index with the join key.
+// native index: per outer row it probes the index with the join key,
+// and fetches each match through tblCur, like indexScanIter.
 type indexJoinIter struct {
 	joinCore
 	table    *Table
@@ -464,6 +468,7 @@ type indexJoinIter struct {
 	idxTree *btree.Tree
 	idxCur  *btree.Cursor
 	tbl     *btree.Tree
+	tblCur  *btree.Cursor
 	inner   scanRow
 	prefix  []byte
 }
@@ -498,7 +503,7 @@ func (i *indexJoinIter) Next() ([]record.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner, err := i.inner.fetch(i.tbl, rowid)
+		inner, err := i.inner.fetch(i.tblCur, rowid)
 		if err != nil {
 			return nil, err
 		}

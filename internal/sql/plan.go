@@ -306,7 +306,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (*finalIter, []colInfo, error) {
 		}
 		// Native index on the inner join column?
 		if ix := nativeJoinIndex(item.table, item.schema, innerKeyE); ix != nil && len(local) == 0 {
-			idxTree := btree.Open(nil, ix.Root)
+			idxTree, tbl := btree.Open(nil, ix.Root), btree.Open(nil, item.table.Root)
 			cur = &indexJoinIter{
 				joinCore: joinCore{outer: cur, rc: rowCtx{ec: ec}},
 				table:    item.table,
@@ -314,7 +314,8 @@ func planSelect(s *SelectStmt, ec *execCtx) (*finalIter, []colInfo, error) {
 				outerKey: outerKey,
 				idxTree:  idxTree,
 				idxCur:   idxTree.Cursor(),
-				tbl:      btree.Open(nil, item.table.Root),
+				tbl:      tbl,
+				tblCur:   tbl.Cursor(),
 				inner:    newScanRow(ec, item.table, item.need),
 			}
 		} else {
@@ -676,13 +677,14 @@ func pickAccessPath(t *Table, sch *schema, conds []Expr, need []bool, ec *execCt
 		return newTableScan(ec, t, need)
 	}
 
-	idxTree := btree.Open(nil, best.Root)
+	idxTree, tbl := btree.Open(nil, best.Root), btree.Open(nil, t.Root)
 	it := &indexScanIter{
 		table:   t,
 		index:   best,
 		idxTree: idxTree,
 		idxCur:  idxTree.Cursor(),
-		tbl:     btree.Open(nil, t.Root),
+		tbl:     tbl,
+		tblCur:  tbl.Cursor(),
 		row:     newScanRow(ec, t, need),
 		rc:      rowCtx{ec: ec},
 	}

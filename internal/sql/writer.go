@@ -97,7 +97,7 @@ func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int6
 	if err != nil {
 		return 0, nil, false, err
 	}
-	row, err := w.row.fetch(btree.Open(w.tx, w.t.Root), rowid)
+	row, err := w.row.fetch(btree.Open(w.tx, w.t.Root).Cursor(), rowid)
 	if err != nil || row == nil {
 		return 0, nil, false, err
 	}

@@ -52,6 +52,11 @@ type Pager interface {
 	// Free releases a page at commit time. The page must not be used
 	// again within the transaction.
 	Free(id PageID) error
+	// Writes counts the GetMut, Allocate and Free calls made through
+	// the pager: a page it returned earlier may have changed, or been
+	// freed and reused, only if the count has moved since. A read-only
+	// pager's count stays 0.
+	Writes() uint64
 }
 
 // DirtyPage describes one page modified by a committing transaction,

@@ -19,6 +19,7 @@ type Tx struct {
 	freed     []PageID
 	freedSet  map[PageID]bool
 	allocated map[PageID]bool
+	writes    uint64 // GetMut, Allocate and Free calls (Writes)
 	base      uint64 // commit LSN at Begin, pinned in store.readers until the transaction ends
 	done      bool
 	ctx       context.Context // bounds the commit-queue wait
@@ -61,6 +62,7 @@ func (tx *Tx) GetMut(id PageID) (*PageData, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
+	tx.writes++
 	if tx.freedSet[id] {
 		return nil, ErrPageFree
 	}
@@ -86,6 +88,7 @@ func (tx *Tx) Allocate() (PageID, error) {
 	if tx.done {
 		return 0, ErrTxDone
 	}
+	tx.writes++
 	id := tx.store.allocate()
 	if tx.allocated == nil {
 		tx.allocated = make(map[PageID]bool)
@@ -104,6 +107,7 @@ func (tx *Tx) Free(id PageID) error {
 	if tx.done {
 		return ErrTxDone
 	}
+	tx.writes++
 	if tx.freedSet[id] {
 		return ErrPageFree
 	}
@@ -123,6 +127,9 @@ func (tx *Tx) Free(id PageID) error {
 	tx.freed = append(tx.freed, id)
 	return nil
 }
+
+// Writes counts the transaction's GetMut, Allocate and Free calls.
+func (tx *Tx) Writes() uint64 { return tx.writes }
 
 // Commit atomically publishes the transaction's changes.
 func (tx *Tx) Commit() error {
@@ -222,6 +229,9 @@ func (r *ReadTx) Allocate() (PageID, error) { return 0, ErrReadOnly }
 
 // Free always fails: the transaction is read-only.
 func (r *ReadTx) Free(PageID) error { return ErrReadOnly }
+
+// Writes is always 0: the transaction is read-only.
+func (r *ReadTx) Writes() uint64 { return 0 }
 
 // Close unpins the transaction, allowing version chains to be pruned.
 func (r *ReadTx) Close() {
