@@ -8,9 +8,11 @@ all: check
 # failing check, the smoke-pattern lint, the replication smoke, the
 # group-commit stress smoke, the compaction smoke, the incremental-view
 # smoke, the decoder fuzz smoke, the rqlshell transcript smoke, the
-# examples smoke, and the figure counter check. Every member is a
-# deterministic pass/fail; wall-clock performance is measured by the
-# benchmark/ harness, not gated here.
+# examples smoke, and the figure counter check. race also runs the
+# reachability test (unused_test.go): every declaration under internal/
+# has a caller outside the tests. Every member is a deterministic
+# pass/fail; wall-clock performance is measured by the benchmark/
+# harness, not gated here.
 check: build vet race fmt smoke-lint repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke shell-smoke examples-smoke fig-check
 
 build:

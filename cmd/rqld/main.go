@@ -138,9 +138,6 @@ func main() {
 	}
 	if a := srv.Addr(); a != "" {
 		fmt.Printf("rqld: serving on %s\n", a)
-		if primary != nil {
-			primary.SetAddr(a) // redirect target replicas report to clients
-		}
 	}
 
 	// A primary of another protocol version can never be followed:

@@ -49,7 +49,6 @@ func main() {
 		log.Fatal(err)
 	}
 	pn.srv.SetPrimary(primary)
-	primary.SetAddr(pn.addr)
 	fmt.Printf("primary serving on %s\n", pn.addr)
 
 	// Two replicas. Equivalent to

@@ -179,9 +179,6 @@ type mech struct {
 	extra string // agg func or pairs
 }
 
-// Mech selects a mechanism for ColdRun/RatioC/AllCold.
-type Mech = mech
-
 var (
 	mechAggVarAvg = mech{name: "AggV", extra: "avg"}
 	mechCollate   = mech{name: "Collate"}
@@ -189,12 +186,6 @@ var (
 )
 
 func aggTable(pairs string) mech { return mech{name: "AggT", extra: pairs} }
-
-// Exported mechanism selectors for external benchmark drivers.
-func MechAggVarAvg() Mech            { return mechAggVarAvg }
-func MechCollate() Mech              { return mechCollate }
-func MechIntervals() Mech            { return mechIntervals }
-func MechAggTable(pairs string) Mech { return aggTable(pairs) }
 
 var resultSeq int
 

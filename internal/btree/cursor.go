@@ -158,9 +158,6 @@ func (c *Cursor) advanceLeaf() (bool, error) {
 	}
 }
 
-// Valid reports whether the cursor is positioned on an entry.
-func (c *Cursor) Valid() bool { return c.valid }
-
 // Entry returns the current entry's key and value from one decode of
 // the cell (nil slices when the cursor is not positioned).
 func (c *Cursor) Entry() (key, value []byte, err error) {

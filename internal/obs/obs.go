@@ -54,46 +54,18 @@ const DefaultRingSize = 8192
 
 var (
 	enabled atomic.Bool
-	sample  atomic.Int64 // record 1 of every N roots; <=1 means all
-	rootSeq atomic.Uint64
 	idSeq   atomic.Uint64
 
 	ringMu   sync.Mutex
-	ring     []Span
-	ringNext uint64 // total spans recorded since last resize/reset
+	ring     = make([]Span, DefaultRingSize)
+	ringNext uint64 // total spans recorded since last reset
 )
-
-func init() {
-	ring = make([]Span, DefaultRingSize)
-	sample.Store(1)
-}
 
 // SetTracing turns span recording on or off process-wide.
 func SetTracing(on bool) { enabled.Store(on) }
 
 // Enabled reports whether tracing is currently on.
 func Enabled() bool { return enabled.Load() }
-
-// SetSampleRate records only one of every n root spans (with their
-// full subtree). n <= 1 restores full recording.
-func SetSampleRate(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sample.Store(int64(n))
-}
-
-// SetRingSize replaces the ring with an empty one of n slots.
-// Intended for tests and tools; n < 1 restores the default size.
-func SetRingSize(n int) {
-	if n < 1 {
-		n = DefaultRingSize
-	}
-	ringMu.Lock()
-	ring = make([]Span, n)
-	ringNext = 0
-	ringMu.Unlock()
-}
 
 // ResetSpans discards all recorded spans.
 func ResetSpans() {
@@ -106,18 +78,15 @@ func ResetSpans() {
 }
 
 // StartSpan begins a span. With a nil parent it starts a new trace
-// root (subject to sampling); otherwise the child joins the parent's
-// trace. Returns nil when tracing is disabled — all Span methods
-// tolerate a nil receiver, so callers never need to branch.
+// root; otherwise the child joins the parent's trace. Returns nil when
+// tracing is disabled — all Span methods tolerate a nil receiver, so
+// callers never need to branch.
 func StartSpan(parent *Span, name string) *Span {
 	if !enabled.Load() {
 		return nil
 	}
 	if parent != nil {
 		return parent.Child(name)
-	}
-	if n := sample.Load(); n > 1 && rootSeq.Add(1)%uint64(n) != 0 {
-		return nil
 	}
 	return &Span{
 		Trace: idSeq.Add(1),
@@ -130,12 +99,11 @@ func StartSpan(parent *Span, name string) *Span {
 // StartSpanInTrace begins a root span that joins an existing trace —
 // the wire v8 propagation path, where the trace ID was minted by a
 // remote client and arrived on the request frame. The caller already
-// made the sampling decision (the frame carries a sampled flag), so
-// remote roots are not subject to the local SetSampleRate gate; they
-// are still dropped entirely while tracing is disabled. Client-minted
-// IDs live in the upper half of the ID space (high bit set, see
-// NewTraceID in the client), so they never collide with the local
-// idSeq roots.
+// made the sampling decision (the frame carries a sampled flag); remote
+// roots are still dropped entirely while tracing is disabled.
+// Client-minted IDs live in the upper half of the ID space (high bit
+// set, see NewTraceID in the client), so they never collide with the
+// local idSeq roots.
 func StartSpanInTrace(trace uint64, name string) *Span {
 	if !enabled.Load() || trace == 0 {
 		return nil
@@ -193,16 +161,6 @@ func (s *Span) End() {
 		return
 	}
 	s.Duration = time.Since(s.Start)
-	record(*s)
-}
-
-// EndAt records the span with an explicit duration, for call sites
-// that already measured the interval themselves. Nil-safe.
-func (s *Span) EndAt(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Duration = d
 	record(*s)
 }
 

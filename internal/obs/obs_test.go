@@ -12,14 +12,12 @@ import (
 func reset(t *testing.T) {
 	t.Helper()
 	SetTracing(false)
-	SetSampleRate(1)
-	SetRingSize(0)
+	ResetSpans()
 	SetSlowThreshold(0)
 	ResetSlowLog()
 	t.Cleanup(func() {
 		SetTracing(false)
-		SetSampleRate(1)
-		SetRingSize(0)
+		ResetSpans()
 		SetSlowThreshold(0)
 		ResetSlowLog()
 	})
@@ -78,12 +76,11 @@ func TestSpanTree(t *testing.T) {
 func TestRingWraps(t *testing.T) {
 	reset(t)
 	SetTracing(true)
-	SetRingSize(4)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultRingSize+6; i++ {
 		StartSpan(nil, "s").End()
 	}
-	if n := len(Spans()); n != 4 {
-		t.Fatalf("ring retained %d, want 4", n)
+	if n := len(Spans()); n != DefaultRingSize {
+		t.Fatalf("ring retained %d, want %d", n, DefaultRingSize)
 	}
 }
 
@@ -109,30 +106,6 @@ func TestRetroactiveRecord(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("retroactive span not recorded")
-	}
-}
-
-func TestSampling(t *testing.T) {
-	reset(t)
-	SetTracing(true)
-	SetSampleRate(4)
-	recorded := 0
-	for i := 0; i < 100; i++ {
-		if sp := StartSpan(nil, "r"); sp != nil {
-			recorded++
-			sp.End()
-		}
-	}
-	if recorded != 25 {
-		t.Fatalf("sampled %d of 100 roots, want 25", recorded)
-	}
-	// Children of a sampled root are always kept.
-	sp := StartSpan(nil, "r")
-	for sp == nil {
-		sp = StartSpan(nil, "r")
-	}
-	if c := sp.Child("c"); c == nil {
-		t.Fatal("child of sampled root dropped")
 	}
 }
 

@@ -249,22 +249,6 @@ func appendEscaped(dst, payload []byte) []byte {
 	return append(dst, escByte, termByte)
 }
 
-// DecodeKey decodes a key produced by EncodeKey. Integer values encoded
-// through the numeric path decode as INTEGER when the exact tiebreak
-// round-trips, REAL otherwise.
-func DecodeKey(data []byte) ([]Value, error) {
-	var vals []Value
-	for i := 0; i < len(data); {
-		v, n, err := DecodeKeyValue(data[i:])
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, v)
-		i += n
-	}
-	return vals, nil
-}
-
 // DecodeKeyValue decodes the first value of a key produced by EncodeKey
 // and returns it with the number of bytes its encoding takes. Only a
 // TEXT or BLOB value allocates.

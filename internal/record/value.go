@@ -119,9 +119,6 @@ func (v Value) Blob() []byte {
 	return v.b
 }
 
-// Numeric reports whether v is an INTEGER or REAL.
-func (v Value) Numeric() bool { return v.typ == TypeInt || v.typ == TypeFloat }
-
 // AsFloat converts a numeric value to float64. NULL converts to 0.
 // Text converts via strconv when possible, else 0 (SQLite coercion).
 func (v Value) AsFloat() float64 {
@@ -244,10 +241,6 @@ func Compare(a, b Value) int {
 		return compareBytes(a.b, b.b)
 	}
 }
-
-// Equal reports whether a and b compare equal (NULL equals NULL here;
-// SQL three-valued logic is applied at the expression layer, not here).
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 func sortClass(t Type) int {
 	switch t {

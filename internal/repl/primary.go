@@ -45,9 +45,6 @@ func (ev *event) annot() *wire.ReplAnnot {
 
 // PrimaryConfig configures NewPrimary.
 type PrimaryConfig struct {
-	// Addr is the address replicas should redirect writers to;
-	// typically the server's listen address. Informational.
-	Addr string
 	// RetainSnapshots bounds the delta history kept for resume
 	// (default DefaultRetainSnapshots).
 	RetainSnapshots int
@@ -108,17 +105,6 @@ func NewPrimary(db *rql.DB, cfg PrimaryConfig) *Primary {
 	db.Engine().Retro().SetCommitObserver(p.onCommit)
 	db.Engine().SetViewDDLHook(p.onViewDDL)
 	return p
-}
-
-// Addr returns the advertised primary address.
-func (p *Primary) Addr() string { return p.cfg.Addr }
-
-// SetAddr updates the advertised primary address (set once the server
-// listener is bound).
-func (p *Primary) SetAddr(addr string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cfg.Addr = addr
 }
 
 // Close detaches the primary and closes all streams.

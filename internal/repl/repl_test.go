@@ -45,9 +45,7 @@ func startPrimaryOpts(t *testing.T, opts rql.Options) (*rql.DB, *repl.Primary, s
 		srv.Shutdown()
 		<-done
 	})
-	addr := lis.Addr().String()
-	p.SetAddr(addr)
-	return db, p, addr
+	return db, p, lis.Addr().String()
 }
 
 // startReplica opens a fresh database (or reuses db) and tails the

@@ -51,7 +51,6 @@ type Replica struct {
 	// Stream-apply state, owned by the run loop.
 	pending []*retro.CommitDelta // buffered commits of the open snapshot group
 	partial *retro.CommitDelta   // commit being reassembled from chunked frames
-	recvd   uint64               // payload bytes received on the current+past streams
 
 	// sqlConn applies SnapIds rows and view DDL to the local side store;
 	// only the run loop uses it.
@@ -142,13 +141,6 @@ func (r *Replica) Horizon() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.horizon
-}
-
-// LSN returns the last applied commit LSN.
-func (r *Replica) LSN() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lsn
 }
 
 // PrimaryAddr returns the primary's address.

@@ -402,12 +402,6 @@ func (s *System) PagelogFootprint() (logicalBytes, diskBytes int64) {
 	return s.pl.footprint()
 }
 
-// PagelogTiers reports the tier shape: sealed segment count, logical
-// pages held sealed, and pages still in the hot tail.
-func (s *System) PagelogTiers() (segments int, sealedPages, tailPages int64) {
-	return s.pl.tiers()
-}
-
 // ResetStats zeroes the system's counters without disturbing the
 // Pagelog, Maplog, snapshot cache, or any open readers: experiments can
 // zero the accounting between phases without reopening the store.
@@ -574,22 +568,6 @@ func (ss *SnapshotSet) Close() {
 	ss.rt.Close()
 }
 
-// SnapshotLSN returns the commit LSN at which the snapshot was declared.
-func (s *System) SnapshotLSN(id SnapshotID) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if id < 1 || int(id) > len(s.snapLSN) {
-		return 0, ErrNoSnapshot
-	}
-	return s.snapLSN[id-1], nil
-}
-
-// InjectPagelogReadError makes the next Pagelog read fail (tests).
-// Exactly one read takes the error, however many run concurrently.
-func (s *System) InjectPagelogReadError(err error) {
-	s.pl.injectReadErr.Store(&err)
-}
-
 // Counters accumulates the per-reader costs the paper's §5 figures
 // break down. It is the innermost cost record (obs/cost.go): the
 // statement's record embeds it and the iteration's takes its fields by
@@ -645,9 +623,6 @@ func (r *SnapshotReader) SetTraceSpan(sp *obs.Span) { r.span = sp }
 func (r *SnapshotReader) RecordReadSet(set map[storage.PageID]struct{}) {
 	r.readSet = set
 }
-
-// Snapshot returns the snapshot id the reader serves.
-func (r *SnapshotReader) Snapshot() SnapshotID { return r.spt.Snap }
 
 // Get returns the page content as of the snapshot.
 //

@@ -42,7 +42,6 @@ func TestMetricSurfaces(t *testing.T) {
 		srv.Shutdown()
 		<-done
 	}()
-	primary.SetAddr(lis.Addr().String())
 	node, err := startReplNode(lis.Addr().String(), "r1", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)

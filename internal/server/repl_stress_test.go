@@ -112,7 +112,6 @@ func TestReplicatedStress100Sessions(t *testing.T) {
 	pdone := make(chan error, 1)
 	go func() { pdone <- psrv.Serve(plis) }()
 	paddr := plis.Addr().String()
-	primary.SetAddr(paddr)
 	defer func() {
 		psrv.Shutdown()
 		<-pdone

@@ -114,12 +114,6 @@ func New(db *rql.DB, cfg Config) *Server {
 	return s
 }
 
-// Timeline exposes the telemetry sampler (nil when disabled).
-func (s *Server) Timeline() *obs.Timeline { return s.timeline }
-
-// DB returns the served database.
-func (s *Server) DB() *rql.DB { return s.db }
-
 // Addr returns the bound listen address ("" before Serve).
 func (s *Server) Addr() string {
 	s.mu.Lock()

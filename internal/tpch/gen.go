@@ -23,7 +23,6 @@ const (
 	baseOrders    = 1500000
 	baseParts     = 200000
 	baseSuppliers = 10000
-	basePartSupp  = 800000
 )
 
 // Generator produces TPC-H rows deterministically for a given seed and
