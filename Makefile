@@ -35,9 +35,10 @@ fmt:
 
 # loc prints the non-test Go lines of every package outside benchmark/
 # and their total — the size ROADMAP quotes and a simplicity PR reports
-# as before -> after.
+# as before -> after. Fixtures under testdata/ are test inputs, not
+# program lines.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
@@ -117,8 +118,9 @@ compact-smoke:
 # view-smoke runs the incremental materialized-view correctness
 # surface under the race detector: the incremental-vs-full-recompute
 # property test for all four mechanisms (prune on and off), the
-# restart-resume and DDL-lifecycle tests, subscription delivery with a
-# shadow model while a concurrent writer commits, view replication
+# re-attach rebuild, failed-step, one-commit-per-refresh and
+# DDL-lifecycle tests, subscription delivery with a shadow model while
+# a concurrent writer commits, view replication
 # (bootstrap shipping, logical DDL events, replica-side maintenance),
 # and, since runs and views share one delta oracle, the run-side
 # pruned-vs-unpruned tests and the runs-and-views prune agreement.
@@ -152,10 +154,10 @@ smoke-lint:
 	lint '$(VIEW_SMOKE_RUN)' $(VIEW_SMOKE_PKGS)
 
 # fuzz-smoke fuzzes each decoder that sees untrusted bytes — the wire
-# decoders, the sealed-segment metadata a replica is shipped, a view's
-# persisted state, the SQL parser, the catalog entries a replica's pages
-# carry (sql:FuzzCatalogEntry) and the row decoder those entries and
-# every table row go through (record:FuzzDecodeRowInto) — for ten
+# decoders, the sealed-segment metadata a replica is shipped, the SQL
+# parser, the catalog entries a replica's pages carry
+# (sql:FuzzCatalogEntry) and the row decoder those entries and every
+# table row go through (record:FuzzDecodeRowInto) — for ten
 # seconds (go test -fuzz takes one target of one package per run): no
 # panic, no allocation beyond a small multiple of the input where the
 # target bounds it, and clean decodes survive an encode/decode round (an
@@ -168,7 +170,7 @@ smoke-lint:
 FUZZ_TARGETS = \
 	wire:FuzzReadFrame wire:FuzzDecodeMetrics wire:FuzzDecodeExecStats wire:FuzzDecodeRunStats \
 	wire:FuzzDecodeSlowEntries wire:FuzzDecodeObjects wire:FuzzDecodeViews wire:FuzzDecodeViewBatch \
-	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta core:FuzzDecodeViewState sql:FuzzParse \
+	wire:FuzzDecodeReplDelta retro:FuzzParseSegmentMeta sql:FuzzParse \
 	sql:FuzzCatalogEntry record:FuzzDecodeRowInto btree:FuzzTreeOps
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

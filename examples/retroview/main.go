@@ -116,7 +116,7 @@ func main() {
 		fmt.Printf("  minute %-2d %d online\n", r[0].Int(), r[1].Int())
 	}
 
-	// Dropping the view removes the definition, the result table, and
-	// the persisted refresh state, and ends every subscription.
+	// Dropping the view removes the definition and the result table,
+	// and ends every subscription.
 	exec(`DROP RETRO VIEW sessions`)
 }

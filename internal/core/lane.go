@@ -14,7 +14,7 @@ import (
 // over the whole Qs writing T directly; a parallel run is one
 // memory-backed lane per contiguous chunk, merged into the lane that
 // owns T; the SQL-form UDF steps a lane once per Qs row; a view keeps
-// one across refreshes, persisted between steps.
+// one across refreshes, in memory only.
 type lane struct {
 	m    *mech
 	conn *sql.Conn
@@ -280,7 +280,7 @@ func (ln *lane) finish(commit bool) error {
 		return nil
 	}
 	if m.kind == mechAggVar {
-		if _, err := ln.fold.insertAggVar(conn); err != nil {
+		if _, err := ln.fold.storeAggVar(conn, false); err != nil {
 			return err
 		}
 	}
@@ -294,12 +294,17 @@ func (ln *lane) finish(commit bool) error {
 	return nil
 }
 
-// insertAggVar stores the AggregateDataInVariable value in T and
-// returns it.
-func (f *fold) insertAggVar(conn *sql.Conn) (record.Value, error) {
+// storeAggVar stores the AggregateDataInVariable value in T and returns
+// it: it inserts T's one row, or, when replace, overwrites that row in
+// place, so that no reader sees T empty in between.
+func (f *fold) storeAggVar(conn *sql.Conn, replace bool) (record.Value, error) {
 	val := f.val
 	if f.m.monoid.Name == avgName {
 		val = f.avg.value()
 	}
-	return val, conn.Exec("INSERT INTO "+sql.QuoteIdent(f.m.table)+" VALUES (?)", nil, val)
+	t := sql.QuoteIdent(f.m.table)
+	if replace {
+		return val, conn.Exec("UPDATE "+t+" SET "+sql.QuoteIdent(f.m.qqCols[0])+" = ?", nil, val)
+	}
+	return val, conn.Exec("INSERT INTO "+t+" VALUES (?)", nil, val)
 }

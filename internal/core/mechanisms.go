@@ -72,11 +72,7 @@ type mech struct {
 	monoid *Monoid   // AggregateDataInVariable
 	pairs  []colFunc // AggregateDataInTable
 
-	// Result shape (resolveShape).
-	created  bool // T exists
-	qqCols   []string
-	groupIdx []int
-	aggIdx   []int
+	resultShape
 
 	// set, when non-nil, is the pre-built reader set covering the
 	// run's snapshots: iterations open their SPT from it in O(1). The
@@ -87,6 +83,16 @@ type mech struct {
 	// current_snapshot() columns, re-tagged on replay.
 	prune    bool
 	snapCols []int
+}
+
+// resultShape is T's existence and the column bookkeeping derived from
+// Qq's output columns (resolveShape). A view's failed first step puts it
+// back (laneMark), so the fields are only ever replaced, never edited.
+type resultShape struct {
+	created  bool // T exists
+	qqCols   []string
+	groupIdx []int
+	aggIdx   []int
 }
 
 // newMech parses and validates a mechanism invocation.
@@ -159,9 +165,8 @@ func (m *mech) createResultTable(conn *sql.Conn, snap uint64) error {
 }
 
 // resolveShape derives the column bookkeeping (qqCols, aggregate and
-// grouping indexes) from Qq's output columns. Called with freshly
-// planned columns when the result table is created, and with the
-// persisted column list when a view's state is restored.
+// grouping indexes) from Qq's output columns, planned when the result
+// table is created.
 func (m *mech) resolveShape(cols []string) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("rql: %s: Qq returns no columns", m.kind)

@@ -40,9 +40,9 @@ func (r *rendezvous) register(db *sql.DB, name string, side int) {
 // AggregateDataInTable into distinct result tables at the same time —
 // each holding its result writer open while the other works — beside a
 // session declaring snapshots (SnapIds inserts) and a live retro view
-// (the refresher's result rows and persisted state). All four write the
-// one side store; none waits for another's transaction, and every table
-// ends with the rows of the same run done alone.
+// (the refresher's result rows). All four write the one side store;
+// none waits for another's transaction, and every table ends with the
+// rows of the same run done alone.
 func TestSideStoreConcurrentMechanisms(t *testing.T) {
 	db, r, m := newViewEnv(t)
 	rv := &rendezvous{arrived: [2]chan struct{}{make(chan struct{}), make(chan struct{})}}

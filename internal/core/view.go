@@ -1,9 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"maps"
 	"os"
 	"runtime/debug"
 	"sort"
@@ -14,19 +13,21 @@ import (
 	"rql/internal/obs"
 	"rql/internal/record"
 	"rql/internal/sql"
-	"rql/internal/storage"
 )
 
 // Materialized retro views: the batch mechanisms turned into live,
 // incrementally-maintained views. A view is one mechanism invocation
-// whose per-snapshot results persist in a side-store table named after
-// the view, together with a refresh cursor (the last materialized
-// snapshot id) and the mechanism's loop-body state (read-set, cached
-// rows, aggregate accumulators) in the rql_view_state side table. Each
+// whose per-snapshot results land in a side-store table named after the
+// view. Its refresh cursor (the last materialized snapshot id) and the
+// mechanism's loop-body state (read-set, cached rows, aggregate
+// accumulators) live in memory only, in the view's lane: they are
+// derived from the definition and the snapshot history, so a manager
+// attached to stores that already hold definitions rebuilds each view
+// from snapshot 1 instead of reading a second durable copy. Each
 // COMMIT WITH SNAPSHOT extends the view by exactly one loop-body
 // iteration — delta-pruned through the Maplog when nothing on the
 // view's read path changed — instead of the O(n)-snapshot recompute a
-// fresh mechanism run would pay.
+// fresh mechanism run would pay, and commits the side store once.
 //
 // The ViewManager implements sql.RetroViewHook (DDL callbacks), runs a
 // single background refresher goroutine woken by the post-commit
@@ -35,10 +36,6 @@ import (
 // replication layer announces snapshots after each applied delta group,
 // and the side store is locally writable, so views refresh from shipped
 // deltas and subscriptions are served read-only.
-
-// viewStateTable is the side-store table holding each view's refresh
-// cursor and encoded mechanism state.
-const viewStateTable = "rql_view_state"
 
 // ViewBatch is one view extension delivered to subscribers: the rows
 // the view materialized for one snapshot (the Qq output at that
@@ -148,9 +145,12 @@ type viewMetrics struct {
 	Subscribers     obs.Gauge   `metric:"view_subscribers" help:"Active view subscriptions."`
 }
 
-// NewViewManager loads the persisted view definitions and their refresh
-// state and returns a manager ready to Start. Call on an idle database
-// (open/attach time): it reads the side-store catalog and state table.
+// NewViewManager loads the view definitions the side store holds and
+// returns a manager ready to Start. Call on an idle database
+// (open/attach time). A view's state lives in memory only, so each
+// defined view's result table, left by an earlier manager, is dropped:
+// the view backfills from snapshot 1 on the first pass, as a replica's
+// views do after bootstrap.
 func NewViewManager(db *sql.DB, r *RQL) (*ViewManager, error) {
 	m := &ViewManager{
 		db:    db,
@@ -161,15 +161,6 @@ func NewViewManager(db *sql.DB, r *RQL) (*ViewManager, error) {
 		done:  make(chan struct{}),
 	}
 	m.metrics = obs.NewSet(&m.stats)
-	conn := db.Conn()
-	if err := conn.Exec(`CREATE TEMP TABLE IF NOT EXISTS `+viewStateTable+` (
-		name   TEXT,
-		seq    INTEGER,
-		cursor INTEGER,
-		state  BLOB
-	)`, nil); err != nil {
-		return nil, err
-	}
 	defs, err := db.ListViews()
 	if err != nil {
 		return nil, err
@@ -179,8 +170,8 @@ func NewViewManager(db *sql.DB, r *RQL) (*ViewManager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rql: reloading view %s: %w", def.Name, err)
 		}
-		if err := m.loadState(conn, v); err != nil {
-			return nil, fmt.Errorf("rql: reloading view %s state: %w", def.Name, err)
+		if err := v.conn.Exec("DROP TABLE IF EXISTS "+sql.QuoteIdent(def.Name), nil); err != nil {
+			return nil, fmt.Errorf("rql: dropping view %s's stale result table: %w", def.Name, err)
 		}
 		m.views[strings.ToLower(def.Name)] = v
 	}
@@ -189,7 +180,7 @@ func NewViewManager(db *sql.DB, r *RQL) (*ViewManager, error) {
 }
 
 // Start launches the background refresher. Views behind the last
-// announced snapshot (restart, or snapshots declared before Start)
+// announced snapshot (re-attach, or snapshots declared before Start)
 // catch up on the first pass.
 func (m *ViewManager) Start() {
 	go m.refresher()
@@ -311,36 +302,23 @@ func (m *ViewManager) ViewCreated(def sql.RetroViewDef) {
 	}
 	m.views[key] = v
 	m.mu.Unlock()
-	// A dropped-and-recreated view must not resume from a stale cursor.
-	conn := m.db.Conn()
-	_ = conn.Exec("DELETE FROM "+viewStateTable+" WHERE name = ?", nil, record.Text(key))
 	m.poke()
 }
 
-// ViewDropped unregisters a view, closes its subscriptions, and deletes
-// its persisted refresh state (the result table was dropped with the
-// catalog entry, in the DDL's transaction).
+// ViewDropped unregisters a view and closes its subscriptions (the
+// result table was dropped with the catalog entry, in the DDL's
+// transaction).
 func (m *ViewManager) ViewDropped(name string) {
 	key := strings.ToLower(name)
 	m.mu.Lock()
-	v := m.views[key]
-	delete(m.views, key)
-	if v != nil {
+	defer m.mu.Unlock()
+	if v := m.views[key]; v != nil {
+		delete(m.views, key)
 		for id, s := range v.subs {
 			delete(v.subs, id)
 			close(s.ch)
 		}
 	}
-	m.mu.Unlock()
-	if v == nil {
-		return
-	}
-	// Serialize with an in-flight catch-up so its state persist cannot
-	// resurrect the row after this delete.
-	v.runMu.Lock()
-	defer v.runMu.Unlock()
-	conn := m.db.Conn()
-	_ = conn.Exec("DELETE FROM "+viewStateTable+" WHERE name = ?", nil, record.Text(key))
 }
 
 // ViewRefresh synchronously catches the named view up to the latest
@@ -387,9 +365,9 @@ func (m *ViewManager) newViewState(def sql.RetroViewDef) (*viewState, error) {
 }
 
 // catchUp materializes v snapshot by snapshot up to target. Each
-// snapshot's result rows commit before the cursor and mechanism state
-// persist, and the extension is pushed to subscribers after both — a
-// snapshot is never announced downstream before it is durable.
+// snapshot's result rows commit before the cursor moves, and the
+// extension is pushed to subscribers after both — a snapshot is never
+// announced downstream before its rows are committed.
 func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
@@ -405,32 +383,58 @@ func (m *ViewManager) catchUp(v *viewState, target uint64) error {
 	v.ln.m.setupPrune(conn, v.ln.run)
 
 	for snap := cur + 1; snap <= target; snap++ {
-		hadTable := v.ln.m.created
+		mark := v.ln.mark()
 		if err := m.extend(conn, v, snap); err != nil {
 			// A failed step leaves no trace: abandon its result rows, drop
 			// the table if this step created it (not one of the same name
-			// that made the step fail), and rebuild the in-memory state —
-			// which the step's records have already mutated — from what the
-			// last successful step persisted.
+			// that made the step fail), and put back the in-memory state
+			// the step's records have already changed.
 			v.ln.table.rollback()
-			if !hadTable && v.ln.m.created {
+			if !mark.shape.created && v.ln.m.created {
 				_ = conn.Exec("DROP TABLE IF EXISTS "+sql.QuoteIdent(v.def.Name), nil) // best effort: the retry reports what is left
 			}
-			fresh, _ := m.newViewState(v.def) // the definition validated at CREATE
-			if lerr := m.loadState(conn, fresh); lerr != nil {
-				return fmt.Errorf("%w (reloading the view state: %v)", err, lerr)
-			}
-			v.ln = fresh.ln
+			v.ln.undo(mark)
 			return err
 		}
 	}
 	return nil
 }
 
-// extend runs one loop-body step of v on snap and makes it durable. A
-// panic under the step (a registered function called by Qq, say)
-// becomes its error, so that catchUp's cleanup runs and the background
-// refresher survives.
+// laneMark is what one step may change of a view's lane, taken just
+// before the step. The fold and the prune memo are copied as values:
+// an executed iteration replaces the memo's read-set and rows rather
+// than editing them, and the fold's one map edited in place, the
+// AggregateDataInTable weights, is cloned (no more work per step than
+// the weights' count).
+type laneMark struct {
+	fold  fold
+	cache pruneCache
+	shape resultShape
+	index string // the result table's search index, once built
+}
+
+// mark takes the lane's laneMark, before a step.
+func (ln *lane) mark() laneMark {
+	mk := laneMark{fold: ln.fold, cache: ln.cache, shape: ln.m.resultShape}
+	mk.fold.counts = maps.Clone(ln.fold.counts)
+	if ln.table != nil {
+		mk.index = ln.table.index
+	}
+	return mk
+}
+
+// undo puts back the lane state of mark, after a failed step.
+func (ln *lane) undo(mk laneMark) {
+	ln.fold, ln.cache, ln.m.resultShape = mk.fold, mk.cache, mk.shape
+	if ln.table != nil {
+		ln.table.index = mk.index
+	}
+}
+
+// extend runs one loop-body step of v on snap and commits its result
+// rows, in one side-store transaction. A panic under the step (a
+// registered function called by Qq, say) becomes its error, so that
+// catchUp's cleanup runs and the background refresher survives.
 func (m *ViewManager) extend(conn *sql.Conn, v *viewState, snap uint64) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -448,19 +452,14 @@ func (m *ViewManager) extend(conn *sql.Conn, v *viewState, snap uint64) (err err
 		return err
 	}
 	if ln.m.kind == mechAggVar {
-		if err := conn.Exec("DELETE FROM "+sql.QuoteIdent(ln.m.table), nil); err != nil {
-			return err
-		}
-		val, err := ln.fold.insertAggVar(conn)
+		// T is empty until the view's first step stores its value.
+		val, err := ln.fold.storeAggVar(conn, ln.fold.iterations > 1)
 		if err != nil {
 			return err
 		}
 		rows = [][]record.Value{{val}}
 	}
-	// … then the cursor/state …
-	if err := m.persistState(conn, v, snap); err != nil {
-		return err
-	}
+	// … then the cursor …
 	v.cursor.Store(snap)
 	v.refreshes.Add(1)
 	m.stats.Refreshes.Add(1)
@@ -588,280 +587,4 @@ func (m *ViewManager) Stats() ViewStats {
 func (m *ViewManager) Metrics() []obs.Metric {
 	m.sampleGauges()
 	return m.metrics.Snapshot()
-}
-
-// ---------------------------------------------------------------------------
-// Refresh-state persistence
-// ---------------------------------------------------------------------------
-
-// viewStateChunk bounds each persisted state row's blob cell so that
-// name + seq + cursor + chunk stay well under the btree's
-// MaxCellPayload. The state blob grows with the prune memo (read-set
-// page ids plus the cached rows of one iteration), so a wide view can
-// exceed one page; persistState splits it across sequenced rows.
-const viewStateChunk = 1024
-
-// persistState writes v's cursor and encoded mechanism state, chunked
-// into as many sequenced rows as the blob needs. Runs inside the same
-// side-store transaction as the result-table extension, so cursor,
-// state, and rows move together.
-func (m *ViewManager) persistState(conn *sql.Conn, v *viewState, cursor uint64) error {
-	blob := encodeViewState(v.ln)
-	key := strings.ToLower(v.def.Name)
-	if err := conn.Exec("DELETE FROM "+viewStateTable+" WHERE name = ?", nil, record.Text(key)); err != nil {
-		return err
-	}
-	for seq := 0; ; seq++ {
-		end := min((seq+1)*viewStateChunk, len(blob))
-		chunk := blob[seq*viewStateChunk : end]
-		if err := conn.Exec("INSERT INTO "+viewStateTable+" VALUES (?, ?, ?, ?)", nil,
-			record.Text(key), record.Int(int64(seq)), record.Int(int64(cursor)),
-			record.Blob(chunk)); err != nil {
-			return err
-		}
-		if end == len(blob) {
-			return nil
-		}
-	}
-}
-
-// loadState restores v's cursor and mechanism state from the side
-// store, if rows exist (a fresh view has none). Chunks are reassembled
-// in seq order; every chunk carries the same cursor.
-func (m *ViewManager) loadState(conn *sql.Conn, v *viewState) error {
-	rows, err := conn.Query("SELECT seq, cursor, state FROM "+viewStateTable+" WHERE name = ?",
-		record.Text(strings.ToLower(v.def.Name)))
-	if err != nil {
-		return err
-	}
-	if len(rows.Rows) == 0 {
-		return nil
-	}
-	sort.Slice(rows.Rows, func(i, j int) bool {
-		return rows.Rows[i][0].AsInt() < rows.Rows[j][0].AsInt()
-	})
-	cursor := uint64(rows.Rows[0][1].AsInt())
-	var blob []byte
-	for i, row := range rows.Rows {
-		if row[0].AsInt() != int64(i) || row[2].Type() != record.TypeBlob {
-			return fmt.Errorf("rql: corrupt view state row")
-		}
-		blob = append(blob, row[2].Blob()...)
-	}
-	if err := decodeViewState(v.ln, blob); err != nil {
-		return err
-	}
-	v.cursor.Store(cursor)
-	return nil
-}
-
-const viewStateVersion = 1
-
-// encodeViewState serializes the parts of a lane that must survive a
-// restart: the fold's cursor (prevSnap, iterations), the resolved result
-// shape, the aggregate accumulators, and the prune memo (read-set +
-// cached rows) so the first refresh after a restart can still be pruned.
-func encodeViewState(ln *lane) []byte {
-	f := &ln.fold
-	buf := []byte{viewStateVersion}
-	var flags byte
-	if ln.m.created {
-		flags |= 1
-	}
-	if ln.table != nil && ln.table.index != "" {
-		flags |= 2
-	}
-	if ln.cache.valid {
-		flags |= 4
-	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, f.prevSnap)
-	buf = binary.AppendUvarint(buf, uint64(f.iterations))
-
-	buf = binary.AppendUvarint(buf, uint64(len(ln.m.qqCols)))
-	for _, c := range ln.m.qqCols {
-		buf = appendBytes(buf, []byte(c))
-	}
-
-	// Accumulators: the value rides in a one-value row; avg state raw.
-	buf = appendBytes(buf, record.EncodeRow(nil, []record.Value{f.val}))
-	buf = binary.AppendUvarint(buf, uint64(f.avg.n))
-	buf = binary.AppendUvarint(buf, math.Float64bits(f.avg.sum))
-	buf = binary.AppendUvarint(buf, uint64(len(f.counts)))
-	// Deterministic order is not required (a map restores a map), but
-	// keeps encodings comparable in tests.
-	rowids := make([]int64, 0, len(f.counts))
-	for id := range f.counts {
-		rowids = append(rowids, id)
-	}
-	sort.Slice(rowids, func(i, j int) bool { return rowids[i] < rowids[j] })
-	for _, id := range rowids {
-		buf = binary.AppendVarint(buf, id)
-		buf = binary.AppendVarint(buf, f.counts[id])
-	}
-
-	if ln.cache.valid {
-		buf = binary.AppendVarint(buf, int64(ln.cache.prev))
-		pages := make([]uint64, 0, len(ln.cache.readSet))
-		for p := range ln.cache.readSet {
-			pages = append(pages, uint64(p))
-		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-		buf = binary.AppendUvarint(buf, uint64(len(pages)))
-		for _, p := range pages {
-			buf = binary.AppendUvarint(buf, p)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(ln.cache.rows)))
-		for _, r := range ln.cache.rows {
-			buf = appendBytes(buf, record.EncodeRow(nil, r))
-		}
-	}
-	return buf
-}
-
-// Every element count is read with stateDec.count before anything is
-// sized by it, so a corrupt blob cannot reserve more than a small
-// multiple of its own length.
-func decodeViewState(ln *lane, blob []byte) error {
-	f := &ln.fold
-	d := &stateDec{b: blob}
-	if d.byte() != viewStateVersion {
-		return fmt.Errorf("rql: view state version mismatch")
-	}
-	flags := d.byte()
-	f.prevSnap = d.uvarint()
-	f.iterations = int(d.uvarint())
-
-	n := d.count()
-	if d.err != nil {
-		return fmt.Errorf("rql: corrupt view state")
-	}
-	cols := make([]string, n)
-	for i := range cols {
-		cols[i] = string(d.bytes())
-	}
-	if n > 0 {
-		if err := ln.m.resolveShape(cols); err != nil {
-			return err
-		}
-	}
-	ln.m.created = flags&1 != 0
-	if flags&2 != 0 && ln.table != nil {
-		ln.table.index = ln.m.indexName()
-	}
-
-	cv, err := record.DecodeRow(d.bytes())
-	if err != nil || len(cv) != 1 {
-		return fmt.Errorf("rql: corrupt view state accumulator")
-	}
-	f.val = cv[0]
-	f.avg.n = int64(d.uvarint())
-	f.avg.sum = math.Float64frombits(d.uvarint())
-	cn := d.count()
-	if d.err != nil || (cn > 0 && f.counts == nil) {
-		return fmt.Errorf("rql: corrupt view state")
-	}
-	for i := 0; i < cn; i++ {
-		id := d.varint()
-		f.counts[id] = d.varint()
-	}
-
-	if flags&4 != 0 {
-		ln.cache.valid = true
-		ln.cache.prev = uint64(d.varint())
-		pn := d.count()
-		if d.err != nil {
-			return fmt.Errorf("rql: corrupt view state read-set")
-		}
-		ln.cache.readSet = make(sql.PageSet, pn)
-		for i := 0; i < pn; i++ {
-			ln.cache.readSet[storage.PageID(d.uvarint())] = struct{}{}
-		}
-		rn := d.count()
-		if d.err != nil {
-			return fmt.Errorf("rql: corrupt view state rows")
-		}
-		ln.cache.rows = make([][]record.Value, 0, rn)
-		for i := 0; i < rn; i++ {
-			r, err := record.DecodeRow(d.bytes())
-			if err != nil {
-				return err
-			}
-			ln.cache.rows = append(ln.cache.rows, r)
-		}
-	}
-	if d.err != nil {
-		return fmt.Errorf("rql: truncated view state")
-	}
-	return nil
-}
-
-// stateDec is a tiny cursor over the encoded state blob.
-type stateDec struct {
-	b   []byte
-	err error
-}
-
-func (d *stateDec) byte() byte {
-	if d.err != nil || len(d.b) == 0 {
-		d.err = fmt.Errorf("short")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *stateDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("short")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// count reads an element count. An element takes at least one byte, so
-// a count above the bytes left is corrupt; the comparison is unsigned
-// because a count of 2^63 or more would pass it as a negative int.
-func (d *stateDec) count() int {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("short")
-		return 0
-	}
-	return int(n)
-}
-
-func (d *stateDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("short")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil || uint64(len(d.b)) < n {
-		d.err = fmt.Errorf("short")
-		return nil
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-func appendBytes(buf, v []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(v)))
-	return append(buf, v...)
 }

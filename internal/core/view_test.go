@@ -146,11 +146,11 @@ var viewSel = map[mechKind]string{
 
 // TestRetroViewIncrementalEquivalence is the incremental ≡ full
 // property test: for every mechanism, with delta pruning on and off, the
-// incrementally maintained view — one persisted lane stepped once per
-// snapshot — is byte-identical, rows and current_snapshot() tags, to the
-// SQL-form UDF statement run from scratch over the same history, and the
-// pruned runs actually pruned (the quiet windows guarantee empty deltas
-// on the view's read path).
+// incrementally maintained view — one lane kept across refreshes and
+// stepped once per snapshot — is byte-identical, rows and
+// current_snapshot() tags, to the SQL-form UDF statement run from
+// scratch over the same history, and the pruned runs actually pruned
+// (the quiet windows guarantee empty deltas on the view's read path).
 func TestRetroViewIncrementalEquivalence(t *testing.T) {
 	for _, fx := range allFixtures {
 		for _, prune := range []bool{true, false} {
@@ -196,13 +196,15 @@ func TestRetroViewIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestRetroViewRestartResumesFromCursor is the restart-durability
-// regression test: the view's cursor and mechanism state persist in the
-// side store, so a maintenance layer that dies and is re-attached (the
-// rqld restart path — rql.Open builds a fresh ViewManager over the
-// surviving stores) resumes from the cursor: snapshots committed while
-// it was down are applied exactly once each, nothing is recomputed, and
-// the result table ends byte-identical to a full recompute.
+// TestRetroViewRestartResumesFromCursor is the re-attach test: a view's
+// cursor and mechanism state live in memory only, so a maintenance
+// layer re-attached to stores that already hold view definitions (the
+// restart path — a fresh ViewManager over the surviving stores) drops
+// each view's stale result table and rebuilds it: it comes up at cursor
+// 0, steps every snapshot once, those committed while no manager ran
+// included, rebuilds the prune memo on the way (the quiet snapshot
+// committed while maintenance was down is pruned), and ends
+// byte-identical to a full recompute.
 func TestRetroViewRestartResumesFromCursor(t *testing.T) {
 	db, err := sql.Open(sql.Options{})
 	if err != nil {
@@ -230,20 +232,19 @@ func TestRetroViewRestartResumesFromCursor(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	present := map[int]bool{}
-	last1 := narrowM.history(t, c, rng, present, 12)
+	narrowM.history(t, c, rng, present, 12)
 	for _, kind := range kinds {
 		mustExec(t, c, fmt.Sprintf(`REFRESH RETRO VIEW V_%s`, kind))
 	}
 
-	// Kill the maintenance layer; the cursor and state rows stay behind
-	// in the side store.
+	// Stop the maintenance layer; the definitions and the result tables
+	// stay behind in the side store.
 	db.SetRetroViewHook(nil)
 	db.SetSnapshotHook(nil)
 	m1.Close()
 
 	// Snapshots committed while maintenance is down. The first is a
-	// deliberate quiet one so the restarted manager's first refresh can
-	// be served from the restored prune cache.
+	// deliberate quiet one, which the rebuilt prune memo must prune.
 	mustExec(t, c, `BEGIN`)
 	idQuiet, err := c.CommitWithSnapshot()
 	if err != nil {
@@ -252,22 +253,23 @@ func TestRetroViewRestartResumesFromCursor(t *testing.T) {
 	if err := RecordSnapshot(c, idQuiet, time.Unix(int64(idQuiet), 0).UTC(), ""); err != nil {
 		t.Fatal(err)
 	}
-	last2 := narrowM.history(t, c, rng, present, 7)
-	missed := last2 - last1
+	last := narrowM.history(t, c, rng, present, 7)
 
-	// Restart: a fresh manager over the same stores must come up with
-	// the persisted cursor before any refresh work.
+	// Re-attach: a fresh manager over the same stores comes up with
+	// nothing materialized, the stale result tables gone.
 	m2, err := NewViewManager(db, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, info := range m2.Infos() {
-		if info.LastSnap != last1 {
-			t.Errorf("%s: reloaded cursor = %d, want %d", info.Name, info.LastSnap, last1)
+		if info.LastSnap != 0 || info.Refreshes != 0 || info.Rows != 0 {
+			t.Errorf("%s: re-attached view at cursor %d with %d refreshes and %d rows, want all 0",
+				info.Name, info.LastSnap, info.Refreshes, info.Rows)
 		}
-		if info.Refreshes != 0 {
-			t.Errorf("%s: fresh manager reports %d refreshes before doing any", info.Name, info.Refreshes)
-		}
+	}
+	sub, err := m2.Subscribe("V_CollateData", int(last))
+	if err != nil {
+		t.Fatal(err)
 	}
 	db.SetRetroViewHook(m2)
 	db.SetSnapshotHook(m2.AnnounceSnapshot)
@@ -278,35 +280,81 @@ func TestRetroViewRestartResumesFromCursor(t *testing.T) {
 	}
 
 	for _, info := range m2.Infos() {
-		if info.LastSnap != last2 {
-			t.Errorf("%s: cursor = %d, want %d", info.Name, info.LastSnap, last2)
-		}
-		// Exactly one refresh per missed snapshot: a recompute from
-		// scratch would show last2 refreshes, a lost cursor would show
-		// duplicates in the table below.
-		if info.Refreshes != missed {
-			t.Errorf("%s: %d refreshes after restart, want %d (one per missed snapshot)",
-				info.Name, info.Refreshes, missed)
+		// Exactly one refresh per snapshot: a leftover row of the stale
+		// table or a snapshot stepped twice would show in the table below.
+		if info.LastSnap != last || info.Refreshes != last {
+			t.Errorf("%s: cursor %d after %d refreshes, want both %d (one per snapshot)",
+				info.Name, info.LastSnap, info.Refreshes, last)
 		}
 		if info.LastError != "" {
 			t.Errorf("%s: view error: %s", info.Name, info.LastError)
 		}
 	}
-	// The quiet snapshot right after restart must have been pruned from
-	// the restored read-set for the prune-safe views.
-	for _, info := range m2.Infos() {
-		if info.Name == "V_CollateData" && info.PrunedRefreshes == 0 {
-			t.Error("V_CollateData: restored prune cache did not prune the quiet snapshot")
+	quietPruned := false
+	for len(sub.C) > 0 {
+		if b := <-sub.C; b.Snap == idQuiet {
+			quietPruned = b.Pruned
 		}
+	}
+	if !quietPruned {
+		t.Error("V_CollateData: the rebuild did not prune the quiet snapshot")
 	}
 
 	for _, kind := range kinds {
-		runMech(t, r, c, kind, `SELECT snap_id FROM SnapIds`, viewQq[kind], "Full_"+kind.String(), false)
-		a := sortedRows(t, c, fmt.Sprintf(viewSel[kind], "V_"+kind.String()))
-		b := sortedRows(t, c, fmt.Sprintf(viewSel[kind], "Full_"+kind.String()))
-		if strings.Join(a, ";") != strings.Join(b, ";") {
-			t.Fatalf("%s: view after restart differs from full recompute\nview: %v\nfull: %v", kind, a, b)
-		}
+		assertSameResult(t, c, fixtureOf(kind), "SnapIds", "V_"+kind.String())
+	}
+}
+
+// TestRetroViewOneSideCommitPerRefresh: for every mechanism, each
+// refresh after the first — the one that creates the result table and
+// its index — is one side-store commit, whether it executes Qq or
+// replays a pruned iteration; and an AggregateDataInVariable view holds
+// its one row after every refresh.
+func TestRetroViewOneSideCommitPerRefresh(t *testing.T) {
+	for _, kind := range []mechKind{mechCollate, mechAggVar, mechAggTable, mechIntervals} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := sql.Open(sql.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			// No refresher goroutine: only REFRESH RETRO VIEW below
+			// writes the view.
+			m, err := NewViewManager(db, Attach(db))
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.SetRetroViewHook(m)
+			db.SetSnapshotHook(m.AnnounceSnapshot)
+			c := db.Conn()
+			mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+			if err := EnsureSnapIds(c); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, c, `CREATE RETRO VIEW V AS `+viewDDL[kind])
+
+			rng, present := rand.New(rand.NewSource(23)), map[int]bool{}
+			for i := 0; i < 16; i++ {
+				snap := narrowM.history(t, c, rng, present, 1)
+				before := db.SideStore().Stats().Commits
+				mustExec(t, c, `REFRESH RETRO VIEW V`)
+				commits := db.SideStore().Stats().Commits - before
+				if info := m.Infos()[0]; info.LastSnap != snap || info.LastError != "" {
+					t.Fatalf("snapshot %d: view at cursor %d, error %q", snap, info.LastSnap, info.LastError)
+				}
+				if i > 0 && commits != 1 {
+					t.Errorf("refresh of snapshot %d: %d side-store commits, want 1", snap, commits)
+				}
+				if kind == mechAggVar {
+					if n := len(queryRows(t, c, `SELECT * FROM V`)); n != 1 {
+						t.Errorf("snapshot %d: the view holds %d rows, want 1", snap, n)
+					}
+				}
+			}
+			if m.Infos()[0].PrunedRefreshes == 0 {
+				t.Error("no refresh was pruned: the pruned path went unmeasured")
+			}
+		})
 	}
 }
 
@@ -469,117 +517,40 @@ func TestRetroViewFractionalModulo(t *testing.T) {
 		fmt.Sprintf("NULL|1|%d", id), fmt.Sprintf("NULL|0|%d", id))
 }
 
-// TestRetroViewStateChunking covers the wide-view persistence path: a
-// view whose encoded refresh state (read-set page ids plus the cached
-// rows of one iteration) exceeds one btree cell must split across
-// sequenced side-store rows and reassemble identically on restart —
-// including the prune memo, proven by the restarted manager pruning a
-// quiet snapshot it never saw while running.
-func TestRetroViewStateChunking(t *testing.T) {
-	db, err := sql.Open(sql.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	r := Attach(db)
-	m1, err := NewViewManager(db, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetRetroViewHook(m1)
-	db.SetSnapshotHook(m1.AnnounceSnapshot)
-	m1.Start()
-
-	c := db.Conn()
-	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
-	if err := EnsureSnapIds(c); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, c, fmt.Sprintf(`CREATE RETRO VIEW V AS %s`, viewDDL[mechCollate]))
-
-	// One fat snapshot: enough live rows that the cached iteration in
-	// the state blob spans several viewStateChunk-sized cells.
-	mustExec(t, c, `BEGIN`)
-	for k := 100; k < 700; k++ {
-		mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d)`, k, k%3, k*7))
-	}
-	id, err := c.CommitWithSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RecordSnapshot(c, id, time.Unix(int64(id), 0).UTC(), ""); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, c, `REFRESH RETRO VIEW V`)
-	last1 := uint64(id)
-
-	seqs := queryRows(t, c, `SELECT seq FROM rql_view_state WHERE name = 'v'`)
-	if len(seqs) < 2 {
-		t.Fatalf("state persisted in %d row(s), want several chunks", len(seqs))
-	}
-
-	db.SetRetroViewHook(nil)
-	db.SetSnapshotHook(nil)
-	m1.Close()
-
-	// A quiet snapshot committed while maintenance is down.
-	mustExec(t, c, `BEGIN`)
-	idQuiet, err := c.CommitWithSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RecordSnapshot(c, idQuiet, time.Unix(int64(idQuiet), 0).UTC(), ""); err != nil {
-		t.Fatal(err)
-	}
-	last2 := uint64(idQuiet)
-
-	m2, err := NewViewManager(db, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := m2.Infos()[0]; info.LastSnap != last1 {
-		t.Fatalf("reloaded cursor = %d, want %d", info.LastSnap, last1)
-	}
-	db.SetRetroViewHook(m2)
-	db.SetSnapshotHook(m2.AnnounceSnapshot)
-	m2.Start()
-	defer m2.Close()
-	m2.AnnounceSnapshot(last2)
-	mustExec(t, c, `REFRESH RETRO VIEW V`)
-	info := m2.Infos()[0]
-	if info.LastSnap != last2 || info.Refreshes != last2-last1 {
-		t.Fatalf("after restart: cursor=%d refreshes=%d, want cursor %d with %d refreshes",
-			info.LastSnap, info.Refreshes, last2, last2-last1)
-	}
-	if info.PrunedRefreshes == 0 {
-		t.Fatal("quiet snapshot not pruned: restored prune memo did not survive chunking")
-	}
-
-	runMech(t, r, c, mechCollate, `SELECT snap_id FROM SnapIds`, viewQq[mechCollate], "Full_chunk", false)
-	a := sortedRows(t, c, fmt.Sprintf(viewSel[mechCollate], "V"))
-	b := sortedRows(t, c, fmt.Sprintf(viewSel[mechCollate], "Full_chunk"))
-	if strings.Join(a, "\n") != strings.Join(b, "\n") {
-		t.Fatalf("chunk-restored view diverges from full recompute:\nview: %d rows\nfull: %d rows", len(a), len(b))
-	}
-}
-
 // TestRetroViewFailedStepLeavesNoTrace: a view step that fails
 // mid-iteration — here a scalar UDF inside Qq failing once on the k-th
 // row of one snapshot — must leave neither result rows nor in-memory
 // fold state behind and must not advance the cursor, so the retry folds
 // each row exactly once and the view still equals a full recompute.
-// warm is the history materialized before the failing step: with none,
-// the failing step is the one that created the view's table. The UDF
-// fails by returning an error or by panicking; a panic must be contained
-// like an error both under a synchronous REFRESH RETRO VIEW and under
-// the background refresher, which must survive it.
+// Every mechanism is run (failedStepFixtures). warm is the history
+// materialized before the failing step: with none, the failing step is
+// the one that created the view's table. The UDF fails by returning an
+// error or by panicking; a panic must be contained like an error both
+// under a synchronous REFRESH RETRO VIEW and under the background
+// refresher, which must survive it.
 func TestRetroViewFailedStepLeavesNoTrace(t *testing.T) {
 	for _, warm := range []int{6, 0} {
-		t.Run(fmt.Sprintf("warm%d", warm), func(t *testing.T) { testFailedViewStep(t, warm, failError) })
-		t.Run(fmt.Sprintf("warm%d panic", warm), func(t *testing.T) { testFailedViewStep(t, warm, failPanic) })
-		t.Run(fmt.Sprintf("warm%d background panic", warm), func(t *testing.T) { testFailedViewStep(t, warm, failPanicBackground) })
+		for _, f := range []struct {
+			name    string
+			failure viewStepFailure
+		}{{"", failError}, {" panic", failPanic}, {" background panic", failPanicBackground}} {
+			t.Run(fmt.Sprintf("warm%d%s", warm, f.name), func(t *testing.T) {
+				for _, fx := range failedStepFixtures {
+					t.Run(fx.kind.String(), func(t *testing.T) { testFailedViewStep(t, fx, warm, f.failure) })
+				}
+			})
+		}
 	}
 	t.Run("name taken", testFailedViewStepNameTaken)
+}
+
+// failedStepFixtures are the views testFailedViewStep fails: each Qq
+// calls flaky once per row of m.
+var failedStepFixtures = []mechFixture{
+	{mechCollate, `SELECT k, grp, flaky(v) AS fv FROM m`, "", `SELECT k, grp, fv FROM %s`},
+	{mechAggVar, `SELECT SUM(flaky(v)) AS s FROM m`, "sum", `SELECT * FROM %s`},
+	{mechAggTable, `SELECT grp, flaky(v) AS av FROM m`, "(av,avg)", `SELECT grp, round(av, 6) FROM %s`},
+	{mechIntervals, `SELECT k, flaky(v) AS fv FROM m`, "", `SELECT k, fv, start_snapshot, end_snapshot FROM %s`},
 }
 
 // How testFailedViewStep's UDF fails, and which refresh path meets it.
@@ -628,7 +599,7 @@ func testFailedViewStepNameTaken(t *testing.T) {
 	}
 }
 
-func testFailedViewStep(t *testing.T, warm int, failure viewStepFailure) {
+func testFailedViewStep(t *testing.T, fx mechFixture, warm int, failure viewStepFailure) {
 	db, err := sql.Open(sql.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -667,8 +638,7 @@ func testFailedViewStep(t *testing.T, warm int, failure viewStepFailure) {
 	if err := EnsureSnapIds(c); err != nil {
 		t.Fatal(err)
 	}
-	const qq = `SELECT grp, flaky(v) AS av FROM m`
-	mustExec(t, c, `CREATE RETRO VIEW V AS AggregateDataInTable('`+qq+`', '(av,avg)')`)
+	mustExec(t, c, `CREATE RETRO VIEW V AS `+fx.ddl())
 
 	narrowM.history(t, c, rand.New(rand.NewSource(17)), map[int]bool{}, warm)
 	mustExec(t, c, `REFRESH RETRO VIEW V`)
@@ -718,12 +688,5 @@ func testFailedViewStep(t *testing.T, warm int, failure viewStepFailure) {
 		t.Fatalf("retry left the cursor at %d, want %d", info.LastSnap, id)
 	}
 
-	if _, err := r.AggregateDataInTable(c, `SELECT snap_id FROM SnapIds`, qq, "Full", "(av,avg)"); err != nil {
-		t.Fatal(err)
-	}
-	a := sortedRows(t, c, `SELECT grp, round(av, 6) FROM V`)
-	b := sortedRows(t, c, `SELECT grp, round(av, 6) FROM Full`)
-	if strings.Join(a, ";") != strings.Join(b, ";") {
-		t.Fatalf("view diverged from a full recompute after a failed step was retried\nview: %v\nfull: %v", a, b)
-	}
+	assertSameResult(t, c, fx, "SnapIds", "V")
 }

@@ -97,7 +97,7 @@ func StartSpan(parent *Span, name string) *Span {
 }
 
 // StartSpanInTrace begins a root span that joins an existing trace —
-// the wire v8 propagation path, where the trace ID was minted by a
+// the wire propagation path, where the trace ID was minted by a
 // remote client and arrived on the request frame. The caller already
 // made the sampling decision (the frame carries a sampled flag); remote
 // roots are still dropped entirely while tracing is disabled.

@@ -22,3 +22,11 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Numeric reports whether v is an INTEGER or REAL.
 func (v Value) Numeric() bool { return v.typ == TypeInt || v.typ == TypeFloat }
+
+// Blob returns the BLOB payload; it panics if v is not a BLOB.
+func (v Value) Blob() []byte {
+	if v.typ != TypeBlob {
+		panic("record: Blob() on " + v.typ.String())
+	}
+	return v.b
+}

@@ -111,14 +111,6 @@ func (v Value) Text() string {
 	return v.s
 }
 
-// Blob returns the BLOB payload; it panics if v is not a BLOB.
-func (v Value) Blob() []byte {
-	if v.typ != TypeBlob {
-		panic("record: Blob() on " + v.typ.String())
-	}
-	return v.b
-}
-
 // AsFloat converts a numeric value to float64. NULL converts to 0.
 // Text converts via strconv when possible, else 0 (SQLite coercion).
 func (v Value) AsFloat() float64 {

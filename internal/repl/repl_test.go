@@ -585,8 +585,8 @@ func waitView(t *testing.T, db *rql.DB, name string, snap uint64) {
 // created before the replica connects ships in the bootstrap, one
 // created after ships as a logical DDL event, both are maintained
 // replica-side from shipped deltas to the same rows as the primary,
-// drops propagate, and a replica restart resumes view maintenance from
-// the persisted cursor without re-bootstrapping.
+// drops propagate, and a replica restart over the same database resumes
+// view maintenance from the views' cursors without re-bootstrapping.
 func TestReplicatedRetroViews(t *testing.T) {
 	pdb, _, addr := startPrimary(t)
 	pc := pdb.Conn()
@@ -653,8 +653,9 @@ func TestReplicatedRetroViews(t *testing.T) {
 	}
 
 	// Restart the replica over the same database: the stream resumes
-	// from the applied horizon (no re-bootstrap) and view maintenance
-	// resumes from the persisted cursor — no duplicates, no gaps.
+	// from the applied horizon (no re-bootstrap) and view maintenance,
+	// which the database kept running, resumes from each view's cursor —
+	// no duplicates, no gaps.
 	r.Close()
 	last = history(t, pc, rng, present, 6)
 	_, r2 := startReplica(t, addr, "viewer", rdb)

@@ -505,12 +505,12 @@ type bootCollector struct {
 	meta    wire.ReplBootMeta
 	gotMeta bool
 	pages   []storage.ReplPage
-	segs    []retro.SealedSegmentBlob // sealed cold segments (v6 primaries)
+	segs    []retro.SealedSegmentBlob // sealed cold segments
 	sealed  int64                     // Pagelog pages the segments cover
 	plPages []*storage.PageData
 	entries []retro.BootstrapEntry
 	annots  []wire.ReplAnnot
-	views   []wire.ViewDDL // create-form view definitions (v7 primaries)
+	views   []wire.ViewDDL // create-form view definitions
 }
 
 // add consumes one chunk; done reports BootDone.

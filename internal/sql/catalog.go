@@ -84,8 +84,8 @@ type Index struct {
 // RetroViewDef is the immutable definition of a materialized retro
 // view as stored in the side store's catalog: which mechanism to run
 // and its string arguments. Mutable refresh state (cursor, cached
-// read-set, accumulators) lives in the rql_view_state side table, not
-// the catalog.
+// read-set, accumulators) lives in the maintenance layer's memory only,
+// and is rebuilt from this definition.
 type RetroViewDef struct {
 	Name      string
 	Mechanism string
