@@ -99,8 +99,8 @@ groupcommit-smoke:
 # failed by a lost group flush, the compaction-on-vs-off
 # serial-equivalence property test, and replication bootstrap over
 # sealed segments — and the demand reads the snapshot readers go
-# through (one billed read and one device read per page under parallel
-# lanes, joiners of an in-service miss held on the Pagelog's lock, an
+# through (one billed read and one device read per page under concurrent
+# readers, joiners of an in-service miss held on the Pagelog's lock, an
 # injected read error failing exactly one of concurrent reads).
 # -count=3 for the same reason as groupcommit-smoke. Then the shared
 # SPT segment tables' stress test 20 times: single and set opens over

@@ -12,7 +12,7 @@
 // with its wall time split into SPT build, index creation, query
 // evaluation, UDF time and I/O, plus the billed reads and rows.
 //
-// EXPLAIN ANALYZE is observation-only by construction: the property
+// EXPLAIN ANALYZE only watches, by construction: the property
 // test TestExplainAnalyzeMatchesPlainRun pins its counters
 // byte-identical to plain execution. The same per-run profile feeds
 // the slow-query log, so a slow mechanism statement logs its

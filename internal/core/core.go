@@ -248,13 +248,13 @@ func DeclareSnapshot(conn *sql.Conn, ts time.Time, label string) (uint64, error)
 // CollateData collects the records Qq returns on every snapshot in the
 // Qs set into table T (paper §2.1).
 func (r *RQL) CollateData(conn *sql.Conn, qs, qq, table string) (*RunStats, error) {
-	return r.run(conn, mechCall{kind: mechCollate, qq: qq, table: table}, qs, 0, nil)
+	return r.run(conn, mechCall{kind: mechCollate, qq: qq, table: table}, qs, nil)
 }
 
 // AggregateDataInVariable applies aggFunc to the single value Qq
 // returns per snapshot, storing the final value in T (paper §2.2).
 func (r *RQL) AggregateDataInVariable(conn *sql.Conn, qs, qq, table, aggFunc string) (*RunStats, error) {
-	return r.run(conn, mechCall{mechAggVar, qq, table, aggFunc, true}, qs, 0, nil)
+	return r.run(conn, mechCall{mechAggVar, qq, table, aggFunc, true}, qs, nil)
 }
 
 // AggregateDataInTable aggregates Qq's records across snapshots in
@@ -262,24 +262,22 @@ func (r *RQL) AggregateDataInVariable(conn *sql.Conn, qs, qq, table, aggFunc str
 // with the per-column functions of pairs, e.g. "(cn,MAX):(av,MAX)"
 // (paper §2.3).
 func (r *RQL) AggregateDataInTable(conn *sql.Conn, qs, qq, table, pairs string) (*RunStats, error) {
-	return r.run(conn, mechCall{mechAggTable, qq, table, pairs, true}, qs, 0, nil)
+	return r.run(conn, mechCall{mechAggTable, qq, table, pairs, true}, qs, nil)
 }
 
 // CollateDataIntoIntervals collects Qq's records into lifetime
 // intervals [start_snapshot, end_snapshot] in table T (paper §2.4).
 func (r *RQL) CollateDataIntoIntervals(conn *sql.Conn, qs, qq, table string) (*RunStats, error) {
-	return r.run(conn, mechCall{kind: mechIntervals, qq: qq, table: table}, qs, 0, nil)
+	return r.run(conn, mechCall{kind: mechIntervals, qq: qq, table: table}, qs, nil)
 }
 
 // run drives a mechanism from Go: execute Qs, then run the loop body
 // over the returned set. Unlike the SQL UDF form — where the engine
 // streams Qs rows into the UDF one at a time — the whole set is known
 // before the first iteration, so the SPT of every member is built by
-// one snapshot-set open and unchanged iterations are pruned.
-// workers > 0 fans the set out over that many lanes (parallel.go);
-// variant, when non-nil, adjusts the lane that owns T before it runs
-// (sortmerge.go).
-func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant func(*lane)) (*RunStats, error) {
+// one snapshot-set open and unchanged iterations are pruned. variant,
+// when non-nil, adjusts the lane before it runs (sortmerge.go).
+func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, variant func(*lane)) (*RunStats, error) {
 	m, err := r.newMech(call)
 	if err != nil {
 		return nil, err
@@ -289,17 +287,12 @@ func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant
 		variant(out)
 	}
 	// Root (or request-child) span covering the whole mechanism run.
-	name := "rql." + m.kind.String()
-	if workers > 0 {
-		name += ".parallel"
-		out.run.Mechanism += " (parallel)"
-	}
-	if rsp := obs.StartSpan(conn.CurrentSpan(), name); rsp != nil {
+	if rsp := obs.StartSpan(conn.CurrentSpan(), "rql."+m.kind.String()); rsp != nil {
 		saved := conn.TraceSpan()
 		conn.SetTraceSpan(rsp)
 		defer func() {
 			conn.SetTraceSpan(saved)
-			rsp.SetInt("workers", int64(workers)).SetInt("iterations", int64(len(out.run.Iterations))).End()
+			rsp.SetInt("iterations", int64(len(out.run.Iterations))).End()
 		}()
 	}
 
@@ -310,7 +303,6 @@ func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant
 		return err
 	})
 	if err == nil && len(snaps) > 0 {
-		// One reader set, shared read-only by every lane.
 		if m.set, err = conn.OpenSnapshotSet(snaps); err == nil {
 			defer m.set.Close()
 			recordBatchBuild(conn.TraceSpan(), m.set)
@@ -318,11 +310,7 @@ func (r *RQL) run(conn *sql.Conn, call mechCall, qs string, workers int, variant
 		}
 	}
 	if err == nil {
-		if workers > 0 {
-			err = out.fanOut(snaps, workers)
-		} else {
-			err = out.steps(snaps)
-		}
+		err = out.steps(snaps)
 	}
 	if err == nil {
 		billBatch(out.run, m.set)

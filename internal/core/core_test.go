@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"rql/internal/record"
+	"rql/internal/retro"
 	"rql/internal/sql"
 )
 
@@ -445,6 +447,27 @@ func TestMechanismArgErrors(t *testing.T) {
 	rows, err := c.Query(`SELECT COUNT(*) FROM R`)
 	if err == nil && rows.Rows[0][0].Int() != 0 {
 		t.Errorf("failed run left %v rows in R", rows.Rows[0][0])
+	}
+}
+
+// A Qs snapshot id is an INTEGER >= 1, as AS OF requires: a REAL, a
+// TEXT, zero, a negative or NULL fails the run with ErrNoSnapshot, in
+// the Go-level and the SQL UDF form alike, rather than being converted
+// to some member.
+func TestQsSnapshotIdsAreIntegersFromOne(t *testing.T) {
+	r, c := fixture(t)
+	for i, id := range []string{"2.9", "'2'", "0", "-1", "NULL"} {
+		_, err := r.CollateData(c, "SELECT "+id, `SELECT l_userid FROM LoggedIn`, fmt.Sprintf("Go%d", i))
+		if !errors.Is(err, retro.ErrNoSnapshot) {
+			t.Errorf("Go-level run over Qs %s: %v, want ErrNoSnapshot", id, err)
+		}
+		err = c.Exec(fmt.Sprintf(`SELECT CollateData(%s, 'SELECT l_userid FROM LoggedIn', 'Udf%d')`, id, i), nil)
+		if !errors.Is(err, retro.ErrNoSnapshot) {
+			t.Errorf("UDF form over snapshot id %s: %v, want ErrNoSnapshot", id, err)
+		}
+	}
+	if _, err := r.CollateData(c, "SELECT 2", `SELECT l_userid FROM LoggedIn`, "Ok"); err != nil {
+		t.Errorf("Qs 2: %v", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,11 +13,11 @@ import (
 	"rql/internal/sql"
 )
 
-// Every executor equivalence — Go-level batch ≡ UDF, parallel ≡
-// sequential, pruned ≡ unpruned, incremental view ≡ full run — is
-// checked the same way: against one oracle, the SQL-form UDF statement
-// of the paper's Figure 5, which steps one table-backed lane per Qs row
-// with a per-iteration SPT and no batching, pruning or merging.
+// Every executor equivalence — Go-level batch ≡ UDF, pruned ≡
+// unpruned, incremental view ≡ full run — is checked the same way:
+// against one oracle, the SQL-form UDF statement of the paper's
+// Figure 5, which steps one lane per Qs row with a per-iteration SPT
+// and no batching or pruning.
 
 // mechFixture is one mechanism invocation under test and the projection
 // that makes its result table comparable.
@@ -60,6 +62,56 @@ func (fx mechFixture) ddl() string {
 		s += ", '" + fx.extra + "'"
 	}
 	return s + ")"
+}
+
+// randomHistory builds a database with a randomized membership table
+// and many snapshots, for the equivalence checks.
+func randomHistory(t *testing.T, seed int64, snapshots int) (*RQL, *sql.Conn) {
+	t.Helper()
+	db, err := sql.Open(sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	r := Attach(db)
+	c := db.Conn()
+	mustExec(t, c, `CREATE TABLE m (k INTEGER, grp TEXT, v INTEGER)`)
+	if err := EnsureSnapIds(c); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	present := map[int]bool{}
+	for s := 0; s < snapshots; s++ {
+		mustExec(t, c, `BEGIN`)
+		for n := rng.Intn(6); n >= 0; n-- {
+			k := rng.Intn(12)
+			if present[k] && rng.Intn(3) == 0 {
+				mustExec(t, c, fmt.Sprintf(`DELETE FROM m WHERE k = %d`, k))
+				present[k] = false
+			} else if !present[k] {
+				mustExec(t, c, fmt.Sprintf(`INSERT INTO m VALUES (%d, 'g%d', %d)`,
+					k, k%3, rng.Intn(100)))
+				present[k] = true
+			} else {
+				mustExec(t, c, fmt.Sprintf(`UPDATE m SET v = %d WHERE k = %d`, rng.Intn(100), k))
+			}
+		}
+		id, err := c.CommitWithSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := RecordSnapshot(c, id, time.Unix(int64(s), 0), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r, c
+}
+
+func sortedRows(t *testing.T, c *sql.Conn, sqlText string) []string {
+	t.Helper()
+	rows := queryRows(t, c, sqlText)
+	sort.Strings(rows)
+	return rows
 }
 
 var oracleSeq int
@@ -125,7 +177,7 @@ func TestBatchRunMatchesUDFForm(t *testing.T) {
 			label := fx.tag() + " over " + from
 			table := "B_" + fx.tag() + "_" + from
 			sys.ResetCache()
-			bs := runFixture(t, r, c, fx, "SELECT snap_id FROM "+from, table, false)
+			bs := runFixture(t, r, c, fx, "SELECT snap_id FROM "+from, table)
 			batch := sys.Stats()
 			sys.ResetCache()
 			assertSameResult(t, c, fx, from, table)
@@ -156,10 +208,8 @@ func TestBatchRunMatchesUDFForm(t *testing.T) {
 
 // The Go-level run and the SQL-form statement read the same pages: on a
 // reset cache with pruning off (the SQL form never prunes), every
-// mechanism — one lane or four — bills the same number of page reads in
-// total, the same number of them cold, and leaves the same T. A page
-// enters the snapshot cache one way, so how the lanes interleave cannot
-// move a read between the billed columns' sum.
+// mechanism bills the same number of page reads in total, the same
+// number of them cold, and leaves the same T.
 func TestGoAPIMatchesUDFFormColdCounters(t *testing.T) {
 	r, c := randomHistory(t, 23, 20)
 	r.SetDeltaPrune(false)
@@ -168,20 +218,17 @@ func TestGoAPIMatchesUDFFormColdCounters(t *testing.T) {
 		return tot.PagelogReads + tot.CacheHits + tot.DBReads, tot.PagelogReads
 	}
 	for _, fx := range allFixtures {
-		for _, parallel := range []bool{false, true} {
-			label := fmt.Sprintf("%s (parallel=%v)", fx.tag(), parallel)
-			table := fmt.Sprintf("G_%s_%v", fx.tag(), parallel)
-			r.db.Retro().ResetCache()
-			gs := runFixture(t, r, c, fx, "SELECT snap_id FROM SnapIds", table, parallel)
-			r.db.Retro().ResetCache()
-			assertSameResult(t, c, fx, "SnapIds", table)
-			us := r.LastRun() // the oracle's run
-			gAll, gCold := reads(gs)
-			uAll, uCold := reads(us)
-			if gAll != uAll || gCold != uCold || gCold == 0 {
-				t.Errorf("%s: Go-level run billed %d page reads (%d cold), the SQL form %d (%d cold)",
-					label, gAll, gCold, uAll, uCold)
-			}
+		table := "G_" + fx.tag()
+		r.db.Retro().ResetCache()
+		gs := runFixture(t, r, c, fx, "SELECT snap_id FROM SnapIds", table)
+		r.db.Retro().ResetCache()
+		assertSameResult(t, c, fx, "SnapIds", table)
+		us := r.LastRun() // the oracle's run
+		gAll, gCold := reads(gs)
+		uAll, uCold := reads(us)
+		if gAll != uAll || gCold != uCold || gCold == 0 {
+			t.Errorf("%s: Go-level run billed %d page reads (%d cold), the SQL form %d (%d cold)",
+				fx.tag(), gAll, gCold, uAll, uCold)
 		}
 	}
 }
@@ -190,8 +237,8 @@ func TestGoAPIMatchesUDFFormColdCounters(t *testing.T) {
 // set whose members straddle a CREATE INDEX, and a DROP TABLE + CREATE
 // TABLE that reorders m's columns: the Go-level run — whose reader set
 // keeps Qq's plan from member to member and must plan it anew where the
-// catalog changes — sequential and parallel, must leave what the per-member
-// AS OF loop of the SQL-form statement does.
+// catalog changes — must leave what the per-member AS OF loop of the
+// SQL-form statement does.
 func TestMechanismsAcrossSchemaChange(t *testing.T) {
 	db, err := sql.Open(sql.Options{})
 	if err != nil {
@@ -230,10 +277,8 @@ func TestMechanismsAcrossSchemaChange(t *testing.T) {
 		{mechIntervals, `SELECT k, grp FROM m WHERE k < 8`, "", `SELECT k, grp, start_snapshot, end_snapshot FROM %s`},
 	}, allFixtures...)
 	for i, fx := range fixtures {
-		for _, parallel := range []bool{false, true} {
-			table := fmt.Sprintf("S%d_%s_%v", i, fx.tag(), parallel)
-			runFixture(t, r, c, fx, "SELECT snap_id FROM SnapIds", table, parallel)
-			assertSameResult(t, c, fx, "SnapIds", table)
-		}
+		table := fmt.Sprintf("S%d_%s", i, fx.tag())
+		runFixture(t, r, c, fx, "SELECT snap_id FROM SnapIds", table)
+		assertSameResult(t, c, fx, "SnapIds", table)
 	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,31 +10,14 @@ import (
 	"rql/internal/sql"
 )
 
-// The fold is tested alone here: record streams are fed straight into
-// lanes — no Qq, no snapshots read — so the property "merge of
-// memory-backed lanes ≡ one table-backed lane" is checked for every way
-// of cutting a stream into contiguous chunks, which no Qs-driven test
-// can enumerate.
+// The fold is tested alone here: records are fed straight into a lane
+// — no Qq, no snapshots read.
 
 // foldIter is one loop-body iteration's input: the snapshot id and the
 // records Qq would have returned on it.
 type foldIter struct {
 	snap uint64
 	rows [][]record.Value
-}
-
-// foldFixtures are the four kinds with shapes that reach every combine
-// rule: the AVG accumulator, a lone AVG column (whose values may be
-// NULL), and two AVG columns beside a MAX and a SUM (a row has one
-// auxiliary count, so there only the MAX and SUM values may be NULL).
-var foldFixtures = []mechFixture{
-	{mechCollate, `SELECT k, g FROM src`, "", `SELECT k, g FROM %s`},
-	{mechAggVar, `SELECT v FROM src`, "avg", `SELECT * FROM %s`},
-	{mechAggVar, `SELECT v FROM src`, "max", `SELECT * FROM %s`},
-	{mechAggTable, `SELECT g, w FROM src`, "(w,avg)", `SELECT g, round(w, 6) FROM %s`},
-	{mechAggTable, `SELECT g, v, w, x, y FROM src`, "(v,max):(w,avg):(x,sum):(y,avg)",
-		`SELECT g, v, round(w, 6), x, round(y, 6) FROM %s`},
-	{mechIntervals, `SELECT k FROM src`, "", `SELECT k, start_snapshot, end_snapshot FROM %s`},
 }
 
 // foldEnv is a database whose only snapshot gives Qq a shape to plan
@@ -92,137 +72,6 @@ func feed(t testing.TB, ln *lane, its []foldIter) {
 	}
 }
 
-// randomStream draws n iterations of fx-shaped records over a small key
-// space, so keys disappear, reappear, repeat within an iteration, and
-// carry NULL aggregates now and then.
-func randomStream(rng *rand.Rand, fx mechFixture, n int) []foldIter {
-	val := func(nullable bool) record.Value {
-		if nullable && rng.Intn(8) == 0 {
-			return record.Null()
-		}
-		return record.Int(int64(rng.Intn(50)))
-	}
-	wide := strings.Contains(fx.qq, "y")
-	its := make([]foldIter, n)
-	for i := range its {
-		its[i].snap = uint64(2*i + 3) // ids need not be dense
-		rows := rng.Intn(6)
-		if fx.kind == mechAggVar {
-			rows = 1
-		}
-		for ; rows > 0; rows-- {
-			k := int64(rng.Intn(5))
-			var row []record.Value
-			switch fx.kind {
-			case mechCollate:
-				row = []record.Value{record.Int(k), record.Text(fmt.Sprint("g", k%2))}
-			case mechAggVar:
-				row = []record.Value{val(true)}
-			case mechAggTable:
-				row = []record.Value{record.Text(fmt.Sprint("g", k)), val(true)}
-				if wide {
-					row = append(row[:1], val(true), val(false), val(true), val(false))
-				}
-			case mechIntervals:
-				row = []record.Value{record.Int(k)}
-			}
-			its[i].rows = append(its[i].rows, row)
-		}
-	}
-	return its
-}
-
-// lifetimes is the stream the interval rule is easiest to get wrong on:
-// key 2 lives through every iteration, so wherever a chunk ends its
-// lifetime ends at the tail and resumes at the next head; key 1
-// disappears and reappears; key 3 comes and goes twice. As
-// AggregateDataInTable input the groups' weights differ per chunk, so an
-// average of chunk averages would be wrong.
-func lifetimes(fx mechFixture) []foldIter {
-	present := [][]int64{{1, 2}, {1, 2, 3}, {2}, {1, 2}, {2, 2, 1}, {1, 2, 3}}
-	its := make([]foldIter, len(present))
-	for i, keys := range present {
-		its[i].snap = uint64(i + 1)
-		for _, k := range keys {
-			v := record.Int(k*10 + int64(i))
-			switch fx.kind {
-			case mechCollate:
-				its[i].rows = append(its[i].rows, []record.Value{record.Int(k), record.Text("g")})
-			case mechAggTable:
-				its[i].rows = append(its[i].rows, []record.Value{record.Text(fmt.Sprint("g", k%2)), v, v, v, v}[:strings.Count(fx.qq, ",")+1])
-			case mechIntervals:
-				its[i].rows = append(its[i].rows, []record.Value{record.Int(k)})
-			}
-		}
-		if fx.kind == mechAggVar {
-			its[i].rows = [][]record.Value{{record.Int(int64(len(keys)))}}
-		}
-	}
-	return its
-}
-
-// TestFoldMergeEqualsOneLane: for every kind, every stream and every cut
-// of the stream into 1…n contiguous chunks, folding each chunk in a
-// memory-backed lane, merging the lanes in order and folding the result
-// into T — what a parallel run does — leaves T exactly as one
-// table-backed lane folding the whole stream does.
-func TestFoldMergeEqualsOneLane(t *testing.T) {
-	r, c := foldEnv(t)
-	rng := rand.New(rand.NewSource(13))
-	tables := 0
-	newTable := func() string { tables++; return fmt.Sprintf("F%d", tables) }
-	for _, fx := range foldFixtures {
-		streams := [][]foldIter{lifetimes(fx)}
-		for i := 0; i < 3; i++ {
-			streams = append(streams, randomStream(rng, fx, 6))
-		}
-		for si, its := range streams {
-			one := foldMech(t, r, c, fx, newTable()).tableLane(c)
-			feed(t, one, its)
-			if err := one.finish(true); err != nil {
-				t.Fatal(err)
-			}
-			want := sortedRows(t, c, fmt.Sprintf(fx.sel, one.m.table))
-
-			// Bit b of cut set: a chunk boundary after iteration b.
-			for cut := 0; cut < 1<<(len(its)-1); cut++ {
-				out := foldMech(t, r, c, fx, newTable()).tableLane(c)
-				var first *lane
-				start := 0
-				for end := 1; end <= len(its); end++ {
-					if end < len(its) && cut&(1<<(end-1)) == 0 {
-						continue
-					}
-					w := out.m.memLane(nil)
-					feed(t, w, its[start:end])
-					if first == nil {
-						first = w
-					} else if err := first.merge(w); err != nil {
-						t.Fatal(err)
-					}
-					start = end
-				}
-				if err := out.merge(first); err != nil {
-					t.Fatal(err)
-				}
-				if err := out.finish(true); err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s stream %d cut %06b", fx.tag(), si, cut)
-				got := sortedRows(t, c, fmt.Sprintf(fx.sel, out.m.table))
-				if strings.Join(got, ";") != strings.Join(want, ";") {
-					t.Fatalf("%s: merged lanes differ from one lane\n got: %v\nwant: %v", label, got, want)
-				}
-				if out.fold.iterations != one.fold.iterations || out.fold.prevSnap != one.fold.prevSnap {
-					t.Fatalf("%s: merged cursor (%d iterations, snap %d), one lane (%d, %d)", label,
-						out.fold.iterations, out.fold.prevSnap, one.fold.iterations, one.fold.prevSnap)
-				}
-				mustExec(t, c, `DROP TABLE `+out.m.table) // keep the catalog small
-			}
-		}
-	}
-}
-
 // fillCost is the one place an iteration's cost is assigned from Qq's
 // statement statistics. Fed statistics with no zero field, it must leave
 // no field of IterationCost zero except the ones the loop body and the
@@ -242,7 +91,7 @@ func TestFillCostCoversEveryStatementCounter(t *testing.T) {
 
 	ownedElsewhere := map[string]bool{
 		"Snapshot": true, "QqRows": true, "UDF": true, "Pruned": true, "DeltaPages": true, // lane.step
-		"ResultInserts": true, "ResultUpdates": true, "ResultSearch": true, // fold.add
+		"ResultInserts": true, "ResultUpdates": true, "ResultSearch": true, // fold.record
 	}
 	cv := reflect.ValueOf(cost)
 	for i := 0; i < cv.NumField(); i++ {
@@ -254,10 +103,10 @@ func TestFillCostCoversEveryStatementCounter(t *testing.T) {
 	}
 }
 
-// The store indirection must not cost the table-backed fold an
-// allocation per record: a replayed AggregateDataInTable record that
-// finds its group and changes nothing allocates what the index probe on
-// the TableWriter allocates by itself and nothing more.
+// The fold must not add an allocation per record of its own: a
+// replayed AggregateDataInTable record that finds its group and changes
+// nothing allocates what the index probe on the TableWriter allocates
+// by itself and nothing more.
 func TestFoldRecordAllocs(t *testing.T) {
 	r, c := foldEnv(t)
 	fx := mechFixture{mechAggTable, `SELECT g, v FROM src`, "(v,max)", ""}

@@ -10,18 +10,15 @@ import (
 
 // lane is the mechanism executor: it runs the paper's loop body (§3,
 // Fig. 5) over a sequence of snapshots on one connection, folding each
-// iteration's Qq records into its fold. A sequential run is one lane
-// over the whole Qs writing T directly; a parallel run is one
-// memory-backed lane per contiguous chunk, merged into the lane that
-// owns T; the SQL-form UDF steps a lane once per Qs row; a view keeps
-// one across refreshes, in memory only.
+// iteration's Qq records into its fold, which writes T. A Go-level run
+// steps one lane over the whole Qs; the SQL-form UDF steps one once per
+// Qs row; a view keeps one across refreshes, in memory only.
 type lane struct {
 	m    *mech
 	conn *sql.Conn
 	fold fold
-	// table is the fold's store when the lane writes T itself (nil for
-	// memory-backed lanes and for AggregateDataInVariable, whose value
-	// reaches T at the end).
+	// table is the fold's store (nil for AggregateDataInVariable, whose
+	// value reaches T at the end).
 	table *tableStore
 
 	cache    pruneCache     // delta pruning memo (prune.go)
@@ -45,8 +42,8 @@ func newRunStats(kind mechKind) *RunStats {
 	return &RunStats{Mechanism: kind.String(), PruneReason: "SQL-form UDF path (the unpruned reference)"}
 }
 
-// tableLane returns the lane that owns T: its fold writes the result
-// table through the paper's indexed side-store path.
+// tableLane returns a lane for m: its fold writes the result table
+// through the paper's indexed side-store path.
 func (m *mech) tableLane(conn *sql.Conn) *lane {
 	ln := &lane{m: m, conn: conn, run: newRunStats(m.kind), start: time.Now()}
 	if m.kind == mechAggVar {
@@ -67,18 +64,6 @@ func (m *mech) tableLane(conn *sql.Conn) *lane {
 			return ln.createResultIndex()
 		}
 	}
-	return ln
-}
-
-// memLane returns a lane folding into memory, for a parallel chunk. T
-// must exist already (the shape is read-only from here on).
-func (m *mech) memLane(conn *sql.Conn) *lane {
-	ln := &lane{m: m, conn: conn, run: newRunStats(m.kind)}
-	var store resultStore
-	if m.kind != mechAggVar {
-		store = newMemStore(m.memIndexCols(), len(m.groupIdx))
-	}
-	ln.fold = newFold(m, store)
 	return ln
 }
 
@@ -247,18 +232,7 @@ func fillCost(cost *IterationCost, qs *sql.ExecStats, readLatency time.Duration)
 	cost.IOTime = qs.ModeledIOTime(readLatency)
 }
 
-// merge folds a memory-backed lane — the chunk directly after
-// everything ln has folded so far — and its statistics into ln.
-func (ln *lane) merge(b *lane) error {
-	ln.run.Iterations = append(ln.run.Iterations, b.run.Iterations...)
-	obs.AddCost(ln.run, b.run)
-	if err := ln.table.open(ln.conn); err != nil {
-		return err
-	}
-	return ln.fold.merge(&b.fold)
-}
-
-// finish ends a run on the lane that owns T: commit (or abandon) the
+// finish ends a run on the lane: commit (or abandon) the
 // result writer, store the AggregateDataInVariable value, measure the
 // result-table footprint, and publish the run statistics.
 func (ln *lane) finish(commit bool) error {

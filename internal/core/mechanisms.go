@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"rql/internal/record"
+	"rql/internal/retro"
 	"rql/internal/sql"
 )
 
@@ -64,8 +65,7 @@ func (c mechCall) String() string {
 
 // mech is one validated mechanism invocation: the parsed arguments, the
 // result shape derived from Qq's columns, and the run-level decisions
-// (reader set, pruning). Everything a lane reads from it is
-// settled before the second lane starts, so parallel lanes share one.
+// (reader set, pruning).
 type mech struct {
 	mechCall
 	rql    *RQL
@@ -123,12 +123,16 @@ func (r *RQL) newMech(call mechCall) (*mech, error) {
 	return m, nil
 }
 
-// qsSnapshot checks one Qs row and returns its snapshot id.
+// qsSnapshot checks one Qs row and returns its snapshot id: an INTEGER
+// >= 1, as AS OF requires, never a value converted to one.
 func qsSnapshot(row []record.Value) (uint64, error) {
-	if len(row) != 1 || row[0].IsNull() {
-		return 0, fmt.Errorf("rql: Qs must return a single non-NULL snapshot-id column")
+	if len(row) != 1 {
+		return 0, fmt.Errorf("rql: Qs must return a single snapshot-id column, got %d", len(row))
 	}
-	return uint64(row[0].AsInt()), nil
+	if v := row[0]; v.Type() != record.TypeInt || v.Int() < 1 {
+		return 0, fmt.Errorf("rql: Qs returned %s: %w (a snapshot id is an integer >= 1)", v.SQL(), retro.ErrNoSnapshot)
+	}
+	return uint64(row[0].Int()), nil
 }
 
 // createResultTable creates T shaped like Qq's output on snap (plus the
@@ -250,25 +254,11 @@ func (m *mech) resultIndexDDL() string {
 	return ddl.String()
 }
 
-// memIndexCols are the row positions a memory-backed store indexes —
-// the columns of resultIndexDDL (end_snapshot is the last column of an
-// interval row).
-func (m *mech) memIndexCols() []int {
-	if !m.indexed() {
-		return nil
-	}
-	cols := append([]int(nil), m.groupIdx...)
-	if m.kind == mechIntervals {
-		cols = append(cols, len(m.qqCols)+1)
-	}
-	return cols
-}
-
-// combine folds the aggregate columns of src, standing for xn
-// observations, into dst, standing for n, by the per-column functions of
-// ListOfColFuncPairs. It returns dst's new observation count (AVG's
-// auxiliary count, §2.3) and whether any value changed.
-func (m *mech) combine(dst []record.Value, n int64, src []record.Value, xn int64) (int64, bool) {
+// combine folds the aggregate columns of src, one Qq record, into dst,
+// standing for n records, by the per-column functions of
+// ListOfColFuncPairs. It returns dst's new record count (AVG's auxiliary
+// count, §2.3) and whether any value changed.
+func (m *mech) combine(dst []record.Value, n int64, src []record.Value) (int64, bool) {
 	changed := false
 	newN := n
 	for pi, p := range m.pairs {
@@ -276,9 +266,9 @@ func (m *mech) combine(dst []record.Value, n int64, src []record.Value, xn int64
 		var nv record.Value
 		if p.agg.Name == avgName {
 			// Every AVG column merges against the count before this
-			// observation; the row's one count moves once.
+			// record; the row's one count moves once.
 			var cn int64
-			nv, cn = avgMerge(dst[k], n, src[k], xn)
+			nv, cn = avgMerge(dst[k], n, src[k])
 			newN = max(newN, cn)
 		} else {
 			nv = p.agg.Combine(dst[k], src[k])

@@ -123,14 +123,13 @@ type avgAccumulator struct {
 	n   int64
 }
 
-// add folds in v, the sum of n observations (a Qq value is its own sum
-// of one).
-func (a *avgAccumulator) add(v record.Value, n int64) {
+// add folds in v, one Qq value.
+func (a *avgAccumulator) add(v record.Value) {
 	if v.IsNull() {
 		return
 	}
 	a.sum += v.AsFloat()
-	a.n += n
+	a.n++
 }
 
 func (a *avgAccumulator) value() record.Value {
@@ -140,18 +139,17 @@ func (a *avgAccumulator) value() record.Value {
 	return record.Float(a.sum / float64(a.n))
 }
 
-// avgMerge folds x, the average of xn observations (a Qq value is its
-// own average of one), into a stored average with its auxiliary count,
-// returning the new average and count (used by Aggregate Data In Table,
-// where T stores the running average and the count lives in the fold's
-// auxiliary map).
-func avgMerge(curAvg record.Value, curN int64, x record.Value, xn int64) (record.Value, int64) {
-	if x.IsNull() || xn == 0 {
+// avgMerge folds x, one Qq value, into a stored average with its
+// auxiliary count, returning the new average and count (used by
+// Aggregate Data In Table, where T stores the running average and the
+// count lives in the fold's auxiliary map).
+func avgMerge(curAvg record.Value, curN int64, x record.Value) (record.Value, int64) {
+	if x.IsNull() {
 		return curAvg, curN
 	}
 	if curAvg.IsNull() || curN == 0 {
-		return record.Float(x.AsFloat()), xn
+		return record.Float(x.AsFloat()), 1
 	}
-	n := curN + xn
-	return record.Float((curAvg.AsFloat()*float64(curN) + x.AsFloat()*float64(xn)) / float64(n)), n
+	n := curN + 1
+	return record.Float((curAvg.AsFloat()*float64(curN) + x.AsFloat()) / float64(n)), n
 }

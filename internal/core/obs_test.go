@@ -21,11 +21,10 @@ func resetTracing(t *testing.T) {
 }
 
 // The observability property: the span recorder watches a run, it never
-// participates in one. Every mechanism, sequential and parallel, must
-// produce byte-identical results with tracing on and off, bill the same
-// PagelogReads/CacheHits totals, and — sequentially, where attribution
-// is deterministic — the same per-iteration counter series the paper's
-// figures (6-13) are plotted from.
+// participates in one. Every mechanism must produce byte-identical
+// results with tracing on and off, bill the same PagelogReads/CacheHits
+// totals, and the same per-iteration counter series the paper's figures
+// (6-13) are plotted from.
 func TestTracingNeutrality(t *testing.T) {
 	resetTracing(t)
 	qqs := map[mechKind]string{
@@ -43,56 +42,52 @@ func TestTracingNeutrality(t *testing.T) {
 	r, c := pruneHistory(t, narrowM, 61, 30)
 	qs := `SELECT snap_id FROM SnapIds`
 	for _, kind := range []mechKind{mechCollate, mechAggVar, mechAggTable, mechIntervals} {
-		for _, parallel := range []bool{false, true} {
-			label := fmt.Sprintf("%s_p%v", kind, parallel)
-			offT, onT := "TrOff_"+label, "TrOn_"+label
+		label := kind.String()
+		offT, onT := "TrOff_"+label, "TrOn_"+label
 
-			obs.SetTracing(false)
-			r.db.Retro().ResetCache()
-			offRS := runMech(t, r, c, kind, qs, qqs[kind], offT, parallel)
+		obs.SetTracing(false)
+		r.db.Retro().ResetCache()
+		offRS := runMech(t, r, c, kind, qs, qqs[kind], offT)
 
-			obs.SetTracing(true)
-			obs.ResetSpans()
-			r.db.Retro().ResetCache()
-			onRS := runMech(t, r, c, kind, qs, qqs[kind], onT, parallel)
-			spans := len(obs.Spans())
-			obs.SetTracing(false)
-			if spans == 0 {
-				t.Fatalf("%s: traced run recorded no spans", label)
-			}
+		obs.SetTracing(true)
+		obs.ResetSpans()
+		r.db.Retro().ResetCache()
+		onRS := runMech(t, r, c, kind, qs, qqs[kind], onT)
+		spans := len(obs.Spans())
+		obs.SetTracing(false)
+		if spans == 0 {
+			t.Fatalf("%s: traced run recorded no spans", label)
+		}
 
-			a := sortedRows(t, c, fmt.Sprintf(sel[kind], offT))
-			b := sortedRows(t, c, fmt.Sprintf(sel[kind], onT))
-			if strings.Join(a, ";") != strings.Join(b, ";") {
-				t.Fatalf("%s: traced result differs from untraced\nuntraced: %v\ntraced:   %v", label, a, b)
-			}
-			offTot, onTot := offRS.Total(), onRS.Total()
-			if offTot.PagelogReads != onTot.PagelogReads || offTot.CacheHits != onTot.CacheHits {
-				t.Errorf("%s: tracing changed the billed totals: untraced reads=%d hits=%d, traced reads=%d hits=%d",
-					label, offTot.PagelogReads, offTot.CacheHits, onTot.PagelogReads, onTot.CacheHits)
-			}
-			if !parallel {
-				if len(offRS.Iterations) != len(onRS.Iterations) {
-					t.Fatalf("%s: iteration counts differ: %d vs %d",
-						label, len(offRS.Iterations), len(onRS.Iterations))
-				}
-				for i := range offRS.Iterations {
-					u, v := offRS.Iterations[i], onRS.Iterations[i]
-					if u.PagelogReads != v.PagelogReads || u.CacheHits != v.CacheHits ||
-						u.QqRows != v.QqRows || u.Pruned != v.Pruned || u.DeltaPages != v.DeltaPages {
-						t.Errorf("%s: iteration %d series diverge: untraced %+v, traced %+v",
-							label, i, u, v)
-					}
-				}
+		a := sortedRows(t, c, fmt.Sprintf(sel[kind], offT))
+		b := sortedRows(t, c, fmt.Sprintf(sel[kind], onT))
+		if strings.Join(a, ";") != strings.Join(b, ";") {
+			t.Fatalf("%s: traced result differs from untraced\nuntraced: %v\ntraced:   %v", label, a, b)
+		}
+		offTot, onTot := offRS.Total(), onRS.Total()
+		if offTot.PagelogReads != onTot.PagelogReads || offTot.CacheHits != onTot.CacheHits {
+			t.Errorf("%s: tracing changed the billed totals: untraced reads=%d hits=%d, traced reads=%d hits=%d",
+				label, offTot.PagelogReads, offTot.CacheHits, onTot.PagelogReads, onTot.CacheHits)
+		}
+		if len(offRS.Iterations) != len(onRS.Iterations) {
+			t.Fatalf("%s: iteration counts differ: %d vs %d",
+				label, len(offRS.Iterations), len(onRS.Iterations))
+		}
+		for i := range offRS.Iterations {
+			u, v := offRS.Iterations[i], onRS.Iterations[i]
+			if u.PagelogReads != v.PagelogReads || u.CacheHits != v.CacheHits ||
+				u.QqRows != v.QqRows || u.Pruned != v.Pruned || u.DeltaPages != v.DeltaPages {
+				t.Errorf("%s: iteration %d series diverge: untraced %+v, traced %+v",
+					label, i, u, v)
 			}
 		}
 	}
 }
 
 // TestTracedSpanEmissionRace hammers the recorder from every concurrent
-// producer at once — parallel mechanism workers and their device
-// commands — while a reader drains the ring
-// and a toggler flips sampling, so the tier-1 -race run covers the
+// producer at once — mechanism runs on their own connections, four at a
+// time, and their device commands — while a reader drains the ring and
+// a toggler flips sampling, so the tier-1 -race run covers the
 // recorder's synchronization.
 func TestTracedSpanEmissionRace(t *testing.T) {
 	resetTracing(t)
@@ -129,11 +124,25 @@ func TestTracedSpanEmissionRace(t *testing.T) {
 		}
 	}()
 
+	const producers = 4
+	errs := make(chan error, producers)
 	for i := 0; i < 3; i++ {
 		r.db.Retro().ResetCache()
-		if _, err := r.ParallelCollateData(`SELECT snap_id FROM SnapIds`,
-			`SELECT k, grp FROM m`, fmt.Sprintf("RaceOut_%d", i), 8); err != nil {
-			t.Fatal(err)
+		var runs sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			runs.Add(1)
+			go func() {
+				defer runs.Done()
+				_, err := r.CollateData(r.db.Conn(), `SELECT snap_id FROM SnapIds`,
+					`SELECT k, grp FROM m`, fmt.Sprintf("RaceOut_%d_%d", i, p))
+				errs <- err
+			}()
+		}
+		runs.Wait()
+		for p := 0; p < producers; p++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
 		}
 	}
 	close(done)

@@ -79,55 +79,37 @@ func assertChangedRangeRuns(t *testing.T, c *sql.Conn, label string, iters []Ite
 	}
 }
 
-// runMech drives kind's canonical invocation of qq (sequential or
-// parallel) into table.
-func runMech(t *testing.T, r *RQL, c *sql.Conn, kind mechKind, qs, qq, table string, parallel bool) *RunStats {
+// runMech drives kind's canonical invocation of qq into table.
+func runMech(t *testing.T, r *RQL, c *sql.Conn, kind mechKind, qs, qq, table string) *RunStats {
 	t.Helper()
-	return runFixture(t, r, c, mechFixture{kind: kind, qq: qq, extra: mechExtra[kind]}, qs, table, parallel)
+	return runFixture(t, r, c, mechFixture{kind: kind, qq: qq, extra: mechExtra[kind]}, qs, table)
 }
 
 // runFixture drives one mechanism through the Go-level API into table.
-func runFixture(t *testing.T, r *RQL, c *sql.Conn, fx mechFixture, qs, table string, parallel bool) *RunStats {
+func runFixture(t *testing.T, r *RQL, c *sql.Conn, fx mechFixture, qs, table string) *RunStats {
 	t.Helper()
 	var (
 		rs  *RunStats
 		err error
 	)
-	const workers = 4
 	switch fx.kind {
 	case mechCollate:
-		if parallel {
-			rs, err = r.ParallelCollateData(qs, fx.qq, table, workers)
-		} else {
-			rs, err = r.CollateData(c, qs, fx.qq, table)
-		}
+		rs, err = r.CollateData(c, qs, fx.qq, table)
 	case mechAggVar:
-		if parallel {
-			rs, err = r.ParallelAggregateDataInVariable(qs, fx.qq, table, fx.extra, workers)
-		} else {
-			rs, err = r.AggregateDataInVariable(c, qs, fx.qq, table, fx.extra)
-		}
+		rs, err = r.AggregateDataInVariable(c, qs, fx.qq, table, fx.extra)
 	case mechAggTable:
-		if parallel {
-			rs, err = r.ParallelAggregateDataInTable(qs, fx.qq, table, fx.extra, workers)
-		} else {
-			rs, err = r.AggregateDataInTable(c, qs, fx.qq, table, fx.extra)
-		}
+		rs, err = r.AggregateDataInTable(c, qs, fx.qq, table, fx.extra)
 	case mechIntervals:
-		if parallel {
-			rs, err = r.ParallelCollateDataIntoIntervals(qs, fx.qq, table, workers)
-		} else {
-			rs, err = r.CollateDataIntoIntervals(c, qs, fx.qq, table)
-		}
+		rs, err = r.CollateDataIntoIntervals(c, qs, fx.qq, table)
 	}
 	if err != nil {
-		t.Fatalf("%s (parallel=%v): %v", fx.kind, parallel, err)
+		t.Fatalf("%s: %v", fx.kind, err)
 	}
 	return rs
 }
 
-// Pruned ≡ unpruned: with delta pruning on, every mechanism — sequential
-// and parallel, over every Qs order — leaves the same T as with it off
+// Pruned ≡ unpruned: with delta pruning on, every mechanism, over every
+// Qs order, leaves the same T as with it off
 // (both are checked against the never-pruning UDF form), over randomized
 // refresh schedules — and actually prunes (the zero-write snapshots
 // guarantee empty deltas; a duplicated member is trivially prunable; the
@@ -152,38 +134,36 @@ func pruneEquivalence(t *testing.T, m mTable, seed int64, fixtures []mechFixture
 	for _, from := range qsOrders {
 		qs := "SELECT snap_id FROM " + from
 		for _, fx := range fixtures {
-			for _, parallel := range []bool{false, true} {
-				label := fmt.Sprintf("%s_%s_p%v_s%d", fx.tag(), from, parallel, seed)
-				onT, offT := "On_"+label, "Off_"+label
+			label := fmt.Sprintf("%s_%s_s%d", fx.tag(), from, seed)
+			onT, offT := "On_"+label, "Off_"+label
 
-				r.SetDeltaPrune(true)
-				prs := runFixture(t, r, c, fx, qs, onT, parallel)
-				r.SetDeltaPrune(false)
-				urs := runFixture(t, r, c, fx, qs, offT, parallel)
-				assertSameResult(t, c, fx, from, onT, offT)
+			r.SetDeltaPrune(true)
+			prs := runFixture(t, r, c, fx, qs, onT)
+			r.SetDeltaPrune(false)
+			urs := runFixture(t, r, c, fx, qs, offT)
+			assertSameResult(t, c, fx, from, onT, offT)
 
-				if prs.PrunedIterations == 0 {
-					t.Errorf("%s: pruned run skipped no iterations (reason=%q)", label, prs.PruneReason)
+			if prs.PrunedIterations == 0 {
+				t.Errorf("%s: pruned run skipped no iterations (reason=%q)", label, prs.PruneReason)
+			}
+			if from == "QsDup" && prs.PrunedIterations < members {
+				t.Errorf("%s: pruned %d iterations, want >= %d (every duplicate)", label, prs.PrunedIterations, members)
+			}
+			if prs.PruneReason != "" {
+				t.Errorf("%s: pruning unexpectedly disabled: %s", label, prs.PruneReason)
+			}
+			if urs.PrunedIterations != 0 || urs.PruneReason == "" {
+				t.Errorf("%s: unpruned run stats inconsistent: %+v", label, urs)
+			}
+			// Pruned iterations must be free of page I/O and carry
+			// replayed rows in QqRows.
+			for _, it := range prs.Iterations {
+				if it.Pruned && (it.PagelogReads != 0 || it.CacheHits != 0 || it.DBReads != 0 || it.MapScanned != 0) {
+					t.Errorf("%s: pruned iteration %d did page work: %+v", label, it.Snapshot, it)
 				}
-				if from == "QsDup" && !parallel && prs.PrunedIterations < members {
-					t.Errorf("%s: pruned %d iterations, want >= %d (every duplicate)", label, prs.PrunedIterations, members)
-				}
-				if prs.PruneReason != "" {
-					t.Errorf("%s: pruning unexpectedly disabled: %s", label, prs.PruneReason)
-				}
-				if urs.PrunedIterations != 0 || urs.PruneReason == "" {
-					t.Errorf("%s: unpruned run stats inconsistent: %+v", label, urs)
-				}
-				// Pruned iterations must be free of page I/O and carry
-				// replayed rows in QqRows.
-				for _, it := range prs.Iterations {
-					if it.Pruned && (it.PagelogReads != 0 || it.CacheHits != 0 || it.DBReads != 0 || it.MapScanned != 0) {
-						t.Errorf("%s: pruned iteration %d did page work: %+v", label, it.Snapshot, it)
-					}
-				}
-				if m == wideM && from == "SnapIds" && !parallel {
-					assertChangedRangeRuns(t, c, label, prs.Iterations)
-				}
+			}
+			if m == wideM && from == "SnapIds" {
+				assertChangedRangeRuns(t, c, label, prs.Iterations)
 			}
 		}
 	}
@@ -312,7 +292,7 @@ func runsAndViewsPruneAlike(t *testing.T, mt mTable, seed int64, fixtures []mech
 			b := <-subs[i].C
 			viewPruned[b.Snap] = b.Pruned
 		}
-		rs := runFixture(t, r, c, fx, `SELECT snap_id FROM SnapIds`, fmt.Sprintf("R%d", i), false)
+		rs := runFixture(t, r, c, fx, `SELECT snap_id FROM SnapIds`, fmt.Sprintf("R%d", i))
 		if len(rs.Iterations) != snapshots || len(viewPruned) != snapshots {
 			t.Fatalf("%s: run stepped %d snapshots, view %d, want %d each", fx.tag(), len(rs.Iterations), len(viewPruned), snapshots)
 		}

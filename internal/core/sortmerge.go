@@ -22,7 +22,7 @@ import (
 // Results are identical to AggregateDataInTable; only the cost profile
 // differs (the whole result table is rewritten every iteration).
 func (r *RQL) AggregateDataInTableSortMerge(conn *sql.Conn, qs, qq, table, pairs string) (*RunStats, error) {
-	return r.run(conn, mechCall{mechAggTable, qq, table, pairs, true}, qs, 0, func(ln *lane) {
+	return r.run(conn, mechCall{mechAggTable, qq, table, pairs, true}, qs, func(ln *lane) {
 		ln.run.Mechanism = "AggregateDataInTable (sort-merge)"
 		ln.fold.sm = &sortMerge{}
 		ln.fold.endIter = func(cost *IterationCost) error { return ln.fold.sm.rewrite(ln, cost) }
@@ -39,20 +39,20 @@ type sortMerge struct {
 type smEntry struct {
 	key []byte
 	row []record.Value
-	n   int64 // AVG observation count
+	n   int64 // AVG record count
 }
 
 // buffer keeps one record of the current iteration for rewrite.
-func (sm *sortMerge) buffer(f *fold, o observation) {
+func (sm *sortMerge) buffer(f *fold, row []record.Value) {
 	group := f.scratch[:0]
 	for _, gi := range f.m.groupIdx {
-		group = append(group, o.row[gi])
+		group = append(group, row[gi])
 	}
 	f.scratch = group
 	sm.batch = append(sm.batch, smEntry{
 		key: record.EncodeKey(nil, group),
-		row: append([]record.Value(nil), o.row...),
-		n:   o.n,
+		row: append([]record.Value(nil), row...),
+		n:   1,
 	})
 }
 
@@ -75,7 +75,7 @@ func (sm *sortMerge) rewrite(ln *lane, cost *IterationCost) error {
 			j++
 		default:
 			e := result[i]
-			e.n, _ = ln.m.combine(e.row, e.n, batch[j].row, batch[j].n)
+			e.n, _ = ln.m.combine(e.row, e.n, batch[j].row)
 			merged = append(merged, e)
 			cost.ResultUpdates++
 			i++

@@ -50,7 +50,7 @@ type Counter struct{ atomic.Uint64 }
 // Gauge is a point-in-time value; a negative value samples as zero.
 type Gauge struct{ atomic.Int64 }
 
-// Histogram counts observations into fixed buckets. Its bounds come
+// Histogram counts samples into fixed buckets. Its bounds come
 // from the declaring field's `buckets` tag: plain integers
 // ("1,2,4,8"), or durations ("100us,1ms,1s") for a histogram that
 // observes nanoseconds and is exposed in seconds.

@@ -218,11 +218,10 @@ func TestReplicaBootstrapTailAndRedirect(t *testing.T) {
 }
 
 // TestReplicatedRetrospectionIdentical is the property test: all four
-// mechanisms, sequential and parallel, with delta pruning on and off,
-// produce byte-identical result rows on primary and replica — and for
-// the deterministic sequential runs the per-iteration counter series
-// (the paper's fig. 6–13 inputs) match exactly, because the replica
-// rebuilt the same Pagelog/Maplog byte for byte.
+// mechanisms, with delta pruning on and off, produce byte-identical
+// result rows on primary and replica — and the per-iteration counter
+// series (the paper's fig. 6–13 inputs) match exactly, because the
+// replica rebuilt the same Pagelog/Maplog byte for byte.
 func TestReplicatedRetrospectionIdentical(t *testing.T) {
 	pdb, _, addr := startPrimary(t)
 	pc := pdb.Conn()
@@ -246,94 +245,68 @@ func TestReplicatedRetrospectionIdentical(t *testing.T) {
 	qs := `SELECT snap_id FROM SnapIds`
 	type mech struct {
 		kind string
-		qq   string
 		sel  string
-		run  func(db *rql.DB, c *rql.Conn, table string, parallel bool) (*rql.RunStats, error)
+		run  func(c *rql.Conn, table string) (*rql.RunStats, error)
 	}
 	mechs := []mech{
-		{"collate",
-			`SELECT k, grp, current_snapshot() AS sid FROM m`,
-			`SELECT k, grp, sid FROM %s`,
-			func(db *rql.DB, c *rql.Conn, table string, parallel bool) (*rql.RunStats, error) {
-				if parallel {
-					return db.ParallelCollateData(qs, `SELECT k, grp, current_snapshot() AS sid FROM m`, table, 4)
-				}
+		{"collate", `SELECT k, grp, sid FROM %s`,
+			func(c *rql.Conn, table string) (*rql.RunStats, error) {
 				return c.CollateData(qs, `SELECT k, grp, current_snapshot() AS sid FROM m`, table)
 			}},
-		{"aggvar",
-			`SELECT COUNT(*) FROM m`,
-			`SELECT * FROM %s`,
-			func(db *rql.DB, c *rql.Conn, table string, parallel bool) (*rql.RunStats, error) {
-				if parallel {
-					return db.ParallelAggregateDataInVariable(qs, `SELECT COUNT(*) FROM m`, table, "max", 4)
-				}
+		{"aggvar", `SELECT * FROM %s`,
+			func(c *rql.Conn, table string) (*rql.RunStats, error) {
 				return c.AggregateDataInVariable(qs, `SELECT COUNT(*) FROM m`, table, "max")
 			}},
-		{"aggtable",
-			`SELECT grp, COUNT(*) AS c, SUM(v) AS sv FROM m GROUP BY grp`,
-			`SELECT grp, c, sv FROM %s`,
-			func(db *rql.DB, c *rql.Conn, table string, parallel bool) (*rql.RunStats, error) {
-				if parallel {
-					return db.ParallelAggregateDataInTable(qs, `SELECT grp, COUNT(*) AS c, SUM(v) AS sv FROM m GROUP BY grp`, table, "(c,max):(sv,max)", 4)
-				}
+		{"aggtable", `SELECT grp, c, sv FROM %s`,
+			func(c *rql.Conn, table string) (*rql.RunStats, error) {
 				return c.AggregateDataInTable(qs, `SELECT grp, COUNT(*) AS c, SUM(v) AS sv FROM m GROUP BY grp`, table, "(c,max):(sv,max)")
 			}},
-		{"intervals",
-			`SELECT k FROM m`,
-			`SELECT k, start_snapshot, end_snapshot FROM %s`,
-			func(db *rql.DB, c *rql.Conn, table string, parallel bool) (*rql.RunStats, error) {
-				if parallel {
-					return db.ParallelCollateDataIntoIntervals(qs, `SELECT k FROM m`, table, 4)
-				}
+		{"intervals", `SELECT k, start_snapshot, end_snapshot FROM %s`,
+			func(c *rql.Conn, table string) (*rql.RunStats, error) {
 				return c.CollateDataIntoIntervals(qs, `SELECT k FROM m`, table)
 			}},
 	}
 
 	for _, mc := range mechs {
-		for _, parallel := range []bool{false, true} {
-			for _, pruneOn := range []bool{false, true} {
-				label := fmt.Sprintf("%s_p%v_prune%v", mc.kind, parallel, pruneOn)
-				table := "T_" + label
-				pdb.SetDeltaPrune(pruneOn)
-				rdb.SetDeltaPrune(pruneOn)
-				pdb.ResetSnapshotCache()
-				rdb.ResetSnapshotCache()
+		for _, pruneOn := range []bool{false, true} {
+			label := fmt.Sprintf("%s_prune%v", mc.kind, pruneOn)
+			table := "T_" + label
+			pdb.SetDeltaPrune(pruneOn)
+			rdb.SetDeltaPrune(pruneOn)
+			pdb.ResetSnapshotCache()
+			rdb.ResetSnapshotCache()
 
-				prs, err := mc.run(pdb, pc, table, parallel)
-				if err != nil {
-					t.Fatalf("%s on primary: %v", label, err)
-				}
-				rrs, err := mc.run(rdb, rc, table, parallel)
-				if err != nil {
-					t.Fatalf("%s on replica: %v", label, err)
-				}
+			prs, err := mc.run(pc, table)
+			if err != nil {
+				t.Fatalf("%s on primary: %v", label, err)
+			}
+			rrs, err := mc.run(rc, table)
+			if err != nil {
+				t.Fatalf("%s on replica: %v", label, err)
+			}
 
-				a := sortedRows(t, pc, fmt.Sprintf(mc.sel, table))
-				b := sortedRows(t, rc, fmt.Sprintf(mc.sel, table))
-				if strings.Join(a, ";") != strings.Join(b, ";") {
-					t.Fatalf("%s: replica rows differ\nprimary: %v\nreplica: %v", label, a, b)
-				}
-				if len(prs.Iterations) != len(rrs.Iterations) {
-					t.Fatalf("%s: iteration counts differ: %d vs %d",
-						label, len(prs.Iterations), len(rrs.Iterations))
-				}
-				if got, want := rrs.Total().PagelogReads, prs.Total().PagelogReads; got != want {
-					t.Errorf("%s: total pagelog reads differ: replica %d, primary %d", label, got, want)
-				}
-				if parallel {
-					continue // per-iteration attribution is scheduling-dependent
-				}
-				for i := range prs.Iterations {
-					pi, ri := prs.Iterations[i], rrs.Iterations[i]
-					if pi.Snapshot != ri.Snapshot || pi.PagelogReads != ri.PagelogReads ||
-						pi.CacheHits != ri.CacheHits || pi.DBReads != ri.DBReads ||
-						pi.MapScanned != ri.MapScanned || pi.QqRows != ri.QqRows ||
-						pi.Pruned != ri.Pruned {
-						t.Errorf("%s: iteration %d counters diverge:\nprimary: snap=%d reads=%d hits=%d db=%d map=%d rows=%d pruned=%v\nreplica: snap=%d reads=%d hits=%d db=%d map=%d rows=%d pruned=%v",
-							label, i,
-							pi.Snapshot, pi.PagelogReads, pi.CacheHits, pi.DBReads, pi.MapScanned, pi.QqRows, pi.Pruned,
-							ri.Snapshot, ri.PagelogReads, ri.CacheHits, ri.DBReads, ri.MapScanned, ri.QqRows, ri.Pruned)
-					}
+			a := sortedRows(t, pc, fmt.Sprintf(mc.sel, table))
+			b := sortedRows(t, rc, fmt.Sprintf(mc.sel, table))
+			if strings.Join(a, ";") != strings.Join(b, ";") {
+				t.Fatalf("%s: replica rows differ\nprimary: %v\nreplica: %v", label, a, b)
+			}
+			if len(prs.Iterations) != len(rrs.Iterations) {
+				t.Fatalf("%s: iteration counts differ: %d vs %d",
+					label, len(prs.Iterations), len(rrs.Iterations))
+			}
+			if got, want := rrs.Total().PagelogReads, prs.Total().PagelogReads; got != want {
+				t.Errorf("%s: total pagelog reads differ: replica %d, primary %d", label, got, want)
+			}
+			for i := range prs.Iterations {
+				pi, ri := prs.Iterations[i], rrs.Iterations[i]
+				if pi.Snapshot != ri.Snapshot || pi.PagelogReads != ri.PagelogReads ||
+					pi.CacheHits != ri.CacheHits || pi.DBReads != ri.DBReads ||
+					pi.MapScanned != ri.MapScanned || pi.QqRows != ri.QqRows ||
+					pi.Pruned != ri.Pruned {
+					t.Errorf("%s: iteration %d counters diverge:\nprimary: snap=%d reads=%d hits=%d db=%d map=%d rows=%d pruned=%v\nreplica: snap=%d reads=%d hits=%d db=%d map=%d rows=%d pruned=%v",
+						label, i,
+						pi.Snapshot, pi.PagelogReads, pi.CacheHits, pi.DBReads, pi.MapScanned, pi.QqRows, pi.Pruned,
+						ri.Snapshot, ri.PagelogReads, ri.CacheHits, ri.DBReads, ri.MapScanned, ri.QqRows, ri.Pruned)
 				}
 			}
 		}

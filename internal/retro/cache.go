@@ -14,7 +14,7 @@ import (
 // Pagelog once. This is the page-sharing behaviour the paper's §5.1
 // experiments measure.
 //
-// The cache is sharded by offset so parallel mechanism workers don't
+// The cache is sharded by offset so concurrent sessions' readers don't
 // serialize on one mutex; each shard is an independent LRU over its
 // slice of the capacity. Small capacities collapse to a single shard,
 // keeping globally-strict LRU semantics where eviction order is

@@ -467,7 +467,7 @@ func (s *System) pinAndBuild(ids []SnapshotID) (*storage.ReadTx, []*SPT, Counter
 // segment tables with each other and with every other open.
 //
 // The set is immutable after construction and safe for concurrent use:
-// parallel workers may Open readers on different (or the same) members
+// concurrent sessions may Open readers on different (or the same) members
 // simultaneously. Close releases the pinned read transaction; readers
 // opened from the set must be closed first (they do not pin their own).
 type SnapshotSet struct {
@@ -673,8 +673,8 @@ func (r *SnapshotReader) Get(id storage.PageID) (*storage.PageData, error) {
 // read, inline on the calling goroutine. Concurrent misses of the same
 // offset coalesce into that single read: the first caller performs it
 // and installs the page, later callers block on its completion and
-// share the result. Without this, parallel mechanism workers missing
-// together would double-bill (and double-fetch) shared pages, making
+// share the result. Without this, concurrent sessions missing together
+// would double-bill (and double-fetch) shared pages, making
 // PagelogReads nondeterministic.
 //
 // filled reports how the caller must bill the read: true — it issued

@@ -14,8 +14,7 @@ import (
 // a registered scalar function — fails alone. Its client gets an error
 // and its open transaction rolls back with the session; every other
 // session keeps reading and writing; the panic is counted; and the same
-// function under a parallel mechanism's worker lanes fails the run, not
-// the process.
+// function under a mechanism's Qq fails that request's session alone.
 func TestPanickingRequestIsContained(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	srv.DB().RegisterFunc(rql.FuncDef{Name: "boom", MinArgs: 1, MaxArgs: 1,
@@ -65,11 +64,17 @@ func TestPanickingRequestIsContained(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = srv.DB().ParallelCollateData(`SELECT snap_id FROM SnapIds`, `SELECT boom(k) FROM t`, "R", 2)
-	if err == nil || !strings.Contains(err.Error(), "boom called") {
-		t.Errorf("parallel mechanism over a panicking Qq returned %v, want the lane's panic as an error", err)
+	c := dial(t, addr)
+	_, err = c.CollateData(`SELECT snap_id FROM SnapIds`, `SELECT boom(k) FROM t`, "R")
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "boom called") {
+		t.Fatalf("mechanism over a panicking Qq returned %v, want a RemoteError naming the panic", err)
 	}
 	if err := b.Ping(); err != nil {
-		t.Errorf("session after the failed parallel run: %v", err)
+		t.Errorf("session after the failed mechanism run: %v", err)
+	}
+	rec = httptest.NewRecorder()
+	srv.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if body := rec.Body.String(); !strings.Contains(body, "rql_panics_total 2\n") {
+		t.Errorf("/metrics does not count the second panic:\n%s", body)
 	}
 }

@@ -173,25 +173,25 @@ func TestStress32Sessions(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Phase 2: an 8-worker parallel mechanism over the full snapshot
-	// set. All workers share one snapshot set and the sharded page
-	// cache; every collated row is checked against the same shadow
-	// model the interactive readers used. The reset drops the segment
-	// tables the interactive readers built, so the set's open hashes.
+	// Phase 2: a mechanism over the full snapshot set, opened as one
+	// snapshot set; every collated row is checked against the same
+	// shadow model the interactive readers used. The reset drops the
+	// segment tables the interactive readers built, so the set's open
+	// hashes.
 	db.ResetSnapshotCache()
-	run, err := db.ParallelCollateData(
+	run, err := wconn.CollateData(
 		`SELECT snap_id FROM SnapIds`,
 		`SELECT COUNT(*) AS c, MIN(o_orderkey) AS mn, MAX(o_orderkey) AS mx,
 			current_snapshot() AS sid FROM orders`,
-		"StressCollate", 8)
+		"StressCollate")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.BatchBuilds != 1 || run.BatchMapScanned == 0 {
-		t.Errorf("parallel run did not open one snapshot set: %+v", run)
+		t.Errorf("the run did not open one snapshot set: %+v", run)
 	}
 	if len(run.Iterations) != steps+1 {
-		t.Errorf("parallel run covered %d snapshots, want %d", len(run.Iterations), steps+1)
+		t.Errorf("the run covered %d snapshots, want %d", len(run.Iterations), steps+1)
 	}
 	rows, err := wconn.Query(`SELECT sid, c, mn, mx FROM StressCollate`)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestStress32Sessions(t *testing.T) {
 		}
 	}
 	if rs := db.RetroStats(); rs.SPTBatchBuilds == 0 || rs.BatchSnapshots < uint64(steps+1) {
-		t.Errorf("retro batch counters after parallel run: %+v", rs)
+		t.Errorf("retro batch counters after the run: %+v", rs)
 	}
 
 	srv.Shutdown()

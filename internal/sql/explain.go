@@ -21,7 +21,7 @@ import (
 // measured profile: the statement's cost record and, when the SELECT
 // drove a retrospective mechanism, the run's report — one line per
 // iteration with the Figures 8–13 cost breakdown. Execution is
-// observation-only: side effects, counters and LastStats are identical
+// watch-only: side effects, counters and LastStats are identical
 // to running the statement plainly; only the rows streamed to the
 // client differ.
 

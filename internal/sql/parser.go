@@ -26,7 +26,7 @@ func ParseAll(src string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	p := &parser{toks: toks}
 	var stmts []Statement
 	for {
 		for p.acceptSym(";") {
@@ -52,7 +52,6 @@ func ParseAll(src string) ([]Statement, error) {
 type parser struct {
 	toks   []token
 	pos    int
-	src    string
 	params int
 }
 

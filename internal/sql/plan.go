@@ -77,8 +77,8 @@ func (p *selectPlan) snapshotOf(c *Conn, s *SelectStmt, asOf retro.SnapshotID, p
 // statements, keeps at most stmtCacheCap texts (the oldest goes first),
 // and its plans, which live as long as the connection, shed their
 // data-sized state after each run (execCtx.shed). A ReaderSet's pool
-// lives for one mechanism run and is shared by that run's parallel
-// workers.
+// lives for one mechanism run and is shared by the concurrent readers
+// of that set.
 type planPool struct {
 	mu    sync.Mutex
 	texts map[string]*pooledText

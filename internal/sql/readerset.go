@@ -19,8 +19,8 @@ type PageSet = map[storage.PageID]struct{}
 // of the RQL mechanisms' snapshot-set loop.
 //
 // A ReaderSet's snapshots are immutable after construction, and it is
-// safe for concurrent use from multiple connections (parallel mechanism
-// workers share one). It also keeps the plans of the statement texts run
+// safe for concurrent use from multiple connections (concurrent readers
+// may share one). It also keeps the plans of the statement texts run
 // against it (ExecAsOfSet, ColumnsSet), so a text is planned once per
 // set — once more for each connection running it at the same time — and
 // its plans keep their per-run state (aggregate groups, sorted rows) from

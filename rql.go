@@ -225,30 +225,6 @@ func (db *DB) LastRun() *RunStats { return db.rql.LastRun() }
 // output instead.
 func (db *DB) SetDeltaPrune(on bool) { db.rql.SetDeltaPrune(on) }
 
-// ParallelCollateData is CollateData with the snapshot iterations
-// spread over worker goroutines sharing one snapshot set.
-func (db *DB) ParallelCollateData(qs, qq, table string, workers int) (*RunStats, error) {
-	return db.rql.ParallelCollateData(qs, qq, table, workers)
-}
-
-// ParallelAggregateDataInVariable is AggregateDataInVariable across
-// worker goroutines.
-func (db *DB) ParallelAggregateDataInVariable(qs, qq, table, aggFunc string, workers int) (*RunStats, error) {
-	return db.rql.ParallelAggregateDataInVariable(qs, qq, table, aggFunc, workers)
-}
-
-// ParallelAggregateDataInTable is AggregateDataInTable across worker
-// goroutines.
-func (db *DB) ParallelAggregateDataInTable(qs, qq, table, pairs string, workers int) (*RunStats, error) {
-	return db.rql.ParallelAggregateDataInTable(qs, qq, table, pairs, workers)
-}
-
-// ParallelCollateDataIntoIntervals is CollateDataIntoIntervals across
-// worker goroutines.
-func (db *DB) ParallelCollateDataIntoIntervals(qs, qq, table string, workers int) (*RunStats, error) {
-	return db.rql.ParallelCollateDataIntoIntervals(qs, qq, table, workers)
-}
-
 // ResetSnapshotCache empties the snapshot page cache and drops the
 // shared Maplog segment tables (produces the paper's "cold" starting
 // condition for measurements).

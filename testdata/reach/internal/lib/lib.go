@@ -36,4 +36,15 @@ func fromVar() int { return 2 }
 
 func init() { fromInit() }
 
-func fromInit() {}
+// tally is reached from fromInit, which reads read and only writes
+// written.
+type tally struct {
+	read    int
+	written int
+}
+
+func fromInit() {
+	t := tally{read: 1}
+	t.written = t.read
+	t.written++
+}

@@ -19,9 +19,11 @@ import (
 // method, type, const and var under internal/ to a caller outside the
 // tests: a declaration that only tests reach belongs in a _test.go file
 // of its package, or in reachAllowlist when tests of another package
-// need it. See unreachable for the roots. Struct fields are not
-// checked: obs.Fill fills the metric structs by reflection, so a field
-// no identifier names can still be read.
+// need it. See unreachable for the roots. The unexported fields of a
+// reached struct type are held to a non-test read: a field that is
+// only ever written is dead state. Exported fields are not checked:
+// obs.Fill and the cost codecs read them by reflection, so a field no
+// identifier names can still be read.
 func TestEveryInternalDeclarationHasANonTestCaller(t *testing.T) {
 	got, err := unreachable(".", []string{"", "client"})
 	if err != nil {
@@ -44,6 +46,7 @@ func TestReachabilityFixture(t *testing.T) {
 		"internal/lib.Dead (internal/lib/lib.go:8, 2 lines)",
 		"internal/lib.TestOnly (internal/lib/lib.go:14, 2 lines)",
 		"internal/lib.helper (internal/lib/lib.go:11, 2 lines)",
+		"internal/lib.tally.written (internal/lib/lib.go:43, 1 lines)",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -59,6 +62,7 @@ func TestReachabilityFixture(t *testing.T) {
 		"allowlist entry is reachable or missing: internal/lib.Live",
 		"no non-test caller: " + want[1],
 		"no non-test caller: " + want[2],
+		"no non-test caller: " + want[3],
 	}
 	if p := allowlistProblems(got, allow); strings.Join(p, "\n") != strings.Join(wantProblems, "\n") {
 		t.Fatalf("allowlist problems:\n%s\nwant:\n%s", strings.Join(p, "\n"), strings.Join(wantProblems, "\n"))
@@ -78,6 +82,8 @@ var reachAllowlist = map[string]string{
 	"internal/obs.ResetSlowLog":            "core and server tests empty the process-wide slow log between cases",
 	"internal/repl.Replica.WaitForHorizon": "server's replication stress test waits for a replica to catch up",
 	"internal/sql.DB.SideStore":            "core's side-store tests drive the side store under a sql.DB",
+	"internal/retro.blockKey.segBase":      "read by map-key equality in the segment block cache",
+	"internal/retro.blockKey.block":        "read by map-key equality in the segment block cache",
 }
 
 // allowlistProblems reports every finding the allowlist does not name
@@ -119,7 +125,10 @@ var stdlibMethods = map[string]bool{
 // package-level var initialiser, every exported name of the public
 // packages (paths relative to the module, "" for its root), and every
 // method named like a method of an interface the module declares or
-// of stdlibMethods.
+// of stdlibMethods. It also returns, as "pkg.Type.field (...)", the
+// unexported fields of reached package-level struct types that no
+// non-test selector reads; a selector is a read unless it is the left
+// side of an assignment or the operand of ++ or --.
 func unreachable(dir string, public []string) ([]string, error) {
 	mod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
@@ -214,6 +223,12 @@ func unreachable(dir string, public []string) ([]string, error) {
 		start token.Pos // doc comment included
 	}
 	decls := map[types.Object]*decl{}
+	type field struct {
+		owner types.Object // the struct type
+		name  string
+		id    *ast.Ident
+	}
+	var fields []field
 	var roots []types.Object
 	ifaceMethods := map[string]bool{}
 	publicPath := map[string]bool{}
@@ -258,6 +273,15 @@ func unreachable(dir string, public []string) ([]string, error) {
 								start = s.Doc.Pos()
 							}
 							o := add(s.Name, s.Name.Name, s, start)
+							if st, ok := s.Type.(*ast.StructType); ok {
+								for _, fl := range st.Fields.List {
+									for _, id := range fl.Names {
+										if !id.IsExported() && id.Name != "_" {
+											fields = append(fields, field{o, rel + "." + s.Name.Name + "." + id.Name, id})
+										}
+									}
+								}
+							}
 							if it, ok := o.Type().Underlying().(*types.Interface); ok {
 								for i := 0; i < it.NumMethods(); i++ {
 									ifaceMethods[it.Method(i).Name()] = true
@@ -305,7 +329,43 @@ func unreachable(dir string, public []string) ([]string, error) {
 		})
 	}
 
+	// Field reads: every selector of the module's non-test code that is
+	// not written to.
+	written := map[*ast.SelectorExpr]bool{}
+	read := map[types.Object]bool{}
+	for _, fs := range files {
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						if sel, ok := l.(*ast.SelectorExpr); ok {
+							written[sel] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok {
+						written[sel] = true
+					}
+				case *ast.SelectorExpr:
+					if !written[n] {
+						read[origin(info.Uses[n.Sel])] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
 	var out []string
+	for _, fl := range fields {
+		if !reached[fl.owner] || read[info.Defs[fl.id]] || !strings.HasPrefix(fl.name, "internal/") {
+			continue
+		}
+		pos := fset.Position(fl.id.Pos())
+		file, _ := filepath.Rel(dir, pos.Filename)
+		out = append(out, fmt.Sprintf("%s (%s:%d, 1 lines)", fl.name, filepath.ToSlash(file), pos.Line))
+	}
 	for o, d := range decls {
 		if reached[o] || !strings.HasPrefix(d.name, "internal/") || strings.HasSuffix(d.name, "._") {
 			continue
