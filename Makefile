@@ -209,6 +209,9 @@ fig-check:
 # per set member, and its point_setless case those of one set-less AS OF
 # point read on the plan its connection keeps; retro's
 # BenchmarkOpenSnapshot times a warm open of an old and of a recent
-# snapshot over the shared segment tables.
+# snapshot over the shared segment tables; sql's BenchmarkTableWriterFold
+# gives ns and allocations per folded result-table tuple, for the
+# aggtable shape (lookup + same-key update) and the intervals shape
+# (lookup + index-key move).
 microbench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' ./...

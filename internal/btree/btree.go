@@ -170,25 +170,10 @@ func (t *Tree) Insert(key, value []byte) error {
 		}
 		leaf.removeCell(idx)
 	}
-	if t.cellFits(leaf, size) {
+	if leaf.fits(size, 0) {
 		return leaf.insertLeafCell(idx, key, value)
 	}
 	return t.splitAndInsert(path, leaf, idx, encodeLeafCell(key, value), key)
-}
-
-// cellFits reports whether a size-byte cell can be stored in n, counting
-// space a defragment would reclaim.
-func (t *Tree) cellFits(n node, size int) bool {
-	need := size + 2
-	if n.freeSpace() >= need {
-		return true
-	}
-	used, err := n.usedContent()
-	if err != nil {
-		return false
-	}
-	total := storage.PageSize - offCellPtr0 - 2*n.numCells() - used
-	return total >= need
 }
 
 // splitAndInsert splits the overfull node and inserts raw at idx,
@@ -285,7 +270,7 @@ func (t *Tree) splitAndInsert(path []pathElem, n node, idx int, raw []byte, key 
 	if toRight {
 		target, tidx = right, idx-splitAt
 	}
-	if !t.cellFits(target, len(raw)) {
+	if !target.fits(len(raw), 0) {
 		// Both halves are sized to hold at least one max-size cell, so
 		// this indicates corruption rather than a full page.
 		return fmt.Errorf("%w: cell does not fit after split", ErrCorrupt)
@@ -393,7 +378,7 @@ func (t *Tree) insertRouting(path []pathElem, key []byte, child storage.PageID, 
 		}
 	}
 	raw := encodeInteriorCell(key, child)
-	if t.cellFits(parent, len(raw)) {
+	if parent.fits(len(raw), 0) {
 		return parent.insertCellRaw(idx, raw)
 	}
 	// Split the interior parent, then retry the routing insert into the
@@ -491,15 +476,15 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	return true, nil
 }
 
-// ReplaceKey moves the entry stored under old to new, keeping its value,
-// and reports whether old was present. When new has old's length and
-// still sorts strictly between the entry's neighbours — the adjacent
-// cells of its leaf or, for a leaf's first and last cell, the routing
-// keys that bound the leaf — the key bytes are overwritten in place: no
-// cell moves, nothing is defragmented, the free space is untouched. Any
-// other rewrite is a Delete followed by an Insert. An entry already
-// stored under new is replaced.
-func (t *Tree) ReplaceKey(old, new []byte) (bool, error) {
+// replaceKey moves the entry stored under old to new, keeping its value,
+// and reports whether old was present: Cursor.ReplaceKey's rewrite when
+// the cursor's leaf alone cannot vouch for the new key's place. When new
+// has old's length and still sorts strictly between the entry's
+// neighbours — the adjacent cells of its leaf or, for a leaf's first and
+// last cell, the routing keys that bound the leaf — the key bytes are
+// overwritten in place. Any other rewrite is a Delete followed by an
+// Insert. An entry already stored under new is replaced.
+func (t *Tree) replaceKey(old, new []byte) (bool, error) {
 	var pathBuf [pathDepth]pathElem
 	path, err := t.descendPath(old, pathBuf[:0])
 	if err != nil {
@@ -673,36 +658,4 @@ func (t *Tree) dropFrom(id storage.PageID) error {
 		}
 	}
 	return t.pager.Free(id)
-}
-
-// MaxKey appends the largest key in the tree to dst[:0] and returns it
-// (nil when the tree is empty), so a caller that passes a buffer of its
-// own finds it without allocating. Used by the SQL layer for rowid
-// assignment.
-func (t *Tree) MaxKey(dst []byte) ([]byte, error) {
-	id := t.root
-	for {
-		n, err := t.page(id)
-		if err != nil {
-			return nil, err
-		}
-		if n.numCells() == 0 {
-			return nil, nil
-		}
-		if n.isLeaf() {
-			k, err := n.cellKey(n.numCells() - 1)
-			if err != nil {
-				return nil, err
-			}
-			if dst == nil {
-				dst = []byte{} // an empty key is still a key
-			}
-			return append(dst[:0], k...), nil
-		}
-		_, child, err := n.interiorCell(n.numCells() - 1)
-		if err != nil {
-			return nil, err
-		}
-		id = child
-	}
 }

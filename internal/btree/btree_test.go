@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -44,8 +45,8 @@ func TestEmptyTree(t *testing.T) {
 	if ok, err := c.Seek(k("a")); err != nil || ok {
 		t.Errorf("Seek on empty: %v %v", ok, err)
 	}
-	if mk, err := tr.MaxKey(nil); err != nil || mk != nil {
-		t.Errorf("MaxKey on empty: %v %v", mk, err)
+	if ok, err := c.Last(); err != nil || ok {
+		t.Errorf("Last on empty: %v %v", ok, err)
 	}
 	if n, err := tr.Count(); err != nil || n != 0 {
 		t.Errorf("Count on empty: %d %v", n, err)
@@ -167,9 +168,8 @@ func TestSequentialInsertScan(t *testing.T) {
 			t.Errorf("Get(%d): %q %v %v", probe, v, found, err)
 		}
 	}
-	mk, _ := tr.MaxKey(nil)
-	if !bytes.Equal(mk, ikey(n-1)) {
-		t.Errorf("MaxKey: %x", mk)
+	if ok, err := c.Last(); err != nil || !ok || !bytes.Equal(c.Key(), ikey(n-1)) {
+		t.Errorf("Last: %x %v %v", c.Key(), ok, err)
 	}
 }
 
@@ -400,9 +400,34 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		last = key
 		return key
 	}
-	var inPlace, moved, reopens int
+	// near looks key and its neighbours up through the held cursor and
+	// through a fresh handle, against the model.
+	near := func(step int, key string) {
+		t.Helper()
+		for _, k := range []string{key, key + "a", key[:len(key)-1]} {
+			v, found, err := held.Find([]byte(k))
+			fv, ffound, ferr := fresh().Get([]byte(k))
+			if err != nil || ferr != nil {
+				t.Fatal(err, ferr)
+			}
+			want, inModel := model[k]
+			if found != inModel || ffound != inModel || (found && (string(v) != want || string(fv) != want)) {
+				t.Fatalf("step %d: after a cursor write, held Find(%q) = %q,%v; fresh Get %q,%v; model %q,%v", step, k, v, found, fv, ffound, want, inModel)
+			}
+			fc := fresh().Cursor()
+			ok, err := held.Seek([]byte(k))
+			fok, ferr := fc.Seek([]byte(k))
+			if err != nil || ferr != nil {
+				t.Fatal(err, ferr)
+			}
+			if ok != fok || !bytes.Equal(held.Key(), fc.Key()) {
+				t.Fatalf("step %d: after a cursor write, held Seek(%q) at %q,%v; fresh cursor at %q,%v", step, k, held.Key(), ok, fc.Key(), fok)
+			}
+		}
+	}
+	var inPlace, moved, reopens, cursorPuts, splitPuts int
 	for step := 0; step < 30000; step++ {
-		switch r.Intn(14) {
+		switch r.Intn(17) {
 		case 0, 1, 2, 3, 4, 5: // insert/replace
 			key := randKey()
 			val := randKey()
@@ -410,6 +435,9 @@ func TestRandomizedAgainstModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			model[key] = val
+			if held.current() {
+				t.Fatalf("step %d: Insert(%q) through a handle kept the held cursor's leaf", step, key)
+			}
 		case 6, 7: // delete (sometimes absent)
 			key := anyKey()
 			_, inModel := model[key]
@@ -421,6 +449,9 @@ func TestRandomizedAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: Delete(%q) found=%v model=%v", step, key, found, inModel)
 			}
 			delete(model, key)
+			if found && held.current() {
+				t.Fatalf("step %d: Delete(%q) through a handle kept the held cursor's leaf", step, key)
+			}
 		case 8: // point lookup
 			key := anyKey()
 			v, found, err := tr.Get([]byte(key))
@@ -431,17 +462,20 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if found != inModel || (found && string(v) != want) {
 				t.Fatalf("step %d: Get(%q) = %q,%v; model %q,%v", step, key, v, found, want, inModel)
 			}
-		case 9: // rewrite a key, keeping its value (sometimes absent)
+		case 9: // rewrite a key through the held cursor, keeping its value (sometimes absent)
 			old := anyKey()
 			key := mutate(old)
 			before := cellOf(t, tr, []byte(old))
-			found, err := tr.ReplaceKey([]byte(old), []byte(key))
+			_, found, err := held.Find([]byte(old))
+			if err == nil && found {
+				err = held.ReplaceKey([]byte(key))
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			v, inModel := model[old]
 			if found != inModel {
-				t.Fatalf("step %d: ReplaceKey(%q, %q) found=%v model=%v", step, old, key, found, inModel)
+				t.Fatalf("step %d: Find(%q) before ReplaceKey(%q) found=%v model=%v", step, old, key, found, inModel)
 			}
 			if inModel {
 				delete(model, old)
@@ -457,6 +491,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("step %d: ReplaceKey(%q, %q): %v", step, old, key, err)
 			}
+			near(step, key)
 		case 10: // occasional full validation
 			if step%997 == 0 {
 				validateAgainstModel(t, tr, model)
@@ -514,6 +549,51 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 			tr.Reopen(sides[cur].tx, sides[cur].root)
 			reopens++
+		case 14: // put through the held cursor: in the leaf, or a split
+			key := heldKey()
+			val := randKey()
+			if r.Intn(8) == 0 {
+				val = strings.Repeat(val, 30) // up to 1.2 KiB: splits
+			}
+			writes := sides[cur].tx.Writes()
+			if err := held.Put([]byte(key), []byte(val)); err != nil {
+				t.Fatal(err)
+			}
+			model[key] = val
+			cursorPuts++
+			if n := sides[cur].tx.Writes() - writes; n > 1 {
+				splitPuts++
+				if held.current() {
+					t.Fatalf("step %d: Put(%q) made %d pager writes and kept the leaf", step, key, n)
+				}
+			} else if !held.current() || !held.Valid() || string(held.Key()) != key {
+				t.Fatalf("step %d: in-leaf Put(%q) left the cursor valid=%v current=%v at %q", step, key, held.Valid(), held.current(), held.Key())
+			}
+			near(step, key)
+		case 15: // delete through the held cursor
+			key := heldKey()
+			_, inModel := model[key]
+			found, err := held.Delete([]byte(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found != inModel {
+				t.Fatalf("step %d: cursor Delete(%q) found=%v model=%v", step, key, found, inModel)
+			}
+			delete(model, key)
+			near(step, key)
+		case 16: // the last key, through the held cursor
+			ok, err := held.Last()
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxKey := ""
+			for mk := range model {
+				maxKey = max(maxKey, mk)
+			}
+			if ok != (len(model) > 0) || string(held.Key()) != maxKey {
+				t.Fatalf("step %d: Last = %q,%v; model's last %q of %d", step, held.Key(), ok, maxKey, len(model))
+			}
 		}
 	}
 	for cur = range sides {
@@ -528,6 +608,9 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	}
 	if reopens < 100 {
 		t.Errorf("%d reopens; the walk does not switch stores", reopens)
+	}
+	if splitPuts < 20 || cursorPuts-splitPuts < 100 {
+		t.Errorf("cursor puts: %d in the leaf, %d split; the walk does not cover both", cursorPuts-splitPuts, splitPuts)
 	}
 }
 

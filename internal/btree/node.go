@@ -191,6 +191,24 @@ func (n node) freeSpace() int {
 	return n.contentPtr() - (offCellPtr0 + 2*n.numCells())
 }
 
+// fits reports whether a size-byte cell can be stored in n in place of
+// a cell of replaced bytes (0: in addition to n's cells), counting space
+// a defragment would reclaim.
+func (n node) fits(size, replaced int) bool {
+	need, ptrs := size+2, n.numCells()
+	if replaced > 0 {
+		ptrs--
+	}
+	if n.contentPtr()-(offCellPtr0+2*ptrs) >= need {
+		return true
+	}
+	used, err := n.usedContent()
+	if err != nil {
+		return false
+	}
+	return storage.PageSize-offCellPtr0-2*ptrs-(used-replaced) >= need
+}
+
 // usedContent sums the sizes of all live cells.
 func (n node) usedContent() (int, error) {
 	total := 0

@@ -110,7 +110,7 @@ func fullLeaf(t testing.TB, tr *Tree, valLen int) (keys [][]byte) {
 			t.Fatal(err)
 		}
 		key := []byte(fmt.Sprintf("k%04d", i))
-		if !tr.cellFits(root, leafCellSize(key, val)) {
+		if !root.fits(leafCellSize(key, val), 0) {
 			return keys
 		}
 		if err := tr.Insert(key, val); err != nil {
@@ -199,9 +199,13 @@ func testReplaceKeyInFullLeaf(t *testing.T) {
 	replace := func(old, key string, wantInPlace bool) {
 		t.Helper()
 		before := cellOf(t, tr, []byte(old))
-		found, err := tr.ReplaceKey([]byte(old), []byte(key))
+		c := tr.Cursor()
+		_, found, err := c.Find([]byte(old))
+		if err == nil && found {
+			err = c.ReplaceKey([]byte(key))
+		}
 		if err != nil || !found {
-			t.Fatalf("ReplaceKey(%q, %q) = %v, %v", old, key, found, err)
+			t.Fatalf("ReplaceKey(%q, %q): found %v, %v", old, key, found, err)
 		}
 		if inPlace := cellOf(t, tr, []byte(key)) == before; inPlace != wantInPlace {
 			t.Errorf("ReplaceKey(%q, %q): in place = %v, want %v", old, key, inPlace, wantInPlace)

@@ -670,6 +670,72 @@ func TestSortMergeAvg(t *testing.T) {
 	}
 }
 
+// TestAggTableFoldsRepeatedGroups: when a member's Qq output returns a
+// group on several rows, every one of those records folds into the
+// group's one row of T, AVG's count included — in the index-based fold,
+// whose first iteration has no index to find its own earlier rows by,
+// and in the sort-merge variant, whose batch holds the group twice. On
+// Qq output whose groups are unique, the counts of searches, inserts
+// and updates are those of one insert per group and then one search per
+// record.
+func TestAggTableFoldsRepeatedGroups(t *testing.T) {
+	db, err := sql.Open(sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r, c := Attach(db), db.Conn()
+	mustExec(t, c, `CREATE TABLE t (g TEXT, v INTEGER)`)
+	for day, rows := range []string{`('a', 1), ('a', 3), ('b', 2)`, `('a', 5)`, `('a', 7)`} {
+		mustExec(t, c, `INSERT INTO t VALUES `+rows)
+		if _, err := DeclareSnapshot(c, time.Date(2026, 7, 5+day, 0, 0, 0, 0, time.UTC), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a's records: 1 3 | 1 3 5 | 1 3 5 7, sum 29 over 9; b's: 2 | 2 | 2.
+	const qq = `SELECT g, v, v AS av FROM t`
+	for _, form := range []struct {
+		name string
+		run  func(qq, table, pairs string) (*RunStats, error)
+	}{
+		{"index", func(qq, table, pairs string) (*RunStats, error) {
+			return r.AggregateDataInTable(c, `SELECT snap_id FROM SnapIds`, qq, table, pairs)
+		}},
+		{"sortmerge", func(qq, table, pairs string) (*RunStats, error) {
+			return r.AggregateDataInTableSortMerge(c, `SELECT snap_id FROM SnapIds`, qq, table, pairs)
+		}},
+	} {
+		t.Run(form.name, func(t *testing.T) {
+			if _, err := form.run(qq, "R_"+form.name, "(v,sum):(av,avg)"); err != nil {
+				t.Fatal(err)
+			}
+			got := queryRows(t, c, `SELECT g, v, av FROM R_`+form.name+` ORDER BY g`)
+			want := []string{"a|29|" + record.Float(29.0/9).String(), "b|6|" + record.Float(2).String()}
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Errorf("T = %v, want %v", got, want)
+			}
+
+			stats, err := form.run(`SELECT g, SUM(v) AS s FROM t GROUP BY g`, "U_"+form.name, "(s,max)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, it := range stats.Iterations {
+				wantSearch, wantInserts, wantUpdates := 2, 0, 1 // a's sum grows, b's does not
+				switch {
+				case i == 0:
+					wantSearch, wantInserts, wantUpdates = 0, 2, 0
+				case form.name == "sortmerge":
+					wantSearch, wantUpdates = 0, 2 // a merge counts every match
+				}
+				if it.ResultSearch != wantSearch || it.ResultInserts != wantInserts || it.ResultUpdates != wantUpdates {
+					t.Errorf("iteration %d: %d searches, %d inserts, %d updates; want %d, %d, %d", i,
+						it.ResultSearch, it.ResultInserts, it.ResultUpdates, wantSearch, wantInserts, wantUpdates)
+				}
+			}
+		})
+	}
+}
+
 // TestSumMonoidPromotesOnOverflow: combining integer partial sums or
 // counts whose total does not fit in 64 bits gives REAL, not a wrapped
 // integer — in the monoid and in AggregateDataInVariable's result.

@@ -53,6 +53,9 @@ func (s *tableStore) lookup(key []record.Value) (int64, []record.Value, bool, er
 	return s.w.LookupByIndex(s.index, key)
 }
 
+// fetch returns row id, in the buffer lookup returns rows in.
+func (s *tableStore) fetch(id int64) ([]record.Value, bool, error) { return s.w.Fetch(id) }
+
 func (s *tableStore) insert(row []record.Value) (int64, error) { return s.w.Insert(row) }
 
 func (s *tableStore) update(id int64, old, new []record.Value) error {
@@ -76,6 +79,12 @@ type fold struct {
 	// AggregateDataInTable: records folded into each row's AVG columns,
 	// by row id (the paper's auxiliary count).
 	counts map[int64]int64
+	// AggregateDataInTable's first iteration, before T has its index:
+	// the row id of each group it inserted, by encoded group key, so a
+	// group the member returns again folds into its row. Nil at every
+	// iteration's start, so a view's laneMark need not copy it.
+	firstRows map[string]int64
+	groupKey  []byte
 
 	// endIter, when non-nil, runs after the last record of every
 	// iteration: the table-backed lane builds T's index in it, the
@@ -124,20 +133,26 @@ func (f *fold) record(snap uint64, row []record.Value, cost *IterationCost) erro
 			f.sm.buffer(f, row)
 			return nil
 		}
+		group := f.scratch[:0]
+		for _, gi := range m.groupIdx {
+			group = append(group, row[gi])
+		}
+		f.scratch = group
 		found := false
 		var id int64
 		var existing []record.Value
-		if f.iterations > 0 { // the first iteration inserts Qq's output wholesale
-			group := f.scratch[:0]
-			for _, gi := range m.groupIdx {
-				group = append(group, row[gi])
-			}
-			f.scratch = group
+		var err error
+		if f.iterations > 0 {
 			cost.ResultSearch++
-			var err error
-			if id, existing, found, err = f.store.lookup(group); err != nil {
-				return err
+			id, existing, found, err = f.store.lookup(group)
+		} else { // no index yet: only this member's own rows can hold the group
+			f.groupKey = record.EncodeKey(f.groupKey[:0], group)
+			if id, found = f.firstRows[string(f.groupKey)]; found {
+				existing, found, err = f.store.fetch(id)
 			}
+		}
+		if err != nil {
+			return err
 		}
 		if !found {
 			id, err := f.store.insert(row)
@@ -146,6 +161,12 @@ func (f *fold) record(snap uint64, row []record.Value, cost *IterationCost) erro
 			}
 			cost.ResultInserts++
 			f.counts[id] = 1
+			if f.iterations == 0 {
+				if f.firstRows == nil {
+					f.firstRows = make(map[string]int64)
+				}
+				f.firstRows[string(f.groupKey)] = id
+			}
 			return nil
 		}
 		// existing is ours to change; update also wants the row as it was,
@@ -214,5 +235,6 @@ func (f *fold) endIteration(snap uint64, cost *IterationCost) error {
 	}
 	f.prevSnap = snap
 	f.iterations++
+	f.firstRows = nil // T's index answers from here on
 	return nil
 }

@@ -58,33 +58,36 @@ func (sm *sortMerge) buffer(f *fold, row []record.Value) {
 
 // rewrite is the end-of-iteration step: sort the buffered records,
 // merge them into the previous result, and rewrite T — the step that
-// makes this variant costlier than the index-based mechanism.
+// makes this variant costlier than the index-based mechanism. The sort
+// is stable and every record of a group folds, in arrival order, into
+// that group's one entry, as the index-based fold folds it into the
+// group's one row.
 func (sm *sortMerge) rewrite(ln *lane, cost *IterationCost) error {
 	batch, result := sm.batch, sm.result
-	sort.Slice(batch, func(a, b int) bool { return bytes.Compare(batch[a].key, batch[b].key) < 0 })
+	sort.SliceStable(batch, func(a, b int) bool { return bytes.Compare(batch[a].key, batch[b].key) < 0 })
 	merged := make([]smEntry, 0, len(result)+len(batch))
-	i, j := 0, 0
-	for i < len(result) && j < len(batch) {
-		switch bytes.Compare(result[i].key, batch[j].key) {
-		case -1:
+	i := 0
+	for _, e := range batch {
+		for i < len(result) && bytes.Compare(result[i].key, e.key) < 0 {
 			merged = append(merged, result[i])
 			i++
-		case 1:
-			merged = append(merged, batch[j])
-			cost.ResultInserts++
-			j++
-		default:
-			e := result[i]
-			e.n, _ = ln.m.combine(e.row, e.n, batch[j].row)
-			merged = append(merged, e)
-			cost.ResultUpdates++
-			i++
-			j++
 		}
+		last := len(merged) - 1
+		switch {
+		case last >= 0 && bytes.Equal(merged[last].key, e.key): // the group's earlier record of this batch
+		case i < len(result) && bytes.Equal(result[i].key, e.key):
+			merged = append(merged, result[i])
+			i++
+			last++
+		default:
+			merged = append(merged, e)
+			cost.ResultInserts++
+			continue
+		}
+		merged[last].n, _ = ln.m.combine(merged[last].row, merged[last].n, e.row)
+		cost.ResultUpdates++
 	}
 	merged = append(merged, result[i:]...)
-	merged = append(merged, batch[j:]...)
-	cost.ResultInserts += len(batch) - j
 	sm.batch, sm.result = batch[:0], merged
 
 	// The lane's open writer holds the side store: end its transaction

@@ -288,36 +288,88 @@ func (w *writeEnv) execInsert(s *InsertStmt) error {
 			sourceRows = append(sourceRows, vals)
 		}
 	}
-	ixs := sch.tableIndexes(t.Name)
-	var bufs rowBufs
+	bufs := newRowBufs(w.tx, t, sch.tableIndexes(t.Name))
 	for _, given := range sourceRows {
 		vals, err := buildRow(given)
 		if err != nil {
 			return err
 		}
-		if _, err := insertRow(w.tx, t, ixs, vals, &bufs); err != nil {
+		if _, err := bufs.insert(vals); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// rowBufs are the buffers a write path encodes a table record and index
-// keys into, reused from row to row: the B-tree copies what it stores.
+// rowBufs is a write path's state for one table, kept from row to row
+// by a statement or a TableWriter: the buffers a record and index keys
+// are encoded into (the B-tree copies what it stores), and one cursor on
+// the table and one on each of its indexes, all on one writer pager.
+// Every insert, update and delete writes through these cursors, so a
+// write lands in the leaf the lookup or the write before it left its
+// cursor on: ascending rowids append to the table's last leaf without a
+// descent, and a result-table update rewrites the cells its lookup
+// found. After each write the set's other cursors are re-tagged
+// (btree.Cursor.Retag): trees share no page, so a write to one leaves
+// the others' leaves as they were. A write through any other handle
+// still retires them all.
 type rowBufs struct {
+	p                storage.Pager
+	t                *Table
+	ixs              []*Index
+	tbl              *btree.Cursor
+	idx              []*btree.Cursor // idx[i] is on ixs[i]
 	rec, key, newKey []byte
 }
 
-// insertRow applies affinity and constraints, assigns the rowid, and
-// writes the row plus its entries in t's indexes ixs. It is the single
-// insert path shared by SQL INSERT, bulk loading, and the RQL
-// mechanisms' result-table inserts.
-func insertRow(p storage.Pager, t *Table, ixs []*Index, vals []record.Value, b *rowBufs) (int64, error) {
+// newRowBufs returns the write state for t, whose indexes are ixs,
+// written through p.
+func newRowBufs(p storage.Pager, t *Table, ixs []*Index) rowBufs {
+	b := rowBufs{p: p, t: t, ixs: ixs, tbl: btree.Open(p, t.Root).Cursor(), idx: make([]*btree.Cursor, len(ixs))}
+	for i, ix := range ixs {
+		b.idx[i] = btree.Open(p, ix.Root).Cursor()
+	}
+	return b
+}
+
+// wrote re-tags the set's cursors after a write through one of them,
+// made when the pager's Writes count was before.
+func (b *rowBufs) wrote(before uint64) {
+	b.tbl.Retag(before)
+	for _, c := range b.idx {
+		c.Retag(before)
+	}
+}
+
+// put stores key → value through cur, one of the set's cursors.
+func (b *rowBufs) put(cur *btree.Cursor, key, value []byte) error {
+	defer b.wrote(b.p.Writes())
+	return cur.Put(key, value)
+}
+
+// remove deletes key through cur, one of the set's cursors.
+func (b *rowBufs) remove(cur *btree.Cursor, key []byte) error {
+	defer b.wrote(b.p.Writes())
+	_, err := cur.Delete(key)
+	return err
+}
+
+// rekey moves the entry cur, one of the set's cursors, is on to key.
+func (b *rowBufs) rekey(cur *btree.Cursor, key []byte) error {
+	defer b.wrote(b.p.Writes())
+	return cur.ReplaceKey(key)
+}
+
+// insert applies affinity and constraints to vals, assigns the rowid,
+// and writes the row plus its index entries. It is the single insert
+// path shared by SQL INSERT, bulk loading, and the RQL mechanisms'
+// result-table inserts.
+func (b *rowBufs) insert(vals []record.Value) (int64, error) {
+	t := b.t
 	if err := checkRow(t, vals); err != nil {
 		return 0, err
 	}
 	aliasIdx := t.rowidAlias()
-	tbl := btree.Open(p, t.Root)
 
 	var rowid int64
 	switch {
@@ -326,21 +378,21 @@ func insertRow(p storage.Pager, t *Table, ixs []*Index, vals []record.Value, b *
 			return 0, fmt.Errorf("sql: %s.%s must be an integer", t.Name, t.Cols[aliasIdx].Name)
 		}
 		rowid = vals[aliasIdx].Int()
-		if _, exists, err := tbl.Get(rowidKey(rowid)); err != nil {
+		if _, exists, err := b.tbl.Find(rowidKey(rowid)); err != nil {
 			return 0, err
 		} else if exists {
 			return 0, fmt.Errorf("%w: %s.%s", ErrUniqueIndex, t.Name, t.Cols[aliasIdx].Name)
 		}
 	default:
-		mk, err := tbl.MaxKey(b.key[:0])
+		// The table's last key, which the cursor reads off the last leaf
+		// it holds after an append.
+		last, err := b.tbl.Last()
 		if err != nil {
 			return 0, err
 		}
-		b.key = mk
-		if mk == nil {
-			rowid = 1
-		} else {
-			rowid = decodeRowidKey(mk) + 1
+		rowid = 1
+		if last {
+			rowid = decodeRowidKey(b.tbl.Key()) + 1
 		}
 		if aliasIdx >= 0 {
 			vals[aliasIdx] = record.Int(rowid)
@@ -351,20 +403,20 @@ func insertRow(p storage.Pager, t *Table, ixs []*Index, vals []record.Value, b *
 	// constraint failure leaves nothing half-written within this
 	// statement's view (the enclosing transaction provides atomicity
 	// anyway; this just keeps error paths tidy).
-	for _, ix := range ixs {
+	for i, ix := range b.ixs {
 		var err error
 		if b.key, err = appendIndexKey(b.key[:0], ix, t, vals, rowid); err != nil {
 			return 0, err
 		}
-		if err := checkUnique(p, ix, b.key); err != nil {
+		if err := checkUnique(b.idx[i], ix, b.key); err != nil {
 			return 0, err
 		}
-		if err := btree.Open(p, ix.Root).Insert(b.key, nil); err != nil {
+		if err := b.put(b.idx[i], b.key, nil); err != nil {
 			return 0, err
 		}
 	}
 	b.rec = record.EncodeRow(b.rec[:0], vals)
-	if err := tbl.Insert(rowidKey(rowid), b.rec); err != nil {
+	if err := b.put(b.tbl, rowidKey(rowid), b.rec); err != nil {
 		return 0, err
 	}
 	return rowid, nil
@@ -402,28 +454,18 @@ func indexKeyRowid(ix *Index, key []byte) (start int, rowid int64, err error) {
 	return start, v.Int(), nil
 }
 
-// indexPrefixExists reports whether any index entry starts with prefix.
-func indexPrefixExists(p storage.Pager, ix *Index, prefix []byte) (bool, error) {
-	cur := btree.Open(p, ix.Root).Cursor()
-	ok, err := cur.Seek(prefix)
-	if err != nil || !ok {
-		return false, err
-	}
-	return bytes.HasPrefix(cur.Key(), prefix), nil
-}
-
-// deleteRowByID removes one row and its entries in t's indexes ixs.
-func deleteRowByID(p storage.Pager, t *Table, ixs []*Index, rowid int64, vals []record.Value, b *rowBufs) error {
-	tbl := btree.Open(p, t.Root)
-	if _, err := tbl.Delete(rowidKey(rowid)); err != nil {
+// delete removes the row stored under rowid, whose values are vals, and
+// its index entries.
+func (b *rowBufs) delete(rowid int64, vals []record.Value) error {
+	if err := b.remove(b.tbl, rowidKey(rowid)); err != nil {
 		return err
 	}
-	for _, ix := range ixs {
+	for i, ix := range b.ixs {
 		var err error
-		if b.key, err = appendIndexKey(b.key[:0], ix, t, vals, rowid); err != nil {
+		if b.key, err = appendIndexKey(b.key[:0], ix, b.t, vals, rowid); err != nil {
 			return err
 		}
-		if _, err := btree.Open(p, ix.Root).Delete(b.key); err != nil {
+		if err := b.remove(b.idx[i], b.key); err != nil {
 			return err
 		}
 	}
@@ -458,11 +500,9 @@ func (w *writeEnv) execDelete(s *DeleteStmt) error {
 	if err != nil {
 		return err
 	}
-	ixs := sch.tableIndexes(t.Name)
-	var bufs rowBufs
+	bufs := newRowBufs(w.tx, t, sch.tableIndexes(t.Name))
 	for _, row := range rows {
-		rowid := row[len(row)-1].Int()
-		if err := deleteRowByID(w.tx, t, ixs, rowid, row[:len(row)-1], &bufs); err != nil {
+		if err := bufs.delete(row[len(row)-1].Int(), row[:len(row)-1]); err != nil {
 			return err
 		}
 	}
@@ -496,8 +536,7 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 	if err != nil {
 		return err
 	}
-	ixs := sch.tableIndexes(t.Name)
-	var bufs rowBufs
+	bufs := newRowBufs(w.tx, t, sch.tableIndexes(t.Name))
 	rc := &rowCtx{ec: w.ec}
 	for _, row := range rows {
 		rowid := row[len(row)-1].Int()
@@ -515,16 +554,16 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 			if v := applyAffinity(newVals[alias], affInteger); v.Type() != record.TypeInt || v.Int() != rowid {
 				// The statement assigns the rowid alias: the row moves to
 				// another key, which only delete + insert can do.
-				if err := deleteRowByID(w.tx, t, ixs, rowid, oldVals, &bufs); err != nil {
+				if err := bufs.delete(rowid, oldVals); err != nil {
 					return err
 				}
-				if _, err := insertRow(w.tx, t, ixs, newVals, &bufs); err != nil {
+				if _, err := bufs.insert(newVals); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		if err := updateRow(w.tx, t, ixs, rowid, oldVals, newVals, &bufs); err != nil {
+		if err := bufs.update(rowid, oldVals, newVals); err != nil {
 			return err
 		}
 	}
@@ -546,22 +585,31 @@ func checkRow(t *Table, vals []record.Value) error {
 	return nil
 }
 
-// updateRow rewrites the row stored under rowid from oldVals to newVals
-// (which it normalizes in place). Only the indexes of ixs whose key the
-// update changes are touched — a unique check, then the entry's key
-// rewritten, which the B-tree does in place when the new key has the old
-// one's length and keeps its position among its neighbours (an
-// interval's end_snapshot moving on) — and the table cell is upserted,
-// which the B-tree does in place when the new record is no larger than
-// the old one. It is the one update path, shared by SQL UPDATE and the
-// RQL mechanisms' result-table updates.
-func updateRow(p storage.Pager, t *Table, ixs []*Index, rowid int64, oldVals, newVals []record.Value, b *rowBufs) error {
+// update rewrites the row stored under rowid from oldVals to newVals
+// (which it normalizes in place). Only the indexes whose key the update
+// changes are touched — a unique check, then the entry's key rewritten
+// through the index's cursor, in place when the new key has the old
+// one's length and keeps its position among its neighbours in the leaf
+// (an interval's end_snapshot moving on) — and the table cell is put
+// through the table's cursor, in place when the new record is no larger
+// than the old one. When a lookup left an index's cursor on this row's
+// entry (TableWriter.LookupByIndex), the old key is that entry's. It is
+// the one update path, shared by SQL UPDATE and the RQL mechanisms'
+// result-table updates.
+func (b *rowBufs) update(rowid int64, oldVals, newVals []record.Value) error {
+	t := b.t
 	if err := checkRow(t, newVals); err != nil {
 		return err
 	}
-	for _, ix := range ixs {
-		var err error
-		if b.key, err = appendIndexKey(b.key[:0], ix, t, oldVals, rowid); err != nil {
+	for i, ix := range b.ixs {
+		cur := b.idx[i]
+		on, err := onRowEntry(cur, ix, rowid)
+		if err != nil {
+			return err
+		}
+		if on {
+			b.key = append(b.key[:0], cur.Key()...)
+		} else if b.key, err = appendIndexKey(b.key[:0], ix, t, oldVals, rowid); err != nil {
 			return err
 		}
 		if b.newKey, err = appendIndexKey(b.newKey[:0], ix, t, newVals, rowid); err != nil {
@@ -570,27 +618,46 @@ func updateRow(p storage.Pager, t *Table, ixs []*Index, rowid int64, oldVals, ne
 		if bytes.Equal(b.key, b.newKey) {
 			continue
 		}
-		if err := checkUnique(p, ix, b.newKey); err != nil {
-			return err
-		}
-		tree := btree.Open(p, ix.Root)
-		found, err := tree.ReplaceKey(b.key, b.newKey)
-		if err != nil {
-			return err
-		}
-		if !found {
-			if err := tree.Insert(b.newKey, nil); err != nil {
+		if ix.Unique {
+			if err := checkUnique(cur, ix, b.newKey); err != nil {
 				return err
 			}
+			on = false // the check moved the cursor
+		}
+		if !on {
+			_, found, err := cur.Find(b.key)
+			if err != nil {
+				return err
+			}
+			if !found {
+				if err := b.put(cur, b.newKey, nil); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		if err := b.rekey(cur, b.newKey); err != nil {
+			return err
 		}
 	}
 	b.rec = record.EncodeRow(b.rec[:0], newVals)
-	return btree.Open(p, t.Root).Insert(rowidKey(rowid), b.rec)
+	return b.put(b.tbl, rowidKey(rowid), b.rec)
+}
+
+// onRowEntry reports whether cur, a cursor on ix, is on the entry of the
+// row stored under rowid.
+func onRowEntry(cur *btree.Cursor, ix *Index, rowid int64) (bool, error) {
+	if !cur.Positioned() {
+		return false, nil
+	}
+	_, id, err := indexKeyRowid(ix, cur.Key())
+	return err == nil && id == rowid, err
 }
 
 // checkUnique fails when ix is unique and already holds an entry with
-// key's column values (key minus its trailing rowid component).
-func checkUnique(p storage.Pager, ix *Index, key []byte) error {
+// key's column values (key minus its trailing rowid component). It seeks
+// them through cur, a cursor on ix.
+func checkUnique(cur *btree.Cursor, ix *Index, key []byte) error {
 	if !ix.Unique {
 		return nil
 	}
@@ -598,11 +665,11 @@ func checkUnique(p storage.Pager, ix *Index, key []byte) error {
 	if err != nil {
 		return err
 	}
-	dup, err := indexPrefixExists(p, ix, key[:cols])
+	ok, err := cur.Seek(key[:cols])
 	if err != nil {
 		return err
 	}
-	if dup {
+	if ok && bytes.HasPrefix(cur.Key(), key[:cols]) {
 		return fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
 	}
 	return nil
@@ -704,7 +771,7 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 	}
 
 	// Populate from the table.
-	tree := btree.Open(w.tx, ix.Root)
+	cur := btree.Open(w.tx, ix.Root).Cursor()
 	need := make([]bool, len(t.Cols))
 	for _, cn := range s.Cols {
 		need[t.ColIndex(cn)] = true
@@ -726,10 +793,10 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 		if key, err = appendIndexKey(key[:0], ix, t, row[:len(row)-1], rowid); err != nil {
 			return err
 		}
-		if err := checkUnique(w.tx, ix, key); err != nil {
+		if err := checkUnique(cur, ix, key); err != nil {
 			return err
 		}
-		if err := tree.Insert(key, nil); err != nil {
+		if err := cur.Put(key, nil); err != nil {
 			return err
 		}
 	}
@@ -794,11 +861,10 @@ func (c *Conn) BulkInsert(table string, rows [][]record.Value) error {
 			if err != nil {
 				return err
 			}
-			ixs := sch.tableIndexes(t.Name)
-			var bufs rowBufs
+			bufs := newRowBufs(w.tx, t, sch.tableIndexes(t.Name))
 			for _, row := range rows {
 				vals := append([]record.Value(nil), row...)
-				if _, err := insertRow(w.tx, t, ixs, vals, &bufs); err != nil {
+				if _, err := bufs.insert(vals); err != nil {
 					return err
 				}
 			}

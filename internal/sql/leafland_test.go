@@ -290,3 +290,80 @@ func TestIndexScanCallbackWritesItsTable(t *testing.T) {
 	}
 	mustExec(t, c, `ROLLBACK`)
 }
+
+// TestInsertValuesReadsOneDescentPerTree pins, as a count, the
+// main-store pages an RF1-shaped statement reads: an 8-row INSERT INTO …
+// VALUES of ascending keys into a table with an index on the key. Beyond
+// the catalog walk every statement makes (what a 1-row insert into an
+// empty table reads, less that table's one page, read to find the rowid
+// and again to write it), it reads one descent of the table, for the
+// first rowid, and one of the index, and each tree's last leaf once
+// more, when the first write copies it: every later row's rowid is read
+// off the last leaf the table's cursor holds, and its cells land in the
+// leaves the two cursors hold. Finding each rowid or placing each cell
+// by a descent of its own reads the trees' clean interior pages again
+// for every row.
+func TestInsertValuesReadsOneDescentPerTree(t *testing.T) {
+	c := testConn(t)
+	mustExec(t, c, `CREATE TABLE o (k INTEGER, status TEXT, price REAL, pad TEXT)`)
+	mustExec(t, c, `CREATE INDEX o_k ON o (k)`)
+	mustExec(t, c, `CREATE TABLE u (k INTEGER)`)
+	const n, rows = 3000, 8
+	pad := strings.Repeat("x", 60)
+	load := make([][]record.Value, n)
+	for k := range load {
+		load[k] = []record.Value{record.Int(int64(k)), record.Text("O"), record.Float(1.5), record.Text(pad)}
+	}
+	if err := c.BulkInsert("o", load); err != nil { // rowid k+1 holds k
+		t.Fatal(err)
+	}
+	main := c.db.main
+	reads := func(text string, params ...record.Value) int {
+		t.Helper()
+		before := main.Stats().DBReads
+		mustExec(t, c, text, params...)
+		return int(main.Stats().DBReads - before)
+	}
+	catalog := reads(`INSERT INTO u VALUES (1)`) - 2
+
+	var st ExecStats
+	ec, err := c.newReadCtx(nil, 0, nil, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, ix := ec.mainSchema.table("o"), ec.mainSchema.index("o_k")
+	idxKey := func(k int64) []byte {
+		key, err := appendIndexKey(nil, ix, tbl, []record.Value{record.Int(k)}, k+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	tblDepth, tblLeaf := treePath(t, ec.mainPager, tbl.Root, rowidKey(n))
+	idxDepth, idxLeaf := treePath(t, ec.mainPager, ix.Root, idxKey(n-1))
+	ec.close()
+	if tblDepth < 2 || idxDepth < 2 {
+		t.Fatalf("fixture too small: table depth %d, index depth %d", tblDepth, idxDepth)
+	}
+
+	params := make([]record.Value, 0, 4*rows)
+	for k := int64(n); k < n+rows; k++ {
+		params = append(params, record.Int(k), record.Text("O"), record.Float(2.5), record.Text(pad))
+	}
+	got := reads(`INSERT INTO o VALUES (?, ?, ?, ?), (?, ?, ?, ?), (?, ?, ?, ?), (?, ?, ?, ?),
+		(?, ?, ?, ?), (?, ?, ?, ?), (?, ?, ?, ?), (?, ?, ?, ?)`, params...)
+
+	if ec, err = c.newReadCtx(nil, 0, nil, &st); err != nil {
+		t.Fatal(err)
+	}
+	defer ec.close()
+	_, tblLast := treePath(t, ec.mainPager, tbl.Root, rowidKey(n+rows))
+	_, idxLast := treePath(t, ec.mainPager, ix.Root, idxKey(n+rows-1))
+	if tblLast != tblLeaf || idxLast != idxLeaf {
+		t.Fatalf("fixture: the insert split the last leaf of the table (%v) or the index (%v)", tblLast != tblLeaf, idxLast != idxLeaf)
+	}
+	if want := catalog + tblDepth + idxDepth + 2; got != want {
+		t.Errorf("an %d-row INSERT … VALUES read %d main-store pages, want %d: catalog %d + table depth %d + index depth %d + 2 leaf copies",
+			rows, got, want, catalog, tblDepth, idxDepth)
+	}
+}

@@ -3,6 +3,7 @@ package sql
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"rql/internal/btree"
 	"rql/internal/record"
@@ -19,14 +20,14 @@ type TableWriter struct {
 	conn *Conn
 	tx   *storage.Tx
 	own  bool
-	t    *Table
 	sch  *schema
-	ixs  []*Index // t's indexes
 	done bool
 
 	// Reused from call to call: the row Insert normalizes, the probe
-	// key and row LookupByIndex reads, the encodings Insert and Update
-	// write.
+	// key and row LookupByIndex reads, and the table's write state —
+	// the encodings Insert and Update write and the cursors every call
+	// reads and writes through, so an Update lands where the lookup
+	// before it did.
 	ins   []record.Value
 	probe []byte
 	row   scanRow
@@ -50,13 +51,13 @@ func (c *Conn) OpenTableWriter(name string) (*TableWriter, error) {
 		w.Rollback()
 		return nil, err
 	}
-	w.t = w.sch.table(name)
-	if w.t == nil {
+	t := w.sch.table(name)
+	if t == nil {
 		w.Rollback()
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	w.ixs = w.sch.tableIndexes(w.t.Name)
-	w.row = scanRow{vals: make([]record.Value, len(w.t.Cols)+1), poison: c.db.poisonScans}
+	w.bufs = newRowBufs(w.tx, t, w.sch.tableIndexes(t.Name))
+	w.row = scanRow{vals: make([]record.Value, len(t.Cols)+1), poison: c.db.poisonScans}
 	return w, nil
 }
 
@@ -67,24 +68,25 @@ func (w *TableWriter) Insert(vals []record.Value) (int64, error) {
 		return 0, storage.ErrTxDone
 	}
 	w.ins = append(w.ins[:0], vals...)
-	return insertRow(w.tx, w.t, w.ixs, w.ins, &w.bufs)
+	return w.bufs.insert(w.ins)
 }
 
 // LookupByIndex finds the first row whose index-key prefix matches vals
-// on the named index, returning its rowid and column values. The values
-// live in a buffer the writer owns: they stay valid until the writer's
-// next call, and the caller may change them to hand them back to Update
-// as the new row.
+// on the named index, one of the table's, returning its rowid and column
+// values. The values live in a buffer the writer owns: they stay valid
+// until the writer's next call, and the caller may change them to hand
+// them back to Update as the new row.
 func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int64, []record.Value, bool, error) {
 	if w.done {
 		return 0, nil, false, storage.ErrTxDone
 	}
 	ix := w.sch.index(indexName)
-	if ix == nil {
-		return 0, nil, false, fmt.Errorf("%w: %s", ErrNoIndex, indexName)
+	i := slices.Index(w.bufs.ixs, ix)
+	if ix == nil || i < 0 {
+		return 0, nil, false, fmt.Errorf("%w: %s on %s", ErrNoIndex, indexName, w.bufs.t.Name)
 	}
 	w.probe = record.EncodeKey(w.probe[:0], vals)
-	cur := btree.Open(w.tx, ix.Root).Cursor()
+	cur := w.bufs.idx[i]
 	ok, err := cur.Seek(w.probe)
 	if err != nil || !ok {
 		return 0, nil, false, err
@@ -97,12 +99,22 @@ func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int6
 	if err != nil {
 		return 0, nil, false, err
 	}
-	row, err := w.row.fetch(btree.Open(w.tx, w.t.Root).Cursor(), rowid)
+	row, found, err := w.Fetch(rowid)
+	return rowid, row, found, err
+}
+
+// Fetch returns the column values of the row stored under rowid, in the
+// buffer LookupByIndex returns them in.
+func (w *TableWriter) Fetch(rowid int64) ([]record.Value, bool, error) {
+	if w.done {
+		return nil, false, storage.ErrTxDone
+	}
+	row, err := w.row.fetch(w.bufs.tbl, rowid)
 	if err != nil || row == nil {
-		return 0, nil, false, err
+		return nil, false, err
 	}
 	n := len(row) - 1 // the hidden rowid is not the caller's
-	return rowid, row[:n:n], true, nil
+	return row[:n:n], true, nil
 }
 
 // Update replaces the row identified by rowid, whose current values are
@@ -112,7 +124,7 @@ func (w *TableWriter) Update(rowid int64, oldVals, newVals []record.Value) error
 	if w.done {
 		return storage.ErrTxDone
 	}
-	return updateRow(w.tx, w.t, w.ixs, rowid, oldVals, newVals, &w.bufs)
+	return w.bufs.update(rowid, oldVals, newVals)
 }
 
 // Commit publishes the writes (a no-op handoff when the writer joined
