@@ -94,20 +94,25 @@ groupcommit-smoke:
 	$(GO) test -race -count=3 -run '$(GROUPCOMMIT_SMOKE_RUN)' $(GROUPCOMMIT_SMOKE_PKGS)
 
 # compact-smoke runs the Pagelog-tiering correctness surface under the
-# race detector: sealed-read equivalence, seal crash safety, the
+# race detector: sealed-read equivalence, seal crash safety and the
+# seal's publish order (.tmp write, sync, rename, directory sync), the
 # concurrent seal/read/write stress loop, the teardown of a system
 # failed by a lost group flush, the compaction-on-vs-off
 # serial-equivalence property test, and replication bootstrap over
-# sealed segments — and the demand reads the snapshot readers go
-# through (one billed read and one device read per page under concurrent
-# readers, joiners of an in-service miss held on the Pagelog's lock, an
-# injected read error failing exactly one of concurrent reads).
+# sealed segments; every Pagelog test (TestPagelog*: the memory and file
+# backings agreeing call for call, reads, export after Close); and the
+# demand reads the snapshot readers go through (one billed read and one
+# device read per page under concurrent readers, joiners of an
+# in-service miss held on the Pagelog's lock, a read fault injected
+# through faultFS failing exactly one of concurrent reads, and one on a
+# sealed segment reaching SnapshotReader.Get). The fault tests run over
+# both backings.
 # -count=3 for the same reason as groupcommit-smoke. Then the shared
 # SPT segment tables' stress test 20 times: single and set opens over
 # overlapping members, a writer declaring across Skippy level
 # boundaries and ResetCache dropping the tables, every open checked
 # against the naive Maplog scan over its own pinned prefix.
-COMPACT_SMOKE_RUN = TestSeal|TestSegment|TestCompact|TestCompaction|TestPagelogClose|TestFailedSystem|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDemandRead|TestInjectedReadError
+COMPACT_SMOKE_RUN = TestSeal|TestSegment|TestCompact|TestCompaction|TestPagelog|TestFailedSystem|TestSnapshotValuesSurviveSealing|TestReplicaBootstrapWithSealedSegments|TestDemandRead|TestInjectedReadError
 COMPACT_SMOKE_PKGS = ./internal/retro ./internal/repl .
 SPT_STRESS_RUN = ^(TestConcurrentBuildsAndChecks)$$
 SPT_STRESS_PKGS = ./internal/retro

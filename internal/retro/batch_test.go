@@ -3,7 +3,6 @@ package retro
 import (
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -402,12 +401,8 @@ func TestCachedPageAliasingReadOnly(t *testing.T) {
 }
 
 func TestPagelogReadRun(t *testing.T) {
-	for _, backed := range []bool{false, true} {
-		opts := Options{}
-		if backed {
-			opts.PagelogPath = filepath.Join(t.TempDir(), "pagelog")
-		}
-		e := newEnv(t, opts)
+	eachBacking(t, func(t *testing.T, dir *faultFS) {
+		e := newEnvIn(t, Options{}, dir)
 		// Capture four consecutive pre-states.
 		_, ids := e.writePages(t, []storage.PageID{0, 0, 0, 0}, []byte{1, 2, 3, 4}, true)
 		e.writePages(t, ids, []byte{11, 12, 13, 14}, false)
@@ -417,11 +412,11 @@ func TestPagelogReadRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if physBytes != 4*storage.PageSize {
-			t.Errorf("backed=%v flat run physBytes = %d, want %d", backed, physBytes, 4*storage.PageSize)
+			t.Errorf("flat run physBytes = %d, want %d", physBytes, 4*storage.PageSize)
 		}
 		for i, p := range pages {
 			if p[0] != byte(i+1) {
-				t.Errorf("backed=%v run[%d] = %d, want %d", backed, i, p[0], i+1)
+				t.Errorf("run[%d] = %d, want %d", i, p[0], i+1)
 			}
 		}
 		if _, _, _, err := e.sys.pl.readRun(2, 3); !errors.Is(err, ErrBadOffset) {
@@ -431,11 +426,11 @@ func TestPagelogReadRun(t *testing.T) {
 			t.Errorf("empty run: %v", err)
 		}
 		boom := errors.New("disk gone")
-		e.sys.InjectPagelogReadError(boom)
+		dir.failNext("ReadAt", "", boom)
 		if _, _, _, err := e.sys.pl.readRun(0, 2); !errors.Is(err, boom) {
 			t.Errorf("injected error not surfaced: %v", err)
 		}
-	}
+	})
 }
 
 func TestPageCacheSharding(t *testing.T) {

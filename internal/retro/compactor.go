@@ -2,7 +2,6 @@ package retro
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"rql/internal/storage"
@@ -126,8 +125,8 @@ func (s *System) sealOnce() (bool, error) {
 	segPages := int64(s.copts.SegmentPages)
 	minTail := int64(s.copts.MinTailPages)
 
-	// Plan the cut under the read lock; capture what the lock-free read
-	// below needs (the file handle, or the immutable mem prefix).
+	// Plan the cut under the read lock; capture the tail file the
+	// lock-free read below reads the cut from.
 	pl.mu.RLock()
 	if pl.closed {
 		pl.mu.RUnlock()
@@ -139,26 +138,16 @@ func (s *System) sealOnce() (bool, error) {
 		return false, nil
 	}
 	cut := base + segPages
-	file := pl.file
-	var memRegion []*storage.PageData
-	if file == nil {
-		memRegion = pl.mem[:cut-base]
-	}
+	dir, tail := pl.dir, pl.tail
 	pl.mu.RUnlock()
 
 	sb := newSegmentBuilder(base)
-	if file != nil {
-		var page storage.PageData
-		for off := base; off < cut; off++ {
-			if _, err := file.ReadAt(page[:], (off-base)*storage.PageSize); err != nil {
-				return false, fmt.Errorf("retro: seal read: %w", err)
-			}
-			sb.add(&page)
+	var page storage.PageData
+	for off := base; off < cut; off++ {
+		if _, err := tail.ReadAt(page[:], (off-base)*storage.PageSize); err != nil {
+			return false, fmt.Errorf("retro: seal read: %w", err)
 		}
-	} else {
-		for _, p := range memRegion {
-			sb.add(p)
-		}
+		sb.add(&page)
 	}
 	blob, err := sb.encode()
 	if err != nil {
@@ -168,40 +157,13 @@ func (s *System) sealOnce() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("retro: seal self-check: %w", err)
 	}
-	sg.blob = blob // memory backing; replaced by the file below
-
-	if file != nil {
-		// Crash-safe publication: the blob lands in a .tmp first and is
-		// renamed into place only once fully synced, so a kill mid-seal
-		// leaves either nothing or a .tmp that reopen sweeps away.
-		final := fmt.Sprintf("%s.seg-%012d", pl.base, base)
-		tmp := final + ".tmp"
-		if err := writeSegmentFile(tmp, blob); err != nil {
-			return false, err
-		}
-		pl.mu.Lock()
-		if err := pl.injectSealErr; err != nil {
-			pl.injectSealErr = nil
-			pl.mu.Unlock()
-			return false, err // simulated crash: the partial .tmp stays behind
-		}
-		pl.mu.Unlock()
-		if err := os.Rename(tmp, final); err != nil {
-			os.Remove(tmp)
-			return false, fmt.Errorf("retro: seal publish: %w", err)
-		}
-		f, err := os.Open(final)
-		if err != nil {
-			os.Remove(final)
-			return false, fmt.Errorf("retro: seal reopen: %w", err)
-		}
-		sg.file = f
-		sg.path = final
-		sg.blob = nil
+	name := pl.segName(base)
+	if sg.file, err = publishSegment(dir, name, blob); err != nil {
+		return false, err
 	}
-
 	if err := pl.installSegment(sg, cut); err != nil {
-		sg.remove()
+		sg.file.Close()
+		dir.Remove(name) // never installed, so never read
 		return false, err
 	}
 	s.stats.SegmentSeals.Add(1)
@@ -209,32 +171,48 @@ func (s *System) sealOnce() (bool, error) {
 	return true, nil
 }
 
-// writeSegmentFile writes blob to path and syncs it to stable storage.
-func writeSegmentFile(path string, blob []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// publishSegment writes blob as the segment file name crash-safely and
+// opens it for reading: the blob lands in a .tmp, is synced, renamed
+// into place, and the rename is made durable by a directory sync. A
+// kill mid-publish leaves nothing or a .tmp that reopen sweeps away; a
+// failed step removes what it wrote and installs nothing.
+func publishSegment(dir vfs, name string, blob []byte) (vfile, error) {
+	tmp := name + ".tmp"
+	f, err := dir.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("retro: seal write: %w", err)
+		return nil, fmt.Errorf("retro: segment write: %w", err)
 	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("retro: seal write: %w", err)
+	_, err = f.WriteAt(blob, 0)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("retro: seal sync: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = dir.Rename(tmp, name)
+	}
+	if err != nil {
+		dir.Remove(tmp) // best effort: reopen sweeps a .tmp left behind
+		return nil, fmt.Errorf("retro: segment publish: %w", err)
+	}
+	if err = dir.SyncDir(); err == nil {
+		f, err = dir.Open(name)
+	}
+	if err != nil {
+		dir.Remove(name)
+		return nil, fmt.Errorf("retro: segment publish: %w", err)
+	}
+	return f, nil
 }
 
 // installSegment atomically swaps the sealed range out of the hot tail:
 // it appends sg to the segment list, rotates the tail file so the
 // remaining unsealed suffix starts at position zero of a fresh file
 // (reclaiming the sealed prefix's flat bytes), and advances tailBase.
-// Readers are excluded for the duration of the suffix copy — the
-// suffix is at most MinTailPages plus whatever was appended while the
-// seal encoded, so the stall is small and bounded.
+// Readers are excluded for the suffix copy, which goes through a 1 MiB
+// buffer; under the background compactor the suffix is at most
+// MinTailPages plus what was appended while the seal encoded.
 func (pl *pagelog) installSegment(sg *segment, cut int64) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -244,43 +222,28 @@ func (pl *pagelog) installSegment(sg *segment, cut int64) error {
 	if pl.tailBase != sg.base || cut > pl.n {
 		return fmt.Errorf("retro: seal install out of sync (tail %d, segment %d)", pl.tailBase, sg.base)
 	}
-	if pl.file != nil {
-		newPath := fmt.Sprintf("%s.tail-%06d", pl.base, pl.tailSeq+1)
-		nf, err := os.OpenFile(newPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("retro: tail rotate: %w", err)
-		}
-		buf := make([]byte, 256*storage.PageSize)
-		var copied int64
-		remain := (pl.n - cut) * storage.PageSize
-		srcOff := (cut - pl.tailBase) * storage.PageSize
-		for copied < remain {
-			chunk := int64(len(buf))
-			if remain-copied < chunk {
-				chunk = remain - copied
-			}
-			if _, err := pl.file.ReadAt(buf[:chunk], srcOff+copied); err != nil {
-				nf.Close()
-				os.Remove(newPath)
-				return fmt.Errorf("retro: tail rotate read: %w", err)
-			}
-			if _, err := nf.WriteAt(buf[:chunk], copied); err != nil {
-				nf.Close()
-				os.Remove(newPath)
-				return fmt.Errorf("retro: tail rotate write: %w", err)
-			}
-			copied += chunk
-		}
-		old, oldPath := pl.file, pl.path
-		pl.file = nf
-		pl.path = newPath
-		pl.tailSeq++
-		old.Close()
-		os.Remove(oldPath)
-	} else {
-		keep := pl.mem[cut-pl.tailBase:]
-		pl.mem = append(make([]*storage.PageData, 0, len(keep)), keep...)
+	newName := fmt.Sprintf("%s.tail-%012d", pl.name, cut)
+	nf, err := pl.dir.Create(newName)
+	if err != nil {
+		return fmt.Errorf("retro: tail rotate: %w", err)
 	}
+	remain := (pl.n - cut) * storage.PageSize
+	buf := make([]byte, min(remain, 256*storage.PageSize))
+	for pos := int64(0); pos < remain && err == nil; pos += int64(len(buf)) {
+		chunk := buf[:min(int64(len(buf)), remain-pos)]
+		if _, err = pl.tail.ReadAt(chunk, (cut-pl.tailBase)*storage.PageSize+pos); err == nil {
+			_, err = nf.WriteAt(chunk, pos)
+		}
+	}
+	if err != nil {
+		nf.Close()
+		pl.dir.Remove(newName)
+		return fmt.Errorf("retro: tail rotate: %w", err)
+	}
+	old, oldName := pl.tail, pl.tailName
+	pl.tail, pl.tailName = nf, newName
+	old.Close()
+	pl.dir.Remove(oldName)
 	pl.segments = append(pl.segments, sg)
 	pl.tailBase = cut
 	return nil

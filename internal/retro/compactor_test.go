@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -66,7 +65,7 @@ func TestSegmentRoundtripAndDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg.blob = blob
+	sg.file = blobFile(t, blob)
 	if sg.slots != 40 {
 		t.Fatalf("slots = %d, want 40", sg.slots)
 	}
@@ -118,7 +117,9 @@ func TestSealedReadEquivalence(t *testing.T) {
 				opts.PagelogPath = filepath.Join(t.TempDir(), "pagelog")
 			}
 			e := newEnv(t, opts)
-			snaps := buildSealHistory(t, e, 12, 4)
+			// 280 pages: the first seal's tail rotation copies a suffix
+			// longer than its 256-page buffer.
+			snaps := buildSealHistory(t, e, 70, 4)
 
 			pl := e.sys.pl
 			n := pl.size()
@@ -227,66 +228,199 @@ func TestSnapshotValuesSurviveSealing(t *testing.T) {
 }
 
 // TestSealCrashSafety simulates a kill between the blob's .tmp write
-// and its rename: the seal fails, nothing is installed, reads are
-// unaffected, and a reopen of the same path sweeps the partial file.
+// and its rename — the rename and the cleanup after it fail — on both
+// backings: the seal fails, the synced .tmp stays behind, nothing is
+// installed, reads are unaffected, and a reopen of the same name sweeps
+// the .tmp and the sealed segments away and reads the archive it seals
+// anew under those names.
 func TestSealCrashSafety(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pagelog")
-	store := storage.NewStore()
-	sys, err := New(store, Options{PagelogPath: path, Compaction: sealAllOptions(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &env{store: store, sys: sys}
-	buildSealHistory(t, e, 12, 4)
+	eachBacking(t, func(t *testing.T, dir *faultFS) {
+		opts := Options{Compaction: sealAllOptions(8)}
+		store := storage.NewStore()
+		sys, err := newSystem(store, opts, dir, "pagelog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &env{store: store, sys: sys}
+		buildSealHistory(t, e, 12, 4)
 
-	boom := errors.New("simulated crash")
-	pl := sys.pl
-	pl.mu.Lock()
-	pl.injectSealErr = boom
-	pl.mu.Unlock()
+		boom := errors.New("simulated crash")
+		dir.failNext("Rename", ".seg-", boom)
+		dir.failNext("Remove", ".tmp", boom)
+		if _, err := sys.SealNow(); !errors.Is(err, boom) {
+			t.Fatalf("SealNow error = %v, want injected crash", err)
+		}
+		if names, _ := dir.List("pagelog.seg-"); len(names) != 1 || !strings.HasSuffix(names[0], ".tmp") {
+			t.Fatalf("segment files after simulated crash = %v, want one partial .tmp", names)
+		}
+		pl := sys.pl
+		if segs, _, _ := pl.tiers(); segs != 0 {
+			t.Fatalf("%d segments installed despite crash", segs)
+		}
+		var p storage.PageData
+		if _, _, err := pl.read(0, &p); err != nil {
+			t.Fatalf("read after failed seal: %v", err)
+		}
+		// A later seal succeeds and coexists with the leftover .tmp.
+		if n, err := sys.SealNow(); err != nil || n == 0 {
+			t.Fatalf("SealNow after crash = (%d, %v)", n, err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	if _, err := sys.SealNow(); !errors.Is(err, boom) {
-		t.Fatalf("SealNow error = %v, want injected crash", err)
-	}
-	tmps, _ := filepath.Glob(path + ".seg-*.tmp")
-	if len(tmps) != 1 {
-		t.Fatalf("%d partial .tmp files after simulated crash, want 1", len(tmps))
-	}
-	if segs, _, _ := pl.tiers(); segs != 0 {
-		t.Fatalf("%d segments installed despite crash", segs)
-	}
-	var p storage.PageData
-	if _, _, err := pl.read(0, &p); err != nil {
-		t.Fatalf("read after failed seal: %v", err)
-	}
-	// A later seal succeeds and coexists with the leftover .tmp.
-	if n, err := sys.SealNow(); err != nil || n == 0 {
-		t.Fatalf("SealNow after crash = (%d, %v)", n, err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
+		// Reopen the same name: the archive starts empty and every stray
+		// file of the previous incarnation — the .tmp, the sealed
+		// segments and the rotated tail — is discarded.
+		store2 := storage.NewStore()
+		sys2, err := newSystem(store2, opts, dir, "pagelog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys2.Close()
+		if strays, _ := dir.List("pagelog."); len(strays) != 0 {
+			t.Fatalf("reopen left stray files: %v", strays)
+		}
+		// The new archive seals under the swept names, and every declared
+		// page reads back from the segment and the tail alike.
+		e2 := &env{store: store2, sys: sys2}
+		snaps := buildSealHistory(t, e2, 12, 4)
+		if n, err := sys2.SealNow(); err != nil || n == 0 {
+			t.Fatalf("SealNow after reopen = (%d, %v)", n, err)
+		}
+		if names, _ := dir.List("pagelog.seg-000000000000"); len(names) != 1 {
+			t.Fatalf("segment files after reopen = %v, want the first segment's swept name", names)
+		}
+		for s, snap := range snaps {
+			for i := 0; i < 4; i++ {
+				if got := readSnapPage(t, sys2, snap, storage.PageID(i+1)); got != byte(s+i) {
+					t.Fatalf("snapshot %d page %d after reopen = %d, want %d", snap, i+1, got, byte(s+i))
+				}
+			}
+		}
+	})
+}
 
-	// Reopen the same path: the archive starts empty and every stray
-	// file of the previous incarnation — the .tmp and the sealed
-	// segments — is discarded.
-	store2 := storage.NewStore()
-	sys2, err := New(store2, Options{PagelogPath: path, Compaction: sealAllOptions(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys2.Close()
-	strays, _ := filepath.Glob(path + ".seg-*")
-	tails, _ := filepath.Glob(path + ".tail-*")
-	if len(strays)+len(tails) != 0 {
-		t.Fatalf("reopen left stray files: %v %v", strays, tails)
-	}
-	e2 := &env{store: store2, sys: sys2}
-	snaps := buildSealHistory(t, e2, 4, 2)
-	if got := readSnapPage(t, sys2, snaps[0], 1); got != 0 {
-		// Page ids restart in the fresh store; just prove reads work.
-		_ = got
+// TestSealPublishOrder pins a seal's file operations: the segment's
+// .tmp is written and synced, renamed into place, and the rename made
+// durable by a directory sync before the segment is opened and the tail
+// rotated. A failed rename or directory sync fails the seal, installs
+// nothing, leaves no segment file, and every offset reads as before.
+func TestSealPublishOrder(t *testing.T) {
+	eachBacking(t, func(t *testing.T, dir *faultFS) {
+		e := newEnvIn(t, Options{Compaction: sealAllOptions(8)}, dir)
+		buildSealHistory(t, e, 4, 3)
+		pl := e.sys.pl
+		n := pl.size()
+		if n <= 8 {
+			t.Fatalf("history of %d pages leaves no tail suffix to rotate", n)
+		}
+		before := make([]storage.PageData, n)
+		for off := range before {
+			if _, _, err := pl.read(int64(off), &before[off]); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		boom := errors.New("publish step failed")
+		for _, step := range []string{"Rename", "SyncDir"} {
+			dir.failNext(step, "", boom)
+			if _, err := e.sys.sealOnce(); !errors.Is(err, boom) {
+				t.Fatalf("seal with a failed %s: %v, want the failure", step, err)
+			}
+			if segs, _, _ := pl.tiers(); segs != 0 {
+				t.Fatalf("failed %s installed %d segments", step, segs)
+			}
+			if names, _ := dir.List("pagelog.seg-"); len(names) != 0 {
+				t.Fatalf("failed %s left segment files %v", step, names)
+			}
+			for off := range before {
+				var got storage.PageData
+				if _, _, err := pl.read(int64(off), &got); err != nil || got != before[off] {
+					t.Fatalf("offset %d after a failed %s: err %v, equal %v", off, step, err, got == before[off])
+				}
+			}
+		}
+
+		dir.mutations()
+		if sealed, err := e.sys.sealOnce(); err != nil || !sealed {
+			t.Fatalf("seal = (%v, %v)", sealed, err)
+		}
+		const seg = "pagelog.seg-000000000000"
+		want := []string{
+			"Create " + seg + ".tmp",
+			"WriteAt " + seg + ".tmp",
+			"Sync " + seg + ".tmp",
+			"Close " + seg + ".tmp",
+			"Rename " + seg + ".tmp " + seg,
+			"SyncDir",
+			"Open " + seg,
+			"Create pagelog.tail-000000000008",
+			"WriteAt pagelog.tail-000000000008",
+			"Close pagelog",
+			"Remove pagelog",
+		}
+		if got := dir.mutations(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("seal operations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	})
+}
+
+// TestSegmentReadFaultReachesGet fails a read of a sealed segment's
+// file: the error reaches SnapshotReader.Get, nothing enters the block
+// cache (a block is cached only after a good inflate), and the retry
+// returns the original bytes.
+func TestSegmentReadFaultReachesGet(t *testing.T) {
+	eachBacking(t, func(t *testing.T, dir *faultFS) {
+		e := newEnvIn(t, Options{Compaction: sealAllOptions(8)}, dir)
+		snap, ids := e.writePages(t, []storage.PageID{0}, []byte{7}, true)
+		e.writePages(t, ids, []byte{8}, false) // archives the 7 at offset 0
+		buildSealHistory(t, e, 4, 3)
+		if n, err := e.sys.SealNow(); err != nil || n == 0 {
+			t.Fatalf("SealNow = (%d, %v)", n, err)
+		}
+		e.sys.ResetCache()
+
+		boom := errors.New("segment read fault")
+		dir.failNext("ReadAt", ".seg-", boom)
+		r, err := e.sys.OpenSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if _, err := r.Get(ids[0]); !errors.Is(err, boom) {
+			t.Fatalf("Get over a failed segment read: %v, want the fault", err)
+		}
+		bc := e.sys.pl.bcache
+		bc.mu.Lock()
+		cached := len(bc.m)
+		bc.mu.Unlock()
+		if cached != 0 {
+			t.Fatalf("%d blocks cached after a failed read, want 0", cached)
+		}
+		if p, err := r.Get(ids[0]); err != nil || p[0] != 7 {
+			t.Fatalf("retry = (%v, %v), want 7", p, err)
+		}
+	})
+}
+
+// TestPagelogCloseFailsExport: ExportPagelog after Close — the
+// replication bootstrap feeder racing a Close — returns ErrClosed on
+// both backings instead of reading the released tail.
+func TestPagelogCloseFailsExport(t *testing.T) {
+	for _, path := range []string{"", filepath.Join(t.TempDir(), "pagelog")} {
+		e := newEnv(t, Options{PagelogPath: path})
+		_, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
+		e.writePages(t, ids, []byte{2}, false)
+		if pages, err := e.sys.ExportPagelog(0, 1); err != nil || pages[0][0] != 1 {
+			t.Fatalf("path %q: export before Close = (%v, %v)", path, pages, err)
+		}
+		if err := e.sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.sys.ExportPagelog(0, 1); !errors.Is(err, ErrClosed) {
+			t.Errorf("path %q: export after Close: %v, want ErrClosed", path, err)
+		}
 	}
 }
 
@@ -294,7 +428,7 @@ func TestSealCrashSafety(t *testing.T) {
 // staged group must drop the staged pages and leave staging mode, so
 // the closed pagelog pins no page versions.
 func TestPagelogCloseDiscardsStaged(t *testing.T) {
-	pl, err := newPagelog("")
+	pl, err := newPagelog(newMemFS(), "pagelog")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,23 +567,15 @@ func TestCompactorSmoke(t *testing.T) {
 // down: stop the background compactor and close the Pagelog's files.
 // Afterwards commits and opens report the failure, not a closed system.
 func TestFailedSystemCloseTearsDown(t *testing.T) {
-	e := newEnv(t, Options{
-		PagelogPath: filepath.Join(t.TempDir(), "pagelog"),
-		Compaction:  CompactionOptions{Enabled: true, SegmentPages: 8, MinTailPages: -1, Interval: time.Hour},
-	})
+	dir := &faultFS{vfs: osFS{t.TempDir()}}
+	e := newEnvIn(t, Options{
+		Compaction: CompactionOptions{Enabled: true, SegmentPages: 8, MinTailPages: -1, Interval: time.Hour},
+	}, dir)
 	snap, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
 
-	// Swap the tail for a read-only handle: the next group write fails.
+	// The next group write fails.
+	dir.failNext("WriteAt", "", errors.New("device lost"))
 	pl := e.sys.pl
-	ro, err := os.Open(pl.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.mu.Lock()
-	rw := pl.file
-	pl.file = ro
-	pl.mu.Unlock()
-	defer rw.Close()
 	e.writePages(t, ids, []byte{2}, false) // captures snapshot's page: the flush fails
 
 	wantFailed := func(op string, err error) {
@@ -458,7 +584,7 @@ func TestFailedSystemCloseTearsDown(t *testing.T) {
 			t.Errorf("%s on a failed system: %v, want the sticky failure", op, err)
 		}
 	}
-	_, err = e.sys.OpenSnapshot(snap)
+	_, err := e.sys.OpenSnapshot(snap)
 	wantFailed("OpenSnapshot", err)
 	_, err = e.sys.OpenSnapshotSet([]SnapshotID{snap})
 	wantFailed("OpenSnapshotSet", err)
@@ -474,10 +600,10 @@ func TestFailedSystemCloseTearsDown(t *testing.T) {
 		t.Error("background compactor still running after Close")
 	}
 	pl.mu.RLock()
-	closed, file := pl.closed, pl.file
+	closed, tail := pl.closed, pl.tail
 	pl.mu.RUnlock()
-	if !closed || file != nil {
-		t.Errorf("Pagelog not torn down by Close: closed=%v file=%v", closed, file)
+	if !closed || tail != nil {
+		t.Errorf("Pagelog not torn down by Close: closed=%v tail=%v", closed, tail)
 	}
 	if _, err := e.sys.OpenSnapshot(snap); !errors.Is(err, ErrClosed) {
 		t.Errorf("OpenSnapshot after Close: %v, want ErrClosed", err)
@@ -490,7 +616,7 @@ func TestFailedSystemCloseTearsDown(t *testing.T) {
 func BenchmarkPagelogReadRun(b *testing.B) {
 	for _, n := range []int{16, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			pl, err := newPagelog("")
+			pl, err := newPagelog(newMemFS(), "pagelog")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -177,14 +177,18 @@ func TestDemandReadJoinersShareOneRead(t *testing.T) {
 	}
 }
 
-// An injected read error fails exactly one Pagelog read, however many
-// lanes miss at once: the error is claimed by an atomic swap, because
-// concurrent reads hold only the Pagelog's read lock. The test parks
-// every lane's miss on the Pagelog's lock and releases them together,
-// so the reads that race for the error are truly concurrent.
+// One failed device read fails exactly one Pagelog read, however many
+// lanes miss at once, on both backings: concurrent reads hold only the
+// Pagelog's read lock, and no lane inherits another's error. The test
+// parks every lane's miss on the Pagelog's lock and releases them
+// together, so the reads that race for the fault are truly concurrent.
 func TestInjectedReadErrorFailsOneConcurrentRead(t *testing.T) {
+	eachBacking(t, testInjectedReadErrorFailsOneConcurrentRead)
+}
+
+func testInjectedReadErrorFailsOneConcurrentRead(t *testing.T, dir *faultFS) {
 	const lanes = 8
-	e := newEnv(t, Options{})
+	e := newEnvIn(t, Options{}, dir)
 	snap, ids := archivePages(t, e, lanes)
 	set, err := e.sys.OpenSnapshotSet([]SnapshotID{snap})
 	if err != nil {
@@ -193,7 +197,7 @@ func TestInjectedReadErrorFailsOneConcurrentRead(t *testing.T) {
 	defer set.Close()
 
 	boom := errors.New("injected read error")
-	e.sys.InjectPagelogReadError(boom)
+	dir.failNext("ReadAt", "", boom)
 	pl := e.sys.pl
 	pl.mu.Lock()
 	var failed atomic.Int32

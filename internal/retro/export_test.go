@@ -10,11 +10,5 @@ func (s *System) SnapshotLSN(id SnapshotID) (uint64, error) {
 	return s.snapLSN[id-1], nil
 }
 
-// InjectPagelogReadError makes the next Pagelog read fail (tests).
-// Exactly one read takes the error, however many run concurrently.
-func (s *System) InjectPagelogReadError(err error) {
-	s.pl.injectReadErr.Store(&err)
-}
-
 // Snapshot returns the snapshot id the reader serves.
 func (r *SnapshotReader) Snapshot() SnapshotID { return r.spt.Snap }

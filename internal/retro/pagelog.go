@@ -20,22 +20,21 @@
 // The Pagelog itself is tiered (see segment.go): appends land in a hot
 // tail in the flat format, and a background compactor seals tail
 // prefixes into immutable, page-deduplicated, block-compressed cold
-// segments. Sealing never moves a logical offset — the tail shrinks
-// from the front and the segment covers exactly the logical range it
-// replaced — so SPTs, the Maplog, the snapshot cache, and replication
-// deltas are oblivious to it. Nothing else restructures the Pagelog:
-// an offset, once assigned, names the same pre-state for the life of
-// the store.
+// segments. The tail and each segment are files behind one small file
+// interface (vfs.go), implemented over the host's file system (osFS)
+// and over memory (memFS). Sealing never moves a logical offset — the
+// tail shrinks from the front and the segment covers exactly the
+// logical range it replaced — so SPTs, the Maplog, the snapshot cache,
+// and replication deltas are oblivious to it. Nothing else restructures
+// the Pagelog: an offset, once assigned, names the same pre-state for
+// the life of the store.
 package retro
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rql/internal/storage"
 )
@@ -49,8 +48,8 @@ var (
 )
 
 // pagelog is the append-only archive of captured page pre-states.
-// Offsets are page indexes. It is backed by a real file when a path is
-// given, or by memory otherwise (tests, examples).
+// Offsets are page indexes. Its files live in a vfs: osFS when a path
+// is given, memFS otherwise (tests, examples).
 //
 // Tiering: logical offsets [0, tailBase) live in sealed segments
 // (sorted by base, contiguous); [tailBase, n) is the hot tail in the
@@ -58,17 +57,16 @@ var (
 // * PageSize — because sealing rotates the tail file to reclaim the
 // sealed prefix.
 type pagelog struct {
-	mu   sync.RWMutex
-	file *os.File
-	path string              // the current tail file's actual path ("" for memory backing)
-	base string              // the configured path segment and tail files derive from
-	mem  []*storage.PageData // tail pages, mem[off - tailBase]
-	n    int64
+	mu       sync.RWMutex
+	dir      vfs
+	name     string // the configured file name segment and tail files derive from
+	tail     vfile  // the hot tail's file
+	tailName string // the configured name, then <name>.tail-<tailBase> once rotated
+	n        int64
 
 	tailBase int64      // first logical offset still in the hot tail
 	segments []*segment // sealed cold segments, ascending base
 	bcache   *blockCache
-	tailSeq  int // tail-file rotation counter (file backing)
 
 	// Staged appends (group commit): between beginStage and
 	// flushStaged, append buffers page pointers instead of writing,
@@ -81,53 +79,29 @@ type pagelog struct {
 	staging bool
 	staged  []*storage.PageData
 
-	closed bool // set by close; seals abort instead of installing
-
-	injectReadErr atomic.Pointer[error] // test hook: fail the next read (see takeReadErr)
-	injectSealErr error                 // test hook: fail the next seal after the partial write
+	closed bool // set by close; reads fail and seals abort instead of installing
 }
 
-// takeReadErr claims the injected read error, if any. Reads hold only
-// pl.mu's read lock, so the claim is an atomic swap: of any number of
-// concurrent reads, exactly one fails.
-func (pl *pagelog) takeReadErr() error {
-	if p := pl.injectReadErr.Swap(nil); p != nil {
-		return *p
+// newPagelog opens an empty archive named name in dir. It first sweeps
+// away what a previous incarnation or a crash mid-seal left beside it —
+// sealed segments, rotated tails, partial .tmp blobs: the archive starts
+// empty, so a reopen never resurrects them.
+func newPagelog(dir vfs, name string) (*pagelog, error) {
+	for _, prefix := range []string{name + ".seg-", name + ".tail-"} {
+		stray, _ := dir.List(prefix) // best effort: a stray file is never read
+		for _, s := range stray {
+			dir.Remove(s)
+		}
 	}
-	return nil
-}
-
-func newPagelog(path string) (*pagelog, error) {
-	if path == "" {
-		return &pagelog{bcache: newBlockCache()}, nil
-	}
-	// A previous incarnation (or a crash mid-seal) may have left sealed
-	// segment files, rotated tails, or partial .tmp blobs next to the
-	// configured path. The archive starts empty (O_TRUNC semantics), so
-	// they are all stale: discard them.
-	removeStrayPagelogFiles(path)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tail, err := dir.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("retro: open pagelog: %w", err)
 	}
-	return &pagelog{file: f, path: path, base: path, bcache: newBlockCache()}, nil
+	return &pagelog{dir: dir, name: name, tail: tail, tailName: name, bcache: newBlockCache()}, nil
 }
 
-// removeStrayPagelogFiles unlinks segment, rotated-tail, and temp files
-// derived from the configured path — the crash-recovery sweep: a kill
-// mid-seal leaves at most a *.tmp (never renamed into place) or an
-// orphaned segment file, and reopening must not resurrect either.
-func removeStrayPagelogFiles(base string) {
-	for _, pat := range []string{base + ".seg-*", base + ".tail-*"} {
-		names, err := filepath.Glob(pat)
-		if err != nil {
-			continue
-		}
-		for _, name := range names {
-			os.Remove(name)
-		}
-	}
-}
+// segName is the file name of the sealed segment starting at base.
+func (pl *pagelog) segName(base int64) string { return fmt.Sprintf("%s.seg-%012d", pl.name, base) }
 
 // append stores a copy of data and returns its offset. In staging
 // mode the referenced page (an immutable committed version) is only
@@ -141,14 +115,8 @@ func (pl *pagelog) append(data *storage.PageData) (int64, error) {
 		return off, nil
 	}
 	off := pl.n
-	if pl.file != nil {
-		if _, err := pl.file.WriteAt(data[:], (off-pl.tailBase)*storage.PageSize); err != nil {
-			return 0, fmt.Errorf("retro: pagelog write: %w", err)
-		}
-	} else {
-		cp := new(storage.PageData)
-		*cp = *data
-		pl.mem = append(pl.mem, cp)
+	if _, err := pl.tail.WriteAt(data[:], (off-pl.tailBase)*storage.PageSize); err != nil {
+		return 0, fmt.Errorf("retro: pagelog write: %w", err)
 	}
 	pl.n++
 	return off, nil
@@ -178,20 +146,13 @@ func (pl *pagelog) read(off int64, dst *storage.PageData) (physBytes int64, bloc
 	if pl.closed {
 		return 0, 0, ErrClosed
 	}
-	if err := pl.takeReadErr(); err != nil {
-		return 0, 0, err
-	}
 	if off < 0 || off >= pl.n {
 		return 0, 0, ErrBadOffset
 	}
 	if off >= pl.tailBase {
-		if pl.file != nil {
-			if _, err := pl.file.ReadAt(dst[:], (off-pl.tailBase)*storage.PageSize); err != nil {
-				return 0, 0, fmt.Errorf("retro: pagelog read: %w", err)
-			}
-			return storage.PageSize, 0, nil
+		if _, err := pl.tail.ReadAt(dst[:], (off-pl.tailBase)*storage.PageSize); err != nil {
+			return 0, 0, fmt.Errorf("retro: pagelog read: %w", err)
 		}
-		*dst = *pl.mem[off-pl.tailBase]
 		return storage.PageSize, 0, nil
 	}
 	sg := pl.findSegment(off)
@@ -201,57 +162,34 @@ func (pl *pagelog) read(off int64, dst *storage.PageData) (physBytes int64, bloc
 	return sg.readPages(off, 1, []*storage.PageData{dst}, pl.bcache)
 }
 
-// runSlabPool recycles the staging buffers readRun uses for the one
-// backing ReadAt of a tail run. The returned *[]byte always has the cap
-// the last user grew it to.
-var runSlabPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // readRun reads n consecutively-archived pages starting at off with
 // one backing operation per tier crossed (the replication export's
-// bulk read). The caller owns the returned pages — they are
-// carved from one slab allocation, so a run costs two allocations
-// instead of n+2, which is what BenchmarkPagelogReadRun pins down.
+// bulk read). The caller owns the returned pages — they are carved
+// from one slab the tail run is read straight into, so a run costs two
+// allocations instead of n+2, which is what BenchmarkPagelogReadRun
+// pins down.
 func (pl *pagelog) readRun(off int64, n int) (out []*storage.PageData, physBytes int64, blockHits int, err error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	if err := pl.takeReadErr(); err != nil {
-		return nil, 0, 0, err
+	if pl.closed {
+		return nil, 0, 0, ErrClosed
 	}
 	if n <= 0 || off < 0 || off+int64(n) > pl.n {
 		return nil, 0, 0, ErrBadOffset
 	}
-	slab := make([]storage.PageData, n)
+	slab := make([]byte, n*storage.PageSize)
 	out = make([]*storage.PageData, n)
 	for i := range out {
-		out[i] = &slab[i]
+		out[i] = (*storage.PageData)(slab[i*storage.PageSize:])
 	}
 	for i := 0; i < n; {
 		cur := off + int64(i)
 		if cur >= pl.tailBase {
 			// Rest of the run is in the hot tail: one backing ReadAt.
-			m := n - i
-			if pl.file != nil {
-				bufp := runSlabPool.Get().(*[]byte)
-				if cap(*bufp) < m*storage.PageSize {
-					*bufp = make([]byte, m*storage.PageSize)
-				}
-				buf := (*bufp)[:m*storage.PageSize]
-				if _, err := pl.file.ReadAt(buf, (cur-pl.tailBase)*storage.PageSize); err != nil {
-					runSlabPool.Put(bufp)
-					return nil, 0, 0, fmt.Errorf("retro: pagelog read: %w", err)
-				}
-				for j := 0; j < m; j++ {
-					copy(out[i+j][:], buf[j*storage.PageSize:])
-				}
-				runSlabPool.Put(bufp)
-			} else {
-				for j := 0; j < m; j++ {
-					*out[i+j] = *pl.mem[cur-pl.tailBase+int64(j)]
-				}
+			if _, err := pl.tail.ReadAt(slab[i*storage.PageSize:], (cur-pl.tailBase)*storage.PageSize); err != nil {
+				return nil, 0, 0, fmt.Errorf("retro: pagelog read: %w", err)
 			}
-			physBytes += int64(m) * storage.PageSize
-			i += m
-			continue
+			return out, physBytes + int64(n-i)*storage.PageSize, blockHits, nil
 		}
 		sg := pl.findSegment(cur)
 		if sg == nil {
@@ -279,11 +217,10 @@ func (pl *pagelog) beginStage() {
 	pl.mu.Unlock()
 }
 
-// flushStaged writes every staged page with one backing WriteAt (one
-// copy per page for the memory backing) and leaves staging mode. It
-// reports how many pages the flush appended to the hot tail — zero
-// means the group touched only already-archived ranges, so its device
-// flush can be skipped (see System.GroupDurable).
+// flushStaged writes every staged page with one backing WriteAt and
+// leaves staging mode. It reports how many pages the flush appended to
+// the hot tail — zero means the group touched only already-archived
+// ranges, so its device flush can be skipped (see System.GroupDurable).
 func (pl *pagelog) flushStaged() (int, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -292,21 +229,13 @@ func (pl *pagelog) flushStaged() (int, error) {
 		return 0, nil
 	}
 	n := len(pl.staged)
-	if pl.file != nil {
-		buf := make([]byte, len(pl.staged)*storage.PageSize)
-		for i, d := range pl.staged {
-			copy(buf[i*storage.PageSize:], d[:])
-		}
-		if _, err := pl.file.WriteAt(buf, (pl.n-pl.tailBase)*storage.PageSize); err != nil {
-			pl.staged = pl.staged[:0]
-			return 0, fmt.Errorf("retro: pagelog group write: %w", err)
-		}
-	} else {
-		for _, d := range pl.staged {
-			cp := new(storage.PageData)
-			*cp = *d
-			pl.mem = append(pl.mem, cp)
-		}
+	buf := make([]byte, n*storage.PageSize)
+	for i, d := range pl.staged {
+		copy(buf[i*storage.PageSize:], d[:])
+	}
+	if _, err := pl.tail.WriteAt(buf, (pl.n-pl.tailBase)*storage.PageSize); err != nil {
+		pl.staged = pl.staged[:0]
+		return 0, fmt.Errorf("retro: pagelog group write: %w", err)
 	}
 	pl.n += int64(len(pl.staged))
 	pl.staged = pl.staged[:0]
@@ -356,16 +285,13 @@ func (pl *pagelog) close() error {
 	pl.staging = false
 	pl.closed = true
 	for _, sg := range pl.segments {
-		sg.close()
+		sg.file.Close() // opened read-only
 	}
 	pl.segments = nil
-	if pl.file != nil {
-		err := pl.file.Close()
-		pl.file = nil
-		return err
-	}
-	pl.mem = nil
-	return nil
+	err := pl.tail.Close()
+	// Drop the backing: a closed memory-backed archive frees its pages.
+	pl.tail, pl.dir = nil, nil
+	return err
 }
 
 // installShippedSegment attaches a replicated sealed-segment blob as
@@ -385,20 +311,8 @@ func (pl *pagelog) installShippedSegment(blob []byte) error {
 	if pl.tailBase != pl.n || sg.base != pl.n || pl.staging {
 		return fmt.Errorf("retro: shipped segment base %d does not extend pagelog at %d", sg.base, pl.n)
 	}
-	if pl.file != nil {
-		path := fmt.Sprintf("%s.seg-%012d", pl.base, sg.base)
-		if err := writeSegmentFile(path, blob); err != nil {
-			return err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			os.Remove(path)
-			return fmt.Errorf("retro: shipped segment reopen: %w", err)
-		}
-		sg.file = f
-		sg.path = path
-	} else {
-		sg.blob = append([]byte(nil), blob...)
+	if sg.file, err = publishSegment(pl.dir, pl.segName(sg.base), blob); err != nil {
+		return err
 	}
 	pl.segments = append(pl.segments, sg)
 	pl.n += sg.slots

@@ -168,12 +168,9 @@ func (s *System) ExportSealedSegments(limit int64) ([]SealedSegmentBlob, int64, 
 		if sg.base != covered || sg.base+sg.slots > limit {
 			break
 		}
-		blob := sg.blob
-		if sg.file != nil {
-			blob = make([]byte, sg.diskBytes)
-			if _, err := sg.file.ReadAt(blob, 0); err != nil {
-				return nil, 0, fmt.Errorf("retro: segment export read: %w", err)
-			}
+		blob := make([]byte, sg.diskBytes)
+		if _, err := sg.file.ReadAt(blob, 0); err != nil {
+			return nil, 0, fmt.Errorf("retro: segment export read: %w", err)
 		}
 		out = append(out, SealedSegmentBlob{Base: sg.base, Pages: sg.slots, Blob: blob})
 		covered = sg.base + sg.slots

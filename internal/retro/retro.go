@@ -2,6 +2,7 @@ package retro
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,7 +120,15 @@ type missCall struct {
 // New creates a snapshot system over store and registers it as the
 // store's commit hook.
 func New(store *storage.Store, opts Options) (*System, error) {
-	pl, err := newPagelog(opts.PagelogPath)
+	if opts.PagelogPath == "" {
+		return newSystem(store, opts, newMemFS(), "pagelog")
+	}
+	return newSystem(store, opts, osFS{filepath.Dir(opts.PagelogPath)}, filepath.Base(opts.PagelogPath))
+}
+
+// newSystem is New with the Pagelog's files named name in dir.
+func newSystem(store *storage.Store, opts Options, dir vfs, name string) (*System, error) {
+	pl, err := newPagelog(dir, name)
 	if err != nil {
 		return nil, err
 	}

@@ -256,23 +256,25 @@ func TestPagelogFileBacked(t *testing.T) {
 }
 
 func TestPagelogReadErrorSurfaces(t *testing.T) {
-	e := newEnv(t, Options{})
-	snap, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
-	e.writePages(t, []storage.PageID{ids[0]}, []byte{2}, false)
-	e.sys.ResetCache()
+	eachBacking(t, func(t *testing.T, dir *faultFS) {
+		e := newEnvIn(t, Options{}, dir)
+		snap, ids := e.writePages(t, []storage.PageID{0}, []byte{1}, true)
+		e.writePages(t, []storage.PageID{ids[0]}, []byte{2}, false)
+		e.sys.ResetCache()
 
-	boom := errors.New("disk gone")
-	e.sys.InjectPagelogReadError(boom)
-	r, _ := e.sys.OpenSnapshot(snap)
-	defer r.Close()
-	if _, err := r.Get(ids[0]); !errors.Is(err, boom) {
-		t.Errorf("injected error not surfaced: %v", err)
-	}
-	// Retry succeeds (error was transient) and content is intact.
-	p, err := r.Get(ids[0])
-	if err != nil || p[0] != 1 {
-		t.Errorf("retry: %v %v", p, err)
-	}
+		boom := errors.New("disk gone")
+		dir.failNext("ReadAt", "", boom)
+		r, _ := e.sys.OpenSnapshot(snap)
+		defer r.Close()
+		if _, err := r.Get(ids[0]); !errors.Is(err, boom) {
+			t.Errorf("injected error not surfaced: %v", err)
+		}
+		// Retry succeeds (error was transient) and content is intact.
+		p, err := r.Get(ids[0])
+		if err != nil || p[0] != 1 {
+			t.Errorf("retry: %v %v", p, err)
+		}
+	})
 }
 
 func TestReaderClosed(t *testing.T) {

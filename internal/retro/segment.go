@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 
 	"rql/internal/storage"
@@ -30,8 +29,8 @@ import (
 // order, so clustered retro sweeps walk blocks sequentially.
 //
 // Everything before the blocks (header, slot index, block directory) is
-// kept in memory after sealing or loading; block bytes stay on disk
-// (file backing) or in the blob (memory backing) until read.
+// kept in memory after sealing or loading; block bytes stay in the
+// segment's file until read.
 
 // segMagic identifies a sealed segment blob, version 1.
 const segMagic = "RQLSEG01"
@@ -60,11 +59,9 @@ type segment struct {
 
 	blocksStart int64 // byte offset of the block area within the blob
 
-	file *os.File // file backing (nil when mem-backed)
-	path string
-	blob []byte // memory backing: the full encoded segment
+	file vfile // the encoded segment, opened read-only
 
-	diskBytes int64 // total encoded size (file size or len(blob))
+	diskBytes int64 // total encoded size
 }
 
 // logicalBytes is the uncompressed size the segment represents.
@@ -75,26 +72,13 @@ func (sg *segment) contains(off int64) bool {
 	return off >= sg.base && off < sg.base+sg.slots
 }
 
-// readBlockBytes returns block b's compressed bytes.
-func (sg *segment) readBlockBytes(b int) ([]byte, error) {
-	off := sg.blocksStart + int64(sg.blockOff[b])
-	n := int(sg.blockLen[b])
-	if sg.file != nil {
-		buf := make([]byte, n)
-		if _, err := sg.file.ReadAt(buf, off); err != nil {
-			return nil, fmt.Errorf("retro: segment block read: %w", err)
-		}
-		return buf, nil
-	}
-	return sg.blob[off : off+int64(n)], nil
-}
-
-// inflateBlock decompresses block b into a fresh buffer of
-// blockPages*PageSize (the final block may be shorter).
+// inflateBlock reads block b's compressed bytes and decompresses them
+// into a fresh buffer of blockPages*PageSize (the final block may be
+// shorter).
 func (sg *segment) inflateBlock(b int) ([]byte, error) {
-	raw, err := sg.readBlockBytes(b)
-	if err != nil {
-		return nil, err
+	raw := make([]byte, sg.blockLen[b])
+	if _, err := sg.file.ReadAt(raw, sg.blocksStart+int64(sg.blockOff[b])); err != nil {
+		return nil, fmt.Errorf("retro: segment block read: %w", err)
 	}
 	first := b * segBlockPages
 	pages := sg.nuniq - first
@@ -108,25 +92,6 @@ func (sg *segment) inflateBlock(b int) ([]byte, error) {
 	}
 	fr.Close()
 	return out, nil
-}
-
-// close releases the backing file (memory blobs just drop).
-func (sg *segment) close() {
-	if sg.file != nil {
-		sg.file.Close()
-		sg.file = nil
-	}
-	sg.blob = nil
-}
-
-// remove closes and unlinks the backing file (a seal that failed to
-// install).
-func (sg *segment) remove() {
-	path := sg.path
-	sg.close()
-	if path != "" {
-		os.Remove(path)
-	}
 }
 
 // blockCache is a small LRU of decompressed segment blocks — the
@@ -286,7 +251,7 @@ func (sb *segmentBuilder) encode() ([]byte, error) {
 
 // parseSegmentMeta validates a blob's header + metadata + crc and
 // returns a segment with the in-memory index filled in. The caller
-// attaches the backing (file or blob).
+// attaches the file.
 func parseSegmentMeta(blob []byte) (*segment, error) {
 	if len(blob) < segHeaderSize+4 || string(blob[:8]) != segMagic {
 		return nil, fmt.Errorf("retro: not a sealed segment")

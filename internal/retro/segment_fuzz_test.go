@@ -73,7 +73,7 @@ func FuzzParseSegmentMeta(f *testing.F) {
 			if meta := sealedMeta(sg); !bytes.Equal(meta, blob[:len(meta)]) {
 				t.Fatalf("parsed metadata does not re-encode to the blob's")
 			}
-			sg.blob = blob
+			sg.file = blobFile(t, blob)
 			bc, dst := newBlockCache(), []*storage.PageData{new(storage.PageData)}
 			for i := int64(0); i < sg.slots; i++ {
 				sg.readPages(sg.base+i, 1, dst, bc)
