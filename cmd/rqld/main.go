@@ -94,8 +94,8 @@ func main() {
 
 	// Replication role. A replica tails the primary's snapshot stream
 	// and rejects writes; any other rqld is a potential primary and
-	// accepts subscriber streams (chaining replicas is not supported —
-	// replicated applies bypass the commit observer by design).
+	// accepts subscriber streams (chaining replicas is not supported: a
+	// replica's commits carry no SnapIds registrations to forward).
 	var replica *repl.Replica
 	var primary *repl.Primary
 	if *replicaOf != "" {

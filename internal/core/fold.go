@@ -20,7 +20,7 @@ import (
 // AggregateDataInVariable, which writes T only at the end, has.
 type tableStore struct {
 	table string
-	index string // search index name; "" until built
+	index sql.WriterIndex // T's search index; the zero value until built
 	w     *sql.TableWriter
 }
 
@@ -50,7 +50,7 @@ func (s *tableStore) rollback() {
 }
 
 func (s *tableStore) lookup(key []record.Value) (int64, []record.Value, bool, error) {
-	return s.w.LookupByIndex(s.index, key)
+	return s.w.LookupByIndex(&s.index, key)
 }
 
 // fetch returns row id, in the buffer lookup returns rows in.

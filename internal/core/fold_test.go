@@ -119,7 +119,7 @@ func TestFoldRecordAllocs(t *testing.T) {
 	defer ln.table.rollback()
 
 	probe := testing.AllocsPerRun(200, func() {
-		if _, _, found, err := ln.table.w.LookupByIndex(ln.table.index, row[:1]); err != nil || !found {
+		if _, _, found, err := ln.table.lookup(row[:1]); err != nil || !found {
 			t.Fatalf("probe: found=%v err=%v", found, err)
 		}
 	})

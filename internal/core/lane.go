@@ -75,8 +75,12 @@ func (ln *lane) createResultIndex() error {
 	if err := ln.conn.Exec(ln.m.resultIndexDDL(), nil); err != nil {
 		return err
 	}
-	ln.table.index = ln.m.indexName()
-	return ln.table.open(ln.conn)
+	if err := ln.table.open(ln.conn); err != nil {
+		return err
+	}
+	ix, err := ln.table.w.Index(ln.m.indexName())
+	ln.table.index = ix
+	return err
 }
 
 // steps runs the loop body over snaps in order.

@@ -410,7 +410,7 @@ type laneMark struct {
 	fold  fold
 	cache pruneCache
 	shape resultShape
-	index string // the result table's search index, once built
+	index sql.WriterIndex // the result table's search index, once built
 }
 
 // mark takes the lane's laneMark, before a step.

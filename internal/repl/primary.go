@@ -321,36 +321,23 @@ func (p *Primary) sendEvent(st *stream, bw *bufio.Writer, ev *event) error {
 		return p.writeFrame(st, bw, wire.RespReplViewDDL, e.B)
 	}
 	d := ev.commit
-	caps, pages := d.Captures, d.Pages
-	plOff := d.PlBase
-	for first := true; first || len(caps) > 0 || len(pages) > 0; first = false {
-		rd := wire.ReplDelta{
-			LSN:     d.LSN,
-			SnapTag: uint64(d.SnapTag),
-			PlBase:  plOff,
-		}
-		budget := deltaPagesPerFrame
-		for len(caps) > 0 && budget > 0 {
-			c := caps[0]
-			rd.Captures = append(rd.Captures, wire.ReplCaptureImage{Page: uint32(c.Page), Data: c.Data[:]})
-			caps = caps[1:]
-			plOff++
-			budget--
-		}
-		for len(pages) > 0 && budget > 0 {
-			pg := pages[0]
-			img := wire.ReplPageImage{ID: uint32(pg.ID)}
-			if pg.Data != nil {
-				img.Data = pg.Data[:]
+	pages := d.Pages
+	for first := true; first || len(pages) > 0; first = false {
+		rd := wire.ReplDelta{LSN: d.LSN}
+		n := min(len(pages), deltaPagesPerFrame)
+		rd.Pages = make([]wire.ReplPageImage, n)
+		for i, pg := range pages[:n] {
+			rd.Pages[i].ID = uint32(pg.ID)
+			if pg.New != nil {
+				rd.Pages[i].Data = pg.New[:]
 			}
-			rd.Pages = append(rd.Pages, img)
-			pages = pages[1:]
-			budget--
 		}
-		rd.Partial = len(caps) > 0 || len(pages) > 0
+		pages = pages[n:]
+		rd.Partial = len(pages) > 0
 		if !rd.Partial {
 			rd.Declare = d.Declare
 			rd.SnapID = uint64(d.SnapID)
+			rd.PlEnd = d.PlEnd
 			rd.Annot = ev.annot()
 		}
 		e := &wire.Enc{}

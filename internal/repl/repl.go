@@ -6,11 +6,15 @@
 // append-only (the Pagelog archive, the Maplog) or single-writer MVCC
 // with a commit hook that observes every dirty page (the main store).
 // The primary therefore ships *physical* per-commit deltas — the pages
-// a commit wrote, plus the pre-state captures its Retro hook archived —
-// and a replica applying them byte-for-byte reproduces the primary's
-// store, Pagelog and Maplog exactly: same LSNs, same Pagelog offsets,
-// same Skippy levels, and hence identical SPTs, identical mechanism
-// results, and identical figure counters.
+// a commit wrote — and a replica applies each through its store's own
+// commit path, where its Retro hook derives the commit's pre-state
+// captures from the replica's store exactly as the primary's hook did.
+// The replica reproduces the primary's store, Pagelog and Maplog
+// exactly: same LSNs, same Pagelog offsets, same Skippy levels, and
+// hence identical SPTs, identical mechanism results, and identical
+// figure counters. Each delta's final frame carries the primary's
+// Pagelog size after the commit; a replica whose Pagelog ends elsewhere
+// after a group stops as diverged.
 //
 // Correctness bar (after the consistent-snapshot replication survey in
 // PAPERS.md): a replica must only ever expose complete snapshot
@@ -91,7 +95,7 @@ func IsRedirect(err error) (addr string, ok bool) {
 // oversized frame.
 const (
 	bootPagesPerChunk   = 2048 // 8 MiB of page images per bootstrap frame
-	deltaPagesPerFrame  = 2048 // captures+post-images per delta frame
+	deltaPagesPerFrame  = 2048 // post-images per delta frame
 	mapEntriesPerChunk  = 1 << 16
 	annotsPerChunk      = 1 << 12
 	defaultWriteTimeout = 30 * time.Second

@@ -49,8 +49,9 @@ type Replica struct {
 	fatal   error // the terminal error that ended the loop, if one did
 
 	// Stream-apply state, owned by the run loop.
-	pending []*retro.CommitDelta // buffered commits of the open snapshot group
-	partial *retro.CommitDelta   // commit being reassembled from chunked frames
+	pending []storage.ReplCommit // buffered commits of the open snapshot group
+	partial *storage.ReplCommit  // commit being reassembled from chunked frames
+	plEnd   int64                // primary Pagelog size after the last complete commit
 
 	// sqlConn applies SnapIds rows and view DDL to the local side store;
 	// only the run loop uses it.
@@ -350,35 +351,25 @@ func (r *Replica) stream() error {
 func (r *Replica) onDelta(rd wire.ReplDelta, bw *bufio.Writer, nc net.Conn) error {
 	c := r.partial
 	if c == nil {
-		c = &retro.CommitDelta{
-			LSN:     rd.LSN,
-			SnapTag: retro.SnapshotID(rd.SnapTag),
-			PlBase:  rd.PlBase,
-		}
+		c = &storage.ReplCommit{LSN: rd.LSN}
 		r.partial = c
 	} else if c.LSN != rd.LSN {
 		return fmt.Errorf("repl: delta chunk for LSN %d while reassembling %d", rd.LSN, c.LSN)
 	}
-	for _, cap := range rd.Captures {
-		data := new(storage.PageData)
-		copy(data[:], cap.Data)
-		c.Captures = append(c.Captures, retro.ReplCapture{Page: storage.PageID(cap.Page), Data: data})
-	}
 	for _, pg := range rd.Pages {
-		rp := storage.ReplPage{ID: storage.PageID(pg.ID)}
+		dp := storage.DirtyPage{ID: storage.PageID(pg.ID)}
 		if pg.Data != nil {
-			rp.Data = new(storage.PageData)
-			copy(rp.Data[:], pg.Data)
-		} else {
-			c.Freed = append(c.Freed, rp.ID)
+			dp.New = new(storage.PageData)
+			copy(dp.New[:], pg.Data)
 		}
-		c.Pages = append(c.Pages, rp)
+		c.Pages = append(c.Pages, dp)
 	}
 	if rd.Partial {
 		return nil
 	}
 	c.Declare = rd.Declare
-	c.SnapID = retro.SnapshotID(rd.SnapID)
+	c.SnapID = rd.SnapID
+	r.plEnd = rd.PlEnd
 	r.partial = nil
 	// A resumed stream restarts at a snapshot-group boundary, which can
 	// predate a bootstrap cut taken mid-group: commits at or below the
@@ -388,7 +379,7 @@ func (r *Replica) onDelta(rd wire.ReplDelta, bw *bufio.Writer, nc net.Conn) erro
 	applied := r.lsn
 	r.mu.Unlock()
 	if c.LSN > applied {
-		r.pending = append(r.pending, c)
+		r.pending = append(r.pending, *c)
 	}
 	if !c.Declare {
 		return nil
@@ -396,10 +387,13 @@ func (r *Replica) onDelta(rd wire.ReplDelta, bw *bufio.Writer, nc net.Conn) erro
 	return r.applyGroup(bw, nc, rd.Annot)
 }
 
-// applyGroup applies the buffered snapshot group atomically and the
-// snapshot's SnapIds row (annot, when the declaration carried one), then
-// moves the horizon and acks. A failed insert leaves the horizon behind
-// the applied group, so the resumed stream stops on ErrReplMismatch.
+// applyGroup applies the buffered snapshot group atomically through the
+// store's commit path, checks the local Pagelog ends where the
+// primary's did, applies the snapshot's SnapIds row (annot, when the
+// declaration carried one), then moves the horizon and acks. A failed
+// check or insert leaves the horizon behind the applied group: a
+// divergence stops the replica, and a resumed stream after a failed
+// insert stops on ErrReplMismatch.
 func (r *Replica) applyGroup(bw *bufio.Writer, nc net.Conn, annot *wire.ReplAnnot) error {
 	group := r.pending
 	r.pending = nil
@@ -407,15 +401,10 @@ func (r *Replica) applyGroup(bw *bufio.Writer, nc net.Conn, annot *wire.ReplAnno
 		return nil
 	}
 	sp := obs.StartSpan(nil, "repl.apply")
-	store := r.db.Engine().MainStore()
-	rsys := r.db.Engine().Retro()
-	commits := make([]storage.ReplCommit, len(group))
-	for i, c := range group {
-		commits[i] = storage.ReplCommit{LSN: c.LSN, Pages: c.Pages, Freed: c.Freed}
+	err := r.db.Engine().MainStore().ApplyReplicated(group)
+	if got := r.db.Engine().Retro().PagelogPages(); err == nil && got != r.plEnd {
+		err = fmt.Errorf("%w: pagelog at %d after LSN %d, primary at %d", retro.ErrReplDiverged, got, group[len(group)-1].LSN, r.plEnd)
 	}
-	err := store.ApplyReplicated(commits, func(i int) error {
-		return rsys.ApplyCommitDelta(group[i])
-	})
 	if err == nil && annot != nil {
 		err = r.applyAnnot(*annot)
 	}
@@ -427,20 +416,20 @@ func (r *Replica) applyGroup(bw *bufio.Writer, nc net.Conn, annot *wire.ReplAnno
 	r.deltasApplied.Add(uint64(len(group)))
 	r.snapshotsApplied.Add(1)
 	r.mu.Lock()
-	r.horizon = uint64(last.SnapID)
+	r.horizon = last.SnapID
 	r.lsn = last.LSN
 	r.booted = true
 	r.mu.Unlock()
 	r.cond.Broadcast()
 	// Local retro views extend from the applied snapshot, exactly as the
 	// primary's do from its commit path.
-	r.db.AnnounceSnapshot(uint64(last.SnapID))
+	r.db.AnnounceSnapshot(last.SnapID)
 	sp.SetInt("snapshot", int64(last.SnapID)).
 		SetInt("commits", int64(len(group))).
 		SetInt("lsn", int64(last.LSN))
 	sp.End()
 
-	ack := wire.ReplAck{Snap: uint64(last.SnapID), LSN: last.LSN, Bytes: r.bytesReceived.Load()}
+	ack := wire.ReplAck{Snap: last.SnapID, LSN: last.LSN, Bytes: r.bytesReceived.Load()}
 	e := &wire.Enc{}
 	wire.EncodeReplAck(e, ack)
 	nc.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))

@@ -424,30 +424,25 @@ func TestPagelogCloseFailsExport(t *testing.T) {
 	}
 }
 
-// TestPagelogCloseDiscardsStaged pins the teardown path: close during a
-// staged group must drop the staged pages and leave staging mode, so
-// the closed pagelog pins no page versions.
+// TestPagelogCloseDiscardsStaged pins the teardown path: close with a
+// group's appends still staged must drop the staged pages, so the
+// closed pagelog pins no page versions.
 func TestPagelogCloseDiscardsStaged(t *testing.T) {
 	pl, err := newPagelog(newMemFS(), "pagelog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.beginStage()
 	var p storage.PageData
-	if _, err := pl.append(&p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.append(&p); err != nil {
-		t.Fatal(err)
-	}
+	pl.append(&p)
+	pl.append(&p)
 	if pl.size() != 2 {
 		t.Fatalf("size with staged pages = %d, want 2", pl.size())
 	}
 	if err := pl.close(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.staged != nil || pl.staging {
-		t.Fatalf("close left staging state: staged=%v staging=%v", pl.staged, pl.staging)
+	if pl.staged != nil {
+		t.Fatalf("close left staged pages: %v", pl.staged)
 	}
 	if pl.size() != 0 {
 		t.Fatalf("size after close = %d, want 0 (staged discarded)", pl.size())
@@ -588,7 +583,9 @@ func TestFailedSystemCloseTearsDown(t *testing.T) {
 	wantFailed("OpenSnapshot", err)
 	_, err = e.sys.OpenSnapshotSet([]SnapshotID{snap})
 	wantFailed("OpenSnapshotSet", err)
+	e.sys.BeginGroup()
 	_, err = e.sys.Committing(nil, true, nil, 0)
+	e.sys.EndGroup()
 	wantFailed("Committing", err)
 
 	if err := e.sys.Close(); err != nil {
@@ -622,8 +619,10 @@ func BenchmarkPagelogReadRun(b *testing.B) {
 			}
 			var p storage.PageData
 			for i := 0; i < 2*n; i++ {
+				// append stages the pointer: flush before reusing p.
 				p[0] = byte(i)
-				if _, err := pl.append(&p); err != nil {
+				pl.append(&p)
+				if _, err := pl.flushStaged(); err != nil {
 					b.Fatal(err)
 				}
 			}

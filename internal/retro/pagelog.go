@@ -68,16 +68,14 @@ type pagelog struct {
 	segments []*segment // sealed cold segments, ascending base
 	bcache   *blockCache
 
-	// Staged appends (group commit): between beginStage and
-	// flushStaged, append buffers page pointers instead of writing,
-	// handing out the offsets the pages will occupy; flushStaged then
-	// performs one backing write for the whole group. size() includes
-	// staged pages so offset arithmetic (PlBase, Maplog entries) is
-	// identical with staging on or off. The caller (System) holds its
-	// mutex across the stage, so no reader can chase a staged offset
-	// before the flush.
-	staging bool
-	staged  []*storage.PageData
+	// Staged appends: append buffers page pointers, handing out the
+	// offsets the pages will occupy, and flushStaged performs one
+	// backing write for all of them — a commit group's captures, or a
+	// bootstrap's raw pages. size() includes staged pages so offset
+	// arithmetic (Maplog entries, PlEnd) sees them. The caller (System)
+	// holds its mutex from the first append to the flush, so no reader
+	// can chase a staged offset before it is written.
+	staged []*storage.PageData
 
 	closed bool // set by close; reads fail and seals abort instead of installing
 }
@@ -103,23 +101,14 @@ func newPagelog(dir vfs, name string) (*pagelog, error) {
 // segName is the file name of the sealed segment starting at base.
 func (pl *pagelog) segName(base int64) string { return fmt.Sprintf("%s.seg-%012d", pl.name, base) }
 
-// append stores a copy of data and returns its offset. In staging
-// mode the referenced page (an immutable committed version) is only
-// recorded; flushStaged writes the batch.
-func (pl *pagelog) append(data *storage.PageData) (int64, error) {
+// append stages data (an immutable committed version, or a page the
+// caller no longer writes) for the next flushStaged and returns the
+// offset it will occupy.
+func (pl *pagelog) append(data *storage.PageData) int64 {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if pl.staging {
-		off := pl.n + int64(len(pl.staged))
-		pl.staged = append(pl.staged, data)
-		return off, nil
-	}
-	off := pl.n
-	if _, err := pl.tail.WriteAt(data[:], (off-pl.tailBase)*storage.PageSize); err != nil {
-		return 0, fmt.Errorf("retro: pagelog write: %w", err)
-	}
-	pl.n++
-	return off, nil
+	pl.staged = append(pl.staged, data)
+	return pl.n + int64(len(pl.staged)) - 1
 }
 
 // findSegment returns the sealed segment containing the logical offset.
@@ -210,21 +199,13 @@ func (pl *pagelog) readRun(off int64, n int) (out []*storage.PageData, physBytes
 	return out, physBytes, blockHits, nil
 }
 
-// beginStage switches append into staging mode (see the struct doc).
-func (pl *pagelog) beginStage() {
-	pl.mu.Lock()
-	pl.staging = true
-	pl.mu.Unlock()
-}
-
-// flushStaged writes every staged page with one backing WriteAt and
-// leaves staging mode. It reports how many pages the flush appended to
-// the hot tail — zero means the group touched only already-archived
-// ranges, so its device flush can be skipped (see System.GroupDurable).
+// flushStaged writes every staged page with one backing WriteAt. It
+// reports how many pages the flush appended to the hot tail — zero
+// means the group touched only already-archived ranges, so its device
+// flush can be skipped (see System.GroupDurable).
 func (pl *pagelog) flushStaged() (int, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.staging = false
 	if len(pl.staged) == 0 {
 		return 0, nil
 	}
@@ -278,11 +259,10 @@ func (pl *pagelog) footprint() (logicalBytes, diskBytes int64) {
 func (pl *pagelog) close() error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	// Discard any still-staged pages and leave staging mode: a teardown
-	// racing a failed group flush must not keep the staged slice (and
-	// the page versions it pins) alive through the closed pagelog.
+	// Discard any still-staged pages: a teardown racing a failed group
+	// flush must not keep the staged slice (and the page versions it
+	// pins) alive through the closed pagelog.
 	pl.staged = nil
-	pl.staging = false
 	pl.closed = true
 	for _, sg := range pl.segments {
 		sg.file.Close() // opened read-only
@@ -308,7 +288,7 @@ func (pl *pagelog) installShippedSegment(blob []byte) error {
 	if pl.closed {
 		return ErrClosed
 	}
-	if pl.tailBase != pl.n || sg.base != pl.n || pl.staging {
+	if pl.tailBase != pl.n || sg.base != pl.n || len(pl.staged) > 0 {
 		return fmt.Errorf("retro: shipped segment base %d does not extend pagelog at %d", sg.base, pl.n)
 	}
 	if sg.file, err = publishSegment(pl.dir, pl.segName(sg.base), blob); err != nil {

@@ -9,38 +9,32 @@ import (
 
 // Replication hooks. The primary side observes every commit as a
 // CommitDelta (SetCommitObserver) and exports a consistent bootstrap
-// cut (ExportBootstrap/ExportPagelog); the replica side applies deltas
-// (ApplyCommitDelta) and bootstrap state (ApplyBootstrap) so that its
-// Pagelog byte-for-byte and its Maplog entry-for-entry equal the
-// primary's. Offsets shipped in deltas are therefore valid verbatim on
-// the replica, and SPT construction — including the Skippy levels,
-// which rebuild deterministically from the same declare/append
+// cut (ExportBootstrap/ExportPagelog); the replica side loads bootstrap
+// state (ApplyBootstrap) and then applies shipped commits through its
+// store's commit path, so this system's own Committing derives each
+// commit's captures from the replica's store — byte-identical to the
+// primary's at every commit boundary — exactly as the primary's did.
+// Its Pagelog byte for byte and its Maplog entry for entry therefore
+// equal the primary's, and SPT construction — including the Skippy
+// levels, which rebuild deterministically from the same declare/append
 // sequence — yields identical page tables and figure counters.
 
 // ErrReplDiverged reports replicated retro state that no longer lines
 // up with the local Pagelog/Maplog; the replica must re-sync.
 var ErrReplDiverged = errors.New("retro: replicated state diverged")
 
-// ReplCapture is one captured pre-state within a replicated commit.
-type ReplCapture struct {
-	Page storage.PageID
-	Data *storage.PageData
-}
-
 // CommitDelta is everything a replication stream ships per commit.
 // Page pointers are the committed versions themselves (immutable after
 // commit under the store's copy-on-write discipline), so building a
-// delta copies no page data.
+// delta copies no page data; it holds no pre-states, which a replica
+// derives itself.
 type CommitDelta struct {
-	LSN      uint64
-	SnapTag  SnapshotID // Maplog tag of Captures (0 when none)
-	PlBase   int64      // Pagelog size before this commit's captures
-	Captures []ReplCapture
-	Pages    []storage.ReplPage // post-images; Data nil = freed
-	Freed    []storage.PageID
-	Declare  bool
-	SnapID   SnapshotID // assigned snapshot id when Declare
-	Reg      any        // the declaration's registration, opaque here (nil when none)
+	LSN     uint64
+	Pages   []storage.DirtyPage // post-images (New; nil = freed), Pre unset
+	PlEnd   int64               // Pagelog size after this commit's captures
+	Declare bool
+	SnapID  SnapshotID // assigned snapshot id when Declare
+	Reg     any        // the declaration's registration, opaque here (nil when none)
 }
 
 // SetCommitObserver registers fn to see every main-store commit group
@@ -51,46 +45,6 @@ func (s *System) SetCommitObserver(fn func([]CommitDelta)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.observer = fn
-}
-
-// ApplyCommitDelta applies one replicated commit's Pagelog appends and
-// Maplog effects. It runs from ApplyReplicated's pre callback, i.e. at
-// the same point of the commit sequence the primary's hook ran, and
-// verifies the replica's logs line up with the primary's offsets before
-// appending.
-func (s *System) ApplyCommitDelta(d *CommitDelta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	if len(d.Captures) > 0 {
-		pl := s.pl
-		if got := pl.size(); got != d.PlBase {
-			return fmt.Errorf("%w: pagelog at %d, primary commit expects %d", ErrReplDiverged, got, d.PlBase)
-		}
-		if last := s.ml.lastSnap(); last != d.SnapTag {
-			return fmt.Errorf("%w: maplog tag %d, primary commit expects %d", ErrReplDiverged, last, d.SnapTag)
-		}
-		for _, c := range d.Captures {
-			off, err := pl.append(c.Data)
-			if err != nil {
-				return err
-			}
-			s.ml.append(d.SnapTag, c.Page, off)
-			s.lastCapture[c.Page] = d.SnapTag
-			s.stats.PagelogWrites.Add(1)
-		}
-	}
-	if d.Declare {
-		id := s.ml.declare()
-		if id != d.SnapID {
-			return fmt.Errorf("%w: declared snapshot %d, primary declared %d", ErrReplDiverged, id, d.SnapID)
-		}
-		s.snapLSN = append(s.snapLSN, d.LSN)
-		s.stats.Snapshots.Add(1)
-	}
-	return nil
 }
 
 // BootstrapEntry is one level-0 Maplog entry in a bootstrap export.
@@ -203,9 +157,10 @@ func (s *System) ApplyBootstrap(bs BootstrapState, segs []SealedSegmentBlob, plP
 		sealedPages += sb.Pages
 	}
 	for _, p := range plPages {
-		if _, err := pl.append(p); err != nil {
-			return err
-		}
+		pl.append(p)
+	}
+	if _, err := pl.flushStaged(); err != nil {
+		return err
 	}
 	if got := pl.size(); got != bs.PagelogPages {
 		return fmt.Errorf("%w: bootstrap pagelog %d pages, expected %d", ErrReplDiverged, got, bs.PagelogPages)

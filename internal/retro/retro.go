@@ -82,16 +82,10 @@ type System struct {
 	missing map[int64]*missCall
 
 	// observer, when set, sees every main-store commit group as a
-	// batch of CommitDeltas (replication primary). Invoked under s.mu
-	// on the commit path; a serial caller's commit is a batch of one.
-	observer func([]CommitDelta)
-
-	// staging is true while a commit group is open (BeginGroup..
-	// EndGroup): s.mu is held by the group, Pagelog appends buffer
-	// until the group flush, and observer deltas collect in
-	// groupDeltas. Only the writer-semaphore holder opens groups and
-	// calls Committing, so the flag needs no extra synchronization.
-	staging     bool
+	// batch of CommitDeltas (replication primary), collected in
+	// groupDeltas while the group is open. Invoked under s.mu at
+	// EndGroup; a serial caller's commit is a batch of one.
+	observer    func([]CommitDelta)
 	groupDeltas []CommitDelta
 
 	// unflushedTail counts hot-tail pages appended by group flushes
@@ -181,29 +175,21 @@ func (s *System) Close() error {
 	return s.pl.close()
 }
 
+// BeginGroup implements storage.CommitHook: it takes the system mutex
+// for the whole commit group, so the group's captures, which stage in
+// the Pagelog until EndGroup, flush as one backing write and no reader
+// can observe a Maplog entry whose Pagelog offset is not yet written.
+func (s *System) BeginGroup() { s.mu.Lock() }
+
 // Committing implements storage.CommitHook: capture pre-states for the
 // latest declared snapshot (first-modification-wins) and, when declare
-// is set, assign the next snapshot id. Inside a commit group
-// (BeginGroup..EndGroup) s.mu is already held by the group and appends
-// stage until the group flush; outside one (a direct call, e.g. from a
-// unit test) it locks s.mu itself and the effects land immediately.
+// is set, assign the next snapshot id. It runs inside a commit group
+// (BeginGroup..EndGroup), which holds s.mu — on a primary's commits and
+// a replica's replicated ones alike, so both derive the same captures
+// at the same offsets.
 func (s *System) Committing(dirty []storage.DirtyPage, declare bool, reg any, newLSN uint64) (uint64, error) {
-	if !s.staging {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	return s.committingLocked(dirty, declare, reg, newLSN)
-}
-
-// committingLocked is Committing's body. Callers hold s.mu.
-func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg any, newLSN uint64) (uint64, error) {
 	if err := s.usableLocked(); err != nil {
 		return 0, err
-	}
-	pl := s.pl
-	var delta *CommitDelta
-	if s.observer != nil {
-		delta = &CommitDelta{LSN: newLSN, PlBase: pl.size()}
 	}
 	last := s.ml.lastSnap()
 	if last >= 1 {
@@ -214,19 +200,9 @@ func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg a
 			if s.lastCapture[d.ID] >= last {
 				continue // already captured since the latest declaration
 			}
-			off, err := pl.append(d.Pre)
-			if err != nil {
-				return 0, err
-			}
-			s.ml.append(last, d.ID, off)
+			s.ml.append(last, d.ID, s.pl.append(d.Pre))
 			s.lastCapture[d.ID] = last
 			s.stats.PagelogWrites.Add(1)
-			if delta != nil {
-				delta.Captures = append(delta.Captures, ReplCapture{Page: d.ID, Data: d.Pre})
-			}
-		}
-		if delta != nil && len(delta.Captures) > 0 {
-			delta.SnapTag = last
 		}
 	}
 	var snapID uint64
@@ -236,39 +212,27 @@ func (s *System) committingLocked(dirty []storage.DirtyPage, declare bool, reg a
 		s.stats.Snapshots.Add(1)
 		snapID = uint64(id)
 	}
-	if delta != nil {
-		delta.Declare = declare
-		delta.SnapID = SnapshotID(snapID)
-		delta.Reg = reg
-		for _, d := range dirty {
-			delta.Pages = append(delta.Pages, storage.ReplPage{ID: d.ID, Data: d.New})
-			if d.New == nil {
-				delta.Freed = append(delta.Freed, d.ID)
-			}
+	if s.observer != nil {
+		d := CommitDelta{
+			LSN:     newLSN,
+			Pages:   make([]storage.DirtyPage, len(dirty)),
+			PlEnd:   s.pl.size(),
+			Declare: declare,
+			SnapID:  SnapshotID(snapID),
+			Reg:     reg,
 		}
-		if s.staging {
-			s.groupDeltas = append(s.groupDeltas, *delta)
-		} else {
-			s.observer([]CommitDelta{*delta})
+		for i, p := range dirty {
+			d.Pages[i] = storage.DirtyPage{ID: p.ID, New: p.New}
 		}
+		s.groupDeltas = append(s.groupDeltas, d)
 	}
 	return snapID, nil
 }
 
-// BeginGroup implements storage.GroupCommitHook: it takes the system
-// mutex for the whole commit group and switches the Pagelog to staged
-// appends, so the group's captures flush as one backing write and no
-// reader can observe a Maplog entry whose Pagelog offset is not yet
-// written.
-func (s *System) BeginGroup() {
-	s.mu.Lock()
-	s.staging = true
-	s.pl.beginStage()
-}
-
-// EndGroup flushes the group's staged Pagelog appends with one backing
-// write, delivers the group's commit deltas to the observer as one
-// batch, and releases the system mutex taken by BeginGroup.
+// EndGroup implements storage.CommitHook: it flushes the group's staged
+// Pagelog appends with one backing write, delivers the group's commit
+// deltas to the observer as one batch, and releases the system mutex
+// taken by BeginGroup.
 func (s *System) EndGroup() {
 	appended, err := s.pl.flushStaged()
 	if err != nil && s.failed == nil {
@@ -279,7 +243,6 @@ func (s *System) EndGroup() {
 		s.failed = fmt.Errorf("retro: system failed: %w", err)
 	}
 	s.unflushedTail.Add(int64(appended))
-	s.staging = false
 	if s.observer != nil && len(s.groupDeltas) > 0 {
 		s.observer(s.groupDeltas)
 	}
@@ -287,7 +250,7 @@ func (s *System) EndGroup() {
 	s.mu.Unlock()
 }
 
-// GroupDurable implements storage.GroupCommitHook: one flush decision
+// GroupDurable implements storage.CommitHook: one flush decision
 // for the whole group, however many commits it carried, counted as a
 // DeviceFlush (the Pagelog is memory- or page-cache-backed, so the flush
 // itself is not performed). Called after the store mutex is released,
@@ -309,7 +272,7 @@ func (s *System) GroupDurable(commits int) {
 	s.stats.DeviceFlushes.Add(1)
 }
 
-// FlushDecisions implements storage.GroupCommitHook.
+// FlushDecisions implements storage.CommitHook.
 func (s *System) FlushDecisions() uint64 {
 	return s.stats.DeviceFlushes.Load() + s.stats.GroupFlushesSkipped.Load()
 }
@@ -338,9 +301,10 @@ func (s *System) PagelogPages() int64 { return s.pl.size() }
 // by testing the Maplog entries tagged [a, b) — the only pages that can
 // differ between the two images — against readSet, stopping at the
 // first hit. examined counts the entries tested. It allocates nothing,
-// and replicas, which reproduce the same entries via ApplyCommitDelta,
-// answer identically. ok is false (nothing can be concluded) when a is
-// 0, b <= a, or b is not yet declared.
+// and replicas, whose replicated commits run the same Committing and
+// so reproduce the same entries, answer identically. ok is false
+// (nothing can be concluded) when a is 0, b <= a, or b is not yet
+// declared.
 func (s *System) Unchanged(a, b SnapshotID, readSet map[storage.PageID]struct{}) (ok, unchanged bool, examined int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -277,7 +277,15 @@ func TestUpdateMaintainsOnlyChangedIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Rollback()
-	rowid, old, found, err := w.LookupByIndex("acct_code", []record.Value{record.Text("bb")})
+	code, err := w.Index("acct_code")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := w.Index("acct_owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowid, old, found, err := w.LookupByIndex(&code, []record.Value{record.Text("bb")})
 	if err != nil || !found {
 		t.Fatalf("lookup: %v %v", found, err)
 	}
@@ -292,7 +300,7 @@ func TestUpdateMaintainsOnlyChangedIndexes(t *testing.T) {
 	if err := w.Update(rowid, old, upd); !errors.Is(err, ErrUniqueIndex) {
 		t.Errorf("writer update into an existing unique key: %v", err)
 	}
-	if _, row, found, _ := w.LookupByIndex("acct_owner", []record.Value{record.Text("bob")}); !found || row[3].Int() != 99 {
+	if _, row, found, _ := w.LookupByIndex(&owner, []record.Value{record.Text("bob")}); !found || row[3].Int() != 99 {
 		t.Errorf("after writer update: %v %v", row, found)
 	}
 }
@@ -384,14 +392,19 @@ func extendName(i int) record.Value { return record.Text(fmt.Sprintf("name-%05d"
 // current end, and move that end to the next snapshot.
 type extender struct {
 	w     *TableWriter
+	ix    WriterIndex // iv_ix
 	names []record.Value
 	ends  []int64
 	probe []record.Value
 	old   []record.Value
 }
 
-func newExtender(w *TableWriter, n int) *extender {
-	e := &extender{w: w, names: make([]record.Value, n), ends: make([]int64, n), probe: make([]record.Value, 3)}
+func newExtender(tb testing.TB, w *TableWriter, n int) *extender {
+	ix, err := w.Index("iv_ix")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := &extender{w: w, ix: ix, names: make([]record.Value, n), ends: make([]int64, n), probe: make([]record.Value, 3)}
 	for i := range e.ends {
 		e.names[i], e.ends[i] = extendName(i), 1
 	}
@@ -402,7 +415,7 @@ func (e *extender) extend(i int) error {
 	e.probe[0] = record.Int(int64(i))
 	e.probe[1] = e.names[i]
 	e.probe[2] = record.Int(e.ends[i])
-	rowid, row, found, err := e.w.LookupByIndex("iv_ix", e.probe)
+	rowid, row, found, err := e.w.LookupByIndex(&e.ix, e.probe)
 	if err != nil || !found {
 		return fmt.Errorf("interval %d alive through %d: found=%v err=%v", i, e.ends[i], found, err)
 	}
@@ -421,7 +434,7 @@ func (e *extender) extend(i int) error {
 // and the index entry is rewritten in place.
 func TestIntervalExtensionAllocs(t *testing.T) {
 	const n = 2000
-	e := newExtender(extendFixture(t, n), n)
+	e := newExtender(t, extendFixture(t, n), n)
 	i := 0
 	step := func() {
 		if err := e.extend(i * 7 % n); err != nil {
@@ -457,12 +470,16 @@ func BenchmarkTableWriterFold(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer w.Rollback()
+		ix, err := w.Index("o_ok")
+		if err != nil {
+			b.Fatal(err)
+		}
 		probe := make([]record.Value, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			probe[0] = record.Int(int64(i * 7 % n))
-			rowid, old, found, err := w.LookupByIndex("o_ok", probe)
+			rowid, old, found, err := w.LookupByIndex(&ix, probe)
 			if err != nil || !found {
 				b.Fatal(found, err)
 			}
@@ -474,7 +491,7 @@ func BenchmarkTableWriterFold(b *testing.B) {
 		}
 	})
 	b.Run("intervals", func(b *testing.B) {
-		e := newExtender(extendFixture(b, n), n)
+		e := newExtender(b, extendFixture(b, n), n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

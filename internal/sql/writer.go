@@ -3,7 +3,7 @@ package sql
 import (
 	"bytes"
 	"fmt"
-	"slices"
+	"strings"
 
 	"rql/internal/btree"
 	"rql/internal/record"
@@ -71,22 +71,43 @@ func (w *TableWriter) Insert(vals []record.Value) (int64, error) {
 	return w.bufs.insert(w.ins)
 }
 
+// WriterIndex is one of a table's indexes, resolved by name once
+// (TableWriter.Index) for LookupByIndex: its name and its position
+// among the table's indexes, which serves every later writer on the
+// table while the table's indexes stay as they were.
+type WriterIndex struct {
+	name string
+	pos  int
+}
+
+// Index resolves the named index, one of the writer's table's.
+func (w *TableWriter) Index(name string) (WriterIndex, error) {
+	for i, ix := range w.bufs.ixs {
+		if strings.EqualFold(ix.Name, name) {
+			return WriterIndex{name: ix.Name, pos: i}, nil
+		}
+	}
+	return WriterIndex{}, fmt.Errorf("%w: %s on %s", ErrNoIndex, name, w.bufs.t.Name)
+}
+
 // LookupByIndex finds the first row whose index-key prefix matches vals
-// on the named index, one of the table's, returning its rowid and column
-// values. The values live in a buffer the writer owns: they stay valid
+// on ix, returning its rowid and column values. When the table's
+// indexes have changed since ix was resolved, it resolves ix again
+// first. The values live in a buffer the writer owns: they stay valid
 // until the writer's next call, and the caller may change them to hand
 // them back to Update as the new row.
-func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int64, []record.Value, bool, error) {
+func (w *TableWriter) LookupByIndex(ix *WriterIndex, vals []record.Value) (int64, []record.Value, bool, error) {
 	if w.done {
 		return 0, nil, false, storage.ErrTxDone
 	}
-	ix := w.sch.index(indexName)
-	i := slices.Index(w.bufs.ixs, ix)
-	if ix == nil || i < 0 {
-		return 0, nil, false, fmt.Errorf("%w: %s on %s", ErrNoIndex, indexName, w.bufs.t.Name)
+	if ix.pos >= len(w.bufs.ixs) || w.bufs.ixs[ix.pos].Name != ix.name {
+		var err error
+		if *ix, err = w.Index(ix.name); err != nil {
+			return 0, nil, false, err
+		}
 	}
 	w.probe = record.EncodeKey(w.probe[:0], vals)
-	cur := w.bufs.idx[i]
+	cur := w.bufs.idx[ix.pos]
 	ok, err := cur.Seek(w.probe)
 	if err != nil || !ok {
 		return 0, nil, false, err
@@ -95,7 +116,7 @@ func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int6
 	if !bytes.HasPrefix(key, w.probe) {
 		return 0, nil, false, nil
 	}
-	_, rowid, err := indexKeyRowid(ix, key)
+	_, rowid, err := indexKeyRowid(w.bufs.ixs[ix.pos], key)
 	if err != nil {
 		return 0, nil, false, err
 	}

@@ -26,15 +26,19 @@ func TestTableWriterInsertLookupUpdate(t *testing.T) {
 	}
 
 	// Lookup through the index within the open transaction.
-	gotID, row, found, err := w.LookupByIndex("r_grp", []record.Value{record.Text("a")})
+	if _, err := w.Index("nope"); !errors.Is(err, ErrNoIndex) {
+		t.Errorf("unknown index: %v", err)
+	}
+	ix, err := w.Index("R_GRP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotID, row, found, err := w.LookupByIndex(&ix, []record.Value{record.Text("a")})
 	if err != nil || !found || gotID != rowid || row[1].Int() != 1 {
 		t.Fatalf("lookup: id=%d row=%v found=%v err=%v", gotID, row, found, err)
 	}
-	if _, _, found, _ := w.LookupByIndex("r_grp", []record.Value{record.Text("zz")}); found {
+	if _, _, found, _ := w.LookupByIndex(&ix, []record.Value{record.Text("zz")}); found {
 		t.Error("lookup of absent key")
-	}
-	if _, _, _, err := w.LookupByIndex("nope", nil); !errors.Is(err, ErrNoIndex) {
-		t.Errorf("unknown index: %v", err)
 	}
 
 	// Update maintains the index.
@@ -43,10 +47,10 @@ func TestTableWriterInsertLookupUpdate(t *testing.T) {
 		[]record.Value{record.Text("z"), record.Int(10)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, found, _ := w.LookupByIndex("r_grp", []record.Value{record.Text("a")}); found {
+	if _, _, found, _ := w.LookupByIndex(&ix, []record.Value{record.Text("a")}); found {
 		t.Error("old index entry survived update")
 	}
-	_, row, found, _ = w.LookupByIndex("r_grp", []record.Value{record.Text("z")})
+	_, row, found, _ = w.LookupByIndex(&ix, []record.Value{record.Text("z")})
 	if !found || row[1].Int() != 10 {
 		t.Errorf("updated row: %v %v", row, found)
 	}
@@ -59,6 +63,31 @@ func TestTableWriterInsertLookupUpdate(t *testing.T) {
 	// Writer methods after Commit fail cleanly.
 	if _, err := w.Insert([]record.Value{record.Text("c"), record.Int(3)}); !errors.Is(err, storage.ErrTxDone) {
 		t.Errorf("insert after commit: %v", err)
+	}
+
+	// The handle serves a later writer on the table, follows its index
+	// when another index takes its position, and fails once the index
+	// is gone.
+	mustExec(t, c, `CREATE INDEX a_first ON r (n)`)
+	w, err = c.OpenTableWriter("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Rollback()
+	if _, row, found, err := w.LookupByIndex(&ix, []record.Value{record.Text("b")}); err != nil || !found || row[1].Int() != 2 {
+		t.Errorf("lookup after an index was added: row=%v found=%v err=%v", row, found, err)
+	}
+	if ix.pos != 1 {
+		t.Errorf("handle at position %d after an index sorting first was added, want 1", ix.pos)
+	}
+	w.Rollback()
+	mustExec(t, c, `DROP INDEX r_grp`)
+	w, err = c.OpenTableWriter("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := w.LookupByIndex(&ix, []record.Value{record.Text("b")}); !errors.Is(err, ErrNoIndex) {
+		t.Errorf("lookup through a handle on a dropped index: %v", err)
 	}
 }
 

@@ -28,31 +28,6 @@ import (
 // are discarded; the caller may retry on a fresh snapshot.
 var ErrWriteConflict = errors.New("storage: write conflict, transaction aborted (first committer wins)")
 
-// GroupCommitHook extends CommitHook for batched commit groups. The
-// store brackets each group's Committing calls with BeginGroup /
-// EndGroup (both under the store mutex) so the hook can buffer its log
-// appends and flush them as one backing write; GroupDurable then runs
-// after the store mutex is released (still under the writer semaphore)
-// and models the group's single fsync-equivalent device round-trip.
-type GroupCommitHook interface {
-	CommitHook
-	// BeginGroup opens a commit group. Called before the group's first
-	// Committing; the hook may take its own lock here and hold it until
-	// EndGroup, so no reader observes the group's log effects before
-	// they are flushed.
-	BeginGroup()
-	// EndGroup flushes the group's buffered appends as one backing
-	// write and releases whatever BeginGroup acquired.
-	EndGroup()
-	// GroupDurable takes the flushed group's one durability decision —
-	// a device flush or a skip — for the whole group of `commits`
-	// transactions.
-	GroupDurable(commits int)
-	// FlushDecisions is the number of GroupDurable calls accounted so
-	// far, as flushes issued plus flushes skipped.
-	FlushDecisions() uint64
-}
-
 // commitReq states. A request starts pending; the leader claims it
 // (and owns delivering its result), or a context-cancelled waiter
 // abandons it (and owns rolling the transaction back). The CAS makes
@@ -127,18 +102,14 @@ func (s *Store) applyGroup(batch []*commitReq) {
 	var results []commitResult
 
 	s.mu.Lock()
-	var gh GroupCommitHook
-	if h, ok := s.hook.(GroupCommitHook); ok {
-		gh = h
-	}
 	var failAll error
 	if s.closed {
 		failAll = ErrStoreClosed
 	} else if s.readOnly != nil {
 		failAll = s.readOnly
 	}
-	if failAll == nil && gh != nil {
-		gh.BeginGroup()
+	if failAll == nil && s.hook != nil {
+		s.hook.BeginGroup()
 	}
 	committed, conflicts := 0, 0
 	for _, req := range batch {
@@ -163,8 +134,8 @@ func (s *Store) applyGroup(batch []*commitReq) {
 		claimed = append(claimed, req)
 		results = append(results, res)
 	}
-	if failAll == nil && gh != nil {
-		gh.EndGroup()
+	if failAll == nil && s.hook != nil {
+		s.hook.EndGroup()
 	}
 	// A group is a batch with at least one applied commit: that is the
 	// unit GroupDurable decides a flush or a skip for, so Groups, the
@@ -181,10 +152,10 @@ func (s *Store) applyGroup(batch []*commitReq) {
 	lsn := s.lsn
 	s.mu.Unlock()
 
-	if gh != nil && committed > 0 {
-		gh.GroupDurable(committed)
+	if s.hook != nil && committed > 0 {
+		s.hook.GroupDurable(committed)
 	}
-	s.checkGroupAccounting(gh)
+	s.checkGroupAccounting()
 	for i, req := range claimed {
 		req.done <- results[i]
 	}
@@ -203,18 +174,18 @@ func (s *Store) applyGroup(batch []*commitReq) {
 // counts in InvariantViolations. (A stats reset that lands between a
 // concurrent batch's increments can trip it; resets are a quiesced
 // experiment-harness operation.)
-func (s *Store) checkGroupAccounting(gh GroupCommitHook) {
+func (s *Store) checkGroupAccounting() {
 	groups := s.stats.Groups.Load()
-	if s.stats.Commits.Load() < groups || (gh != nil && gh.FlushDecisions() != groups) {
+	if s.stats.Commits.Load() < groups || (s.hook != nil && s.hook.FlushDecisions() != groups) {
 		s.stats.InvariantViolations.Add(1)
 	}
 }
 
 // commitOneLocked applies one transaction: first-committer-wins
-// conflict check, dirty-set assembly, commit hook, version installs,
-// free-list update. Callers hold s.mu. On any failure the
-// transaction's page allocations return to the free list inline
-// (calling unallocate here would deadlock on s.mu).
+// conflict check, dirty-set assembly, then installLocked. Callers hold
+// s.mu. On any failure the transaction's page allocations return to
+// the free list inline (calling unallocate here would deadlock on
+// s.mu).
 func (s *Store) commitOneLocked(tx *Tx, declare bool, reg any) (snapID uint64, err error) {
 	sp := tx.span.Child("storage.commit")
 	s.endReadLocked(tx.base) // staged reads are over: drop the base pin
@@ -230,44 +201,52 @@ func (s *Store) commitOneLocked(tx *Tx, declare bool, reg any) (snapID uint64, e
 	// changes, then frees.
 	dirty := make([]DirtyPage, 0, len(tx.dirty)+len(tx.freed))
 	for id, data := range tx.dirty {
-		var pre *PageData
-		if head := s.currentVersion(id); head != nil {
-			pre = head.data
-		}
-		dirty = append(dirty, DirtyPage{ID: id, Pre: pre, New: data})
+		dirty = append(dirty, DirtyPage{ID: id, New: data})
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].ID < dirty[j].ID })
 	for _, id := range tx.freed {
-		var pre *PageData
-		if head := s.currentVersion(id); head != nil {
-			pre = head.data
-		}
-		dirty = append(dirty, DirtyPage{ID: id, Pre: pre, New: nil})
+		dirty = append(dirty, DirtyPage{ID: id})
 	}
-
-	if s.hook != nil {
-		snapID, err = s.hook.Committing(dirty, declare, reg, s.lsn+1)
-		if err != nil {
-			s.reclaimLocked(tx)
-			sp.End()
-			return 0, err
-		}
+	if snapID, err = s.installLocked(dirty, declare, reg); err != nil {
+		s.reclaimLocked(tx)
+		sp.End()
+		return 0, err
 	}
-
-	s.lsn++
-	newLSN := s.lsn
-	keep := s.minReaderLSN(newLSN)
-	for _, d := range dirty {
-		s.installVersion(d.ID, &pageVersion{lsn: newLSN, data: d.New}, keep)
-	}
-	s.free = append(s.free, tx.freed...)
-	s.stats.Commits.Add(1)
-	s.stats.PagesWritten.Add(uint64(len(dirty)))
-	sp.SetInt("pages", int64(len(dirty))).SetInt("lsn", int64(newLSN))
+	sp.SetInt("pages", int64(len(dirty))).SetInt("lsn", int64(s.lsn))
 	if declare {
 		sp.SetInt("snapshot", int64(snapID))
 	}
 	sp.End()
+	return snapID, nil
+}
+
+// installLocked commits one write set at the next LSN, a writer
+// transaction's or a replicated one: it reads each page's Pre from its
+// current version, runs the commit hook, installs the New versions,
+// puts the freed pages (New nil) on the free list and counts the
+// commit. dirty is in commit order, content changes before frees.
+// Callers hold s.mu and, when there is a hook, its group.
+func (s *Store) installLocked(dirty []DirtyPage, declare bool, reg any) (snapID uint64, err error) {
+	for i := range dirty {
+		if head := s.currentVersion(dirty[i].ID); head != nil {
+			dirty[i].Pre = head.data
+		}
+	}
+	if s.hook != nil {
+		if snapID, err = s.hook.Committing(dirty, declare, reg, s.lsn+1); err != nil {
+			return 0, err
+		}
+	}
+	s.lsn++
+	keep := s.minReaderLSN(s.lsn)
+	for _, d := range dirty {
+		s.installVersion(d.ID, &pageVersion{lsn: s.lsn, data: d.New}, keep)
+		if d.New == nil {
+			s.free = append(s.free, d.ID)
+		}
+	}
+	s.stats.Commits.Add(1)
+	s.stats.PagesWritten.Add(uint64(len(dirty)))
 	return snapID, nil
 }
 

@@ -10,7 +10,7 @@ import (
 	"rql/internal/obs"
 )
 
-// gateHook is a GroupCommitHook whose GroupDurable blocks until the
+// gateHook is a CommitHook whose GroupDurable blocks until the
 // test releases it, letting tests hold the commit leader in its flush
 // while more transactions pile onto the queue.
 type gateHook struct {
@@ -51,7 +51,7 @@ func (h *gateHook) FlushDecisions() uint64 {
 	return uint64(len(h.flushes))
 }
 
-var _ GroupCommitHook = (*gateHook)(nil)
+var _ CommitHook = (*gateHook)(nil)
 
 func writePage(t *testing.T, tx *Tx, id PageID, b byte) {
 	t.Helper()

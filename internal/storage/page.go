@@ -59,9 +59,10 @@ type Pager interface {
 	Writes() uint64
 }
 
-// DirtyPage describes one page modified by a committing transaction,
-// as passed to the CommitHook. Pre is nil for newly allocated pages;
-// New is nil for freed pages.
+// DirtyPage describes one page modified by a commit, as passed to the
+// CommitHook. Pre is the page's current committed version, which the
+// store reads at install (nil for a page with none, such as a newly
+// allocated one); New is nil for freed pages.
 type DirtyPage struct {
 	ID  PageID
 	Pre *PageData
@@ -70,14 +71,33 @@ type DirtyPage struct {
 
 // CommitHook observes commits. The Retro snapshot system registers one
 // to capture page pre-states (copy-on-write) and to assign snapshot
-// identifiers. Committing is invoked under the store mutex, before the
-// new versions become visible; newLSN is the commit LSN the transaction
-// will receive. declare is true when the transaction committed WITH
-// SNAPSHOT; the hook returns the declared snapshot id (0 when declare
-// is false). reg is CommitWithSnapshot's registration argument, passed
-// through unread. A non-nil error vetoes the commit.
+// identifiers. Every commit runs inside a group — a writer
+// transaction's commit group and a replica's replicated group alike:
+// BeginGroup, one Committing per commit, EndGroup, all under the store
+// mutex, then GroupDurable after the mutex is released (still under the
+// writer semaphore).
 type CommitHook interface {
+	// BeginGroup opens a commit group. The hook may take its own lock
+	// here and hold it until EndGroup, so no reader observes the
+	// group's log effects before they are flushed.
+	BeginGroup()
+	// Committing runs before one commit's new versions become visible;
+	// newLSN is the commit LSN the commit will receive. declare is true
+	// when the commit is WITH SNAPSHOT; the hook returns the declared
+	// snapshot id (0 when declare is false). reg is CommitWithSnapshot's
+	// registration argument, passed through unread (nil for a replicated
+	// commit). A non-nil error vetoes the commit.
 	Committing(dirty []DirtyPage, declare bool, reg any, newLSN uint64) (snapID uint64, err error)
+	// EndGroup flushes the group's buffered appends as one backing
+	// write and releases whatever BeginGroup acquired.
+	EndGroup()
+	// GroupDurable takes the flushed group's one durability decision —
+	// a device flush or a skip — for the whole group of `commits`
+	// commits.
+	GroupDurable(commits int)
+	// FlushDecisions is the number of GroupDurable calls accounted so
+	// far, as flushes issued plus flushes skipped.
+	FlushDecisions() uint64
 }
 
 func (id PageID) String() string { return fmt.Sprintf("page %d", uint32(id)) }

@@ -6,19 +6,19 @@ import (
 )
 
 // Replication support. A replica store is a normal Store whose state is
-// advanced only by ApplyReplicated / ApplyBootstrap (which bypass the
-// writer-transaction path and its commit hook) while SetReadOnly keeps
-// local writers out. Replicated commits install exactly the page
-// versions the primary's commit installed, at the same LSNs, so the
-// replica's MVCC state is byte-identical to the primary's at every
-// commit boundary.
+// advanced only by ApplyReplicated / ApplyBootstrap while SetReadOnly
+// keeps local writers out. A replicated commit takes the commit path a
+// writer's does (installLocked, inside a hook group): it installs
+// exactly the page versions the primary's commit installed, at the same
+// LSNs, so the replica's MVCC state is byte-identical to the primary's
+// at every commit boundary — and the commit hook, handed the same
+// pre-states, derives the same effects the primary's hook did.
 
 // ErrReplMismatch reports a replicated commit that does not extend the
-// local LSN sequence — the replica has diverged and must re-sync.
+// local state — the replica has diverged and must re-sync.
 var ErrReplMismatch = errors.New("storage: replicated commit does not extend local state")
 
-// ReplPage is one page's post-state in a replicated commit.
-// Data == nil marks the page freed by the commit.
+// ReplPage is one page image of a replication bootstrap.
 type ReplPage struct {
 	ID   PageID
 	Data *PageData
@@ -26,9 +26,10 @@ type ReplPage struct {
 
 // ReplCommit is one primary commit as shipped on a replication stream.
 type ReplCommit struct {
-	LSN   uint64
-	Pages []ReplPage // post-images in the primary's commit order
-	Freed []PageID   // ids among Pages with nil Data, for the free list
+	LSN     uint64
+	Pages   []DirtyPage // post-images (New; nil = freed) in the primary's commit order; Pre is filled on apply
+	Declare bool
+	SnapID  uint64 // the snapshot id the primary's hook declared, when Declare
 }
 
 // SetReadOnly makes Begin fail with err until called again with nil.
@@ -39,44 +40,59 @@ func (s *Store) SetReadOnly(err error) {
 	s.readOnly = err
 }
 
-// ApplyReplicated installs a group of replicated commits atomically:
-// the store's mutex is held across the whole group, so concurrent
-// readers pin either the LSN before the group or the LSN after it —
-// never a torn prefix. That is what keeps a replica's visible state on
-// snapshot boundaries when the group is one snapshot's commits.
-//
-// pre(i) runs before commit i's versions install, under the store
-// mutex — the same position the primary's commit hook runs at — and is
-// where the Retro system applies the commit's Pagelog/Maplog effects.
-// An error from pre aborts the group mid-way; the caller must treat the
-// store as diverged (commits before i are fully applied).
-func (s *Store) ApplyReplicated(commits []ReplCommit, pre func(i int) error) error {
+// ApplyReplicated installs a group of replicated commits as one commit
+// group, the way applyGroup installs a writer batch: one hook group,
+// installLocked per commit, one durability decision, counted as one
+// group. The store's mutex is held across the whole group, so
+// concurrent readers pin either the LSN before the group or the LSN
+// after it — never a torn prefix. That is what keeps a replica's
+// visible state on snapshot boundaries when the group is one snapshot's
+// commits. A commit that does not extend the local LSN, or whose
+// declared snapshot id differs from the primary's, fails the group with
+// ErrReplMismatch; the commits before it (and, for a snapshot id, the
+// commit itself) are fully applied, and the caller must treat the store
+// as diverged.
+func (s *Store) ApplyReplicated(commits []ReplCommit) error {
 	s.writerSem <- struct{}{}
 	defer s.releaseWriter()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrStoreClosed
 	}
-	for i, c := range commits {
-		if c.LSN != s.lsn+1 {
-			return fmt.Errorf("%w: commit LSN %d, store at %d", ErrReplMismatch, c.LSN, s.lsn)
-		}
-		if pre != nil {
-			if err := pre(i); err != nil {
-				return err
-			}
-		}
-		s.lsn++
-		keep := s.minReaderLSN(s.lsn)
-		for _, p := range c.Pages {
-			s.installVersion(p.ID, &pageVersion{lsn: s.lsn, data: p.Data}, keep)
-		}
-		s.free = append(s.free, c.Freed...)
-		s.stats.Commits.Add(1)
-		s.stats.PagesWritten.Add(uint64(len(c.Pages)))
+	if s.hook != nil {
+		s.hook.BeginGroup()
 	}
-	return nil
+	var err error
+	committed := 0
+	for _, c := range commits {
+		if c.LSN != s.lsn+1 {
+			err = fmt.Errorf("%w: commit LSN %d, store at %d", ErrReplMismatch, c.LSN, s.lsn)
+			break
+		}
+		var snapID uint64
+		if snapID, err = s.installLocked(c.Pages, c.Declare, nil); err != nil {
+			break
+		}
+		committed++
+		if c.Declare && snapID != c.SnapID {
+			err = fmt.Errorf("%w: commit LSN %d declared snapshot %d, primary declared %d", ErrReplMismatch, c.LSN, snapID, c.SnapID)
+			break
+		}
+	}
+	if s.hook != nil {
+		s.hook.EndGroup()
+	}
+	if committed > 0 {
+		s.stats.Groups.Add(1)
+		s.stats.GroupSizeBuckets.Observe(uint64(committed))
+	}
+	s.mu.Unlock()
+	if s.hook != nil && committed > 0 {
+		s.hook.GroupDurable(committed)
+	}
+	s.checkGroupAccounting()
+	return err
 }
 
 // ApplyBootstrap loads a full replicated state into an empty store:

@@ -285,7 +285,14 @@ type hookRecorder struct {
 	lastPre  map[PageID]bool // pages with non-nil pre-state
 	nextSnap uint64
 	fail     error
+	groups   int    // BeginGroup calls
+	durable  uint64 // GroupDurable calls
 }
+
+func (h *hookRecorder) BeginGroup()            { h.groups++ }
+func (h *hookRecorder) EndGroup()              {}
+func (h *hookRecorder) GroupDurable(int)       { h.durable++ }
+func (h *hookRecorder) FlushDecisions() uint64 { return h.durable }
 
 func (h *hookRecorder) Committing(dirty []DirtyPage, declare bool, _ any, newLSN uint64) (uint64, error) {
 	if h.fail != nil {
@@ -541,5 +548,61 @@ func TestStatsCounters(t *testing.T) {
 	st := s.Stats()
 	if st.Commits != 1 || st.PagesWritten != 1 || st.DBReads == 0 {
 		t.Errorf("unexpected stats: %+v", st)
+	}
+}
+
+// TestApplyReplicatedTakesTheCommitPath applies replicated groups to a
+// store with a hook: each group is one hook group with one durability
+// decision, the hook sees each page's pre-state read from the store,
+// a freed page reaches the free list, and a declaring commit whose
+// shipped snapshot id differs from the hook's fails the group with
+// ErrReplMismatch.
+func TestApplyReplicatedTakesTheCommitPath(t *testing.T) {
+	s := NewStore()
+	h := &hookRecorder{}
+	s.SetCommitHook(h)
+	page := func(b byte) *PageData {
+		p := new(PageData)
+		fill(p, b)
+		return p
+	}
+
+	err := s.ApplyReplicated([]ReplCommit{
+		{LSN: 1, Pages: []DirtyPage{{ID: 1, New: page(1)}, {ID: 2, New: page(2)}}},
+		{LSN: 2, Pages: []DirtyPage{{ID: 1, New: page(3)}, {ID: 2}}, Declare: true, SnapID: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.lastPre[1] || !h.lastPre[2] {
+		t.Errorf("second commit's pre-states: %v, want both pages present", h.lastPre)
+	}
+	if h.groups != 1 || h.durable != 1 || h.calls != 2 {
+		t.Errorf("groups=%d durable=%d calls=%d, want 1, 1, 2", h.groups, h.durable, h.calls)
+	}
+	if free := s.FreeList(); len(free) != 1 || free[0] != 2 {
+		t.Errorf("free list %v, want [2]", free)
+	}
+	st := s.Stats()
+	if st.Groups != 1 || st.Commits != 2 || st.InvariantViolations != 0 {
+		t.Errorf("groups=%d commits=%d violations=%d, want 1, 2, 0", st.Groups, st.Commits, st.InvariantViolations)
+	}
+
+	// The hook declares snapshot 2; the primary claims 3.
+	err = s.ApplyReplicated([]ReplCommit{
+		{LSN: 3, Pages: []DirtyPage{{ID: 1, New: page(4)}}, Declare: true, SnapID: 3},
+	})
+	if !errors.Is(err, ErrReplMismatch) {
+		t.Fatalf("mismatched snapshot id: %v, want ErrReplMismatch", err)
+	}
+	if st := s.Stats(); st.InvariantViolations != 0 {
+		t.Errorf("a failed replicated group tripped %d invariant checks", st.InvariantViolations)
+	}
+	// A commit that skips an LSN changes nothing.
+	if err := s.ApplyReplicated([]ReplCommit{{LSN: 9}}); !errors.Is(err, ErrReplMismatch) {
+		t.Fatalf("LSN gap: %v, want ErrReplMismatch", err)
+	}
+	if s.LSN() != 3 {
+		t.Errorf("store LSN %d, want 3", s.LSN())
 	}
 }

@@ -49,8 +49,7 @@ func TestListDecodersRejectOversizedCounts(t *testing.T) {
 		"SegmentChunk":    {zeros(2), func(d *Dec) { DecodeReplSegmentChunk(d) }},
 		"MapEntries":      {zeros(0), func(d *Dec) { DecodeReplMapEntries(d) }},
 		"Annots":          {zeros(0), func(d *Dec) { DecodeReplAnnots(d) }},
-		"ReplDelta/caps":  {zeros(7), func(d *Dec) { DecodeReplDelta(d) }},
-		"ReplDelta/pages": {zeros(8), func(d *Dec) { DecodeReplDelta(d) }},
+		"ReplDelta/pages": {zeros(6), func(d *Dec) { DecodeReplDelta(d) }},
 		"ReplStats":       {zeros(4), func(d *Dec) { DecodeReplStats(d) }},
 	} {
 		e := &Enc{}
@@ -180,10 +179,10 @@ func FuzzDecodeReplDelta(f *testing.F) {
 	// fuzzer a hundred times slower; the image paths have their own
 	// oversized-count and round-trip tests.
 	seed := ReplDelta{
-		LSN: 7, SnapTag: 3, PlBase: 120, Declare: true, SnapID: 4,
+		LSN: 7, Declare: true, SnapID: 4, PlEnd: 120,
 		Annot: &ReplAnnot{Snap: 4, TS: "2026-01-02 00:00:00", Label: "day-1"},
 		Pages: []ReplPageImage{{ID: 5}, {ID: 6}},
 	}
 	// A present registration whose timestamp announces ~8 GiB.
-	fuzzDecoder(f, DecodeReplDelta, EncodeReplDelta, seed, []byte{0, 0, 0, 0, 1, 4, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F})
+	fuzzDecoder(f, DecodeReplDelta, EncodeReplDelta, seed, []byte{0, 0, 1, 4, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F})
 }

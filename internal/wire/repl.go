@@ -295,50 +295,36 @@ func DecodeReplAnnots(d *Dec) []ReplAnnot {
 	return out
 }
 
-// ReplCaptureImage is one Retro pre-state capture in a delta: the page
-// image the primary appended to its Pagelog for this commit.
-type ReplCaptureImage struct {
-	Page uint32
-	Data []byte // exactly PageSize bytes
-}
-
-// ReplDelta is one replicated commit (the RespReplDelta body). Large
-// commits are split across frames: every frame repeats LSN and SnapTag,
-// PlBase tracks the Pagelog offset at which that frame's captures
-// begin, and only the frame with Partial == false carries the commit's
-// Declare/SnapID/Annot and completes it. The replica merges Partial
-// frames and applies nothing until the final frame of the final commit
-// of a snapshot group arrives — the snapshot's SnapIds row included — so
-// its horizon moves only between complete snapshots.
+// ReplDelta is one replicated commit (the RespReplDelta body): the
+// commit's post-images, from which the replica's own commit path
+// derives the Retro captures. Large commits are split across frames:
+// every frame repeats LSN, and only the frame with Partial == false
+// carries the commit's Declare/SnapID/PlEnd/Annot and completes it. The
+// replica merges Partial frames and applies nothing until the final
+// frame of the final commit of a snapshot group arrives — the
+// snapshot's SnapIds row included — so its horizon moves only between
+// complete snapshots.
 type ReplDelta struct {
-	LSN      uint64
-	SnapTag  uint64     // Maplog tag of this commit's captures (0 if none)
-	PlBase   int64      // primary Pagelog offset before this frame's captures
-	Partial  bool       // more frames follow for the same commit
-	Declare  bool       // commit was COMMIT WITH SNAPSHOT (final frame only)
-	SnapID   uint64     // declared snapshot id when Declare
-	Annot    *ReplAnnot // SnapIds row of SnapID, if the declaration carried one (Snap not encoded)
-	Captures []ReplCaptureImage
-	Pages    []ReplPageImage // post-images; Data nil = freed
+	LSN     uint64
+	Partial bool            // more frames follow for the same commit
+	Declare bool            // commit was COMMIT WITH SNAPSHOT (final frame only)
+	SnapID  uint64          // declared snapshot id when Declare
+	PlEnd   int64           // primary Pagelog size after the commit (final frame only)
+	Annot   *ReplAnnot      // SnapIds row of SnapID, if the declaration carried one (Snap not encoded)
+	Pages   []ReplPageImage // post-images; Data nil = freed
 }
 
 // EncodeReplDelta appends a ReplDelta body.
 func EncodeReplDelta(e *Enc, rd ReplDelta) {
 	e.Uvarint(rd.LSN)
-	e.Uvarint(rd.SnapTag)
-	e.Varint(rd.PlBase)
 	e.Bool(rd.Partial)
 	e.Bool(rd.Declare)
 	e.Uvarint(rd.SnapID)
+	e.Varint(rd.PlEnd)
 	e.Bool(rd.Annot != nil)
 	if rd.Annot != nil {
 		e.String(rd.Annot.TS)
 		e.String(rd.Annot.Label)
-	}
-	e.Uvarint(uint64(len(rd.Captures)))
-	for _, c := range rd.Captures {
-		e.Uvarint(uint64(c.Page))
-		e.B = append(e.B, c.Data[:PageSize]...)
 	}
 	EncodeReplPages(e, rd.Pages)
 }
@@ -348,25 +334,12 @@ func EncodeReplDelta(e *Enc, rd ReplDelta) {
 func DecodeReplDelta(d *Dec) ReplDelta {
 	var rd ReplDelta
 	rd.LSN = d.Uvarint()
-	rd.SnapTag = d.Uvarint()
-	rd.PlBase = d.Varint()
 	rd.Partial = d.Bool()
 	rd.Declare = d.Bool()
 	rd.SnapID = d.Uvarint()
+	rd.PlEnd = d.Varint()
 	if d.Bool() {
 		rd.Annot = &ReplAnnot{Snap: rd.SnapID, TS: d.String(), Label: d.String()}
-	}
-	n := d.Len()
-	rd.Captures = make([]ReplCaptureImage, 0, min(n, len(d.B)/PageSize))
-	for i := 0; i < n; i++ {
-		c := ReplCaptureImage{Page: uint32(d.Uvarint())}
-		if d.Err() != nil || len(d.B) < PageSize {
-			d.fail()
-			return rd
-		}
-		c.Data = d.B[:PageSize]
-		d.B = d.B[PageSize:]
-		rd.Captures = append(rd.Captures, c)
 	}
 	rd.Pages = DecodeReplPages(d)
 	return rd

@@ -113,16 +113,11 @@ func TestReplAnnotsRoundTrip(t *testing.T) {
 func TestReplDeltaRoundTrip(t *testing.T) {
 	in := ReplDelta{
 		LSN:     7,
-		SnapTag: 3,
-		PlBase:  120,
 		Partial: true,
 		Declare: true,
 		SnapID:  4,
+		PlEnd:   122,
 		Annot:   &ReplAnnot{Snap: 4, TS: "2026-08-08 12:00:00", Label: "day-4"},
-		Captures: []ReplCaptureImage{
-			{Page: 5, Data: page(0x11)},
-			{Page: 9, Data: page(0x22)},
-		},
 		Pages: []ReplPageImage{
 			{ID: 5, Data: page(0x33)},
 			{ID: 6, Data: nil}, // freed by this commit
@@ -135,14 +130,10 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 	if d.Err() != nil {
 		t.Fatal(d.Err())
 	}
-	if out.LSN != in.LSN || out.SnapTag != in.SnapTag || out.PlBase != in.PlBase ||
+	if out.LSN != in.LSN || out.PlEnd != in.PlEnd ||
 		out.Partial != in.Partial || out.Declare != in.Declare || out.SnapID != in.SnapID ||
 		!reflect.DeepEqual(out.Annot, in.Annot) {
 		t.Fatalf("header mismatch: %+v", out)
-	}
-	if len(out.Captures) != 2 || out.Captures[0].Page != 5 ||
-		!bytes.Equal(out.Captures[1].Data, in.Captures[1].Data) {
-		t.Fatal("captures mismatch")
 	}
 	if len(out.Pages) != 2 || !bytes.Equal(out.Pages[0].Data, in.Pages[0].Data) ||
 		out.Pages[1].Data != nil {

@@ -38,9 +38,10 @@ import (
 // built from this repository (client, repl.Replica, rqlshell, rqlbench,
 // benchmark/), so a HELLO below it is refused with an error naming it,
 // and a HELLO above it is answered with it. DESIGN.md has the frame
-// table. v14: the statement and iteration cost records lose their
-// queue_wait field.
-const ProtocolVersion = 14
+// table. v15: a replication delta ships post-images only — its capture
+// images, Maplog tag and Pagelog base give way to PlEnd, the primary's
+// Pagelog size after the commit.
+const ProtocolVersion = 15
 
 // Magic opens the client hello.
 const Magic = "RQL1"
